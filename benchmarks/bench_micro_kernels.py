@@ -186,12 +186,19 @@ def test_rasterize_backward_reference(benchmark, raster_scene):
 
 
 def test_rasterize_backward_vectorized(benchmark, raster_scene):
+    """The standalone adjoint: the forward's saved pair table is stripped,
+    so every round rebuilds pairs and scan — comparable with the
+    reference backward above, which also starts from ``order``/``bboxes``
+    alone. The training path (saved context) is the ``backward_s`` column
+    of ``test_raster_engine_matrix``."""
+    from dataclasses import replace
+
     from repro.render.engine import (
         rasterize_backward_vectorized,
         rasterize_vectorized,
     )
 
-    res = rasterize_vectorized(*raster_scene)
+    res = replace(rasterize_vectorized(*raster_scene), saved=None)
     grad = np.ones((RASTER_WH, RASTER_WH, 3))
     out = benchmark(
         lambda: rasterize_backward_vectorized(
@@ -342,6 +349,8 @@ def test_raster_parallel_speedup(benchmark):
     """Acceptance gate: at 4 workers on the 50k-splat scene, the parallel
     engine must at least halve the combined forward+backward wall-clock
     of the vectorized engine."""
+    from dataclasses import replace
+
     from repro.render import RasterConfig
     from repro.render.engine import (
         rasterize_backward_vectorized,
@@ -357,7 +366,10 @@ def test_raster_parallel_speedup(benchmark):
     grad = np.ones((RASTER_WH, RASTER_WH, 3))
 
     def compare():
-        vec_res = rasterize_vectorized(*scene)
+        # the gate is multi-core scaling of the same work: the pooled
+        # engine rebuilds its pairs in backward, so the single-core side
+        # does too (saved context stripped)
+        vec_res = replace(rasterize_vectorized(*scene), saved=None)
         par_res = rasterize_parallel(*scene, config=cfg)
         np.testing.assert_allclose(
             par_res.image, vec_res.image, atol=1e-9, rtol=0
@@ -441,8 +453,14 @@ def test_raster_engine_matrix(benchmark):
     shrinks the grid so shared runners finish in seconds; no speedup is
     asserted here (timings on shared runners are informational). The
     fragment rows sweep a workers x shards grid, and quick mode adds a
-    span-oversubscription axis for the parallel engine.
+    span-oversubscription axis for the parallel engine. The ``vectorized``
+    rows time the backward twice: ``backward_s`` from the forward's saved
+    pair table (the training path) and ``backward_rebuild_s`` with it
+    stripped (the fallback a foreign forward takes).
     """
+    from dataclasses import replace
+    from functools import partial
+
     from repro.render import RasterConfig
     from repro.render.engine import (
         rasterize_backward_vectorized,
@@ -482,12 +500,19 @@ def test_raster_engine_matrix(benchmark):
             for dtype in (None, "float32"):
                 cfg = RasterConfig(dtype=dtype)
                 res = rasterize_vectorized(*scene, config=cfg)
+
+                def bwd_vec(res, cfg=cfg):
+                    return rasterize_backward_vectorized(
+                        scene[0], scene[1], scene[2], scene[3], res, grad,
+                        config=cfg,
+                    )
+
                 add(
                     "vectorized", 0, dtype or "float64",
                     lambda cfg=cfg: rasterize_vectorized(*scene, config=cfg),
-                    lambda res=res, cfg=cfg: rasterize_backward_vectorized(
-                        scene[0], scene[1], scene[2], scene[3], res, grad,
-                        config=cfg,
+                    partial(bwd_vec, res),
+                    backward_rebuild_s=_best_of(
+                        partial(bwd_vec, replace(res, saved=None)), rounds
                     ),
                 )
             for workers in worker_axis:

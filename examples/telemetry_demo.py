@@ -50,6 +50,7 @@ def train_traced(scene, ckpt_path: str):
         resident_shards=RESIDENT_SHARDS,
         async_prefetch=True,
         telemetry=True,
+        engine="vectorized",
         scene_extent=scene.extent,
         ssim_lambda=0.2,
         seed=0,
@@ -121,6 +122,10 @@ def main():
     print(f"page-stall fraction of training: {stall_s / max(step_s, 1e-12):.1%} "
           f"({stall_s * 1e3:.1f} ms of page traffic in {step_s * 1e3:.1f} ms "
           f"of stepping)")
+    saved_kb = registry.gauge("render/saved_pair_bytes").value / 1e3
+    print(f"largest raster pair table kept from forward to backward: "
+          f"{saved_kb:.1f} kB (host-process state; the modeled tracker's "
+          f"`activations` charge stands for it)")
     main_tid = None
     for ev in tracer.events():
         if ev.name == "train/step":

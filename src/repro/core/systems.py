@@ -64,6 +64,7 @@ from ..render.culling import CullResult
 from ..render.parallel import PersistentPool, pool_fork_guard
 from ..render.rasterize import RasterConfig
 from ..sim.memory import ACTIVATION_BYTES_PER_PIXEL, MemoryTracker
+from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
 from ..telemetry.trace import span as _span
 from ..train.loss import photometric_loss
@@ -361,7 +362,7 @@ class TrainingSystem(ABC):
         act_bytes = camera.num_pixels * ACTIVATION_BYTES_PER_PIXEL
         self.memory.allocate("activations", act_bytes)
         try:
-            with _span("train/forward", "train"):
+            with _span("train/forward", "train") as fwd:
                 res = render(
                     compact,
                     camera,
@@ -373,6 +374,16 @@ class TrainingSystem(ABC):
                 loss = photometric_loss(
                     res.image, gt_region, ssim_lambda=self.config.ssim_lambda
                 )
+                saved = res.raster.saved
+                if saved is not None and _trace.enabled():
+                    # the raster state held for backward is real process
+                    # memory the modeled tracker does not (and should not)
+                    # charge: `activations` already stands for it
+                    saved_bytes = saved.nbytes
+                    fwd.set(pairs=saved.num_pairs, saved_bytes=saved_bytes)
+                    _metrics.get_registry().gauge(
+                        "render/saved_pair_bytes"
+                    ).set_max(saved_bytes)
             with _span("train/backward", "train"):
                 back = render_backward(
                     compact, camera, res, loss.grad_image * pixel_weight
@@ -427,11 +438,24 @@ class TrainingSystem(ABC):
             return regions[0]
         all_ids = np.concatenate([r.ids for r in regions])
         union, inverse = np.unique(all_ids, return_inverse=True)
-        dim = regions[0].grads.shape[1]
-        grads = np.zeros((union.size, dim), dtype=regions[0].grads.dtype)
-        m2d = np.zeros(union.size, dtype=regions[0].mean2d_abs.dtype)
-        np.add.at(grads, inverse, np.concatenate([r.grads for r in regions]))
-        np.add.at(m2d, inverse, np.concatenate([r.mean2d_abs for r in regions]))
+        # sorted segment reduction: a stable sort groups each id's rows
+        # while keeping them in concatenation order, and rank k of every
+        # segment is added in one pass — a0 + a1 + a2 ..., the order an
+        # ``np.add.at`` scatter sums in (``np.add.reduceat`` would not:
+        # it adds a0 to the sum of the rest)
+        order = np.argsort(inverse, kind="stable")
+        counts = np.bincount(inverse, minlength=union.size)
+        starts = np.cumsum(counts) - counts
+        all_grads = np.concatenate([r.grads for r in regions])
+        all_m2d = np.concatenate([r.mean2d_abs for r in regions])
+        first = order[starts]
+        grads = all_grads[first]
+        m2d = all_m2d[first]
+        for rank in range(1, int(counts.max())):
+            seg = np.flatnonzero(counts > rank)
+            rows = order[starts[seg] + rank]
+            grads[seg] += all_grads[rows]
+            m2d[seg] += all_m2d[rows]
         return _RegionOutput(
             ids=union,
             grads=grads,

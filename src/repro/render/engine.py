@@ -29,8 +29,21 @@ intersection-sorted kernels analyzed in BalanceGS / Faster-GS) to numpy:
    composited with one weighted ``np.bincount`` per channel instead of K
    Python iterations.
 
-3. **Vectorized backward.** The gradient pass rebuilds the same pair table,
-   reconstructs per-pair transmittance from the same scan, forms the
+3. **Vectorized backward.** The gradient pass starts from the forward's
+   own pair table and transmittance scan: :func:`rasterize_vectorized`
+   attaches them to the :class:`~repro.render.rasterize.RasterResult` it
+   returns (``result.saved``), the way a GPU rasterizer keeps its sorted
+   tile lists and per-pixel blend state between the two passes, so the
+   expand / ``exp2`` / compact / sort work is done once per view. The
+   saved state carries the key it was built under (splat count, image
+   size, compute dtype, ``tile_size``, ``alpha_min``, ``alpha_max``,
+   ``full_image_splats``), is only read — a result can be backpropagated
+   any number of times — and is freed with the result. A result without
+   it, or whose key does not match the backward call (a ``reference`` /
+   ``parallel`` forward, a hand-built result, a config changed between
+   the passes), takes the one fallback: rebuild the same table and scan
+   from ``result.order`` / ``result.bboxes``, bit-identical to the saved
+   ones. From there the pass forms the
    suffix-color accumulator ``sum_{j behind i} c_j a_j T_j + bg * T_final``
    with a segment-wise suffix scan of the scalar ``weight * (dL/dC . c)``
    (the image gradient is constant within a pixel's segment, so the
@@ -71,7 +84,7 @@ _LOG2E = float(np.log2(np.e))
 def get_forward(engine: str):
     """Forward rasterizer callable for an engine name.
 
-    All four share the signature of :func:`repro.render.rasterize.rasterize`.
+    All five share the signature of :func:`repro.render.rasterize.rasterize`.
     """
     if engine == "reference":
         return rasterize
@@ -418,6 +431,43 @@ def _transmittance_scan(pairs: _PairTable):
     return seg_log_t, t_before
 
 
+@dataclass
+class _SavedPairs:
+    """What the forward hands its backward: the sorted pair table and the
+    per-pair ``t_before`` of :func:`_transmittance_scan`.
+
+    ``key`` names everything the table depends on besides the splat
+    values themselves (see :func:`_saved_key`); the backward uses the
+    saved state only under an equal key. Nothing here is ever written
+    after construction, so one result backpropagates repeatedly.
+    """
+
+    key: tuple
+    pairs: _PairTable
+    t_before: np.ndarray
+
+    @property
+    def num_pairs(self) -> int:
+        return int(self.pairs.alpha.size)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held between the passes (telemetry's ``saved_bytes``)."""
+        p = self.pairs
+        return sum(
+            a.nbytes
+            for a in (p.pixel, p.sid, p.alpha, p.starts, p.counts, p.nz,
+                      self.t_before)
+        )
+
+
+def _saved_key(m_count, width, height, dtype, tile_size, config) -> tuple:
+    return (
+        m_count, width, height, np.dtype(dtype).str, tile_size,
+        config.alpha_min, config.alpha_max, config.full_image_splats,
+    )
+
+
 def _check_config(config: RasterConfig) -> RasterConfig:
     config = config or RasterConfig()
     if config.alpha_max >= 1.0:
@@ -466,10 +516,10 @@ def rasterize_vectorized(
     n_pix = width * height
     image = np.zeros((n_pix, 3), dtype=dtype)
     trans = np.ones(n_pix, dtype=dtype)
+    seg_log_t, t_before = _transmittance_scan(pairs)
     if pairs.alpha.size:
-        seg_log_t, t_before = _transmittance_scan(pairs)
         trans[pairs.nz] = np.exp2(seg_log_t)
-        weight = np.multiply(t_before, pairs.alpha, out=t_before)
+        weight = t_before * pairs.alpha  # t_before is kept for backward
         for k in range(3):
             col = np.ascontiguousarray(colors[:, k])
             image[:, k] = np.bincount(
@@ -481,6 +531,13 @@ def rasterize_vectorized(
         final_transmittance=trans.reshape(height, width),
         order=order,
         bboxes=bboxes,
+        saved=_SavedPairs(
+            _saved_key(
+                means2d.shape[0], width, height, dtype, tile_size, config
+            ),
+            pairs,
+            t_before,
+        ),
     )
 
 
@@ -500,7 +557,12 @@ def rasterize_backward_vectorized(
     tile_size: int = TILE_SIZE,
 ) -> RasterGrads:
     """Vectorized adjoint of :func:`rasterize_vectorized`; same contract as
-    :func:`repro.render.backward.rasterize_backward`."""
+    :func:`repro.render.backward.rasterize_backward`.
+
+    Reads the pair table and scan from ``result.saved`` when the forward
+    left them there under the same key, and rebuilds them otherwise;
+    either way the gradients are bit-identical.
+    """
     config = _check_config(config)
     means2d, conics, colors, opacities = resolve_dtype(
         config, means2d, conics, colors, opacities
@@ -513,17 +575,22 @@ def rasterize_backward_vectorized(
 
     m_count = means2d.shape[0]
     grads = alloc_grads(m_count, dtype)
-    pairs = _build_pairs(
-        means2d, conics, opacities, result.bboxes, result.order, width,
-        height, config, tile_size,
-    )
+    saved = result.saved
+    if isinstance(saved, _SavedPairs) and saved.key == _saved_key(
+        m_count, width, height, dtype, tile_size, config
+    ):
+        pairs, t_before = saved.pairs, saved.t_before
+    else:
+        # not this engine's forward, or not under this config: rebuild
+        pairs = _build_pairs(
+            means2d, conics, opacities, result.bboxes, result.order, width,
+            height, config, tile_size,
+        )
+        _, t_before = _transmittance_scan(pairs)
     if pairs.alpha.size == 0:
         return grads
     pix, sid, alpha = pairs.pixel, pairs.sid, pairs.alpha
     starts, counts = pairs.starts, pairs.counts
-    n_pix = width * height
-
-    _, t_before = _transmittance_scan(pairs)
     weight = t_before * alpha
 
     g_flat = np.ascontiguousarray(grad_image.reshape(-1, 3), dtype=dtype)

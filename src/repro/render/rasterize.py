@@ -9,7 +9,7 @@ splat's bounding box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,10 +48,10 @@ class RasterConfig:
             discontinuity of the integer bbox, which finite-difference
             gradient checks would otherwise trip over.
         engine: which rasterization backend executes the forward/backward
-            passes; one of :data:`ENGINES`. All four produce the same
-            output (the loop engines bitwise, ``vectorized``/``parallel``
-            to ~1e-12); the flat engines are much faster past a few
-            hundred splats.
+            passes; one of :data:`ENGINES`. All five produce the same
+            output (the loop engines bitwise, the flat engines
+            ``vectorized``/``parallel``/``fragment`` to ~1e-12); the flat
+            engines are much faster past a few hundred splats.
         workers: worker-process count of the ``parallel``/``fragment``
             engines. ``0``/``1`` run the pipelines in-process (no pool);
             ``>= 2`` ship work to a persistent multiprocessing pool via
@@ -111,12 +111,20 @@ class RasterResult:
         order: Gaussian indices in the composited (depth-ascending) order.
         bboxes: integer pixel bounds ``(x0, x1, y0, y1)`` per Gaussian in
             input order; ``x0 >= x1`` marks a skipped splat.
+        saved: forward state an engine keeps for its own backward pass
+            (the ``vectorized`` engine's sorted pair table and
+            transmittance scan, see :mod:`repro.render.engine`); ``None``
+            from engines that keep nothing. It lives exactly as long as
+            this result does, and a backward that does not recognise it
+            recomputes what it needs.
     """
 
     image: np.ndarray
     final_transmittance: np.ndarray
     order: np.ndarray
     bboxes: np.ndarray
+    # keyword-only so subclasses can keep adding required fields
+    saved: object | None = field(default=None, repr=False, kw_only=True)
 
 
 def splat_bboxes(

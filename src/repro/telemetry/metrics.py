@@ -97,6 +97,11 @@ class Gauge:
     def set(self, value) -> None:
         self.value = value
 
+    def set_max(self, value) -> None:
+        """Keep the largest value seen (a high-water mark)."""
+        if value > self.value:
+            self.value = value
+
     def inc(self, amount=1) -> None:
         self.value += amount
 

@@ -171,3 +171,59 @@ class TestSplitTrainingEquivalence:
         # union of region ids can't exceed the whole-view visible count
         whole_cull = s._cull(cam)
         assert report.num_visible <= whole_cull.num_visible + 1
+
+
+class TestAggregate:
+    """Host-side gradient aggregation is a segment reduction that must sum
+    each id's rows exactly as the ``np.add.at`` scatter it replaced did."""
+
+    def test_matches_add_at_scatter(self):
+        from repro.core.systems import TrainingSystem, _RegionOutput
+        from repro.gaussians import layout
+
+        rng = np.random.default_rng(4)
+
+        def region(ids):
+            ids = np.asarray(ids, dtype=np.int64)
+            # magnitudes spread over many decades so any re-association
+            # of a three-term sum shows up in the last bits
+            scale = 10.0 ** rng.uniform(-8, 3, size=(ids.size, 1))
+            return _RegionOutput(
+                ids=ids,
+                grads=rng.normal(size=(ids.size, layout.PARAM_DIM)) * scale,
+                mean2d_abs=np.abs(rng.normal(size=ids.size)) * scale[:, 0],
+                loss=float(rng.random()), l1=float(rng.random()),
+                ssim=float(rng.random()),
+            )
+
+        # ids 40..59 are in all three regions, 20..39 / 60..79 in two,
+        # and 0..19 / 80..99 / 200..209 in exactly one
+        regions = [
+            region(np.arange(0, 60)),
+            region(np.arange(20, 80)),
+            region(np.r_[40:100, 200:210]),
+        ]
+        agg = TrainingSystem._aggregate(regions)
+
+        all_ids = np.concatenate([r.ids for r in regions])
+        union, inverse = np.unique(all_ids, return_inverse=True)
+        grads = np.zeros((union.size, layout.PARAM_DIM))
+        m2d = np.zeros(union.size)
+        np.add.at(grads, inverse, np.concatenate([r.grads for r in regions]))
+        np.add.at(
+            m2d, inverse, np.concatenate([r.mean2d_abs for r in regions])
+        )
+        assert np.array_equal(agg.ids, union)
+        assert np.array_equal(agg.grads, grads)
+        assert np.array_equal(agg.mean2d_abs, m2d)
+        assert agg.loss == sum(r.loss for r in regions)
+        assert agg.l1 == sum(r.l1 for r in regions)
+
+    def test_single_region_passes_through(self):
+        from repro.core.systems import TrainingSystem, _RegionOutput
+
+        only = _RegionOutput(
+            ids=np.arange(3), grads=np.ones((3, 59)),
+            mean2d_abs=np.ones(3), loss=1.0, l1=1.0, ssim=0.5,
+        )
+        assert TrainingSystem._aggregate([only]) is only

@@ -35,6 +35,10 @@ class TestCounterGauge:
         g.inc(50)
         g.dec(25)
         assert g.value == 125
+        g.set_max(100)  # a high-water mark only ever rises
+        assert g.value == 125
+        g.set_max(200)
+        assert g.value == 200
 
     def test_same_name_labels_returns_same_instrument(self):
         reg = MetricsRegistry()

@@ -38,6 +38,13 @@ class TestSpanRecording:
         (ev,) = tracer.events()
         assert ev.attrs == {"bytes": 4096}
 
+    def test_set_attaches_attrs_known_after_the_work(self):
+        tracer = trace.install()
+        with trace.span("train/forward", "train", view=3) as sp:
+            sp.set(pairs=12, saved_bytes=480)
+        (ev,) = tracer.events()
+        assert ev.attrs == {"view": 3, "pairs": 12, "saved_bytes": 480}
+
     def test_begin_end_brackets_non_lexical_scopes(self):
         tracer = trace.install()
         tok = trace.begin("pool/map", "pool")
@@ -153,6 +160,11 @@ class TestDisabledMode:
         assert trace.begin("pool/map") is None
         trace.end(None)  # must not raise
 
+    def test_set_on_the_null_span_is_a_noop(self):
+        with trace.span("train/forward", "train") as sp:
+            sp.set(pairs=12)
+        assert sp is _NULL_SPAN
+
     def test_enabled_reflects_install_state(self):
         assert not trace.enabled()
         tracer = trace.install()
@@ -181,6 +193,56 @@ class TestDisabledMode:
         a = trace.install()
         b = trace.install()
         assert a is b
+
+
+class TestSavedPairTelemetry:
+    """The raster state the vectorized forward keeps for its backward is
+    reported per view — through telemetry, not the modeled tracker."""
+
+    @staticmethod
+    def _system(telemetry):
+        from repro.core import GSScaleConfig, create_system
+        from repro.datasets import SyntheticSceneConfig, build_scene
+
+        scene = build_scene(
+            SyntheticSceneConfig(
+                num_points=220, width=36, height=28, num_train_cameras=2,
+                num_test_cameras=1, altitude=12.0, seed=7,
+            )
+        )
+        system = create_system(
+            scene.initial.copy(),
+            GSScaleConfig(
+                system="gsscale", engine="vectorized", telemetry=telemetry,
+                scene_extent=scene.extent, mem_limit=1.0,
+            ),
+        )
+        return system, scene
+
+    def test_forward_span_and_gauge_report_the_saved_state(self):
+        from repro.telemetry import metrics
+
+        system, scene = self._system(telemetry=True)
+        for cam, img in zip(scene.train_cameras, scene.train_images):
+            system.step(cam, img)
+        forwards = [
+            ev for ev in trace.get_tracer().events()
+            if ev.name == "train/forward"
+        ]
+        assert len(forwards) == 2
+        for ev in forwards:
+            assert ev.attrs["pairs"] > 0
+            # 8 B each of pixel id, splat id, alpha and t_before per pair
+            assert ev.attrs["saved_bytes"] >= 32 * ev.attrs["pairs"]
+        gauge = metrics.get_registry().gauge("render/saved_pair_bytes")
+        assert gauge.value == max(ev.attrs["saved_bytes"] for ev in forwards)
+
+    def test_nothing_recorded_when_off(self):
+        from repro.telemetry import metrics
+
+        system, scene = self._system(telemetry=False)
+        system.step(scene.train_cameras[0], scene.train_images[0])
+        assert metrics.get_registry().gauges() == []
 
 
 def _double_with_span(x):
