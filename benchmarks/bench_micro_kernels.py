@@ -150,6 +150,27 @@ def make_raster_scene(n: int, wh: int, seed: int = 7):
     return (means2d, conics, colors, opacities, depths, radii, wh, wh)
 
 
+def make_occluded_raster_scene(n: int, wh: int, near: int = 32, seed: int = 7):
+    """:func:`make_raster_scene` seen from inside the scene: ``near``
+    wide, mostly opaque splats stand between the camera and everything
+    else, so every tile saturates a few layers in — the regime the
+    occlusion prune (``engine.prune_occluded``) exists for."""
+    far = make_raster_scene(n, wh, seed)
+    rng = np.random.default_rng(seed + 1)
+    sig = rng.uniform(400.0, 800.0, size=near)
+    front = (
+        rng.uniform([0, 0], [wh, wh], size=(near, 2)),
+        np.stack([1 / sig**2, np.zeros(near), 1 / sig**2], axis=1),
+        rng.uniform(0, 1, size=(near, 3)),
+        rng.uniform(0.85, 1.0, size=near),
+        rng.uniform(0.1, 1.0, size=near),  # nearer than every far splat
+        3 * sig,
+    )
+    return (
+        *(np.concatenate([a, b]) for a, b in zip(front, far[:6])), wh, wh
+    )
+
+
 @pytest.fixture(scope="module")
 def raster_scene():
     """~5k visible splats on a 256x256 render."""
@@ -456,12 +477,19 @@ def test_raster_engine_matrix(benchmark):
     span-oversubscription axis for the parallel engine. The ``vectorized``
     rows time the backward twice: ``backward_s`` from the forward's saved
     pair table (the training path) and ``backward_rebuild_s`` with it
-    stripped (the fallback a foreign forward takes).
+    stripped (the fallback a foreign forward takes). One ``occluded`` row
+    per flat engine (``scene: "occluded"``, in-process) renders
+    :func:`make_occluded_raster_scene` and reports, beside ``forward_s``,
+    the ``pairs`` the forward built and the ``pruned_isects`` the
+    occlusion prune dropped on the way.
     """
     from dataclasses import replace
     from functools import partial
 
     from repro.render import RasterConfig
+    from repro.render import engine as engine_mod
+    from repro.render import fragment as fragment_mod
+    from repro.render import parallel as parallel_mod
     from repro.render.engine import (
         rasterize_backward_vectorized,
         rasterize_vectorized,
@@ -482,8 +510,50 @@ def test_raster_engine_matrix(benchmark):
     oversub_axis = (1, 3, 6) if quick else (3,)
     rounds = 1 if quick else 2
 
+    def forward_work(fwd):
+        """``pairs`` built / ``pruned_isects`` of one in-process forward."""
+        work = {"pairs": 0, "pruned_isects": 0}
+        real_pairs = engine_mod.pairs_for_isects
+        real_prune = engine_mod.prune_occluded
+
+        def pairs_for_isects(*args):
+            out = real_pairs(*args)
+            work["pairs"] += int(out.alpha.size)
+            return out
+
+        def prune_occluded(*args):
+            out = real_prune(*args)
+            work["pruned_isects"] += int(args[4].size - out[0].size)
+            return out
+
+        mods = (engine_mod, parallel_mod, fragment_mod)
+        for mod in mods:
+            mod.pairs_for_isects = pairs_for_isects
+        engine_mod.prune_occluded = prune_occluded
+        try:
+            fwd()
+        finally:
+            for mod in mods:
+                mod.pairs_for_isects = real_pairs
+            engine_mod.prune_occluded = real_prune
+        return work
+
     def run_matrix():
         entries = []
+        occluded = make_occluded_raster_scene(sizes[0], RASTER_WH)
+        for name, fwd, cfg in (
+            ("vectorized", rasterize_vectorized, RasterConfig()),
+            ("parallel", rasterize_parallel,
+             RasterConfig(engine="parallel", workers=1)),
+            ("fragment", rasterize_fragment,
+             RasterConfig(engine="fragment", workers=1, fragment_shards=2)),
+        ):
+            run = partial(fwd, *occluded, config=cfg)
+            entries.append({
+                "engine": name, "workers": cfg.workers, "dtype": "float64",
+                "splats": int(occluded[0].shape[0]), "scene": "occluded",
+                "forward_s": _best_of(run, rounds), **forward_work(run),
+            })
         for n in sizes:
             scene = make_raster_scene(n, RASTER_WH)
             grad = np.ones((RASTER_WH, RASTER_WH, 3))

@@ -384,6 +384,7 @@ class TrainingSystem(ABC):
                     _metrics.get_registry().gauge(
                         "render/saved_pair_bytes"
                     ).set_max(saved_bytes)
+                    _metrics.record_isects(fwd, res.raster)
             with _span("train/backward", "train"):
                 back = render_backward(
                     compact, camera, res, loss.grad_image * pixel_weight

@@ -75,9 +75,14 @@ def frustum_cull(
             num_visible=0,
         )
 
-    geom, _ = projection.project_geometry(
-        means[depth_ids], log_scales[depth_ids], quats[depth_ids], camera
-    )
+    # with every row in range the caller's arrays are projected as they
+    # are: project_geometry only reads them, and gathering all three is a
+    # tenth of a 120k-row cull
+    if depth_ids.size < num_total:
+        means, log_scales, quats = (
+            means[depth_ids], log_scales[depth_ids], quats[depth_ids]
+        )
+    geom, _ = projection.project_geometry(means, log_scales, quats, camera)
     x, y = geom.means2d[:, 0], geom.means2d[:, 1]
     r = geom.radii
     inside = (

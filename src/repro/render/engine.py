@@ -16,7 +16,22 @@ intersection-sorted kernels analyzed in BalanceGS / Faster-GS) to numpy:
    :func:`repro.render.tiles.bin_gaussians` shares this exact code path, so
    binning statistics come from the same place the engine composites from.
 
-2. **Batched forward.** Every (splat, pixel) pair inside a bbox-within-tile
+2. **Occlusion prune.** Before any pair exists, each tile's depth-sorted
+   list is cut where everything behind is provably invisible
+   (:func:`prune_occluded`): intersections whose bbox contains the whole
+   tile put a pair on every pixel of it, the weakest of which sits at a
+   corner pixel (a Gaussian's superlevel sets are convex), so a prefix
+   sum of ``log2(1 - corner alpha)`` bounds the transmittance of the
+   whole tile from above, and rows behind ``2**T_MIN_LOG2`` are dropped.
+   The dropped weights of a pixel sum to at most ``2**-40`` — far inside
+   the 1e-9 parity tolerance, so the loop engines remain untruncated
+   oracles — and where no tile saturates (overhead training views) the
+   table comes back untouched, the same array objects. Always on, no
+   knob: it is what takes a walkthrough frame from ~600k pairs to ~19k.
+   :func:`visible_intersections` (sort, then prune) is the one call the
+   ``vectorized``, ``parallel`` and ``fragment`` engines build from.
+
+3. **Batched forward.** Every (splat, pixel) pair inside a bbox-within-tile
    rectangle becomes one row of flat arrays. Per-splat constants are folded
    to per-row constants (the Gaussian exponent restricted to one pixel row
    is a quadratic in x alone), so evaluating alphas for *all* pairs costs a
@@ -29,7 +44,7 @@ intersection-sorted kernels analyzed in BalanceGS / Faster-GS) to numpy:
    composited with one weighted ``np.bincount`` per channel instead of K
    Python iterations.
 
-3. **Vectorized backward.** The gradient pass starts from the forward's
+4. **Vectorized backward.** The gradient pass starts from the forward's
    own pair table and transmittance scan: :func:`rasterize_vectorized`
    attaches them to the :class:`~repro.render.rasterize.RasterResult` it
    returns (``result.saved``), the way a GPU rasterizer keeps its sorted
@@ -73,6 +88,16 @@ from .rasterize import RasterConfig, RasterResult, config_bboxes, rasterize
 
 #: Tile edge in pixels (3DGS/gsplat use 16x16 tiles).
 TILE_SIZE = 16
+
+#: ``log2`` of the transmittance below which a tile counts as opaque: the
+#: occlusion prune (:func:`prune_occluded`) drops every intersection that
+#: provably blends against less than ``2**-40`` at every pixel of its tile.
+T_MIN_LOG2 = -40.0
+
+#: Relative slack taken off the prune's corner alphas, so rounding in the
+#: pair kernel's own alpha (float32 fast path included) can never make a
+#: counted pair weaker than the bound assumes, or compact it away.
+_PRUNE_SLACK = 1e-3
 
 _LOG2E = float(np.log2(np.e))
 
@@ -250,6 +275,9 @@ class _PairTable:
     ``alpha_min`` (or non-contributing when ``alpha_min == 0``) are gone.
     ``starts``/``counts`` delimit the per-pixel segments; ``nz`` lists the
     pixel id of each segment (``pixel == np.repeat(nz, counts)``).
+    ``isects``/``pruned_isects`` are bookkeeping for telemetry, filled in
+    by :func:`_build_pairs`: rows of the intersection table the pairs were
+    expanded from, and rows the occlusion prune removed before that.
     """
 
     pixel: np.ndarray  # (A,) int64 global pixel id, ascending
@@ -258,6 +286,8 @@ class _PairTable:
     starts: np.ndarray  # (S,) first pair index of each segment
     counts: np.ndarray  # (S,) pairs per segment
     nz: np.ndarray  # (S,) pixel id per segment
+    isects: int = 0
+    pruned_isects: int = 0
 
 
 def _empty_pairs(dtype) -> _PairTable:
@@ -288,19 +318,144 @@ def clip_isect_rects(bboxes, tile_ids, sid_isect, tiles_x, tile_size):
     return rx0, rx1, ry0, ry1
 
 
+def prune_occluded(
+    means2d, conics, opacities, bboxes, tile_ids, sid_isect, tiles_x,
+    width, height, config, tile_size,
+):
+    """Drop the intersections hidden behind an opaque front of their tile.
+
+    Takes the ``(tile, depth)``-sorted table of :func:`tile_intersections`
+    and returns ``(tile_ids, sid_isect)`` without the rows that cannot
+    change the result. An intersection whose clipped bbox contains the
+    whole ``tile & image`` rectangle puts a pair on *every* pixel of the
+    tile, and the weakest of those pairs sits at one of the four corner
+    pixel centres: the superlevel sets of a Gaussian (positive-definite
+    conic) are convex, so ``a_lo = min(alpha_max, opacity *
+    exp(min corner power))`` bounds the alpha of all of them from below.
+    It counts only when ``a_lo >= alpha_min`` (a weaker corner pair would
+    be compacted away) — intersections that do not cover their tile, or
+    whose conic is not positive definite, count 0. The exclusive prefix
+    sum of ``log2(1 - a_lo)`` along a tile's depth order is therefore an
+    upper bound on ``log2(t_before)`` of every pair of that intersection,
+    and rows whose bound is below :data:`T_MIN_LOG2` are dropped (a
+    suffix of each tile's list, the bound being monotone).
+
+    Error bound: per pixel, the blend weights of all dropped pairs sum to
+    at most ``2**-40`` — they partition what is left of a transmittance
+    already below it — so with ``c`` the splat colours and ``bg`` the
+    background, ``|d image| <= 2**-40 * max|c - bg|``,
+    ``|d final_transmittance| <= 2**-40``, the gradient of a kept pair
+    moves by at most ``2**-40 * |g . (c - bg)| / (1 - alpha_max)`` and a
+    dropped splat's gradient from that tile is exactly 0: all far under
+    the 1e-9 parity tolerance against the untruncated loop engines.
+
+    The decision is a pure function of the arrays handed to the pair
+    kernel, evaluated in float64 with :data:`_PRUNE_SLACK` taken off the
+    corner alphas, so a backward that rebuilds the table prunes exactly
+    as its forward did. When no tile's bound crosses the threshold the
+    input arrays themselves are returned, and it costs next to nothing
+    where it cannot fire: only splats whose bbox contains some tile's
+    whole rectangle are looked at, and only at those tiles.
+    """
+    untouched = tile_ids, sid_isect
+    tiles_y = -(-height // tile_size)
+    # splat level: the tiles [ctx0, ctx1) x [cty0, cty1) whose part of the
+    # image lies wholly inside the bbox (bboxes are clipped to the image,
+    # so a box reaching the image edge covers the last, partial tile too)
+    x0, x1, y0, y1 = bboxes[:, 0], bboxes[:, 1], bboxes[:, 2], bboxes[:, 3]
+    ctx0 = -(-x0 // tile_size)
+    ctx1 = np.where(x1 >= width, tiles_x, x1 // tile_size)
+    cty0 = -(-y0 // tile_size)
+    cty1 = np.where(y1 >= height, tiles_y, y1 // tile_size)
+    covering = (ctx0 < ctx1) & (cty0 < cty1)
+    if not covering.any():
+        return untouched
+    cand = np.flatnonzero(covering[sid_isect])
+    sid_c = sid_isect[cand]
+    ty, tx = np.divmod(tile_ids[cand], tiles_x)
+    covers = np.flatnonzero(
+        (tx >= ctx0[sid_c]) & (tx < ctx1[sid_c])
+        & (ty >= cty0[sid_c]) & (ty < cty1[sid_c])
+    )
+    cand, sid_c, tx, ty = cand[covers], sid_c[covers], tx[covers], ty[covers]
+    if cand.size == 0:
+        return untouched
+
+    # weakest corner pair of each covering intersection, in float64
+    con = conics[sid_c].astype(np.float64, copy=False)
+    c_a, c_b, c_c = con[:, 0], con[:, 1], con[:, 2]
+    mu = means2d[sid_c].astype(np.float64, copy=False)
+    dx0 = (tx * tile_size + 0.5) - mu[:, 0]
+    dx1 = (np.minimum((tx + 1) * tile_size, width) - 0.5) - mu[:, 0]
+    dy0 = (ty * tile_size + 0.5) - mu[:, 1]
+    dy1 = (np.minimum((ty + 1) * tile_size, height) - 0.5) - mu[:, 1]
+    power = np.minimum.reduce([
+        -0.5 * (c_a * dx * dx + c_c * dy * dy) - c_b * dx * dy
+        for dx in (dx0, dx1) for dy in (dy0, dy1)
+    ])
+    op = opacities[sid_c].astype(np.float64, copy=False)
+    with np.errstate(invalid="ignore", over="ignore"):
+        a_lo = np.minimum(op * np.exp(power), config.alpha_max)
+        a_lo *= 1.0 - _PRUNE_SLACK
+        counts = (
+            (a_lo >= config.alpha_min) & (a_lo > 0.0)
+            & (c_a > 0.0) & (c_a * c_c > c_b * c_b)
+        )
+        lg = np.where(counts, np.log2(1.0 - a_lo), 0.0)
+    # tile level: can any tile's total reach the threshold at all?
+    num_tiles = tiles_x * tiles_y
+    tile_total = np.bincount(tile_ids[cand], weights=lg, minlength=num_tiles)
+    if tile_total.min() >= T_MIN_LOG2:
+        return untouched
+
+    bound = np.zeros(tile_ids.size)
+    bound[cand] = lg
+    excl = np.cumsum(bound)
+    excl -= bound
+    starts = np.flatnonzero(np.diff(tile_ids, prepend=-1))
+    excl -= np.repeat(excl[starts], np.diff(starts, append=tile_ids.size))
+    keep = excl >= T_MIN_LOG2
+    if keep.all():
+        return untouched
+    return tile_ids[keep], sid_isect[keep]
+
+
+def visible_intersections(
+    means2d, conics, opacities, bboxes, order, width, height, config,
+    tile_size,
+):
+    """The table every flat engine builds its pairs from:
+    :func:`tile_intersections` in depth ``order``, then
+    :func:`prune_occluded`.
+
+    Returns ``(tile_ids, sid_isect, tiles_x, num_pruned)``.
+    """
+    tile_ids, sid_isect, tiles_x, _ = tile_intersections(
+        bboxes, width, height, tile_size, order=order
+    )
+    num_isects = tile_ids.size
+    tile_ids, sid_isect = prune_occluded(
+        means2d, conics, opacities, bboxes, tile_ids, sid_isect, tiles_x,
+        width, height, config, tile_size,
+    )
+    return tile_ids, sid_isect, tiles_x, num_isects - tile_ids.size
+
+
 def _build_pairs(
     means2d, conics, opacities, bboxes, order, width, height, config, tile_size
 ) -> _PairTable:
     """Expand, evaluate, compact, and pixel-sort all splat-pixel pairs."""
-    tile_ids, sid_isect, tiles_x, _ = tile_intersections(
-        bboxes, width, height, tile_size, order=order
+    tile_ids, sid_isect, tiles_x, num_pruned = visible_intersections(
+        means2d, conics, opacities, bboxes, order, width, height, config,
+        tile_size,
     )
-    if tile_ids.size == 0:
-        return _empty_pairs(means2d.dtype)
-    return pairs_for_isects(
+    pairs = pairs_for_isects(
         means2d, conics, opacities, bboxes, tile_ids, sid_isect, tiles_x,
         width, height, config, tile_size,
     )
+    pairs.isects = int(tile_ids.size)
+    pairs.pruned_isects = num_pruned
+    return pairs
 
 
 def pairs_for_isects(
@@ -449,6 +604,16 @@ class _SavedPairs:
     @property
     def num_pairs(self) -> int:
         return int(self.pairs.alpha.size)
+
+    @property
+    def num_isects(self) -> int:
+        """Rows of the intersection table the pairs were built from."""
+        return self.pairs.isects
+
+    @property
+    def num_pruned(self) -> int:
+        """Rows :func:`prune_occluded` removed before that."""
+        return self.pairs.pruned_isects
 
     @property
     def nbytes(self) -> int:

@@ -68,7 +68,7 @@ from .engine import (
     _check_config,
     pairs_for_isects,
     resolve_dtype,
-    tile_intersections,
+    visible_intersections,
 )
 from .parallel import _pack_shm, _attach_shm, _shm_views, get_raster_pool
 from .rasterize import RasterConfig, RasterResult, config_bboxes
@@ -181,8 +181,11 @@ def _fragment_forward_shard(arr, start, stop, width, height, config, tile_size):
     if ids.size == 0:
         return None
     faults.fault_point("fragment:cull")
-    tile_ids, sid_isect, tiles_x, _ = tile_intersections(
-        arr["bboxes"], width, height, tile_size, order=ids
+    # pruned per shard: a shard's own splats bound the tile's global
+    # transmittance from above, so the shard-local cut is conservative
+    tile_ids, sid_isect, tiles_x, _ = visible_intersections(
+        arr["means2d"], arr["conics"], arr["opacities"], arr["bboxes"], ids,
+        width, height, config, tile_size,
     )
     if tile_ids.size == 0:
         return None
@@ -238,8 +241,9 @@ def _fragment_backward_shard(
         return None
     faults.fault_point("fragment:cull")
     means2d, conics, colors = arr["means2d"], arr["conics"], arr["colors"]
-    tile_ids, sid_isect, tiles_x, _ = tile_intersections(
-        arr["bboxes"], width, height, tile_size, order=ids
+    tile_ids, sid_isect, tiles_x, _ = visible_intersections(
+        means2d, conics, arr["opacities"], arr["bboxes"], ids, width, height,
+        config, tile_size,
     )
     if tile_ids.size == 0:
         return None

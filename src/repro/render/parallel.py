@@ -50,7 +50,7 @@ from .engine import (
     clip_isect_rects,
     pairs_for_isects,
     resolve_dtype,
-    tile_intersections,
+    visible_intersections,
 )
 from .rasterize import RasterConfig, RasterResult, config_bboxes
 from .tiles import adaptive_span_count, partition_spans
@@ -701,8 +701,11 @@ def rasterize_parallel(
         background = np.zeros(3, dtype=dtype)
     background = np.asarray(background, dtype=dtype)
 
-    tile_ids, sid, tiles_x, _ = tile_intersections(
-        bboxes, width, height, tile_size, order=order
+    # pruned on the host, before span planning: every worker count (and
+    # the in-process path) composites the same table
+    tile_ids, sid, tiles_x, _ = visible_intersections(
+        means2d, conics, opacities, bboxes, order, width, height, config,
+        tile_size,
     )
     n_pix = width * height
     image = np.zeros((n_pix, 3), dtype=dtype)
@@ -766,8 +769,9 @@ def rasterize_backward_parallel(
 
     m_count = means2d.shape[0]
     grads = alloc_grads(m_count, dtype)
-    tile_ids, sid, tiles_x, _ = tile_intersections(
-        result.bboxes, width, height, tile_size, order=result.order
+    tile_ids, sid, tiles_x, _ = visible_intersections(
+        means2d, conics, opacities, result.bboxes, result.order, width,
+        height, config, tile_size,
     )
     if tile_ids.size == 0:
         return grads

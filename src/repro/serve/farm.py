@@ -44,6 +44,8 @@ from ..render import (
 )
 from ..render.parallel import _pack_shm, _attach_shm, _shm_views, get_raster_pool
 from ..render.rasterize import RasterConfig
+from ..telemetry import metrics as _metrics
+from ..telemetry import trace as _trace
 from ..telemetry.trace import span as _span
 from .store import InMemoryServingStore, PagedServingStore, ServingStore, _members
 
@@ -79,21 +81,24 @@ def render_frame(
     composites at the task's SH degree. Inline service renders and farm
     workers both run exactly this function.
     """
-    with _span("serve/frame", "serve", lod=task.lod):
+    with _span("serve/frame", "serve", lod=task.lod) as frame:
         means, log_scales, quats = store.geometry()
         cull = frustum_cull(means, log_scales, quats, task.camera)
         ids = cull.valid_ids
         if drop_level is not None and task.lod > 0:
             ids = ids[drop_level[ids] > task.lod]
         compact = GaussianModel(store.gather(ids))
-        return render(
+        res = render(
             compact,
             task.camera,
             sh_degree=task.sh_degree,
             background=task.background,
             valid_ids=np.arange(ids.size),
             config=task.config,
-        ).image
+        )
+        if _trace.enabled():
+            _metrics.record_isects(frame, res.raster)
+        return res.image
 
 
 class _WorkerPagedStore:

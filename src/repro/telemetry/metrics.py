@@ -36,6 +36,7 @@ __all__ = [
     "mirror_memory",
     "mirror_pool_faults",
     "mirror_serve_stats",
+    "record_isects",
     "reset_registry",
 ]
 
@@ -270,6 +271,24 @@ def reset_registry() -> MetricsRegistry:
     """Drop all instruments (tests; between independent runs)."""
     _registry.clear()
     return _registry
+
+
+def record_isects(span, raster) -> None:
+    """Put a forward pass's intersection counts on its span and registry.
+
+    ``raster`` is the :class:`~repro.render.rasterize.RasterResult` the
+    span's render produced. When its engine kept forward state (the
+    ``vectorized`` engine does) the span gains ``isects`` — rows of the
+    tile-intersection table the pairs were built from — and
+    ``pruned_isects`` — rows the occlusion prune dropped before that —
+    and the ``render/isects_pruned`` counter accumulates the latter.
+    Call sites guard on ``trace.enabled()``, so nothing runs untraced.
+    """
+    saved = raster.saved
+    if saved is None:
+        return
+    span.set(isects=saved.num_isects, pruned_isects=saved.num_pruned)
+    _registry.counter("render/isects_pruned").inc(saved.num_pruned)
 
 
 # ---------------------------------------------------------------------------

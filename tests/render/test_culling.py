@@ -103,3 +103,55 @@ class TestStats:
         means, ls, q = make_inputs(rng.uniform(-2, 2, size=(200, 3)))
         res = frustum_cull(means, ls, q, cam)
         assert np.all(np.diff(res.valid_ids) > 0)
+
+
+class TestAllRowsInDepthRange:
+    """When every row passes the near/far stage the projection reads the
+    caller's arrays directly instead of gathering copies of them."""
+
+    @staticmethod
+    def _scene():
+        rng = np.random.default_rng(4)
+        means = rng.uniform(-6, 6, size=(300, 3))
+        means[:, 1] = rng.uniform(-2, 2, size=300)
+        log_scales = rng.normal(np.log(0.2), 0.3, size=(300, 3))
+        quats = rng.normal(size=(300, 4))
+        return means, log_scales, quats
+
+    @staticmethod
+    def _with_row_behind(means, log_scales, quats):
+        """The same scene plus one row behind the camera: forces the
+        gathered path without renumbering any other row."""
+        return (
+            np.concatenate([means, [[0.0, -30.0, 0.0]]]),
+            np.concatenate([log_scales, log_scales[:1]]),
+            np.concatenate([quats, quats[:1]]),
+        )
+
+    def test_equals_the_gathered_path(self, monkeypatch):
+        from repro.render import culling
+
+        seen = []
+        real = culling.projection.project_geometry
+
+        def spy(means, log_scales, quats, camera):
+            seen.append((means, log_scales, quats))
+            return real(means, log_scales, quats, camera)
+
+        monkeypatch.setattr(culling.projection, "project_geometry", spy)
+        scene = self._scene()
+        before = [a.copy() for a in scene]
+        all_pass = front_camera()
+        partial = front_camera(near=9.0)  # the near plane cuts the scene
+        for cam, direct in ((all_pass, True), (partial, False)):
+            seen.clear()
+            res = frustum_cull(*scene, cam)
+            assert (res.num_in_depth == res.num_total) is direct
+            assert all((a is b) is direct for a, b in zip(seen[0], scene))
+            gathered = frustum_cull(*self._with_row_behind(*scene), cam)
+            assert np.array_equal(res.valid_ids, gathered.valid_ids)
+            assert res.valid_ids.dtype == gathered.valid_ids.dtype
+            assert res.num_visible == gathered.num_visible > 0
+            assert res.num_in_depth == gathered.num_in_depth
+            assert res.num_total == gathered.num_total - 1 == 300
+        assert all(np.array_equal(a, b) for a, b in zip(scene, before))

@@ -248,3 +248,73 @@ class TestSavedPairTelemetry:
 def _double_with_span(x):
     with trace.span("inner/work", "app"):
         return 2 * x
+
+
+class TestIsectTelemetry:
+    """How many tile intersections a view had, and how many the occlusion
+    prune dropped, ride on the forward-pass spans and one counter."""
+
+    def test_train_forward_spans_carry_the_counts(self):
+        from repro.telemetry import metrics
+
+        system, scene = TestSavedPairTelemetry._system(telemetry=True)
+        for cam, img in zip(scene.train_cameras, scene.train_images):
+            system.step(cam, img)
+        forwards = [
+            ev for ev in trace.get_tracer().events()
+            if ev.name == "train/forward"
+        ]
+        assert len(forwards) == 2
+        for ev in forwards:
+            assert ev.attrs["isects"] > 0
+            assert ev.attrs["pruned_isects"] == 0  # opacity 0.1: no-op
+        (counter,) = metrics.get_registry().counters()
+        assert counter.name == "render/isects_pruned" and counter.value == 0
+
+    @staticmethod
+    def _serve_opaque_scene():
+        """Two frames of a scene whose splats were made wide and opaque."""
+        import numpy as np
+
+        from repro.datasets import SyntheticSceneConfig, build_scene
+        from repro.serve import RenderService, requests_from_cameras
+
+        scene = build_scene(
+            SyntheticSceneConfig(
+                num_points=400, width=32, height=32, num_train_cameras=2,
+                num_test_cameras=1, altitude=12.0, seed=7,
+            )
+        )
+        model = scene.oracle.copy()
+        model.log_scales[:] += np.log(12.0)
+        model.opacity_logits[:] = 8.0
+        service = RenderService(model, cache_bytes=0)
+        try:
+            for request in requests_from_cameras(scene.train_cameras):
+                service.submit(request)
+            return service.tick()
+        finally:
+            service.close()
+
+    def test_serve_frame_spans_and_counter_report_the_prune(self):
+        from repro.telemetry import metrics
+
+        trace.install()
+        responses = self._serve_opaque_scene()
+        assert [r.status for r in responses] == ["ok", "ok"]
+        frames = [
+            ev for ev in trace.get_tracer().events() if ev.name == "serve/frame"
+        ]
+        assert len(frames) == 2
+        for ev in frames:
+            assert ev.attrs["lod"] == 0
+            assert ev.attrs["pruned_isects"] > ev.attrs["isects"] > 0
+        counter = metrics.get_registry().counter("render/isects_pruned")
+        assert counter.value == sum(ev.attrs["pruned_isects"] for ev in frames)
+
+    def test_nothing_recorded_when_off(self):
+        from repro.telemetry import metrics
+
+        responses = self._serve_opaque_scene()
+        assert [r.status for r in responses] == ["ok", "ok"]
+        assert metrics.get_registry().counters() == []

@@ -31,6 +31,9 @@ COST_KEYS = (
     "page_in_s", "page_out_s", "sync_spill_s", "page_stall_fraction",
     "pipeline_s", "monolithic_s", "makespan_s",
     "disabled_span_ns", "enabled_span_ns",
+    # deterministic work counts of the `occluded` raster rows: more pairs
+    # built means the occlusion prune lost ground
+    "pairs",
 )
 #: Higher-is-better measurements (throughput): the regression ratio
 #: inverts for these.
@@ -44,7 +47,7 @@ TIMING_KEYS = COST_KEYS + RATE_KEYS
 INFO_KEYS = (
     "retries", "worker_deaths", "respawns", "deadline_hits",
     "degraded", "rejected", "shed_fraction", "availability",
-    "telemetry_overhead_pct",
+    "telemetry_overhead_pct", "pruned_isects",
 )
 
 
