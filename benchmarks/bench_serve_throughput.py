@@ -9,7 +9,11 @@ Two parts:
 * ``test_serve_throughput_matrix`` — a workers x LOD x cache matrix
   written to ``benchmarks/out/BENCH_serve.json``, the serving-side perf
   trajectory the CI ``perf-smoke`` job uploads (``GSSCALE_BENCH_QUICK=1``
-  shrinks it; no speedup asserted there).
+  shrinks it; no speedup asserted there). Its paged multi-client row
+  (four walkthrough clients answered per tick, float16 pages, half the
+  model resident) is the one that moves when the serving round moves:
+  it records page-ins per frame and shards touched per tick and gates
+  on those exact counts, so the gate holds on any runner.
 """
 
 import json
@@ -50,6 +54,25 @@ def client_trace(num_requests: int, resolution: int, lod: int = 0):
         width=resolution, height_px=resolution, fov_x_deg=70.0,
     )
     return requests_from_cameras(cams, lod=lod)
+
+
+def walkthrough_clients(num_clients: int, ticks: int, resolution: int):
+    """Per tick, one pose per client: each walks three quarters of its
+    own ring through the site and sees ``far=5`` ahead — a frame draws
+    on the shards around its client, and the working set moves."""
+    sessions = []
+    for client in range(num_clients):
+        turn = (1.0 if client % 2 == 0 else -1.0) * 1.5 * np.pi
+        angles = 2.1 * client + np.linspace(0.0, turn, 9)
+        radius = 4.5 + client
+        waypoints = np.column_stack([
+            radius * np.cos(angles), radius * np.sin(angles), np.full(9, 2.0)
+        ])
+        sessions.append(trajectories.walkthrough(
+            waypoints, ticks, width=resolution, height_px=resolution,
+            fov_x_deg=70.0, look_ahead=1.5, far=5.0,
+        ))
+    return [requests_from_cameras(list(poses)) for poses in zip(*sessions)]
 
 
 def measure_requests_per_s(service, requests, repeats: int = 1) -> float:
@@ -175,6 +198,60 @@ def test_serve_throughput_matrix(benchmark):
             "requests_per_s": rps,
             "page_stall_fraction": round(
                 max(0.0, 1.0 - rps / inmem["requests_per_s"]), 4
+            ),
+        })
+        # paged, several clients per tick, half the model resident: the
+        # serving round proper. One gather per tick group for the union
+        # of the clients' visible rows, so a shard is visited — and paged
+        # in — at most once per group however many frames read it. The
+        # gates are exact counts, not wall clock.
+        num_shards, clients = 16, 4
+        paged_store = PagedServingStore.from_model(
+            model, geo + nongeo // 2, num_shards=num_shards, codec="float16"
+        )
+        service = RenderService(
+            paged_store, lod_set=lod_set, cache_bytes=0, workers=0
+        )
+        rounds = walkthrough_clients(clients, num_requests, resolution)
+        try:
+            stats = service.stats
+
+            def counts():
+                return np.array(
+                    [stats.page_ins, stats.shards_touched, stats.union_rows]
+                )
+
+            t0 = time.perf_counter()
+            for requests in rounds:
+                before = counts()
+                responses = service.serve(requests)
+                assert [r.status for r in responses] == ["ok"] * clients
+                page_ins, touched, rows = counts() - before
+                assert page_ins <= touched
+                if rows <= paged_store.max_gather_rows:  # one group
+                    assert touched <= num_shards
+            dt = time.perf_counter() - t0
+            assert stats.page_ins == paged_store.ledger.page_in_count > 0
+            assert paged_store.host_memory.peak_bytes <= (
+                paged_store.host_memory.capacity_bytes
+            )
+        finally:
+            service.close()
+        entries.append({
+            "workers": 0,
+            "lod": 0,
+            "keep_fraction": 1.0,
+            "requests": clients * len(rounds),
+            "paged": True,
+            "codec": "float16",
+            "budget_fraction": 0.5,
+            "clients_per_tick": clients,
+            "requests_per_s": clients * len(rounds) / dt,
+            "page_ins_per_frame": round(
+                stats.page_ins / stats.frames_rendered, 4
+            ),
+            "shards_touched_per_tick": round(
+                stats.shards_touched / stats.ticks, 4
             ),
         })
         return entries

@@ -148,14 +148,17 @@ class Float16Codec(PageCodec):
     def decode(self, buf: bytes, shape: tuple, dtype) -> np.ndarray:
         ncols = int(shape[-1]) if len(shape) > 1 else 1
         head = 2 * ncols
-        exps = np.frombuffer(buf[:head], dtype="<i2").astype(np.int64)
-        scaled = (
-            np.frombuffer(buf[head:], dtype="<f2")
+        exps = np.frombuffer(buf, dtype="<i2", count=ncols).astype(np.int64)
+        # the widening cast is the one page-sized float64 buffer; the
+        # scale and the square then run in place on it
+        root = (
+            np.frombuffer(buf, dtype="<f2", offset=head)
             .astype(np.float64)
             .reshape(-1, ncols)
         )
-        root = np.ldexp(scaled, exps[None, :])
-        return (root * np.abs(root)).astype(dtype).reshape(shape)
+        np.ldexp(root, exps[None, :], out=root)
+        np.multiply(root, np.abs(root), out=root)
+        return root.astype(dtype, copy=False).reshape(shape)
 
 
 class LosslessCodec(PageCodec):

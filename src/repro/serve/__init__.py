@@ -12,7 +12,7 @@ section of ``docs/architecture.md``.
 """
 
 from .cache import FrameCache, frame_key
-from .farm import FrameTask, RenderFarm, render_frame
+from .farm import FrameTask, RenderFarm, render_frame, render_frames
 from .lod import (
     DEFAULT_LOD_LEVELS,
     LODLevel,
@@ -56,6 +56,7 @@ __all__ = [
     "frame_key",
     "lod_quality_report",
     "render_frame",
+    "render_frames",
     "requests_from_cameras",
     "splat_importance",
 ]

@@ -12,9 +12,11 @@ The model reaches the workers the same way span tables reach the raster
 workers: :meth:`RenderFarm.publish` packs the packed parameter matrix and
 the LOD drop-level array into one shared-memory segment, and each task
 pickles only a camera plus a few scalars. Workers attach read-only, run
-:func:`render_frame` — the *same* function the service runs inline, so a
-farm frame is bit-identical to a single-process frame — and ship the
-composited image back.
+:func:`render_frame` — the one-frame case of :func:`render_frames`, the
+*same* function the service runs inline over a whole tick (cull every
+frame, gather once for the union of their visible rows, composite each
+from its slice), so a farm frame is bit-identical to a single-process
+frame — and ship the composited image back.
 
 :meth:`RenderFarm.publish_sharded` is the out-of-core variant for a
 :class:`~repro.serve.store.PagedServingStore`: the shared segment holds
@@ -54,6 +56,8 @@ __all__ = [
     "RenderFarm",
     "render_frame",
     "render_frame_sharded",
+    "render_frames",
+    "visible_ids",
 ]
 
 
@@ -68,37 +72,123 @@ class FrameTask:
     background: np.ndarray | None = None
 
 
+def visible_ids(
+    store,
+    drop_level: np.ndarray | None,
+    task: FrameTask,
+) -> np.ndarray:
+    """Sorted ids of the rows a frame composites: frustum cull ∩ LOD subset.
+
+    A reduced level (``lod > 0`` with a ``drop_level`` array) culls only
+    the rows it keeps — ``keep = flatnonzero(drop_level > lod)`` — and
+    maps the survivors back through ``keep``. The cull tests each row on
+    its own, so these are the ids a whole-model cull filtered by
+    :meth:`~repro.serve.lod.LODSet.filter_ids` would return, at the cost
+    of the subset. ``lod == 0`` or a missing array keeps everything.
+    """
+    means, log_scales, quats = store.geometry()
+    if drop_level is None or task.lod <= 0:
+        return frustum_cull(means, log_scales, quats, task.camera).valid_ids
+    keep = np.flatnonzero(drop_level > task.lod)
+    cull = frustum_cull(
+        means[keep], log_scales[keep], quats[keep], task.camera
+    )
+    return keep[cull.valid_ids]
+
+
+def _sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Union of two sorted duplicate-free id arrays, sorted (a stable
+    sort merges the two runs; ``np.union1d`` hashes and is ~20x slower
+    at a frame's few thousand ids)."""
+    merged = np.concatenate((a, b))
+    merged.sort(kind="stable")
+    first = np.ones(merged.size, dtype=bool)
+    np.not_equal(merged[1:], merged[:-1], out=first[1:])
+    return merged[first]
+
+
+def _gather_groups(
+    ids: list[np.ndarray], max_rows: int | None
+) -> list[tuple[list[int], np.ndarray]]:
+    """Cut frames, in order, into ``(frame indices, sorted union of their
+    ids)`` runs whose union stays within ``max_rows`` (a frame that alone
+    exceeds it is a run of its own; ``None`` = one run)."""
+    groups: list[tuple[list[int], np.ndarray]] = []
+    for i, frame_ids in enumerate(ids):
+        if groups:
+            members, union = groups[-1]
+            merged = _sorted_union(union, frame_ids)
+            if max_rows is None or merged.size <= max_rows:
+                members.append(i)
+                groups[-1] = (members, merged)
+                continue
+        groups.append(([i], frame_ids))
+    return groups
+
+
+def render_frames(
+    store: ServingStore,
+    drop_level: np.ndarray | None,
+    tasks: list[FrameTask],
+) -> list[np.ndarray]:
+    """Render a batch of frames from a serving store (the single serving
+    path), in three phases over the whole batch:
+
+    1. cull every frame (:func:`visible_ids`);
+    2. gather **once** for the sorted union of their visible rows — a
+       paged store then pages each shard at most once for the batch,
+       resident pages first (:meth:`~repro.serve.store.PagedServingStore.\
+gather`), instead of once per frame;
+    3. composite each frame from its slice of that result,
+       ``rows[searchsorted(union, ids)]``, at the task's SH degree.
+
+    The rows a frame composites are the rows a gather of its own ids
+    returns, so batching never changes pixels. A batch whose union
+    exceeds the store's :attr:`~repro.serve.store.ServingStore.\
+max_gather_rows` — for a paged store the rows its page budget holds,
+    derived from the host byte budget — is cut into consecutive groups
+    that fit, each gathered once: no process assembles more of the model
+    than the budget already admits. Inline service ticks, farm workers
+    and :func:`render_frame` all run exactly this function. Any failure
+    raises; the service contains it by retrying frame by frame.
+    """
+    with _span("serve/cull", "serve", frames=len(tasks)):
+        ids = [visible_ids(store, drop_level, task) for task in tasks]
+    images: list[np.ndarray] = []
+    for members, union in _gather_groups(ids, store.max_gather_rows):
+        with _span(
+            "serve/gather", "serve", frames=len(members), rows=union.size
+        ):
+            rows = store.gather(union)
+        for i in members:
+            task = tasks[i]
+            with _span("serve/frame", "serve", lod=task.lod) as frame:
+                compact = GaussianModel(
+                    rows
+                    if len(members) == 1
+                    else rows[np.searchsorted(union, ids[i])]
+                )
+                res = render(
+                    compact,
+                    task.camera,
+                    sh_degree=task.sh_degree,
+                    background=task.background,
+                    valid_ids=np.arange(ids[i].size),
+                    config=task.config,
+                )
+                if _trace.enabled():
+                    _metrics.record_isects(frame, res.raster)
+                images.append(res.image)
+    return images
+
+
 def render_frame(
     store: ServingStore,
     drop_level: np.ndarray | None,
     task: FrameTask,
 ) -> np.ndarray:
-    """Render one frame from a serving store (the single serving path).
-
-    Culls against the store's resident geometry, restricts the visible
-    ids to the task's LOD subset (``drop_level > lod``; ``lod == 0`` or a
-    missing array keeps everything), gathers the packed rows, and
-    composites at the task's SH degree. Inline service renders and farm
-    workers both run exactly this function.
-    """
-    with _span("serve/frame", "serve", lod=task.lod) as frame:
-        means, log_scales, quats = store.geometry()
-        cull = frustum_cull(means, log_scales, quats, task.camera)
-        ids = cull.valid_ids
-        if drop_level is not None and task.lod > 0:
-            ids = ids[drop_level[ids] > task.lod]
-        compact = GaussianModel(store.gather(ids))
-        res = render(
-            compact,
-            task.camera,
-            sh_degree=task.sh_degree,
-            background=task.background,
-            valid_ids=np.arange(ids.size),
-            config=task.config,
-        )
-        if _trace.enabled():
-            _metrics.record_isects(frame, res.raster)
-        return res.image
+    """Render one frame: :func:`render_frames` of one task."""
+    return render_frames(store, drop_level, [task])[0]
 
 
 class _WorkerPagedStore:
@@ -175,8 +265,9 @@ def render_frame_sharded(
 ) -> np.ndarray:
     """Render one frame shard by shard — the gather-free serving path.
 
-    Same culling and LOD semantics as :func:`render_frame`, but the
-    visible union is never gathered into one packed model: each serve
+    Same culling and LOD subset as :func:`render_frame` (both call
+    :func:`visible_ids`), but the visible union is never gathered into
+    one packed model: each serve
     shard contributes only its own compact rows (one page touched at a
     time), projected into a :class:`~repro.render.fragment.FragmentSource`,
     and the frame is composited with the fragment transmittance merge.
@@ -188,11 +279,7 @@ def render_frame_sharded(
     compositing-rounding precision (~1e-12) and is bit-identical between
     the inline and farmed executions.
     """
-    means, log_scales, quats = store.geometry()
-    cull = frustum_cull(means, log_scales, quats, task.camera)
-    ids = cull.valid_ids
-    if drop_level is not None and task.lod > 0:
-        ids = ids[drop_level[ids] > task.lod]
+    ids = visible_ids(store, drop_level, task)
     config = task.config
     camera = task.camera
     sources = []
@@ -386,9 +473,11 @@ class RenderFarm:
         if self._store is None:
             raise RuntimeError("no model published to the farm")
         if self.workers <= 1 or len(tasks) <= 1:
-            frame = render_frame_sharded if self._sharded else render_frame
+            if not self._sharded:
+                return render_frames(self._store, self._drop_level, tasks)
             return [
-                frame(self._store, self._drop_level, task) for task in tasks
+                render_frame_sharded(self._store, self._drop_level, task)
+                for task in tasks
             ]
         pool = get_raster_pool(self.workers)
         if self._sharded:

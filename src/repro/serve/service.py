@@ -15,10 +15,14 @@ drains the queue as one batch:
 2. serve cache hits;
 3. deduplicate the misses — identical frames wanted by many clients
    render once;
-4. render the unique frames, fanned over the farm when it pays, inline
-   otherwise — always through :func:`~repro.serve.farm.render_frame`, so
-   a full-LOD served frame is bit-identical to a direct
-   :func:`repro.render.pipeline.render` call;
+4. render the unique frames — fanned over the farm when it pays,
+   otherwise inline as one batch through
+   :func:`~repro.serve.farm.render_frames`: cull every frame, gather
+   **once** for the union of their visible rows (a paged store pages
+   each shard at most once per tick, resident pages first), composite
+   each frame from its slice. Farm workers run the one-frame case of the
+   same function, so a full-LOD served frame is bit-identical to a
+   direct :func:`repro.render.pipeline.render` call on every path;
 5. fill the cache and answer every request in submission order.
 
 Serving defaults to the raster stack's inference fast path
@@ -39,8 +43,9 @@ killing the tick (:class:`ServeConfig`):
   with ``overload``;
 * one poisoned frame (a quarantined page, a raster error) fails alone:
   its requests answer ``status="error"`` with the reason while the rest
-  of the batch serves, and a farm-batch failure falls back to inline
-  per-frame rendering rather than failing every frame in it.
+  of the batch serves: a batch that fails — on the farm or in the
+  inline union gather — is retried frame by frame rather than failing
+  every frame in it.
 
 Every request submitted is always answered — ok, degraded, rejected
 (with reason), or error (with reason) — never dropped or deadlocked, and
@@ -62,7 +67,7 @@ from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
 from ..telemetry.trace import span as _span
 from .cache import FrameCache, frame_key
-from .farm import FrameTask, RenderFarm, render_frame
+from .farm import FrameTask, RenderFarm, render_frames
 from .lod import LODSet
 from .store import InMemoryServingStore, PagedServingStore, ServingStore
 
@@ -220,6 +225,17 @@ class ServeStats:
     end of the last tick — they surface infrastructure faults absorbed
     below the request path (retried maps, respawned workers, pages
     benched for failing their checksum).
+
+    ``union_rows``, ``shards_touched`` and ``page_ins`` accumulate what
+    ticks pulled out of the store (its
+    :attr:`~repro.serve.store.ServingStore.rows_gathered` /
+    ``shards_touched`` / ``page_ins`` counters, the last a paged store's
+    ledger page-in count): rows gathered — one gather per tick group,
+    for the union of its frames' visible rows; farm workers gather in
+    their own processes and are not counted — and, for a paged store,
+    shard pages visited and the visits that missed. ``page_ins <=
+    shards_touched`` always, and ``shards_touched`` per tick stays
+    within the shard count while one gather serves the tick.
     """
 
     requests: int = 0
@@ -238,6 +254,9 @@ class ServeStats:
     pool_worker_deaths: int = 0
     pool_respawns: int = 0
     pool_retries: int = 0
+    union_rows: int = 0
+    shards_touched: int = 0
+    page_ins: int = 0
 
     def as_dict(self) -> dict:
         """Plain-dict view (for JSON benchmark payloads)."""
@@ -468,30 +487,41 @@ class RenderService:
     ) -> tuple[dict[bytes, np.ndarray], dict[bytes, str]]:
         """Render unique frames; one poisoned frame fails alone.
 
-        The farm path renders all-or-nothing per batch, so a farm
-        failure (worker deaths past the retry budget, a poisoned task)
-        falls back to inline per-frame rendering where each exception is
-        contained to its own frame. Returns ``(images, errors)`` keyed
-        by frame key.
+        Both batch paths are all-or-nothing — the farm's pool map, and
+        the inline :func:`~repro.serve.farm.render_frames` whose one
+        union gather raises if any shard it touches is quarantined — so
+        a failed batch (worker deaths past the retry budget, a poisoned
+        task, a corrupt page) is retried frame by frame, where each
+        exception is contained to its own frame. Returns ``(images,
+        errors)`` keyed by frame key.
         """
-        drop = self.lod_set.drop_level if self.lod_set is not None else None
         images: dict[bytes, np.ndarray] = {}
         errors: dict[bytes, str] = {}
-        pending = tasks
         if self._farm is not None and len(tasks) >= 2:
             try:
                 batch = self._farm.render_batch([t for _, t in tasks])
-                images = dict(zip((k for k, _ in tasks), batch))
-                pending = []
+                return dict(zip((k for k, _ in tasks), batch)), errors
             except Exception:  # noqa: BLE001 - containment boundary
-                pending = tasks
-        for key, task in pending:
-            try:
-                images[key] = render_frame(self.store, drop, task)
-            except Exception as exc:  # noqa: BLE001 - containment boundary
-                errors[key] = f"{type(exc).__name__}: {exc}"
-                self.stats.render_errors += 1
+                pass
+        self._render_inline(tasks, images, errors)
         return images, errors
+
+    def _render_inline(self, tasks, images, errors) -> None:
+        """Render ``tasks`` as one batch; if that fails, each alone."""
+        if not tasks:
+            return
+        drop = self.lod_set.drop_level if self.lod_set is not None else None
+        try:
+            batch = render_frames(self.store, drop, [t for _, t in tasks])
+        except Exception as exc:  # noqa: BLE001 - containment boundary
+            if len(tasks) > 1:
+                for item in tasks:
+                    self._render_inline([item], images, errors)
+            else:
+                errors[tasks[0][0]] = f"{type(exc).__name__}: {exc}"
+                self.stats.render_errors += 1
+        else:
+            images.update(zip((k for k, _ in tasks), batch))
 
     def tick(self) -> list[RenderResponse]:
         """Serve every queued request as one batch (submission order).
@@ -504,8 +534,14 @@ class RenderService:
         queue, self._queue = self._queue, []
         if not queue:
             return []
-        tick_tok = _trace.begin("serve/tick", "serve")
+        with _span("serve/tick", "serve") as tick_span:
+            return self._serve_batch(queue, tick_span)
+
+    def _serve_batch(self, queue, tick_span) -> list[RenderResponse]:
+        """The tick proper, inside its ``serve/tick`` span (which leaves
+        with what the tick gathered and paged as attributes)."""
         t0 = time.perf_counter()
+        gathered = self._gather_counters()
         now = time.monotonic()
         self.stats.ticks += 1
         self.stats.requests += len(queue)
@@ -552,8 +588,9 @@ class RenderService:
                     background=self.background,
                 )
 
-        # 4: render the unique frames (farm when it pays), each failure
-        # contained to its own frame
+        # 4: render the unique frames (farm when it pays, else one cull /
+        # gather / composite batch), each failure contained to its own
+        # frame
         tasks = list(unique.items())
         with _span("serve/render", "serve", frames=len(tasks)):
             images, errors = self._render_tasks(tasks)
@@ -604,6 +641,19 @@ class RenderService:
                 )
             )
         self.stats.deduped += misses - len(tasks)
+        union_rows, shards_touched, page_ins = (
+            after - before
+            for after, before in zip(self._gather_counters(), gathered)
+        )
+        self.stats.union_rows += union_rows
+        self.stats.shards_touched += shards_touched
+        self.stats.page_ins += page_ins
+        tick_span.set(
+            frames=len(images),
+            union_rows=union_rows,
+            shards_touched=shards_touched,
+            page_ins=page_ins,
+        )
         self._sync_fault_stats()
         if _trace.enabled():
             tracer = _trace.get_tracer()
@@ -615,8 +665,12 @@ class RenderService:
                     "serve/request", t0, t_end, cat="serve",
                     attrs={"status": resp.status, "lod": resp.lod},
                 )
-        _trace.end(tick_tok)
         return responses
+
+    def _gather_counters(self) -> tuple[int, int, int]:
+        """The store's ``(rows gathered, shard visits, page-ins)`` so far."""
+        store = self.store
+        return store.rows_gathered, store.shards_touched, store.page_ins
 
     def _sync_fault_stats(self) -> None:
         """Mirror infrastructure fault counters into the serve stats.

@@ -78,7 +78,23 @@ def _members(ids: np.ndarray, rows: np.ndarray):
 
 
 class ServingStore:
-    """Read-only model placement surface the frame renderer draws from."""
+    """Read-only model placement surface the frame renderer draws from.
+
+    Three lifetime counters say what serving pulled out of it:
+    :attr:`rows_gathered`, and — non-zero only for a placement that
+    pages — :attr:`shards_touched` and :attr:`page_ins`.
+    """
+
+    #: rows returned by :meth:`gather` so far
+    rows_gathered = 0
+    #: shard pages visited by gathers so far (a gather counts each shard
+    #: holding one of its rows once)
+    shards_touched = 0
+
+    @property
+    def page_ins(self) -> int:
+        """Shard visits that missed and read their page from disk."""
+        return 0
 
     @property
     def num_rows(self) -> int:
@@ -102,6 +118,12 @@ class ServingStore:
     def gather(self, ids: np.ndarray) -> np.ndarray:
         """Packed ``(M, 59)`` rows for ``ids`` (copy)."""
         raise NotImplementedError
+
+    @property
+    def max_gather_rows(self) -> int | None:
+        """Most rows one :meth:`gather` should be asked for (``None`` =
+        no cap: the placement already holds the whole model)."""
+        return None
 
     def close(self) -> None:
         """Release any backing resources (idempotent)."""
@@ -151,6 +173,7 @@ class InMemoryServingStore(ServingStore):
         )
 
     def gather(self, ids: np.ndarray) -> np.ndarray:
+        self.rows_gathered += ids.size
         return self.params[ids]  # advanced indexing already copies
 
 
@@ -320,6 +343,17 @@ class PagedServingStore(ServingStore):
     ``host_budget_bytes`` charges the geometric block and every page-in,
     so the budget is enforced, not just reported; page traffic lands on
     the ledger's ``page_in``/``page_out`` channel.
+
+    :meth:`gather` reads the shards that are already resident before it
+    admits any other, so one call never evicts a page it is about to
+    read: it pages in exactly the touched shards that were not resident
+    when it started — the floor for any replacement policy under the
+    same budget — and a serving tick that gathers once for the union of
+    its frames (:func:`repro.serve.farm.render_frames`) pays each shard
+    at most once. :attr:`max_gather_rows` (``resident x largest shard``,
+    i.e. derived from ``host_budget_bytes``) bounds that union, so the
+    rows a tick assembles never exceed what the page budget itself
+    holds and no process builds the model.
 
     Args:
         geo: resident geometric columns ``(N, 10)``.
@@ -499,13 +533,31 @@ class PagedServingStore(ServingStore):
             self.geo[:, layout.QUAT_SLICE],
         )
 
+    @property
+    def max_gather_rows(self) -> int:
+        """Rows the page budget holds: ``resident_budget`` pages of the
+        largest shard. Callers batching several frames into one
+        :meth:`gather` keep the union under it."""
+        return self.resident_budget * max(r.size for r in self.shard_rows)
+
+    @property
+    def page_ins(self) -> int:
+        return self.ledger.page_in_count
+
     def gather(self, ids: np.ndarray) -> np.ndarray:
         out = np.empty((ids.size, layout.PARAM_DIM), dtype=self.dtype)
         out[:, layout.GEOMETRIC_SLICE] = self.geo[ids]
+        self.rows_gathered += ids.size
+        touched = []
         for shard, rows in zip(self.shards, self.shard_rows):
             sel, local = _members(ids, rows)
-            if sel.size == 0:
-                continue
+            if sel.size:
+                touched.append((shard, sel, local))
+        self.shards_touched += len(touched)
+        # resident pages first (stable: shard order within each half), so
+        # no admit below can spill a page this call has yet to read
+        touched.sort(key=lambda member: not member[0].is_resident)
+        for shard, sel, local in touched:
             # copy while resident: a later shard's admit may spill this one
             shard.page_in()
             out[sel, layout.NON_GEOMETRIC_SLICE] = shard.values[local]
@@ -525,6 +577,8 @@ class PagedServingStore(ServingStore):
         out = np.empty((local.size, layout.PARAM_DIM), dtype=self.dtype)
         out[:, layout.GEOMETRIC_SLICE] = self.geo[ids]
         shard = self.shards[k]
+        self.rows_gathered += local.size
+        self.shards_touched += 1
         shard.page_in()
         out[:, layout.NON_GEOMETRIC_SLICE] = shard.values[local]
         return out

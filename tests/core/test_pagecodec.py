@@ -144,3 +144,52 @@ class TestFloat16:
         once = codec.decode(codec.encode(arr), arr.shape, np.float64)
         twice = codec.decode(codec.encode(once), arr.shape, np.float64)
         np.testing.assert_array_equal(once, twice)
+
+    @staticmethod
+    def _decode_out_of_place(buf, shape, dtype):
+        """The decode formula as first written (every step a fresh
+        array): the in-place decode must reproduce it bit for bit."""
+        ncols = shape[-1]
+        exps = np.frombuffer(buf[: 2 * ncols], dtype="<i2").astype(np.int64)
+        scaled = (
+            np.frombuffer(buf[2 * ncols:], dtype="<f2")
+            .astype(np.float64)
+            .reshape(-1, ncols)
+        )
+        root = np.ldexp(scaled, exps[None, :])
+        return (root * np.abs(root)).astype(dtype).reshape(shape)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_decode_matches_out_of_place_formula(self, dtype):
+        codec = Float16Codec()
+        rng = np.random.default_rng(11)
+        page = rng.normal(size=(64, 49)) * 10.0 ** rng.integers(-6, 4, size=(64, 49))
+        page[:, 4] = 0.0                      # zero column: exponent 0
+        page[:, 9] = -np.abs(page[:, 9])      # all-negative column
+        page[3, :] = 0.0                      # signed zeros inside live columns
+        page[5, 20] = -0.0
+        # magnitudes whose scaled sqrt lands in half precision's
+        # subnormal range (< 2**-14 of the column maximum's scale)
+        page[:, 30] = 1.0
+        page[7:12, 30] = [1e-9, -3e-10, 5e-11, -1e-12, 2e-14]
+        buf = codec.encode(page)
+        halves = np.frombuffer(buf, dtype="<f2", offset=2 * 49).reshape(-1, 49)
+        tiny = np.abs(halves[7:12, 30].astype(np.float64))
+        assert np.all(tiny < 2.0**-14) and np.any(tiny > 0)  # subnormal halves
+        got = codec.decode(buf, page.shape, dtype)
+        want = self._decode_out_of_place(buf, page.shape, dtype)
+        assert got.dtype == np.dtype(dtype) and got.flags.writeable
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        # the documented idempotence survives the rewrite (values, not
+        # bytes: a negative zero re-encodes as a positive one)
+        once = codec.decode(buf, page.shape, np.float64)
+        twice = codec.decode(codec.encode(once), page.shape, np.float64)
+        assert np.array_equal(once, twice)
+
+    def test_in_place_decode_leaves_the_page_bytes_alone(self):
+        codec = Float16Codec()
+        buf = codec.encode(_page(seed=9))
+        copy = bytes(buf)
+        codec.decode(buf, (17, 49), np.float64)
+        assert buf == copy

@@ -318,3 +318,82 @@ class TestIsectTelemetry:
         responses = self._serve_opaque_scene()
         assert [r.status for r in responses] == ["ok", "ok"]
         assert metrics.get_registry().counters() == []
+
+
+class TestServeTickTelemetry:
+    """One trace says why a tick was slow: the ``serve/tick`` span leaves
+    with what the tick gathered and paged, and the registry mirrors the
+    store ledger's page-in count through ``ServeStats``."""
+
+    @staticmethod
+    def _paged_service(telemetry=True):
+        from repro.datasets import SyntheticSceneConfig, build_scene
+        from repro.gaussians import layout
+        from repro.serve import PagedServingStore, RenderService, ServeConfig
+
+        scene = build_scene(
+            SyntheticSceneConfig(
+                num_points=240, width=32, height=24, num_train_cameras=3,
+                num_test_cameras=1, altitude=12.0, seed=5,
+            )
+        )
+        n = scene.oracle.num_gaussians
+        budget = layout.param_bytes(n, layout.GEOMETRIC_DIM) + 2 * (
+            layout.param_bytes(-(-n // 4), layout.NON_GEOMETRIC_DIM)
+        )
+        store = PagedServingStore.from_model(
+            scene.oracle, budget, num_shards=4, codec="float16"
+        )
+        service = RenderService(
+            store, cache_bytes=0, serve_config=ServeConfig(telemetry=telemetry)
+        )
+        return service, scene.train_cameras
+
+    def test_tick_span_carries_frames_rows_shards_and_page_ins(self):
+        from repro.serve import requests_from_cameras
+        from repro.telemetry import metrics
+
+        service, cameras = self._paged_service()
+        try:
+            for _ in range(2):
+                service.serve(requests_from_cameras(cameras))
+            events = trace.get_tracer().events()
+            ticks = [ev for ev in events if ev.name == "serve/tick"]
+            gathers = [ev for ev in events if ev.name == "serve/gather"]
+            assert len(ticks) == 2
+            for ev in ticks:
+                assert ev.attrs["frames"] == 3
+                assert ev.attrs["union_rows"] > 0
+                assert 0 <= ev.attrs["page_ins"] <= ev.attrs["shards_touched"]
+            assert sum(ev.attrs["rows"] for ev in gathers) == sum(
+                ev.attrs["union_rows"] for ev in ticks
+            )
+            ledger = service.store.ledger
+            assert sum(ev.attrs["page_ins"] for ev in ticks) == ledger.page_in_count
+            assert service.stats.page_ins == ledger.page_in_count > 0
+            assert service.stats.shards_touched == service.store.shards_touched
+            registry = metrics.get_registry()
+            assert registry.gauge("serve/page_ins").value == ledger.page_in_count
+            assert (
+                registry.gauge("serve/union_rows").value
+                == service.stats.union_rows
+            )
+            # the per-frame span keeps what it carried
+            frames = [ev for ev in events if ev.name == "serve/frame"]
+            assert len(frames) == 6
+            assert all({"lod", "isects", "pruned_isects"} <= set(ev.attrs) for ev in frames)
+        finally:
+            service.close()
+
+    def test_counters_run_without_a_tracer(self):
+        from repro.serve import requests_from_cameras
+
+        service, cameras = self._paged_service(telemetry=False)
+        try:
+            service.serve(requests_from_cameras(cameras))
+            assert not trace.enabled()
+            stats = service.stats
+            assert stats.union_rows > 0
+            assert 0 < stats.page_ins <= stats.shards_touched
+        finally:
+            service.close()

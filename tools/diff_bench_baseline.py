@@ -34,6 +34,9 @@ COST_KEYS = (
     # deterministic work counts of the `occluded` raster rows: more pairs
     # built means the occlusion prune lost ground
     "pairs",
+    # deterministic page traffic of the paged multi-client serve row:
+    # more of either means a tick stopped gathering once for its batch
+    "page_ins_per_frame", "shards_touched_per_tick",
 )
 #: Higher-is-better measurements (throughput): the regression ratio
 #: inverts for these.
