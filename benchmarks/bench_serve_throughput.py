@@ -12,7 +12,8 @@ Two parts:
   shrinks it; no speedup asserted there). Its paged multi-client row
   (four walkthrough clients answered per tick, float16 pages, half the
   model resident) is the one that moves when the serving round moves:
-  it records page-ins per frame and shards touched per tick and gates
+  it records page-ins per frame, shards touched per tick and the rows
+  the frame culls projected per frame beside the rows visible, and gates
   on those exact counts, so the gate holds on any runner.
 """
 
@@ -26,7 +27,7 @@ import pytest
 from repro.cameras import trajectories
 from repro.datasets.synthetic import SyntheticSceneConfig, generate_point_cloud
 from repro.gaussians import GaussianModel, layout
-from repro.render import shutdown_raster_pools
+from repro.render import frustum_cull, shutdown_raster_pools
 from repro.serve import (
     LODSet,
     PagedServingStore,
@@ -235,6 +236,19 @@ def test_serve_throughput_matrix(benchmark):
             assert paged_store.host_memory.peak_bytes <= (
                 paged_store.host_memory.capacity_bytes
             )
+            # what the frame culls projected against what a whole-model
+            # exact cull of the same poses keeps: the bounding-radius
+            # reject must let every visible row through and should stop
+            # most of the model (far=5 walkthrough views see a corner)
+            frames = stats.frames_rendered
+            assert frames == clients * len(rounds)
+            cull_rows = stats.cull_rows / frames
+            visible_rows = sum(
+                frustum_cull(*paged_store.geometry(), request.camera).num_visible
+                for requests in rounds
+                for request in requests
+            ) / frames
+            assert visible_rows <= cull_rows < model.num_gaussians
         finally:
             service.close()
         entries.append({
@@ -253,6 +267,8 @@ def test_serve_throughput_matrix(benchmark):
             "shards_touched_per_tick": round(
                 stats.shards_touched / stats.ticks, 4
             ),
+            "cull_rows_per_frame": round(cull_rows, 4),
+            "visible_rows_per_frame": round(visible_rows, 4),
         })
         return entries
 

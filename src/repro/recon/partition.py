@@ -7,11 +7,13 @@ capture's cameras that actually see it, so every patch is a complete,
 independently trainable problem — its own Gaussians, its own views.
 
 Camera assignment is frustum-based: a camera belongs to a patch when the
-patch's buffered geometry survives its frustum cull. Cameras may (and
-should) appear in several patches — a view that straddles a boundary
-supervises both sides. A non-empty patch that no frustum reaches still
-gets its ``min_cameras`` nearest views, so no owned Gaussian goes
-entirely unsupervised.
+patch's buffered geometry survives its frustum cull (the exact test, run
+on the rows :func:`~repro.render.culling.cull_candidates` cannot rule
+out — a patch the camera looks away from costs no projection). Cameras
+may (and should) appear in several patches — a view that straddles a
+boundary supervises both sides. A non-empty patch that no frustum
+reaches still gets its ``min_cameras`` nearest views, so no owned
+Gaussian goes entirely unsupervised.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from ..cameras.camera import Camera
 from ..core.splitting import SpatialPatch, buffered_spatial_partition
 from ..gaussians import GaussianModel
-from ..render import frustum_cull
+from ..render import cull_candidates, frustum_cull
 
 __all__ = ["ScenePatch", "default_buffer", "partition_scene"]
 
@@ -87,6 +89,19 @@ def _camera_position(camera: Camera) -> np.ndarray:
     return -camera.world_to_cam_rot.T @ camera.world_to_cam_trans
 
 
+def _sees(camera: Camera, means, log_scales, quats) -> bool:
+    """Whether any of these Gaussians survives the camera's frustum cull.
+
+    A camera looking elsewhere leaves no candidate and costs no
+    projection; one looking this way projects its candidates only.
+    """
+    cand = cull_candidates(means, log_scales, camera)
+    if cand.size == 0:
+        return False
+    exact = frustum_cull(means[cand], log_scales[cand], quats[cand], camera)
+    return exact.num_visible > 0
+
+
 def partition_scene(
     model: GaussianModel,
     cameras: list[Camera],
@@ -133,8 +148,7 @@ def partition_scene(
         seen = [
             cam_id
             for cam_id, cam in enumerate(cameras)
-            if frustum_cull(sub_means, sub_scales, sub_quats, cam).num_visible
-            > 0
+            if _sees(cam, sub_means, sub_scales, sub_quats)
         ]
         if len(seen) < min_cameras:
             # fall back to proximity: the views closest to the patch

@@ -12,7 +12,7 @@ flat engines.
 """
 
 from . import backward, culling, engine, projection, rasterize, tiles
-from .culling import CullResult, frustum_cull
+from .culling import CullResult, cull_candidates, frustum_cull
 from .engine import (
     rasterize_backward_vectorized,
     rasterize_vectorized,
@@ -48,6 +48,7 @@ __all__ = [
     "TileBinning",
     "backward",
     "bin_gaussians",
+    "cull_candidates",
     "culling",
     "engine",
     "frustum_cull",

@@ -1,10 +1,46 @@
-"""Two-stage frustum culling (Section 2.4, step 1).
+"""Frustum culling (Section 2.4, step 1): depth, conservative bound, exact.
 
-Stage 1 drops Gaussians outside the near/far planes; stage 2 projects the
-survivors and drops those whose 3-sigma splat misses the image rectangle.
 Only the *geometric* attributes (mean, scale, quaternion) are consumed —
 this is the property that lets GS-Scale keep just those 10/59 parameters on
 the GPU (selective offloading, Section 4.2.1).
+
+:func:`frustum_cull` is the exact test, in two stages: stage 1 drops
+Gaussians outside the near/far planes; stage 2 runs the full EWA
+projection (:func:`~repro.render.projection.project_geometry`: rotation
+from the quaternion, 3D covariance, perspective Jacobian, 2D eigenvalue)
+on the survivors and drops those whose 3-sigma splat misses the image
+rectangle. The projection is most of its cost, and it is spent on every
+row in depth range however far outside the image the row lies.
+
+:func:`cull_candidates` is the cheap stage that goes in front of it where
+a view sees a small part of the model (the serving paths, the patch
+farm's view assignment): the same depth test, then a reject of every row
+whose projected centre lies further outside the image than an **upper
+bound** on its splat radius. What it returns is a superset of what
+:func:`frustum_cull` keeps, so running the exact test on those rows only
+gives the same visible set for a fraction of the projections. It reads no
+quaternion, builds no covariance and stores nothing per row.
+
+The bound. With ``t = (tx, ty, tz)`` the camera-space centre, ``J`` the
+perspective Jacobian at ``t``, ``W`` the camera rotation, ``M = J W``,
+``Sigma = R S^2 R^T`` and the 2D covariance ``M Sigma M^T + EPS_2D I``
+(notation of :mod:`~repro.render.projection`)::
+
+    lambda_max(M Sigma M^T) <= |M|_2^2 lambda_max(Sigma)
+                            <= |J|_F^2 |R|_2^2 exp(2 max log_scale)
+    |J|_F^2 = (fx^2 (1 + a^2) + fy^2 (1 + b^2)) / tz^2,  a = tx/tz, b = ty/tz
+
+``|W|_2 = 1``; ``R`` comes from a quaternion that is normalised — or, below
+``1e-12``, divided by that floor, which leaves a norm ``s <= 1``, and
+``R(q) = I + 2 w [v]_x + 2 [v]_x^2`` is normal with eigenvalues ``1`` and
+``|.|^2 = 1 - 4 |v|^2 (1 - s^2)``, so ``|R|_2 <= 1`` either way. The
+radius the exact test uses is ``ceil(3 sqrt(mid + sqrt(max(mid^2 - det,
+floor))))``, and ``sqrt(max(x, floor)) <= sqrt(x) + sqrt(floor)``, so::
+
+    radius <= 3 sqrt(|J|_F^2 exp(2 max log_scale) + EPS_2D + sqrt(floor)) + 1
+
+in exact arithmetic. :data:`_REL_SLACK` and :data:`_ABS_SLACK` cover the
+rounding of the model dtype.
 """
 
 from __future__ import annotations
@@ -15,6 +51,25 @@ import numpy as np
 
 from ..cameras.camera import Camera
 from . import projection
+
+#: Relative head-room on the radius bound for the rounding of the exact
+#: test, which runs in the model dtype. Its eigenvalue discriminant
+#: ``mid^2 - det`` cancels, so an absolute error of ``k u mid^2`` there
+#: (``u`` the unit roundoff, ``k ~ 6``) can add ``sqrt(k u) mid`` to the
+#: eigenvalue: a relative ``6e-4`` in float32 (``u = 6e-8``), ``3e-8`` in
+#: float64, i.e. at most ``3e-4`` / ``1.3e-8`` of the radius. Everything
+#: else — the rotation built from a quaternion normalised to ``1 +- 4u``,
+#: ``exp``, the two 3x3 products — is a few hundred ``u`` (``< 2e-5`` in
+#: float32). The same factor covers the centre, which the two tests
+#: compute from the same camera-space point and which differs by ``4u``
+#: of its distance from the principal point.
+_REL_SLACK = 2e-3
+
+#: Absolute head-room in pixels: 1 for the ``ceil`` of the exact radius,
+#: the rest for the centre's rounding against the image size,
+#: ``4u (|cx| + width)`` — under half a pixel in float32 for any image
+#: below two million pixels across, nothing in float64.
+_ABS_SLACK = 1.5
 
 
 @dataclass(frozen=True)
@@ -99,3 +154,84 @@ def frustum_cull(
         num_in_depth=int(depth_ids.size),
         num_visible=int(valid_ids.size),
     )
+
+
+def cull_candidates(
+    means: np.ndarray,
+    log_scales: np.ndarray,
+    camera: Camera,
+    rows: np.ndarray | None = None,
+) -> np.ndarray:
+    """Rows that :func:`frustum_cull` could keep: a superset of its
+    ``valid_ids``, sorted ascending, from a fraction of its work.
+
+    The near/far test is the expression :func:`frustum_cull` evaluates, on
+    the same arrays, so the same rows pass it. A survivor is then dropped
+    only when its projected centre lies outside the image rectangle by
+    more than the upper bound on its splat radius derived in the module
+    docstring. Camera-space centres are computed as
+    :func:`~repro.render.projection.project_geometry` computes them (model
+    dtype); the bound itself is evaluated in float64. A row the bound
+    cannot decide — a NaN or infinite centre or scale — stays a
+    candidate: the exact test has the last word on every row returned,
+    and none it would keep is missing. (The exact test is assumed to stay
+    finite in the model dtype: float32 radii below ~1e9 px.)
+
+    Args:
+        means: world positions, ``(N, 3)``.
+        log_scales: log extents, ``(N, 3)``.
+        camera: viewing camera.
+        rows: sorted row ids to choose among (a level-of-detail subset);
+            ``None`` considers every row. Depth is still tested on the
+            whole arrays: BLAS rounds a matrix-vector product differently
+            on a gathered subset, and a row grazing a plane must not
+            change sides with the subset it is asked about in.
+
+    Returns:
+        Candidate row indices, ``(C,)`` with ``visible <= C <= N``. The
+        exact test over the gathered candidates,
+        ``ids[frustum_cull(means[ids], ...).valid_ids]``, keeps what it
+        keeps over all rows (up to that rounding of a grazing depth; a
+        caller that must match to the row hands it a camera without
+        depth limits — every candidate is in range already).
+    """
+    dtype = means.dtype
+    rot = camera.world_to_cam_rot.astype(dtype)
+    trans = camera.world_to_cam_trans.astype(dtype)
+    depths = means @ rot.T[:, 2] + trans[2]
+    in_range = (depths > camera.near) & (depths < camera.far)
+    ids = np.nonzero(in_range)[0] if rows is None else rows[in_range[rows]]
+    if ids.size == 0:
+        return ids
+
+    # column by column: a 1-D take from a strided view is several times
+    # faster than fancy-indexing (or reducing over) its short rows
+    in_depth = np.stack([means[:, k][ids] for k in range(3)], axis=-1)
+    cam_points = (in_depth @ rot.T + trans).astype(np.float64)
+    max_log_scale = np.maximum.reduce(
+        [log_scales[:, k][ids] for k in range(3)]
+    ).astype(np.float64)
+    with np.errstate(all="ignore"):  # undecidable rows become NaN/inf
+        inv_z = 1.0 / cam_points[:, 2]
+        a = cam_points[:, 0] * inv_z
+        b = cam_points[:, 1] * inv_z
+        jac_sq = (
+            camera.fx**2 * (1.0 + a * a) + camera.fy**2 * (1.0 + b * b)
+        ) * (inv_z * inv_z)
+        radius = 3.0 * np.sqrt(
+            jac_sq * np.exp(2.0 * max_log_scale)
+            + projection.EPS_2D
+            + np.sqrt(projection._RADIUS_DISCRIMINANT_FLOOR)
+        )
+        reach = radius * (1.0 + _REL_SLACK) + _ABS_SLACK
+        x = camera.fx * a + camera.cx
+        y = camera.fy * b + camera.cy
+        # written as "provably outside" so that a NaN compares False and
+        # the row is kept
+        outside = (
+            (x + reach < 0)
+            | (x - reach > camera.width)
+            | (y + reach < 0)
+            | (y - reach > camera.height)
+        )
+    return ids[~outside]

@@ -29,7 +29,7 @@ never assembled anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from ..gaussians import layout
 from ..gaussians.model import GaussianModel
 from ..render import (
     FragmentSource,
+    cull_candidates,
     frustum_cull,
     projection,
     rasterize_fragment_sources,
@@ -72,28 +73,55 @@ class FrameTask:
     background: np.ndarray | None = None
 
 
+def _cull_frame(
+    store,
+    drop_level: np.ndarray | None,
+    task: FrameTask,
+) -> tuple[np.ndarray, int, int]:
+    """``(ids, rows, candidates)`` of one frame's cull: the sorted ids of
+    the rows it composites (frustum cull ∩ LOD subset), how many rows its
+    level keeps, and how many of those reached the exact test.
+
+    A reduced level (``lod > 0`` with a ``drop_level`` array) chooses
+    among the rows it keeps, ``flatnonzero(drop_level > lod)``; ``lod ==
+    0`` or a missing array keeps everything. Of those,
+    :func:`~repro.render.culling.cull_candidates` names the rows the view
+    could see — depth test plus a conservative bounding-radius reject, no
+    projection — and the exact :func:`~repro.render.frustum_cull` runs on
+    these candidates only. The candidates are a superset of what the
+    exact test keeps and a row's verdict does not depend on the rows it
+    is asked about with, so the ids are those of a whole-model cull
+    filtered by :meth:`~repro.serve.lod.LODSet.filter_ids`.
+    ``candidates`` is added to the store's ``rows_projected`` counter.
+    """
+    means, log_scales, quats = store.geometry()
+    keep = (
+        None
+        if drop_level is None or task.lod <= 0
+        else np.flatnonzero(drop_level > task.lod)
+    )
+    cand = cull_candidates(means, log_scales, task.camera, rows=keep)
+    store.rows_projected += cand.size
+    # every candidate passed near/far on the whole arrays; decided again
+    # on the gathered subset, BLAS may round a grazing depth to the other
+    # side, so the exact test is asked for its image stage only
+    image_stage = replace(task.camera, near=1e-30, far=np.inf)
+    exact = frustum_cull(
+        means[cand], log_scales[cand], quats[cand], image_stage
+    )
+    rows = means.shape[0] if keep is None else keep.size
+    return cand[exact.valid_ids], rows, cand.size
+
+
 def visible_ids(
     store,
     drop_level: np.ndarray | None,
     task: FrameTask,
 ) -> np.ndarray:
-    """Sorted ids of the rows a frame composites: frustum cull ∩ LOD subset.
-
-    A reduced level (``lod > 0`` with a ``drop_level`` array) culls only
-    the rows it keeps — ``keep = flatnonzero(drop_level > lod)`` — and
-    maps the survivors back through ``keep``. The cull tests each row on
-    its own, so these are the ids a whole-model cull filtered by
-    :meth:`~repro.serve.lod.LODSet.filter_ids` would return, at the cost
-    of the subset. ``lod == 0`` or a missing array keeps everything.
-    """
-    means, log_scales, quats = store.geometry()
-    if drop_level is None or task.lod <= 0:
-        return frustum_cull(means, log_scales, quats, task.camera).valid_ids
-    keep = np.flatnonzero(drop_level > task.lod)
-    cull = frustum_cull(
-        means[keep], log_scales[keep], quats[keep], task.camera
-    )
-    return keep[cull.valid_ids]
+    """Sorted ids of the rows a frame composites: frustum cull ∩ LOD
+    subset — the one cull behind every serving path (see
+    :func:`_cull_frame`)."""
+    return _cull_frame(store, drop_level, task)[0]
 
 
 def _sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -134,7 +162,9 @@ def render_frames(
     """Render a batch of frames from a serving store (the single serving
     path), in three phases over the whole batch:
 
-    1. cull every frame (:func:`visible_ids`);
+    1. cull every frame (:func:`visible_ids`: a conservative
+       bounding-radius reject names each frame's candidate rows, the
+       exact projection runs on those only);
     2. gather **once** for the sorted union of their visible rows — a
        paged store then pages each shard at most once for the batch,
        resident pages first (:meth:`~repro.serve.store.PagedServingStore.\
@@ -152,8 +182,14 @@ max_gather_rows` — for a paged store the rows its page budget holds,
     and :func:`render_frame` all run exactly this function. Any failure
     raises; the service contains it by retrying frame by frame.
     """
-    with _span("serve/cull", "serve", frames=len(tasks)):
-        ids = [visible_ids(store, drop_level, task) for task in tasks]
+    with _span("serve/cull", "serve", frames=len(tasks)) as cull_span:
+        culls = [_cull_frame(store, drop_level, task) for task in tasks]
+        ids = [frame_ids for frame_ids, _, _ in culls]
+        cull_span.set(
+            rows=sum(rows for _, rows, _ in culls),
+            candidates=sum(cand for _, _, cand in culls),
+            visible=sum(frame_ids.size for frame_ids in ids),
+        )
     images: list[np.ndarray] = []
     for members, union in _gather_groups(ids, store.max_gather_rows):
         with _span(
@@ -200,6 +236,10 @@ class _WorkerPagedStore:
     the fan-out — only per-shard compact slices, exactly like the
     training-side fragment path.
     """
+
+    #: the shared cull counts here as on a ``ServingStore`` (task-local:
+    #: a worker's store dies with its frame)
+    rows_projected = 0
 
     def __init__(self, geo, shard_rows, page_specs):
         self.geo = geo

@@ -226,16 +226,19 @@ class ServeStats:
     below the request path (retried maps, respawned workers, pages
     benched for failing their checksum).
 
-    ``union_rows``, ``shards_touched`` and ``page_ins`` accumulate what
-    ticks pulled out of the store (its
-    :attr:`~repro.serve.store.ServingStore.rows_gathered` /
-    ``shards_touched`` / ``page_ins`` counters, the last a paged store's
-    ledger page-in count): rows gathered — one gather per tick group,
-    for the union of its frames' visible rows; farm workers gather in
-    their own processes and are not counted — and, for a paged store,
-    shard pages visited and the visits that missed. ``page_ins <=
-    shards_touched`` always, and ``shards_touched`` per tick stays
-    within the shard count while one gather serves the tick.
+    ``cull_rows``, ``union_rows``, ``shards_touched`` and ``page_ins``
+    accumulate what ticks did with the store (its
+    :attr:`~repro.serve.store.ServingStore.rows_projected` /
+    ``rows_gathered`` / ``shards_touched`` / ``page_ins`` counters, the
+    last a paged store's ledger page-in count): rows the frame culls
+    projected — the candidates the bounding-radius reject let through,
+    at least the visible rows and, on a view that sees part of the
+    model, far fewer than its rows; rows gathered — one gather per tick
+    group, for the union of its frames' visible rows; farm workers cull
+    and gather in their own processes and are not counted — and, for a
+    paged store, shard pages visited and the visits that missed.
+    ``page_ins <= shards_touched`` always, and ``shards_touched`` per
+    tick stays within the shard count while one gather serves the tick.
     """
 
     requests: int = 0
@@ -254,6 +257,7 @@ class ServeStats:
     pool_worker_deaths: int = 0
     pool_respawns: int = 0
     pool_retries: int = 0
+    cull_rows: int = 0
     union_rows: int = 0
     shards_touched: int = 0
     page_ins: int = 0
@@ -539,7 +543,7 @@ class RenderService:
 
     def _serve_batch(self, queue, tick_span) -> list[RenderResponse]:
         """The tick proper, inside its ``serve/tick`` span (which leaves
-        with what the tick gathered and paged as attributes)."""
+        with what the tick projected, gathered and paged as attributes)."""
         t0 = time.perf_counter()
         gathered = self._gather_counters()
         now = time.monotonic()
@@ -641,15 +645,17 @@ class RenderService:
                 )
             )
         self.stats.deduped += misses - len(tasks)
-        union_rows, shards_touched, page_ins = (
+        cull_rows, union_rows, shards_touched, page_ins = (
             after - before
             for after, before in zip(self._gather_counters(), gathered)
         )
+        self.stats.cull_rows += cull_rows
         self.stats.union_rows += union_rows
         self.stats.shards_touched += shards_touched
         self.stats.page_ins += page_ins
         tick_span.set(
             frames=len(images),
+            cull_rows=cull_rows,
             union_rows=union_rows,
             shards_touched=shards_touched,
             page_ins=page_ins,
@@ -667,10 +673,16 @@ class RenderService:
                 )
         return responses
 
-    def _gather_counters(self) -> tuple[int, int, int]:
-        """The store's ``(rows gathered, shard visits, page-ins)`` so far."""
+    def _gather_counters(self) -> tuple[int, int, int, int]:
+        """The store's ``(rows projected, rows gathered, shard visits,
+        page-ins)`` so far."""
         store = self.store
-        return store.rows_gathered, store.shards_touched, store.page_ins
+        return (
+            store.rows_projected,
+            store.rows_gathered,
+            store.shards_touched,
+            store.page_ins,
+        )
 
     def _sync_fault_stats(self) -> None:
         """Mirror infrastructure fault counters into the serve stats.

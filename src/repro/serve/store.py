@@ -80,11 +80,16 @@ def _members(ids: np.ndarray, rows: np.ndarray):
 class ServingStore:
     """Read-only model placement surface the frame renderer draws from.
 
-    Three lifetime counters say what serving pulled out of it:
-    :attr:`rows_gathered`, and — non-zero only for a placement that
-    pages — :attr:`shards_touched` and :attr:`page_ins`.
+    Four lifetime counters say what serving did with it:
+    :attr:`rows_projected`, :attr:`rows_gathered`, and — non-zero only
+    for a placement that pages — :attr:`shards_touched` and
+    :attr:`page_ins`.
     """
 
+    #: rows the frame culls ran the exact projection on so far — the
+    #: candidates the bounding-radius reject let through
+    #: (:func:`repro.serve.farm.visible_ids`), not the rows of the model
+    rows_projected = 0
     #: rows returned by :meth:`gather` so far
     rows_gathered = 0
     #: shard pages visited by gathers so far (a gather counts each shard

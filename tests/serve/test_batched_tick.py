@@ -27,6 +27,7 @@ from repro.serve import (
     PagedServingStore,
     RenderRequest,
     RenderService,
+    farm,
 )
 from repro.serve.farm import render_frame, render_frames, visible_ids
 
@@ -183,6 +184,114 @@ class TestLevelSubsetCull:
                 task = FrameTask(camera, lod, lod_set.sh_degree(lod))
                 ids = visible_ids(store, lod_set.drop_level, task)
                 assert np.array_equal(ids, lod_set.filter_ids(whole, lod))
+
+    def test_every_serving_path_culls_to_the_filtered_whole_model_set(
+        self, model, monkeypatch
+    ):
+        """Inline batch, single frame and the shard-by-shard path (host
+        store and the farm workers' view of it) all go through the one
+        cull, and on every level it names the whole-model set."""
+        lod_set = LODSet.build(model.params)
+        drop = lod_set.drop_level
+        memory = InMemoryServingStore.from_model(model)
+        store = paged(model, 3, codec="raw")
+        worker = farm._WorkerPagedStore(
+            store.geo, store.shard_rows, store.page_paths()
+        )
+        seen = []
+        real = farm._cull_frame
+
+        def spy(*args):
+            ids, _, projected = out = real(*args)
+            seen.append((ids, projected))
+            return out
+
+        monkeypatch.setattr(farm, "_cull_frame", spy)
+        paths = [
+            (memory, lambda task: render_frames(memory, drop, [task])),
+            (store, lambda task: render_frames(store, drop, [task])),
+            (store, lambda task: render_frame(store, drop, task)),
+            (store, lambda task: farm.render_frame_sharded(store, drop, task)),
+            (worker, lambda task: farm.render_frame_sharded(worker, drop, task)),
+        ]
+        try:
+            for camera in cameras(9, 2):
+                whole = frustum_cull(*memory.geometry(), camera).valid_ids
+                assert whole.size
+                for lod in range(lod_set.num_levels):
+                    task = FrameTask(camera, lod, lod_set.sh_degree(lod))
+                    want = lod_set.filter_ids(whole, lod)
+                    for placed, run in paths:
+                        seen.clear()
+                        before = placed.rows_projected
+                        run(task)
+                        (ids, projected), = seen
+                        assert np.array_equal(ids, want)
+                        assert placed.rows_projected - before == projected
+        finally:
+            worker.close()
+            store.close()
+
+    def test_sparse_view_projects_few_rows_never_fewer_than_visible(
+        self, model, monkeypatch
+    ):
+        """The exact test sees the candidates, not the model: fewer rows
+        than the store holds, and every visible one among them."""
+        handed = []
+        real = farm.frustum_cull
+
+        def spy(means, log_scales, quats, camera):
+            handed.append(means.shape[0])
+            return real(means, log_scales, quats, camera)
+
+        store = InMemoryServingStore.from_model(model)
+        lod_set = LODSet.build(model.params)
+        for camera in cameras(10, 4):
+            whole = frustum_cull(*store.geometry(), camera).valid_ids
+            for lod in (0, 2):
+                visible = lod_set.filter_ids(whole, lod).size
+                before = store.rows_projected
+                with monkeypatch.context() as patch:
+                    patch.setattr(farm, "frustum_cull", spy)
+                    handed.clear()
+                    ids = visible_ids(
+                        store, lod_set.drop_level,
+                        FrameTask(camera, lod, lod_set.sh_degree(lod)),
+                    )
+                assert ids.size == visible
+                assert len(handed) == 1
+                assert visible <= handed[0] < store.num_rows // 2
+                assert store.rows_projected - before == handed[0]
+
+    def test_rows_on_the_near_plane_keep_the_whole_model_verdict(self):
+        """A float32 model with rows on the near plane up to rounding:
+        BLAS rounds the depth product differently over a gathered subset,
+        so near/far is decided once, on the whole arrays — a level's
+        frame and a full-detail frame agree with the whole-model cull
+        row for row."""
+        rng = np.random.default_rng(0)
+        camera = Camera.look_at(
+            [3.0, -7.0, 2.0], [0.5, 0.2, 0.1], width=64, height=48,
+            near=0.5, far=50.0,
+        )
+        n = 4000
+        for _ in range(10):
+            cam_points = np.column_stack(
+                [rng.uniform(-0.1, 0.1, size=(n, 2)), np.full(n, camera.near)]
+            )
+            params = np.zeros((n, layout.PARAM_DIM), dtype=np.float32)
+            params[:, layout.MEAN_SLICE] = (
+                cam_points - camera.world_to_cam_trans
+            ) @ camera.world_to_cam_rot
+            params[:, layout.SCALE_SLICE] = np.log(0.01)
+            params[:, layout.QUAT_SLICE.start] = 1.0
+            store = InMemoryServingStore(params, copy=False)
+            whole = frustum_cull(*store.geometry(), camera).valid_ids
+            assert 0 < whole.size < n  # the plane does cut the rows
+            drop = rng.integers(1, 4, size=n).astype(np.int16)
+            for lod in range(3):
+                ids = visible_ids(store, drop, FrameTask(camera, lod, 0))
+                assert np.array_equal(ids, whole[drop[whole] > lod])
 
     def test_empty_level_and_missing_array(self, model):
         store = InMemoryServingStore.from_model(model)

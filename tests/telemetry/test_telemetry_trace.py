@@ -385,6 +385,43 @@ class TestServeTickTelemetry:
         finally:
             service.close()
 
+    def test_cull_span_and_stats_say_how_few_rows_were_projected(self):
+        from repro.serve import requests_from_cameras
+        from repro.telemetry import metrics
+
+        service, cameras = self._paged_service()
+        try:
+            for _ in range(2):
+                service.serve(requests_from_cameras(cameras))
+            events = trace.get_tracer().events()
+            culls = [ev for ev in events if ev.name == "serve/cull"]
+            ticks = [ev for ev in events if ev.name == "serve/tick"]
+            frames = [ev for ev in events if ev.name == "serve/frame"]
+            assert len(culls) == len(ticks) == 2
+            n = service.store.num_rows
+            for cull, tick in zip(culls, ticks):
+                assert cull.attrs["frames"] == 3
+                assert cull.attrs["rows"] == 3 * n  # full detail: every row
+                # the exact projection ran on the candidates only: every
+                # visible row, far from every row
+                assert (
+                    0 < cull.attrs["visible"]
+                    <= cull.attrs["candidates"]
+                    < cull.attrs["rows"]
+                )
+                assert tick.attrs["cull_rows"] == cull.attrs["candidates"]
+                assert tick.attrs["union_rows"] <= cull.attrs["visible"]
+            assert len(frames) == 6
+            stats = service.stats
+            assert stats.cull_rows == service.store.rows_projected
+            assert stats.cull_rows == sum(ev.attrs["candidates"] for ev in culls)
+            assert (
+                metrics.get_registry().gauge("serve/cull_rows").value
+                == stats.cull_rows
+            )
+        finally:
+            service.close()
+
     def test_counters_run_without_a_tracer(self):
         from repro.serve import requests_from_cameras
 
@@ -394,6 +431,7 @@ class TestServeTickTelemetry:
             assert not trace.enabled()
             stats = service.stats
             assert stats.union_rows > 0
+            assert stats.union_rows <= stats.cull_rows < 3 * service.store.num_rows
             assert 0 < stats.page_ins <= stats.shards_touched
         finally:
             service.close()

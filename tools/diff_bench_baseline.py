@@ -37,6 +37,9 @@ COST_KEYS = (
     # deterministic page traffic of the paged multi-client serve row:
     # more of either means a tick stopped gathering once for its batch
     "page_ins_per_frame", "shards_touched_per_tick",
+    # rows its frame culls ran the exact projection on: more means the
+    # bounding-radius reject lost ground (the floor is the visible rows)
+    "cull_rows_per_frame",
 )
 #: Higher-is-better measurements (throughput): the regression ratio
 #: inverts for these.
@@ -50,7 +53,7 @@ TIMING_KEYS = COST_KEYS + RATE_KEYS
 INFO_KEYS = (
     "retries", "worker_deaths", "respawns", "deadline_hits",
     "degraded", "rejected", "shed_fraction", "availability",
-    "telemetry_overhead_pct", "pruned_isects",
+    "telemetry_overhead_pct", "pruned_isects", "visible_rows_per_frame",
 )
 
 
