@@ -1,6 +1,6 @@
 """Benchmark support: quality-scaling model and report harness."""
 
-from .harness import Table, output_dir, write_report
+from .harness import Table, output_dir, traced_peak_bytes, write_report
 from .quality_model import (
     LPIPS_DECADE_FACTOR,
     PSNR_REL_SLOPE,
@@ -19,5 +19,6 @@ __all__ = [
     "TABLE3_QUALITY",
     "Table",
     "output_dir",
+    "traced_peak_bytes",
     "write_report",
 ]

@@ -8,6 +8,7 @@ survive pytest's output capture.
 from __future__ import annotations
 
 import os
+import tracemalloc
 from dataclasses import dataclass, field
 
 
@@ -68,6 +69,23 @@ def _fmt(value) -> str:
             return f"{value:.2f}"
         return f"{value:.3f}"
     return str(value)
+
+
+def traced_peak_bytes(fn) -> int:
+    """Peak bytes ``fn()`` allocates above what was live when it started.
+
+    ``tracemalloc`` sees numpy's array buffers, so this turns "builds no
+    ``(N, D)`` temporary" into an exact byte count — a gate that means
+    the same on a shared 1-CPU runner, where a timing would not.
+    """
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
 
 
 def output_dir() -> str:

@@ -56,7 +56,7 @@ import numpy as np
 from ..gaussians import layout
 from ..gaussians.layout import ColumnBlock
 from ..optim.adam import DenseAdam
-from ..optim.base import AdamConfig, SparseOptimizer
+from ..optim.base import AdamConfig, SparseOptimizer, ascending
 from ..optim.deferred import DeferredAdam
 from ..sim.memory import MemoryTracker
 from ..telemetry import metrics as _metrics
@@ -363,9 +363,9 @@ class HostStore(ParameterStore):
             # the lazy host commit happens at the next step's commit()
             # (step 7 of Figure 8, overlapped with GPU work in real time);
             # an empty batch still pends so the optimizer ticks exactly
-            # once per training step
-            self._pending_ids = np.asarray(ids, dtype=np.int64)
-            self._pending_grads = grads
+            # once per training step. Parked ascending: the forwarded
+            # peek looks pending rows up by binary search
+            self._pending_ids, self._pending_grads = ascending(ids, grads)
         else:
             self.optimizer.step_rows(ids, grads)
 

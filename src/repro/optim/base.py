@@ -115,6 +115,22 @@ def float_traffic_bytes(rows: int, dim: int, itemsize: int = 4) -> int:
     return FLOAT_ACCESSES_PER_ELEMENT * rows * dim * itemsize
 
 
+def ascending(
+    ids: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``ids`` as ascending ``int64`` with ``rows`` reordered to match.
+
+    Both come back as given when ``ids`` already ascend — what every
+    training caller passes (``np.unique`` / cull output) — so the check is
+    all they pay.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size > 1 and not (ids[1:] >= ids[:-1]).all():
+        order = np.argsort(ids, kind="stable")
+        ids, rows = ids[order], rows[order]
+    return ids, rows
+
+
 def adam_update(
     params: np.ndarray,
     grads: np.ndarray,
@@ -126,7 +142,11 @@ def adam_update(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One functional Adam step (Equation 1); returns new ``(params, m, v)``.
 
-    Does not mutate its inputs. ``step`` is 1-based.
+    Does not mutate its inputs. ``step`` is 1-based. This is the
+    out-of-place statement of the update — the oracle
+    :class:`~repro.optim.kernel.RowKernel` (which :class:`~repro.optim.adam.
+    DenseAdam` runs, blocked and in place) reproduces bit for bit, operator
+    for operator; change the association here and the two diverge.
     """
     if step < 1:
         raise ValueError("Adam step numbers are 1-based")

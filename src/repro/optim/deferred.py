@@ -14,13 +14,27 @@ This module is a faithful vectorized port of the paper's Figure 10
 pseudocode, generalized to per-column learning rates and optional decoupled
 weight decay (the paper notes the scheme "can be extended to most
 momentum-based optimizers, such as SGD with momentum and AdamW").
+
+The arithmetic itself lives in :mod:`repro.optim.kernel`: the commit, the
+forwarding peek, the read-only restore and the flush are four walks of one
+blocked, in-place row kernel, which holds the only implementation of
+Equation 3. A step is two walks — the rows that received a gradient, then
+the rows whose counter saturated, which skip every gradient pass — so no
+zero gradient matrix over ``valid ∪ saturated`` is ever built, and a
+saturation step or a flush allocates a few block-sized scratch arrays
+instead of twenty ``(N, D)`` temporaries. The kernel's operation order is
+frozen to the out-of-place formulas of Figure 10 (Adam's ``eps = 1e-15``
+amplifies a last-bit difference into an ``O(lr)`` one), down to the
+``+ 0.0`` a zero gradient contributes: it turns a moment that underflowed
+to ``-0.0`` into ``+0.0``, and dropping it would change stored bytes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import AdamConfig, StepStats, float_traffic_bytes
+from .base import AdamConfig, StepStats, ascending, float_traffic_bytes
+from .kernel import RowKernel
 
 #: Default maximum defer count: 4-bit counter (paper Section 4.3.2), giving
 #: at most 1/15 ~ 6.7% unnecessary updates from saturation.
@@ -98,37 +112,19 @@ class DeferredAdam:
     # ------------------------------------------------------------------
     # core update math (Figure 10, lines 25-42)
     # ------------------------------------------------------------------
-    def _compute_update(
-        self,
-        ids: np.ndarray,
-        grads_rows: np.ndarray,
-        step: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Restored-and-updated ``(w, m, v)`` rows for Adam step ``step``."""
-        cfg = self.config
-        b1, b2 = cfg.beta1, cfg.beta2
-        param_lut, decay_lut, mom_lut, var_lut = self._luts(step)
-        d = self.counter[ids]
-
-        w = self.params[ids]
-        m = self.m[ids]
-        v = self.v[ids]
-        g = grads_rows
-
-        m_new = mom_lut[d][:, None] * m + (1.0 - b1) * g
-        v_new = var_lut[d][:, None] * v + (1.0 - b2) * g * g
-
-        # restore w_t from the deferred state (Equation 3)
-        w_restored = decay_lut[d] * w - param_lut[d] * m / (np.sqrt(v) + cfg.eps)
-
-        # standard Adam update at step t (Figure 10 lines 41-42)
-        bias_correction = np.sqrt(1.0 - b2**step)
-        step_size = self._lr_vec / (1.0 - b1**step)
-        denom = np.sqrt(v_new) / bias_correction + cfg.eps
-        w_next = w_restored - step_size * m_new / denom
-        if cfg.weight_decay > 0.0:
-            w_next = w_next - self._lr_vec * cfg.weight_decay * w_restored
-        return w_next, m_new, v_new
+    def _kernel(self, step: int) -> RowKernel:
+        """The row kernel set up for Adam step ``step``: restore by the
+        step's lookup tables (Equation 3), then the update with the bias
+        correction folded into the step size and the root (Figure 10
+        lines 41-42)."""
+        b1, b2 = self.config.beta1, self.config.beta2
+        return RowKernel(
+            self.params, self.m, self.v, self.config, self._lr_vec,
+            lr_eff=self._lr_vec / (1.0 - b1**step),
+            root_div=np.sqrt(1.0 - b2**step),
+            counter=self.counter,
+            luts=self._luts(step),
+        )
 
     # ------------------------------------------------------------------
     # public API
@@ -177,27 +173,29 @@ class DeferredAdam:
                 f"grads_rows shape {grads_rows.shape} inconsistent with "
                 f"{valid_ids.size} valid ids"
             )
+        valid_ids, grads_rows = ascending(valid_ids, grads_rows)
+
+        # Figure 10 line 11, as two walks: rows with a gradient, then the
+        # saturated rest, which skips every gradient pass
+        saturated = self.counter >= self.max_defer
+        saturated[valid_ids] = False
+        restore_ids = np.flatnonzero(saturated)
+        kernel = self._kernel(self.step_count + 1)
+        kernel.step(valid_ids, grads_rows.astype(self.params.dtype, copy=False))
+        kernel.step(restore_ids, None)
         self.step_count += 1
-        update_ids = self.update_ids_for(valid_ids)
-
-        g = np.zeros((update_ids.size, self.params.shape[1]), self.params.dtype)
-        pos = np.searchsorted(update_ids, valid_ids)
-        g[pos] = grads_rows
-
-        w, m, v = self._compute_update(update_ids, g, self.step_count)
-        self.params[update_ids] = w
-        self.m[update_ids] = m
-        self.v[update_ids] = v
 
         # Figure 10 lines 44-48: increment all, reset updated
         self.counter += 1
-        self.counter[update_ids] = 0
+        self.counter[valid_ids] = 0
+        self.counter[restore_ids] = 0
 
+        rows_updated = valid_ids.size + restore_ids.size
         return StepStats(
-            rows_updated=int(update_ids.size),
+            rows_updated=rows_updated,
             rows_total=self.num_rows,
             float_bytes=float_traffic_bytes(
-                int(update_ids.size), self.params.shape[1], self.params.itemsize
+                rows_updated, self.params.shape[1], self.params.itemsize
             ),
             counter_bytes=2 * self.num_rows,  # one read + one write each
         )
@@ -214,8 +212,7 @@ class DeferredAdam:
         is modified.
         """
         ids = np.asarray(ids, dtype=np.int64)
-        w, _, _ = self._compute_update(ids, grads_rows, self.step_count + 1)
-        return w
+        return self._kernel(self.step_count + 1).peek(ids, grads_rows)
 
     def materialized_params(self, ids: np.ndarray | None = None) -> np.ndarray:
         """Mathematically current parameter values (read-only restoration).
@@ -225,17 +222,9 @@ class DeferredAdam:
         mutating state. Used whenever an outside consumer (rendering a test
         view, densification) needs true values.
         """
-        if ids is None:
-            ids = np.arange(self.num_rows)
-        else:
+        if ids is not None:
             ids = np.asarray(ids, dtype=np.int64)
-        cfg = self.config
-        param_lut, decay_lut, _, _ = self._luts(self.step_count + 1)
-        d = self.counter[ids]
-        w = self.params[ids]
-        m = self.m[ids]
-        v = self.v[ids]
-        return decay_lut[d] * w - param_lut[d] * m / (np.sqrt(v) + cfg.eps)
+        return self._kernel(self.step_count + 1).restore(ids)
 
     def materialized_moments(
         self, ids: np.ndarray | None = None
@@ -261,11 +250,7 @@ class DeferredAdam:
         densification) so that the stored arrays equal the mathematically
         current values.
         """
-        _, _, mom_lut, var_lut = self._luts(self.step_count + 1)
-        d = self.counter
-        self.params[...] = self.materialized_params()
-        self.m *= mom_lut[d][:, None] / self.config.beta1
-        self.v *= var_lut[d][:, None] / self.config.beta2
+        self._kernel(self.step_count + 1).flush()
         self.counter[...] = 0
         return StepStats(
             rows_updated=self.num_rows,

@@ -335,6 +335,40 @@ class TestTrajectoryMatchesOracle:
             )
 
 
+class TestUnsortedGradientIds:
+    """``return_grads`` does not ask for sorted ids. A forwarding store
+    looks its parked gradients up by binary search, so the rows it stages
+    next must still be the rows the commit writes — with ids parked as
+    given, the peek dropped the pending gradients (off by a full ``lr``
+    step) while the commit applied them."""
+
+    IDS = np.array([17, 5, 21, 2, 9])
+
+    @param_store
+    def test_staged_rows_equal_committed_rows(self, tmp_path, factory):
+        h = FACTORIES[factory](tmp_path)
+        grads = np.random.default_rng(11).normal(size=(self.IDS.size, h.store.dim))
+        h.store.return_grads(self.IDS, grads)
+        seen = np.sort(self.IDS)
+        staged = h.store.stage(seen)
+        h.store.unstage(seen)
+        h.store.commit()
+        np.testing.assert_array_equal(staged, h.store.materialize(seen))
+
+    @param_store
+    def test_same_step_as_sorted_ids(self, tmp_path, factory):
+        h, ref = FACTORIES[factory](tmp_path), FACTORIES[factory](tmp_path / "ref")
+        grads = np.random.default_rng(11).normal(size=(self.IDS.size, h.store.dim))
+        order = np.argsort(self.IDS)
+        h.store.return_grads(self.IDS, grads)
+        ref.store.return_grads(self.IDS[order], grads[order])
+        for s in (h.store, ref.store):
+            s.flush()
+        np.testing.assert_array_equal(
+            h.store.materialize(), ref.store.materialize()
+        )
+
+
 class TestStateDictRoundtrip:
     """state_dict/load_state_dict is bit-exact into a fresh store."""
 

@@ -125,6 +125,11 @@ class TestDenseAdam:
         opt = DenseAdam(np.zeros((3, 2)))
         with pytest.raises(ValueError):
             opt.step(np.zeros((2, 2)))
+        # a (1, D) block must not broadcast into every listed row
+        with pytest.raises(ValueError):
+            opt.step_sparse(np.array([0, 2]), np.ones((1, 2)))
+        with pytest.raises(ValueError):
+            opt.step_sparse(np.array([0]), np.ones((1, 3)))
         with pytest.raises(ValueError):
             DenseAdam(np.zeros(5))
         with pytest.raises(ValueError):
