@@ -96,10 +96,9 @@ class GSScaleConfig:
             instead of corrupting the trajectory. On by default; the
             checksum cost is per page-in/out, not per step.
         pool_retries: how many times a supervised
-            :class:`~repro.render.parallel.PersistentPool` map is
+            :class:`~repro.pool.PersistentPool` map is
             re-dispatched after a worker death or task deadline before
-            giving up with :class:`~repro.render.parallel.
-            PoolFaultError`.
+            giving up with :class:`~repro.pool.PoolFaultError`.
         pool_task_timeout_s: optional per-map deadline (seconds) on
             pooled raster/shard work; a map exceeding it is treated like
             a worker death (respawn + retry). ``None`` waits forever.
@@ -113,12 +112,11 @@ class GSScaleConfig:
             instrumentation call sites are near-free when disabled.
         raster: rasterizer thresholds and backend selection.
         engine: one-shot convenience override for ``raster.engine`` — one
-            of :data:`repro.render.rasterize.ENGINES` (``"reference"``,
-            ``"tiled"``, ``"vectorized"``). Every training system and
-            benchmark renders through this backend; ``None`` keeps whatever
-            ``raster`` says. The override is folded into ``raster`` and
-            reset to ``None`` during construction, so ``raster.engine`` is
-            the single source of truth afterwards.
+            of :data:`repro.render.rasterize.ENGINES`. Every training
+            system and benchmark renders through this backend; ``None``
+            keeps whatever ``raster`` says. The override is folded into
+            ``raster`` and reset to ``None`` during construction, so
+            ``raster.engine`` is the single source of truth afterwards.
         background: render background color.
         seed: RNG seed for anything stochastic in the engine.
     """

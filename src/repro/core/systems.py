@@ -61,7 +61,7 @@ from ..render import (
     render_backward,
 )
 from ..render.culling import CullResult
-from ..render.parallel import PersistentPool, pool_fork_guard
+from ..pool import PersistentPool, pool_fork_guard
 from ..render.rasterize import RasterConfig
 from ..sim.memory import ACTIVATION_BYTES_PER_PIXEL, MemoryTracker
 from ..telemetry import metrics as _metrics

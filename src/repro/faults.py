@@ -21,7 +21,7 @@ Two properties make the injected runs reproducible:
 * **Zero-cost when disarmed.** Every hook starts with one module-global
   ``None`` check; production runs never pay more than that. Plans reach
   pool workers by riding the task pickles (see
-  :class:`~repro.render.parallel.PersistentPool`), never through
+  :class:`~repro.pool.PersistentPool`), never through
   inherited globals, so a plan installed after the pool spawned still
   governs its workers.
 

@@ -2,8 +2,8 @@
 
 Each patch of a partitioned capture trains as one ordinary
 :class:`~repro.core.trainer.Trainer` run over its buffered Gaussians and
-assigned views, fanned out over the :class:`~repro.render.parallel.
-PersistentPool` process machinery. A job is restartable by construction:
+assigned views, fanned out over the :class:`~repro.pool.PersistentPool`
+process machinery. A job is restartable by construction:
 
 * it checkpoints every ``checkpoint_every`` iterations (format-v2, the
   same :func:`~repro.core.checkpoint.save_checkpoint` a monolithic run
@@ -48,7 +48,7 @@ from ..core.config import GSScaleConfig
 from ..core.integrity import CorruptCheckpointError
 from ..core.trainer import Trainer
 from ..gaussians import GaussianModel
-from ..render.parallel import PersistentPool
+from ..pool import PersistentPool
 from .partition import ScenePatch
 
 __all__ = [

@@ -29,7 +29,7 @@ import numpy as np
 from ..cameras.camera import Camera
 from ..core.config import GSScaleConfig
 from ..gaussians import GaussianModel, layout
-from ..render.parallel import PersistentPool
+from ..pool import PersistentPool
 from .clean import CleanConfig, CleanReport, clean_checkpoint
 from .jobs import PatchRunReport, train_patches
 from .merge import MergeReport, merge_patch_checkpoints

@@ -1,12 +1,12 @@
 """Differentiable 3DGS renderer: culling, projection, rasterization, backward.
 
-Five interchangeable rasterization backends are available through
-``RasterConfig.engine`` (see ``docs/raster_engines.md``): the per-splat
-``reference`` loop, the ``tiled`` loop, the flat intersection-sorted
-``vectorized`` engine, the multi-core tile-span ``parallel`` engine
-(``RasterConfig.workers`` processes over a persistent shared-memory
-pool), and the shard-parallel ``fragment`` engine (workers run the whole
-per-shard pipeline and the host merges depth-ordered fragment buffers).
+The interchangeable rasterization backends (:data:`ENGINES`; one line each
+in :data:`repro.render.rasterize.ENGINE_TABLE`, described in
+``docs/raster_engines.md``) are selected through ``RasterConfig.engine``:
+the per-splat ``reference`` loop — the oracle — and the flat engines, which
+schedule one pair kernel (:mod:`repro.render.engine`) over the whole
+intersection table, over tile spans, or over shards on a persistent
+shared-memory process pool (``RasterConfig.workers``).
 ``RasterConfig.dtype="float32"`` selects the inference fast path of the
 flat engines.
 """
@@ -33,7 +33,7 @@ from .parallel import (
 )
 from .pipeline import RenderBackwardResult, RenderResult, render, render_backward
 from .rasterize import ENGINES, RASTER_DTYPES, RasterConfig
-from .tiles import TileBinning, bin_gaussians, partition_spans, rasterize_tiled
+from .tiles import TileBinning, bin_gaussians, partition_spans
 
 __all__ = [
     "CullResult",
@@ -61,7 +61,6 @@ __all__ = [
     "rasterize_fragment",
     "rasterize_fragment_sources",
     "rasterize_parallel",
-    "rasterize_tiled",
     "rasterize_vectorized",
     "render",
     "render_backward",

@@ -1,12 +1,12 @@
 """Vectorized tile-batched rasterization engine (forward + backward).
 
-The reference compositor (:mod:`repro.render.rasterize`) and the tile-binned
-compositor (:mod:`repro.render.tiles`) both run a Python loop over splats.
-At the paper's scale — multi-million-Gaussian scenes with ~8% active ratios —
-interpreter overhead, not arithmetic, dominates their wall-clock, which makes
-the Figure-11 throughput story impossible to demonstrate. This module brings
-the execution strategy of real GPU rasterizers (3DGS/gsplat, and the
-intersection-sorted kernels analyzed in BalanceGS / Faster-GS) to numpy:
+The reference compositor (:mod:`repro.render.rasterize`) runs a Python loop
+over splats. At the paper's scale — multi-million-Gaussian scenes with ~8%
+active ratios — interpreter overhead, not arithmetic, dominates its
+wall-clock, which makes the Figure-11 throughput story impossible to
+demonstrate. This module brings the execution strategy of real GPU
+rasterizers (3DGS/gsplat, and the intersection-sorted kernels analyzed in
+BalanceGS / Faster-GS) to numpy:
 
 1. **Vectorized binning.** Splat bounding boxes are expanded into a flat
    ``(intersection -> tile_id, splat_id)`` table with pure
@@ -24,10 +24,11 @@ intersection-sorted kernels analyzed in BalanceGS / Faster-GS) to numpy:
    sum of ``log2(1 - corner alpha)`` bounds the transmittance of the
    whole tile from above, and rows behind ``2**T_MIN_LOG2`` are dropped.
    The dropped weights of a pixel sum to at most ``2**-40`` — far inside
-   the 1e-9 parity tolerance, so the loop engines remain untruncated
-   oracles — and where no tile saturates (overhead training views) the
-   table comes back untouched, the same array objects. Always on, no
-   knob: it is what takes a walkthrough frame from ~600k pairs to ~19k.
+   the 1e-9 parity tolerance, so the ``reference`` loop remains the
+   untruncated oracle — and where no tile saturates (overhead training
+   views) the table comes back untouched, the same array objects. Always
+   on, no knob: it is what takes a walkthrough frame from ~600k pairs to
+   ~19k.
    :func:`visible_intersections` (sort, then prune) is the one call the
    ``vectorized``, ``parallel`` and ``fragment`` engines build from.
 
@@ -58,7 +59,7 @@ intersection-sorted kernels analyzed in BalanceGS / Faster-GS) to numpy:
    ``parallel`` forward, a hand-built result, a config changed between
    the passes), takes the one fallback: rebuild the same table and scan
    from ``result.order`` / ``result.bboxes``, bit-identical to the saved
-   ones. From there the pass forms the
+   ones. From there :func:`backward_pairs` forms the
    suffix-color accumulator ``sum_{j behind i} c_j a_j T_j + bg * T_final``
    with a segment-wise suffix scan of the scalar ``weight * (dL/dC . c)``
    (the image gradient is constant within a pixel's segment, so the
@@ -67,12 +68,21 @@ intersection-sorted kernels analyzed in BalanceGS / Faster-GS) to numpy:
    exact :class:`~repro.render.backward.RasterGrads` contract of the loop
    implementation.
 
+**One kernel, three schedulers.** Steps 3 and 4 are the only copy of the
+pair arithmetic: :func:`pairs_for_isects` (the table),
+:func:`_transmittance_scan`, :func:`composite_pairs` and
+:func:`backward_pairs`. The ``vectorized`` engine below runs them once over
+the whole table; :mod:`repro.render.parallel` runs them per tile span and
+:mod:`repro.render.fragment` per shard, on a process pool, choosing only
+what :func:`backward_pairs` takes by keyword (``docs/raster_engines.md``
+has the table of who passes what).
+
 Numerical notes: alphas use base-2 exponentials
 (``exp2(log2(e) * power + log2(opacity))``) and the transmittance scan runs
 in log2 space, because numpy vectorizes ``exp2``/``log2`` far better than
 ``exp``/``log``. Both agree with the sequential reference arithmetic to
 ~1 ulp per operation, so images, transmittances, and all five gradient
-arrays match the loop engines to ``atol=1e-9`` in float64 (asserted by
+arrays match the ``reference`` loop to ``atol=1e-9`` in float64 (asserted by
 ``tests/render/test_engine_equivalence.py``). The scan requires
 ``alpha_max < 1``; the engine raises otherwise.
 """
@@ -80,11 +90,18 @@ arrays match the loop engines to ``atol=1e-9`` in float64 (asserted by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import import_module
 
 import numpy as np
 
-from .backward import RasterGrads, alloc_grads, rasterize_backward
-from .rasterize import RasterConfig, RasterResult, config_bboxes, rasterize
+from .backward import RasterGrads, alloc_grads
+from .rasterize import (
+    ENGINE_TABLE,
+    ENGINES,
+    RasterConfig,
+    RasterResult,
+    config_bboxes,
+)
 
 #: Tile edge in pixels (3DGS/gsplat use 16x16 tiles).
 TILE_SIZE = 16
@@ -106,67 +123,30 @@ _LOG2E = float(np.log2(np.e))
 # engine dispatch
 # ---------------------------------------------------------------------------
 
+def _engine_fn(engine: str, which: int):
+    try:
+        module, name = ENGINE_TABLE[engine][which].split(".")
+    except KeyError:
+        raise ValueError(
+            f"unknown raster engine {engine!r}; choose from {ENGINES}"
+        ) from None
+    # imported lazily: parallel and fragment import this module
+    return getattr(import_module(f".{module}", __package__), name)
+
+
 def get_forward(engine: str):
-    """Forward rasterizer callable for an engine name.
+    """Forward rasterizer callable for an engine name (one of
+    :data:`~repro.render.rasterize.ENGINES`).
 
-    All five share the signature of :func:`repro.render.rasterize.rasterize`.
+    All share the signature of :func:`repro.render.rasterize.rasterize`.
     """
-    if engine == "reference":
-        return rasterize
-    if engine == "tiled":
-        from . import tiles  # imported lazily: tiles imports this module
-
-        return tiles.rasterize_tiled
-    if engine == "vectorized":
-        return rasterize_vectorized
-    if engine == "parallel":
-        from . import parallel  # imported lazily: parallel imports this module
-
-        return parallel.rasterize_parallel
-    if engine == "fragment":
-        from . import fragment  # imported lazily: fragment imports this module
-
-        return fragment.rasterize_fragment
-    raise ValueError(f"unknown raster engine {engine!r}")
+    return _engine_fn(engine, 0)
 
 
 def get_backward(engine: str):
-    """Backward rasterizer callable for an engine name.
-
-    The ``tiled`` engine has no dedicated backward — its forward output is
-    bitwise identical to the reference, so the reference loop backward is
-    the matching adjoint.
-    """
-    if engine in ("reference", "tiled"):
-        return rasterize_backward
-    if engine == "vectorized":
-        return rasterize_backward_vectorized
-    if engine == "parallel":
-        from . import parallel
-
-        return parallel.rasterize_backward_parallel
-    if engine == "fragment":
-        from . import fragment
-
-        return fragment.rasterize_backward_fragment
-    raise ValueError(f"unknown raster engine {engine!r}")
-
-
-def resolve_dtype(config: RasterConfig, *arrays):
-    """Cast float inputs to ``config.dtype`` (no-op when unset).
-
-    Returns the cast arrays in order. Integer decisions (bboxes, tile
-    assignment) are made from the original full-precision inputs by the
-    callers, so the fast path changes arithmetic precision only — never
-    which pairs exist.
-    """
-    if config.dtype is None:
-        return arrays
-    dtype = np.dtype(config.dtype)
-    return tuple(
-        a if a is None or a.dtype == dtype else a.astype(dtype)
-        for a in arrays
-    )
+    """Backward rasterizer callable for an engine name; all share the
+    signature of :func:`repro.render.backward.rasterize_backward`."""
+    return _engine_fn(engine, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +327,7 @@ def prune_occluded(
     ``|d final_transmittance| <= 2**-40``, the gradient of a kept pair
     moves by at most ``2**-40 * |g . (c - bg)| / (1 - alpha_max)`` and a
     dropped splat's gradient from that tile is exactly 0: all far under
-    the 1e-9 parity tolerance against the untruncated loop engines.
+    the 1e-9 parity tolerance against the untruncated ``reference`` loop.
 
     The decision is a pure function of the arrays handed to the pair
     kernel, evaluated in float64 with :data:`_PRUNE_SLACK` taken off the
@@ -566,24 +546,207 @@ def pairs_for_isects(
     )
 
 
-def _transmittance_scan(pairs: _PairTable):
-    """Per-pair pre-blend transmittance via the segment-wise log2 scan.
+# ---------------------------------------------------------------------------
+# the pair kernel: scan, composite, backward — the one copy every flat
+# engine schedules
+# ---------------------------------------------------------------------------
 
-    Returns ``(seg_log_t, t_before)``: ``seg_log_t`` is ``log2`` of the
-    final transmittance of each segment's pixel, and ``t_before`` the
-    transmittance each pair blends against — the product of ``(1 - alpha)``
-    over strictly-preceding pairs of the same pixel, computed as ``exp2``
-    of an exclusive segment cumsum of ``log2(1 - alpha)``.
+def _transmittance_scan(pairs: _PairTable, starts=None, counts=None):
+    """Per-pair pre-blend transmittance via a group-wise log2 scan.
+
+    The groups ``(starts, counts)`` are contiguous runs of the table: the
+    per-pixel segments by default, or the ``fragment`` engine's fragments
+    (which yields the transmittance *within* each fragment).
+
+    Returns ``(group_log_t, t_before)``: ``group_log_t`` is ``log2`` of the
+    total transmittance of each group (a segment's is its pixel's final
+    transmittance), and ``t_before`` the transmittance each pair blends
+    against — the product of ``(1 - alpha)`` over strictly-preceding pairs
+    of the same group, computed as ``exp2`` of an exclusive group-wise
+    cumsum of ``log2(1 - alpha)``.
     """
+    if starts is None:
+        starts, counts = pairs.starts, pairs.counts
     lg = np.log2(1.0 - pairs.alpha)
     cum = np.cumsum(lg)
-    ends = pairs.starts + pairs.counts - 1
-    seg_log_t = cum[ends] - cum[pairs.starts] + lg[pairs.starts]
+    ends = starts + counts - 1
+    group_log_t = cum[ends] - cum[starts] + lg[starts]
     ecum = cum
     ecum -= lg  # exclusive
-    ecum -= np.repeat(ecum[pairs.starts], pairs.counts)
+    ecum -= np.repeat(ecum[starts], counts)
     t_before = np.exp2(ecum, out=ecum)
-    return seg_log_t, t_before
+    return group_log_t, t_before
+
+
+def composite_pairs(pairs, t_before, colors, rid, n, keep_scan=False):
+    """Blend-weighted colour sums ``sum_p T_before_p alpha_p c_p`` of the
+    pairs, reduced onto ``rid``: ``(n, 3)`` float64.
+
+    ``rid`` may be pixel ids, segment ids or fragment ids — reducing onto
+    the groups of a slice keeps the work O(slice pairs), never O(image),
+    and since pair order inside a group is the same under each, the sums
+    are bit-identical to a global per-pixel bincount. The weight
+    overwrites ``t_before`` unless ``keep_scan`` (the ``vectorized``
+    forward keeps the scan for its backward).
+    """
+    weight = np.multiply(
+        t_before, pairs.alpha, out=None if keep_scan else t_before
+    )
+    rgb = np.empty((n, 3), dtype=np.float64)
+    for k in range(3):
+        col = np.ascontiguousarray(colors[:, k])
+        rgb[:, k] = np.bincount(
+            rid, weights=weight * col[pairs.sid], minlength=n
+        )
+    return rgb
+
+
+def local_ids(sid_isect, sid_pair, m_count):
+    """Reduction index onto a slice's own splat set.
+
+    Returns ``(uids, lid)``: the sorted splat ids of the slice and each
+    pair's position among them. ``uids`` are sorted, so the mapping is
+    monotonic and every per-splat sum sees its pairs in the same order as
+    a reduction by global splat id (bit-identical) — while the partial a
+    worker ships back is bounded by the slice's splat count, not the
+    scene's. ``uids`` come from the intersection rows (orders of magnitude
+    fewer than pairs) and the pair-level mapping is one LUT gather.
+    """
+    uids = np.unique(sid_isect)
+    lut = np.zeros(m_count, dtype=np.int64)
+    lut[uids] = np.arange(uids.size)
+    return uids, lut[sid_pair]
+
+
+def backward_pairs(
+    means2d, conics, colors, opacities, g_flat, width, alpha_max, pairs, *,
+    t_before, groups, base, base_has_total, rid, m,
+):
+    """Per-splat gradient sums of a pair table.
+
+    The positional arguments are the same for every engine: the splat
+    arrays and the flat ``(H*W, 3)`` image gradient in the compute dtype,
+    and the table. The keywords are what a scheduler chooses:
+
+    Args:
+        t_before: the transmittance each pair blends against.
+        groups: ``(starts, counts)`` of the contiguous runs the suffix
+            scan restarts at — pixel segments, or fragments.
+        base: per group, ``dL/dC .`` the colour accumulated behind it:
+            the background term ``(dL/dC . bg) * T_final`` of a pixel
+            segment, to which the kernel adds the group's own total; or,
+            with ``base_has_total``, the whole suffix seen from the
+            group's first pair (the host's ``d_f`` of a fragment, which
+            already holds the fragment's total and everything behind it).
+        rid, m: reduction index of each pair and its range — global splat
+            ids, or :func:`local_ids`.
+
+    Returns ``(colors (m, 3), opacities (m,), conics (m, 3), gmx (m,),
+    gmy (m,))`` in float64, the gradient sums over ``rid``.
+    """
+    pix, sid, alpha = pairs.pixel, pairs.sid, pairs.alpha
+    starts, counts = groups
+    weight = t_before * alpha
+
+    g_pair = [np.ascontiguousarray(g_flat[:, k])[pix] for k in range(3)]
+    c_pair = [np.ascontiguousarray(colors[:, k])[sid] for k in range(3)]
+
+    # dL/dcolor_k = sum_p dL/dC_k * alpha * T_before
+    grad_colors = np.empty((m, 3), dtype=np.float64)
+    for k in range(3):
+        grad_colors[:, k] = np.bincount(
+            rid, weights=g_pair[k] * weight, minlength=m
+        )
+
+    # Suffix color accumulator, contracted with dL/dC per pair: because the
+    # image gradient is constant within a pixel's segment,
+    #   dL/dC . (sum_{j>i} c_j a_j T_j + bg T_final)
+    #     = [group total + what lies behind the group] - inclusive prefix
+    # which is one cumsum plus group-level gathers.
+    gdot_color = g_pair[0] * c_pair[0]
+    gdot_color += g_pair[1] * c_pair[1]
+    gdot_color += g_pair[2] * c_pair[2]
+    gw = weight * gdot_color
+    incl = np.cumsum(gw)
+    if not base_has_total:
+        ends = starts + counts - 1
+        base = base + (incl[ends] - incl[starts] + gw[starts])
+    incl -= np.repeat(incl[starts] - gw[starts], counts)
+    gdot_suffix = np.repeat(base, counts)
+    gdot_suffix -= incl
+
+    one_minus = 1.0 - alpha
+    grad_alpha = gdot_color * t_before
+    grad_alpha -= gdot_suffix / one_minus
+    # the alpha cap's gradient is zero where it binds
+    np.copyto(grad_alpha, 0.0, where=alpha >= alpha_max)
+
+    # alpha = o * g with g = exp(power): compacted pairs all have alpha > 0,
+    # hence opacity > 0, so the uncapped branch value g = alpha / o is safe.
+    op_pair = opacities[sid]
+    gval = alpha / op_pair
+    grad_alpha *= gval  # now dL/dalpha * g
+    grad_opac = np.bincount(rid, weights=grad_alpha, minlength=m)
+    grad_power = np.multiply(grad_alpha, op_pair, out=grad_alpha)
+
+    dx = (pix % width) + 0.5
+    dx -= np.ascontiguousarray(means2d[:, 0])[sid]
+    dy = (pix // width) + 0.5
+    dy -= np.ascontiguousarray(means2d[:, 1])[sid]
+    gpx = grad_power * dx
+    gpy = grad_power * dy
+    grad_conics = np.empty((m, 3), dtype=np.float64)
+    grad_conics[:, 0] = -0.5 * np.bincount(rid, weights=gpx * dx, minlength=m)
+    grad_conics[:, 1] = -np.bincount(rid, weights=gpx * dy, minlength=m)
+    grad_conics[:, 2] = -0.5 * np.bincount(rid, weights=gpy * dy, minlength=m)
+    c_a = np.ascontiguousarray(conics[:, 0])[sid]
+    c_b = np.ascontiguousarray(conics[:, 1])[sid]
+    c_c = np.ascontiguousarray(conics[:, 2])[sid]
+    gmx_pair = c_a * gpx
+    gmx_pair += c_b * gpy
+    gmy_pair = c_b * gpx
+    gmy_pair += c_c * gpy
+    gmx = np.bincount(rid, weights=gmx_pair, minlength=m)
+    gmy = np.bincount(rid, weights=gmy_pair, minlength=m)
+    return grad_colors, grad_opac, grad_conics, gmx, gmy
+
+
+def set_grads(grads: RasterGrads, colors, opacities, conics, gmx, gmy):
+    """Store one set of gradient sums (the return of
+    :func:`backward_pairs`, or :func:`fill_grads`'s accumulators) in the
+    :class:`~repro.render.backward.RasterGrads` contract."""
+    grads.colors[:] = colors
+    grads.opacities[:] = opacities
+    grads.conics[:] = conics
+    grads.means2d[:, 0] = gmx
+    grads.means2d[:, 1] = gmy
+    grads.mean2d_abs[:] = np.hypot(gmx, gmy)
+    return grads
+
+
+def fill_grads(grads: RasterGrads, partials) -> RasterGrads:
+    """Merge the pooled engines' per-slice partials into ``grads``.
+
+    A partial is ``(uids, *backward_pairs(...))`` over the slice's own
+    splats, or ``None`` for a slice without pairs; they are scatter-added
+    in slice order, so the merge is deterministic for a fixed slicing.
+    The ``vectorized`` engine has one whole-scene partial and stores it
+    with :func:`set_grads` directly: ``-0.5 * 0.0 = -0.0`` survives an
+    assignment but not ``0.0 + -0.0``, and that sign of zero is the only
+    bit in which it differs from ``parallel(workers <= 1)``.
+    """
+    m_count = grads.opacities.shape[0]
+    acc = [
+        np.zeros(shape, dtype=np.float64)
+        for shape in ((m_count, 3), m_count, (m_count, 3), m_count, m_count)
+    ]
+    for part in partials:
+        if part is None:
+            continue
+        uids = part[0]
+        for total, values in zip(acc, part[1:]):
+            total[uids] += values
+    return set_grads(grads, *acc)
 
 
 @dataclass
@@ -633,18 +796,37 @@ def _saved_key(m_count, width, height, dtype, tile_size, config) -> tuple:
     )
 
 
-def _check_config(config: RasterConfig) -> RasterConfig:
+def prepare(config, background, means2d, conics, colors, opacities):
+    """The preamble of every flat entry point, forward and backward.
+
+    Returns ``(config, background, splats)``: the config (defaulted, and
+    checked for the scan's ``alpha_max < 1`` requirement), the background
+    (black by default) and the four splat arrays cast to ``config.dtype``
+    (as they are when unset). Integer decisions (depth order, bboxes, tile
+    assignment) are made from the original full-precision inputs by the
+    callers, so the fast path changes arithmetic precision only — never
+    which pairs exist.
+    """
     config = config or RasterConfig()
     if config.alpha_max >= 1.0:
         raise ValueError(
             "the vectorized engine's log-transmittance scan requires "
             f"alpha_max < 1, got {config.alpha_max}"
         )
-    return config
+    splats = (means2d, conics, colors, opacities)
+    if config.dtype is not None:
+        dtype = np.dtype(config.dtype)
+        splats = tuple(
+            a if a.dtype == dtype else a.astype(dtype) for a in splats
+        )
+    dtype = splats[0].dtype
+    if background is None:
+        background = np.zeros(3, dtype=dtype)
+    return config, np.asarray(background, dtype=dtype), splats
 
 
 # ---------------------------------------------------------------------------
-# forward
+# the vectorized scheduler: one table, kept between the passes
 # ---------------------------------------------------------------------------
 
 def rasterize_vectorized(
@@ -662,17 +844,14 @@ def rasterize_vectorized(
 ) -> RasterResult:
     """Fully vectorized compositor; same contract as
     :func:`repro.render.rasterize.rasterize`."""
-    config = _check_config(config)
+    config, background, splats = prepare(
+        config, background, means2d, conics, colors, opacities
+    )
     # integer decisions (depth order, bboxes) use the full-precision inputs
     order = np.argsort(depths, kind="stable")
     bboxes = config_bboxes(means2d, radii, width, height, config)
-    means2d, conics, colors, opacities = resolve_dtype(
-        config, means2d, conics, colors, opacities
-    )
+    means2d, conics, colors, opacities = splats
     dtype = means2d.dtype
-    if background is None:
-        background = np.zeros(3, dtype=dtype)
-    background = np.asarray(background, dtype=dtype)
 
     pairs = _build_pairs(
         means2d, conics, opacities, bboxes, order, width, height, config,
@@ -684,12 +863,9 @@ def rasterize_vectorized(
     seg_log_t, t_before = _transmittance_scan(pairs)
     if pairs.alpha.size:
         trans[pairs.nz] = np.exp2(seg_log_t)
-        weight = t_before * pairs.alpha  # t_before is kept for backward
-        for k in range(3):
-            col = np.ascontiguousarray(colors[:, k])
-            image[:, k] = np.bincount(
-                pairs.pixel, weights=weight * col[pairs.sid], minlength=n_pix
-            )
+        image[:] = composite_pairs(
+            pairs, t_before, colors, pairs.pixel, n_pix, keep_scan=True
+        )
     image += trans[:, None] * background
     return RasterResult(
         image=image.reshape(height, width, 3),
@@ -705,10 +881,6 @@ def rasterize_vectorized(
         ),
     )
 
-
-# ---------------------------------------------------------------------------
-# backward
-# ---------------------------------------------------------------------------
 
 def rasterize_backward_vectorized(
     means2d: np.ndarray,
@@ -728,15 +900,11 @@ def rasterize_backward_vectorized(
     left them there under the same key, and rebuilds them otherwise;
     either way the gradients are bit-identical.
     """
-    config = _check_config(config)
-    means2d, conics, colors, opacities = resolve_dtype(
-        config, means2d, conics, colors, opacities
+    config, background, (means2d, conics, colors, opacities) = prepare(
+        config, background, means2d, conics, colors, opacities
     )
     dtype = means2d.dtype
     height, width = grad_image.shape[:2]
-    if background is None:
-        background = np.zeros(3, dtype=dtype)
-    background = np.asarray(background, dtype=dtype)
 
     m_count = means2d.shape[0]
     grads = alloc_grads(m_count, dtype)
@@ -754,78 +922,17 @@ def rasterize_backward_vectorized(
         _, t_before = _transmittance_scan(pairs)
     if pairs.alpha.size == 0:
         return grads
-    pix, sid, alpha = pairs.pixel, pairs.sid, pairs.alpha
-    starts, counts = pairs.starts, pairs.counts
-    weight = t_before * alpha
 
     g_flat = np.ascontiguousarray(grad_image.reshape(-1, 3), dtype=dtype)
-    g_pair = [np.ascontiguousarray(g_flat[:, k])[pix] for k in range(3)]
-    c_pair = [np.ascontiguousarray(colors[:, k])[sid] for k in range(3)]
-
-    # dL/dcolor_k = sum_p dL/dC_k * alpha * T_before
-    for k in range(3):
-        grads.colors[:, k] = np.bincount(
-            sid, weights=g_pair[k] * weight, minlength=m_count
-        )
-
-    # Suffix color accumulator, contracted with dL/dC per pair: because the
-    # image gradient is constant within a pixel's segment,
-    #   dL/dC . (sum_{j>i} c_j a_j T_j + bg T_final)
-    #     = [segment total + (dL/dC . bg) T_final] - inclusive prefix
-    # which is one cumsum plus segment-level gathers.
-    gdot_color = g_pair[0] * c_pair[0]
-    gdot_color += g_pair[1] * c_pair[1]
-    gdot_color += g_pair[2] * c_pair[2]
-    gw = weight * gdot_color
-    incl = np.cumsum(gw)
-    ends = starts + counts - 1
-    seg_gw = incl[ends] - incl[starts] + gw[starts]
-    incl -= np.repeat(incl[starts] - gw[starts], counts)
     t_final = np.ascontiguousarray(
         result.final_transmittance.reshape(-1), dtype=dtype
     )
-    pref = (g_flat @ background) * t_final
-    pref[pairs.nz] += seg_gw
-    gdot_suffix = pref[pix]
-    gdot_suffix -= incl
-
-    one_minus = 1.0 - alpha
-    grad_alpha = gdot_color * t_before
-    grad_alpha -= gdot_suffix / one_minus
-    # the alpha cap's gradient is zero where it binds
-    np.copyto(grad_alpha, 0.0, where=alpha >= config.alpha_max)
-
-    # alpha = o * g with g = exp(power): compacted pairs all have alpha > 0,
-    # hence opacity > 0, so the uncapped branch value g = alpha / o is safe.
-    op_pair = opacities[sid]
-    gval = alpha / op_pair
-    grad_alpha *= gval  # now dL/dalpha * g
-    grads.opacities[:] = np.bincount(sid, weights=grad_alpha, minlength=m_count)
-    grad_power = np.multiply(grad_alpha, op_pair, out=grad_alpha)
-
-    dx = (pix % width) + 0.5
-    dx -= np.ascontiguousarray(means2d[:, 0])[sid]
-    dy = (pix // width) + 0.5
-    dy -= np.ascontiguousarray(means2d[:, 1])[sid]
-    gpx = grad_power * dx
-    gpy = grad_power * dy
-    grads.conics[:, 0] = -0.5 * np.bincount(
-        sid, weights=gpx * dx, minlength=m_count
-    )
-    grads.conics[:, 1] = -np.bincount(sid, weights=gpx * dy, minlength=m_count)
-    grads.conics[:, 2] = -0.5 * np.bincount(
-        sid, weights=gpy * dy, minlength=m_count
-    )
-    c_a = np.ascontiguousarray(conics[:, 0])[sid]
-    c_b = np.ascontiguousarray(conics[:, 1])[sid]
-    c_c = np.ascontiguousarray(conics[:, 2])[sid]
-    gmx_pair = c_a * gpx
-    gmx_pair += c_b * gpy
-    gmy_pair = c_b * gpx
-    gmy_pair += c_c * gpy
-    gmx = np.bincount(sid, weights=gmx_pair, minlength=m_count)
-    gmy = np.bincount(sid, weights=gmy_pair, minlength=m_count)
-    grads.means2d[:, 0] = gmx
-    grads.means2d[:, 1] = gmy
-    grads.mean2d_abs[:] = np.hypot(gmx, gmy)
-    return grads
+    # the background term over the whole image, then gathered: the spans of
+    # the parallel engine gather first, and a BLAS gemv row is not promised
+    # to be position-independent, so each scheduler keeps its own order
+    base = ((g_flat @ background) * t_final)[pairs.nz]
+    return set_grads(grads, *backward_pairs(
+        means2d, conics, colors, opacities, g_flat, width, config.alpha_max,
+        pairs, t_before=t_before, groups=(pairs.starts, pairs.counts),
+        base=base, base_has_total=False, rid=pairs.sid, m=m_count,
+    ))

@@ -42,9 +42,11 @@ image gradient: a fragment's total pair-level suffix weight satisfies
 so the per-fragment suffix offsets ``d_f`` (segment total + background
 term minus the exclusive fragment prefix) come from one fragment-level
 cumsum — no pair table on the host. Workers rebuild their shard's pair
-table deterministically, combine ``d_f``/``T_before`` with a
-fragment-local inclusive scan, and return sparse per-splat partials,
-exactly the :func:`~repro.render.parallel._backward_span` tail.
+table deterministically and hand it to the pair kernel of
+:mod:`repro.render.engine` with fragments as the scan groups: each pair
+blends against ``T_before`` times the transmittance within its fragment,
+the suffix base of a fragment is its ``d_f``, and the sparse per-splat
+partials come back exactly as from a span of the ``parallel`` engine.
 
 Determinism: per-shard computation is a pure function of the shard's
 arrays — identical in-process and pooled — and the merge order is fixed
@@ -65,12 +67,16 @@ from .backward import RasterGrads, alloc_grads
 from .engine import (
     TILE_SIZE,
     _argsort_by_key,
-    _check_config,
+    _transmittance_scan,
+    backward_pairs,
+    composite_pairs,
+    fill_grads,
+    local_ids,
     pairs_for_isects,
-    resolve_dtype,
+    prepare,
     visible_intersections,
 )
-from .parallel import _pack_shm, _attach_shm, _shm_views, get_raster_pool
+from .parallel import run_slices
 from .rasterize import RasterConfig, RasterResult, config_bboxes
 
 __all__ = [
@@ -149,33 +155,19 @@ class FragmentSource:
 
 
 # ---------------------------------------------------------------------------
-# per-shard kernels (run in workers; also in-process for workers <= 1)
+# per-shard passes (run in workers; also in-process for workers <= 1)
 # ---------------------------------------------------------------------------
 
-def _shard_fragments(pairs, run_of):
-    """Fragment boundaries of one shard's pair table.
+def _shard_pairs(arr, start, stop, width, height, config, tile_size):
+    """Cull -> pairs -> fragments of one shard: the half both passes share
+    (the backward rebuilds deterministically what the forward built).
 
-    A new fragment starts at every pixel-segment start and at every
-    global-run change inside a segment. Within a pixel's segment the
-    pairs follow the shard's depth order (a subsequence of the global
-    order), so run ids are non-decreasing and fragments are maximal
-    constant-run slices.
-    """
-    run_pair = run_of[pairs.sid]
-    first = np.zeros(pairs.alpha.size, dtype=bool)
-    first[pairs.starts] = True
-    first[1:] |= run_pair[1:] != run_pair[:-1]
-    frag_starts = np.flatnonzero(first)
-    frag_counts = np.diff(np.append(frag_starts, pairs.alpha.size))
-    frag_id = np.cumsum(first) - 1
-    return run_pair, frag_starts, frag_counts, frag_id
-
-
-def _fragment_forward_shard(arr, start, stop, width, height, config, tile_size):
-    """Composite one shard into fragment buffers.
-
-    Returns ``(pixel, run, logt, rgb)`` per fragment — all float64 on the
-    merge-facing side — or ``None`` when the shard contributes nothing.
+    Returns ``(pairs, sid_isect, run_pair, frag_starts, frag_counts,
+    frag_id)``, or ``None`` when the shard contributes nothing. A new
+    fragment starts at every pixel-segment start and at every global-run
+    change inside a segment. Within a pixel's segment the pairs follow the
+    shard's depth order (a subsequence of the global order), so run ids
+    are non-decreasing and fragments are maximal constant-run slices.
     """
     ids = arr["shard_list"][start:stop]
     if ids.size == 0:
@@ -196,27 +188,32 @@ def _fragment_forward_shard(arr, start, stop, width, height, config, tile_size):
     faults.fault_point("fragment:pairs")
     if pairs.alpha.size == 0:
         return None
-    run_pair, frag_starts, frag_counts, frag_id = _shard_fragments(
-        pairs, arr["run_of"]
-    )
+    run_pair = arr["run_of"][pairs.sid]
+    first = np.zeros(pairs.alpha.size, dtype=bool)
+    first[pairs.starts] = True
+    first[1:] |= run_pair[1:] != run_pair[:-1]
+    frag_starts = np.flatnonzero(first)
+    frag_counts = np.diff(np.append(frag_starts, pairs.alpha.size))
+    frag_id = np.cumsum(first) - 1
     faults.fault_point("fragment:composite")
-    lg = np.log2(1.0 - pairs.alpha)
-    cum = np.cumsum(lg)
-    frag_ends = frag_starts + frag_counts - 1
-    logt = cum[frag_ends] - cum[frag_starts] + lg[frag_starts]
-    # fragment-local exclusive scan -> transmittance within the fragment
-    ecum = cum
-    ecum -= lg
-    ecum -= np.repeat(ecum[frag_starts], frag_counts)
-    t_within = np.exp2(ecum, out=ecum)
-    weight = np.multiply(t_within, pairs.alpha, out=t_within)
-    n_frag = frag_starts.size
-    rgb = np.empty((n_frag, 3), dtype=np.float64)
-    for k in range(3):
-        col = np.ascontiguousarray(arr["colors"][:, k])
-        rgb[:, k] = np.bincount(
-            frag_id, weights=weight * col[pairs.sid], minlength=n_frag
-        )
+    return pairs, sid_isect, run_pair, frag_starts, frag_counts, frag_id
+
+
+def _forward(arr, start, stop, width, height, config, tile_size):
+    """Composite one shard into fragment buffers.
+
+    Returns ``(pixel, run, logt, rgb)`` per fragment — all float64 on the
+    merge-facing side — or ``None`` when the shard contributes nothing.
+    """
+    built = _shard_pairs(arr, start, stop, width, height, config, tile_size)
+    if built is None:
+        return None
+    pairs, _, run_pair, frag_starts, frag_counts, frag_id = built
+    # fragment-local scan -> transmittance within the fragment
+    logt, t_within = _transmittance_scan(pairs, frag_starts, frag_counts)
+    rgb = composite_pairs(
+        pairs, t_within, arr["colors"], frag_id, frag_starts.size
+    )
     return (
         pairs.pixel[frag_starts],
         run_pair[frag_starts],
@@ -225,172 +222,35 @@ def _fragment_forward_shard(arr, start, stop, width, height, config, tile_size):
     )
 
 
-def _fragment_backward_shard(
+def _backward(
     arr, start, stop, fstart, fstop, width, height, config, tile_size
 ):
-    """Gradient partials of one shard.
+    """Gradient partials of one shard, in the contract of
+    :func:`repro.render.engine.fill_grads`.
 
-    Rebuilds the shard's pair table deterministically (same inputs, same
-    code path as the forward), combines the host-computed per-fragment
-    ``T_before``/suffix offsets with a fragment-local inclusive scan, and
-    reduces sparse per-splat partials — the same contract as
-    :func:`repro.render.parallel._backward_span`.
+    The host's per-fragment ``T_before`` and suffix offset ``d_f`` — which
+    already holds [segment total + bg term - exclusive fragment prefix] —
+    turn the fragment-local scans into the global ones.
     """
-    ids = arr["shard_list"][start:stop]
-    if ids.size == 0:
+    built = _shard_pairs(arr, start, stop, width, height, config, tile_size)
+    if built is None:
         return None
-    faults.fault_point("fragment:cull")
-    means2d, conics, colors = arr["means2d"], arr["conics"], arr["colors"]
-    tile_ids, sid_isect, tiles_x, _ = visible_intersections(
-        means2d, conics, arr["opacities"], arr["bboxes"], ids, width, height,
-        config, tile_size,
-    )
-    if tile_ids.size == 0:
-        return None
-    pairs = pairs_for_isects(
-        means2d, conics, arr["opacities"], arr["bboxes"],
-        tile_ids, sid_isect, tiles_x, width, height, config, tile_size,
-    )
-    faults.fault_point("fragment:pairs")
-    if pairs.alpha.size == 0:
-        return None
-    run_pair, frag_starts, frag_counts, frag_id = _shard_fragments(
-        pairs, arr["run_of"]
-    )
-    faults.fault_point("fragment:composite")
+    pairs, sid_isect, _, frag_starts, frag_counts, _ = built
     if frag_starts.size != fstop - fstart:
         raise RuntimeError(
             "fragment backward rebuilt a different fragment count than the "
             "forward emitted — forward/backward inputs must match"
         )
-    tb_f = arr["tb_emit"][fstart:fstop]
-    d_f = arr["d_emit"][fstart:fstop]
-    pix, sid, alpha = pairs.pixel, pairs.sid, pairs.alpha
-
-    # reduce onto the shard's own splat set (see _backward_span: sorted
-    # uids keep the per-splat sums bit-identical to a global bincount)
-    uids = np.unique(sid_isect)
-    lut = np.zeros(means2d.shape[0], dtype=np.int64)
-    lut[uids] = np.arange(uids.size)
-    lid = lut[sid]
-    m_local = uids.size
-
-    lg = np.log2(1.0 - alpha)
-    cum = np.cumsum(lg)
-    ecum = cum
-    ecum -= lg
-    ecum -= np.repeat(ecum[frag_starts], frag_counts)
-    t_within = np.exp2(ecum, out=ecum)
-    t_before = np.repeat(tb_f, frag_counts) * t_within
-    weight = t_before * alpha
-
-    g_flat = arr["grad_image"]
-    g_pair = [np.ascontiguousarray(g_flat[:, k])[pix] for k in range(3)]
-    c_pair = [np.ascontiguousarray(colors[:, k])[sid] for k in range(3)]
-
-    grad_colors = np.empty((m_local, 3), dtype=np.float64)
-    for k in range(3):
-        grad_colors[:, k] = np.bincount(
-            lid, weights=g_pair[k] * weight, minlength=m_local
-        )
-
-    # suffix accumulator, fragment-decomposed: the host's d_f already
-    # holds [segment total + bg term - exclusive fragment prefix], so the
-    # pair-level suffix is d_f minus the fragment-local inclusive prefix
-    gdot_color = g_pair[0] * c_pair[0]
-    gdot_color += g_pair[1] * c_pair[1]
-    gdot_color += g_pair[2] * c_pair[2]
-    gw = weight * gdot_color
-    incl = np.cumsum(gw)
-    incl -= np.repeat(incl[frag_starts] - gw[frag_starts], frag_counts)
-    gdot_suffix = np.repeat(d_f, frag_counts)
-    gdot_suffix -= incl
-
-    one_minus = 1.0 - alpha
-    grad_alpha = gdot_color * t_before
-    grad_alpha -= gdot_suffix / one_minus
-    np.copyto(grad_alpha, 0.0, where=alpha >= config.alpha_max)
-
-    op_pair = arr["opacities"][sid]
-    gval = alpha / op_pair
-    grad_alpha *= gval
-    grad_opac = np.bincount(lid, weights=grad_alpha, minlength=m_local)
-    grad_power = np.multiply(grad_alpha, op_pair, out=grad_alpha)
-
-    dx = (pix % width) + 0.5
-    dx -= np.ascontiguousarray(means2d[:, 0])[sid]
-    dy = (pix // width) + 0.5
-    dy -= np.ascontiguousarray(means2d[:, 1])[sid]
-    gpx = grad_power * dx
-    gpy = grad_power * dy
-    grad_conics = np.empty((m_local, 3), dtype=np.float64)
-    grad_conics[:, 0] = -0.5 * np.bincount(
-        lid, weights=gpx * dx, minlength=m_local
+    uids, lid = local_ids(sid_isect, pairs.sid, arr["means2d"].shape[0])
+    _, t_within = _transmittance_scan(pairs, frag_starts, frag_counts)
+    t_before = np.repeat(arr["tb_emit"][fstart:fstop], frag_counts) * t_within
+    return uids, *backward_pairs(
+        arr["means2d"], arr["conics"], arr["colors"], arr["opacities"],
+        arr["grad_image"], width, config.alpha_max, pairs,
+        t_before=t_before, groups=(frag_starts, frag_counts),
+        base=arr["d_emit"][fstart:fstop], base_has_total=True,
+        rid=lid, m=uids.size,
     )
-    grad_conics[:, 1] = -np.bincount(lid, weights=gpx * dy, minlength=m_local)
-    grad_conics[:, 2] = -0.5 * np.bincount(
-        lid, weights=gpy * dy, minlength=m_local
-    )
-    c_a = np.ascontiguousarray(conics[:, 0])[sid]
-    c_b = np.ascontiguousarray(conics[:, 1])[sid]
-    gmx_pair = c_a * gpx
-    gmx_pair += c_b * gpy
-    gmy_pair = c_b * gpx
-    gmy_pair += np.ascontiguousarray(conics[:, 2])[sid] * gpy
-    gmx = np.bincount(lid, weights=gmx_pair, minlength=m_local)
-    gmy = np.bincount(lid, weights=gmy_pair, minlength=m_local)
-    return uids, grad_colors, grad_opac, grad_conics, gmx, gmy
-
-
-_SHARD_FNS = {
-    "forward": _fragment_forward_shard,
-    "backward": _fragment_backward_shard,
-}
-
-
-def _fragment_task(args):
-    """Pool task: attach the shared arrays, run one shard, detach."""
-    shm_name, metas, mode, slc, width, height, config, tile_size = args
-    shm = _attach_shm(shm_name)
-    arr = None
-    try:
-        arr = _shm_views(shm, metas)
-        out = _SHARD_FNS[mode](
-            arr, *slc, width=width, height=height, config=config,
-            tile_size=tile_size,
-        )
-    finally:
-        del arr  # drop buffer views so close() cannot see exports
-        shm.close()
-    return out
-
-
-def _run_shard_tasks(mode, arrays, slices, width, height, config, tile_size):
-    """Execute shards in-process (``workers <= 1``) or on the shared pool.
-
-    Results come back in shard order either way, and each shard's kernel
-    sees identical arrays in both paths, so the merged output is
-    bit-identical across worker counts.
-    """
-    workers = config.workers
-    if workers <= 1 or len(slices) <= 1:
-        return [
-            _SHARD_FNS[mode](
-                arrays, *slc, width=width, height=height, config=config,
-                tile_size=tile_size,
-            )
-            for slc in slices
-        ]
-    shm, metas = _pack_shm(arrays)
-    try:
-        tasks = [
-            (shm.name, metas, mode, slc, width, height, config, tile_size)
-            for slc in slices
-        ]
-        return get_raster_pool(workers).map(_fragment_task, tasks)
-    finally:
-        shm.close()
-        shm.unlink()
 
 
 # ---------------------------------------------------------------------------
@@ -459,31 +319,33 @@ def _merge_fragments(results, width, height, background, dtype, num_runs):
     return image.astype(dtype), trans.astype(dtype), stash
 
 
-def _forward_shard_slices(offsets):
-    return [
-        (int(offsets[k]), int(offsets[k + 1]))
-        for k in range(offsets.size - 1)
-    ]
-
-
 def _render_fragments(
-    means2d, conics, colors, opacities, bboxes, order,
-    shard_list, offsets, run_of, num_runs,
+    means2d, conics, colors, opacities, radii, layout,
     width, height, background, config, tile_size,
 ) -> FragmentRasterResult:
-    """Shared forward core of the engine-standard and source entrypoints."""
-    dtype = means2d.dtype
+    """Shared forward of the engine-standard and source entrypoints, over
+    a ``layout = (order, shard_list, offsets, run_of, num_runs)``."""
+    config, background, splats = prepare(
+        config, background, means2d, conics, colors, opacities
+    )
+    bboxes = config_bboxes(means2d, radii, width, height, config)
+    means2d, conics, colors, opacities = splats
+    order, shard_list, offsets, run_of, num_runs = layout
     arrays = {
         "means2d": means2d, "conics": conics, "colors": colors,
         "opacities": opacities, "bboxes": bboxes,
         "shard_list": shard_list, "run_of": run_of,
     }
-    results = _run_shard_tasks(
-        "forward", arrays, _forward_shard_slices(offsets), width, height,
-        config, tile_size,
+    slices = [
+        (int(offsets[k]), int(offsets[k + 1]))
+        for k in range(offsets.size - 1)
+    ]
+    results = run_slices(
+        _forward, arrays, slices, config.workers, width=width, height=height,
+        config=config, tile_size=tile_size,
     )
     image, trans, stash = _merge_fragments(
-        results, width, height, background, dtype, num_runs
+        results, width, height, background, means2d.dtype, num_runs
     )
     return FragmentRasterResult(
         image=image.reshape(height, width, 3),
@@ -502,12 +364,15 @@ def _render_fragments(
 # shard layouts
 # ---------------------------------------------------------------------------
 
-def _depth_slab_layout(order, num_shards):
-    """Contiguous depth slabs: the engine-path shard assignment.
+def _depth_slab_layout(depths, num_shards):
+    """Contiguous depth slabs: the engine-path shard assignment, in the
+    form of :func:`_source_layout`.
 
     Slab k is one global depth run by construction (the slabs tile the
-    depth order), so ``run id == slab id``.
+    depth order), so ``run id == slab id`` and ``shard_list`` is the
+    depth order itself.
     """
+    order = np.argsort(depths, kind="stable")
     m = order.size
     num_shards = max(1, min(int(num_shards), max(m, 1)))
     edges = (m * np.arange(num_shards + 1, dtype=np.int64)) // num_shards
@@ -515,7 +380,7 @@ def _depth_slab_layout(order, num_shards):
     run_of[order] = np.repeat(
         np.arange(num_shards, dtype=np.int64), np.diff(edges)
     )
-    return order, edges, run_of, num_shards
+    return order, order, edges, run_of, num_shards
 
 
 def _source_layout(depths_list):
@@ -577,23 +442,12 @@ def rasterize_fragment(
     rendered as an independent shard; the sharded systems instead feed
     per-shard sources through :func:`rasterize_fragment_sources`.
     """
-    config = _check_config(config)
-    order = np.argsort(depths, kind="stable")
-    bboxes = config_bboxes(means2d, radii, width, height, config)
-    means2d, conics, colors, opacities = resolve_dtype(
-        config, means2d, conics, colors, opacities
-    )
-    dtype = means2d.dtype
-    if background is None:
-        background = np.zeros(3, dtype=dtype)
-    background = np.asarray(background, dtype=dtype)
-    num_shards = config.fragment_shards or max(config.workers, 1)
-    shard_list, offsets, run_of, num_runs = _depth_slab_layout(
-        order, num_shards
-    )
+    config = config or RasterConfig()
     return _render_fragments(
-        means2d, conics, colors, opacities, bboxes, order,
-        shard_list, offsets, run_of, num_runs,
+        means2d, conics, colors, opacities, radii,
+        _depth_slab_layout(
+            depths, config.fragment_shards or max(config.workers, 1)
+        ),
         width, height, background, config, tile_size,
     )
 
@@ -618,26 +472,12 @@ def rasterize_fragment_sources(
     ``[result.offsets... sum(sizes[:k]), sum(sizes[:k+1]))`` of the
     original per-source row order.
     """
-    config = _check_config(config)
-    means2d = np.concatenate([s.means2d for s in sources])
-    conics = np.concatenate([s.conics for s in sources])
-    colors = np.concatenate([s.colors for s in sources])
-    opacities = np.concatenate([s.opacities for s in sources])
-    radii = np.concatenate([s.radii for s in sources])
-    order, shard_list, offsets, run_of, num_runs = _source_layout(
-        [s.depths for s in sources]
-    )
-    bboxes = config_bboxes(means2d, radii, width, height, config)
-    means2d, conics, colors, opacities = resolve_dtype(
-        config, means2d, conics, colors, opacities
-    )
-    dtype = means2d.dtype
-    if background is None:
-        background = np.zeros(3, dtype=dtype)
-    background = np.asarray(background, dtype=dtype)
     return _render_fragments(
-        means2d, conics, colors, opacities, bboxes, order,
-        shard_list, offsets, run_of, num_runs,
+        *(
+            np.concatenate([getattr(src, field) for src in sources])
+            for field in ("means2d", "conics", "colors", "opacities", "radii")
+        ),
+        _source_layout([src.depths for src in sources]),
         width, height, background, config, tile_size,
     )
 
@@ -664,23 +504,18 @@ def rasterize_backward_fragment(
     forward pass — the host-side suffix preparation runs entirely on its
     stashed fragment buffers (no pair table, no gather).
     """
-    config = _check_config(config)
+    config, background, (means2d, conics, colors, opacities) = prepare(
+        config, background, means2d, conics, colors, opacities
+    )
     if not isinstance(result, FragmentRasterResult):
         raise TypeError(
             "rasterize_backward_fragment needs the FragmentRasterResult of "
             "a fragment forward pass"
         )
-    means2d, conics, colors, opacities = resolve_dtype(
-        config, means2d, conics, colors, opacities
-    )
     dtype = means2d.dtype
     height, width = grad_image.shape[:2]
-    if background is None:
-        background = np.zeros(3, dtype=dtype)
-    background = np.asarray(background, dtype=dtype)
 
-    m_count = means2d.shape[0]
-    grads = alloc_grads(m_count, dtype)
+    grads = alloc_grads(means2d.shape[0], dtype)
     n_frag = result.frag_pixel.size
     if n_frag == 0:
         return grads
@@ -733,26 +568,7 @@ def rasterize_backward_fragment(
         )
         for k in range(result.offsets.size - 1)
     ]
-    acc_colors = np.zeros((m_count, 3), dtype=np.float64)
-    acc_opac = np.zeros(m_count, dtype=np.float64)
-    acc_conics = np.zeros((m_count, 3), dtype=np.float64)
-    acc_gmx = np.zeros(m_count, dtype=np.float64)
-    acc_gmy = np.zeros(m_count, dtype=np.float64)
-    for res in _run_shard_tasks(
-        "backward", arrays, slices, width, height, config, tile_size
-    ):
-        if res is None:
-            continue
-        uids, shard_colors, shard_opac, shard_conics, shard_gmx, shard_gmy = res
-        acc_colors[uids] += shard_colors
-        acc_opac[uids] += shard_opac
-        acc_conics[uids] += shard_conics
-        acc_gmx[uids] += shard_gmx
-        acc_gmy[uids] += shard_gmy
-    grads.colors[:] = acc_colors
-    grads.opacities[:] = acc_opac
-    grads.conics[:] = acc_conics
-    grads.means2d[:, 0] = acc_gmx
-    grads.means2d[:, 1] = acc_gmy
-    grads.mean2d_abs[:] = np.hypot(acc_gmx, acc_gmy)
-    return grads
+    return fill_grads(grads, run_slices(
+        _backward, arrays, slices, config.workers, width=width,
+        height=height, config=config, tile_size=tile_size,
+    ))

@@ -8,11 +8,11 @@ PCIe link as "G1/G3" in Figure 6.
 
 Both passes dispatch the rasterization stage through
 :mod:`repro.render.engine` according to ``RasterConfig.engine``, so every
-caller (the training systems, benchmarks, examples) can pick the
-reference loop, the tiled loop, the vectorized engine, or the multi-core
-``parallel`` engine per run; ``RasterConfig.dtype`` additionally selects
-the flat engines' float32 inference fast path (the raster stage computes
-and returns single precision while projection stays in the model dtype).
+caller (the training systems, benchmarks, examples) can pick any backend
+of :data:`repro.render.rasterize.ENGINES` per run; ``RasterConfig.dtype``
+additionally selects the flat engines' float32 inference fast path (the
+raster stage computes and returns single precision while projection stays
+in the model dtype).
 """
 
 from __future__ import annotations

@@ -19,15 +19,30 @@ ALPHA_MIN = 1.0 / 255.0
 #: Maximum alpha per splat-pixel pair (3DGS caps at 0.99 for stability).
 ALPHA_MAX = 0.99
 
-#: Selectable rasterization backends (see ``docs/raster_engines.md``):
-#: ``reference`` is the per-splat loop in this module, ``tiled`` the
-#: tile-binned loop in :mod:`repro.render.tiles`, ``vectorized`` the flat
-#: intersection-sorted engine in :mod:`repro.render.engine`, ``parallel``
-#: the multi-core tile-span pool in :mod:`repro.render.parallel`, and
-#: ``fragment`` the shard-parallel fragment compositor in
-#: :mod:`repro.render.fragment` (workers run the whole per-shard
-#: pipeline; the host merges depth-ordered fragment buffers).
-ENGINES = ("reference", "tiled", "vectorized", "parallel", "fragment")
+#: The rasterization backends (``docs/raster_engines.md``), one line each:
+#: ``name -> (forward, backward)`` as ``module.function`` under
+#: :mod:`repro.render`. :data:`ENGINES`, ``RasterConfig``'s validation and
+#: :func:`repro.render.engine.get_forward` / ``get_backward`` all read this
+#: table; the getters import the module on first use, because the flat
+#: engines import this one. ``reference`` is the per-splat loop oracle in
+#: this module; the others schedule the pair kernel of
+#: :mod:`repro.render.engine` — ``vectorized`` over the whole table,
+#: ``parallel`` per tile span and ``fragment`` per shard on a process pool.
+ENGINE_TABLE = {
+    "reference": ("rasterize.rasterize", "backward.rasterize_backward"),
+    "vectorized": (
+        "engine.rasterize_vectorized", "engine.rasterize_backward_vectorized",
+    ),
+    "parallel": (
+        "parallel.rasterize_parallel", "parallel.rasterize_backward_parallel",
+    ),
+    "fragment": (
+        "fragment.rasterize_fragment", "fragment.rasterize_backward_fragment",
+    ),
+}
+
+#: Selectable values of ``RasterConfig.engine``.
+ENGINES = tuple(ENGINE_TABLE)
 
 #: Compute dtypes the vectorized/parallel engines accept for
 #: ``RasterConfig.dtype`` (``None`` keeps the input arrays' dtype).
@@ -48,10 +63,10 @@ class RasterConfig:
             discontinuity of the integer bbox, which finite-difference
             gradient checks would otherwise trip over.
         engine: which rasterization backend executes the forward/backward
-            passes; one of :data:`ENGINES`. All five produce the same
-            output (the loop engines bitwise, the flat engines
-            ``vectorized``/``parallel``/``fragment`` to ~1e-12); the flat
-            engines are much faster past a few hundred splats.
+            passes; one of :data:`ENGINES`. All produce the same output
+            (the flat engines ``vectorized``/``parallel``/``fragment``
+            match the ``reference`` loop to ~1e-12); the flat engines are
+            much faster past a few hundred splats.
         workers: worker-process count of the ``parallel``/``fragment``
             engines. ``0``/``1`` run the pipelines in-process (no pool);
             ``>= 2`` ship work to a persistent multiprocessing pool via
@@ -60,8 +75,8 @@ class RasterConfig:
             :data:`RASTER_DTYPES`, or ``None`` to keep the input dtype.
             ``"float32"`` is the inference fast path: pair-level arithmetic
             (the exp2/scan hot loops) runs in single precision, roughly
-            halving memory traffic, at ~1e-4 image tolerance. The loop
-            engines ignore it (they are correctness oracles).
+            halving memory traffic, at ~1e-4 image tolerance. The
+            ``reference`` loop ignores it (it is the correctness oracle).
         span_oversubscription: spans planned per worker by the ``parallel``
             engine (plumbed to
             :func:`repro.render.tiles.adaptive_span_count`). Higher values
@@ -147,7 +162,7 @@ def config_bboxes(
 ) -> np.ndarray:
     """Per-splat composite bounds honoring ``config.full_image_splats``.
 
-    The single source of the bbox-selection rule for all three engines.
+    The single source of the bbox-selection rule for every engine.
     """
     if config.full_image_splats:
         m_count = means2d.shape[0]

@@ -1,19 +1,16 @@
-"""Tile-binned rasterization, the gsplat/3DGS execution strategy.
+"""Tile binning and span planning, the gsplat/3DGS work decomposition.
 
-The reference compositor (:mod:`repro.render.rasterize`) loops over splats
-globally; real GPU rasterizers bin splats into 16x16 pixel tiles and
-composite each tile independently so thread blocks get coherent work. This
-module implements that strategy in numpy. Because each pixel still blends
-the same splats in the same depth order with the same arithmetic, the
-output is *bitwise identical* to the reference compositor — which the test
-suite asserts — while the binning statistics expose the intersection
-counts the performance model's forward/backward costs are built on.
+Real GPU rasterizers bin splats into 16x16 pixel tiles and composite each
+tile independently so thread blocks get coherent work.
+:func:`bin_gaussians` exposes that assignment — the intersection counts the
+performance model's forward/backward costs are built on — and
+:func:`partition_spans` cuts a tile-sorted intersection table into the
+load-balanced spans the ``parallel`` engine fans out.
 
-Binning itself is vectorized: it delegates to
+Binning is vectorized: it delegates to
 :func:`repro.render.engine.tile_intersections`, the same flat
-``np.repeat``/radix-sort expansion the vectorized engine composites from,
-so ``num_intersections`` and the per-tile lists come from a single code
-path.
+``np.repeat``/radix-sort expansion the flat engines composite from, so
+``num_intersections`` and the per-tile lists come from a single code path.
 """
 
 from __future__ import annotations
@@ -23,13 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import TILE_SIZE, tile_intersections
-from .rasterize import (
-    RasterConfig,
-    RasterResult,
-    _splat_alpha,
-    config_bboxes,
-    splat_bboxes,
-)
+from .rasterize import splat_bboxes
 
 __all__ = [
     "SPAN_OVERSUBSCRIPTION",
@@ -38,7 +29,6 @@ __all__ = [
     "adaptive_span_count",
     "bin_gaussians",
     "partition_spans",
-    "rasterize_tiled",
 ]
 
 #: Span-oversubscription factor of the parallel raster engine: the span
@@ -133,10 +123,6 @@ class TileBinning:
     num_intersections: int
     bboxes: np.ndarray
 
-    def tile_index(self, tx: int, ty: int) -> int:
-        """Row-major index of tile ``(tx, ty)``."""
-        return ty * self.tiles_x + tx
-
 
 def bin_gaussians(
     means2d: np.ndarray,
@@ -167,86 +153,5 @@ def bin_gaussians(
         tiles_y=tiles_y,
         tile_lists=tile_lists,
         num_intersections=int(tile_ids.size),
-        bboxes=bboxes,
-    )
-
-
-def rasterize_tiled(
-    means2d: np.ndarray,
-    conics: np.ndarray,
-    colors: np.ndarray,
-    opacities: np.ndarray,
-    depths: np.ndarray,
-    radii: np.ndarray,
-    width: int,
-    height: int,
-    background: np.ndarray | None = None,
-    config: RasterConfig | None = None,
-    tile_size: int = TILE_SIZE,
-) -> RasterResult:
-    """Tile-binned compositor; same contract and output as
-    :func:`repro.render.rasterize.rasterize`."""
-    config = config or RasterConfig()
-    dtype = means2d.dtype
-    if background is None:
-        background = np.zeros(3, dtype=dtype)
-    background = np.asarray(background, dtype=dtype)
-
-    order = np.argsort(depths, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    binning = bin_gaussians(
-        means2d,
-        radii,
-        width,
-        height,
-        tile_size,
-        bboxes=config_bboxes(means2d, radii, width, height, config),
-    )
-    bboxes = binning.bboxes
-
-    image = np.zeros((height, width, 3), dtype=dtype)
-    transmittance = np.ones((height, width), dtype=dtype)
-    xs_full = np.arange(width, dtype=dtype) + 0.5
-    ys_full = np.arange(height, dtype=dtype) + 0.5
-
-    for ty in range(binning.tiles_y):
-        py0 = ty * tile_size
-        py1 = min(py0 + tile_size, height)
-        for tx in range(binning.tiles_x):
-            ids = binning.tile_lists[binning.tile_index(tx, ty)]
-            if ids.size == 0:
-                continue
-            px0 = tx * tile_size
-            px1 = min(px0 + tile_size, width)
-            # depth order within the tile = global order restricted
-            ids = ids[np.argsort(rank[ids], kind="stable")]
-            t_tile = transmittance[py0:py1, px0:px1]
-            c_tile = image[py0:py1, px0:px1]
-            for idx in ids:
-                x0, x1, y0, y1 = bboxes[idx]
-                # clip splat bbox to the tile
-                cx0, cx1 = max(x0, px0), min(x1, px1)
-                cy0, cy1 = max(y0, py0), min(y1, py1)
-                if cx0 >= cx1 or cy0 >= cy1:
-                    continue
-                alpha = _splat_alpha(
-                    means2d[idx], conics[idx], opacities[idx],
-                    xs_full[cx0:cx1], ys_full[cy0:cy1], config,
-                )
-                sub_t = t_tile[cy0 - py0 : cy1 - py0, cx0 - px0 : cx1 - px0]
-                weight = sub_t * alpha
-                c_tile[cy0 - py0 : cy1 - py0, cx0 - px0 : cx1 - px0] += (
-                    weight[:, :, None] * colors[idx]
-                )
-                t_tile[cy0 - py0 : cy1 - py0, cx0 - px0 : cx1 - px0] = (
-                    sub_t * (1.0 - alpha)
-                )
-
-    image += transmittance[:, :, None] * background
-    return RasterResult(
-        image=image,
-        final_transmittance=transmittance,
-        order=order,
         bboxes=bboxes,
     )

@@ -4,7 +4,7 @@ The ``parallel`` raster engine splits *one* frame across cores; a serving
 tick has the opposite shape — many independent frames — so the farm ships
 each frame to its own worker process and keeps the per-frame pipeline
 single-core. Both fan-outs draw from the same
-:func:`~repro.render.parallel.get_raster_pool` registry of persistent
+:func:`~repro.pool.get_raster_pool` registry of persistent
 pools, so a process that trains, serves, and benchmarks never holds two
 worker fleets for the same core count.
 
@@ -45,7 +45,7 @@ from ..render import (
     rasterize_fragment_sources,
     render,
 )
-from ..render.parallel import _pack_shm, _attach_shm, _shm_views, get_raster_pool
+from ..pool import attach_shm, get_raster_pool, pack_shm, shm_views
 from ..render.rasterize import RasterConfig
 from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
@@ -367,10 +367,10 @@ def render_frame_sharded(
 def _sharded_frame_task(args):
     """Pool task: attach the shared geometry, map the pages, render."""
     shm_name, metas, page_specs, task = args
-    shm = _attach_shm(shm_name)
+    shm = attach_shm(shm_name)
     views = store = None
     try:
-        views = _shm_views(shm, metas)
+        views = shm_views(shm, metas)
         flat = views["shard_rows_flat"]
         offsets = views["shard_offsets"]
         shard_rows = [
@@ -390,10 +390,10 @@ def _sharded_frame_task(args):
 def _frame_task(args):
     """Pool task: attach the published model, render one frame, detach."""
     shm_name, metas, task = args
-    shm = _attach_shm(shm_name)
+    shm = attach_shm(shm_name)
     views = store = None
     try:
-        views = _shm_views(shm, metas)
+        views = shm_views(shm, metas)
         store = InMemoryServingStore(views["params"], copy=False)
         image = render_frame(store, views.get("drop_level"), task)
     finally:
@@ -409,7 +409,7 @@ class RenderFarm:
         workers: worker-process count; ``<= 1`` renders every batch
             inline (useful as a parity oracle for the pooled path).
         map_timeout_s: per-batch deadline handed to the supervised
-            pool's :meth:`~repro.render.parallel.PersistentPool.map`
+            pool's :meth:`~repro.pool.PersistentPool.map`
             (``None`` = the pool's own default).
         map_retries: worker-death/deadline retry budget per batch
             (``None`` = the pool's own default).
@@ -458,7 +458,7 @@ class RenderFarm:
             arrays = {"params": store.params}
             if self._drop_level is not None:
                 arrays["drop_level"] = self._drop_level
-            self._shm, self._metas = _pack_shm(arrays)
+            self._shm, self._metas = pack_shm(arrays)
 
     def publish_sharded(
         self, store: PagedServingStore, drop_level: np.ndarray | None
@@ -494,7 +494,7 @@ class RenderFarm:
             }
             if self._drop_level is not None:
                 arrays["drop_level"] = self._drop_level
-            self._shm, self._metas = _pack_shm(arrays)
+            self._shm, self._metas = pack_shm(arrays)
 
     def unpublish(self) -> None:
         """Release the published model's shared segment (idempotent)."""
@@ -540,7 +540,7 @@ class RenderFarm:
     def close(self) -> None:
         """Release the shared segment (the pooled workers are shared
         process-level state, reaped by
-        :func:`~repro.render.parallel.shutdown_raster_pools`)."""
+        :func:`~repro.pool.shutdown_raster_pools`)."""
         self.unpublish()
 
     def __enter__(self) -> "RenderFarm":

@@ -61,7 +61,7 @@ import numpy as np
 
 from ..cameras.camera import Camera
 from ..gaussians.model import GaussianModel
-from ..render.parallel import raster_pool_fault_stats
+from ..pool import raster_pool_fault_stats
 from ..render.rasterize import RasterConfig
 from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace

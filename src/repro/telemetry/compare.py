@@ -52,9 +52,11 @@ PHASE_BY_SPAN = {
     "page/writeback": "disk",
 }
 
-#: Span prefixes that nest inside already-counted phases and must not be
-#: double counted (``pool/span_task`` wraps ``pool/forward`` etc.).
-_NESTED_PREFIXES = ("pool/span_task", "pool/map")
+#: Span prefixes that enclose already-counted phases and must not be
+#: double counted: ``pool/slice_task`` — the one pool task of both pooled
+#: raster engines (:func:`repro.render.parallel.run_slices`) — wraps each
+#: slice's ``pool/forward`` / ``pool/backward``, and ``pool/map`` the map.
+_NESTED_PREFIXES = ("pool/slice_task", "pool/map")
 
 
 def phase_for(name: str) -> str | None:

@@ -1,11 +1,14 @@
-"""Cross-engine parity suite: reference vs tiled vs vectorized.
+"""Cross-engine parity suite: the reference loop vs every flat engine.
 
-The loop engines are the oracle; the vectorized engine must reproduce the
-image, the final transmittance, and all five gradient arrays to tight
-absolute tolerance on randomized scenes — including the gradcheck
-configurations (``alpha_min=0``, ``full_image_splats``) and the
-image-splitting path of the GS-Scale system.
+The ``reference`` loop is the oracle; each scheduler of the pair kernel
+(``vectorized``, ``parallel``, ``fragment`` — every other entry of
+``ENGINES``) must reproduce the image, the final transmittance, and all
+five gradient arrays to tight absolute tolerance on randomized scenes —
+including the gradcheck configurations (``alpha_min=0``,
+``full_image_splats``) and the image-splitting path of the GS-Scale system.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,6 +67,19 @@ CONFIGS = [
 ]
 
 
+#: Every scheduler of the pair kernel: all of ``ENGINES`` but the oracle.
+FLAT_ENGINES = [name for name in ENGINES if name != "reference"]
+
+
+def engine_config(engine, base=None):
+    """``base`` on ``engine``, in-process: ``workers=1`` is one span for
+    ``parallel`` and no pool for ``fragment``, which gets two depth slabs
+    so its fragment merge is exercised (``vectorized`` reads neither)."""
+    return replace(
+        base or RasterConfig(), engine=engine, workers=1, fragment_shards=2
+    )
+
+
 def _config_id(cfg):
     return f"amin{cfg.alpha_min:.3f}-full{int(cfg.full_image_splats)}"
 
@@ -71,7 +87,7 @@ def _config_id(cfg):
 class TestForwardParity:
     @pytest.mark.parametrize("scene", SCENES, ids=lambda s: f"n{s[0]}")
     @pytest.mark.parametrize("cfg", CONFIGS, ids=_config_id)
-    @pytest.mark.parametrize("engine", ["tiled", "vectorized"])
+    @pytest.mark.parametrize("engine", FLAT_ENGINES)
     def test_image_and_transmittance(self, scene, cfg, engine):
         n, w, h, seed = scene
         if cfg.full_image_splats and n > 150:
@@ -80,7 +96,8 @@ class TestForwardParity:
         bg = np.array([0.2, 0.4, 0.6])
         ref = rasterize(*args, width=w, height=h, background=bg, config=cfg)
         out = get_forward(engine)(
-            *args, width=w, height=h, background=bg, config=cfg
+            *args, width=w, height=h, background=bg,
+            config=engine_config(engine, cfg),
         )
         np.testing.assert_allclose(out.image, ref.image, atol=ATOL, rtol=0)
         np.testing.assert_allclose(
@@ -89,11 +106,13 @@ class TestForwardParity:
         np.testing.assert_array_equal(out.order, ref.order)
         np.testing.assert_array_equal(out.bboxes, ref.bboxes)
 
-    @pytest.mark.parametrize("engine", ["tiled", "vectorized"])
+    @pytest.mark.parametrize("engine", FLAT_ENGINES)
     def test_no_background(self, engine):
         args = make_splats(60, 48, 40, 3)
         ref = rasterize(*args, width=48, height=40)
-        out = get_forward(engine)(*args, width=48, height=40)
+        out = get_forward(engine)(
+            *args, width=48, height=40, config=engine_config(engine)
+        )
         np.testing.assert_allclose(out.image, ref.image, atol=ATOL, rtol=0)
 
     def test_empty_scene(self):
@@ -137,6 +156,10 @@ class TestForwardParity:
             get_backward("bogus")
         with pytest.raises(ValueError, match="unknown raster engine"):
             RasterConfig(engine="bogus")
+        # the second loop engine is gone, not hidden
+        assert ENGINES == ("reference", "vectorized", "parallel", "fragment")
+        with pytest.raises(ValueError, match="unknown raster engine"):
+            RasterConfig(engine="tiled")
 
 
 class TestBackwardParity:
@@ -207,7 +230,7 @@ def _tiny_model(seed=0, n=30):
 
 
 class TestPipelineParity:
-    """The three engines agree through the full render pipeline."""
+    """Every engine agrees through the full render pipeline."""
 
     def test_render_and_backward(self):
         from repro.cameras import Camera
@@ -221,12 +244,12 @@ class TestPipelineParity:
         grad_image = rng.normal(size=(36, 48, 3))
         results = {}
         for engine in ENGINES:
-            cfg = RasterConfig(engine=engine)
+            cfg = engine_config(engine)
             res = render(model, camera, background=bg, config=cfg)
             back = render_backward(model, camera, res, grad_image)
             results[engine] = (res.image, back.param_grads, back.mean2d_abs)
         ref_img, ref_grads, ref_m2d = results["reference"]
-        for engine in ("tiled", "vectorized"):
+        for engine in FLAT_ENGINES:
             img, grads, m2d = results[engine]
             np.testing.assert_allclose(img, ref_img, atol=ATOL, rtol=0)
             np.testing.assert_allclose(grads, ref_grads, atol=1e-8, rtol=0)
@@ -294,7 +317,8 @@ class TestSystemParity:
             scene.initial.copy(),
             GSScaleConfig(
                 system="gsscale", scene_extent=scene.extent,
-                ssim_lambda=0.0, mem_limit=mem_limit, seed=0, engine=engine,
+                ssim_lambda=0.0, mem_limit=mem_limit, seed=0,
+                raster=engine_config(engine),
             ),
         )
         losses, regions = [], []
@@ -312,7 +336,7 @@ class TestSystemParity:
         ref_losses, ref_regions, ref_params = self._run(
             scene, "reference", mem_limit
         )
-        for engine in ("tiled", "vectorized"):
+        for engine in FLAT_ENGINES:
             losses, regions, params = self._run(scene, engine, mem_limit)
             assert regions == ref_regions
             np.testing.assert_allclose(losses, ref_losses, atol=1e-9, rtol=0)

@@ -4,7 +4,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.render.rasterize import RasterConfig, rasterize
+from repro.render.engine import get_forward
+from repro.render.rasterize import ENGINES, RasterConfig, rasterize
+
+#: Every non-reference engine, in-process (no pool inside a property test).
+FLAT_CONFIGS = [
+    RasterConfig(engine=name, workers=1, fragment_shards=2)
+    for name in ENGINES if name != "reference"
+]
 
 
 def random_splats(rng, n, width, height):
@@ -101,16 +108,19 @@ class TestCompositingInvariants:
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000))
-    def test_tiled_matches_reference(self, seed):
-        """Cross-implementation property: the tile compositor agrees with
-        the reference for arbitrary inputs."""
-        from repro.render.tiles import rasterize_tiled
-
+    def test_flat_engines_match_reference(self, seed):
+        """Cross-implementation property: every scheduler of the pair
+        kernel agrees with the reference loop for arbitrary inputs."""
         rng = np.random.default_rng(seed)
         args = random_splats(rng, 20, 37, 23)
         ref = rasterize(*args, width=37, height=23)
-        tiled = rasterize_tiled(*args, width=37, height=23)
-        np.testing.assert_array_equal(tiled.image, ref.image)
+        for cfg in FLAT_CONFIGS:
+            out = get_forward(cfg.engine)(
+                *args, width=37, height=23, config=cfg
+            )
+            np.testing.assert_allclose(
+                out.image, ref.image, atol=1e-9, rtol=0, err_msg=cfg.engine
+            )
 
 
 class TestConfigProperties:

@@ -1,11 +1,9 @@
-"""Tests for the tile-binned rasterizer: bitwise equivalence with the
-reference compositor and binning statistics."""
+"""Tests for tile binning: the splat-to-tile assignment and its statistics."""
 
 import numpy as np
-import pytest
 
-from repro.render.rasterize import RasterConfig, rasterize
-from repro.render.tiles import TILE_SIZE, bin_gaussians, rasterize_tiled
+from repro.render.rasterize import RasterConfig, config_bboxes
+from repro.render.tiles import TILE_SIZE, bin_gaussians
 
 
 def make_splats(n=60, width=70, height=50, seed=0):
@@ -18,60 +16,6 @@ def make_splats(n=60, width=70, height=50, seed=0):
     depths = rng.uniform(1, 20, size=n)
     radii = 3 * sig
     return means2d, conics, colors, opacities, depths, radii
-
-
-class TestEquivalence:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_bitwise_identical_to_reference(self, seed):
-        args = make_splats(seed=seed)
-        bg = np.array([0.2, 0.4, 0.6])
-        ref = rasterize(*args, width=70, height=50, background=bg)
-        tiled = rasterize_tiled(*args, width=70, height=50, background=bg)
-        np.testing.assert_array_equal(tiled.image, ref.image)
-        np.testing.assert_array_equal(
-            tiled.final_transmittance, ref.final_transmittance
-        )
-
-    def test_non_multiple_of_tile_size(self):
-        """Image edges that don't align to the tile grid."""
-        args = make_splats(width=33, height=17, seed=3)
-        ref = rasterize(*args, width=33, height=17)
-        tiled = rasterize_tiled(*args, width=33, height=17)
-        np.testing.assert_array_equal(tiled.image, ref.image)
-
-    def test_alpha_min_zero_config(self):
-        args = make_splats(seed=4)
-        cfg = RasterConfig(alpha_min=0.0)
-        ref = rasterize(*args, width=70, height=50, config=cfg)
-        tiled = rasterize_tiled(*args, width=70, height=50, config=cfg)
-        np.testing.assert_array_equal(tiled.image, ref.image)
-
-    def test_custom_tile_size(self):
-        args = make_splats(seed=5)
-        ref = rasterize(*args, width=70, height=50)
-        for ts in (8, 32):
-            tiled = rasterize_tiled(*args, width=70, height=50, tile_size=ts)
-            np.testing.assert_array_equal(tiled.image, ref.image)
-
-    def test_empty_input(self):
-        res = rasterize_tiled(
-            np.zeros((0, 2)), np.zeros((0, 3)), np.zeros((0, 3)),
-            np.zeros(0), np.zeros(0), np.zeros(0), 16, 16,
-        )
-        np.testing.assert_allclose(res.image, 0.0)
-
-    def test_backward_compatible_output(self):
-        """Existing backward pass works off a tiled forward result."""
-        from repro.render.backward import rasterize_backward
-
-        args = make_splats(n=20, seed=6)
-        ref = rasterize(*args, width=70, height=50)
-        tiled = rasterize_tiled(*args, width=70, height=50)
-        g = np.ones((50, 70, 3))
-        b_ref = rasterize_backward(args[0], args[1], args[2], args[3], ref, g)
-        b_tiled = rasterize_backward(args[0], args[1], args[2], args[3], tiled, g)
-        np.testing.assert_array_equal(b_tiled.means2d, b_ref.means2d)
-        np.testing.assert_array_equal(b_tiled.colors, b_ref.colors)
 
 
 class TestBinning:
@@ -132,10 +76,14 @@ class TestBinning:
         assert b.num_intersections == sum(len(ids) for ids in b.tile_lists)
 
     def test_full_image_splats_config(self):
-        """rasterize_tiled honors full_image_splats like the reference."""
-        args = make_splats(n=15, seed=11)
-        cfg = RasterConfig(alpha_min=0.0, full_image_splats=True)
-        ref = rasterize(*args, width=70, height=50, config=cfg)
-        tiled = rasterize_tiled(*args, width=70, height=50, config=cfg)
-        np.testing.assert_array_equal(tiled.image, ref.image)
-        np.testing.assert_array_equal(tiled.bboxes, ref.bboxes)
+        """Binning the full-image bboxes of ``full_image_splats`` puts
+        every splat in every tile."""
+        means2d, _, _, _, _, radii = make_splats(n=15, seed=11)
+        cfg = RasterConfig(full_image_splats=True)
+        b = bin_gaussians(
+            means2d, radii, 70, 50,
+            bboxes=config_bboxes(means2d, radii, 70, 50, cfg),
+        )
+        assert b.num_intersections == 15 * b.tiles_x * b.tiles_y
+        for ids in b.tile_lists:
+            np.testing.assert_array_equal(ids, np.arange(15))

@@ -35,10 +35,69 @@ class TestPhaseMapping:
     def test_nested_pool_wrappers_excluded(self):
         events = [
             ("pool/map", "pool", 0, 0.0, 1.0, None),
+            ("pool/slice_task", "pool", 0, 0.05, 0.5, None),
             ("pool/forward", "pool", 0, 0.1, 0.4, None),
         ]
         out = measured_breakdown(events)
         assert out["fwd_bwd"] == pytest.approx(0.4)
+
+
+class TestPooledRasterSpans:
+    """Both pooled raster engines run their slices through one pool task,
+    so a traced pass reports its worker time the same way for either."""
+
+    @pytest.fixture(autouse=True)
+    def _reap_pools(self):
+        from repro.pool import shutdown_raster_pools
+
+        yield
+        shutdown_raster_pools()
+
+    @pytest.mark.parametrize("cfg", [
+        dict(engine="parallel", workers=2),  # 2 workers x 3 spans each
+        dict(engine="fragment", workers=2, fragment_shards=2),
+    ], ids=lambda c: c["engine"])
+    def test_one_worker_span_per_slice_per_pass(self, cfg):
+        from collections import Counter
+
+        import numpy as np
+
+        from repro.render import RasterConfig
+        from repro.render.engine import get_backward, get_forward
+
+        rng = np.random.default_rng(3)
+        n, w, h = 300, 96, 80
+        sig = rng.uniform(1.0, 4.0, size=n)
+        splats = (
+            rng.uniform([0, 0], [w, h], size=(n, 2)),
+            np.stack([1 / sig**2, np.zeros(n), 1 / sig**2], axis=1),
+            rng.uniform(0, 1, size=(n, 3)),
+            rng.uniform(0.2, 1.0, size=n),
+        )
+        config = RasterConfig(**cfg)
+        slices = 6 if cfg["engine"] == "parallel" else 2
+
+        tracer = trace.install()
+        res = get_forward(config.engine)(
+            *splats, rng.uniform(1, 30, size=n), 3 * sig, w, h, config=config
+        )
+        get_backward(config.engine)(
+            *splats, res, np.ones((h, w, 3)), config=config
+        )
+        events = tracer.events()
+        names = Counter(ev.name for ev in events)
+        assert names == {
+            "pool/map": 2, "pool/slice_task": 2 * slices,
+            "pool/forward": slices, "pool/backward": slices,
+        }
+        # the worker spans are the phase; their enclosing task and map
+        # spans are not counted on top of them
+        inner = sum(
+            ev.dur for ev in events
+            if ev.name in ("pool/forward", "pool/backward")
+        )
+        assert inner > 0.0
+        assert measured_breakdown(tracer)["fwd_bwd"] == pytest.approx(inner)
 
 
 class TestMeasuredBreakdown:

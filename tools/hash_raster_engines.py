@@ -1,0 +1,148 @@
+"""Hash every flat raster engine's forward + backward outputs.
+
+Usage (once per checkout, then diff the two outputs)::
+
+    PYTHONPATH=<checkout>/src python tools/hash_raster_engines.py > hashes.txt
+
+Prints one line per configuration — fixture x engine (``vectorized`` saved
+and rebuilt; ``parallel`` workers 0 / 2; ``fragment`` workers {0, 2} x
+shards {1, 3}; the per-shard ``rasterize_fragment_sources`` entry point)
+x {float64, float32} x {``alpha_min`` default, 0} — with the sha256 of
+image, final transmittance and the five gradient arrays. The flat engines
+schedule one pair kernel (``docs/raster_engines.md``); a change to it, or
+to a scheduler, that is meant to keep numerics must leave every line
+equal to the parent commit's — the parity suites' ``atol=1e-9`` would not
+notice a last-bit change. Uses only names both sides of such a diff have.
+"""
+
+import hashlib
+import sys
+from dataclasses import replace
+
+import numpy as np
+
+from repro.render import RasterConfig
+from repro.render.engine import get_backward, get_forward
+from repro.render.fragment import FragmentSource, rasterize_fragment_sources
+from repro.render.parallel import shutdown_raster_pools
+
+GRADS = ("means2d", "conics", "colors", "opacities", "mean2d_abs")
+BG = np.array([0.2, 0.5, 0.8])
+
+
+def make_splats(n, width, height, seed, opacity_lo=0.05):
+    """The random anisotropic splats of ``tests/render``'s parity suites."""
+    rng = np.random.default_rng(seed)
+    means2d = rng.uniform([-6, -6], [width + 6, height + 6], size=(n, 2))
+    sx = rng.uniform(0.8, 4.0, size=n)
+    sy = rng.uniform(0.8, 4.0, size=n)
+    theta = rng.uniform(0, np.pi, size=n)
+    cth, sth = np.cos(theta), np.sin(theta)
+    inv_a, inv_b = 1 / sx**2, 1 / sy**2
+    conics = np.stack(
+        [cth**2 * inv_a + sth**2 * inv_b, cth * sth * (inv_a - inv_b),
+         sth**2 * inv_a + cth**2 * inv_b], axis=1)
+    colors = rng.uniform(0, 1, size=(n, 3))
+    opacities = rng.uniform(opacity_lo, 1.0, size=n)
+    depths = rng.uniform(1, 30, size=n)
+    radii = 3 * np.maximum(sx, sy)
+    return means2d, conics, colors, opacities, depths, radii
+
+
+def make_occluded(n, w, h, near=16, seed=7):
+    """:func:`make_splats` behind ``near`` wide, mostly opaque splats, so
+    the occlusion prune fires (694 of 1042 intersections at these sizes)."""
+    far = make_splats(n, w, h, seed)
+    rng = np.random.default_rng(seed + 1)
+    sig = rng.uniform(400.0, 800.0, size=near)
+    front = (
+        rng.uniform([0, 0], [w, h], size=(near, 2)),
+        np.stack([1 / sig**2, np.zeros(near), 1 / sig**2], axis=1),
+        rng.uniform(0, 1, size=(near, 3)),
+        rng.uniform(0.85, 1.0, size=near),
+        rng.uniform(0.1, 12.0, size=near),  # interleaved with the far splats
+        3 * sig,
+    )
+    return tuple(np.concatenate([a, b]) for a, b in zip(front, far))
+
+
+FIXTURES = {
+    "s40": (make_splats(40, 32, 24, 0), 32, 24),
+    "s150": (make_splats(150, 70, 50, 1), 70, 50),
+    "s400": (make_splats(400, 96, 80, 2), 96, 80),
+    "occ300": (make_occluded(300, 64, 48), 64, 48),
+}
+
+ENGINE_CFGS = [("vectorized", dict(engine="vectorized"))]
+ENGINE_CFGS += [
+    (f"parallel-w{w}", dict(engine="parallel", workers=w)) for w in (0, 2)
+]
+ENGINE_CFGS += [
+    (f"fragment-w{w}-s{s}",
+     dict(engine="fragment", workers=w, fragment_shards=s))
+    for w in (0, 2) for s in (1, 3)
+]
+
+
+def digest(res, grads):
+    h = hashlib.sha256()
+    for a in (res.image, res.final_transmittance,
+              *(getattr(grads, f) for f in GRADS)):
+        a = np.ascontiguousarray(a)
+        h.update(str(a.dtype).encode())
+        h.update(str(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def main():
+    lines = []
+    for fname, (splats, w, h) in FIXTURES.items():
+        grad = np.random.default_rng(11).normal(size=(h, w, 3))
+        m2, con, col, op, dep, rad = splats
+        for dtype in (None, "float32"):
+            for amin_name, amin in (("def", None), ("0", 0.0)):
+                for ename, kw in ENGINE_CFGS:
+                    cfg = RasterConfig(dtype=dtype, **kw)
+                    if amin is not None:
+                        cfg = replace(cfg, alpha_min=amin)
+                    res = get_forward(cfg.engine)(
+                        m2, con, col, op, dep, rad, w, h, background=BG,
+                        config=cfg)
+                    grads = get_backward(cfg.engine)(
+                        m2, con, col, op, res, grad, background=BG,
+                        config=cfg)
+                    label = f"{fname} {ename} {dtype or 'float64'} amin={amin_name}"
+                    lines.append(f"{label} {digest(res, grads)}")
+                    if ename == "vectorized":
+                        # the rebuild fallback of the saved table
+                        grads = get_backward("vectorized")(
+                            m2, con, col, op, replace(res, saved=None), grad,
+                            background=BG, config=cfg)
+                        lines.append(
+                            f"{label} rebuilt {digest(res, grads)}")
+                # per-shard sources entrypoint (interleaved depth runs)
+                cuts = np.array_split(np.arange(m2.shape[0]), 3)
+                sources = [
+                    FragmentSource(m2[c], con[c], col[c], op[c], dep[c], rad[c])
+                    for c in cuts
+                ]
+                for workers in (0, 2):
+                    cfg = RasterConfig(
+                        engine="fragment", workers=workers, dtype=dtype)
+                    if amin is not None:
+                        cfg = replace(cfg, alpha_min=amin)
+                    res = rasterize_fragment_sources(
+                        sources, w, h, background=BG, config=cfg)
+                    grads = get_backward("fragment")(
+                        m2, con, col, op, res, grad, background=BG,
+                        config=cfg)
+                    lines.append(
+                        f"{fname} sources-w{workers} {dtype or 'float64'} "
+                        f"amin={amin_name} {digest(res, grads)}")
+    shutdown_raster_pools()
+    sys.stdout.write("\n".join(lines) + "\n")
+
+
+if __name__ == "__main__":
+    main()
