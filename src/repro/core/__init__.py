@@ -15,14 +15,13 @@ from .splitting import (
     spatial_partition,
     spatial_partition_bounds,
 )
+from .pager import PreloadedShard, ResidentSet
 from .stores import (
     DeviceStore,
     DiskStore,
     HostStore,
     HybridStore,
     ParameterStore,
-    PreloadedShard,
-    ResidentSet,
     ShardedStore,
 )
 from .systems import (

@@ -89,12 +89,6 @@ class GSScaleConfig:
             a background writer thread (epoch-fenced, drained before
             densification rebuilds and checkpoints) instead of writing
             them synchronously on the admit path.
-        page_integrity: checksum the ``outofcore`` system's spill pages
-            (CRC32 on raw memory-mapped pages, sealed ``GSP1`` headers
-            on encoded ones) so silent disk corruption raises
-            :class:`~repro.core.integrity.CorruptPageError` at page-in
-            instead of corrupting the trajectory. On by default; the
-            checksum cost is per page-in/out, not per step.
         pool_retries: how many times a supervised
             :class:`~repro.pool.PersistentPool` map is
             re-dispatched after a worker death or task deadline before
@@ -144,7 +138,6 @@ class GSScaleConfig:
     page_codec: str = "raw"
     prefetch_depth: int = 1
     write_behind: bool = False
-    page_integrity: bool = True
     pool_retries: int = 2
     pool_task_timeout_s: float | None = None
     telemetry: bool = False

@@ -13,8 +13,9 @@ Two complementary mechanisms:
   by :func:`seal_page` and checked by :func:`unseal_page`. A length
   mismatch means a torn write; a CRC mismatch means bit rot. Raw memmap
   pages can't carry a header (their on-disk bytes *are* the array, and
-  the byte-accounting ledger equates their disk and host sizes), so they
-  get CRC *sidecars* (``<page>.crc``) or in-memory CRCs instead.
+  the byte-accounting ledger equates their disk and host sizes), so
+  :class:`~repro.core.pager.PageFile` holds their CRC out of band and
+  carries it in the page spec a farm worker re-opens.
 * **Atomic writes.** :func:`atomic_write_bytes` and
   :func:`atomic_savez` write to a temp file, fsync, then
   ``os.replace`` onto the destination — a crash leaves either the old
@@ -31,7 +32,6 @@ on it instead of guessing at raw ``zipfile``/numpy errors.
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import zlib
@@ -47,10 +47,7 @@ __all__ = [
     "atomic_write_bytes",
     "checksum",
     "seal_page",
-    "sidecar_path",
     "unseal_page",
-    "verify_sidecar",
-    "write_array_sidecar",
 ]
 
 #: Magic prefix of a sealed page (GS-Scale Page v1).
@@ -71,6 +68,12 @@ class CorruptPageError(IntegrityError):
         self.path = path
         self.detail = detail
         super().__init__(f"corrupt page {path}: {detail}")
+
+    def __reduce__(self):
+        # a farm worker raises this across the pool's result pipe; the
+        # default reduce would re-call __init__ with the message alone,
+        # fail to unpickle, and wedge the pool's result thread
+        return (type(self), (self.path, self.detail))
 
 
 class CorruptCheckpointError(IntegrityError):
@@ -224,45 +227,3 @@ def atomic_savez(path: str, arrays: dict, fsync: bool = True) -> str:
     if fault is not None and fault.kind == "torn" and fault.crash:
         raise faults.InjectedFaultError(f"simulated crash tearing {path}")
     return path
-
-
-def sidecar_path(path: str) -> str:
-    """The CRC sidecar path guarding a raw (headerless) page file."""
-    return path + ".crc"
-
-
-def write_array_sidecar(path: str, arr) -> None:
-    """Record ``arr``'s CRC and size in a sidecar next to ``path``.
-
-    Raw memmap pages can't be framed with a header — their bytes are
-    mapped directly and the ledger equates disk and host sizes — so the
-    checksum rides alongside instead.
-    """
-    meta = {"crc": checksum(arr), "nbytes": int(arr.nbytes)}
-    atomic_write_bytes(sidecar_path(path), json.dumps(meta).encode("ascii"))
-
-
-def verify_sidecar(path: str, arr) -> None:
-    """Check ``arr`` (read from ``path``) against its CRC sidecar.
-
-    Missing sidecar = page predates integrity or was never sealed: no-op.
-    An unreadable sidecar or any mismatch raises :class:`CorruptPageError`.
-    """
-    side = sidecar_path(path)
-    if not os.path.exists(side):
-        return
-    try:
-        with open(side, "rb") as fh:
-            meta = json.loads(fh.read().decode("ascii"))
-        crc, nbytes = int(meta["crc"]), int(meta["nbytes"])
-    except (OSError, ValueError, KeyError) as exc:
-        raise CorruptPageError(path, f"unreadable crc sidecar: {exc}") from exc
-    if int(arr.nbytes) != nbytes:
-        raise CorruptPageError(
-            path, f"torn page: sidecar promises {nbytes} bytes, got {arr.nbytes}"
-        )
-    actual = checksum(arr)
-    if actual != crc:
-        raise CorruptPageError(
-            path, f"checksum mismatch: sidecar {crc:#010x}, data {actual:#010x}"
-        )

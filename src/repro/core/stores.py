@@ -33,10 +33,13 @@ to settle all lazy state. The four placements:
   wait for the next ``commit()`` (Sections 4.2.2/4.3.3), otherwise the
   optimizer steps synchronously (the Section 4.1 baseline).
 * :class:`DiskStore` — the out-of-core tier below :class:`HostStore`:
-  parameters and optimizer moments live in memory-mapped spill files and
-  only *paged-in* stores charge host DRAM; page traffic is metered on the
-  ledger's disk channel and concurrent residency is bounded by a
-  :class:`ResidentSet` (TideGS-style out-of-core blocks).
+  parameters and optimizer moments spill to one
+  :class:`~repro.core.pager.PageFile` each (the store owns the residency
+  *sequence* — dirty pages, spill epochs, write-behind cancellation — the
+  pager the bytes) and only *paged-in* stores charge host DRAM; page
+  traffic is metered on the ledger's disk channel and concurrent
+  residency is bounded by a :class:`~repro.core.pager.ResidentSet`
+  (TideGS-style out-of-core blocks).
 * :class:`HybridStore` — composition of child stores over disjoint column
   blocks presenting one packed surface (GS-Scale's device-geometric +
   host-non-geometric split; also each shard of the sharded system).
@@ -45,11 +48,9 @@ to settle all lazy state. The four placements:
 from __future__ import annotations
 
 import os
-import queue
 import threading
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,12 +62,11 @@ from ..optim.deferred import DeferredAdam
 from ..sim.memory import MemoryTracker
 from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
-from ..telemetry.trace import span as _span
-from . import integrity as _integrity
-from .integrity import CorruptPageError, atomic_write_bytes
+from .pager import PageFile, PreloadedShard, ResidentSet, _WriteBehindWriter
 from .pagecodec import get_page_codec
 
 _F32 = 4  # accounting is in float32-equivalent bytes
+_PAGED_FIELDS = ("params", "m", "v")  # the state a DiskStore spills
 
 
 class ParameterStore(ABC):
@@ -406,138 +406,19 @@ class HostStore(ParameterStore):
         _load_leaf_state(self.optimizer, state)
 
 
-class ResidentSet:
-    """LRU residency manager bounding concurrent :class:`DiskStore` page-ins.
-
-    At most ``budget`` stores are paged in at once; admitting one more
-    spills the least-recently-used resident store first, so the tracked
-    host working set never exceeds the resident-set budget regardless of
-    how many shards the out-of-core system ticks per step.
-    """
-
-    def __init__(self, budget: int):
-        if budget < 1:
-            raise ValueError("resident-set budget must be >= 1")
-        self.budget = budget
-        self._stores: list["DiskStore"] = []  # LRU order: oldest first
-
-    @property
-    def resident(self) -> tuple["DiskStore", ...]:
-        """Currently paged-in stores, least recently used first."""
-        return tuple(self._stores)
-
-    def touch(self, store: "DiskStore") -> None:
-        """Mark ``store`` most recently used."""
-        if store in self._stores:
-            self._stores.remove(store)
-            self._stores.append(store)
-
-    def admit(self, store: "DiskStore") -> None:
-        """Make room for ``store`` (spilling LRU stores) and register it."""
-        while len(self._stores) >= self.budget:
-            self._stores[0].spill()  # spill() drops it from the set
-        self._stores.append(store)
-
-    def drop(self, store: "DiskStore") -> None:
-        """Forget ``store`` (it spilled itself)."""
-        if store in self._stores:
-            self._stores.remove(store)
-
-
-@dataclass
-class PreloadedShard:
-    """A :meth:`DiskStore.preload` snapshot: spill-file contents read into
-    plain arrays off the training thread, plus the spill epoch they were
-    read at (so :meth:`DiskStore.adopt` can reject torn snapshots).
-    """
-
-    arrays: dict[str, np.ndarray]
-    epoch: int
-
-    @property
-    def nbytes(self) -> int:
-        """Host bytes the staged snapshot occupies."""
-        return sum(a.nbytes for a in self.arrays.values())
-
-
-class _WriteBehindWriter:
-    """Single background thread draining queued :class:`DiskStore` page-outs.
-
-    With write-behind enabled, :meth:`DiskStore.spill` detaches the
-    working set and enqueues ``(store, epoch)`` here instead of writing
-    the spill files on the training thread — the admit path stops paying
-    the write. Jobs run strictly in order; each one completes under the
-    store's page lock and is fenced by the spill epoch, so a store that
-    paged back in (cancelling its pending write) or spilled again before
-    its job ran is simply skipped.
-
-    ``drain()`` blocks until every queued write has landed — the fence
-    :func:`~repro.core.checkpoint.save_checkpoint` relies on (via
-    ``finalize()``) so a checkpoint never races a queued page-out, and
-    the densification rebuild uses before discarding the old stores.
-    """
-
-    def __init__(self):
-        self._queue: queue.Queue = queue.Queue()
-        self._closed = False
-        self._error: Exception | None = None
-        self.jobs_written = 0
-        self._thread = threading.Thread(
-            target=self._run, name="gsscale-writeback", daemon=True
-        )
-        self._thread.start()
-
-    def enqueue(self, store: "DiskStore", epoch: int) -> None:
-        """Queue the store's pending page-out (tagged with its epoch)."""
-        self._queue.put((store, epoch))
-
-    def drain(self) -> None:
-        """Block until every queued write has been applied or skipped."""
-        self._queue.join()
-        if self._error is not None:
-            error, self._error = self._error, None
-            raise error
-
-    def close(self) -> None:
-        """Drain outstanding writes and stop the thread (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._queue.put(None)
-        self._thread.join()
-        if self._error is not None:
-            error, self._error = self._error, None
-            raise error
-
-    def _run(self) -> None:
-        while True:
-            job = self._queue.get()
-            try:
-                if job is None:
-                    return
-                store, epoch = job
-                _trace.name_current_thread("gsscale-writeback")
-                with _span("page/writeback", "page"):
-                    store._complete_pending_write(epoch)
-                self.jobs_written += 1
-            except Exception as exc:  # surfaced by the next drain()/close()
-                self._error = exc
-            finally:
-                self._queue.task_done()
-
-
 class DiskStore(HostStore):
-    """Out-of-core host rows: state spills to memory-mapped files.
+    """Out-of-core host rows: state spills to page files.
 
     Behaves exactly like a :class:`HostStore` while *resident* (paged in);
-    :meth:`spill` writes parameters and both Adam moments to float files
-    under ``spill_path`` and releases the in-memory arrays, so a spilled
-    store charges nothing to the host tracker. Page-ins/outs are metered on
-    the transfer ledger's disk channel (``record_page_in`` /
-    ``record_page_out``). Placement never changes numerics: a
-    spill/page-in roundtrip is bit-exact, and every operation that needs
-    the arrays pages in on demand (admitting through the optional
-    :class:`ResidentSet`, which bounds concurrent residency).
+    :meth:`spill` writes parameters and both Adam moments to their
+    :class:`~repro.core.pager.PageFile` (``{spill_path}.{field}``) and
+    releases the in-memory arrays, so a spilled store charges nothing to
+    the host tracker. Page-ins/outs are metered on the transfer ledger's
+    disk channel (``record_page_in`` / ``record_page_out``). Placement
+    never changes numerics: a spill/page-in roundtrip is bit-exact, and
+    every operation that needs the arrays pages in on demand (admitting
+    through the optional :class:`ResidentSet`, which bounds concurrent
+    residency).
 
     Three pieces of state never spill, keeping a spilled store cheap to
     drive once per step:
@@ -556,28 +437,21 @@ class DiskStore(HostStore):
         adam: optimizer hyperparameters with the block's lr slice.
         memory: *device* tracker charged for staging windows (as HostStore).
         ledger: transfer ledger for staging and page traffic.
-        spill_path: filename prefix of the memory-mapped spill files.
+        spill_path: filename prefix of the spill pages.
         host_memory: *host* tracker charged for the resident working set
             (fresh untracked one when omitted).
         resident_set: optional shared residency budget.
         forwarding / deferred / max_defer: as :class:`HostStore`.
-        codec: page codec name (``raw``/``float16``/``lossless``). ``raw``
-            keeps the memory-mapped spill files; other codecs store each
-            field as one encoded page file (``{spill_path}.{field}.{codec}
-            .pagez``), decoded on page-in. The ledger's disk channel then
-            meters encoded bytes alongside the fp32-equivalent ones.
+        codec: page codec name (``raw``/``float16``/``lossless``). Under
+            a non-raw codec the ledger's disk channel meters encoded
+            bytes alongside the fp32-equivalent ones. Every page-in is
+            verified: a torn or bit-rotted page raises
+            :class:`~repro.core.integrity.CorruptPageError` naming the
+            file instead of feeding garbage into the step.
         writer: optional :class:`_WriteBehindWriter`. When set, spills
             detach the working set and queue the file write behind the
             training thread (write-behind spilling); a page-in before the
             write lands re-adopts the detached arrays and cancels it.
-        integrity: verify page integrity on every page-in. Encoded pages
-            get the sealed GSP1 header (length + CRC32) and atomic
-            temp-fsync-rename writes; raw memmap pages — whose on-disk
-            bytes must stay exactly the array (the ledger equates their
-            disk and host sizes) — are checked against an in-memory CRC
-            taken at spill time. A failed check raises
-            :class:`~repro.core.integrity.CorruptPageError` naming the
-            file instead of feeding garbage into the step.
     """
 
     def __init__(
@@ -595,7 +469,6 @@ class DiskStore(HostStore):
         max_defer: int = 15,
         codec: str = "raw",
         writer: "_WriteBehindWriter | None" = None,
-        integrity: bool = True,
     ):
         super().__init__(
             params_block, block, adam, memory, ledger,
@@ -605,8 +478,6 @@ class DiskStore(HostStore):
         self._dtype = self.params.dtype
         self.spill_path = spill_path
         self.codec = get_page_codec(codec)
-        self.integrity = integrity
-        self._page_crc: dict[str, int] = {}
         self.writer = writer
         self.host_memory = host_memory if host_memory is not None else MemoryTracker()
         self.resident_set = resident_set
@@ -619,7 +490,7 @@ class DiskStore(HostStore):
         # write-behind state: arrays detached by the last spill (plus
         # their encoded pages) until the background writer lands them
         self._pending_write: dict[str, np.ndarray] | None = None
-        self._pending_encoded: dict[str, bytes] | None = None
+        self._pending_encoded: dict[str, bytes | None] | None = None
         # deterministic admit-path counters: bytes the training thread
         # wrote synchronously at spill (write-behind keeps this at zero),
         # plus informational wall-clock for the paging micro-bench
@@ -629,23 +500,13 @@ class DiskStore(HostStore):
         parent = os.path.dirname(spill_path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        if self.codec.name == "raw":
-            self._mm = {
-                field: np.memmap(
-                    f"{spill_path}.{field}.dat",
-                    dtype=self._dtype, mode="w+", shape=(self._n, self._d),
-                )
-                for field in ("params", "m", "v")
-            }
-            self._page_files = None
-        else:
-            # encoded pages are whole-file reads/writes, not memmaps
-            self._mm = None
-            self._page_files = {
-                field: f"{spill_path}.{field}.{self.codec.name}.pagez"
-                for field in ("params", "m", "v")
-            }
-        self._disk_nbytes: dict[str, int] = {}
+        #: the spill page of each paged field
+        self.pages = {
+            field: PageFile(
+                f"{spill_path}.{field}", (self._n, self._d), self._dtype, codec
+            )
+            for field in _PAGED_FIELDS
+        }
         if deferred:
             # counters stay in host memory for the store's whole life
             self.host_memory.allocate("host_defer_counters", self._n)
@@ -674,80 +535,22 @@ class DiskStore(HostStore):
 
     def _disk_bytes(self) -> int:
         """Bytes the pageable state occupies *on disk* (post-codec)."""
-        if self.codec.name == "raw" or not self._disk_nbytes:
-            return self._state_bytes()
-        return sum(self._disk_nbytes.values())
-
-    # -- page files (codec-aware) ------------------------------------------
-    def _encode_pages(self, arrays: dict[str, np.ndarray]) -> dict[str, bytes]:
-        if self.integrity:
-            encoded = {
-                f: self.codec.encode_page(arrays[f]) for f in ("params", "m", "v")
-            }
-        else:
-            encoded = {
-                f: self.codec.encode(arrays[f]) for f in ("params", "m", "v")
-            }
-        self._disk_nbytes = {f: len(buf) for f, buf in encoded.items()}
-        return encoded
+        sizes = [page.disk_nbytes for page in self.pages.values()]
+        return self._state_bytes() if None in sizes else sum(sizes)
 
     def _write_pages(
         self,
         arrays: dict[str, np.ndarray],
-        encoded: dict[str, bytes] | None = None,
+        encoded: dict[str, bytes | None] | None = None,
     ) -> None:
-        """Persist the working set to the spill files (raw or encoded)."""
-        if self.codec.name == "raw":
-            for field in ("params", "m", "v"):
-                self._mm[field][...] = arrays[field]
-            for mm in self._mm.values():
-                mm.flush()
-            if self.integrity:
-                self._page_crc = {
-                    f: _integrity.checksum(np.ascontiguousarray(arrays[f]))
-                    for f in ("params", "m", "v")
-                }
-            return
-        if encoded is None:
-            encoded = self._encode_pages(arrays)
-        for field, buf in encoded.items():
-            if self.integrity:
-                atomic_write_bytes(self._page_files[field], buf, fsync=False)
-            else:
-                with open(self._page_files[field], "wb") as fh:
-                    fh.write(buf)
+        """Persist the working set to the spill pages (``encoded``: what
+        :meth:`spill` already encoded for the write-behind lane)."""
+        for field, page in self.pages.items():
+            page.write(arrays[field], encoded and encoded[field])
 
     def _read_pages(self) -> dict[str, np.ndarray]:
-        """Read + decode the spill files into fresh writable arrays.
-
-        With integrity enabled, a torn or bit-rotted page raises
-        :class:`~repro.core.integrity.CorruptPageError` naming the file.
-        """
-        if self.codec.name == "raw":
-            arrays = {f: np.array(self._mm[f]) for f in ("params", "m", "v")}
-            if self.integrity and self._page_crc:
-                for field, arr in arrays.items():
-                    actual = _integrity.checksum(arr)
-                    if actual != self._page_crc[field]:
-                        raise CorruptPageError(
-                            f"{self.spill_path}.{field}.dat",
-                            f"checksum mismatch: spill recorded "
-                            f"{self._page_crc[field]:#010x}, read {actual:#010x}",
-                        )
-            return arrays
-        arrays = {}
-        for field, path in self._page_files.items():
-            with open(path, "rb") as fh:
-                buf = fh.read()
-            if self.integrity:
-                arrays[field] = self.codec.decode_page(
-                    buf, (self._n, self._d), self._dtype, path=path
-                )
-            else:
-                arrays[field] = self.codec.decode(
-                    buf, (self._n, self._d), self._dtype
-                )
-        return arrays
+        """Read the spill pages into fresh writable arrays, verified."""
+        return {field: page.read() for field, page in self.pages.items()}
 
     def spill(self) -> None:
         """Page the working set out to the spill files (no-op if spilled).
@@ -768,10 +571,10 @@ class DiskStore(HostStore):
             arrays = {"params": opt.params, "m": opt.m, "v": opt.v}
             if self.writer is not None:
                 self._pending_write = arrays
-                self._pending_encoded = (
-                    None if self.codec.name == "raw"
-                    else self._encode_pages(arrays)
-                )
+                self._pending_encoded = {
+                    field: page.encode(arrays[field])
+                    for field, page in self.pages.items()
+                }
             else:
                 t0 = time.perf_counter()
                 self._write_pages(arrays)
@@ -968,25 +771,15 @@ class DiskStore(HostStore):
             elif self.codec.name == "raw":
                 # hand out the memmap views so a checkpoint can serialize
                 # the store without materializing it in host memory
-                state = {f: self._mm[f] for f in ("params", "m", "v")}
+                state = {f: page.view() for f, page in self.pages.items()}
             else:
                 # spilled compressed pages checkpoint in their storage
-                # dtype (float16 blocks for the float16 codec) — the lazy
-                # CheckpointReader reassembles mixed-dtype blocks
-                storage = self.codec.storage_dtype or self._dtype
-                pages = {}
-                for field, path in self._page_files.items():
-                    with open(path, "rb") as fh:
-                        buf = fh.read()
-                    if self.integrity:
-                        pages[field] = self.codec.decode_page(
-                            buf, (self._n, self._d), storage, path=path
-                        )
-                    else:
-                        pages[field] = self.codec.decode(
-                            buf, (self._n, self._d), storage
-                        )
-                state = pages
+                # dtype — the lazy CheckpointReader reassembles
+                # mixed-dtype blocks
+                state = {
+                    f: page.read(self.codec.storage_dtype)
+                    for f, page in self.pages.items()
+                }
             state["steps"] = np.array(self.optimizer.step_count)
             if self.deferred:
                 state["counter"] = self.optimizer.counter
@@ -1002,7 +795,7 @@ class DiskStore(HostStore):
             self._pending_encoded = None
             self._write_pages({
                 field: np.asarray(state[field], dtype=self._dtype)
-                for field in ("params", "m", "v")
+                for field in _PAGED_FIELDS
             })
             # the spill files changed under any outstanding preload
             # snapshot: bump the epoch so adopt() rejects it

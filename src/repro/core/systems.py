@@ -28,10 +28,10 @@ gradients back):
   render pipeline (no shard's rows are ever gathered into a packed
   union matrix).
 * :class:`OutOfCoreGSScaleSystem` — the sharded system with an out-of-core
-  host tier: each shard's non-geometric state spills to memory-mapped
-  files and only ``resident_shards`` shards occupy host DRAM at once,
-  with per-view spill/prefetch and disk traffic metered on the ledger's
-  page channel.
+  host tier: each shard's non-geometric state spills to page files
+  (:mod:`repro.core.pager`) and only ``resident_shards`` shards occupy
+  host DRAM at once, with per-view spill/prefetch and disk traffic
+  metered on the ledger's page channel.
 
 A :class:`~repro.sim.memory.MemoryTracker` accounts device bytes in fp32
 equivalents, so OOM behaviour and peak-memory ratios can be asserted
@@ -43,7 +43,6 @@ in ``docs/architecture.md``.
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 
@@ -61,7 +60,7 @@ from ..render import (
     render_backward,
 )
 from ..render.culling import CullResult
-from ..pool import PersistentPool, pool_fork_guard
+from ..pool import PersistentPool
 from ..render.rasterize import RasterConfig
 from ..sim.memory import ACTIVATION_BYTES_PER_PIXEL, MemoryTracker
 from ..telemetry import metrics as _metrics
@@ -69,6 +68,7 @@ from ..telemetry import trace as _trace
 from ..telemetry.trace import span as _span
 from ..train.loss import photometric_loss
 from .config import GSScaleConfig
+from .pager import ResidentSet, _AsyncPrefetcher, _WriteBehindWriter
 from .splitting import find_balanced_split_by, spatial_partition
 from .stores import (
     DeviceStore,
@@ -76,9 +76,7 @@ from .stores import (
     HostStore,
     HybridStore,
     ParameterStore,
-    ResidentSet,
     ShardedStore,
-    _WriteBehindWriter,
 )
 
 
@@ -1028,168 +1026,16 @@ class ShardedGSScaleSystem(TrainingSystem):
         return entries
 
 
-class _AsyncPrefetcher:
-    """Background leg of the out-of-core pipeline.
-
-    Given a hint of the upcoming views, a daemon thread predicts their
-    active shards (a cull over the device-resident geometry) and
-    snapshots the spilled ones into host buffers
-    (:meth:`~repro.core.stores.DiskStore.preload`) while the training
-    thread renders the *current* view — the TideGS-style overlap of page
-    traffic with compute. The snapshots are staged per hinted view:
-    nothing is installed into any store until the training thread
-    reaches that view's prefetch point and adopts them there, so store
-    state, trackers, and the ledger only ever mutate on the training
-    thread, and a stale prediction (the geometry moved, a racing spill)
-    degrades to the ordinary synchronous page-in.
-
-    At ``depth == 1`` this is exactly the historical single-slot double
-    buffer: one view staged at a time, the slot drained on every
-    :meth:`take`. At ``depth > 1`` the hint is a lookahead *list*
-    (``locality_view_order`` makes it predictive) and staged views
-    survive :meth:`take` until consumed or dropped from a newer hint —
-    the depth-D staging queue. Host bytes held by the queue are capped
-    at ``depth x resident budget x worst shard state`` (the staging
-    budget); the worker stops staging deeper views at the cap.
-    """
-
-    def __init__(self, system: "OutOfCoreGSScaleSystem", depth: int = 1):
-        self._system = system
-        self.depth = depth
-        self._cameras: list[Camera] = []
-        #: staged snapshots keyed by ``id(camera)`` — identity, not
-        #: equality: the trainer hints the very objects it will train on
-        self._results: dict[int, tuple[Camera, dict]] = {}
-        #: host bytes of the staged queue, current and high-water (kept
-        #: here, not on a MemoryTracker: trackers are training-
-        #: thread-only, and the buffers are owned by this thread until
-        #: adoption — the sim's ``staging_shards`` term models them)
-        self.staged_bytes = 0
-        self.peak_staged_bytes = 0
-        self._have_job = threading.Event()
-        self._done = threading.Event()
-        self._done.set()
-        self._stop = False
-        self._thread = threading.Thread(
-            target=self._run, name="gsscale-prefetch", daemon=True
-        )
-        self._thread.start()
-
-    def staging_budget_bytes(self) -> int:
-        """Cap on staged host bytes: depth x resident budget x the worst
-        shard's state size (never binding at depth 1, where a single
-        view can stage at most one budget's worth)."""
-        system = self._system
-        worst = max(
-            (
-                system._nongeo_store(k)._state_bytes()
-                for k in range(system.num_shards)
-            ),
-            default=0,
-        )
-        return self.depth * system.resident_set.budget * worst
-
-    def schedule(self, cameras: list[Camera]) -> None:
-        """Start prefetching for ``cameras``, nearest first (waits out
-        any running job). Staged views absent from the new hint are
-        dropped; views already staged are not re-read."""
-        if self._stop:
-            return
-        self._done.wait()
-        keep = {id(c) for c in cameras}
-        for key in list(self._results):
-            if key not in keep:
-                del self._results[key]
-        self._refresh_staged()
-        self._cameras = [c for c in cameras if id(c) not in self._results]
-        self._done.clear()
-        self._have_job.set()
-
-    def take(self, camera: Camera) -> tuple[bool, dict]:
-        """``(matched, buffers)`` for ``camera``.
-
-        ``matched`` says a staging job ran for exactly this view — the
-        denominator of any hit/miss accounting. At depth 1 any other
-        staged view is discarded (the double-buffer contract); at
-        depth > 1 deeper views stay queued for their own take.
-        """
-        self._done.wait()
-        entry = self._results.pop(id(camera), None)
-        if self.depth == 1:
-            self._results.clear()
-        self._refresh_staged()
-        if entry is not None:
-            return True, entry[1]
-        return False, {}
-
-    def close(self) -> None:
-        """Stop the worker thread (idempotent)."""
-        self._stop = True
-        self._have_job.set()
-        self._thread.join(timeout=5.0)
-
-    def _refresh_staged(self) -> None:
-        # fp32-equivalent units, like every MemoryTracker in the repo
-        system = self._system
-        self.staged_bytes = sum(
-            system._nongeo_store(k)._state_bytes()
-            for _, buffers in self._results.values()
-            for k in buffers
-        )
-        self.peak_staged_bytes = max(self.peak_staged_bytes, self.staged_bytes)
-
-    def _run(self) -> None:
-        while True:
-            self._have_job.wait()
-            self._have_job.clear()
-            if self._stop:
-                self._done.set()
-                return
-            _trace.name_current_thread("gsscale-prefetch")
-            cap = self.staging_budget_bytes()
-            for camera in self._cameras:
-                try:
-                    # fork guard: a parallel-raster pool must never fork
-                    # while this thread is mid-read (inherited half-held
-                    # locks would wedge the child workers)
-                    with pool_fork_guard, _span("page/prefetch", "page"):
-                        buffers = self._prepare(camera, cap)
-                except Exception:
-                    buffers = {}  # a failed prefetch is just a cache miss
-                self._results[id(camera)] = (camera, buffers)
-                self._refresh_staged()
-            self._done.set()
-
-    def _prepare(self, camera: Camera, cap: int) -> dict:
-        system = self._system
-        active = [
-            k
-            for k in range(system.num_shards)
-            if frustum_cull(*system._shard_geometry(k), camera).num_visible
-        ]
-        buffers = {}
-        total = self.staged_bytes
-        for k in active[: system.resident_set.budget]:
-            store = system._nongeo_store(k)
-            cost = store._state_bytes()
-            if total + cost > cap:
-                break  # staging deeper would blow the host budget
-            pre = store.preload()
-            if pre is not None:
-                buffers[k] = pre
-                total += cost
-        return buffers
-
-
 class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
     """Sharded GS-Scale with an out-of-core host tier (TideGS-style).
 
     Identical to :class:`ShardedGSScaleSystem` except each shard's
     non-geometric block lives in a :class:`~repro.core.stores.DiskStore`:
-    parameters and Adam moments are backed by memory-mapped spill files
-    under ``GSScaleConfig.spill_dir`` (a temporary directory when unset),
-    and at most ``GSScaleConfig.resident_shards`` shards are paged into
-    host DRAM at once (a shared :class:`~repro.core.stores.ResidentSet`).
+    parameters and Adam moments are backed by spill pages
+    (:class:`~repro.core.pager.PageFile`) under ``GSScaleConfig.spill_dir``
+    (a temporary directory when unset), and at most
+    ``GSScaleConfig.resident_shards`` shards are paged into host DRAM at
+    once (a shared :class:`~repro.core.pager.ResidentSet`).
     ``self.host_memory`` tracks the resident working set; the ledger's
     ``page_in``/``page_out`` channel meters the disk traffic.
 
@@ -1246,13 +1092,16 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
                 self._sync_spill_s_carryover += st.sync_spill_s
         self._close_writer()
         self._prefetch_staged_peak = 0  # rebuild resets accounting, like trackers
-        self._prefetcher = (
-            _AsyncPrefetcher(self, depth=cfg.prefetch_depth)
-            if cfg.async_prefetch
-            else None
-        )
+        self._prefetcher = None
         self._writer = _WriteBehindWriter() if cfg.write_behind else None
         super()._setup(model)
+        if cfg.async_prefetch:
+            self._prefetcher = _AsyncPrefetcher(
+                [self._nongeo_store(k) for k in range(self.num_shards)],
+                self.resident_set.budget,
+                self.active_shard_ids,
+                depth=cfg.prefetch_depth,
+            )
 
     @property
     def prefetch_staged_peak_bytes(self) -> int:
@@ -1362,7 +1211,6 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
             max_defer=cfg.max_defer,
             codec=cfg.page_codec,
             writer=self._writer,
-            integrity=cfg.page_integrity,
         )
 
     # -- spill / prefetch lifecycle ---------------------------------------

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..cameras.camera import Camera
-from ..core.pagecodec import get_page_codec
+from ..core.pager import PageFile
 from ..gaussians import layout
 from ..gaussians.model import GaussianModel
 from ..render import (
@@ -230,11 +230,13 @@ def render_frame(
 class _WorkerPagedStore:
     """Worker-side read-only view of a published :class:`PagedServingStore`.
 
-    Built from the shared geometric block plus the page-file paths: the
-    worker re-opens each shard's non-geometric page as a read-only memmap
-    on first touch. No packed ``(N, 59)`` matrix exists on either side of
-    the fan-out — only per-shard compact slices, exactly like the
-    training-side fragment path.
+    Built from the shared geometric block plus the page specs
+    (:meth:`~repro.serve.store.PagedServingStore.page_paths`): the worker
+    re-opens each shard's non-geometric page read-only on first touch and
+    reads it whole and verified, as the host store does — a corrupt page
+    fails this worker's frame, not the fleet. No packed ``(N, 59)``
+    matrix exists on either side of the fan-out — only per-shard compact
+    slices, exactly like the training-side fragment path.
     """
 
     #: the shared cull counts here as on a ``ServingStore`` (task-local:
@@ -261,31 +263,7 @@ class _WorkerPagedStore:
     def _page(self, k: int) -> np.ndarray:
         page = self._pages.get(k)
         if page is None:
-            path, num_rows, codec_name = self._specs[k]
-            if num_rows and path:
-                if codec_name == "raw":
-                    page = np.memmap(
-                        path, dtype=self.dtype, mode="r",
-                        shape=(num_rows, layout.NON_GEOMETRIC_DIM),
-                    )
-                else:
-                    # an encoded page is a whole-file read + decode (no
-                    # partial mapping), still read-only on the worker;
-                    # decode_page validates the GSP1 seal so a corrupt
-                    # page fails this worker's frame, not the fleet
-                    with open(path, "rb") as fh:
-                        buf = fh.read()
-                    page = get_page_codec(codec_name).decode_page(
-                        buf,
-                        (num_rows, layout.NON_GEOMETRIC_DIM),
-                        self.dtype,
-                        path=path,
-                    )
-            else:
-                page = np.empty(
-                    (0, layout.NON_GEOMETRIC_DIM), dtype=self.dtype
-                )
-            self._pages[k] = page
+            page = self._pages[k] = PageFile.open(self._specs[k]).read()
         return page
 
     def gather_shard(self, k, ids, local):
@@ -365,7 +343,7 @@ def render_frame_sharded(
 
 
 def _sharded_frame_task(args):
-    """Pool task: attach the shared geometry, map the pages, render."""
+    """Pool task: attach the shared geometry, open the pages, render."""
     shm_name, metas, page_specs, task = args
     shm = attach_shm(shm_name)
     views = store = None
@@ -431,7 +409,7 @@ class RenderFarm:
         self._store: ServingStore | None = None
         self._drop_level: np.ndarray | None = None
         self._sharded = False
-        self._page_specs: list[tuple[str, int, str]] | None = None
+        self._page_specs: list[tuple] | None = None
 
     @property
     def published(self) -> bool:
@@ -467,7 +445,7 @@ class RenderFarm:
 
         The shared segment carries only the resident geometric block and
         the shard row ids (~1/6 of the packed matrix); workers re-open
-        each shard's non-geometric page file read-only on demand, so no
+        each shard's non-geometric page read-only and verified, so no
         process — host or worker — ever holds the ``(N, 59)`` union.
         Frames render through :func:`render_frame_sharded` on both the
         inline and pooled paths.

@@ -10,10 +10,11 @@ gradient plumbing; serving needs none of that — just the committed
 * :class:`PagedServingStore` — the out-of-core tier for models larger
   than the host budget (TideGS's regime, inference-side): the geometric
   columns (17%) stay resident for culling, while the non-geometric
-  columns are spatially sharded into memory-mapped page files and at
-  most ``resident`` shards occupy host DRAM at once. Residency reuses
-  the training tier's LRU machinery (:class:`~repro.core.stores.\
-ResidentSet`), page traffic is metered on the
+  columns are spatially sharded into page files
+  (:class:`~repro.core.pager.PageFile`, the training spill tier's
+  format) and at most ``resident`` shards occupy host DRAM at once.
+  Residency reuses the training tier's LRU machinery
+  (:class:`~repro.core.pager.ResidentSet`), page traffic is metered on the
   :class:`~repro.core.systems.TransferLedger` page channel, and a
   capacity-capped :class:`~repro.sim.memory.MemoryTracker` *enforces*
   the byte budget — an accounting bug raises instead of silently
@@ -33,12 +34,11 @@ import time
 
 import numpy as np
 
-from ..core import integrity as _integrity
 from ..core.checkpoint import CheckpointReader
-from ..core.integrity import CorruptPageError, atomic_write_bytes
+from ..core.integrity import CorruptPageError
 from ..core.pagecodec import get_page_codec
+from ..core.pager import PageFile, ResidentSet
 from ..core.splitting import spatial_partition
-from ..core.stores import ResidentSet
 from ..core.systems import TransferLedger
 from ..gaussians import layout
 from ..sim.memory import MemoryTracker
@@ -183,9 +183,10 @@ class InMemoryServingStore(ServingStore):
 
 
 class _ServeShard:
-    """One spatial shard's non-geometric page: a memmap file plus an
-    optional paged-in host copy, driven through the shared
-    :class:`~repro.core.stores.ResidentSet` (which calls :meth:`spill`
+    """One spatial shard's non-geometric page: a
+    :class:`~repro.core.pager.PageFile` plus an optional paged-in host
+    copy, driven through the shared
+    :class:`~repro.core.pager.ResidentSet` (which calls :meth:`spill`
     on the LRU shard to make room — the same protocol the training
     tier's :class:`~repro.core.stores.DiskStore` speaks)."""
 
@@ -193,73 +194,38 @@ class _ServeShard:
         self._store = store
         self.index = index
         self.num_rows = num_rows
-        self.codec = store.codec
-        #: encoded on-disk bytes of the sealed page (0 = raw/unsealed:
-        #: the ledger then meters fp32-equivalent bytes on both sides)
-        self.disk_nbytes = 0
-        self.page_path = ""
-        if num_rows:
-            # the build buffer is always a raw memmap — checkpoint blocks
-            # stream into it incrementally; :meth:`seal` encodes it once
-            # building is done (non-raw codecs only)
-            path = os.path.join(store.page_dir, f"serve_shard{index}.dat")
-            self._mm = np.memmap(
-                path, dtype=store.dtype, mode="w+",
-                shape=(num_rows, layout.NON_GEOMETRIC_DIM),
-            )
-            self.page_path = path
-        else:  # zero bytes cannot be memory-mapped
-            self._mm = np.empty(
-                (0, layout.NON_GEOMETRIC_DIM), dtype=store.dtype
-            )
+        # the build buffer is always a raw page — checkpoint blocks stream
+        # into its mapping incrementally; :meth:`seal` re-stores it under
+        # the store's codec once building is done
+        self.page = PageFile(
+            os.path.join(store.page_dir, f"serve_shard{index}"),
+            (num_rows, layout.NON_GEOMETRIC_DIM),
+            store.dtype,
+        )
         self.values: np.ndarray | None = None
 
-    def flush(self) -> None:
-        """Flush the page file (no-op for an empty shard)."""
-        if isinstance(self._mm, np.memmap):
-            self._mm.flush()
+    @property
+    def page_path(self) -> str:
+        """The shard's page file (``""`` for an empty shard)."""
+        return self.page.path
+
+    def write(self, index, values: np.ndarray) -> None:
+        """Fill rows of the build page (before :meth:`seal` only)."""
+        self.page.view()[index] = values
 
     def seal(self) -> None:
-        """Finish building: under a non-raw codec, encode the build
-        memmap into the shard's page file (framed with the GSP1 integrity
-        header, written atomically) and delete the raw buffer (serving
-        then decodes whole pages); raw pages flush and record a CRC
-        sidecar. One shard's rows are transient at a time."""
-        if self.codec.name == "raw" or not self.num_rows:
-            self.flush()
-            if self.page_path:
-                _integrity.write_array_sidecar(
-                    self.page_path, np.ascontiguousarray(self._mm)
-                )
+        """Finish building: record the build page's checksum and, under
+        a non-raw codec, re-store it as one encoded page (durably) and
+        delete the raw buffer — serving then decodes whole pages. One
+        shard's rows are transient at a time."""
+        build = self.page
+        build.seal()
+        codec = self._store.codec
+        if codec is build.codec or not self.num_rows:
             return
-        buf = self.codec.encode_page(np.asarray(self._mm))
-        enc_path = os.path.join(
-            self._store.page_dir,
-            f"serve_shard{self.index}.{self.codec.name}.pagez",
-        )
-        atomic_write_bytes(enc_path, buf)
-        build_path = self.page_path
-        self._mm = None
-        os.remove(build_path)
-        self.page_path = enc_path
-        self.disk_nbytes = len(buf)
-
-    def _read_page(self) -> np.ndarray:
-        """Read + validate the page (:class:`~repro.core.integrity.
-        CorruptPageError` on a torn or bit-rotted file)."""
-        if self._mm is not None:  # raw (or not yet sealed)
-            arr = np.array(self._mm)
-            if self.page_path:
-                _integrity.verify_sidecar(self.page_path, arr)
-            return arr
-        with open(self.page_path, "rb") as fh:
-            buf = fh.read()
-        return self.codec.decode_page(
-            buf,
-            (self.num_rows, layout.NON_GEOMETRIC_DIM),
-            self._store.dtype,
-            path=self.page_path,
-        )
+        self.page = PageFile(build.stem, build.shape, build.dtype, codec.name)
+        self.page.write(np.asarray(build.view()), fsync=True)
+        os.remove(build.path)
 
     @property
     def is_resident(self) -> bool:
@@ -269,20 +235,6 @@ class _ServeShard:
     def state_bytes(self) -> int:
         """fp32-equivalent bytes of the paged columns."""
         return layout.param_bytes(self.num_rows, layout.NON_GEOMETRIC_DIM)
-
-    def write(self, local_rows, values: np.ndarray) -> None:
-        """Fill page-file rows (build time only, before serving starts)."""
-        if self._mm is None:
-            raise RuntimeError(
-                f"serve shard {self.index} is sealed; pages are read-only"
-            )
-        self._mm[local_rows] = values
-        self.flush()
-        # a write invalidates any CRC sidecar a previous seal recorded
-        if self.page_path:
-            side = _integrity.sidecar_path(self.page_path)
-            if os.path.exists(side):
-                os.unlink(side)
 
     def page_in(self) -> None:
         """Make the shard's columns host-resident (LRU-admitting).
@@ -301,13 +253,21 @@ class _ServeShard:
         if self.is_resident:
             store.resident_set.touch(self)
             return
-        store.resident_set.admit(self)  # spills the LRU shard first
+        # admit first, read second: the LRU shard is gone before this
+        # page arrives, so the host never holds budget + 1 pages (the
+        # training tier reads first — its snapshot may come from another
+        # thread). The price is the rollback: a read that fails for any
+        # reason must not leave a non-resident entry in the set, which
+        # no later admit could spill
+        store.resident_set.admit(self)
         tok = _trace.begin("serve/page_in", "page")
         try:
-            self.values = self._read_page()
-        except CorruptPageError as exc:
+            self.values = self.page.read()
+        except Exception as exc:
             store.resident_set.drop(self)
-            store._quarantine(self, exc)
+            if isinstance(exc, CorruptPageError):
+                store._quarantine(self, exc)
+            raise
         finally:
             if tok is not None:
                 _trace.end(tok)
@@ -315,9 +275,7 @@ class _ServeShard:
                     "page_in_seconds", store="serve"
                 ).observe(time.perf_counter() - tok[3])
         store.host_memory.allocate("serve_resident_shards", self.state_bytes)
-        store.ledger.record_page_in(
-            self.state_bytes, self.disk_nbytes or None
-        )
+        store.ledger.record_page_in(self.state_bytes, self.page.disk_nbytes)
 
     def spill(self) -> None:
         """Drop the host copy (the page file stays authoritative)."""
@@ -338,7 +296,7 @@ class PagedServingStore(ServingStore):
     """Serve a model larger than host memory by paging shard columns.
 
     The geometric block ``(N, 10)`` stays resident (every request culls
-    against it); the non-geometric ``(N, 49)`` lives in per-shard memmap
+    against it); the non-geometric ``(N, 49)`` lives in per-shard
     page files under ``page_dir`` and at most ``resident`` shards are
     paged into host DRAM at once, where::
 
@@ -464,8 +422,7 @@ class PagedServingStore(ServingStore):
             codec=codec,
         )
         for shard, rows in zip(store.shards, store.shard_rows):
-            if rows.size:
-                shard.write(slice(None), params[rows][:, layout.NON_GEOMETRIC_SLICE])
+            shard.write(slice(None), params[rows][:, layout.NON_GEOMETRIC_SLICE])
         store.seal()
         return store
 
@@ -513,7 +470,9 @@ class PagedServingStore(ServingStore):
                 cols = slice(csl.start - base, csl.stop - base)
                 for k in np.unique(shard_of[rows]):
                     sel = shard_of[rows] == k
-                    store.shards[k]._mm[local_of[rows[sel]], cols] = values[sel]
+                    store.shards[k].write(
+                        (local_of[rows[sel]], cols), values[sel]
+                    )
             store.seal()
         return store
 
@@ -588,30 +547,16 @@ class PagedServingStore(ServingStore):
         out[:, layout.NON_GEOMETRIC_SLICE] = shard.values[local]
         return out
 
-    def page_paths(self) -> list[tuple[str, int, str]]:
-        """``(page file path, row count, codec name)`` per shard (path
-        ``""`` when empty).
-
-        The render farm's sharded publish hands these to its workers,
-        which re-open the pages read-only — memory-mapping raw pages,
-        decoding encoded ones — instead of receiving a packed copy of
-        the model.
-        """
-        specs: list[tuple[str, int, str]] = []
-        for shard in self.shards:
-            if shard.num_rows and shard.page_path:
-                # an unsealed non-raw shard still serves its raw build
-                # memmap; only a sealed page needs the worker to decode
-                name = "raw" if shard._mm is not None else shard.codec.name
-                specs.append((shard.page_path, shard.num_rows, name))
-            else:
-                specs.append(("", shard.num_rows, "raw"))
-        return specs
+    def page_paths(self) -> list[tuple]:
+        """One :meth:`~repro.core.pager.PageFile.spec` per shard. The
+        render farm's sharded publish hands these to its workers, which
+        re-open the pages read-only and verify them as this store does,
+        instead of receiving a packed copy of the model."""
+        return [shard.page.spec() for shard in self.shards]
 
     def close(self) -> None:
         for shard in self.shards:
             shard.spill()
-            shard._mm = None
         if self._page_tmp is not None:
             self._page_tmp.cleanup()
             self._page_tmp = None

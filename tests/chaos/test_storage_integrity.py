@@ -54,11 +54,11 @@ def _params(seed=0):
     return np.random.default_rng(seed).normal(size=(N, layout.PARAM_DIM))
 
 
-def make_disk(tmp_path, codec="raw", integrity=True, name="spill"):
+def make_disk(tmp_path, codec="raw", name="spill"):
     return DiskStore(
         _params(), layout.ALL_BLOCK, ADAM, MemoryTracker(),
         TransferLedger(), spill_path=str(tmp_path / name),
-        forwarding=True, codec=codec, integrity=integrity,
+        forwarding=True, codec=codec,
     )
 
 
@@ -119,14 +119,6 @@ class TestDiskStorePages:
         store.spill()
         store.page_in()
         np.testing.assert_array_equal(store.materialize(), before)
-
-    def test_integrity_off_skips_checks(self, tmp_path):
-        # the opt-out knob: corruption flows through undetected (the
-        # pre-PR behaviour), pinning that the flag actually gates it
-        store = make_disk(tmp_path, codec="raw", integrity=False)
-        store.spill()
-        corrupt_file(str(tmp_path / "spill.m.dat"), offset=64, length=16)
-        store.page_in()  # no raise
 
 
 class TestAtomicWrites:

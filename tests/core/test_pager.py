@@ -1,0 +1,117 @@
+"""``PageFile`` cases no tier test reaches.
+
+The per-codec round-trip / torn / corrupt matrix lives with the tiers
+(``tests/chaos/test_storage_integrity.py``, ``tests/core/test_pagecodec.py``)
+and exercises this one implementation; what is left is the page's own
+surface: the empty page, the read-only re-open, deferred writes, and the
+typed read.
+"""
+
+import os
+import pickle
+
+import numpy as np
+import pytest
+
+from repro.core import CorruptPageError
+from repro.core.pager import PageFile, ResidentSet
+
+CODECS = ("raw", "float16", "lossless")
+
+
+def _page(tmp_path, codec, rows=12, cols=7, seed=0):
+    arr = np.random.default_rng(seed).normal(size=(rows, cols))
+    return PageFile(str(tmp_path / "p"), arr.shape, arr.dtype, codec), arr
+
+
+@pytest.mark.parametrize("codec", CODECS)
+def test_zero_row_page_has_no_file(tmp_path, codec):
+    """The ``(0, 49)`` shard: zero bytes cannot be memory-mapped, so an
+    empty page lives nowhere and still writes, seals, reads and re-opens."""
+    page = PageFile(str(tmp_path / "empty"), (0, 49), np.float64, codec)
+    page.write(np.empty((0, 49)))
+    page.seal()
+    assert page.path == "" and os.listdir(tmp_path) == []
+    assert page.read().shape == (0, 49)
+    assert PageFile.open(page.spec()).read().shape == (0, 49)
+
+
+@pytest.mark.parametrize("codec", CODECS)
+def test_open_spec_reads_verified_and_refuses_writes(tmp_path, codec):
+    page, arr = _page(tmp_path, codec)
+    page.write(arr)
+    spec = pickle.loads(pickle.dumps(page.spec()))  # crosses the fan-out
+    assert spec[2] == codec
+    opened = PageFile.open(spec)
+    assert np.array_equal(opened.read(), page.read())
+    with pytest.raises(RuntimeError, match="read-only"):
+        opened.write(arr)
+    with pytest.raises(TypeError):
+        opened.view()
+    assert np.array_equal(opened.read(), page.read())  # nothing was touched
+    # the re-opened page checks what the writer sealed — for a raw page
+    # the CRC that rode in the spec
+    with open(page.path, "r+b") as fh:
+        fh.seek(40)
+        fh.write(b"\xff" * 8)
+    with pytest.raises(CorruptPageError, match="checksum"):
+        opened.read()
+
+
+def test_raw_page_filled_through_view_needs_a_seal(tmp_path):
+    page, arr = _page(tmp_path, "raw")
+    page.view()[...] = arr
+    with pytest.raises(CorruptPageError, match="checksum"):
+        page.read()  # no CRC recorded yet: unverifiable is unreadable
+    page.seal()
+    assert np.array_equal(page.read(), arr)
+    with open(page.path, "rb") as fh:
+        assert fh.read() == arr.tobytes()  # the bytes are exactly the array
+
+
+def test_torn_raw_page_is_named(tmp_path):
+    page, arr = _page(tmp_path, "raw")
+    page.write(arr)
+    opened = PageFile.open(page.spec())
+    os.truncate(page.path, arr.nbytes // 2)
+    with pytest.raises(CorruptPageError, match="torn") as err:
+        opened.read()
+    assert err.value.path == page.path
+
+
+@pytest.mark.parametrize("codec", CODECS)
+def test_deferred_write_meters_and_stores_what_a_direct_write_does(
+    tmp_path, codec
+):
+    """Write-behind encodes on the training thread and lands the bytes
+    later: same ``disk_nbytes`` (fixed at encode time), same file."""
+    direct, arr = _page(tmp_path, codec)
+    deferred = PageFile(str(tmp_path / "q"), arr.shape, arr.dtype, codec)
+    direct.write(arr)
+    encoded = deferred.encode(arr)
+    assert deferred.disk_nbytes == direct.disk_nbytes
+    assert (encoded is None) == (codec == "raw")
+    deferred.write(arr, encoded=encoded)
+    with open(direct.path, "rb") as a, open(deferred.path, "rb") as b:
+        assert a.read() == b.read()
+    if codec != "raw":
+        assert direct.disk_nbytes == os.path.getsize(direct.path)
+
+
+def test_read_in_a_storage_dtype(tmp_path):
+    page, arr = _page(tmp_path, "float16")
+    page.write(arr)
+    half = page.read(dtype=np.float16)
+    assert half.dtype == np.float16 and half.flags.writeable
+    np.testing.assert_array_equal(half, page.read().astype(np.float16))
+
+
+def test_admit_raises_when_the_victim_cannot_be_spilled():
+    class Phantom:
+        def spill(self):
+            pass  # not resident: spilling it drops nothing
+
+    rset = ResidentSet(1)
+    rset.admit(Phantom())
+    with pytest.raises(RuntimeError, match="cannot make room"):
+        rset.admit(Phantom())

@@ -2,7 +2,9 @@
 
 Drives random interleavings of the store protocol — ``stage``/``unstage``,
 ``return_grads``, ``commit``, ``materialize``, ``set_lr``, ``flush``, and
-(for the disk tier) ``spill``/``page_in`` at arbitrary points — for a few
+(for the disk tier) ``spill``/``page_in`` plus the async legs —
+``preload``/``adopt`` with other operations in between, and the
+write-behind ``drain`` — at arbitrary points, for a few
 hundred operations against an oracle holding the same state in plain
 memory, asserting parameter arrays and optimizer state stay bit-identical
 throughout. Placement and paging must be invisible to the math no matter
@@ -19,6 +21,7 @@ from repro.core.stores import (
     HybridStore,
     ResidentSet,
     ShardedStore,
+    _WriteBehindWriter,
 )
 from repro.core.systems import TransferLedger
 from repro.gaussians import layout
@@ -51,6 +54,10 @@ class _ProtocolFuzzer:
         ]
         if disk_ops:
             self.ops += [self.op_spill, self.op_page_in]
+            interleaved = list(self.ops)
+            self.ops.append(lambda: self.op_preload_adopt(interleaved))
+            if subject.writer is not None:
+                self.ops.append(self.op_drain)
 
     def both(self, fn):
         fn(self.subject)
@@ -93,6 +100,31 @@ class _ProtocolFuzzer:
     def op_page_in(self):
         self.subject.page_in()
 
+    def op_preload_adopt(self, interleaved):
+        """The async prefetch leg: snapshot the spilled pages, let 0-2
+        other operations run, then adopt. Any page-in or page-out in
+        between makes the snapshot stale: ``adopt`` must then return
+        ``False`` and install nothing; otherwise it must succeed."""
+        disk, ledger = self.subject, self.subject.ledger
+        disk.spill()
+        pre = disk.preload()
+        assert pre is not None
+        before = (ledger.page_in_count, ledger.page_out_count)
+        for _ in range(int(self.rng.integers(0, 3))):
+            self.rng.choice(interleaved)()
+        at_adopt = (ledger.page_in_count, ledger.page_out_count)
+        was_resident = disk.is_resident
+        assert disk.adopt(pre) == (at_adopt == before)
+        if at_adopt != before:
+            assert disk.is_resident == was_resident
+            assert (ledger.page_in_count, ledger.page_out_count) == at_adopt
+        np.testing.assert_array_equal(
+            self.subject.materialize(), self.oracle.materialize()
+        )
+
+    def op_drain(self):
+        self.subject.writer.drain()  # every queued page-out has landed
+
     def run(self, rounds):
         for i in range(rounds):
             self.rng.choice(self.ops)()
@@ -107,17 +139,22 @@ class _ProtocolFuzzer:
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("deferred", [False, True], ids=["dense", "deferred"])
 @pytest.mark.parametrize("codec", ["raw", "lossless"])
-def test_disk_store_matches_host_store(tmp_path, seed, deferred, codec):
-    """DiskStore under random spill/page-in interleavings is bit-identical
-    to a HostStore with the same flags: the disk tier is pure placement —
-    including through the lossless page codec (shuffle+zlib must round-trip
-    every spill bit-exactly)."""
+@pytest.mark.parametrize("write_behind", [False, True], ids=["sync", "wb"])
+def test_disk_store_matches_host_store(
+    tmp_path, seed, deferred, codec, write_behind
+):
+    """DiskStore under random spill/page-in/preload/adopt interleavings —
+    page-outs synchronous or queued behind a write-behind writer — is
+    bit-identical to a HostStore with the same flags: the disk tier is
+    pure placement, including through the lossless page codec
+    (shuffle+zlib must round-trip every spill bit-exactly)."""
     tracker, ledger = MemoryTracker(), TransferLedger()
     disk = DiskStore(
         _params(seed), layout.ALL_BLOCK, ADAM, tracker, ledger,
         spill_path=str(tmp_path / f"fuzz{seed}"),
         resident_set=ResidentSet(1),
         forwarding=True, deferred=deferred, codec=codec,
+        writer=_WriteBehindWriter() if write_behind else None,
     )
     host = HostStore(
         _params(seed), layout.ALL_BLOCK, ADAM, MemoryTracker(),
@@ -129,6 +166,8 @@ def test_disk_store_matches_host_store(tmp_path, seed, deferred, codec):
     assert set(a) == set(b)
     for key in a:
         np.testing.assert_array_equal(np.asarray(a[key]), b[key], err_msg=key)
+    if write_behind:
+        disk.writer.close()
 
 
 @pytest.mark.parametrize("seed", [3, 4])
@@ -190,10 +229,10 @@ def test_float16_disk_store_mirror_pair(tmp_path, seed):
     # reproduces the page file byte-for-byte
     disk = stores[0]
     disk.spill()
-    first = {f: open(p, "rb").read() for f, p in disk._page_files.items()}
+    first = {f: open(p.path, "rb").read() for f, p in disk.pages.items()}
     disk.page_in()
     disk.spill()
-    second = {f: open(p, "rb").read() for f, p in disk._page_files.items()}
+    second = {f: open(p.path, "rb").read() for f, p in disk.pages.items()}
     assert first == second
 
 

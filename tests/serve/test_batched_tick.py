@@ -420,16 +420,20 @@ class TestBatchedTick:
 
 
 class TestContainment:
+    @pytest.mark.parametrize("codec", ["raw", "float16"])
     def test_corrupt_shard_fails_exactly_the_frames_touching_it(
-        self, model, tmp_path
+        self, model, tmp_path, codec
     ):
         page_dir = str(tmp_path / "pages")
-        store = paged(model, NUM_SHARDS // 2, page_dir=page_dir)
-        clean = RenderService(paged(model, NUM_SHARDS // 2), cache_bytes=0)
+        store = paged(model, NUM_SHARDS // 2, codec, page_dir=page_dir)
+        clean = RenderService(
+            paged(model, NUM_SHARDS // 2, codec), cache_bytes=0
+        )
         service = RenderService(store, cache_bytes=0)
         bad = 3
         corrupt_file(store.shards[bad].page_path, offset=128, length=32)
-        assert os.path.basename(store.shards[bad].page_path).endswith(".pagez")
+        suffix = ".dat" if codec == "raw" else ".pagez"
+        assert os.path.basename(store.shards[bad].page_path).endswith(suffix)
         owner = shard_of(store)
         cams = cameras(7, 8)
         touches = [

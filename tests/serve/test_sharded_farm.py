@@ -10,7 +10,10 @@ carry only the geometric block + shard ids — never the packed matrix.
 import numpy as np
 import pytest
 
+from repro.core import CorruptPageError
+from repro.cameras import Camera
 from repro.datasets import SyntheticSceneConfig, build_scene
+from repro.faults import corrupt_file
 from repro.gaussians import layout
 from repro.render import RasterConfig, shutdown_raster_pools
 from repro.serve import (
@@ -20,7 +23,7 @@ from repro.serve import (
     RenderFarm,
     default_serve_raster_config,
 )
-from repro.serve.farm import render_frame, render_frame_sharded
+from repro.serve.farm import render_frame, render_frame_sharded, visible_ids
 
 ATOL = 1e-9
 
@@ -95,8 +98,6 @@ class TestShardedFrame:
 
     def test_empty_view_is_background(self, scene, paged):
         """A camera seeing no splats must return the background fill."""
-        from repro.cameras import Camera
-
         away = Camera.look_at(
             [0.0, 0.0, 500.0], [0.0, 0.0, 1000.0],
             width=32, height=24, near=0.5, far=2.0,
@@ -184,6 +185,53 @@ class TestShardedFarm:
                 assert np.array_equal(x, y)
         finally:
             raw_farm.close()
+
+    def test_corrupt_raw_page_fails_exactly_the_pooled_frames_touching_it(
+        self, scene, tmp_path
+    ):
+        """Workers verify raw pages against the CRC their page spec
+        carries: a frame whose rows live on a page corrupted after the
+        publish raises in its worker instead of rendering garbage, and
+        every other frame is bit-identical to the clean run."""
+        # small splats under low cameras: each view sees one quadrant
+        model = scene.oracle.copy()
+        model.log_scales[:] -= np.log(8.0)
+        store = PagedServingStore.from_model(
+            model, budget(model.num_gaussians),
+            page_dir=str(tmp_path / "pages"),
+        )
+        tasks = [
+            FrameTask(
+                camera=Camera.look_at(
+                    [x, y, 6.0], [x, y + 0.01, 0.0], width=32, height=24,
+                    fov_x_deg=40.0,
+                ),
+                lod=0, sh_degree=3, config=RasterConfig(),
+            )
+            for x in (-6.0, 6.0) for y in (-6.0, 6.0)
+        ]
+        bad = 0
+        touches = [
+            np.isin(visible_ids(store, None, task), store.shard_rows[bad]).any()
+            for task in tasks
+        ]
+        assert any(touches) and not all(touches)
+        farm = RenderFarm(workers=2)
+        farm.publish_sharded(store, None)
+        try:
+            clean = farm.render_batch(tasks)
+            corrupt_file(store.shards[bad].page_path, offset=128, length=32)
+            for task, hit, ref in zip(tasks, touches, clean):
+                # two tasks per batch: below that the farm renders inline
+                if hit:
+                    with pytest.raises(CorruptPageError, match="serve_shard0.dat"):
+                        farm.render_batch([task, task])
+                else:
+                    for image in farm.render_batch([task, task]):
+                        assert np.array_equal(image, ref)
+        finally:
+            farm.close()
+            store.close()
 
     def test_republish_plain_after_sharded(self, scene, paged):
         """publish_sharded then publish must fully swap the dispatch."""

@@ -7,7 +7,9 @@ pages on the ledger's disk channel, and gathers bit-identical to the
 in-memory store.
 """
 
+import contextlib
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -134,12 +136,10 @@ class TestPagedStore:
             model, tight_budget(model.num_gaussians),
             page_dir=str(tmp_path / "pages"),
         )
-        files = os.listdir(tmp_path / "pages")
-        pages = [f for f in files if not f.endswith(".crc")]
-        sidecars = [f for f in files if f.endswith(".crc")]
-        assert len(pages) == len(paged.shards)
-        # sealing a raw page records its CRC sidecar next to it
-        assert len(sidecars) == len(paged.shards)
+        # one file per shard, nothing beside it: sealing a raw page
+        # records its CRC in the page spec the farm hands its workers
+        assert len(os.listdir(tmp_path / "pages")) == len(paged.shards)
+        assert all(spec[-1] is not None for spec in paged.page_paths())
         paged.close()
 
 
@@ -207,6 +207,45 @@ class TestPagedStoreCodecs:
         finally:
             for s in stores.values():
                 s.close()
+
+
+@contextlib.contextmanager
+def alarm_after(seconds: int):
+    """Fail (rather than hang the suite) if the body runs too long."""
+
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestFailedPageIn:
+    def test_read_error_leaves_the_resident_set_as_it_found_it(self, scene):
+        """A page-in that fails for a non-integrity reason (the page file
+        is gone) propagates, registers nothing, and the next gather of
+        another shard returns — an admitted-but-never-read shard cannot
+        be spilled, so it would wedge every later admit."""
+        model = scene.oracle
+        paged = PagedServingStore.from_model(
+            model, tight_budget(model.num_gaussians), codec="lossless"
+        )
+        assert paged.resident_budget == 1
+        os.remove(paged.shards[0].page_path)
+        with pytest.raises(OSError):
+            paged.gather(paged.shard_rows[0][:5])
+        assert all(s.is_resident for s in paged.resident_set.resident)
+        assert not paged.quarantined  # not an integrity failure
+        rows = paged.shard_rows[1][:5]
+        with alarm_after(5):
+            gathered = paged.gather(rows)
+        assert np.array_equal(gathered, model.params[rows])
+        paged.close()
 
 
 class TestCheckpointOpen:
