@@ -15,7 +15,7 @@ The third run turns on the async prefetch leg (``async_prefetch=True``):
 a background worker snapshots the *next* view's spilled shards while the
 current view renders, so the page read comes off the critical path —
 still bit-identical, same ledger, just overlapped. Next-view hints come
-from the step loop (``hint_next_view``), exactly what
+from the step loop (``hint_upcoming_views``), exactly what
 ``Trainer.train(view_order="locality")`` automates. (This demo's wide
 frustums touch every shard in every view, so the snapshots go stale and
 every page-in falls back to the synchronous read — the honest worst

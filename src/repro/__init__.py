@@ -24,8 +24,6 @@ from .metrics import perceptual_distance, psnr, ssim
 from .optim import AdamConfig, DeferredAdam, DenseAdam
 from .datasets.colmap import load_colmap, write_colmap
 from .render import frustum_cull, render, render_backward
-from .render.maps import render_depth_alpha
-from .sim.replay import replay_history
 from .sim import PLATFORMS, get_platform, simulate_epoch
 
 __all__ = [
@@ -53,8 +51,6 @@ __all__ = [
     "frustum_cull",
     "load_checkpoint",
     "load_colmap",
-    "render_depth_alpha",
-    "replay_history",
     "resume_model",
     "save_checkpoint",
     "write_colmap",

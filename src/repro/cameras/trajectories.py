@@ -145,40 +145,3 @@ def walkthrough(
             )
         )
     return cameras
-
-
-def random_views(
-    center: np.ndarray,
-    radius_range: tuple[float, float],
-    num_cameras: int,
-    rng: np.random.Generator,
-    width: int = 128,
-    height_px: int = 128,
-    fov_x_deg: float = 60.0,
-    min_altitude: float = 0.5,
-    near: float = 0.01,
-    far: float = 1000.0,
-) -> list[Camera]:
-    """Random viewpoints on a hemisphere shell around ``center``."""
-    center = np.asarray(center, dtype=np.float64)
-    cameras = []
-    lo, hi = radius_range
-    for _ in range(num_cameras):
-        direction = rng.normal(size=3)
-        direction[2] = abs(direction[2]) + 1e-3
-        direction = direction / np.linalg.norm(direction)
-        radius = rng.uniform(lo, hi)
-        pos = center + direction * radius
-        pos[2] = max(pos[2], min_altitude)
-        cameras.append(
-            Camera.look_at(
-                pos,
-                center,
-                width=width,
-                height=height_px,
-                fov_x_deg=fov_x_deg,
-                near=near,
-                far=far,
-            )
-        )
-    return cameras

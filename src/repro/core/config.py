@@ -45,7 +45,6 @@ class GSScaleConfig:
         position_lr_final_scale: final/initial position-lr ratio.
         ssim_lambda: DSSIM weight in the photometric loss.
         scene_extent: world radius; scales the position learning rate.
-        lr_overrides: per-attribute learning-rate overrides.
         beta1, beta2, eps: Adam hyperparameters (eps=1e-15 per gsplat).
         device_capacity_bytes: optional simulated GPU capacity; the
             engine's MemoryTracker raises MemoryError past it, reproducing
@@ -57,10 +56,10 @@ class GSScaleConfig:
             over a multiprocessing pool of this size; 0/1 stays serial.
         shard_device_capacity_bytes: optional per-shard device capacity
             (each shard's MemoryTracker raises MemoryError past it).
-        spill_dir: directory of the ``outofcore`` system's memory-mapped
-            spill files; ``None`` uses a temporary directory that dies
-            with the system (a caller-provided directory is never
-            deleted).
+        spill_dir: directory of the ``outofcore`` system's page files
+            (:class:`~repro.core.pager.PageFile`); ``None`` uses a
+            temporary directory that dies with the system (a
+            caller-provided directory is never deleted).
         resident_shards: how many shards' non-geometric host state the
             ``outofcore`` system keeps paged into host DRAM at once (the
             resident-set budget; the rest lives in the spill files).
@@ -68,9 +67,10 @@ class GSScaleConfig:
             with compute: a background worker snapshots the *next* view's
             spilled shards (``DiskStore.preload``, double-buffered) while
             the current view renders, and the next step adopts the
-            buffers instead of reading disk on the critical path. Needs a
-            next-view hint (``OutOfCoreGSScaleSystem.hint_next_view``;
-            the :class:`~repro.core.trainer.Trainer` issues it
+            buffers instead of reading disk on the critical path. Needs
+            to be told the upcoming views
+            (``OutOfCoreGSScaleSystem.hint_upcoming_views``; the
+            :class:`~repro.core.trainer.Trainer` does so
             automatically). Numerics and ledger traffic are identical to
             the synchronous schedule — only the stall moves off the
             critical path.
@@ -89,13 +89,6 @@ class GSScaleConfig:
             a background writer thread (epoch-fenced, drained before
             densification rebuilds and checkpoints) instead of writing
             them synchronously on the admit path.
-        pool_retries: how many times a supervised
-            :class:`~repro.pool.PersistentPool` map is
-            re-dispatched after a worker death or task deadline before
-            giving up with :class:`~repro.pool.PoolFaultError`.
-        pool_task_timeout_s: optional per-map deadline (seconds) on
-            pooled raster/shard work; a map exceeding it is treated like
-            a worker death (respawn + retry). ``None`` waits forever.
         telemetry: record measured spans and metrics. Installs the
             process-wide :mod:`repro.telemetry` tracer when the system
             is built; training phases (cull/stage/forward/backward/
@@ -124,7 +117,6 @@ class GSScaleConfig:
     position_lr_final_scale: float = 0.01
     ssim_lambda: float = DEFAULT_SSIM_LAMBDA
     scene_extent: float = 1.0
-    lr_overrides: dict | None = None
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-15
@@ -138,8 +130,6 @@ class GSScaleConfig:
     page_codec: str = "raw"
     prefetch_depth: int = 1
     write_behind: bool = False
-    pool_retries: int = 2
-    pool_task_timeout_s: float | None = None
     telemetry: bool = False
     raster: RasterConfig = field(default_factory=RasterConfig)
     engine: str | None = None
@@ -170,10 +160,6 @@ class GSScaleConfig:
                 "prefetch_depth > 1 requires async_prefetch=True "
                 "(the staging queue is the async leg's lookahead)"
             )
-        if self.pool_retries < 0:
-            raise ValueError("pool_retries must be >= 0")
-        if self.pool_task_timeout_s is not None and self.pool_task_timeout_s <= 0:
-            raise ValueError("pool_task_timeout_s must be positive (or None)")
         if self.engine is not None:
             if self.engine != self.raster.engine:
                 # replace() re-runs RasterConfig validation on the name
@@ -202,11 +188,7 @@ class GSScaleConfig:
 
     def lr_vector(self, dtype=np.float64) -> np.ndarray:
         """Packed per-column learning rates."""
-        return packed_lr_vector(
-            scene_extent=self.scene_extent,
-            overrides=self.lr_overrides,
-            dtype=dtype,
-        )
+        return packed_lr_vector(scene_extent=self.scene_extent, dtype=dtype)
 
     def adam_config(self, lr: np.ndarray) -> AdamConfig:
         """Adam config with the given (sliced) lr vector."""

@@ -14,8 +14,7 @@ Two complementary mechanisms:
   mismatch means a torn write; a CRC mismatch means bit rot. Raw memmap
   pages can't carry a header (their on-disk bytes *are* the array, and
   the byte-accounting ledger equates their disk and host sizes), so
-  :class:`~repro.core.pager.PageFile` holds their CRC out of band and
-  carries it in the page spec a farm worker re-opens.
+  :class:`~repro.core.pager.PageFile` holds their CRC out of band.
 * **Atomic writes.** :func:`atomic_write_bytes` and
   :func:`atomic_savez` write to a temp file, fsync, then
   ``os.replace`` onto the destination — a crash leaves either the old
@@ -70,9 +69,9 @@ class CorruptPageError(IntegrityError):
         super().__init__(f"corrupt page {path}: {detail}")
 
     def __reduce__(self):
-        # a farm worker raises this across the pool's result pipe; the
-        # default reduce would re-call __init__ with the message alone,
-        # fail to unpickle, and wedge the pool's result thread
+        # a pool worker that raises this sends it across the pool's
+        # result pipe; the default reduce would re-call __init__ with the
+        # message alone, fail to unpickle, and wedge the result thread
         return (type(self), (self.path, self.detail))
 
 

@@ -1,10 +1,10 @@
 """The pager: page files, residency, and the two background page lanes.
 
-The training spill tier (:class:`~repro.core.stores.DiskStore`), the
-serving shards (:class:`~repro.serve.store.PagedServingStore`) and the
-render farm's workers keep their arrays in :class:`PageFile` objects, the
-only code outside :mod:`repro.core.pagecodec` / :mod:`repro.core.integrity`
-that knows how a page is laid out, encoded, checksummed and written.
+The training spill tier (:class:`~repro.core.stores.DiskStore`) and the
+serving shards (:class:`~repro.serve.store.PagedServingStore`) keep their
+arrays in :class:`PageFile` objects, the only code outside
+:mod:`repro.core.pagecodec` / :mod:`repro.core.integrity` that knows how
+a page is laid out, encoded, checksummed and written.
 Beside it live :class:`ResidentSet`, :class:`PreloadedShard`, the
 write-behind lane and the prefetch lane. Stores place, systems decide, the
 pager pages; the residency *sequence* (dirty pages, epochs and write-behind
@@ -37,8 +37,8 @@ class PageFile:
     A ``raw`` page is ``{stem}.dat``, a memory-mapped file whose bytes
     stay exactly the array — the ledger equates its disk and host sizes,
     so it cannot carry a header and its CRC32 is held out of band, on
-    this object and in :meth:`spec`. Every other codec is one sealed
-    ``GSP1`` file ``{stem}.{codec}.pagez`` (length + CRC32 header,
+    this object. Every other codec is one sealed ``GSP1`` file
+    ``{stem}.{codec}.pagez`` (length + CRC32 header,
     :mod:`repro.core.integrity`), replaced atomically on every write. An
     empty page has no file under any codec (zero bytes cannot be
     memory-mapped). :meth:`read` always verifies; there is no switch.
@@ -48,12 +48,9 @@ class PageFile:
         shape: ``(rows, cols)`` of the stored array.
         dtype: dtype :meth:`read` decodes to (and a raw page is stored in).
         codec: page codec name (:mod:`repro.core.pagecodec`).
-        crc, writable: what :meth:`open` restores from a :meth:`spec` —
-            an existing page is re-opened, never created or written.
     """
 
-    def __init__(self, stem: str, shape, dtype, codec: str = "raw",
-                 crc: int | None = None, writable: bool = True):
+    def __init__(self, stem: str, shape, dtype, codec: str = "raw"):
         self.stem = stem
         self.shape = (int(shape[0]), int(shape[1]))
         self.dtype = np.dtype(dtype)
@@ -64,28 +61,14 @@ class PageFile:
         #: encoded bytes of the page as last encoded; ``None`` = stored
         #: raw (the ledger's convention for "disk == decoded")
         self.disk_nbytes: int | None = None
-        self._crc = crc  # raw pages only: CRC32 as last written / sealed
-        self._writable = writable
+        self._crc: int | None = None  # raw pages only: as last written / sealed
         self._mm = None
-        if self._raw and writable:
+        if self._raw:
             self._mm = (
                 np.memmap(self.path, dtype=self.dtype, mode="w+", shape=self.shape)
                 if self.path
                 else np.empty(self.shape, dtype=self.dtype)
             )
-
-    def spec(self) -> tuple:
-        """``(stem, shape, codec name, dtype, crc)``: a plain picklable
-        description another process re-opens with :meth:`open`. It
-        carries a raw page's CRC, so the reader verifies what the writer
-        sealed."""
-        return (self.stem, self.shape, self.codec.name, self.dtype.str, self._crc)
-
-    @classmethod
-    def open(cls, spec: tuple) -> "PageFile":
-        """Re-open the page a :meth:`spec` describes, read-only."""
-        stem, shape, codec, dtype, crc = spec
-        return cls(stem, shape, dtype, codec, crc=crc, writable=False)
 
     def view(self) -> np.ndarray:
         """The raw page's writable mapping: checkpoint streaming of a
@@ -118,8 +101,6 @@ class PageFile:
         """Store ``arr`` (or its :meth:`encode` output). ``fsync`` makes
         an encoded page durable before the rename; a raw page flushes its
         mapping either way."""
-        if not self._writable:
-            raise RuntimeError(f"page {self.path!r} was opened read-only")
         if not self.path:
             return
         if self._raw:
@@ -142,19 +123,9 @@ class PageFile:
             with open(self.path, "rb") as fh:
                 buf = fh.read()
             return self.codec.decode_page(buf, self.shape, dtype, path=self.path)
-        if self._mm is not None:
-            # the owner copies out of its live mapping (measured at a
-            # third of re-reading the file); a re-opened page reads once
-            arr = np.array(self._mm)
-        else:
-            arr = np.fromfile(self.path, dtype=self.dtype)
-            expected = self.shape[0] * self.shape[1]
-            if arr.size != expected:
-                raise CorruptPageError(
-                    self.path,
-                    f"torn page: expected {expected * self.dtype.itemsize} "
-                    f"bytes, got {arr.nbytes}",
-                )
+        # copy out of the live mapping (measured at a third of re-reading
+        # the file)
+        arr = np.array(self._mm)
         actual = checksum(arr)
         if actual != self._crc:  # a page never written or sealed has none
             raise CorruptPageError(

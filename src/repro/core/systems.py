@@ -515,7 +515,7 @@ class TrainingSystem(ABC):
                 ssim=float("nan"),
                 num_visible=0, num_regions=len(regions),
                 valid_ids=np.empty(0, dtype=np.int64),
-                mean2d_abs=np.empty(0),
+                mean2d_abs=np.empty(0, dtype=self.store.dtype),
             )
 
         with _span("train/aggregate", "train"):
@@ -549,17 +549,6 @@ class GPUOnlySystem(TrainingSystem):
             self.memory,
         )
 
-    # legacy surface (tests and schedules poke the raw arrays)
-    @property
-    def params(self) -> np.ndarray:
-        """Device-resident packed parameters."""
-        return self.store.params
-
-    @property
-    def optimizer(self):
-        """The dense device optimizer."""
-        return self.store.optimizer
-
     def checkpoint_entries(self):
         return [("", self.store, None)]
 
@@ -581,16 +570,6 @@ class BaselineOffloadSystem(TrainingSystem):
             self.memory,
             self.ledger,
         )
-
-    @property
-    def host_params(self) -> np.ndarray:
-        """Host-resident packed parameters."""
-        return self.store.params
-
-    @property
-    def optimizer(self):
-        """The dense host optimizer."""
-        return self.store.optimizer
 
     def checkpoint_entries(self):
         return [("", self.store, None)]
@@ -636,43 +615,6 @@ class GSScaleSystem(TrainingSystem):
             max_defer=cfg.max_defer,
         )
         self.store = HybridStore([self._geo_store, self._host_store])
-
-    # legacy surface (checkpointing tests and splitting tests poke these)
-    @property
-    def device_geo(self) -> np.ndarray:
-        """Device-resident geometric block."""
-        return self._geo_store.params
-
-    @property
-    def geo_optimizer(self):
-        """Dense device optimizer of the geometric block."""
-        return self._geo_store.optimizer
-
-    @property
-    def host_non_geo(self) -> np.ndarray:
-        """Host-resident non-geometric block (last committed values)."""
-        return self._host_store.params
-
-    @property
-    def host_optimizer(self):
-        """Host optimizer (deferred or dense) of the non-geometric block."""
-        return self._host_store.optimizer
-
-    @property
-    def _pending_ids(self):
-        return self._host_store._pending_ids
-
-    @_pending_ids.setter
-    def _pending_ids(self, value):
-        self._host_store._pending_ids = value
-
-    @property
-    def _pending_grads(self):
-        return self._host_store._pending_grads
-
-    @_pending_grads.setter
-    def _pending_grads(self, value):
-        self._host_store._pending_grads = value
 
     def checkpoint_entries(self):
         return [("geo", self._geo_store, None), ("host", self._host_store, None)]
@@ -772,9 +714,7 @@ class ShardedGSScaleSystem(TrainingSystem):
             return None
         if self._pool is None:
             self._pool = PersistentPool(
-                min(self.config.shard_workers, self.num_shards),
-                task_timeout=self.config.pool_task_timeout_s,
-                max_retries=self.config.pool_retries,
+                min(self.config.shard_workers, self.num_shards)
             )
         return self._pool
 
@@ -985,31 +925,25 @@ class ShardedGSScaleSystem(TrainingSystem):
 
     def shard_reports(self) -> list[ShardReport]:
         """Per-shard memory and traffic accounting."""
-        return [
-            ShardReport(
-                shard=k,
-                num_gaussians=int(rows.size),
-                peak_bytes=tracker.peak_bytes,
-                live_bytes=tracker.live_bytes,
-                **{
-                    f: ledger.counts()[f]
-                    for f in self._SHARD_LEDGER_FIELDS
-                },
+        reports = []
+        for k, (rows, tracker, ledger) in enumerate(
+            zip(self.shard_rows, self.shard_trackers, self.shard_ledgers)
+        ):
+            counts = ledger.counts()
+            reports.append(
+                ShardReport(
+                    shard=k,
+                    num_gaussians=int(rows.size),
+                    peak_bytes=tracker.peak_bytes,
+                    live_bytes=tracker.live_bytes,
+                    **{f: counts[f] for f in self._SHARD_LEDGER_FIELDS},
+                )
             )
-            for k, (rows, tracker, ledger) in enumerate(
-                zip(self.shard_rows, self.shard_trackers, self.shard_ledgers)
-            )
-        ]
+        return reports
 
     def finalize(self) -> None:
         super().finalize()
         self._close_pool()
-
-    def rebuild(self, model: GaussianModel) -> None:
-        # keep the pool: workers are stateless (geometry ships per call),
-        # and respawning K processes per densification dominated short
-        # runs before the pool became persistent
-        super().rebuild(model)
 
     def __del__(self):
         try:
@@ -1225,22 +1159,17 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
             if frustum_cull(*self._shard_geometry(k), camera).num_visible
         ]
 
-    def hint_next_view(self, camera: Camera) -> None:
-        """Tell the async prefetch leg which view comes next.
+    def hint_upcoming_views(self, cameras: list[Camera]) -> None:
+        """Tell the async prefetch leg the next several views, nearest
+        first; only the first ``prefetch_depth`` are staged.
 
         With ``async_prefetch`` on, the next :meth:`step` kicks off a
-        background worker that snapshots that view's spilled shards while
-        the current view renders; the step after adopts the buffers
+        background worker that snapshots those views' spilled shards
+        while the current view renders; the steps after adopt the buffers
         instead of stalling on the disk read. Without the async leg this
         is a no-op, so callers can hint unconditionally (the
         :class:`~repro.core.trainer.Trainer` does).
         """
-        self.hint_upcoming_views([camera])
-
-    def hint_upcoming_views(self, cameras: list[Camera]) -> None:
-        """Tell the async prefetch leg the next several views, nearest
-        first — the depth-D generalization of :meth:`hint_next_view`.
-        Only the first ``prefetch_depth`` upcoming views are staged."""
         if self._prefetcher is not None:
             self._pending_hints = list(cameras)
 

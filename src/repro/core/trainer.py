@@ -43,7 +43,6 @@ class TrainingHistory:
     Attributes:
         steps: per-iteration reports.
         densify_reports: one entry per densification pass that fired.
-        final_eval: metrics on the test views after training (if run).
         peak_device_bytes: high-water device memory across the run
             (fp32-equivalent accounting).
         h2d_bytes / d2h_bytes: total simulated PCIe traffic.
@@ -51,7 +50,6 @@ class TrainingHistory:
 
     steps: list[StepReport] = field(default_factory=list)
     densify_reports: list[DensifyReport] = field(default_factory=list)
-    final_eval: EvalResult | None = None
     peak_device_bytes: int = 0
     h2d_bytes: int = 0
     d2h_bytes: int = 0
@@ -96,7 +94,8 @@ class TrainingHistory:
 
 
 class Trainer:
-    """Trains a Gaussian scene with one of the four systems.
+    """Trains a Gaussian scene with one of the six systems
+    (:data:`~repro.core.config.SYSTEM_NAMES`).
 
     Args:
         model: initial Gaussians (e.g. from a point cloud).
@@ -173,9 +172,7 @@ class Trainer:
             order = locality_view_order(cameras)
         else:
             order = np.arange(len(cameras))
-        hints = hasattr(self.system, "hint_next_view")
-        depth = getattr(self.system, "prefetch_depth", 1)
-        deep_hints = depth > 1 and hasattr(self.system, "hint_upcoming_views")
+        hint = getattr(self.system, "hint_upcoming_views", None)
 
         stop = start_iteration + iterations
         for it in range(start_iteration, stop):
@@ -183,21 +180,19 @@ class Trainer:
             if pos == 0 and shuffle:
                 rng.shuffle(order)
             view = order[pos]
-            if deep_hints and it + 1 < stop:
-                # depth-D overlap: hand the system the next D views of
-                # the schedule (locality order makes the deeper entries
-                # worth staging), nearest first
-                self.system.hint_upcoming_views(
+            if hint is not None and it + 1 < stop:
+                # overlap leg: hand the system the next D views of the
+                # schedule, nearest first, so it stages their shards
+                # while this view renders (exact for the steady in-epoch
+                # case; a wrong guess is only a cache miss, and locality
+                # order makes the deeper entries worth staging)
+                depth = self.system.prefetch_depth
+                hint(
                     [
                         cameras[order[(it + 1 + j) % len(cameras)]]
                         for j in range(min(depth, stop - it - 1))
                     ]
                 )
-            elif hints and it + 1 < stop:
-                # overlap leg: let the system stage the next view's
-                # shards while this view renders (exact for the steady
-                # in-epoch case; a wrong guess is only a cache miss)
-                self.system.hint_next_view(cameras[order[(it + 1) % len(cameras)]])
             report = self.system.step(cameras[view], images[view])
             history.steps.append(report)
             if self._controller is not None:
@@ -240,16 +235,16 @@ class Trainer:
 
         ``rebuild`` resets the memory tracker and the transfer ledger
         (their live state is sized by N); the run's high-water mark and
-        cumulative PCIe traffic must survive the swap.
+        every cumulative count of both ledger channels must survive the
+        swap.
         """
         peak = self.system.memory.peak_bytes
-        ledger = self.system.ledger
+        carried = self.system.ledger.counts()
         self.system.rebuild(model)
         self.system.memory.peak_bytes = max(self.system.memory.peak_bytes, peak)
-        self.system.ledger.h2d_bytes += ledger.h2d_bytes
-        self.system.ledger.d2h_bytes += ledger.d2h_bytes
-        self.system.ledger.h2d_count += ledger.h2d_count
-        self.system.ledger.d2h_count += ledger.d2h_count
+        ledger = self.system.ledger
+        for name, value in carried.items():
+            setattr(ledger, name, getattr(ledger, name) + value)
 
     def evaluate(
         self, cameras: list[Camera], images: list[np.ndarray]

@@ -70,9 +70,10 @@ class DensificationController:
     """Accumulates gradient statistics and rewrites the model periodically.
 
     Usage: call :meth:`accumulate` after every backward pass with the
-    visible ids and their screen-gradient magnitudes; call :meth:`maybe_run`
-    once per iteration. When it returns a new model, the caller must
-    rebuild anything sized by ``N`` (optimizer state, offload stores).
+    visible ids and their screen-gradient magnitudes; call :meth:`run`
+    on the iterations :meth:`should_run` names. It returns a new model,
+    and the caller must rebuild anything sized by ``N`` (optimizer state,
+    offload stores).
     """
 
     def __init__(self, config: DensifyConfig, num_gaussians: int, seed: int = 0):
@@ -121,17 +122,6 @@ class DensificationController:
         clamped = logits > logit
         logits[clamped] = logit
         return int(clamped.sum())
-
-    def maybe_run(
-        self, model: GaussianModel, iteration: int, scene_extent: float
-    ) -> tuple[GaussianModel, DensifyReport] | None:
-        """Run densification if the schedule says so.
-
-        Returns ``None`` when nothing fires, else ``(new_model, report)``.
-        """
-        if not self.should_run(iteration):
-            return None
-        return self.run(model, iteration, scene_extent)
 
     def run(
         self, model: GaussianModel, iteration: int, scene_extent: float

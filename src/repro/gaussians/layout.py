@@ -130,20 +130,6 @@ ALL_BLOCK = ColumnBlock("all", 0, PARAM_DIM)
 GEOMETRIC_BLOCK = ColumnBlock("geometric", 0, GEOMETRIC_DIM)
 NON_GEOMETRIC_BLOCK = ColumnBlock("non_geometric", GEOMETRIC_DIM, PARAM_DIM)
 
-BLOCKS = (ALL_BLOCK, GEOMETRIC_BLOCK, NON_GEOMETRIC_BLOCK)
-
-
-def column_block(name: str) -> ColumnBlock:
-    """Return the :class:`ColumnBlock` for ``name``.
-
-    Raises:
-        KeyError: if ``name`` is not one of the named blocks.
-    """
-    for block in BLOCKS:
-        if block.name == name:
-            return block
-    raise KeyError(f"unknown column block: {name!r}")
-
 
 def attribute(name: str) -> AttributeSpec:
     """Return the :class:`AttributeSpec` for ``name``.

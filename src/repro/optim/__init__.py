@@ -1,4 +1,4 @@
-"""Optimizers: dense Adam/SGD references and the deferred variants."""
+"""Optimizers: the dense Adam reference and the deferred variant."""
 
 from .adam import DenseAdam
 from .base import (
@@ -10,17 +10,13 @@ from .base import (
 )
 from .deferred import MAX_DEFER, DeferredAdam
 from .lr_schedule import DEFAULT_LRS, exponential_decay, packed_lr_vector
-from .sgd import DeferredSGD, DenseSGD, SGDConfig
 
 __all__ = [
     "AdamConfig",
     "DEFAULT_LRS",
     "DeferredAdam",
-    "DeferredSGD",
     "DenseAdam",
-    "DenseSGD",
     "MAX_DEFER",
-    "SGDConfig",
     "SparseOptimizer",
     "StepStats",
     "adam_update",

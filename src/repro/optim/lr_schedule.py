@@ -23,7 +23,6 @@ SH_REST_DIVISOR = 20.0
 
 def packed_lr_vector(
     scene_extent: float = 1.0,
-    overrides: dict[str, float] | None = None,
     dtype=np.float64,
 ) -> np.ndarray:
     """Per-column learning-rate vector for the packed 59-param layout.
@@ -31,20 +30,13 @@ def packed_lr_vector(
     Args:
         scene_extent: world-space scene radius; the position lr scales with
             it (3DGS convention).
-        overrides: replace the default per-attribute rates.
     """
-    rates = dict(DEFAULT_LRS)
-    if overrides:
-        unknown = set(overrides) - set(rates)
-        if unknown:
-            raise KeyError(f"unknown attributes in lr overrides: {sorted(unknown)}")
-        rates.update(overrides)
     lr = np.empty(layout.PARAM_DIM, dtype=dtype)
-    lr[layout.MEAN_SLICE] = rates["mean"] * scene_extent
-    lr[layout.SCALE_SLICE] = rates["scale"]
-    lr[layout.QUAT_SLICE] = rates["quat"]
-    lr[layout.OPACITY_SLICE] = rates["opacity"]
-    sh_lr = np.full(layout.SH_DIM, rates["sh"], dtype=dtype)
+    lr[layout.MEAN_SLICE] = DEFAULT_LRS["mean"] * scene_extent
+    lr[layout.SCALE_SLICE] = DEFAULT_LRS["scale"]
+    lr[layout.QUAT_SLICE] = DEFAULT_LRS["quat"]
+    lr[layout.OPACITY_SLICE] = DEFAULT_LRS["opacity"]
+    sh_lr = np.full(layout.SH_DIM, DEFAULT_LRS["sh"], dtype=dtype)
     sh_lr[3:] /= SH_REST_DIVISOR  # bands 1..3 learn slower than DC
     lr[layout.SH_SLICE] = sh_lr
     return lr

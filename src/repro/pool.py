@@ -124,10 +124,9 @@ class PersistentPool:
       that skip the owner's ``finalize()`` still leak nothing.
 
     Args:
-        processes: worker count.
-        start_method: multiprocessing start method; default prefers
-            ``fork`` (cheap, data arrives via shared memory anyway) and
-            falls back to the platform default where fork is unavailable.
+        processes: worker count. Workers start by ``fork`` (cheap, data
+            arrives via shared memory anyway), or by the platform default
+            where fork is unavailable.
         task_timeout: default per-:meth:`map` deadline in seconds
             (``None`` = no deadline).
         max_retries: default respawn-and-retry budget per :meth:`map`
@@ -146,7 +145,6 @@ class PersistentPool:
     def __init__(
         self,
         processes: int,
-        start_method: str | None = None,
         task_timeout: float | None = None,
         max_retries: int = 2,
         retry_backoff_s: float = 0.05,
@@ -159,11 +157,6 @@ class PersistentPool:
         self.task_timeout = task_timeout
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
-        self._method = (
-            start_method
-            if start_method is not None
-            else self.default_start_method()
-        )
         self._pool = None
         self.worker_deaths = 0
         self.respawns = 0
@@ -185,7 +178,7 @@ class PersistentPool:
 
     def _ensure(self):
         if self._pool is None:
-            ctx = mp.get_context(self._method)
+            ctx = mp.get_context(self.default_start_method())
             with pool_fork_guard:
                 self._pool = ctx.Pool(processes=self.processes)
         return self._pool

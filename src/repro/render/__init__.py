@@ -25,12 +25,8 @@ from .fragment import (
     rasterize_fragment,
     rasterize_fragment_sources,
 )
-from .parallel import (
-    PersistentPool,
-    rasterize_backward_parallel,
-    rasterize_parallel,
-    shutdown_raster_pools,
-)
+from ..pool import shutdown_raster_pools
+from .parallel import rasterize_backward_parallel, rasterize_parallel
 from .pipeline import RenderBackwardResult, RenderResult, render, render_backward
 from .rasterize import ENGINES, RASTER_DTYPES, RasterConfig
 from .tiles import TileBinning, bin_gaussians, partition_spans
@@ -40,7 +36,6 @@ __all__ = [
     "ENGINES",
     "FragmentRasterResult",
     "FragmentSource",
-    "PersistentPool",
     "RASTER_DTYPES",
     "RasterConfig",
     "RenderBackwardResult",

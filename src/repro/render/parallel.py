@@ -35,16 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import faults
-from ..pool import (
-    PersistentPool,
-    PoolFaultError,
-    attach_shm,
-    get_raster_pool,
-    pack_shm,
-    raster_pool_fault_stats,
-    shm_views,
-    shutdown_raster_pools,
-)
+from ..pool import attach_shm, get_raster_pool, pack_shm, shm_views
 from ..telemetry.trace import span as _tspan
 from .backward import RasterGrads, alloc_grads
 from .engine import (
@@ -63,14 +54,9 @@ from .rasterize import RasterConfig, RasterResult, config_bboxes
 from .tiles import adaptive_span_count, partition_spans
 
 __all__ = [
-    "PersistentPool",
-    "PoolFaultError",
-    "get_raster_pool",
-    "raster_pool_fault_stats",
     "rasterize_parallel",
     "rasterize_backward_parallel",
     "run_slices",
-    "shutdown_raster_pools",
 ]
 
 

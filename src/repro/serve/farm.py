@@ -18,13 +18,12 @@ frame, gather once for the union of their visible rows, composite each
 from its slice), so a farm frame is bit-identical to a single-process
 frame — and ship the composited image back.
 
-:meth:`RenderFarm.publish_sharded` is the out-of-core variant for a
-:class:`~repro.serve.store.PagedServingStore`: the shared segment holds
-only the resident geometric block and the shard row ids, workers re-open
-the non-geometric page files read-only, and frames composite shard by
-shard through :func:`render_frame_sharded` (the render-side twin of the
-training systems' fragment path) — the packed ``(N, 59)`` matrix is
-never assembled anywhere.
+The farm takes an in-memory store only. A model over the host budget
+(:class:`~repro.serve.store.PagedServingStore`) serves inline through the
+same :func:`render_frames`, whose union gather is cut to what the page
+budget holds — :class:`~repro.serve.service.RenderService` rejects the
+combination, since a paged store's point is that no process holds the
+whole model.
 """
 
 from __future__ import annotations
@@ -34,29 +33,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..cameras.camera import Camera
-from ..core.pager import PageFile
-from ..gaussians import layout
 from ..gaussians.model import GaussianModel
-from ..render import (
-    FragmentSource,
-    cull_candidates,
-    frustum_cull,
-    projection,
-    rasterize_fragment_sources,
-    render,
-)
+from ..render import cull_candidates, frustum_cull, render
 from ..pool import attach_shm, get_raster_pool, pack_shm, shm_views
 from ..render.rasterize import RasterConfig
 from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
 from ..telemetry.trace import span as _span
-from .store import InMemoryServingStore, PagedServingStore, ServingStore, _members
+from .store import InMemoryServingStore, ServingStore
 
 __all__ = [
     "FrameTask",
     "RenderFarm",
     "render_frame",
-    "render_frame_sharded",
     "render_frames",
     "visible_ids",
 ]
@@ -227,144 +216,6 @@ def render_frame(
     return render_frames(store, drop_level, [task])[0]
 
 
-class _WorkerPagedStore:
-    """Worker-side read-only view of a published :class:`PagedServingStore`.
-
-    Built from the shared geometric block plus the page specs
-    (:meth:`~repro.serve.store.PagedServingStore.page_paths`): the worker
-    re-opens each shard's non-geometric page read-only on first touch and
-    reads it whole and verified, as the host store does — a corrupt page
-    fails this worker's frame, not the fleet. No packed ``(N, 59)``
-    matrix exists on either side of the fan-out — only per-shard compact
-    slices, exactly like the training-side fragment path.
-    """
-
-    #: the shared cull counts here as on a ``ServingStore`` (task-local:
-    #: a worker's store dies with its frame)
-    rows_projected = 0
-
-    def __init__(self, geo, shard_rows, page_specs):
-        self.geo = geo
-        self.shard_rows = shard_rows
-        self._specs = page_specs
-        self._pages: dict[int, np.ndarray] = {}
-
-    @property
-    def dtype(self):
-        return self.geo.dtype
-
-    def geometry(self):
-        return (
-            self.geo[:, layout.MEAN_SLICE],
-            self.geo[:, layout.SCALE_SLICE],
-            self.geo[:, layout.QUAT_SLICE],
-        )
-
-    def _page(self, k: int) -> np.ndarray:
-        page = self._pages.get(k)
-        if page is None:
-            page = self._pages[k] = PageFile.open(self._specs[k]).read()
-        return page
-
-    def gather_shard(self, k, ids, local):
-        out = np.empty((local.size, layout.PARAM_DIM), dtype=self.dtype)
-        out[:, layout.GEOMETRIC_SLICE] = self.geo[ids]
-        out[:, layout.NON_GEOMETRIC_SLICE] = self._page(k)[local]
-        return out
-
-    def close(self) -> None:
-        self._pages.clear()
-
-
-def render_frame_sharded(
-    store,
-    drop_level: np.ndarray | None,
-    task: FrameTask,
-) -> np.ndarray:
-    """Render one frame shard by shard — the gather-free serving path.
-
-    Same culling and LOD subset as :func:`render_frame` (both call
-    :func:`visible_ids`), but the visible union is never gathered into
-    one packed model: each serve
-    shard contributes only its own compact rows (one page touched at a
-    time), projected into a :class:`~repro.render.fragment.FragmentSource`,
-    and the frame is composited with the fragment transmittance merge.
-    ``store`` is a :class:`~repro.serve.store.PagedServingStore` (inline
-    service) or the farm workers' :class:`_WorkerPagedStore` — both speak
-    ``geometry()`` / ``shard_rows`` / ``gather_shard``. The task config's
-    thresholds/dtype/workers apply; its ``engine`` is moot (this *is* the
-    fragment path). Output matches a joint :func:`render_frame` to
-    compositing-rounding precision (~1e-12) and is bit-identical between
-    the inline and farmed executions.
-    """
-    ids = visible_ids(store, drop_level, task)
-    config = task.config
-    camera = task.camera
-    sources = []
-    for k, rows in enumerate(store.shard_rows):
-        sel, local = _members(ids, rows)
-        if sel.size == 0:
-            continue
-        compact = GaussianModel(store.gather_shard(k, ids[sel], local))
-        proj = projection.project(
-            compact.means, compact.log_scales, compact.quats,
-            compact.opacity_logits, compact.sh, camera,
-            sh_degree=task.sh_degree,
-        )
-        sources.append(
-            FragmentSource(
-                means2d=proj.geom.means2d,
-                conics=proj.geom.conics,
-                colors=proj.colors,
-                opacities=proj.opacities,
-                depths=proj.geom.depths,
-                radii=proj.geom.radii,
-            )
-        )
-    if not sources:
-        dtype = store.dtype
-        background = (
-            np.zeros(3, dtype=dtype)
-            if task.background is None
-            else np.asarray(task.background, dtype=dtype)
-        )
-        image = np.empty((camera.height, camera.width, 3), dtype=dtype)
-        image[:] = background
-        return image
-    return rasterize_fragment_sources(
-        sources, camera.width, camera.height,
-        background=(
-            None
-            if task.background is None
-            else np.asarray(task.background, dtype=store.dtype)
-        ),
-        config=config,
-    ).image
-
-
-def _sharded_frame_task(args):
-    """Pool task: attach the shared geometry, open the pages, render."""
-    shm_name, metas, page_specs, task = args
-    shm = attach_shm(shm_name)
-    views = store = None
-    try:
-        views = shm_views(shm, metas)
-        flat = views["shard_rows_flat"]
-        offsets = views["shard_offsets"]
-        shard_rows = [
-            flat[offsets[k] : offsets[k + 1]]
-            for k in range(offsets.size - 1)
-        ]
-        store = _WorkerPagedStore(views["geo"], shard_rows, page_specs)
-        image = render_frame_sharded(store, views.get("drop_level"), task)
-    finally:
-        if store is not None:
-            store.close()
-        del views, store  # drop buffer views so close() cannot see exports
-        shm.close()
-    return image
-
-
 def _frame_task(args):
     """Pool task: attach the published model, render one frame, detach."""
     shm_name, metas, task = args
@@ -385,31 +236,19 @@ class RenderFarm:
 
     Args:
         workers: worker-process count; ``<= 1`` renders every batch
-            inline (useful as a parity oracle for the pooled path).
-        map_timeout_s: per-batch deadline handed to the supervised
-            pool's :meth:`~repro.pool.PersistentPool.map`
-            (``None`` = the pool's own default).
-        map_retries: worker-death/deadline retry budget per batch
-            (``None`` = the pool's own default).
+            inline (useful as a parity oracle for the pooled path). The
+            pooled map runs under the shared pool's own deadline and
+            retry budget.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        map_timeout_s: float | None = None,
-        map_retries: int | None = None,
-    ):
+    def __init__(self, workers: int):
         if workers < 0:
             raise ValueError("workers must be >= 0")
         self.workers = workers
-        self.map_timeout_s = map_timeout_s
-        self.map_retries = map_retries
         self._shm = None
         self._metas = None
         self._store: ServingStore | None = None
         self._drop_level: np.ndarray | None = None
-        self._sharded = False
-        self._page_specs: list[tuple] | None = None
 
     @property
     def published(self) -> bool:
@@ -438,42 +277,6 @@ class RenderFarm:
                 arrays["drop_level"] = self._drop_level
             self._shm, self._metas = pack_shm(arrays)
 
-    def publish_sharded(
-        self, store: PagedServingStore, drop_level: np.ndarray | None
-    ) -> None:
-        """Publish a paged store without packing the model.
-
-        The shared segment carries only the resident geometric block and
-        the shard row ids (~1/6 of the packed matrix); workers re-open
-        each shard's non-geometric page read-only and verified, so no
-        process — host or worker — ever holds the ``(N, 59)`` union.
-        Frames render through :func:`render_frame_sharded` on both the
-        inline and pooled paths.
-        """
-        self.unpublish()
-        self._store = store
-        self._sharded = True
-        self._drop_level = (
-            None if drop_level is None
-            else np.asarray(drop_level, dtype=np.int16)
-        )
-        if self.workers >= 2:
-            self._page_specs = store.page_paths()
-            arrays = {
-                "geo": store.geo,
-                "shard_rows_flat": (
-                    np.concatenate(store.shard_rows)
-                    if store.shard_rows
-                    else np.empty(0, dtype=np.int64)
-                ),
-                "shard_offsets": np.concatenate(
-                    [[0], np.cumsum([r.size for r in store.shard_rows])]
-                ).astype(np.int64),
-            }
-            if self._drop_level is not None:
-                arrays["drop_level"] = self._drop_level
-            self._shm, self._metas = pack_shm(arrays)
-
     def unpublish(self) -> None:
         """Release the published model's shared segment (idempotent)."""
         if self._shm is not None:
@@ -483,36 +286,16 @@ class RenderFarm:
             self._metas = None
         self._store = None
         self._drop_level = None
-        self._sharded = False
-        self._page_specs = None
 
     def render_batch(self, tasks: list[FrameTask]) -> list[np.ndarray]:
         """Render every task, one worker per frame (inline below 2)."""
         if self._store is None:
             raise RuntimeError("no model published to the farm")
         if self.workers <= 1 or len(tasks) <= 1:
-            if not self._sharded:
-                return render_frames(self._store, self._drop_level, tasks)
-            return [
-                render_frame_sharded(self._store, self._drop_level, task)
-                for task in tasks
-            ]
-        pool = get_raster_pool(self.workers)
-        if self._sharded:
-            return pool.map(
-                _sharded_frame_task,
-                [
-                    (self._shm.name, self._metas, self._page_specs, task)
-                    for task in tasks
-                ],
-                timeout=self.map_timeout_s,
-                retries=self.map_retries,
-            )
-        return pool.map(
+            return render_frames(self._store, self._drop_level, tasks)
+        return get_raster_pool(self.workers).map(
             _frame_task,
             [(self._shm.name, self._metas, task) for task in tasks],
-            timeout=self.map_timeout_s,
-            retries=self.map_retries,
         )
 
     def close(self) -> None:

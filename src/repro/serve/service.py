@@ -93,7 +93,8 @@ class ServeConfig:
     """Overload and fault-handling knobs for a :class:`RenderService`.
 
     The defaults reproduce the unguarded service exactly: no deadline,
-    no admission limit, the pool's own supervision defaults.
+    no admission limit. The farm's pool map runs under the shared pool's
+    own deadline and retry budget.
 
     Attributes:
         deadline_s: per-request freshness budget. A request that has
@@ -102,17 +103,11 @@ class ServeConfig:
             disables the check).
         max_frames_per_tick: admission limit on *unique rendered frames*
             per tick (cache hits are free and never count). Overflow is
-            first degraded to coarser LODs (see below), then rejected
-            with reason ``overload`` (``None`` = unlimited).
-        degrade_before_reject: when the unique-miss count exceeds the
-            admission limit, bump pending misses one LOD coarser at a
-            time — coarser frames cost less and re-key onto warmer cache
-            entries — and only reject what still exceeds the limit at
-            the coarsest level. ``False`` rejects immediately.
-        map_timeout_s: per-batch deadline for the render farm's
-            supervised pool map (``None`` = the pool's default).
-        map_retries: worker-death/deadline retry budget per farm batch
-            (``None`` = the pool's default).
+            first degraded — pending misses bumped one LOD coarser at a
+            time; coarser frames cost less and re-key onto warmer cache
+            entries — and only what still exceeds the limit at the
+            coarsest level is rejected with reason ``overload``
+            (``None`` = unlimited).
         telemetry: record measured spans and latency histograms through
             :mod:`repro.telemetry` (installs the process-wide tracer at
             service construction; tick/request lifecycles, serve
@@ -121,9 +116,6 @@ class ServeConfig:
 
     deadline_s: float | None = None
     max_frames_per_tick: int | None = None
-    degrade_before_reject: bool = True
-    map_timeout_s: float | None = None
-    map_retries: int | None = None
     telemetry: bool = False
 
     def __post_init__(self):
@@ -134,10 +126,6 @@ class ServeConfig:
             and self.max_frames_per_tick < 1
         ):
             raise ValueError("max_frames_per_tick must be >= 1 (or None)")
-        if self.map_timeout_s is not None and self.map_timeout_s <= 0:
-            raise ValueError("map_timeout_s must be positive (or None)")
-        if self.map_retries is not None and self.map_retries < 0:
-            raise ValueError("map_retries must be >= 0 (or None)")
 
 
 @dataclass(frozen=True)
@@ -338,15 +326,7 @@ class RenderService:
         self.model_version = 0
         self.stats = ServeStats()
         self._queue: list[tuple[RenderRequest, float]] = []
-        self._farm = (
-            RenderFarm(
-                workers,
-                map_timeout_s=self.serve_config.map_timeout_s,
-                map_retries=self.serve_config.map_retries,
-            )
-            if workers >= 2
-            else None
-        )
+        self._farm = RenderFarm(workers) if workers >= 2 else None
         self._publish()
 
     # -- model lifecycle ---------------------------------------------------
@@ -448,17 +428,17 @@ class RenderService:
     def _admit(self, plan: list[_PlanEntry], num_levels: int) -> None:
         """Fit the pending misses into the tick's admission budget.
 
-        Degradation first (when enabled): bump every pending miss one
-        LOD coarser per round — coarser levels are cheaper *and* re-key
-        onto cache entries earlier requests already warmed — until the
-        unique-miss count fits or everything sits at the coarsest level.
+        Degradation first: bump every pending miss one LOD coarser per
+        round — coarser levels are cheaper *and* re-key onto cache
+        entries earlier requests already warmed — until the unique-miss
+        count fits or everything sits at the coarsest level.
         Whatever still exceeds the budget is rejected with ``overload``,
         keeping the first admitted keys in submission order.
         """
         budget = self.serve_config.max_frames_per_tick
         if budget is None:
             return
-        if self.serve_config.degrade_before_reject and num_levels > 1:
+        if num_levels > 1:
             while len(self._miss_keys(plan)) > budget:
                 bumped = False
                 for e in plan:

@@ -527,33 +527,6 @@ class PagedServingStore(ServingStore):
             out[sel, layout.NON_GEOMETRIC_SLICE] = shard.values[local]
         return out
 
-    def gather_shard(
-        self, k: int, ids: np.ndarray, local: np.ndarray
-    ) -> np.ndarray:
-        """Packed rows of shard ``k``'s members only.
-
-        ``ids`` are the members' global row ids and ``local`` their
-        shard-local rows (a :func:`_members` pair). Exactly one page is
-        touched, so the per-shard serving path
-        (:func:`repro.serve.farm.render_frame_sharded`) holds at most one
-        shard's compact rows at a time instead of the visible union.
-        """
-        out = np.empty((local.size, layout.PARAM_DIM), dtype=self.dtype)
-        out[:, layout.GEOMETRIC_SLICE] = self.geo[ids]
-        shard = self.shards[k]
-        self.rows_gathered += local.size
-        self.shards_touched += 1
-        shard.page_in()
-        out[:, layout.NON_GEOMETRIC_SLICE] = shard.values[local]
-        return out
-
-    def page_paths(self) -> list[tuple]:
-        """One :meth:`~repro.core.pager.PageFile.spec` per shard. The
-        render farm's sharded publish hands these to its workers, which
-        re-open the pages read-only and verify them as this store does,
-        instead of receiving a packed copy of the model."""
-        return [shard.page.spec() for shard in self.shards]
-
     def close(self) -> None:
         for shard in self.shards:
             shard.spill()

@@ -8,11 +8,10 @@ package *measures* it. Four pieces:
   begin/end, worker-process span shipping, near-zero when disabled.
 * :mod:`~repro.telemetry.metrics` — unified counters / gauges /
   p50-p95-p99 histograms plus adapters mirroring the legacy
-  ``TransferLedger`` / ``MemoryTracker`` / pool-fault / ``ServeStats``
-  counters into one registry.
+  pool-fault / ``ServeStats`` counters into one registry.
 * :mod:`~repro.telemetry.export` — Chrome trace-event JSON in the same
   schema as ``sim/trace.py`` (measured pid 2 next to modeled pid 1),
-  Prometheus text exposition, JSON metric dumps.
+  Prometheus text exposition.
 * :mod:`~repro.telemetry.compare` — measured-vs-modeled per-phase
   deltas against ``sim/timeline.py`` breakdowns (CLI:
   ``tools/compare_trace.py``).
@@ -29,7 +28,6 @@ from .export import (
     to_chrome_trace,
     to_prometheus,
     write_chrome_trace,
-    write_metrics_json,
     write_prometheus,
 )
 from .metrics import (
@@ -82,6 +80,5 @@ __all__ = [
     "trace",
     "uninstall",
     "write_chrome_trace",
-    "write_metrics_json",
     "write_prometheus",
 ]

@@ -1,4 +1,4 @@
-"""Exporters: measured Chrome traces, Prometheus text, JSON dumps.
+"""Exporters: measured Chrome traces and Prometheus text.
 
 The Chrome exporter emits the same trace-event schema as
 :func:`repro.sim.trace.to_chrome_trace` — ``ph:"X"`` duration events
@@ -29,11 +29,9 @@ from .trace import Tracer
 __all__ = [
     "MEASURED_PID",
     "merge_traces",
-    "registry_to_json",
     "to_chrome_trace",
     "to_prometheus",
     "write_chrome_trace",
-    "write_metrics_json",
     "write_prometheus",
 ]
 
@@ -200,15 +198,3 @@ def write_prometheus(registry: MetricsRegistry, path) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return text
-
-
-def registry_to_json(registry: MetricsRegistry) -> dict:
-    """JSON-ready dict dump of the registry (same data as Prometheus)."""
-    return registry.snapshot()
-
-
-def write_metrics_json(registry: MetricsRegistry, path) -> dict:
-    doc = registry_to_json(registry)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-    return doc

@@ -5,8 +5,7 @@ byte counters, ``MemoryTracker`` peaks, ``PersistentPool`` fault
 counters, ``ServeStats`` — each with its own ad-hoc aggregation loop.
 This module gives them one home: a :class:`MetricsRegistry` of named
 :class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments with
-optional labels, plus *adapters* (:func:`mirror_ledger`,
-:func:`mirror_memory`, :func:`mirror_pool_faults`,
+optional labels, plus *adapters* (:func:`mirror_pool_faults`,
 :func:`mirror_serve_stats`) that copy the legacy counters into the
 registry at snapshot time instead of duplicating their bookkeeping.
 The legacy objects stay the source of truth; the registry is the export
@@ -31,9 +30,6 @@ __all__ = [
     "MetricsRegistry",
     "aggregate_counts",
     "get_registry",
-    "ledger_counts",
-    "mirror_ledger",
-    "mirror_memory",
     "mirror_pool_faults",
     "mirror_serve_stats",
     "record_isects",
@@ -294,34 +290,6 @@ def record_isects(span, raster) -> None:
 # ---------------------------------------------------------------------------
 # adapters: mirror the legacy counter objects into the registry
 # ---------------------------------------------------------------------------
-
-def ledger_counts(ledger) -> dict:
-    """A ``TransferLedger``'s counter fields as a plain dict.
-
-    Works on anything exposing the ledger counter attributes; the
-    shard-report rollup and :func:`mirror_ledger` both read this instead
-    of re-listing the fields.
-    """
-    return ledger.counts()
-
-
-def mirror_ledger(registry: MetricsRegistry, ledger, prefix: str = "train",
-                  **labels) -> dict:
-    """Mirror a ``TransferLedger`` into gauges; returns the counts."""
-    counts = ledger_counts(ledger)
-    for key, value in counts.items():
-        registry.gauge(f"{prefix}/ledger/{key}", **labels).set(value)
-    return counts
-
-
-def mirror_memory(registry: MetricsRegistry, tracker, prefix: str = "train",
-                  **labels) -> None:
-    """Mirror a ``MemoryTracker``'s live/peak bytes into gauges."""
-    registry.gauge(f"{prefix}/memory/live_bytes", **labels).set(
-        tracker.live_bytes)
-    registry.gauge(f"{prefix}/memory/peak_bytes", **labels).set(
-        tracker.peak_bytes)
-
 
 def mirror_pool_faults(registry: MetricsRegistry, stats: dict,
                        prefix: str = "pool", **labels) -> dict:

@@ -103,12 +103,3 @@ class TestTrajectories:
         assert len(cams) == 12
         for cam in cams:
             assert cam.center[2] == pytest.approx(5.0)
-
-    def test_random_views_altitude_floor(self):
-        rng = np.random.default_rng(0)
-        cams = trajectories.random_views(
-            [0, 0, 0], (3.0, 6.0), 20, rng, min_altitude=1.0
-        )
-        assert len(cams) == 20
-        for cam in cams:
-            assert cam.center[2] >= 1.0 - 1e-9

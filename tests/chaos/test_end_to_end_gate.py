@@ -20,12 +20,9 @@ from repro.core import GSScaleConfig, create_system
 from repro.core.checkpoint import resume_model, validate_checkpoint
 from repro.datasets import SyntheticSceneConfig, build_scene
 from repro.faults import Fault, FaultPlan, FileFault, active_plan
+from repro.pool import raster_pool_fault_stats, shutdown_raster_pools
 from repro.recon import CleanConfig, PatchPipelineConfig, run_patch_pipeline
 from repro.render import RasterConfig
-from repro.render.parallel import (
-    raster_pool_fault_stats,
-    shutdown_raster_pools,
-)
 from repro.serve import (
     LODSet,
     RenderRequest,

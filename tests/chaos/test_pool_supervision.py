@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.faults import Fault, FaultPlan, active_plan
-from repro.render.parallel import (
+from repro.pool import (
     PersistentPool,
     PoolFaultError,
     get_raster_pool,

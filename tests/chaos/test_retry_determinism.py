@@ -13,16 +13,15 @@ import numpy as np
 import pytest
 
 from repro.faults import Fault, FaultPlan, active_plan
+from repro.pool import raster_pool_fault_stats, shutdown_raster_pools
 from repro.render import RasterConfig
 from repro.render.fragment import (
     rasterize_backward_fragment,
     rasterize_fragment,
 )
 from repro.render.parallel import (
-    raster_pool_fault_stats,
     rasterize_backward_parallel,
     rasterize_parallel,
-    shutdown_raster_pools,
 )
 
 GRAD_FIELDS = ("means2d", "conics", "colors", "opacities", "mean2d_abs")

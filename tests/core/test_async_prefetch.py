@@ -77,7 +77,7 @@ def run_hinted(model, cameras, images, async_prefetch, steps=8, **cfg):
     losses = []
     for i in range(steps):
         if i + 1 < steps:
-            s.hint_next_view(cameras[(i + 1) % len(cameras)])
+            s.hint_upcoming_views([cameras[(i + 1) % len(cameras)]])
         losses.append(s.step(cameras[i % len(cameras)], images[i % len(cameras)]).loss)
     s.finalize()
     return s, losses
@@ -178,7 +178,7 @@ class TestOverlapActuallyHits:
         asyn, _ = run_hinted(model, cameras, images, True)
         assert asyn._prefetcher is None
         # post-finalize hints are harmless no-ops
-        asyn.hint_next_view(cameras[0])
+        asyn.hint_upcoming_views([cameras[0]])
 
 
 class TestPreloadAdoptProtocol:

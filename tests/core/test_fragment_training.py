@@ -15,8 +15,8 @@ import pytest
 
 from repro.core import GSScaleConfig, create_system
 from repro.datasets import SyntheticSceneConfig, build_scene
+from repro.pool import shutdown_raster_pools
 from repro.render import RasterConfig
-from repro.render.parallel import shutdown_raster_pools
 
 
 @pytest.fixture(scope="module", autouse=True)

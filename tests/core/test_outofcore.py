@@ -266,16 +266,30 @@ class TestCheckpointAndTrainer:
             max_gaussians=scene.initial.num_gaussians + 80,
         )
         trainer = Trainer(scene.initial.copy(), cfg, densify=densify)
+        system = trainer.system
+        before_rebuild = []
+        rebuild = system.rebuild
+
+        def recording_rebuild(model):
+            before_rebuild.append(system.ledger.counts())
+            rebuild(model)
+
+        system.rebuild = recording_rebuild
         hist = trainer.train(scene.train_cameras, scene.train_images, 12)
         assert hist.num_iterations == 12
         assert len(hist.densify_reports) >= 1
         assert np.isfinite(hist.final_loss)
-        system = trainer.system
-        # densification rebuilds reset the ledger; step twice more so the
-        # post-rebuild system shows live page traffic
-        for i in range(2):
-            system.step(scene.train_cameras[i], scene.train_images[i])
+        # a rebuild replaces the ledger; the run's counts on both
+        # channels (PCIe and disk) are carried across it, the last
+        # rebuild (after the final step) included
+        assert system.ledger.page_in_count > 0
+        assert system.ledger.page_in_bytes > 0
         assert system.ledger.page_out_bytes > 0
+        assert before_rebuild
+        snapshots = before_rebuild + [system.ledger.counts()]
+        for earlier, later in zip(snapshots, snapshots[1:]):
+            for name, value in earlier.items():
+                assert later[name] >= value, name
         # post-rebuild shards are near-equal; the budget still caps live
         # host state at the worst shard + counters
         worst = max(

@@ -50,9 +50,9 @@ class TestShDegreeRamp:
             sh_degree=3, sh_degree_interval=100, mem_limit=1.0, seed=0,
         )
         s = create_system(scene.initial.copy(), cfg)
-        before = s.params.copy()
+        before = s.store.params.copy()
         s.step(scene.train_cameras[0], scene.train_images[0])
-        sh_cols = s.params[:, layout.SH_SLICE].reshape(-1, 16, 3)
+        sh_cols = s.store.params[:, layout.SH_SLICE].reshape(-1, 16, 3)
         before_sh = before[:, layout.SH_SLICE].reshape(-1, 16, 3)
         # DC moved, higher bands untouched
         assert np.any(sh_cols[:, 0, :] != before_sh[:, 0, :])

@@ -93,16 +93,19 @@ class TestSplitTrainingEquivalence:
             np.testing.assert_array_equal(rw.valid_ids, rs.valid_ids)
             # aggregated gradients pending on the host must agree
             np.testing.assert_allclose(
-                whole._pending_grads, split._pending_grads,
+                whole._host_store._pending_grads,
+                split._host_store._pending_grads,
                 rtol=1e-9, atol=1e-15,
             )
             # re-synchronize state so every step starts from bit-identical
             # inputs (float associativity across region sums would
             # otherwise compound through raster thresholds)
-            split.device_geo[...] = whole.device_geo
-            split.geo_optimizer.m[...] = whole.geo_optimizer.m
-            split.geo_optimizer.v[...] = whole.geo_optimizer.v
-            split._pending_grads = whole._pending_grads.copy()
+            split._geo_store.params[...] = whole._geo_store.params
+            split._geo_store.optimizer.m[...] = whole._geo_store.optimizer.m
+            split._geo_store.optimizer.v[...] = whole._geo_store.optimizer.v
+            split._host_store._pending_grads = (
+                whole._host_store._pending_grads.copy()
+            )
 
     def test_split_multi_step_statistically_identical(self, scene):
         """Free-running split vs unsplit training: trajectories may drift

@@ -34,10 +34,6 @@ class TestSchedule:
         assert c.should_run(50)
         assert not c.should_run(110)     # after stop
 
-    def test_maybe_run_none_off_schedule(self):
-        c = controller(5)
-        assert c.maybe_run(make_model(5), 7, scene_extent=1.0) is None
-
 
 class TestClone:
     def test_small_high_grad_gaussians_cloned(self):

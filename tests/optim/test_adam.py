@@ -134,3 +134,28 @@ class TestDenseAdam:
             DenseAdam(np.zeros(5))
         with pytest.raises(ValueError):
             AdamConfig(lr=np.zeros(3)).lr_vector(2)
+
+
+class TestLrSchedule:
+    def test_packed_lr_vector_layout(self):
+        from repro.gaussians import layout
+        from repro.optim import packed_lr_vector
+
+        lr = packed_lr_vector(scene_extent=2.0)
+        assert lr.shape == (59,)
+        np.testing.assert_allclose(lr[layout.MEAN_SLICE], 1.6e-4 * 2.0)
+        np.testing.assert_allclose(lr[layout.OPACITY_SLICE], 5e-2)
+        # DC SH at full rate, higher bands divided by 20
+        sh = lr[layout.SH_SLICE]
+        np.testing.assert_allclose(sh[:3], 2.5e-3)
+        np.testing.assert_allclose(sh[3:], 2.5e-3 / 20)
+
+    def test_exponential_decay_endpoints(self):
+        from repro.optim import exponential_decay
+
+        assert exponential_decay(0, 100, 1e-2, 1e-4) == pytest.approx(1e-2)
+        assert exponential_decay(100, 100, 1e-2, 1e-4) == pytest.approx(1e-4)
+        mid = exponential_decay(50, 100, 1e-2, 1e-4)
+        assert mid == pytest.approx(1e-3, rel=1e-6)  # log-linear midpoint
+        with pytest.raises(ValueError):
+            exponential_decay(1, 0, 1e-2, 1e-4)

@@ -64,7 +64,7 @@ def pipeline(scene, tmp_path_factory):
 def monolithic(scene):
     trainer = Trainer(scene.initial.copy(), TRAIN)
     trainer.train(scene.train_cameras, scene.train_images, ITERATIONS)
-    return GaussianModel(np.asarray(trainer.system.params).copy())
+    return GaussianModel(np.asarray(trainer.system.store.params).copy())
 
 
 class TestEndToEnd:

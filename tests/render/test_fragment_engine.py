@@ -12,6 +12,7 @@ render of the union.
 import numpy as np
 import pytest
 
+from repro.pool import shutdown_raster_pools
 from repro.render import RasterConfig
 from repro.render.engine import (
     rasterize_backward_vectorized,
@@ -24,7 +25,6 @@ from repro.render.fragment import (
     rasterize_fragment,
     rasterize_fragment_sources,
 )
-from repro.render.parallel import shutdown_raster_pools
 
 from test_engine_equivalence import make_splats
 

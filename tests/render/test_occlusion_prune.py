@@ -19,6 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.pool import shutdown_raster_pools
 from repro.render import RasterConfig, engine, render
 from repro.render.backward import rasterize_backward
 from repro.render.engine import (
@@ -31,7 +32,6 @@ from repro.render.engine import (
     rasterize_vectorized,
     tile_intersections,
 )
-from repro.render.parallel import shutdown_raster_pools
 from repro.render.rasterize import config_bboxes, rasterize
 
 from test_engine_equivalence import make_splats

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import GSScaleConfig, create_system
 from repro.datasets import SyntheticSceneConfig, build_scene
+from repro.pool import PersistentPool, shutdown_raster_pools
 from repro.render import RasterConfig
 from repro.render.engine import (
     clip_isect_rects,
@@ -22,10 +23,8 @@ from repro.render.engine import (
     tile_intersections,
 )
 from repro.render.parallel import (
-    PersistentPool,
     rasterize_backward_parallel,
     rasterize_parallel,
-    shutdown_raster_pools,
 )
 from repro.render.rasterize import splat_bboxes
 from repro.render.tiles import partition_spans

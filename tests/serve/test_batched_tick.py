@@ -188,16 +188,13 @@ class TestLevelSubsetCull:
     def test_every_serving_path_culls_to_the_filtered_whole_model_set(
         self, model, monkeypatch
     ):
-        """Inline batch, single frame and the shard-by-shard path (host
-        store and the farm workers' view of it) all go through the one
-        cull, and on every level it names the whole-model set."""
+        """Inline batch and single frame, on either placement, all go
+        through the one cull, and on every level it names the
+        whole-model set."""
         lod_set = LODSet.build(model.params)
         drop = lod_set.drop_level
         memory = InMemoryServingStore.from_model(model)
         store = paged(model, 3, codec="raw")
-        worker = farm._WorkerPagedStore(
-            store.geo, store.shard_rows, store.page_paths()
-        )
         seen = []
         real = farm._cull_frame
 
@@ -211,8 +208,6 @@ class TestLevelSubsetCull:
             (memory, lambda task: render_frames(memory, drop, [task])),
             (store, lambda task: render_frames(store, drop, [task])),
             (store, lambda task: render_frame(store, drop, task)),
-            (store, lambda task: farm.render_frame_sharded(store, drop, task)),
-            (worker, lambda task: farm.render_frame_sharded(worker, drop, task)),
         ]
         try:
             for camera in cameras(9, 2):
@@ -229,7 +224,6 @@ class TestLevelSubsetCull:
                         assert np.array_equal(ids, want)
                         assert placed.rows_projected - before == projected
         finally:
-            worker.close()
             store.close()
 
     def test_sparse_view_projects_few_rows_never_fewer_than_visible(

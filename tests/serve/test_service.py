@@ -240,6 +240,44 @@ class TestHotSwap:
         service.close()
 
 
+def _paged(model):
+    n = model.num_gaussians
+    budget = layout.param_bytes(n, layout.GEOMETRIC_DIM) + (
+        layout.param_bytes(-(-n // 4), layout.NON_GEOMETRIC_DIM)
+    )
+    return PagedServingStore.from_model(model, budget, num_shards=4)
+
+
+class TestFarmNeedsAnInMemoryStore:
+    """A paged store's point is that no process holds the whole model;
+    the farm publishes the whole model. The two never meet."""
+
+    def test_paged_store_with_workers_is_rejected(self, scene):
+        store = _paged(scene.oracle)
+        with pytest.raises(ValueError, match="needs an in-memory store"):
+            RenderService(store, workers=2)
+        store.close()
+
+    def test_swap_to_paged_store_on_a_farmed_service_changes_nothing(
+        self, scene
+    ):
+        service = RenderService(scene.oracle, workers=2)
+        served = service.serve(requests_from_cameras(scene.train_cameras[:1]))
+        old, version = service.store, service.model_version
+        paged = _paged(scene.initial)
+        with pytest.raises(ValueError, match="cannot hot-swap a paged store"):
+            service.swap_model(paged)
+        assert service.store is old
+        assert service.model_version == version
+        assert service.stats.model_swaps == 0
+        assert len(service.cache) == 1
+        again = service.serve(requests_from_cameras(scene.train_cameras[:1]))
+        assert again[0].cache_hit
+        assert np.array_equal(again[0].image, served[0].image)
+        paged.close()
+        service.close()
+
+
 class TestResponseIntegrity:
     def test_render_returns_the_submitted_request(self, scene):
         """render() must answer *its* request, not the oldest queued one."""

@@ -136,10 +136,8 @@ class TestPagedStore:
             model, tight_budget(model.num_gaussians),
             page_dir=str(tmp_path / "pages"),
         )
-        # one file per shard, nothing beside it: sealing a raw page
-        # records its CRC in the page spec the farm hands its workers
+        # one file per shard, nothing beside it
         assert len(os.listdir(tmp_path / "pages")) == len(paged.shards)
-        assert all(spec[-1] is not None for spec in paged.page_paths())
         paged.close()
 
 

@@ -118,15 +118,6 @@ class TestPrometheus:
         assert 'lat{quantile="0.5"} NaN' in text
         assert "lat_count 0" in text
 
-    def test_json_dump_matches_snapshot(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.counter("n").inc(2)
-        path = tmp_path / "metrics.json"
-        doc = export.write_metrics_json(reg, path)
-        with open(path, encoding="utf-8") as fh:
-            assert json.load(fh) == doc
-        assert doc == reg.snapshot()
-
     def test_write_prometheus_round_trip(self, tmp_path):
         reg = MetricsRegistry()
         reg.gauge("x").set(1.5)

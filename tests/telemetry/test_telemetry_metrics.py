@@ -9,8 +9,6 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
     aggregate_counts,
-    ledger_counts,
-    mirror_ledger,
     mirror_pool_faults,
     mirror_serve_stats,
 )
@@ -98,18 +96,10 @@ class TestLegacyAdapters:
         ledger.h2d_bytes = 1234
         ledger.page_in_count = 7
         ledger.page_out_disk_bytes = 99
-        counts = ledger_counts(ledger)
-        assert counts == ledger.counts()
+        counts = ledger.counts()
+        assert "parent" not in counts
         for key, value in counts.items():
             assert value == getattr(ledger, key)
-
-    def test_mirror_ledger_gauges(self):
-        reg = MetricsRegistry()
-        ledger = TransferLedger()
-        ledger.d2h_bytes = 4096
-        mirror_ledger(reg, ledger, prefix="train")
-        for key, value in ledger.counts().items():
-            assert reg.gauge(f"train/ledger/{key}").value == value
 
     def test_mirror_pool_faults(self):
         reg = MetricsRegistry()

@@ -21,10 +21,10 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro.pool import shutdown_raster_pools
 from repro.render import RasterConfig
 from repro.render.engine import get_backward, get_forward
 from repro.render.fragment import FragmentSource, rasterize_fragment_sources
-from repro.render.parallel import shutdown_raster_pools
 
 GRADS = ("means2d", "conics", "colors", "opacities", "mean2d_abs")
 BG = np.array([0.2, 0.5, 0.8])

@@ -16,8 +16,7 @@ parameters, the Adam moments and the defer counters, then the ledger
 counts and tracker peaks as numbers, then the sha256 of every page file
 (named, after a final spill of every shard so the files hold the final
 state whatever the write-behind timing was). Per serving column: a full
-``gather``, one joint frame, one shard-by-shard frame inline and one
-through ``publish_sharded`` at ``workers=2``, the page files, the ledger.
+``gather``, one frame, the page files, the ledger.
 
 A change to the pager, the stores or the serving tier that is meant to
 keep numerics and bytes must leave every line equal to the parent
@@ -26,10 +25,10 @@ promises *between* columns: placement never changes numerics (``sharded``
 == every ``raw`` / ``lossless`` ``outofcore`` column), the async leg
 moves the read and never the traffic (``sync`` == ``async1`` on every
 ledger count and tracker peak, under every codec; depth 2 keeps upcoming
-shards resident, so only its PCIe counts are pinned), a lossless page is
-pure placement (``raw`` == ``lossless`` gathers and frames), and a farmed
-frame is the inline frame. Uses only names both sides of a diff have;
-``.crc`` sidecars of older checkouts are ignored.
+shards resident, so only its PCIe counts are pinned) and a lossless page
+is pure placement (``raw`` == ``lossless`` gathers and frames). Uses only
+names both sides of a diff have; ``.crc`` sidecars of older checkouts are
+ignored.
 """
 
 import argparse
@@ -50,7 +49,7 @@ from repro.datasets import SyntheticSceneConfig, build_scene
 from repro.densify import DensifyConfig
 from repro.gaussians import layout
 from repro.render import RasterConfig, shutdown_raster_pools
-from repro.serve import FrameTask, PagedServingStore, RenderFarm
+from repro.serve import FrameTask, PagedServingStore
 from repro.serve.farm import render_frame
 
 CODECS = ("raw", "lossless", "float16")
@@ -146,12 +145,6 @@ def serve_column(scene, tmp: str, codec: str, checkpoint: str) -> dict:
     row = {"pages": page_files(page_dir)}
     row["gather"] = sha(store.gather(np.arange(store.num_rows)))
     row["frame"] = sha(render_frame(store, None, task))
-    for label, workers in (("inline", 0), ("farmed", 2)):
-        with RenderFarm(workers=workers) as farm:
-            farm.publish_sharded(store, None)
-            first, second = farm.render_batch([task, task])
-            assert np.array_equal(first, second)
-            row[label] = sha(first)
     row["ledger"] = dict(store.ledger.counts())
     row["host_peak"] = store.host_memory.peak_bytes
     store.close()
@@ -219,10 +212,8 @@ def check(table: dict[str, dict]) -> list[str]:
         deep = table[f"outofcore-{codec}-async2wb"]["ledger"]
         if any(deep[k] != table[sync]["ledger"][k] for k in pcie):
             failures.append(f"PCIe traffic: {sync} != async2wb")
-        if table[f"serve-{codec}"]["inline"] != table[f"serve-{codec}"]["farmed"]:
-            failures.append(f"serve-{codec}: farmed frame != inline frame")
     same("a lossless page is pure placement", "serve-raw", "serve-lossless",
-         ("gather", "frame", "inline", "farmed"))
+         ("gather", "frame"))
     return failures
 
 
