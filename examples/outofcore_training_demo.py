@@ -146,7 +146,7 @@ def main():
     print("\nPer-shard page traffic (disk channel of the ledger):")
     print("  shard  gaussians  resident  page-in MB  page-out MB")
     for r in ooc.shard_reports():
-        resident = ooc._nongeo_store(r.shard).is_resident
+        resident = ooc.shard_host_stores[r.shard].is_resident
         print(
             f"  {r.shard:>5}  {r.num_gaussians:>9}  {str(resident):>8}  "
             f"{r.page_in_bytes / 1e6:>10.3f}  {r.page_out_bytes / 1e6:>11.3f}"

@@ -74,7 +74,7 @@ def main():
           f"sharded GS-Scale (engine={args.engine}) ...")
     single = train(scene, "gsscale")
     sharded = train(scene, "sharded", engine=args.engine,
-                    num_shards=NUM_SHARDS, shard_workers=0)
+                    num_shards=NUM_SHARDS)
 
     drift = np.max(np.abs(
         single.materialized_model().params

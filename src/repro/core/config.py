@@ -52,8 +52,8 @@ class GSScaleConfig:
             caps the *aggregate* across shards.
         num_shards: shard count of the ``sharded`` system (spatial
             partition of the Gaussian set; ignored by the other systems).
-        shard_workers: >1 fans the sharded system's per-shard culling out
-            over a multiprocessing pool of this size; 0/1 stays serial.
+            The per-shard cull runs serially inside the store; the only
+            process fan-out is ``raster.workers``.
         shard_device_capacity_bytes: optional per-shard device capacity
             (each shard's MemoryTracker raises MemoryError past it).
         spill_dir: directory of the ``outofcore`` system's page files
@@ -122,7 +122,6 @@ class GSScaleConfig:
     eps: float = 1e-15
     device_capacity_bytes: int | None = None
     num_shards: int = 4
-    shard_workers: int = 0
     shard_device_capacity_bytes: int | None = None
     spill_dir: str | None = None
     resident_shards: int = 1
@@ -145,8 +144,6 @@ class GSScaleConfig:
             raise ValueError("mem_limit must be in (0, 1]")
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if self.shard_workers < 0:
-            raise ValueError("shard_workers must be >= 0")
         if self.resident_shards < 1:
             raise ValueError("resident_shards must be >= 1")
         # fail here, not on the first spill deep inside a training run

@@ -135,6 +135,20 @@ def spatial_partition(means: np.ndarray, num_shards: int) -> list[np.ndarray]:
     return [ids for ids, _, _ in spatial_partition_bounds(means, num_shards)]
 
 
+def members(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(sel, local)``: positions within ``ids`` of the members of a shard
+    whose sorted global row ids are ``rows``, and their shard-local row
+    indices."""
+    if rows.size == 0 or ids.size == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    pos = np.searchsorted(rows, ids)
+    pos = np.clip(pos, 0, rows.size - 1)
+    hit = rows[pos] == ids
+    sel = np.nonzero(hit)[0]
+    return sel, pos[sel]
+
+
 def spatial_partition_bounds(
     means: np.ndarray, num_shards: int
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:

@@ -22,7 +22,11 @@ A training step drives a store through four explicit operations::
     store.return_grads(ids, grads)   # hand this step's gradients over
 
 plus ``materialize()`` for the mathematically current values and ``flush()``
-to settle all lazy state. The four placements:
+to settle all lazy state. Two more questions are answered by the store
+tree itself, so a system never reaches inside its composition:
+``visible(camera)`` — which rows a view touches, culled where the
+geometric columns live — and ``leaves()`` — the leaf placements the tree is
+made of, named as a checkpoint names them. The placements:
 
 * :class:`DeviceStore` — rows resident on the device; gradients applied
   immediately; no PCIe traffic (the GPU-only system, and the geometric
@@ -43,6 +47,8 @@ to settle all lazy state. The four placements:
 * :class:`HybridStore` — composition of child stores over disjoint column
   blocks presenting one packed surface (GS-Scale's device-geometric +
   host-non-geometric split; also each shard of the sharded system).
+* :class:`ShardedStore` — composition of stores over disjoint row sets
+  (a spatial partition: one store, tracker and ledger per shard).
 """
 
 from __future__ import annotations
@@ -51,19 +57,24 @@ import os
 import threading
 import time
 from abc import ABC, abstractmethod
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
+from ..cameras.camera import Camera
 from ..gaussians import layout
 from ..gaussians.layout import ColumnBlock
 from ..optim.adam import DenseAdam
 from ..optim.base import AdamConfig, SparseOptimizer, ascending
 from ..optim.deferred import DeferredAdam
+from ..render import CullResult, frustum_cull
 from ..sim.memory import MemoryTracker
 from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
 from .pager import PageFile, PreloadedShard, ResidentSet, _WriteBehindWriter
 from .pagecodec import get_page_codec
+from .splitting import members
 
 _F32 = 4  # accounting is in float32-equivalent bytes
 _PAGED_FIELDS = ("params", "m", "v")  # the state a DiskStore spills
@@ -153,8 +164,27 @@ class ParameterStore(ABC):
             f"store over block {self.block.name!r} holds no resident rows"
         )
 
+    def visible(self, camera: Camera) -> CullResult:
+        """The rows ``camera`` sees: a frustum cull over the resident
+        geometric columns, ids in this store's row space (ascending)."""
+        return frustum_cull(*self.geometry(), camera)
+
+    def leaves(
+        self, prefix: str = "", rows: np.ndarray | None = None
+    ) -> Iterator[tuple[str, "ParameterStore", np.ndarray | None]]:
+        """``(prefix, leaf store, global row ids or None)`` for every leaf
+        placement under this store, in drive order.
+
+        ``prefix`` is the leaf's checkpoint key prefix (a file-format
+        boundary: ``""``; ``geo`` / ``host``; ``shard{k}_geo`` /
+        ``shard{k}_host``); ``rows`` maps the leaf's rows into the root's
+        row space (``None``: the identity).
+        """
+        yield prefix, self, rows
+
     def state_dict(self) -> dict[str, np.ndarray]:
-        """Optimizer + parameter state for checkpointing."""
+        """Optimizer + parameter state for checkpointing (leaf stores
+        only: a composite's state is that of its :meth:`leaves`)."""
         raise NotImplementedError
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
@@ -815,6 +845,10 @@ class HybridStore(ParameterStore):
     ordering).
     """
 
+    #: checkpoint name of the child owning a block (file-format boundary:
+    #: the ``geo_*`` / ``host_*`` keys every written checkpoint carries)
+    _LEAF_NAMES = {"geometric": "geo", "non_geometric": "host"}
+
     def __init__(self, children: list[ParameterStore]):
         if not children:
             raise ValueError("HybridStore needs at least one child store")
@@ -889,27 +923,31 @@ class HybridStore(ParameterStore):
         for child in self.children:
             child.set_lr(lr_packed)
 
-    def geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def visible(self, camera: Camera) -> CullResult:
         for child in self.children:
-            if child.block.contains(layout.MEAN_SLICE):
-                return child.geometry()
+            if child.block.contains(layout.GEOMETRIC_BLOCK.sl):
+                return child.visible(camera)
         raise NotImplementedError("no child owns the geometric columns")
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {
-            f"{child.block.name}/{key}": value
-            for child in self.children
-            for key, value in child.state_dict().items()
-        }
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+    def leaves(self, prefix: str = "", rows: np.ndarray | None = None):
+        sep = "_" if prefix else ""
         for child in self.children:
-            prefix = f"{child.block.name}/"
-            child.load_state_dict({
-                key[len(prefix):]: value
-                for key, value in state.items()
-                if key.startswith(prefix)
-            })
+            name = self._LEAF_NAMES.get(child.block.name, child.block.name)
+            yield from child.leaves(f"{prefix}{sep}{name}", rows)
+
+
+@dataclass(frozen=True)
+class ShardedCullResult(CullResult):
+    """A :class:`ShardedStore` cull: the union over the shards plus
+    ``shard_visible``, each shard's own visible count — per-view shard
+    activation read off the cull that was run anyway."""
+
+    shard_visible: tuple[int, ...]
+
+    @property
+    def active_shards(self) -> list[int]:
+        """Shards with at least one visible Gaussian, ascending."""
+        return [k for k, n in enumerate(self.shard_visible) if n]
 
 
 class ShardedStore(ParameterStore):
@@ -955,27 +993,24 @@ class ShardedStore(ParameterStore):
         """Number of shards."""
         return len(self.stores)
 
-    def _members(self, ids: np.ndarray, rows: np.ndarray):
-        """``(sel, local)``: positions within ``ids`` of this shard's
-        members, and their shard-local row indices."""
-        if rows.size == 0 or ids.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        pos = np.searchsorted(rows, ids)
-        pos = np.clip(pos, 0, rows.size - 1)
-        hit = rows[pos] == ids
-        sel = np.nonzero(hit)[0]
-        return sel, pos[sel]
+    def split(
+        self, ids: np.ndarray
+    ) -> Iterator[tuple[int, ParameterStore, np.ndarray, np.ndarray]]:
+        """``(k, store, sel, local)`` for every shard with members among
+        ``ids``: the shard's index and store, the positions of its members
+        within ``ids``, and their shard-local row indices."""
+        for k, (rows, store) in enumerate(zip(self.shard_rows, self.stores)):
+            sel, local = members(ids, rows)
+            if sel.size:
+                yield k, store, sel, local
 
     def stage(self, ids: np.ndarray) -> np.ndarray:
         out = np.empty((ids.size, self.dim), dtype=self.dtype)
         staged: list[tuple[ParameterStore, np.ndarray]] = []
         try:
-            for rows, store in zip(self.shard_rows, self.stores):
-                sel, local = self._members(ids, rows)
-                if sel.size:
-                    out[sel] = store.stage(local)
-                    staged.append((store, local))
+            for _, store, sel, local in self.split(ids):
+                out[sel] = store.stage(local)
+                staged.append((store, local))
         except Exception:
             # unwind the shards already staged (per-shard OOM mid-step)
             for store, local in reversed(staged):
@@ -984,14 +1019,14 @@ class ShardedStore(ParameterStore):
         return out
 
     def unstage(self, ids: np.ndarray, returned: bool = True) -> None:
-        for rows, store in zip(self.shard_rows, self.stores):
-            _, local = self._members(ids, rows)
-            if local.size:
-                store.unstage(local, returned=returned)
+        for _, store, _, local in self.split(ids):
+            store.unstage(local, returned=returned)
 
     def return_grads(self, ids: np.ndarray, grads: np.ndarray) -> None:
+        # every shard, not only split(ids): an inactive shard's optimizer
+        # must tick
         for rows, store in zip(self.shard_rows, self.stores):
-            sel, local = self._members(ids, rows)
+            sel, local = members(ids, rows)
             store.return_grads(local, grads[sel])
 
     def commit(self) -> None:
@@ -1009,33 +1044,44 @@ class ShardedStore(ParameterStore):
                 out[rows] = store.materialize()
             return out
         out = np.empty((ids.size, self.dim), dtype=self.dtype)
-        for rows, store in zip(self.shard_rows, self.stores):
-            sel, local = self._members(ids, rows)
-            if sel.size:
-                out[sel] = store.materialize(local)
+        for _, store, sel, local in self.split(ids):
+            out[sel] = store.materialize(local)
         return out
 
     def set_lr(self, lr_packed: np.ndarray) -> None:
         for store in self.stores:
             store.set_lr(lr_packed)
 
-    def geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        raise NotImplementedError(
-            "sharded geometry is distributed; cull per shard instead"
+    def visible(self, camera: Camera) -> ShardedCullResult:
+        """Union of the per-shard culls, in global id order.
+
+        Culling is per-Gaussian, so the union over a partition equals the
+        unsharded cull bit-for-bit; each shard's pass is the work its own
+        device would do, and a shard wholly outside the frustum shows as a
+        zero in ``shard_visible``.
+        """
+        results = [store.visible(camera) for store in self.stores]
+        parts = [
+            rows[res.valid_ids]
+            for rows, res in zip(self.shard_rows, results)
+            if res.num_visible
+        ]
+        valid = (
+            np.sort(np.concatenate(parts))
+            if parts
+            else np.empty(0, dtype=np.int64)
+        )
+        return ShardedCullResult(
+            valid_ids=valid,
+            num_total=self._num_rows,
+            num_in_depth=sum(res.num_in_depth for res in results),
+            num_visible=int(valid.size),
+            shard_visible=tuple(res.num_visible for res in results),
         )
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {
-            f"shard{k}/{key}": value
-            for k, store in enumerate(self.stores)
-            for key, value in store.state_dict().items()
-        }
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        for k, store in enumerate(self.stores):
-            prefix = f"shard{k}/"
-            store.load_state_dict({
-                key[len(prefix):]: value
-                for key, value in state.items()
-                if key.startswith(prefix)
-            })
+    def leaves(self, prefix: str = "", rows: np.ndarray | None = None):
+        sep = "_" if prefix else ""
+        for k, (shard, store) in enumerate(zip(self.shard_rows, self.stores)):
+            yield from store.leaves(
+                f"{prefix}{sep}shard{k}", shard if rows is None else rows[shard]
+            )

@@ -3,10 +3,11 @@
 Unlike :mod:`repro.sim` (which *models time*), these systems *execute
 training*: real culling, real rendering, real gradients, real optimizer
 state. All placement policy — which column block lives where, staging,
-ledger traffic, memory charges, lazy commits — lives in
-:mod:`repro.core.stores`; a system is just a store composition plus the
-per-iteration loop (cull, optionally split, render, aggregate, hand
-gradients back):
+ledger traffic, memory charges, lazy commits, what a camera sees
+(``store.visible``) and what the composition is made of
+(``store.leaves``) — lives in :mod:`repro.core.stores`; a system is just
+a store composition plus the per-iteration loop (cull, optionally split,
+render, aggregate, hand gradients back):
 
 * :class:`GPUOnlySystem` — one :class:`~repro.core.stores.DeviceStore`
   over all 59 columns.
@@ -22,11 +23,10 @@ gradients back):
   same stores: the Gaussian set is spatially partitioned into K shards,
   each backed by its own hybrid store with a per-shard device tracker and
   transfer ledger (one simulated GPU per shard), per-view shard activation
-  via frustum culling, host-side gradient aggregation across shards, and
-  an optional multiprocessing fan-out of the per-shard work — culling
-  always, and with the ``fragment`` raster engine the full per-shard
-  render pipeline (no shard's rows are ever gathered into a packed
-  union matrix).
+  via the store's per-shard frustum cull, host-side gradient aggregation
+  across shards, and with the ``fragment`` raster engine a per-shard
+  render pipeline (no shard's rows are ever gathered into a packed union
+  matrix) whose rasterization fans out over ``raster.workers``.
 * :class:`OutOfCoreGSScaleSystem` — the sharded system with an out-of-core
   host tier: each shard's non-geometric state spills to page files
   (:mod:`repro.core.pager`) and only ``resident_shards`` shards occupy
@@ -44,7 +44,7 @@ in ``docs/architecture.md``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,16 +52,16 @@ from ..cameras.camera import Camera
 from ..gaussians import GaussianModel, layout
 from ..render import (
     FragmentSource,
-    frustum_cull,
     projection,
     rasterize_backward_fragment,
     rasterize_fragment_sources,
     render,
     render_backward,
 )
+# unused here (every cull is ``store.visible``), but ``perfbench/tests``
+# pins the module-level names a traced run rebinds, this one included
+from ..render import frustum_cull  # noqa: F401
 from ..render.culling import CullResult
-from ..pool import PersistentPool
-from ..render.rasterize import RasterConfig
 from ..sim.memory import ACTIVATION_BYTES_PER_PIXEL, MemoryTracker
 from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
@@ -147,9 +147,8 @@ class TransferLedger:
     def counts(self) -> dict[str, int]:
         """The counter fields as a plain dict (no ``parent``).
 
-        The single rollup surface: shard reports, the telemetry
-        registry's ledger mirror, and ad-hoc consumers all read this
-        instead of re-listing the fields.
+        The single rollup surface: shard reports and ad-hoc consumers
+        read this instead of re-listing the fields.
         """
         from dataclasses import fields as _fields
 
@@ -215,14 +214,6 @@ class _RegionOutput:
     loss: float
     l1: float
     ssim: float
-
-
-def _cull_shard_task(args):
-    """Worker task for the sharded system's culling fan-out (module-level
-    so it pickles under ``multiprocessing``)."""
-    means, log_scales, quats, camera = args
-    res = frustum_cull(means, log_scales, quats, camera)
-    return res.valid_ids, res.num_in_depth
 
 
 def locality_view_order(cameras: list[Camera]) -> np.ndarray:
@@ -301,15 +292,22 @@ class TrainingSystem(ABC):
         self.store.flush()
 
     def rebuild(self, model: GaussianModel) -> None:
-        """Re-place parameters after a structural change (densification)."""
+        """Re-place parameters after a structural change (densification).
+
+        Run-level accounting survives the swap: the ledger keeps counting
+        (the stores ``_setup`` builds record into it, per-shard ledgers
+        through ``parent=``) and the fresh tracker — live state is sized
+        by N — starts from the run's high-water mark.
+        """
+        peak = self.memory.peak_bytes
         self.memory = MemoryTracker(capacity_bytes=self.config.device_capacity_bytes)
-        self.ledger = TransferLedger()
+        self.memory.peak_bytes = peak
         self._setup(model)
 
     def checkpoint_entries(self) -> list[tuple[str, ParameterStore, np.ndarray | None]]:
         """``(prefix, leaf store, global row ids or None)`` triples for
         :mod:`repro.core.checkpoint`."""
-        raise NotImplementedError
+        return list(self.store.leaves())
 
     # -- shared helpers ----------------------------------------------------
     @property
@@ -326,9 +324,8 @@ class TrainingSystem(ABC):
         return lr
 
     def _cull(self, camera: Camera) -> CullResult:
-        """Frustum culling over the store's resident geometric columns."""
-        means, log_scales, quats = self.store.geometry()
-        return frustum_cull(means, log_scales, quats, camera)
+        """What ``camera`` sees, asked where the geometry lives."""
+        return self.store.visible(camera)
 
     def _count_visible(self, camera: Camera) -> int:
         return self._cull(camera).num_visible
@@ -549,9 +546,6 @@ class GPUOnlySystem(TrainingSystem):
             self.memory,
         )
 
-    def checkpoint_entries(self):
-        return [("", self.store, None)]
-
 
 class BaselineOffloadSystem(TrainingSystem):
     """Baseline host offloading (Section 4.1, Figure 6): all parameters and
@@ -570,9 +564,6 @@ class BaselineOffloadSystem(TrainingSystem):
             self.memory,
             self.ledger,
         )
-
-    def checkpoint_entries(self):
-        return [("", self.store, None)]
 
 
 class GSScaleSystem(TrainingSystem):
@@ -616,9 +607,6 @@ class GSScaleSystem(TrainingSystem):
         )
         self.store = HybridStore([self._geo_store, self._host_store])
 
-    def checkpoint_entries(self):
-        return [("geo", self._geo_store, None), ("host", self._host_store, None)]
-
 
 class ShardedGSScaleSystem(TrainingSystem):
     """GS-Scale over a spatial partition of the Gaussian set (K shards).
@@ -630,18 +618,17 @@ class ShardedGSScaleSystem(TrainingSystem):
     aggregates — one simulated GPU per shard, as in Grendel's
     Gaussian-sharded training and TideGS's out-of-core blocks.
 
-    Per view, every shard frustum-culls its own geometry (shards entirely
-    outside the frustum are skipped: no staging, no traffic). Rendering
-    depends on the engine: by default the visible union is staged and
-    renders jointly (the Grendel gather); with the ``fragment`` engine the
-    union is never assembled — each shard stages, projects, and
-    rasterizes its own rows, and the host composites per-shard fragment
-    buffers (:meth:`_render_region_fragment`), with
-    ``shard_workers`` running the per-shard pipelines on a process pool.
-    ``shard_workers > 1`` also fans the per-shard culling out over a
-    ``multiprocessing`` pool (fork start method; falls back to serial
-    where unavailable). Training numerics are independent of K and of the
-    fan-out: with K=1 the system is exactly :class:`GSScaleSystem`.
+    Per view, every shard frustum-culls its own geometry — inside
+    :meth:`~repro.core.stores.ShardedStore.visible`, serially; shards
+    entirely outside the frustum are skipped: no staging, no traffic.
+    Rendering depends on the engine: by default the visible union is
+    staged and renders jointly (the Grendel gather); with the
+    ``fragment`` engine the union is never assembled — each shard stages
+    and projects its own rows, and the host composites per-shard fragment
+    buffers (:meth:`_render_region_fragment`), the rasterization fanned
+    out over ``raster.workers`` like every pooled engine. Training
+    numerics are independent of K and of the fan-out: with K=1 the system
+    is exactly :class:`GSScaleSystem`.
     """
 
     name = "sharded"
@@ -650,12 +637,11 @@ class ShardedGSScaleSystem(TrainingSystem):
     def _setup(self, model: GaussianModel) -> None:
         self._num_gaussians = model.num_gaussians
         cfg = self.config
-        # the culling pool persists across densification rebuilds — only
-        # finalize() (or interpreter exit) tears it down
-        self._pool = getattr(self, "_pool", None)
         self.shard_rows = spatial_partition(model.means, cfg.num_shards)
         self.shard_trackers: list[MemoryTracker] = []
         self.shard_ledgers: list[TransferLedger] = []
+        #: each shard's non-geometric placement, by shard index
+        self.shard_host_stores: list[ParameterStore] = []
         shard_stores: list[ParameterStore] = []
         for k, rows in enumerate(self.shard_rows):
             tracker = MemoryTracker(
@@ -675,6 +661,7 @@ class ShardedGSScaleSystem(TrainingSystem):
                 sub[:, layout.NON_GEOMETRIC_SLICE], tracker, ledger, k
             )
             shard_stores.append(HybridStore([geo, host]))
+            self.shard_host_stores.append(host)
             self.shard_trackers.append(tracker)
             self.shard_ledgers.append(ledger)
         self.store = ShardedStore(self.shard_rows, shard_stores)
@@ -700,88 +687,12 @@ class ShardedGSScaleSystem(TrainingSystem):
             max_defer=cfg.max_defer,
         )
 
-    # -- distributed culling ----------------------------------------------
     @property
     def num_shards(self) -> int:
         """Number of shards (stores/devices)."""
         return len(self.shard_rows)
 
-    def _shard_geometry(self, k: int):
-        return self.store.stores[k].geometry()
-
-    def _get_pool(self) -> PersistentPool | None:
-        if self.config.shard_workers <= 1 or self.num_shards <= 1:
-            return None
-        if self._pool is None:
-            self._pool = PersistentPool(
-                min(self.config.shard_workers, self.num_shards)
-            )
-        return self._pool
-
-    def _close_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def _count_visible(self, camera: Camera) -> int:
-        # the split search probes ~12 cropped cameras per split view;
-        # counting is cheap, so it stays serial instead of re-shipping
-        # every shard's geometry through the pool per probe
-        return sum(
-            frustum_cull(*self._shard_geometry(k), camera).num_visible
-            for k in range(self.num_shards)
-        )
-
-    def _cull(self, camera: Camera) -> CullResult:
-        """Union of per-shard frustum culls, in global id order.
-
-        Culling is per-Gaussian, so the union over a partition equals the
-        unsharded cull bit-for-bit; each shard's pass is the work its own
-        device would do. The ``shard_workers`` fan-out ships each shard's
-        geometry per call (the geometric block mutates every step, so
-        workers cannot cache it); with image splitting off that is one
-        dispatch per step.
-        """
-        tasks = [self._shard_geometry(k) + (camera,) for k in range(self.num_shards)]
-        pool = self._get_pool()
-        if pool is not None:
-            results = pool.map(_cull_shard_task, tasks)
-        else:
-            results = [_cull_shard_task(t) for t in tasks]
-        parts = [
-            rows[local]
-            for rows, (local, _) in zip(self.shard_rows, results)
-            if local.size
-        ]
-        valid = (
-            np.sort(np.concatenate(parts))
-            if parts
-            else np.empty(0, dtype=np.int64)
-        )
-        return CullResult(
-            valid_ids=valid,
-            num_total=self._num_gaussians,
-            num_in_depth=int(sum(r[1] for r in results)),
-            num_visible=int(valid.size),
-        )
-
     # -- fragment-parallel region rendering -------------------------------
-    def _fragment_raster_config(self) -> RasterConfig:
-        """Raster config of the per-shard fragment fan-out.
-
-        ``shard_workers`` is the sharded system's parallelism knob, so it
-        drives the fragment pool too (graduating the workers from
-        culling-only to full per-shard renders); ``raster.workers`` is the
-        fallback when it is unset. Worker count never changes numerics.
-        """
-        cfg = self.config
-        workers = (
-            cfg.shard_workers if cfg.shard_workers > 1 else cfg.raster.workers
-        )
-        if workers == cfg.raster.workers:
-            return cfg.raster
-        return replace(cfg.raster, workers=workers)
-
     def _render_region(
         self,
         ids: np.ndarray,
@@ -816,7 +727,6 @@ class ShardedGSScaleSystem(TrainingSystem):
         gather path to compositing-rounding precision (~1e-12).
         """
         cfg = self.config
-        raster_cfg = self._fragment_raster_config()
         dtype = self.store.dtype
         background = (
             np.zeros(3, dtype=dtype)
@@ -824,17 +734,14 @@ class ShardedGSScaleSystem(TrainingSystem):
             else np.asarray(cfg.background, dtype=dtype)
         )
         sh_degree = cfg.sh_degree_at(self.iteration)
-        members = [self.store._members(ids, rows) for rows in self.shard_rows]
-        active = [k for k, (sel, _) in enumerate(members) if sel.size]
+        active = list(self.store.split(ids))
 
         act_bytes = region_cam.num_pixels * ACTIVATION_BYTES_PER_PIXEL
         self.memory.allocate("activations", act_bytes)
         try:
             sources: list[FragmentSource] = []
             projs = []
-            for k in active:
-                _, local = members[k]
-                store = self.store.stores[k]
+            for _, store, _, local in active:
                 values = store.stage(local)
                 try:
                     shard = GaussianModel(values)
@@ -859,7 +766,7 @@ class ShardedGSScaleSystem(TrainingSystem):
 
             frag = rasterize_fragment_sources(
                 sources, region_cam.width, region_cam.height,
-                background=background, config=raster_cfg,
+                background=background, config=cfg.raster,
             )
             loss = photometric_loss(
                 frag.image, gt_region, ssim_lambda=cfg.ssim_lambda
@@ -872,16 +779,14 @@ class ShardedGSScaleSystem(TrainingSystem):
                 frag,
                 loss.grad_image * weight,
                 background=background,
-                config=raster_cfg,
+                config=cfg.raster,
             )
 
             grads = np.zeros((ids.size, layout.PARAM_DIM), dtype=dtype)
             m2d = np.zeros(ids.size, dtype=dtype)
             offsets = frag.offsets
-            for j, k in enumerate(active):
-                sel, local = members[k]
+            for j, (_, store, sel, local) in enumerate(active):
                 sl = slice(int(offsets[j]), int(offsets[j + 1]))
-                store = self.store.stores[k]
                 values = store.stage(local)
                 returned = False
                 try:
@@ -916,7 +821,7 @@ class ShardedGSScaleSystem(TrainingSystem):
             ssim=loss.ssim,
         )
 
-    # -- reporting / lifecycle --------------------------------------------
+    # -- reporting --------------------------------------------------------
     #: ledger counters a :class:`ShardReport` carries, verbatim
     _SHARD_LEDGER_FIELDS = (
         "h2d_bytes", "d2h_bytes", "h2d_count", "d2h_count",
@@ -940,24 +845,6 @@ class ShardedGSScaleSystem(TrainingSystem):
                 )
             )
         return reports
-
-    def finalize(self) -> None:
-        super().finalize()
-        self._close_pool()
-
-    def __del__(self):
-        try:
-            self._close_pool()
-        except Exception:
-            pass
-
-    def checkpoint_entries(self):
-        entries = []
-        for k, rows in enumerate(self.shard_rows):
-            hybrid = self.store.stores[k]
-            entries.append((f"shard{k}_geo", hybrid.children[0], rows))
-            entries.append((f"shard{k}_host", hybrid.children[1], rows))
-        return entries
 
 
 class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
@@ -1019,19 +906,17 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         self._sync_spill_carryover = getattr(self, "_sync_spill_carryover", 0)
         self._sync_spill_s_carryover = getattr(self, "_sync_spill_s_carryover", 0.0)
         self._write_behind_carryover = getattr(self, "_write_behind_carryover", 0)
-        if getattr(self, "store", None) is not None:
-            for k in range(self.num_shards):
-                st = self._nongeo_store(k)
-                self._sync_spill_carryover += st.sync_spill_bytes
-                self._sync_spill_s_carryover += st.sync_spill_s
+        for st in getattr(self, "shard_host_stores", ()):
+            self._sync_spill_carryover += st.sync_spill_bytes
+            self._sync_spill_s_carryover += st.sync_spill_s
         self._close_writer()
-        self._prefetch_staged_peak = 0  # rebuild resets accounting, like trackers
+        self._prefetch_staged_peak = 0  # a rebuild resets it, like host_memory
         self._prefetcher = None
         self._writer = _WriteBehindWriter() if cfg.write_behind else None
         super()._setup(model)
         if cfg.async_prefetch:
             self._prefetcher = _AsyncPrefetcher(
-                [self._nongeo_store(k) for k in range(self.num_shards)],
+                self.shard_host_stores,
                 self.resident_set.budget,
                 self.active_shard_ids,
                 depth=cfg.prefetch_depth,
@@ -1075,9 +960,8 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         if writer is None:
             return
         self._writer = None
-        if getattr(self, "store", None) is not None:
-            for k in range(self.num_shards):
-                self._nongeo_store(k).writer = None
+        for st in getattr(self, "shard_host_stores", ()):
+            st.writer = None
         writer.close()
         self._write_behind_carryover = (
             getattr(self, "_write_behind_carryover", 0) + writer.jobs_written
@@ -1090,26 +974,18 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         stall in deterministic byte units. Write-behind runs keep this at
         zero (every page-out rides the background writer); synchronous
         runs accumulate the full page-out traffic here."""
-        total = getattr(self, "_sync_spill_carryover", 0)
-        if getattr(self, "store", None) is not None:
-            total += sum(
-                self._nongeo_store(k).sync_spill_bytes
-                for k in range(self.num_shards)
-            )
-        return total
+        return self._sync_spill_carryover + sum(
+            st.sync_spill_bytes for st in self.shard_host_stores
+        )
 
     @property
     def sync_spill_seconds(self) -> float:
         """Wall-clock seconds the training thread spent in synchronous
         page-out writes (informational; byte counters are the
         deterministic comparison)."""
-        total = getattr(self, "_sync_spill_s_carryover", 0.0)
-        if getattr(self, "store", None) is not None:
-            total += sum(
-                self._nongeo_store(k).sync_spill_s
-                for k in range(self.num_shards)
-            )
-        return total
+        return self._sync_spill_s_carryover + sum(
+            st.sync_spill_s for st in self.shard_host_stores
+        )
 
     @property
     def write_behind_jobs(self) -> int:
@@ -1148,16 +1024,9 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         )
 
     # -- spill / prefetch lifecycle ---------------------------------------
-    def _nongeo_store(self, k: int) -> DiskStore:
-        return self.store.stores[k].children[1]
-
     def active_shard_ids(self, camera: Camera) -> list[int]:
         """Shards with at least one Gaussian inside ``camera``'s frustum."""
-        return [
-            k
-            for k in range(self.num_shards)
-            if frustum_cull(*self._shard_geometry(k), camera).num_visible
-        ]
+        return self.store.visible(camera).active_shards
 
     def hint_upcoming_views(self, cameras: list[Camera]) -> None:
         """Tell the async prefetch leg the next several views, nearest
@@ -1186,23 +1055,19 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         managed to stage for ``camera`` is adopted here (same ledger
         records, same accounting — the read already happened off the
         critical path); everything else pages in on demand. The
-        whole-view cull this needs (run through the ``shard_workers``
-        pool when enabled) is cached and reused by the step's own region
-        planning, so prefetching adds no culling work.
+        whole-view cull this needs is cached and reused by the step's own
+        region planning, so prefetching adds no culling work, and the
+        active shards are read off that same cull.
         """
         if self._prefetcher is not None:
             hinted, staged = self._prefetcher.take(camera)
         else:
             hinted, staged = False, {}
-        whole = super()._cull(camera)
+        whole = self.store.visible(camera)
         self._cull_cache = (camera, whole)
-        active = [
-            k
-            for k, rows in enumerate(self.shard_rows)
-            if self.store._members(whole.valid_ids, rows)[0].size
-        ]
+        active = whole.active_shards
         for k in active[: self.resident_set.budget]:
-            store = self._nongeo_store(k)
+            store = self.shard_host_stores[k]
             pre = staged.pop(k, None)
             if pre is not None and store.adopt(pre):
                 self.prefetch_hits += 1
@@ -1255,8 +1120,7 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
                     if len(keep) >= self.resident_set.budget:
                         break
                     keep.add(k)
-        for k in range(self.num_shards):
-            store = self._nongeo_store(k)
+        for k, store in enumerate(self.shard_host_stores):
             if k not in keep and store.is_resident:
                 store.spill()
 
@@ -1291,7 +1155,6 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
             self._close_writer()
         except Exception:
             pass
-        super().__del__()
 
 
 def create_system(model: GaussianModel, config: GSScaleConfig) -> TrainingSystem:

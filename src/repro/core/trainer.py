@@ -218,7 +218,7 @@ class Trainer:
                 model, iteration, self.config.scene_extent
             )
             history.densify_reports.append(report)
-            self._rebuild_preserving_accounting(new_model)
+            self.system.rebuild(new_model)
 
     def _maybe_reset_opacity(self, iteration: int) -> None:
         if not self._controller.should_reset_opacity(iteration):
@@ -228,23 +228,7 @@ class Trainer:
         self.system.finalize()
         model = self.system.materialized_model()
         self._controller.reset_opacity(model)
-        self._rebuild_preserving_accounting(model)
-
-    def _rebuild_preserving_accounting(self, model: GaussianModel) -> None:
-        """Re-place parameters without losing run-level accounting.
-
-        ``rebuild`` resets the memory tracker and the transfer ledger
-        (their live state is sized by N); the run's high-water mark and
-        every cumulative count of both ledger channels must survive the
-        swap.
-        """
-        peak = self.system.memory.peak_bytes
-        carried = self.system.ledger.counts()
         self.system.rebuild(model)
-        self.system.memory.peak_bytes = max(self.system.memory.peak_bytes, peak)
-        ledger = self.system.ledger
-        for name, value in carried.items():
-            setattr(ledger, name, getattr(ledger, name) + value)
 
     def evaluate(
         self, cameras: list[Camera], images: list[np.ndarray]

@@ -3,8 +3,7 @@
 :class:`PersistentPool` is the one lifecycle helper behind every
 multi-process fan-out in the repo — the ``parallel`` and ``fragment``
 raster engines (:mod:`repro.render.parallel`, :mod:`repro.render.fragment`),
-the sharded system's culling fan-out, the render farm and the patch
-reconstruction jobs: lazily started, reused across calls (so respawn cost
+the render farm and the patch reconstruction jobs: lazily started, reused across calls (so respawn cost
 is paid once, not per map), supervised (a dead worker or a blown deadline
 respawns the pool and re-runs the map), and torn down deterministically —
 on ``close()``, on interpreter exit, and on every exception path.
@@ -100,8 +99,7 @@ class PersistentPool:
     """A lazily-started, reusable, *supervised* multiprocessing pool.
 
     The shared lifecycle helper of the ``parallel`` raster engine, the
-    fragment engine, the sharded system's ``shard_workers`` culling
-    fan-out, the render farm, and ``train_patches``. Guarantees:
+    fragment engine, the render farm, and ``train_patches``. Guarantees:
 
     * workers spawn on first :meth:`map`, not at construction, and are
       reused by every later call (no per-call respawn cost);

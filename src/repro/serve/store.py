@@ -38,7 +38,7 @@ from ..core.checkpoint import CheckpointReader
 from ..core.integrity import CorruptPageError
 from ..core.pagecodec import get_page_codec
 from ..core.pager import PageFile, ResidentSet
-from ..core.splitting import spatial_partition
+from ..core.splitting import members, spatial_partition
 from ..core.systems import TransferLedger
 from ..gaussians import layout
 from ..sim.memory import MemoryTracker
@@ -62,19 +62,6 @@ class PageQuarantinedError(RuntimeError):
     individually (and are reported) while the rest of the model keeps
     serving; the store as a whole never crashes on a bad page.
     """
-
-
-def _members(ids: np.ndarray, rows: np.ndarray):
-    """``(sel, local)``: positions within ``ids`` of this shard's members
-    and their shard-local row indices (rows sorted ascending)."""
-    if rows.size == 0 or ids.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    pos = np.searchsorted(rows, ids)
-    pos = np.clip(pos, 0, rows.size - 1)
-    hit = rows[pos] == ids
-    sel = np.nonzero(hit)[0]
-    return sel, pos[sel]
 
 
 class ServingStore:
@@ -514,7 +501,7 @@ class PagedServingStore(ServingStore):
         self.rows_gathered += ids.size
         touched = []
         for shard, rows in zip(self.shards, self.shard_rows):
-            sel, local = _members(ids, rows)
+            sel, local = members(ids, rows)
             if sel.size:
                 touched.append((shard, sel, local))
         self.shards_touched += len(touched)

@@ -12,10 +12,8 @@ The legacy objects stay the source of truth; the registry is the export
 surface (:mod:`repro.telemetry.export` renders it to Prometheus text or
 JSON).
 
-:func:`aggregate_counts` is the shared summation helper that replaces
-the three copies of "loop over dicts, add the values" that used to live
-in ``raster_pool_fault_stats``, ``RenderService._sync_fault_stats`` and
-the shard-report rollups.
+:func:`aggregate_counts` is the summation helper behind
+``repro.pool.raster_pool_fault_stats``.
 """
 
 from __future__ import annotations
@@ -46,9 +44,7 @@ def aggregate_counts(mappings, keys=None) -> dict:
 
     With ``keys`` the result has exactly those keys (missing entries
     count as 0 and unknown keys in the inputs are ignored); without, the
-    result is the union of all input keys. This is the single shared
-    implementation behind the pool fault-stat totals, the serving
-    fault-stat sync, and the shard ledger rollups.
+    result is the union of all input keys.
     """
     if keys is not None:
         totals = dict.fromkeys(keys, 0)

@@ -10,6 +10,8 @@ sequential per shard, so its aggregate peak sits strictly below the
 all-shards-at-once gather peak.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -91,9 +93,12 @@ class TestTrajectoryParity:
 
 class TestDeterminism:
     def test_shard_workers_bit_identical(self, scene):
-        """The fragment fan-out width never shows in the numerics."""
+        """The fragment fan-out width (``raster.workers``) never shows in
+        the numerics."""
         serial, _ = run(scene, num_shards=4, raster=FRAG)
-        fanned, _ = run(scene, num_shards=4, raster=FRAG, shard_workers=2)
+        fanned, _ = run(
+            scene, num_shards=4, raster=replace(FRAG, workers=2)
+        )
         np.testing.assert_array_equal(
             serial.materialized_model().params,
             fanned.materialized_model().params,

@@ -1,7 +1,6 @@
 """Tests of the sharded multi-device GS-Scale system: spatial partition,
 K-invariance of the training numerics, per-shard accounting and capacity,
-the multiprocessing culling fan-out, checkpointing, and the trainer
-integration (densification rebuilds)."""
+checkpointing, and the trainer integration (densification rebuilds)."""
 
 import numpy as np
 import pytest
@@ -116,21 +115,6 @@ class TestKInvariance:
         rb = b.step(scene.train_cameras[0], scene.train_images[0])
         assert ra.num_regions == rb.num_regions >= 2
         assert rb.loss == pytest.approx(ra.loss, rel=1e-12)
-
-
-class TestMultiprocessingFanout:
-    def test_workers_match_serial(self, scene):
-        serial, _ = run(scene, "sharded", steps=4, num_shards=4)
-        fanned, _ = run(scene, "sharded", steps=4, num_shards=4,
-                        shard_workers=2)
-        np.testing.assert_array_equal(
-            serial.materialized_model().params,
-            fanned.materialized_model().params,
-        )
-
-    def test_pool_closed_on_finalize(self, scene):
-        s, _ = run(scene, "sharded", steps=2, num_shards=2, shard_workers=2)
-        assert s._pool is None  # finalize() tears the pool down
 
 
 class TestPerShardAccounting:

@@ -8,8 +8,11 @@ against each of them through parameterized factories:
   :class:`DeviceStore` oracle driven with identical gradients (bit-exact
   for every placement without the deferred approximation, and within the
   epsilon-factoring tolerance for deferred ones);
-* ``state_dict`` / ``load_state_dict`` round-trips bit-exactly into a
-  freshly built store;
+* every leaf's ``state_dict`` / ``load_state_dict`` round-trips
+  bit-exactly into a freshly built store;
+* ``visible(camera)`` equals ``frustum_cull`` over the materialized
+  geometry, and ``leaves()`` tiles the packed matrix exactly once under
+  the prefixes the checkpoint format pins;
 * tracker charges return to their resident baseline and ledger traffic
   stays symmetric after ``flush`` — placement changes accounting, never
   numerics, and never leaks.
@@ -23,6 +26,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.cameras.camera import Camera
+from repro.core import SYSTEM_NAMES, GSScaleConfig, create_system
+from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.core.stores import (
     DeviceStore,
     DiskStore,
@@ -33,8 +39,9 @@ from repro.core.stores import (
     _WriteBehindWriter,
 )
 from repro.core.systems import TransferLedger
-from repro.gaussians import layout
+from repro.gaussians import GaussianModel, layout
 from repro.optim.base import AdamConfig
+from repro.render import frustum_cull
 from repro.sim.memory import MemoryTracker
 
 N_ROWS = 24
@@ -369,18 +376,37 @@ class TestUnsortedGradientIds:
         )
 
 
+def tree_state(store):
+    """Every leaf's ``state_dict`` (copied), keyed ``{prefix}/{key}``."""
+    return {
+        f"{prefix}/{key}": np.array(value)
+        for prefix, leaf, _ in store.leaves()
+        for key, value in leaf.state_dict().items()
+    }
+
+
+def load_tree_state(store, saved):
+    for prefix, leaf, _ in store.leaves():
+        head = f"{prefix}/"
+        leaf.load_state_dict(
+            {k[len(head):]: v for k, v in saved.items() if k.startswith(head)}
+        )
+
+
 class TestStateDictRoundtrip:
-    """state_dict/load_state_dict is bit-exact into a fresh store."""
+    """state_dict/load_state_dict of every leaf is bit-exact into a fresh
+    store (a composite has no state of its own: a checkpoint is its
+    ``leaves()``)."""
 
     @param_store
     def test_roundtrip_bit_exact(self, tmp_path, factory):
         h = FACTORIES[factory](tmp_path)
         drive(h.store)
-        saved = {k: np.array(v) for k, v in h.store.state_dict().items()}
+        saved = tree_state(h.store)
 
         fresh = FACTORIES[factory](tmp_path / "fresh")
-        fresh.store.load_state_dict(saved)
-        reloaded = fresh.store.state_dict()
+        load_tree_state(fresh.store, saved)
+        reloaded = tree_state(fresh.store)
         assert set(reloaded) == set(saved)
         for key, value in saved.items():
             np.testing.assert_array_equal(
@@ -394,13 +420,153 @@ class TestStateDictRoundtrip:
     def test_loaded_store_continues_identically(self, tmp_path, factory):
         h = FACTORIES[factory](tmp_path)
         drive(h.store, steps=4)
-        saved = {k: np.array(v) for k, v in h.store.state_dict().items()}
+        saved = tree_state(h.store)
         fresh = FACTORIES[factory](tmp_path / "fresh")
-        fresh.store.load_state_dict(saved)
+        load_tree_state(fresh.store, saved)
         drive(h.store, steps=3, seed=21)
         drive(fresh.store, steps=3, seed=21)
         np.testing.assert_array_equal(
             fresh.store.materialize(), h.store.materialize()
+        )
+
+
+def _camera(position, target, **kwargs):
+    return Camera.look_at(position, target, width=32, height=24, **kwargs)
+
+
+#: the three regimes of a cull over ``_params()``'s unit-normal cloud
+CAMERAS = {
+    "all": _camera((0.0, -40.0, 0.0), (0.0, 0.0, 0.0)),
+    "part": _camera((0.0, 0.0, 0.0), (0.0, 3.0, 0.0), fov_x_deg=40.0),
+    "none": _camera((0.0, -40.0, 0.0), (0.0, -80.0, 0.0)),
+}
+REGIME = {
+    "all": lambda n: n == N_ROWS,
+    "part": lambda n: 0 < n < N_ROWS,
+    "none": lambda n: n == 0,
+}
+
+
+class TestVisible:
+    """``visible(camera)`` is ``frustum_cull`` over the store's geometry,
+    wherever the tree keeps it."""
+
+    @param_store
+    @pytest.mark.parametrize("view", CAMERAS)
+    def test_equals_cull_of_materialized_geometry(self, tmp_path, factory, view):
+        h = FACTORIES[factory](tmp_path)
+        drive(h.store, steps=2)
+        model = GaussianModel(h.store.materialize())
+        want = frustum_cull(
+            model.means, model.log_scales, model.quats, CAMERAS[view]
+        )
+        assert REGIME[view](want.num_visible)
+        got = h.store.visible(CAMERAS[view])
+        np.testing.assert_array_equal(got.valid_ids, want.valid_ids)
+        assert got.num_visible == want.num_visible
+        assert got.num_in_depth == want.num_in_depth
+        assert got.num_total == N_ROWS
+
+    @pytest.mark.parametrize("view", CAMERAS)
+    def test_sharded_counts_name_the_active_shards(self, tmp_path, view):
+        store = make_sharded(tmp_path).store
+        got = store.visible(CAMERAS[view])
+        assert sum(got.shard_visible) == got.num_visible
+        assert len(got.shard_visible) == store.num_shards
+        split = list(store.split(got.valid_ids))
+        assert got.active_shards == [k for k, _, _, _ in split]
+        assert [got.shard_visible[k] for k, _, _, _ in split] == [
+            sel.size for _, _, sel, _ in split
+        ]
+
+
+#: npz keys of a checkpoint, pinned: parent-commit checkpoints must load
+#: into this tree and the reverse
+_HEADER = ["version", "system", "iteration", "num_gaussians"]
+CHECKPOINT_KEYS = {
+    "gpu_only": _HEADER + ["params", "m", "v", "steps", "cols"],
+    "baseline_offload": _HEADER + ["params", "m", "v", "steps", "cols"],
+    "gsscale_no_deferred": _HEADER + [
+        "geo_params", "geo_m", "geo_v", "geo_steps", "geo_cols",
+        "host_params", "host_m", "host_v", "host_steps", "host_cols",
+    ],
+    "gsscale": _HEADER + [
+        "geo_params", "geo_m", "geo_v", "geo_steps", "geo_cols",
+        "host_params", "host_m", "host_v", "host_steps", "host_counter",
+        "host_cols",
+    ],
+    "sharded": _HEADER + [
+        "shard0_geo_params", "shard0_geo_m", "shard0_geo_v",
+        "shard0_geo_steps", "shard0_geo_cols", "shard0_geo_rows",
+        "shard0_host_params", "shard0_host_m", "shard0_host_v",
+        "shard0_host_steps", "shard0_host_counter", "shard0_host_cols",
+        "shard0_host_rows",
+        "shard1_geo_params", "shard1_geo_m", "shard1_geo_v",
+        "shard1_geo_steps", "shard1_geo_cols", "shard1_geo_rows",
+        "shard1_host_params", "shard1_host_m", "shard1_host_v",
+        "shard1_host_steps", "shard1_host_counter", "shard1_host_cols",
+        "shard1_host_rows",
+    ],
+}
+CHECKPOINT_KEYS["outofcore"] = CHECKPOINT_KEYS["sharded"]
+
+
+class TestLeaves:
+    """``leaves()`` is the one walk of the store tree: what a checkpoint
+    is made of."""
+
+    @param_store
+    def test_leaves_tile_the_packed_matrix_once(self, tmp_path, factory):
+        store = FACTORIES[factory](tmp_path).store
+        leaves = list(store.leaves())
+        prefixes = [prefix for prefix, _, _ in leaves]
+        assert len(set(prefixes)) == len(prefixes)
+        cover = np.zeros((store.num_rows, layout.PARAM_DIM), dtype=int)
+        for _, leaf, rows in leaves:
+            assert list(leaf.leaves()) == [("", leaf, None)]  # really a leaf
+            rows = np.arange(store.num_rows) if rows is None else rows
+            assert rows.size == leaf.num_rows
+            cover[rows, leaf.block.sl] += 1
+        np.testing.assert_array_equal(cover[:, store.block.sl], 1)
+        assert cover.sum() == store.num_rows * store.dim
+
+    def test_prefixes_are_the_checkpoint_names(self, tmp_path):
+        assert [p for p, _, _ in make_device(tmp_path).store.leaves()] == [""]
+        assert [p for p, _, _ in make_hybrid(tmp_path).store.leaves()] == [
+            "geo", "host",
+        ]
+        sharded = make_sharded(tmp_path).store
+        assert [p for p, _, _ in sharded.leaves()] == [
+            f"shard{k}_{name}" for k in range(3) for name in ("geo", "host")
+        ]
+        for (_, _, rows), shard in zip(
+            sharded.leaves(), np.repeat(np.arange(3), 2)
+        ):
+            np.testing.assert_array_equal(rows, sharded.shard_rows[shard])
+
+    @pytest.mark.parametrize("system", SYSTEM_NAMES)
+    def test_checkpoint_key_set_is_pinned(self, tmp_path, system):
+        model = GaussianModel(_params(seed=6))
+        config = GSScaleConfig(
+            system=system, num_shards=2, ssim_lambda=0.0,
+            spill_dir=str(tmp_path / "spill"),
+        )
+        saved = create_system(model.copy(), config)
+        gt = np.random.default_rng(7).uniform(size=(24, 32, 3))
+        for _ in range(2):
+            saved.step(CAMERAS["all"], gt)
+        path = str(tmp_path / "ckpt.npz")
+        save_checkpoint(path, saved)
+        with np.load(path) as data:
+            assert sorted(data.files) == sorted(CHECKPOINT_KEYS[system])
+        loaded = create_system(
+            GaussianModel(_params(seed=6)),
+            dataclasses.replace(config, spill_dir=str(tmp_path / "spill2")),
+        )
+        load_checkpoint(path, loaded)
+        np.testing.assert_array_equal(
+            loaded.materialized_model().params,
+            saved.materialized_model().params,
         )
 
 
