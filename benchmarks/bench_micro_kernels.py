@@ -209,16 +209,16 @@ RASTER_WH = 256
 RASTER_N_LARGE = 50_000
 
 
-def make_raster_scene(n: int, wh: int, seed: int = 7):
+def make_raster_scene(n: int, wh: int, seed: int = 7, sigma=(0.5, 1.2)):
     """Random splat arrays in the paper's regime.
 
-    Splat scales (sigma 0.5-1.2 px) match multi-million-Gaussian scenes,
-    where most visible splats project to a few pixels (the EPS_2D
-    low-pass floor alone is sigma ~0.55).
+    The default splat scales (sigma 0.5-1.2 px) match
+    multi-million-Gaussian scenes, where most visible splats project to a
+    few pixels (the EPS_2D low-pass floor alone is sigma ~0.55).
     """
     rng = np.random.default_rng(seed)
     means2d = rng.uniform([0, 0], [wh, wh], size=(n, 2))
-    sig = rng.uniform(0.5, 1.2, size=n)
+    sig = rng.uniform(*sigma, size=n)
     conics = np.stack([1 / sig**2, np.zeros(n), 1 / sig**2], axis=1)
     colors = rng.uniform(0, 1, size=(n, 3))
     opacities = rng.uniform(0.2, 1.0, size=n)
@@ -305,6 +305,32 @@ def test_rasterize_backward_vectorized(benchmark, raster_scene):
         )
     )
     assert out.means2d.shape == (RASTER_N, 2)
+
+
+def test_raster_backward_allocation_gate():
+    """A byte count, not a timing, like the optimizer's gate above: the
+    backward's traced peak over a table of >= 500k pairs (``train_raster``'s
+    shape: 2k splats, ~70 pairs per pixel at 128x128) stays below one
+    pair-sized float64 array. The unblocked kernel held 25 of them at
+    once (25.1x, 158 MB, on ``train_raster``'s tables); in blocks of
+    ``BLOCK_PAIRS`` it is 0.33x here. Holds on a 1-CPU runner."""
+    from repro.bench import traced_peak_bytes
+    from repro.render.engine import (
+        rasterize_backward_vectorized,
+        rasterize_vectorized,
+    )
+
+    scene = make_raster_scene(2_000, 128, sigma=(3.0, 6.0))
+    res = rasterize_vectorized(*scene)
+    pairs = res.counts.pairs
+    assert pairs >= 500_000, pairs
+    grad = np.ones((128, 128, 3))
+    peak = traced_peak_bytes(
+        lambda: rasterize_backward_vectorized(*scene[:4], res, grad)
+    )
+    ratio = peak / (pairs * 8)
+    print({"pairs": pairs, "peak_bytes": peak, "ratio": round(ratio, 3)})
+    assert ratio < 1.0, ratio
 
 
 def test_raster_engine_speedup(benchmark, raster_scene):
@@ -558,15 +584,12 @@ def test_raster_engine_matrix(benchmark):
     per flat engine (``scene: "occluded"``, in-process) renders
     :func:`make_occluded_raster_scene` and reports, beside ``forward_s``,
     the ``pairs`` the forward built and the ``pruned_isects`` the
-    occlusion prune dropped on the way.
+    occlusion prune dropped on the way (``RasterResult.counts``).
     """
     from dataclasses import replace
     from functools import partial
 
     from repro.render import RasterConfig
-    from repro.render import engine as engine_mod
-    from repro.render import fragment as fragment_mod
-    from repro.render import parallel as parallel_mod
     from repro.render.engine import (
         rasterize_backward_vectorized,
         rasterize_vectorized,
@@ -587,34 +610,6 @@ def test_raster_engine_matrix(benchmark):
     oversub_axis = (1, 3, 6) if quick else (3,)
     rounds = 1 if quick else 2
 
-    def forward_work(fwd):
-        """``pairs`` built / ``pruned_isects`` of one in-process forward."""
-        work = {"pairs": 0, "pruned_isects": 0}
-        real_pairs = engine_mod.pairs_for_isects
-        real_prune = engine_mod.prune_occluded
-
-        def pairs_for_isects(*args):
-            out = real_pairs(*args)
-            work["pairs"] += int(out.alpha.size)
-            return out
-
-        def prune_occluded(*args):
-            out = real_prune(*args)
-            work["pruned_isects"] += int(args[4].size - out[0].size)
-            return out
-
-        mods = (engine_mod, parallel_mod, fragment_mod)
-        for mod in mods:
-            mod.pairs_for_isects = pairs_for_isects
-        engine_mod.prune_occluded = prune_occluded
-        try:
-            fwd()
-        finally:
-            for mod in mods:
-                mod.pairs_for_isects = real_pairs
-            engine_mod.prune_occluded = real_prune
-        return work
-
     def run_matrix():
         entries = []
         occluded = make_occluded_raster_scene(sizes[0], RASTER_WH)
@@ -626,10 +621,12 @@ def test_raster_engine_matrix(benchmark):
              RasterConfig(engine="fragment", workers=1, fragment_shards=2)),
         ):
             run = partial(fwd, *occluded, config=cfg)
+            counts = run().counts
             entries.append({
                 "engine": name, "workers": cfg.workers, "dtype": "float64",
                 "splats": int(occluded[0].shape[0]), "scene": "occluded",
-                "forward_s": _best_of(run, rounds), **forward_work(run),
+                "forward_s": _best_of(run, rounds), "pairs": counts.pairs,
+                "pruned_isects": counts.pruned_isects,
             })
         for n in sizes:
             scene = make_raster_scene(n, RASTER_WH)

@@ -369,17 +369,18 @@ class TrainingSystem(ABC):
                 loss = photometric_loss(
                     res.image, gt_region, ssim_lambda=self.config.ssim_lambda
                 )
-                saved = res.raster.saved
-                if saved is not None and _trace.enabled():
-                    # the raster state held for backward is real process
-                    # memory the modeled tracker does not (and should not)
-                    # charge: `activations` already stands for it
-                    saved_bytes = saved.nbytes
-                    fwd.set(pairs=saved.num_pairs, saved_bytes=saved_bytes)
-                    _metrics.get_registry().gauge(
-                        "render/saved_pair_bytes"
-                    ).set_max(saved_bytes)
+                if _trace.enabled():
                     _metrics.record_isects(fwd, res.raster)
+                    saved = res.raster.saved
+                    if saved is not None:
+                        # the raster state held for backward is real
+                        # process memory the modeled tracker does not (and
+                        # should not) charge: `activations` stands for it
+                        saved_bytes = saved.nbytes
+                        fwd.set(saved_bytes=saved_bytes)
+                        _metrics.get_registry().gauge(
+                            "render/saved_pair_bytes"
+                        ).set_max(saved_bytes)
             with _span("train/backward", "train"):
                 back = render_backward(
                     compact, camera, res, loss.grad_image * pixel_weight

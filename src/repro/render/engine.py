@@ -63,10 +63,19 @@ BalanceGS / Faster-GS) to numpy:
    suffix-color accumulator ``sum_{j behind i} c_j a_j T_j + bg * T_final``
    with a segment-wise suffix scan of the scalar ``weight * (dL/dC . c)``
    (the image gradient is constant within a pixel's segment, so the
-   three-channel suffix contracts to one scalar scan), and reduces
-   per-splat gradients with ``np.bincount`` segment sums. It fills the
-   exact :class:`~repro.render.backward.RasterGrads` contract of the loop
-   implementation.
+   three-channel suffix contracts to one scalar scan), which gives
+   ``dL/dpower`` per pair, and reduces nine *raw sums* per splat with
+   ``np.bincount``: the colour gradient, ``sum dL/dpower``, its three
+   second moments and its two first moments in ``(dx, dy)``. It does
+   per-pixel work per pixel (the image gradient and the pixel centre are
+   formed per group and repeated) and no per-splat work at all: the
+   conic, the ``-0.5 / -1 / -0.5`` of its gradient and ``1 / opacity``
+   are constant over a splat's pairs, so :func:`set_grads` applies them
+   to the sums — the one place sums become the exact
+   :class:`~repro.render.backward.RasterGrads` contract of the loop
+   implementation. The kernel walks its table in blocks of whole groups
+   of about :data:`BLOCK_PAIRS` pairs, so its pair-sized temporaries are
+   cache-sized, and adds the blocks' sums in block order.
 
 **One kernel, three schedulers.** Steps 3 and 4 are the only copy of the
 pair arithmetic: :func:`pairs_for_isects` (the table),
@@ -98,6 +107,7 @@ from .backward import RasterGrads, alloc_grads
 from .rasterize import (
     ENGINE_TABLE,
     ENGINES,
+    PairCounts,
     RasterConfig,
     RasterResult,
     config_bboxes,
@@ -105,6 +115,13 @@ from .rasterize import (
 
 #: Tile edge in pixels (3DGS/gsplat use 16x16 tiles).
 TILE_SIZE = 16
+
+#: Pairs per block of the backward kernel (:func:`backward_pairs`): its
+#: ~15 pair-sized float64 temporaries then take ~2 MB instead of 25x the
+#: table. Swept on ``train_raster``'s ~790k-pair tables, backward per
+#: call: 2k / 4k / 8k / 16k / 32k / 64k / 128k pairs = 34.3 / 33.0 / 32.9 /
+#: 31.0 / 32.3 / 34.1 / 35.6 ms, 44.7 ms unblocked (67.7 ms before PR 24).
+BLOCK_PAIRS = 16384
 
 #: ``log2`` of the transmittance below which a tile counts as opaque: the
 #: occlusion prune (:func:`prune_occluded`) drops every intersection that
@@ -255,9 +272,11 @@ class _PairTable:
     ``alpha_min`` (or non-contributing when ``alpha_min == 0``) are gone.
     ``starts``/``counts`` delimit the per-pixel segments; ``nz`` lists the
     pixel id of each segment (``pixel == np.repeat(nz, counts)``).
-    ``isects``/``pruned_isects`` are bookkeeping for telemetry, filled in
-    by :func:`_build_pairs`: rows of the intersection table the pairs were
-    expanded from, and rows the occlusion prune removed before that.
+    ``cells``/``isects``/``pruned_isects`` are bookkeeping for telemetry
+    (:attr:`pair_counts`): rows expanded before compaction, rows of the
+    intersection table they were expanded from — both set where the table
+    is built, :func:`pairs_for_isects` — and rows the occlusion prune
+    removed before that, set by whoever called the prune.
     """
 
     pixel: np.ndarray  # (A,) int64 global pixel id, ascending
@@ -266,11 +285,19 @@ class _PairTable:
     starts: np.ndarray  # (S,) first pair index of each segment
     counts: np.ndarray  # (S,) pairs per segment
     nz: np.ndarray  # (S,) pixel id per segment
+    cells: int = 0
     isects: int = 0
     pruned_isects: int = 0
 
+    @property
+    def pair_counts(self) -> PairCounts:
+        """What building this table took, for ``RasterResult.counts``."""
+        return PairCounts(
+            self.cells, int(self.alpha.size), self.isects, self.pruned_isects
+        )
 
-def _empty_pairs(dtype) -> _PairTable:
+
+def _empty_pairs(dtype, **counts) -> _PairTable:
     return _PairTable(
         pixel=np.empty(0, dtype=np.int64),
         sid=np.empty(0, dtype=np.int64),
@@ -278,6 +305,7 @@ def _empty_pairs(dtype) -> _PairTable:
         starts=np.empty(0, dtype=np.int64),
         counts=np.empty(0, dtype=np.int64),
         nz=np.empty(0, dtype=np.int64),
+        **counts,
     )
 
 
@@ -433,7 +461,6 @@ def _build_pairs(
         means2d, conics, opacities, bboxes, tile_ids, sid_isect, tiles_x,
         width, height, config, tile_size,
     )
-    pairs.isects = int(tile_ids.size)
     pairs.pruned_isects = num_pruned
     return pairs
 
@@ -454,9 +481,9 @@ def pairs_for_isects(
     cores.
     """
     dtype = means2d.dtype
-    empty = _empty_pairs(dtype)
-    if tile_ids.size == 0:
-        return empty
+    isects = int(tile_ids.size)
+    if isects == 0:
+        return _empty_pairs(dtype)
 
     # clip each splat bbox to its tile: the pixel rect of one intersection
     rx0, rx1, ry0, ry1 = clip_isect_rects(
@@ -477,7 +504,7 @@ def pairs_for_isects(
     # --- row expansion: one entry per (intersection, pixel row) ----------
     n_rows = int(heights.sum())
     if n_rows == 0:
-        return empty
+        return _empty_pairs(dtype, isects=isects)
     row_start = np.cumsum(heights) - heights
     y_row = np.arange(n_rows, dtype=np.int64) + np.repeat(
         ry0 - row_start, heights
@@ -522,27 +549,40 @@ def pairs_for_isects(
     sid = np.repeat(sid_isect, area)
 
     # --- compact and order by (pixel, depth) ------------------------------
-    n_pix = width * height
     if config.alpha_min > 0:
         keep = np.flatnonzero(alpha >= config.alpha_min)
     else:
         keep = np.flatnonzero(alpha > 0.0)
+    pairs = _pixel_sorted(pixel, sid, alpha, keep, width * height)
+    pairs.cells, pairs.isects = n_cells, isects
+    return pairs
+
+
+def _pixel_sorted(pixel, sid, alpha, keep, n_pix) -> _PairTable:
+    """The cells ``keep`` (ascending indices into the three columns) as a
+    table: ordered by pixel, stably, so each pixel's segment keeps the
+    depth order the cells were expanded in.
+
+    Compaction and ordering are composed into one permutation, so each
+    column is gathered once — from the cell-sized column when cells were
+    dropped, and by the sort permutation alone when all were kept — and
+    ``pixel`` is not gathered at all: sorted, it is its segments' ids
+    repeated.
+    """
     if keep.size == 0:
-        return empty
-    if keep.size == alpha.size:
-        pix_k = pixel
-    else:
-        pix_k = pixel[keep]
-        alpha = alpha[keep]
-        sid = sid[keep]
+        return _empty_pairs(alpha.dtype)
+    compacted = keep.size < pixel.size
+    pix_k = pixel[keep] if compacted else pixel
     perm = _argsort_by_key(pix_k, n_pix - 1)
+    if compacted:
+        perm = keep[perm]
     counts_pix = np.bincount(pix_k, minlength=n_pix)
     nz = np.flatnonzero(counts_pix)
     seg_counts = counts_pix[nz]
     starts = np.cumsum(seg_counts) - seg_counts
     return _PairTable(
-        pixel=pix_k[perm], sid=sid[perm], alpha=alpha[perm], starts=starts,
-        counts=seg_counts, nz=nz,
+        pixel=np.repeat(nz, seg_counts), sid=sid[perm], alpha=alpha[perm],
+        starts=starts, counts=seg_counts, nz=nz,
     )
 
 
@@ -618,20 +658,49 @@ def local_ids(sid_isect, sid_pair, m_count):
     return uids, lut[sid_pair]
 
 
+def _group_blocks(starts, num_pairs, num_splats):
+    """Cut a table's groups into runs of about ``max(BLOCK_PAIRS, 4 *
+    num_splats)`` pairs: ``(edges, pair_edges)``, block ``i`` being groups
+    ``edges[i]:edges[i + 1]`` and pairs ``pair_edges[i]:pair_edges[i + 1]``.
+
+    Blocks hold whole groups (a group larger than a block is one block),
+    and a table under 1.5 blocks is not cut at all. The ``4 * num_splats``
+    term keeps the per-block ``bincount`` a minority of the work when
+    splats outnumber a block; it is the scene's splat count and not the
+    reduction range, which is at most that, so the cut — and with it the
+    rounding of the sums — does not depend on the index a scheduler
+    reduces onto.
+    """
+    block = max(BLOCK_PAIRS, 4 * num_splats)
+    num_groups = starts.size
+    if 2 * num_pairs < 3 * block:
+        return [0, num_groups], [0, num_pairs]
+    # cut before the first group starting at or past each multiple of the
+    # block size (several multiples inside one group cut once, after it)
+    cuts = np.unique(np.searchsorted(
+        starts, np.arange(block, num_pairs, block, dtype=np.int64)
+    ))
+    edges = [0, *cuts[cuts < num_groups].tolist(), num_groups]
+    return edges, [*starts[edges[:-1]].tolist(), num_pairs]
+
+
 def backward_pairs(
     means2d, conics, colors, opacities, g_flat, width, alpha_max, pairs, *,
     t_before, groups, base, base_has_total, rid, m,
 ):
-    """Per-splat gradient sums of a pair table.
+    """Per-splat raw gradient sums of a pair table.
 
     The positional arguments are the same for every engine: the splat
     arrays and the flat ``(H*W, 3)`` image gradient in the compute dtype,
-    and the table. The keywords are what a scheduler chooses:
+    and the table. ``conics`` and ``opacities`` are not read: whatever is
+    constant per splat multiplies the sums, once per splat, in
+    :func:`set_grads`. The keywords are what a scheduler chooses:
 
     Args:
         t_before: the transmittance each pair blends against.
         groups: ``(starts, counts)`` of the contiguous runs the suffix
-            scan restarts at — pixel segments, or fragments.
+            scan restarts at — pixel segments, or fragments. They tile
+            the table, and each lies inside one pixel.
         base: per group, ``dL/dC .`` the colour accumulated behind it:
             the background term ``(dL/dC . bg) * T_final`` of a pixel
             segment, to which the kernel adds the group's own total; or,
@@ -641,112 +710,155 @@ def backward_pairs(
         rid, m: reduction index of each pair and its range — global splat
             ids, or :func:`local_ids`.
 
-    Returns ``(colors (m, 3), opacities (m,), conics (m, 3), gmx (m,),
-    gmy (m,))`` in float64, the gradient sums over ``rid``.
-    """
-    pix, sid, alpha = pairs.pixel, pairs.sid, pairs.alpha
-    starts, counts = groups
-    weight = t_before * alpha
+    Returns the ``(9, m)`` float64 sums over ``rid``, with ``gp =
+    dL/dpower`` of a pair and ``(dx, dy)`` its pixel centre minus the
+    splat mean: rows 0-2 ``dL/dC_k * weight`` (the colour gradient as it
+    is), 3 ``gp``, 4-6 ``gp * (dx*dx, dx*dy, dy*dy)``, 7 ``gp * dx``,
+    8 ``gp * dy``. Sums are linear, so the partials of slices add
+    (:func:`fill_grads`) before :func:`set_grads` turns them into
+    gradients.
 
-    g_pair = [np.ascontiguousarray(g_flat[:, k])[pix] for k in range(3)]
-    c_pair = [np.ascontiguousarray(colors[:, k])[sid] for k in range(3)]
+    The table is walked in blocks of whole groups (:func:`_group_blocks`)
+    so that the arithmetic's ~15 pair-sized temporaries stay cache-sized,
+    and the blocks' sums are added in block order: a pure function of the
+    table, the same under every scheduler. What is constant per pixel (the
+    image gradient, the pixel centre) is formed per group and repeated.
+    """
+    starts, counts = groups
+    # column copies and the per-group pixel, hoisted out of the block loop
+    cols = (
+        [np.ascontiguousarray(g_flat[:, k]) for k in range(3)],
+        [np.ascontiguousarray(colors[:, k]) for k in range(3)],
+        np.ascontiguousarray(means2d[:, 0]),
+        np.ascontiguousarray(means2d[:, 1]),
+    )
+    group_pix = pairs.pixel[starts]
+    edges, pair_edges = _group_blocks(
+        starts, pairs.alpha.size, means2d.shape[0]
+    )
+    total = np.zeros((9, m), dtype=np.float64)
+    for g0, g1, p0, p1 in zip(
+        edges[:-1], edges[1:], pair_edges[:-1], pair_edges[1:]
+    ):
+        total += _backward_block(
+            *cols, width, alpha_max, group_pix[g0:g1], starts[g0:g1] - p0,
+            counts[g0:g1], base[g0:g1], base_has_total, pairs.sid[p0:p1],
+            pairs.alpha[p0:p1], t_before[p0:p1], rid[p0:p1], m,
+        )
+    return total
+
+
+def _backward_block(
+    g_col, c_col, mean_x, mean_y, width, alpha_max,
+    pix, starts, counts, base, base_has_total, sid, alpha, t_before, rid, m,
+):
+    """The ``(9, m)`` sums of one block of :func:`backward_pairs`. ``pix``
+    is per group and ``starts`` block-relative; ``sid``, ``alpha``,
+    ``t_before`` and ``rid`` are the block's pairs."""
+    sums = np.empty((9, m), dtype=np.float64)
+    weight = t_before * alpha
+    g_pair = [np.repeat(g_col[k][pix], counts) for k in range(3)]
 
     # dL/dcolor_k = sum_p dL/dC_k * alpha * T_before
-    grad_colors = np.empty((m, 3), dtype=np.float64)
     for k in range(3):
-        grad_colors[:, k] = np.bincount(
-            rid, weights=g_pair[k] * weight, minlength=m
-        )
+        sums[k] = np.bincount(rid, weights=g_pair[k] * weight, minlength=m)
 
     # Suffix color accumulator, contracted with dL/dC per pair: because the
     # image gradient is constant within a pixel's segment,
     #   dL/dC . (sum_{j>i} c_j a_j T_j + bg T_final)
     #     = [group total + what lies behind the group] - inclusive prefix
     # which is one cumsum plus group-level gathers.
-    gdot_color = g_pair[0] * c_pair[0]
-    gdot_color += g_pair[1] * c_pair[1]
-    gdot_color += g_pair[2] * c_pair[2]
+    gdot_color = g_pair[0] * c_col[0][sid]
+    gdot_color += g_pair[1] * c_col[1][sid]
+    gdot_color += g_pair[2] * c_col[2][sid]
     gw = weight * gdot_color
     incl = np.cumsum(gw)
+    before = incl[starts] - gw[starts]  # the scan's value entering a group
     if not base_has_total:
-        ends = starts + counts - 1
-        base = base + (incl[ends] - incl[starts] + gw[starts])
-    incl -= np.repeat(incl[starts] - gw[starts], counts)
-    gdot_suffix = np.repeat(base, counts)
+        base = base + (incl[starts + counts - 1] - before)
+    gdot_suffix = np.repeat(base + before, counts)
     gdot_suffix -= incl
 
-    one_minus = 1.0 - alpha
     grad_alpha = gdot_color * t_before
-    grad_alpha -= gdot_suffix / one_minus
+    grad_alpha -= gdot_suffix / (1.0 - alpha)
     # the alpha cap's gradient is zero where it binds
     np.copyto(grad_alpha, 0.0, where=alpha >= alpha_max)
+    # alpha = o * exp(power) below the cap, so dL/dpower = dL/dalpha * alpha
+    # (and dL/do = sum_p dL/dpower / o: set_grads)
+    grad_power = np.multiply(grad_alpha, alpha, out=grad_alpha)
+    sums[3] = np.bincount(rid, weights=grad_power, minlength=m)
 
-    # alpha = o * g with g = exp(power): compacted pairs all have alpha > 0,
-    # hence opacity > 0, so the uncapped branch value g = alpha / o is safe.
-    op_pair = opacities[sid]
-    gval = alpha / op_pair
-    grad_alpha *= gval  # now dL/dalpha * g
-    grad_opac = np.bincount(rid, weights=grad_alpha, minlength=m)
-    grad_power = np.multiply(grad_alpha, op_pair, out=grad_alpha)
-
-    dx = (pix % width) + 0.5
-    dx -= np.ascontiguousarray(means2d[:, 0])[sid]
-    dy = (pix // width) + 0.5
-    dy -= np.ascontiguousarray(means2d[:, 1])[sid]
+    dx = np.repeat((pix % width) + 0.5, counts)
+    dx -= mean_x[sid]
+    dy = np.repeat((pix // width) + 0.5, counts)
+    dy -= mean_y[sid]
     gpx = grad_power * dx
     gpy = grad_power * dy
-    grad_conics = np.empty((m, 3), dtype=np.float64)
-    grad_conics[:, 0] = -0.5 * np.bincount(rid, weights=gpx * dx, minlength=m)
-    grad_conics[:, 1] = -np.bincount(rid, weights=gpx * dy, minlength=m)
-    grad_conics[:, 2] = -0.5 * np.bincount(rid, weights=gpy * dy, minlength=m)
-    c_a = np.ascontiguousarray(conics[:, 0])[sid]
-    c_b = np.ascontiguousarray(conics[:, 1])[sid]
-    c_c = np.ascontiguousarray(conics[:, 2])[sid]
-    gmx_pair = c_a * gpx
-    gmx_pair += c_b * gpy
-    gmy_pair = c_b * gpx
-    gmy_pair += c_c * gpy
-    gmx = np.bincount(rid, weights=gmx_pair, minlength=m)
-    gmy = np.bincount(rid, weights=gmy_pair, minlength=m)
-    return grad_colors, grad_opac, grad_conics, gmx, gmy
+    sums[7] = np.bincount(rid, weights=gpx, minlength=m)
+    sums[8] = np.bincount(rid, weights=gpy, minlength=m)
+    # dx, dy, gpx, gpy are float64 under every compute dtype (the pixel
+    # centre is), so the three moments reuse them
+    sums[4] = np.bincount(
+        rid, weights=np.multiply(gpx, dx, out=dx), minlength=m
+    )
+    sums[5] = np.bincount(
+        rid, weights=np.multiply(gpx, dy, out=gpx), minlength=m
+    )
+    sums[6] = np.bincount(
+        rid, weights=np.multiply(gpy, dy, out=gpy), minlength=m
+    )
+    return sums
 
 
-def set_grads(grads: RasterGrads, colors, opacities, conics, gmx, gmy):
-    """Store one set of gradient sums (the return of
-    :func:`backward_pairs`, or :func:`fill_grads`'s accumulators) in the
-    :class:`~repro.render.backward.RasterGrads` contract."""
-    grads.colors[:] = colors
-    grads.opacities[:] = opacities
-    grads.conics[:] = conics
+def set_grads(grads: RasterGrads, conics, opacities, sums) -> RasterGrads:
+    """Turn the ``(9, M)`` raw sums of :func:`backward_pairs` (one whole
+    table's, or :func:`fill_grads`'s merged ones) into the
+    :class:`~repro.render.backward.RasterGrads` contract.
+
+    The one place the per-splat factors are applied. With ``power = -0.5
+    (a dx^2 + c dy^2) - b dx dy`` and ``alpha = o exp(power)``:
+
+    * ``dL/d(a, b, c) = (-0.5, -1, -0.5) * sum gp (dx^2, dx dy, dy^2)``;
+    * ``dL/dmean = (a Sx + b Sy, b Sx + c Sy)`` with ``(Sx, Sy) = sum gp
+      (dx, dy)``, since ``d power / d mean = (a dx + b dy, b dx + c dy)``;
+    * ``dL/do = (sum gp) / o``, exactly 0 where ``o == 0`` (such a splat
+      has no pair, so its sum is 0).
+
+    A splat without pairs has zero sums and gets zero gradients.
+    """
+    c_a, c_b, c_c = conics[:, 0], conics[:, 1], conics[:, 2]
+    power, sx, sy = sums[3], sums[7], sums[8]
+    gmx = c_a * sx + c_b * sy
+    gmy = c_b * sx + c_c * sy
+    grads.colors[:] = sums[:3].T
+    grads.opacities[:] = np.divide(
+        power, opacities, out=np.zeros_like(power), where=opacities != 0
+    )
+    grads.conics[:, 0] = -0.5 * sums[4]
+    grads.conics[:, 1] = -sums[5]
+    grads.conics[:, 2] = -0.5 * sums[6]
     grads.means2d[:, 0] = gmx
     grads.means2d[:, 1] = gmy
     grads.mean2d_abs[:] = np.hypot(gmx, gmy)
     return grads
 
 
-def fill_grads(grads: RasterGrads, partials) -> RasterGrads:
+def fill_grads(grads: RasterGrads, conics, opacities, partials) -> RasterGrads:
     """Merge the pooled engines' per-slice partials into ``grads``.
 
-    A partial is ``(uids, *backward_pairs(...))`` over the slice's own
+    A partial is ``(uids, backward_pairs(...))`` over the slice's own
     splats, or ``None`` for a slice without pairs; they are scatter-added
-    in slice order, so the merge is deterministic for a fixed slicing.
-    The ``vectorized`` engine has one whole-scene partial and stores it
-    with :func:`set_grads` directly: ``-0.5 * 0.0 = -0.0`` survives an
-    assignment but not ``0.0 + -0.0``, and that sign of zero is the only
-    bit in which it differs from ``parallel(workers <= 1)``.
+    in slice order, so the merge is deterministic for a fixed slicing,
+    and :func:`set_grads` applies the per-splat factors to the merged
+    sums. The ``vectorized`` engine has one whole-scene partial and hands
+    it to :func:`set_grads` directly.
     """
-    m_count = grads.opacities.shape[0]
-    acc = [
-        np.zeros(shape, dtype=np.float64)
-        for shape in ((m_count, 3), m_count, (m_count, 3), m_count, m_count)
-    ]
+    total = np.zeros((9, grads.opacities.shape[0]), dtype=np.float64)
     for part in partials:
-        if part is None:
-            continue
-        uids = part[0]
-        for total, values in zip(acc, part[1:]):
-            total[uids] += values
-    return set_grads(grads, *acc)
+        if part is not None:
+            uids, sums = part
+            total[:, uids] += sums
+    return set_grads(grads, conics, opacities, total)
 
 
 @dataclass
@@ -879,6 +991,7 @@ def rasterize_vectorized(
             pairs,
             t_before,
         ),
+        counts=pairs.pair_counts,
     )
 
 
@@ -931,7 +1044,7 @@ def rasterize_backward_vectorized(
     # the parallel engine gather first, and a BLAS gemv row is not promised
     # to be position-independent, so each scheduler keeps its own order
     base = ((g_flat @ background) * t_final)[pairs.nz]
-    return set_grads(grads, *backward_pairs(
+    return set_grads(grads, conics, opacities, backward_pairs(
         means2d, conics, colors, opacities, g_flat, width, config.alpha_max,
         pairs, t_before=t_before, groups=(pairs.starts, pairs.counts),
         base=base, base_has_total=False, rid=pairs.sid, m=m_count,

@@ -67,6 +67,7 @@ from .backward import RasterGrads, alloc_grads
 from .engine import (
     TILE_SIZE,
     _argsort_by_key,
+    _empty_pairs,
     _transmittance_scan,
     backward_pairs,
     composite_pairs,
@@ -77,7 +78,7 @@ from .engine import (
     visible_intersections,
 )
 from .parallel import run_slices
-from .rasterize import RasterConfig, RasterResult, config_bboxes
+from .rasterize import PairCounts, RasterConfig, RasterResult, config_bboxes
 
 __all__ = [
     "FragmentRasterResult",
@@ -162,32 +163,33 @@ def _shard_pairs(arr, start, stop, width, height, config, tile_size):
     """Cull -> pairs -> fragments of one shard: the half both passes share
     (the backward rebuilds deterministically what the forward built).
 
-    Returns ``(pairs, sid_isect, run_pair, frag_starts, frag_counts,
-    frag_id)``, or ``None`` when the shard contributes nothing. A new
-    fragment starts at every pixel-segment start and at every global-run
-    change inside a segment. Within a pixel's segment the pairs follow the
-    shard's depth order (a subsequence of the global order), so run ids
-    are non-decreasing and fragments are maximal constant-run slices.
+    Returns ``(pairs, frags)`` with ``frags = (sid_isect, run_pair,
+    frag_starts, frag_counts, frag_id)``, or ``None`` in its place when
+    the shard contributes no pair (``pairs`` still counts what was
+    built). A new fragment starts at every pixel-segment start and at
+    every global-run change inside a segment. Within a pixel's segment the
+    pairs follow the shard's depth order (a subsequence of the global
+    order), so run ids are non-decreasing and fragments are maximal
+    constant-run slices.
     """
     ids = arr["shard_list"][start:stop]
     if ids.size == 0:
-        return None
+        return _empty_pairs(arr["means2d"].dtype), None
     faults.fault_point("fragment:cull")
     # pruned per shard: a shard's own splats bound the tile's global
     # transmittance from above, so the shard-local cut is conservative
-    tile_ids, sid_isect, tiles_x, _ = visible_intersections(
+    tile_ids, sid_isect, tiles_x, num_pruned = visible_intersections(
         arr["means2d"], arr["conics"], arr["opacities"], arr["bboxes"], ids,
         width, height, config, tile_size,
     )
-    if tile_ids.size == 0:
-        return None
     pairs = pairs_for_isects(
         arr["means2d"], arr["conics"], arr["opacities"], arr["bboxes"],
         tile_ids, sid_isect, tiles_x, width, height, config, tile_size,
     )
+    pairs.pruned_isects = num_pruned
     faults.fault_point("fragment:pairs")
     if pairs.alpha.size == 0:
-        return None
+        return pairs, None
     run_pair = arr["run_of"][pairs.sid]
     first = np.zeros(pairs.alpha.size, dtype=bool)
     first[pairs.starts] = True
@@ -196,25 +198,29 @@ def _shard_pairs(arr, start, stop, width, height, config, tile_size):
     frag_counts = np.diff(np.append(frag_starts, pairs.alpha.size))
     frag_id = np.cumsum(first) - 1
     faults.fault_point("fragment:composite")
-    return pairs, sid_isect, run_pair, frag_starts, frag_counts, frag_id
+    return pairs, (sid_isect, run_pair, frag_starts, frag_counts, frag_id)
 
 
 def _forward(arr, start, stop, width, height, config, tile_size):
     """Composite one shard into fragment buffers.
 
-    Returns ``(pixel, run, logt, rgb)`` per fragment — all float64 on the
-    merge-facing side — or ``None`` when the shard contributes nothing.
+    Returns the shard table's :class:`~repro.render.rasterize.PairCounts`
+    and ``(pixel, run, logt, rgb)`` per fragment — all float64 on the
+    merge-facing side — or ``None`` in its place when the shard
+    contributes nothing.
     """
-    built = _shard_pairs(arr, start, stop, width, height, config, tile_size)
-    if built is None:
-        return None
-    pairs, _, run_pair, frag_starts, frag_counts, frag_id = built
+    pairs, frags = _shard_pairs(
+        arr, start, stop, width, height, config, tile_size
+    )
+    if frags is None:
+        return pairs.pair_counts, None
+    _, run_pair, frag_starts, frag_counts, frag_id = frags
     # fragment-local scan -> transmittance within the fragment
     logt, t_within = _transmittance_scan(pairs, frag_starts, frag_counts)
     rgb = composite_pairs(
         pairs, t_within, arr["colors"], frag_id, frag_starts.size
     )
-    return (
+    return pairs.pair_counts, (
         pairs.pixel[frag_starts],
         run_pair[frag_starts],
         logt.astype(np.float64, copy=False),
@@ -232,10 +238,12 @@ def _backward(
     already holds [segment total + bg term - exclusive fragment prefix] —
     turn the fragment-local scans into the global ones.
     """
-    built = _shard_pairs(arr, start, stop, width, height, config, tile_size)
-    if built is None:
+    pairs, frags = _shard_pairs(
+        arr, start, stop, width, height, config, tile_size
+    )
+    if frags is None:
         return None
-    pairs, sid_isect, _, frag_starts, frag_counts, _ = built
+    sid_isect, _, frag_starts, frag_counts, _ = frags
     if frag_starts.size != fstop - fstart:
         raise RuntimeError(
             "fragment backward rebuilt a different fragment count than the "
@@ -244,7 +252,7 @@ def _backward(
     uids, lid = local_ids(sid_isect, pairs.sid, arr["means2d"].shape[0])
     _, t_within = _transmittance_scan(pairs, frag_starts, frag_counts)
     t_before = np.repeat(arr["tb_emit"][fstart:fstop], frag_counts) * t_within
-    return uids, *backward_pairs(
+    return uids, backward_pairs(
         arr["means2d"], arr["conics"], arr["colors"], arr["opacities"],
         arr["grad_image"], width, config.alpha_max, pairs,
         t_before=t_before, groups=(frag_starts, frag_counts),
@@ -340,10 +348,10 @@ def _render_fragments(
         (int(offsets[k]), int(offsets[k + 1]))
         for k in range(offsets.size - 1)
     ]
-    results = run_slices(
+    counts, results = zip(*run_slices(
         _forward, arrays, slices, config.workers, width=width, height=height,
         config=config, tile_size=tile_size,
-    )
+    ))
     image, trans, stash = _merge_fragments(
         results, width, height, background, means2d.dtype, num_runs
     )
@@ -356,6 +364,7 @@ def _render_fragments(
         offsets=offsets,
         run_of=run_of,
         num_runs=num_runs,
+        counts=PairCounts.total(counts),
         **stash,
     )
 
@@ -568,7 +577,7 @@ def rasterize_backward_fragment(
         )
         for k in range(result.offsets.size - 1)
     ]
-    return fill_grads(grads, run_slices(
+    return fill_grads(grads, conics, opacities, run_slices(
         _backward, arrays, slices, config.workers, width=width,
         height=height, config=config, tile_size=tile_size,
     ))

@@ -23,9 +23,8 @@ shared with the ``fragment`` engine; the pool itself is
 
 Numerics match the vectorized engine to ~1e-12 (the only difference is
 prefix-scan rounding at span boundaries) for every worker count — with
-one span, ``workers <= 1``, exactly, up to the sign of a zero gradient —
-and repeated runs with a fixed worker count are bit-identical: span
-partitioning is a pure function of the inputs and the merge order is
+one span, ``workers <= 1``, exactly — and repeated runs with a fixed
+worker count are bit-identical: span partitioning is a pure function of the inputs and the merge order is
 fixed. ``tests/render/test_parallel_engine.py`` and
 ``tests/render/test_pair_kernel.py`` pin both.
 """
@@ -50,7 +49,7 @@ from .engine import (
     prepare,
     visible_intersections,
 )
-from .rasterize import RasterConfig, RasterResult, config_bboxes
+from .rasterize import PairCounts, RasterConfig, RasterResult, config_bboxes
 from .tiles import adaptive_span_count, partition_spans
 
 __all__ = [
@@ -117,7 +116,9 @@ def _span_pairs(arr, start, stop, width, height, tiles_x, config, tile_size):
 
 
 def _forward(arr, start, stop, width, height, tiles_x, config, tile_size):
-    """Composite one tile span; returns ``(nz, trans, rgb)`` or ``None``.
+    """Composite one tile span; returns its table's
+    :class:`~repro.render.rasterize.PairCounts` and ``(nz, trans, rgb)``,
+    or ``None`` in its place for a span without pairs.
 
     ``nz`` are the span's touched pixel ids — disjoint from every other
     span's, because spans cut only at tile boundaries.
@@ -127,7 +128,7 @@ def _forward(arr, start, stop, width, height, tiles_x, config, tile_size):
         arr, start, stop, width, height, tiles_x, config, tile_size
     )
     if pairs.alpha.size == 0:
-        return None
+        return pairs.pair_counts, None
     seg_log_t, t_before = _transmittance_scan(pairs)
     seg_ids = np.repeat(
         np.arange(pairs.nz.size, dtype=np.int64), pairs.counts
@@ -135,7 +136,7 @@ def _forward(arr, start, stop, width, height, tiles_x, config, tile_size):
     rgb = composite_pairs(
         pairs, t_before, arr["colors"], seg_ids, pairs.nz.size
     )
-    return pairs.nz, np.exp2(seg_log_t), rgb
+    return pairs.pair_counts, (pairs.nz, np.exp2(seg_log_t), rgb)
 
 
 def _backward(arr, start, stop, width, height, tiles_x, config, tile_size):
@@ -153,7 +154,7 @@ def _backward(arr, start, stop, width, height, tiles_x, config, tile_size):
     )
     _, t_before = _transmittance_scan(pairs)
     g_flat, nz = arr["grad_image"], pairs.nz
-    return uids, *backward_pairs(
+    return uids, backward_pairs(
         arr["means2d"], arr["conics"], arr["colors"], arr["opacities"],
         g_flat, width, config.alpha_max, pairs,
         t_before=t_before, groups=(pairs.starts, pairs.counts),
@@ -223,22 +224,25 @@ def rasterize_parallel(
     means2d, conics, colors, opacities = splats
     dtype = means2d.dtype
 
-    tile_ids, sid, tiles_x, _ = visible_intersections(
+    tile_ids, sid, tiles_x, num_pruned = visible_intersections(
         means2d, conics, opacities, bboxes, order, width, height, config,
         tile_size,
     )
     n_pix = width * height
     image = np.zeros((n_pix, 3), dtype=dtype)
     trans = np.ones(n_pix, dtype=dtype)
+    # the prune ran here, on the host; the spans count the rest
+    counts = [PairCounts(pruned_isects=num_pruned)]
     if tile_ids.size:
         arrays = {
             "means2d": means2d, "conics": conics, "colors": colors,
             "opacities": opacities, "bboxes": bboxes,
             "tile_ids": tile_ids, "sid": sid,
         }
-        for res in _run_spans(
+        for span_counts, res in _run_spans(
             _forward, arrays, tiles_x, width, height, config, tile_size
         ):
+            counts.append(span_counts)
             if res is None:
                 continue
             nz, span_trans, rgb = res
@@ -250,6 +254,7 @@ def rasterize_parallel(
         final_transmittance=trans.reshape(height, width),
         order=order,
         bboxes=bboxes,
+        counts=PairCounts.total(counts),
     )
 
 
@@ -295,6 +300,6 @@ def rasterize_backward_parallel(
         ),
         "background": background,
     }
-    return fill_grads(grads, _run_spans(
+    return fill_grads(grads, conics, opacities, _run_spans(
         _backward, arrays, tiles_x, width, height, config, tile_size
     ))

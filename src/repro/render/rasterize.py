@@ -10,6 +10,7 @@ splat's bounding box.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,6 +116,28 @@ class RasterConfig:
             raise ValueError("fragment_shards must be >= 0")
 
 
+class PairCounts(NamedTuple):
+    """What a flat engine's forward built, counted where it was built.
+
+    ``cells`` are the (splat, pixel) rows expanded from the clipped
+    rectangles, ``pairs`` those left after ``alpha_min`` compaction (the
+    rows the scan, the composite and the backward touch; ``pairs / cells``
+    is what tighter rectangles would be judged by), ``isects`` the rows of
+    the tile-intersection table they were expanded from and
+    ``pruned_isects`` the rows the occlusion prune dropped before that.
+    """
+
+    cells: int = 0
+    pairs: int = 0
+    isects: int = 0
+    pruned_isects: int = 0
+
+    @classmethod
+    def total(cls, parts) -> PairCounts:
+        """Field-wise sum of the slices' counts."""
+        return cls(*map(sum, zip(*parts)))
+
+
 @dataclass
 class RasterResult:
     """Output of :func:`rasterize`.
@@ -132,6 +155,9 @@ class RasterResult:
             from engines that keep nothing. It lives exactly as long as
             this result does, and a backward that does not recognise it
             recomputes what it needs.
+        counts: the :class:`PairCounts` of the forward, summed over its
+            slices, from every flat engine; ``None`` from the
+            ``reference`` loop, which builds no table.
     """
 
     image: np.ndarray
@@ -140,6 +166,7 @@ class RasterResult:
     bboxes: np.ndarray
     # keyword-only so subclasses can keep adding required fields
     saved: object | None = field(default=None, repr=False, kw_only=True)
+    counts: PairCounts | None = field(default=None, kw_only=True)
 
 
 def splat_bboxes(

@@ -266,21 +266,24 @@ def reset_registry() -> MetricsRegistry:
 
 
 def record_isects(span, raster) -> None:
-    """Put a forward pass's intersection counts on its span and registry.
+    """Put a forward pass's table counts on its span and registry.
 
     ``raster`` is the :class:`~repro.render.rasterize.RasterResult` the
-    span's render produced. When its engine kept forward state (the
-    ``vectorized`` engine does) the span gains ``isects`` — rows of the
-    tile-intersection table the pairs were built from — and
-    ``pruned_isects`` — rows the occlusion prune dropped before that —
-    and the ``render/isects_pruned`` counter accumulates the latter.
-    Call sites guard on ``trace.enabled()``, so nothing runs untraced.
+    span's render produced. Every flat engine counts what its forward
+    built (``raster.counts``, summed over spans or shards), and the span
+    gains all four: ``isects`` — rows of the tile-intersection table the
+    pairs were built from — ``pruned_isects`` — rows the occlusion prune
+    dropped before that — ``cells`` — (splat, pixel) rows expanded — and
+    ``pairs`` — those kept; the ``render/isects_pruned`` counter
+    accumulates the prune's. The ``reference`` loop builds no table and
+    records nothing. Call sites guard on ``trace.enabled()``, so nothing
+    runs untraced.
     """
-    saved = raster.saved
-    if saved is None:
+    counts = raster.counts
+    if counts is None:
         return
-    span.set(isects=saved.num_isects, pruned_isects=saved.num_pruned)
-    _registry.counter("render/isects_pruned").inc(saved.num_pruned)
+    span.set(**counts._asdict())
+    _registry.counter("render/isects_pruned").inc(counts.pruned_isects)
 
 
 # ---------------------------------------------------------------------------

@@ -200,7 +200,7 @@ class TestSavedPairTelemetry:
     reported per view — through telemetry, not the modeled tracker."""
 
     @staticmethod
-    def _system(telemetry):
+    def _system(telemetry, engine="vectorized"):
         from repro.core import GSScaleConfig, create_system
         from repro.datasets import SyntheticSceneConfig, build_scene
 
@@ -213,7 +213,7 @@ class TestSavedPairTelemetry:
         system = create_system(
             scene.initial.copy(),
             GSScaleConfig(
-                system="gsscale", engine="vectorized", telemetry=telemetry,
+                system="gsscale", engine=engine, telemetry=telemetry,
                 scene_extent=scene.extent, mem_limit=1.0,
             ),
         )
@@ -270,6 +270,28 @@ class TestIsectTelemetry:
             assert ev.attrs["pruned_isects"] == 0  # opacity 0.1: no-op
         (counter,) = metrics.get_registry().counters()
         assert counter.name == "render/isects_pruned" and counter.value == 0
+
+    def test_every_flat_engine_reports_the_same_counts(self):
+        """The counts come off ``RasterResult.counts``, which the pooled
+        engines sum from their slices — not off the saved table only
+        ``vectorized`` keeps."""
+        per_engine = {}
+        for engine in ("vectorized", "parallel", "fragment"):
+            system, scene = TestSavedPairTelemetry._system(True, engine)
+            trace.get_tracer().clear()
+            system.step(scene.train_cameras[0], scene.train_images[0])
+            (ev,) = [
+                ev for ev in trace.get_tracer().events()
+                if ev.name == "train/forward"
+            ]
+            assert ("saved_bytes" in ev.attrs) == (engine == "vectorized")
+            per_engine[engine] = {
+                key: ev.attrs[key]
+                for key in ("cells", "pairs", "isects", "pruned_isects")
+            }
+        assert per_engine["vectorized"]["cells"] > per_engine["vectorized"]["pairs"] > 0
+        assert per_engine["parallel"] == per_engine["vectorized"]
+        assert per_engine["fragment"] == per_engine["vectorized"]
 
     @staticmethod
     def _serve_opaque_scene():

@@ -3,16 +3,27 @@
 Usage (once per checkout, then diff the two outputs)::
 
     PYTHONPATH=<checkout>/src python tools/hash_raster_engines.py > hashes.txt
+    PYTHONPATH=src python tools/hash_raster_engines.py --check
 
 Prints one line per configuration — fixture x engine (``vectorized`` saved
 and rebuilt; ``parallel`` workers 0 / 2; ``fragment`` workers {0, 2} x
 shards {1, 3}; the per-shard ``rasterize_fragment_sources`` entry point)
-x {float64, float32} x {``alpha_min`` default, 0} — with the sha256 of
-image, final transmittance and the five gradient arrays. The flat engines
+x {float64, float32} x {``alpha_min`` default, 0} — with two sha256
+columns, ``fwd=`` over image and final transmittance and ``bwd=`` over the
+five gradient arrays, and on float64 lines ``ref=``, each gradient
+array's max-abs distance from the ``reference`` loop. The flat engines
 schedule one pair kernel (``docs/raster_engines.md``); a change to it, or
-to a scheduler, that is meant to keep numerics must leave every line
-equal to the parent commit's — the parity suites' ``atol=1e-9`` would not
-notice a last-bit change. Uses only names both sides of such a diff have.
+to a scheduler, that is meant to keep numerics must leave every column
+it does not re-base equal to the parent commit's — the parity suites'
+``atol=1e-9`` would not notice a last-bit change — and a change that
+re-bases one (PR 24 re-based ``bwd=``) must leave ``ref=`` where it was.
+Uses only names both sides of such a diff have.
+
+``--check`` asserts the equalities that hold inside one checkout and
+prints nothing else: every line repeats (a second run gives the same two
+digests), ``vectorized`` saved and rebuilt agree on all seven arrays,
+and ``parallel-w0`` equals ``vectorized`` (forward digest; gradients
+``array_equal``, which forgives the sign of a zero).
 """
 
 import hashlib
@@ -84,65 +95,115 @@ ENGINE_CFGS += [
 ]
 
 
-def digest(res, grads):
+def digest(*arrays):
     h = hashlib.sha256()
-    for a in (res.image, res.final_transmittance,
-              *(getattr(grads, f) for f in GRADS)):
+    for a in arrays:
         a = np.ascontiguousarray(a)
         h.update(str(a.dtype).encode())
         h.update(str(a.shape).encode())
         h.update(a.tobytes())
-    return h.hexdigest()
+    return h.hexdigest()[:32]
 
 
-def main():
-    lines = []
-    for fname, (splats, w, h) in FIXTURES.items():
-        grad = np.random.default_rng(11).normal(size=(h, w, 3))
-        m2, con, col, op, dep, rad = splats
-        for dtype in (None, "float32"):
-            for amin_name, amin in (("def", None), ("0", 0.0)):
-                for ename, kw in ENGINE_CFGS:
-                    cfg = RasterConfig(dtype=dtype, **kw)
-                    if amin is not None:
-                        cfg = replace(cfg, alpha_min=amin)
-                    res = get_forward(cfg.engine)(
-                        m2, con, col, op, dep, rad, w, h, background=BG,
-                        config=cfg)
-                    grads = get_backward(cfg.engine)(
-                        m2, con, col, op, res, grad, background=BG,
-                        config=cfg)
-                    label = f"{fname} {ename} {dtype or 'float64'} amin={amin_name}"
-                    lines.append(f"{label} {digest(res, grads)}")
-                    if ename == "vectorized":
-                        # the rebuild fallback of the saved table
-                        grads = get_backward("vectorized")(
-                            m2, con, col, op, replace(res, saved=None), grad,
-                            background=BG, config=cfg)
-                        lines.append(
-                            f"{label} rebuilt {digest(res, grads)}")
-                # per-shard sources entrypoint (interleaved depth runs)
-                cuts = np.array_split(np.arange(m2.shape[0]), 3)
-                sources = [
-                    FragmentSource(m2[c], con[c], col[c], op[c], dep[c], rad[c])
-                    for c in cuts
-                ]
-                for workers in (0, 2):
-                    cfg = RasterConfig(
-                        engine="fragment", workers=workers, dtype=dtype)
-                    if amin is not None:
-                        cfg = replace(cfg, alpha_min=amin)
-                    res = rasterize_fragment_sources(
-                        sources, w, h, background=BG, config=cfg)
-                    grads = get_backward("fragment")(
-                        m2, con, col, op, res, grad, background=BG,
-                        config=cfg)
-                    lines.append(
-                        f"{fname} sources-w{workers} {dtype or 'float64'} "
-                        f"amin={amin_name} {digest(res, grads)}")
-    shutdown_raster_pools()
-    sys.stdout.write("\n".join(lines) + "\n")
+class Run:
+    """One configuration's outputs: the two digest columns and, against
+    ``ref`` (the ``reference`` loop's gradients, float64 lines only),
+    the distances."""
+
+    def __init__(self, label, res, grads, ref=None):
+        self.label = label
+        self.grads = [getattr(grads, f) for f in GRADS]
+        self.fwd = digest(res.image, res.final_transmittance)
+        self.bwd = digest(*self.grads)
+        self.line = f"{label} fwd={self.fwd} bwd={self.bwd}"
+        if ref is not None:
+            self.line += " ref=" + ",".join(
+                f"{f}:{np.abs(g - r).max():.1e}"
+                for f, g, r in zip(GRADS, self.grads, ref)
+            )
+
+
+def fixture_runs(fname):
+    """Every configuration of one fixture, in print order."""
+    splats, w, h = FIXTURES[fname]
+    grad = np.random.default_rng(11).normal(size=(h, w, 3))
+    m2, con, col, op, dep, rad = splats
+
+    def run(label, cfg, forward=None, ref=None, **res_changes):
+        forward = forward or (lambda: get_forward(cfg.engine)(
+            m2, con, col, op, dep, rad, w, h, background=BG, config=cfg))
+        res = forward()
+        grads = get_backward(cfg.engine)(
+            m2, con, col, op, replace(res, **res_changes), grad,
+            background=BG, config=cfg)
+        return Run(label, res, grads, ref)
+
+    for dtype in (None, "float32"):
+        for amin_name, amin in (("def", None), ("0", 0.0)):
+            def config(**kw):
+                cfg = RasterConfig(dtype=dtype, **kw)
+                return cfg if amin is None else replace(cfg, alpha_min=amin)
+
+            ref = None
+            if dtype is None:
+                ref = run("", config(engine="reference")).grads
+            tail = f"{dtype or 'float64'} amin={amin_name}"
+            for ename, kw in ENGINE_CFGS:
+                yield run(f"{fname} {ename} {tail}", config(**kw), ref=ref)
+                if ename == "vectorized":
+                    # the rebuild fallback of the saved table
+                    yield run(
+                        f"{fname} {ename} {tail} rebuilt", config(**kw),
+                        ref=ref, saved=None)
+            # per-shard sources entrypoint (interleaved depth runs)
+            cuts = np.array_split(np.arange(m2.shape[0]), 3)
+            sources = [
+                FragmentSource(m2[c], con[c], col[c], op[c], dep[c], rad[c])
+                for c in cuts
+            ]
+            for workers in (0, 2):
+                cfg = config(engine="fragment", workers=workers)
+                yield run(
+                    f"{fname} sources-w{workers} {tail}", cfg, ref=ref,
+                    forward=lambda cfg=cfg: rasterize_fragment_sources(
+                        sources, w, h, background=BG, config=cfg))
+
+
+def check(runs, again):
+    """The within-checkout equalities; returns the failures."""
+    failures = []
+    by_label = {r.label: r for r in runs}
+    for first, second in zip(runs, again):
+        if (first.fwd, first.bwd) != (second.fwd, second.bwd):
+            failures.append(f"{first.label}: a second run differs")
+    for label, run in by_label.items():
+        if label.endswith(" rebuilt"):
+            saved = by_label[label[: -len(" rebuilt")]]
+            if (run.fwd, run.bwd) != (saved.fwd, saved.bwd):
+                failures.append(f"{label}: differs from the saved table's")
+        if " parallel-w0 " in label:
+            vec = by_label[label.replace(" parallel-w0 ", " vectorized ")]
+            if run.fwd != vec.fwd:
+                failures.append(f"{label}: forward differs from vectorized")
+            for f, a, b in zip(GRADS, run.grads, vec.grads):
+                if not np.array_equal(a, b):
+                    failures.append(f"{label}: {f} differs from vectorized")
+    return failures
+
+
+def main(argv):
+    runs = [r for fname in FIXTURES for r in fixture_runs(fname)]
+    try:
+        if argv[1:] == ["--check"]:
+            again = [r for fname in FIXTURES for r in fixture_runs(fname)]
+            failures = check(runs, again)
+            print("\n".join(failures) or f"ok: {len(runs)} lines")
+            return 1 if failures else 0
+    finally:
+        shutdown_raster_pools()
+    sys.stdout.write("\n".join(r.line for r in runs) + "\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv))
