@@ -70,7 +70,8 @@ class Fault:
             ``"delay"`` (sleep ``seconds``), or ``"raise"``
             (:class:`InjectedFaultError`).
         index: restrict to visits reporting this task index
-            (``None`` matches any; only ``"pool:task"`` reports one).
+            (``None`` matches any; ``"pool:task"`` reports the task's,
+            ``"block:forward"`` the tile-row block's).
         after: skip this many eligible visits before firing.
         times: how many eligible visits fire (1 = exactly once).
         seconds: sleep length of a ``"delay"`` fault.
@@ -202,8 +203,9 @@ def _in_worker_process() -> bool:
 def fault_point(name: str, index: int | None = None) -> None:
     """Visit the fault point ``name`` (no-op without an armed plan).
 
-    Compiled into the span/fragment kernels and the supervised pool's
-    task wrapper; ``index`` is the pool task index where one exists.
+    Compiled into the span/fragment kernels, the vectorized forward's
+    block tasks and the supervised pool's task wrapper; ``index`` is the
+    pool task or block index where one exists.
     """
     plan = _PLAN
     if plan is None:

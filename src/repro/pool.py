@@ -13,15 +13,23 @@ Data reaches the workers through one shared-memory segment per map
 packs its arrays once, workers attach by name and build views, and
 nothing but the task tuple and the per-task result crosses the pickle
 channel.
+
+:func:`map_blocks` is the in-process fan-out beside it: the blocks of one
+view of the ``vectorized`` raster engine run on threads of the calling
+process (numpy releases the GIL in its array passes), one per CPU the
+process may run on, and inline inside a :class:`PersistentPool` worker,
+which is already one core of a fan-out.
 """
 
 from __future__ import annotations
 
 import atexit
 import multiprocessing as mp
+import os
 import threading
 import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor, wait
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -34,12 +42,15 @@ __all__ = [
     "PersistentPool",
     "PoolFaultError",
     "attach_shm",
+    "block_threads",
     "get_raster_pool",
+    "map_blocks",
     "pack_shm",
     "pool_fork_guard",
     "raster_pool_fault_stats",
     "shm_views",
     "shutdown_raster_pools",
+    "usable_cpus",
 ]
 
 
@@ -119,7 +130,9 @@ class PersistentPool:
       Application exceptions are *not* retried — they re-raise
       immediately, exactly as before;
     * every live pool is reaped at interpreter exit, so exception paths
-      that skip the owner's ``finalize()`` still leak nothing.
+      that skip the owner's ``finalize()`` still leak nothing;
+    * a worker is one core of the fan-out: :func:`map_blocks` runs inline
+      in it and never starts block threads of its own.
 
     Args:
         processes: worker count. Workers start by ``fork`` (cheap, data
@@ -178,7 +191,9 @@ class PersistentPool:
         if self._pool is None:
             ctx = mp.get_context(self.default_start_method())
             with pool_fork_guard:
-                self._pool = ctx.Pool(processes=self.processes)
+                self._pool = ctx.Pool(
+                    processes=self.processes, initializer=_mark_pool_worker
+                )
         return self._pool
 
     def fault_stats(self) -> dict[str, int]:
@@ -391,6 +406,75 @@ def raster_pool_fault_stats() -> dict[str, int]:
         (pool.fault_stats() for pool in _RASTER_POOLS.values()),
         keys=("worker_deaths", "respawns", "retries", "deadline_hits"),
     )
+
+
+# ---------------------------------------------------------------------------
+# in-process block threads
+# ---------------------------------------------------------------------------
+
+#: Set by :class:`PersistentPool`'s worker initializer: a worker is one
+#: core of a fan-out already, so :func:`map_blocks` runs inline there.
+_IN_POOL_WORKER = False
+
+#: ``((pid, threads), executor)`` of this process's block threads. Keyed
+#: by pid: a forked child inherits the object but not its threads, and
+#: builds its own on first use.
+_BLOCK_POOL: tuple[tuple[int, int], ThreadPoolExecutor] | None = None
+
+
+def _mark_pool_worker() -> None:
+    global _IN_POOL_WORKER
+    _IN_POOL_WORKER = True
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask, where the
+    platform has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def block_threads() -> int:
+    """Threads :func:`map_blocks` fans out to: one per usable CPU, and 1
+    inside a :class:`PersistentPool` worker."""
+    return 1 if _IN_POOL_WORKER else usable_cpus()
+
+
+def _block_executor(threads: int) -> ThreadPoolExecutor:
+    global _BLOCK_POOL
+    key = (os.getpid(), threads)
+    pool = _BLOCK_POOL
+    if pool is None or pool[0] != key:
+        # a replaced executor's threads exit once it is collected; two
+        # first uses racing build one executor too many, which goes the
+        # same way
+        pool = _BLOCK_POOL = (key, ThreadPoolExecutor(
+            threads, thread_name_prefix="repro-block"
+        ))
+    return pool[1]
+
+
+def map_blocks(fn, tasks) -> list:
+    """``[fn(task) for task in tasks]``, on this process's block threads.
+
+    Results come back in task order. Every task has finished before this
+    returns or raises, and a task's exception re-raises in the caller —
+    the first one in task order — leaving the threads usable. Runs inline
+    for a single task, on a single CPU, and inside a
+    :class:`PersistentPool` worker. Any number of caller threads may map
+    at once; the tasks must not map themselves (they would wait on the
+    threads they occupy).
+    """
+    tasks = list(tasks)
+    threads = block_threads()
+    if threads <= 1 or len(tasks) <= 1:
+        return [fn(task) for task in tasks]
+    executor = _block_executor(threads)
+    futures = [executor.submit(fn, task) for task in tasks]
+    wait(futures)
+    return [future.result() for future in futures]
 
 
 # ---------------------------------------------------------------------------

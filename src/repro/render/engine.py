@@ -43,7 +43,16 @@ BalanceGS / Faster-GS) to numpy:
    a single segment-wise ``cumsum(log2(1 - alpha))`` scan — safe because
    ``alpha <= alpha_max < 1`` keeps the logarithm finite — and the image is
    composited with one weighted ``np.bincount`` per channel instead of K
-   Python iterations.
+   Python iterations. The forward runs in **blocks of whole tile rows**
+   (:func:`_build_pairs`, about :data:`BLOCK_CELLS` cells each) on every
+   CPU the process may use (:func:`repro.pool.map_blocks`; one block,
+   inline, in a pool worker or when the cut would give a thread fewer
+   than two blocks): tile row ``ty`` holds exactly the pixels ``[ty, ty +
+   1) * 16 * W``, so the view's pixel-sorted table is its blocks' tables
+   in order. A block builds its table and its ``log2(1 - alpha)``; one
+   ``cumsum`` over the whole table runs serially; then a block scans its
+   slice of that sum and composites its own pixels. Bit-identical to one
+   pass over the whole table.
 
 4. **Vectorized backward.** The gradient pass starts from the forward's
    own pair table and transmittance scan: :func:`rasterize_vectorized`
@@ -80,11 +89,14 @@ BalanceGS / Faster-GS) to numpy:
 **One kernel, three schedulers.** Steps 3 and 4 are the only copy of the
 pair arithmetic: :func:`pairs_for_isects` (the table),
 :func:`_transmittance_scan`, :func:`composite_pairs` and
-:func:`backward_pairs`. The ``vectorized`` engine below runs them once over
-the whole table; :mod:`repro.render.parallel` runs them per tile span and
-:mod:`repro.render.fragment` per shard, on a process pool, choosing only
-what :func:`backward_pairs` takes by keyword (``docs/raster_engines.md``
-has the table of who passes what).
+:func:`backward_pairs`. The ``vectorized`` engine below runs them over
+the whole table — its forward a block of tile rows at a time on threads of
+the calling process, the scan's running sum shared by all blocks, its
+backward in one call; :mod:`repro.render.parallel` runs them per tile span
+and :mod:`repro.render.fragment` per shard, on a process pool, each span
+or shard with a running sum of its own, choosing only what
+:func:`backward_pairs` takes by keyword (``docs/raster_engines.md`` has
+the table of who passes what).
 
 Numerical notes: alphas use base-2 exponentials
 (``exp2(log2(e) * power + log2(opacity))``) and the transmittance scan runs
@@ -103,6 +115,7 @@ from importlib import import_module
 
 import numpy as np
 
+from .. import faults, pool
 from .backward import RasterGrads, alloc_grads
 from .rasterize import (
     ENGINE_TABLE,
@@ -122,6 +135,15 @@ TILE_SIZE = 16
 #: call: 2k / 4k / 8k / 16k / 32k / 64k / 128k pairs = 34.3 / 33.0 / 32.9 /
 #: 31.0 / 32.3 / 34.1 / 35.6 ms, 44.7 ms unblocked (67.7 ms before PR 24).
 BLOCK_PAIRS = 16384
+
+#: Cells per block of the vectorized forward (:func:`_build_pairs`), cut
+#: at tile-row boundaries. Swept on captured tables, forward per call on
+#: 2 threads, two readings each: 32k / 64k / 128k / 256k cells =
+#: 50.4, 47.6 / 49.0, 49.1 / 51.4, 44.7 / 55.7, 50.3 ms on ``train_raster``
+#: (the first three cut alike: its tile rows are 150-250k cells) and
+#: 36.2, 39.4 / 36.9, 39.0 / 36.5, 41.6 / 35.2, 44.1 ms on ``train_split``;
+#: one block on one thread 77.3, 73.8 and 45.1, 51.6 ms.
+BLOCK_CELLS = 65536
 
 #: ``log2`` of the transmittance below which a tile counts as opaque: the
 #: occlusion prune (:func:`prune_occluded`) drops every intersection that
@@ -449,25 +471,148 @@ def visible_intersections(
     return tile_ids, sid_isect, tiles_x, num_isects - tile_ids.size
 
 
+def _tile_row_blocks(bboxes, tile_ids, sid_isect, tiles_x, tile_size,
+                     threads):
+    """Cut a ``(tile, depth)``-sorted intersection table into blocks of
+    whole tile rows of about :data:`BLOCK_CELLS` cells (:func:`_cut_runs`)
+    for ``threads`` threads.
+
+    Returns ``(isect_edges, first_cells)``: block ``i`` is rows
+    ``isect_edges[i]:isect_edges[i + 1]`` of the table, and its first cell
+    has index ``first_cells[i]`` in the expansion of the whole table.
+
+    A cut that gives a thread fewer than two blocks is not made: the table
+    is one block, built inline. Blocks are whole tile rows, so a short
+    view cuts into a few blocks of very unequal size — ``train_split``'s
+    48 px views into 2-3, e.g. 879k + 402k cells — and the threads then
+    wait on the largest while the rest of the step pays for the fan-out:
+    measured end to end, such views lost 6% of ``train_split``'s
+    throughput (1 of 10 pairs won). ``train_raster``'s 96 px views cut
+    into 5-6 blocks of 150-250k cells and gain 1.3x.
+    """
+    one_block = [0, tile_ids.size], [0]
+    if threads <= 1 or tile_ids.size == 0:
+        return one_block
+    row_span = int(tile_ids[-1]) // tiles_x - int(tile_ids[0]) // tiles_x
+    if row_span + 1 < 2 * threads:
+        return one_block
+    rx0, rx1, ry0, ry1 = clip_isect_rects(
+        bboxes, tile_ids, sid_isect, tiles_x, tile_size
+    )
+    area = (rx1 - rx0) * (ry1 - ry0)
+    first_cell = np.cumsum(area) - area
+    rows = np.flatnonzero(np.diff(tile_ids // tiles_x, prepend=-1))
+    edges, cell_edges = _cut_runs(
+        first_cell[rows], int(area.sum()), BLOCK_CELLS
+    )
+    if len(edges) - 1 < 2 * threads:
+        return one_block
+    return [0, *rows[edges[1:-1]].tolist(), tile_ids.size], cell_edges[:-1]
+
+
 def _build_pairs(
-    means2d, conics, opacities, bboxes, order, width, height, config, tile_size
-) -> _PairTable:
-    """Expand, evaluate, compact, and pixel-sort all splat-pixel pairs."""
+    means2d, conics, opacities, bboxes, order, width, height, config,
+    tile_size, composite=None,
+) -> _SavedPairs:
+    """The pair table of a view and its transmittance scan, as the
+    backward reads them: every splat-pixel pair expanded, evaluated,
+    compacted and pixel-sorted, then scanned.
+
+    The work runs in blocks of whole tile rows (:func:`_tile_row_blocks`)
+    on the process's block threads (:func:`repro.pool.map_blocks`). The
+    table is sorted ``(tile, depth)`` and tile row ``ty`` holds exactly
+    the pixels ``[ty, ty + 1) * tile_size * width``, so the view's
+    pixel-sorted table is its blocks' tables in order, each built at its
+    own cell index by :func:`pairs_for_isects`. Per block: the table and
+    its ``log2(1 - alpha)``. Serially: one running sum over the whole
+    table, which the transmittance of every pair depends on (the numerics
+    contract's fifth fact, ``docs/architecture.md``). Per block again: the
+    block's part of the whole table, its scan on its slice of that sum,
+    and — given ``composite = (colors, image, trans)`` — its pixels'
+    colour sums and final transmittance, into the flat ``(H*W, 3)`` /
+    ``(H*W,)`` arrays. Every value is the one a single pass over the whole
+    table computes, bit for bit.
+    """
     tile_ids, sid_isect, tiles_x, num_pruned = visible_intersections(
         means2d, conics, opacities, bboxes, order, width, height, config,
         tile_size,
     )
-    pairs = pairs_for_isects(
-        means2d, conics, opacities, bboxes, tile_ids, sid_isect, tiles_x,
-        width, height, config, tile_size,
+    isect_edges, first_cells = _tile_row_blocks(
+        bboxes, tile_ids, sid_isect, tiles_x, tile_size, pool.block_threads()
     )
+    blocks = range(len(isect_edges) - 1)
+
+    def build(b):
+        faults.fault_point("block:forward", index=b)
+        i0, i1 = isect_edges[b], isect_edges[b + 1]
+        block = pairs_for_isects(
+            means2d, conics, opacities, bboxes, tile_ids[i0:i1],
+            sid_isect[i0:i1], tiles_x, width, height, config, tile_size,
+            first_cell=first_cells[b],
+        )
+        return block, np.log2(1.0 - block.alpha)
+
+    built = pool.map_blocks(build, blocks)
+    tables = [block for block, _ in built]
+    pair_edges = np.cumsum([0] + [block.alpha.size for block in tables])
+    seg_edges = np.cumsum([0] + [block.nz.size for block in tables])
+    if len(tables) == 1:
+        pairs, cum = tables[0], np.cumsum(built[0][1])
+    else:
+        pairs = _alloc_pairs(tables, pair_edges[-1], seg_edges[-1])
+        cum = np.concatenate([lg for _, lg in built])
+        np.cumsum(cum, out=cum)
     pairs.pruned_isects = num_pruned
-    return pairs
+
+    def finish(b):
+        faults.fault_point("block:forward", index=b)
+        block, lg = built[b]
+        p0, p1 = pair_edges[b], pair_edges[b + 1]
+        if block is not pairs:
+            s0, s1 = seg_edges[b], seg_edges[b + 1]
+            pairs.pixel[p0:p1] = block.pixel
+            pairs.sid[p0:p1] = block.sid
+            pairs.alpha[p0:p1] = block.alpha
+            np.add(block.starts, p0, out=pairs.starts[s0:s1])
+            pairs.counts[s0:s1] = block.counts
+            pairs.nz[s0:s1] = block.nz
+        log_t, t_before = _transmittance_scan(block, lg=lg, cum=cum[p0:p1])
+        if composite is None or block.alpha.size == 0:
+            return
+        colors, image, trans = composite
+        trans[block.nz] = np.exp2(log_t)
+        first, stop = block.nz[0], block.nz[-1] + 1
+        rid = block.pixel - first if first else block.pixel
+        image[first:stop] = composite_pairs(
+            block, t_before, colors, rid, stop - first, keep_scan=True
+        )
+
+    pool.map_blocks(finish, blocks)
+    key = _saved_key(
+        means2d.shape[0], width, height, means2d.dtype, tile_size, config
+    )
+    return _SavedPairs(key, pairs, cum)
+
+
+def _alloc_pairs(blocks, num_pairs, num_segs) -> _PairTable:
+    """An unfilled table for ``blocks`` together (``num_pairs`` pairs in
+    ``num_segs`` segments), counting what building them took."""
+    first = blocks[0]
+    return _PairTable(
+        pixel=np.empty(num_pairs, dtype=first.pixel.dtype),
+        sid=np.empty(num_pairs, dtype=first.sid.dtype),
+        alpha=np.empty(num_pairs, dtype=first.alpha.dtype),
+        starts=np.empty(num_segs, dtype=first.starts.dtype),
+        counts=np.empty(num_segs, dtype=first.counts.dtype),
+        nz=np.empty(num_segs, dtype=first.nz.dtype),
+        cells=sum(block.cells for block in blocks),
+        isects=sum(block.isects for block in blocks),
+    )
 
 
 def pairs_for_isects(
     means2d, conics, opacities, bboxes, tile_ids, sid_isect, tiles_x,
-    width, height, config, tile_size,
+    width, height, config, tile_size, first_cell=0,
 ) -> _PairTable:
     """Splat-pixel pairs of a (possibly sliced) intersection table.
 
@@ -479,11 +624,23 @@ def pairs_for_isects(
     span of the table yields complete, composable segments — which is what
     lets :mod:`repro.render.parallel` run disjoint spans on separate
     cores.
+
+    ``first_cell`` is the index the slice's first cell has in the table it
+    was cut from: the per-row ``dx`` constant folds the cell index in, so
+    a slice expanded at its own index would round differently. The pixel
+    sort is keyed relative to the first pixel of the slice's first tile
+    row, so a slice of a few tile rows sorts and counts only those rows.
     """
     dtype = means2d.dtype
     isects = int(tile_ids.size)
     if isects == 0:
         return _empty_pairs(dtype)
+    # the slice's tile rows cover pixel ids [pix0, pix0 + n_pix)
+    pix0 = int(tile_ids[0]) // tiles_x * tile_size * width
+    n_pix = min(
+        (int(tile_ids[-1]) // tiles_x + 1) * tile_size * width,
+        width * height,
+    ) - pix0
 
     # clip each splat bbox to its tile: the pixel rect of one intersection
     rx0, rx1, ry0, ry1 = clip_isect_rects(
@@ -517,14 +674,16 @@ def pairs_for_isects(
     r_y *= dy
     r_y += np.repeat(lop, heights)
     cell_start = np.cumsum(w_row) - w_row
+    cell_start += first_cell
     x0_row = np.repeat(rx0, heights)
     base = x0_row - cell_start
     # dx = arange + (x0 - cell_start + 0.5 - mu_x), folded per row
     r_dx = base + 0.5
     r_dx -= np.repeat(means2d[sid_isect, 0], heights)
-    # pixel = arange + (y*width + x0 - cell_start), folded per row
+    # slice-relative pixel = arange + (y*width + x0 - cell_start - pix0)
     r_pix = y_row * width
     r_pix += base
+    r_pix -= pix0
 
     # --- pair expansion ---------------------------------------------------
     # (the index arithmetic stays float64-exact; the float32 fast path
@@ -534,7 +693,8 @@ def pairs_for_isects(
         r_bdy = r_bdy.astype(dtype)
         r_y = r_y.astype(dtype)
     n_cells = int(w_row.sum())
-    dx = np.arange(n_cells, dtype=np.float64)
+    cells = (first_cell, first_cell + n_cells)
+    dx = np.arange(*cells, dtype=np.float64)
     dx += np.repeat(r_dx, w_row)
     dx = dx.astype(dtype, copy=False)
     q = np.repeat(m_a, area) * dx
@@ -544,7 +704,7 @@ def pairs_for_isects(
     alpha = np.exp2(q, out=q)
     np.minimum(alpha, config.alpha_max, out=alpha)
     alpha = alpha.astype(dtype, copy=False)
-    pixel = np.arange(n_cells, dtype=np.int64)
+    pixel = np.arange(*cells, dtype=np.int64)
     pixel += np.repeat(r_pix, w_row)
     sid = np.repeat(sid_isect, area)
 
@@ -553,21 +713,22 @@ def pairs_for_isects(
         keep = np.flatnonzero(alpha >= config.alpha_min)
     else:
         keep = np.flatnonzero(alpha > 0.0)
-    pairs = _pixel_sorted(pixel, sid, alpha, keep, width * height)
+    pairs = _pixel_sorted(pixel, sid, alpha, keep, n_pix, pix0)
     pairs.cells, pairs.isects = n_cells, isects
     return pairs
 
 
-def _pixel_sorted(pixel, sid, alpha, keep, n_pix) -> _PairTable:
+def _pixel_sorted(pixel, sid, alpha, keep, n_pix, pix0=0) -> _PairTable:
     """The cells ``keep`` (ascending indices into the three columns) as a
     table: ordered by pixel, stably, so each pixel's segment keeps the
     depth order the cells were expanded in.
 
-    Compaction and ordering are composed into one permutation, so each
-    column is gathered once — from the cell-sized column when cells were
-    dropped, and by the sort permutation alone when all were kept — and
-    ``pixel`` is not gathered at all: sorted, it is its segments' ids
-    repeated.
+    ``pixel`` holds ids relative to ``pix0``, in ``[0, n_pix)``; the
+    table's ``pixel`` / ``nz`` are absolute. Compaction and ordering are
+    composed into one permutation, so each column is gathered once — from
+    the cell-sized column when cells were dropped, and by the sort
+    permutation alone when all were kept — and ``pixel`` is not gathered
+    at all: sorted, it is its segments' ids repeated.
     """
     if keep.size == 0:
         return _empty_pairs(alpha.dtype)
@@ -579,6 +740,7 @@ def _pixel_sorted(pixel, sid, alpha, keep, n_pix) -> _PairTable:
     counts_pix = np.bincount(pix_k, minlength=n_pix)
     nz = np.flatnonzero(counts_pix)
     seg_counts = counts_pix[nz]
+    nz += pix0
     starts = np.cumsum(seg_counts) - seg_counts
     return _PairTable(
         pixel=np.repeat(nz, seg_counts), sid=sid[perm], alpha=alpha[perm],
@@ -591,7 +753,8 @@ def _pixel_sorted(pixel, sid, alpha, keep, n_pix) -> _PairTable:
 # engine schedules
 # ---------------------------------------------------------------------------
 
-def _transmittance_scan(pairs: _PairTable, starts=None, counts=None):
+def _transmittance_scan(pairs: _PairTable, starts=None, counts=None,
+                        lg=None, cum=None):
     """Per-pair pre-blend transmittance via a group-wise log2 scan.
 
     The groups ``(starts, counts)`` are contiguous runs of the table: the
@@ -604,11 +767,18 @@ def _transmittance_scan(pairs: _PairTable, starts=None, counts=None):
     against — the product of ``(1 - alpha)`` over strictly-preceding pairs
     of the same group, computed as ``exp2`` of an exclusive group-wise
     cumsum of ``log2(1 - alpha)``.
+
+    ``lg`` (``log2(1 - alpha)``) and ``cum`` (its running sum) are
+    computed here unless given. The ``vectorized`` forward gives both:
+    ``cum`` is then a block's slice of one running sum over the whole
+    view's table, and is overwritten with ``t_before``.
     """
     if starts is None:
         starts, counts = pairs.starts, pairs.counts
-    lg = np.log2(1.0 - pairs.alpha)
-    cum = np.cumsum(lg)
+    if lg is None:
+        lg = np.log2(1.0 - pairs.alpha)
+    if cum is None:
+        cum = np.cumsum(lg)
     ends = starts + counts - 1
     group_log_t = cum[ends] - cum[starts] + lg[starts]
     ecum = cum
@@ -658,30 +828,38 @@ def local_ids(sid_isect, sid_pair, m_count):
     return uids, lut[sid_pair]
 
 
-def _group_blocks(starts, num_pairs, num_splats):
-    """Cut a table's groups into runs of about ``max(BLOCK_PAIRS, 4 *
-    num_splats)`` pairs: ``(edges, pair_edges)``, block ``i`` being groups
-    ``edges[i]:edges[i + 1]`` and pairs ``pair_edges[i]:pair_edges[i + 1]``.
+def _cut_runs(starts, total, block):
+    """Cut consecutive groups — group ``g`` holding items ``starts[g]``
+    up to the next group's start, ``total`` items in all — into runs of
+    about ``block`` items: ``(edges, item_edges)``, run ``i`` being groups
+    ``edges[i]:edges[i + 1]`` and items ``item_edges[i]:item_edges[i + 1]``.
 
-    Blocks hold whole groups (a group larger than a block is one block),
-    and a table under 1.5 blocks is not cut at all. The ``4 * num_splats``
-    term keeps the per-block ``bincount`` a minority of the work when
-    splats outnumber a block; it is the scene's splat count and not the
-    reduction range, which is at most that, so the cut — and with it the
-    rounding of the sums — does not depend on the index a scheduler
-    reduces onto.
+    Runs hold whole groups (a group larger than a block is one run), and
+    under 1.5 blocks nothing is cut at all.
     """
-    block = max(BLOCK_PAIRS, 4 * num_splats)
     num_groups = starts.size
-    if 2 * num_pairs < 3 * block:
-        return [0, num_groups], [0, num_pairs]
+    if 2 * total < 3 * block:
+        return [0, num_groups], [0, total]
     # cut before the first group starting at or past each multiple of the
     # block size (several multiples inside one group cut once, after it)
     cuts = np.unique(np.searchsorted(
-        starts, np.arange(block, num_pairs, block, dtype=np.int64)
+        starts, np.arange(block, total, block, dtype=np.int64)
     ))
     edges = [0, *cuts[cuts < num_groups].tolist(), num_groups]
-    return edges, [*starts[edges[:-1]].tolist(), num_pairs]
+    return edges, [*starts[edges[:-1]].tolist(), total]
+
+
+def _group_blocks(starts, num_pairs, num_splats):
+    """Cut a table's groups into runs of about ``max(BLOCK_PAIRS, 4 *
+    num_splats)`` pairs (:func:`_cut_runs`): ``(edges, pair_edges)``.
+
+    The ``4 * num_splats`` term keeps the per-block ``bincount`` a
+    minority of the work when splats outnumber a block; it is the scene's
+    splat count and not the reduction range, which is at most that, so the
+    cut — and with it the rounding of the sums — does not depend on the
+    index a scheduler reduces onto.
+    """
+    return _cut_runs(starts, num_pairs, max(BLOCK_PAIRS, 4 * num_splats))
 
 
 def backward_pairs(
@@ -965,33 +1143,21 @@ def rasterize_vectorized(
     means2d, conics, colors, opacities = splats
     dtype = means2d.dtype
 
-    pairs = _build_pairs(
-        means2d, conics, opacities, bboxes, order, width, height, config,
-        tile_size,
-    )
     n_pix = width * height
     image = np.zeros((n_pix, 3), dtype=dtype)
     trans = np.ones(n_pix, dtype=dtype)
-    seg_log_t, t_before = _transmittance_scan(pairs)
-    if pairs.alpha.size:
-        trans[pairs.nz] = np.exp2(seg_log_t)
-        image[:] = composite_pairs(
-            pairs, t_before, colors, pairs.pixel, n_pix, keep_scan=True
-        )
+    saved = _build_pairs(
+        means2d, conics, opacities, bboxes, order, width, height, config,
+        tile_size, composite=(colors, image, trans),
+    )
     image += trans[:, None] * background
     return RasterResult(
         image=image.reshape(height, width, 3),
         final_transmittance=trans.reshape(height, width),
         order=order,
         bboxes=bboxes,
-        saved=_SavedPairs(
-            _saved_key(
-                means2d.shape[0], width, height, dtype, tile_size, config
-            ),
-            pairs,
-            t_before,
-        ),
-        counts=pairs.pair_counts,
+        saved=saved,
+        counts=saved.pairs.pair_counts,
     )
 
 
@@ -1022,17 +1188,15 @@ def rasterize_backward_vectorized(
     m_count = means2d.shape[0]
     grads = alloc_grads(m_count, dtype)
     saved = result.saved
-    if isinstance(saved, _SavedPairs) and saved.key == _saved_key(
+    if not (isinstance(saved, _SavedPairs) and saved.key == _saved_key(
         m_count, width, height, dtype, tile_size, config
-    ):
-        pairs, t_before = saved.pairs, saved.t_before
-    else:
+    )):
         # not this engine's forward, or not under this config: rebuild
-        pairs = _build_pairs(
+        saved = _build_pairs(
             means2d, conics, opacities, result.bboxes, result.order, width,
             height, config, tile_size,
         )
-        _, t_before = _transmittance_scan(pairs)
+    pairs, t_before = saved.pairs, saved.t_before
     if pairs.alpha.size == 0:
         return grads
 

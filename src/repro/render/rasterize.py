@@ -71,7 +71,10 @@ class RasterConfig:
         workers: worker-process count of the ``parallel``/``fragment``
             engines. ``0``/``1`` run the pipelines in-process (no pool);
             ``>= 2`` ship work to a persistent multiprocessing pool via
-            shared memory. Ignored by the other engines.
+            shared memory. Ignored by the other engines: the
+            ``vectorized`` forward runs its tile-row blocks on threads,
+            one per CPU the process may use
+            (:func:`repro.pool.map_blocks`), whatever ``workers`` says.
         dtype: compute dtype of the flat engines — one of
             :data:`RASTER_DTYPES`, or ``None`` to keep the input dtype.
             ``"float32"`` is the inference fast path: pair-level arithmetic

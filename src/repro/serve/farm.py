@@ -3,7 +3,10 @@
 The ``parallel`` raster engine splits *one* frame across cores; a serving
 tick has the opposite shape — many independent frames — so the farm ships
 each frame to its own worker process and keeps the per-frame pipeline
-single-core. Both fan-outs draw from the same
+single-core: a pool worker runs the ``vectorized`` forward's tile-row
+blocks inline (:func:`repro.pool.map_blocks`), where the service's own
+process would spread a large frame over its CPUs. Both fan-outs draw from
+the same
 :func:`~repro.pool.get_raster_pool` registry of persistent
 pools, so a process that trains, serves, and benchmarks never holds two
 worker fleets for the same core count.

@@ -6,9 +6,10 @@ Usage (once per checkout, then diff the two outputs)::
     PYTHONPATH=src python tools/hash_raster_engines.py --check
 
 Prints one line per configuration — fixture x engine (``vectorized`` saved
-and rebuilt; ``parallel`` workers 0 / 2; ``fragment`` workers {0, 2} x
-shards {1, 3}; the per-shard ``rasterize_fragment_sources`` entry point)
-x {float64, float32} x {``alpha_min`` default, 0} — with two sha256
+and rebuilt, and ``vectorized-blocks``: its forward cut into blocks of 64
+cells for 2 CPUs; ``parallel`` workers 0 / 2; ``fragment`` workers
+{0, 2} x shards {1, 3}; the per-shard ``rasterize_fragment_sources`` entry
+point) x {float64, float32} x {``alpha_min`` default, 0} — with two sha256
 columns, ``fwd=`` over image and final transmittance and ``bwd=`` over the
 five gradient arrays, and on float64 lines ``ref=``, each gradient
 array's max-abs distance from the ``reference`` loop. The flat engines
@@ -17,23 +18,28 @@ to a scheduler, that is meant to keep numerics must leave every column
 it does not re-base equal to the parent commit's — the parity suites'
 ``atol=1e-9`` would not notice a last-bit change — and a change that
 re-bases one (PR 24 re-based ``bwd=``) must leave ``ref=`` where it was.
-Uses only names both sides of such a diff have.
+Uses only names both sides of such a diff have: a line whose schedule
+needs a name the checkout lacks (``vectorized-blocks`` needs
+``engine.BLOCK_CELLS`` and ``pool.usable_cpus``) is not printed.
 
 ``--check`` asserts the equalities that hold inside one checkout and
 prints nothing else: every line repeats (a second run gives the same two
 digests), ``vectorized`` saved and rebuilt agree on all seven arrays,
-and ``parallel-w0`` equals ``vectorized`` (forward digest; gradients
+``vectorized-blocks`` equals ``vectorized`` on both digests, and
+``parallel-w0`` equals ``vectorized`` (forward digest; gradients
 ``array_equal``, which forgives the sign of a zero).
 """
 
 import hashlib
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 
+from repro import pool
 from repro.pool import shutdown_raster_pools
-from repro.render import RasterConfig
+from repro.render import RasterConfig, engine
 from repro.render.engine import get_backward, get_forward
 from repro.render.fragment import FragmentSource, rasterize_fragment_sources
 
@@ -93,6 +99,24 @@ ENGINE_CFGS += [
      dict(engine="fragment", workers=w, fragment_shards=s))
     for w in (0, 2) for s in (1, 3)
 ]
+
+
+#: Whether this checkout cuts the vectorized forward into blocks.
+HAS_BLOCKS = hasattr(engine, "BLOCK_CELLS") and hasattr(pool, "usable_cpus")
+
+
+@contextmanager
+def small_blocks(cells=64, cpus=2):
+    """The vectorized forward in blocks of ``cells`` cells — every tile
+    row of the fixtures is a block of its own — for ``cpus`` CPUs: the
+    ``s150`` and ``s400`` views (four and five tile rows) run on the block
+    threads, the two shorter ones stay one block."""
+    saved = engine.BLOCK_CELLS, pool.usable_cpus
+    engine.BLOCK_CELLS, pool.usable_cpus = cells, lambda: cpus
+    try:
+        yield
+    finally:
+        engine.BLOCK_CELLS, pool.usable_cpus = saved
 
 
 def digest(*arrays):
@@ -155,6 +179,12 @@ def fixture_runs(fname):
                     yield run(
                         f"{fname} {ename} {tail} rebuilt", config(**kw),
                         ref=ref, saved=None)
+                    if HAS_BLOCKS:
+                        with small_blocks():
+                            blocks = run(
+                                f"{fname} {ename}-blocks {tail}",
+                                config(**kw), ref=ref)
+                        yield blocks
             # per-shard sources entrypoint (interleaved depth runs)
             cuts = np.array_split(np.arange(m2.shape[0]), 3)
             sources = [
@@ -181,6 +211,10 @@ def check(runs, again):
             saved = by_label[label[: -len(" rebuilt")]]
             if (run.fwd, run.bwd) != (saved.fwd, saved.bwd):
                 failures.append(f"{label}: differs from the saved table's")
+        if " vectorized-blocks " in label:
+            vec = by_label[label.replace(" vectorized-blocks ", " vectorized ")]
+            if (run.fwd, run.bwd) != (vec.fwd, vec.bwd):
+                failures.append(f"{label}: differs from vectorized")
         if " parallel-w0 " in label:
             vec = by_label[label.replace(" parallel-w0 ", " vectorized ")]
             if run.fwd != vec.fwd:
