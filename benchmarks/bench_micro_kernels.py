@@ -205,7 +205,7 @@ def test_render_backward(benchmark, render_scene):
 RASTER_N = 5_000  # ~5k visible splats, the paper's average active count
 RASTER_WH = 256
 
-#: The parallel-speedup acceptance scene: 50k visible splats.
+#: The engine matrix's large scene: 50k visible splats.
 RASTER_N_LARGE = 50_000
 
 
@@ -383,7 +383,7 @@ def test_raster_engine_speedup(benchmark, raster_scene):
 
 
 # ---------------------------------------------------------------------------
-# parallel engine + float32 fast path
+# float32 fast path and the engine matrix
 # ---------------------------------------------------------------------------
 
 import json
@@ -401,172 +401,15 @@ def _best_of(fn, rounds=3):
     return min(times)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_rasterize_forward_parallel(benchmark, raster_scene, workers):
-    from repro.render import RasterConfig
-    from repro.render.parallel import rasterize_parallel
-
-    cfg = RasterConfig(engine="parallel", workers=workers)
-    res = benchmark(lambda: rasterize_parallel(*raster_scene, config=cfg))
-    assert res.image.shape == (RASTER_WH, RASTER_WH, 3)
-
-
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_rasterize_backward_parallel(benchmark, raster_scene, workers):
-    from repro.render import RasterConfig
-    from repro.render.parallel import (
-        rasterize_backward_parallel,
-        rasterize_parallel,
-    )
-
-    cfg = RasterConfig(engine="parallel", workers=workers)
-    res = rasterize_parallel(*raster_scene, config=cfg)
-    grad = np.ones((RASTER_WH, RASTER_WH, 3))
-    out = benchmark(
-        lambda: rasterize_backward_parallel(
-            raster_scene[0], raster_scene[1], raster_scene[2],
-            raster_scene[3], res, grad, config=cfg,
-        )
-    )
-    assert out.means2d.shape == (RASTER_N, 2)
-
-
 def test_rasterize_forward_vectorized_f32(benchmark, raster_scene):
     """The float32 inference fast path (micro-bench column; parity is
-    pinned by tests/render/test_parallel_engine.py)."""
+    pinned by tests/render/test_engine_equivalence.py)."""
     from repro.render import RasterConfig
     from repro.render.engine import rasterize_vectorized
 
     cfg = RasterConfig(dtype="float32")
     res = benchmark(lambda: rasterize_vectorized(*raster_scene, config=cfg))
     assert res.image.dtype == np.float32
-
-
-def _physical_cpu_count() -> int:
-    """Physical cores (Linux /proc parse); logical count as fallback.
-
-    The 2x gate needs 4 real cores — SMT siblings of a bandwidth-bound
-    exp2/bincount workload don't double throughput, so counting logical
-    CPUs would run (and flake) the gate on 2-core/4-thread laptops.
-    """
-    try:
-        cores = set()
-        phys = "0"
-        with open("/proc/cpuinfo") as fh:
-            for line in fh:
-                if line.startswith("physical id"):
-                    phys = line.split(":", 1)[1].strip()
-                elif line.startswith("core id"):
-                    cores.add((phys, line.split(":", 1)[1].strip()))
-        if cores:
-            return len(cores)
-    except OSError:
-        pass
-    return os.cpu_count() or 1
-
-
-@pytest.mark.skipif(
-    _physical_cpu_count() < 4,
-    reason="parallel speedup gate needs >= 4 physical cores",
-)
-def test_raster_parallel_speedup(benchmark):
-    """Acceptance gate: at 4 workers on the 50k-splat scene, the parallel
-    engine must at least halve the combined forward+backward wall-clock
-    of the vectorized engine."""
-    from dataclasses import replace
-
-    from repro.render import RasterConfig
-    from repro.render.engine import (
-        rasterize_backward_vectorized,
-        rasterize_vectorized,
-    )
-    from repro.render.parallel import (
-        rasterize_backward_parallel,
-        rasterize_parallel,
-    )
-
-    scene = make_raster_scene(RASTER_N_LARGE, RASTER_WH)
-    cfg = RasterConfig(engine="parallel", workers=4)
-    grad = np.ones((RASTER_WH, RASTER_WH, 3))
-
-    def compare():
-        # the gate is multi-core scaling of the same work: the pooled
-        # engine rebuilds its pairs in backward, so the single-core side
-        # does too (saved context stripped)
-        vec_res = replace(rasterize_vectorized(*scene), saved=None)
-        par_res = rasterize_parallel(*scene, config=cfg)
-        np.testing.assert_allclose(
-            par_res.image, vec_res.image, atol=1e-9, rtol=0
-        )
-        t_vec = _best_of(lambda: rasterize_vectorized(*scene)) + _best_of(
-            lambda: rasterize_backward_vectorized(
-                scene[0], scene[1], scene[2], scene[3], vec_res, grad
-            )
-        )
-        t_par = _best_of(
-            lambda: rasterize_parallel(*scene, config=cfg)
-        ) + _best_of(
-            lambda: rasterize_backward_parallel(
-                scene[0], scene[1], scene[2], scene[3], par_res, grad,
-                config=cfg,
-            )
-        )
-        return t_vec / t_par
-
-    speedup = benchmark.pedantic(compare, rounds=1, iterations=1)
-    assert speedup >= 2.0, f"parallel speedup only {speedup:.2f}x"
-
-
-@pytest.mark.skipif(
-    _physical_cpu_count() < 4,
-    reason="fragment speedup gate needs >= 4 physical cores",
-)
-def test_raster_fragment_speedup(benchmark):
-    """Acceptance gate: at 4 workers x 4 shards on the 50k-splat scene,
-    the fragment engine (worker-side projection-free pair build + host
-    transmittance merge) must beat the span-parallel engine by >= 1.3x
-    combined forward+backward."""
-    from repro.render import RasterConfig
-    from repro.render.fragment import (
-        rasterize_backward_fragment,
-        rasterize_fragment,
-    )
-    from repro.render.parallel import (
-        rasterize_backward_parallel,
-        rasterize_parallel,
-    )
-
-    scene = make_raster_scene(RASTER_N_LARGE, RASTER_WH)
-    par_cfg = RasterConfig(engine="parallel", workers=4)
-    frag_cfg = RasterConfig(engine="fragment", workers=4, fragment_shards=4)
-    grad = np.ones((RASTER_WH, RASTER_WH, 3))
-
-    def compare():
-        par_res = rasterize_parallel(*scene, config=par_cfg)
-        frag_res = rasterize_fragment(*scene, config=frag_cfg)
-        np.testing.assert_allclose(
-            frag_res.image, par_res.image, atol=1e-9, rtol=0
-        )
-        t_par = _best_of(
-            lambda: rasterize_parallel(*scene, config=par_cfg)
-        ) + _best_of(
-            lambda: rasterize_backward_parallel(
-                scene[0], scene[1], scene[2], scene[3], par_res, grad,
-                config=par_cfg,
-            )
-        )
-        t_frag = _best_of(
-            lambda: rasterize_fragment(*scene, config=frag_cfg)
-        ) + _best_of(
-            lambda: rasterize_backward_fragment(
-                scene[0], scene[1], scene[2], scene[3], frag_res, grad,
-                config=frag_cfg,
-            )
-        )
-        return t_par / t_frag
-
-    speedup = benchmark.pedantic(compare, rounds=1, iterations=1)
-    assert speedup >= 1.3, f"fragment speedup only {speedup:.2f}x"
 
 
 def test_raster_engine_matrix(benchmark):
@@ -576,8 +419,7 @@ def test_raster_engine_matrix(benchmark):
     artifact the CI perf-smoke job uploads. ``GSSCALE_BENCH_QUICK=1``
     shrinks the grid so shared runners finish in seconds; no speedup is
     asserted here (timings on shared runners are informational). The
-    fragment rows sweep a workers x shards grid, and quick mode adds a
-    span-oversubscription axis for the parallel engine. The ``vectorized``
+    fragment rows sweep a workers x shards grid. The ``vectorized``
     rows time the backward twice: ``backward_s`` from the forward's saved
     pair table (the training path) and ``backward_rebuild_s`` with it
     stripped (the fallback a foreign forward takes). One ``occluded`` row
@@ -598,16 +440,11 @@ def test_raster_engine_matrix(benchmark):
         rasterize_backward_fragment,
         rasterize_fragment,
     )
-    from repro.render.parallel import (
-        rasterize_backward_parallel,
-        rasterize_parallel,
-    )
 
     quick = os.environ.get("GSSCALE_BENCH_QUICK", "") not in ("", "0")
     sizes = (2_000,) if quick else (RASTER_N, RASTER_N_LARGE)
     worker_axis = (1, 2) if quick else (1, 2, 4)
     shard_axis = (1, 2) if quick else (1, 2, 4)
-    oversub_axis = (1, 3, 6) if quick else (3,)
     rounds = 1 if quick else 2
 
     def run_matrix():
@@ -615,8 +452,6 @@ def test_raster_engine_matrix(benchmark):
         occluded = make_occluded_raster_scene(sizes[0], RASTER_WH)
         for name, fwd, cfg in (
             ("vectorized", rasterize_vectorized, RasterConfig()),
-            ("parallel", rasterize_parallel,
-             RasterConfig(engine="parallel", workers=1)),
             ("fragment", rasterize_fragment,
              RasterConfig(engine="fragment", workers=1, fragment_shards=2)),
         ):
@@ -659,24 +494,6 @@ def test_raster_engine_matrix(benchmark):
                         partial(bwd_vec, replace(res, saved=None)), rounds
                     ),
                 )
-            for workers in worker_axis:
-                for oversub in oversub_axis:
-                    cfg = RasterConfig(
-                        engine="parallel", workers=workers,
-                        span_oversubscription=oversub,
-                    )
-                    res = rasterize_parallel(*scene, config=cfg)
-                    add(
-                        "parallel", workers, "float64",
-                        lambda cfg=cfg: rasterize_parallel(
-                            *scene, config=cfg
-                        ),
-                        lambda res=res, cfg=cfg: rasterize_backward_parallel(
-                            scene[0], scene[1], scene[2], scene[3], res,
-                            grad, config=cfg,
-                        ),
-                        span_oversubscription=oversub,
-                    )
             for workers in worker_axis:
                 for shards in shard_axis:
                     cfg = RasterConfig(

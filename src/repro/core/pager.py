@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from .. import faults
 from ..pool import pool_fork_guard
 from ..telemetry import trace as _trace
 from ..telemetry.trace import span as _span
@@ -122,7 +123,7 @@ class PageFile:
         if not self._raw:
             with open(self.path, "rb") as fh:
                 buf = fh.read()
-            return self.codec.decode_page(buf, self.shape, dtype, path=self.path)
+            return self.decode(buf, dtype)
         # copy out of the live mapping (measured at a third of re-reading
         # the file)
         arr = np.array(self._mm)
@@ -133,6 +134,12 @@ class PageFile:
                 f"checksum mismatch: recorded {self._crc}, read {actual}",
             )
         return arr.reshape(self.shape).astype(dtype, copy=False)
+
+    def decode(self, encoded: bytes, dtype=None) -> np.ndarray:
+        """The array sealed page bytes hold — the file's, or :meth:`encode`
+        output that has not landed yet — as :meth:`read` returns it."""
+        dtype = self.dtype if dtype is None else np.dtype(dtype)
+        return self.codec.decode_page(encoded, self.shape, dtype, path=self.path)
 
 
 class ResidentSet:
@@ -249,6 +256,7 @@ class _WriteBehindWriter:
                     return
                 store, epoch = job
                 _trace.name_current_thread("gsscale-writeback")
+                faults.fault_point("pager:write_behind")
                 with _span("page/writeback", "page"):
                     store._complete_pending_write(epoch)
                 self.jobs_written += 1
@@ -383,9 +391,10 @@ class _AsyncPrefetcher:
             cap = self.staging_budget_bytes()
             for camera in self._cameras:
                 try:
-                    # fork guard: a parallel-raster pool must never fork
-                    # while this thread is mid-read (inherited half-held
-                    # locks would wedge the child workers)
+                    # fork guard: a fragment-engine or render-farm pool
+                    # must never fork while this thread is mid-read
+                    # (inherited half-held locks would wedge the child
+                    # workers)
                     with pool_fork_guard, _span("page/prefetch", "page"):
                         buffers = self._prepare(camera, cap)
                 except Exception:

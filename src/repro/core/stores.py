@@ -481,7 +481,8 @@ class DiskStore(HostStore):
         writer: optional :class:`_WriteBehindWriter`. When set, spills
             detach the working set and queue the file write behind the
             training thread (write-behind spilling); a page-in before the
-            write lands re-adopts the detached arrays and cancels it.
+            write lands re-adopts the queued pages, as a read of them
+            would return them, and cancels it.
     """
 
     def __init__(
@@ -582,6 +583,19 @@ class DiskStore(HostStore):
         """Read the spill pages into fresh writable arrays, verified."""
         return {field: page.read() for field, page in self.pages.items()}
 
+    def _pending_pages(self) -> dict[str, np.ndarray]:
+        """What :meth:`_read_pages` returns once the queued write-behind
+        page-out lands (lock held): its encoded pages decoded, the
+        detached arrays where a page has no encoding (raw or empty). A
+        page-out re-adopted before the writer runs thus goes through the
+        codec like one read back from disk, whatever the thread timing."""
+        return {
+            field: self._pending_write[field]
+            if self._pending_encoded[field] is None
+            else page.decode(self._pending_encoded[field])
+            for field, page in self.pages.items()
+        }
+
     def spill(self) -> None:
         """Page the working set out to the spill files (no-op if spilled).
 
@@ -673,9 +687,9 @@ class DiskStore(HostStore):
                     self.resident_set.touch(self)
                 return
             if self._pending_write is not None:
-                # the queued page-out never landed: re-adopt the detached
-                # arrays (free) and cancel the write
-                self._install(self._pending_write)
+                # the queued page-out never landed: re-adopt it without
+                # the disk read and cancel the write
+                self._install(self._pending_pages())
                 return
             t0 = time.perf_counter()
             arrays = self._read_pages()
@@ -699,8 +713,8 @@ class DiskStore(HostStore):
         :meth:`adopt` on the training thread. Returns ``None`` when the
         store is already resident. A spill racing the read leaves a torn
         snapshot — the epoch check in :meth:`adopt` discards it. A queued
-        write-behind page-out short-circuits the read: the detached
-        arrays *are* the page.
+        write-behind page-out short-circuits the read
+        (:meth:`_pending_pages`).
         """
         with self._page_lock:
             if self._resident:
@@ -708,7 +722,7 @@ class DiskStore(HostStore):
             epoch = self._spill_epoch
             if self._pending_write is not None:
                 return PreloadedShard(
-                    arrays=dict(self._pending_write), epoch=epoch
+                    arrays=self._pending_pages(), epoch=epoch
                 )
         # read outside the lock: this is the I/O being overlapped; a torn
         # encoded page (concurrent write) can fail to decode outright,
@@ -795,9 +809,9 @@ class DiskStore(HostStore):
             if self._resident:
                 return super().state_dict()
             if self._pending_write is not None:
-                # a queued write-behind page-out: the detached arrays are
-                # the authoritative state (the file may not exist yet)
-                state = dict(self._pending_write)
+                # a queued write-behind page-out: the file may not exist
+                # yet, its pages are the authoritative state
+                state = self._pending_pages()
             elif self.codec.name == "raw":
                 # hand out the memmap views so a checkpoint can serialize
                 # the store without materializing it in host memory

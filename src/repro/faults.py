@@ -4,10 +4,11 @@ The fault-tolerance layer (supervised pools, checksummed pages, patch
 checkpoint rotation, serving degradation) is only trustworthy if its
 recovery paths run under test. This module makes faults *schedulable*: a
 :class:`FaultPlan` names, ahead of time, exactly which fault fires where
-— kill the worker that reaches task N, delay a span kernel, tear or
+— kill the worker that reaches task N, delay a shard kernel, tear or
 corrupt the bytes of a matching file write — and the hooks compiled into
-the hot paths (:func:`fault_point` in the raster kernels and pool task
-wrapper, :func:`check_write_fault` in the atomic writers) consult the
+the hot paths (:func:`fault_point` in the raster kernels, the pool task
+wrapper and the pager's write-behind lane, :func:`check_write_fault` in
+the atomic writers) consult the
 installed plan and fire each fault exactly the scheduled number of times.
 
 Two properties make the injected runs reproducible:
@@ -65,7 +66,7 @@ class Fault:
 
     Attributes:
         point: fault-point name (``"pool:task"``, ``"fragment:pairs"``,
-            ``"span:backward"``, ...).
+            ``"pager:write_behind"``, ...).
         action: ``"kill"`` (SIGKILL the visiting pool worker),
             ``"delay"`` (sleep ``seconds``), or ``"raise"``
             (:class:`InjectedFaultError`).
@@ -203,9 +204,9 @@ def _in_worker_process() -> bool:
 def fault_point(name: str, index: int | None = None) -> None:
     """Visit the fault point ``name`` (no-op without an armed plan).
 
-    Compiled into the span/fragment kernels, the vectorized forward's
-    block tasks and the supervised pool's task wrapper; ``index`` is the
-    pool task or block index where one exists.
+    Compiled into the fragment kernels, the vectorized forward's block
+    tasks, the supervised pool's task wrapper and the pager's write-behind
+    lane; ``index`` is the pool task or block index where one exists.
     """
     plan = _PLAN
     if plan is None:

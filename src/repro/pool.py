@@ -1,9 +1,8 @@
 """The supervised process pool and its shared-memory transport.
 
 :class:`PersistentPool` is the one lifecycle helper behind every
-multi-process fan-out in the repo — the ``parallel`` and ``fragment``
-raster engines (:mod:`repro.render.parallel`, :mod:`repro.render.fragment`),
-the render farm and the patch reconstruction jobs: lazily started, reused across calls (so respawn cost
+multi-process fan-out in the repo — the ``fragment`` raster engine
+(:mod:`repro.render.fragment`), the render farm and the patch reconstruction jobs: lazily started, reused across calls (so respawn cost
 is paid once, not per map), supervised (a dead worker or a blown deadline
 respawns the pool and re-runs the map), and torn down deterministically —
 on ``close()``, on interpreter exit, and on every exception path.
@@ -109,8 +108,8 @@ def _supervised_task(payload):
 class PersistentPool:
     """A lazily-started, reusable, *supervised* multiprocessing pool.
 
-    The shared lifecycle helper of the ``parallel`` raster engine, the
-    fragment engine, the render farm, and ``train_patches``. Guarantees:
+    The shared lifecycle helper of the ``fragment`` raster engine, the
+    render farm, and ``train_patches``. Guarantees:
 
     * workers spawn on first :meth:`map`, not at construction, and are
       reused by every later call (no per-call respawn cost);
@@ -358,7 +357,7 @@ def get_raster_pool(workers: int) -> PersistentPool:
     """The shared persistent pool for ``workers`` processes.
 
     One pool per worker count, shared by every consumer that fans
-    generic picklable tasks out — the tile-span raster engine and the
+    generic picklable tasks out — the ``fragment`` raster engine and the
     serving subsystem's render farm — so their worker processes are
     pooled rather than duplicated. Torn down by
     :func:`shutdown_raster_pools` or at interpreter exit.
@@ -377,7 +376,7 @@ def shutdown_raster_pools() -> None:
     render call, so ``finalize()`` deliberately leaves them running
     (tearing them down there would make each densification rebuild pay a
     respawn); they are reaped at interpreter exit. Call this explicitly
-    to release the worker processes earlier — the next parallel render
+    to release the worker processes earlier — the next pooled render
     restarts them.
 
     Idempotent and exception-safe: the registry is cleared before any

@@ -5,8 +5,8 @@ in :data:`repro.render.rasterize.ENGINE_TABLE`, described in
 ``docs/raster_engines.md``) are selected through ``RasterConfig.engine``:
 the per-splat ``reference`` loop — the oracle — and the flat engines, which
 schedule one pair kernel (:mod:`repro.render.engine`) over the whole
-intersection table, over tile spans, or over shards on a persistent
-shared-memory process pool (``RasterConfig.workers``).
+intersection table, or over shards on a persistent shared-memory process
+pool (``RasterConfig.workers``).
 ``RasterConfig.dtype="float32"`` selects the inference fast path of the
 flat engines.
 """
@@ -26,10 +26,9 @@ from .fragment import (
     rasterize_fragment_sources,
 )
 from ..pool import shutdown_raster_pools
-from .parallel import rasterize_backward_parallel, rasterize_parallel
 from .pipeline import RenderBackwardResult, RenderResult, render, render_backward
 from .rasterize import ENGINES, RASTER_DTYPES, RasterConfig
-from .tiles import TileBinning, bin_gaussians, partition_spans
+from .tiles import TileBinning, bin_gaussians
 
 __all__ = [
     "CullResult",
@@ -47,15 +46,12 @@ __all__ = [
     "culling",
     "engine",
     "frustum_cull",
-    "partition_spans",
     "projection",
     "rasterize",
     "rasterize_backward_fragment",
-    "rasterize_backward_parallel",
     "rasterize_backward_vectorized",
     "rasterize_fragment",
     "rasterize_fragment_sources",
-    "rasterize_parallel",
     "rasterize_vectorized",
     "render",
     "render_backward",

@@ -30,7 +30,7 @@ BalanceGS / Faster-GS) to numpy:
    on, no knob: it is what takes a walkthrough frame from ~600k pairs to
    ~19k.
    :func:`visible_intersections` (sort, then prune) is the one call the
-   ``vectorized``, ``parallel`` and ``fragment`` engines build from.
+   ``vectorized`` and ``fragment`` engines build from.
 
 3. **Batched forward.** Every (splat, pixel) pair inside a bbox-within-tile
    rectangle becomes one row of flat arrays. Per-splat constants are folded
@@ -64,8 +64,8 @@ BalanceGS / Faster-GS) to numpy:
    size, compute dtype, ``tile_size``, ``alpha_min``, ``alpha_max``,
    ``full_image_splats``), is only read — a result can be backpropagated
    any number of times — and is freed with the result. A result without
-   it, or whose key does not match the backward call (a ``reference`` /
-   ``parallel`` forward, a hand-built result, a config changed between
+   it, or whose key does not match the backward call (a ``reference``
+   forward, a hand-built result, a config changed between
    the passes), takes the one fallback: rebuild the same table and scan
    from ``result.order`` / ``result.bboxes``, bit-identical to the saved
    ones. From there :func:`backward_pairs` forms the
@@ -86,16 +86,15 @@ BalanceGS / Faster-GS) to numpy:
    of about :data:`BLOCK_PAIRS` pairs, so its pair-sized temporaries are
    cache-sized, and adds the blocks' sums in block order.
 
-**One kernel, three schedulers.** Steps 3 and 4 are the only copy of the
+**One kernel, two schedulers.** Steps 3 and 4 are the only copy of the
 pair arithmetic: :func:`pairs_for_isects` (the table),
 :func:`_transmittance_scan`, :func:`composite_pairs` and
 :func:`backward_pairs`. The ``vectorized`` engine below runs them over
 the whole table — its forward a block of tile rows at a time on threads of
 the calling process, the scan's running sum shared by all blocks, its
-backward in one call; :mod:`repro.render.parallel` runs them per tile span
-and :mod:`repro.render.fragment` per shard, on a process pool, each span
-or shard with a running sum of its own, choosing only what
-:func:`backward_pairs` takes by keyword (``docs/raster_engines.md`` has
+backward in one call; :mod:`repro.render.fragment` runs them per shard,
+on a process pool, each shard with a running sum of its own, choosing
+only what :func:`backward_pairs` takes by keyword (``docs/raster_engines.md`` has
 the table of who passes what).
 
 Numerical notes: alphas use base-2 exponentials
@@ -169,7 +168,7 @@ def _engine_fn(engine: str, which: int):
         raise ValueError(
             f"unknown raster engine {engine!r}; choose from {ENGINES}"
         ) from None
-    # imported lazily: parallel and fragment import this module
+    # imported lazily: fragment imports this module
     return getattr(import_module(f".{module}", __package__), name)
 
 
@@ -336,7 +335,7 @@ def clip_isect_rects(bboxes, tile_ids, sid_isect, tiles_x, tile_size):
 
     Returns ``(rx0, rx1, ry0, ry1)`` half-open bounds, one entry per row
     of the intersection table. The rect areas are the pre-compaction pair
-    counts — the load measure the parallel engine partitions spans by.
+    counts — the cell counts the vectorized forward cuts its blocks by.
     """
     bb = bboxes[sid_isect]
     tpx = (tile_ids % tiles_x) * tile_size
@@ -620,10 +619,10 @@ def pairs_for_isects(
     everything except the final ``(m_a*dx - r_bdy)*dx + r_y`` evaluation is
     folded into per-row constants — the hot pair-level loop is a few
     ``np.repeat`` broadcasts, four arithmetic passes, and one ``exp2``.
-    A pixel's segment is contained in one tile, so any contiguous tile
-    span of the table yields complete, composable segments — which is what
-    lets :mod:`repro.render.parallel` run disjoint spans on separate
-    cores.
+    A pixel's segment is contained in one tile, so any contiguous run of
+    whole tiles of the table yields complete, composable segments — which
+    is what lets :func:`_build_pairs` build disjoint tile-row blocks on
+    separate threads.
 
     ``first_cell`` is the index the slice's first cell has in the table it
     was cut from: the per-row ``dx`` constant folds the cell index in, so
@@ -1204,9 +1203,10 @@ def rasterize_backward_vectorized(
     t_final = np.ascontiguousarray(
         result.final_transmittance.reshape(-1), dtype=dtype
     )
-    # the background term over the whole image, then gathered: the spans of
-    # the parallel engine gather first, and a BLAS gemv row is not promised
-    # to be position-independent, so each scheduler keeps its own order
+    # the background term over the whole image, then gathered: the shards
+    # of the fragment engine gather first, and a BLAS gemv row is not
+    # promised to be position-independent, so each scheduler keeps its own
+    # order
     base = ((g_flat @ background) * t_final)[pairs.nz]
     return set_grads(grads, conics, opacities, backward_pairs(
         means2d, conics, colors, opacities, g_flat, width, config.alpha_max,

@@ -1,13 +1,11 @@
 """Shard-parallel fragment rasterization (forward + backward).
 
-The ``parallel`` engine fans *tile spans* of one globally sorted
-intersection table out over cores — but the table itself (projection,
-binning, radix sort, pair build) is still produced serially on the host,
-and every worker needs the whole splat set in shared memory. At high
-worker counts that host-side prefix dominates, and in the sharded
-training systems it forces a global gather of all shards before any
-render. This module removes both: workers run the **whole per-shard
-pipeline** — tile binning, pair build, transmittance scan, compositing —
+The ``vectorized`` engine builds one globally sorted intersection table
+over the whole splat set in one process; in the sharded training systems
+that forces a global gather of all shards before any render, and the
+whole view's pair table is alive at once. This module removes both:
+workers run the **whole per-shard pipeline** — tile binning, pair
+build, transmittance scan, compositing —
 over only their shard's splats, and emit compact per-pixel **fragment
 buffers** that the host merges with a depth-ordered transmittance
 composite (the Gaussian-parallel + pixel-parallel decomposition of
@@ -46,7 +44,15 @@ table deterministically and hand it to the pair kernel of
 :mod:`repro.render.engine` with fragments as the scan groups: each pair
 blends against ``T_before`` times the transmittance within its fragment,
 the suffix base of a fragment is its ``d_f``, and the sparse per-splat
-partials come back exactly as from a span of the ``parallel`` engine.
+partials come back in the contract of
+:func:`repro.render.engine.fill_grads`.
+
+Data reaches the workers through a shared-memory pack
+(:func:`repro.pool.pack_shm`): the parent packs the splat arrays and the
+shard layout into one segment, workers attach by name and slice their
+shard — nothing but the task tuple and the per-shard results crosses the
+pickle channel. :func:`run_slices` is that dispatch; the pool itself is
+:class:`repro.pool.PersistentPool`.
 
 Determinism: per-shard computation is a pure function of the shard's
 arrays — identical in-process and pooled — and the merge order is fixed
@@ -63,6 +69,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import faults
+from ..pool import attach_shm, get_raster_pool, pack_shm, shm_views
+from ..telemetry.trace import span as _tspan
 from .backward import RasterGrads, alloc_grads
 from .engine import (
     TILE_SIZE,
@@ -77,7 +85,6 @@ from .engine import (
     prepare,
     visible_intersections,
 )
-from .parallel import run_slices
 from .rasterize import PairCounts, RasterConfig, RasterResult, config_bboxes
 
 __all__ = [
@@ -86,6 +93,7 @@ __all__ = [
     "rasterize_fragment",
     "rasterize_backward_fragment",
     "rasterize_fragment_sources",
+    "run_slices",
 ]
 
 
@@ -153,6 +161,50 @@ class FragmentSource:
     def size(self) -> int:
         """Splat count of this shard."""
         return int(self.depths.shape[0])
+
+
+# ---------------------------------------------------------------------------
+# slice dispatch
+# ---------------------------------------------------------------------------
+
+def _slice_task(args):
+    """Pool task: attach the shared arrays, run one slice, detach.
+
+    The slice runs inside a ``pool/<fn name>`` span — ``pool/forward`` or
+    ``pool/backward``, which is what the measured breakdown
+    (:mod:`repro.telemetry.compare`) counts as ``fwd_bwd``.
+    """
+    shm_name, metas, fn, slc, kwargs = args
+    shm = attach_shm(shm_name)
+    arr = None
+    try:
+        arr = shm_views(shm, metas)
+        with _tspan(f"pool/{fn.__name__.lstrip('_')}", "pool"):
+            out = fn(arr, *slc, **kwargs)
+    finally:
+        del arr  # drop buffer views so close() cannot see exports
+        shm.close()
+    return out
+
+
+def run_slices(fn, arrays, slices, workers, **kwargs):
+    """``fn(arrays, *slice, **kwargs)`` for every slice, in slice order.
+
+    In-process for ``workers <= 1`` (or a single slice), else on the
+    shared pool with ``arrays`` packed into one shared-memory segment.
+    ``fn`` — the module-level ``_forward`` / ``_backward`` — sees identical
+    arrays in both paths and results come back in slice order either way,
+    so the merged output does not depend on where a slice ran.
+    """
+    if workers <= 1 or len(slices) <= 1:
+        return [fn(arrays, *slc, **kwargs) for slc in slices]
+    shm, metas = pack_shm(arrays)
+    try:
+        tasks = [(shm.name, metas, fn, slc, kwargs) for slc in slices]
+        return get_raster_pool(workers).map(_slice_task, tasks)
+    finally:
+        shm.close()
+        shm.unlink()
 
 
 # ---------------------------------------------------------------------------

@@ -28,14 +28,11 @@ ALPHA_MAX = 0.99
 #: engines import this one. ``reference`` is the per-splat loop oracle in
 #: this module; the others schedule the pair kernel of
 #: :mod:`repro.render.engine` — ``vectorized`` over the whole table,
-#: ``parallel`` per tile span and ``fragment`` per shard on a process pool.
+#: ``fragment`` per shard on a process pool.
 ENGINE_TABLE = {
     "reference": ("rasterize.rasterize", "backward.rasterize_backward"),
     "vectorized": (
         "engine.rasterize_vectorized", "engine.rasterize_backward_vectorized",
-    ),
-    "parallel": (
-        "parallel.rasterize_parallel", "parallel.rasterize_backward_parallel",
     ),
     "fragment": (
         "fragment.rasterize_fragment", "fragment.rasterize_backward_fragment",
@@ -45,7 +42,7 @@ ENGINE_TABLE = {
 #: Selectable values of ``RasterConfig.engine``.
 ENGINES = tuple(ENGINE_TABLE)
 
-#: Compute dtypes the vectorized/parallel engines accept for
+#: Compute dtypes the flat engines accept for
 #: ``RasterConfig.dtype`` (``None`` keeps the input arrays' dtype).
 RASTER_DTYPES = ("float32", "float64")
 
@@ -65,14 +62,14 @@ class RasterConfig:
             gradient checks would otherwise trip over.
         engine: which rasterization backend executes the forward/backward
             passes; one of :data:`ENGINES`. All produce the same output
-            (the flat engines ``vectorized``/``parallel``/``fragment``
-            match the ``reference`` loop to ~1e-12); the flat engines are
-            much faster past a few hundred splats.
-        workers: worker-process count of the ``parallel``/``fragment``
-            engines. ``0``/``1`` run the pipelines in-process (no pool);
-            ``>= 2`` ship work to a persistent multiprocessing pool via
-            shared memory. Ignored by the other engines: the
-            ``vectorized`` forward runs its tile-row blocks on threads,
+            (the flat engines ``vectorized``/``fragment`` match the
+            ``reference`` loop to ~1e-12); the flat engines are much faster
+            past a few hundred splats.
+        workers: worker-process count of the ``fragment`` engine. ``0``/``1``
+            run its shards in-process (no pool); ``>= 2`` ship them to a
+            persistent multiprocessing pool via shared memory. Ignored by
+            the other engines: the ``vectorized`` forward runs its tile-row
+            blocks on threads,
             one per CPU the process may use
             (:func:`repro.pool.map_blocks`), whatever ``workers`` says.
         dtype: compute dtype of the flat engines — one of
@@ -81,10 +78,6 @@ class RasterConfig:
             (the exp2/scan hot loops) runs in single precision, roughly
             halving memory traffic, at ~1e-4 image tolerance. The
             ``reference`` loop ignores it (it is the correctness oracle).
-        span_oversubscription: spans planned per worker by the ``parallel``
-            engine (plumbed to
-            :func:`repro.render.tiles.adaptive_span_count`). Higher values
-            smooth stragglers at the cost of per-span dispatch overhead.
         fragment_shards: shard count of the ``fragment`` engine when it is
             invoked through the generic engine interface (whole-scene
             inputs are cut into this many contiguous depth slabs). ``0``
@@ -98,7 +91,6 @@ class RasterConfig:
     engine: str = "reference"
     workers: int = 0
     dtype: str | None = None
-    span_oversubscription: int = 3
     fragment_shards: int = 0
 
     def __post_init__(self):
@@ -113,8 +105,6 @@ class RasterConfig:
                 f"unknown raster dtype {self.dtype!r}; choose from "
                 f"{RASTER_DTYPES} or None"
             )
-        if self.span_oversubscription < 1:
-            raise ValueError("span_oversubscription must be >= 1")
         if self.fragment_shards < 0:
             raise ValueError("fragment_shards must be >= 0")
 

@@ -1,11 +1,9 @@
-"""Tile binning and span planning, the gsplat/3DGS work decomposition.
+"""Tile binning, the gsplat/3DGS work decomposition.
 
 Real GPU rasterizers bin splats into 16x16 pixel tiles and composite each
 tile independently so thread blocks get coherent work.
 :func:`bin_gaussians` exposes that assignment — the intersection counts the
-performance model's forward/backward costs are built on — and
-:func:`partition_spans` cuts a tile-sorted intersection table into the
-load-balanced spans the ``parallel`` engine fans out.
+performance model's forward/backward costs are built on.
 
 Binning is vectorized: it delegates to
 :func:`repro.render.engine.tile_intersections`, the same flat
@@ -23,83 +21,10 @@ from .engine import TILE_SIZE, tile_intersections
 from .rasterize import splat_bboxes
 
 __all__ = [
-    "SPAN_OVERSUBSCRIPTION",
     "TILE_SIZE",
     "TileBinning",
-    "adaptive_span_count",
     "bin_gaussians",
-    "partition_spans",
 ]
-
-#: Span-oversubscription factor of the parallel raster engine: the span
-#: planner cuts this many spans per worker instead of one. Pair-count
-#: balancing is only approximate (cuts land on tile boundaries, and the
-#: per-pair cost model ignores cache effects), so with one span per
-#: worker the slowest span sets the pass time; with ~3x spans the pool
-#: backfills finished workers and stragglers shrink to span granularity.
-SPAN_OVERSUBSCRIPTION = 3
-
-
-def adaptive_span_count(
-    workers: int, oversubscription: int = SPAN_OVERSUBSCRIPTION
-) -> int:
-    """Target span count for a ``workers``-process parallel raster pass.
-
-    ``workers <= 1`` runs in-process, where extra spans are pure overhead
-    (one span); pooled runs oversubscribe by ``oversubscription`` (default
-    :data:`SPAN_OVERSUBSCRIPTION`, tunable per render via
-    ``RasterConfig.span_oversubscription``) for straggler smoothing.
-    :func:`partition_spans` may still return fewer spans when the
-    intersection table has fewer tiles.
-    """
-    if workers <= 1:
-        return 1
-    return workers * max(int(oversubscription), 1)
-
-
-def partition_spans(
-    tile_ids: np.ndarray, weights: np.ndarray, num_spans: int
-) -> list[tuple[int, int]]:
-    """Cut a tile-sorted intersection table into load-balanced spans.
-
-    Spans are contiguous index ranges ``[start, stop)`` whose boundaries
-    fall only between tiles — a pixel's blend segment lives entirely in
-    one tile, so every span composites independently. Balance is by the
-    per-intersection ``weights`` (pair counts, i.e. clipped-rect areas),
-    not by tile counts: a handful of screen-filling splats would otherwise
-    starve all but one worker.
-
-    Args:
-        tile_ids: ascending tile id per intersection (the sort order of
-            :func:`repro.render.engine.tile_intersections`).
-        weights: non-negative per-intersection load estimate.
-        num_spans: target span count; fewer are returned when the table
-            has fewer tiles.
-
-    Returns:
-        At most ``num_spans`` non-empty ``(start, stop)`` pairs covering
-        ``[0, len(tile_ids))`` in order.
-    """
-    n = int(tile_ids.size)
-    if n == 0:
-        return []
-    if num_spans <= 1:
-        return [(0, n)]
-    bounds = np.flatnonzero(np.diff(tile_ids)) + 1  # legal cut positions
-    if bounds.size == 0:
-        return [(0, n)]
-    cum = np.cumsum(weights, dtype=np.float64)
-    targets = cum[-1] * np.arange(1, num_spans) / num_spans
-    # first legal cut at or past each target load
-    picks = bounds[
-        np.minimum(
-            np.searchsorted(cum[bounds - 1], targets), bounds.size - 1
-        )
-    ]
-    edges = np.unique(np.concatenate([[0], picks, [n]]))
-    return [
-        (int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a
-    ]
 
 
 @dataclass

@@ -283,8 +283,7 @@ class RenderService:
             farm requires an in-memory store — a paged store's point is
             that no process holds the whole model).
         config: raster backend knobs; defaults to
-            :func:`default_serve_raster_config`. The ``parallel`` engine
-            is rejected with ``workers >= 2`` (pools must not nest).
+            :func:`default_serve_raster_config`.
         background: render background color (black when ``None``).
         serve_config: overload/fault-handling knobs
             (:class:`ServeConfig`); defaults to the unguarded service.
@@ -303,11 +302,6 @@ class RenderService:
         if isinstance(store, GaussianModel):
             store = InMemoryServingStore.from_model(store)
         self.config = config if config is not None else default_serve_raster_config()
-        if workers >= 2 and self.config.engine == "parallel":
-            raise ValueError(
-                "farm workers cannot nest the parallel raster engine; "
-                "use the vectorized engine for farmed serving"
-            )
         if workers >= 2 and isinstance(store, PagedServingStore):
             raise ValueError(
                 "the render farm needs an in-memory store; a paged model "

@@ -53,8 +53,8 @@ PHASE_BY_SPAN = {
 }
 
 #: Span prefixes that enclose already-counted phases and must not be
-#: double counted: ``pool/slice_task`` — the one pool task of both pooled
-#: raster engines (:func:`repro.render.parallel.run_slices`) — wraps each
+#: double counted: ``pool/slice_task`` — the one pool task of the pooled
+#: ``fragment`` engine (:func:`repro.render.fragment.run_slices`) — wraps each
 #: slice's ``pool/forward`` / ``pool/backward``, and ``pool/map`` the map.
 _NESTED_PREFIXES = ("pool/slice_task", "pool/map")
 

@@ -1,4 +1,5 @@
-"""Supervised PersistentPool: worker death, deadlines, respawn, teardown.
+"""Supervised PersistentPool: lifecycle, worker death, deadlines, respawn,
+teardown.
 
 A SIGKILLed pool worker loses its in-flight task; the stdlib ``map``
 would block forever waiting for a result that can never arrive. The
@@ -44,6 +45,42 @@ def kill_plan(tmp_path, index=1, times=1, **kwargs):
                   times=times, **kwargs),
         ),
     )
+
+
+class TestPersistentPool:
+    def test_lazy_start_reuse_and_close(self):
+        pool = PersistentPool(2)
+        assert not pool.started
+        assert pool.map(_square, [1, 2, 3]) == [1, 4, 9]
+        assert pool.started
+        assert pool.map(_square, [4]) == [16]  # same workers, no respawn
+        pool.close()
+        assert not pool.started
+        pool.close()  # idempotent
+
+    def test_map_after_close_restarts(self):
+        pool = PersistentPool(2)
+        pool.map(_square, [2])
+        pool.close()
+        assert pool.map(_square, [3]) == [9]
+        pool.close()
+
+    def test_failed_map_tears_down(self):
+        pool = PersistentPool(2)
+        with pytest.raises(ValueError):
+            pool.map(_boom, [1])
+        assert not pool.started  # no wedged workers left behind
+        assert pool.map(_square, [5]) == [25]  # and it recovers
+        pool.close()
+
+    def test_context_manager(self):
+        with PersistentPool(2) as pool:
+            assert pool.map(_square, [6]) == [36]
+        assert not pool.started
+
+    def test_invalid_size(self):
+        with pytest.raises(ValueError):
+            PersistentPool(0)
 
 
 class TestWorkerDeath:

@@ -3,10 +3,9 @@ leave the retried render bit-identical to the fault-free one.
 
 The supervised pool's retry is only sound because every task it carries
 is a pure function of its payload. This matrix kills a worker at each
-stage of the fragment pipeline (cull / pair build / composite) and in
-each parallel span kernel (forward / backward), then asserts the images
-and all gradient arrays match the fault-free run bit for bit — not to a
-tolerance.
+stage of the fragment pipeline (cull / pair build / composite), in the
+forward and in the backward, then asserts the images and all gradient
+arrays match the fault-free run bit for bit — not to a tolerance.
 """
 
 import numpy as np
@@ -19,13 +18,10 @@ from repro.render.fragment import (
     rasterize_backward_fragment,
     rasterize_fragment,
 )
-from repro.render.parallel import (
-    rasterize_backward_parallel,
-    rasterize_parallel,
-)
 
 GRAD_FIELDS = ("means2d", "conics", "colors", "opacities", "mean2d_abs")
 W, H = 64, 48
+BG = np.array([0.3, 0.1, 0.5])
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -60,37 +56,30 @@ def scene_args():
     return means2d, conics, colors, opacities, depths, radii
 
 
-def kill_at(tmp_path, point):
+def kill_at(tmp_path, point, after=0):
     return FaultPlan(
         token_dir=str(tmp_path / "tokens"),
-        faults=(Fault(point=point, action="kill"),),
+        faults=(Fault(point=point, action="kill", after=after),),
+    )
+
+
+def _frag_forward(scene_args, config):
+    return rasterize_fragment(
+        *scene_args, width=W, height=H, background=BG, config=config
+    )
+
+
+def _frag_backward(scene_args, fwd, config):
+    grad_image = np.random.default_rng(5).normal(size=(H, W, 3))
+    return rasterize_backward_fragment(
+        scene_args[0], scene_args[1], scene_args[2], scene_args[3],
+        fwd, grad_image, background=BG, config=config,
     )
 
 
 def _frag_round_trip(scene_args, config):
-    grad_image = np.random.default_rng(5).normal(size=(H, W, 3))
-    bg = np.array([0.3, 0.1, 0.5])
-    fwd = rasterize_fragment(
-        *scene_args, width=W, height=H, background=bg, config=config
-    )
-    bwd = rasterize_backward_fragment(
-        scene_args[0], scene_args[1], scene_args[2], scene_args[3],
-        fwd, grad_image, background=bg, config=config,
-    )
-    return fwd, bwd
-
-
-def _parallel_round_trip(scene_args, config):
-    grad_image = np.random.default_rng(5).normal(size=(H, W, 3))
-    bg = np.array([0.3, 0.1, 0.5])
-    fwd = rasterize_parallel(
-        *scene_args, width=W, height=H, background=bg, config=config
-    )
-    bwd = rasterize_backward_parallel(
-        scene_args[0], scene_args[1], scene_args[2], scene_args[3],
-        fwd, grad_image, background=bg, config=config,
-    )
-    return fwd, bwd
+    fwd = _frag_forward(scene_args, config)
+    return fwd, _frag_backward(scene_args, fwd, config)
 
 
 def _assert_identical(a, b):
@@ -105,14 +94,16 @@ def _assert_identical(a, b):
         )
 
 
+STAGES = ["fragment:cull", "fragment:pairs", "fragment:composite"]
+
+
 class TestFragmentStageMatrix:
-    """Kill one worker at each stage of the per-shard fragment pipeline."""
+    """Kill one worker at each stage of the per-shard fragment pipeline,
+    in the forward and in the backward."""
 
     CONFIG = RasterConfig(engine="fragment", workers=2, fragment_shards=4)
 
-    @pytest.mark.parametrize(
-        "stage", ["fragment:cull", "fragment:pairs", "fragment:composite"]
-    )
+    @pytest.mark.parametrize("stage", STAGES)
     def test_kill_at_stage_bit_identical(
         self, scene_args, tmp_path, stage
     ):
@@ -123,20 +114,21 @@ class TestFragmentStageMatrix:
         assert raster_pool_fault_stats()["worker_deaths"] >= 1
         _assert_identical(clean, faulted)
 
-
-class TestParallelSpanMatrix:
-    """Kill one worker in each span kernel of the parallel engine."""
-
-    CONFIG = RasterConfig(engine="parallel", workers=2)
-
-    @pytest.mark.parametrize("stage", ["span:forward", "span:backward"])
-    def test_kill_at_span_bit_identical(self, scene_args, tmp_path, stage):
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_kill_in_backward_bit_identical(
+        self, scene_args, tmp_path, stage
+    ):
+        """The backward rebuilds each shard through the same stages; the
+        forward visits each stage once per shard, so ``after=4`` skips
+        all of its visits and the kill lands in the backward."""
         shutdown_raster_pools()
-        clean = _parallel_round_trip(scene_args, self.CONFIG)
-        with active_plan(kill_at(tmp_path, stage)):
-            faulted = _parallel_round_trip(scene_args, self.CONFIG)
-        assert raster_pool_fault_stats()["worker_deaths"] >= 1
-        _assert_identical(clean, faulted)
+        clean = _frag_round_trip(scene_args, self.CONFIG)
+        with active_plan(kill_at(tmp_path, stage, after=4)):
+            fwd = _frag_forward(scene_args, self.CONFIG)
+            assert raster_pool_fault_stats()["worker_deaths"] == 0
+            bwd = _frag_backward(scene_args, fwd, self.CONFIG)
+        assert raster_pool_fault_stats()["worker_deaths"] == 1
+        _assert_identical(clean, (fwd, bwd))
 
 
 class TestPoolTaskMatrix:

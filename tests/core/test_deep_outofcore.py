@@ -25,6 +25,7 @@ import pytest
 from repro.cameras import Camera
 from repro.core import GSScaleConfig, Trainer, create_system
 from repro.datasets import SyntheticSceneConfig, build_scene
+from repro.faults import Fault, FaultPlan, active_plan
 from repro.gaussians import GaussianModel, layout
 from repro.render import render
 from repro.serve.store import PagedServingStore
@@ -294,6 +295,39 @@ class TestWriteBehind:
             combo.materialized_model().params,
         )
         assert combo.sync_spill_bytes == 0
+
+    def test_lossy_pages_do_not_follow_writer_timing(self, clustered, tmp_path):
+        """A float16 page-out re-adopted before the writer lands it is
+        rounded exactly as the page read back from disk: with every write
+        held back (most page-ins re-adopt) the trajectory is the one
+        without write-behind (every page-in reads the file), run after
+        run."""
+        model, cameras, images = clustered
+
+        def train(write_behind):
+            cfg = GSScaleConfig(
+                system="outofcore", num_shards=4, resident_shards=2,
+                scene_extent=8.0, ssim_lambda=0.0, mem_limit=1.0, seed=0,
+                async_prefetch=True, prefetch_depth=2,
+                write_behind=write_behind, page_codec="float16",
+            )
+            t = Trainer(model.copy(), cfg)
+            losses = [step.loss for step in t.train(cameras, images, 8).steps]
+            t.system.finalize()
+            return (
+                np.array(losses).tobytes(),
+                t.system.materialized_model().params.tobytes(),
+            )
+
+        written = train(write_behind=False)
+        for run in range(2):
+            plan = FaultPlan(
+                token_dir=str(tmp_path / f"tokens{run}"),
+                faults=(Fault(point="pager:write_behind", action="delay",
+                              seconds=0.02, times=10**6),),
+            )
+            with active_plan(plan):
+                assert train(write_behind=True) == written
 
 
 class TestFarBeyondHostBudget:

@@ -70,7 +70,7 @@ class TestTrajectoryParity:
         for a, b in zip(ref_reports, frag_reports):
             assert b.loss == pytest.approx(a.loss, abs=1e-9)
             assert b.num_visible == a.num_visible
-        # same Adam-sensitivity caveat as the parallel parity suite: the
+        # same Adam-sensitivity caveat as the cross-engine parity suite: the
         # ~1e-12 compositing rounding passes through Adam's rsqrt
         np.testing.assert_allclose(
             frag.materialized_model().params,

@@ -71,6 +71,40 @@ def test_deferred_write_meters_and_stores_what_a_direct_write_does(
         assert direct.disk_nbytes == os.path.getsize(direct.path)
 
 
+@pytest.mark.parametrize("codec", ("float16", "lossless"))
+def test_decode_of_unlanded_bytes_is_the_read(tmp_path, codec):
+    """What write-behind re-adopts before the write lands is what a read
+    of the landed page returns, byte for byte."""
+    page, arr = _page(tmp_path, codec)
+    encoded = page.encode(arr)
+    queued = page.decode(encoded)
+    page.write(arr, encoded=encoded)
+    read = page.read()
+    assert queued.dtype == read.dtype and queued.flags.writeable
+    assert queued.tobytes() == read.tobytes()
+
+
+def test_decode_in_a_storage_dtype(tmp_path):
+    page, arr = _page(tmp_path, "float16")
+    encoded = page.encode(arr)
+    half = page.decode(encoded, dtype=np.float16)
+    page.write(arr, encoded=encoded)
+    assert half.dtype == np.float16
+    assert half.tobytes() == page.read(dtype=np.float16).tobytes()
+
+
+@pytest.mark.parametrize("codec", ("float16", "lossless"))
+def test_decode_verifies_the_seal(tmp_path, codec):
+    page, arr = _page(tmp_path, codec)
+    encoded = page.encode(arr)
+    with pytest.raises(CorruptPageError, match="p"):
+        page.decode(encoded[:-3])
+    flipped = bytearray(encoded)
+    flipped[-1] ^= 0xFF
+    with pytest.raises(CorruptPageError):
+        page.decode(bytes(flipped))
+
+
 def test_read_in_a_storage_dtype(tmp_path):
     page, arr = _page(tmp_path, "float16")
     page.write(arr)

@@ -211,6 +211,22 @@ def make_disk_write_behind(tmp_path):
     )
 
 
+def make_disk_f16_write_behind(tmp_path):
+    """The lossy codec behind a write-behind writer: a page-out re-adopted
+    before it lands goes through the codec like one read back."""
+    tracker, ledger = MemoryTracker(), TransferLedger()
+    host_tracker = MemoryTracker()
+    store = DiskStore(
+        _params(), layout.ALL_BLOCK, ADAM, tracker, ledger,
+        spill_path=str(tmp_path / "conformance_f16_wb"),
+        host_memory=host_tracker, forwarding=True, codec="float16",
+        writer=_WriteBehindWriter(),
+    )
+    return Harness(
+        store, tracker, ledger, exact=False, host_tracker=host_tracker
+    )
+
+
 FACTORIES = {
     "device": make_device,
     "host": make_host,
@@ -223,6 +239,7 @@ FACTORIES = {
     "disk_f16": make_disk_f16,
     "disk_lossless": make_disk_lossless,
     "disk_write_behind": make_disk_write_behind,
+    "disk_f16_write_behind": make_disk_f16_write_behind,
 }
 
 param_store = pytest.mark.parametrize("factory", FACTORIES, ids=FACTORIES)
@@ -296,6 +313,91 @@ class TestZeroRowStores:
         h.store.flush()
         assert h.device_tracker.live_bytes == device_baseline
         assert h.host_tracker.live_bytes == host_baseline
+
+
+class _HeldWriter:
+    """A write-behind lane whose thread never comes: every page-out stays
+    queued, as under a writer held back past the next page-in."""
+
+    def __init__(self):
+        self.jobs = []
+
+    def enqueue(self, store, epoch):
+        self.jobs.append((store, epoch))
+
+
+class TestQueuedPageOut:
+    """A spilled store whose page-out is still queued reads as the file
+    the writer will land: ``page_in``, ``preload`` and ``state_dict`` give
+    the values of a store that wrote its pages synchronously, under every
+    codec — under ``float16`` too, so thread timing cannot change a
+    trajectory."""
+
+    def _spilled(self, tmp_path, codec, writer):
+        store = DiskStore(
+            _params(), layout.ALL_BLOCK, ADAM, MemoryTracker(),
+            TransferLedger(),
+            spill_path=str(tmp_path / ("queued" if writer else "written")),
+            forwarding=True, codec=codec, writer=writer,
+        )
+        drive(store)  # moments away from zero
+        store.spill()
+        return store
+
+    def _pair(self, tmp_path, codec):
+        held = _HeldWriter()
+        queued = self._spilled(tmp_path, codec, held)
+        written = self._spilled(tmp_path, codec, None)
+        assert len(held.jobs) == 1 and queued._pending_write is not None
+        return queued, written
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert set(got) == set(want)
+        for key in want:
+            a, b = np.asarray(got[key]), np.asarray(want[key])
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
+
+    @pytest.mark.parametrize("codec", DISK_CODECS)
+    def test_page_in(self, tmp_path, codec):
+        queued, written = self._pair(tmp_path, codec)
+        for store in (queued, written):
+            store.page_in()
+        assert queued._pending_write is None  # the re-adopt cancelled it
+        for field in ("params", "m", "v"):
+            a = getattr(queued.optimizer, field)
+            b = getattr(written.optimizer, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+    @pytest.mark.parametrize("codec", DISK_CODECS)
+    def test_preload(self, tmp_path, codec):
+        queued, written = self._pair(tmp_path, codec)
+        got, want = queued.preload().arrays, written.preload().arrays
+        for field in want:
+            assert got[field].dtype == want[field].dtype
+            assert got[field].tobytes() == want[field].tobytes(), field
+
+    @pytest.mark.parametrize("codec", DISK_CODECS)
+    def test_state_dict(self, tmp_path, codec):
+        queued, written = self._pair(tmp_path, codec)
+        self._assert_same(queued.state_dict(), written.state_dict())
+        assert queued._pending_write is not None  # a read, not a page-in
+
+    @pytest.mark.parametrize("codec", DISK_CODECS)
+    def test_checkpoint_loads_as_the_landed_one(self, tmp_path, codec):
+        queued, written = self._pair(tmp_path, codec)
+        loaded = []
+        for name, source in (("a", queued), ("b", written)):
+            fresh = DiskStore(
+                _params(seed=1), layout.ALL_BLOCK, ADAM, MemoryTracker(),
+                TransferLedger(), spill_path=str(tmp_path / f"fresh_{name}"),
+                forwarding=True, codec=codec,
+            )
+            fresh.load_state_dict(
+                {k: np.array(v) for k, v in source.state_dict().items()}
+            )
+            loaded.append(fresh.materialize())
+        assert loaded[0].tobytes() == loaded[1].tobytes()
 
 
 class TestTrajectoryMatchesOracle:

@@ -1,8 +1,8 @@
 """Cross-engine parity suite: the reference loop vs every flat engine.
 
 The ``reference`` loop is the oracle; each scheduler of the pair kernel
-(``vectorized``, ``parallel``, ``fragment`` — every other entry of
-``ENGINES``) must reproduce the image, the final transmittance, and all
+(``vectorized``, ``fragment`` — every other entry of ``ENGINES``) must
+reproduce the image, the final transmittance, and all
 five gradient arrays to tight absolute tolerance on randomized scenes —
 including the gradcheck configurations (``alpha_min=0``,
 ``full_image_splats``) and the image-splitting path of the GS-Scale system.
@@ -72,9 +72,9 @@ FLAT_ENGINES = [name for name in ENGINES if name != "reference"]
 
 
 def engine_config(engine, base=None):
-    """``base`` on ``engine``, in-process: ``workers=1`` is one span for
-    ``parallel`` and no pool for ``fragment``, which gets two depth slabs
-    so its fragment merge is exercised (``vectorized`` reads neither)."""
+    """``base`` on ``engine``, in-process: ``workers=1`` is no pool for
+    ``fragment``, which gets two depth slabs so its fragment merge is
+    exercised (``vectorized`` reads neither)."""
     return replace(
         base or RasterConfig(), engine=engine, workers=1, fragment_shards=2
     )
@@ -157,7 +157,7 @@ class TestForwardParity:
         with pytest.raises(ValueError, match="unknown raster engine"):
             RasterConfig(engine="bogus")
         # the second loop engine is gone, not hidden
-        assert ENGINES == ("reference", "vectorized", "parallel", "fragment")
+        assert ENGINES == ("reference", "vectorized", "fragment")
         with pytest.raises(ValueError, match="unknown raster engine"):
             RasterConfig(engine="tiled")
 
@@ -215,6 +215,61 @@ class TestBackwardParity:
             np.zeros(0), res, np.ones((8, 8, 3)),
         )
         assert grads.means2d.shape == (0, 2)
+
+
+class TestFloat32FastPath:
+    """RasterConfig.dtype="float32": bounded-tolerance parity."""
+
+    @pytest.fixture(scope="class")
+    def scene_args(self):
+        return make_splats(400, 96, 80, 2)
+
+    def test_forward_close_to_float64(self, scene_args):
+        ref = rasterize_vectorized(*scene_args, width=96, height=80)
+        out = rasterize_vectorized(
+            *scene_args, width=96, height=80,
+            config=RasterConfig(engine="vectorized", dtype="float32"),
+        )
+        assert out.image.dtype == np.float32
+        assert out.final_transmittance.dtype == np.float32
+        np.testing.assert_allclose(out.image, ref.image, atol=2e-3, rtol=0)
+        np.testing.assert_allclose(
+            out.final_transmittance, ref.final_transmittance, atol=2e-3,
+            rtol=0,
+        )
+
+    def test_backward_close_to_float64(self, scene_args):
+        grad_image = np.random.default_rng(8).normal(size=(80, 96, 3))
+        ref_fwd = rasterize_vectorized(*scene_args, width=96, height=80)
+        ref = rasterize_backward_vectorized(
+            scene_args[0], scene_args[1], scene_args[2], scene_args[3],
+            ref_fwd, grad_image,
+        )
+        cfg = RasterConfig(dtype="float32")
+        f32_fwd = rasterize_vectorized(
+            *scene_args, width=96, height=80, config=cfg
+        )
+        out = rasterize_backward_vectorized(
+            scene_args[0], scene_args[1], scene_args[2], scene_args[3],
+            f32_fwd, grad_image, config=cfg,
+        )
+        # gradients are sums of O(1) pair terms; float32 keeps ~1e-3
+        scale = max(np.abs(ref.colors).max(), 1.0)
+        np.testing.assert_allclose(
+            out.colors, ref.colors, atol=5e-3 * scale, rtol=0
+        )
+
+    def test_bad_dtype_rejected(self):
+        with pytest.raises(ValueError, match="dtype"):
+            RasterConfig(dtype="float16")
+
+    def test_loop_engines_ignore_dtype(self, scene_args):
+        """The correctness oracles stay in the input precision."""
+        out = rasterize(
+            *scene_args, width=96, height=80,
+            config=RasterConfig(dtype="float32"),
+        )
+        assert out.image.dtype == np.float64
 
 
 def _tiny_model(seed=0, n=30):

@@ -446,39 +446,11 @@ class TestAllFlatEngines:
 
     @pytest.mark.parametrize("cfg", [
         dict(engine="vectorized"),
-        dict(engine="parallel", workers=1),
-        dict(engine="parallel", workers=2),
         dict(engine="fragment", workers=1, fragment_shards=3),
         dict(engine="fragment", workers=2, fragment_shards=3),
     ], ids=lambda c: "-".join(str(v) for v in c.values()))
     def test_within_parity_tolerance_of_reference(self, scene, cfg):
         self._assert_close(self._engine(scene, **cfg), scene[2])
-
-    def test_parallel_spans_share_one_pruned_table(self, scene, monkeypatch):
-        from repro.render import parallel
-
-        planned = []
-        real = parallel._plan_spans
-
-        def spy(tile_ids, sid, *rest):
-            planned.append((tile_ids, sid))
-            return real(tile_ids, sid, *rest)
-
-        monkeypatch.setattr(parallel, "_plan_spans", spy)
-        inproc = self._engine(scene, engine="parallel", workers=1)
-        pooled = self._engine(scene, engine="parallel", workers=2)
-        again = self._engine(scene, engine="parallel", workers=2)
-        # forward + backward of each run: one table, everywhere
-        assert len(planned) == 6
-        (_, _), (kept_tiles, kept_sid) = _prune(
-            scene[0], self.W, self.H, RasterConfig()
-        )
-        for tile_ids, sid in planned:
-            assert np.array_equal(tile_ids, kept_tiles)
-            assert np.array_equal(sid, kept_sid)
-        # span counts differ (1 vs 6), so the scans round differently
-        self._assert_close(pooled, inproc)
-        self._assert_close(again, pooled, atol=0.0)
 
     def test_fragment_pooled_equals_in_process(self, scene):
         inproc = self._engine(scene, engine="fragment", workers=1,

@@ -2,10 +2,12 @@
 
 The parity suites compare engines at ``atol=1e-9`` — a tolerance a
 diverging copy of the pair arithmetic would pass. These tests assert what
-a single copy guarantees instead: the ``parallel`` engine with one
-in-process span *is* the ``vectorized`` engine, value for value, and the
-kernel's gradient sums do not depend on the index they are reduced onto.
-Equalities only, so they mean the same on a 1-CPU runner.
+a single copy guarantees instead: a ``fragment`` slab computes the same
+bytes in a pool worker as in-process, the kernel's gradient sums do not
+depend on the index they are reduced onto, its blocks and its pixel sort
+are the formulations they replace, byte for byte, and every scheduler
+counts the table ``vectorized`` builds. Equalities only, so they mean the
+same on a 1-CPU runner.
 """
 
 from dataclasses import replace
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 import test_engine_equivalence as equivalence
+from repro.pool import get_raster_pool, shutdown_raster_pools
 from repro.render import RasterConfig, engine
 from repro.render.engine import (
     _argsort_by_key,
@@ -21,31 +24,22 @@ from repro.render.engine import (
     _pixel_sorted,
     _transmittance_scan,
     backward_pairs,
+    clip_isect_rects,
     get_backward,
     get_forward,
     local_ids,
     pairs_for_isects,
+    tile_intersections,
     visible_intersections,
 )
-from repro.render.rasterize import config_bboxes
-from repro.render.tiles import partition_spans
+from repro.render.rasterize import config_bboxes, splat_bboxes
 
 from test_engine_equivalence import SCENES, make_splats
 
 GRAD_FIELDS = ("means2d", "conics", "colors", "opacities", "mean2d_abs")
 
-#: The background term ``(dL/dC . bg) * T_final`` is the one input the
-#: schedulers compute differently — ``vectorized`` over the whole image and
-#: then gathered, a span gathered first — and a BLAS gemv does not promise
-#: a row the same bits at a different position (float32 rows near the end
-#: of a 96x80 image differ on the box this was written on). Quarters times
-#: small integers make every product and sum of that dot exact, so the
-#: engines' equality here is a statement about the kernel alone.
+#: Background of every run here.
 BG = np.array([0.25, 0.5, 0.75])
-
-
-def _image_grad(rng, w, h):
-    return rng.integers(-8, 9, size=(h, w, 3)).astype(np.float64)
 
 
 def _run(engine_cfg, args, w, h, grad):
@@ -58,40 +52,56 @@ def _run(engine_cfg, args, w, h, grad):
     return res, grads
 
 
-class TestOneSpanIsVectorized:
-    """``parallel(workers <= 1)`` plans one span over the whole table and
-    calls the kernel exactly as ``vectorized`` does."""
+#: ``(fragment_shards, workers)`` of the pooled runs: two and three slabs
+#: on two workers, and one slab per worker on three.
+POOLED = [(2, 2), (3, 2), (3, 3)]
+
+
+class TestPooledSlabsAreInProcess:
+    """``fragment`` runs every depth slab through one function, in a pool
+    worker or in-process (:func:`repro.render.fragment.run_slices`), and
+    merges the results in slab order: where a slab ran never shows, value
+    for value, sign of zero included."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def _reap_pools(self):
+        yield
+        shutdown_raster_pools()
 
     @pytest.mark.parametrize("scene", SCENES, ids=lambda s: f"n{s[0]}")
     @pytest.mark.parametrize("dtype", [None, "float32"], ids=["f64", "f32"])
     @pytest.mark.parametrize("alpha_min", [None, 0.0], ids=["amin", "amin0"])
-    @pytest.mark.parametrize("workers", [0, 1])
-    def test_forward_and_backward_equal(self, scene, dtype, alpha_min, workers):
+    @pytest.mark.parametrize(
+        "shards, workers", POOLED, ids=[f"s{s}-w{w}" for s, w in POOLED]
+    )
+    def test_forward_and_backward_equal(
+        self, scene, dtype, alpha_min, shards, workers
+    ):
         n, w, h, seed = scene
         args = make_splats(n, w, h, seed)
-        grad = _image_grad(np.random.default_rng(seed + 50), w, h)
-        cfg = RasterConfig(dtype=dtype)
+        grad = np.random.default_rng(seed + 50).normal(size=(h, w, 3))
+        cfg = RasterConfig(
+            engine="fragment", fragment_shards=shards, dtype=dtype
+        )
         if alpha_min is not None:
             cfg = replace(cfg, alpha_min=alpha_min)
-        vec_res, vec = _run(replace(cfg, engine="vectorized"), args, w, h, grad)
-        par_res, par = _run(
-            replace(cfg, engine="parallel", workers=workers), args, w, h, grad
+        in_res, inproc = _run(replace(cfg, workers=1), args, w, h, grad)
+        pool_res, pooled = _run(replace(cfg, workers=workers), args, w, h, grad)
+        assert pool_res.image.tobytes() == in_res.image.tobytes()
+        assert (
+            pool_res.final_transmittance.tobytes()
+            == in_res.final_transmittance.tobytes()
         )
-        assert np.array_equal(par_res.image, vec_res.image)
-        assert np.array_equal(
-            par_res.final_transmittance, vec_res.final_transmittance
-        )
+        assert pool_res.counts == in_res.counts
         for field in GRAD_FIELDS:
-            a, b = getattr(par, field), getattr(vec, field)
+            a, b = getattr(pooled, field), getattr(inproc, field)
             assert a.dtype == b.dtype
-            # array_equal, not tobytes: the one-partial fill keeps the
-            # sign of a zero that the scatter-add merge loses
-            assert np.array_equal(a, b), field
+            assert a.tobytes() == b.tobytes(), field
 
 
 def _slice_inputs(args, w, h, cfg, start_stop=None, tile_size=16):
     """The splat ids and the pair table of a tile-aligned slice of the
-    intersection table, as a span of the ``parallel`` engine builds them."""
+    intersection table."""
     means2d, conics, colors, opacities, depths, radii = args
     order = np.argsort(depths, kind="stable")
     bboxes = config_bboxes(means2d, radii, w, h, cfg)
@@ -99,10 +109,12 @@ def _slice_inputs(args, w, h, cfg, start_stop=None, tile_size=16):
         means2d, conics, opacities, bboxes, order, w, h, cfg, tile_size
     )
     if start_stop is None:
-        # the middle one of three equal-count spans
-        spans = partition_spans(tile_ids, np.ones(tile_ids.size), 3)
-        assert len(spans) == 3
-        start_stop = spans[1]
+        # the middle third, from the first tile boundary at or past a
+        # third of the rows to the first at or past two thirds
+        bounds = np.flatnonzero(np.diff(tile_ids)) + 1
+        thirds = np.array([1, 2]) * tile_ids.size / 3
+        start_stop = bounds[np.searchsorted(bounds, thirds)]
+        assert start_stop[0] < start_stop[1]
     start, stop = start_stop
     pairs = pairs_for_isects(
         means2d, conics, opacities, bboxes, tile_ids[start:stop],
@@ -266,14 +278,30 @@ def small_blocks(request, monkeypatch):
     return request.param
 
 
-@pytest.mark.usefixtures("small_blocks")
-class TestOneSpanIsVectorizedInBlocks(TestOneSpanIsVectorized):
-    pass
+@pytest.fixture
+def pooled_small_blocks(small_blocks):
+    """``small_blocks`` in the pool workers too: the raster pools are
+    reaped around the test, so its workers fork (the pool's start method
+    where the platform has it) under the patch."""
+    shutdown_raster_pools()
+    yield small_blocks
+    shutdown_raster_pools()
+
+
+def _block_pairs(_):
+    """Pool task: the backward block size a worker runs with."""
+    return engine.BLOCK_PAIRS
 
 
 @pytest.mark.usefixtures("small_blocks")
 class TestReductionIndexInvarianceInBlocks(TestReductionIndexInvariance):
     """Why the block size reads the scene's splat count and not ``m``."""
+
+
+@pytest.mark.usefixtures("pooled_small_blocks")
+class TestPooledSlabsAreInProcessInBlocks(TestPooledSlabsAreInProcess):
+    """Each slab's backward walks the same several blocks in a worker as
+    in-process."""
 
 
 @pytest.mark.usefixtures("small_blocks")
@@ -336,6 +364,13 @@ class TestBlockRule:
             _, _, pairs = _whole_table(n, w, h, seed)
             edges, _ = _group_blocks(pairs.starts, pairs.alpha.size, n)
             assert len(edges) - 1 >= (3 if small_blocks == 64 else 2)
+
+    def test_the_pooled_suite_walks_them_in_the_workers(
+        self, pooled_small_blocks
+    ):
+        assert get_raster_pool(2).map(_block_pairs, range(4)) == (
+            [pooled_small_blocks] * 4
+        )
 
     def test_blocks_are_whole_groups_of_about_a_block(self, monkeypatch):
         monkeypatch.setattr(engine, "BLOCK_PAIRS", 100)
@@ -458,8 +493,6 @@ class TestCountsOnEveryEngine:
     so every scheduler reports what ``vectorized`` reads off its own."""
 
     @pytest.mark.parametrize("cfg", [
-        RasterConfig(engine="parallel", workers=0),
-        RasterConfig(engine="parallel", workers=2),
         RasterConfig(engine="fragment", workers=0, fragment_shards=1),
         RasterConfig(engine="fragment", workers=0, fragment_shards=3),
     ], ids=lambda c: f"{c.engine}-w{c.workers}-s{c.fragment_shards}")
@@ -484,10 +517,66 @@ class TestCountsOnEveryEngine:
         args[3] = np.full(40, 1e-4)  # every cell below alpha_min
         for cfg in (
             RasterConfig(engine="vectorized"),
-            RasterConfig(engine="parallel"),
             RasterConfig(engine="fragment", fragment_shards=2),
         ):
             counts = get_forward(cfg.engine)(
                 *args, width=32, height=24, config=cfg
             ).counts
             assert counts.pairs == 0 and counts.cells > counts.isects > 0
+
+
+class TestIsectEdgeCases:
+    """Degenerate intersection tables: the clipped rects and the pair
+    builder must agree on empty and single-tile inputs."""
+
+    def _table(self, means2d, radii, width, height, depths=None):
+        bboxes = splat_bboxes(means2d, radii, width, height)
+        order = (
+            None if depths is None else np.argsort(depths, kind="stable")
+        )
+        tile_ids, sid, tiles_x, _ = tile_intersections(
+            bboxes, width, height, 16, order=order
+        )
+        return bboxes, tile_ids, sid, tiles_x
+
+    def test_zero_intersections(self):
+        """Every splat off-screen: empty table end to end."""
+        means2d = np.array([[-40.0, -40.0], [200.0, 200.0]])
+        radii = np.array([2.0, 2.0])
+        bboxes, tile_ids, sid, tiles_x = self._table(means2d, radii, 64, 48)
+        assert tile_ids.size == 0
+        rx0, rx1, ry0, ry1 = clip_isect_rects(
+            bboxes, tile_ids, sid, tiles_x, 16
+        )
+        assert rx0.size == rx1.size == ry0.size == ry1.size == 0
+        pairs = pairs_for_isects(
+            means2d, np.full((2, 3), 1.0), np.full(2, 0.9), bboxes,
+            tile_ids, sid, tiles_x, 64, 48, RasterConfig(), 16,
+        )
+        assert pairs.pixel.size == 0 and pairs.nz.size == 0
+
+    def test_single_tile_image(self):
+        """A 16x16 image is one tile: every intersection and pair lands
+        in tile 0, and the rects clip to the image bounds."""
+        args = make_splats(20, 16, 16, 12)
+        means2d, conics, _, opacities, depths, radii = args
+        bboxes, tile_ids, sid, tiles_x = self._table(
+            means2d, radii, 16, 16, depths
+        )
+        assert tiles_x == 1
+        assert tile_ids.size > 0 and np.all(tile_ids == 0)
+        rx0, rx1, ry0, ry1 = clip_isect_rects(
+            bboxes, tile_ids, sid, tiles_x, 16
+        )
+        assert np.all(rx0 >= 0) and np.all(rx1 <= 16)
+        assert np.all(ry0 >= 0) and np.all(ry1 <= 16)
+        pairs = pairs_for_isects(
+            means2d, conics, opacities, bboxes, tile_ids, sid, tiles_x,
+            16, 16, RasterConfig(), 16,
+        )
+        assert np.all(pairs.pixel < 16 * 16)
+        # segment structure: pixel is nz repeated by counts, ascending
+        np.testing.assert_array_equal(
+            pairs.pixel, np.repeat(pairs.nz, pairs.counts)
+        )
+        assert np.all(np.diff(pairs.nz) > 0)

@@ -43,8 +43,8 @@ class TestPhaseMapping:
 
 
 class TestPooledRasterSpans:
-    """Both pooled raster engines run their slices through one pool task,
-    so a traced pass reports its worker time the same way for either."""
+    """The pooled ``fragment`` engine runs its slices through one pool
+    task, so a traced pass reports its worker time as the phase."""
 
     @pytest.fixture(autouse=True)
     def _reap_pools(self):
@@ -53,11 +53,7 @@ class TestPooledRasterSpans:
         yield
         shutdown_raster_pools()
 
-    @pytest.mark.parametrize("cfg", [
-        dict(engine="parallel", workers=2),  # 2 workers x 3 spans each
-        dict(engine="fragment", workers=2, fragment_shards=2),
-    ], ids=lambda c: c["engine"])
-    def test_one_worker_span_per_slice_per_pass(self, cfg):
+    def test_one_worker_span_per_slice_per_pass(self):
         from collections import Counter
 
         import numpy as np
@@ -74,8 +70,8 @@ class TestPooledRasterSpans:
             rng.uniform(0, 1, size=(n, 3)),
             rng.uniform(0.2, 1.0, size=n),
         )
-        config = RasterConfig(**cfg)
-        slices = 6 if cfg["engine"] == "parallel" else 2
+        config = RasterConfig(engine="fragment", workers=2, fragment_shards=2)
+        slices = 2
 
         tracer = trace.install()
         res = get_forward(config.engine)(

@@ -272,11 +272,11 @@ class TestIsectTelemetry:
         assert counter.name == "render/isects_pruned" and counter.value == 0
 
     def test_every_flat_engine_reports_the_same_counts(self):
-        """The counts come off ``RasterResult.counts``, which the pooled
-        engines sum from their slices — not off the saved table only
-        ``vectorized`` keeps."""
+        """The counts come off ``RasterResult.counts``, which the
+        ``fragment`` engine sums from its slices — not off the saved table
+        only ``vectorized`` keeps."""
         per_engine = {}
-        for engine in ("vectorized", "parallel", "fragment"):
+        for engine in ("vectorized", "fragment"):
             system, scene = TestSavedPairTelemetry._system(True, engine)
             trace.get_tracer().clear()
             system.step(scene.train_cameras[0], scene.train_images[0])
@@ -290,7 +290,6 @@ class TestIsectTelemetry:
                 for key in ("cells", "pairs", "isects", "pruned_isects")
             }
         assert per_engine["vectorized"]["cells"] > per_engine["vectorized"]["pairs"] > 0
-        assert per_engine["parallel"] == per_engine["vectorized"]
         assert per_engine["fragment"] == per_engine["vectorized"]
 
     @staticmethod

@@ -7,8 +7,8 @@ Usage (once per checkout, then diff the two outputs)::
 
 Prints one line per configuration — fixture x engine (``vectorized`` saved
 and rebuilt, and ``vectorized-blocks``: its forward cut into blocks of 64
-cells for 2 CPUs; ``parallel`` workers 0 / 2; ``fragment`` workers
-{0, 2} x shards {1, 3}; the per-shard ``rasterize_fragment_sources`` entry
+cells for 2 CPUs; ``fragment`` workers {0, 2} x shards {1, 3}; the
+per-shard ``rasterize_fragment_sources`` entry
 point) x {float64, float32} x {``alpha_min`` default, 0} — with two sha256
 columns, ``fwd=`` over image and final transmittance and ``bwd=`` over the
 five gradient arrays, and on float64 lines ``ref=``, each gradient
@@ -25,9 +25,7 @@ needs a name the checkout lacks (``vectorized-blocks`` needs
 ``--check`` asserts the equalities that hold inside one checkout and
 prints nothing else: every line repeats (a second run gives the same two
 digests), ``vectorized`` saved and rebuilt agree on all seven arrays,
-``vectorized-blocks`` equals ``vectorized`` on both digests, and
-``parallel-w0`` equals ``vectorized`` (forward digest; gradients
-``array_equal``, which forgives the sign of a zero).
+and ``vectorized-blocks`` equals ``vectorized`` on both digests.
 """
 
 import hashlib
@@ -91,9 +89,6 @@ FIXTURES = {
 }
 
 ENGINE_CFGS = [("vectorized", dict(engine="vectorized"))]
-ENGINE_CFGS += [
-    (f"parallel-w{w}", dict(engine="parallel", workers=w)) for w in (0, 2)
-]
 ENGINE_CFGS += [
     (f"fragment-w{w}-s{s}",
      dict(engine="fragment", workers=w, fragment_shards=s))
@@ -215,13 +210,6 @@ def check(runs, again):
             vec = by_label[label.replace(" vectorized-blocks ", " vectorized ")]
             if (run.fwd, run.bwd) != (vec.fwd, vec.bwd):
                 failures.append(f"{label}: differs from vectorized")
-        if " parallel-w0 " in label:
-            vec = by_label[label.replace(" parallel-w0 ", " vectorized ")]
-            if run.fwd != vec.fwd:
-                failures.append(f"{label}: forward differs from vectorized")
-            for f, a, b in zip(GRADS, run.grads, vec.grads):
-                if not np.array_equal(a, b):
-                    failures.append(f"{label}: {f} differs from vectorized")
     return failures
 
 
