@@ -169,6 +169,44 @@ def test_frustum_culling(benchmark, culling_scene):
     assert result.num_visible > 0
 
 
+def test_cull_allocation_gate():
+    """A byte count, not a timing, like the gates above: an exact cull of
+    120k rows, held as strided column views of a packed ``(N, 10)``
+    matrix like a store's ``geometry()``, peaks below ``2 * N * 72`` bytes
+    of traced allocation — two float64 ``(N, 3, 3)`` arrays. Projected
+    over the whole array it peaked at 561 B per row (67.3 MB) on the
+    first view; walked in ``BLOCK_ROWS`` blocks it is 99 B per row (11.9
+    MB). Two views: one that sees every row in depth range, under 1% of
+    them on the image (the walk reads the views in place), and one whose
+    near plane cuts the rows (it gathers). Holds on a 1-CPU runner."""
+    from repro.bench import traced_peak_bytes
+
+    n = 120_000
+    rng = np.random.default_rng(9)
+    packed = np.empty((n, 10))
+    packed[:, 0:3] = rng.uniform([-50, -50, 0], [50, 50, 4], size=(n, 3))
+    packed[:, 3:6] = rng.normal(np.log(0.2), 0.5, size=(n, 3))
+    packed[:, 6:10] = rng.normal(size=(n, 4))
+    geometry = packed[:, 0:3], packed[:, 3:6], packed[:, 6:10]
+    views = {
+        "in place": Camera.look_at(
+            [-70, -70, 10], [-45, -45, 0], width=64, height=48,
+            fov_x_deg=8.0,
+        ),
+        "gathered": Camera.look_at(
+            [0, 0, 3], [10, 5, 0], width=64, height=48
+        ),
+    }
+    gate = 2 * n * 72
+    peaks = {}
+    for name, camera in views.items():
+        result = frustum_cull(*geometry, camera)
+        assert (result.num_in_depth < n) == (name == "gathered")
+        peaks[name] = traced_peak_bytes(lambda: frustum_cull(*geometry, camera))
+    print({"gate_bytes": gate, **peaks})
+    assert max(peaks.values()) < gate, peaks
+
+
 @pytest.fixture(scope="module")
 def render_scene():
     rng = np.random.default_rng(3)

@@ -110,6 +110,91 @@ def _splat_radii(cov2d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return radii, det > 0
 
 
+def camera_points(means: np.ndarray, camera: Camera) -> np.ndarray:
+    """Camera-space centres ``means @ R^T + t``, in the model dtype.
+
+    One gemm over all the rows it is given, and a gemm row is not
+    position-independent (numerics contract fact 2): a caller that must
+    match :func:`project_geometry` bit for bit calls this on the same
+    rows, never on a block of them.
+    """
+    dtype = means.dtype
+    rot = camera.world_to_cam_rot.astype(dtype)
+    trans = camera.world_to_cam_trans.astype(dtype)
+    return means @ rot.T + trans
+
+
+@dataclass
+class ScreenRows:
+    """Per-row screen-space geometry from :func:`project_rows`.
+
+    Attributes:
+        x, y: pixel-space centre, ``(M,)`` each.
+        radii: conservative splat radii in pixels (3 sigma), ``(M,)``.
+        valid: mask of rows with positive-definite 2D covariance, ``(M,)``.
+        jacobians: perspective Jacobians, ``(M, 2, 3)``.
+        cov3d_mats: world-space covariances, ``(M, 3, 3)``.
+        cov3d_ctx: :func:`~repro.gaussians.covariance.build_covariance`'s
+            context.
+        cov2d: 2D covariances including the low-pass term, ``(M, 2, 2)``.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    radii: np.ndarray
+    valid: np.ndarray
+    jacobians: np.ndarray
+    cov3d_mats: np.ndarray
+    cov3d_ctx: dict
+    cov2d: np.ndarray
+
+
+def project_rows(
+    cam_points: np.ndarray,
+    log_scales: np.ndarray,
+    quats: np.ndarray,
+    camera: Camera,
+) -> ScreenRows:
+    """The EWA projection of rows whose camera-space centres are known:
+    pixel centre, perspective Jacobian, 3D and 2D covariance, radius.
+
+    The one implementation behind :func:`project_geometry` and the
+    frustum cull's block walk. Every operation in it is per row —
+    elementwise ufuncs, the per-row quaternion norm, stacked 3x3 / 2x3
+    matmuls that make one BLAS call per item — so its output for a row
+    does not depend on which other rows share the call, and a caller may
+    hand it any slice of the rows (numerics contract fact 6).
+
+    Args:
+        cam_points: camera-space centres from :func:`camera_points`,
+            ``(M, 3)``.
+        log_scales: log extents, ``(M, 3)``.
+        quats: raw quaternions, ``(M, 4)``.
+        camera: viewing camera.
+    """
+    x = camera.fx * cam_points[:, 0] / cam_points[:, 2] + camera.cx
+    y = camera.fy * cam_points[:, 1] / cam_points[:, 2] + camera.cy
+
+    jac = _perspective_jacobian(cam_points, camera)
+    cov_world, c3_ctx = cov3d.build_covariance(log_scales, quats)
+    m = jac @ camera.world_to_cam_rot.astype(cam_points.dtype)  # (M, 2, 3)
+    cov2d = m @ cov_world @ np.swapaxes(m, -1, -2)
+    cov2d[:, 0, 0] += EPS_2D
+    cov2d[:, 1, 1] += EPS_2D
+
+    radii, valid = _splat_radii(cov2d)
+    return ScreenRows(
+        x=x,
+        y=y,
+        radii=radii,
+        valid=valid,
+        jacobians=jac,
+        cov3d_mats=cov_world,
+        cov3d_ctx=c3_ctx,
+        cov2d=cov2d,
+    )
+
+
 def project_geometry(
     means: np.ndarray,
     log_scales: np.ndarray,
@@ -118,30 +203,21 @@ def project_geometry(
 ) -> tuple[Projection2D, ProjectionContext]:
     """Project geometric attributes to screen space.
 
-    This is the shared kernel between frustum culling (which needs only
-    geometry — the basis of selective offloading, Section 4.2.1) and the
-    full forward pass.
+    The forward pass's geometry: :func:`project_rows` over all rows, plus
+    the conics and the backward context. Frustum culling (which needs
+    only geometry — the basis of selective offloading, Section 4.2.1)
+    runs the same :func:`project_rows` block by block and keeps the
+    radius only.
 
     Returns:
         ``(geom, partial_ctx)`` — the context lacks color-related fields,
         which :func:`project` fills in.
     """
-    dtype = means.dtype
-    rot = camera.world_to_cam_rot.astype(dtype)
-    trans = camera.world_to_cam_trans.astype(dtype)
-    cam_points = means @ rot.T + trans
+    cam_points = camera_points(means, camera)
+    rows = project_rows(cam_points, log_scales, quats, camera)
+    means2d = np.stack([rows.x, rows.y], axis=-1)
 
-    u = camera.fx * cam_points[:, 0] / cam_points[:, 2] + camera.cx
-    v = camera.fy * cam_points[:, 1] / cam_points[:, 2] + camera.cy
-    means2d = np.stack([u, v], axis=-1)
-
-    jac = _perspective_jacobian(cam_points, camera)
-    cov_world, c3_ctx = cov3d.build_covariance(log_scales, quats)
-    m = jac @ rot  # (M, 2, 3)
-    cov2d = m @ cov_world @ np.swapaxes(m, -1, -2)
-    cov2d[:, 0, 0] += EPS_2D
-    cov2d[:, 1, 1] += EPS_2D
-
+    cov2d = rows.cov2d
     a = cov2d[:, 0, 0]
     b = cov2d[:, 0, 1]
     c = cov2d[:, 1, 1]
@@ -149,20 +225,19 @@ def project_geometry(
     safe_det = np.where(det > 0, det, 1.0)
     conics = np.stack([c / safe_det, -b / safe_det, a / safe_det], axis=-1)
 
-    radii, valid = _splat_radii(cov2d)
     geom = Projection2D(
         means2d=means2d,
         cov2d=cov2d,
         conics=conics,
         depths=cam_points[:, 2].copy(),
-        radii=radii,
-        valid=valid,
+        radii=rows.radii,
+        valid=rows.valid,
     )
     ctx = ProjectionContext(
         cam_points=cam_points,
-        jacobians=jac,
-        cov3d_ctx=c3_ctx,
-        cov3d_mats=cov_world,
+        jacobians=rows.jacobians,
+        cov3d_ctx=rows.cov3d_ctx,
+        cov3d_mats=rows.cov3d_mats,
         view_dirs=np.empty(0),
         view_vec_norms=np.empty(0),
         clamp_mask=np.empty(0),

@@ -111,7 +111,7 @@ class TestStats:
 
 
 class TestAllRowsInDepthRange:
-    """When every row passes the near/far stage the projection reads the
+    """When every row passes the near/far stage the row walk reads the
     caller's arrays directly instead of gathering copies of them."""
 
     @staticmethod
@@ -137,13 +137,13 @@ class TestAllRowsInDepthRange:
         from repro.render import culling
 
         seen = []
-        real = culling.projection.project_geometry
+        real = culling.projection.project_rows
 
-        def spy(means, log_scales, quats, camera):
-            seen.append((means, log_scales, quats))
-            return real(means, log_scales, quats, camera)
+        def spy(cam_points, log_scales, quats, camera):
+            seen.append((log_scales, quats))
+            return real(cam_points, log_scales, quats, camera)
 
-        monkeypatch.setattr(culling.projection, "project_geometry", spy)
+        monkeypatch.setattr(culling.projection, "project_rows", spy)
         scene = self._scene()
         before = [a.copy() for a in scene]
         all_pass = front_camera()
@@ -152,7 +152,12 @@ class TestAllRowsInDepthRange:
             seen.clear()
             res = frustum_cull(*scene, cam)
             assert (res.num_in_depth == res.num_total) is direct
-            assert all((a is b) is direct for a, b in zip(seen[0], scene))
+            # the scene is one block: in place, the walk is handed views
+            # of the caller's scales and quaternions; gathered, copies
+            assert all(
+                np.shares_memory(a, b) is direct
+                for a, b in zip(seen[0], scene[1:])
+            )
             gathered = frustum_cull(*self._with_row_behind(*scene), cam)
             assert np.array_equal(res.valid_ids, gathered.valid_ids)
             assert res.valid_ids.dtype == gathered.valid_ids.dtype

@@ -22,10 +22,22 @@ Uses only names both sides of such a diff have: a line whose schedule
 needs a name the checkout lacks (``vectorized-blocks`` needs
 ``engine.BLOCK_CELLS`` and ``pool.usable_cpus``) is not printed.
 
+The ``cull`` lines that follow hash the geometric side in front of the
+rasterizer on a 30k-row scene — more than three of the exact cull's row
+blocks — held as strided column views of one packed matrix, like a
+store's ``geometry()``: per view and dtype, ``valid_ids=`` of
+``frustum_cull``, and ``means2d=`` / ``radii=`` of ``project_geometry``
+over all rows. One view stands inside the scene, so its near plane cuts
+the rows and the cull gathers; the others see every row in depth range.
+They call nothing but those two functions, so the tool can run against
+an older checkout's ``src`` and the lines can be diffed.
+
 ``--check`` asserts the equalities that hold inside one checkout and
 prints nothing else: every line repeats (a second run gives the same two
 digests), ``vectorized`` saved and rebuilt agree on all seven arrays,
-and ``vectorized-blocks`` equals ``vectorized`` on both digests.
+``vectorized-blocks`` equals ``vectorized`` on both digests, and each
+view's ``frustum_cull`` keeps exactly the rows that ``project_geometry``
+over the rows in depth range, gathered whole, puts on the image.
 """
 
 import hashlib
@@ -36,10 +48,12 @@ from dataclasses import replace
 import numpy as np
 
 from repro import pool
+from repro.cameras import Camera
 from repro.pool import shutdown_raster_pools
-from repro.render import RasterConfig, engine
+from repro.render import RasterConfig, engine, frustum_cull
 from repro.render.engine import get_backward, get_forward
 from repro.render.fragment import FragmentSource, rasterize_fragment_sources
+from repro.render.projection import project_geometry
 
 GRADS = ("means2d", "conics", "colors", "opacities", "mean2d_abs")
 BG = np.array([0.2, 0.5, 0.8])
@@ -194,13 +208,87 @@ def fixture_runs(fname):
                         sources, w, h, background=BG, config=cfg))
 
 
-def check(runs, again):
+def make_cull_scene(n=30_000, seed=5):
+    """``n`` splats over a 40 x 40 x 4 slab, packed ``(n, 10)`` like the
+    geometric block of a store; some quaternions lie below the ``1e-12``
+    normalisation floor."""
+    rng = np.random.default_rng(seed)
+    packed = np.empty((n, 10))
+    packed[:, 0:3] = rng.uniform([-20, -20, 0], [20, 20, 4], size=(n, 3))
+    packed[:, 3:6] = rng.normal(np.log(0.2), 0.6, size=(n, 3))
+    packed[:, 6:10] = rng.normal(size=(n, 4))
+    packed[rng.random(n) < 0.01, 6:10] *= 1e-14
+    return packed
+
+
+def cull_views():
+    """Four views that see every row in depth range, one inside the
+    slab (the near plane cuts it) and one whose far plane cuts it."""
+    return [
+        Camera.look_at([0, -45, 30], [0, 0, 0], width=96, height=64,
+                       fov_x_deg=30.0),
+        Camera.look_at([30, 30, 12], [-5, -5, 0], width=64, height=64,
+                       fov_x_deg=40.0),
+        Camera.look_at([-60, 5, 8], [0, 0, 2], width=128, height=48,
+                       fov_x_deg=25.0),
+        Camera.look_at([0, 0, 80], [6, 1, 0], width=80, height=80,
+                       fov_x_deg=20.0),
+        Camera.look_at([2, -3, 2], [10, 4, 1], width=64, height=48),
+        Camera.look_at([-35, -35, 10], [0, 0, 0], width=96, height=72,
+                       fov_x_deg=35.0, far=45.0),
+    ]
+
+
+def unblocked_cull(means, log_scales, quats, camera):
+    """``frustum_cull``'s verdict from one ``project_geometry`` over the
+    rows in depth range: gathered whole when the near/far test drops
+    some, read in place when it drops none."""
+    rot = camera.world_to_cam_rot.astype(means.dtype)
+    trans = camera.world_to_cam_trans.astype(means.dtype)
+    depths = means @ rot.T[:, 2] + trans[2]
+    ids = np.flatnonzero((depths > camera.near) & (depths < camera.far))
+    if ids.size < means.shape[0]:
+        means, log_scales, quats = means[ids], log_scales[ids], quats[ids]
+    geom, _ = project_geometry(means, log_scales, quats, camera)
+    x, y, r = geom.means2d[:, 0], geom.means2d[:, 1], geom.radii
+    keep = (
+        geom.valid
+        & (x + r > 0) & (x - r < camera.width)
+        & (y + r > 0) & (y - r < camera.height)
+    )
+    return ids[keep]
+
+
+def cull_runs():
+    """``(label, line, walk == unblocked)`` per view and dtype."""
+    packed = make_cull_scene()
+    for dtype in ("float64", "float32"):
+        matrix = packed.astype(dtype)
+        geometry = matrix[:, 0:3], matrix[:, 3:6], matrix[:, 6:10]
+        for i, camera in enumerate(cull_views()):
+            ids = frustum_cull(*geometry, camera).valid_ids
+            geom, _ = project_geometry(*geometry, camera)
+            label = f"cull v{i} {dtype}"
+            line = (
+                f"{label} valid_ids={digest(ids)}"
+                f" means2d={digest(geom.means2d)} radii={digest(geom.radii)}"
+            )
+            same = np.array_equal(ids, unblocked_cull(*geometry, camera))
+            yield label, line, same
+
+
+def check(runs, again, culls, culls_again):
     """The within-checkout equalities; returns the failures."""
     failures = []
     by_label = {r.label: r for r in runs}
     for first, second in zip(runs, again):
         if (first.fwd, first.bwd) != (second.fwd, second.bwd):
             failures.append(f"{first.label}: a second run differs")
+    for (label, line, same), (_, line_again, _) in zip(culls, culls_again):
+        if line != line_again:
+            failures.append(f"{label}: a second run differs")
+        if not same:
+            failures.append(f"{label}: differs from the unblocked cull")
     for label, run in by_label.items():
         if label.endswith(" rebuilt"):
             saved = by_label[label[: -len(" rebuilt")]]
@@ -215,15 +303,18 @@ def check(runs, again):
 
 def main(argv):
     runs = [r for fname in FIXTURES for r in fixture_runs(fname)]
+    culls = list(cull_runs())
     try:
         if argv[1:] == ["--check"]:
             again = [r for fname in FIXTURES for r in fixture_runs(fname)]
-            failures = check(runs, again)
-            print("\n".join(failures) or f"ok: {len(runs)} lines")
+            failures = check(runs, again, culls, list(cull_runs()))
+            total = len(runs) + len(culls)
+            print("\n".join(failures) or f"ok: {total} lines")
             return 1 if failures else 0
     finally:
         shutdown_raster_pools()
-    sys.stdout.write("\n".join(r.line for r in runs) + "\n")
+    lines = [r.line for r in runs] + [line for _, line, _ in culls]
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
