@@ -17,7 +17,14 @@ committed ``BENCH_disk.json`` baseline is the quick-mode run the CI
   write-behind must hold admit-path synchronous spill bytes at zero.
 * ``test_tenx_budget_entry`` — the headline configuration: a model
   whose pageable state is ~10x the host budget training with all three
-  axes on at once, under the enforced byte budget.
+  axes on at once, under the enforced byte budget. Some of its spills
+  must be clean evictions (a shard that did not change since its
+  page-in writes nothing).
+
+Every row reports the write side of the disk channel — ``page_out_count``
+and its bytes beside ``clean_evictions`` — and every ``raw`` row must
+write exactly the bytes it spills (``page_out_disk_bytes ==
+page_out_bytes``). These are counts, so the gates hold on any machine.
 
 ``GSSCALE_BENCH_QUICK=1`` shrinks every axis for CI smoke runs.
 """
@@ -70,6 +77,25 @@ def clustered_fixture(per_cluster):
     ]
     images = [render(model, cam).image for cam in cameras]
     return model, cameras, images
+
+
+def _page_out_counts(ledger, clean_evictions):
+    """The write side of the disk channel: spills that wrote their pages
+    and the decoded / on-disk bytes they wrote, beside the spills of a
+    clean store, which write nothing."""
+    return {
+        "page_out_count": ledger.page_out_count,
+        "clean_evictions": clean_evictions,
+        "page_out_bytes": ledger.page_out_bytes,
+        "page_out_disk_bytes": ledger.page_out_disk_bytes,
+    }
+
+
+def _assert_raw_writes_its_bytes(entries):
+    # a raw page is its array: what crossed the disk is what was spilled
+    for e in entries:
+        if e["codec"] == "raw":
+            assert e["page_out_disk_bytes"] == e["page_out_bytes"] > 0
 
 
 def _emit(entries):
@@ -128,6 +154,7 @@ def test_codec_page_bandwidth(benchmark):
                 "rows": rows,
                 "roundtrips": roundtrips,
                 "bandwidth_multiplier": round(multiplier, 4),
+                **_page_out_counts(ledger, store.clean_evictions),
                 "page_in_s": store.page_in_s,
                 "sync_spill_s": store.sync_spill_s,
                 "roundtrip_s": elapsed / roundtrips,
@@ -145,6 +172,7 @@ def test_codec_page_bandwidth(benchmark):
     # the PR acceptance gate: compressed pages >= 1.5x effective bandwidth
     assert by_codec["float16"]["bandwidth_multiplier"] >= 1.5
     assert by_codec["lossless"]["bandwidth_multiplier"] > 0
+    _assert_raw_writes_its_bytes(entries)
     _emit(entries)
 
 
@@ -185,6 +213,7 @@ def test_disk_paging_matrix(benchmark):
                             s.prefetch_hits / attempts, 4
                         ),
                         "page_in_count": ledger.page_in_count,
+                        **_page_out_counts(ledger, s.clean_evictions),
                         "sync_spill_bytes": s.sync_spill_bytes,
                         "write_behind_jobs": s.write_behind_jobs,
                         "disk_read_ratio": round(
@@ -220,6 +249,7 @@ def test_disk_paging_matrix(benchmark):
     for e in entries:
         if e["codec"] == "float16":
             assert e["disk_read_ratio"] >= 1.5
+    _assert_raw_writes_its_bytes(entries)
     _emit(entries)
 
 
@@ -263,6 +293,7 @@ def test_tenx_budget_entry(benchmark):
             "pageable_over_host_peak": round(
                 pageable / s.host_memory.peak_bytes, 2
             ),
+            **_page_out_counts(s.ledger, s.clean_evictions),
             "sync_spill_bytes": s.sync_spill_bytes,
             "staging_hit_rate": round(
                 s.prefetch_hits
@@ -276,4 +307,6 @@ def test_tenx_budget_entry(benchmark):
     # spill stall, still training
     assert entry["pageable_over_host_peak"] >= 6.0
     assert entry["sync_spill_bytes"] == 0
+    # a shard whose state did not change since its page-in spills for free
+    assert entry["clean_evictions"] > 0
     _emit([entry])

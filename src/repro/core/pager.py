@@ -101,7 +101,9 @@ class PageFile:
               fsync: bool = False) -> None:
         """Store ``arr`` (or its :meth:`encode` output). ``fsync`` makes
         an encoded page durable before the rename; a raw page flushes its
-        mapping either way."""
+        mapping either way. Visits the ``pager:page_out`` fault point
+        once per call, before any byte moves."""
+        faults.fault_point("pager:page_out")
         if not self.path:
             return
         if self._raw:
@@ -208,7 +210,8 @@ class _WriteBehindWriter:
     the write. Jobs run strictly in order; each one completes under the
     store's page lock and is fenced by the spill epoch, so a store that
     paged back in (cancelling its pending write) or spilled again before
-    its job ran is simply skipped.
+    its job ran is simply skipped. The spill of a clean store writes
+    nothing and queues no job.
 
     ``drain()`` blocks until every queued write has landed — the fence
     :func:`~repro.core.checkpoint.save_checkpoint` relies on (via

@@ -66,7 +66,7 @@ from ..cameras.camera import Camera
 from ..gaussians import layout
 from ..gaussians.layout import ColumnBlock
 from ..optim.adam import DenseAdam
-from ..optim.base import AdamConfig, SparseOptimizer, ascending
+from ..optim.base import AdamConfig, SparseOptimizer, StepStats, ascending
 from ..optim.deferred import DeferredAdam
 from ..render import CullResult, frustum_cull
 from ..sim.memory import MemoryTracker
@@ -397,19 +397,25 @@ class HostStore(ParameterStore):
             # peek looks pending rows up by binary search
             self._pending_ids, self._pending_grads = ascending(ids, grads)
         else:
-            self.optimizer.step_rows(ids, grads)
+            self._stepped(self.optimizer.step_rows(ids, grads))
 
     def commit(self) -> None:
         if self._pending_ids is None:
             return
-        self.optimizer.step_rows(self._pending_ids, self._pending_grads)
+        self._stepped(
+            self.optimizer.step_rows(self._pending_ids, self._pending_grads)
+        )
         self._pending_ids = None
         self._pending_grads = None
 
     def flush(self) -> None:
         self.commit()
         if self.deferred:
-            self.optimizer.flush()
+            self._stepped(self.optimizer.flush())
+
+    def _stepped(self, stats: StepStats) -> None:
+        """Called after every optimizer call that may write the arrays
+        (``stats.rows_updated`` rows were written)."""
 
     def materialize(self, ids: np.ndarray | None = None) -> np.ndarray:
         if self._pending_ids is not None:
@@ -450,6 +456,23 @@ class DiskStore(HostStore):
     through the optional :class:`ResidentSet`, which bounds concurrent
     residency).
 
+    A page-out is a write, so a spill records one only when the store's
+    state changed since its last page-out. The store is *dirty* at
+    construction (its pages hold nothing yet), after any optimizer call
+    that updates a row (a ``commit``, a non-forwarding ``return_grads``,
+    a ``flush``) and after a resident ``load_state_dict``; a page-in
+    leaves it clean. ``stage``, ``materialize``, ``set_lr``,
+    ``state_dict`` and a metadata-only commit never dirty a store. A
+    clean store's pages already hold its arrays (the codecs are
+    idempotent), so its spill is a pure eviction: host bytes freed and
+    the spill epoch bumped, but no page written, no write-behind job
+    queued, nothing recorded on the disk channel; it is counted in
+    :attr:`clean_evictions` instead. One case keeps the ledger free of
+    thread timing: a page-in that re-adopts a queued write-behind
+    page-out cancels that write, so the next spill of the clean store
+    still writes all three pages, but records nothing — the ledger
+    counted that page-out when it was first spilled.
+
     Three pieces of state never spill, keeping a spilled store cheap to
     drive once per step:
 
@@ -482,7 +505,8 @@ class DiskStore(HostStore):
             detach the working set and queue the file write behind the
             training thread (write-behind spilling); a page-in before the
             write lands re-adopts the queued pages, as a read of them
-            would return them, and cancels it.
+            would return them, and cancels it (the next spill writes
+            them again).
     """
 
     def __init__(
@@ -522,6 +546,13 @@ class DiskStore(HostStore):
         # their encoded pages) until the background writer lands them
         self._pending_write: dict[str, np.ndarray] | None = None
         self._pending_encoded: dict[str, bytes | None] | None = None
+        # changed since the last page-out (see the class docstring): the
+        # pages hold nothing yet
+        self._dirty = True
+        # a page-in re-adopted a queued page-out and cancelled its write
+        self._write_cancelled = False
+        #: spills of a clean store: evictions that recorded no page-out
+        self.clean_evictions = 0
         # deterministic admit-path counters: bytes the training thread
         # wrote synchronously at spill (write-behind keeps this at zero),
         # plus informational wall-clock for the paging micro-bench
@@ -551,6 +582,13 @@ class DiskStore(HostStore):
     def is_resident(self) -> bool:
         """Whether the parameter/moment arrays are paged into host memory."""
         return self._resident
+
+    @property
+    def is_dirty(self) -> bool:
+        """Whether the resident arrays may differ from the page files,
+        i.e. whether the next :meth:`spill` writes (``False`` while
+        spilled)."""
+        return self._resident and (self._dirty or self._write_cancelled)
 
     @property
     def num_rows(self) -> int:
@@ -601,38 +639,25 @@ class DiskStore(HostStore):
 
         Pending forwarded gradients and deferred counters are retained in
         memory; everything else round-trips through the spill files —
-        bit-exactly under the ``raw``/``lossless`` codecs. With a
-        write-behind writer attached, the working set is detached and the
+        bit-exactly under the ``raw``/``lossless`` codecs. A clean store
+        records no page-out (see the class docstring). With a write-behind
+        writer attached, the working set is detached and the
         file write queued behind the training thread (the codec encode,
         which fixes the on-disk byte count the ledger records, still runs
         here); without one the write is synchronous and counted in
-        ``sync_spill_bytes``.
+        ``sync_spill_bytes``. A synchronous write that fails leaves the
+        store resident and dirty, with its accounting untouched.
         """
         with self._page_lock:
             if not self._resident:
                 return
+            record = self._dirty
+            write = record or self._write_cancelled
+            if write:
+                self._page_out()
+            if not record:
+                self.clean_evictions += 1
             opt = self.optimizer
-            arrays = {"params": opt.params, "m": opt.m, "v": opt.v}
-            if self.writer is not None:
-                self._pending_write = arrays
-                self._pending_encoded = {
-                    field: page.encode(arrays[field])
-                    for field, page in self.pages.items()
-                }
-            else:
-                t0 = time.perf_counter()
-                self._write_pages(arrays)
-                t1 = time.perf_counter()
-                self.sync_spill_s += t1 - t0
-                self.sync_spill_bytes += self._state_bytes()
-                if _trace.enabled():
-                    _trace.get_tracer().record(
-                        "page/out", t0, t1, cat="page",
-                        attrs={"bytes": self._state_bytes()},
-                    )
-                    _metrics.get_registry().histogram(
-                        "page_out_seconds", store="disk"
-                    ).observe(t1 - t0)
             opt.params = opt.m = opt.v = None
             self.params = None
             self._resident = False
@@ -640,9 +665,38 @@ class DiskStore(HostStore):
             if self.resident_set is not None:
                 self.resident_set.drop(self)
             self.host_memory.free("host_resident_state", self._state_bytes())
-            self.ledger.record_page_out(self._state_bytes(), self._disk_bytes())
-            if self.writer is not None:
+            if record:
+                self.ledger.record_page_out(
+                    self._state_bytes(), self._disk_bytes()
+                )
+            if write and self.writer is not None:
                 self.writer.enqueue(self, self._spill_epoch)
+
+    def _page_out(self) -> None:
+        """Write the working set to the pages, or detach and encode it for
+        the write-behind writer (lock held, resident)."""
+        opt = self.optimizer
+        arrays = {"params": opt.params, "m": opt.m, "v": opt.v}
+        if self.writer is not None:
+            self._pending_write = arrays
+            self._pending_encoded = {
+                field: page.encode(arrays[field])
+                for field, page in self.pages.items()
+            }
+            return
+        t0 = time.perf_counter()
+        self._write_pages(arrays)
+        t1 = time.perf_counter()
+        self.sync_spill_s += t1 - t0
+        self.sync_spill_bytes += self._state_bytes()
+        if _trace.enabled():
+            _trace.get_tracer().record(
+                "page/out", t0, t1, cat="page",
+                attrs={"bytes": self._state_bytes()},
+            )
+            _metrics.get_registry().histogram(
+                "page_out_seconds", store="disk"
+            ).observe(t1 - t0)
 
     def _complete_pending_write(self, epoch: int) -> None:
         """Land a queued write-behind page-out (writer thread).
@@ -663,7 +717,8 @@ class DiskStore(HostStore):
         disk channel see one record whether the bytes came from a
         synchronous read or an async preload. Becoming resident cancels
         any queued write-behind page-out — the on-disk page would be
-        stale the moment training mutates the arrays."""
+        stale the moment training mutates the arrays — so the next spill
+        writes even if the store stays clean."""
         if self.resident_set is not None:
             self.resident_set.admit(self)
         opt = self.optimizer
@@ -671,6 +726,8 @@ class DiskStore(HostStore):
         opt.m = arrays["m"]
         opt.v = arrays["v"]
         self._resident = True
+        self._dirty = False
+        self._write_cancelled = self._pending_write is not None
         self._pending_write = None
         self._pending_encoded = None
         if self._stashed_lr is not None:
@@ -791,6 +848,10 @@ class DiskStore(HostStore):
         self.page_in()
         return super().materialize(ids)
 
+    def _stepped(self, stats: StepStats) -> None:
+        if stats.rows_updated:
+            self._dirty = True
+
     def set_lr(self, lr_packed: np.ndarray) -> None:
         if not self._resident:
             # applied at the next page-in, before any math runs — the lazy
@@ -833,6 +894,7 @@ class DiskStore(HostStore):
         with self._page_lock:
             if self._resident:
                 super().load_state_dict(state)
+                self._dirty = True
                 return
             # the incoming state supersedes any queued page-out
             self._pending_write = None

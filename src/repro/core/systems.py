@@ -95,7 +95,9 @@ class TransferLedger:
     host gains or frees), while ``page_*_disk_bytes`` is what actually
     crossed the disk interface — smaller when the store's page codec
     compresses. ``page_in_bytes / page_in_disk_bytes`` is the effective
-    disk-bandwidth multiplier the codec buys.
+    disk-bandwidth multiplier the codec buys. A page-out is a write,
+    recorded once per changed state a spill writes out: the spill of a
+    clean :class:`~repro.core.stores.DiskStore` records nothing here.
     """
 
     h2d_bytes: int = 0
@@ -137,7 +139,8 @@ class TransferLedger:
             self.parent.record_page_in(num_bytes, disk_bytes)
 
     def record_page_out(self, num_bytes: int, disk_bytes: int | None = None) -> None:
-        """Record a host-to-disk page-out (out-of-core spill)."""
+        """Record a host-to-disk page-out (an out-of-core spill that
+        writes its pages)."""
         self.page_out_bytes += num_bytes
         self.page_out_count += 1
         self.page_out_disk_bytes += num_bytes if disk_bytes is None else disk_bytes
@@ -906,10 +909,14 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         self._close_prefetcher()
         self._sync_spill_carryover = getattr(self, "_sync_spill_carryover", 0)
         self._sync_spill_s_carryover = getattr(self, "_sync_spill_s_carryover", 0.0)
+        self._clean_eviction_carryover = getattr(
+            self, "_clean_eviction_carryover", 0
+        )
         self._write_behind_carryover = getattr(self, "_write_behind_carryover", 0)
         for st in getattr(self, "shard_host_stores", ()):
             self._sync_spill_carryover += st.sync_spill_bytes
             self._sync_spill_s_carryover += st.sync_spill_s
+            self._clean_eviction_carryover += st.clean_evictions
         self._close_writer()
         self._prefetch_staged_peak = 0  # a rebuild resets it, like host_memory
         self._prefetcher = None
@@ -970,13 +977,24 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
 
     @property
     def sync_spill_bytes(self) -> int:
-        """Decoded bytes spilled *synchronously* on the training thread,
+        """Decoded bytes written *synchronously* on the training thread,
         cumulative across densification rebuilds — the admit-path disk
         stall in deterministic byte units. Write-behind runs keep this at
         zero (every page-out rides the background writer); synchronous
-        runs accumulate the full page-out traffic here."""
+        runs accumulate the full page-out traffic here. A clean eviction
+        writes nothing and adds nothing (see :attr:`clean_evictions`)."""
         return self._sync_spill_carryover + sum(
             st.sync_spill_bytes for st in self.shard_host_stores
+        )
+
+    @property
+    def clean_evictions(self) -> int:
+        """Spills of a shard whose state had not changed since its
+        page-in — evictions that recorded no page-out (and, unless a
+        page-in cancelled a queued write-behind page-out, wrote no page) —
+        cumulative across densification rebuilds (informational)."""
+        return self._clean_eviction_carryover + sum(
+            st.clean_evictions for st in self.shard_host_stores
         )
 
     @property

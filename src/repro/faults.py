@@ -7,7 +7,8 @@ recovery paths run under test. This module makes faults *schedulable*: a
 — kill the worker that reaches task N, delay a shard kernel, tear or
 corrupt the bytes of a matching file write — and the hooks compiled into
 the hot paths (:func:`fault_point` in the raster kernels, the pool task
-wrapper and the pager's write-behind lane, :func:`check_write_fault` in
+wrapper, the pager's write-behind lane and its page writes,
+:func:`check_write_fault` in
 the atomic writers) consult the
 installed plan and fire each fault exactly the scheduled number of times.
 
@@ -66,7 +67,7 @@ class Fault:
 
     Attributes:
         point: fault-point name (``"pool:task"``, ``"fragment:pairs"``,
-            ``"pager:write_behind"``, ...).
+            ``"pager:write_behind"``, ``"pager:page_out"``, ...).
         action: ``"kill"`` (SIGKILL the visiting pool worker),
             ``"delay"`` (sleep ``seconds``), or ``"raise"``
             (:class:`InjectedFaultError`).
@@ -205,8 +206,9 @@ def fault_point(name: str, index: int | None = None) -> None:
     """Visit the fault point ``name`` (no-op without an armed plan).
 
     Compiled into the fragment kernels, the vectorized forward's block
-    tasks, the supervised pool's task wrapper and the pager's write-behind
-    lane; ``index`` is the pool task or block index where one exists.
+    tasks, the supervised pool's task wrapper, the pager's write-behind
+    lane and ``PageFile.write``; ``index`` is the pool task or block index
+    where one exists.
     """
     plan = _PLAN
     if plan is None:

@@ -28,12 +28,13 @@ from repro.core.integrity import (
     seal_page,
     unseal_page,
 )
-from repro.core.stores import DiskStore
+from repro.core.stores import DiskStore, _WriteBehindWriter
 from repro.core.systems import TransferLedger
 from repro.core.trainer import Trainer
 from repro.core.config import GSScaleConfig
 from repro.datasets import SyntheticSceneConfig, build_scene
 from repro.faults import (
+    Fault,
     FaultPlan,
     FileFault,
     InjectedFaultError,
@@ -152,6 +153,113 @@ class TestAtomicWrites:
         path = atomic_savez(str(tmp_path / "ckpt"), {"a": np.arange(3)})
         assert path.endswith(".npz")
         assert np.array_equal(np.load(path)["a"], np.arange(3))
+
+
+class TestFailedPageOut:
+    """A page-out whose second page write fails (the ``pager:page_out``
+    fault point, visited once per page before any byte moves) has a
+    defined outcome: nothing is lost, nothing is counted twice, and the
+    next spill writes all three pages again."""
+
+    FIELDS = ("params", "m", "v")
+
+    @staticmethod
+    def dirty_store(tmp_path, codec, writer=None):
+        store = DiskStore(
+            _params(), layout.ALL_BLOCK, ADAM, MemoryTracker(),
+            TransferLedger(), spill_path=str(tmp_path / "spill"),
+            forwarding=True, deferred=True, codec=codec, writer=writer,
+        )
+        store.spill()  # the pages hold the initial state
+        if writer is not None:
+            writer.drain()
+        ids = np.arange(0, N, 2)
+        store.return_grads(ids, np.ones((ids.size, layout.PARAM_DIM)))
+        store.commit()  # pages in and updates rows: dirty
+        assert store.is_resident and store.is_dirty
+        return store
+
+    def held(self, store):
+        return {f: getattr(store.optimizer, f).copy() for f in self.FIELDS}
+
+    @staticmethod
+    def fail_second_page(tmp_path):
+        return active_plan(FaultPlan(
+            token_dir=str(tmp_path / "fail"),
+            faults=(Fault(point="pager:page_out", action="raise", after=1),),
+        ))
+
+    @staticmethod
+    def counting(tmp_path):
+        """A plan whose every ``pager:page_out`` visit leaves a token."""
+        token_dir = tmp_path / "count"
+        plan = FaultPlan(
+            token_dir=str(token_dir),
+            faults=(Fault(point="pager:page_out", action="delay",
+                          times=10**6),),
+        )
+        return active_plan(plan), lambda: len(os.listdir(token_dir))
+
+    def assert_round_trips(self, store, want):
+        """A page-in gives back ``want`` as the codec stores it."""
+        store.page_in()
+        for field in self.FIELDS:
+            page = store.pages[field]
+            expect = store.codec.decode_page(
+                store.codec.encode_page(want[field]), page.shape, page.dtype
+            )
+            got = getattr(store.optimizer, field)
+            assert got.tobytes() == expect.tobytes(), field
+
+    @pytest.mark.parametrize("codec", ["raw", "lossless", "float16"])
+    def test_sync_spill_stays_resident_and_dirty(self, tmp_path, codec):
+        store = self.dirty_store(tmp_path, codec)
+        want = self.held(store)
+        ledger = store.ledger.counts()
+        host = store.host_memory.live_bytes
+        epoch = store._spill_epoch
+        written = store.sync_spill_bytes
+        with self.fail_second_page(tmp_path):
+            with pytest.raises(InjectedFaultError):
+                store.spill()
+        assert store.is_resident and store.is_dirty
+        assert store.ledger.counts() == ledger
+        assert store.host_memory.live_bytes == host
+        assert store._spill_epoch == epoch
+        assert store.sync_spill_bytes == written
+        for field, arr in self.held(store).items():
+            assert arr.tobytes() == want[field].tobytes(), field
+        plan, visits = self.counting(tmp_path)
+        with plan:
+            store.spill()
+        assert visits() == 3  # all three pages written
+        assert store.ledger.page_out_count == ledger["page_out_count"] + 1
+        self.assert_round_trips(store, want)
+
+    @pytest.mark.parametrize("codec", ["raw", "lossless", "float16"])
+    def test_write_behind_error_surfaces_at_drain(self, tmp_path, codec):
+        writer = _WriteBehindWriter()
+        try:
+            store = self.dirty_store(tmp_path, codec, writer)
+            want = self.held(store)
+            with self.fail_second_page(tmp_path):
+                store.spill()  # queued: the write fails on the writer
+                with pytest.raises(InjectedFaultError):
+                    writer.drain()
+            count = store.ledger.page_out_count
+            store.page_in()  # re-adopts the pages that never landed
+            assert store.is_dirty
+            self.assert_round_trips(store, want)
+            plan, visits = self.counting(tmp_path)
+            with plan:
+                store.spill()
+                writer.drain()
+            assert visits() == 3  # all three pages written
+            # that page-out was counted when it was first spilled
+            assert store.ledger.page_out_count == count
+            self.assert_round_trips(store, want)
+        finally:
+            writer.close()
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,366 @@
+"""A clean shard spills for free: the dirty rule of ``DiskStore``.
+
+A page-out is a write, so a spill records one only when the store's state
+changed since its last page-out. Every operation that writes a row makes
+the next spill write and record a page-out whose pages hold the new
+arrays; every operation that does not leaves the next spill a pure
+eviction — ``clean_evictions`` + 1, the ledger and the page files
+untouched. Every case runs under each page codec, with page-outs written
+synchronously or behind a write-behind writer.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.stores import DiskStore, _WriteBehindWriter
+from repro.core.systems import TransferLedger
+from repro.gaussians import layout
+from repro.optim.base import AdamConfig
+from repro.sim.memory import MemoryTracker
+
+N = 20
+ADAM = AdamConfig(lr=5e-3)
+FIELDS = ("params", "m", "v")
+EMPTY = np.empty(0, dtype=np.int64)
+
+
+def _grads(ids, seed=1):
+    return np.random.default_rng(seed).normal(size=(ids.size, layout.PARAM_DIM))
+
+
+class _HeldWriter:
+    """A write-behind lane whose thread never comes: every page-out stays
+    queued, so the next page-in re-adopts it."""
+
+    def __init__(self):
+        self.jobs = []
+
+    def enqueue(self, store, epoch):
+        self.jobs.append((store, epoch))
+
+
+@pytest.fixture(params=["raw", "lossless", "float16"])
+def codec(request):
+    return request.param
+
+
+@pytest.fixture(params=["sync", "wb"])
+def make(request, tmp_path, codec):
+    """``make(**flags)`` -> a resident DiskStore (forwarding + deferred
+    unless overridden) whose page-outs follow the schedule."""
+    writers = []
+
+    def build(name="store", **flags):
+        writer = None
+        if request.param == "wb":
+            writer = _WriteBehindWriter()
+            writers.append(writer)
+        flags = {"forwarding": True, "deferred": True, "max_defer": 3, **flags}
+        return DiskStore(
+            np.random.default_rng(0).normal(size=(N, layout.PARAM_DIM)),
+            layout.ALL_BLOCK, ADAM, MemoryTracker(), TransferLedger(),
+            spill_path=str(tmp_path / name), codec=codec, writer=writer,
+            **flags,
+        )
+
+    yield build
+    for writer in writers:
+        writer.close()
+
+
+def settle(store):
+    """Land every queued page-out."""
+    if store.writer is not None:
+        store.writer.drain()
+
+
+def file_bytes(store):
+    settle(store)
+    out = {}
+    for field, page in store.pages.items():
+        with open(page.path, "rb") as fh:
+            out[field] = fh.read()
+    return out
+
+
+def page_arrays(store):
+    """What the pages read back as."""
+    settle(store)
+    return {field: page.read() for field, page in store.pages.items()}
+
+
+def arrays(store):
+    opt = store.optimizer
+    return {field: getattr(opt, field).copy() for field in FIELDS}
+
+
+def roundtrip(store, arr):
+    """``arr`` as a page of the store's codec holds it."""
+    return store.codec.decode_page(
+        store.codec.encode_page(arr), arr.shape, arr.dtype
+    )
+
+
+def same_bytes(a, b):
+    # uint8 views: -0.0 and +0.0 differ, as they do on disk
+    return a.dtype == b.dtype and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint8),
+        np.ascontiguousarray(b).view(np.uint8),
+    )
+
+
+def trained(store):
+    """A few steps of real math, settled, spilled and paged back in: a
+    resident, clean store with live moments and drifting counters."""
+    for step in range(3):
+        ids = np.arange(step % 2, N, 2)
+        store.stage(ids)
+        store.unstage(ids)
+        store.commit()
+        store.return_grads(ids, _grads(ids, seed=step))
+    store.commit()
+    store.spill()
+    settle(store)
+    store.page_in()
+    assert store.is_resident and not store.is_dirty
+    return store
+
+
+# -- operations that write rows -----------------------------------------------
+def op_commit(store):
+    ids = np.arange(0, N, 3)
+    store.return_grads(ids, _grads(ids))
+    store.commit()
+
+
+def op_saturated_commit(store):
+    # empty ticks until a defer counter saturates and its row is restored
+    for _ in range(store.optimizer.max_defer + 1):
+        store.return_grads(EMPTY, _grads(EMPTY))
+        store.commit()
+
+
+def op_dense_commit(store):
+    store.return_grads(EMPTY, _grads(EMPTY))  # dense Adam updates every row
+    store.commit()
+
+
+def op_sync_return_grads(store):
+    ids = np.arange(1, N, 3)
+    store.return_grads(ids, _grads(ids))
+
+
+def op_flush(store):
+    store.spill()  # a clean eviction; the drifting counters force a page-in
+    store.flush()
+
+
+def op_load_state_dict(store):
+    state = {k: np.array(v) for k, v in store.state_dict().items()}
+    state["params"] += 1.0
+    state["m"][0] = 0.5
+    store.load_state_dict(state)
+
+
+DIRTYING = {
+    "commit": (op_commit, {}),
+    "saturated_commit": (op_saturated_commit, {}),
+    "dense_commit": (op_dense_commit, {"deferred": False}),
+    "sync_return_grads": (
+        op_sync_return_grads, {"forwarding": False, "deferred": False}
+    ),
+    "flush": (op_flush, {}),
+    "load_state_dict": (op_load_state_dict, {}),
+}
+
+
+def assert_spill_writes(store, before):
+    """The next spill records one page-out, and the pages then hold the
+    arrays (through the codec) — changed exactly where they changed."""
+    assert store.is_dirty
+    want = arrays(store)
+    old_files = file_bytes(store) if before else None
+    count, clean = store.ledger.page_out_count, store.clean_evictions
+    store.spill()
+    assert store.ledger.page_out_count == count + 1
+    assert store.clean_evictions == clean
+    got, files = page_arrays(store), file_bytes(store)
+    for field in FIELDS:
+        expect = roundtrip(store, want[field])
+        assert same_bytes(got[field], expect), field
+        if before:
+            moved = not same_bytes(expect, before[field])
+            assert (files[field] != old_files[field]) == moved, field
+
+
+@pytest.mark.parametrize("name", DIRTYING)
+def test_a_row_write_makes_the_next_spill_write(make, name):
+    op, flags = DIRTYING[name]
+    store = trained(make(**flags))
+    before = page_arrays(store)
+    op(store)
+    if not store.is_resident:
+        store.page_in()
+    assert_spill_writes(store, before)
+    assert any(
+        not same_bytes(page_arrays(store)[f], before[f]) for f in FIELDS
+    )
+
+
+def test_construction_is_dirty(make):
+    store = make()
+    assert_spill_writes(store, None)
+
+
+# -- operations that write no row --------------------------------------------
+def op_stage(store):
+    ids = np.arange(0, N, 2)
+    store.stage(ids)
+    store.unstage(ids)
+
+
+def op_forwarded_return_grads(store):
+    ids = np.arange(N)
+    store.return_grads(ids, _grads(ids))  # parked for the next commit
+
+
+def op_materialize(store):
+    store.materialize()
+    store.materialize(np.arange(3))
+
+
+def op_set_lr(store):
+    store.set_lr(np.full(layout.PARAM_DIM, 1e-3))
+
+
+def op_state_dict(store):
+    store.state_dict()
+
+
+def op_metadata_commit(store):
+    # an empty batch with no saturated counter updates no row
+    store.return_grads(EMPTY, _grads(EMPTY))
+    store.commit()
+
+
+def op_spilled_metadata_commit(store):
+    store.spill()
+    store.return_grads(EMPTY, _grads(EMPTY))
+    store.commit()
+    assert not store.is_resident
+    store.page_in()
+
+
+CLEAN = {
+    "stage": op_stage,
+    "forwarded_return_grads": op_forwarded_return_grads,
+    "materialize": op_materialize,
+    "set_lr": op_set_lr,
+    "state_dict": op_state_dict,
+    "metadata_commit": op_metadata_commit,
+    "spilled_metadata_commit": op_spilled_metadata_commit,
+}
+
+
+@pytest.mark.parametrize("name", CLEAN)
+def test_no_row_write_leaves_the_next_spill_free(make, name):
+    store = trained(make(max_defer=15))
+    CLEAN[name](store)
+    assert store.is_resident and not store.is_dirty
+    files = file_bytes(store)
+    ledger = store.ledger.counts()
+    clean = store.clean_evictions
+    host = store.host_memory.live_bytes
+    epoch = store._spill_epoch
+    written = store.sync_spill_bytes
+    jobs = store.writer and store.writer.jobs_written
+    store.spill()
+    settle(store)
+    assert (store.writer and store.writer.jobs_written) == jobs  # none queued
+    assert not store.is_resident
+    assert store.clean_evictions == clean + 1
+    assert store.ledger.counts() == ledger
+    assert store.host_memory.live_bytes < host  # the host bytes are freed
+    assert store._spill_epoch == epoch + 1
+    assert store.sync_spill_bytes == written
+    assert file_bytes(store) == files
+    # and the eviction loses nothing
+    want = page_arrays(store)
+    store.page_in()
+    for field in FIELDS:
+        assert same_bytes(getattr(store.optimizer, field), want[field])
+
+
+@pytest.mark.parametrize("second", ["sync", "wb"])
+def test_a_re_adopted_page_out_is_written_on_its_next_spill(
+    tmp_path, codec, second
+):
+    """A page-in that re-adopts a queued page-out cancels its write: the
+    next spill writes all three pages even though no row changed, and
+    records nothing — the ledger counted that page-out when it was first
+    spilled, so the counts do not follow the writer's timing."""
+    held = _HeldWriter()
+    store = DiskStore(
+        np.random.default_rng(0).normal(size=(N, layout.PARAM_DIM)),
+        layout.ALL_BLOCK, ADAM, MemoryTracker(), TransferLedger(),
+        spill_path=str(tmp_path / "held"), codec=codec, writer=held,
+        forwarding=True, deferred=True,
+    )
+    op_commit(store)
+    store.spill()
+    assert len(held.jobs) == 1 and store.ledger.page_out_count == 1
+    store.page_in()  # re-adopts the queued page-out, cancelling it
+    assert store.is_dirty
+    want = arrays(store)
+    writer = _WriteBehindWriter() if second == "wb" else None
+    store.writer = writer
+    try:
+        store.spill()
+        settle(store)
+    finally:
+        if writer is not None:
+            writer.close()
+    assert store.ledger.page_out_count == 1
+    assert store.clean_evictions == 1
+    got = page_arrays(store)
+    for field in FIELDS:
+        assert same_bytes(got[field], want[field]), field
+    store.page_in()
+    assert not store.is_dirty
+
+
+def test_system_rolls_up_clean_evictions_across_rebuilds(tmp_path):
+    """``OutOfCoreGSScaleSystem.clean_evictions`` sums its shards' and
+    survives a densification rebuild, like ``sync_spill_bytes``."""
+    from repro.core import GSScaleConfig, Trainer
+    from repro.datasets import SyntheticSceneConfig, build_scene
+    from repro.densify import DensifyConfig
+
+    scene = build_scene(
+        SyntheticSceneConfig(
+            num_points=120, width=24, height=18, num_train_cameras=4,
+            num_test_cameras=1, altitude=9.0, seed=5,
+        )
+    )
+    trainer = Trainer(
+        scene.initial.copy(),
+        GSScaleConfig(
+            system="outofcore", num_shards=4, resident_shards=2,
+            scene_extent=scene.extent, ssim_lambda=0.0, mem_limit=1.0,
+            seed=0, spill_dir=str(tmp_path / "spill"),
+        ),
+        densify=DensifyConfig(
+            interval=4, start_iteration=4, stop_iteration=5,
+            grad_threshold=1e-6,
+        ),
+    )
+    history = trainer.train(scene.train_cameras, scene.train_images, 8)
+    assert [r.iteration for r in history.densify_reports] == [4]
+    system = trainer.system
+    carried = system._clean_eviction_carryover
+    assert carried > 0  # the stores before the rebuild evicted clean
+    assert system.clean_evictions == carried + sum(
+        st.clean_evictions for st in system.shard_host_stores
+    )
+    ledger = system.ledger
+    assert ledger.page_out_count + system.clean_evictions >= ledger.page_in_count

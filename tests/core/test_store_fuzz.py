@@ -125,9 +125,25 @@ class _ProtocolFuzzer:
     def op_drain(self):
         self.subject.writer.drain()  # every queued page-out has landed
 
+    def check_clean_pages(self):
+        """A resident store that reports clean — its next spill writes
+        nothing — holds exactly what its pages read back as: byte-equal
+        (``-0.0 != +0.0``), not merely equal."""
+        disk = self.subject
+        if not isinstance(disk, DiskStore) or not disk.is_resident:
+            return
+        if disk.is_dirty:
+            return
+        for field, page in disk.pages.items():
+            held = np.ascontiguousarray(getattr(disk.optimizer, field))
+            assert held.view(np.uint8).tobytes() == page.read().view(
+                np.uint8
+            ).tobytes(), field
+
     def run(self, rounds):
         for i in range(rounds):
             self.rng.choice(self.ops)()
+            self.check_clean_pages()
             if i % 10 == 0:
                 self.op_materialize()
         self.both(lambda s: s.flush())

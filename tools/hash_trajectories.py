@@ -17,7 +17,9 @@ column's checkpoint under each codec. Per training column it prints the
 sha256 of the step losses, the final packed parameters, the Adam moments
 and the defer counters (both scattered into global row order, so columns
 with different store trees compare), then the ledger counts and tracker
-peaks as numbers, then the sha256 of every page file (named, after a
+peaks as numbers, per ``outofcore`` column the spills that recorded no
+page-out (``clean_evictions``; ``None`` from a checkout without them), then
+the sha256 of every page file (named, after a
 final spill of every shard so the files hold the final state whatever the
 write-behind timing was). Per serving column: a full ``gather``, one
 frame, the page files, the ledger.
@@ -30,7 +32,8 @@ promises *between* columns: placement never changes numerics (``gsscale``
 from ``sharded`` down, the PCIe traffic a rebuild-spanning run adds up
 to; the device-only system moves nothing; the async leg
 moves the read and never the traffic (``sync`` == ``async1`` on every
-ledger count and tracker peak, under every codec; depth 2 keeps upcoming
+ledger count, clean eviction and tracker peak, under every codec; depth 2
+keeps upcoming
 shards resident, so only its PCIe counts are pinned), a lossy page is
 rounded the same way whether or not its write-behind landed before it was
 paged back in (``float16`` ``sync`` == ``async2wb`` numerics and pages)
@@ -130,6 +133,8 @@ def train_column(scene, tmp: str, name: str, **cfg) -> dict:
         "checkpoint": checkpoint,
     }
     if config.system == "outofcore":
+        # spills that recorded no page-out (None: a checkout without them)
+        row["clean_evictions"] = getattr(system, "clean_evictions", None)
         system.spill_inactive([])  # every page file now holds final state
         system.finalize()  # drains the write-behind lane
         row["pages"] = page_files(spill_dir)
@@ -245,9 +250,11 @@ def check(table: dict[str, dict]) -> list[str]:
             # before the writer lands it is rounded the same way
             same("a queued page-out reads back as its page", sync,
                  f"outofcore-{codec}-async2wb", NUMERICS + ("pages",))
+        # dirtiness follows the op sequence, never thread timing
         same("the async leg moves the read, never the traffic", sync,
              f"outofcore-{codec}-async1",
-             NUMERICS + ("ledger", "device_peak", "host_peak", "pages"))
+             NUMERICS + ("ledger", "clean_evictions", "device_peak",
+                         "host_peak", "pages"))
         if ledger(sync, PCIE) != ledger(f"outofcore-{codec}-async2wb", PCIE):
             failures.append(f"PCIe traffic: {sync} != async2wb")
     same("a lossless page is pure placement", "serve-raw", "serve-lossless",
