@@ -451,13 +451,14 @@ def test_rasterize_forward_vectorized_f32(benchmark, raster_scene):
 
 
 def test_raster_engine_matrix(benchmark):
-    """Engine x workers x splat-count x dtype timing matrix.
+    """Engine x splat-count x dtype timing matrix.
 
     Writes ``benchmarks/out/BENCH_raster.json`` — the perf-trajectory
     artifact the CI perf-smoke job uploads. ``GSSCALE_BENCH_QUICK=1``
     shrinks the grid so shared runners finish in seconds; no speedup is
     asserted here (timings on shared runners are informational). The
-    fragment rows sweep a workers x shards grid. The ``vectorized``
+    fragment rows sweep the shard count (the slices run on the block
+    threads, one per usable CPU, as every flat engine's do). The ``vectorized``
     rows time the backward twice: ``backward_s`` from the forward's saved
     pair table (the training path) and ``backward_rebuild_s`` with it
     stripped (the fallback a foreign forward takes). One ``occluded`` row
@@ -481,7 +482,6 @@ def test_raster_engine_matrix(benchmark):
 
     quick = os.environ.get("GSSCALE_BENCH_QUICK", "") not in ("", "0")
     sizes = (2_000,) if quick else (RASTER_N, RASTER_N_LARGE)
-    worker_axis = (1, 2) if quick else (1, 2, 4)
     shard_axis = (1, 2) if quick else (1, 2, 4)
     rounds = 1 if quick else 2
 
@@ -491,12 +491,12 @@ def test_raster_engine_matrix(benchmark):
         for name, fwd, cfg in (
             ("vectorized", rasterize_vectorized, RasterConfig()),
             ("fragment", rasterize_fragment,
-             RasterConfig(engine="fragment", workers=1, fragment_shards=2)),
+             RasterConfig(engine="fragment", fragment_shards=2)),
         ):
             run = partial(fwd, *occluded, config=cfg)
             counts = run().counts
             entries.append({
-                "engine": name, "workers": cfg.workers, "dtype": "float64",
+                "engine": name, "dtype": "float64",
                 "splats": int(occluded[0].shape[0]), "scene": "occluded",
                 "forward_s": _best_of(run, rounds), "pairs": counts.pairs,
                 "pruned_isects": counts.pruned_isects,
@@ -505,9 +505,9 @@ def test_raster_engine_matrix(benchmark):
             scene = make_raster_scene(n, RASTER_WH)
             grad = np.ones((RASTER_WH, RASTER_WH, 3))
 
-            def add(engine, workers, dtype, fwd, bwd, **extra):
+            def add(engine, dtype, fwd, bwd, **extra):
                 entries.append({
-                    "engine": engine, "workers": workers, "dtype": dtype,
+                    "engine": engine, "dtype": dtype,
                     "splats": n,
                     "forward_s": _best_of(fwd, rounds),
                     "backward_s": _best_of(bwd, rounds) if bwd else None,
@@ -525,31 +525,25 @@ def test_raster_engine_matrix(benchmark):
                     )
 
                 add(
-                    "vectorized", 0, dtype or "float64",
+                    "vectorized", dtype or "float64",
                     lambda cfg=cfg: rasterize_vectorized(*scene, config=cfg),
                     partial(bwd_vec, res),
                     backward_rebuild_s=_best_of(
                         partial(bwd_vec, replace(res, saved=None)), rounds
                     ),
                 )
-            for workers in worker_axis:
-                for shards in shard_axis:
-                    cfg = RasterConfig(
-                        engine="fragment", workers=workers,
-                        fragment_shards=shards,
-                    )
-                    res = rasterize_fragment(*scene, config=cfg)
-                    add(
-                        "fragment", workers, "float64",
-                        lambda cfg=cfg: rasterize_fragment(
-                            *scene, config=cfg
-                        ),
-                        lambda res=res, cfg=cfg: rasterize_backward_fragment(
-                            scene[0], scene[1], scene[2], scene[3], res,
-                            grad, config=cfg,
-                        ),
-                        shards=shards,
-                    )
+            for shards in shard_axis:
+                cfg = RasterConfig(engine="fragment", fragment_shards=shards)
+                res = rasterize_fragment(*scene, config=cfg)
+                add(
+                    "fragment", "float64",
+                    lambda cfg=cfg: rasterize_fragment(*scene, config=cfg),
+                    lambda res=res, cfg=cfg: rasterize_backward_fragment(
+                        scene[0], scene[1], scene[2], scene[3], res, grad,
+                        config=cfg,
+                    ),
+                    shards=shards,
+                )
         return entries
 
     entries = benchmark.pedantic(run_matrix, rounds=1, iterations=1)

@@ -394,10 +394,9 @@ class _AsyncPrefetcher:
             cap = self.staging_budget_bytes()
             for camera in self._cameras:
                 try:
-                    # fork guard: a fragment-engine or render-farm pool
-                    # must never fork while this thread is mid-read
-                    # (inherited half-held locks would wedge the child
-                    # workers)
+                    # fork guard: a render-farm or patch-job pool must
+                    # never fork while this thread is mid-read (inherited
+                    # half-held locks would wedge the child workers)
                     with pool_fork_guard, _span("page/prefetch", "page"):
                         buffers = self._prepare(camera, cap)
                 except Exception:

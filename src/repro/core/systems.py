@@ -26,7 +26,8 @@ render, aggregate, hand gradients back):
   via the store's per-shard frustum cull, host-side gradient aggregation
   across shards, and with the ``fragment`` raster engine a per-shard
   render pipeline (no shard's rows are ever gathered into a packed union
-  matrix) whose rasterization fans out over ``raster.workers``.
+  matrix) whose rasterization fans out over the block threads of the
+  training process.
 * :class:`OutOfCoreGSScaleSystem` — the sharded system with an out-of-core
   host tier: each shard's non-geometric state spills to page files
   (:mod:`repro.core.pager`) and only ``resident_shards`` shards occupy
@@ -629,8 +630,9 @@ class ShardedGSScaleSystem(TrainingSystem):
     staged and renders jointly (the Grendel gather); with the
     ``fragment`` engine the union is never assembled — each shard stages
     and projects its own rows, and the host composites per-shard fragment
-    buffers (:meth:`_render_region_fragment`), the rasterization fanned
-    out over ``raster.workers`` like every pooled engine. Training
+    buffers (:meth:`_render_region_fragment`), the shards' rasterization
+    fanned out over the block threads (:func:`repro.pool.map_blocks`, one
+    per usable CPU; no training path starts a process). Training
     numerics are independent of K and of the fan-out: with K=1 the system
     is exactly :class:`GSScaleSystem`.
     """
@@ -768,23 +770,27 @@ class ShardedGSScaleSystem(TrainingSystem):
                     )
                 )
 
-            frag = rasterize_fragment_sources(
-                sources, region_cam.width, region_cam.height,
-                background=background, config=cfg.raster,
-            )
-            loss = photometric_loss(
-                frag.image, gt_region, ssim_lambda=cfg.ssim_lambda
-            )
-            rgrads = rasterize_backward_fragment(
-                np.concatenate([s.means2d for s in sources]),
-                np.concatenate([s.conics for s in sources]),
-                np.concatenate([s.colors for s in sources]),
-                np.concatenate([s.opacities for s in sources]),
-                frag,
-                loss.grad_image * weight,
-                background=background,
-                config=cfg.raster,
-            )
+            with _span("train/forward", "train") as fwd:
+                frag = rasterize_fragment_sources(
+                    sources, region_cam.width, region_cam.height,
+                    background=background, config=cfg.raster,
+                )
+                loss = photometric_loss(
+                    frag.image, gt_region, ssim_lambda=cfg.ssim_lambda
+                )
+                if _trace.enabled():
+                    _metrics.record_isects(fwd, frag)
+            with _span("train/backward", "train"):
+                rgrads = rasterize_backward_fragment(
+                    np.concatenate([s.means2d for s in sources]),
+                    np.concatenate([s.conics for s in sources]),
+                    np.concatenate([s.colors for s in sources]),
+                    np.concatenate([s.opacities for s in sources]),
+                    frag,
+                    loss.grad_image * weight,
+                    background=background,
+                    config=cfg.raster,
+                )
 
             grads = np.zeros((ids.size, layout.PARAM_DIM), dtype=dtype)
             m2d = np.zeros(ids.size, dtype=dtype)

@@ -1,9 +1,9 @@
 """The supervised process pool and its shared-memory transport.
 
 :class:`PersistentPool` is the one lifecycle helper behind every
-multi-process fan-out in the repo — the ``fragment`` raster engine
-(:mod:`repro.render.fragment`), the render farm and the patch reconstruction jobs: lazily started, reused across calls (so respawn cost
-is paid once, not per map), supervised (a dead worker or a blown deadline
+multi-process fan-out in the repo — the render farm and the patch
+reconstruction jobs; no training path starts a process. Lazily started,
+reused across calls (so respawn cost is paid once, not per map), supervised (a dead worker or a blown deadline
 respawns the pool and re-runs the map), and torn down deterministically —
 on ``close()``, on interpreter exit, and on every exception path.
 
@@ -13,11 +13,12 @@ packs its arrays once, workers attach by name and build views, and
 nothing but the task tuple and the per-task result crosses the pickle
 channel.
 
-:func:`map_blocks` is the in-process fan-out beside it: the blocks of one
-view of the ``vectorized`` raster engine run on threads of the calling
-process (numpy releases the GIL in its array passes), one per CPU the
-process may run on, and inline inside a :class:`PersistentPool` worker,
-which is already one core of a fan-out.
+:func:`map_blocks` is the in-process fan-out beside it, the one
+multi-core mechanism of a single view: the tile-row blocks of the
+``vectorized`` raster engine and the shards of the ``fragment`` engine
+run on threads of the calling process (numpy releases the GIL in its
+array passes), one per CPU the process may run on, and inline inside a
+:class:`PersistentPool` worker, which is already one core of a fan-out.
 """
 
 from __future__ import annotations
@@ -108,8 +109,8 @@ def _supervised_task(payload):
 class PersistentPool:
     """A lazily-started, reusable, *supervised* multiprocessing pool.
 
-    The shared lifecycle helper of the ``fragment`` raster engine, the
-    render farm, and ``train_patches``. Guarantees:
+    The shared lifecycle helper of the render farm and
+    ``train_patches``. Guarantees:
 
     * workers spawn on first :meth:`map`, not at construction, and are
       reused by every later call (no per-call respawn cost);
@@ -348,8 +349,8 @@ class PersistentPool:
             pass
 
 
-#: Raster pools by worker count: renders with the same ``workers`` share
-#: one persistent pool across calls, systems, and densification rebuilds.
+#: Raster pools by worker count: farms with the same ``workers`` share one
+#: persistent pool across calls and hot swaps.
 _RASTER_POOLS: dict[int, PersistentPool] = {}
 
 
@@ -357,9 +358,9 @@ def get_raster_pool(workers: int) -> PersistentPool:
     """The shared persistent pool for ``workers`` processes.
 
     One pool per worker count, shared by every consumer that fans
-    generic picklable tasks out — the ``fragment`` raster engine and the
-    serving subsystem's render farm — so their worker processes are
-    pooled rather than duplicated. Torn down by
+    generic picklable frames out — the serving subsystem's render farms —
+    so their worker processes are pooled rather than duplicated. Torn
+    down by
     :func:`shutdown_raster_pools` or at interpreter exit.
     """
     pool = _RASTER_POOLS.get(workers)
@@ -372,12 +373,11 @@ def get_raster_pool(workers: int) -> PersistentPool:
 def shutdown_raster_pools() -> None:
     """Tear down every persistent raster pool (idempotent).
 
-    Raster pools are process-level caches shared by every system and
-    render call, so ``finalize()`` deliberately leaves them running
-    (tearing them down there would make each densification rebuild pay a
-    respawn); they are reaped at interpreter exit. Call this explicitly
-    to release the worker processes earlier — the next pooled render
-    restarts them.
+    Raster pools are process-level caches shared by every farm and
+    service, so closing one deliberately leaves them running (tearing
+    them down there would make each hot swap pay a respawn); they are
+    reaped at interpreter exit. Call this explicitly to release the
+    worker processes earlier — the next pooled render restarts them.
 
     Idempotent and exception-safe: the registry is cleared before any
     teardown runs (so a failure can't leave half-closed pools cached for

@@ -5,8 +5,8 @@ in :data:`repro.render.rasterize.ENGINE_TABLE`, described in
 ``docs/raster_engines.md``) are selected through ``RasterConfig.engine``:
 the per-splat ``reference`` loop — the oracle — and the flat engines, which
 schedule one pair kernel (:mod:`repro.render.engine`) over the whole
-intersection table, or over shards on a persistent shared-memory process
-pool (``RasterConfig.workers``).
+intersection table, or shard by shard (``RasterConfig.fragment_shards``),
+on the block threads of the calling process.
 ``RasterConfig.dtype="float32"`` selects the inference fast path of the
 flat engines.
 """

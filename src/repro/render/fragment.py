@@ -4,7 +4,7 @@ The ``vectorized`` engine builds one globally sorted intersection table
 over the whole splat set in one process; in the sharded training systems
 that forces a global gather of all shards before any render, and the
 whole view's pair table is alive at once. This module removes both:
-workers run the **whole per-shard pipeline** — tile binning, pair
+each shard runs the **whole per-shard pipeline** — tile binning, pair
 build, transmittance scan, compositing —
 over only their shard's splats, and emit compact per-pixel **fragment
 buffers** that the host merges with a depth-ordered transmittance
@@ -47,19 +47,20 @@ the suffix base of a fragment is its ``d_f``, and the sparse per-splat
 partials come back in the contract of
 :func:`repro.render.engine.fill_grads`.
 
-Data reaches the workers through a shared-memory pack
-(:func:`repro.pool.pack_shm`): the parent packs the splat arrays and the
-shard layout into one segment, workers attach by name and slice their
-shard — nothing but the task tuple and the per-shard results crosses the
-pickle channel. :func:`run_slices` is that dispatch; the pool itself is
-:class:`repro.pool.PersistentPool`.
+The shards of one view run on the block threads of the calling process
+(:func:`repro.pool.map_blocks`, one per CPU the process may use, inline
+inside a pool worker): every shard reads the same host arrays and slices
+its own rows, and nothing is copied to reach it. :func:`run_slices` is
+that dispatch.
 
 Determinism: per-shard computation is a pure function of the shard's
-arrays — identical in-process and pooled — and the merge order is fixed
+arrays — on whichever thread it runs — and the merge order is fixed
 by the (unique) ``(pixel, run)`` keys, so results are bit-identical
-across repeated runs and across worker counts; across *shard* counts
+across repeated runs and across CPU counts; across *shard* counts
 only prefix-association rounding differs (~1e-12, bounded at 1e-9 by
-``tests/render/test_fragment_engine.py``).
+``tests/render/test_fragment_engine.py``). The shard count is therefore
+an explicit setting (``RasterConfig.fragment_shards``), never derived
+from the machine.
 """
 
 from __future__ import annotations
@@ -69,8 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import faults
-from ..pool import attach_shm, get_raster_pool, pack_shm, shm_views
-from ..telemetry.trace import span as _tspan
+from ..pool import map_blocks
 from .backward import RasterGrads, alloc_grads
 from .engine import (
     TILE_SIZE,
@@ -107,8 +107,8 @@ class FragmentRasterResult(RasterResult):
 
     The stash is what makes the backward pass gather-free: the host
     derives every per-fragment suffix term from these arrays and the
-    image gradient alone, then ships two scalars per fragment back to the
-    shard workers.
+    image gradient alone, then hands two scalars per fragment to the
+    shard slices.
 
     Attributes (beyond :class:`~repro.render.rasterize.RasterResult`):
         shard_list: splat ids concatenated shard by shard, each shard's
@@ -167,48 +167,20 @@ class FragmentSource:
 # slice dispatch
 # ---------------------------------------------------------------------------
 
-def _slice_task(args):
-    """Pool task: attach the shared arrays, run one slice, detach.
+def run_slices(fn, arrays, slices, **kwargs):
+    """``fn(arrays, *slice, **kwargs)`` for every slice, in slice order,
+    on the block threads (:func:`repro.pool.map_blocks`).
 
-    The slice runs inside a ``pool/<fn name>`` span — ``pool/forward`` or
-    ``pool/backward``, which is what the measured breakdown
-    (:mod:`repro.telemetry.compare`) counts as ``fwd_bwd``.
+    ``fn`` — ``_forward`` / ``_backward`` — reads the shared ``arrays``
+    and writes nothing but its result, and the results come back in slice
+    order, so the merged output does not depend on which thread ran a
+    slice, or on how many there are. A slice calls nothing that maps.
     """
-    shm_name, metas, fn, slc, kwargs = args
-    shm = attach_shm(shm_name)
-    arr = None
-    try:
-        arr = shm_views(shm, metas)
-        with _tspan(f"pool/{fn.__name__.lstrip('_')}", "pool"):
-            out = fn(arr, *slc, **kwargs)
-    finally:
-        del arr  # drop buffer views so close() cannot see exports
-        shm.close()
-    return out
-
-
-def run_slices(fn, arrays, slices, workers, **kwargs):
-    """``fn(arrays, *slice, **kwargs)`` for every slice, in slice order.
-
-    In-process for ``workers <= 1`` (or a single slice), else on the
-    shared pool with ``arrays`` packed into one shared-memory segment.
-    ``fn`` — the module-level ``_forward`` / ``_backward`` — sees identical
-    arrays in both paths and results come back in slice order either way,
-    so the merged output does not depend on where a slice ran.
-    """
-    if workers <= 1 or len(slices) <= 1:
-        return [fn(arrays, *slc, **kwargs) for slc in slices]
-    shm, metas = pack_shm(arrays)
-    try:
-        tasks = [(shm.name, metas, fn, slc, kwargs) for slc in slices]
-        return get_raster_pool(workers).map(_slice_task, tasks)
-    finally:
-        shm.close()
-        shm.unlink()
+    return map_blocks(lambda slc: fn(arrays, *slc, **kwargs), slices)
 
 
 # ---------------------------------------------------------------------------
-# per-shard passes (run in workers; also in-process for workers <= 1)
+# per-shard passes (one per slice, on the block threads)
 # ---------------------------------------------------------------------------
 
 def _shard_pairs(arr, start, stop, width, height, config, tile_size):
@@ -401,8 +373,8 @@ def _render_fragments(
         for k in range(offsets.size - 1)
     ]
     counts, results = zip(*run_slices(
-        _forward, arrays, slices, config.workers, width=width, height=height,
-        config=config, tile_size=tile_size,
+        _forward, arrays, slices, width=width, height=height, config=config,
+        tile_size=tile_size,
     ))
     image, trans, stash = _merge_fragments(
         results, width, height, background, means2d.dtype, num_runs
@@ -499,16 +471,14 @@ def rasterize_fragment(
     :func:`repro.render.rasterize.rasterize`.
 
     Whole-scene inputs are cut into ``config.fragment_shards`` contiguous
-    depth slabs (``0`` derives the count from ``config.workers``), each
-    rendered as an independent shard; the sharded systems instead feed
+    depth slabs, each rendered as an independent shard; the sharded
+    systems instead feed
     per-shard sources through :func:`rasterize_fragment_sources`.
     """
     config = config or RasterConfig()
     return _render_fragments(
         means2d, conics, colors, opacities, radii,
-        _depth_slab_layout(
-            depths, config.fragment_shards or max(config.workers, 1)
-        ),
+        _depth_slab_layout(depths, config.fragment_shards),
         width, height, background, config, tile_size,
     )
 
@@ -611,7 +581,7 @@ def rasterize_backward_fragment(
     tb_emit[result.frag_perm] = tb
     d_emit[result.frag_perm] = d_sorted
 
-    # --- workers: per-shard gradient kernels ------------------------------
+    # --- per-shard gradient kernels, on the block threads -----------------
     arrays = {
         "means2d": means2d, "conics": conics, "colors": colors,
         "opacities": opacities, "bboxes": result.bboxes,
@@ -630,6 +600,6 @@ def rasterize_backward_fragment(
         for k in range(result.offsets.size - 1)
     ]
     return fill_grads(grads, conics, opacities, run_slices(
-        _backward, arrays, slices, config.workers, width=width,
-        height=height, config=config, tile_size=tile_size,
+        _backward, arrays, slices, width=width, height=height,
+        config=config, tile_size=tile_size,
     ))

@@ -28,7 +28,7 @@ ALPHA_MAX = 0.99
 #: engines import this one. ``reference`` is the per-splat loop oracle in
 #: this module; the others schedule the pair kernel of
 #: :mod:`repro.render.engine` — ``vectorized`` over the whole table,
-#: ``fragment`` per shard on a process pool.
+#: ``fragment`` per shard on the block threads.
 ENGINE_TABLE = {
     "reference": ("rasterize.rasterize", "backward.rasterize_backward"),
     "vectorized": (
@@ -65,13 +65,6 @@ class RasterConfig:
             (the flat engines ``vectorized``/``fragment`` match the
             ``reference`` loop to ~1e-12); the flat engines are much faster
             past a few hundred splats.
-        workers: worker-process count of the ``fragment`` engine. ``0``/``1``
-            run its shards in-process (no pool); ``>= 2`` ship them to a
-            persistent multiprocessing pool via shared memory. Ignored by
-            the other engines: the ``vectorized`` forward runs its tile-row
-            blocks on threads,
-            one per CPU the process may use
-            (:func:`repro.pool.map_blocks`), whatever ``workers`` says.
         dtype: compute dtype of the flat engines — one of
             :data:`RASTER_DTYPES`, or ``None`` to keep the input dtype.
             ``"float32"`` is the inference fast path: pair-level arithmetic
@@ -80,33 +73,36 @@ class RasterConfig:
             ``reference`` loop ignores it (it is the correctness oracle).
         fragment_shards: shard count of the ``fragment`` engine when it is
             invoked through the generic engine interface (whole-scene
-            inputs are cut into this many contiguous depth slabs). ``0``
-            derives the count from ``workers``. The sharded systems bypass
-            this and pass their own per-shard sources.
+            inputs are cut into this many contiguous depth slabs). The
+            sharded systems bypass this and pass their own per-shard
+            sources. Shard counts differ in the last bits (~1e-12), so the
+            count is a setting, never the machine's CPU count.
+
+    No setting sizes the fan-out: the ``vectorized`` forward's tile-row
+    blocks and the ``fragment`` engine's shards run on threads, one per
+    CPU the process may use (:func:`repro.pool.map_blocks`), with
+    bit-identical results at every CPU count.
     """
 
     alpha_min: float = ALPHA_MIN
     alpha_max: float = ALPHA_MAX
     full_image_splats: bool = False
     engine: str = "reference"
-    workers: int = 0
     dtype: str | None = None
-    fragment_shards: int = 0
+    fragment_shards: int = 1
 
     def __post_init__(self):
         if self.engine not in ENGINES:
             raise ValueError(
                 f"unknown raster engine {self.engine!r}; choose from {ENGINES}"
             )
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0")
         if self.dtype is not None and self.dtype not in RASTER_DTYPES:
             raise ValueError(
                 f"unknown raster dtype {self.dtype!r}; choose from "
                 f"{RASTER_DTYPES} or None"
             )
-        if self.fragment_shards < 0:
-            raise ValueError("fragment_shards must be >= 0")
+        if self.fragment_shards < 1:
+            raise ValueError("fragment_shards must be >= 1")
 
 
 class PairCounts(NamedTuple):

@@ -1,18 +1,18 @@
 """Multi-worker render farm: whole frames fanned out over the shared pool.
 
-The ``vectorized`` raster engine splits *one* frame across the cores of
-its process; a serving tick has the opposite shape — many independent
+The flat raster engines split *one* frame across the cores of their
+process; a serving tick has the opposite shape — many independent
 frames — so the farm ships each frame to its own worker process and keeps
 the per-frame pipeline single-core: a pool worker runs the ``vectorized``
-forward's tile-row blocks inline (:func:`repro.pool.map_blocks`), where the
-service's own process would spread a large frame over its CPUs. The farm
-and the ``fragment`` engine draw from the same
-:func:`~repro.pool.get_raster_pool` registry of persistent
-pools, so a process that trains, serves, and benchmarks never holds two
-worker fleets for the same core count.
+forward's tile-row blocks and the ``fragment`` engine's shards inline
+(:func:`repro.pool.map_blocks`), where the service's own process would
+spread a large frame over its CPUs. Farms draw from the
+:func:`~repro.pool.get_raster_pool` registry of persistent pools, so a
+process that serves and benchmarks never holds two worker fleets for
+the same core count.
 
-The model reaches the workers the same way shard arrays reach the
-``fragment`` engine's workers: :meth:`RenderFarm.publish` packs the packed parameter matrix and
+The model reaches the workers through shared memory:
+:meth:`RenderFarm.publish` packs the packed parameter matrix and
 the LOD drop-level array into one shared-memory segment, and each task
 pickles only a camera plus a few scalars. Workers attach read-only, run
 :func:`render_frame` — the one-frame case of :func:`render_frames`, the

@@ -10,7 +10,7 @@ exposes on the command line.
 
 Span names map to phases by longest matching prefix
 (:data:`PHASE_BY_SPAN`); spans outside the vocabulary (``serve/*``,
-``train/step`` itself) are ignored rather than double counted — nested
+``pool/*``, ``train/step`` itself) are ignored rather than double counted — nested
 spans mean a naive sum over *all* spans would count the same wall time
 twice.
 """
@@ -36,12 +36,9 @@ PHASES = ("cull", "h2d", "fwd_bwd", "d2h", "optimizer", "composite", "disk")
 #: prefix wins, so ``train/forward`` beats a hypothetical ``train/``.
 PHASE_BY_SPAN = {
     "train/cull": "cull",
-    "pool/cull_shard_task": "cull",
     "train/stage": "h2d",
     "train/forward": "fwd_bwd",
     "train/backward": "fwd_bwd",
-    "pool/forward": "fwd_bwd",
-    "pool/backward": "fwd_bwd",
     "train/unstage": "d2h",
     "train/commit": "optimizer",
     "train/return_grads": "optimizer",
@@ -51,12 +48,6 @@ PHASE_BY_SPAN = {
     "page/prefetch": "disk",
     "page/writeback": "disk",
 }
-
-#: Span prefixes that enclose already-counted phases and must not be
-#: double counted: ``pool/slice_task`` — the one pool task of the pooled
-#: ``fragment`` engine (:func:`repro.render.fragment.run_slices`) — wraps each
-#: slice's ``pool/forward`` / ``pool/backward``, and ``pool/map`` the map.
-_NESTED_PREFIXES = ("pool/slice_task", "pool/map")
 
 
 def phase_for(name: str) -> str | None:
@@ -99,8 +90,6 @@ def measured_breakdown(source, iterations: int = 1) -> dict:
         raise ValueError("iterations must be >= 1")
     totals = dict.fromkeys(PHASES, 0.0)
     for name, dur in _iter_span_rows(source):
-        if any(name.startswith(p) for p in _NESTED_PREFIXES):
-            continue
         phase = phase_for(name)
         if phase is not None:
             totals[phase] += dur / iterations

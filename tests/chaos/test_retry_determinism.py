@@ -1,22 +1,39 @@
-"""Retry-determinism matrix: a worker killed at any pipeline stage must
-leave the retried render bit-identical to the fault-free one.
+"""Fault determinism matrices: a fault at any stage leaves the next
+result bit-identical to the fault-free one.
 
-The supervised pool's retry is only sound because every task it carries
-is a pure function of its payload. This matrix kills a worker at each
-stage of the fragment pipeline (cull / pair build / composite), in the
-forward and in the backward, then asserts the images and all gradient
-arrays match the fault-free run bit for bit — not to a tolerance.
+Two fan-outs carry a render across cores, and each is checked where its
+faults land:
+
+* the render farm's supervised process pool — its retry is only sound
+  because every frame task is a pure function of its payload, so a worker
+  killed at a task slot must leave the retried batch bit-identical;
+* the block threads the ``fragment`` engine runs its shard slices on —
+  an exception raised at a pipeline stage (cull / pair build / composite),
+  in the forward or in the backward, re-raises in the caller and leaves
+  the threads usable, so the next render is bit-identical; a delayed
+  slice changes nothing but the time.
+
+Equalities, not tolerances. The CPU count is patched to 2, so the slices
+run on two threads on a 1-CPU machine too.
 """
 
 import numpy as np
 import pytest
 
-from repro.faults import Fault, FaultPlan, active_plan
+from repro import pool
+from repro.datasets import SyntheticSceneConfig, build_scene
+from repro.faults import Fault, FaultPlan, InjectedFaultError, active_plan
 from repro.pool import raster_pool_fault_stats, shutdown_raster_pools
 from repro.render import RasterConfig
 from repro.render.fragment import (
     rasterize_backward_fragment,
     rasterize_fragment,
+)
+from repro.serve import (
+    FrameTask,
+    InMemoryServingStore,
+    RenderFarm,
+    default_serve_raster_config,
 )
 
 GRAD_FIELDS = ("means2d", "conics", "colors", "opacities", "mean2d_abs")
@@ -56,10 +73,10 @@ def scene_args():
     return means2d, conics, colors, opacities, depths, radii
 
 
-def kill_at(tmp_path, point, after=0):
+def fault_at(tmp_path, point, action, after=0, **kw):
     return FaultPlan(
         token_dir=str(tmp_path / "tokens"),
-        faults=(Fault(point=point, action="kill", after=after),),
+        faults=(Fault(point=point, action=action, after=after, **kw),),
     )
 
 
@@ -98,57 +115,98 @@ STAGES = ["fragment:cull", "fragment:pairs", "fragment:composite"]
 
 
 class TestFragmentStageMatrix:
-    """Kill one worker at each stage of the per-shard fragment pipeline,
-    in the forward and in the backward."""
+    """A fault at each stage of the per-shard fragment pipeline, on the
+    block threads, in the forward and in the backward."""
 
-    CONFIG = RasterConfig(engine="fragment", workers=2, fragment_shards=4)
+    CONFIG = RasterConfig(engine="fragment", fragment_shards=4)
+
+    @pytest.fixture(autouse=True)
+    def _two_threads(self, monkeypatch):
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
 
     @pytest.mark.parametrize("stage", STAGES)
-    def test_kill_at_stage_bit_identical(
+    def test_raise_at_stage_then_bit_identical(
         self, scene_args, tmp_path, stage
     ):
-        shutdown_raster_pools()  # fresh pool: deterministic kill placement
         clean = _frag_round_trip(scene_args, self.CONFIG)
-        with active_plan(kill_at(tmp_path, stage)):
-            faulted = _frag_round_trip(scene_args, self.CONFIG)
-        assert raster_pool_fault_stats()["worker_deaths"] >= 1
-        _assert_identical(clean, faulted)
+        with active_plan(fault_at(tmp_path, stage, "raise")):
+            with pytest.raises(InjectedFaultError, match=stage):
+                _frag_forward(scene_args, self.CONFIG)
+        _assert_identical(clean, _frag_round_trip(scene_args, self.CONFIG))
 
     @pytest.mark.parametrize("stage", STAGES)
-    def test_kill_in_backward_bit_identical(
+    def test_raise_in_backward_then_bit_identical(
         self, scene_args, tmp_path, stage
     ):
         """The backward rebuilds each shard through the same stages; the
         forward visits each stage once per shard, so ``after=4`` skips
-        all of its visits and the kill lands in the backward."""
-        shutdown_raster_pools()
+        all of its visits and the fault lands in the backward."""
         clean = _frag_round_trip(scene_args, self.CONFIG)
-        with active_plan(kill_at(tmp_path, stage, after=4)):
+        with active_plan(fault_at(tmp_path, stage, "raise", after=4)):
             fwd = _frag_forward(scene_args, self.CONFIG)
-            assert raster_pool_fault_stats()["worker_deaths"] == 0
-            bwd = _frag_backward(scene_args, fwd, self.CONFIG)
-        assert raster_pool_fault_stats()["worker_deaths"] == 1
-        _assert_identical(clean, (fwd, bwd))
+            with pytest.raises(InjectedFaultError, match=stage):
+                _frag_backward(scene_args, fwd, self.CONFIG)
+        _assert_identical(
+            clean, (fwd, _frag_backward(scene_args, fwd, self.CONFIG))
+        )
 
-
-class TestPoolTaskMatrix:
-    """Kill the worker holding each task slot of a fragment dispatch."""
-
-    CONFIG = RasterConfig(engine="fragment", workers=2, fragment_shards=4)
-
-    @pytest.mark.parametrize("index", [0, 3])
-    def test_kill_at_task_index_bit_identical(
-        self, scene_args, tmp_path, index
-    ):
-        shutdown_raster_pools()
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_delay_at_stage_bit_identical(self, scene_args, tmp_path, stage):
+        """Two slices held back, one in each pass: the other thread runs
+        ahead, and the merge still reduces in slice order."""
         clean = _frag_round_trip(scene_args, self.CONFIG)
         plan = FaultPlan(
             token_dir=str(tmp_path / "tokens"),
             faults=(
-                Fault(point="pool:task", action="kill", index=index),
+                Fault(point=stage, action="delay", seconds=0.05),
+                Fault(point=stage, action="delay", seconds=0.05, after=4),
             ),
         )
         with active_plan(plan):
-            faulted = _frag_round_trip(scene_args, self.CONFIG)
-        assert raster_pool_fault_stats()["worker_deaths"] >= 1
-        _assert_identical(clean, faulted)
+            delayed = _frag_round_trip(scene_args, self.CONFIG)
+        _assert_identical(clean, delayed)
+
+
+class TestPoolTaskMatrix:
+    """Kill the farm worker holding each task slot of a 4-frame batch."""
+
+    @pytest.fixture(scope="class")
+    def farm_batch(self):
+        scene = build_scene(
+            SyntheticSceneConfig(
+                num_points=180, width=32, height=24,
+                num_train_cameras=4, num_test_cameras=1,
+                altitude=12.0, seed=9,
+            )
+        )
+        config = default_serve_raster_config()
+        tasks = [
+            FrameTask(camera=cam, lod=0, sh_degree=3, config=config)
+            for cam in scene.train_cameras
+        ]
+        return InMemoryServingStore.from_model(scene.oracle), tasks
+
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_kill_at_task_index_bit_identical(
+        self, farm_batch, tmp_path, index
+    ):
+        store, tasks = farm_batch
+        shutdown_raster_pools()
+        farm = RenderFarm(workers=2)
+        farm.publish(store, None)
+        try:
+            clean = farm.render_batch(tasks)
+            plan = FaultPlan(
+                token_dir=str(tmp_path / "tokens"),
+                faults=(
+                    Fault(point="pool:task", action="kill", index=index),
+                ),
+            )
+            with active_plan(plan):
+                faulted = farm.render_batch(tasks)
+            assert raster_pool_fault_stats()["worker_deaths"] >= 1
+        finally:
+            farm.close()
+        assert len(faulted) == len(clean) == 4
+        for a, b in zip(clean, faulted):
+            assert a.tobytes() == b.tobytes()

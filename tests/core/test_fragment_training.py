@@ -4,27 +4,21 @@ gathering the visible union into one packed matrix.
 
 The vectorized-engine sharded trajectory is the oracle (same splats, same
 optimizer; the only difference is compositing-rounding, ~1e-12), the
-fan-out width must never show, and the gather-free claim is pinned by a
+fan-out width (the CPU count the block threads follow) must never show,
+training must start no process, and the gather-free claim is pinned by a
 MemoryTracker peak comparison — the fragment path's staging windows are
 sequential per shard, so its aggregate peak sits strictly below the
 all-shards-at-once gather peak.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
+from repro import pool
 from repro.core import GSScaleConfig, create_system
 from repro.datasets import SyntheticSceneConfig, build_scene
-from repro.pool import shutdown_raster_pools
+from repro.pool import PersistentPool, shutdown_raster_pools
 from repro.render import RasterConfig
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _reap_pools():
-    yield
-    shutdown_raster_pools()
 
 
 @pytest.fixture(scope="module")
@@ -92,13 +86,13 @@ class TestTrajectoryParity:
 
 
 class TestDeterminism:
-    def test_shard_workers_bit_identical(self, scene):
-        """The fragment fan-out width (``raster.workers``) never shows in
-        the numerics."""
+    def test_cpu_count_bit_identical(self, scene, monkeypatch):
+        """The fragment fan-out width — the block threads, one per usable
+        CPU — never shows in the numerics."""
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 1)
         serial, _ = run(scene, num_shards=4, raster=FRAG)
-        fanned, _ = run(
-            scene, num_shards=4, raster=replace(FRAG, workers=2)
-        )
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        fanned, _ = run(scene, num_shards=4, raster=FRAG)
         np.testing.assert_array_equal(
             serial.materialized_model().params,
             fanned.materialized_model().params,
@@ -115,6 +109,27 @@ class TestDeterminism:
             mem.materialized_model().params,
             ooc.materialized_model().params,
         )
+
+
+class TestNoProcess:
+    @pytest.mark.parametrize("system", ["sharded", "outofcore"])
+    def test_fragment_training_starts_no_pool(
+        self, scene, tmp_path, monkeypatch, system
+    ):
+        """The shards fan out on threads: a fragment run neither registers
+        a raster pool nor forks a worker."""
+        def no_fork(self):
+            raise AssertionError("training started a process pool")
+
+        shutdown_raster_pools()
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(PersistentPool, "_ensure", no_fork)
+        extra = (
+            dict(resident_shards=1, spill_dir=str(tmp_path / "spill"))
+            if system == "outofcore" else {}
+        )
+        run(scene, system, steps=2, num_shards=4, raster=FRAG, **extra)
+        assert not pool._RASTER_POOLS
 
 
 class TestNoFullMaterialization:

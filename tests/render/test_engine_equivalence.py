@@ -72,12 +72,9 @@ FLAT_ENGINES = [name for name in ENGINES if name != "reference"]
 
 
 def engine_config(engine, base=None):
-    """``base`` on ``engine``, in-process: ``workers=1`` is no pool for
-    ``fragment``, which gets two depth slabs so its fragment merge is
-    exercised (``vectorized`` reads neither)."""
-    return replace(
-        base or RasterConfig(), engine=engine, workers=1, fragment_shards=2
-    )
+    """``base`` on ``engine``: ``fragment`` gets two depth slabs so its
+    fragment merge is exercised (``vectorized`` does not read them)."""
+    return replace(base or RasterConfig(), engine=engine, fragment_shards=2)
 
 
 def _config_id(cfg):

@@ -1,7 +1,9 @@
 """Parity, determinism, and lifecycle tests of the fragment raster engine.
 
-The vectorized engine is the oracle: for every shards x workers cell the
-fragment engine must reproduce the image, the final transmittance, and
+The vectorized engine is the oracle: for every shards x CPUs cell (the
+``cpus`` fixture pins ``repro.pool.usable_cpus``, so the shards run inline
+or on that many block threads on any machine) the fragment engine must
+reproduce the image, the final transmittance, and
 all five gradient arrays to ``atol=1e-9`` (the only difference is
 compositing-rounding at run boundaries, ~1e-12), repeated runs must be
 bit-identical, and the per-source path (``rasterize_fragment_sources``,
@@ -9,10 +11,12 @@ the training systems' gather-free entry point) must agree with a joint
 render of the union.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.pool import shutdown_raster_pools
+from repro import pool
 from repro.render import RasterConfig
 from repro.render.engine import (
     rasterize_backward_vectorized,
@@ -30,14 +34,16 @@ from test_engine_equivalence import make_splats
 
 ATOL = 1e-9
 SHARD_COUNTS = [1, 2, 4]
-WORKER_COUNTS = [1, 2, 4]
+CPU_COUNTS = [1, 2, 4]
 GRAD_FIELDS = ("means2d", "conics", "colors", "opacities", "mean2d_abs")
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _reap_pools():
-    yield
-    shutdown_raster_pools()
+@pytest.fixture(params=CPU_COUNTS, ids=lambda c: f"cpus{c}")
+def cpus(request, monkeypatch):
+    """The process's CPU count, patched: 1 runs every shard inline, more
+    run the shards on that many block threads."""
+    monkeypatch.setattr(pool, "usable_cpus", lambda: request.param)
+    return request.param
 
 
 @pytest.fixture(scope="module")
@@ -45,10 +51,8 @@ def scene_args():
     return make_splats(400, 96, 80, 2)
 
 
-def _cfg(shards, workers, **kw):
-    return RasterConfig(
-        engine="fragment", workers=workers, fragment_shards=shards, **kw
-    )
+def _cfg(shards, **kw):
+    return RasterConfig(engine="fragment", fragment_shards=shards, **kw)
 
 
 def _empty_args(width=16, height=12):
@@ -59,16 +63,15 @@ def _empty_args(width=16, height=12):
 
 
 class TestForwardParity:
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_image_and_transmittance(self, scene_args, shards, workers):
+    @pytest.mark.parametrize("shards", SHARD_COUNTS, ids=lambda s: f"s{s}")
+    def test_image_and_transmittance(self, scene_args, shards, cpus):
         bg = np.array([0.2, 0.4, 0.6])
         ref = rasterize_vectorized(
             *scene_args, width=96, height=80, background=bg
         )
         out = rasterize_fragment(
             *scene_args, width=96, height=80, background=bg,
-            config=_cfg(shards, workers),
+            config=_cfg(shards),
         )
         assert isinstance(out, FragmentRasterResult)
         np.testing.assert_allclose(out.image, ref.image, atol=ATOL, rtol=0)
@@ -77,10 +80,11 @@ class TestForwardParity:
             rtol=0,
         )
 
-    def test_empty_scene(self):
+    @pytest.mark.parametrize("cpus", [2], indirect=True)
+    def test_empty_scene(self, cpus):
         res = rasterize_fragment(
             *_empty_args(), background=np.array([0.1, 0.2, 0.3]),
-            config=_cfg(2, 2),
+            config=_cfg(2),
         )
         np.testing.assert_allclose(res.image[:, :, 0], 0.1)
         np.testing.assert_allclose(res.final_transmittance, 1.0)
@@ -93,29 +97,31 @@ class TestForwardParity:
         )
         out = rasterize_fragment(
             *scene_args, width=96, height=80,
-            config=_cfg(3, 1, alpha_min=0.0),
+            config=_cfg(3, alpha_min=0.0),
         )
         np.testing.assert_allclose(out.image, ref.image, atol=ATOL, rtol=0)
 
-    def test_shards_default_to_workers(self, scene_args):
-        """fragment_shards=0 slabs by the worker count."""
+    @pytest.mark.parametrize("cpus", [4], indirect=True)
+    def test_shards_default_to_one(self, scene_args, cpus):
+        """The default is one slab, whatever the CPU count: shard counts
+        differ in the last bits, so the count never follows the machine."""
         ref = rasterize_fragment(
-            *scene_args, width=96, height=80, config=_cfg(2, 1)
+            *scene_args, width=96, height=80, config=_cfg(1)
         )
         out = rasterize_fragment(
             *scene_args, width=96, height=80,
-            config=RasterConfig(engine="fragment", workers=2),
+            config=RasterConfig(engine="fragment"),
         )
-        np.testing.assert_array_equal(out.image, ref.image)
+        assert out.num_runs == 1
+        assert out.image.tobytes() == ref.image.tobytes()
 
 
 class TestBackwardParity:
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_all_gradient_arrays(self, scene_args, shards, workers):
+    @pytest.mark.parametrize("shards", SHARD_COUNTS, ids=lambda s: f"s{s}")
+    def test_all_gradient_arrays(self, scene_args, shards, cpus):
         bg = np.array([0.3, 0.1, 0.5])
         grad_image = np.random.default_rng(100).normal(size=(80, 96, 3))
-        cfg = _cfg(shards, workers)
+        cfg = _cfg(shards)
         ref_fwd = rasterize_vectorized(
             *scene_args, width=96, height=80, background=bg
         )
@@ -136,8 +142,9 @@ class TestBackwardParity:
                 err_msg=field,
             )
 
-    def test_empty_scene_grads(self):
-        cfg = _cfg(2, 2)
+    @pytest.mark.parametrize("cpus", [2], indirect=True)
+    def test_empty_scene_grads(self, cpus):
+        cfg = _cfg(2)
         res = rasterize_fragment(*_empty_args(8, 8), config=cfg)
         grads = rasterize_backward_fragment(
             np.zeros((0, 2)), np.zeros((0, 3)), np.zeros((0, 3)),
@@ -151,14 +158,13 @@ class TestBackwardParity:
         with pytest.raises(TypeError, match="FragmentRasterResult"):
             rasterize_backward_fragment(
                 scene_args[0], scene_args[1], scene_args[2], scene_args[3],
-                vec, np.ones((80, 96, 3)), config=_cfg(2, 1),
+                vec, np.ones((80, 96, 3)), config=_cfg(2),
             )
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_repeated_runs_bit_identical(self, scene_args, workers):
-        cfg = _cfg(3, workers)
+    def test_repeated_runs_bit_identical(self, scene_args, cpus):
+        cfg = _cfg(3)
         grad_image = np.random.default_rng(5).normal(size=(80, 96, 3))
         runs = []
         for _ in range(2):
@@ -180,14 +186,15 @@ class TestDeterminism:
                 getattr(b_a, field), getattr(b_b, field), err_msg=field
             )
 
-    def test_worker_count_invariant(self, scene_args):
+    def test_cpu_count_invariant(self, scene_args, monkeypatch):
         """At a fixed shard layout the fan-out width never shows: the
-        shard tasks are deterministic and the merge reduces in a fixed
-        order, so 1/2/4 workers are bit-identical."""
+        shard slices are deterministic and the merge reduces in a fixed
+        order, so 1/2/4 CPUs are bit-identical."""
         grad_image = np.random.default_rng(6).normal(size=(80, 96, 3))
+        cfg = _cfg(4)
         results = []
-        for workers in WORKER_COUNTS:
-            cfg = _cfg(4, workers)
+        for count in CPU_COUNTS:
+            monkeypatch.setattr(pool, "usable_cpus", lambda c=count: c)
             fwd = rasterize_fragment(
                 *scene_args, width=96, height=80, config=cfg
             )
@@ -199,11 +206,34 @@ class TestDeterminism:
         base_fwd, base_bwd = results[0]
         for fwd, bwd in results[1:]:
             np.testing.assert_array_equal(fwd.image, base_fwd.image)
+            np.testing.assert_array_equal(
+                fwd.final_transmittance, base_fwd.final_transmittance
+            )
             for field in GRAD_FIELDS:
                 np.testing.assert_array_equal(
                     getattr(bwd, field), getattr(base_bwd, field),
                     err_msg=field,
                 )
+
+
+    def test_slices_never_map(self, scene_args, monkeypatch):
+        """A slice holds a block thread, so it must not wait on the block
+        threads itself: nothing a slice calls maps."""
+        real = pool.map_blocks
+
+        def guarded(fn, tasks):
+            name = threading.current_thread().name
+            assert not name.startswith("repro-block"), "a slice mapped"
+            return real(fn, tasks)
+
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(pool, "map_blocks", guarded)
+        cfg = _cfg(4)
+        fwd = rasterize_fragment(*scene_args, width=96, height=80, config=cfg)
+        rasterize_backward_fragment(
+            scene_args[0], scene_args[1], scene_args[2], scene_args[3],
+            fwd, np.ones((80, 96, 3)), config=cfg,
+        )
 
 
 class TestSourcesPath:
@@ -222,8 +252,8 @@ class TestSourcesPath:
             for a, b in zip(bounds, bounds[1:])
         ]
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_composite_matches_joint_render(self, scene_args, workers):
+    @pytest.mark.parametrize("cpus", [1, 2], indirect=True)
+    def test_composite_matches_joint_render(self, scene_args, cpus):
         bg = np.array([0.15, 0.25, 0.35])
         ref = rasterize_vectorized(
             *scene_args, width=96, height=80, background=bg
@@ -231,7 +261,7 @@ class TestSourcesPath:
         sources = self._sources(scene_args, cuts=(130, 260))
         out = rasterize_fragment_sources(
             sources, 96, 80, background=bg,
-            config=_cfg(0, workers),
+            config=RasterConfig(engine="fragment"),
         )
         np.testing.assert_allclose(out.image, ref.image, atol=ATOL, rtol=0)
         np.testing.assert_allclose(
@@ -246,7 +276,7 @@ class TestSourcesPath:
         the sources-path gradients must equal the joint gradients."""
         bg = np.array([0.3, 0.1, 0.5])
         grad_image = np.random.default_rng(42).normal(size=(80, 96, 3))
-        cfg = _cfg(0, 1)
+        cfg = RasterConfig(engine="fragment")
         ref_fwd = rasterize_vectorized(
             *scene_args, width=96, height=80, background=bg
         )
@@ -282,7 +312,9 @@ class TestSourcesPath:
             )
             for i in idx
         ]
-        out = rasterize_fragment_sources(sources, 96, 80, config=_cfg(0, 1))
+        out = rasterize_fragment_sources(
+            sources, 96, 80, config=RasterConfig(engine="fragment")
+        )
         np.testing.assert_allclose(out.image, ref.image, atol=ATOL, rtol=0)
 
 
@@ -291,11 +323,12 @@ class TestFloat32FastPath:
         ref = rasterize_vectorized(*scene_args, width=96, height=80)
         out = rasterize_fragment(
             *scene_args, width=96, height=80,
-            config=_cfg(2, 1, dtype="float32"),
+            config=_cfg(2, dtype="float32"),
         )
         assert out.image.dtype == np.float32
         np.testing.assert_allclose(out.image, ref.image, atol=2e-3, rtol=0)
 
-    def test_invalid_shards_rejected(self):
+    @pytest.mark.parametrize("shards", [0, -1])
+    def test_invalid_shards_rejected(self, shards):
         with pytest.raises(ValueError, match="fragment_shards"):
-            RasterConfig(fragment_shards=-1)
+            RasterConfig(fragment_shards=shards)

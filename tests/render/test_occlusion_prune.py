@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.pool import shutdown_raster_pools
+from repro import pool
 from repro.render import RasterConfig, engine, render
 from repro.render.backward import rasterize_backward
 from repro.render.engine import (
@@ -46,12 +46,6 @@ CONFIGS = [
     RasterConfig(alpha_min=0.0),
     RasterConfig(alpha_min=0.0, full_image_splats=True),
 ]
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _reap_pools():
-    yield
-    shutdown_raster_pools()
 
 
 def _blobs(rng, n, width, height, sigma_lo, sigma_hi, radius_sigmas=3.0):
@@ -444,22 +438,25 @@ class TestAllFlatEngines:
         (tile_ids, _), (kept, _) = _prune(scene[0], self.W, self.H, RasterConfig())
         assert kept.size < 0.8 * tile_ids.size
 
-    @pytest.mark.parametrize("cfg", [
-        dict(engine="vectorized"),
-        dict(engine="fragment", workers=1, fragment_shards=3),
-        dict(engine="fragment", workers=2, fragment_shards=3),
-    ], ids=lambda c: "-".join(str(v) for v in c.values()))
-    def test_within_parity_tolerance_of_reference(self, scene, cfg):
+    @pytest.mark.parametrize("cfg, cpus", [
+        (dict(engine="vectorized"), 1),
+        (dict(engine="fragment", fragment_shards=3), 1),
+        (dict(engine="fragment", fragment_shards=3), 2),
+    ], ids=["vectorized", "fragment-3-cpus1", "fragment-3-cpus2"])
+    def test_within_parity_tolerance_of_reference(
+        self, scene, cfg, cpus, monkeypatch
+    ):
+        monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
         self._assert_close(self._engine(scene, **cfg), scene[2])
 
-    def test_fragment_pooled_equals_in_process(self, scene):
-        inproc = self._engine(scene, engine="fragment", workers=1,
-                              fragment_shards=3)
-        pooled = self._engine(scene, engine="fragment", workers=2,
-                              fragment_shards=3)
-        self._assert_close(pooled, inproc, atol=0.0)
+    def test_fragment_threaded_equals_inline(self, scene, monkeypatch):
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 1)
+        inline = self._engine(scene, engine="fragment", fragment_shards=3)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        threaded = self._engine(scene, engine="fragment", fragment_shards=3)
+        self._assert_close(threaded, inline, atol=0.0)
         self._assert_close(
-            inproc, self._engine(scene, engine="vectorized"), atol=ATOL
+            inline, self._engine(scene, engine="vectorized"), atol=ATOL
         )
 
     def test_fragment_shards_prune_their_own_lists(self, scene, monkeypatch):
@@ -476,7 +473,8 @@ class TestAllFlatEngines:
             *scene[0], width=self.W, height=self.H, background=BG,
             config=RasterConfig(engine="fragment", fragment_shards=2),
         )
-        forward_sizes = list(sizes)
+        # the slabs may run on two block threads: compare as sets
+        forward_sizes = sorted(sizes)
         assert len(forward_sizes) == 2
         assert any(kept < full for full, kept in forward_sizes)
         get_backward("fragment")(
@@ -484,7 +482,7 @@ class TestAllFlatEngines:
             scene[1], background=BG,
             config=RasterConfig(engine="fragment", fragment_shards=2),
         )
-        assert sizes[2:] == forward_sizes  # the backward rebuilds the same
+        assert sorted(sizes[2:]) == forward_sizes  # the backward rebuilds
 
     def test_float32_fast_path_prunes_and_stays_close(self, scene):
         fast = self._engine(scene, engine="vectorized", dtype="float32")

@@ -3,7 +3,7 @@
 The parity suites compare engines at ``atol=1e-9`` — a tolerance a
 diverging copy of the pair arithmetic would pass. These tests assert what
 a single copy guarantees instead: a ``fragment`` slab computes the same
-bytes in a pool worker as in-process, the kernel's gradient sums do not
+bytes on a block thread as inline, the kernel's gradient sums do not
 depend on the index they are reduced onto, its blocks and its pixel sort
 are the formulations they replace, byte for byte, and every scheduler
 counts the table ``vectorized`` builds. Equalities only, so they mean the
@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 import test_engine_equivalence as equivalence
-from repro.pool import get_raster_pool, shutdown_raster_pools
+from repro import pool
+from repro.pool import map_blocks
 from repro.render import RasterConfig, engine
 from repro.render.engine import (
     _argsort_by_key,
@@ -52,30 +53,26 @@ def _run(engine_cfg, args, w, h, grad):
     return res, grads
 
 
-#: ``(fragment_shards, workers)`` of the pooled runs: two and three slabs
-#: on two workers, and one slab per worker on three.
-POOLED = [(2, 2), (3, 2), (3, 3)]
+#: ``(fragment_shards, cpus)`` of the threaded runs: two and three slabs
+#: on two block threads, and one slab per thread on three.
+THREADED = [(2, 2), (3, 2), (3, 3)]
 
 
-class TestPooledSlabsAreInProcess:
-    """``fragment`` runs every depth slab through one function, in a pool
-    worker or in-process (:func:`repro.render.fragment.run_slices`), and
+class TestThreadedSlabsAreInline:
+    """``fragment`` runs every depth slab through one function, on a block
+    thread or inline (:func:`repro.render.fragment.run_slices`), and
     merges the results in slab order: where a slab ran never shows, value
-    for value, sign of zero included."""
-
-    @pytest.fixture(scope="class", autouse=True)
-    def _reap_pools(self):
-        yield
-        shutdown_raster_pools()
+    for value, sign of zero included. The CPU count is patched, so the
+    threads run on a 1-CPU machine too."""
 
     @pytest.mark.parametrize("scene", SCENES, ids=lambda s: f"n{s[0]}")
     @pytest.mark.parametrize("dtype", [None, "float32"], ids=["f64", "f32"])
     @pytest.mark.parametrize("alpha_min", [None, 0.0], ids=["amin", "amin0"])
     @pytest.mark.parametrize(
-        "shards, workers", POOLED, ids=[f"s{s}-w{w}" for s, w in POOLED]
+        "shards, cpus", THREADED, ids=[f"s{s}-cpus{c}" for s, c in THREADED]
     )
     def test_forward_and_backward_equal(
-        self, scene, dtype, alpha_min, shards, workers
+        self, scene, dtype, alpha_min, shards, cpus, monkeypatch
     ):
         n, w, h, seed = scene
         args = make_splats(n, w, h, seed)
@@ -85,16 +82,18 @@ class TestPooledSlabsAreInProcess:
         )
         if alpha_min is not None:
             cfg = replace(cfg, alpha_min=alpha_min)
-        in_res, inproc = _run(replace(cfg, workers=1), args, w, h, grad)
-        pool_res, pooled = _run(replace(cfg, workers=workers), args, w, h, grad)
-        assert pool_res.image.tobytes() == in_res.image.tobytes()
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 1)
+        in_res, inline = _run(cfg, args, w, h, grad)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+        thr_res, threaded = _run(cfg, args, w, h, grad)
+        assert thr_res.image.tobytes() == in_res.image.tobytes()
         assert (
-            pool_res.final_transmittance.tobytes()
+            thr_res.final_transmittance.tobytes()
             == in_res.final_transmittance.tobytes()
         )
-        assert pool_res.counts == in_res.counts
+        assert thr_res.counts == in_res.counts
         for field in GRAD_FIELDS:
-            a, b = getattr(pooled, field), getattr(inproc, field)
+            a, b = getattr(threaded, field), getattr(inline, field)
             assert a.dtype == b.dtype
             assert a.tobytes() == b.tobytes(), field
 
@@ -278,18 +277,8 @@ def small_blocks(request, monkeypatch):
     return request.param
 
 
-@pytest.fixture
-def pooled_small_blocks(small_blocks):
-    """``small_blocks`` in the pool workers too: the raster pools are
-    reaped around the test, so its workers fork (the pool's start method
-    where the platform has it) under the patch."""
-    shutdown_raster_pools()
-    yield small_blocks
-    shutdown_raster_pools()
-
-
 def _block_pairs(_):
-    """Pool task: the backward block size a worker runs with."""
+    """Block task: the backward block size a block thread runs with."""
     return engine.BLOCK_PAIRS
 
 
@@ -298,10 +287,10 @@ class TestReductionIndexInvarianceInBlocks(TestReductionIndexInvariance):
     """Why the block size reads the scene's splat count and not ``m``."""
 
 
-@pytest.mark.usefixtures("pooled_small_blocks")
-class TestPooledSlabsAreInProcessInBlocks(TestPooledSlabsAreInProcess):
-    """Each slab's backward walks the same several blocks in a worker as
-    in-process."""
+@pytest.mark.usefixtures("small_blocks")
+class TestThreadedSlabsAreInlineInBlocks(TestThreadedSlabsAreInline):
+    """Each slab's backward walks the same several blocks on a block
+    thread as inline."""
 
 
 @pytest.mark.usefixtures("small_blocks")
@@ -365,12 +354,11 @@ class TestBlockRule:
             edges, _ = _group_blocks(pairs.starts, pairs.alpha.size, n)
             assert len(edges) - 1 >= (3 if small_blocks == 64 else 2)
 
-    def test_the_pooled_suite_walks_them_in_the_workers(
-        self, pooled_small_blocks
+    def test_the_threaded_suite_walks_them_on_the_threads(
+        self, small_blocks, monkeypatch
     ):
-        assert get_raster_pool(2).map(_block_pairs, range(4)) == (
-            [pooled_small_blocks] * 4
-        )
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        assert map_blocks(_block_pairs, range(4)) == [small_blocks] * 4
 
     def test_blocks_are_whole_groups_of_about_a_block(self, monkeypatch):
         monkeypatch.setattr(engine, "BLOCK_PAIRS", 100)
@@ -493,9 +481,9 @@ class TestCountsOnEveryEngine:
     so every scheduler reports what ``vectorized`` reads off its own."""
 
     @pytest.mark.parametrize("cfg", [
-        RasterConfig(engine="fragment", workers=0, fragment_shards=1),
-        RasterConfig(engine="fragment", workers=0, fragment_shards=3),
-    ], ids=lambda c: f"{c.engine}-w{c.workers}-s{c.fragment_shards}")
+        RasterConfig(engine="fragment", fragment_shards=1),
+        RasterConfig(engine="fragment", fragment_shards=3),
+    ], ids=lambda c: f"{c.engine}-s{c.fragment_shards}")
     def test_counts_equal_the_vectorized_table(self, cfg):
         n, w, h, seed = SCENES[2]
         args = make_splats(n, w, h, seed)

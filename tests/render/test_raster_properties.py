@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from repro.render.engine import get_forward
 from repro.render.rasterize import ENGINES, RasterConfig, rasterize
 
-#: Every non-reference engine, in-process (no pool inside a property test).
+#: Every non-reference engine; ``fragment`` in two depth slabs.
 FLAT_CONFIGS = [
-    RasterConfig(engine=name, workers=1, fragment_shards=2)
+    RasterConfig(engine=name, fragment_shards=2)
     for name in ENGINES if name != "reference"
 ]
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.datasets import SyntheticSceneConfig, build_scene
-from repro.render import shutdown_raster_pools
+from repro.pool import get_raster_pool
+from repro.render import RasterConfig, shutdown_raster_pools
 from repro.serve import (
     FrameTask,
     InMemoryServingStore,
@@ -52,6 +53,35 @@ class TestRenderFarm:
             assert len(a) == len(b) == len(tasks)
             for x, y in zip(a, b):
                 assert np.array_equal(x, y)
+        finally:
+            inline.close()
+            pooled.close()
+            shutdown_raster_pools()
+
+    def test_fragment_frames_render_in_the_workers(self, scene):
+        """A worker renders a ``fragment`` frame inline: it must not wait
+        on a pool of its own (a worker holds the fork guard it inherited,
+        so a nested pool never starts). The shared pool gets a deadline
+        and no retry, so a hang fails instead of wedging the run."""
+        store = InMemoryServingStore.from_model(scene.oracle)
+        config = RasterConfig(engine="fragment", fragment_shards=2)
+        tasks = [
+            FrameTask(camera=cam, lod=0, sh_degree=3, config=config)
+            for cam in scene.train_cameras
+        ]
+        inline = RenderFarm(workers=1)
+        inline.publish(store, None)
+        pooled = RenderFarm(workers=2)
+        pooled.publish(store, None)
+        shutdown_raster_pools()
+        shared = get_raster_pool(2)
+        shared.task_timeout, shared.max_retries = 30.0, 0
+        try:
+            a = inline.render_batch(tasks)
+            b = pooled.render_batch(tasks)
+            assert len(a) == len(b) == len(tasks)
+            for x, y in zip(a, b):
+                assert x.tobytes() == y.tobytes()
         finally:
             inline.close()
             pooled.close()

@@ -20,7 +20,7 @@ class TestPhaseMapping:
         ("train/cull", "cull"),
         ("train/stage", "h2d"),
         ("train/forward", "fwd_bwd"),
-        ("pool/backward", "fwd_bwd"),
+        ("train/backward", "fwd_bwd"),
         ("train/unstage", "d2h"),
         ("train/commit", "optimizer"),
         ("train/aggregate", "composite"),
@@ -28,72 +28,59 @@ class TestPhaseMapping:
         ("page/writeback", "disk"),
         ("train/step", None),   # the envelope, never double counted
         ("serve/tick", None),   # outside the iteration vocabulary
+        ("pool/map", None),     # a farm or patch-job map, not a phase
     ])
     def test_phase_for(self, name, phase):
         assert phase_for(name) == phase
 
-    def test_nested_pool_wrappers_excluded(self):
+    def test_pool_spans_are_not_counted(self):
         events = [
             ("pool/map", "pool", 0, 0.0, 1.0, None),
-            ("pool/slice_task", "pool", 0, 0.05, 0.5, None),
-            ("pool/forward", "pool", 0, 0.1, 0.4, None),
+            ("pool/frame_task", "pool", 0, 0.05, 0.5, None),
+            ("train/forward", "train", 0, 1.0, 0.4, None),
         ]
         out = measured_breakdown(events)
         assert out["fwd_bwd"] == pytest.approx(0.4)
 
 
-class TestPooledRasterSpans:
-    """The pooled ``fragment`` engine runs its slices through one pool
-    task, so a traced pass reports its worker time as the phase."""
+class TestFragmentRasterSpans:
+    """The ``fragment`` engine's shard slices run on the block threads
+    and open no span: a traced sharded step counts its raster once, as
+    the ``train/forward`` and ``train/backward`` spans around it."""
 
-    @pytest.fixture(autouse=True)
-    def _reap_pools(self):
-        from repro.pool import shutdown_raster_pools
-
-        yield
-        shutdown_raster_pools()
-
-    def test_one_worker_span_per_slice_per_pass(self):
-        from collections import Counter
-
-        import numpy as np
-
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_fwd_bwd_is_the_train_spans(self, cpus, monkeypatch):
+        from repro import pool
+        from repro.core import GSScaleConfig, create_system
+        from repro.datasets import SyntheticSceneConfig, build_scene
         from repro.render import RasterConfig
-        from repro.render.engine import get_backward, get_forward
 
-        rng = np.random.default_rng(3)
-        n, w, h = 300, 96, 80
-        sig = rng.uniform(1.0, 4.0, size=n)
-        splats = (
-            rng.uniform([0, 0], [w, h], size=(n, 2)),
-            np.stack([1 / sig**2, np.zeros(n), 1 / sig**2], axis=1),
-            rng.uniform(0, 1, size=(n, 3)),
-            rng.uniform(0.2, 1.0, size=n),
+        monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+        scene = build_scene(SyntheticSceneConfig(
+            num_points=200, width=32, height=24, num_train_cameras=2,
+            seed=9,
+        ))
+        config = GSScaleConfig(
+            system="sharded", num_shards=3, scene_extent=scene.extent,
+            telemetry=True, seed=0, mem_limit=1.0,
+            raster=RasterConfig(engine="fragment"),
         )
-        config = RasterConfig(engine="fragment", workers=2, fragment_shards=2)
-        slices = 2
-
-        tracer = trace.install()
-        res = get_forward(config.engine)(
-            *splats, rng.uniform(1, 30, size=n), 3 * sig, w, h, config=config
-        )
-        get_backward(config.engine)(
-            *splats, res, np.ones((h, w, 3)), config=config
-        )
-        events = tracer.events()
-        names = Counter(ev.name for ev in events)
-        assert names == {
-            "pool/map": 2, "pool/slice_task": 2 * slices,
-            "pool/forward": slices, "pool/backward": slices,
-        }
-        # the worker spans are the phase; their enclosing task and map
-        # spans are not counted on top of them
-        inner = sum(
+        system = create_system(scene.initial.copy(), config)
+        system.step(scene.train_cameras[0], scene.train_images[0])
+        system.finalize()
+        events = trace.get_tracer().events()
+        names = [ev.name for ev in events]
+        assert not any(name.startswith("pool/") for name in names)
+        assert names.count("train/forward") == names.count(
+            "train/backward"
+        ) >= 1
+        spans = sum(
             ev.dur for ev in events
-            if ev.name in ("pool/forward", "pool/backward")
+            if ev.name in ("train/forward", "train/backward")
         )
-        assert inner > 0.0
-        assert measured_breakdown(tracer)["fwd_bwd"] == pytest.approx(inner)
+        fwd_bwd = measured_breakdown(events)["fwd_bwd"]
+        assert fwd_bwd > 0.0
+        assert fwd_bwd == pytest.approx(spans)
 
 
 class TestMeasuredBreakdown:

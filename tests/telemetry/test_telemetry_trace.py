@@ -116,8 +116,8 @@ class TestRingBuffer:
 
 class TestShippedSpanRemap:
     SHIPPED = [
-        ("pool/forward", "pool", 0.000, 0.010),
-        ("train/forward", "train", 0.002, 0.004),
+        ("pool/frame_task", "pool", 0.000, 0.010),
+        ("serve/frame", "serve", 0.002, 0.004),
     ]
 
     def test_remap_is_deterministic(self):
@@ -134,7 +134,7 @@ class TestShippedSpanRemap:
         tracer.record_shipped(self.SHIPPED, anchor, "pool-worker-3")
         outer, inner = tracer.events()
         assert outer == SpanEvent(
-            "pool/forward", "pool", "pool-worker-3", 2.0, 0.010, None
+            "pool/frame_task", "pool", "pool-worker-3", 2.0, 0.010, None
         )
         assert inner.start == 2.002
         assert inner.tid == "pool-worker-3"

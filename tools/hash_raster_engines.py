@@ -7,9 +7,10 @@ Usage (once per checkout, then diff the two outputs)::
 
 Prints one line per configuration — fixture x engine (``vectorized`` saved
 and rebuilt, and ``vectorized-blocks``: its forward cut into blocks of 64
-cells for 2 CPUs; ``fragment`` workers {0, 2} x shards {1, 3}; the
-per-shard ``rasterize_fragment_sources`` entry
-point) x {float64, float32} x {``alpha_min`` default, 0} — with two sha256
+cells for 2 CPUs; ``fragment`` shards {1, 3} and the per-shard
+``rasterize_fragment_sources`` entry point, each once inline on 1 CPU and
+once as ``-threads``: its shard slices on the block threads of 2 CPUs)
+x {float64, float32} x {``alpha_min`` default, 0} — with two sha256
 columns, ``fwd=`` over image and final transmittance and ``bwd=`` over the
 five gradient arrays, and on float64 lines ``ref=``, each gradient
 array's max-abs distance from the ``reference`` loop. The flat engines
@@ -20,7 +21,12 @@ it does not re-base equal to the parent commit's — the parity suites'
 re-bases one (PR 24 re-based ``bwd=``) must leave ``ref=`` where it was.
 Uses only names both sides of such a diff have: a line whose schedule
 needs a name the checkout lacks (``vectorized-blocks`` needs
-``engine.BLOCK_CELLS`` and ``pool.usable_cpus``) is not printed.
+``engine.BLOCK_CELLS`` and ``pool.usable_cpus``, and every ``fragment``
+and ``sources`` line ``pool.usable_cpus``) is not printed. A parent whose
+``fragment`` engine still had a process pool printed
+``fragment-wW-sS`` and ``sources-wW`` lines, ``W`` in {0, 2}; its ``w0``
+lines compare with the inline lines here, its ``w2`` lines with the
+``-threads`` lines.
 
 The ``cull`` lines that follow hash the geometric side in front of the
 rasterizer on a 30k-row scene — more than three of the exact cull's row
@@ -35,7 +41,8 @@ an older checkout's ``src`` and the lines can be diffed.
 ``--check`` asserts the equalities that hold inside one checkout and
 prints nothing else: every line repeats (a second run gives the same two
 digests), ``vectorized`` saved and rebuilt agree on all seven arrays,
-``vectorized-blocks`` equals ``vectorized`` on both digests, and each
+``vectorized-blocks`` equals ``vectorized`` and every ``-threads`` line
+its inline line on both digests, and each
 view's ``frustum_cull`` keeps exactly the rows that ``project_geometry``
 over the rows in depth range, gathered whole, puts on the image.
 """
@@ -49,7 +56,6 @@ import numpy as np
 
 from repro import pool
 from repro.cameras import Camera
-from repro.pool import shutdown_raster_pools
 from repro.render import RasterConfig, engine, frustum_cull
 from repro.render.engine import get_backward, get_forward
 from repro.render.fragment import FragmentSource, rasterize_fragment_sources
@@ -102,16 +108,35 @@ FIXTURES = {
     "occ300": (make_occluded(300, 64, 48), 64, 48),
 }
 
-ENGINE_CFGS = [("vectorized", dict(engine="vectorized"))]
+#: ``(label, config, CPU count)``: ``None`` leaves the count alone.
+ENGINE_CFGS = [("vectorized", dict(engine="vectorized"), None)]
 ENGINE_CFGS += [
-    (f"fragment-w{w}-s{s}",
-     dict(engine="fragment", workers=w, fragment_shards=s))
-    for w in (0, 2) for s in (1, 3)
+    (f"fragment-s{s}{suffix}", dict(engine="fragment", fragment_shards=s),
+     cpus)
+    for suffix, cpus in (("", 1), ("-threads", 2)) for s in (1, 3)
 ]
 
 
+#: Whether this checkout pins the block threads to the CPU count.
+HAS_CPUS = hasattr(pool, "usable_cpus")
+
 #: Whether this checkout cuts the vectorized forward into blocks.
-HAS_BLOCKS = hasattr(engine, "BLOCK_CELLS") and hasattr(pool, "usable_cpus")
+HAS_BLOCKS = hasattr(engine, "BLOCK_CELLS") and HAS_CPUS
+
+
+@contextmanager
+def cpu_count(cpus):
+    """The block threads of ``cpus`` CPUs: 1 runs every block and shard
+    slice inline, 2 on two threads; ``None`` leaves the count alone."""
+    if cpus is None:
+        yield
+        return
+    saved = pool.usable_cpus
+    pool.usable_cpus = lambda: cpus
+    try:
+        yield
+    finally:
+        pool.usable_cpus = saved
 
 
 @contextmanager
@@ -120,12 +145,13 @@ def small_blocks(cells=64, cpus=2):
     row of the fixtures is a block of its own — for ``cpus`` CPUs: the
     ``s150`` and ``s400`` views (four and five tile rows) run on the block
     threads, the two shorter ones stay one block."""
-    saved = engine.BLOCK_CELLS, pool.usable_cpus
-    engine.BLOCK_CELLS, pool.usable_cpus = cells, lambda: cpus
+    saved = engine.BLOCK_CELLS
+    engine.BLOCK_CELLS = cells
     try:
-        yield
+        with cpu_count(cpus):
+            yield
     finally:
-        engine.BLOCK_CELLS, pool.usable_cpus = saved
+        engine.BLOCK_CELLS = saved
 
 
 def digest(*arrays):
@@ -162,13 +188,14 @@ def fixture_runs(fname):
     grad = np.random.default_rng(11).normal(size=(h, w, 3))
     m2, con, col, op, dep, rad = splats
 
-    def run(label, cfg, forward=None, ref=None, **res_changes):
+    def run(label, cfg, forward=None, ref=None, cpus=None, **res_changes):
         forward = forward or (lambda: get_forward(cfg.engine)(
             m2, con, col, op, dep, rad, w, h, background=BG, config=cfg))
-        res = forward()
-        grads = get_backward(cfg.engine)(
-            m2, con, col, op, replace(res, **res_changes), grad,
-            background=BG, config=cfg)
+        with cpu_count(cpus):
+            res = forward()
+            grads = get_backward(cfg.engine)(
+                m2, con, col, op, replace(res, **res_changes), grad,
+                background=BG, config=cfg)
         return Run(label, res, grads, ref)
 
     for dtype in (None, "float32"):
@@ -181,8 +208,10 @@ def fixture_runs(fname):
             if dtype is None:
                 ref = run("", config(engine="reference")).grads
             tail = f"{dtype or 'float64'} amin={amin_name}"
-            for ename, kw in ENGINE_CFGS:
-                yield run(f"{fname} {ename} {tail}", config(**kw), ref=ref)
+            for ename, kw, cpus in ENGINE_CFGS:
+                if cpus is None or HAS_CPUS:
+                    yield run(f"{fname} {ename} {tail}", config(**kw),
+                              ref=ref, cpus=cpus)
                 if ename == "vectorized":
                     # the rebuild fallback of the saved table
                     yield run(
@@ -200,12 +229,14 @@ def fixture_runs(fname):
                 FragmentSource(m2[c], con[c], col[c], op[c], dep[c], rad[c])
                 for c in cuts
             ]
-            for workers in (0, 2):
-                cfg = config(engine="fragment", workers=workers)
-                yield run(
-                    f"{fname} sources-w{workers} {tail}", cfg, ref=ref,
-                    forward=lambda cfg=cfg: rasterize_fragment_sources(
-                        sources, w, h, background=BG, config=cfg))
+            cfg = config(engine="fragment")
+            for suffix, cpus in (("", 1), ("-threads", 2)):
+                if HAS_CPUS:
+                    yield run(
+                        f"{fname} sources{suffix} {tail}", cfg, ref=ref,
+                        cpus=cpus,
+                        forward=lambda: rasterize_fragment_sources(
+                            sources, w, h, background=BG, config=cfg))
 
 
 def make_cull_scene(n=30_000, seed=5):
@@ -298,21 +329,22 @@ def check(runs, again, culls, culls_again):
             vec = by_label[label.replace(" vectorized-blocks ", " vectorized ")]
             if (run.fwd, run.bwd) != (vec.fwd, vec.bwd):
                 failures.append(f"{label}: differs from vectorized")
+        if "-threads " in label:
+            inline = by_label[label.replace("-threads ", " ")]
+            if (run.fwd, run.bwd) != (inline.fwd, inline.bwd):
+                failures.append(f"{label}: differs from its inline run")
     return failures
 
 
 def main(argv):
     runs = [r for fname in FIXTURES for r in fixture_runs(fname)]
     culls = list(cull_runs())
-    try:
-        if argv[1:] == ["--check"]:
-            again = [r for fname in FIXTURES for r in fixture_runs(fname)]
-            failures = check(runs, again, culls, list(cull_runs()))
-            total = len(runs) + len(culls)
-            print("\n".join(failures) or f"ok: {total} lines")
-            return 1 if failures else 0
-    finally:
-        shutdown_raster_pools()
+    if argv[1:] == ["--check"]:
+        again = [r for fname in FIXTURES for r in fixture_runs(fname)]
+        failures = check(runs, again, culls, list(cull_runs()))
+        total = len(runs) + len(culls)
+        print("\n".join(failures) or f"ok: {total} lines")
+        return 1 if failures else 0
     lines = [r.line for r in runs] + [line for _, line, _ in culls]
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
