@@ -24,7 +24,12 @@ committed ``BENCH_disk.json`` baseline is the quick-mode run the CI
 Every row reports the write side of the disk channel — ``page_out_count``
 and its bytes beside ``clean_evictions`` — and every ``raw`` row must
 write exactly the bytes it spills (``page_out_disk_bytes ==
-page_out_bytes``). These are counts, so the gates hold on any machine.
+page_out_bytes``). Every training row (the matrix and the ~10x entry)
+also reports, per view of its schedule, how many shards hold a visible
+row (``active_shards``) and how many went through the exact cull
+(``exact_shards``; the candidate bound cleared the rest), and each
+view's active shards must be among its exact ones. These are counts, so
+the gates hold on any machine.
 
 ``GSSCALE_BENCH_QUICK=1`` shrinks every axis for CI smoke runs.
 """
@@ -89,6 +94,21 @@ def _page_out_counts(ledger, clean_evictions):
         "page_out_bytes": ledger.page_out_bytes,
         "page_out_disk_bytes": ledger.page_out_disk_bytes,
     }
+
+
+def _view_shards(system, cameras):
+    """Per view, the number of shards holding a visible row and of shards
+    whose exact cull ran (the candidate bound could not clear them), read
+    off the store's cull after the run. Gates that every active shard
+    went through the exact cull: the gate skips only shards with nothing
+    to see."""
+    active, exact = [], []
+    for cam in cameras:
+        cull = system.store.visible(cam)
+        assert set(cull.active_shards) <= set(cull.exact_shards)
+        active.append(len(cull.active_shards))
+        exact.append(len(cull.exact_shards))
+    return {"active_shards": active, "exact_shards": exact}
 
 
 def _assert_raw_writes_its_bytes(entries):
@@ -222,6 +242,7 @@ def test_disk_paging_matrix(benchmark):
                         ),
                         "step_s": step_s,
                         "sync_spill_s": s.sync_spill_seconds,
+                        **_view_shards(s, cameras[:2]),
                     })
         return entries
 
@@ -300,6 +321,7 @@ def test_tenx_budget_entry(benchmark):
                 / max(s.prefetch_hits + s.prefetch_misses, 1), 4
             ),
             "step_s": step_s,
+            **_view_shards(s, scene.train_cameras),
         }
 
     entry = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -27,7 +27,8 @@ import pytest
 from repro.cameras import trajectories
 from repro.datasets.synthetic import SyntheticSceneConfig, generate_point_cloud
 from repro.gaussians import GaussianModel, layout
-from repro.render import frustum_cull, shutdown_raster_pools
+from repro.pool import shutdown_raster_pools
+from repro.render import frustum_cull
 from repro.serve import (
     LODSet,
     PagedServingStore,

@@ -91,15 +91,30 @@ def _open_checkpoint(path: str):
     Version/system/layout *mismatches* are checked by the callers after a
     successful open and stay ``ValueError`` — this wrapper only converts
     "cannot even parse the archive" failures.
+
+    The file is opened here, not by ``np.load``: a zip parse that fails
+    inside ``np.load(path)`` leaves numpy's own handle unclosed, so the
+    handle is closed on every failure and handed to the archive on
+    success (closing the archive closes it, as after ``np.load(path)``).
     """
+    fh = None
     try:
-        return np.load(path, allow_pickle=False)
+        fh = open(path, "rb")
+        data = np.load(fh, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError(f"not an archive but {type(data).__name__}")
+        # what np.load(path) sets: the archive owns the file from here
+        data.fid, fh = fh, None
+        return data
     except (*_CORRUPTION_ERRORS, ValueError) as exc:
         raise CorruptCheckpointError(
             path,
             detail=f"unreadable archive ({type(exc).__name__}: {exc})",
             actual=_file_size(path),
         ) from exc
+    finally:
+        if fh is not None:
+            fh.close()
 
 
 def load_checkpoint(path: str, system: TrainingSystem) -> None:

@@ -69,12 +69,12 @@ from ..optim.adam import DenseAdam
 from ..optim.base import AdamConfig, SparseOptimizer, StepStats, ascending
 from ..optim.deferred import DeferredAdam
 from ..render import CullResult, frustum_cull
+from ..render.culling import gated_cull
 from ..sim.memory import MemoryTracker
 from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
 from .pager import PageFile, PreloadedShard, ResidentSet, _WriteBehindWriter
 from .pagecodec import get_page_codec
-from .splitting import members
 
 _F32 = 4  # accounting is in float32-equivalent bytes
 _PAGED_FIELDS = ("params", "m", "v")  # the state a DiskStore spills
@@ -999,10 +999,13 @@ class HybridStore(ParameterStore):
         for child in self.children:
             child.set_lr(lr_packed)
 
-    def visible(self, camera: Camera) -> CullResult:
+    def geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The geometric child's :meth:`~ParameterStore.geometry`: what
+        :meth:`visible` culls, and what a :class:`ShardedStore` reads to
+        gate a shard's cull."""
         for child in self.children:
             if child.block.contains(layout.GEOMETRIC_BLOCK.sl):
-                return child.visible(camera)
+                return child.geometry()
         raise NotImplementedError("no child owns the geometric columns")
 
     def leaves(self, prefix: str = "", rows: np.ndarray | None = None):
@@ -1016,9 +1019,16 @@ class HybridStore(ParameterStore):
 class ShardedCullResult(CullResult):
     """A :class:`ShardedStore` cull: the union over the shards plus
     ``shard_visible``, each shard's own visible count — per-view shard
-    activation read off the cull that was run anyway."""
+    activation read off the cull that was run anyway — and
+    ``exact_shards``, the shards whose exact test ran: every shard the
+    candidate bound could not clear (see :meth:`ShardedStore.visible`),
+    ascending. Deterministic, and a superset of :attr:`active_shards`."""
 
+    #: each shard's visible count, by shard index
     shard_visible: tuple[int, ...]
+    #: the shards whose exact cull ran, ascending; the others had no
+    #: candidate row, so none of their rows is visible
+    exact_shards: tuple[int, ...]
 
     @property
     def active_shards(self) -> list[int]:
@@ -1031,16 +1041,23 @@ class ShardedStore(ParameterStore):
 
     The row-space analogue of :class:`HybridStore`: every shard owns a
     sorted array of global Gaussian ids (a spatial partition from
-    :func:`repro.core.splitting.spatial_partition`) and a store — in the
-    sharded GS-Scale system a :class:`HybridStore` with its own device
-    tracker and transfer ledger, modeling one GPU per shard.
+    :func:`repro.core.splitting.spatial_partition`; together they tile
+    ``0..N-1``) and a store — in the sharded GS-Scale system a
+    :class:`HybridStore` with its own device tracker and transfer ledger,
+    modeling one GPU per shard.
 
-    ``stage``/``unstage`` touch only the shards with visible members
-    (per-view shard activation: an out-of-frustum shard costs no staging
-    memory and no PCIe traffic). ``return_grads`` always visits every
-    shard — inactive shards receive an empty batch so each shard's
-    optimizer ticks exactly once per training step, keeping per-row
-    trajectories identical to the unsharded system.
+    Per-view work scales with the shards a view can see. ``visible``
+    projects only the shards the candidate bound cannot clear (a shard
+    wholly outside the frustum costs one depth product and one bound
+    pass). ``stage``/``unstage`` touch only the shards with visible
+    members (per-view shard activation: an out-of-frustum shard costs no
+    staging memory and no PCIe traffic). Rows are split between shards
+    through an owner map built once at construction — each row's shard
+    and its index inside that shard — with one gather and one stable sort
+    per call. ``return_grads`` always visits every shard — inactive shards
+    receive an empty batch so each shard's optimizer ticks exactly once
+    per training step, keeping per-row trajectories identical to the
+    unsharded system.
     """
 
     def __init__(
@@ -1055,6 +1072,20 @@ class ShardedStore(ParameterStore):
         self.stores = list(stores)
         self.block = stores[0].block
         self._num_rows = int(sum(r.size for r in self.shard_rows))
+        # owner map: row -> (its shard, its index inside the shard)
+        every = np.concatenate(self.shard_rows)
+        if not np.array_equal(
+            np.bincount(every, minlength=self._num_rows),
+            np.ones(self._num_rows, dtype=np.int64),
+        ):
+            raise ValueError("shard rows must tile 0..N-1 exactly once")
+        self._owner = np.empty(
+            self._num_rows, dtype=np.min_scalar_type(len(stores) - 1)
+        )
+        self._local = np.empty(self._num_rows, dtype=np.int64)
+        for k, rows in enumerate(self.shard_rows):
+            self._owner[rows] = k
+            self._local[rows] = np.arange(rows.size)
 
     @property
     def num_rows(self) -> int:
@@ -1069,16 +1100,31 @@ class ShardedStore(ParameterStore):
         """Number of shards."""
         return len(self.stores)
 
+    def _members(self, ids: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(sel, local)`` of every shard, as
+        :func:`~repro.core.splitting.members` gives them: positions within
+        ``ids`` (ascending) and shard-local row indices."""
+        if ids.size == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return [(empty, empty)] * self.num_shards
+        owner = self._owner[ids]
+        order = np.argsort(owner, kind="stable")
+        local = self._local[ids[order]]
+        ends = np.cumsum(np.bincount(owner, minlength=self.num_shards))
+        starts = np.concatenate(([0], ends[:-1]))
+        return [
+            (order[lo:hi], local[lo:hi]) for lo, hi in zip(starts, ends)
+        ]
+
     def split(
         self, ids: np.ndarray
     ) -> Iterator[tuple[int, ParameterStore, np.ndarray, np.ndarray]]:
         """``(k, store, sel, local)`` for every shard with members among
         ``ids``: the shard's index and store, the positions of its members
         within ``ids``, and their shard-local row indices."""
-        for k, (rows, store) in enumerate(zip(self.shard_rows, self.stores)):
-            sel, local = members(ids, rows)
+        for k, (sel, local) in enumerate(self._members(ids)):
             if sel.size:
-                yield k, store, sel, local
+                yield k, self.stores[k], sel, local
 
     def stage(self, ids: np.ndarray) -> np.ndarray:
         out = np.empty((ids.size, self.dim), dtype=self.dtype)
@@ -1101,8 +1147,7 @@ class ShardedStore(ParameterStore):
     def return_grads(self, ids: np.ndarray, grads: np.ndarray) -> None:
         # every shard, not only split(ids): an inactive shard's optimizer
         # must tick
-        for rows, store in zip(self.shard_rows, self.stores):
-            sel, local = members(ids, rows)
+        for store, (sel, local) in zip(self.stores, self._members(ids)):
             store.return_grads(local, grads[sel])
 
     def commit(self) -> None:
@@ -1134,9 +1179,19 @@ class ShardedStore(ParameterStore):
         Culling is per-Gaussian, so the union over a partition equals the
         unsharded cull bit-for-bit; each shard's pass is the work its own
         device would do, and a shard wholly outside the frustum shows as a
-        zero in ``shard_visible``.
+        zero in ``shard_visible``. The candidate bound gates each shard's
+        exact test (:func:`~repro.render.culling.gated_cull`): a shard
+        with no candidate is not projected at all, and one with any runs
+        the exact test over all of its rows, as without the gate, so the
+        result does not depend on the gate (numerics contract fact 6).
         """
-        results = [store.visible(camera) for store in self.stores]
+        results: list[CullResult] = []
+        exact: list[int] = []
+        for k, store in enumerate(self.stores):
+            res, ran = gated_cull(*store.geometry(), camera)
+            results.append(res)
+            if ran:
+                exact.append(k)
         parts = [
             rows[res.valid_ids]
             for rows, res in zip(self.shard_rows, results)
@@ -1153,6 +1208,7 @@ class ShardedStore(ParameterStore):
             num_in_depth=sum(res.num_in_depth for res in results),
             num_visible=int(valid.size),
             shard_visible=tuple(res.num_visible for res in results),
+            exact_shards=tuple(exact),
         )
 
     def leaves(self, prefix: str = "", rows: np.ndarray | None = None):

@@ -624,7 +624,8 @@ class ShardedGSScaleSystem(TrainingSystem):
     Gaussian-sharded training and TideGS's out-of-core blocks.
 
     Per view, every shard frustum-culls its own geometry — inside
-    :meth:`~repro.core.stores.ShardedStore.visible`, serially; shards
+    :meth:`~repro.core.stores.ShardedStore.visible`, serially, and only
+    the shards the candidate bound cannot clear are projected; shards
     entirely outside the frustum are skipped: no staging, no traffic.
     Rendering depends on the engine: by default the visible union is
     staged and renders jointly (the Grendel gather); with the

@@ -25,7 +25,6 @@ from .fragment import (
     rasterize_fragment,
     rasterize_fragment_sources,
 )
-from ..pool import shutdown_raster_pools
 from .pipeline import RenderBackwardResult, RenderResult, render, render_backward
 from .rasterize import ENGINES, RASTER_DTYPES, RasterConfig
 from .tiles import TileBinning, bin_gaussians
@@ -55,7 +54,6 @@ __all__ = [
     "rasterize_vectorized",
     "render",
     "render_backward",
-    "shutdown_raster_pools",
     "tile_intersections",
     "tiles",
 ]

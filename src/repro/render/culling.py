@@ -33,6 +33,15 @@ bound** on its splat radius. What it returns is a superset of what
 gives the same visible set for a fraction of the projections. It reads no
 quaternion, builds no covariance and stores nothing per row.
 
+Its third user is the sharded training cull
+(:meth:`~repro.core.stores.ShardedStore.visible`), through
+:func:`gated_cull`: there it is a **gate**, not a filter. A shard with no
+candidate skips the exact test; a shard with any runs it over all of its
+rows, never over the gathered candidates, because a product over another
+row set may round a grazing depth differently (numerics contract fact 2)
+and training must keep its bits. The exact stage sees the same rows as
+without the gate or none, so the gate is bit-identical by construction.
+
 The bound. With ``t = (tx, ty, tz)`` the camera-space centre, ``J`` the
 perspective Jacobian at ``t``, ``W`` the camera rotation, ``M = J W``,
 ``Sigma = R S^2 R^T`` and the 2D covariance ``M Sigma M^T + EPS_2D I``
@@ -135,12 +144,7 @@ def frustum_cull(
         :class:`CullResult` with the visible indices.
     """
     num_total = means.shape[0]
-    dtype = means.dtype
-    rot = camera.world_to_cam_rot.astype(dtype)
-    trans = camera.world_to_cam_trans.astype(dtype)
-    depths = means @ rot.T[:, 2] + trans[2]
-    depth_mask = (depths > camera.near) & (depths < camera.far)
-    depth_ids = np.nonzero(depth_mask)[0]
+    depth_ids = np.nonzero(_in_depth(means, camera))[0]
     num_in_depth = depth_ids.size
     if num_in_depth == 0:
         return CullResult(
@@ -221,14 +225,61 @@ def cull_candidates(
         caller that must match to the row hands it a camera without
         depth limits — every candidate is in range already).
     """
+    in_range = _in_depth(means, camera)
+    ids = np.nonzero(in_range)[0] if rows is None else rows[in_range[rows]]
+    return _within_reach(means, log_scales, camera, ids)
+
+
+def gated_cull(
+    means: np.ndarray,
+    log_scales: np.ndarray,
+    quats: np.ndarray,
+    camera: Camera,
+) -> tuple[CullResult, bool]:
+    """:func:`frustum_cull`, skipped when :func:`cull_candidates` leaves
+    no row for it.
+
+    A gate, not a filter: with one candidate or more the exact test runs
+    over all of the rows, as it would without the gate, never over the
+    gathered candidates (a product over another row set may round a
+    grazing depth differently, numerics contract fact 2). With none, the
+    verdict is known without a projection: nothing visible, and
+    ``num_in_depth`` read off the near/far mask the exact test draws.
+    Either way the result is bit-identical to ``frustum_cull``'s.
+
+    Returns:
+        ``(result, exact)``: the cull, and whether the exact test ran.
+    """
+    depth_ids = np.nonzero(_in_depth(means, camera))[0]
+    if _within_reach(means, log_scales, camera, depth_ids).size:
+        return frustum_cull(means, log_scales, quats, camera), True
+    return CullResult(
+        valid_ids=np.empty(0, dtype=np.int64),
+        num_total=means.shape[0],
+        num_in_depth=depth_ids.size,
+        num_visible=0,
+    ), False
+
+
+def _in_depth(means: np.ndarray, camera: Camera) -> np.ndarray:
+    """The near/far mask of both stages: one expression, so a row grazing
+    a plane lands on the same side in each."""
     dtype = means.dtype
     rot = camera.world_to_cam_rot.astype(dtype)
     trans = camera.world_to_cam_trans.astype(dtype)
     depths = means @ rot.T[:, 2] + trans[2]
-    in_range = (depths > camera.near) & (depths < camera.far)
-    ids = np.nonzero(in_range)[0] if rows is None else rows[in_range[rows]]
+    return (depths > camera.near) & (depths < camera.far)
+
+
+def _within_reach(
+    means: np.ndarray, log_scales: np.ndarray, camera: Camera, ids: np.ndarray
+) -> np.ndarray:
+    """The rows among ``ids`` (in depth range) the radius bound keeps."""
     if ids.size == 0:
         return ids
+    dtype = means.dtype
+    rot = camera.world_to_cam_rot.astype(dtype)
+    trans = camera.world_to_cam_trans.astype(dtype)
 
     # column by column: a 1-D take from a strided view is several times
     # faster than fancy-indexing (or reducing over) its short rows

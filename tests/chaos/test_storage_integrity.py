@@ -8,7 +8,10 @@ every write must be atomic, so a torn write can only ever leave the
 *previous* bytes or a detectably-torn file, never a silent half-write.
 """
 
+import gc
 import os
+import sys
+import warnings
 import zipfile
 
 import numpy as np
@@ -349,6 +352,31 @@ class TestCorruptCheckpoints:
             load_checkpoint(dst, trainer.system)
         with pytest.raises(CorruptCheckpointError):
             CheckpointReader(dst)
+
+    @pytest.mark.parametrize("damage", ["torn", "truncated"])
+    def test_unreadable_archive_closes_its_file(
+        self, trained, tmp_path, monkeypatch, damage
+    ):
+        """A zip parse that fails must not leak the file handle. The
+        warning of a leaked one is raised inside the file's finalizer,
+        which reports it to ``sys.unraisablehook``."""
+        dst = self._copy(trained, tmp_path)
+        if damage == "torn":  # the end-of-central-directory record
+            corrupt_file(dst, offset=os.path.getsize(dst) - 22, length=22)
+        else:
+            truncate_file(dst, keep_fraction=0.3)
+        leaked = []
+        monkeypatch.setattr(
+            sys, "unraisablehook", lambda u: leaked.append(str(u.exc_value))
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            gc.collect()
+            assert validate_checkpoint(dst) is not None
+            with pytest.raises(CorruptCheckpointError):
+                CheckpointReader(dst)
+            gc.collect()
+        assert leaked == []
 
 
 class TestServingQuarantine:

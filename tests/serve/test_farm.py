@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.datasets import SyntheticSceneConfig, build_scene
-from repro.pool import get_raster_pool
-from repro.render import RasterConfig, shutdown_raster_pools
+from repro.pool import get_raster_pool, shutdown_raster_pools
+from repro.render import RasterConfig
 from repro.serve import (
     FrameTask,
     InMemoryServingStore,

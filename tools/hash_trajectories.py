@@ -59,7 +59,8 @@ from repro.core.checkpoint import (
 from repro.datasets import SyntheticSceneConfig, build_scene
 from repro.densify import DensifyConfig
 from repro.gaussians import layout
-from repro.render import RasterConfig, shutdown_raster_pools
+from repro.pool import shutdown_raster_pools
+from repro.render import RasterConfig
 from repro.serve import FrameTask, PagedServingStore
 from repro.serve.farm import render_frame
 
