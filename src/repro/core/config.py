@@ -87,7 +87,7 @@ class GSScaleConfig:
             queues need ``async_prefetch`` and pay off on
             locality-ordered view schedules (``view_order="locality"``).
         write_behind: move the ``outofcore`` system's dirty page-outs to
-            a background writer thread (epoch-fenced, drained before
+            the write-behind lane (epoch-fenced, drained before
             densification rebuilds and checkpoints) instead of writing
             them synchronously on the admit path.
         telemetry: record measured spans and metrics. Installs the

@@ -13,16 +13,14 @@ for training; immutable pages and quarantine for serving) stays per tier.
 
 from __future__ import annotations
 
-import queue
-import threading
+import contextlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .. import faults
-from ..pool import pool_fork_guard
-from ..telemetry import trace as _trace
+from ..pool import Lane
 from ..telemetry.trace import span as _span
 from .integrity import CorruptPageError, atomic_write_bytes, checksum
 from .pagecodec import get_page_codec
@@ -201,8 +199,8 @@ class PreloadedShard:
         return sum(a.nbytes for a in self.arrays.values())
 
 
-class _WriteBehindWriter:
-    """Single background thread draining queued :class:`DiskStore` page-outs.
+class _WriteBehindWriter(Lane):
+    """The write-behind lane: queued :class:`DiskStore` page-outs.
 
     With write-behind enabled, :meth:`DiskStore.spill` detaches the
     working set and enqueues ``(store, epoch)`` here instead of writing
@@ -213,66 +211,31 @@ class _WriteBehindWriter:
     its job ran is simply skipped. The spill of a clean store writes
     nothing and queues no job.
 
-    ``drain()`` blocks until every queued write has landed — the fence
+    ``drain()`` blocks until every queued write has landed and re-raises
+    the first failed one — the fence
     :func:`~repro.core.checkpoint.save_checkpoint` relies on (via
     ``finalize()``) so a checkpoint never races a queued page-out, and
     the densification rebuild uses before discarding the old stores.
     """
 
     def __init__(self):
-        self._queue: queue.Queue = queue.Queue()
-        self._closed = False
-        self._error: Exception | None = None
+        super().__init__("writeback")
         self.jobs_written = 0
-        self._thread = threading.Thread(
-            target=self._run, name="gsscale-writeback", daemon=True
-        )
-        self._thread.start()
 
     def enqueue(self, store: "DiskStore", epoch: int) -> None:
         """Queue the store's pending page-out (tagged with its epoch)."""
-        self._queue.put((store, epoch))
+        self.submit(self._write, store, epoch)
 
-    def drain(self) -> None:
-        """Block until every queued write has been applied or skipped."""
-        self._queue.join()
-        if self._error is not None:
-            error, self._error = self._error, None
-            raise error
-
-    def close(self) -> None:
-        """Drain outstanding writes and stop the thread (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._queue.put(None)
-        self._thread.join()
-        if self._error is not None:
-            error, self._error = self._error, None
-            raise error
-
-    def _run(self) -> None:
-        while True:
-            job = self._queue.get()
-            try:
-                if job is None:
-                    return
-                store, epoch = job
-                _trace.name_current_thread("gsscale-writeback")
-                faults.fault_point("pager:write_behind")
-                with _span("page/writeback", "page"):
-                    store._complete_pending_write(epoch)
-                self.jobs_written += 1
-            except Exception as exc:  # surfaced by the next drain()/close()
-                self._error = exc
-            finally:
-                self._queue.task_done()
+    def _write(self, store: "DiskStore", epoch: int) -> None:
+        with _span("page/writeback", "page"):
+            store._complete_pending_write(epoch)
+        self.jobs_written += 1
 
 
 class _AsyncPrefetcher:
     """Background leg of the out-of-core pipeline.
 
-    Given a hint of the upcoming views, a daemon thread predicts their
+    Given a hint of the upcoming views, the prefetch lane predicts their
     active shards (a cull over the device-resident geometry) and
     snapshots the spilled ones into host buffers
     (:meth:`~repro.core.stores.DiskStore.preload`) while the training
@@ -291,7 +254,7 @@ class _AsyncPrefetcher:
     survive :meth:`take` until consumed or dropped from a newer hint —
     the depth-D staging queue. Host bytes held by the queue are capped
     at ``depth x resident budget x worst shard state`` (the staging
-    budget); the worker stops staging deeper views at the cap.
+    budget); the lane stops staging deeper views at the cap.
 
     ``stores`` are the shards' spilling stores by shard index, ``budget``
     the resident-set budget, ``active_shards`` the system's ``camera ->
@@ -309,24 +272,16 @@ class _AsyncPrefetcher:
         self._budget = budget
         self._active_shards = active_shards
         self.depth = depth
-        self._cameras: list[Camera] = []
         #: staged snapshots keyed by ``id(camera)`` — identity, not
         #: equality: the trainer hints the very objects it will train on
         self._results: dict[int, tuple[Camera, dict]] = {}
         #: host bytes of the staged queue, current and high-water (kept
         #: here, not on a MemoryTracker: trackers are training-
-        #: thread-only, and the buffers are owned by this thread until
+        #: thread-only, and the buffers are owned by the lane until
         #: adoption — the sim's ``staging_shards`` term models them)
         self.staged_bytes = 0
         self.peak_staged_bytes = 0
-        self._have_job = threading.Event()
-        self._done = threading.Event()
-        self._done.set()
-        self._stop = False
-        self._thread = threading.Thread(
-            target=self._run, name="gsscale-prefetch", daemon=True
-        )
-        self._thread.start()
+        self._lane = Lane("prefetch")
 
     def staging_budget_bytes(self) -> int:
         """Cap on staged host bytes: depth x resident budget x the worst
@@ -339,17 +294,15 @@ class _AsyncPrefetcher:
         """Start prefetching for ``cameras``, nearest first (waits out
         any running job). Staged views absent from the new hint are
         dropped; views already staged are not re-read."""
-        if self._stop:
-            return
-        self._done.wait()
+        self._settle()
         keep = {id(c) for c in cameras}
-        for key in list(self._results):
-            if key not in keep:
-                del self._results[key]
+        self._results = {k: v for k, v in self._results.items() if k in keep}
+        batch = [c for c in cameras if id(c) not in self._results]
+        for camera in batch:
+            self._results[id(camera)] = (camera, {})  # a miss until staged
         self._refresh_staged()
-        self._cameras = [c for c in cameras if id(c) not in self._results]
-        self._done.clear()
-        self._have_job.set()
+        if batch:
+            self._lane.submit(self._stage, batch)
 
     def take(self, camera: Camera) -> tuple[bool, dict]:
         """``(matched, buffers)`` for ``camera``.
@@ -359,7 +312,7 @@ class _AsyncPrefetcher:
         staged view is discarded (the double-buffer contract); at
         depth > 1 deeper views stay queued for their own take.
         """
-        self._done.wait()
+        self._settle()
         entry = self._results.pop(id(camera), None)
         if self.depth == 1:
             self._results.clear()
@@ -369,10 +322,16 @@ class _AsyncPrefetcher:
         return False, {}
 
     def close(self) -> None:
-        """Stop the worker thread (idempotent)."""
-        self._stop = True
-        self._have_job.set()
-        self._thread.join(timeout=5.0)
+        """Wait out the running job and stop the lane (idempotent)."""
+        self._settle()
+        self._lane.close()
+
+    def _settle(self) -> None:
+        """Wait out the outstanding ticket. A failed one leaves the views
+        it did not reach staged empty, as :meth:`schedule` left them: a
+        failed prefetch, like a failed snapshot, is just a miss."""
+        with contextlib.suppress(Exception):
+            self._lane.drain()
 
     def _refresh_staged(self) -> None:
         # fp32-equivalent units, like every MemoryTracker in the repo
@@ -383,27 +342,13 @@ class _AsyncPrefetcher:
         )
         self.peak_staged_bytes = max(self.peak_staged_bytes, self.staged_bytes)
 
-    def _run(self) -> None:
-        while True:
-            self._have_job.wait()
-            self._have_job.clear()
-            if self._stop:
-                self._done.set()
-                return
-            _trace.name_current_thread("gsscale-prefetch")
-            cap = self.staging_budget_bytes()
-            for camera in self._cameras:
-                try:
-                    # fork guard: a render-farm or patch-job pool must
-                    # never fork while this thread is mid-read (inherited
-                    # half-held locks would wedge the child workers)
-                    with pool_fork_guard, _span("page/prefetch", "page"):
-                        buffers = self._prepare(camera, cap)
-                except Exception:
-                    buffers = {}  # a failed prefetch is just a cache miss
-                self._results[id(camera)] = (camera, buffers)
-                self._refresh_staged()
-            self._done.set()
+    def _stage(self, cameras: list[Camera]) -> None:
+        cap = self.staging_budget_bytes()
+        for camera in cameras:
+            # a failed snapshot leaves the view staged empty: just a miss
+            with contextlib.suppress(Exception), _span("page/prefetch", "page"):
+                self._results[id(camera)] = (camera, self._prepare(camera, cap))
+            self._refresh_staged()
 
     def _prepare(self, camera: Camera, cap: int) -> dict:
         buffers = {}

@@ -910,9 +910,9 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         self.prefetch_misses = 0
         self._pending_hints: list[Camera] = []
         self._scheduled_hints: list[Camera] = []
-        # rebuild fences: the old prefetch thread targets old stores, and
-        # every queued page-out must land before the spill files are
-        # reused by the new stores
+        # rebuild fences: closing a lane waits out its running task, so
+        # no old prefetch is still reading and every queued page-out has
+        # landed before the new stores reuse the spill files
         self._close_prefetcher()
         self._sync_spill_carryover = getattr(self, "_sync_spill_carryover", 0)
         self._sync_spill_s_carryover = getattr(self, "_sync_spill_s_carryover", 0.0)
@@ -955,10 +955,7 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
     def _close_prefetcher(self) -> None:
         prefetcher = getattr(self, "_prefetcher", None)
         if prefetcher is not None:
-            self._prefetch_staged_peak = max(
-                getattr(self, "_prefetch_staged_peak", 0),
-                prefetcher.peak_staged_bytes,
-            )
+            self._prefetch_staged_peak = self.prefetch_staged_peak_bytes
             prefetcher.close()
             self._prefetcher = None
 

@@ -21,6 +21,9 @@ from ..cameras import Camera, trajectories
 from ..gaussians import GaussianModel
 from ..render import RasterConfig, render
 
+#: Fraction of oracle points kept for the degraded initial model (SfM clouds are much sparser).
+INIT_FRACTION = 0.5
+
 
 @dataclass
 class SyntheticSceneConfig:
@@ -37,8 +40,6 @@ class SyntheticSceneConfig:
         altitude: flight altitude of the aerial sweep; lower altitude gives
             smaller frustum footprints and therefore lower active ratios.
         fov_x_deg: horizontal field of view.
-        init_fraction: fraction of oracle points kept for the degraded
-            initial model (SfM clouds are much sparser than final models).
         seed: RNG seed; everything downstream is deterministic in it.
     """
 
@@ -53,7 +54,6 @@ class SyntheticSceneConfig:
     num_test_cameras: int = 4
     altitude: float = 9.0
     fov_x_deg: float = 60.0
-    init_fraction: float = 0.5
     seed: int = 0
 
 
@@ -194,7 +194,7 @@ def build_scene(config: SyntheticSceneConfig | None = None) -> SyntheticScene:
     test_images = [render(oracle, cam, config=cfg).image for cam in test_cameras]
 
     # degraded initial model: subsample points, perturb, forget colors a bit
-    keep = max(int(len(oracle) * config.init_fraction), 4)
+    keep = max(int(len(oracle) * INIT_FRACTION), 4)
     ids = rng.choice(len(oracle), size=keep, replace=False)
     init_points = points[ids] + rng.normal(
         scale=0.01 * config.extent, size=(keep, 3)

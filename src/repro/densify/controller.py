@@ -16,6 +16,11 @@ import numpy as np
 
 from ..gaussians import GaussianModel, quaternion
 
+#: Prune Gaussians whose opacity falls below this.
+OPACITY_PRUNE_THRESHOLD = 0.005
+#: Factor by which a split child's scale shrinks (3DGS uses 1.6).
+SPLIT_SCALE_SHRINK = 1.6
+
 
 @dataclass
 class DensifyConfig:
@@ -29,11 +34,8 @@ class DensifyConfig:
             is densified (pixel units; 3DGS uses 2e-4 in NDC).
         percent_dense: world-size knee — Gaussians larger than
             ``percent_dense * scene_extent`` split, smaller ones clone.
-        opacity_prune_threshold: prune Gaussians whose opacity falls below.
         max_gaussians: hard cap on scene size (the paper's scale knob —
             lowering it emulates the "Small" scene variants).
-        split_scale_shrink: factor by which a split child's scale shrinks
-            (3DGS uses 1.6).
         opacity_reset_interval: if set, every this many iterations all
             opacities are clamped down to ``opacity_reset_value`` (3DGS
             resets every 3000 iterations to combat floaters); ``None``
@@ -47,9 +49,7 @@ class DensifyConfig:
     stop_iteration: int = 15_000
     grad_threshold: float = 1e-4
     percent_dense: float = 0.01
-    opacity_prune_threshold: float = 0.005
     max_gaussians: int | None = None
-    split_scale_shrink: float = 1.6
     opacity_reset_interval: int | None = None
     opacity_reset_value: float = 0.01
 
@@ -165,7 +165,7 @@ class DensificationController:
             local = self._rng.normal(size=(split_ids.size, 3)) * scales
             offsets = np.einsum("nij,nj->ni", rot, local)
             children[:, 0:3] = model.means[split_ids] + offsets
-            shrunk = np.log(scales / cfg.split_scale_shrink)
+            shrunk = np.log(scales / SPLIT_SCALE_SHRINK)
             children[:, 3:6] = shrunk
             model.log_scales[split_ids] = shrunk  # parent shrinks in place
             new_rows.append(children)
@@ -176,7 +176,7 @@ class DensificationController:
 
         # prune low-opacity Gaussians (never the freshly added rows)
         opacities = 1.0 / (1.0 + np.exp(-params[:, 10]))
-        keep = opacities >= cfg.opacity_prune_threshold
+        keep = opacities >= OPACITY_PRUNE_THRESHOLD
         num_pruned = int((~keep).sum())
         params = params[keep]
 

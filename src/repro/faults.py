@@ -7,9 +7,8 @@ recovery paths run under test. This module makes faults *schedulable*: a
 — kill the worker that reaches task N, delay a shard kernel, tear or
 corrupt the bytes of a matching file write — and the hooks compiled into
 the hot paths (:func:`fault_point` in the raster kernels, the pool task
-wrapper, the pager's write-behind lane and its page writes,
-:func:`check_write_fault` in
-the atomic writers) consult the
+wrapper, every :class:`~repro.pool.Lane` task and the pager's page
+writes, :func:`check_write_fault` in the atomic writers) consult the
 installed plan and fire each fault exactly the scheduled number of times.
 
 Two properties make the injected runs reproducible:
@@ -67,13 +66,13 @@ class Fault:
 
     Attributes:
         point: fault-point name (``"pool:task"``, ``"fragment:pairs"``,
-            ``"pager:write_behind"``, ``"pager:page_out"``, ...).
+            ``"lane:writeback"``, ``"pager:page_out"``, ...).
         action: ``"kill"`` (SIGKILL the visiting pool worker),
             ``"delay"`` (sleep ``seconds``), or ``"raise"``
             (:class:`InjectedFaultError`).
         index: restrict to visits reporting this task index
             (``None`` matches any; ``"pool:task"`` reports the task's,
-            ``"block:forward"`` the tile-row block's).
+            ``"block:forward"`` the block's, ``"lane:*"`` the lane task's).
         after: skip this many eligible visits before firing.
         times: how many eligible visits fire (1 = exactly once).
         seconds: sleep length of a ``"delay"`` fault.
@@ -206,9 +205,9 @@ def fault_point(name: str, index: int | None = None) -> None:
     """Visit the fault point ``name`` (no-op without an armed plan).
 
     Compiled into the fragment kernels, the vectorized forward's block
-    tasks, the supervised pool's task wrapper, the pager's write-behind
-    lane and ``PageFile.write``; ``index`` is the pool task or block index
-    where one exists.
+    tasks, the supervised pool's task wrapper, every lane task
+    (``lane:{name}``, :class:`~repro.pool.Lane`) and ``PageFile.write``;
+    ``index`` is the pool task, block or lane-task index where one exists.
     """
     plan = _PLAN
     if plan is None:

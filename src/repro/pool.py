@@ -19,17 +19,21 @@ multi-core mechanism of a single view: the tile-row blocks of the
 run on threads of the calling process (numpy releases the GIL in its
 array passes), one per CPU the process may run on, and inline inside a
 :class:`PersistentPool` worker, which is already one core of a fan-out.
+
+:class:`Lane` is the one background-work primitive: a long-lived thread
+running its tasks in order — the pager's write-behind and prefetch lanes.
 """
 
 from __future__ import annotations
 
 import atexit
+import itertools
 import multiprocessing as mp
 import os
 import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -39,6 +43,7 @@ from .telemetry import trace as _trace
 from .telemetry.metrics import aggregate_counts
 
 __all__ = [
+    "Lane",
     "PersistentPool",
     "PoolFaultError",
     "attach_shm",
@@ -63,10 +68,9 @@ __all__ = [
 _LIVE_POOLS: "weakref.WeakSet[PersistentPool]" = weakref.WeakSet()
 
 #: Serializes fork-based pool creation against background work that must
-#: not be mid-flight at fork time. The async prefetch thread holds this
-#: while it reads spill files, so a child process can never be forked
-#: with that thread's locks/allocations half-done (hold it around any
-#: similar background leg that coexists with PersistentPool use).
+#: not be mid-flight at fork time: every :class:`Lane` task holds it, so
+#: a child process can never be forked with a lane's locks or
+#: allocations half-done.
 pool_fork_guard = threading.Lock()
 
 
@@ -474,6 +478,62 @@ def map_blocks(fn, tasks) -> list:
     futures = [executor.submit(fn, task) for task in tasks]
     wait(futures)
     return [future.result() for future in futures]
+
+
+# ---------------------------------------------------------------------------
+# background lanes
+# ---------------------------------------------------------------------------
+
+class Lane:
+    """One long-lived background thread running submitted tasks in order.
+
+    :meth:`submit` returns a plain :class:`~concurrent.futures.Future` as
+    the ticket. Around every task the lane labels its thread
+    ``gsscale-{name}`` on the tracer, visits the fault point ``lane:{name}``
+    (``index`` = the task's ordinal on this lane) and holds
+    :data:`pool_fork_guard`, so a lane task may not start a
+    :class:`PersistentPool` (it would wait on the guard it holds).
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+        self._executor = ThreadPoolExecutor(1, thread_name_prefix=f"gsscale-{name}")
+        self._seq = itertools.count()
+        self._last: Future | None = None
+        self._failure: BaseException | None = None  # the first since the last drain
+
+    def submit(self, fn, *args) -> Future:
+        """Queue ``fn(*args)`` behind every task submitted before it."""
+        self._last = self._executor.submit(self._run, next(self._seq), fn, args)
+        return self._last
+
+    def drain(self) -> None:
+        """Wait for every outstanding ticket, then re-raise the first
+        failure in submission order (the lane stays usable)."""
+        if self._last is not None:
+            wait([self._last])  # one thread, FIFO: the last ticket ends last
+        failure, self._failure = self._failure, None
+        if failure is not None:
+            raise failure
+
+    def close(self) -> None:
+        """Drain, then stop the thread (idempotent; no timeout: a running
+        task always finishes first)."""
+        try:
+            self.drain()
+        finally:
+            self._executor.shutdown()
+
+    def _run(self, seq: int, fn, args):
+        try:
+            _trace.name_current_thread(f"gsscale-{self.name}")
+            faults.fault_point(f"lane:{self.name}", index=seq)
+            with pool_fork_guard:
+                return fn(*args)
+        except BaseException as exc:
+            if self._failure is None:
+                self._failure = exc
+            raise
 
 
 # ---------------------------------------------------------------------------

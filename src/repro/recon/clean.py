@@ -40,6 +40,11 @@ __all__ = [
     "clean_model",
 ]
 
+#: Multiplier for the derived ``max_extent`` cap.
+MAX_EXTENT_FACTOR = 20.0
+#: Multiplier for the derived ``neighbor_radius``.
+NEIGHBOR_RADIUS_FACTOR = 8.0
+
 
 @dataclass(frozen=True)
 class CleanConfig:
@@ -48,21 +53,17 @@ class CleanConfig:
     Attributes:
         max_extent: absolute cap on a splat's effective radius (geometric
             mean of its two largest extents), world units; ``None``
-            derives it as ``max_extent_factor`` x the median extent.
-        max_extent_factor: multiplier for the derived cap.
+            derives it as :data:`MAX_EXTENT_FACTOR` x the median extent.
         neighbor_radius: isolation radius, world units; ``None`` derives
-            it as ``neighbor_radius_factor`` x the median nearest-
+            it as :data:`NEIGHBOR_RADIUS_FACTOR` x the median nearest-
             neighbor distance.
-        neighbor_radius_factor: multiplier for the derived radius.
         min_neighbors: neighbors required within the radius (0 disables
             the isolation filter).
         min_opacity: post-sigmoid opacity floor.
     """
 
     max_extent: float | None = None
-    max_extent_factor: float = 20.0
     neighbor_radius: float | None = None
-    neighbor_radius_factor: float = 8.0
     min_neighbors: int = 1
     min_opacity: float = 0.005
 
@@ -105,7 +106,7 @@ def clean_mask(
     radius = np.sqrt(top2[:, 0] * top2[:, 1])
     max_extent = config.max_extent
     if max_extent is None:
-        max_extent = float(np.median(radius)) * config.max_extent_factor
+        max_extent = float(np.median(radius)) * MAX_EXTENT_FACTOR
     oversized = radius > max_extent
 
     opacity = 1.0 / (1.0 + np.exp(-np.asarray(opacity_logits, dtype=np.float64)))
@@ -122,9 +123,7 @@ def clean_mask(
         nn = dists[:, 1]
         neighbor_radius = config.neighbor_radius
         if neighbor_radius is None:
-            neighbor_radius = (
-                float(np.median(nn)) * config.neighbor_radius_factor
-            )
+            neighbor_radius = float(np.median(nn)) * NEIGHBOR_RADIUS_FACTOR
         isolated = dists[:, k - 1] > neighbor_radius
 
     keep = ~(transparent | oversized | isolated)

@@ -35,6 +35,12 @@ class GPUSpec:
     flops: float
 
 
+#: Fraction of sequential bandwidth achieved by the deferred update's scattered row accesses.
+RANDOM_ACCESS_EFFICIENCY = 0.38
+#: Additional multiplier on random-access bandwidth when ``numa_nodes > 1`` (remote-node misses).
+NUMA_RANDOM_PENALTY = 0.55
+
+
 @dataclass(frozen=True)
 class CPUSpec:
     """A host CPU + DRAM subsystem.
@@ -49,10 +55,6 @@ class CPUSpec:
             desktops/servers approach it. Drives the baseline's CPU culling
             and dense-update costs (Challenges 1-2).
         numa_nodes: sockets; >1 penalizes random access (Section 5.7).
-        random_access_efficiency: fraction of sequential bandwidth achieved
-            by the deferred update's scattered row accesses.
-        numa_random_penalty: additional multiplier on random-access
-            bandwidth when ``numa_nodes > 1`` (remote-node misses).
     """
 
     name: str
@@ -60,8 +62,6 @@ class CPUSpec:
     flops: float
     framework_bw: float = 0.0
     numa_nodes: int = 1
-    random_access_efficiency: float = 0.38
-    numa_random_penalty: float = 0.55
 
     def __post_init__(self):
         if self.framework_bw == 0.0:
@@ -70,9 +70,9 @@ class CPUSpec:
     @property
     def random_bw(self) -> float:
         """Effective bandwidth for scattered row-granularity access."""
-        bw = self.mem_bw * self.random_access_efficiency
+        bw = self.mem_bw * RANDOM_ACCESS_EFFICIENCY
         if self.numa_nodes > 1:
-            bw *= self.numa_random_penalty
+            bw *= NUMA_RANDOM_PENALTY
         return bw
 
 

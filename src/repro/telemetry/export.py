@@ -11,11 +11,11 @@ The simulator's lanes live on ``pid`` 1; measured lanes live on
 same config side by side in one viewer.
 
 Thread lanes are assigned deterministically in order of first
-appearance. Lane names come from ``Tracer.thread_names`` overrides
-first, then the live ``threading.enumerate()`` names (which is how the
-``gsscale-prefetch`` and ``gsscale-writeback`` daemon threads label
-themselves), then a ``thread-N`` fallback; string tids (the synthetic
-``pool-worker-K`` lanes) display as themselves.
+appearance. Lane names come from ``Tracer.thread_names`` (where every
+:class:`~repro.pool.Lane` task labels its thread ``gsscale-{name}``, e.g.
+``gsscale-prefetch`` and ``gsscale-writeback``), then a ``thread-N``
+fallback; string tids (the synthetic ``pool-worker-K`` lanes) display as
+themselves.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ _MIN_DUR_US = 0.01
 
 
 def _lane_names(tracer: Tracer, tids: list) -> dict:
-    """Display name per tid: overrides, then live threads, then fallback."""
-    live = {t.ident: t.name for t in threading.enumerate()}
+    """Display name per tid: overrides, then fallback."""
     main = threading.main_thread().ident
     names = {}
     for i, tid in enumerate(tids):
@@ -55,8 +54,6 @@ def _lane_names(tracer: Tracer, tids: list) -> dict:
             names[tid] = tid
         elif tid == main:
             names[tid] = "main"
-        elif tid in live:
-            names[tid] = live[tid]
         else:
             names[tid] = f"thread-{i}"
     return names

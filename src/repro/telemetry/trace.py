@@ -4,7 +4,7 @@
 what the running system actually did. A process-wide :class:`Tracer`
 holds a ring buffer of completed :class:`SpanEvent` records, stamped with
 ``time.perf_counter`` and the recording thread, so the training step's
-phases, the prefetch thread's disk reads, the write-behind writer's
+phases, the prefetch lane's disk reads, the write-behind lane's
 page-outs, and the serving tick all land on their own timeline lanes.
 :mod:`repro.telemetry.export` turns the buffer into the same Chrome
 trace-event JSON the simulator writes, so a measured and a modeled run of
@@ -129,7 +129,7 @@ class Tracer:
     """Ring-buffer span recorder on a monotonic clock.
 
     Thread-safe: spans record under a short lock from any thread (the
-    training loop, the prefetch thread, the write-behind writer). The
+    training loop, the pager's prefetch and write-behind lanes). The
     ring holds the most recent ``capacity`` spans; older ones are
     overwritten and counted in :attr:`dropped` rather than growing
     memory unboundedly on long runs.
@@ -286,9 +286,8 @@ def enabled() -> bool:
 
 def name_current_thread(name: str) -> None:
     """Register this thread's lane name on the installed tracer (no-op
-    when tracing is off). Long-lived daemon threads call this from their
-    run loops so their lanes stay labelled even if the thread has exited
-    by export time."""
+    when tracing is off). Every :class:`~repro.pool.Lane` task calls it,
+    so a lane stays labelled even after its thread exits."""
     t = _tracer
     if t is not None:
         t.name_thread(name)

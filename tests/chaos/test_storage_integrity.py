@@ -264,6 +264,43 @@ class TestFailedPageOut:
         finally:
             writer.close()
 
+    @pytest.mark.parametrize("codec", ["raw", "lossless", "float16"])
+    def test_drain_raises_the_first_of_two_failed_page_outs(self, tmp_path, codec):
+        writer = _WriteBehindWriter()
+        try:
+            stores = [
+                self.dirty_store(tmp_path / name, codec, writer)
+                for name in ("a", "b")
+            ]
+            wants = [self.held(store) for store in stores]
+            # the first page write of each queued page-out fails: visit 0
+            # is store a's job, visit 1 store b's
+            plan = FaultPlan(
+                token_dir=str(tmp_path / "fail"),
+                faults=(Fault(point="pager:page_out", action="raise",
+                              times=2),),
+            )
+            with active_plan(plan):
+                for store in stores:
+                    store.spill()
+                with pytest.raises(InjectedFaultError, match=r"\(visit 0\)"):
+                    writer.drain()
+            writer.drain()  # both failures were reported by that drain
+            for store, want in zip(stores, wants):
+                store.page_in()  # re-adopts the pages that never landed
+                assert store.is_dirty
+                self.assert_round_trips(store, want)
+            plan, visits = self.counting(tmp_path)
+            with plan:
+                for store in stores:
+                    store.spill()
+                writer.drain()
+            assert visits() == 6  # both stores wrote all three pages
+            for store, want in zip(stores, wants):
+                self.assert_round_trips(store, want)
+        finally:
+            writer.close()
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):

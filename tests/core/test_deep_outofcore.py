@@ -323,7 +323,7 @@ class TestWriteBehind:
         for run in range(2):
             plan = FaultPlan(
                 token_dir=str(tmp_path / f"tokens{run}"),
-                faults=(Fault(point="pager:write_behind", action="delay",
+                faults=(Fault(point="lane:writeback", action="delay",
                               seconds=0.02, times=10**6),),
             )
             with active_plan(plan):
