@@ -174,9 +174,9 @@ def test_codec_page_bandwidth(benchmark):
                 "rows": rows,
                 "roundtrips": roundtrips,
                 "bandwidth_multiplier": round(multiplier, 4),
-                **_page_out_counts(ledger, store.clean_evictions),
+                **_page_out_counts(ledger, store.stats.clean_evictions),
                 "page_in_s": store.page_in_s,
-                "sync_spill_s": store.sync_spill_s,
+                "sync_spill_s": store.stats.sync_spill_s,
                 "roundtrip_s": elapsed / roundtrips,
             })
         return entries

@@ -65,16 +65,16 @@ class GSScaleConfig:
             ``outofcore`` system keeps paged into host DRAM at once (the
             resident-set budget; the rest lives in the spill files).
         async_prefetch: overlap the ``outofcore`` system's disk page-ins
-            with compute: a background worker snapshots the *next* view's
+            with compute: the prefetch lane snapshots the *next* view's
             spilled shards (``DiskStore.preload``, double-buffered) while
             the current view renders, and the next step adopts the
             buffers instead of reading disk on the critical path. Needs
             to be told the upcoming views
             (``OutOfCoreGSScaleSystem.hint_upcoming_views``; the
             :class:`~repro.core.trainer.Trainer` does so
-            automatically). Numerics and ledger traffic are identical to
-            the synchronous schedule — only the stall moves off the
-            critical path.
+            automatically), also after ``finalize()``: a resumed
+            ``train()`` keeps prefetching. Numerics and ledger traffic
+            are identical to the synchronous schedule.
         page_codec: how the ``outofcore`` system's spill files are stored
             on disk — ``"raw"`` (memory-mapped native dtype, the
             default), ``"lossless"`` (byte-shuffle + zlib, bit-identical

@@ -199,6 +199,24 @@ class PreloadedShard:
         return sum(a.nbytes for a in self.arrays.values())
 
 
+@dataclass
+class SpillStats:
+    """Spill counters of :class:`DiskStore` page-outs, training thread only.
+
+    A standalone store keeps its own; the out-of-core system hands one
+    record to every store it builds, so the counts add up over the run,
+    densification rebuilds included.
+    """
+
+    #: spills of a clean store: evictions that recorded no page-out
+    clean_evictions: int = 0
+    #: bytes the training thread wrote synchronously at spill (write-behind
+    #: keeps this at zero) — the admit-path stall in deterministic units
+    sync_spill_bytes: int = 0
+    #: wall-clock seconds of those writes (informational)
+    sync_spill_s: float = 0.0
+
+
 class _WriteBehindWriter(Lane):
     """The write-behind lane: queued :class:`DiskStore` page-outs.
 
@@ -256,22 +274,19 @@ class _AsyncPrefetcher:
     at ``depth x resident budget x worst shard state`` (the staging
     budget); the lane stops staging deeper views at the cap.
 
-    ``stores`` are the shards' spilling stores by shard index, ``budget``
-    the resident-set budget, ``active_shards`` the system's ``camera ->
-    shard indices`` cull (this module knows no geometry).
+    One prefetcher serves a whole run. ``budget`` is the resident-set
+    budget; :meth:`retarget` hands it the shards' spilling stores (by
+    shard index) and their ``camera -> shard indices`` cull (this module
+    knows no geometry) — at construction and after every densification
+    rebuild. :meth:`fence` waits out the lane and drops the staged views;
+    the lane itself stays up and exits when the prefetcher is freed.
     """
 
-    def __init__(
-        self,
-        stores: list[DiskStore],
-        budget: int,
-        active_shards: Callable[[Camera], list[int]],
-        depth: int = 1,
-    ):
-        self._stores = stores
+    def __init__(self, budget: int, depth: int = 1):
         self._budget = budget
-        self._active_shards = active_shards
         self.depth = depth
+        self._stores: list[DiskStore] = []
+        self._active_shards: Callable[[Camera], list[int]] = lambda camera: []
         #: staged snapshots keyed by ``id(camera)`` — identity, not
         #: equality: the trainer hints the very objects it will train on
         self._results: dict[int, tuple[Camera, dict]] = {}
@@ -282,6 +297,15 @@ class _AsyncPrefetcher:
         self.staged_bytes = 0
         self.peak_staged_bytes = 0
         self._lane = Lane("prefetch")
+
+    def retarget(self, stores: list[DiskStore], active_shards: Callable[[Camera], list[int]]):
+        """Stage from ``stores`` through ``active_shards`` from now on.
+        Nothing staged from the old stores survives, and the high-water
+        mark restarts (as the host tracker does at a rebuild)."""
+        self.fence()
+        self._stores = stores
+        self._active_shards = active_shards
+        self.peak_staged_bytes = 0
 
     def staging_budget_bytes(self) -> int:
         """Cap on staged host bytes: depth x resident budget x the worst
@@ -321,10 +345,12 @@ class _AsyncPrefetcher:
             return True, entry[1]
         return False, {}
 
-    def close(self) -> None:
-        """Wait out the running job and stop the lane (idempotent)."""
+    def fence(self) -> None:
+        """Wait out the running job and drop every staged view (the lane
+        stays usable: the next :meth:`schedule` stages again)."""
         self._settle()
-        self._lane.close()
+        self._results.clear()
+        self._refresh_staged()
 
     def _settle(self) -> None:
         """Wait out the outstanding ticket. A failed one leaves the views

@@ -73,7 +73,7 @@ from ..render.culling import gated_cull
 from ..sim.memory import MemoryTracker
 from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
-from .pager import PageFile, PreloadedShard, ResidentSet, _WriteBehindWriter
+from .pager import PageFile, PreloadedShard, ResidentSet, SpillStats, _WriteBehindWriter
 from .pagecodec import get_page_codec
 
 _F32 = 4  # accounting is in float32-equivalent bytes
@@ -467,7 +467,7 @@ class DiskStore(HostStore):
     idempotent), so its spill is a pure eviction: host bytes freed and
     the spill epoch bumped, but no page written, no write-behind job
     queued, nothing recorded on the disk channel; it is counted in
-    :attr:`clean_evictions` instead. One case keeps the ledger free of
+    ``stats.clean_evictions`` instead. One case keeps the ledger free of
     thread timing: a page-in that re-adopts a queued write-behind
     page-out cancels that write, so the next spill of the clean store
     still writes all three pages, but records nothing — the ledger
@@ -507,6 +507,9 @@ class DiskStore(HostStore):
             write lands re-adopts the queued pages, as a read of them
             would return them, and cancels it (the next spill writes
             them again).
+        stats: the :class:`~repro.core.pager.SpillStats` this store's
+            spills count into (a fresh one when omitted; the out-of-core
+            system shares one over its whole run).
     """
 
     def __init__(
@@ -524,6 +527,7 @@ class DiskStore(HostStore):
         max_defer: int = 15,
         codec: str = "raw",
         writer: "_WriteBehindWriter | None" = None,
+        stats: SpillStats | None = None,
     ):
         super().__init__(
             params_block, block, adam, memory, ledger,
@@ -534,6 +538,7 @@ class DiskStore(HostStore):
         self.spill_path = spill_path
         self.codec = get_page_codec(codec)
         self.writer = writer
+        self.stats = stats if stats is not None else SpillStats()
         self.host_memory = host_memory if host_memory is not None else MemoryTracker()
         self.resident_set = resident_set
         self._stashed_lr: np.ndarray | None = None
@@ -551,14 +556,7 @@ class DiskStore(HostStore):
         self._dirty = True
         # a page-in re-adopted a queued page-out and cancelled its write
         self._write_cancelled = False
-        #: spills of a clean store: evictions that recorded no page-out
-        self.clean_evictions = 0
-        # deterministic admit-path counters: bytes the training thread
-        # wrote synchronously at spill (write-behind keeps this at zero),
-        # plus informational wall-clock for the paging micro-bench
-        self.sync_spill_bytes = 0
-        self.sync_spill_s = 0.0
-        self.page_in_s = 0.0
+        self.page_in_s = 0.0  # informational, for the paging micro-bench
         parent = os.path.dirname(spill_path)
         if parent:
             os.makedirs(parent, exist_ok=True)
@@ -645,7 +643,7 @@ class DiskStore(HostStore):
         file write queued behind the training thread (the codec encode,
         which fixes the on-disk byte count the ledger records, still runs
         here); without one the write is synchronous and counted in
-        ``sync_spill_bytes``. A synchronous write that fails leaves the
+        ``stats.sync_spill_bytes``. A synchronous write that fails leaves the
         store resident and dirty, with its accounting untouched.
         """
         with self._page_lock:
@@ -656,7 +654,7 @@ class DiskStore(HostStore):
             if write:
                 self._page_out()
             if not record:
-                self.clean_evictions += 1
+                self.stats.clean_evictions += 1
             opt = self.optimizer
             opt.params = opt.m = opt.v = None
             self.params = None
@@ -687,8 +685,8 @@ class DiskStore(HostStore):
         t0 = time.perf_counter()
         self._write_pages(arrays)
         t1 = time.perf_counter()
-        self.sync_spill_s += t1 - t0
-        self.sync_spill_bytes += self._state_bytes()
+        self.stats.sync_spill_s += t1 - t0
+        self.stats.sync_spill_bytes += self._state_bytes()
         if _trace.enabled():
             _trace.get_tracer().record(
                 "page/out", t0, t1, cat="page",

@@ -44,6 +44,8 @@ in ``docs/architecture.md``.
 
 from __future__ import annotations
 
+import os
+import tempfile
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -69,7 +71,7 @@ from ..telemetry import trace as _trace
 from ..telemetry.trace import span as _span
 from ..train.loss import photometric_loss
 from .config import GSScaleConfig
-from .pager import ResidentSet, _AsyncPrefetcher, _WriteBehindWriter
+from .pager import ResidentSet, SpillStats, _AsyncPrefetcher, _WriteBehindWriter
 from .splitting import find_balanced_split_by, spatial_partition
 from .stores import (
     DeviceStore,
@@ -884,62 +886,60 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
     leg), ``prefetch_depth`` widens the async leg's lookahead to a
     depth-D staging queue, and ``write_behind`` moves dirty page-outs to
     a background writer (epoch-fenced against :meth:`~repro.core.stores.
-    DiskStore.adopt` and drained before densification rebuilds and
-    checkpoints) so the admit path stops paying the write.
+    DiskStore.adopt`) so the admit path stops paying the write.
+
+    The run-level pager is built once, in ``__init__``: the spill
+    directory, the write-behind and prefetch lanes and one
+    :class:`~repro.core.pager.SpillStats` every store counts into, so the
+    run counters (``sync_spill_bytes``, ``clean_evictions``,
+    ``write_behind_jobs``, ``prefetch_hits`` / ``prefetch_misses``) span
+    densification rebuilds. :meth:`finalize` and :meth:`rebuild` fence the
+    lanes without stopping them: a rebuild only re-places, and training
+    goes on after a checkpoint with the async leg intact.
     """
 
     name = "outofcore"
 
-    def _setup(self, model: GaussianModel) -> None:
-        cfg = self.config
-        if cfg.spill_dir is None:
-            import tempfile
-
+    def __init__(self, model: GaussianModel, config: GSScaleConfig):
+        if config.spill_dir is None:
             # held on the system so the spill files die with it
-            self._spill_tmp = tempfile.TemporaryDirectory(
-                prefix="gsscale-spill-"
-            )
+            self._spill_tmp = tempfile.TemporaryDirectory(prefix="gsscale-spill-")
             self._spill_root = self._spill_tmp.name
         else:
-            self._spill_tmp = None
-            self._spill_root = cfg.spill_dir
-        self.host_memory = MemoryTracker()
-        self.resident_set = ResidentSet(cfg.resident_shards)
-        self._cull_cache: tuple[Camera, CullResult] | None = None
+            self._spill_root = config.spill_dir
+        self._spill_stats = SpillStats()
+        self._writer = _WriteBehindWriter() if config.write_behind else None
+        self._prefetcher = (
+            _AsyncPrefetcher(config.resident_shards, depth=config.prefetch_depth)
+            if config.async_prefetch
+            else None
+        )
+        #: hinted shard visits the async leg covered / failed to cover,
+        #: cumulative across densification rebuilds
         self.prefetch_hits = 0
         self.prefetch_misses = 0
         self._pending_hints: list[Camera] = []
         self._scheduled_hints: list[Camera] = []
-        # rebuild fences: closing a lane waits out its running task, so
-        # no old prefetch is still reading and every queued page-out has
-        # landed before the new stores reuse the spill files
-        self._close_prefetcher()
-        self._sync_spill_carryover = getattr(self, "_sync_spill_carryover", 0)
-        self._sync_spill_s_carryover = getattr(self, "_sync_spill_s_carryover", 0.0)
-        self._clean_eviction_carryover = getattr(
-            self, "_clean_eviction_carryover", 0
-        )
-        self._write_behind_carryover = getattr(self, "_write_behind_carryover", 0)
-        for st in getattr(self, "shard_host_stores", ()):
-            self._sync_spill_carryover += st.sync_spill_bytes
-            self._sync_spill_s_carryover += st.sync_spill_s
-            self._clean_eviction_carryover += st.clean_evictions
-        self._close_writer()
-        self._prefetch_staged_peak = 0  # a rebuild resets it, like host_memory
-        self._prefetcher = None
-        self._writer = _WriteBehindWriter() if cfg.write_behind else None
+        super().__init__(model, config)
+
+    def _setup(self, model: GaussianModel) -> None:
+        self.host_memory = MemoryTracker()
+        self.resident_set = ResidentSet(self.config.resident_shards)
+        self._cull_cache: tuple[Camera, CullResult] | None = None
         super()._setup(model)
-        if cfg.async_prefetch:
-            self._prefetcher = _AsyncPrefetcher(
+        if self._prefetcher is not None:
+            # through the store, never the system: a system the lane
+            # referenced would be a cycle only a GC pass could free
+            store = self.store
+            self._prefetcher.retarget(
                 self.shard_host_stores,
-                self.resident_set.budget,
-                self.active_shard_ids,
-                depth=cfg.prefetch_depth,
+                lambda camera: store.visible(camera).active_shards,
             )
 
     @property
     def prefetch_staged_peak_bytes(self) -> int:
-        """High-water host bytes of the async leg's staged double buffer.
+        """High-water host bytes of the async leg's staged double buffer
+        (a rebuild resets it, like ``host_memory``).
 
         Not part of ``host_memory`` (the installed working set the
         resident budget bounds): the buffers belong to the background
@@ -948,36 +948,7 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         :func:`repro.sim.memory.outofcore_host_state_bytes` — add the
         two when sizing host DRAM for an async run.
         """
-        if self._prefetcher is None:
-            return self._prefetch_staged_peak
-        return max(self._prefetch_staged_peak, self._prefetcher.peak_staged_bytes)
-
-    def _close_prefetcher(self) -> None:
-        prefetcher = getattr(self, "_prefetcher", None)
-        if prefetcher is not None:
-            self._prefetch_staged_peak = self.prefetch_staged_peak_bytes
-            prefetcher.close()
-            self._prefetcher = None
-
-    def _close_writer(self) -> None:
-        """Drain and stop the write-behind writer (idempotent).
-
-        The fence of the write-behind contract: after this returns every
-        queued page-out has landed on disk (or its epoch went stale and
-        was skipped), so checkpoints and densification rebuilds never
-        race an in-flight write. Spills afterwards fall back to the
-        synchronous path.
-        """
-        writer = getattr(self, "_writer", None)
-        if writer is None:
-            return
-        self._writer = None
-        for st in getattr(self, "shard_host_stores", ()):
-            st.writer = None
-        writer.close()
-        self._write_behind_carryover = (
-            getattr(self, "_write_behind_carryover", 0) + writer.jobs_written
-        )
+        return self._prefetcher.peak_staged_bytes if self._prefetcher is not None else 0
 
     @property
     def sync_spill_bytes(self) -> int:
@@ -987,9 +958,7 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         zero (every page-out rides the background writer); synchronous
         runs accumulate the full page-out traffic here. A clean eviction
         writes nothing and adds nothing (see :attr:`clean_evictions`)."""
-        return self._sync_spill_carryover + sum(
-            st.sync_spill_bytes for st in self.shard_host_stores
-        )
+        return self._spill_stats.sync_spill_bytes
 
     @property
     def clean_evictions(self) -> int:
@@ -997,28 +966,20 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         page-in — evictions that recorded no page-out (and, unless a
         page-in cancelled a queued write-behind page-out, wrote no page) —
         cumulative across densification rebuilds (informational)."""
-        return self._clean_eviction_carryover + sum(
-            st.clean_evictions for st in self.shard_host_stores
-        )
+        return self._spill_stats.clean_evictions
 
     @property
     def sync_spill_seconds(self) -> float:
         """Wall-clock seconds the training thread spent in synchronous
         page-out writes (informational; byte counters are the
         deterministic comparison)."""
-        return self._sync_spill_s_carryover + sum(
-            st.sync_spill_s for st in self.shard_host_stores
-        )
+        return self._spill_stats.sync_spill_s
 
     @property
     def write_behind_jobs(self) -> int:
         """Page-outs completed by the background writer, cumulative
         across rebuilds (0 unless ``write_behind`` is on)."""
-        total = getattr(self, "_write_behind_carryover", 0)
-        writer = getattr(self, "_writer", None)
-        if writer is not None:
-            total += writer.jobs_written
-        return total
+        return self._writer.jobs_written if self._writer is not None else 0
 
     def _make_nongeo_store(
         self,
@@ -1027,8 +988,6 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         ledger: TransferLedger,
         k: int,
     ) -> ParameterStore:
-        import os
-
         cfg = self.config
         return DiskStore(
             params_block,
@@ -1044,6 +1003,7 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
             max_defer=cfg.max_defer,
             codec=cfg.page_codec,
             writer=self._writer,
+            stats=self._spill_stats,
         )
 
     # -- spill / prefetch lifecycle ---------------------------------------
@@ -1055,12 +1015,14 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         """Tell the async prefetch leg the next several views, nearest
         first; only the first ``prefetch_depth`` are staged.
 
-        With ``async_prefetch`` on, the next :meth:`step` kicks off a
-        background worker that snapshots those views' spilled shards
+        With ``async_prefetch`` on, the next :meth:`step` hands the
+        prefetch lane a job that snapshots those views' spilled shards
         while the current view renders; the steps after adopt the buffers
-        instead of stalling on the disk read. Without the async leg this
-        is a no-op, so callers can hint unconditionally (the
-        :class:`~repro.core.trainer.Trainer` does).
+        instead of stalling on the disk read. The lane lives as long as
+        the system, so hints keep working after :meth:`finalize` (a
+        checkpoint, a resumed ``train()``) and across rebuilds. Without
+        the async leg this is a no-op, so callers can hint
+        unconditionally (the :class:`~repro.core.trainer.Trainer` does).
         """
         if self._prefetcher is not None:
             self._pending_hints = list(cameras)
@@ -1158,26 +1120,30 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
             self.spill_inactive(active)
         return report
 
+    def _fence(self) -> None:
+        """Wait until all lane work is done: the prefetch lane settles and
+        drops its staged views (and the hints they came from), then the
+        writer drains, re-raising its first failed page-out. Afterwards no
+        prefetch still reads a page and every queued page-out has landed
+        (or went stale and was skipped); both lanes stay up."""
+        self._pending_hints = []
+        self._scheduled_hints = []
+        if self._prefetcher is not None:
+            self._prefetcher.fence()
+        if self._writer is not None:
+            self._writer.drain()
+
+    def rebuild(self, model: GaussianModel) -> None:
+        # the new stores reuse the spill files' paths
+        self._fence()
+        super().rebuild(model)
+
     def finalize(self) -> None:
-        self._close_prefetcher()
         super().finalize()
         # the checkpoint fence: save_checkpoint finalizes first, so every
         # queued page-out (including ones the flush's own evictions just
-        # enqueued) lands before any state is serialized. Drain, don't
-        # close: training may continue (mid-run checkpoints, densify).
-        writer = getattr(self, "_writer", None)
-        if writer is not None:
-            writer.drain()
-
-    def __del__(self):
-        try:
-            self._close_prefetcher()
-        except Exception:
-            pass
-        try:
-            self._close_writer()
-        except Exception:
-            pass
+        # enqueued) lands before any state is serialized
+        self._fence()
 
 
 def create_system(model: GaussianModel, config: GSScaleConfig) -> TrainingSystem:

@@ -12,18 +12,27 @@ lossy (``float16``) page codec:
 * a failed prefetch ticket degrades its batch to synchronous page-ins
   (counted as misses) with the same trajectory;
 * a failed page-out surfaces at ``finalize()``'s drain, and the store
-  re-adopts the page that never landed and writes it again.
+  re-adopts the page that never landed and writes it again;
+* across a densification rebuild, whose new stores write the same
+  ``shard{k}_host.*`` files, a delayed write-behind lane moves no bit and
+  a failed page-out surfaces at the fence before the rebuild;
+* a dropped system is freed by reference counting, lane threads and all.
 
 Equalities of bytes, not tolerances.
 """
 
+import gc
 import os
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.cameras import Camera
 from repro.core import GSScaleConfig, Trainer
+from repro.densify import DensifyConfig
 from repro.faults import Fault, FaultPlan, InjectedFaultError, active_plan
 from repro.gaussians import GaussianModel
 from repro.render import render
@@ -32,6 +41,10 @@ CENTERS = np.array(
     [[-6.0, -6.0, 0.0], [6.0, -6.0, 0.0], [-6.0, 6.0, 0.0], [6.0, 6.0, 0.0]]
 )
 STEPS = 12
+#: one densification rebuild, after step 6
+DENSIFY = DensifyConfig(
+    interval=6, start_iteration=6, stop_iteration=7, grad_threshold=1e-6,
+)
 
 
 @pytest.fixture(scope="module")
@@ -64,14 +77,14 @@ def clustered():
     return model, cameras, [render(gt, cam).image for cam in cameras]
 
 
-def trainer(clustered, codec, spill_dir):
+def trainer(clustered, codec, spill_dir, densify=None):
     model, _, _ = clustered
     return Trainer(model.copy(), GSScaleConfig(
         system="outofcore", num_shards=4, resident_shards=2,
         scene_extent=8.0, ssim_lambda=0.0, mem_limit=1.0, seed=0,
         async_prefetch=True, prefetch_depth=2, write_behind=True,
         page_codec=codec, spill_dir=str(spill_dir),
-    ))
+    ), densify=densify)
 
 
 def fingerprint(t, losses, spill_dir):
@@ -95,13 +108,14 @@ def fingerprint(t, losses, spill_dir):
         "prefetch": (system.prefetch_hits, system.prefetch_misses),
         "ledger": system.ledger.counts(),
         "pages": pages,
+        "num_gaussians": system.num_gaussians,
     }
 
 
-def train(clustered, codec, tmp_path, plan=None):
+def train(clustered, codec, tmp_path, plan=None, densify=None):
     _, cameras, images = clustered
     spill_dir = tmp_path / "spill"
-    t = trainer(clustered, codec, spill_dir)
+    t = trainer(clustered, codec, spill_dir, densify)
     if plan is None:
         steps = t.train(cameras, images, STEPS).steps
     else:
@@ -179,3 +193,109 @@ def test_a_failed_page_out_surfaces_at_drain_and_is_rewritten(
     got = fingerprint(t, [], spill_dir)
     for key in ("params", "moments", "pages"):
         assert got[key] == want[key], key
+
+
+@pytest.fixture(scope="module", params=["raw", "float16"])
+def undelayed_rebuild(request, clustered, tmp_path_factory):
+    codec = request.param
+    want = train(clustered, codec, tmp_path_factory.mktemp(codec), densify=DENSIFY)
+    assert want["num_gaussians"] > clustered[0].num_gaussians  # it densified
+    return codec, want
+
+
+def test_a_delayed_writeback_lane_across_a_rebuild_moves_no_bit(
+    undelayed_rebuild, clustered, tmp_path
+):
+    """The rebuild fences the lanes before the new stores reuse the spill
+    paths: no old page-out lands over a new store's page."""
+    codec, want = undelayed_rebuild
+    got = train(clustered, codec, tmp_path, plan(
+        tmp_path, Fault("lane:writeback", "delay", times=10**6, seconds=0.01),
+    ), densify=DENSIFY)
+    assert os.listdir(tmp_path / "tokens")  # the delays fired
+    for key in want:
+        assert got[key] == want[key], key
+
+
+class _AtRebuild(Exception):
+    pass
+
+
+@pytest.mark.parametrize("codec", ["raw", "float16"])
+def test_a_failed_page_out_surfaces_at_the_rebuild_fence(
+    clustered, tmp_path, codec
+):
+    """Every page-out fails: the first fence, the one before the rebuild,
+    raises the first failure, and the rebuild never runs over the pages
+    that did not land. Re-adopted and rewritten, they hold what the
+    undelayed run held at its rebuild."""
+    _, cameras, images = clustered
+    ref = trainer(clustered, codec, tmp_path / "ref", DENSIFY)
+
+    def stop(model):
+        raise _AtRebuild
+
+    ref.system.rebuild = stop
+    with pytest.raises(_AtRebuild):
+        ref.train(cameras, images, STEPS)
+    want = fingerprint(ref, [], tmp_path / "ref")
+
+    spill_dir = tmp_path / "spill"
+    t = trainer(clustered, codec, spill_dir, DENSIFY)
+    with active_plan(plan(
+        tmp_path, Fault("lane:writeback", "raise", times=10**6),
+    )):
+        with pytest.raises(InjectedFaultError, match=r"\(visit 0\)"):
+            t.train(cameras, images, STEPS)
+    assert t.system.num_gaussians == clustered[0].num_gaussians
+    failed = [
+        store for store in t.system.shard_host_stores
+        if store._pending_write is not None
+    ]
+    assert failed
+    for store in failed:
+        store.page_in()  # re-adopts the page-out that never landed
+        assert store.is_dirty
+        store.spill()  # and queues it again
+    got = fingerprint(t, [], spill_dir)
+    for key in ("params", "moments", "pages"):
+        assert got[key] == want[key], key
+
+
+def test_a_dropped_system_is_freed_with_its_lanes(clustered, tmp_path):
+    """No reference cycle: with the collector off, an un-finalized system
+    whose write-behind lane still holds page-outs is freed the moment it
+    is dropped, and both lane threads exit."""
+    _, cameras, images = clustered
+    before = set(threading.enumerate())
+    gc.disable()
+    try:
+        with active_plan(plan(
+            tmp_path, Fault("lane:writeback", "delay", times=10**6, seconds=0.05),
+        )):
+            system = trainer(clustered, "raw", tmp_path / "spill").system
+            for i in range(4):
+                system.hint_upcoming_views([cameras[(i + 1) % 4]])
+                system.step(cameras[i], images[i])
+            assert not system._writer._last.done()  # page-outs still queued
+            lanes = {
+                th.name.rsplit("_", 1)[0]: th
+                for th in set(threading.enumerate()) - before
+            }
+            assert sorted(lanes) == ["gsscale-prefetch", "gsscale-writeback"]
+            ref = weakref.ref(system)
+            del system
+            assert ref() is None
+            lanes["gsscale-prefetch"].join(timeout=30)
+            assert not lanes["gsscale-prefetch"].is_alive()
+    finally:
+        gc.enable()
+    # a resident store and its ResidentSet refer to each other, and the
+    # stores refer to the writer: it goes with them, at the first
+    # collection after its queued page-outs (which hold a store) ran
+    writeback = lanes["gsscale-writeback"]
+    deadline = time.monotonic() + 30
+    while writeback.is_alive() and time.monotonic() < deadline:
+        gc.collect()
+        writeback.join(timeout=0.1)
+    assert not writeback.is_alive()

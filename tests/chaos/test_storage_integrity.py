@@ -221,7 +221,7 @@ class TestFailedPageOut:
         ledger = store.ledger.counts()
         host = store.host_memory.live_bytes
         epoch = store._spill_epoch
-        written = store.sync_spill_bytes
+        written = store.stats.sync_spill_bytes
         with self.fail_second_page(tmp_path):
             with pytest.raises(InjectedFaultError):
                 store.spill()
@@ -229,7 +229,7 @@ class TestFailedPageOut:
         assert store.ledger.counts() == ledger
         assert store.host_memory.live_bytes == host
         assert store._spill_epoch == epoch
-        assert store.sync_spill_bytes == written
+        assert store.stats.sync_spill_bytes == written
         for field, arr in self.held(store).items():
             assert arr.tobytes() == want[field].tobytes(), field
         plan, visits = self.counting(tmp_path)

@@ -174,11 +174,39 @@ class TestOverlapActuallyHits:
         assert trainer.system.prefetch_hits >= 4
 
     def test_finalize_stops_the_worker(self, clustered):
+        """``finalize()`` fences the lanes without closing them: no ticket
+        is still running and nothing stays staged, and a post-finalize
+        hint stages again."""
         model, cameras, images = clustered
-        asyn, _ = run_hinted(model, cameras, images, True)
-        assert asyn._prefetcher is None
-        # post-finalize hints are harmless no-ops
-        asyn.hint_upcoming_views([cameras[0]])
+        asyn, _ = run_hinted(model, cameras, images, True, write_behind=True)
+        for lane in (asyn._prefetcher._lane, asyn._writer):
+            assert lane._last is not None and lane._last.done()
+        assert asyn._prefetcher.staged_bytes == 0
+        hinted = asyn.prefetch_hits + asyn.prefetch_misses
+        asyn.hint_upcoming_views([cameras[1]])
+        asyn.step(cameras[0], images[0])
+        asyn.step(cameras[1], images[1])  # its one shard was staged
+        assert asyn.prefetch_hits + asyn.prefetch_misses == hinted + 1
+        asyn.finalize()
+
+    def test_a_resumed_train_keeps_prefetching(self, clustered):
+        """``Trainer.train()`` ends with ``finalize()``; a second call
+        hints every step but its first, and each hinted step visits its
+        view's one shard."""
+        model, cameras, images = clustered
+        cfg = GSScaleConfig(
+            system="outofcore", num_shards=4, resident_shards=2,
+            scene_extent=8.0, ssim_lambda=0.0, mem_limit=1.0, seed=0,
+            async_prefetch=True, prefetch_depth=2,
+        )
+        trainer = Trainer(model.copy(), cfg)
+        trainer.train(cameras, images, 6)
+        s = trainer.system
+        assert s.prefetch_depth == 2
+        assert all(len(s.active_shard_ids(cam)) == 1 for cam in cameras)
+        hinted = s.prefetch_hits + s.prefetch_misses
+        trainer.train(cameras, images, 6, start_iteration=6)
+        assert s.prefetch_hits + s.prefetch_misses == hinted + 5
 
 
 class TestPreloadAdoptProtocol:

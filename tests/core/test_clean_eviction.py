@@ -180,10 +180,10 @@ def assert_spill_writes(store, before):
     assert store.is_dirty
     want = arrays(store)
     old_files = file_bytes(store) if before else None
-    count, clean = store.ledger.page_out_count, store.clean_evictions
+    count, clean = store.ledger.page_out_count, store.stats.clean_evictions
     store.spill()
     assert store.ledger.page_out_count == count + 1
-    assert store.clean_evictions == clean
+    assert store.stats.clean_evictions == clean
     got, files = page_arrays(store), file_bytes(store)
     for field in FIELDS:
         expect = roundtrip(store, want[field])
@@ -269,20 +269,20 @@ def test_no_row_write_leaves_the_next_spill_free(make, name):
     assert store.is_resident and not store.is_dirty
     files = file_bytes(store)
     ledger = store.ledger.counts()
-    clean = store.clean_evictions
+    clean = store.stats.clean_evictions
     host = store.host_memory.live_bytes
     epoch = store._spill_epoch
-    written = store.sync_spill_bytes
+    written = store.stats.sync_spill_bytes
     jobs = store.writer and store.writer.jobs_written
     store.spill()
     settle(store)
     assert (store.writer and store.writer.jobs_written) == jobs  # none queued
     assert not store.is_resident
-    assert store.clean_evictions == clean + 1
+    assert store.stats.clean_evictions == clean + 1
     assert store.ledger.counts() == ledger
     assert store.host_memory.live_bytes < host  # the host bytes are freed
     assert store._spill_epoch == epoch + 1
-    assert store.sync_spill_bytes == written
+    assert store.stats.sync_spill_bytes == written
     assert file_bytes(store) == files
     # and the eviction loses nothing
     want = page_arrays(store)
@@ -321,7 +321,7 @@ def test_a_re_adopted_page_out_is_written_on_its_next_spill(
         if writer is not None:
             writer.close()
     assert store.ledger.page_out_count == 1
-    assert store.clean_evictions == 1
+    assert store.stats.clean_evictions == 1
     got = page_arrays(store)
     for field in FIELDS:
         assert same_bytes(got[field], want[field]), field
@@ -330,8 +330,10 @@ def test_a_re_adopted_page_out_is_written_on_its_next_spill(
 
 
 def test_system_rolls_up_clean_evictions_across_rebuilds(tmp_path):
-    """``OutOfCoreGSScaleSystem.clean_evictions`` sums its shards' and
-    survives a densification rebuild, like ``sync_spill_bytes``."""
+    """``OutOfCoreGSScaleSystem``'s run counters — ``clean_evictions``,
+    ``sync_spill_bytes``, ``write_behind_jobs`` and the hinted shard
+    visits ``prefetch_hits + prefetch_misses`` — survive a densification
+    rebuild: none of them goes down across it."""
     from repro.core import GSScaleConfig, Trainer
     from repro.datasets import SyntheticSceneConfig, build_scene
     from repro.densify import DensifyConfig
@@ -342,25 +344,47 @@ def test_system_rolls_up_clean_evictions_across_rebuilds(tmp_path):
             num_test_cameras=1, altitude=9.0, seed=5,
         )
     )
-    trainer = Trainer(
-        scene.initial.copy(),
-        GSScaleConfig(
-            system="outofcore", num_shards=4, resident_shards=2,
-            scene_extent=scene.extent, ssim_lambda=0.0, mem_limit=1.0,
-            seed=0, spill_dir=str(tmp_path / "spill"),
-        ),
-        densify=DensifyConfig(
-            interval=4, start_iteration=4, stop_iteration=5,
-            grad_threshold=1e-6,
-        ),
-    )
-    history = trainer.train(scene.train_cameras, scene.train_images, 8)
-    assert [r.iteration for r in history.densify_reports] == [4]
-    system = trainer.system
-    carried = system._clean_eviction_carryover
-    assert carried > 0  # the stores before the rebuild evicted clean
-    assert system.clean_evictions == carried + sum(
-        st.clean_evictions for st in system.shard_host_stores
-    )
-    ledger = system.ledger
-    assert ledger.page_out_count + system.clean_evictions >= ledger.page_in_count
+
+    def counters(system):
+        return {
+            "clean_evictions": system.clean_evictions,
+            "sync_spill_bytes": system.sync_spill_bytes,
+            "write_behind_jobs": system.write_behind_jobs,
+            "hinted": system.prefetch_hits + system.prefetch_misses,
+        }
+
+    for write_behind in (False, True):
+        trainer = Trainer(
+            scene.initial.copy(),
+            GSScaleConfig(
+                system="outofcore", num_shards=4, resident_shards=2,
+                scene_extent=scene.extent, ssim_lambda=0.0, mem_limit=1.0,
+                seed=0, spill_dir=str(tmp_path / f"spill-{write_behind}"),
+                async_prefetch=True, write_behind=write_behind,
+            ),
+            densify=DensifyConfig(
+                interval=4, start_iteration=4, stop_iteration=5,
+                grad_threshold=1e-6,
+            ),
+        )
+        system = trainer.system
+        before_rebuild = []
+        rebuild = system.rebuild
+
+        def recording_rebuild(model):
+            before_rebuild.append(counters(system))
+            rebuild(model)
+
+        system.rebuild = recording_rebuild
+        # two steps after the rebuild: fewer hinted visits than the four
+        # before it, so a counter the rebuild reset would go down
+        history = trainer.train(scene.train_cameras, scene.train_images, 6)
+        assert [r.iteration for r in history.densify_reports] == [4]
+        [before] = before_rebuild
+        assert before["clean_evictions"] > 0  # the old stores evicted clean
+        assert before["hinted"] > 0
+        after = counters(system)
+        for name, value in before.items():
+            assert after[name] >= value, name
+        ledger = system.ledger
+        assert ledger.page_out_count + system.clean_evictions >= ledger.page_in_count

@@ -207,7 +207,7 @@ class TestDepthD:
 
     def test_depth_reported(self, clustered):
         d2 = self.run_depth(clustered, 2, steps=2)
-        assert d2.prefetch_depth == 0  # prefetcher closed by finalize
+        assert d2.prefetch_depth == 2  # finalize fences the lane, never closes it
         model, cameras, images = clustered
         live = make_system(
             model, resident_shards=2, async_prefetch=True, prefetch_depth=3

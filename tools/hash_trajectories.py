@@ -18,11 +18,13 @@ sha256 of the step losses, the final packed parameters, the Adam moments
 and the defer counters (both scattered into global row order, so columns
 with different store trees compare), then the ledger counts and tracker
 peaks as numbers, per ``outofcore`` column the spills that recorded no
-page-out (``clean_evictions``; ``None`` from a checkout without them), then
-the sha256 of every page file (named, after a
-final spill of every shard so the files hold the final state whatever the
-write-behind timing was). Per serving column: a full ``gather``, one
-frame, the page files, the ledger.
+page-out (``clean_evictions``; ``None`` from a checkout without them) and
+the hinted shard visits of the async leg (``hinted``: ``prefetch_hits +
+prefetch_misses``; their sum follows the op sequence, the split between
+the two follows thread timing), then the sha256 of every page file
+(named, after a final spill of every shard so the files hold the final
+state whatever the write-behind timing was). Per serving column: a full
+``gather``, one frame, the page files, the ledger.
 
 A change to the pager, the stores or the serving tier that is meant to
 keep numerics and bytes must leave every line equal to the parent
@@ -33,13 +35,13 @@ from ``sharded`` down, the PCIe traffic a rebuild-spanning run adds up
 to; the device-only system moves nothing; the async leg
 moves the read and never the traffic (``sync`` == ``async1`` on every
 ledger count, clean eviction and tracker peak, under every codec; depth 2
-keeps upcoming
-shards resident, so only its PCIe counts are pinned), a lossy page is
-rounded the same way whether or not its write-behind landed before it was
-paged back in (``float16`` ``sync`` == ``async2wb`` numerics and pages)
-and a lossless page is pure placement (``raw`` == ``lossless`` gathers
-and frames). Uses only names both sides of a diff have; ``.crc`` sidecars
-of older checkouts are ignored.
+keeps upcoming shards resident, so only its PCIe counts are pinned), the
+hinted shard visits follow the schedule (none on ``sync``, ``async1`` ==
+``async2wb``), a lossy page is rounded the same way whether or not its
+write-behind landed before it was paged back in (``float16`` ``sync`` ==
+``async2wb`` numerics and pages) and a lossless page is pure placement
+(``raw`` == ``lossless`` gathers and frames). Uses only names both sides
+of a diff have; ``.crc`` sidecars of older checkouts are ignored.
 """
 
 import argparse
@@ -136,6 +138,7 @@ def train_column(scene, tmp: str, name: str, **cfg) -> dict:
     if config.system == "outofcore":
         # spills that recorded no page-out (None: a checkout without them)
         row["clean_evictions"] = getattr(system, "clean_evictions", None)
+        row["hinted"] = system.prefetch_hits + system.prefetch_misses
         system.spill_inactive([])  # every page file now holds final state
         system.finalize()  # drains the write-behind lane
         row["pages"] = page_files(spill_dir)
@@ -258,6 +261,12 @@ def check(table: dict[str, dict]) -> list[str]:
                          "host_peak", "pages"))
         if ledger(sync, PCIE) != ledger(f"outofcore-{codec}-async2wb", PCIE):
             failures.append(f"PCIe traffic: {sync} != async2wb")
+        # the hinted steps are the schedule's, whatever the depth, and a
+        # checkpoint or a rebuild keeps the leg running
+        if table[sync]["hinted"] != 0:
+            failures.append(f"a synchronous run hints nothing: {sync}")
+        same("hinted visits follow the schedule", f"outofcore-{codec}-async1",
+             f"outofcore-{codec}-async2wb", ("hinted",))
     same("a lossless page is pure placement", "serve-raw", "serve-lossless",
          ("gather", "frame"))
     return failures
