@@ -16,6 +16,8 @@ Two partitioning problems share the same balance philosophy:
   itself into K spatially coherent, population-balanced shards (recursive
   median cuts along the widest axis, the Grendel/TideGS recipe), which the
   sharded multi-device system assigns one store each.
+  :class:`ShardMap` is the one owner map over such a partition, for the
+  sharded training stores and paged serving alike.
   :func:`buffered_spatial_partition` is the reconstruction-farm variant:
   the same cuts, but each shard additionally reports its half-open cell
   box and an overlap-buffered member set, so independently trained
@@ -135,18 +137,45 @@ def spatial_partition(means: np.ndarray, num_shards: int) -> list[np.ndarray]:
     return [ids for ids, _, _ in spatial_partition_bounds(means, num_shards)]
 
 
-def members(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(sel, local)``: positions within ``ids`` of the members of a shard
-    whose sorted global row ids are ``rows``, and their shard-local row
-    indices."""
-    if rows.size == 0 or ids.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    pos = np.searchsorted(rows, ids)
-    pos = np.clip(pos, 0, rows.size - 1)
-    hit = rows[pos] == ids
-    sel = np.nonzero(hit)[0]
-    return sel, pos[sel]
+class ShardMap:
+    """Which shard owns each of N rows, and the row's index inside it.
+
+    Built once from each shard's global row ids (``rows``, e.g. a
+    :func:`spatial_partition`), which must tile ``0..N-1`` exactly once
+    (:class:`ValueError` otherwise). :meth:`split` routes any id batch to
+    the shards with one gather, one stable sort and one ``bincount``.
+    """
+
+    def __init__(self, shard_rows: list[np.ndarray]):
+        self.rows = [np.asarray(r, dtype=np.int64) for r in shard_rows]
+        self.num_rows = n = int(sum(r.size for r in self.rows))
+        every = np.concatenate(self.rows)
+        if (every < 0).any() or not np.array_equal(
+            np.bincount(every, minlength=n), np.ones(n, dtype=np.int64)
+        ):
+            raise ValueError("shard rows must tile 0..N-1 exactly once")
+        # row -> (its shard, its index inside that shard)
+        self.owner = np.empty(n, dtype=np.min_scalar_type(len(self.rows) - 1))
+        self.local = np.empty(n, dtype=np.int64)
+        for k, rows in enumerate(self.rows):
+            self.owner[rows] = k
+            self.local[rows] = np.arange(rows.size)
+
+    def split(self, ids: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(sel, local)`` of every shard, by shard index: the positions
+        within ``ids`` of the shard's members (ascending) and their
+        shard-local row indices."""
+        if ids.size == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return [(empty, empty)] * len(self.rows)
+        owner = self.owner[ids]
+        order = np.argsort(owner, kind="stable")
+        local = self.local[ids[order]]
+        ends = np.cumsum(np.bincount(owner, minlength=len(self.rows)))
+        starts = np.concatenate(([0], ends[:-1]))
+        return [
+            (order[lo:hi], local[lo:hi]) for lo, hi in zip(starts, ends)
+        ]
 
 
 def spatial_partition_bounds(

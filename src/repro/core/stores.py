@@ -75,6 +75,7 @@ from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
 from .pager import PageFile, PreloadedShard, ResidentSet, SpillStats, _WriteBehindWriter
 from .pagecodec import get_page_codec
+from .splitting import ShardMap
 
 _F32 = 4  # accounting is in float32-equivalent bytes
 _PAGED_FIELDS = ("params", "m", "v")  # the state a DiskStore spills
@@ -1049,10 +1050,9 @@ class ShardedStore(ParameterStore):
     wholly outside the frustum costs one depth product and one bound
     pass). ``stage``/``unstage`` touch only the shards with visible
     members (per-view shard activation: an out-of-frustum shard costs no
-    staging memory and no PCIe traffic). Rows are split between shards
-    through an owner map built once at construction — each row's shard
-    and its index inside that shard — with one gather and one stable sort
-    per call. ``return_grads`` always visits every shard — inactive shards
+    staging memory and no PCIe traffic); rows reach their shards through
+    one :class:`~repro.core.splitting.ShardMap`, built at construction.
+    ``return_grads`` always visits every shard — inactive shards
     receive an empty batch so each shard's optimizer ticks exactly once
     per training step, keeping per-row trajectories identical to the
     unsharded system.
@@ -1066,28 +1066,18 @@ class ShardedStore(ParameterStore):
         for rows, store in zip(shard_rows, stores):
             if rows.size != store.num_rows:
                 raise ValueError("shard row count disagrees with its store")
-        self.shard_rows = [np.asarray(r, dtype=np.int64) for r in shard_rows]
+        self._map = ShardMap(shard_rows)
         self.stores = list(stores)
         self.block = stores[0].block
-        self._num_rows = int(sum(r.size for r in self.shard_rows))
-        # owner map: row -> (its shard, its index inside the shard)
-        every = np.concatenate(self.shard_rows)
-        if not np.array_equal(
-            np.bincount(every, minlength=self._num_rows),
-            np.ones(self._num_rows, dtype=np.int64),
-        ):
-            raise ValueError("shard rows must tile 0..N-1 exactly once")
-        self._owner = np.empty(
-            self._num_rows, dtype=np.min_scalar_type(len(stores) - 1)
-        )
-        self._local = np.empty(self._num_rows, dtype=np.int64)
-        for k, rows in enumerate(self.shard_rows):
-            self._owner[rows] = k
-            self._local[rows] = np.arange(rows.size)
+
+    @property
+    def shard_rows(self) -> list[np.ndarray]:
+        """Each shard's global row ids (read-only: the owner map's)."""
+        return self._map.rows
 
     @property
     def num_rows(self) -> int:
-        return self._num_rows
+        return self._map.num_rows
 
     @property
     def dtype(self):
@@ -1098,29 +1088,13 @@ class ShardedStore(ParameterStore):
         """Number of shards."""
         return len(self.stores)
 
-    def _members(self, ids: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``(sel, local)`` of every shard, as
-        :func:`~repro.core.splitting.members` gives them: positions within
-        ``ids`` (ascending) and shard-local row indices."""
-        if ids.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return [(empty, empty)] * self.num_shards
-        owner = self._owner[ids]
-        order = np.argsort(owner, kind="stable")
-        local = self._local[ids[order]]
-        ends = np.cumsum(np.bincount(owner, minlength=self.num_shards))
-        starts = np.concatenate(([0], ends[:-1]))
-        return [
-            (order[lo:hi], local[lo:hi]) for lo, hi in zip(starts, ends)
-        ]
-
     def split(
         self, ids: np.ndarray
     ) -> Iterator[tuple[int, ParameterStore, np.ndarray, np.ndarray]]:
         """``(k, store, sel, local)`` for every shard with members among
         ``ids``: the shard's index and store, the positions of its members
         within ``ids``, and their shard-local row indices."""
-        for k, (sel, local) in enumerate(self._members(ids)):
+        for k, (sel, local) in enumerate(self._map.split(ids)):
             if sel.size:
                 yield k, self.stores[k], sel, local
 
@@ -1145,7 +1119,7 @@ class ShardedStore(ParameterStore):
     def return_grads(self, ids: np.ndarray, grads: np.ndarray) -> None:
         # every shard, not only split(ids): an inactive shard's optimizer
         # must tick
-        for store, (sel, local) in zip(self.stores, self._members(ids)):
+        for store, (sel, local) in zip(self.stores, self._map.split(ids)):
             store.return_grads(local, grads[sel])
 
     def commit(self) -> None:
@@ -1202,7 +1176,7 @@ class ShardedStore(ParameterStore):
         )
         return ShardedCullResult(
             valid_ids=valid,
-            num_total=self._num_rows,
+            num_total=self.num_rows,
             num_in_depth=sum(res.num_in_depth for res in results),
             num_visible=int(valid.size),
             shard_visible=tuple(res.num_visible for res in results),

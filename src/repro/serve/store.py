@@ -13,12 +13,13 @@ gradient plumbing; serving needs none of that — just the committed
   columns are spatially sharded into page files
   (:class:`~repro.core.pager.PageFile`, the training spill tier's
   format) and at most ``resident`` shards occupy host DRAM at once.
-  Residency reuses the training tier's LRU machinery
-  (:class:`~repro.core.pager.ResidentSet`), page traffic is metered on the
-  :class:`~repro.core.systems.TransferLedger` page channel, and a
-  capacity-capped :class:`~repro.sim.memory.MemoryTracker` *enforces*
-  the byte budget — an accounting bug raises instead of silently
-  overshooting.
+  Rows reach their pages through the training tier's owner map
+  (:class:`~repro.core.splitting.ShardMap`), residency reuses its LRU
+  machinery (:class:`~repro.core.pager.ResidentSet`), page traffic is
+  metered on the :class:`~repro.core.systems.TransferLedger` page
+  channel, and a capacity-capped :class:`~repro.sim.memory.MemoryTracker`
+  *enforces* the byte budget — an accounting bug raises instead of
+  silently overshooting.
 
 Both expose the same three-method surface the frame renderer needs:
 ``geometry()`` for culling, ``gather(ids)`` for the visible rows, and
@@ -38,7 +39,7 @@ from ..core.checkpoint import CheckpointReader
 from ..core.integrity import CorruptPageError
 from ..core.pagecodec import get_page_codec
 from ..core.pager import PageFile, ResidentSet
-from ..core.splitting import members, spatial_partition
+from ..core.splitting import ShardMap, spatial_partition
 from ..core.systems import TransferLedger
 from ..gaussians import layout
 from ..sim.memory import MemoryTracker
@@ -196,10 +197,6 @@ class _ServeShard:
         """The shard's page file (``""`` for an empty shard)."""
         return self.page.path
 
-    def write(self, index, values: np.ndarray) -> None:
-        """Fill rows of the build page (before :meth:`seal` only)."""
-        self.page.view()[index] = values
-
     def seal(self) -> None:
         """Finish building: record the build page's checksum and, under
         a non-raw codec, re-store it as one encoded page (durably) and
@@ -307,8 +304,10 @@ class PagedServingStore(ServingStore):
 
     Args:
         geo: resident geometric columns ``(N, 10)``.
-        shard_rows: sorted disjoint global row ids per shard (a
-            :func:`~repro.core.splitting.spatial_partition`).
+        shard_rows: sorted global row ids per shard (a
+            :func:`~repro.core.splitting.spatial_partition`); together
+            they must tile ``0..N-1`` exactly once, or :class:`ValueError`
+            is raised.
         host_budget_bytes: byte cap on tracked host memory.
         page_dir: directory of the page files (a temporary directory
             that dies with the store when ``None``).
@@ -336,8 +335,8 @@ class PagedServingStore(ServingStore):
             )
         self.geo = np.ascontiguousarray(geo)
         self.codec = get_page_codec(codec)
-        self.shard_rows = [np.asarray(r, dtype=np.int64) for r in shard_rows]
-        if int(sum(r.size for r in self.shard_rows)) != geo.shape[0]:
+        self._map = ShardMap(shard_rows)
+        if self._map.num_rows != geo.shape[0]:
             raise ValueError("shard rows must partition the model's rows")
         self.ledger = ledger if ledger is not None else TransferLedger()
         if page_dir is None:
@@ -379,9 +378,17 @@ class PagedServingStore(ServingStore):
         ) from exc
 
     # -- construction ------------------------------------------------------
-    def seal(self) -> None:
-        """Finish building every shard page (encode under a non-raw
-        codec); pages are read-only afterwards."""
+    def _fill(self, blocks) -> None:
+        """Write ``(rows, columns, values)`` blocks of non-geometric
+        columns (``rows=None``: every row) into the shards' build pages,
+        then seal the pages; they are read-only afterwards."""
+        base = layout.NON_GEOMETRIC_SLICE.start
+        for rows, columns, values in blocks:
+            ids = np.arange(self.num_rows) if rows is None else rows
+            cols = slice(columns.start - base, columns.stop - base)
+            for shard, (sel, local) in zip(self.shards, self._map.split(ids)):
+                if sel.size:
+                    shard.page.view()[local, cols] = values[sel]
         for shard in self.shards:
             shard.seal()
 
@@ -395,7 +402,7 @@ class PagedServingStore(ServingStore):
         ledger: TransferLedger | None = None,
         codec: str = "raw",
     ) -> "PagedServingStore":
-        """Shard a in-memory model into page files and serve it paged."""
+        """Shard an in-memory model into page files and serve it paged."""
         params = model.params
         shard_rows = spatial_partition(
             params[:, layout.MEAN_SLICE], num_shards
@@ -408,9 +415,8 @@ class PagedServingStore(ServingStore):
             ledger=ledger,
             codec=codec,
         )
-        for shard, rows in zip(store.shards, store.shard_rows):
-            shard.write(slice(None), params[rows][:, layout.NON_GEOMETRIC_SLICE])
-        store.seal()
+        ng = layout.NON_GEOMETRIC_SLICE
+        store._fill([(None, ng, params[:, ng])])
         return store
 
     @classmethod
@@ -441,29 +447,15 @@ class PagedServingStore(ServingStore):
                 geo, shard_rows, host_budget_bytes,
                 page_dir=page_dir, ledger=ledger, codec=codec,
             )
-            # global row -> (owning serve shard, local row)
-            n = reader.num_gaussians
-            shard_of = np.empty(n, dtype=np.int64)
-            local_of = np.empty(n, dtype=np.int64)
-            for k, rows in enumerate(store.shard_rows):
-                shard_of[rows] = k
-                local_of[rows] = np.arange(rows.size)
-            base = layout.NON_GEOMETRIC_SLICE.start
-            for rows, csl, values in reader.iter_column_blocks(
-                layout.NON_GEOMETRIC_SLICE
-            ):
-                if rows is None:
-                    rows = np.arange(n)
-                cols = slice(csl.start - base, csl.stop - base)
-                for k in np.unique(shard_of[rows]):
-                    sel = shard_of[rows] == k
-                    store.shards[k].write(
-                        (local_of[rows[sel]], cols), values[sel]
-                    )
-            store.seal()
+            store._fill(reader.iter_column_blocks(layout.NON_GEOMETRIC_SLICE))
         return store
 
     # -- serving surface ---------------------------------------------------
+    @property
+    def shard_rows(self) -> list[np.ndarray]:
+        """Each shard's global row ids (read-only: the owner map's)."""
+        return self._map.rows
+
     @property
     def num_rows(self) -> int:
         return self.geo.shape[0]
@@ -499,11 +491,11 @@ class PagedServingStore(ServingStore):
         out = np.empty((ids.size, layout.PARAM_DIM), dtype=self.dtype)
         out[:, layout.GEOMETRIC_SLICE] = self.geo[ids]
         self.rows_gathered += ids.size
-        touched = []
-        for shard, rows in zip(self.shards, self.shard_rows):
-            sel, local = members(ids, rows)
-            if sel.size:
-                touched.append((shard, sel, local))
+        touched = [
+            (shard, sel, local)
+            for shard, (sel, local) in zip(self.shards, self._map.split(ids))
+            if sel.size
+        ]
         self.shards_touched += len(touched)
         # resident pages first (stable: shard order within each half), so
         # no admit below can spill a page this call has yet to read

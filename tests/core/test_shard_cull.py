@@ -4,15 +4,16 @@
 candidate bound cannot clear, and over all of a gated-in shard's rows: the
 result must be byte-equal to the ungated union of per-shard
 ``frustum_cull`` calls. ``ShardedStore.split`` reads one owner map built
-at construction: per shard it must hand out exactly the ``(sel, local)``
-pair :func:`repro.core.splitting.members` computes.
+at construction (a :class:`repro.core.splitting.ShardMap`): per shard it
+must hand out exactly the ``(sel, local)`` pair :func:`members`, a
+per-shard binary search, computes.
 """
 
 import numpy as np
 import pytest
 
 from repro.cameras import Camera
-from repro.core.splitting import members, spatial_partition
+from repro.core.splitting import ShardMap, spatial_partition
 from repro.core.stores import DeviceStore, HybridStore, ShardedStore
 from repro.gaussians import layout
 from repro.optim.base import AdamConfig
@@ -21,6 +22,20 @@ from repro.sim.memory import MemoryTracker
 
 NUM_SHARDS = 16
 HALF = 10.0  # the site is the square [-HALF, HALF]^2 near z = 0
+
+
+def members(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: ``(sel, local)``, the positions within ``ids`` of the
+    members of a shard whose sorted global row ids are ``rows``, and their
+    shard-local row indices — one binary search per shard."""
+    if rows.size == 0 or ids.size == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    pos = np.searchsorted(rows, ids)
+    pos = np.clip(pos, 0, rows.size - 1)
+    hit = rows[pos] == ids
+    sel = np.nonzero(hit)[0]
+    return sel, pos[sel]
 
 
 def site_params(n, dtype, seed=0):
@@ -236,3 +251,50 @@ class TestOwnerMap:
         ]
         with pytest.raises(ValueError, match="tile"):
             ShardedStore([np.array([0, 1]), np.array([1, 2])], stores)
+
+    def test_negative_row_is_rejected(self):
+        stores = [
+            DeviceStore(
+                np.zeros((2, layout.PARAM_DIM)), layout.ALL_BLOCK,
+                AdamConfig(lr=1e-3), MemoryTracker(),
+            )
+            for _ in range(2)
+        ]
+        with pytest.raises(ValueError, match="tile 0..N-1 exactly once"):
+            ShardedStore([np.array([0, 1]), np.array([-1, 2])], stores)
+
+
+def shard_map_partitions():
+    """``name -> shard rows``: one shard, seven spatial shards, and more
+    shards than rows (the partitioner pads empty ones)."""
+    params = site_params(3000, np.float64)
+    return {
+        "k1": [np.arange(3000)],
+        "k7": spatial_partition(params[:, layout.MEAN_SLICE], 7),
+        "empty-shards": spatial_partition(params[:3, layout.MEAN_SLICE], 8),
+    }
+
+
+def shard_map_ids(n, name):
+    rng = np.random.default_rng(5)
+    return {
+        "unsorted": rng.choice(n, size=max(n // 3, 1), replace=False),
+        "sorted": np.sort(rng.choice(n, size=max(n // 2, 1), replace=False)),
+        "empty": np.empty(0, dtype=np.int64),
+        "all": np.arange(n),
+    }[name]
+
+
+class TestShardMap:
+    @pytest.mark.parametrize("ids_name", ["unsorted", "sorted", "empty", "all"])
+    @pytest.mark.parametrize("partition", ["k1", "k7", "empty-shards"])
+    def test_split_is_members(self, partition, ids_name):
+        shard_map = ShardMap(shard_map_partitions()[partition])
+        ids = shard_map_ids(shard_map.num_rows, ids_name)
+        parts = shard_map.split(ids)
+        assert len(parts) == len(shard_map.rows)
+        for rows, (got_sel, got_local) in zip(shard_map.rows, parts):
+            sel, local = members(ids, rows)
+            assert got_sel.dtype == sel.dtype and got_local.dtype == local.dtype
+            assert got_sel.tobytes() == sel.tobytes()
+            assert got_local.tobytes() == local.tobytes()

@@ -71,7 +71,54 @@ class TestPagedStore:
         for _ in range(4):
             ids = np.sort(rng.choice(n, size=60, replace=False))
             assert np.array_equal(paged.gather(ids), model.params[ids])
+        in_memory = InMemoryServingStore.from_model(model)
+        for ids in (
+            rng.choice(n, size=90, replace=False),  # unsorted
+            np.empty(0, dtype=np.int64),
+            np.arange(n),
+        ):
+            got = paged.gather(ids)
+            assert got.tobytes() == in_memory.gather(ids).tobytes()
         paged.close()
+
+    @pytest.mark.parametrize("n, num_shards", [(240, 1), (3, 8)])
+    def test_gather_bytes_equal_in_memory_any_shard_count(
+        self, scene, n, num_shards
+    ):
+        """One shard, and more shards than rows (empty shards)."""
+        model = scene.oracle.select(np.arange(n))
+        paged = PagedServingStore.from_model(
+            model, tight_budget(n, num_shards=num_shards),
+            num_shards=num_shards,
+        )
+        in_memory = InMemoryServingStore.from_model(model)
+        rng = np.random.default_rng(3)
+        for ids in (
+            rng.choice(n, size=max(n // 3, 1), replace=False),  # unsorted
+            np.empty(0, dtype=np.int64),
+            np.arange(n),
+        ):
+            got = paged.gather(ids)
+            assert got.tobytes() == in_memory.gather(ids).tobytes()
+        paged.close()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 1], [1, 2]],  # row 1 twice, row 3 in no shard
+            [[0, 0], [2, 3]],  # a row repeated inside one shard
+            [[0, 1], [2, 4]],  # an id >= N
+            [[0, 1], [-1, 3]],  # a negative id
+        ],
+    )
+    def test_shard_rows_must_tile(self, rows):
+        """A partition that does not tile the rows is rejected up front —
+        served, a row in no shard would gather uninitialised memory."""
+        geo = np.zeros((4, layout.GEOMETRIC_DIM))
+        with pytest.raises(
+            ValueError, match="shard rows must tile 0..N-1 exactly once"
+        ):
+            PagedServingStore(geo, [np.array(r) for r in rows], 1 << 20)
 
     def test_budget_enforced_while_model_larger(self, scene):
         model = scene.oracle

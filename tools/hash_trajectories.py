@@ -24,7 +24,8 @@ prefetch_misses``; their sum follows the op sequence, the split between
 the two follows thread timing), then the sha256 of every page file
 (named, after a final spill of every shard so the files hold the final
 state whatever the write-behind timing was). Per serving column: a full
-``gather``, one frame, the page files, the ledger.
+``gather``, one frame, the page files, the ledger, and the page files of
+the same model paged by ``from_model`` (``pages_from_model``).
 
 A change to the pager, the stores or the serving tier that is meant to
 keep numerics and bytes must leave every line equal to the parent
@@ -39,9 +40,12 @@ keeps upcoming shards resident, so only its PCIe counts are pinned), the
 hinted shard visits follow the schedule (none on ``sync``, ``async1`` ==
 ``async2wb``), a lossy page is rounded the same way whether or not its
 write-behind landed before it was paged back in (``float16`` ``sync`` ==
-``async2wb`` numerics and pages) and a lossless page is pure placement
-(``raw`` == ``lossless`` gathers and frames). Uses only names both sides
-of a diff have; ``.crc`` sidecars of older checkouts are ignored.
+``async2wb`` numerics and pages), a lossless page is pure placement
+(``raw`` == ``lossless`` gathers and frames) and a serving page holds the
+same bytes whether it was filled from the checkpoint or from the resumed
+model (``pages_from_model`` == ``pages`` under every codec). Uses only
+names both sides of a diff have; ``.crc`` sidecars of older checkouts
+are ignored.
 """
 
 import argparse
@@ -56,6 +60,7 @@ from repro.core import GSScaleConfig, Trainer
 from repro.core.checkpoint import (
     CheckpointReader,
     load_checkpoint,
+    resume_model,
     save_checkpoint,
 )
 from repro.datasets import SyntheticSceneConfig, build_scene
@@ -180,6 +185,14 @@ def serve_column(scene, tmp: str, codec: str, checkpoint: str) -> dict:
     row["ledger"] = dict(store.ledger.counts())
     row["host_peak"] = store.host_memory.peak_bytes
     store.close()
+    # the same model paged from memory: pages fill through one path
+    model_dir = os.path.join(tmp, f"serve-{codec}-model")
+    store = PagedServingStore.from_model(
+        resume_model(checkpoint), budget, num_shards=NUM_SHARDS,
+        page_dir=model_dir, codec=codec,
+    )
+    row["pages_from_model"] = page_files(model_dir)
+    store.close()
     return row
 
 
@@ -269,6 +282,11 @@ def check(table: dict[str, dict]) -> list[str]:
              f"outofcore-{codec}-async2wb", ("hinted",))
     same("a lossless page is pure placement", "serve-raw", "serve-lossless",
          ("gather", "frame"))
+    for codec in CODECS:
+        row = table[f"serve-{codec}"]
+        if row["pages_from_model"] != row["pages"]:
+            failures.append(f"one page fill path: serve-{codec} "
+                            "pages_from_model != pages")
     return failures
 
 
