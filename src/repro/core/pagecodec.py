@@ -31,20 +31,42 @@ the codec payload with the :mod:`repro.core.integrity` GSP1 header
 (magic + length + CRC32) and :meth:`PageCodec.decode_page` validates it,
 so a torn or bit-rotted ``.pagez`` surfaces as a
 :class:`~repro.core.integrity.CorruptPageError` naming the file instead
-of an opaque decode error. The seal lives at the file layer, not inside
-``encode``/``decode`` — compression-ratio accounting and the codec
-round-trip contract see pure payload bytes.
+of an opaque decode error — and so does a payload that checks out but
+does not fit its page (a stale page of another shard size, a float16
+column exponent ``encode`` never writes). The seal lives at the file
+layer, not inside ``encode``/``decode`` — compression-ratio accounting
+and the codec round-trip contract see pure payload bytes.
+
+A read-only reader may keep a page in its encoding: :meth:`PageCodec.hold`
+is what it holds, and ``hold(buf, shape, dtype)[rows]`` is
+``decode(buf, shape, dtype)[rows]``, byte for byte. The float16 codec
+holds its payload and decodes only the rows asked for; the others hold
+the decoded array.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 
 import numpy as np
 
-from .integrity import seal_page, unseal_page
+from .integrity import CorruptPageError, seal_page, unseal_page
 
 __all__ = ["PageCodec", "PAGE_CODECS", "get_page_codec"]
+
+
+class _PayloadMismatch(ValueError):
+    """A payload that does not fit the page it is decoded as; the sealed
+    page layer reports it as :class:`CorruptPageError` naming the file."""
+
+
+def _expect_nbytes(payload: bytes, nbytes: int, shape: tuple) -> None:
+    if len(payload) != nbytes:
+        raise _PayloadMismatch(
+            f"payload holds {len(payload)} bytes, a {tuple(shape)} page "
+            f"{nbytes}"
+        )
 
 
 class PageCodec:
@@ -68,7 +90,18 @@ class PageCodec:
         raise NotImplementedError
 
     def decode(self, buf: bytes, shape: tuple, dtype) -> np.ndarray:
+        """The page ``buf`` encodes, as a fresh writable array. Raises
+        :class:`ValueError` when the payload does not fit ``shape``."""
         raise NotImplementedError
+
+    def hold(self, buf: bytes, shape: tuple, dtype):
+        """What a read-only resident page keeps of ``buf``. The contract:
+        for any integer array ``rows`` (empty, unsorted or repeated),
+        ``hold(buf, shape, dtype)[rows]`` is a fresh array byte-equal to
+        ``decode(buf, shape, dtype)[rows]``. The decoded array, unless the
+        codec can decode rows on their own. Validates the payload as
+        :meth:`decode` does."""
+        return self.decode(buf, shape, dtype)
 
     def encode_page(self, arr: np.ndarray) -> bytes:
         """Encode and seal one page for on-disk storage."""
@@ -79,9 +112,23 @@ class PageCodec:
         """Validate a sealed page and decode its payload.
 
         Raises :class:`~repro.core.integrity.CorruptPageError` (tagged
-        with ``path``) when the seal does not check out.
+        with ``path``) when the seal does not check out or the payload
+        does not fit ``shape``.
         """
-        return self.decode(unseal_page(buf, path), shape, dtype)
+        return self._unsealed(self.decode, buf, shape, dtype, path)
+
+    def hold_page(self, buf: bytes, shape: tuple, dtype, path: str = ""):
+        """:meth:`hold` of a sealed page, validated as :meth:`decode_page`
+        validates it."""
+        return self._unsealed(self.hold, buf, shape, dtype, path)
+
+    @staticmethod
+    def _unsealed(open_payload, buf, shape, dtype, path):
+        payload = unseal_page(buf, path)
+        try:
+            return open_payload(payload, shape, dtype)
+        except _PayloadMismatch as exc:
+            raise CorruptPageError(path, str(exc)) from None
 
 
 class RawCodec(PageCodec):
@@ -94,6 +141,8 @@ class RawCodec(PageCodec):
         return np.ascontiguousarray(arr).tobytes()
 
     def decode(self, buf: bytes, shape: tuple, dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        _expect_nbytes(buf, math.prod(shape) * dtype.itemsize, shape)
         return np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
 
 
@@ -123,10 +172,26 @@ class Float16Codec(PageCodec):
     spill/page-in cycles therefore converge after the first
     quantization instead of drifting. The precision cost of squaring is
     a factor of two in relative error (~``5e-4``).
+
+    Both directions apply a column's scale as one multiply by the double
+    ``2.0**e`` — the value ``np.ldexp`` per element gave, bit for bit,
+    since every exponent ``encode`` writes (:attr:`EXPONENTS`) makes
+    ``2.0**e`` a finite normal double (numerics contract fact 7). A
+    payload carrying any other exponent is corrupt. A held page is its
+    payload (:meth:`hold`): indexing it widens, scales and squares the
+    requested rows only, each as :meth:`decode` would.
     """
 
     name = "float16"
     lossless = False
+
+    #: the column exponents ``encode`` writes: ``frexp`` of the square
+    #: roots of the smallest and the largest finite float64 magnitude
+    #: (a zero column writes 0)
+    EXPONENTS = tuple(
+        int(np.frexp(np.sqrt(x))[1])
+        for x in (np.nextafter(0.0, 1.0), np.finfo(np.float64).max)
+    )
 
     def encode(self, arr: np.ndarray) -> bytes:
         a = np.ascontiguousarray(arr, dtype=np.float64)
@@ -140,25 +205,55 @@ class Float16Codec(PageCodec):
         # lands in [0.5, 1]; zero columns get e = 0
         _, exps = np.frexp(maxabs)
         exps = exps.astype(np.int16)
-        scaled = np.ldexp(root, -exps.astype(np.int64)[None, :])
+        root *= np.ldexp(1.0, -exps.astype(np.int64))[None, :]
         return exps.astype("<i2").tobytes() + np.ascontiguousarray(
-            scaled, dtype="<f2"
+            root, dtype="<f2"
         ).tobytes()
 
-    def decode(self, buf: bytes, shape: tuple, dtype) -> np.ndarray:
+    def _split(self, buf: bytes, shape: tuple):
+        """``(scales, halves)`` of a payload: each column's ``2.0**e``
+        and the ``(rows, cols)`` half-precision block, validated."""
         ncols = int(shape[-1]) if len(shape) > 1 else 1
-        head = 2 * ncols
+        _expect_nbytes(buf, 2 * (ncols + math.prod(shape)), shape)
         exps = np.frombuffer(buf, dtype="<i2", count=ncols).astype(np.int64)
-        # the widening cast is the one page-sized float64 buffer; the
-        # scale and the square then run in place on it
-        root = (
-            np.frombuffer(buf, dtype="<f2", offset=head)
-            .astype(np.float64)
-            .reshape(-1, ncols)
-        )
-        np.ldexp(root, exps[None, :], out=root)
+        low, high = self.EXPONENTS
+        if exps.size and not low <= exps.min() <= exps.max() <= high:
+            raise _PayloadMismatch(
+                f"column exponents span [{exps.min()}, {exps.max()}], "
+                f"outside the [{low}, {high}] encode writes"
+            )
+        halves = np.frombuffer(buf, dtype="<f2", offset=2 * ncols)
+        return np.ldexp(1.0, exps), halves.reshape(-1, ncols)
+
+    def decode(self, buf: bytes, shape: tuple, dtype) -> np.ndarray:
+        return self.hold(buf, shape, dtype)[:].reshape(shape)
+
+    def hold(self, buf: bytes, shape: tuple, dtype) -> "_RowDecoder":
+        scales, halves = self._split(buf, shape)
+        return _RowDecoder(scales, halves, tuple(shape[1:]), np.dtype(dtype))
+
+
+class _RowDecoder:
+    """A held float16 page — the per-column scales and a view of the
+    payload's halves: ``page[rows]`` decodes just those rows (``page[:]``
+    all of them — :meth:`Float16Codec.decode`)."""
+
+    __slots__ = ("scales", "halves", "tail", "dtype")
+
+    def __init__(self, scales: np.ndarray, halves: np.ndarray, tail: tuple,
+                 dtype: np.dtype):
+        self.scales = scales
+        self.halves = halves
+        self.tail = tail
+        self.dtype = dtype
+
+    def __getitem__(self, rows) -> np.ndarray:
+        # the widening cast is the one float64 buffer; the scale and the
+        # square then run in place on it
+        root = self.halves[rows].astype(np.float64)
+        root *= self.scales[None, :]
         np.multiply(root, np.abs(root), out=root)
-        return root.astype(dtype, copy=False).reshape(shape)
+        return root.astype(self.dtype, copy=False).reshape((-1,) + self.tail)
 
 
 class LosslessCodec(PageCodec):
@@ -190,6 +285,7 @@ class LosslessCodec(PageCodec):
     def decode(self, buf: bytes, shape: tuple, dtype) -> np.ndarray:
         dtype = np.dtype(dtype)
         raw = zlib.decompress(buf)
+        _expect_nbytes(raw, math.prod(shape) * dtype.itemsize, shape)
         unshuffled = (
             np.frombuffer(raw, dtype=np.uint8)
             .reshape(dtype.itemsize, -1)

@@ -14,6 +14,7 @@ for training; immutable pages and quarantine for serving) stays per tier.
 from __future__ import annotations
 
 import contextlib
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -40,7 +41,8 @@ class PageFile:
     ``{stem}.{codec}.pagez`` (length + CRC32 header,
     :mod:`repro.core.integrity`), replaced atomically on every write. An
     empty page has no file under any codec (zero bytes cannot be
-    memory-mapped). :meth:`read` always verifies; there is no switch.
+    memory-mapped). :meth:`read` and :meth:`hold` always verify; there is
+    no switch.
 
     Args:
         stem: path prefix of the page file.
@@ -116,14 +118,37 @@ class PageFile:
         """The page as a fresh, writable, verified array (decoded to
         ``dtype`` when given). Raises
         :class:`~repro.core.integrity.CorruptPageError` naming the file
-        on a torn (short) or bit-rotted (checksum) page."""
+        on a torn (short), bit-rotted (checksum) or misshapen (a payload
+        that is not ``rows x cols`` values) page."""
+        return self._load(self.codec.decode_page, dtype)
+
+    def hold(self):
+        """The verified page as a read-only reader keeps it resident
+        (:meth:`~repro.core.pagecodec.PageCodec.hold`): indexed by an array
+        of rows, it gives those rows of :meth:`read`, byte for byte. A
+        float16 page stays encoded and decodes only the rows asked for.
+        Verified as :meth:`read` verifies."""
+        return self._load(self.codec.hold_page, None)
+
+    def _load(self, open_page, dtype):
+        """The one verified read: visits the ``pager:page_in`` fault point
+        once, before any byte is read, then checks the raw page's size
+        and CRC or hands the sealed bytes to ``open_page``."""
+        faults.fault_point("pager:page_in")
         dtype = self.dtype if dtype is None else np.dtype(dtype)
         if not self.path:
             return np.empty(self.shape, dtype=dtype)
         if not self._raw:
             with open(self.path, "rb") as fh:
                 buf = fh.read()
-            return self.decode(buf, dtype)
+            return open_page(buf, self.shape, dtype, path=self.path)
+        # a file shorter than its mapping would fault on the copy
+        size = os.path.getsize(self.path)
+        if size != self._mm.nbytes:
+            raise CorruptPageError(
+                self.path,
+                f"file holds {size} bytes, a {self.shape} page {self._mm.nbytes}",
+            )
         # copy out of the live mapping (measured at a third of re-reading
         # the file)
         arr = np.array(self._mm)

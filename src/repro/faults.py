@@ -66,7 +66,8 @@ class Fault:
 
     Attributes:
         point: fault-point name (``"pool:task"``, ``"fragment:pairs"``,
-            ``"lane:writeback"``, ``"pager:page_out"``, ...).
+            ``"lane:writeback"``, ``"pager:page_out"``,
+            ``"pager:page_in"``, ...).
         action: ``"kill"`` (SIGKILL the visiting pool worker),
             ``"delay"`` (sleep ``seconds``), or ``"raise"``
             (:class:`InjectedFaultError`).
@@ -206,7 +207,8 @@ def fault_point(name: str, index: int | None = None) -> None:
 
     Compiled into the fragment kernels, the vectorized forward's block
     tasks, the supervised pool's task wrapper, every lane task
-    (``lane:{name}``, :class:`~repro.pool.Lane`) and ``PageFile.write``;
+    (``lane:{name}``, :class:`~repro.pool.Lane`), ``PageFile.write``
+    (``pager:page_out``) and ``PageFile``'s read path (``pager:page_in``);
     ``index`` is the pool task, block or lane-task index where one exists.
     """
     plan = _PLAN

@@ -12,7 +12,8 @@ gradient plumbing; serving needs none of that — just the committed
   columns (17%) stay resident for culling, while the non-geometric
   columns are spatially sharded into page files
   (:class:`~repro.core.pager.PageFile`, the training spill tier's
-  format) and at most ``resident`` shards occupy host DRAM at once.
+  format) and at most ``resident`` shards occupy host DRAM at once — a
+  ``float16`` one still encoded, decoded row by row as gathers ask.
   Rows reach their pages through the training tier's owner map
   (:class:`~repro.core.splitting.ShardMap`), residency reuses its LRU
   machinery (:class:`~repro.core.pager.ResidentSet`), page traffic is
@@ -172,8 +173,9 @@ class InMemoryServingStore(ServingStore):
 
 class _ServeShard:
     """One spatial shard's non-geometric page: a
-    :class:`~repro.core.pager.PageFile` plus an optional paged-in host
-    copy, driven through the shared
+    :class:`~repro.core.pager.PageFile` plus, while paged in, what the
+    page holds resident (:meth:`~repro.core.pager.PageFile.hold`), driven
+    through the shared
     :class:`~repro.core.pager.ResidentSet` (which calls :meth:`spill`
     on the LRU shard to make room — the same protocol the training
     tier's :class:`~repro.core.stores.DiskStore` speaks)."""
@@ -190,7 +192,9 @@ class _ServeShard:
             (num_rows, layout.NON_GEOMETRIC_DIM),
             store.dtype,
         )
-        self.values: np.ndarray | None = None
+        #: the resident page (:meth:`~repro.core.pager.PageFile.hold`):
+        #: ``values[local]`` is those rows' columns, decoded
+        self.values = None
 
     @property
     def page_path(self) -> str:
@@ -200,8 +204,10 @@ class _ServeShard:
     def seal(self) -> None:
         """Finish building: record the build page's checksum and, under
         a non-raw codec, re-store it as one encoded page (durably) and
-        delete the raw buffer — serving then decodes whole pages. One
-        shard's rows are transient at a time."""
+        delete the raw buffer — a page-in then holds what the codec keeps
+        of it (:meth:`~repro.core.pager.PageFile.hold`: a float16 page
+        stays encoded and a gather decodes only its rows). One shard's
+        rows are transient at a time."""
         build = self.page
         build.seal()
         codec = self._store.codec
@@ -246,7 +252,7 @@ class _ServeShard:
         store.resident_set.admit(self)
         tok = _trace.begin("serve/page_in", "page")
         try:
-            self.values = self.page.read()
+            self.values = self.page.hold()
         except Exception as exc:
             store.resident_set.drop(self)
             if isinstance(exc, CorruptPageError):
@@ -315,9 +321,13 @@ class PagedServingStore(ServingStore):
             ``None``).
         codec: page codec name (see :mod:`repro.core.pagecodec`). Under
             a non-raw codec each shard's page is stored encoded (sealed
-            once building finishes) and decoded on page-in; the ledger's
-            ``page_in_disk_bytes`` then meters the encoded size next to
-            the fp32-equivalent ``page_in_bytes``.
+            once building finishes) and verified on page-in; a resident
+            ``float16`` page stays encoded and :meth:`gather` decodes only
+            the rows it copies out (``lossless`` pages are decoded whole
+            on page-in: a zlib stream cannot be read by row). Residency
+            and the byte budget count fp32-equivalent pages whatever the
+            codec; the ledger's ``page_in_disk_bytes`` meters the encoded
+            size next to the fp32-equivalent ``page_in_bytes``.
     """
 
     def __init__(

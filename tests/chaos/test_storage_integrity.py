@@ -21,6 +21,7 @@ from repro.core import CorruptCheckpointError, CorruptPageError
 from repro.core.checkpoint import (
     CheckpointReader,
     load_checkpoint,
+    resume_model,
     save_checkpoint,
     validate_checkpoint,
 )
@@ -47,7 +48,12 @@ from repro.faults import (
 )
 from repro.gaussians import layout
 from repro.optim.base import AdamConfig
-from repro.serve import PageQuarantinedError, RenderRequest, RenderService
+from repro.serve import (
+    PagedServingStore,
+    PageQuarantinedError,
+    RenderRequest,
+    RenderService,
+)
 from repro.sim.memory import MemoryTracker
 
 N = 24
@@ -116,6 +122,26 @@ class TestDiskStorePages:
         truncate_file(path, keep_fraction=0.5)
         with pytest.raises(CorruptPageError, match="torn"):
             store.page_in()
+
+    @pytest.mark.parametrize("codec", ["raw", "lossless", "float16"])
+    def test_misshapen_page_is_corrupt(self, tmp_path, codec):
+        """A stale page of another shard size whose seal checks out is a
+        corrupt page naming its file, and the store stays spilled."""
+        store = make_disk(tmp_path, codec=codec)
+        store.spill()
+        path = store.pages["params"].path
+        if codec == "raw":  # the file outgrew its mapping
+            with open(path, "ab") as fh:
+                fh.write(bytes(2 * layout.PARAM_DIM * 8))
+        else:
+            stale = store.codec.encode_page(_params(seed=1)[: N - 2])
+            atomic_write_bytes(path, stale)
+        ledger = store.ledger.counts()
+        with pytest.raises(CorruptPageError) as info:
+            store.page_in()
+        assert info.value.path == path
+        assert not store.is_resident
+        assert store.ledger.counts() == ledger
 
     def test_clean_spill_cycle_verifies(self, tmp_path):
         store = make_disk(tmp_path, codec="lossless")
@@ -446,6 +472,35 @@ class TestServingQuarantine:
         finally:
             service.close()
 
+    @pytest.mark.parametrize("codec", ["raw", "float16", "lossless"])
+    def test_misshapen_page_quarantines_shard(self, trained, tmp_path, codec):
+        """A shard page of the wrong shape is quarantined on its page-in
+        like a bit-rotted one — not re-admitted and rolled back on every
+        touch, and never handed out row by row."""
+        src, _ = trained
+        store = PagedServingStore.from_checkpoint(
+            src, host_budget_bytes=1 << 14, num_shards=4,
+            page_dir=str(tmp_path / "pages"), codec=codec,
+        )
+        try:
+            shard = store.shards[0]
+            path = shard.page_path
+            if codec == "raw":  # the file outgrew its mapping
+                with open(path, "ab") as fh:
+                    fh.write(bytes(2 * layout.NON_GEOMETRIC_DIM * 8))
+            else:
+                stale = np.zeros((shard.num_rows - 2, layout.NON_GEOMETRIC_DIM))
+                atomic_write_bytes(path, store.codec.encode_page(stale))
+            shard.spill()
+            with pytest.raises(PageQuarantinedError, match=path):
+                store.gather(store.shard_rows[0][:3])
+            assert path in store.quarantined[0]
+            assert not shard.is_resident
+            with pytest.raises(PageQuarantinedError):
+                shard.page_in()
+        finally:
+            store.close()
+
     def test_quarantine_count_surfaces_in_serve_stats(
         self, trained, tmp_path
     ):
@@ -464,6 +519,104 @@ class TestServingQuarantine:
             assert service.stats.quarantined_pages == 1
         finally:
             service.close()
+
+
+class TestFaultedPageIn:
+    """``PageFile``'s read path visits the ``pager:page_in`` fault point
+    once per call, before any byte is read. A page-in it fails leaves
+    nothing behind: the store stays as it was, and the next try reads
+    what an unfaulted one would have."""
+
+    @staticmethod
+    def raising(tmp_path, **kw):
+        return active_plan(FaultPlan(
+            token_dir=str(tmp_path / "fail"),
+            faults=(Fault(point="pager:page_in", action="raise", **kw),),
+        ))
+
+    def test_visited_once_per_page_read_before_the_read(self, tmp_path):
+        token_dir = tmp_path / "count"
+        plan = FaultPlan(
+            token_dir=str(token_dir),
+            faults=(Fault(point="pager:page_in", action="delay",
+                          times=10**6),),
+        )
+        store = make_disk(tmp_path, codec="float16")
+        store.spill()
+        with active_plan(plan):
+            store.page_in()
+            assert len(os.listdir(token_dir)) == 3  # params, m, v
+            store.page_in()  # resident: no read
+            assert len(os.listdir(token_dir)) == 3
+        store.spill()
+        os.remove(store.pages["params"].path)
+        with self.raising(tmp_path):  # fires before the missing file
+            with pytest.raises(InjectedFaultError):
+                store.page_in()
+
+    @pytest.mark.parametrize("codec", ["raw", "float16", "lossless"])
+    def test_serving_page_in(self, trained, tmp_path, codec):
+        src, _ = trained
+        n = resume_model(src).num_gaussians
+        budget = layout.param_bytes(n, layout.GEOMETRIC_DIM) + 2 * (
+            layout.param_bytes(-(-n // 4), layout.NON_GEOMETRIC_DIM)
+        )
+        faulted, twin = (
+            PagedServingStore.from_checkpoint(
+                src, budget, num_shards=4, page_dir=str(tmp_path / name),
+                codec=codec,
+            )
+            for name in ("faulted", "twin")
+        )
+        try:
+            assert faulted.resident_budget == 2
+            faulted.gather(faulted.shard_rows[0][:4])  # one slot left free
+            resident = faulted.resident_set.resident
+            host = faulted.host_memory
+            peak, live = host.peak_bytes, host.live_bytes
+            ledger = faulted.ledger.counts()
+            rows = faulted.shard_rows[1][::-3]
+            with self.raising(tmp_path):
+                with pytest.raises(InjectedFaultError):
+                    faulted.gather(rows)
+            assert not faulted.shards[1].is_resident
+            assert faulted.resident_set.resident == resident
+            assert (host.peak_bytes, host.live_bytes) == (peak, live)
+            assert faulted.ledger.counts() == ledger
+            assert not faulted.quarantined
+            assert faulted.gather(rows).tobytes() == twin.gather(rows).tobytes()
+        finally:
+            faulted.close()
+            twin.close()
+
+    @pytest.mark.parametrize("codec", ["raw", "float16", "lossless"])
+    def test_disk_store_page_in(self, tmp_path, codec):
+        """The second of three page reads fails: the store stays spilled
+        with its accounting untouched, and the retry installs the state
+        an unfaulted page-in installs."""
+        faulted, twin = (
+            TestFailedPageOut.dirty_store(tmp_path / name, codec)
+            for name in ("faulted", "twin")
+        )
+        for store in (faulted, twin):
+            store.spill()
+        ledger = faulted.ledger.counts()
+        host = faulted.host_memory
+        peak, live = host.peak_bytes, host.live_bytes
+        epoch = faulted._spill_epoch
+        with self.raising(tmp_path, after=1):
+            with pytest.raises(InjectedFaultError):
+                faulted.page_in()
+        assert not faulted.is_resident
+        assert faulted.ledger.counts() == ledger
+        assert (host.peak_bytes, host.live_bytes) == (peak, live)
+        assert faulted._spill_epoch == epoch
+        faulted.page_in()
+        twin.page_in()
+        assert faulted.ledger.counts() == twin.ledger.counts()
+        for field in TestFailedPageOut.FIELDS:
+            got = getattr(faulted.optimizer, field)
+            assert got.tobytes() == getattr(twin.optimizer, field).tobytes()
 
 
 def _any_camera(service):

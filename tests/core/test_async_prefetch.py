@@ -10,6 +10,8 @@ preload/adopt protocol rejects stale snapshots, and the trainer wires
 hints and locality ordering through.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.core import GSScaleConfig, Trainer, create_system, locality_view_orde
 from repro.core.stores import DiskStore
 from repro.core.systems import TransferLedger
 from repro.datasets import SyntheticSceneConfig, build_scene
+from repro.faults import Fault, FaultPlan, active_plan
 from repro.gaussians import GaussianModel, layout
 from repro.optim.base import AdamConfig
 from repro.sim.memory import MemoryTracker
@@ -207,6 +210,34 @@ class TestOverlapActuallyHits:
         hinted = s.prefetch_hits + s.prefetch_misses
         trainer.train(cameras, images, 6, start_iteration=6)
         assert s.prefetch_hits + s.prefetch_misses == hinted + 5
+
+
+class TestFailedPreload:
+    def test_a_faulted_preload_is_a_miss(self, clustered, tmp_path):
+        """A staging read the ``pager:page_in`` fault point fails leaves
+        the hinted view staged empty: the step counts a miss, pages the
+        shard in itself, and computes what a synchronous run computes."""
+        model, cameras, images = clustered
+        asyn, sync = make_system(model, True), make_system(model, False)
+        order = [0, 0, 1]
+        want = [sync.step(cameras[i], images[i]).loss for i in order]
+        got = [asyn.step(cameras[0], images[0]).loss]  # shard 0 resident
+        asyn.hint_upcoming_views([cameras[1]])
+        plan = FaultPlan(
+            token_dir=str(tmp_path / "fail"),
+            faults=(Fault(point="pager:page_in", action="raise",
+                          times=10**6),),
+        )
+        with active_plan(plan):
+            # no read on this thread; the lane's preload of shard 1 fails
+            got.append(asyn.step(cameras[0], images[0]).loss)
+            asyn._prefetcher._settle()
+        assert os.listdir(tmp_path / "fail")  # the lane read was faulted
+        got.append(asyn.step(cameras[1], images[1]).loss)
+        assert (asyn.prefetch_hits, asyn.prefetch_misses) == (0, 1)
+        assert got == want
+        asyn.finalize()
+        sync.finalize()
 
 
 class TestPreloadAdoptProtocol:

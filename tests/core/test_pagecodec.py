@@ -5,12 +5,16 @@ are pinned directly: lossless round-trips are bit-exact for any dtype,
 the float16 codec is tolerance-bounded *and idempotent* (repeated
 encode/decode cycles converge after the first quantization — the property
 that keeps spill/page-in loops from drifting), and the registry rejects
-unknown names with an actionable error.
+unknown names with an actionable error. A resident page may be held
+encoded: decoding a subset of its rows gives those rows of the whole
+page, byte for byte, and a payload that does not fit its page is a
+corrupt page, not a numpy error.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.integrity import CorruptPageError, seal_page
 from repro.core.pagecodec import (
     PAGE_CODECS,
     Float16Codec,
@@ -193,3 +197,161 @@ class TestFloat16:
         copy = bytes(buf)
         codec.decode(buf, (17, 49), np.float64)
         assert buf == copy
+
+
+class TestFloat16ScaleIsExact:
+    """Numerics contract fact 7: a power-of-two scale is exact, so the
+    codec's one multiply per column gives the bits the per-value
+    ``np.ldexp`` formulas gave."""
+
+    def test_power_of_two_scale_is_exact(self):
+        """``x * 2.0**e == ldexp(x, e)`` whenever ``2.0**e`` is a finite
+        non-zero double — subnormal products and scales included."""
+        rng = np.random.default_rng(4)
+        x = np.concatenate([
+            rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, size=40),
+            rng.uniform(-1, 1, size=8) * np.finfo(np.float64).smallest_normal,
+            [0.0, -0.0, 1.0, -1.0, np.nextafter(0.0, 1.0),
+             np.finfo(np.float64).max],
+        ])[:, None]
+        exps = np.arange(-1074, 1024)
+        scales = np.ldexp(1.0, exps)
+        assert np.all(np.isfinite(scales) & (scales > 0))
+        with np.errstate(over="ignore"):
+            got = x * scales[None, :]
+            want = np.ldexp(x, exps[None, :])
+        assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _encode_ldexp(arr):
+        """The encode formula with the scale as a per-value ``np.ldexp``."""
+        a = np.asarray(arr, dtype=np.float64)
+        root = np.sign(a) * np.sqrt(np.abs(a))
+        _, exps = np.frexp(np.max(np.abs(root), axis=0))
+        scaled = np.ldexp(root, -exps.astype(np.int64)[None, :])
+        return exps.astype("<i2").tobytes() + scaled.astype("<f2").tobytes()
+
+    @staticmethod
+    def _page_across_exponents():
+        """One column per square-root maximum ``2**k``, ``k`` from -537
+        to 511 (column exponents -536 to 512, every one ``encode``
+        writes), with subnormal halves, signed zeros and zero columns."""
+        rng = np.random.default_rng(6)
+        ks = np.arange(-537, 512)
+        root = rng.uniform(0.5, 1.0, size=(8, ks.size))
+        root *= rng.choice([-1.0, 1.0], size=root.shape)
+        root[0] = 1.0                       # the column maximum, exactly
+        root[1] = 2.0**-20                  # a half-precision subnormal
+        root[2] = -(2.0**-18)
+        root[3] = 0.0
+        root[4] = -0.0
+        root = np.ldexp(root, ks[None, :])
+        page = np.sign(root) * root * root
+        return np.concatenate([page, np.zeros((8, 3))], axis=1)
+
+    def test_encode_matches_the_ldexp_formula(self):
+        page = self._page_across_exponents()
+        buf = Float16Codec().encode(page)
+        assert buf == self._encode_ldexp(page)
+        exps = np.frombuffer(buf, dtype="<i2", count=page.shape[1])
+        assert (exps.min(), exps.max()) == Float16Codec.EXPONENTS
+        assert np.all(exps[-3:] == 0)  # zero columns
+        halves = np.frombuffer(buf, dtype="<f2", offset=2 * page.shape[1])
+        halves = np.abs(halves.reshape(page.shape).astype(np.float64))
+        # from k = -517 on, the squares of those rows stay above zero
+        tiny = halves[1:3, 20:-3]
+        assert np.all((0 < tiny) & (tiny < 2.0**-14))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_decode_matches_the_ldexp_formula(self, dtype):
+        page = self._page_across_exponents()
+        buf = Float16Codec().encode(page)
+        with np.errstate(over="ignore"):  # float32 cannot hold 2**1022
+            got = Float16Codec().decode(buf, page.shape, dtype)
+            want = TestFloat16._decode_out_of_place(buf, page.shape, dtype)
+        assert got.tobytes() == want.tobytes()
+
+    def test_exponent_range_is_what_encode_writes(self):
+        assert Float16Codec.EXPONENTS == (-536, 512)
+        extremes = np.array([[np.nextafter(0.0, 1.0), np.finfo(np.float64).max]])
+        exps = np.frombuffer(Float16Codec().encode(extremes), dtype="<i2", count=2)
+        assert tuple(exps) == Float16Codec.EXPONENTS
+
+
+ROW_SETS = {
+    "empty": [],
+    "single": [5],
+    "unsorted": [9, 2, 16, 0],
+    "repeated": [3, 3, 16, 3, 0],
+    "all": list(range(17)),
+}
+
+
+class TestHeldRows:
+    """A held page decodes the rows asked for exactly as the whole page
+    decodes them."""
+
+    @pytest.mark.parametrize("name", sorted(PAGE_CODECS))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", sorted(ROW_SETS))
+    def test_held_rows_are_decode_then_index(self, name, dtype, rows):
+        codec = get_page_codec(name)
+        page = _page(seed=2, dtype=dtype)
+        page[4, 7] = -0.0
+        page[:, 11] = 0.0
+        buf = codec.encode(page)
+        ids = np.array(ROW_SETS[rows], dtype=np.int64)
+        want = codec.decode(buf, page.shape, dtype)[ids]
+        for got in (
+            codec.hold(buf, page.shape, dtype)[ids],
+            codec.hold_page(seal_page(buf), page.shape, dtype)[ids],
+        ):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_float16_holds_its_payload(self):
+        codec = Float16Codec()
+        buf = codec.encode(_page())
+        held = codec.hold(buf, (17, 49), np.float64)
+        assert not isinstance(held, np.ndarray)
+        assert held[np.arange(3)].flags.writeable
+
+    def test_one_dimensional_page(self):
+        codec = Float16Codec()
+        page = _page(shape=(9,))
+        buf = codec.encode(page)
+        ids = np.array([4, 0, 4])
+        want = codec.decode(buf, page.shape, np.float64)[ids]
+        got = codec.hold(buf, page.shape, np.float64)[ids]
+        assert got.shape == (3,) and got.tobytes() == want.tobytes()
+
+
+class TestMisshapenPayload:
+    """A sealed page whose seal checks out but whose payload does not fit
+    the page — a stale file of another shard size, a column exponent
+    ``encode`` never writes — is corrupt, and says which file."""
+
+    @pytest.mark.parametrize("name", sorted(PAGE_CODECS))
+    @pytest.mark.parametrize("stored, expected", [(10, 12), (12, 10)])
+    def test_wrong_row_count_is_corrupt(self, name, stored, expected):
+        codec = get_page_codec(name)
+        sealed = codec.encode_page(_page(shape=(stored, 49)))
+        for open_page in (codec.decode_page, codec.hold_page):
+            with pytest.raises(CorruptPageError, match="stale.page") as info:
+                open_page(sealed, (expected, 49), np.float64, path="stale.page")
+            assert info.value.path == "stale.page"
+        with pytest.raises(ValueError):  # unsealed: no file to name
+            codec.decode(codec.encode(_page(shape=(stored, 49))),
+                         (expected, 49), np.float64)
+
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_float16_exponent_outside_encode_range_is_corrupt(self, offset):
+        codec = Float16Codec()
+        low, high = Float16Codec.EXPONENTS
+        bad = low + offset if offset < 0 else high + offset
+        payload = bytearray(codec.encode(_page()))
+        payload[2:4] = np.array([bad], dtype="<i2").tobytes()  # column 1
+        sealed = seal_page(bytes(payload))
+        for open_page in (codec.decode_page, codec.hold_page):
+            with pytest.raises(CorruptPageError, match="exponent"):
+                open_page(sealed, (17, 49), np.float64, path="p.pagez")

@@ -226,6 +226,32 @@ class TestPagedStoreCodecs:
         )
         paged.close()
 
+    def test_float16_gather_decodes_rows_as_the_whole_page(self, scene):
+        """A resident float16 page stays encoded: a gather of any subset
+        — unsorted, repeated, across shards that evict one another —
+        returns the rows the whole decoded page holds, byte for byte."""
+        model = scene.oracle
+        n = model.num_gaussians
+        paged = PagedServingStore.from_model(
+            model, tight_budget(n, shards_resident=2), codec="float16"
+        )
+        assert paged.resident_budget == 2 < len(paged.shards)
+        # every page decoded whole, scattered back to global row order
+        decoded = np.empty((n, layout.NON_GEOMETRIC_DIM))
+        for shard, rows in zip(paged.shards, paged.shard_rows):
+            decoded[rows] = shard.page.read()
+        rng = np.random.default_rng(5)
+        pages = paged.ledger.page_in_count
+        for size in (1, 37, 150, 3 * n):
+            ids = rng.integers(0, n, size)  # unsorted, with repeats
+            got = paged.gather(ids)
+            assert got[:, layout.NON_GEOMETRIC_SLICE].tobytes() == (
+                decoded[ids].tobytes()
+            )
+        assert paged.ledger.page_out_count > 0  # pages were evicted
+        assert paged.ledger.page_in_count > pages
+        paged.close()
+
     def test_disk_channel_meters_encoded_bytes(self, scene):
         model = scene.oracle
         n = model.num_gaussians
@@ -271,14 +297,17 @@ def alarm_after(seconds: int):
 
 
 class TestFailedPageIn:
-    def test_read_error_leaves_the_resident_set_as_it_found_it(self, scene):
+    @pytest.mark.parametrize("codec", ["raw", "float16", "lossless"])
+    def test_read_error_leaves_the_resident_set_as_it_found_it(
+        self, scene, codec
+    ):
         """A page-in that fails for a non-integrity reason (the page file
         is gone) propagates, registers nothing, and the next gather of
         another shard returns — an admitted-but-never-read shard cannot
         be spilled, so it would wedge every later admit."""
         model = scene.oracle
         paged = PagedServingStore.from_model(
-            model, tight_budget(model.num_gaussians), codec="lossless"
+            model, tight_budget(model.num_gaussians), codec=codec
         )
         assert paged.resident_budget == 1
         os.remove(paged.shards[0].page_path)
@@ -289,7 +318,15 @@ class TestFailedPageIn:
         rows = paged.shard_rows[1][:5]
         with alarm_after(5):
             gathered = paged.gather(rows)
-        assert np.array_equal(gathered, model.params[rows])
+        if codec == "float16":
+            # lossy: the served columns are the page's, not the model's
+            geo = layout.GEOMETRIC_SLICE
+            assert np.array_equal(gathered[:, geo], model.params[rows, geo])
+            ng = layout.NON_GEOMETRIC_SLICE
+            page = paged.shards[1].page.read()
+            assert gathered[:, ng].tobytes() == page[:5].tobytes()
+        else:
+            assert np.array_equal(gathered, model.params[rows])
         paged.close()
 
 

@@ -23,9 +23,11 @@ the hinted shard visits of the async leg (``hinted``: ``prefetch_hits +
 prefetch_misses``; their sum follows the op sequence, the split between
 the two follows thread timing), then the sha256 of every page file
 (named, after a final spill of every shard so the files hold the final
-state whatever the write-behind timing was). Per serving column: a full
-``gather``, one frame, the page files, the ledger, and the page files of
-the same model paged by ``from_model`` (``pages_from_model``).
+state whatever the write-behind timing was). Per serving column: the page files, a full
+``gather``, one frame, the ledger, then a gather of a fixed seeded
+subset of rows, unsorted and with repeats (``gather_rows``), and the
+page files of the same model paged by ``from_model``
+(``pages_from_model``).
 
 A change to the pager, the stores or the serving tier that is meant to
 keep numerics and bytes must leave every line equal to the parent
@@ -43,7 +45,9 @@ write-behind landed before it was paged back in (``float16`` ``sync`` ==
 ``async2wb`` numerics and pages), a lossless page is pure placement
 (``raw`` == ``lossless`` gathers and frames) and a serving page holds the
 same bytes whether it was filled from the checkpoint or from the resumed
-model (``pages_from_model`` == ``pages`` under every codec). Uses only
+model (``pages_from_model`` == ``pages`` under every codec), and a gather
+decodes each row as the whole page would (``gather_rows`` == the same
+rows of the full ``gather`` under every codec). Uses only
 names both sides of a diff have; ``.crc`` sidecars of older checkouts
 are ignored.
 """
@@ -83,6 +87,7 @@ IN_MEMORY = (
     "gpu_only", "baseline_offload", "gsscale_no_deferred", "gsscale", "sharded",
 )
 NUM_SHARDS = 4
+GATHER_ROWS = 97
 
 
 def sha(*arrays) -> str:
@@ -180,10 +185,16 @@ def serve_column(scene, tmp: str, codec: str, checkpoint: str) -> dict:
     )
     task = FrameTask(scene.train_cameras[0], 0, 3, config=RasterConfig())
     row = {"pages": page_files(page_dir)}
-    row["gather"] = sha(store.gather(np.arange(store.num_rows)))
+    full = store.gather(np.arange(store.num_rows))
+    row["gather"] = sha(full)
     row["frame"] = sha(render_frame(store, None, task))
     row["ledger"] = dict(store.ledger.counts())
     row["host_peak"] = store.host_memory.peak_bytes
+    # a fixed unsorted subset with repeats, after the counts above: rows
+    # decoded on their own
+    ids = np.random.default_rng(0).integers(0, store.num_rows, GATHER_ROWS)
+    row["gather_rows"] = sha(store.gather(ids))
+    row["full_rows"] = sha(full[ids])  # for --check, not printed
     store.close()
     # the same model paged from memory: pages fill through one path
     model_dir = os.path.join(tmp, f"serve-{codec}-model")
@@ -226,7 +237,7 @@ def lines(table: dict[str, dict]) -> list[str]:
     out = []
     for column, row in table.items():
         for key, value in row.items():
-            if key == "checkpoint":
+            if key in ("checkpoint", "full_rows"):
                 continue
             if isinstance(value, dict):
                 value = " ".join(f"{k}={v}" for k, v in value.items())
@@ -287,6 +298,9 @@ def check(table: dict[str, dict]) -> list[str]:
         if row["pages_from_model"] != row["pages"]:
             failures.append(f"one page fill path: serve-{codec} "
                             "pages_from_model != pages")
+        if row["gather_rows"] != row["full_rows"]:
+            failures.append(f"rows decode on their own: serve-{codec} "
+                            "gather_rows != the same rows of gather")
     return failures
 
 
