@@ -70,6 +70,7 @@ from ..optim.base import AdamConfig, SparseOptimizer, StepStats, ascending
 from ..optim.deferred import DeferredAdam
 from ..render import CullResult, frustum_cull
 from ..render.culling import gated_cull
+from ..render.projection import ScreenRows
 from ..sim.memory import MemoryTracker
 from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
@@ -165,10 +166,23 @@ class ParameterStore(ABC):
             f"store over block {self.block.name!r} holds no resident rows"
         )
 
-    def visible(self, camera: Camera) -> CullResult:
+    @property
+    def stages_culled_geometry(self) -> bool:
+        """Whether :meth:`stage` returns the geometric values
+        :meth:`visible` culls, so that the cull's projection of its kept
+        rows can stand in for the render's (a forwarding host store
+        stages the optimizer's peek instead)."""
+        return True
+
+    def visible(self, camera: Camera, keep: str | None = None) -> CullResult:
         """The rows ``camera`` sees: a frustum cull over the resident
-        geometric columns, ids in this store's row space (ascending)."""
-        return frustum_cull(*self.geometry(), camera)
+        geometric columns, ids in this store's row space (ascending).
+
+        ``keep`` is :func:`~repro.render.frustum_cull`'s; it is dropped
+        where :attr:`stages_culled_geometry` does not hold."""
+        if not self.stages_culled_geometry:
+            keep = None
+        return frustum_cull(*self.geometry(), camera, keep=keep)
 
     def leaves(
         self, prefix: str = "", rows: np.ndarray | None = None
@@ -342,6 +356,10 @@ class HostStore(ParameterStore):
 
     def _staged_bytes(self, ids: np.ndarray) -> int:
         return ids.size * self.dim * _F32
+
+    @property
+    def stages_culled_geometry(self) -> bool:
+        return not self.forwarding
 
     # -- parameter forwarding ---------------------------------------------
     def _forwarded_values(self, ids: np.ndarray) -> np.ndarray:
@@ -998,14 +1016,21 @@ class HybridStore(ParameterStore):
         for child in self.children:
             child.set_lr(lr_packed)
 
+    def _geometric(self) -> ParameterStore:
+        for child in self.children:
+            if child.block.contains(layout.GEOMETRIC_BLOCK.sl):
+                return child
+        raise NotImplementedError("no child owns the geometric columns")
+
     def geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The geometric child's :meth:`~ParameterStore.geometry`: what
         :meth:`visible` culls, and what a :class:`ShardedStore` reads to
         gate a shard's cull."""
-        for child in self.children:
-            if child.block.contains(layout.GEOMETRIC_BLOCK.sl):
-                return child.geometry()
-        raise NotImplementedError("no child owns the geometric columns")
+        return self._geometric().geometry()
+
+    @property
+    def stages_culled_geometry(self) -> bool:
+        return self._geometric().stages_culled_geometry
 
     def leaves(self, prefix: str = "", rows: np.ndarray | None = None):
         sep = "_" if prefix else ""
@@ -1145,7 +1170,13 @@ class ShardedStore(ParameterStore):
         for store in self.stores:
             store.set_lr(lr_packed)
 
-    def visible(self, camera: Camera) -> ShardedCullResult:
+    @property
+    def stages_culled_geometry(self) -> bool:
+        return all(store.stages_culled_geometry for store in self.stores)
+
+    def visible(
+        self, camera: Camera, keep: str | None = None
+    ) -> ShardedCullResult:
         """Union of the per-shard culls, in global id order.
 
         Culling is per-Gaussian, so the union over a partition equals the
@@ -1156,24 +1187,35 @@ class ShardedStore(ParameterStore):
         with no candidate is not projected at all, and one with any runs
         the exact test over all of its rows, as without the gate, so the
         result does not depend on the gate (numerics contract fact 6).
+        With ``keep``, the shards' kept projections are permuted into the
+        union's id order; a shard that could not hand its rows on (see
+        ``CullResult.screen``) leaves the union without one.
         """
+        if not self.stages_culled_geometry:
+            keep = None
         results: list[CullResult] = []
         exact: list[int] = []
         for k, store in enumerate(self.stores):
-            res, ran = gated_cull(*store.geometry(), camera)
+            res, ran = gated_cull(*store.geometry(), camera, keep=keep)
             results.append(res)
             if ran:
                 exact.append(k)
-        parts = [
-            rows[res.valid_ids]
+        shown = [
+            (rows[res.valid_ids], res.screen)
             for rows, res in zip(self.shard_rows, results)
             if res.num_visible
         ]
-        valid = (
-            np.sort(np.concatenate(parts))
-            if parts
-            else np.empty(0, dtype=np.int64)
-        )
+        if not shown:
+            valid, screen = np.empty(0, dtype=np.int64), None
+        else:
+            ids = np.concatenate([part for part, _ in shown])
+            order = np.argsort(ids)
+            valid = ids[order]
+            screens = [part for _, part in shown]
+            screen = (
+                None if any(part is None for part in screens)
+                else ScreenRows.concat(screens).take(order)
+            )
         return ShardedCullResult(
             valid_ids=valid,
             num_total=self.num_rows,
@@ -1181,6 +1223,7 @@ class ShardedStore(ParameterStore):
             num_visible=int(valid.size),
             shard_visible=tuple(res.num_visible for res in results),
             exact_shards=tuple(exact),
+            screen=screen,
         )
 
     def leaves(self, prefix: str = "", rows: np.ndarray | None = None):

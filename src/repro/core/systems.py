@@ -329,9 +329,11 @@ class TrainingSystem(ABC):
         lr[layout.MEAN_SLICE] *= self.config.position_lr_scale_at(self.iteration)
         return lr
 
-    def _cull(self, camera: Camera) -> CullResult:
-        """What ``camera`` sees, asked where the geometry lives."""
-        return self.store.visible(camera)
+    def _cull(self, camera: Camera, keep: str | None = None) -> CullResult:
+        """What ``camera`` sees, asked where the geometry lives; a cull a
+        render follows keeps its projection (``keep="backward"``), one
+        that only counts keeps nothing."""
+        return self.store.visible(camera, keep=keep)
 
     def _count_visible(self, camera: Camera) -> int:
         return self._cull(camera).num_visible
@@ -341,7 +343,7 @@ class TrainingSystem(ABC):
     ) -> tuple[list[tuple[Camera, int]], CullResult | None]:
         """Render regions for this view, plus the whole-view cull result
         when it can be reused (single-region case)."""
-        whole = self._cull(camera)
+        whole = self._cull(camera, keep="backward")
         if (
             self.splits_images
             and whole.active_ratio > self.config.mem_limit
@@ -357,9 +359,11 @@ class TrainingSystem(ABC):
         camera: Camera,
         gt_region: np.ndarray,
         pixel_weight: float,
+        screen: projection.ScreenRows | None = None,
     ) -> tuple[np.ndarray, np.ndarray, float, float, float]:
         """Render a (possibly cropped) view of a compact visible-set model
-        and return packed gradients scaled to whole-image units."""
+        and return packed gradients scaled to whole-image units; ``screen``
+        is the region cull's projection of the compact rows."""
         act_bytes = camera.num_pixels * ACTIVATION_BYTES_PER_PIXEL
         self.memory.allocate("activations", act_bytes)
         try:
@@ -371,6 +375,7 @@ class TrainingSystem(ABC):
                     background=self.config.background,
                     valid_ids=np.arange(compact.num_gaussians),
                     config=self.config.raster,
+                    screen=screen,
                 )
                 loss = photometric_loss(
                     res.image, gt_region, ssim_lambda=self.config.ssim_lambda
@@ -407,13 +412,16 @@ class TrainingSystem(ABC):
         region_cam: Camera,
         gt_region: np.ndarray,
         weight: float,
+        screen: projection.ScreenRows | None = None,
     ) -> _RegionOutput:
         """One region's stage -> render -> backward -> unstage cycle.
 
         The default path stages the whole visible union through the store
-        composition and renders it jointly; the sharded systems override
-        this for the ``fragment`` engine to render shard by shard without
-        ever assembling the union's packed matrix.
+        composition and renders it jointly, from the projection the
+        region's cull handed on (``screen``, the rows of ``ids``: the
+        staged geometric columns are the ones the cull read); the sharded
+        systems override this for the ``fragment`` engine to render shard
+        by shard without ever assembling the union's packed matrix.
         """
         with _span("train/stage", "train"):
             values = self.store.stage(ids)
@@ -421,7 +429,7 @@ class TrainingSystem(ABC):
         try:
             compact = GaussianModel(values)
             grads, m2d, loss, l1, ssim = self._render_one(
-                compact, region_cam, gt_region, weight
+                compact, region_cam, gt_region, weight, screen
             )
             returned = True
         finally:
@@ -492,14 +500,16 @@ class TrainingSystem(ABC):
                 cull = whole
             else:
                 with _span("train/cull", "train"):
-                    cull = self._cull(region_cam)
+                    cull = self._cull(region_cam, keep="backward")
             ids = cull.valid_ids
             if ids.size == 0:
                 continue
             gt_region = gt_image[:, x_offset : x_offset + region_cam.width]
             weight = region_cam.num_pixels / total_px
             outputs.append(
-                self._render_region(ids, region_cam, gt_region, weight)
+                self._render_region(
+                    ids, region_cam, gt_region, weight, cull.screen
+                )
             )
 
         # the lazy host commit of iteration N-1 (overlapped in real time)
@@ -708,9 +718,13 @@ class ShardedGSScaleSystem(TrainingSystem):
         region_cam: Camera,
         gt_region: np.ndarray,
         weight: float,
+        screen: projection.ScreenRows | None = None,
     ) -> _RegionOutput:
         if self.raster_engine != "fragment":
-            return super()._render_region(ids, region_cam, gt_region, weight)
+            return super()._render_region(
+                ids, region_cam, gt_region, weight, screen
+            )
+        # each shard projects its own staged rows
         return self._render_region_fragment(ids, region_cam, gt_region, weight)
 
     def _render_region_fragment(
@@ -1048,7 +1062,7 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
             hinted, staged = self._prefetcher.take(camera)
         else:
             hinted, staged = False, {}
-        whole = self.store.visible(camera)
+        whole = self.store.visible(camera, keep="backward")
         self._cull_cache = (camera, whole)
         active = whole.active_shards
         for k in active[: self.resident_set.budget]:
@@ -1079,12 +1093,13 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
                 self._prefetcher.schedule(nxt)
         return active
 
-    def _cull(self, camera: Camera) -> CullResult:
+    def _cull(self, camera: Camera, keep: str | None = None) -> CullResult:
         # geometry is immutable between prefetch and region planning
-        # (gradients land after rendering), so the cached cull is exact
+        # (gradients land after rendering), so the cached cull is exact,
+        # and so is the projection it keeps
         if self._cull_cache is not None and self._cull_cache[0] is camera:
             return self._cull_cache[1]
-        return super()._cull(camera)
+        return super()._cull(camera, keep)
 
     def spill_inactive(self, active: list[int]) -> None:
         """Spill every resident shard the view left untouched.

@@ -67,13 +67,15 @@ class Fault:
     Attributes:
         point: fault-point name (``"pool:task"``, ``"fragment:pairs"``,
             ``"lane:writeback"``, ``"pager:page_out"``,
-            ``"pager:page_in"``, ...).
+            ``"pager:page_in"``, ``"serve:frame"``, ...).
         action: ``"kill"`` (SIGKILL the visiting pool worker),
             ``"delay"`` (sleep ``seconds``), or ``"raise"``
             (:class:`InjectedFaultError`).
         index: restrict to visits reporting this task index
             (``None`` matches any; ``"pool:task"`` reports the task's,
-            ``"block:forward"`` the block's, ``"lane:*"`` the lane task's).
+            ``"block:forward"`` the block's, ``"lane:*"`` the lane task's,
+            ``"serve:frame"`` the frame's index in its ``render_frames``
+            batch).
         after: skip this many eligible visits before firing.
         times: how many eligible visits fire (1 = exactly once).
         seconds: sleep length of a ``"delay"`` fault.
@@ -208,8 +210,9 @@ def fault_point(name: str, index: int | None = None) -> None:
     Compiled into the fragment kernels, the vectorized forward's block
     tasks, the supervised pool's task wrapper, every lane task
     (``lane:{name}``, :class:`~repro.pool.Lane`), ``PageFile.write``
-    (``pager:page_out``) and ``PageFile``'s read path (``pager:page_in``);
-    ``index`` is the pool task, block or lane-task index where one exists.
+    (``pager:page_out``), ``PageFile``'s read path (``pager:page_in``) and
+    every frame a serving batch composites (``serve:frame``); ``index`` is
+    the pool task, block, lane-task or frame index where one exists.
     """
     plan = _PLAN
     if plan is None:

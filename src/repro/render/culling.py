@@ -12,17 +12,28 @@ on the survivors and drops those whose 3-sigma splat misses the image
 rectangle. The projection is most of its cost, and it is spent on every
 row in depth range however far outside the image the row lies, so it
 costs that arithmetic and one trip through memory: only the camera-space
-centres are one product over all rows in range (a gemm row is not
-position-independent, numerics contract fact 2); the rest runs in blocks
+centres are one product over all rows in range (a block of one row
+would be a gemv, numerics contract facts 2 and 8); the rest runs in blocks
 of :data:`BLOCK_ROWS` rows through
 :func:`~repro.render.projection.project_rows`, the per-row function
-``project_geometry`` runs over all rows at once, and keeps the centre,
-radius and validity of each row — no conics, no backward context, no
-``(N, 3, 3)`` array. Every op there is per row, so the walk's verdict is
-bit-identical to one whole-array projection wherever the blocks are cut
-(fact 6). A 120k-row float64 view, 2.3% of it visible, takes 52-56 ms
-and a 12 MB allocation peak on a 2-vCPU Xeon VM, where one whole-array
-projection with ``Sigma`` built by syrk took 85-88 ms and 77 MB.
+``project_geometry`` runs over all rows at once, and reads the centre,
+radius and validity of each row. Every op there is per row, so the
+walk's verdict is bit-identical to one whole-array projection wherever
+the blocks are cut (fact 6). A 120k-row float64 view, 2.3% of it
+visible, takes 52-56 ms and a 12 MB allocation peak on a 2-vCPU Xeon VM,
+where one whole-array projection with ``Sigma`` built by syrk took
+85-88 ms and 77 MB.
+
+**The projection is handed on.** Asked to (``keep``), the cull keeps
+what it computed for the rows it keeps — camera-space centre, pixel
+centre, 2D covariance and radius, plus the Jacobian and 3D covariance
+where a backward follows — as ``CullResult.screen``, and ``render()``
+uses it in place of projecting those rows again. That is bit-identical
+by construction: everything after the centres is per row (fact 6), and
+the centres' product over two rows or more is a gemm whose row does not
+depend on the others (fact 8; a one-row product is a gemv, and is not
+handed on). Keeping costs in proportion to the rows kept: a block with
+none kept copies nothing, and the others copy their kept rows by index.
 
 :func:`cull_candidates` is the cheap stage that goes in front of it where
 a view sees a small part of the model (the serving paths, the patch
@@ -66,7 +77,7 @@ rounding of the model dtype.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -100,6 +111,12 @@ _ABS_SLACK = 1.5
 BLOCK_ROWS = 8192
 
 
+#: What :func:`frustum_cull` keeps of the rows it keeps, besides their
+#: ids: nothing (a verdict), their screen geometry (a forward render
+#: follows), or that plus the backward context (a training render).
+KEEP = (None, "screen", "backward")
+
+
 @dataclass(frozen=True)
 class CullResult:
     """Outcome of frustum culling one view.
@@ -110,12 +127,20 @@ class CullResult:
         num_total: number of Gaussians tested.
         num_in_depth: survivors of the near/far stage.
         num_visible: survivors of both stages (``len(valid_ids)``).
+        screen: the projection of the ``valid_ids`` rows the exact test
+            computed, in their order, when the cull was asked to keep it
+            (``keep``); ``None`` otherwise, when nothing is visible, and
+            when the camera-space product ran over one row (a gemv,
+            numerics contract fact 8).
     """
 
     valid_ids: np.ndarray
     num_total: int
     num_in_depth: int
     num_visible: int
+    screen: projection.ScreenRows | None = field(
+        default=None, kw_only=True, repr=False, compare=False
+    )
 
     @property
     def active_ratio(self) -> float:
@@ -130,6 +155,7 @@ def frustum_cull(
     log_scales: np.ndarray,
     quats: np.ndarray,
     camera: Camera,
+    keep: str | None = None,
 ) -> CullResult:
     """Identify Gaussians visible from ``camera``.
 
@@ -139,10 +165,19 @@ def frustum_cull(
         quats: raw quaternions, ``(N, 4)``.
         camera: viewing camera (its ``near``/``far`` bound stage 1, its
             image rectangle bounds stage 2).
+        keep: one of :data:`KEEP`. With ``"screen"`` or ``"backward"`` the
+            result's ``screen`` holds what the exact stage computed for
+            the rows it keeps, so the render that follows need not
+            project them again (``render(..., screen=result.screen)``);
+            ``"backward"`` also keeps the Jacobians and 3D covariances a
+            backward pass reads. Keeping costs in proportion to the rows
+            kept, and the verdict does not depend on it.
 
     Returns:
         :class:`CullResult` with the visible indices.
     """
+    if keep not in KEEP:
+        raise ValueError(f"keep must be one of {KEEP}, got {keep!r}")
     num_total = means.shape[0]
     depth_ids = np.nonzero(_in_depth(means, camera))[0]
     num_in_depth = depth_ids.size
@@ -156,12 +191,16 @@ def frustum_cull(
 
     # with every row in range the caller's arrays are read as they are;
     # otherwise the centres are gathered whole, for the one camera-space
-    # product over the rows in range (fact 2), and scales and quaternions
-    # one block at a time
+    # product over the rows in range (a last block of one row would be a
+    # gemv, fact 2), and scales and quaternions one block at a time. A
+    # product over two rows or more is a gemm, whose row does not depend
+    # on the others (fact 8): only then are the kept rows handed on
     gathered = num_in_depth < num_total
     cam_points = projection.camera_points(
         means[depth_ids] if gathered else means, camera
     )
+    hand_on = keep is not None and num_in_depth >= 2
+    kept: list[projection.ScreenRows] = []
     inside = np.empty(num_in_depth, dtype=bool)
     for lo in range(0, num_in_depth, BLOCK_ROWS):
         block = slice(lo, lo + BLOCK_ROWS)
@@ -170,19 +209,25 @@ def frustum_cull(
             cam_points[block], log_scales[rows], quats[rows], camera
         )
         x, y, r = screen.x, screen.y, screen.radii
-        inside[block] = (
+        shown = (
             screen.valid
             & (x + r > 0)
             & (x - r < camera.width)
             & (y + r > 0)
             & (y - r < camera.height)
         )
+        inside[block] = shown
+        if hand_on:
+            sel = np.flatnonzero(shown)
+            if sel.size:
+                kept.append(screen.take(sel, context=keep == "backward"))
     valid_ids = depth_ids[inside]
     return CullResult(
         valid_ids=valid_ids,
         num_total=num_total,
         num_in_depth=num_in_depth,
         num_visible=int(valid_ids.size),
+        screen=projection.ScreenRows.concat(kept) if kept else None,
     )
 
 
@@ -235,6 +280,7 @@ def gated_cull(
     log_scales: np.ndarray,
     quats: np.ndarray,
     camera: Camera,
+    keep: str | None = None,
 ) -> tuple[CullResult, bool]:
     """:func:`frustum_cull`, skipped when :func:`cull_candidates` leaves
     no row for it.
@@ -245,14 +291,16 @@ def gated_cull(
     grazing depth differently, numerics contract fact 2). With none, the
     verdict is known without a projection: nothing visible, and
     ``num_in_depth`` read off the near/far mask the exact test draws.
-    Either way the result is bit-identical to ``frustum_cull``'s.
+    Either way the result is bit-identical to ``frustum_cull``'s, and
+    ``keep`` is passed on to it (a shard with no candidate keeps nothing,
+    as it has nothing visible).
 
     Returns:
         ``(result, exact)``: the cull, and whether the exact test ran.
     """
     depth_ids = np.nonzero(_in_depth(means, camera))[0]
     if _within_reach(means, log_scales, camera, depth_ids).size:
-        return frustum_cull(means, log_scales, quats, camera), True
+        return frustum_cull(means, log_scales, quats, camera, keep=keep), True
     return CullResult(
         valid_ids=np.empty(0, dtype=np.int64),
         num_total=means.shape[0],

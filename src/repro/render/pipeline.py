@@ -75,8 +75,15 @@ def render(
     background: np.ndarray | None = None,
     valid_ids: np.ndarray | None = None,
     config: rasterize.RasterConfig | None = None,
+    screen: projection.ScreenRows | None = None,
 ) -> RenderResult:
     """Render ``model`` from ``camera``.
+
+    A view is projected once: the exact cull computes the screen geometry
+    of every row it keeps, and the render uses it instead of projecting
+    those rows again — bit-identically (numerics contract fact 8). With
+    ``valid_ids=None`` the cull runs here and hands on by itself; a
+    caller that culled elsewhere hands on ``screen``.
 
     Args:
         model: the Gaussian scene.
@@ -87,6 +94,11 @@ def render(
             culling runs here. GS-Scale passes this explicitly because its
             pipeline culls one iteration ahead (parameter forwarding).
         config: rasterizer thresholds.
+        screen: ``CullResult.screen`` of the cull that chose
+            ``valid_ids``, row for row, over the geometric values
+            ``model`` holds for them (``None``: project afresh). Kept
+            without the backward context, the result renders but cannot
+            be passed to :func:`render_backward`.
     """
     config = config or rasterize.RasterConfig()
     if background is None:
@@ -95,9 +107,10 @@ def render(
 
     if valid_ids is None:
         cull = culling.frustum_cull(
-            model.means, model.log_scales, model.quats, camera
+            model.means, model.log_scales, model.quats, camera,
+            keep="backward",
         )
-        valid_ids = cull.valid_ids
+        valid_ids, screen = cull.valid_ids, cull.screen
     else:
         valid_ids = np.asarray(valid_ids)
         cull = culling.CullResult(
@@ -115,6 +128,7 @@ def render(
         model.sh[valid_ids],
         camera,
         sh_degree=sh_degree,
+        screen=screen,
     )
     raster = engine.get_forward(config.engine)(
         proj.geom.means2d,

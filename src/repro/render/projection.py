@@ -9,7 +9,7 @@ gradients in ``tests/render/test_gradcheck.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -50,12 +50,14 @@ class Projection2D:
 
 @dataclass
 class ProjectionContext:
-    """Intermediates cached by :func:`project` for :func:`project_backward`."""
+    """Intermediates cached by :func:`project` for :func:`project_backward`
+    (``None`` where a handed-on projection was kept without its backward
+    context: a forward-only render)."""
 
     cam_points: np.ndarray  # (M, 3)
-    jacobians: np.ndarray  # (M, 2, 3)
-    cov3d_ctx: dict
-    cov3d_mats: np.ndarray  # (M, 3, 3)
+    jacobians: np.ndarray | None  # (M, 2, 3)
+    cov3d_ctx: dict | None
+    cov3d_mats: np.ndarray | None  # (M, 3, 3)
     view_dirs: np.ndarray  # (M, 3) unit
     view_vec_norms: np.ndarray  # (M,)
     clamp_mask: np.ndarray  # (M, 3)
@@ -113,10 +115,12 @@ def _splat_radii(cov2d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def camera_points(means: np.ndarray, camera: Camera) -> np.ndarray:
     """Camera-space centres ``means @ R^T + t``, in the model dtype.
 
-    One gemm over all the rows it is given, and a gemm row is not
-    position-independent (numerics contract fact 2): a caller that must
-    match :func:`project_geometry` bit for bit calls this on the same
-    rows, never on a block of them.
+    One product over all the rows it is given. Over two rows or more it
+    is a gemm, and a row's bits do not depend on which other rows share
+    it (numerics contract fact 8, checked on the pinned BLAS); over one
+    row numpy runs a gemv, which may round that row differently (fact
+    2). So a cull's centres stand in for a render's unless one side has
+    one row.
     """
     dtype = means.dtype
     rot = camera.world_to_cam_rot.astype(dtype)
@@ -129,6 +133,8 @@ class ScreenRows:
     """Per-row screen-space geometry from :func:`project_rows`.
 
     Attributes:
+        cam_points: camera-space centres the rows were projected from,
+            ``(M, 3)``.
         x, y: pixel-space centre, ``(M,)`` each.
         radii: conservative splat radii in pixels (3 sigma), ``(M,)``.
         valid: mask of rows with positive-definite 2D covariance, ``(M,)``.
@@ -137,16 +143,61 @@ class ScreenRows:
         cov3d_ctx: :func:`~repro.gaussians.covariance.build_covariance`'s
             context.
         cov2d: 2D covariances including the low-pass term, ``(M, 2, 2)``.
+
+    ``jacobians``, ``cov3d_mats`` and ``cov3d_ctx`` are the backward
+    context; rows taken without it (:meth:`take`) hold ``None`` there.
     """
 
+    cam_points: np.ndarray
     x: np.ndarray
     y: np.ndarray
     radii: np.ndarray
     valid: np.ndarray
-    jacobians: np.ndarray
-    cov3d_mats: np.ndarray
-    cov3d_ctx: dict
+    jacobians: np.ndarray | None
+    cov3d_mats: np.ndarray | None
+    cov3d_ctx: dict | None
     cov2d: np.ndarray
+
+    _CONTEXT = ("jacobians", "cov3d_mats", "cov3d_ctx")
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
+
+    def take(self, rows: np.ndarray, context: bool = True) -> "ScreenRows":
+        """The rows ``rows`` (an index array) of every field, copied;
+        ``context=False`` leaves the backward context out."""
+        return ScreenRows(**{
+            f.name: None if f.name in self._CONTEXT and not context
+            else _map_arrays(getattr(self, f.name), lambda a: a[rows])
+            for f in fields(self)
+        })
+
+    @staticmethod
+    def concat(parts: list["ScreenRows"]) -> "ScreenRows":
+        """The parts' rows one after another (one part is returned as
+        it is)."""
+        if len(parts) == 1:
+            return parts[0]
+
+        def join(name):
+            values = [getattr(part, name) for part in parts]
+            if values[0] is None:
+                return None
+            if isinstance(values[0], dict):
+                return {k: np.concatenate([v[k] for v in values]) for k in values[0]}
+            return np.concatenate(values)
+
+        return ScreenRows(**{f.name: join(f.name) for f in fields(ScreenRows)})
+
+
+def _map_arrays(value, fn):
+    """``fn`` over an array, over each value of a dict of arrays, or
+    ``None`` through."""
+    if value is None:
+        return None
+    if isinstance(value, dict):
+        return {k: fn(v) for k, v in value.items()}
+    return fn(value)
 
 
 def project_rows(
@@ -184,6 +235,7 @@ def project_rows(
 
     radii, valid = _splat_radii(cov2d)
     return ScreenRows(
+        cam_points=cam_points,
         x=x,
         y=y,
         radii=radii,
@@ -200,21 +252,34 @@ def project_geometry(
     log_scales: np.ndarray,
     quats: np.ndarray,
     camera: Camera,
+    screen: ScreenRows | None = None,
 ) -> tuple[Projection2D, ProjectionContext]:
     """Project geometric attributes to screen space.
 
     The forward pass's geometry: :func:`project_rows` over all rows, plus
     the conics and the backward context. Frustum culling (which needs
     only geometry — the basis of selective offloading, Section 4.2.1)
-    runs the same :func:`project_rows` block by block and keeps the
-    radius only.
+    runs the same :func:`project_rows` block by block, and hands on what
+    it computed for the rows it keeps (``CullResult.screen``).
+
+    Args:
+        screen: those rows' :class:`ScreenRows`, in the order of
+            ``means``, from a cull over the same values; used in place of
+            :func:`camera_points` + :func:`project_rows`, with the same
+            bits (numerics contract fact 8). A screen of fewer than two
+            rows is not used: numpy computes a one-row product as a gemv,
+            whose row differs from the gemm's (fact 2). Without the
+            backward context, the returned context holds ``None`` there.
 
     Returns:
         ``(geom, partial_ctx)`` — the context lacks color-related fields,
         which :func:`project` fills in.
     """
-    cam_points = camera_points(means, camera)
-    rows = project_rows(cam_points, log_scales, quats, camera)
+    if screen is not None and len(screen) >= 2:
+        rows, cam_points = screen, screen.cam_points
+    else:
+        cam_points = camera_points(means, camera)
+        rows = project_rows(cam_points, log_scales, quats, camera)
     means2d = np.stack([rows.x, rows.y], axis=-1)
 
     cov2d = rows.cov2d
@@ -255,6 +320,7 @@ def project(
     sh_coeffs: np.ndarray,
     camera: Camera,
     sh_degree: int = SH_DEGREE,
+    screen: ScreenRows | None = None,
 ) -> ProjectionResult:
     """Full forward projection of a (pre-culled) set of Gaussians.
 
@@ -267,9 +333,11 @@ def project(
         camera: viewing camera.
         sh_degree: active SH degree (0..3) — 3DGS ramps this up during
             training.
+        screen: the cull's projection of these rows
+            (:func:`project_geometry`).
     """
     m_count = means.shape[0]
-    geom, ctx = project_geometry(means, log_scales, quats, camera)
+    geom, ctx = project_geometry(means, log_scales, quats, camera, screen)
 
     sh_coeffs = sh_coeffs.reshape(m_count, 16 if m_count == 0 else -1, 3)
     view_vec = means - camera.center.astype(means.dtype)

@@ -35,10 +35,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .. import faults
 from ..cameras.camera import Camera
 from ..gaussians.model import GaussianModel
 from ..render import cull_candidates, frustum_cull, render
 from ..pool import attach_shm, get_raster_pool, pack_shm, shm_views
+from ..render.projection import ScreenRows
 from ..render.rasterize import RasterConfig
 from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
@@ -69,10 +71,12 @@ def _cull_frame(
     store,
     drop_level: np.ndarray | None,
     task: FrameTask,
-) -> tuple[np.ndarray, int, int]:
-    """``(ids, rows, candidates)`` of one frame's cull: the sorted ids of
-    the rows it composites (frustum cull ∩ LOD subset), how many rows its
-    level keeps, and how many of those reached the exact test.
+) -> tuple[np.ndarray, ScreenRows | None, int, int]:
+    """``(ids, screen, rows, candidates)`` of one frame's cull: the sorted
+    ids of the rows it composites (frustum cull ∩ LOD subset), the exact
+    test's projection of those rows (``CullResult.screen``, handed on to
+    the render; no backward follows, so no backward context), how many
+    rows its level keeps, and how many of those reached the exact test.
 
     A reduced level (``lod > 0`` with a ``drop_level`` array) chooses
     among the rows it keeps, ``flatnonzero(drop_level > lod)``; ``lod ==
@@ -99,10 +103,11 @@ def _cull_frame(
     # side, so the exact test is asked for its image stage only
     image_stage = replace(task.camera, near=1e-30, far=np.inf)
     exact = frustum_cull(
-        means[cand], log_scales[cand], quats[cand], image_stage
+        means[cand], log_scales[cand], quats[cand], image_stage,
+        keep="screen",
     )
     rows = means.shape[0] if keep is None else keep.size
-    return cand[exact.valid_ids], rows, cand.size
+    return cand[exact.valid_ids], exact.screen, rows, cand.size
 
 
 def visible_ids(
@@ -156,13 +161,16 @@ def render_frames(
 
     1. cull every frame (:func:`visible_ids`: a conservative
        bounding-radius reject names each frame's candidate rows, the
-       exact projection runs on those only);
+       exact projection runs on those only and keeps its screen geometry
+       for the rows it keeps);
     2. gather **once** for the sorted union of their visible rows — a
        paged store then pages each shard at most once for the batch,
        resident pages first (:meth:`~repro.serve.store.PagedServingStore.\
 gather`), instead of once per frame;
     3. composite each frame from its slice of that result,
-       ``rows[searchsorted(union, ids)]``, at the task's SH degree.
+       ``rows[searchsorted(union, ids)]``, at the task's SH degree, from
+       the projection its cull handed on (the gather returns the
+       geometric columns the cull read, so nothing is projected twice).
 
     The rows a frame composites are the rows a gather of its own ids
     returns, so batching never changes pixels. A batch whose union
@@ -172,14 +180,16 @@ max_gather_rows` — for a paged store the rows its page budget holds,
     that fit, each gathered once: no process assembles more of the model
     than the budget already admits. Inline service ticks, farm workers
     and :func:`render_frame` all run exactly this function. Any failure
-    raises; the service contains it by retrying frame by frame.
+    raises; the service contains it by retrying frame by frame. Each
+    composited frame visits the ``serve:frame`` fault point with its
+    index in ``tasks``.
     """
     with _span("serve/cull", "serve", frames=len(tasks)) as cull_span:
         culls = [_cull_frame(store, drop_level, task) for task in tasks]
-        ids = [frame_ids for frame_ids, _, _ in culls]
+        ids = [frame_ids for frame_ids, _, _, _ in culls]
         cull_span.set(
-            rows=sum(rows for _, rows, _ in culls),
-            candidates=sum(cand for _, _, cand in culls),
+            rows=sum(rows for _, _, rows, _ in culls),
+            candidates=sum(cand for _, _, _, cand in culls),
             visible=sum(frame_ids.size for frame_ids in ids),
         )
     images: list[np.ndarray] = []
@@ -190,6 +200,7 @@ max_gather_rows` — for a paged store the rows its page budget holds,
             rows = store.gather(union)
         for i in members:
             task = tasks[i]
+            faults.fault_point("serve:frame", index=i)
             with _span("serve/frame", "serve", lod=task.lod) as frame:
                 compact = GaussianModel(
                     rows
@@ -203,6 +214,7 @@ max_gather_rows` — for a paged store the rows its page budget holds,
                     background=task.background,
                     valid_ids=np.arange(ids[i].size),
                     config=task.config,
+                    screen=culls[i][1],
                 )
                 if _trace.enabled():
                     _metrics.record_isects(frame, res.raster)

@@ -55,6 +55,7 @@ the retry/respawn/quarantine counts surface in :class:`ServeStats`.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -319,7 +320,9 @@ class RenderService:
         self.cache = FrameCache(cache_bytes) if cache_bytes else None
         self.model_version = 0
         self.stats = ServeStats()
-        self._queue: list[tuple[RenderRequest, float]] = []
+        # a deque: append and popleft are atomic, so submitters on other
+        # threads need no lock against the one ticking thread
+        self._queue: deque[tuple[RenderRequest, float]] = deque()
         self._farm = RenderFarm(workers) if workers >= 2 else None
         self._publish()
 
@@ -390,7 +393,11 @@ class RenderService:
 
     # -- request path ------------------------------------------------------
     def submit(self, request: RenderRequest) -> None:
-        """Queue a request for the next :meth:`tick`."""
+        """Queue a request for the next :meth:`tick`.
+
+        Safe to call from any thread, concurrently with other submitters
+        and with the tick: each request is answered by exactly one tick.
+        """
         self._validate(request)
         self._queue.append((request, time.monotonic()))
 
@@ -507,9 +514,10 @@ class RenderService:
         Every queued request gets a response: ``ok``, ``degraded``,
         ``rejected`` (with reason), or ``error`` (with reason) — the
         tick never raises for a single bad frame and never drops a
-        request on the floor.
+        request on the floor. ``tick`` has one caller: the thread that
+        drives the service (:meth:`submit` may run on any other).
         """
-        queue, self._queue = self._queue, []
+        queue = [self._queue.popleft() for _ in range(len(self._queue))]
         if not queue:
             return []
         with _span("serve/tick", "serve") as tick_span:

@@ -149,9 +149,9 @@ class TestGate:
         calls = []
         real = culling.frustum_cull
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             calls.append(args[0].shape[0])
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(culling, "frustum_cull", spy)
         for view, camera in CAMERAS.items():

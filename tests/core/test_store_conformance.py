@@ -41,7 +41,7 @@ from repro.core.stores import (
 from repro.core.systems import TransferLedger
 from repro.gaussians import GaussianModel, layout
 from repro.optim.base import AdamConfig
-from repro.render import frustum_cull
+from repro.render import frustum_cull, render
 from repro.sim.memory import MemoryTracker
 
 N_ROWS = 24
@@ -568,6 +568,37 @@ class TestVisible:
         assert got.num_visible == want.num_visible
         assert got.num_in_depth == want.num_in_depth
         assert got.num_total == N_ROWS
+
+    @param_store
+    @pytest.mark.parametrize("view", ["all", "part"])
+    def test_kept_projection_renders_the_staged_rows(
+        self, tmp_path, factory, view
+    ):
+        """A cull that keeps its projection (``keep="backward"``) hands
+        on exactly what projecting the rows ``stage`` returns gives — or
+        keeps none, where the store stages other geometric values than
+        it culls (a forwarding host store stages the optimizer's peek of
+        its pending step)."""
+        h = FACTORIES[factory](tmp_path)
+        drive(h.store, steps=2)
+        ids = np.arange(N_ROWS)
+        grads = np.random.default_rng(1).normal(size=(N_ROWS, h.store.dim))
+        h.store.return_grads(ids, grads)
+        camera = CAMERAS[view]
+        cull = h.store.visible(camera, keep="backward")
+        assert cull.num_visible >= 2
+        assert (cull.screen is not None) == h.store.stages_culled_geometry
+        staged = GaussianModel(h.store.stage(cull.valid_ids))
+        h.store.unstage(cull.valid_ids)
+        rows = np.arange(cull.num_visible)
+        want = render(staged, camera, valid_ids=rows)
+        got = render(staged, camera, valid_ids=rows, screen=cull.screen)
+        assert got.image.tobytes() == want.image.tobytes()
+        for name in ("means2d", "conics", "depths", "radii"):
+            assert (
+                getattr(got.proj.geom, name).tobytes()
+                == getattr(want.proj.geom, name).tobytes()
+            )
 
     @pytest.mark.parametrize("view", CAMERAS)
     def test_sharded_counts_name_the_active_shards(self, tmp_path, view):

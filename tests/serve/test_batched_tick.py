@@ -199,7 +199,7 @@ class TestLevelSubsetCull:
         real = farm._cull_frame
 
         def spy(*args):
-            ids, _, projected = out = real(*args)
+            ids, _, _, projected = out = real(*args)
             seen.append((ids, projected))
             return out
 
@@ -234,9 +234,9 @@ class TestLevelSubsetCull:
         handed = []
         real = farm.frustum_cull
 
-        def spy(means, log_scales, quats, camera):
+        def spy(means, log_scales, quats, camera, **kwargs):
             handed.append(means.shape[0])
-            return real(means, log_scales, quats, camera)
+            return real(means, log_scales, quats, camera, **kwargs)
 
         store = InMemoryServingStore.from_model(model)
         lod_set = LODSet.build(model.params)

@@ -38,16 +38,26 @@ the rows and the cull gathers; the others see every row in depth range.
 They call nothing but those two functions, so the tool can run against
 an older checkout's ``src`` and the lines can be diffed.
 
+The ``handon`` lines render the same views of a whole model over that
+scene (random opacities and SH), float64 and float32: ``image=`` and
+``grads=`` (the packed backward gradients) of ``render(model, camera)``,
+whose cull hands the kept rows' projection on to the render. A checkout
+whose ``render`` takes no ``screen`` prints none of them.
+
 ``--check`` asserts the equalities that hold inside one checkout and
 prints nothing else: every line repeats (a second run gives the same two
 digests), ``vectorized`` saved and rebuilt agree on all seven arrays,
 ``vectorized-blocks`` equals ``vectorized`` and every ``-threads`` line
 its inline line on both digests, and each
 view's ``frustum_cull`` keeps exactly the rows that ``project_geometry``
-over the rows in depth range, gathered whole, puts on the image.
+over the rows in depth range, gathered whole, puts on the image, and each
+``handon`` view's image, ``means2d``, conics, depths, radii and packed
+gradients equal, by ``tobytes()``, those of ``render`` over the compact
+visible rows with ``valid_ids=arange``, which projects afresh.
 """
 
 import hashlib
+import inspect
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -56,7 +66,8 @@ import numpy as np
 
 from repro import pool
 from repro.cameras import Camera
-from repro.render import RasterConfig, engine, frustum_cull
+from repro.gaussians import GaussianModel, layout
+from repro.render import RasterConfig, engine, frustum_cull, render, render_backward
 from repro.render.engine import get_backward, get_forward
 from repro.render.fragment import FragmentSource, rasterize_fragment_sources
 from repro.render.projection import project_geometry
@@ -122,6 +133,9 @@ HAS_CPUS = hasattr(pool, "usable_cpus")
 
 #: Whether this checkout cuts the vectorized forward into blocks.
 HAS_BLOCKS = hasattr(engine, "BLOCK_CELLS") and HAS_CPUS
+
+#: Whether this checkout's ``render`` takes the cull's projection on.
+HAS_HANDON = "screen" in inspect.signature(render).parameters
 
 
 @contextmanager
@@ -308,7 +322,54 @@ def cull_runs():
             yield label, line, same
 
 
-def check(runs, again, culls, culls_again):
+def handon_model(packed, dtype, seed=6):
+    """A whole model over the cull scene's geometry: random opacities
+    and SH coefficients beside the packed geometric columns."""
+    rng = np.random.default_rng(seed)
+    params = np.empty((packed.shape[0], layout.PARAM_DIM))
+    params[:, layout.GEOMETRIC_SLICE] = packed
+    params[:, layout.OPACITY_SLICE] = rng.normal(0.0, 1.0, (packed.shape[0], 1))
+    params[:, layout.SH_SLICE] = rng.normal(0.0, 0.3, (packed.shape[0], layout.SH_DIM))
+    return GaussianModel(params.astype(dtype))
+
+
+def handon_outputs(model, camera, valid_ids, grad_seed):
+    """Image, screen geometry and packed gradients of one render."""
+    cfg = RasterConfig(engine="vectorized")
+    res = render(model, camera, valid_ids=valid_ids, config=cfg)
+    grad = np.random.default_rng(grad_seed).normal(size=res.image.shape)
+    back = render_backward(model, camera, res, grad.astype(model.dtype))
+    geom = res.proj.geom
+    return res.valid_ids, [
+        res.image, geom.means2d, geom.conics, geom.depths, geom.radii,
+        back.param_grads,
+    ]
+
+
+def handon_runs():
+    """``(label, line, handed on == fresh)`` per cull view and dtype:
+    ``render(model, camera)``, which culls and hands the kept rows'
+    projection on, against ``render`` of the compact visible rows with
+    ``valid_ids=arange``, which projects them afresh."""
+    if not HAS_HANDON:
+        return
+    packed = make_cull_scene()
+    for dtype in ("float64", "float32"):
+        model = handon_model(packed, dtype)
+        for i, camera in enumerate(cull_views()):
+            ids, handed = handon_outputs(model, camera, None, i)
+            compact = GaussianModel(model.params[ids])
+            _, fresh = handon_outputs(compact, camera, np.arange(ids.size), i)
+            label = f"handon v{i} {dtype}"
+            line = (
+                f"{label} image={digest(handed[0])}"
+                f" grads={digest(handed[-1])}"
+            )
+            same = all(a.tobytes() == b.tobytes() for a, b in zip(handed, fresh))
+            yield label, line, same
+
+
+def check(runs, again, culls, culls_again, handons):
     """The within-checkout equalities; returns the failures."""
     failures = []
     by_label = {r.label: r for r in runs}
@@ -320,6 +381,9 @@ def check(runs, again, culls, culls_again):
             failures.append(f"{label}: a second run differs")
         if not same:
             failures.append(f"{label}: differs from the unblocked cull")
+    for label, _, same in handons:
+        if not same:
+            failures.append(f"{label}: the handed-on render differs from a fresh one")
     for label, run in by_label.items():
         if label.endswith(" rebuilt"):
             saved = by_label[label[: -len(" rebuilt")]]
@@ -339,13 +403,16 @@ def check(runs, again, culls, culls_again):
 def main(argv):
     runs = [r for fname in FIXTURES for r in fixture_runs(fname)]
     culls = list(cull_runs())
+    handons = list(handon_runs())
     if argv[1:] == ["--check"]:
         again = [r for fname in FIXTURES for r in fixture_runs(fname)]
-        failures = check(runs, again, culls, list(cull_runs()))
-        total = len(runs) + len(culls)
+        failures = check(runs, again, culls, list(cull_runs()), handons)
+        total = len(runs) + len(culls) + len(handons)
         print("\n".join(failures) or f"ok: {total} lines")
         return 1 if failures else 0
-    lines = [r.line for r in runs] + [line for _, line, _ in culls]
+    lines = [r.line for r in runs] + [
+        line for _, line, _ in culls + handons
+    ]
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
