@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from ..cameras.camera import Camera
-from ..render import frustum_cull
+from ..render import CullResult, frustum_cull
 
 #: Binary-search iterations for the split point (the paper uses 5 and
 #: reports an average balance of 0.551 : 0.449).
@@ -49,12 +49,15 @@ class ImageSplit:
         left: camera rendering columns ``[0, split_x)``.
         right: camera rendering columns ``[split_x, width)``.
         balance: fraction of visible Gaussians in the left region.
+        culls: the regions' ``(left, right)`` culls, kept for their
+            renders, when the search was given a ``cull_fn``.
     """
 
     split_x: int
     left: Camera
     right: Camera
     balance: float
+    culls: tuple[CullResult, CullResult] | None = None
 
     @property
     def regions(self) -> tuple[tuple[Camera, int], tuple[Camera, int]]:
@@ -73,6 +76,7 @@ def find_balanced_split_by(
     count_fn: Callable[[Camera], int],
     camera: Camera,
     steps: int = SPLIT_SEARCH_STEPS,
+    cull_fn: Callable[..., CullResult] | None = None,
 ) -> ImageSplit:
     """Find a near-balanced vertical split using a visible-count callback.
 
@@ -81,6 +85,14 @@ def find_balanced_split_by(
     block; the sharded system passes one summing per-shard frustum culls,
     which yields an identical search trajectory (counts are additive over
     a partition of the scene).
+
+    The search ends by counting the two regions it settled on. With
+    ``cull_fn`` (``cull_fn(camera, keep=...) -> CullResult``) those last
+    two counts are culls with ``keep="backward"``, handed on as
+    :attr:`ImageSplit.culls`: the training step renders each region from
+    its cull instead of culling the same camera again. A cull with
+    ``keep=`` returns the verdict it returns without it, so the split and
+    the balance are those of ``count_fn`` either way.
     """
     width = camera.width
     lo, hi = 0, width
@@ -96,11 +108,20 @@ def find_balanced_split_by(
     split = int(np.clip(split, 1, width - 1))
     left_cam = camera.crop(0, split)
     right_cam = camera.crop(split, width)
-    n_left = count_fn(left_cam)
-    n_right = count_fn(right_cam)
+    culls = None
+    if cull_fn is None:
+        n_left = count_fn(left_cam)
+        n_right = count_fn(right_cam)
+    else:
+        culls = (
+            cull_fn(left_cam, keep="backward"),
+            cull_fn(right_cam, keep="backward"),
+        )
+        n_left, n_right = (cull.num_visible for cull in culls)
     total = max(n_left + n_right, 1)
     return ImageSplit(
-        split_x=split, left=left_cam, right=right_cam, balance=n_left / total
+        split_x=split, left=left_cam, right=right_cam, balance=n_left / total,
+        culls=culls,
     )
 
 

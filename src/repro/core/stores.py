@@ -33,9 +33,10 @@ made of, named as a checkpoint names them. The placements:
   block under selective offloading).
 * :class:`HostStore` — rows resident on the host; staging windows are
   charged to device memory and the ledger; with ``forwarding`` the staged
-  values are optimizer peeks of the not-yet-committed update and gradients
-  wait for the next ``commit()`` (Sections 4.2.2/4.3.3), otherwise the
-  optimizer steps synchronously (the Section 4.1 baseline).
+  values are those of the not-yet-committed update (committed early under
+  deferred Adam, optimizer peeks otherwise) and gradients wait for the
+  next ``commit()`` (Sections 4.2.2/4.3.3), otherwise the optimizer steps
+  synchronously (the Section 4.1 baseline).
 * :class:`DiskStore` — the out-of-core tier below :class:`HostStore`:
   parameters and optimizer moments spill to one
   :class:`~repro.core.pager.PageFile` each (the store owns the residency
@@ -66,7 +67,7 @@ from ..cameras.camera import Camera
 from ..gaussians import layout
 from ..gaussians.layout import ColumnBlock
 from ..optim.adam import DenseAdam
-from ..optim.base import AdamConfig, SparseOptimizer, StepStats, ascending
+from ..optim.base import AdamConfig, SparseOptimizer, StepStats, ascending, member
 from ..optim.deferred import DeferredAdam
 from ..render import CullResult, frustum_cull
 from ..render.culling import gated_cull
@@ -314,13 +315,31 @@ class HostStore(ParameterStore):
         adam: optimizer hyperparameters with the block's lr slice.
         memory: device tracker charged for the staging windows.
         ledger: transfer ledger recording the staging traffic.
-        forwarding: stage optimizer *peeks* of the not-yet-committed
-            update and park returned gradients until :meth:`commit`
+        forwarding: stage the rows as the not-yet-committed update will
+            leave them and park returned gradients until :meth:`commit`
             (parameter forwarding + lazy host commit). ``False`` stages
             raw rows and steps synchronously (the baseline).
         deferred: use :class:`DeferredAdam` (requires ``forwarding``).
         max_defer: deferred-counter saturation.
+
+    A forwarding store with :class:`DeferredAdam` computes each forwarded
+    row once: ``stage`` commits the staged rows the pending step writes
+    (its gradient rows and saturated counters) in place, by the step's own
+    kernel walk (:meth:`DeferredAdam.forward_rows`), and marks them in a
+    bool row mask; a row staged again in the same step (the second region
+    of a split view) reads them back, and :meth:`commit` walks only the
+    rows not yet written, ticking counters and the step count once and
+    returning the stats of the whole step. Every other staged row is an
+    optimizer peek, as is every row of a :class:`DenseAdam` forwarding
+    store: its step writes every row, so committing a subset early would
+    turn its walk over contiguous views into a gathered one. The early
+    commit uses the learning rate in force at ``stage``; the training
+    step sets its rate before it stages.
     """
+
+    #: whether a deferred forwarding store commits staged rows early (see
+    #: the class docstring; :class:`DiskStore` does not)
+    commits_early = True
 
     def __init__(
         self,
@@ -349,6 +368,11 @@ class HostStore(ParameterStore):
             self.optimizer = DenseAdam(self.params, adam)
         self._pending_ids: np.ndarray | None = None
         self._pending_grads: np.ndarray | None = None
+        # rows the pending step has already written (early commit only)
+        self._written = (
+            np.zeros(self.params.shape[0], dtype=bool)
+            if deferred and self.commits_early else None
+        )
 
     @property
     def num_rows(self) -> int:
@@ -364,13 +388,18 @@ class HostStore(ParameterStore):
     # -- parameter forwarding ---------------------------------------------
     def _forwarded_values(self, ids: np.ndarray) -> np.ndarray:
         """Pre-updated rows for the next render (Section 4.2.2 / 4.3.3):
-        peek the post-commit values without mutating any host state."""
+        the post-commit values, committed early where the store does
+        (see the class docstring), otherwise peeked."""
         if self._pending_ids is None:
             if self.deferred:
                 return self.optimizer.materialized_params(ids)
             return self.params[ids]  # advanced indexing already copies
         # a pending step exists (possibly with zero rows of overlap, or —
-        # for an inactive shard — zero rows at all): peek *through* it
+        # for an inactive shard — zero rows at all): look *through* it
+        if self._written is not None:
+            return self.optimizer.forward_rows(
+                ids, self._pending_ids, self._pending_grads, self._written
+            )
         return self.optimizer.peek_updated(
             ids, self._scatter_pending(ids)
         )
@@ -378,11 +407,8 @@ class HostStore(ParameterStore):
     def _scatter_pending(self, ids: np.ndarray) -> np.ndarray:
         """Pending gradient rows aligned with ``ids`` (zeros elsewhere)."""
         pending_rows = np.zeros((ids.size, self.dim), dtype=self.params.dtype)
-        if self._pending_ids.size and ids.size:
-            pos = np.searchsorted(self._pending_ids, ids)
-            pos = np.clip(pos, 0, self._pending_ids.size - 1)
-            hit = self._pending_ids[pos] == ids
-            pending_rows[hit] = self._pending_grads[pos[hit]]
+        hit, pos = member(self._pending_ids, ids)
+        pending_rows[hit] = self._pending_grads[pos[hit]]
         return pending_rows
 
     # -- step-facing operations -------------------------------------------
@@ -421,9 +447,16 @@ class HostStore(ParameterStore):
     def commit(self) -> None:
         if self._pending_ids is None:
             return
-        self._stepped(
-            self.optimizer.step_rows(self._pending_ids, self._pending_grads)
-        )
+        if self._written is None:
+            stats = self.optimizer.step_rows(
+                self._pending_ids, self._pending_grads
+            )
+        else:
+            stats = self.optimizer.step_rows(
+                self._pending_ids, self._pending_grads, written=self._written
+            )
+            self._written[...] = False
+        self._stepped(stats)
         self._pending_ids = None
         self._pending_grads = None
 
@@ -439,9 +472,19 @@ class HostStore(ParameterStore):
     def materialize(self, ids: np.ndarray | None = None) -> np.ndarray:
         if self._pending_ids is not None:
             all_ids = np.arange(self.num_rows) if ids is None else ids
-            return self.optimizer.peek_updated(
-                all_ids, self._scatter_pending(all_ids)
+            if self._written is None:
+                return self.optimizer.peek_updated(
+                    all_ids, self._scatter_pending(all_ids)
+                )
+            # rows an early commit wrote hold their post-step values
+            out = np.empty((all_ids.size, self.dim), dtype=self.params.dtype)
+            done = self._written[all_ids]
+            out[done] = self.params[all_ids[done]]
+            rest = all_ids[~done]
+            out[~done] = self.optimizer.peek_updated(
+                rest, self._scatter_pending(rest)
             )
+            return out
         if self.deferred:
             return self.optimizer.materialized_params(ids)
         if ids is None:
@@ -459,6 +502,8 @@ class HostStore(ParameterStore):
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         _load_leaf_state(self.optimizer, state)
+        if self._written is not None:
+            self._written[...] = False  # the loaded rows are not stepped
 
 
 class DiskStore(HostStore):
@@ -529,7 +574,16 @@ class DiskStore(HostStore):
         stats: the :class:`~repro.core.pager.SpillStats` this store's
             spills count into (a fresh one when omitted; the out-of-core
             system shares one over its whole run).
+
+    A deferred disk store peeks its forwarded rows instead of committing
+    them at ``stage`` (:attr:`HostStore.commits_early` is off): an early
+    commit would turn a staged shard dirty before the evictions that run
+    inside ``stage``, so the page-out sequence would change (tried, it
+    changed an out-of-core run's losses and page files). Where a shard's
+    commit runs is the residency plan's to decide.
     """
+
+    commits_early = False
 
     def __init__(
         self,

@@ -340,18 +340,26 @@ class TrainingSystem(ABC):
 
     def _plan_regions(
         self, camera: Camera
-    ) -> tuple[list[tuple[Camera, int]], CullResult | None]:
-        """Render regions for this view, plus the whole-view cull result
-        when it can be reused (single-region case)."""
+    ) -> list[tuple[Camera, int, CullResult]]:
+        """``(camera, x_offset, cull)`` of every render region of this
+        view. One region is rendered from the whole-view cull; a split
+        view's regions from the split search's last two culls."""
         whole = self._cull(camera, keep="backward")
         if (
             self.splits_images
             and whole.active_ratio > self.config.mem_limit
             and camera.width >= 2
         ):
-            split = find_balanced_split_by(self._count_visible, camera)
-            return list(split.regions), None
-        return [(camera, 0)], whole
+            split = find_balanced_split_by(
+                self._count_visible, camera, cull_fn=self._cull
+            )
+            return [
+                (region_cam, x_offset, cull)
+                for (region_cam, x_offset), cull in zip(
+                    split.regions, split.culls
+                )
+            ]
+        return [(camera, 0, whole)]
 
     def _render_one(
         self,
@@ -492,15 +500,10 @@ class TrainingSystem(ABC):
             self.store.set_lr(lr)
 
         with _span("train/cull", "train"):
-            regions, whole = self._plan_regions(camera)
+            regions = self._plan_regions(camera)
         total_px = camera.num_pixels
         outputs: list[_RegionOutput] = []
-        for region_cam, x_offset in regions:
-            if whole is not None and len(regions) == 1:
-                cull = whole
-            else:
-                with _span("train/cull", "train"):
-                    cull = self._cull(region_cam, keep="backward")
+        for region_cam, x_offset, cull in regions:
             ids = cull.valid_ids
             if ids.size == 0:
                 continue
@@ -746,7 +749,8 @@ class ShardedGSScaleSystem(TrainingSystem):
         row space, and each shard re-stages to run its projection adjoint
         and return its gradient slice (the second H2D window is the price
         of never holding two shards' rows at once; values are identical
-        because staging is a pure optimizer peek). Numerics match the
+        because a stage returns the pending step's values, peeked or
+        committed early by the first stage and read back by the second). Numerics match the
         gather path to compositing-rounding precision (~1e-12).
         """
         cfg = self.config

@@ -131,6 +131,17 @@ def ascending(
     return ids, rows
 
 
+def member(
+    sorted_ids: np.ndarray, ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(hit, pos)``: which of ``ids`` occur in the ascending
+    ``sorted_ids``, and where (``sorted_ids[pos[hit]] == ids[hit]``)."""
+    if sorted_ids.size == 0:
+        return np.zeros(ids.size, dtype=bool), np.zeros(ids.size, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(sorted_ids, ids), sorted_ids.size - 1)
+    return sorted_ids[pos] == ids, pos
+
+
 def adam_update(
     params: np.ndarray,
     grads: np.ndarray,

@@ -27,13 +27,19 @@ frozen to the out-of-place formulas of Figure 10 (Adam's ``eps = 1e-15``
 amplifies a last-bit difference into an ``O(lr)`` one), down to the
 ``+ 0.0`` a zero gradient contributes: it turns a moment that underflowed
 to ``-0.0`` into ``+0.0``, and dropping it would change stored bytes.
+
+Because the kernel is per row, a step may also be split across row
+subsets (numerics contract fact 9): :meth:`DeferredAdam.forward_rows`
+commits the rows a forwarding store stages ahead of the step, and
+``step(..., written=)`` walks the rest, so a forwarded row is computed
+once instead of peeked at ``stage`` and stepped again at ``commit``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import AdamConfig, StepStats, ascending, float_traffic_bytes
+from .base import AdamConfig, StepStats, ascending, float_traffic_bytes, member
 from .kernel import RowKernel
 
 #: Default maximum defer count: 4-bit counter (paper Section 4.3.2), giving
@@ -48,6 +54,12 @@ class DeferredAdam:
     the epsilon-factoring approximation of Equation 3 (exactly identical
     when ``eps`` is negligible against ``sqrt(v)``; Table 3 shows the
     rendering-quality impact is nil).
+
+    A forwarding store stages the next step's rows through
+    :meth:`forward_rows`, which commits the staged rows that step writes
+    ahead of it (early commit) and peeks the rest; the step itself then
+    runs as ``step_rows(ids, grads, written=mask)`` and walks only the
+    rows not yet written.
 
     Args:
         params: packed ``(N, D)`` parameter array, updated in place.
@@ -160,12 +172,21 @@ class DeferredAdam:
         saturated = np.nonzero(self.counter >= self.max_defer)[0]
         return np.union1d(np.asarray(valid_ids, dtype=np.int64), saturated)
 
-    def step(self, valid_ids: np.ndarray, grads_rows: np.ndarray) -> StepStats:
+    def step(
+        self,
+        valid_ids: np.ndarray,
+        grads_rows: np.ndarray,
+        written: np.ndarray | None = None,
+    ) -> StepStats:
         """Commit one deferred-Adam step.
 
         Args:
             valid_ids: rows with nonzero gradient (sorted or not).
             grads_rows: their gradients, ``(len(valid_ids), D)``.
+            written: optional ``(N,)`` bool mask of the rows
+                :meth:`forward_rows` already committed for this step. The
+                walks skip them; counters, ``step_count`` and the returned
+                stats are those of the whole step.
         """
         valid_ids = np.asarray(valid_ids, dtype=np.int64)
         if grads_rows.shape != (valid_ids.size, self.params.shape[1]):
@@ -180,9 +201,14 @@ class DeferredAdam:
         saturated = self.counter >= self.max_defer
         saturated[valid_ids] = False
         restore_ids = np.flatnonzero(saturated)
+        walk_ids, walk_grads, walk_restore = valid_ids, grads_rows, restore_ids
+        if written is not None:
+            todo = ~written[valid_ids]
+            walk_ids, walk_grads = valid_ids[todo], grads_rows[todo]
+            walk_restore = restore_ids[~written[restore_ids]]
         kernel = self._kernel(self.step_count + 1)
-        kernel.step(valid_ids, grads_rows.astype(self.params.dtype, copy=False))
-        kernel.step(restore_ids, None)
+        kernel.step(walk_ids, walk_grads.astype(self.params.dtype, copy=False))
+        kernel.step(walk_restore, None)
         self.step_count += 1
 
         # Figure 10 lines 44-48: increment all, reset updated
@@ -213,6 +239,58 @@ class DeferredAdam:
         """
         ids = np.asarray(ids, dtype=np.int64)
         return self._kernel(self.step_count + 1).peek(ids, grads_rows)
+
+    def forward_rows(
+        self,
+        ids: np.ndarray,
+        valid_ids: np.ndarray,
+        grads_rows: np.ndarray,
+        written: np.ndarray,
+    ) -> np.ndarray:
+        """Rows ``ids`` as the next :meth:`step` with ``(valid_ids,
+        grads_rows)`` will leave them, each row computed once.
+
+        Parameter forwarding (Section 4.3.3) where one CPU both stages
+        and commits: a row of ``ids`` the pending step writes — it has a
+        gradient, or its counter saturated — and ``written`` does not yet
+        mark is committed now, in place, by the step's own kernel walk,
+        and marked in ``written``; the pending ``step(..., written=)``
+        then skips it. The other rows are peeked with a zero gradient,
+        nothing modified. The kernel is per row and the step's lookup
+        tables are fixed, so a row committed here holds the bytes the
+        whole step would give it, and a row staged again reads them back.
+        Counters and ``step_count`` tick at :meth:`step` only.
+
+        Args:
+            ids: the staged rows.
+            valid_ids: the pending step's gradient rows, ascending.
+            grads_rows: their gradients.
+            written: the ``(N,)`` bool mask of rows already committed for
+                the pending step, updated in place.
+
+        Returns:
+            ``(len(ids), D)`` values in the parameters' dtype.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        kernel = self._kernel(self.step_count + 1)
+        graded, _ = member(valid_ids, ids)
+        due = ~written[ids] & (graded | (self.counter[ids] >= self.max_defer))
+        if due.any():
+            rows = np.unique(ids[due])
+            graded, pos = member(valid_ids, rows)
+            kernel.step(
+                rows[graded],
+                grads_rows[pos[graded]].astype(self.params.dtype, copy=False),
+            )
+            kernel.step(rows[~graded], None)
+            written[rows] = True
+        out = np.empty((ids.size, self.params.shape[1]), self.params.dtype)
+        done = written[ids]
+        out[done] = self.params[ids[done]]
+        rest = ~done
+        if rest.any():
+            out[rest] = kernel.peek(ids[rest], None)
+        return out
 
     def materialized_params(self, ids: np.ndarray | None = None) -> np.ndarray:
         """Mathematically current parameter values (read-only restoration).

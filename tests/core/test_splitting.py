@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import GSScaleConfig, create_system, find_balanced_split
-from repro.core.splitting import SPLIT_SEARCH_STEPS
+from repro.core.splitting import SPLIT_SEARCH_STEPS, find_balanced_split_by
 from repro.datasets import SyntheticSceneConfig, build_scene
+from repro.render import frustum_cull
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +60,28 @@ class TestFindBalancedSplit:
         assert x1 == split.split_x
         assert left.width + right.width == cam.width
         assert left.height == right.height == cam.height
+
+    def test_cull_fn_hands_the_region_culls_on(self, scene):
+        """With ``cull_fn`` the search's last two counts are the regions'
+        culls, kept for their renders; the split does not move."""
+        cam = scene.train_cameras[2]
+        plain = find_balanced_split(*geo(scene), cam)
+        assert plain.culls is None
+        asked = []
+
+        def cull(camera, keep=None):
+            asked.append(keep)
+            return frustum_cull(*geo(scene), camera, keep=keep)
+
+        got = find_balanced_split_by(
+            lambda camera: cull(camera).num_visible, cam, cull_fn=cull
+        )
+        assert (got.split_x, got.balance) == (plain.split_x, plain.balance)
+        assert asked == [None] * (2 * SPLIT_SEARCH_STEPS) + ["backward"] * 2
+        for region, kept in zip((got.left, got.right), got.culls):
+            want = frustum_cull(*geo(scene), region)
+            np.testing.assert_array_equal(kept.valid_ids, want.valid_ids)
+            assert kept.screen is not None
 
     def test_search_step_count_default(self):
         assert SPLIT_SEARCH_STEPS == 5
@@ -174,6 +197,58 @@ class TestSplitTrainingEquivalence:
         # union of region ids can't exceed the whole-view visible count
         whole_cull = s._cull(cam)
         assert report.num_visible <= whole_cull.num_visible + 1
+
+
+class TestSplitStepCulls:
+    """A split step culls its view once whole, ``2 * SPLIT_SEARCH_STEPS``
+    times to probe the split, and once per region, where the search's
+    last two culls are the regions': 13 culls, not 15."""
+
+    @pytest.mark.parametrize("system", ["gsscale", "sharded"])
+    def test_a_split_step_culls_thirteen_times(self, scene, monkeypatch, system):
+        from repro.core import stores
+        from repro.render import culling
+
+        s = create_system(
+            scene.initial.copy(),
+            GSScaleConfig(
+                system=system, num_shards=2, scene_extent=scene.extent,
+                ssim_lambda=0.0, mem_limit=1e-6, seed=0,
+            ),
+        )
+        exact = []  # frustum_cull calls, under either name
+        for module in (stores, culling):
+            real = module.frustum_cull
+
+            def spy(*args, _real=real, **kwargs):
+                exact.append(kwargs.get("keep"))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "frustum_cull", spy)
+        asked = []  # the store-level culls: (keep, result)
+        visible = s.store.visible
+
+        def spy_visible(camera, keep=None):
+            result = visible(camera, keep)
+            asked.append((keep, result))
+            return result
+
+        s.store.visible = spy_visible
+        report = s.step(scene.train_cameras[0], scene.train_images[0])
+        assert report.num_regions == 2
+        assert len(asked) == 1 + 2 * SPLIT_SEARCH_STEPS + 2 == 13
+        keeps = [keep for keep, _ in asked]
+        assert keeps == ["backward"] + [None] * 10 + ["backward"] * 2
+        if system == "gsscale":
+            assert len(exact) == 13
+        else:  # each store-level cull projects its gated-in shards
+            assert len(exact) == sum(len(r.exact_shards) for _, r in asked)
+        # the regions rendered from the culls the search handed on
+        regions = [r for _, r in asked[-2:]]
+        np.testing.assert_array_equal(
+            report.valid_ids,
+            np.union1d(regions[0].valid_ids, regions[1].valid_ids),
+        )
 
 
 class TestAggregate:

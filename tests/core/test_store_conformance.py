@@ -127,6 +127,44 @@ def make_sharded(tmp_path):
     return Harness(ShardedStore(rows, stores), tracker, ledger, exact=True)
 
 
+def make_hybrid_deferred(tmp_path):
+    """The ``gsscale`` composition: device geometry beside a deferred
+    forwarding host block, whose staged rows commit early."""
+    tracker, ledger = MemoryTracker(), TransferLedger()
+    p = _params()
+    geo = DeviceStore(
+        p[:, layout.GEOMETRIC_SLICE], layout.GEOMETRIC_BLOCK, ADAM, tracker,
+        label="geo",
+    )
+    host = HostStore(
+        p[:, layout.NON_GEOMETRIC_SLICE], layout.NON_GEOMETRIC_BLOCK, ADAM,
+        tracker, ledger, forwarding=True, deferred=True,
+    )
+    return Harness(HybridStore([geo, host]), tracker, ledger, exact=False)
+
+
+def make_sharded_deferred(tmp_path):
+    """The ``sharded`` composition: interleaved shards of
+    :func:`make_hybrid_deferred`'s tree."""
+    tracker, ledger = MemoryTracker(), TransferLedger()
+    p = _params()
+    rows = [np.arange(k, N_ROWS, 3) for k in range(3)]
+    stores = []
+    for r in rows:
+        sub_tracker = MemoryTracker(parent=tracker)
+        sub_ledger = TransferLedger(parent=ledger)
+        geo = DeviceStore(
+            p[r][:, layout.GEOMETRIC_SLICE], layout.GEOMETRIC_BLOCK, ADAM,
+            sub_tracker, label="geo",
+        )
+        host = HostStore(
+            p[r][:, layout.NON_GEOMETRIC_SLICE], layout.NON_GEOMETRIC_BLOCK,
+            ADAM, sub_tracker, sub_ledger, forwarding=True, deferred=True,
+        )
+        stores.append(HybridStore([geo, host]))
+    return Harness(ShardedStore(rows, stores), tracker, ledger, exact=False)
+
+
 def make_disk(tmp_path):
     tracker, ledger = MemoryTracker(), TransferLedger()
     host_tracker = MemoryTracker()
@@ -233,7 +271,9 @@ FACTORIES = {
     "host_forwarding": make_host_forwarding,
     "host_deferred": make_host_deferred,
     "hybrid": make_hybrid,
+    "hybrid_deferred": make_hybrid_deferred,
     "sharded": make_sharded,
+    "sharded_deferred": make_sharded_deferred,
     "disk": make_disk,
     "disk_spilling": make_disk_spilling,
     "disk_f16": make_disk_f16,
@@ -243,6 +283,10 @@ FACTORIES = {
 }
 
 param_store = pytest.mark.parametrize("factory", FACTORIES, ids=FACTORIES)
+#: the placements that stage the pending step's values (parameter
+#: forwarding): every one but the synchronous device and host stores
+FORWARDING = [name for name in FACTORIES if name not in ("device", "host")]
+param_forwarding = pytest.mark.parametrize("factory", FORWARDING, ids=FORWARDING)
 
 
 def drive(store, steps=6, seed=9, spill_every=None):
@@ -476,6 +520,93 @@ class TestUnsortedGradientIds:
         np.testing.assert_array_equal(
             h.store.materialize(), ref.store.materialize()
         )
+
+
+def assert_same_state(got, want):
+    """Two :func:`tree_state` dicts agree byte for byte."""
+    assert set(got) == set(want)
+    for key, value in want.items():
+        assert got[key].dtype == value.dtype, key
+        assert got[key].tobytes() == value.tobytes(), key
+
+
+class TestTwoStagesOneStep:
+    """A split view stages twice before the lazy commit (one stage per
+    region). Whether a forwarding store peeks its staged rows or commits
+    them early, the step it commits is the one step its gradients ask
+    for, and every stage sees that step's values."""
+
+    A = np.array([0, 2, 3, 5, 8, 9, 13, 17, 20])
+    B = np.array([1, 3, 5, 9, 11, 17, 18, 23])  # overlaps A on 3, 5, 9, 17
+
+    def _pending(self, tmp_path, factory, name):
+        """A store mid-run with a pending step over most rows."""
+        h = FACTORIES[factory](tmp_path / name)
+        drive(h.store, steps=3)
+        # rows 6 and 7 get no gradient: a peeked row inside each region
+        # when the deferred counter is not saturated
+        ids = np.setdiff1d(np.arange(N_ROWS), [6, 7, 21])
+        grads = np.random.default_rng(4).normal(size=(ids.size, h.store.dim))
+        h.store.return_grads(ids, grads)
+        return h
+
+    @param_forwarding
+    def test_a_row_staged_twice_is_stepped_once(self, tmp_path, factory):
+        h = self._pending(tmp_path, factory, "twice")
+        twin = self._pending(tmp_path, factory, "twin")
+        first = h.store.stage(self.A)
+        second = h.store.stage(self.B)
+        both = np.intersect1d(self.A, self.B)
+        assert (
+            first[np.searchsorted(self.A, both)].tobytes()
+            == second[np.searchsorted(self.B, both)].tobytes()
+        )
+        for ids in (self.A, self.B):
+            h.store.unstage(ids)
+        h.store.commit()
+        twin.store.commit()  # the step, never staged
+        assert_same_state(tree_state(h.store), tree_state(twin.store))
+        # and the staged values are what the step committed
+        got = h.store.materialize(self.A)
+        assert got.tobytes() == first.astype(got.dtype).tobytes()
+
+    @param_forwarding
+    def test_materialize_between_stage_and_commit(self, tmp_path, factory):
+        h = self._pending(tmp_path, factory, "mid")
+        twin = self._pending(tmp_path, factory, "twin")
+        h.store.stage(self.A)
+        want = twin.store.materialize()  # peeked through the pending step
+        assert h.store.materialize().tobytes() == want.tobytes()
+        assert h.store.materialize(self.B).tobytes() == want[self.B].tobytes()
+        h.store.unstage(self.A)
+
+    @param_forwarding
+    def test_second_stage_out_of_memory(self, tmp_path, factory):
+        h = self._pending(tmp_path, factory, "oom")
+        twin = self._pending(tmp_path, factory, "twin")
+        for store in (h.store, twin.store):
+            store.stage(self.A)
+        h.device_tracker.capacity_bytes = h.device_tracker.live_bytes
+        with pytest.raises(MemoryError):
+            h.store.stage(self.B)
+        twin.store.stage(self.B)
+        twin.store.unstage(self.B)
+        for store in (h.store, twin.store):
+            store.unstage(self.A)
+            store.commit()
+        assert_same_state(tree_state(h.store), tree_state(twin.store))
+
+    @param_forwarding
+    def test_flush_between_stage_and_commit(self, tmp_path, factory):
+        h = self._pending(tmp_path, factory, "flush")
+        twin = self._pending(tmp_path, factory, "twin")
+        h.store.stage(self.A)
+        h.store.unstage(self.A)
+        for store in (h.store, twin.store):
+            store.flush()
+            store.commit()  # nothing left pending: a no-op
+        assert_same_state(tree_state(h.store), tree_state(twin.store))
+        assert h.store.materialize().tobytes() == twin.store.materialize().tobytes()
 
 
 def tree_state(store):

@@ -1,6 +1,7 @@
 """Seeded randomized protocol fuzz: stores vs an in-memory oracle.
 
-Drives random interleavings of the store protocol — ``stage``/``unstage``,
+Drives random interleavings of the store protocol — ``stage``/``unstage``
+(once per step, or twice as a split view stages its two regions),
 ``return_grads``, ``commit``, ``materialize``, ``set_lr``, ``flush``, and
 (for the disk tier) ``spill``/``page_in`` plus the async legs —
 ``preload``/``adopt`` with other operations in between, and the
@@ -50,6 +51,7 @@ class _ProtocolFuzzer:
         self.oracle = oracle
         self.ops = [
             self.op_step, self.op_step, self.op_step,  # weighted: common
+            self.op_split_step,
             self.op_materialize, self.op_set_lr, self.op_flush,
         ]
         if disk_ops:
@@ -73,6 +75,25 @@ class _ProtocolFuzzer:
             store.unstage(ids, returned=returned)
             store.commit()
             store.return_grads(ids, grads)
+
+    def op_split_step(self):
+        """A split view's step: two regions staged back to back (their
+        rows overlap at random), each staged value equal on both stores,
+        then one lazy commit; the state is compared after the commit."""
+        regions = [_random_ids(self.rng), _random_ids(self.rng)]
+        grads_ids = np.union1d(*regions)
+        grads = self.rng.normal(size=(grads_ids.size, layout.PARAM_DIM))
+        for ids in regions:
+            np.testing.assert_array_equal(
+                self.subject.stage(ids), self.oracle.stage(ids)
+            )
+        for store in (self.subject, self.oracle):
+            for ids in regions:
+                store.unstage(ids)
+            store.commit()
+        self.op_materialize()
+        for store in (self.subject, self.oracle):
+            store.return_grads(grads_ids, grads)
 
     def op_materialize(self):
         ids = _random_ids(self.rng)
@@ -208,6 +229,37 @@ def test_sharded_hybrid_matches_device(seed):
         stores.append(HybridStore([geo, host]))
     sharded = ShardedStore(rows, stores)
     oracle = DeviceStore(p, layout.ALL_BLOCK, ADAM, MemoryTracker())
+    _ProtocolFuzzer(seed, sharded, oracle).run(rounds=100)
+
+
+@pytest.mark.parametrize("seed", [8, 9])
+def test_sharded_deferred_matches_hybrid(seed):
+    """The ``sharded`` tree (deferred host blocks, which commit their
+    staged rows early) is bit-identical to one unsharded ``gsscale``
+    tree under random interleavings: the deferred update is per row."""
+    p = _params(seed)
+    rows = [np.arange(k, N, 4) for k in range(4)]
+
+    def hybrid(params, tracker, ledger):
+        geo = DeviceStore(
+            params[:, layout.GEOMETRIC_SLICE], layout.GEOMETRIC_BLOCK, ADAM,
+            tracker, label="geo",
+        )
+        host = HostStore(
+            params[:, layout.NON_GEOMETRIC_SLICE], layout.NON_GEOMETRIC_BLOCK,
+            ADAM, tracker, ledger, forwarding=True, deferred=True,
+        )
+        return HybridStore([geo, host])
+
+    parent_tracker, parent_ledger = MemoryTracker(), TransferLedger()
+    sharded = ShardedStore(rows, [
+        hybrid(
+            p[r], MemoryTracker(parent=parent_tracker),
+            TransferLedger(parent=parent_ledger),
+        )
+        for r in rows
+    ])
+    oracle = hybrid(p, MemoryTracker(), TransferLedger())
     _ProtocolFuzzer(seed, sharded, oracle).run(rounds=100)
 
 

@@ -12,8 +12,11 @@ save + load after step 8), over the columns ``gpu_only``,
 ``baseline_offload``, ``gsscale_no_deferred``, ``gsscale``, ``sharded``;
 ``outofcore`` x {``raw``, ``lossless``, ``float16``} x {``sync``;
 ``async1`` = ``async_prefetch`` at depth 1; ``async2wb`` = depth 2 +
-``write_behind``}; and a ``PagedServingStore`` opened from the ``sharded``
-column's checkpoint under each codec. Per training column it prints the
+``write_behind``}; a ``PagedServingStore`` opened from the ``sharded``
+column's checkpoint under each codec; and last, ``gsscale-vectorized`` and
+``sharded-vectorized``, the two in-memory splitting systems trained with
+the ``vectorized`` raster engine every ``perfbench`` workload trains with
+(the other columns render with ``reference``). Per training column it prints the
 sha256 of the step losses, the final packed parameters, the Adam moments
 and the defer counters (both scattered into global row order, so columns
 with different store trees compare), then the ledger counts and tracker
@@ -47,7 +50,9 @@ write-behind landed before it was paged back in (``float16`` ``sync`` ==
 same bytes whether it was filled from the checkpoint or from the resumed
 model (``pages_from_model`` == ``pages`` under every codec), and a gather
 decodes each row as the whole page would (``gather_rows`` == the same
-rows of the full ``gather`` under every codec). Uses only
+rows of the full ``gather`` under every codec), and sharding never
+changes numerics under the ``vectorized`` engine either
+(``gsscale-vectorized`` == ``sharded-vectorized``). Uses only
 names both sides of a diff have; ``.crc`` sidecars of older checkouts
 are ignored.
 """
@@ -86,6 +91,8 @@ PCIE = ("h2d_bytes", "d2h_bytes", "h2d_count", "d2h_count")
 IN_MEMORY = (
     "gpu_only", "baseline_offload", "gsscale_no_deferred", "gsscale", "sharded",
 )
+#: the columns trained again with ``perfbench``'s raster engine
+VECTORIZED = ("gsscale", "sharded")
 NUM_SHARDS = 4
 GATHER_ROWS = 97
 
@@ -229,6 +236,11 @@ def run() -> dict[str, dict]:
             table[f"serve-{codec}"] = serve_column(
                 scene, tmp, codec, table["sharded"]["checkpoint"]
             )
+        for name in VECTORIZED:
+            table[f"{name}-vectorized"] = train_column(
+                scene, tmp, f"{name}-vectorized", system=name,
+                engine="vectorized",
+            )
         shutdown_raster_pools()
     return table
 
@@ -261,8 +273,12 @@ def check(table: dict[str, dict]) -> list[str]:
         failures.append("the device-only system moves nothing: gpu_only")
     same("sharding never changes numerics", "gsscale", "sharded",
          NUMERICS + ("device_peak",))
-    if ledger("gsscale", PCIE[:2]) != ledger("sharded", PCIE[:2]):
-        failures.append("PCIe bytes: gsscale != sharded")
+    same("sharding never changes numerics", "gsscale-vectorized",
+         "sharded-vectorized", NUMERICS + ("device_peak",))
+    for suffix in ("", "-vectorized"):
+        a, b = f"gsscale{suffix}", f"sharded{suffix}"
+        if ledger(a, PCIE[:2]) != ledger(b, PCIE[:2]):
+            failures.append(f"PCIe bytes: {a} != {b}")
     for codec in CODECS:
         sync = f"outofcore-{codec}-sync"
         if codec != "float16":
