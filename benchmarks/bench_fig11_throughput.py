@@ -43,7 +43,7 @@ def run_platform(platform_key: str):
                "(the paper scales scenes per platform via densification "
                "settings); Aerial cannot be downsized.",
                "Sharded = Gaussian-sharded GS-Scale across 4 devices "
-               "joined by the fragment-compositing merge (per-shard "
+               "joined by a modelled fragment-compositing merge (per-shard "
                "renders ship compact fragment records instead of a "
                "Grendel-style all-gather; per-device memory in Figure 12).",
                "OoC = out-of-core sharded: only 1 of 4 shards' host state "

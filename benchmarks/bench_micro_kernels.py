@@ -457,12 +457,11 @@ def test_raster_engine_matrix(benchmark):
     artifact the CI perf-smoke job uploads. ``GSSCALE_BENCH_QUICK=1``
     shrinks the grid so shared runners finish in seconds; no speedup is
     asserted here (timings on shared runners are informational). The
-    fragment rows sweep the shard count (the slices run on the block
-    threads, one per usable CPU, as every flat engine's do). The ``vectorized``
-    rows time the backward twice: ``backward_s`` from the forward's saved
-    pair table (the training path) and ``backward_rebuild_s`` with it
-    stripped (the fallback a foreign forward takes). One ``occluded`` row
-    per flat engine (``scene: "occluded"``, in-process) renders
+    ``vectorized`` rows time the backward twice: ``backward_s`` from the
+    forward's saved pair table (the training path) and
+    ``backward_rebuild_s`` with it stripped (the fallback a foreign
+    forward takes). One ``occluded`` row (``scene: "occluded"``,
+    in-process) renders
     :func:`make_occluded_raster_scene` and reports, beside ``forward_s``,
     the ``pairs`` the forward built and the ``pruned_isects`` the
     occlusion prune dropped on the way (``RasterResult.counts``).
@@ -475,45 +474,25 @@ def test_raster_engine_matrix(benchmark):
         rasterize_backward_vectorized,
         rasterize_vectorized,
     )
-    from repro.render.fragment import (
-        rasterize_backward_fragment,
-        rasterize_fragment,
-    )
 
     quick = os.environ.get("GSSCALE_BENCH_QUICK", "") not in ("", "0")
     sizes = (2_000,) if quick else (RASTER_N, RASTER_N_LARGE)
-    shard_axis = (1, 2) if quick else (1, 2, 4)
     rounds = 1 if quick else 2
 
     def run_matrix():
         entries = []
         occluded = make_occluded_raster_scene(sizes[0], RASTER_WH)
-        for name, fwd, cfg in (
-            ("vectorized", rasterize_vectorized, RasterConfig()),
-            ("fragment", rasterize_fragment,
-             RasterConfig(engine="fragment", fragment_shards=2)),
-        ):
-            run = partial(fwd, *occluded, config=cfg)
-            counts = run().counts
-            entries.append({
-                "engine": name, "dtype": "float64",
-                "splats": int(occluded[0].shape[0]), "scene": "occluded",
-                "forward_s": _best_of(run, rounds), "pairs": counts.pairs,
-                "pruned_isects": counts.pruned_isects,
-            })
+        run = partial(rasterize_vectorized, *occluded)
+        counts = run().counts
+        entries.append({
+            "engine": "vectorized", "dtype": "float64",
+            "splats": int(occluded[0].shape[0]), "scene": "occluded",
+            "forward_s": _best_of(run, rounds), "pairs": counts.pairs,
+            "pruned_isects": counts.pruned_isects,
+        })
         for n in sizes:
             scene = make_raster_scene(n, RASTER_WH)
             grad = np.ones((RASTER_WH, RASTER_WH, 3))
-
-            def add(engine, dtype, fwd, bwd, **extra):
-                entries.append({
-                    "engine": engine, "dtype": dtype,
-                    "splats": n,
-                    "forward_s": _best_of(fwd, rounds),
-                    "backward_s": _best_of(bwd, rounds) if bwd else None,
-                    **extra,
-                })
-
             for dtype in (None, "float32"):
                 cfg = RasterConfig(dtype=dtype)
                 res = rasterize_vectorized(*scene, config=cfg)
@@ -524,26 +503,18 @@ def test_raster_engine_matrix(benchmark):
                         config=cfg,
                     )
 
-                add(
-                    "vectorized", dtype or "float64",
-                    lambda cfg=cfg: rasterize_vectorized(*scene, config=cfg),
-                    partial(bwd_vec, res),
-                    backward_rebuild_s=_best_of(
+                entries.append({
+                    "engine": "vectorized", "dtype": dtype or "float64",
+                    "splats": n,
+                    "forward_s": _best_of(
+                        partial(rasterize_vectorized, *scene, config=cfg),
+                        rounds,
+                    ),
+                    "backward_s": _best_of(partial(bwd_vec, res), rounds),
+                    "backward_rebuild_s": _best_of(
                         partial(bwd_vec, replace(res, saved=None)), rounds
                     ),
-                )
-            for shards in shard_axis:
-                cfg = RasterConfig(engine="fragment", fragment_shards=shards)
-                res = rasterize_fragment(*scene, config=cfg)
-                add(
-                    "fragment", "float64",
-                    lambda cfg=cfg: rasterize_fragment(*scene, config=cfg),
-                    lambda res=res, cfg=cfg: rasterize_backward_fragment(
-                        scene[0], scene[1], scene[2], scene[3], res, grad,
-                        config=cfg,
-                    ),
-                    shards=shards,
-                )
+                })
         return entries
 
     entries = benchmark.pedantic(run_matrix, rounds=1, iterations=1)

@@ -7,12 +7,9 @@ and prints the per-shard accounting next to the single-device GS-Scale
 run. Training numerics are identical regardless of K.
 
 Run:  python examples/sharded_training_demo.py
-      python examples/sharded_training_demo.py --engine fragment
 
-``--engine fragment`` renders each shard independently and composites the
-per-shard fragment buffers (no gathered union matrix); any other raster
-engine renders the gathered visible union. The trajectories agree to
-compositing rounding.
+Every raster engine renders the gathered visible union; ``--engine``
+picks the sharded run's (``vectorized`` by default).
 """
 
 import argparse
@@ -49,8 +46,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--engine", choices=ENGINES, default="vectorized",
-        help="raster engine for the sharded run (fragment renders "
-        "per-shard and composites, skipping the gathered union)",
+        help="raster engine for the sharded run",
     )
     args = parser.parse_args()
 
@@ -102,18 +98,11 @@ def main():
         "device would (activations are shared by the composited render and "
         "partition with the pixels on real hardware)."
     )
-    if args.engine == "fragment":
-        print(
-            "Fragment compositing: shards staged one window at a time, "
-            f"aggregate staging peak {sharded.memory.peak_bytes / 1e6:.3f} "
-            "MB — the (N, 59) visible union is never materialized."
-        )
-    else:
-        print(
-            "Aggregate PCIe traffic is conserved: "
-            f"{sharded.ledger.h2d_bytes == single.ledger.h2d_bytes} "
-            f"({sharded.ledger.h2d_bytes / 1e6:.3f} MB H2D)."
-        )
+    print(
+        "Aggregate PCIe traffic is conserved: "
+        f"{sharded.ledger.h2d_bytes == single.ledger.h2d_bytes} "
+        f"({sharded.ledger.h2d_bytes / 1e6:.3f} MB H2D)."
+    )
 
 
 if __name__ == "__main__":

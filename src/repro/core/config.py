@@ -52,9 +52,7 @@ class GSScaleConfig:
             caps the *aggregate* across shards.
         num_shards: shard count of the ``sharded`` system (spatial
             partition of the Gaussian set; ignored by the other systems).
-            The per-shard cull runs serially inside the store; with the
-            ``fragment`` engine the shards' rasterization runs on the
-            block threads, one per usable CPU (no setting).
+            The per-shard cull runs serially inside the store.
         shard_device_capacity_bytes: optional per-shard device capacity
             (each shard's MemoryTracker raises MemoryError past it).
         spill_dir: directory of the ``outofcore`` system's page files

@@ -24,10 +24,7 @@ render, aggregate, hand gradients back):
   each backed by its own hybrid store with a per-shard device tracker and
   transfer ledger (one simulated GPU per shard), per-view shard activation
   via the store's per-shard frustum cull, host-side gradient aggregation
-  across shards, and with the ``fragment`` raster engine a per-shard
-  render pipeline (no shard's rows are ever gathered into a packed union
-  matrix) whose rasterization fans out over the block threads of the
-  training process.
+  across shards.
 * :class:`OutOfCoreGSScaleSystem` — the sharded system with an out-of-core
   host tier: each shard's non-geometric state spills to page files
   (:mod:`repro.core.pager`) and only ``resident_shards`` shards occupy
@@ -53,14 +50,7 @@ import numpy as np
 
 from ..cameras.camera import Camera
 from ..gaussians import GaussianModel, layout
-from ..render import (
-    FragmentSource,
-    projection,
-    rasterize_backward_fragment,
-    rasterize_fragment_sources,
-    render,
-    render_backward,
-)
+from ..render import projection, render, render_backward
 # unused here (every cull is ``store.visible``), but ``perfbench/tests``
 # pins the module-level names a traced run rebinds, this one included
 from ..render import frustum_cull  # noqa: F401
@@ -427,9 +417,7 @@ class TrainingSystem(ABC):
         The default path stages the whole visible union through the store
         composition and renders it jointly, from the projection the
         region's cull handed on (``screen``, the rows of ``ids``: the
-        staged geometric columns are the ones the cull read); the sharded
-        systems override this for the ``fragment`` engine to render shard
-        by shard without ever assembling the union's packed matrix.
+        staged geometric columns are the ones the cull read).
         """
         with _span("train/stage", "train"):
             values = self.store.stage(ids)
@@ -642,15 +630,9 @@ class ShardedGSScaleSystem(TrainingSystem):
     :meth:`~repro.core.stores.ShardedStore.visible`, serially, and only
     the shards the candidate bound cannot clear are projected; shards
     entirely outside the frustum are skipped: no staging, no traffic.
-    Rendering depends on the engine: by default the visible union is
-    staged and renders jointly (the Grendel gather); with the
-    ``fragment`` engine the union is never assembled — each shard stages
-    and projects its own rows, and the host composites per-shard fragment
-    buffers (:meth:`_render_region_fragment`), the shards' rasterization
-    fanned out over the block threads (:func:`repro.pool.map_blocks`, one
-    per usable CPU; no training path starts a process). Training
-    numerics are independent of K and of the fan-out: with K=1 the system
-    is exactly :class:`GSScaleSystem`.
+    The visible union is staged and renders jointly (the Grendel gather).
+    Training numerics are independent of K: with K=1 the system is
+    exactly :class:`GSScaleSystem`.
     """
 
     name = "sharded"
@@ -713,144 +695,6 @@ class ShardedGSScaleSystem(TrainingSystem):
     def num_shards(self) -> int:
         """Number of shards (stores/devices)."""
         return len(self.shard_rows)
-
-    # -- fragment-parallel region rendering -------------------------------
-    def _render_region(
-        self,
-        ids: np.ndarray,
-        region_cam: Camera,
-        gt_region: np.ndarray,
-        weight: float,
-        screen: projection.ScreenRows | None = None,
-    ) -> _RegionOutput:
-        if self.raster_engine != "fragment":
-            return super()._render_region(
-                ids, region_cam, gt_region, weight, screen
-            )
-        # each shard projects its own staged rows
-        return self._render_region_fragment(ids, region_cam, gt_region, weight)
-
-    def _render_region_fragment(
-        self,
-        ids: np.ndarray,
-        region_cam: Camera,
-        gt_region: np.ndarray,
-        weight: float,
-    ) -> _RegionOutput:
-        """Render one region shard by shard — no union gather.
-
-        Forward: each shard opens its own staging window (stage ->
-        project -> unstage; the window is released before the next shard
-        stages, so the aggregate staging peak is the *largest* shard's
-        window, not the sum), contributes a :class:`FragmentSource` of
-        projected columns, and the host composites fragment buffers via
-        :func:`rasterize_fragment_sources`. Backward: the composited
-        gradient is split along the shard boundaries of the concatenated
-        row space, and each shard re-stages to run its projection adjoint
-        and return its gradient slice (the second H2D window is the price
-        of never holding two shards' rows at once; values are identical
-        because a stage returns the pending step's values, peeked or
-        committed early by the first stage and read back by the second). Numerics match the
-        gather path to compositing-rounding precision (~1e-12).
-        """
-        cfg = self.config
-        dtype = self.store.dtype
-        background = (
-            np.zeros(3, dtype=dtype)
-            if cfg.background is None
-            else np.asarray(cfg.background, dtype=dtype)
-        )
-        sh_degree = cfg.sh_degree_at(self.iteration)
-        active = list(self.store.split(ids))
-
-        act_bytes = region_cam.num_pixels * ACTIVATION_BYTES_PER_PIXEL
-        self.memory.allocate("activations", act_bytes)
-        try:
-            sources: list[FragmentSource] = []
-            projs = []
-            for _, store, _, local in active:
-                values = store.stage(local)
-                try:
-                    shard = GaussianModel(values)
-                    proj = projection.project(
-                        shard.means, shard.log_scales, shard.quats,
-                        shard.opacity_logits, shard.sh, region_cam,
-                        sh_degree=sh_degree,
-                    )
-                finally:
-                    store.unstage(local, returned=False)
-                projs.append(proj)
-                sources.append(
-                    FragmentSource(
-                        means2d=proj.geom.means2d,
-                        conics=proj.geom.conics,
-                        colors=proj.colors,
-                        opacities=proj.opacities,
-                        depths=proj.geom.depths,
-                        radii=proj.geom.radii,
-                    )
-                )
-
-            with _span("train/forward", "train") as fwd:
-                frag = rasterize_fragment_sources(
-                    sources, region_cam.width, region_cam.height,
-                    background=background, config=cfg.raster,
-                )
-                loss = photometric_loss(
-                    frag.image, gt_region, ssim_lambda=cfg.ssim_lambda
-                )
-                if _trace.enabled():
-                    _metrics.record_isects(fwd, frag)
-            with _span("train/backward", "train"):
-                rgrads = rasterize_backward_fragment(
-                    np.concatenate([s.means2d for s in sources]),
-                    np.concatenate([s.conics for s in sources]),
-                    np.concatenate([s.colors for s in sources]),
-                    np.concatenate([s.opacities for s in sources]),
-                    frag,
-                    loss.grad_image * weight,
-                    background=background,
-                    config=cfg.raster,
-                )
-
-            grads = np.zeros((ids.size, layout.PARAM_DIM), dtype=dtype)
-            m2d = np.zeros(ids.size, dtype=dtype)
-            offsets = frag.offsets
-            for j, (_, store, sel, local) in enumerate(active):
-                sl = slice(int(offsets[j]), int(offsets[j + 1]))
-                values = store.stage(local)
-                returned = False
-                try:
-                    shard = GaussianModel(values)
-                    pgrads = projection.project_backward(
-                        shard.means, shard.log_scales, shard.quats,
-                        shard.sh, region_cam, projs[j],
-                        grad_means2d=rgrads.means2d[sl],
-                        grad_conics=rgrads.conics[sl],
-                        grad_colors=rgrads.colors[sl],
-                        grad_opacities=rgrads.opacities[sl],
-                    )
-                    returned = True
-                finally:
-                    store.unstage(local, returned=returned)
-                grads[sel, layout.MEAN_SLICE] = pgrads.means
-                grads[sel, layout.SCALE_SLICE] = pgrads.log_scales
-                grads[sel, layout.QUAT_SLICE] = pgrads.quats
-                grads[sel, layout.OPACITY_SLICE] = pgrads.opacity_logits
-                grads[sel, layout.SH_SLICE] = pgrads.sh.reshape(
-                    local.size, layout.SH_DIM
-                )
-                m2d[sel] = rgrads.mean2d_abs[sl]
-        finally:
-            self.memory.free("activations", act_bytes)
-        return _RegionOutput(
-            ids=ids,
-            grads=grads,
-            mean2d_abs=m2d,
-            loss=loss.loss * weight,
-            l1=loss.l1 * weight,
-            ssim=loss.ssim,
-        )
 
     # -- reporting --------------------------------------------------------
     #: ledger counters a :class:`ShardReport` carries, verbatim

@@ -189,7 +189,8 @@ def build_scene(config: SyntheticSceneConfig | None = None) -> SyntheticScene:
         : config.num_train_cameras
     ]
 
-    cfg = RasterConfig()
+    # the oracle loop renders the ground truth, whatever engine trains on it
+    cfg = RasterConfig(engine="reference")
     train_images = [render(oracle, cam, config=cfg).image for cam in train_cameras]
     test_images = [render(oracle, cam, config=cfg).image for cam in test_cameras]
 

@@ -65,7 +65,7 @@ class Fault:
     """One scheduled fault at a named :func:`fault_point`.
 
     Attributes:
-        point: fault-point name (``"pool:task"``, ``"fragment:pairs"``,
+        point: fault-point name (``"pool:task"``, ``"block:forward"``,
             ``"lane:writeback"``, ``"pager:page_out"``,
             ``"pager:page_in"``, ``"serve:frame"``, ...).
         action: ``"kill"`` (SIGKILL the visiting pool worker),
@@ -207,8 +207,8 @@ def _in_worker_process() -> bool:
 def fault_point(name: str, index: int | None = None) -> None:
     """Visit the fault point ``name`` (no-op without an armed plan).
 
-    Compiled into the fragment kernels, the vectorized forward's block
-    tasks, the supervised pool's task wrapper, every lane task
+    Compiled into the vectorized forward's block tasks
+    (``block:forward``), the supervised pool's task wrapper, every lane task
     (``lane:{name}``, :class:`~repro.pool.Lane`), ``PageFile.write``
     (``pager:page_out``), ``PageFile``'s read path (``pager:page_in``) and
     every frame a serving batch composites (``serve:frame``); ``index`` is

@@ -15,8 +15,8 @@ channel.
 
 :func:`map_blocks` is the in-process fan-out beside it, the one
 multi-core mechanism of a single view: the tile-row blocks of the
-``vectorized`` raster engine and the shards of the ``fragment`` engine
-run on threads of the calling process (numpy releases the GIL in its
+``vectorized`` raster engine's forward run on threads of the calling
+process (numpy releases the GIL in its
 array passes), one per CPU the process may run on, and inline inside a
 :class:`PersistentPool` worker, which is already one core of a fan-out.
 

@@ -1,14 +1,13 @@
 """Differentiable 3DGS renderer: culling, projection, rasterization, backward.
 
-The interchangeable rasterization backends (:data:`ENGINES`; one line each
-in :data:`repro.render.rasterize.ENGINE_TABLE`, described in
+The rasterization backends (:data:`ENGINES`; one line each in
+:data:`repro.render.rasterize.ENGINE_TABLE`, described in
 ``docs/raster_engines.md``) are selected through ``RasterConfig.engine``:
-the per-splat ``reference`` loop — the oracle — and the flat engines, which
-schedule one pair kernel (:mod:`repro.render.engine`) over the whole
-intersection table, or shard by shard (``RasterConfig.fragment_shards``),
-on the block threads of the calling process.
-``RasterConfig.dtype="float32"`` selects the inference fast path of the
-flat engines.
+``vectorized``, the default, runs one pair kernel
+(:mod:`repro.render.engine`) over the whole intersection table on the
+block threads of the calling process; the per-splat ``reference`` loop is
+the oracle it is checked against. ``RasterConfig.dtype="float32"`` selects
+the ``vectorized`` engine's inference fast path.
 """
 
 from . import backward, culling, engine, projection, rasterize, tiles
@@ -18,13 +17,6 @@ from .engine import (
     rasterize_vectorized,
     tile_intersections,
 )
-from .fragment import (
-    FragmentRasterResult,
-    FragmentSource,
-    rasterize_backward_fragment,
-    rasterize_fragment,
-    rasterize_fragment_sources,
-)
 from .pipeline import RenderBackwardResult, RenderResult, render, render_backward
 from .rasterize import ENGINES, RASTER_DTYPES, RasterConfig
 from .tiles import TileBinning, bin_gaussians
@@ -32,8 +24,6 @@ from .tiles import TileBinning, bin_gaussians
 __all__ = [
     "CullResult",
     "ENGINES",
-    "FragmentRasterResult",
-    "FragmentSource",
     "RASTER_DTYPES",
     "RasterConfig",
     "RenderBackwardResult",
@@ -47,10 +37,7 @@ __all__ = [
     "frustum_cull",
     "projection",
     "rasterize",
-    "rasterize_backward_fragment",
     "rasterize_backward_vectorized",
-    "rasterize_fragment",
-    "rasterize_fragment_sources",
     "rasterize_vectorized",
     "render",
     "render_backward",

@@ -30,7 +30,7 @@ BalanceGS / Faster-GS) to numpy:
    on, no knob: it is what takes a walkthrough frame from ~600k pairs to
    ~19k.
    :func:`visible_intersections` (sort, then prune) is the one call the
-   ``vectorized`` and ``fragment`` engines build from.
+   pair table is built from.
 
 3. **Batched forward.** Every (splat, pixel) pair inside a bbox-within-tile
    rectangle becomes one row of flat arrays. Per-splat constants are folded
@@ -77,25 +77,22 @@ BalanceGS / Faster-GS) to numpy:
    ``np.bincount``: the colour gradient, ``sum dL/dpower``, its three
    second moments and its two first moments in ``(dx, dy)``. It does
    per-pixel work per pixel (the image gradient and the pixel centre are
-   formed per group and repeated) and no per-splat work at all: the
+   formed per segment and repeated) and no per-splat work at all: the
    conic, the ``-0.5 / -1 / -0.5`` of its gradient and ``1 / opacity``
    are constant over a splat's pairs, so :func:`set_grads` applies them
    to the sums — the one place sums become the exact
    :class:`~repro.render.backward.RasterGrads` contract of the loop
-   implementation. The kernel walks its table in blocks of whole groups
+   implementation. The kernel walks its table in blocks of whole segments
    of about :data:`BLOCK_PAIRS` pairs, so its pair-sized temporaries are
    cache-sized, and adds the blocks' sums in block order.
 
-**One kernel, two schedulers.** Steps 3 and 4 are the only copy of the
+**One kernel, one scheduler.** Steps 3 and 4 are the only copy of the
 pair arithmetic: :func:`pairs_for_isects` (the table),
 :func:`_transmittance_scan`, :func:`composite_pairs` and
 :func:`backward_pairs`. The ``vectorized`` engine below runs them over
 the whole table — its forward a block of tile rows at a time on threads of
 the calling process, the scan's running sum shared by all blocks, its
-backward in one call; :mod:`repro.render.fragment` runs them per shard,
-on a process pool, each shard with a running sum of its own, choosing
-only what :func:`backward_pairs` takes by keyword (``docs/raster_engines.md`` has
-the table of who passes what).
+backward in one call.
 
 Numerical notes: alphas use base-2 exponentials
 (``exp2(log2(e) * power + log2(opacity))``) and the transmittance scan runs
@@ -168,7 +165,7 @@ def _engine_fn(engine: str, which: int):
         raise ValueError(
             f"unknown raster engine {engine!r}; choose from {ENGINES}"
         ) from None
-    # imported lazily: fragment imports this module
+    # by name: the table lives in rasterize, which this module imports
     return getattr(import_module(f".{module}", __package__), name)
 
 
@@ -453,7 +450,7 @@ def visible_intersections(
     means2d, conics, opacities, bboxes, order, width, height, config,
     tile_size,
 ):
-    """The table every flat engine builds its pairs from:
+    """The table the pairs are built from:
     :func:`tile_intersections` in depth ``order``, then
     :func:`prune_occluded`.
 
@@ -583,7 +580,7 @@ def _build_pairs(
         first, stop = block.nz[0], block.nz[-1] + 1
         rid = block.pixel - first if first else block.pixel
         image[first:stop] = composite_pairs(
-            block, t_before, colors, rid, stop - first, keep_scan=True
+            block, t_before, colors, rid, stop - first
         )
 
     pool.map_blocks(finish, blocks)
@@ -748,23 +745,17 @@ def _pixel_sorted(pixel, sid, alpha, keep, n_pix, pix0=0) -> _PairTable:
 
 
 # ---------------------------------------------------------------------------
-# the pair kernel: scan, composite, backward — the one copy every flat
-# engine schedules
+# the pair kernel: scan, composite, backward
 # ---------------------------------------------------------------------------
 
-def _transmittance_scan(pairs: _PairTable, starts=None, counts=None,
-                        lg=None, cum=None):
-    """Per-pair pre-blend transmittance via a group-wise log2 scan.
+def _transmittance_scan(pairs: _PairTable, lg=None, cum=None):
+    """Per-pair pre-blend transmittance via a segment-wise log2 scan.
 
-    The groups ``(starts, counts)`` are contiguous runs of the table: the
-    per-pixel segments by default, or the ``fragment`` engine's fragments
-    (which yields the transmittance *within* each fragment).
-
-    Returns ``(group_log_t, t_before)``: ``group_log_t`` is ``log2`` of the
-    total transmittance of each group (a segment's is its pixel's final
+    Returns ``(seg_log_t, t_before)``: ``seg_log_t`` is ``log2`` of the
+    total transmittance of each per-pixel segment (its pixel's final
     transmittance), and ``t_before`` the transmittance each pair blends
     against — the product of ``(1 - alpha)`` over strictly-preceding pairs
-    of the same group, computed as ``exp2`` of an exclusive group-wise
+    of the same pixel, computed as ``exp2`` of an exclusive segment-wise
     cumsum of ``log2(1 - alpha)``.
 
     ``lg`` (``log2(1 - alpha)``) and ``cum`` (its running sum) are
@@ -772,35 +763,32 @@ def _transmittance_scan(pairs: _PairTable, starts=None, counts=None,
     ``cum`` is then a block's slice of one running sum over the whole
     view's table, and is overwritten with ``t_before``.
     """
-    if starts is None:
-        starts, counts = pairs.starts, pairs.counts
+    starts, counts = pairs.starts, pairs.counts
     if lg is None:
         lg = np.log2(1.0 - pairs.alpha)
     if cum is None:
         cum = np.cumsum(lg)
     ends = starts + counts - 1
-    group_log_t = cum[ends] - cum[starts] + lg[starts]
+    seg_log_t = cum[ends] - cum[starts] + lg[starts]
     ecum = cum
     ecum -= lg  # exclusive
     ecum -= np.repeat(ecum[starts], counts)
     t_before = np.exp2(ecum, out=ecum)
-    return group_log_t, t_before
+    return seg_log_t, t_before
 
 
-def composite_pairs(pairs, t_before, colors, rid, n, keep_scan=False):
+def composite_pairs(pairs, t_before, colors, rid, n):
     """Blend-weighted colour sums ``sum_p T_before_p alpha_p c_p`` of the
     pairs, reduced onto ``rid``: ``(n, 3)`` float64.
 
-    ``rid`` may be pixel ids, segment ids or fragment ids — reducing onto
-    the groups of a slice keeps the work O(slice pairs), never O(image),
-    and since pair order inside a group is the same under each, the sums
-    are bit-identical to a global per-pixel bincount. The weight
-    overwrites ``t_before`` unless ``keep_scan`` (the ``vectorized``
-    forward keeps the scan for its backward).
+    ``rid`` is each pair's pixel id relative to a block's first pixel —
+    reducing onto the block's own pixel range keeps the work O(block
+    pairs), never O(image), and since pair order inside a pixel is the
+    same, the sums are bit-identical to a global per-pixel bincount.
+    ``t_before`` is only read: the forward keeps the scan for its
+    backward.
     """
-    weight = np.multiply(
-        t_before, pairs.alpha, out=None if keep_scan else t_before
-    )
+    weight = t_before * pairs.alpha
     rgb = np.empty((n, 3), dtype=np.float64)
     for k in range(3):
         col = np.ascontiguousarray(colors[:, k])
@@ -808,23 +796,6 @@ def composite_pairs(pairs, t_before, colors, rid, n, keep_scan=False):
             rid, weights=weight * col[pairs.sid], minlength=n
         )
     return rgb
-
-
-def local_ids(sid_isect, sid_pair, m_count):
-    """Reduction index onto a slice's own splat set.
-
-    Returns ``(uids, lid)``: the sorted splat ids of the slice and each
-    pair's position among them. ``uids`` are sorted, so the mapping is
-    monotonic and every per-splat sum sees its pairs in the same order as
-    a reduction by global splat id (bit-identical) — while the partial a
-    worker ships back is bounded by the slice's splat count, not the
-    scene's. ``uids`` come from the intersection rows (orders of magnitude
-    fewer than pairs) and the pair-level mapping is one LUT gather.
-    """
-    uids = np.unique(sid_isect)
-    lut = np.zeros(m_count, dtype=np.int64)
-    lut[uids] = np.arange(uids.size)
-    return uids, lut[sid_pair]
 
 
 def _cut_runs(starts, total, block):
@@ -848,111 +819,94 @@ def _cut_runs(starts, total, block):
     return edges, [*starts[edges[:-1]].tolist(), total]
 
 
-def _group_blocks(starts, num_pairs, num_splats):
-    """Cut a table's groups into runs of about ``max(BLOCK_PAIRS, 4 *
+def _segment_blocks(starts, num_pairs, num_splats):
+    """Cut a table's segments into runs of about ``max(BLOCK_PAIRS, 4 *
     num_splats)`` pairs (:func:`_cut_runs`): ``(edges, pair_edges)``.
 
     The ``4 * num_splats`` term keeps the per-block ``bincount`` a
-    minority of the work when splats outnumber a block; it is the scene's
-    splat count and not the reduction range, which is at most that, so the
-    cut — and with it the rounding of the sums — does not depend on the
-    index a scheduler reduces onto.
+    minority of the work when splats outnumber a block.
     """
     return _cut_runs(starts, num_pairs, max(BLOCK_PAIRS, 4 * num_splats))
 
 
 def backward_pairs(
     means2d, conics, colors, opacities, g_flat, width, alpha_max, pairs, *,
-    t_before, groups, base, base_has_total, rid, m,
+    t_before, base,
 ):
     """Per-splat raw gradient sums of a pair table.
 
-    The positional arguments are the same for every engine: the splat
-    arrays and the flat ``(H*W, 3)`` image gradient in the compute dtype,
-    and the table. ``conics`` and ``opacities`` are not read: whatever is
+    The splat arrays and the flat ``(H*W, 3)`` image gradient are in the
+    compute dtype. ``conics`` and ``opacities`` are not read: whatever is
     constant per splat multiplies the sums, once per splat, in
-    :func:`set_grads`. The keywords are what a scheduler chooses:
+    :func:`set_grads`.
 
     Args:
         t_before: the transmittance each pair blends against.
-        groups: ``(starts, counts)`` of the contiguous runs the suffix
-            scan restarts at — pixel segments, or fragments. They tile
-            the table, and each lies inside one pixel.
-        base: per group, ``dL/dC .`` the colour accumulated behind it:
-            the background term ``(dL/dC . bg) * T_final`` of a pixel
-            segment, to which the kernel adds the group's own total; or,
-            with ``base_has_total``, the whole suffix seen from the
-            group's first pair (the host's ``d_f`` of a fragment, which
-            already holds the fragment's total and everything behind it).
-        rid, m: reduction index of each pair and its range — global splat
-            ids, or :func:`local_ids`.
+        base: per pixel segment, the background term ``(dL/dC . bg) *
+            T_final``; the kernel adds the colour the segment's own pairs
+            accumulate.
 
-    Returns the ``(9, m)`` float64 sums over ``rid``, with ``gp =
+    Returns the ``(9, M)`` float64 sums over splat ids, with ``gp =
     dL/dpower`` of a pair and ``(dx, dy)`` its pixel centre minus the
     splat mean: rows 0-2 ``dL/dC_k * weight`` (the colour gradient as it
     is), 3 ``gp``, 4-6 ``gp * (dx*dx, dx*dy, dy*dy)``, 7 ``gp * dx``,
-    8 ``gp * dy``. Sums are linear, so the partials of slices add
-    (:func:`fill_grads`) before :func:`set_grads` turns them into
-    gradients.
+    8 ``gp * dy``; :func:`set_grads` turns them into gradients.
 
-    The table is walked in blocks of whole groups (:func:`_group_blocks`)
-    so that the arithmetic's ~15 pair-sized temporaries stay cache-sized,
-    and the blocks' sums are added in block order: a pure function of the
-    table, the same under every scheduler. What is constant per pixel (the
-    image gradient, the pixel centre) is formed per group and repeated.
+    The table is walked in blocks of whole segments
+    (:func:`_segment_blocks`) so that the arithmetic's ~15 pair-sized
+    temporaries stay cache-sized, and the blocks' sums are added in block
+    order: a pure function of the table. What is constant per pixel (the
+    image gradient, the pixel centre) is formed per segment and repeated.
     """
-    starts, counts = groups
-    # column copies and the per-group pixel, hoisted out of the block loop
+    starts, counts = pairs.starts, pairs.counts
+    m = means2d.shape[0]
+    # column copies and the per-segment pixel, hoisted out of the block loop
     cols = (
         [np.ascontiguousarray(g_flat[:, k]) for k in range(3)],
         [np.ascontiguousarray(colors[:, k]) for k in range(3)],
         np.ascontiguousarray(means2d[:, 0]),
         np.ascontiguousarray(means2d[:, 1]),
     )
-    group_pix = pairs.pixel[starts]
-    edges, pair_edges = _group_blocks(
-        starts, pairs.alpha.size, means2d.shape[0]
-    )
+    edges, pair_edges = _segment_blocks(starts, pairs.alpha.size, m)
     total = np.zeros((9, m), dtype=np.float64)
     for g0, g1, p0, p1 in zip(
         edges[:-1], edges[1:], pair_edges[:-1], pair_edges[1:]
     ):
         total += _backward_block(
-            *cols, width, alpha_max, group_pix[g0:g1], starts[g0:g1] - p0,
-            counts[g0:g1], base[g0:g1], base_has_total, pairs.sid[p0:p1],
-            pairs.alpha[p0:p1], t_before[p0:p1], rid[p0:p1], m,
+            *cols, width, alpha_max, pairs.nz[g0:g1], starts[g0:g1] - p0,
+            counts[g0:g1], base[g0:g1], pairs.sid[p0:p1],
+            pairs.alpha[p0:p1], t_before[p0:p1], m,
         )
     return total
 
 
 def _backward_block(
     g_col, c_col, mean_x, mean_y, width, alpha_max,
-    pix, starts, counts, base, base_has_total, sid, alpha, t_before, rid, m,
+    pix, starts, counts, base, sid, alpha, t_before, m,
 ):
     """The ``(9, m)`` sums of one block of :func:`backward_pairs`. ``pix``
-    is per group and ``starts`` block-relative; ``sid``, ``alpha``,
-    ``t_before`` and ``rid`` are the block's pairs."""
+    is per segment and ``starts`` block-relative; ``sid``, ``alpha`` and
+    ``t_before`` are the block's pairs."""
     sums = np.empty((9, m), dtype=np.float64)
     weight = t_before * alpha
     g_pair = [np.repeat(g_col[k][pix], counts) for k in range(3)]
 
     # dL/dcolor_k = sum_p dL/dC_k * alpha * T_before
     for k in range(3):
-        sums[k] = np.bincount(rid, weights=g_pair[k] * weight, minlength=m)
+        sums[k] = np.bincount(sid, weights=g_pair[k] * weight, minlength=m)
 
     # Suffix color accumulator, contracted with dL/dC per pair: because the
     # image gradient is constant within a pixel's segment,
     #   dL/dC . (sum_{j>i} c_j a_j T_j + bg T_final)
-    #     = [group total + what lies behind the group] - inclusive prefix
-    # which is one cumsum plus group-level gathers.
+    #     = [segment total + background term] - inclusive prefix
+    # which is one cumsum plus segment-level gathers.
     gdot_color = g_pair[0] * c_col[0][sid]
     gdot_color += g_pair[1] * c_col[1][sid]
     gdot_color += g_pair[2] * c_col[2][sid]
     gw = weight * gdot_color
     incl = np.cumsum(gw)
-    before = incl[starts] - gw[starts]  # the scan's value entering a group
-    if not base_has_total:
-        base = base + (incl[starts + counts - 1] - before)
+    before = incl[starts] - gw[starts]  # the scan's value entering a segment
+    base = base + (incl[starts + counts - 1] - before)
     gdot_suffix = np.repeat(base + before, counts)
     gdot_suffix -= incl
 
@@ -963,7 +917,7 @@ def _backward_block(
     # alpha = o * exp(power) below the cap, so dL/dpower = dL/dalpha * alpha
     # (and dL/do = sum_p dL/dpower / o: set_grads)
     grad_power = np.multiply(grad_alpha, alpha, out=grad_alpha)
-    sums[3] = np.bincount(rid, weights=grad_power, minlength=m)
+    sums[3] = np.bincount(sid, weights=grad_power, minlength=m)
 
     dx = np.repeat((pix % width) + 0.5, counts)
     dx -= mean_x[sid]
@@ -971,25 +925,24 @@ def _backward_block(
     dy -= mean_y[sid]
     gpx = grad_power * dx
     gpy = grad_power * dy
-    sums[7] = np.bincount(rid, weights=gpx, minlength=m)
-    sums[8] = np.bincount(rid, weights=gpy, minlength=m)
+    sums[7] = np.bincount(sid, weights=gpx, minlength=m)
+    sums[8] = np.bincount(sid, weights=gpy, minlength=m)
     # dx, dy, gpx, gpy are float64 under every compute dtype (the pixel
     # centre is), so the three moments reuse them
     sums[4] = np.bincount(
-        rid, weights=np.multiply(gpx, dx, out=dx), minlength=m
+        sid, weights=np.multiply(gpx, dx, out=dx), minlength=m
     )
     sums[5] = np.bincount(
-        rid, weights=np.multiply(gpx, dy, out=gpx), minlength=m
+        sid, weights=np.multiply(gpx, dy, out=gpx), minlength=m
     )
     sums[6] = np.bincount(
-        rid, weights=np.multiply(gpy, dy, out=gpy), minlength=m
+        sid, weights=np.multiply(gpy, dy, out=gpy), minlength=m
     )
     return sums
 
 
 def set_grads(grads: RasterGrads, conics, opacities, sums) -> RasterGrads:
-    """Turn the ``(9, M)`` raw sums of :func:`backward_pairs` (one whole
-    table's, or :func:`fill_grads`'s merged ones) into the
+    """Turn the ``(9, M)`` raw sums of :func:`backward_pairs` into the
     :class:`~repro.render.backward.RasterGrads` contract.
 
     The one place the per-splat factors are applied. With ``power = -0.5
@@ -1018,24 +971,6 @@ def set_grads(grads: RasterGrads, conics, opacities, sums) -> RasterGrads:
     grads.means2d[:, 1] = gmy
     grads.mean2d_abs[:] = np.hypot(gmx, gmy)
     return grads
-
-
-def fill_grads(grads: RasterGrads, conics, opacities, partials) -> RasterGrads:
-    """Merge the pooled engines' per-slice partials into ``grads``.
-
-    A partial is ``(uids, backward_pairs(...))`` over the slice's own
-    splats, or ``None`` for a slice without pairs; they are scatter-added
-    in slice order, so the merge is deterministic for a fixed slicing,
-    and :func:`set_grads` applies the per-splat factors to the merged
-    sums. The ``vectorized`` engine has one whole-scene partial and hands
-    it to :func:`set_grads` directly.
-    """
-    total = np.zeros((9, grads.opacities.shape[0]), dtype=np.float64)
-    for part in partials:
-        if part is not None:
-            uids, sums = part
-            total[:, uids] += sums
-    return set_grads(grads, conics, opacities, total)
 
 
 @dataclass
@@ -1086,7 +1021,8 @@ def _saved_key(m_count, width, height, dtype, tile_size, config) -> tuple:
 
 
 def prepare(config, background, means2d, conics, colors, opacities):
-    """The preamble of every flat entry point, forward and backward.
+    """The preamble of both ``vectorized`` entry points, forward and
+    backward.
 
     Returns ``(config, background, splats)``: the config (defaulted, and
     checked for the scan's ``alpha_max < 1`` requirement), the background
@@ -1203,13 +1139,9 @@ def rasterize_backward_vectorized(
     t_final = np.ascontiguousarray(
         result.final_transmittance.reshape(-1), dtype=dtype
     )
-    # the background term over the whole image, then gathered: the shards
-    # of the fragment engine gather first, and a BLAS gemv row is not
-    # promised to be position-independent, so each scheduler keeps its own
-    # order
+    # the background term over the whole image, then gathered per segment
     base = ((g_flat @ background) * t_final)[pairs.nz]
     return set_grads(grads, conics, opacities, backward_pairs(
         means2d, conics, colors, opacities, g_flat, width, config.alpha_max,
-        pairs, t_before=t_before, groups=(pairs.starts, pairs.counts),
-        base=base, base_has_total=False, rid=pairs.sid, m=m_count,
+        pairs, t_before=t_before, base=base,
     ))

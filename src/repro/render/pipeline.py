@@ -10,7 +10,7 @@ Both passes dispatch the rasterization stage through
 :mod:`repro.render.engine` according to ``RasterConfig.engine``, so every
 caller (the training systems, benchmarks, examples) can pick any backend
 of :data:`repro.render.rasterize.ENGINES` per run; ``RasterConfig.dtype``
-additionally selects the flat engines' float32 inference fast path (the
+additionally selects the ``vectorized`` engine's float32 inference fast path (the
 raster stage computes and returns single precision while projection stays
 in the model dtype).
 """

@@ -24,25 +24,21 @@ ALPHA_MAX = 0.99
 #: ``name -> (forward, backward)`` as ``module.function`` under
 #: :mod:`repro.render`. :data:`ENGINES`, ``RasterConfig``'s validation and
 #: :func:`repro.render.engine.get_forward` / ``get_backward`` all read this
-#: table; the getters import the module on first use, because the flat
-#: engines import this one. ``reference`` is the per-splat loop oracle in
-#: this module; the others schedule the pair kernel of
-#: :mod:`repro.render.engine` — ``vectorized`` over the whole table,
-#: ``fragment`` per shard on the block threads.
+#: table; the getters import the module on first use, because the
+#: ``vectorized`` engine imports this one. ``reference`` is the per-splat
+#: loop oracle in this module; ``vectorized`` runs the pair kernel of
+#: :mod:`repro.render.engine` over the whole intersection table.
 ENGINE_TABLE = {
     "reference": ("rasterize.rasterize", "backward.rasterize_backward"),
     "vectorized": (
         "engine.rasterize_vectorized", "engine.rasterize_backward_vectorized",
-    ),
-    "fragment": (
-        "fragment.rasterize_fragment", "fragment.rasterize_backward_fragment",
     ),
 }
 
 #: Selectable values of ``RasterConfig.engine``.
 ENGINES = tuple(ENGINE_TABLE)
 
-#: Compute dtypes the flat engines accept for
+#: Compute dtypes the ``vectorized`` engine accepts for
 #: ``RasterConfig.dtype`` (``None`` keeps the input arrays' dtype).
 RASTER_DTYPES = ("float32", "float64")
 
@@ -61,35 +57,28 @@ class RasterConfig:
             discontinuity of the integer bbox, which finite-difference
             gradient checks would otherwise trip over.
         engine: which rasterization backend executes the forward/backward
-            passes; one of :data:`ENGINES`. All produce the same output
-            (the flat engines ``vectorized``/``fragment`` match the
-            ``reference`` loop to ~1e-12); the flat engines are much faster
-            past a few hundred splats.
-        dtype: compute dtype of the flat engines — one of
+            passes; one of :data:`ENGINES`. Both produce the same output
+            (``vectorized`` matches the ``reference`` loop to ~1e-12) and
+            ``vectorized``, the default, is much faster past a few hundred
+            splats; ``reference`` is the correctness oracle.
+        dtype: compute dtype of the ``vectorized`` engine — one of
             :data:`RASTER_DTYPES`, or ``None`` to keep the input dtype.
             ``"float32"`` is the inference fast path: pair-level arithmetic
             (the exp2/scan hot loops) runs in single precision, roughly
             halving memory traffic, at ~1e-4 image tolerance. The
             ``reference`` loop ignores it (it is the correctness oracle).
-        fragment_shards: shard count of the ``fragment`` engine when it is
-            invoked through the generic engine interface (whole-scene
-            inputs are cut into this many contiguous depth slabs). The
-            sharded systems bypass this and pass their own per-shard
-            sources. Shard counts differ in the last bits (~1e-12), so the
-            count is a setting, never the machine's CPU count.
 
     No setting sizes the fan-out: the ``vectorized`` forward's tile-row
-    blocks and the ``fragment`` engine's shards run on threads, one per
-    CPU the process may use (:func:`repro.pool.map_blocks`), with
-    bit-identical results at every CPU count.
+    blocks run on threads, one per CPU the process may use
+    (:func:`repro.pool.map_blocks`), with bit-identical results at every
+    CPU count.
     """
 
     alpha_min: float = ALPHA_MIN
     alpha_max: float = ALPHA_MAX
     full_image_splats: bool = False
-    engine: str = "reference"
+    engine: str = "vectorized"
     dtype: str | None = None
-    fragment_shards: int = 1
 
     def __post_init__(self):
         if self.engine not in ENGINES:
@@ -101,12 +90,10 @@ class RasterConfig:
                 f"unknown raster dtype {self.dtype!r}; choose from "
                 f"{RASTER_DTYPES} or None"
             )
-        if self.fragment_shards < 1:
-            raise ValueError("fragment_shards must be >= 1")
 
 
 class PairCounts(NamedTuple):
-    """What a flat engine's forward built, counted where it was built.
+    """What a ``vectorized`` forward built, counted where it was built.
 
     ``cells`` are the (splat, pixel) rows expanded from the clipped
     rectangles, ``pairs`` those left after ``alpha_min`` compaction (the
@@ -120,11 +107,6 @@ class PairCounts(NamedTuple):
     pairs: int = 0
     isects: int = 0
     pruned_isects: int = 0
-
-    @classmethod
-    def total(cls, parts) -> PairCounts:
-        """Field-wise sum of the slices' counts."""
-        return cls(*map(sum, zip(*parts)))
 
 
 @dataclass
@@ -144,16 +126,14 @@ class RasterResult:
             from engines that keep nothing. It lives exactly as long as
             this result does, and a backward that does not recognise it
             recomputes what it needs.
-        counts: the :class:`PairCounts` of the forward, summed over its
-            slices, from every flat engine; ``None`` from the
-            ``reference`` loop, which builds no table.
+        counts: the :class:`PairCounts` of a ``vectorized`` forward;
+            ``None`` from the ``reference`` loop, which builds no table.
     """
 
     image: np.ndarray
     final_transmittance: np.ndarray
     order: np.ndarray
     bboxes: np.ndarray
-    # keyword-only so subclasses can keep adding required fields
     saved: object | None = field(default=None, repr=False, kw_only=True)
     counts: PairCounts | None = field(default=None, kw_only=True)
 

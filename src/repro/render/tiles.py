@@ -7,7 +7,7 @@ performance model's forward/backward costs are built on.
 
 Binning is vectorized: it delegates to
 :func:`repro.render.engine.tile_intersections`, the same flat
-``np.repeat``/radix-sort expansion the flat engines composite from, so
+``np.repeat``/radix-sort expansion the ``vectorized`` engine composites from, so
 ``num_intersections`` and the per-tile lists come from a single code path.
 """
 

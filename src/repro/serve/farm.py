@@ -1,12 +1,11 @@
 """Multi-worker render farm: whole frames fanned out over the shared pool.
 
-The flat raster engines split *one* frame across the cores of their
+The ``vectorized`` raster engine splits *one* frame across the cores of its
 process; a serving tick has the opposite shape — many independent
 frames — so the farm ships each frame to its own worker process and keeps
 the per-frame pipeline single-core: a pool worker runs the ``vectorized``
-forward's tile-row blocks and the ``fragment`` engine's shards inline
-(:func:`repro.pool.map_blocks`), where the service's own process would
-spread a large frame over its CPUs. Farms draw from the
+forward's tile-row blocks inline (:func:`repro.pool.map_blocks`), where
+the service's own process would spread a large frame over its CPUs. Farms draw from the
 :func:`~repro.pool.get_raster_pool` registry of persistent pools, so a
 process that serves and benchmarks never holds two worker fleets for
 the same core count.

@@ -330,11 +330,13 @@ def _sim_sharded(
     load-imbalance derate), the PCIe legs stage each shard's share in
     parallel, and the host leg — aggregation across shards plus the
     deferred commit — is unchanged in total work. The per-shard renders
-    join through the fragment-compositing merge (the functional engine's
-    ``fragment`` raster path): each shard ships compact per-pixel
-    fragment records to the host and receives two scalars per fragment
-    back for the backward split, a pixel-bound ``composite`` bandwidth
-    term that replaces the Grendel-style all-gather of projected splats.
+    are modelled as joining through a hypothetical multi-device
+    fragment-compositing merge, which no functional engine implements
+    (the functional sharded system gathers the visible union and renders
+    it once): each shard would ship compact per-pixel fragment records to
+    the host and receive two scalars per fragment back for the backward
+    split, a pixel-bound ``composite`` bandwidth term that replaces the
+    Grendel-style all-gather of projected splats.
 
     With ``resident_shards`` set (the out-of-core tier), a fourth leg pages
     shard state between host DRAM and disk: the view's active shards

@@ -269,9 +269,8 @@ def record_isects(span, raster) -> None:
     """Put a forward pass's table counts on its span and registry.
 
     ``raster`` is the :class:`~repro.render.rasterize.RasterResult` the
-    span's render produced. Every flat engine counts what its forward
-    built (``raster.counts``, summed over spans or shards), and the span
-    gains all four: ``isects`` — rows of the tile-intersection table the
+    span's render produced. The ``vectorized`` engine counts what its
+    forward built (``raster.counts``), and the span gains all four: ``isects`` — rows of the tile-intersection table the
     pairs were built from — ``pruned_isects`` — rows the occlusion prune
     dropped before that — ``cells`` — (splat, pixel) rows expanded — and
     ``pairs`` — those kept; the ``render/isects_pruned`` counter

@@ -2,10 +2,10 @@
 thread, a farm worker kill, a corrupted page, and a torn checkpoint
 write — against the three tiers.
 
-(a) sharded out-of-core training, whose ``fragment`` shards run on the
-    block threads (training starts no process, so no worker can die),
-    absorbs one slice thread stalled mid-render and still produces
-    bit-identical parameters; (b) the patch pipeline hit
+(a) sharded out-of-core training, whose ``vectorized`` forward runs its
+    tile-row blocks on the block threads (training starts no process, so
+    no worker can die), absorbs one block thread stalled mid-render and
+    still produces bit-identical parameters; (b) the patch pipeline hit
     by a torn checkpoint write resumes from the rotated last-good
     checkpoint and still converges to the fault-free result; (c) the
     render service under 2x overload answers *every* request — degraded
@@ -26,7 +26,7 @@ from repro.datasets import SyntheticSceneConfig, build_scene
 from repro.faults import Fault, FaultPlan, FileFault, active_plan
 from repro.pool import shutdown_raster_pools
 from repro.recon import CleanConfig, PatchPipelineConfig, run_patch_pipeline
-from repro.render import RasterConfig
+from repro.render import RasterConfig, engine
 from repro.serve import (
     LODSet,
     RenderRequest,
@@ -53,17 +53,29 @@ def scene():
 
 
 class TestTrainingSurvivesStalledSlice:
-    """Gate (a): OoC sharded training, one slice thread stalled
+    """Gate (a): OoC sharded training, one block thread stalled
     mid-render."""
 
     STEPS = 4
+
+    @pytest.fixture(scope="class")
+    def tall_scene(self):
+        """Views four tile rows tall: with 64-cell blocks on 2 CPUs the
+        forward cuts them into one block per tile row, on the threads."""
+        return build_scene(
+            SyntheticSceneConfig(
+                num_points=160, width=32, height=64,
+                num_train_cameras=8, num_test_cameras=2,
+                altitude=12.0, seed=3,
+            )
+        )
 
     def _train(self, scene, spill_dir):
         config = GSScaleConfig(
             system="outofcore", num_shards=4, resident_shards=1,
             spill_dir=spill_dir, scene_extent=scene.extent,
             ssim_lambda=0.2, mem_limit=1.0, seed=0,
-            raster=RasterConfig(engine="fragment"),
+            raster=RasterConfig(engine="vectorized"),
         )
         system = create_system(scene.initial.copy(), config)
         for i in range(self.STEPS):
@@ -75,20 +87,23 @@ class TestTrainingSurvivesStalledSlice:
         return params
 
     def test_bit_identical_params_after_stall(
-        self, scene, tmp_path, monkeypatch
+        self, tall_scene, tmp_path, monkeypatch
     ):
         monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
-        clean = self._train(scene, str(tmp_path / "spill_clean"))
+        monkeypatch.setattr(engine, "BLOCK_CELLS", 64)
+        clean = self._train(tall_scene, str(tmp_path / "spill_clean"))
         tokens = tmp_path / "tokens"
         plan = FaultPlan(
             token_dir=str(tokens),
             faults=(
-                Fault(point="fragment:pairs", action="delay", seconds=0.2,
-                      after=1),
+                # the fourth block of the second visit: the view is cut
+                # into several blocks, and one of them stalls
+                Fault(point="block:forward", action="delay", seconds=0.2,
+                      index=3, after=1),
             ),
         )
         with active_plan(plan):
-            faulted = self._train(scene, str(tmp_path / "spill_fault"))
+            faulted = self._train(tall_scene, str(tmp_path / "spill_fault"))
         assert (tokens / "f0.1").exists()  # the stall fired
         np.testing.assert_array_equal(clean, faulted)
 

@@ -12,12 +12,14 @@ import os
 import numpy as np
 import pytest
 
+from repro import pool
 from repro.core import GSScaleConfig, Trainer, create_system
 from repro.core.checkpoint import load_checkpoint, resume_model, save_checkpoint
 from repro.core.stores import ResidentSet
 from repro.datasets import SyntheticSceneConfig, build_scene
 from repro.densify import DensifyConfig
 from repro.gaussians import layout
+from repro.pool import PersistentPool, shutdown_raster_pools
 
 
 @pytest.fixture(scope="module")
@@ -304,3 +306,24 @@ class TestCheckpointAndTrainer:
         assert system.host_memory.live_bytes <= worst + system.num_gaussians
         ev = trainer.evaluate(scene.test_cameras, scene.test_images)
         assert np.isfinite(ev.psnr)
+
+
+class TestNoProcess:
+    @pytest.mark.parametrize("system", ["sharded", "outofcore"])
+    def test_training_starts_no_pool(
+        self, scene, tmp_path, monkeypatch, system
+    ):
+        """The forward's blocks fan out on threads: a training run
+        neither registers a raster pool nor forks a worker."""
+        def no_fork(self):
+            raise AssertionError("training started a process pool")
+
+        shutdown_raster_pools()
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(PersistentPool, "_ensure", no_fork)
+        extra = (
+            dict(resident_shards=1, spill_dir=str(tmp_path / "spill"))
+            if system == "outofcore" else {}
+        )
+        run(scene, system, steps=2, engine="vectorized", **extra)
+        assert not pool._RASTER_POOLS

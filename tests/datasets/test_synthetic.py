@@ -92,6 +92,21 @@ class TestBuildScene:
         init_img = render(scene.initial, cam).image
         assert psnr(init_img, gt) < 45.0  # clearly imperfect
 
+    def test_targets_are_the_oracle_loop_render(self, scene):
+        """Training defaults to the ``vectorized`` engine, but the ground
+        truth is the ``reference`` loop's render, byte for byte."""
+        from repro.core import GSScaleConfig
+        from repro.render import RasterConfig, render
+
+        assert GSScaleConfig().raster.engine == "vectorized"
+        oracle = RasterConfig(engine="reference")
+        for cam, img in zip(
+            scene.train_cameras + scene.test_cameras,
+            scene.train_images + scene.test_images,
+        ):
+            want = render(scene.oracle, cam, config=oracle).image
+            assert img.tobytes() == want.tobytes()
+
     def test_cameras_see_gaussians(self, scene):
         from repro.render import frustum_cull
 

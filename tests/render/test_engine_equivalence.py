@@ -1,7 +1,7 @@
-"""Cross-engine parity suite: the reference loop vs every flat engine.
+"""Cross-engine parity suite: the reference loop vs the vectorized engine.
 
-The ``reference`` loop is the oracle; each scheduler of the pair kernel
-(``vectorized``, ``fragment`` — every other entry of ``ENGINES``) must
+The ``reference`` loop is the oracle; the pair kernel's engine
+(``vectorized`` — every other entry of ``ENGINES``) must
 reproduce the image, the final transmittance, and all
 five gradient arrays to tight absolute tolerance on randomized scenes —
 including the gradcheck configurations (``alpha_min=0``,
@@ -67,14 +67,13 @@ CONFIGS = [
 ]
 
 
-#: Every scheduler of the pair kernel: all of ``ENGINES`` but the oracle.
+#: The engines checked against the oracle: all of ``ENGINES`` but it.
 FLAT_ENGINES = [name for name in ENGINES if name != "reference"]
 
 
 def engine_config(engine, base=None):
-    """``base`` on ``engine``: ``fragment`` gets two depth slabs so its
-    fragment merge is exercised (``vectorized`` does not read them)."""
-    return replace(base or RasterConfig(), engine=engine, fragment_shards=2)
+    """``base`` (the default config if ``None``) on ``engine``."""
+    return replace(base or RasterConfig(), engine=engine)
 
 
 def _config_id(cfg):
@@ -153,10 +152,12 @@ class TestForwardParity:
             get_backward("bogus")
         with pytest.raises(ValueError, match="unknown raster engine"):
             RasterConfig(engine="bogus")
-        # the second loop engine is gone, not hidden
-        assert ENGINES == ("reference", "vectorized", "fragment")
-        with pytest.raises(ValueError, match="unknown raster engine"):
-            RasterConfig(engine="tiled")
+        # the second loop engine and the shard engine are gone, not hidden
+        assert ENGINES == ("reference", "vectorized")
+        for retired in ("tiled", "fragment"):
+            with pytest.raises(ValueError, match="unknown raster engine"):
+                RasterConfig(engine=retired)
+        assert not hasattr(RasterConfig(), "fragment_shards")
 
 
 class TestBackwardParity:

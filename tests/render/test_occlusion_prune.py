@@ -440,49 +440,12 @@ class TestAllFlatEngines:
 
     @pytest.mark.parametrize("cfg, cpus", [
         (dict(engine="vectorized"), 1),
-        (dict(engine="fragment", fragment_shards=3), 1),
-        (dict(engine="fragment", fragment_shards=3), 2),
-    ], ids=["vectorized", "fragment-3-cpus1", "fragment-3-cpus2"])
+    ], ids=["vectorized"])
     def test_within_parity_tolerance_of_reference(
         self, scene, cfg, cpus, monkeypatch
     ):
         monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
         self._assert_close(self._engine(scene, **cfg), scene[2])
-
-    def test_fragment_threaded_equals_inline(self, scene, monkeypatch):
-        monkeypatch.setattr(pool, "usable_cpus", lambda: 1)
-        inline = self._engine(scene, engine="fragment", fragment_shards=3)
-        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
-        threaded = self._engine(scene, engine="fragment", fragment_shards=3)
-        self._assert_close(threaded, inline, atol=0.0)
-        self._assert_close(
-            inline, self._engine(scene, engine="vectorized"), atol=ATOL
-        )
-
-    def test_fragment_shards_prune_their_own_lists(self, scene, monkeypatch):
-        sizes = []
-        real = engine.prune_occluded
-
-        def spy(*a):
-            out = real(*a)
-            sizes.append((a[4].size, out[0].size))
-            return out
-
-        monkeypatch.setattr(engine, "prune_occluded", spy)
-        fwd = get_forward("fragment")(
-            *scene[0], width=self.W, height=self.H, background=BG,
-            config=RasterConfig(engine="fragment", fragment_shards=2),
-        )
-        # the slabs may run on two block threads: compare as sets
-        forward_sizes = sorted(sizes)
-        assert len(forward_sizes) == 2
-        assert any(kept < full for full, kept in forward_sizes)
-        get_backward("fragment")(
-            scene[0][0], scene[0][1], scene[0][2], scene[0][3], fwd,
-            scene[1], background=BG,
-            config=RasterConfig(engine="fragment", fragment_shards=2),
-        )
-        assert sorted(sizes[2:]) == forward_sizes  # the backward rebuilds
 
     def test_float32_fast_path_prunes_and_stays_close(self, scene):
         fast = self._engine(scene, engine="vectorized", dtype="float32")

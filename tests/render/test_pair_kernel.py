@@ -1,13 +1,10 @@
-"""Exact equalities of the shared pair kernel.
+"""Exact equalities of the pair kernel.
 
 The parity suites compare engines at ``atol=1e-9`` — a tolerance a
-diverging copy of the pair arithmetic would pass. These tests assert what
-a single copy guarantees instead: a ``fragment`` slab computes the same
-bytes on a block thread as inline, the kernel's gradient sums do not
-depend on the index they are reduced onto, its blocks and its pixel sort
-are the formulations they replace, byte for byte, and every scheduler
-counts the table ``vectorized`` builds. Equalities only, so they mean the
-same on a 1-CPU runner.
+diverging rewrite of the pair arithmetic would pass. These tests assert
+exact equalities instead: the kernel's blocks and its pixel sort are the
+formulations they replace, byte for byte, and a forward counts the table
+it builds. Equalities only, so they mean the same on a 1-CPU runner.
 """
 
 from dataclasses import replace
@@ -16,19 +13,16 @@ import numpy as np
 import pytest
 
 import test_engine_equivalence as equivalence
-from repro import pool
-from repro.pool import map_blocks
 from repro.render import RasterConfig, engine
 from repro.render.engine import (
     _argsort_by_key,
-    _group_blocks,
     _pixel_sorted,
+    _segment_blocks,
     _transmittance_scan,
     backward_pairs,
     clip_isect_rects,
     get_backward,
     get_forward,
-    local_ids,
     pairs_for_isects,
     tile_intersections,
     visible_intersections,
@@ -53,51 +47,6 @@ def _run(engine_cfg, args, w, h, grad):
     return res, grads
 
 
-#: ``(fragment_shards, cpus)`` of the threaded runs: two and three slabs
-#: on two block threads, and one slab per thread on three.
-THREADED = [(2, 2), (3, 2), (3, 3)]
-
-
-class TestThreadedSlabsAreInline:
-    """``fragment`` runs every depth slab through one function, on a block
-    thread or inline (:func:`repro.render.fragment.run_slices`), and
-    merges the results in slab order: where a slab ran never shows, value
-    for value, sign of zero included. The CPU count is patched, so the
-    threads run on a 1-CPU machine too."""
-
-    @pytest.mark.parametrize("scene", SCENES, ids=lambda s: f"n{s[0]}")
-    @pytest.mark.parametrize("dtype", [None, "float32"], ids=["f64", "f32"])
-    @pytest.mark.parametrize("alpha_min", [None, 0.0], ids=["amin", "amin0"])
-    @pytest.mark.parametrize(
-        "shards, cpus", THREADED, ids=[f"s{s}-cpus{c}" for s, c in THREADED]
-    )
-    def test_forward_and_backward_equal(
-        self, scene, dtype, alpha_min, shards, cpus, monkeypatch
-    ):
-        n, w, h, seed = scene
-        args = make_splats(n, w, h, seed)
-        grad = np.random.default_rng(seed + 50).normal(size=(h, w, 3))
-        cfg = RasterConfig(
-            engine="fragment", fragment_shards=shards, dtype=dtype
-        )
-        if alpha_min is not None:
-            cfg = replace(cfg, alpha_min=alpha_min)
-        monkeypatch.setattr(pool, "usable_cpus", lambda: 1)
-        in_res, inline = _run(cfg, args, w, h, grad)
-        monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
-        thr_res, threaded = _run(cfg, args, w, h, grad)
-        assert thr_res.image.tobytes() == in_res.image.tobytes()
-        assert (
-            thr_res.final_transmittance.tobytes()
-            == in_res.final_transmittance.tobytes()
-        )
-        assert thr_res.counts == in_res.counts
-        for field in GRAD_FIELDS:
-            a, b = getattr(threaded, field), getattr(inline, field)
-            assert a.dtype == b.dtype
-            assert a.tobytes() == b.tobytes(), field
-
-
 def _slice_inputs(args, w, h, cfg, start_stop=None, tile_size=16):
     """The splat ids and the pair table of a tile-aligned slice of the
     intersection table."""
@@ -120,77 +69,6 @@ def _slice_inputs(args, w, h, cfg, start_stop=None, tile_size=16):
         sid[start:stop], tiles_x, w, h, cfg, tile_size,
     )
     return sid[start:stop], pairs
-
-
-def _reduce_both_ways(args, w, h, cfg, sid_slice, pairs):
-    means2d, conics, colors, opacities = args[:4]
-    m_count = means2d.shape[0]
-    rng = np.random.default_rng(5)
-    g_flat = rng.normal(size=(w * h, 3))
-    t_final = rng.uniform(0.0, 1.0, size=w * h)
-    _, t_before = _transmittance_scan(pairs)
-
-    def reduce(rid, m):
-        return backward_pairs(
-            means2d, conics, colors, opacities, g_flat, w, cfg.alpha_max,
-            pairs, t_before=t_before, groups=(pairs.starts, pairs.counts),
-            base=(g_flat[pairs.nz] @ BG) * t_final[pairs.nz],
-            base_has_total=False, rid=rid, m=m,
-        )
-
-    uids, lid = local_ids(sid_slice, pairs.sid, m_count)
-    return uids, reduce(pairs.sid, m_count), reduce(lid, uids.size)
-
-
-class TestReductionIndexInvariance:
-    """Reducing onto a slice's sorted ``uids`` equals the global-``sid``
-    reduction gathered at ``uids`` — bit for bit, sign of zero included."""
-
-    def _assert_invariant(self, uids, by_sid, by_lid, m_count):
-        rest = np.setdiff1d(np.arange(m_count), uids)
-        for full, local in zip(by_sid, by_lid):
-            assert full.shape[0] == m_count and local.shape[0] == uids.size
-            assert full[uids].tobytes() == local.tobytes()
-            assert not full[rest].any()  # nothing outside the slice
-
-    @pytest.mark.parametrize("scene", SCENES, ids=lambda s: f"n{s[0]}")
-    @pytest.mark.parametrize("alpha_min", [None, 0.0], ids=["amin", "amin0"])
-    def test_span_of_a_scene(self, scene, alpha_min):
-        n, w, h, seed = scene
-        args = make_splats(n, w, h, seed)
-        cfg = RasterConfig()
-        if alpha_min is not None:
-            cfg = replace(cfg, alpha_min=alpha_min)
-        sid_slice, pairs = _slice_inputs(args, w, h, cfg)
-        assert 0 < np.unique(sid_slice).size < n and pairs.alpha.size
-        uids, by_sid, by_lid = _reduce_both_ways(
-            args, w, h, cfg, sid_slice, pairs
-        )
-        self._assert_invariant(uids, by_sid, by_lid, n)
-        assert any(g.any() for g in by_lid)
-
-    def test_empty_slice(self):
-        args = make_splats(40, 32, 24, 0)
-        cfg = RasterConfig()
-        sid_slice, pairs = _slice_inputs(args, 32, 24, cfg, start_stop=(7, 7))
-        assert sid_slice.size == 0 and pairs.alpha.size == 0
-        uids, by_sid, by_lid = _reduce_both_ways(
-            args, 32, 24, cfg, sid_slice, pairs
-        )
-        assert uids.size == 0
-        self._assert_invariant(uids, by_sid, by_lid, 40)
-
-    def test_slice_whose_splats_all_fail_alpha_min(self):
-        args = list(make_splats(40, 32, 24, 0))
-        args[3] = np.full(40, 1e-4)  # every alpha < 1/255: no pair survives
-        cfg = RasterConfig()
-        sid_slice, pairs = _slice_inputs(args, 32, 24, cfg)
-        assert sid_slice.size and pairs.alpha.size == 0
-        uids, by_sid, by_lid = _reduce_both_ways(
-            args, 32, 24, cfg, sid_slice, pairs
-        )
-        assert uids.size
-        self._assert_invariant(uids, by_sid, by_lid, 40)
 
 
 # ---------------------------------------------------------------------------
@@ -277,22 +155,6 @@ def small_blocks(request, monkeypatch):
     return request.param
 
 
-def _block_pairs(_):
-    """Block task: the backward block size a block thread runs with."""
-    return engine.BLOCK_PAIRS
-
-
-@pytest.mark.usefixtures("small_blocks")
-class TestReductionIndexInvarianceInBlocks(TestReductionIndexInvariance):
-    """Why the block size reads the scene's splat count and not ``m``."""
-
-
-@pytest.mark.usefixtures("small_blocks")
-class TestThreadedSlabsAreInlineInBlocks(TestThreadedSlabsAreInline):
-    """Each slab's backward walks the same several blocks on a block
-    thread as inline."""
-
-
 @pytest.mark.usefixtures("small_blocks")
 class TestBackwardParityInBlocks(equivalence.TestBackwardParity):
     pass
@@ -333,17 +195,15 @@ def _whole_table(n, w, h, seed, **cfg_kw):
     return args, cfg, pairs
 
 
-def _sums(args, w, h, cfg, pairs, groups=None):
-    """``backward_pairs`` over the whole table, reduced by splat id."""
+def _sums(args, w, h, cfg, pairs):
+    """``backward_pairs`` over the whole table."""
     rng = np.random.default_rng(5)
     g_flat = rng.normal(size=(w * h, 3))
     t_final = rng.uniform(0.0, 1.0, size=w * h)
     _, t_before = _transmittance_scan(pairs)
     return backward_pairs(
         *args[:4], g_flat, w, cfg.alpha_max, pairs, t_before=t_before,
-        groups=groups or (pairs.starts, pairs.counts),
         base=(g_flat[pairs.nz] @ BG) * t_final[pairs.nz],
-        base_has_total=False, rid=pairs.sid, m=args[0].shape[0],
     )
 
 
@@ -351,21 +211,15 @@ class TestBlockRule:
     def test_the_patched_suites_really_walk_several_blocks(self, small_blocks):
         for n, w, h, seed in SCENES:
             _, _, pairs = _whole_table(n, w, h, seed)
-            edges, _ = _group_blocks(pairs.starts, pairs.alpha.size, n)
+            edges, _ = _segment_blocks(pairs.starts, pairs.alpha.size, n)
             assert len(edges) - 1 >= (3 if small_blocks == 64 else 2)
-
-    def test_the_threaded_suite_walks_them_on_the_threads(
-        self, small_blocks, monkeypatch
-    ):
-        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
-        assert map_blocks(_block_pairs, range(4)) == [small_blocks] * 4
 
     def test_blocks_are_whole_groups_of_about_a_block(self, monkeypatch):
         monkeypatch.setattr(engine, "BLOCK_PAIRS", 100)
         counts = np.random.default_rng(0).integers(1, 30, size=400)
         starts = np.cumsum(counts) - counts
         total = int(counts.sum())
-        edges, pair_edges = _group_blocks(starts, total, 10)
+        edges, pair_edges = _segment_blocks(starts, total, 10)
         assert edges[0] == 0 and edges[-1] == starts.size
         assert pair_edges[0] == 0 and pair_edges[-1] == total
         assert pair_edges[:-1] == starts[edges[:-1]].tolist()
@@ -377,22 +231,22 @@ class TestBlockRule:
     def test_under_one_and_a_half_blocks_is_not_cut(self, monkeypatch):
         monkeypatch.setattr(engine, "BLOCK_PAIRS", 100)
         starts = np.arange(0, 149, 2)
-        assert _group_blocks(starts, 149, 1) == ([0, 75], [0, 149])
-        assert len(_group_blocks(np.arange(0, 150, 2), 150, 1)[0]) == 3
+        assert _segment_blocks(starts, 149, 1) == ([0, 75], [0, 149])
+        assert len(_segment_blocks(np.arange(0, 150, 2), 150, 1)[0]) == 3
 
     def test_a_group_larger_than_a_block_stays_whole(self, monkeypatch):
         monkeypatch.setattr(engine, "BLOCK_PAIRS", 100)
         counts = np.array([10, 450, 10, 95, 5, 30])
         starts = np.cumsum(counts) - counts
-        edges, pair_edges = _group_blocks(starts, 600, 1)
+        edges, pair_edges = _segment_blocks(starts, 600, 1)
         assert edges == [0, 2, 4, 6]
         assert pair_edges == [0, 460, 565, 600]
 
     def test_many_splats_take_the_larger_block(self, monkeypatch):
         monkeypatch.setattr(engine, "BLOCK_PAIRS", 100)
         starts = np.arange(0, 4000, 4)
-        few, _ = _group_blocks(starts, 4000, 25)  # 4 * 25 == BLOCK_PAIRS
-        many, _ = _group_blocks(starts, 4000, 250)  # blocks of 1000
+        few, _ = _segment_blocks(starts, 4000, 25)  # 4 * 25 == BLOCK_PAIRS
+        many, _ = _segment_blocks(starts, 4000, 250)  # blocks of 1000
         assert len(few) - 1 == 40 and len(many) - 1 == 4
 
     @pytest.mark.parametrize("scene", SCENES[:2], ids=lambda s: f"n{s[0]}")
@@ -401,7 +255,7 @@ class TestBlockRule:
         args, cfg, pairs = _whole_table(n, w, h, seed)
         one_block = _sums(args, w, h, cfg, pairs)
         monkeypatch.setattr(
-            engine, "_group_blocks",
+            engine, "_segment_blocks",
             lambda starts, num_pairs, num_splats: (
                 list(range(starts.size + 1)), [*starts.tolist(), num_pairs]
             ),
@@ -413,32 +267,23 @@ class TestBlockRule:
         assert (np.abs(every_group - one_block) <= 1e-12 * scale).all()
 
     def test_group_values_repeat_to_the_pair_values(self):
-        """What the kernel forms per group and repeats — the image
-        gradient and the pixel centre — has the bits of the per-pair
-        ``%`` / ``//`` / gather, for pixel segments and for groups that
-        split them (fragments)."""
+        """What the kernel forms per segment from ``nz`` and repeats — the
+        image gradient and the pixel centre — has the bits of the per-pair
+        ``%`` / ``//`` / gather."""
         n, w, h, seed = SCENES[1]
         _, _, pairs = _whole_table(n, w, h, seed)
-        pix = pairs.pixel
+        pix, head = pairs.pixel, pairs.nz
         g_col = np.random.default_rng(2).normal(size=w * h)
-        first = np.zeros(pix.size, dtype=bool)
-        first[pairs.starts] = True
-        first[::3] = True  # cut inside segments too
-        split = np.flatnonzero(first)
-        for starts, counts in (
-            (pairs.starts, pairs.counts),
-            (split, np.diff(np.append(split, pix.size))),
+        assert head.tobytes() == pix[pairs.starts].tobytes()
+        for per_segment, per_pair in (
+            ((head % w) + 0.5, (pix % w) + 0.5),
+            ((head // w) + 0.5, (pix // w) + 0.5),
+            (g_col[head], g_col[pix]),
         ):
-            head = pix[starts]
-            for per_group, per_pair in (
-                ((head % w) + 0.5, (pix % w) + 0.5),
-                ((head // w) + 0.5, (pix // w) + 0.5),
-                (g_col[head], g_col[pix]),
-            ):
-                assert (
-                    np.repeat(per_group, counts).tobytes()
-                    == per_pair.tobytes()
-                )
+            assert (
+                np.repeat(per_segment, pairs.counts).tobytes()
+                == per_pair.tobytes()
+            )
 
 
 class TestPerSplatFactors:
@@ -477,14 +322,9 @@ class TestPerSplatFactors:
 
 
 class TestCountsOnEveryEngine:
-    """``RasterResult.counts`` is summed from the tables the slices built,
-    so every scheduler reports what ``vectorized`` reads off its own."""
+    """``RasterResult.counts`` is read off the table the forward built."""
 
-    @pytest.mark.parametrize("cfg", [
-        RasterConfig(engine="fragment", fragment_shards=1),
-        RasterConfig(engine="fragment", fragment_shards=3),
-    ], ids=lambda c: f"{c.engine}-s{c.fragment_shards}")
-    def test_counts_equal_the_vectorized_table(self, cfg):
+    def test_counts_equal_the_saved_table(self):
         n, w, h, seed = SCENES[2]
         args = make_splats(n, w, h, seed)
         vec = get_forward("vectorized")(*args, width=w, height=h)
@@ -493,8 +333,6 @@ class TestCountsOnEveryEngine:
             saved.pairs.cells, saved.num_pairs, saved.num_isects, 0
         )
         assert vec.counts.cells > vec.counts.pairs > vec.counts.isects > 0
-        res = get_forward(cfg.engine)(*args, width=w, height=h, config=cfg)
-        assert res.saved is None and res.counts == vec.counts
 
     def test_the_loop_builds_no_table(self):
         args = make_splats(40, 32, 24, 0)
@@ -503,14 +341,8 @@ class TestCountsOnEveryEngine:
     def test_empty_slices_still_count(self):
         args = list(make_splats(40, 32, 24, 0))
         args[3] = np.full(40, 1e-4)  # every cell below alpha_min
-        for cfg in (
-            RasterConfig(engine="vectorized"),
-            RasterConfig(engine="fragment", fragment_shards=2),
-        ):
-            counts = get_forward(cfg.engine)(
-                *args, width=32, height=24, config=cfg
-            ).counts
-            assert counts.pairs == 0 and counts.cells > counts.isects > 0
+        counts = get_forward("vectorized")(*args, width=32, height=24).counts
+        assert counts.pairs == 0 and counts.cells > counts.isects > 0
 
 
 class TestIsectEdgeCases:

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from repro.render.engine import get_forward
 from repro.render.rasterize import ENGINES, RasterConfig, rasterize
 
-#: Every non-reference engine; ``fragment`` in two depth slabs.
+#: Every non-reference engine.
 FLAT_CONFIGS = [
-    RasterConfig(engine=name, fragment_shards=2)
-    for name in ENGINES if name != "reference"
+    RasterConfig(engine=name) for name in ENGINES if name != "reference"
 ]
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.datasets import SyntheticSceneConfig, build_scene
+from repro import pool
 from repro.pool import get_raster_pool, shutdown_raster_pools
-from repro.render import RasterConfig
+from repro.render import RasterConfig, engine
 from repro.serve import (
     FrameTask,
     InMemoryServingStore,
@@ -58,16 +59,28 @@ class TestRenderFarm:
             pooled.close()
             shutdown_raster_pools()
 
-    def test_fragment_frames_render_in_the_workers(self, scene):
-        """A worker renders a ``fragment`` frame inline: it must not wait
-        on a pool of its own (a worker holds the fork guard it inherited,
-        so a nested pool never starts). The shared pool gets a deadline
-        and no retry, so a hang fails instead of wedging the run."""
-        store = InMemoryServingStore.from_model(scene.oracle)
-        config = RasterConfig(engine="fragment", fragment_shards=2)
+    def test_block_frames_render_in_the_workers(self, monkeypatch):
+        """A worker runs a frame's tile-row blocks inline: it must not
+        wait on threads or a pool of its own (a worker holds the fork
+        guard it inherited, so a nested pool never starts). The views are
+        four tile rows tall and the blocks 64 cells, so the inline farm's
+        process cuts them into blocks on two threads; the workers inherit
+        the patched block size. The shared pool gets a deadline and no
+        retry, so a hang fails instead of wedging the run."""
+        monkeypatch.setattr(engine, "BLOCK_CELLS", 64)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        tall = build_scene(
+            SyntheticSceneConfig(
+                num_points=180, width=32, height=64,
+                num_train_cameras=4, num_test_cameras=1,
+                altitude=12.0, seed=9,
+            )
+        )
+        store = InMemoryServingStore.from_model(tall.oracle)
+        config = RasterConfig(engine="vectorized")
         tasks = [
             FrameTask(camera=cam, lod=0, sh_degree=3, config=config)
-            for cam in scene.train_cameras
+            for cam in tall.train_cameras
         ]
         inline = RenderFarm(workers=1)
         inline.publish(store, None)

@@ -43,27 +43,30 @@ class TestPhaseMapping:
         assert out["fwd_bwd"] == pytest.approx(0.4)
 
 
-class TestFragmentRasterSpans:
-    """The ``fragment`` engine's shard slices run on the block threads
-    and open no span: a traced sharded step counts its raster once, as
-    the ``train/forward`` and ``train/backward`` spans around it."""
+class TestBlockRasterSpans:
+    """The ``vectorized`` forward's tile-row blocks run on the block
+    threads and open no span: a traced sharded step counts its raster
+    once, as the ``train/forward`` and ``train/backward`` spans around
+    it. The views are four tile rows tall and the blocks 64 cells, so on
+    2 CPUs every forward runs its blocks on the threads."""
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_fwd_bwd_is_the_train_spans(self, cpus, monkeypatch):
         from repro import pool
         from repro.core import GSScaleConfig, create_system
         from repro.datasets import SyntheticSceneConfig, build_scene
-        from repro.render import RasterConfig
+        from repro.render import RasterConfig, engine
 
         monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(engine, "BLOCK_CELLS", 64)
         scene = build_scene(SyntheticSceneConfig(
-            num_points=200, width=32, height=24, num_train_cameras=2,
+            num_points=200, width=32, height=64, num_train_cameras=2,
             seed=9,
         ))
         config = GSScaleConfig(
             system="sharded", num_shards=3, scene_extent=scene.extent,
             telemetry=True, seed=0, mem_limit=1.0,
-            raster=RasterConfig(engine="fragment"),
+            raster=RasterConfig(engine="vectorized"),
         )
         system = create_system(scene.initial.copy(), config)
         system.step(scene.train_cameras[0], scene.train_images[0])
@@ -71,6 +74,8 @@ class TestFragmentRasterSpans:
         events = trace.get_tracer().events()
         names = [ev.name for ev in events]
         assert not any(name.startswith("pool/") for name in names)
+        # every span was opened by the stepping thread
+        assert len({ev.tid for ev in events}) == 1
         assert names.count("train/forward") == names.count(
             "train/backward"
         ) >= 1

@@ -271,27 +271,6 @@ class TestIsectTelemetry:
         (counter,) = metrics.get_registry().counters()
         assert counter.name == "render/isects_pruned" and counter.value == 0
 
-    def test_every_flat_engine_reports_the_same_counts(self):
-        """The counts come off ``RasterResult.counts``, which the
-        ``fragment`` engine sums from its slices — not off the saved table
-        only ``vectorized`` keeps."""
-        per_engine = {}
-        for engine in ("vectorized", "fragment"):
-            system, scene = TestSavedPairTelemetry._system(True, engine)
-            trace.get_tracer().clear()
-            system.step(scene.train_cameras[0], scene.train_images[0])
-            (ev,) = [
-                ev for ev in trace.get_tracer().events()
-                if ev.name == "train/forward"
-            ]
-            assert ("saved_bytes" in ev.attrs) == (engine == "vectorized")
-            per_engine[engine] = {
-                key: ev.attrs[key]
-                for key in ("cells", "pairs", "isects", "pruned_isects")
-            }
-        assert per_engine["vectorized"]["cells"] > per_engine["vectorized"]["pairs"] > 0
-        assert per_engine["fragment"] == per_engine["vectorized"]
-
     @staticmethod
     def _serve_opaque_scene():
         """Two frames of a scene whose splats were made wide and opaque."""

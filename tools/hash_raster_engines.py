@@ -1,32 +1,25 @@
-"""Hash every flat raster engine's forward + backward outputs.
+"""Hash the ``vectorized`` raster engine's forward + backward outputs.
 
 Usage (once per checkout, then diff the two outputs)::
 
     PYTHONPATH=<checkout>/src python tools/hash_raster_engines.py > hashes.txt
     PYTHONPATH=src python tools/hash_raster_engines.py --check
 
-Prints one line per configuration — fixture x engine (``vectorized`` saved
-and rebuilt, and ``vectorized-blocks``: its forward cut into blocks of 64
-cells for 2 CPUs; ``fragment`` shards {1, 3} and the per-shard
-``rasterize_fragment_sources`` entry point, each once inline on 1 CPU and
-once as ``-threads``: its shard slices on the block threads of 2 CPUs)
-x {float64, float32} x {``alpha_min`` default, 0} — with two sha256
-columns, ``fwd=`` over image and final transmittance and ``bwd=`` over the
-five gradient arrays, and on float64 lines ``ref=``, each gradient
-array's max-abs distance from the ``reference`` loop. The flat engines
-schedule one pair kernel (``docs/raster_engines.md``); a change to it, or
-to a scheduler, that is meant to keep numerics must leave every column
-it does not re-base equal to the parent commit's — the parity suites'
-``atol=1e-9`` would not notice a last-bit change — and a change that
-re-bases one (PR 24 re-based ``bwd=``) must leave ``ref=`` where it was.
-Uses only names both sides of such a diff have: a line whose schedule
-needs a name the checkout lacks (``vectorized-blocks`` needs
-``engine.BLOCK_CELLS`` and ``pool.usable_cpus``, and every ``fragment``
-and ``sources`` line ``pool.usable_cpus``) is not printed. A parent whose
-``fragment`` engine still had a process pool printed
-``fragment-wW-sS`` and ``sources-wW`` lines, ``W`` in {0, 2}; its ``w0``
-lines compare with the inline lines here, its ``w2`` lines with the
-``-threads`` lines.
+Prints one line per configuration — fixture x schedule (``vectorized``
+saved and rebuilt, and ``vectorized-blocks``: its forward cut into blocks
+of 64 cells for 2 CPUs) x {float64, float32} x {``alpha_min`` default, 0}
+— with two sha256 columns, ``fwd=`` over image and final transmittance
+and ``bwd=`` over the five gradient arrays, and on float64 lines ``ref=``,
+each gradient array's max-abs distance from the ``reference`` loop. The
+engine runs one pair kernel (``docs/raster_engines.md``); a change to it
+that is meant to keep numerics must leave every column it does not
+re-base equal to the parent commit's — the parity suites' ``atol=1e-9``
+would not notice a last-bit change — and a change that re-bases one
+(moving the per-splat factors out of the pair sums re-based ``bwd=``)
+must leave ``ref=`` where it was. Uses only
+names both sides of such a diff have: ``vectorized-blocks`` needs
+``engine.BLOCK_CELLS`` and ``pool.usable_cpus`` and is not printed for a
+checkout without them.
 
 The ``cull`` lines that follow hash the geometric side in front of the
 rasterizer on a 30k-row scene — more than three of the exact cull's row
@@ -47,8 +40,7 @@ whose ``render`` takes no ``screen`` prints none of them.
 ``--check`` asserts the equalities that hold inside one checkout and
 prints nothing else: every line repeats (a second run gives the same two
 digests), ``vectorized`` saved and rebuilt agree on all seven arrays,
-``vectorized-blocks`` equals ``vectorized`` and every ``-threads`` line
-its inline line on both digests, and each
+``vectorized-blocks`` equals ``vectorized`` on both digests, and each
 view's ``frustum_cull`` keeps exactly the rows that ``project_geometry``
 over the rows in depth range, gathered whole, puts on the image, and each
 ``handon`` view's image, ``means2d``, conics, depths, radii and packed
@@ -69,7 +61,6 @@ from repro.cameras import Camera
 from repro.gaussians import GaussianModel, layout
 from repro.render import RasterConfig, engine, frustum_cull, render, render_backward
 from repro.render.engine import get_backward, get_forward
-from repro.render.fragment import FragmentSource, rasterize_fragment_sources
 from repro.render.projection import project_geometry
 
 GRADS = ("means2d", "conics", "colors", "opacities", "mean2d_abs")
@@ -119,38 +110,12 @@ FIXTURES = {
     "occ300": (make_occluded(300, 64, 48), 64, 48),
 }
 
-#: ``(label, config, CPU count)``: ``None`` leaves the count alone.
-ENGINE_CFGS = [("vectorized", dict(engine="vectorized"), None)]
-ENGINE_CFGS += [
-    (f"fragment-s{s}{suffix}", dict(engine="fragment", fragment_shards=s),
-     cpus)
-    for suffix, cpus in (("", 1), ("-threads", 2)) for s in (1, 3)
-]
-
-
-#: Whether this checkout pins the block threads to the CPU count.
-HAS_CPUS = hasattr(pool, "usable_cpus")
-
-#: Whether this checkout cuts the vectorized forward into blocks.
-HAS_BLOCKS = hasattr(engine, "BLOCK_CELLS") and HAS_CPUS
+#: Whether this checkout cuts the vectorized forward into blocks and
+#: pins the block threads to the CPU count.
+HAS_BLOCKS = hasattr(engine, "BLOCK_CELLS") and hasattr(pool, "usable_cpus")
 
 #: Whether this checkout's ``render`` takes the cull's projection on.
 HAS_HANDON = "screen" in inspect.signature(render).parameters
-
-
-@contextmanager
-def cpu_count(cpus):
-    """The block threads of ``cpus`` CPUs: 1 runs every block and shard
-    slice inline, 2 on two threads; ``None`` leaves the count alone."""
-    if cpus is None:
-        yield
-        return
-    saved = pool.usable_cpus
-    pool.usable_cpus = lambda: cpus
-    try:
-        yield
-    finally:
-        pool.usable_cpus = saved
 
 
 @contextmanager
@@ -159,13 +124,13 @@ def small_blocks(cells=64, cpus=2):
     row of the fixtures is a block of its own — for ``cpus`` CPUs: the
     ``s150`` and ``s400`` views (four and five tile rows) run on the block
     threads, the two shorter ones stay one block."""
-    saved = engine.BLOCK_CELLS
+    saved = engine.BLOCK_CELLS, pool.usable_cpus
     engine.BLOCK_CELLS = cells
+    pool.usable_cpus = lambda: cpus
     try:
-        with cpu_count(cpus):
-            yield
+        yield
     finally:
-        engine.BLOCK_CELLS = saved
+        engine.BLOCK_CELLS, pool.usable_cpus = saved
 
 
 def digest(*arrays):
@@ -202,14 +167,12 @@ def fixture_runs(fname):
     grad = np.random.default_rng(11).normal(size=(h, w, 3))
     m2, con, col, op, dep, rad = splats
 
-    def run(label, cfg, forward=None, ref=None, cpus=None, **res_changes):
-        forward = forward or (lambda: get_forward(cfg.engine)(
-            m2, con, col, op, dep, rad, w, h, background=BG, config=cfg))
-        with cpu_count(cpus):
-            res = forward()
-            grads = get_backward(cfg.engine)(
-                m2, con, col, op, replace(res, **res_changes), grad,
-                background=BG, config=cfg)
+    def run(label, cfg, ref=None, **res_changes):
+        res = get_forward(cfg.engine)(
+            m2, con, col, op, dep, rad, w, h, background=BG, config=cfg)
+        grads = get_backward(cfg.engine)(
+            m2, con, col, op, replace(res, **res_changes), grad,
+            background=BG, config=cfg)
         return Run(label, res, grads, ref)
 
     for dtype in (None, "float32"):
@@ -222,35 +185,17 @@ def fixture_runs(fname):
             if dtype is None:
                 ref = run("", config(engine="reference")).grads
             tail = f"{dtype or 'float64'} amin={amin_name}"
-            for ename, kw, cpus in ENGINE_CFGS:
-                if cpus is None or HAS_CPUS:
-                    yield run(f"{fname} {ename} {tail}", config(**kw),
-                              ref=ref, cpus=cpus)
-                if ename == "vectorized":
-                    # the rebuild fallback of the saved table
-                    yield run(
-                        f"{fname} {ename} {tail} rebuilt", config(**kw),
-                        ref=ref, saved=None)
-                    if HAS_BLOCKS:
-                        with small_blocks():
-                            blocks = run(
-                                f"{fname} {ename}-blocks {tail}",
-                                config(**kw), ref=ref)
-                        yield blocks
-            # per-shard sources entrypoint (interleaved depth runs)
-            cuts = np.array_split(np.arange(m2.shape[0]), 3)
-            sources = [
-                FragmentSource(m2[c], con[c], col[c], op[c], dep[c], rad[c])
-                for c in cuts
-            ]
-            cfg = config(engine="fragment")
-            for suffix, cpus in (("", 1), ("-threads", 2)):
-                if HAS_CPUS:
-                    yield run(
-                        f"{fname} sources{suffix} {tail}", cfg, ref=ref,
-                        cpus=cpus,
-                        forward=lambda: rasterize_fragment_sources(
-                            sources, w, h, background=BG, config=cfg))
+            cfg = config(engine="vectorized")
+            yield run(f"{fname} vectorized {tail}", cfg, ref=ref)
+            # the rebuild fallback of the saved table
+            yield run(
+                f"{fname} vectorized {tail} rebuilt", cfg, ref=ref,
+                saved=None)
+            if HAS_BLOCKS:
+                with small_blocks():
+                    blocks = run(
+                        f"{fname} vectorized-blocks {tail}", cfg, ref=ref)
+                yield blocks
 
 
 def make_cull_scene(n=30_000, seed=5):
@@ -393,10 +338,6 @@ def check(runs, again, culls, culls_again, handons):
             vec = by_label[label.replace(" vectorized-blocks ", " vectorized ")]
             if (run.fwd, run.bwd) != (vec.fwd, vec.bwd):
                 failures.append(f"{label}: differs from vectorized")
-        if "-threads " in label:
-            inline = by_label[label.replace("-threads ", " ")]
-            if (run.fwd, run.bwd) != (inline.fwd, inline.bwd):
-                failures.append(f"{label}: differs from its inline run")
     return failures
 
 

@@ -122,7 +122,7 @@ def train_column(scene, tmp: str, name: str, **cfg) -> dict:
     spill_dir = os.path.join(tmp, name)
     config = GSScaleConfig(
         num_shards=NUM_SHARDS, scene_extent=scene.extent, ssim_lambda=0.0,
-        mem_limit=0.6, seed=0, **cfg,
+        mem_limit=0.6, seed=0, **{"engine": "reference", **cfg},
     )
     if config.system == "outofcore":
         config.spill_dir = spill_dir
@@ -190,7 +190,9 @@ def serve_column(scene, tmp: str, codec: str, checkpoint: str) -> dict:
         checkpoint, budget, num_shards=NUM_SHARDS, page_dir=page_dir,
         codec=codec,
     )
-    task = FrameTask(scene.train_cameras[0], 0, 3, config=RasterConfig())
+    task = FrameTask(
+        scene.train_cameras[0], 0, 3, config=RasterConfig(engine="reference")
+    )
     row = {"pages": page_files(page_dir)}
     full = store.gather(np.arange(store.num_rows))
     row["gather"] = sha(full)
