@@ -6,7 +6,8 @@ died; that is only sound because every frame task is a pure function of
 its payload, so a worker killed at a task slot must leave the retried
 batch bit-identical. (The other fan-out, the block threads of the
 ``vectorized`` forward, is checked where its faults land:
-``tests/render/test_forward_blocks.py::TestFaults``.)
+``tests/render/test_forward_blocks.py::TestFaults`` and
+``::TestFaultMatrix``.)
 
 Equalities, not tolerances.
 """

@@ -442,3 +442,82 @@ class TestFaults:
             assert _within(
                 TIMEOUT_S, map_blocks, lambda i: -i, range(6)
             ) == [0, -1, -2, -3, -4, -5]
+
+
+#: ``Fault.after`` that lands a block's fault in each phase: a block visits
+#: ``block:forward`` once as it is built and once as it finishes (its
+#: scan and composite), so skipping one visit lands in the second.
+PHASES = {"build": 0, "finish": 1}
+
+
+class TestFaultMatrix:
+    """A fault in each phase of the first, a middle and the last of five
+    blocks on two threads, in the forward and in the backward's rebuild:
+    an error reaches the caller and leaves nothing behind — the next run
+    gives the clean run's bytes — and a stall changes no byte. The tokens
+    the block's visits claim show where the fault fired: an error is the
+    block's last visit."""
+
+    ARGS, W, H = TestFaults.ARGS, TestFaults.W, TestFaults.H
+
+    def _plan(self, tmp_path, action, phase, index):
+        return FaultPlan(str(tmp_path), faults=(Fault(
+            "block:forward", action, index=index, after=PHASES[phase],
+            seconds=0.05,
+        ),))
+
+    def _visits(self, tmp_path):
+        return len(list(tmp_path.iterdir()))
+
+    @pytest.mark.parametrize("index", [0, 2, 4], ids=lambda b: f"block{b}")
+    @pytest.mark.parametrize("phase", list(PHASES))
+    def test_raise_then_bit_identical(self, tmp_path, phase, index):
+        cfg = RasterConfig()
+        with _schedule(64, 2):
+            want = _outputs(self.ARGS, self.W, self.H, cfg)
+            with faults.active_plan(
+                self._plan(tmp_path, "raise", phase, index)
+            ):
+                with pytest.raises(InjectedFaultError):
+                    _within(TIMEOUT_S, _forward, self.ARGS, self.W, self.H, cfg)
+            assert _within(
+                TIMEOUT_S, _outputs, self.ARGS, self.W, self.H, cfg
+            ) == want
+        assert self._visits(tmp_path) == PHASES[phase] + 1
+
+    @pytest.mark.parametrize("index", [0, 2, 4], ids=lambda b: f"block{b}")
+    @pytest.mark.parametrize("phase", list(PHASES))
+    def test_raise_in_rebuild_then_bit_identical(self, tmp_path, phase, index):
+        """The backward of a result without its table rebuilds it through
+        the same blocks; a fault there leaves the next rebuild exact."""
+        cfg = RasterConfig()
+        with _schedule(64, 2):
+            res = _forward(self.ARGS, self.W, self.H, cfg)
+            want = _grad_bytes(_backward(self.ARGS, res, cfg))
+            bare = replace(res, saved=None)
+            with faults.active_plan(
+                self._plan(tmp_path, "raise", phase, index)
+            ):
+                with pytest.raises(InjectedFaultError):
+                    _within(TIMEOUT_S, _backward, self.ARGS, bare, cfg)
+            got = _within(TIMEOUT_S, _backward, self.ARGS, bare, cfg)
+        assert _grad_bytes(got) == want
+        assert self._visits(tmp_path) == PHASES[phase] + 1
+
+    @pytest.mark.parametrize("index", [0, 2, 4], ids=lambda b: f"block{b}")
+    @pytest.mark.parametrize("phase", list(PHASES))
+    def test_delay_bit_identical(self, tmp_path, phase, index):
+        """The stalled block's thread falls behind; the other runs ahead,
+        and the blocks still join in table order."""
+        cfg = RasterConfig()
+        with _schedule(64, 2):
+            want = _outputs(self.ARGS, self.W, self.H, cfg)
+            with faults.active_plan(
+                self._plan(tmp_path, "delay", phase, index)
+            ):
+                got = _within(
+                    TIMEOUT_S, _outputs, self.ARGS, self.W, self.H, cfg
+                )
+        assert got == want
+        # built once and finished once; the backward never rebuilt it
+        assert self._visits(tmp_path) == 2

@@ -2,17 +2,22 @@
 
 The parity suites compare engines at ``atol=1e-9`` — a tolerance a
 diverging rewrite of the pair arithmetic would pass. These tests assert
-exact equalities instead: the kernel's blocks and its pixel sort are the
-formulations they replace, byte for byte, and a forward counts the table
-it builds. Equalities only, so they mean the same on a 1-CPU runner.
+exact equalities instead: the order splats come in never shows, the
+kernel's sums do not depend on the index they are reduced onto, its
+blocks and its pixel sort are the formulations they replace, byte for
+byte, and a forward counts the table it builds. Equalities only, so they
+mean the same on a 1-CPU runner.
 """
 
+import threading
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import test_engine_equivalence as equivalence
+from repro import pool
 from repro.render import RasterConfig, engine
 from repro.render.engine import (
     _argsort_by_key,
@@ -69,6 +74,148 @@ def _slice_inputs(args, w, h, cfg, start_stop=None, tile_size=16):
         sid[start:stop], tiles_x, w, h, cfg, tile_size,
     )
     return sid[start:stop], pairs
+
+
+# ---------------------------------------------------------------------------
+# the order splats come in, and the index their sums reduce onto
+# ---------------------------------------------------------------------------
+
+#: Scenes of seven tile rows: every schedule of :data:`THREADED` cuts each
+#: into at least two tile-row blocks per thread.
+TALL_SCENES = [
+    # (n, width, height, seed)
+    (150, 48, 100, 1),
+    (400, 96, 112, 2),
+    (300, 40, 100, 5),
+]
+
+#: ``(BLOCK_CELLS, cpus)`` of the threaded runs: a tile row per block on
+#: two and on three block threads, and blocks of a few rows on two.
+THREADED = [(64, 2), (64, 3), (8000, 2)]
+
+
+@contextmanager
+def _schedule(block_cells, cpus):
+    """``BLOCK_CELLS`` and the process's CPU count patched for the body."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "BLOCK_CELLS", block_cells)
+        patch.setattr(pool, "usable_cpus", lambda: cpus)
+        yield
+
+
+class TestSplatOrderNeverShows:
+    """The table sorts a tile's intersections by depth, and every sum over
+    a splat adds its pairs in table order, so the order the splats come in
+    never shows: permuted rows (all depths distinct) render the same
+    bytes, count the same table and get their own gradients back, value
+    for value, sign of zero included. The permuted run's forward is cut
+    into tile-row blocks on the block threads, the original's runs as one
+    block inline; the CPU count is patched, so the threads run on a 1-CPU
+    machine too."""
+
+    @pytest.mark.parametrize("scene", TALL_SCENES, ids=lambda s: f"n{s[0]}")
+    @pytest.mark.parametrize("dtype", [None, "float32"], ids=["f64", "f32"])
+    @pytest.mark.parametrize("alpha_min", [None, 0.0], ids=["amin", "amin0"])
+    @pytest.mark.parametrize(
+        "block_cells, cpus", THREADED,
+        ids=[f"cells{b}-cpus{c}" for b, c in THREADED],
+    )
+    def test_forward_and_backward_equal(
+        self, scene, dtype, alpha_min, block_cells, cpus
+    ):
+        n, w, h, seed = scene
+        args = make_splats(n, w, h, seed)
+        assert np.unique(args[4]).size == n
+        perm = np.random.default_rng(seed + 7).permutation(n)
+        grad = np.random.default_rng(seed + 50).normal(size=(h, w, 3))
+        cfg = RasterConfig(dtype=dtype)
+        if alpha_min is not None:
+            cfg = replace(cfg, alpha_min=alpha_min)
+        with _schedule(block_cells, 1):
+            res, grads = _run(cfg, args, w, h, grad)
+        with _schedule(block_cells, cpus):
+            p_res, p_grads = _run(
+                cfg, tuple(a[perm] for a in args), w, h, grad
+            )
+        assert p_res.image.tobytes() == res.image.tobytes()
+        assert (
+            p_res.final_transmittance.tobytes()
+            == res.final_transmittance.tobytes()
+        )
+        assert p_res.counts == res.counts
+        for field in GRAD_FIELDS:
+            a, b = getattr(p_grads, field), getattr(grads, field)[perm]
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes(), field
+
+
+def _reduce_both_ways(args, w, h, cfg, pairs):
+    """``backward_pairs`` over ``pairs`` as built, and over the same table
+    with its splats renumbered (the splat arrays reordered to match):
+    ``(perm, by_sid, renumbered)``, row ``i`` of the reordered arrays
+    holding splat ``perm[i]``."""
+    m_count = args[0].shape[0]
+    perm = np.random.default_rng(3).permutation(m_count)
+    rng = np.random.default_rng(5)
+    g_flat = rng.normal(size=(w * h, 3))
+    t_final = rng.uniform(0.0, 1.0, size=w * h)
+    _, t_before = _transmittance_scan(pairs)
+    base = (g_flat[pairs.nz] @ BG) * t_final[pairs.nz]
+
+    def reduce(splats, table):
+        return backward_pairs(
+            *splats, g_flat, w, cfg.alpha_max, table, t_before=t_before,
+            base=base,
+        )
+
+    renumbered = replace(pairs, sid=np.argsort(perm)[pairs.sid])
+    return perm, reduce(args[:4], pairs), reduce(
+        [a[perm] for a in args[:4]], renumbered
+    )
+
+
+class TestReductionIndexInvariance:
+    """Reducing a slice of the table onto renumbered splats gives the
+    renumbered sums — bit for bit, sign of zero included — and exact
+    zeros for every splat outside the slice."""
+
+    def _assert_invariant(self, sid_slice, perm, by_sid, renumbered):
+        m_count = perm.size
+        assert by_sid.shape == renumbered.shape == (9, m_count)
+        assert renumbered[:, np.argsort(perm)].tobytes() == by_sid.tobytes()
+        rest = np.setdiff1d(np.arange(m_count), sid_slice)
+        assert not by_sid[:, rest].any()  # nothing outside the slice
+
+    @pytest.mark.parametrize("scene", SCENES, ids=lambda s: f"n{s[0]}")
+    @pytest.mark.parametrize("alpha_min", [None, 0.0], ids=["amin", "amin0"])
+    def test_span_of_a_scene(self, scene, alpha_min):
+        n, w, h, seed = scene
+        args = make_splats(n, w, h, seed)
+        cfg = RasterConfig()
+        if alpha_min is not None:
+            cfg = replace(cfg, alpha_min=alpha_min)
+        sid_slice, pairs = _slice_inputs(args, w, h, cfg)
+        assert 0 < np.unique(sid_slice).size < n and pairs.alpha.size
+        perm, by_sid, renumbered = _reduce_both_ways(args, w, h, cfg, pairs)
+        self._assert_invariant(sid_slice, perm, by_sid, renumbered)
+        assert by_sid.any()
+
+    def test_empty_slice(self):
+        args = make_splats(40, 32, 24, 0)
+        cfg = RasterConfig()
+        sid_slice, pairs = _slice_inputs(args, 32, 24, cfg, start_stop=(7, 7))
+        assert sid_slice.size == 0 and pairs.alpha.size == 0
+        perm, by_sid, renumbered = _reduce_both_ways(args, 32, 24, cfg, pairs)
+        self._assert_invariant(sid_slice, perm, by_sid, renumbered)
+
+    def test_slice_whose_splats_all_fail_alpha_min(self):
+        args = list(make_splats(40, 32, 24, 0))
+        args[3] = np.full(40, 1e-4)  # every alpha < 1/255: no pair survives
+        cfg = RasterConfig()
+        sid_slice, pairs = _slice_inputs(args, 32, 24, cfg)
+        assert sid_slice.size and pairs.alpha.size == 0
+        perm, by_sid, renumbered = _reduce_both_ways(args, 32, 24, cfg, pairs)
+        self._assert_invariant(sid_slice, perm, by_sid, renumbered)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +303,16 @@ def small_blocks(request, monkeypatch):
 
 
 @pytest.mark.usefixtures("small_blocks")
+class TestReductionIndexInvarianceInBlocks(TestReductionIndexInvariance):
+    """Each block's ``bincount`` reduces onto the renumbered splats too."""
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestSplatOrderNeverShowsInBlocks(TestSplatOrderNeverShows):
+    """Both backwards walk the same several blocks, one table order."""
+
+
+@pytest.mark.usefixtures("small_blocks")
 class TestBackwardParityInBlocks(equivalence.TestBackwardParity):
     pass
 
@@ -213,6 +370,49 @@ class TestBlockRule:
             _, _, pairs = _whole_table(n, w, h, seed)
             edges, _ = _segment_blocks(pairs.starts, pairs.alpha.size, n)
             assert len(edges) - 1 >= (3 if small_blocks == 64 else 2)
+
+    def test_the_threaded_suite_walks_them_on_the_threads(
+        self, small_blocks, monkeypatch
+    ):
+        """Each of :data:`THREADED` cuts each of :data:`TALL_SCENES` into
+        at least two tile-row blocks per thread, builds them on the block
+        threads, and the backward walks several blocks."""
+        cuts, names, walks = [], set(), []
+        real_cut = engine._tile_row_blocks
+        real_build = engine.pairs_for_isects
+        real_walk = engine._segment_blocks
+
+        def cut(*args):
+            out = real_cut(*args)
+            cuts.append(len(out[0]) - 1)
+            return out
+
+        def build(*args, **kwargs):
+            names.add(threading.current_thread().name)
+            return real_build(*args, **kwargs)
+
+        def walk(*args):
+            out = real_walk(*args)
+            walks.append(len(out[0]) - 1)
+            return out
+
+        monkeypatch.setattr(engine, "_tile_row_blocks", cut)
+        monkeypatch.setattr(engine, "pairs_for_isects", build)
+        monkeypatch.setattr(engine, "_segment_blocks", walk)
+        for n, w, h, seed in TALL_SCENES:
+            args = make_splats(n, w, h, seed)
+            grad = np.ones((h, w, 3))
+            for block_cells, cpus in THREADED:
+                for seen in (cuts, names, walks):
+                    seen.clear()
+                with _schedule(block_cells, cpus):
+                    _run(RasterConfig(), args, w, h, grad)
+                assert len(cuts) == 1 and cuts[0] >= 2 * cpus
+                assert names and all(
+                    name.startswith("repro-block") for name in names
+                )
+                assert walks == [walks[0]]
+                assert walks[0] >= (3 if small_blocks == 64 else 2)
 
     def test_blocks_are_whole_groups_of_about_a_block(self, monkeypatch):
         monkeypatch.setattr(engine, "BLOCK_PAIRS", 100)

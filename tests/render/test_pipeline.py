@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import pool
 from repro.cameras import Camera
+from repro.datasets import SyntheticSceneConfig, build_scene
 from repro.gaussians import GaussianModel, layout
-from repro.render import RasterConfig, render, render_backward
+from repro.render import RasterConfig, engine, render, render_backward
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +140,80 @@ class TestCroppedCameraRendering:
         right = render(model, cam.crop(20, cam.width))
         stitched = np.concatenate([left.image, right.image], axis=1)
         np.testing.assert_allclose(stitched, full.image, atol=1e-10)
+
+
+class TestRowOrderNeverShows:
+    """Every per-Gaussian stage — the cull, the projection, the colours,
+    the pair table and the sums over its pairs — is a function of each row
+    and of the depth order alone, so rendering the rows of a model in
+    another order (all depths distinct) gives the same image, bit for bit,
+    and each row its own gradient back. The permuted render's forward is
+    cut into tile-row blocks on the block threads, the original's runs
+    inline; the CPU count is patched, so the threads run on a 1-CPU
+    machine too."""
+
+    @pytest.fixture(scope="class")
+    def tall(self):
+        """Views six tile rows tall, and SH coefficients of every band."""
+        scene = build_scene(SyntheticSceneConfig(
+            num_points=300, width=40, height=96, num_train_cameras=3,
+            num_test_cameras=1, altitude=12.0, seed=7,
+        ))
+        model = scene.initial.copy()
+        model.sh[:, 1:, :] = np.random.default_rng(4).normal(
+            scale=0.1, size=model.sh[:, 1:, :].shape
+        )
+        return model, scene.train_cameras
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3], ids=lambda c: f"cpus{c}")
+    @pytest.mark.parametrize("raster_dtype", [None, "float32"],
+                             ids=["raster-model", "raster-f32"])
+    @pytest.mark.parametrize("sh_degree", [0, 1, 2, 3],
+                             ids=lambda d: f"sh{d}")
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                             ids=["f64", "f32"])
+    def test_image_and_gradients_equal(
+        self, tall, dtype, sh_degree, raster_dtype, cpus, monkeypatch
+    ):
+        base, cameras = tall
+        model = GaussianModel(base.params.astype(dtype))
+        perm = np.random.default_rng(1).permutation(model.num_gaussians)
+        permuted = GaussianModel(model.params[perm])
+        config = RasterConfig(dtype=raster_dtype)
+        cuts = []
+        real_cut = engine._tile_row_blocks
+
+        def cut(*args):
+            out = real_cut(*args)
+            cuts.append(len(out[0]) - 1)
+            return out
+
+        monkeypatch.setattr(engine, "_tile_row_blocks", cut)
+        monkeypatch.setattr(engine, "BLOCK_CELLS", 64)
+        for i, cam in enumerate(cameras):
+            grad = np.random.default_rng(i).normal(
+                size=(cam.height, cam.width, 3)
+            ).astype(dtype)
+            monkeypatch.setattr(pool, "usable_cpus", lambda: 1)
+            res = render(model, cam, sh_degree=sh_degree, config=config)
+            back = render_backward(model, cam, res, grad)
+            monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+            cuts.clear()
+            p_res = render(permuted, cam, sh_degree=sh_degree, config=config)
+            # one forward; more than one thread cuts two blocks per thread
+            assert len(cuts) == 1 and (cpus == 1 or cuts[0] >= 2 * cpus)
+            p_back = render_backward(permuted, cam, p_res, grad)
+            assert res.valid_ids.size > 1
+            assert p_res.image.tobytes() == res.image.tobytes()
+            assert p_res.raster.counts == res.raster.counts
+            ids = perm[p_res.valid_ids]
+            order = np.argsort(ids)
+            assert np.array_equal(ids[order], res.valid_ids)
+            assert (
+                p_back.param_grads[order].tobytes()
+                == back.param_grads.tobytes()
+            )
+            assert (
+                p_back.mean2d_abs[order].tobytes()
+                == back.mean2d_abs.tobytes()
+            )
