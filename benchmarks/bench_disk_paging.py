@@ -1,31 +1,33 @@
-"""Disk-paging benchmarks of the deep out-of-core tier.
+"""Disk-paging benchmarks of the deep out-of-core tier and the paged
+serving tier.
 
 Three parts, all feeding ``benchmarks/out/BENCH_disk.json`` (the
 committed ``BENCH_disk.json`` baseline is the quick-mode run the CI
 ``perf-smoke`` job diffs against and uploads):
 
-* ``test_codec_page_bandwidth`` — spill/page-in roundtrips of a
-  standalone :class:`~repro.core.stores.DiskStore` per codec. The
-  acceptance gate lives here: the float16 codec must deliver >= 1.5x
+* ``test_codec_page_bandwidth`` — shard page-ins of a
+  :class:`~repro.serve.store.PagedServingStore` per serving codec (a
+  budget of one resident shard, every shard gathered in turn). The
+  acceptance gate lives here: float16 pages must deliver >= 1.5x
   effective page-in bandwidth (decoded bytes per encoded byte actually
-  read) over raw.
+  read) over raw. Training pages are raw, so the codecs are serving's.
 * ``test_disk_paging_matrix`` — short out-of-core training runs over the
-  codec x prefetch-depth x write-behind grid on an alternating-cluster
+  prefetch-depth x write-behind grid on an alternating-cluster
   schedule, recording staging hit-rates, synchronous-spill bytes, and
   the ledger's two-sided disk channel. Depth >= 2 must reach a strictly
   higher staging hit-rate than the depth-1 double buffer, and
   write-behind must hold admit-path synchronous spill bytes at zero.
 * ``test_tenx_budget_entry`` — the headline configuration: a model
-  whose pageable state is ~10x the host budget training with all three
-  axes on at once, under the enforced byte budget. Some of its spills
-  must be clean evictions (a shard that did not change since its
-  page-in writes nothing).
+  whose pageable state is ~10x the host budget training with both axes
+  on at once, under the enforced byte budget. Some of its spills must be
+  clean evictions (a shard that did not change since its page-in writes
+  nothing).
 
-Every row reports the write side of the disk channel — ``page_out_count``
-and its bytes beside ``clean_evictions`` — and every ``raw`` row must
+Every training row reports the write side of the disk channel —
+``page_out_count`` and its bytes beside ``clean_evictions`` — and must
 write exactly the bytes it spills (``page_out_disk_bytes ==
-page_out_bytes``). Every training row (the matrix and the ~10x entry)
-also reports, per view of its schedule, how many shards hold a visible
+page_out_bytes``: training pages are raw). Every training row also
+reports, per view of its schedule, how many shards hold a visible
 row (``active_shards``) and how many went through the exact cull
 (``exact_shards``; the candidate bound cleared the rest), and each
 view's active shards must be among its exact ones. These are counts, so
@@ -42,13 +44,11 @@ import numpy as np
 
 from repro.cameras import Camera
 from repro.core import GSScaleConfig, Trainer
-from repro.core.stores import DiskStore
-from repro.core.systems import TransferLedger
+from repro.core.splitting import spatial_partition
 from repro.datasets import SyntheticSceneConfig, build_scene
 from repro.gaussians import GaussianModel, layout
-from repro.optim.base import AdamConfig
 from repro.render import render
-from repro.sim.memory import MemoryTracker
+from repro.serve import PagedServingStore
 
 QUICK = os.environ.get("GSSCALE_BENCH_QUICK", "") not in ("", "0")
 
@@ -114,8 +114,7 @@ def _view_shards(system, cameras):
 def _assert_raw_writes_its_bytes(entries):
     # a raw page is its array: what crossed the disk is what was spilled
     for e in entries:
-        if e["codec"] == "raw":
-            assert e["page_out_disk_bytes"] == e["page_out_bytes"] > 0
+        assert e["page_out_disk_bytes"] == e["page_out_bytes"] > 0
 
 
 def _emit(entries):
@@ -138,45 +137,52 @@ def _emit(entries):
 
 
 def test_codec_page_bandwidth(benchmark):
-    """Effective page-in bandwidth per codec: decoded bytes delivered per
-    encoded byte read off disk, over repeated spill/page-in roundtrips."""
+    """Effective page-in bandwidth per serving codec: decoded bytes
+    delivered per encoded byte read off disk, over repeated sweeps that
+    page every shard in once."""
     rows = 4_000 if QUICK else 20_000
+    num_shards = 4
     roundtrips = 4 if QUICK else 8
     rng = np.random.default_rng(17)
-    # Adam-moment-shaped pages: smooth parameters, near-zero moments
-    params = rng.normal(size=(rows, layout.PARAM_DIM))
+    model = GaussianModel(rng.normal(size=(rows, layout.PARAM_DIM)))
+    # the geometry plus the largest shard page: every gather of another
+    # shard's rows evicts the resident page and pages its own in
+    worst = max(
+        r.size for r in spatial_partition(model.means, num_shards)
+    )
+    budget = layout.param_bytes(rows, layout.GEOMETRIC_DIM) + layout.param_bytes(
+        worst, layout.NON_GEOMETRIC_DIM
+    )
 
     def run(tmp_root):
         entries = []
-        for codec in ("raw", "float16", "lossless"):
-            store = DiskStore(
-                params.copy(), layout.ALL_BLOCK, AdamConfig(lr=5e-3),
-                MemoryTracker(), TransferLedger(),
-                spill_path=os.path.join(tmp_root, f"bw_{codec}"),
-                codec=codec,
+        for codec in ("raw", "float16"):
+            store = PagedServingStore.from_model(
+                model, budget, num_shards=num_shards, codec=codec,
+                page_dir=os.path.join(tmp_root, f"bw_{codec}"),
             )
-            # a little training math so the moment pages are realistic
-            ids = np.arange(rows)
-            store.stage(ids)
-            store.unstage(ids)
-            store.commit()
-            store.return_grads(ids, rng.normal(size=params.shape) * 1e-3)
-            t0 = time.perf_counter()
-            for _ in range(roundtrips):
-                store.spill()
-                store.page_in()
-            elapsed = time.perf_counter() - t0
-            ledger = store.ledger
-            multiplier = ledger.page_in_bytes / ledger.page_in_disk_bytes
+            try:
+                assert store.resident_budget == 1
+                t0 = time.perf_counter()
+                for _ in range(roundtrips):
+                    for shard_rows in store.shard_rows:
+                        store.gather(shard_rows)
+                elapsed = time.perf_counter() - t0
+                ledger = store.ledger
+            finally:
+                store.close()
             entries.append({
                 "bench": "codec",
                 "codec": codec,
                 "rows": rows,
+                "num_shards": num_shards,
                 "roundtrips": roundtrips,
-                "bandwidth_multiplier": round(multiplier, 4),
-                **_page_out_counts(ledger, store.stats.clean_evictions),
-                "page_in_s": store.page_in_s,
-                "sync_spill_s": store.stats.sync_spill_s,
+                "bandwidth_multiplier": round(
+                    ledger.page_in_bytes / ledger.page_in_disk_bytes, 4
+                ),
+                "page_in_count": ledger.page_in_count,
+                "page_in_bytes": ledger.page_in_bytes,
+                "page_in_disk_bytes": ledger.page_in_disk_bytes,
                 "roundtrip_s": elapsed / roundtrips,
             })
         return entries
@@ -188,88 +194,74 @@ def test_codec_page_bandwidth(benchmark):
             run, args=(tmp_root,), rounds=1, iterations=1
         )
     by_codec = {e["codec"]: e for e in entries}
+    for e in entries:  # every sweep pages every shard in
+        assert e["page_in_count"] == roundtrips * num_shards
     assert by_codec["raw"]["bandwidth_multiplier"] == 1.0
-    # the PR acceptance gate: compressed pages >= 1.5x effective bandwidth
+    # the acceptance gate: compressed pages >= 1.5x effective bandwidth
     assert by_codec["float16"]["bandwidth_multiplier"] >= 1.5
-    assert by_codec["lossless"]["bandwidth_multiplier"] > 0
-    _assert_raw_writes_its_bytes(entries)
     _emit(entries)
 
 
 def test_disk_paging_matrix(benchmark):
-    """codec x prefetch-depth x write-behind training grid."""
+    """prefetch-depth x write-behind training grid."""
     per_cluster = 40 if QUICK else 60
     steps = 8 if QUICK else 12
-    codecs = ("raw", "float16") if QUICK else ("raw", "float16", "lossless")
     depths = (1, 2) if QUICK else (1, 2, 3)
     model, cameras, images = clustered_fixture(per_cluster)
 
     def run_matrix():
         entries = []
-        for codec in codecs:
-            for depth in depths:
-                for write_behind in (False, True):
-                    cfg = GSScaleConfig(
-                        system="outofcore", num_shards=4, resident_shards=2,
-                        scene_extent=8.0, ssim_lambda=0.0, mem_limit=1.0,
-                        seed=0, async_prefetch=True, prefetch_depth=depth,
-                        write_behind=write_behind, page_codec=codec,
-                    )
-                    t = Trainer(model.copy(), cfg)
-                    t0 = time.perf_counter()
-                    # alternate two clusters: the depth-1 structural miss
-                    t.train(cameras[:2], images[:2], steps)
-                    step_s = (time.perf_counter() - t0) / steps
-                    s = t.system
-                    attempts = max(s.prefetch_hits + s.prefetch_misses, 1)
-                    ledger = s.ledger
-                    entries.append({
-                        "bench": "matrix",
-                        "codec": codec,
-                        "prefetch_depth": depth,
-                        "write_behind": write_behind,
-                        "steps": steps,
-                        "staging_hit_rate": round(
-                            s.prefetch_hits / attempts, 4
-                        ),
-                        "page_in_count": ledger.page_in_count,
-                        **_page_out_counts(ledger, s.clean_evictions),
-                        "sync_spill_bytes": s.sync_spill_bytes,
-                        "write_behind_jobs": s.write_behind_jobs,
-                        "disk_read_ratio": round(
-                            ledger.page_in_bytes
-                            / max(ledger.page_in_disk_bytes, 1), 4
-                        ),
-                        "step_s": step_s,
-                        "sync_spill_s": s.sync_spill_seconds,
-                        **_view_shards(s, cameras[:2]),
-                    })
+        for depth in depths:
+            for write_behind in (False, True):
+                cfg = GSScaleConfig(
+                    system="outofcore", num_shards=4, resident_shards=2,
+                    scene_extent=8.0, ssim_lambda=0.0, mem_limit=1.0,
+                    seed=0, async_prefetch=True, prefetch_depth=depth,
+                    write_behind=write_behind,
+                )
+                t = Trainer(model.copy(), cfg)
+                t0 = time.perf_counter()
+                # alternate two clusters: the depth-1 structural miss
+                t.train(cameras[:2], images[:2], steps)
+                step_s = (time.perf_counter() - t0) / steps
+                s = t.system
+                attempts = max(s.prefetch_hits + s.prefetch_misses, 1)
+                ledger = s.ledger
+                entries.append({
+                    "bench": "matrix",
+                    "prefetch_depth": depth,
+                    "write_behind": write_behind,
+                    "steps": steps,
+                    "staging_hit_rate": round(s.prefetch_hits / attempts, 4),
+                    "page_in_count": ledger.page_in_count,
+                    **_page_out_counts(ledger, s.clean_evictions),
+                    "sync_spill_bytes": s.sync_spill_bytes,
+                    "write_behind_jobs": s.write_behind_jobs,
+                    "step_s": step_s,
+                    "sync_spill_s": s.sync_spill_seconds,
+                    **_view_shards(s, cameras[:2]),
+                })
         return entries
 
     entries = benchmark.pedantic(run_matrix, rounds=1, iterations=1)
 
-    def cell(codec, depth, wb):
+    def cell(depth, wb):
         return next(
             e for e in entries
-            if e["codec"] == codec and e["prefetch_depth"] == depth
-            and e["write_behind"] is wb
+            if e["prefetch_depth"] == depth and e["write_behind"] is wb
         )
 
-    for codec in codecs:
-        for wb in (False, True):
-            shallow, deep = cell(codec, 1, wb), cell(codec, depths[-1], wb)
-            # the acceptance gates: a deeper staging queue strictly wins
-            # the hit-rate, and write-behind zeroes the admit path
-            assert deep["staging_hit_rate"] > shallow["staging_hit_rate"]
-            assert deep["page_in_count"] < shallow["page_in_count"]
-        for depth in depths:
-            sync, behind = cell(codec, depth, False), cell(codec, depth, True)
-            assert behind["sync_spill_bytes"] == 0
-            assert behind["sync_spill_bytes"] < sync["sync_spill_bytes"]
-            assert behind["write_behind_jobs"] > 0
-    for e in entries:
-        if e["codec"] == "float16":
-            assert e["disk_read_ratio"] >= 1.5
+    for wb in (False, True):
+        shallow, deep = cell(1, wb), cell(depths[-1], wb)
+        # the acceptance gates: a deeper staging queue strictly wins the
+        # hit-rate, and write-behind zeroes the admit path
+        assert deep["staging_hit_rate"] > shallow["staging_hit_rate"]
+        assert deep["page_in_count"] < shallow["page_in_count"]
+    for depth in depths:
+        sync, behind = cell(depth, False), cell(depth, True)
+        assert behind["sync_spill_bytes"] == 0
+        assert behind["sync_spill_bytes"] < sync["sync_spill_bytes"]
+        assert behind["write_behind_jobs"] > 0
     _assert_raw_writes_its_bytes(entries)
     _emit(entries)
 
@@ -290,7 +282,7 @@ def test_tenx_budget_entry(benchmark):
             system="outofcore", num_shards=10, resident_shards=1,
             scene_extent=scene.extent, ssim_lambda=0.0, mem_limit=1.0,
             seed=0, async_prefetch=True, prefetch_depth=2,
-            write_behind=True, page_codec="float16",
+            write_behind=True,
         )
         t = Trainer(scene.initial.copy(), cfg)
         t0 = time.perf_counter()
@@ -306,7 +298,6 @@ def test_tenx_budget_entry(benchmark):
         )
         return {
             "bench": "tenx",
-            "codec": "float16",
             "prefetch_depth": 2,
             "write_behind": True,
             "num_shards": 10,
@@ -331,4 +322,5 @@ def test_tenx_budget_entry(benchmark):
     assert entry["sync_spill_bytes"] == 0
     # a shard whose state did not change since its page-in spills for free
     assert entry["clean_evictions"] > 0
+    _assert_raw_writes_its_bytes([entry])
     _emit([entry])

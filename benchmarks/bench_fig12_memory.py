@@ -20,8 +20,7 @@ def build_table():
         title="Figure 12 — Peak GPU Memory Usage (GiB) + Host/Disk Tiers",
         columns=["Scene", "GPU-Only", "GS-Scale", "Ratio", "Savings",
                  "Sharded/dev (K=4)", "Host GS-Scale", "Host OoC (R=1)",
-                 "Host OoC async", "Host OoC async+WB", "Disk OoC",
-                 "Disk OoC (f16)"],
+                 "Host OoC async", "Host OoC async+WB", "Disk OoC"],
         notes=["mem_limit = 0.3 (paper default); staged window uses the "
                "epoch's worst post-split view.",
                "Sharded/dev = per-device peak of the 4-way Gaussian-"
@@ -33,16 +32,13 @@ def build_table():
                "one extra shard's pageable state staged while the "
                "current view renders.",
                "Host OoC async+WB additionally holds one detached shard "
-               "working set queued for the write-behind writer.",
-               "Disk OoC (f16) = the same spill files through the "
-               "float16 page codec: exactly half the raw disk floor."],
+               "working set queued for the write-behind writer."],
     )
     ratios = {}
     shard_ratios = {}
     host_ratios = {}
     async_ratios = {}
     wb_ratios = {}
-    disk_f16_ratios = {}
     for spec in all_scenes():
         trace = synthesize_trace(spec, num_views=150, seed=7)
         staged_peak = trace.clipped(0.3).peak_ratio
@@ -70,33 +66,26 @@ def build_table():
         disk_ooc = disk_state_bytes(
             spec.total_gaussians, num_shards=4, resident_shards=1
         )
-        disk_f16 = disk_state_bytes(
-            spec.total_gaussians, num_shards=4, resident_shards=1,
-            page_compression_ratio=2.0,
-        )
         t.add_row(
             spec.name, g / 2**30, s / 2**30, s / g, f"{g / s:.1f}x",
             sh / 2**30, host_gs / 2**30, host_ooc / 2**30,
-            host_async / 2**30, host_wb / 2**30, disk_ooc / 2**30,
-            disk_f16 / 2**30
+            host_async / 2**30, host_wb / 2**30, disk_ooc / 2**30
         )
         ratios[spec.name.lower()] = s / g
         shard_ratios[spec.name.lower()] = sh / s
         host_ratios[spec.name.lower()] = host_ooc / host_gs
         async_ratios[spec.name.lower()] = host_async / host_gs
         wb_ratios[spec.name.lower()] = host_wb / host_gs
-        disk_f16_ratios[spec.name.lower()] = disk_f16 / disk_ooc
     t.notes.append(
         f"geomean savings {geomean([1 / r for r in ratios.values()]):.2f}x "
         "(paper: 3.98x)"
     )
-    return (t, ratios, shard_ratios, host_ratios, async_ratios, wb_ratios,
-            disk_f16_ratios)
+    return t, ratios, shard_ratios, host_ratios, async_ratios, wb_ratios
 
 
 def test_fig12_memory(benchmark):
-    (table, ratios, shard_ratios, host_ratios, async_ratios, wb_ratios,
-     disk_f16_ratios) = benchmark(build_table)
+    (table, ratios, shard_ratios, host_ratios, async_ratios,
+     wb_ratios) = benchmark(build_table)
     print("\n" + write_report("fig12_memory", table))
 
     savings = [1 / r for r in ratios.values()]
@@ -130,7 +119,3 @@ def test_fig12_memory(benchmark):
         assert async_ratios[name] < r <= 0.75, name
         assert abs((r - async_ratios[name]) -
                    (async_ratios[name] - host_ratios[name])) < 1e-9, name
-    # the float16 page codec halves the disk tier exactly (2 bytes per
-    # value against fp32-equivalent accounting)
-    for name, r in disk_f16_ratios.items():
-        assert abs(r - 0.5) < 1e-6, name

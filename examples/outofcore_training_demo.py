@@ -23,14 +23,12 @@ case; shard-local captures adopt most page-ins, as
 ``tests/core/test_async_prefetch.py`` demonstrates on a clustered
 scene.)
 
-The deep disk tier is a flag away: ``--codec float16`` stores spilled
-pages half-size behind a per-column-scaled half-precision codec
-(``lossless`` keeps them bit-exact and still smaller on real moment
-pages), and ``--prefetch-depth D`` widens the async leg's single-slot
-double buffer into a depth-D staging queue.
+The deep disk tier is a flag away: ``--prefetch-depth D`` widens the
+async leg's single-slot double buffer into a depth-D staging queue.
+Spill pages stay raw: page codecs are for read-only serving pages
+(``PagedServingStore(codec=)``).
 
-Run:  python examples/outofcore_training_demo.py [--codec float16]
-      [--prefetch-depth 2]
+Run:  python examples/outofcore_training_demo.py [--prefetch-depth 2]
 """
 
 import argparse
@@ -39,7 +37,6 @@ import os
 import numpy as np
 
 from repro.core import GSScaleConfig, create_system
-from repro.core.pagecodec import PAGE_CODECS
 from repro.datasets import SyntheticSceneConfig, build_scene
 from repro.gaussians import layout
 
@@ -51,11 +48,6 @@ RESIDENT_SHARDS = 1
 def parse_args():
     parser = argparse.ArgumentParser(
         description="Out-of-core training demo (deep disk tier knobs)"
-    )
-    parser.add_argument(
-        "--codec", default="raw", choices=sorted(PAGE_CODECS),
-        help="page codec for the spilled non-geometric state "
-             "(default: raw memmaps)",
     )
     parser.add_argument(
         "--prefetch-depth", type=int, default=1, metavar="D",
@@ -108,10 +100,10 @@ def main():
           f"(K={NUM_SHARDS}, resident={RESIDENT_SHARDS}) ...")
     sharded = train(scene, "sharded", num_shards=NUM_SHARDS)
     ooc = train(scene, "outofcore", num_shards=NUM_SHARDS,
-                resident_shards=RESIDENT_SHARDS, page_codec=args.codec)
+                resident_shards=RESIDENT_SHARDS)
     asyn = train(scene, "outofcore", num_shards=NUM_SHARDS,
                  resident_shards=RESIDENT_SHARDS, async_prefetch=True,
-                 prefetch_depth=args.prefetch_depth, page_codec=args.codec)
+                 prefetch_depth=args.prefetch_depth)
     # snapshot before materialized_model(): materializing pages every
     # shard through the R=1 budget and would inflate the counts
     trained_page_ins = (ooc.ledger.page_in_count, asyn.ledger.page_in_count)
@@ -121,9 +113,7 @@ def main():
         - ooc.materialized_model().params
     ))
     print(f"  max parameter drift vs in-memory sharded: {drift:.2e} "
-          + ("(spilling changes placement, not math)"
-             if PAGE_CODECS[args.codec].lossless
-             else "(float16 pages are tolerance-bounded, not bit-exact)"))
+          "(spilling changes placement, not math)")
     async_drift = np.max(np.abs(
         asyn.materialized_model().params - ooc.materialized_model().params
     ))
@@ -157,15 +147,6 @@ def main():
         f"{ooc.ledger.page_in_count} page-ins / "
         f"{ooc.ledger.page_out_count} page-outs"
     )
-    if args.codec != "raw":
-        ratio = ooc.ledger.page_in_bytes / max(
-            ooc.ledger.page_in_disk_bytes, 1
-        )
-        print(
-            f"  {args.codec} pages on disk: "
-            f"{ooc.ledger.page_in_disk_bytes / 1e6:.3f} MB actually read — "
-            f"{ratio:.2f}x effective page-in bandwidth"
-        )
     print(
         "PCIe traffic is conserved: "
         f"{ooc.ledger.h2d_bytes == sharded.ledger.h2d_bytes} "

@@ -375,9 +375,10 @@ class CheckpointReader:
                     dtype=values.dtype,
                 )
             elif np.result_type(out.dtype, values.dtype) != out.dtype:
-                # blocks may disagree on dtype (a float16-codec store
-                # checkpoints half-precision pages next to float64
-                # geometry): promote so no block loses precision
+                # blocks may disagree on dtype (a checkpoint file is
+                # outside input: it may hold half-precision blocks next
+                # to float64 geometry): promote so no block loses
+                # precision
                 out = out.astype(np.result_type(out.dtype, values.dtype))
             dst = slice(csl.start - cols.start, csl.stop - cols.start)
             if rows is None:

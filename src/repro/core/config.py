@@ -73,12 +73,11 @@ class GSScaleConfig:
             automatically), also after ``finalize()``: a resumed
             ``train()`` keeps prefetching. Numerics and ledger traffic
             are identical to the synchronous schedule.
-        page_codec: how the ``outofcore`` system's spill files are stored
-            on disk — ``"raw"`` (memory-mapped native dtype, the
-            default), ``"lossless"`` (byte-shuffle + zlib, bit-identical
-            trajectories), or ``"float16"`` (half-precision pages, 2x
-            less disk traffic, tolerance-bounded drift). See
-            :mod:`repro.core.pagecodec`.
+        page_codec: must be ``"raw"``: training spill pages are stored
+            exactly (memory-mapped native dtype), so placement never
+            changes numerics. Page codecs serve read-only pages
+            (``PagedServingStore(codec=)``). Kept only so callers that
+            pass the default keep working.
         prefetch_depth: lookahead of the async staging queue — how many
             upcoming views the background worker snapshots ahead of the
             training thread. 1 is the classic double buffer; deeper
@@ -145,10 +144,12 @@ class GSScaleConfig:
             raise ValueError("num_shards must be >= 1")
         if self.resident_shards < 1:
             raise ValueError("resident_shards must be >= 1")
-        # fail here, not on the first spill deep inside a training run
-        from .pagecodec import get_page_codec
-
-        get_page_codec(self.page_codec)
+        if self.page_codec != "raw":
+            raise ValueError(
+                f"page_codec={self.page_codec!r}: training pages are raw "
+                "only; page codecs serve read-only pages "
+                "(PagedServingStore(codec=))"
+            )
         if self.prefetch_depth < 1:
             raise ValueError("prefetch_depth must be >= 1")
         if self.prefetch_depth > 1 and not self.async_prefetch:

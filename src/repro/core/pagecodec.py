@@ -1,30 +1,21 @@
-"""Page codecs for the out-of-core disk tier.
+"""Page codecs for the serving tier's shard pages.
 
-A :class:`PageCodec` turns a resident ``(N, dim)`` parameter/moment array
-into the byte string stored on disk and back. The disk tier's effective
-bandwidth is ``decoded_bytes / encoded_bytes`` times the raw device
-bandwidth, so a 2x codec halves every page-in/page-out transfer — the
-:class:`~repro.core.systems.TransferLedger` meters both sides of that
-ratio (``page_in_bytes`` in fp32-equivalent accounting vs
-``page_in_disk_bytes`` as actually stored).
+A :class:`PageCodec` turns an ``(N, dim)`` parameter array into the
+byte string stored on disk and back. Training pages are always ``raw``
+(placement never changes numerics); the codecs serve read-only
+:class:`~repro.serve.store.PagedServingStore` pages, where the
+:class:`~repro.core.systems.TransferLedger` meters both sides of the
+page-in bandwidth ratio (``page_in_bytes`` in fp32-equivalent
+accounting vs ``page_in_disk_bytes`` as actually stored).
 
-Three codecs, all stdlib-only and deterministic:
+Two codecs, both stdlib-only and deterministic:
 
-* ``raw`` — identity. :class:`~repro.core.stores.DiskStore` and the
-  serving shards special-case it to keep today's memory-mapped spill
-  files (zero behavioral change; the bit-identity suites pin this).
-* ``float16`` — non-geometric columns (SH coefficients, Adam moments)
-  quantized to half precision in a signed-sqrt domain behind an exact
-  per-column power-of-two scale (so tiny optimizer moments don't flush
-  to zero and large coefficients don't clip). Lossy but *idempotent*:
-  re-encoding a
-  decoded page reproduces the same bytes, so repeated
-  spill/page-in/spill cycles converge after the first quantization
-  instead of drifting.
-* ``lossless`` — byte-shuffle + zlib. Bit-exact for any dtype: the
-  shuffle groups the k-th byte of every float together (exponent bytes
-  compress far better than mantissa noise), which is what makes zlib
-  worthwhile on floating-point pages at all.
+* ``raw`` — identity. :class:`~repro.core.pager.PageFile` keeps a raw
+  page as a memory-mapped file whose bytes are exactly the array.
+* ``float16`` — columns quantized to half precision in a signed-sqrt
+  domain behind an exact per-column power-of-two scale (so tiny values
+  don't flush to zero and large coefficients don't clip). Lossy but
+  *idempotent*: re-encoding a decoded page reproduces the same bytes.
 
 Encoded page *files* are sealed: :meth:`PageCodec.encode_page` frames
 the codec payload with the :mod:`repro.core.integrity` GSP1 header
@@ -40,14 +31,13 @@ and the codec round-trip contract see pure payload bytes.
 A read-only reader may keep a page in its encoding: :meth:`PageCodec.hold`
 is what it holds, and ``hold(buf, shape, dtype)[rows]`` is
 ``decode(buf, shape, dtype)[rows]``, byte for byte. The float16 codec
-holds its payload and decodes only the rows asked for; the others hold
+holds its payload and decodes only the rows asked for; ``raw`` holds
 the decoded array.
 """
 
 from __future__ import annotations
 
 import math
-import zlib
 
 import numpy as np
 
@@ -74,17 +64,9 @@ class PageCodec:
 
     Attributes:
         name: registry key (also embedded in encoded page filenames).
-        lossless: whether ``decode(encode(x)) == x`` bit-exactly.
     """
 
     name: str = "abstract"
-    lossless: bool = True
-    #: dtype spilled state checkpoints in (``None`` = the store dtype).
-    #: The scaled float16 codec keeps this ``None``: its decoded values
-    #: can exceed half precision's native range (the per-column scale
-    #: re-centers them), so checkpoints store the decoded store-dtype
-    #: arrays rather than re-narrowing
-    storage_dtype = None
 
     def encode(self, arr: np.ndarray) -> bytes:
         raise NotImplementedError
@@ -135,7 +117,6 @@ class RawCodec(PageCodec):
     """Identity codec (native-dtype bytes, no transform)."""
 
     name = "raw"
-    lossless = True
 
     def encode(self, arr: np.ndarray) -> bytes:
         return np.ascontiguousarray(arr).tobytes()
@@ -154,24 +135,20 @@ class Float16Codec(PageCodec):
     Values are mapped to ``sign(x) * sqrt(|x|)`` and each column is
     divided by ``2**k`` (``k`` chosen so the column's max magnitude
     lands in ``[0.5, 1)``) before the half-precision cast; decode
-    multiplies the scale back and squares. Both tricks exist for Adam
-    second moments: ``v ~ grad**2`` spans ~24 decades within one column
-    (nearly-converged rows at ``1e-14`` next to active rows at ``1e-2``)
-    — far past f16's ~12-decade window — and any ``v`` that flushes to
-    zero turns ``m / (sqrt(v) + eps)`` into a huge step that detonates
-    the trajectory a few spills later. The sqrt halves the dynamic
-    range in log space (``1e-14..1e-2`` becomes ``1e-7..1e-1``), and
-    the power-of-two scale — *exact* in binary floating point — centers
-    it in half precision's sweet spot. Large SH coefficients likewise
-    no longer clip at f16's 65504 ceiling.
+    multiplies the scale back and squares. The sqrt halves the dynamic
+    range in log space (``1e-14..1e-2`` becomes ``1e-7..1e-1``), so a
+    column spanning ~24 decades — far past f16's ~12-decade window —
+    keeps its small values off zero, and the power-of-two scale —
+    *exact* in binary floating point — centers it in half precision's
+    sweet spot. Large SH coefficients likewise no longer clip at f16's
+    65504 ceiling.
 
     The codec stays idempotent: a decoded value is ``s * |s|`` where
     ``s`` carries an 11-bit significand times a power of two, so its
     square is exactly representable in float64 and the correctly
-    rounded ``sqrt`` on re-encode recovers ``s`` bit-exactly. Repeated
-    spill/page-in cycles therefore converge after the first
-    quantization instead of drifting. The precision cost of squaring is
-    a factor of two in relative error (~``5e-4``).
+    rounded ``sqrt`` on re-encode recovers ``s`` bit-exactly: re-sealing
+    a decoded page reproduces its bytes. The precision cost of squaring
+    is a factor of two in relative error (~``5e-4``).
 
     Both directions apply a column's scale as one multiply by the double
     ``2.0**e`` — the value ``np.ldexp`` per element gave, bit for bit,
@@ -183,7 +160,6 @@ class Float16Codec(PageCodec):
     """
 
     name = "float16"
-    lossless = False
 
     #: the column exponents ``encode`` writes: ``frexp`` of the square
     #: roots of the smallest and the largest finite float64 magnitude
@@ -256,52 +232,14 @@ class _RowDecoder:
         return root.astype(self.dtype, copy=False).reshape((-1,) + self.tail)
 
 
-class LosslessCodec(PageCodec):
-    """Byte-shuffle + zlib: bit-exact, compresses float structure.
-
-    The shuffle transposes the page's bytes so all first-bytes come
-    first, then all second-bytes, ...: sign/exponent bytes of nearby
-    parameters are highly repetitive (and Adam moments start as runs of
-    zeros), so zlib finds the redundancy the interleaved layout hides.
-    """
-
-    name = "lossless"
-    lossless = True
-
-    #: zlib level 1: the disk tier trades a few percent of ratio for
-    #: encode speed — the spill sits on (or near) the training thread.
-    level = 1
-
-    def encode(self, arr: np.ndarray) -> bytes:
-        contiguous = np.ascontiguousarray(arr)
-        itemsize = contiguous.itemsize
-        shuffled = (
-            contiguous.view(np.uint8)
-            .reshape(-1, itemsize)
-            .T.tobytes()  # .T + tobytes = the shuffle transpose
-        )
-        return zlib.compress(shuffled, self.level)
-
-    def decode(self, buf: bytes, shape: tuple, dtype) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        raw = zlib.decompress(buf)
-        _expect_nbytes(raw, math.prod(shape) * dtype.itemsize, shape)
-        unshuffled = (
-            np.frombuffer(raw, dtype=np.uint8)
-            .reshape(dtype.itemsize, -1)
-            .T.copy()
-        )
-        return unshuffled.view(dtype).reshape(shape)
-
-
 PAGE_CODECS: dict[str, PageCodec] = {
     codec.name: codec
-    for codec in (RawCodec(), Float16Codec(), LosslessCodec())
+    for codec in (RawCodec(), Float16Codec())
 }
 
 
 def get_page_codec(name: str) -> PageCodec:
-    """Look up a codec by registry name (``raw``/``float16``/``lossless``)."""
+    """Look up a codec by registry name (``raw``/``float16``)."""
     try:
         return PAGE_CODECS[name]
     except KeyError:

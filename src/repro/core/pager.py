@@ -34,11 +34,12 @@ if TYPE_CHECKING:
 class PageFile:
     """One 2-D array on disk under a page codec.
 
-    A ``raw`` page is ``{stem}.dat``, a memory-mapped file whose bytes
-    stay exactly the array — the ledger equates its disk and host sizes,
-    so it cannot carry a header and its CRC32 is held out of band, on
-    this object. Every other codec is one sealed ``GSP1`` file
-    ``{stem}.{codec}.pagez`` (length + CRC32 header,
+    A ``raw`` page — every training page, and a serving page while it is
+    built — is ``{stem}.dat``, a memory-mapped file whose bytes stay
+    exactly the array: the ledger equates its disk and host sizes, so it
+    cannot carry a header and its CRC32 is held out of band, on this
+    object. A ``float16`` page (serving only) is one sealed ``GSP1`` file
+    ``{stem}.float16.pagez`` (length + CRC32 header,
     :mod:`repro.core.integrity`), replaced atomically on every write. An
     empty page has no file under any codec (zero bytes cannot be
     memory-mapped). :meth:`read` and :meth:`hold` always verify; there is
@@ -59,8 +60,8 @@ class PageFile:
         self._raw = self.codec.name == "raw"
         suffix = "dat" if self._raw else f"{self.codec.name}.pagez"
         self.path = f"{stem}.{suffix}" if self.shape[0] else ""
-        #: encoded bytes of the page as last encoded; ``None`` = stored
-        #: raw (the ledger's convention for "disk == decoded")
+        #: sealed bytes of an encoded page as last written; ``None`` =
+        #: stored raw (the ledger's convention for "disk == decoded")
         self.disk_nbytes: int | None = None
         self._crc: int | None = None  # raw pages only: as last written / sealed
         self._mm = None
@@ -86,23 +87,11 @@ class PageFile:
             self._mm.flush()
             self._crc = checksum(self._mm)
 
-    def encode(self, arr: np.ndarray) -> bytes | None:
-        """The sealed bytes :meth:`write` would store (``None`` for a raw
-        or empty page), fixing :attr:`disk_nbytes` now — write-behind
-        encodes on the training thread, where the ledger records the
-        page-out, and lands the bytes later via ``write(encoded=)``."""
-        if self._raw or not self.path:
-            return None
-        buf = self.codec.encode_page(arr)
-        self.disk_nbytes = len(buf)
-        return buf
-
-    def write(self, arr: np.ndarray, encoded: bytes | None = None,
-              fsync: bool = False) -> None:
-        """Store ``arr`` (or its :meth:`encode` output). ``fsync`` makes
-        an encoded page durable before the rename; a raw page flushes its
-        mapping either way. Visits the ``pager:page_out`` fault point
-        once per call, before any byte moves."""
+    def write(self, arr: np.ndarray, fsync: bool = False) -> None:
+        """Store ``arr``. ``fsync`` makes an encoded page durable before
+        the rename; a raw page flushes its mapping either way. Visits the
+        ``pager:page_out`` fault point once per call, before any byte
+        moves."""
         faults.fault_point("pager:page_out")
         if not self.path:
             return
@@ -110,17 +99,16 @@ class PageFile:
             self._mm[...] = arr
             self.seal()
             return
-        if encoded is None:
-            encoded = self.encode(arr)
-        atomic_write_bytes(self.path, encoded, fsync=fsync)
+        buf = self.codec.encode_page(arr)
+        self.disk_nbytes = len(buf)
+        atomic_write_bytes(self.path, buf, fsync=fsync)
 
-    def read(self, dtype=None) -> np.ndarray:
-        """The page as a fresh, writable, verified array (decoded to
-        ``dtype`` when given). Raises
+    def read(self) -> np.ndarray:
+        """The page as a fresh, writable, verified array. Raises
         :class:`~repro.core.integrity.CorruptPageError` naming the file
         on a torn (short), bit-rotted (checksum) or misshapen (a payload
         that is not ``rows x cols`` values) page."""
-        return self._load(self.codec.decode_page, dtype)
+        return self._load(self.codec.decode_page)
 
     def hold(self):
         """The verified page as a read-only reader keeps it resident
@@ -128,20 +116,19 @@ class PageFile:
         of rows, it gives those rows of :meth:`read`, byte for byte. A
         float16 page stays encoded and decodes only the rows asked for.
         Verified as :meth:`read` verifies."""
-        return self._load(self.codec.hold_page, None)
+        return self._load(self.codec.hold_page)
 
-    def _load(self, open_page, dtype):
+    def _load(self, open_page):
         """The one verified read: visits the ``pager:page_in`` fault point
         once, before any byte is read, then checks the raw page's size
         and CRC or hands the sealed bytes to ``open_page``."""
         faults.fault_point("pager:page_in")
-        dtype = self.dtype if dtype is None else np.dtype(dtype)
         if not self.path:
-            return np.empty(self.shape, dtype=dtype)
+            return np.empty(self.shape, dtype=self.dtype)
         if not self._raw:
             with open(self.path, "rb") as fh:
                 buf = fh.read()
-            return open_page(buf, self.shape, dtype, path=self.path)
+            return open_page(buf, self.shape, self.dtype, path=self.path)
         # a file shorter than its mapping would fault on the copy
         size = os.path.getsize(self.path)
         if size != self._mm.nbytes:
@@ -158,13 +145,7 @@ class PageFile:
                 self.path,
                 f"checksum mismatch: recorded {self._crc}, read {actual}",
             )
-        return arr.reshape(self.shape).astype(dtype, copy=False)
-
-    def decode(self, encoded: bytes, dtype=None) -> np.ndarray:
-        """The array sealed page bytes hold — the file's, or :meth:`encode`
-        output that has not landed yet — as :meth:`read` returns it."""
-        dtype = self.dtype if dtype is None else np.dtype(dtype)
-        return self.codec.decode_page(encoded, self.shape, dtype, path=self.path)
+        return arr.reshape(self.shape)
 
 
 class ResidentSet:

@@ -76,7 +76,6 @@ from ..sim.memory import MemoryTracker
 from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
 from .pager import PageFile, PreloadedShard, ResidentSet, SpillStats, _WriteBehindWriter
-from .pagecodec import get_page_codec
 from .splitting import ShardMap
 
 _F32 = 4  # accounting is in float32-equivalent bytes
@@ -527,15 +526,14 @@ class DiskStore(HostStore):
     a ``flush``) and after a resident ``load_state_dict``; a page-in
     leaves it clean. ``stage``, ``materialize``, ``set_lr``,
     ``state_dict`` and a metadata-only commit never dirty a store. A
-    clean store's pages already hold its arrays (the codecs are
-    idempotent), so its spill is a pure eviction: host bytes freed and
-    the spill epoch bumped, but no page written, no write-behind job
-    queued, nothing recorded on the disk channel; it is counted in
-    ``stats.clean_evictions`` instead. One case keeps the ledger free of
-    thread timing: a page-in that re-adopts a queued write-behind
-    page-out cancels that write, so the next spill of the clean store
-    still writes all three pages, but records nothing — the ledger
-    counted that page-out when it was first spilled.
+    clean store's pages already hold its arrays, so its spill is a pure
+    eviction: host bytes freed and the spill epoch bumped, but no page
+    written, no write-behind job queued, nothing recorded on the disk
+    channel; it is counted in ``stats.clean_evictions`` instead. One case
+    keeps the ledger free of thread timing: a page-in that re-adopts a
+    queued write-behind page-out cancels that write, so the next spill of
+    the clean store still writes all three pages, but records nothing —
+    the ledger counted that page-out when it was first spilled.
 
     Three pieces of state never spill, keeping a spilled store cheap to
     drive once per step:
@@ -559,12 +557,6 @@ class DiskStore(HostStore):
             (fresh untracked one when omitted).
         resident_set: optional shared residency budget.
         forwarding / deferred / max_defer: as :class:`HostStore`.
-        codec: page codec name (``raw``/``float16``/``lossless``). Under
-            a non-raw codec the ledger's disk channel meters encoded
-            bytes alongside the fp32-equivalent ones. Every page-in is
-            verified: a torn or bit-rotted page raises
-            :class:`~repro.core.integrity.CorruptPageError` naming the
-            file instead of feeding garbage into the step.
         writer: optional :class:`_WriteBehindWriter`. When set, spills
             detach the working set and queue the file write behind the
             training thread (write-behind spilling); a page-in before the
@@ -598,7 +590,6 @@ class DiskStore(HostStore):
         forwarding: bool = False,
         deferred: bool = False,
         max_defer: int = 15,
-        codec: str = "raw",
         writer: "_WriteBehindWriter | None" = None,
         stats: SpillStats | None = None,
     ):
@@ -609,7 +600,6 @@ class DiskStore(HostStore):
         self._n, self._d = self.params.shape
         self._dtype = self.params.dtype
         self.spill_path = spill_path
-        self.codec = get_page_codec(codec)
         self.writer = writer
         self.stats = stats if stats is not None else SpillStats()
         self.host_memory = host_memory if host_memory is not None else MemoryTracker()
@@ -620,10 +610,9 @@ class DiskStore(HostStore):
         # and pages in; the epoch counter invalidates stale snapshots
         self._page_lock = threading.RLock()
         self._spill_epoch = 0
-        # write-behind state: arrays detached by the last spill (plus
-        # their encoded pages) until the background writer lands them
+        # write-behind state: arrays detached by the last spill until
+        # the background writer lands them
         self._pending_write: dict[str, np.ndarray] | None = None
-        self._pending_encoded: dict[str, bytes | None] | None = None
         # changed since the last page-out (see the class docstring): the
         # pages hold nothing yet
         self._dirty = True
@@ -635,9 +624,7 @@ class DiskStore(HostStore):
             os.makedirs(parent, exist_ok=True)
         #: the spill page of each paged field
         self.pages = {
-            field: PageFile(
-                f"{spill_path}.{field}", (self._n, self._d), self._dtype, codec
-            )
+            field: PageFile(f"{spill_path}.{field}", (self._n, self._d), self._dtype)
             for field in _PAGED_FIELDS
         }
         if deferred:
@@ -673,49 +660,24 @@ class DiskStore(HostStore):
         """fp32-equivalent bytes of the pageable state (params + m + v)."""
         return 3 * layout.param_bytes(self._n, self._d)
 
-    def _disk_bytes(self) -> int:
-        """Bytes the pageable state occupies *on disk* (post-codec)."""
-        sizes = [page.disk_nbytes for page in self.pages.values()]
-        return self._state_bytes() if None in sizes else sum(sizes)
-
-    def _write_pages(
-        self,
-        arrays: dict[str, np.ndarray],
-        encoded: dict[str, bytes | None] | None = None,
-    ) -> None:
-        """Persist the working set to the spill pages (``encoded``: what
-        :meth:`spill` already encoded for the write-behind lane)."""
+    def _write_pages(self, arrays: dict[str, np.ndarray]) -> None:
+        """Persist the working set to the spill pages."""
         for field, page in self.pages.items():
-            page.write(arrays[field], encoded and encoded[field])
+            page.write(arrays[field])
 
     def _read_pages(self) -> dict[str, np.ndarray]:
         """Read the spill pages into fresh writable arrays, verified."""
         return {field: page.read() for field, page in self.pages.items()}
 
-    def _pending_pages(self) -> dict[str, np.ndarray]:
-        """What :meth:`_read_pages` returns once the queued write-behind
-        page-out lands (lock held): its encoded pages decoded, the
-        detached arrays where a page has no encoding (raw or empty). A
-        page-out re-adopted before the writer runs thus goes through the
-        codec like one read back from disk, whatever the thread timing."""
-        return {
-            field: self._pending_write[field]
-            if self._pending_encoded[field] is None
-            else page.decode(self._pending_encoded[field])
-            for field, page in self.pages.items()
-        }
-
     def spill(self) -> None:
         """Page the working set out to the spill files (no-op if spilled).
 
         Pending forwarded gradients and deferred counters are retained in
-        memory; everything else round-trips through the spill files —
-        bit-exactly under the ``raw``/``lossless`` codecs. A clean store
-        records no page-out (see the class docstring). With a write-behind
-        writer attached, the working set is detached and the
-        file write queued behind the training thread (the codec encode,
-        which fixes the on-disk byte count the ledger records, still runs
-        here); without one the write is synchronous and counted in
+        memory; everything else round-trips through the spill files,
+        bit-exactly. A clean store records no page-out (see the class
+        docstring). With a write-behind writer attached, the working set
+        is detached and the file write queued behind the training
+        thread; without one the write is synchronous and counted in
         ``stats.sync_spill_bytes``. A synchronous write that fails leaves the
         store resident and dirty, with its accounting untouched.
         """
@@ -737,23 +699,17 @@ class DiskStore(HostStore):
                 self.resident_set.drop(self)
             self.host_memory.free("host_resident_state", self._state_bytes())
             if record:
-                self.ledger.record_page_out(
-                    self._state_bytes(), self._disk_bytes()
-                )
+                self.ledger.record_page_out(self._state_bytes())
             if write and self.writer is not None:
                 self.writer.enqueue(self, self._spill_epoch)
 
     def _page_out(self) -> None:
-        """Write the working set to the pages, or detach and encode it for
-        the write-behind writer (lock held, resident)."""
+        """Write the working set to the pages, or detach it for the
+        write-behind writer (lock held, resident)."""
         opt = self.optimizer
         arrays = {"params": opt.params, "m": opt.m, "v": opt.v}
         if self.writer is not None:
             self._pending_write = arrays
-            self._pending_encoded = {
-                field: page.encode(arrays[field])
-                for field, page in self.pages.items()
-            }
             return
         t0 = time.perf_counter()
         self._write_pages(arrays)
@@ -778,9 +734,8 @@ class DiskStore(HostStore):
         with self._page_lock:
             if self._pending_write is None or epoch != self._spill_epoch:
                 return
-            self._write_pages(self._pending_write, self._pending_encoded)
+            self._write_pages(self._pending_write)
             self._pending_write = None
-            self._pending_encoded = None
 
     def _install(self, arrays: dict[str, np.ndarray]) -> None:
         """Adopt ``arrays`` as the paged-in working set (lock held,
@@ -800,12 +755,11 @@ class DiskStore(HostStore):
         self._dirty = False
         self._write_cancelled = self._pending_write is not None
         self._pending_write = None
-        self._pending_encoded = None
         if self._stashed_lr is not None:
             opt.set_lr(self._stashed_lr)
             self._stashed_lr = None
         self.host_memory.allocate("host_resident_state", self._state_bytes())
-        self.ledger.record_page_in(self._state_bytes(), self._disk_bytes())
+        self.ledger.record_page_in(self._state_bytes())
 
     def page_in(self) -> None:
         """Page the working set back in (admitting through the budget)."""
@@ -817,7 +771,7 @@ class DiskStore(HostStore):
             if self._pending_write is not None:
                 # the queued page-out never landed: re-adopt it without
                 # the disk read and cancel the write
-                self._install(self._pending_pages())
+                self._install(self._pending_write)
                 return
             t0 = time.perf_counter()
             arrays = self._read_pages()
@@ -841,20 +795,18 @@ class DiskStore(HostStore):
         :meth:`adopt` on the training thread. Returns ``None`` when the
         store is already resident. A spill racing the read leaves a torn
         snapshot — the epoch check in :meth:`adopt` discards it. A queued
-        write-behind page-out short-circuits the read
-        (:meth:`_pending_pages`).
+        write-behind page-out short-circuits the read: the snapshot is its
+        detached arrays.
         """
         with self._page_lock:
             if self._resident:
                 return None
             epoch = self._spill_epoch
             if self._pending_write is not None:
-                return PreloadedShard(
-                    arrays=self._pending_pages(), epoch=epoch
-                )
-        # read outside the lock: this is the I/O being overlapped; a torn
-        # encoded page (concurrent write) can fail to decode outright,
-        # which is the same stale-snapshot case the epoch check covers
+                return PreloadedShard(arrays=self._pending_write, epoch=epoch)
+        # read outside the lock: this is the I/O being overlapped; a page
+        # torn by a concurrent write can fail verification outright, which
+        # is the same stale-snapshot case the epoch check covers
         try:
             arrays = self._read_pages()
         except Exception:
@@ -942,20 +894,12 @@ class DiskStore(HostStore):
                 return super().state_dict()
             if self._pending_write is not None:
                 # a queued write-behind page-out: the file may not exist
-                # yet, its pages are the authoritative state
-                state = self._pending_pages()
-            elif self.codec.name == "raw":
+                # yet, its detached arrays are the authoritative state
+                state = dict(self._pending_write)
+            else:
                 # hand out the memmap views so a checkpoint can serialize
                 # the store without materializing it in host memory
                 state = {f: page.view() for f, page in self.pages.items()}
-            else:
-                # spilled compressed pages checkpoint in their storage
-                # dtype — the lazy CheckpointReader reassembles
-                # mixed-dtype blocks
-                state = {
-                    f: page.read(self.codec.storage_dtype)
-                    for f, page in self.pages.items()
-                }
             state["steps"] = np.array(self.optimizer.step_count)
             if self.deferred:
                 state["counter"] = self.optimizer.counter
@@ -969,7 +913,6 @@ class DiskStore(HostStore):
                 return
             # the incoming state supersedes any queued page-out
             self._pending_write = None
-            self._pending_encoded = None
             self._write_pages({
                 field: np.asarray(state[field], dtype=self._dtype)
                 for field in _PAGED_FIELDS

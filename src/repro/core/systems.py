@@ -86,8 +86,9 @@ class TransferLedger:
     The disk channel meters two sizes per transfer: ``page_*_bytes`` is
     the decoded working-set size (fp32-equivalent accounting, what the
     host gains or frees), while ``page_*_disk_bytes`` is what actually
-    crossed the disk interface — smaller when the store's page codec
-    compresses. ``page_in_bytes / page_in_disk_bytes`` is the effective
+    crossed the disk interface — smaller when a serving store's page
+    codec compresses (training pages are raw: the two are equal).
+    ``page_in_bytes / page_in_disk_bytes`` is the effective
     disk-bandwidth multiplier the codec buys. A page-out is a write,
     recorded once per changed state a spill writes out: the spill of a
     clean :class:`~repro.core.stores.DiskStore` records nothing here.
@@ -739,16 +740,15 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
     sharded step (spilled shards page in on demand; inactive shards with
     unsaturated defer counters tick without paging at all), then spills
     whatever the view did not touch. Placement changes accounting, never
-    numerics: the run is bit-identical to the in-memory sharded system.
+    numerics: spill pages are raw, and the run is bit-identical to the
+    in-memory sharded system under every schedule.
 
-    Three deep-tier knobs extend the leg (all default-off, preserving the
-    bit-identity above): ``page_codec`` stores spilled pages compressed
-    (see :mod:`repro.core.pagecodec`; ``lossless`` keeps bit-identity,
-    ``float16`` trades tolerance-bounded drift for a 2x smaller disk
-    leg), ``prefetch_depth`` widens the async leg's lookahead to a
-    depth-D staging queue, and ``write_behind`` moves dirty page-outs to
-    a background writer (epoch-fenced against :meth:`~repro.core.stores.
-    DiskStore.adopt`) so the admit path stops paying the write.
+    Two deep-tier knobs extend the leg (both default-off, neither
+    touching the bit-identity above): ``prefetch_depth`` widens the
+    async leg's lookahead to a depth-D staging queue, and
+    ``write_behind`` moves dirty page-outs to a background writer
+    (epoch-fenced against :meth:`~repro.core.stores.DiskStore.adopt`) so
+    the admit path stops paying the write.
 
     The run-level pager is built once, in ``__init__``: the spill
     directory, the write-behind and prefetch lanes and one
@@ -863,7 +863,6 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
             forwarding=True,
             deferred=True,
             max_defer=cfg.max_defer,
-            codec=cfg.page_codec,
             writer=self._writer,
             stats=self._spill_stats,
         )

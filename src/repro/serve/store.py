@@ -203,7 +203,7 @@ class _ServeShard:
 
     def seal(self) -> None:
         """Finish building: record the build page's checksum and, under
-        a non-raw codec, re-store it as one encoded page (durably) and
+        ``float16``, re-store it as one encoded page (durably) and
         delete the raw buffer — a page-in then holds what the codec keeps
         of it (:meth:`~repro.core.pager.PageFile.hold`: a float16 page
         stays encoded and a gather decodes only its rows). One shard's
@@ -319,15 +319,15 @@ class PagedServingStore(ServingStore):
             that dies with the store when ``None``).
         ledger: transfer ledger for the page channel (fresh when
             ``None``).
-        codec: page codec name (see :mod:`repro.core.pagecodec`). Under
-            a non-raw codec each shard's page is stored encoded (sealed
-            once building finishes) and verified on page-in; a resident
-            ``float16`` page stays encoded and :meth:`gather` decodes only
-            the rows it copies out (``lossless`` pages are decoded whole
-            on page-in: a zlib stream cannot be read by row). Residency
+        codec: page codec name, ``"raw"`` or ``"float16"`` (see
+            :mod:`repro.core.pagecodec`). Under ``float16`` each shard's
+            page is stored encoded (sealed once building finishes) and
+            verified on page-in; a resident page stays encoded and
+            :meth:`gather` decodes only the rows it copies out. Residency
             and the byte budget count fp32-equivalent pages whatever the
             codec; the ledger's ``page_in_disk_bytes`` meters the encoded
-            size next to the fp32-equivalent ``page_in_bytes``.
+            size next to the fp32-equivalent ``page_in_bytes``. The
+            codecs are serving's alone: training pages are raw.
     """
 
     def __init__(

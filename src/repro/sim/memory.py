@@ -268,21 +268,15 @@ def disk_state_bytes(
     num_gaussians: int,
     num_shards: int = DEFAULT_OUTOFCORE_SHARDS,
     resident_shards: int = DEFAULT_RESIDENT_SHARDS,
-    page_compression_ratio: float = 1.0,
 ) -> int:
     """Bytes of training state the out-of-core system keeps on disk.
 
     The spilled shards' non-geometric parameters and both Adam moments
-    (3 float copies — gradients never reach the disk tier), divided by
-    the page codec's compression ratio (1.0 = raw pages; the ``float16``
-    codec gives exactly 2.0 against fp32-equivalent accounting).
+    (3 float copies — gradients never reach the disk tier), stored raw.
     """
-    if page_compression_ratio <= 0:
-        raise ValueError("page_compression_ratio must be > 0")
     per_shard = -(-num_gaussians // num_shards)
     spilled_rows = max(num_shards - resident_shards, 0) * per_shard
-    raw = 3 * layout.param_bytes(spilled_rows, layout.NON_GEOMETRIC_DIM)
-    return int(raw / page_compression_ratio)
+    return 3 * layout.param_bytes(spilled_rows, layout.NON_GEOMETRIC_DIM)
 
 
 def host_state_bytes(num_gaussians: int, system: str) -> int:

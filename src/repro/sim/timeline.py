@@ -137,15 +137,13 @@ def simulate_iteration(
     mem_limit: float = 0.3,
     num_shards: int = DEFAULT_NUM_SHARDS,
     resident_shards: int = DEFAULT_RESIDENT_SHARDS,
-    page_compression_ratio: float = 1.0,
     write_behind: bool = False,
 ) -> IterationSim:
     """Simulate one training iteration under ``system``.
 
-    ``page_compression_ratio`` scales the out-of-core tier's disk traffic
-    (2.0 models the ``float16`` page codec); ``write_behind`` moves the
-    page-out half of each swap off the admit path onto a background
-    writer. Both are no-ops for the non-paging systems.
+    ``write_behind`` moves the page-out half of each out-of-core swap off
+    the admit path onto a background writer (a no-op for the non-paging
+    systems).
     """
     n_active = int(n_total * active_ratio)
     splits = _num_sub_passes(active_ratio, mem_limit, system)
@@ -171,14 +169,12 @@ def simulate_iteration(
         return _sim_sharded(
             cost, n_total, n_active, num_pixels, splits, num_shards,
             resident_shards=resident_shards,
-            page_compression_ratio=page_compression_ratio,
             write_behind=write_behind,
         )
     if system == "outofcore_async":
         return _sim_sharded(
             cost, n_total, n_active, num_pixels, splits, num_shards,
             resident_shards=resident_shards, async_prefetch=True,
-            page_compression_ratio=page_compression_ratio,
             write_behind=write_behind,
         )
     raise ValueError(f"unknown system {system!r}; choose from {SYSTEMS}")
@@ -321,7 +317,6 @@ def _sim_sharded(
     num_shards: int,
     resident_shards: int | None = None,
     async_prefetch: bool = False,
-    page_compression_ratio: float = 1.0,
     write_behind: bool = False,
 ) -> IterationSim:
     """K-device Gaussian-sharded GS-Scale (Grendel-style schedule).
@@ -351,9 +346,7 @@ def _sim_sharded(
     slowest compute/transfer leg stalls the iteration. Both report the
     stalled portion as ``breakdown["disk_stall"]``.
 
-    ``page_compression_ratio`` divides the paged bytes (the page codec
-    shrinks what actually crosses the disk interface; the deep tier's
-    ``float16`` codec gives exactly 2.0). ``write_behind`` removes the
+    ``write_behind`` removes the
     page-out half of every swap from the critical path: the background
     writer lands evicted pages while the trainer runs, so only the
     page-in half can stall — the full round-trip still shows up in
@@ -396,8 +389,6 @@ def _sim_sharded(
     disk_leg = 0.0
     disk_in_leg = 0.0
     if resident_shards is not None:
-        if page_compression_ratio <= 0:
-            raise ValueError("page_compression_ratio must be > 0")
         shard_state = 3 * layout.param_bytes(shard_total, dim)  # params+m+v
         active_shards = min(
             num_shards, max(1, int(np.ceil(n_active / max(n_total, 1) * num_shards)))
@@ -407,7 +398,6 @@ def _sim_sharded(
         saturation_swaps = spilled * SATURATION_FRACTION
         disk_bytes = (
             PAGE_ROUNDTRIP * (view_swaps + saturation_swaps) * shard_state
-            / page_compression_ratio
         )
         disk_leg = cost.disk_page(disk_bytes)
         # the page-in half of every swap: all a write-behind schedule can
@@ -528,14 +518,12 @@ def simulate_epoch(
     system: str,
     num_pixels: int,
     mem_limit: float = 0.3,
-    page_compression_ratio: float = 1.0,
     write_behind: bool = False,
 ) -> EpochResult:
     """Run one epoch of ``trace`` through ``system`` on ``platform``.
 
-    ``page_compression_ratio`` and ``write_behind`` configure the
-    out-of-core tier's disk schedule (see :func:`simulate_iteration`);
-    they are ignored by the non-paging systems.
+    ``write_behind`` configures the out-of-core tier's disk schedule (see
+    :func:`simulate_iteration`); the non-paging systems ignore it.
     """
     n_total = trace.total_gaussians
     if system in (
@@ -569,7 +557,6 @@ def simulate_epoch(
     for ratio in trace.active_ratios:
         it = simulate_iteration(
             system, cost, n_total, float(ratio), num_pixels, mem_limit,
-            page_compression_ratio=page_compression_ratio,
             write_behind=write_behind,
         )
         total += it.time

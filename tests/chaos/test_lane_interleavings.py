@@ -3,8 +3,7 @@
 moving a bit.
 
 One 4-shard ``outofcore`` run, two shards resident, depth-2 async
-prefetch plus write-behind, under a lossless-in-place (``raw``) and a
-lossy (``float16``) page codec:
+prefetch plus write-behind:
 
 * a ``delay`` plan on either lane — every task, or the even-numbered
   ones only — gives the undelayed run's losses, parameters, moments,
@@ -77,13 +76,13 @@ def clustered():
     return model, cameras, [render(gt, cam).image for cam in cameras]
 
 
-def trainer(clustered, codec, spill_dir, densify=None):
+def trainer(clustered, spill_dir, densify=None):
     model, _, _ = clustered
     return Trainer(model.copy(), GSScaleConfig(
         system="outofcore", num_shards=4, resident_shards=2,
         scene_extent=8.0, ssim_lambda=0.0, mem_limit=1.0, seed=0,
         async_prefetch=True, prefetch_depth=2, write_behind=True,
-        page_codec=codec, spill_dir=str(spill_dir),
+        spill_dir=str(spill_dir),
     ), densify=densify)
 
 
@@ -112,10 +111,10 @@ def fingerprint(t, losses, spill_dir):
     }
 
 
-def train(clustered, codec, tmp_path, plan=None, densify=None):
+def train(clustered, tmp_path, plan=None, densify=None):
     _, cameras, images = clustered
     spill_dir = tmp_path / "spill"
-    t = trainer(clustered, codec, spill_dir, densify)
+    t = trainer(clustered, spill_dir, densify)
     if plan is None:
         steps = t.train(cameras, images, STEPS).steps
     else:
@@ -124,12 +123,11 @@ def train(clustered, codec, tmp_path, plan=None, densify=None):
     return fingerprint(t, [s.loss for s in steps], spill_dir)
 
 
-@pytest.fixture(scope="module", params=["raw", "float16"])
-def undelayed(request, clustered, tmp_path_factory):
-    codec = request.param
-    want = train(clustered, codec, tmp_path_factory.mktemp(codec))
+@pytest.fixture(scope="module")
+def undelayed(clustered, tmp_path_factory):
+    want = train(clustered, tmp_path_factory.mktemp("undelayed"))
     assert want["prefetch"][0] > 0  # the lane stages views that hit
-    return codec, want
+    return want
 
 
 def plan(tmp_path, *faults):
@@ -137,28 +135,31 @@ def plan(tmp_path, *faults):
 
 
 @pytest.mark.parametrize("lane", ["prefetch", "writeback"])
-@pytest.mark.parametrize("which", ["every", "even"])
+@pytest.mark.parametrize("which", ["every", "even", "odd"])
 def test_a_delayed_lane_moves_no_bit(undelayed, clustered, tmp_path, lane, which):
-    codec, want = undelayed
+    want = undelayed
     point = f"lane:{lane}"
     if which == "every":
         faults = (Fault(point, "delay", times=10**6, seconds=0.01),)
     else:
+        first = 0 if which == "even" else 1
         faults = tuple(
-            Fault(point, "delay", index=i, seconds=0.01) for i in range(0, 64, 2)
+            Fault(point, "delay", index=i, seconds=0.01)
+            for i in range(first, 64, 2)
         )
-    got = train(clustered, codec, tmp_path, plan(tmp_path, *faults))
+    got = train(clustered, tmp_path, plan(tmp_path, *faults))
     assert os.listdir(tmp_path / "tokens")  # the delays fired
     for key in want:
         assert got[key] == want[key], key
 
 
+@pytest.mark.parametrize("ticket", [0, 1, 2])
 def test_a_failed_prefetch_ticket_pages_in_synchronously(
-    undelayed, clustered, tmp_path
+    undelayed, clustered, tmp_path, ticket
 ):
-    codec, want = undelayed
-    got = train(clustered, codec, tmp_path, plan(
-        tmp_path, Fault("lane:prefetch", "raise", index=1),
+    want = undelayed
+    got = train(clustered, tmp_path, plan(
+        tmp_path, Fault("lane:prefetch", "raise", index=ticket),
     ))
     hits, misses = got.pop("prefetch")
     assert misses > want["prefetch"][1]  # take() counted that batch a miss
@@ -172,10 +173,10 @@ def test_a_failed_page_out_surfaces_at_drain_and_is_rewritten(
 ):
     """Every page-out fails: no write ever lands, so which stores still
     hold an unwritten page-out at the end does not depend on timing."""
-    codec, want = undelayed
+    want = undelayed
     _, cameras, images = clustered
     spill_dir = tmp_path / "spill"
-    t = trainer(clustered, codec, spill_dir)
+    t = trainer(clustered, spill_dir)
     with active_plan(plan(
         tmp_path, Fault("lane:writeback", "raise", times=10**6),
     )):
@@ -195,12 +196,11 @@ def test_a_failed_page_out_surfaces_at_drain_and_is_rewritten(
         assert got[key] == want[key], key
 
 
-@pytest.fixture(scope="module", params=["raw", "float16"])
-def undelayed_rebuild(request, clustered, tmp_path_factory):
-    codec = request.param
-    want = train(clustered, codec, tmp_path_factory.mktemp(codec), densify=DENSIFY)
+@pytest.fixture(scope="module")
+def undelayed_rebuild(clustered, tmp_path_factory):
+    want = train(clustered, tmp_path_factory.mktemp("rebuild"), densify=DENSIFY)
     assert want["num_gaussians"] > clustered[0].num_gaussians  # it densified
-    return codec, want
+    return want
 
 
 def test_a_delayed_writeback_lane_across_a_rebuild_moves_no_bit(
@@ -208,8 +208,8 @@ def test_a_delayed_writeback_lane_across_a_rebuild_moves_no_bit(
 ):
     """The rebuild fences the lanes before the new stores reuse the spill
     paths: no old page-out lands over a new store's page."""
-    codec, want = undelayed_rebuild
-    got = train(clustered, codec, tmp_path, plan(
+    want = undelayed_rebuild
+    got = train(clustered, tmp_path, plan(
         tmp_path, Fault("lane:writeback", "delay", times=10**6, seconds=0.01),
     ), densify=DENSIFY)
     assert os.listdir(tmp_path / "tokens")  # the delays fired
@@ -221,16 +221,13 @@ class _AtRebuild(Exception):
     pass
 
 
-@pytest.mark.parametrize("codec", ["raw", "float16"])
-def test_a_failed_page_out_surfaces_at_the_rebuild_fence(
-    clustered, tmp_path, codec
-):
+def test_a_failed_page_out_surfaces_at_the_rebuild_fence(clustered, tmp_path):
     """Every page-out fails: the first fence, the one before the rebuild,
     raises the first failure, and the rebuild never runs over the pages
     that did not land. Re-adopted and rewritten, they hold what the
     undelayed run held at its rebuild."""
     _, cameras, images = clustered
-    ref = trainer(clustered, codec, tmp_path / "ref", DENSIFY)
+    ref = trainer(clustered, tmp_path / "ref", DENSIFY)
 
     def stop(model):
         raise _AtRebuild
@@ -241,7 +238,7 @@ def test_a_failed_page_out_surfaces_at_the_rebuild_fence(
     want = fingerprint(ref, [], tmp_path / "ref")
 
     spill_dir = tmp_path / "spill"
-    t = trainer(clustered, codec, spill_dir, DENSIFY)
+    t = trainer(clustered, spill_dir, DENSIFY)
     with active_plan(plan(
         tmp_path, Fault("lane:writeback", "raise", times=10**6),
     )):
@@ -273,7 +270,7 @@ def test_a_dropped_system_is_freed_with_its_lanes(clustered, tmp_path):
         with active_plan(plan(
             tmp_path, Fault("lane:writeback", "delay", times=10**6, seconds=0.05),
         )):
-            system = trainer(clustered, "raw", tmp_path / "spill").system
+            system = trainer(clustered, tmp_path / "spill").system
             for i in range(4):
                 system.hint_upcoming_views([cameras[(i + 1) % 4]])
                 system.step(cameras[i], images[i])

@@ -2,7 +2,7 @@
 checkpoints, and serving-page quarantine.
 
 Silent disk corruption must never flow back into the math. Every spill
-page (raw or encoded), every sealed serving page, and every checkpoint
+page, every sealed serving page, and every checkpoint
 read must either verify or raise a typed error naming what broke — and
 every write must be atomic, so a torn write can only ever leave the
 *previous* bytes or a detectably-torn file, never a silent half-write.
@@ -64,12 +64,23 @@ def _params(seed=0):
     return np.random.default_rng(seed).normal(size=(N, layout.PARAM_DIM))
 
 
-def make_disk(tmp_path, codec="raw", name="spill"):
+def make_disk(tmp_path, name="spill"):
     return DiskStore(
         _params(), layout.ALL_BLOCK, ADAM, MemoryTracker(),
         TransferLedger(), spill_path=str(tmp_path / name),
-        forwarding=True, codec=codec,
+        forwarding=True,
     )
+
+
+class _QueuedWrites:
+    """A write-behind lane that never runs its jobs: every page-out stays
+    queued."""
+
+    def __init__(self):
+        self.jobs = []
+
+    def enqueue(self, store, epoch):
+        self.jobs.append((store, epoch))
 
 
 class TestSealedPages:
@@ -99,43 +110,20 @@ class TestSealedPages:
 
 class TestDiskStorePages:
     def test_raw_page_corruption_detected(self, tmp_path):
-        store = make_disk(tmp_path, codec="raw")
+        store = make_disk(tmp_path)
         store.spill()
         corrupt_file(str(tmp_path / "spill.m.dat"), offset=64, length=16)
         with pytest.raises(CorruptPageError, match="spill.m.dat"):
             store.page_in()
 
-    @pytest.mark.parametrize("codec", ["lossless", "float16"])
-    def test_encoded_page_corruption_detected(self, tmp_path, codec):
-        store = make_disk(tmp_path, codec=codec)
-        store.spill()
-        path = str(tmp_path / f"spill.params.{codec}.pagez")
-        corrupt_file(path, offset=32, length=8)
-        with pytest.raises(CorruptPageError, match="params"):
-            store.page_in()
-
-    @pytest.mark.parametrize("codec", ["lossless", "float16"])
-    def test_encoded_torn_page_detected(self, tmp_path, codec):
-        store = make_disk(tmp_path, codec=codec)
-        store.spill()
-        path = str(tmp_path / f"spill.v.{codec}.pagez")
-        truncate_file(path, keep_fraction=0.5)
-        with pytest.raises(CorruptPageError, match="torn"):
-            store.page_in()
-
-    @pytest.mark.parametrize("codec", ["raw", "lossless", "float16"])
-    def test_misshapen_page_is_corrupt(self, tmp_path, codec):
-        """A stale page of another shard size whose seal checks out is a
-        corrupt page naming its file, and the store stays spilled."""
-        store = make_disk(tmp_path, codec=codec)
+    def test_misshapen_page_is_corrupt(self, tmp_path):
+        """A page file that outgrew its mapping is a corrupt page naming
+        its file, and the store stays spilled."""
+        store = make_disk(tmp_path)
         store.spill()
         path = store.pages["params"].path
-        if codec == "raw":  # the file outgrew its mapping
-            with open(path, "ab") as fh:
-                fh.write(bytes(2 * layout.PARAM_DIM * 8))
-        else:
-            stale = store.codec.encode_page(_params(seed=1)[: N - 2])
-            atomic_write_bytes(path, stale)
+        with open(path, "ab") as fh:
+            fh.write(bytes(2 * layout.PARAM_DIM * 8))
         ledger = store.ledger.counts()
         with pytest.raises(CorruptPageError) as info:
             store.page_in()
@@ -143,8 +131,49 @@ class TestDiskStorePages:
         assert not store.is_resident
         assert store.ledger.counts() == ledger
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("schedule", ["sync", "write_behind", "held"])
+    def test_a_page_is_its_array(self, tmp_path, dtype, schedule):
+        """A spilled page file holds exactly its array's bytes, in the
+        store's dtype, however the page-out ran: written synchronously,
+        landed by the write-behind lane, or still queued (``held``: the
+        page-in re-adopts the detached arrays instead of reading)."""
+        writer = {"sync": None, "write_behind": _WriteBehindWriter(),
+                  "held": _QueuedWrites()}[schedule]
+        store = DiskStore(
+            _params().astype(dtype), layout.ALL_BLOCK, ADAM, MemoryTracker(),
+            TransferLedger(), spill_path=str(tmp_path / "spill"),
+            forwarding=True, deferred=True, writer=writer,
+        )
+        try:
+            ids = np.arange(0, N, 3)
+            store.return_grads(ids, np.ones((ids.size, layout.PARAM_DIM), dtype))
+            store.commit()  # live moments
+            want = {
+                f: getattr(store.optimizer, f).copy()
+                for f in TestFailedPageOut.FIELDS
+            }
+            store.spill()
+            if schedule == "write_behind":
+                writer.drain()
+            for field, page in store.pages.items():
+                if schedule == "held":  # nothing landed yet
+                    queued = store._pending_write[field]
+                    assert queued.tobytes() == want[field].tobytes(), field
+                    continue
+                with open(page.path, "rb") as fh:
+                    assert fh.read() == want[field].tobytes(), field
+            store.page_in()
+            for field, arr in want.items():
+                got = getattr(store.optimizer, field)
+                assert got.dtype == np.dtype(dtype)
+                assert got.tobytes() == arr.tobytes(), field
+        finally:
+            if schedule == "write_behind":
+                writer.close()
+
     def test_clean_spill_cycle_verifies(self, tmp_path):
-        store = make_disk(tmp_path, codec="lossless")
+        store = make_disk(tmp_path)
         before = store.materialize().copy()
         store.spill()
         store.page_in()
@@ -185,19 +214,20 @@ class TestAtomicWrites:
 
 
 class TestFailedPageOut:
-    """A page-out whose second page write fails (the ``pager:page_out``
-    fault point, visited once per page before any byte moves) has a
-    defined outcome: nothing is lost, nothing is counted twice, and the
-    next spill writes all three pages again."""
+    """A page-out one of whose page writes fails — the first, the second
+    or the last (the ``pager:page_out`` fault point, visited once per
+    page before any byte moves) — has a defined outcome: nothing is lost,
+    nothing is counted twice, and the next spill writes all three pages
+    again."""
 
     FIELDS = ("params", "m", "v")
 
     @staticmethod
-    def dirty_store(tmp_path, codec, writer=None):
+    def dirty_store(tmp_path, writer=None):
         store = DiskStore(
             _params(), layout.ALL_BLOCK, ADAM, MemoryTracker(),
             TransferLedger(), spill_path=str(tmp_path / "spill"),
-            forwarding=True, deferred=True, codec=codec, writer=writer,
+            forwarding=True, deferred=True, writer=writer,
         )
         store.spill()  # the pages hold the initial state
         if writer is not None:
@@ -212,10 +242,14 @@ class TestFailedPageOut:
         return {f: getattr(store.optimizer, f).copy() for f in self.FIELDS}
 
     @staticmethod
-    def fail_second_page(tmp_path):
+    def fail_page(tmp_path, field):
+        """A plan that fails the write of ``field``'s page (the pages are
+        written in :attr:`FIELDS` order)."""
+        after = TestFailedPageOut.FIELDS.index(field)
         return active_plan(FaultPlan(
             token_dir=str(tmp_path / "fail"),
-            faults=(Fault(point="pager:page_out", action="raise", after=1),),
+            faults=(Fault(point="pager:page_out", action="raise",
+                          after=after),),
         ))
 
     @staticmethod
@@ -230,25 +264,21 @@ class TestFailedPageOut:
         return active_plan(plan), lambda: len(os.listdir(token_dir))
 
     def assert_round_trips(self, store, want):
-        """A page-in gives back ``want`` as the codec stores it."""
+        """A page-in gives back ``want``, byte for byte."""
         store.page_in()
         for field in self.FIELDS:
-            page = store.pages[field]
-            expect = store.codec.decode_page(
-                store.codec.encode_page(want[field]), page.shape, page.dtype
-            )
             got = getattr(store.optimizer, field)
-            assert got.tobytes() == expect.tobytes(), field
+            assert got.tobytes() == want[field].tobytes(), field
 
-    @pytest.mark.parametrize("codec", ["raw", "lossless", "float16"])
-    def test_sync_spill_stays_resident_and_dirty(self, tmp_path, codec):
-        store = self.dirty_store(tmp_path, codec)
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_sync_spill_stays_resident_and_dirty(self, tmp_path, field):
+        store = self.dirty_store(tmp_path)
         want = self.held(store)
         ledger = store.ledger.counts()
         host = store.host_memory.live_bytes
         epoch = store._spill_epoch
         written = store.stats.sync_spill_bytes
-        with self.fail_second_page(tmp_path):
+        with self.fail_page(tmp_path, field):
             with pytest.raises(InjectedFaultError):
                 store.spill()
         assert store.is_resident and store.is_dirty
@@ -265,13 +295,13 @@ class TestFailedPageOut:
         assert store.ledger.page_out_count == ledger["page_out_count"] + 1
         self.assert_round_trips(store, want)
 
-    @pytest.mark.parametrize("codec", ["raw", "lossless", "float16"])
-    def test_write_behind_error_surfaces_at_drain(self, tmp_path, codec):
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_write_behind_error_surfaces_at_drain(self, tmp_path, field):
         writer = _WriteBehindWriter()
         try:
-            store = self.dirty_store(tmp_path, codec, writer)
+            store = self.dirty_store(tmp_path, writer)
             want = self.held(store)
-            with self.fail_second_page(tmp_path):
+            with self.fail_page(tmp_path, field):
                 store.spill()  # queued: the write fails on the writer
                 with pytest.raises(InjectedFaultError):
                     writer.drain()
@@ -290,12 +320,11 @@ class TestFailedPageOut:
         finally:
             writer.close()
 
-    @pytest.mark.parametrize("codec", ["raw", "lossless", "float16"])
-    def test_drain_raises_the_first_of_two_failed_page_outs(self, tmp_path, codec):
+    def test_drain_raises_the_first_of_two_failed_page_outs(self, tmp_path):
         writer = _WriteBehindWriter()
         try:
             stores = [
-                self.dirty_store(tmp_path / name, codec, writer)
+                self.dirty_store(tmp_path / name, writer)
                 for name in ("a", "b")
             ]
             wants = [self.held(store) for store in stores]
@@ -472,7 +501,7 @@ class TestServingQuarantine:
         finally:
             service.close()
 
-    @pytest.mark.parametrize("codec", ["raw", "float16", "lossless"])
+    @pytest.mark.parametrize("codec", ["raw", "float16"])
     def test_misshapen_page_quarantines_shard(self, trained, tmp_path, codec):
         """A shard page of the wrong shape is quarantined on its page-in
         like a bit-rotted one — not re-admitted and rolled back on every
@@ -498,6 +527,36 @@ class TestServingQuarantine:
             assert not shard.is_resident
             with pytest.raises(PageQuarantinedError):
                 shard.page_in()
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("damage", ["corrupt", "torn"])
+    def test_encoded_page_damage_quarantines_shard(
+        self, trained, tmp_path, damage
+    ):
+        """A bit-rotted or torn float16 serving page fails its seal on the
+        page-in: the shard is quarantined, and the cause is a
+        :class:`CorruptPageError` naming the file."""
+        src, _ = trained
+        store = PagedServingStore.from_checkpoint(
+            src, host_budget_bytes=1 << 14, num_shards=4,
+            page_dir=str(tmp_path / "pages"), codec="float16",
+        )
+        try:
+            shard = store.shards[1]
+            path = shard.page_path
+            assert path.endswith(".float16.pagez")
+            if damage == "corrupt":
+                corrupt_file(path, offset=32, length=8)
+            else:
+                truncate_file(path, keep_fraction=0.5)
+            shard.spill()
+            with pytest.raises(PageQuarantinedError) as info:
+                shard.page_in()
+            cause = info.value.__cause__
+            assert isinstance(cause, CorruptPageError) and cause.path == path
+            assert ("torn" if damage == "torn" else "checksum") in str(cause)
+            assert not shard.is_resident and 1 in store.quarantined
         finally:
             store.close()
 
@@ -541,7 +600,7 @@ class TestFaultedPageIn:
             faults=(Fault(point="pager:page_in", action="delay",
                           times=10**6),),
         )
-        store = make_disk(tmp_path, codec="float16")
+        store = make_disk(tmp_path)
         store.spill()
         with active_plan(plan):
             store.page_in()
@@ -554,7 +613,7 @@ class TestFaultedPageIn:
             with pytest.raises(InjectedFaultError):
                 store.page_in()
 
-    @pytest.mark.parametrize("codec", ["raw", "float16", "lossless"])
+    @pytest.mark.parametrize("codec", ["raw", "float16"])
     def test_serving_page_in(self, trained, tmp_path, codec):
         src, _ = trained
         n = resume_model(src).num_gaussians
@@ -589,13 +648,13 @@ class TestFaultedPageIn:
             faulted.close()
             twin.close()
 
-    @pytest.mark.parametrize("codec", ["raw", "float16", "lossless"])
-    def test_disk_store_page_in(self, tmp_path, codec):
-        """The second of three page reads fails: the store stays spilled
-        with its accounting untouched, and the retry installs the state
-        an unfaulted page-in installs."""
+    @pytest.mark.parametrize("field", TestFailedPageOut.FIELDS)
+    def test_disk_store_page_in(self, tmp_path, field):
+        """One of three page reads fails — the first, the second or the
+        last: the store stays spilled with its accounting untouched, and
+        the retry installs the state an unfaulted page-in installs."""
         faulted, twin = (
-            TestFailedPageOut.dirty_store(tmp_path / name, codec)
+            TestFailedPageOut.dirty_store(tmp_path / name)
             for name in ("faulted", "twin")
         )
         for store in (faulted, twin):
@@ -604,7 +663,8 @@ class TestFaultedPageIn:
         host = faulted.host_memory
         peak, live = host.peak_bytes, host.live_bytes
         epoch = faulted._spill_epoch
-        with self.raising(tmp_path, after=1):
+        after = TestFailedPageOut.FIELDS.index(field)
+        with self.raising(tmp_path, after=after):
             with pytest.raises(InjectedFaultError):
                 faulted.page_in()
         assert not faulted.is_resident

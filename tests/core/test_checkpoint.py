@@ -99,14 +99,9 @@ class TestMidRunEquivalence:
             ("baseline_offload", {}),
             ("sharded", {"num_shards": 3}),
             ("outofcore", {"num_shards": 3, "resident_shards": 1}),
-            # deep out-of-core tier: the lossless page codec, write-behind
-            # spilling, and the depth-2 staging queue are all pure placement
-            # — each must checkpoint/resume bit-exactly too
-            (
-                "outofcore",
-                {"num_shards": 3, "resident_shards": 1,
-                 "page_codec": "lossless"},
-            ),
+            # deep out-of-core tier: write-behind spilling and the depth-2
+            # staging queue are pure placement — each must checkpoint/resume
+            # bit-exactly too
             (
                 "outofcore",
                 {"num_shards": 3, "resident_shards": 1,
@@ -115,7 +110,7 @@ class TestMidRunEquivalence:
             (
                 "outofcore",
                 {"num_shards": 3, "resident_shards": 1,
-                 "page_codec": "lossless", "write_behind": True,
+                 "write_behind": True,
                  "async_prefetch": True, "prefetch_depth": 2},
             ),
         ],
@@ -360,7 +355,8 @@ class TestReaderEdgeCases:
 
     def test_mixed_dtype_blocks_promote(self, tmp_path):
         """float16 blocks next to float64 blocks assemble at float64 —
-        whichever order the blocks arrive in, no block loses precision."""
+        whichever order the blocks arrive in, no block loses precision. No
+        store writes such a file, but a checkpoint is outside input."""
         n = 4
         f64 = np.linspace(1.0, 2.0, n * 2).reshape(n, 2)
         f16 = np.linspace(-1.0, 1.0, n * 2).reshape(n, 2).astype(np.float16)

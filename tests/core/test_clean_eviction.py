@@ -5,8 +5,8 @@ changed since its last page-out. Every operation that writes a row makes
 the next spill write and record a page-out whose pages hold the new
 arrays; every operation that does not leaves the next spill a pure
 eviction — ``clean_evictions`` + 1, the ledger and the page files
-untouched. Every case runs under each page codec, with page-outs written
-synchronously or behind a write-behind writer.
+untouched. Every case runs with page-outs written synchronously, behind a
+write-behind writer, or queued until the test's next fence (``late``).
 """
 
 import numpy as np
@@ -39,27 +39,44 @@ class _HeldWriter:
         self.jobs.append((store, epoch))
 
 
-@pytest.fixture(params=["raw", "lossless", "float16"])
-def codec(request):
-    return request.param
+class _LateWriter:
+    """A write-behind lane that lands its queued page-outs, in order,
+    only when drained: every write lands as late as a fence allows."""
+
+    def __init__(self):
+        self.jobs = []
+        self.jobs_written = 0
+
+    def enqueue(self, store, epoch):
+        self.jobs.append((store, epoch))
+
+    def drain(self):
+        jobs, self.jobs = self.jobs, []
+        for store, epoch in jobs:
+            store._complete_pending_write(epoch)
+            self.jobs_written += 1
+
+    def close(self):
+        self.drain()
 
 
-@pytest.fixture(params=["sync", "wb"])
-def make(request, tmp_path, codec):
+@pytest.fixture(params=["sync", "wb", "late"])
+def make(request, tmp_path):
     """``make(**flags)`` -> a resident DiskStore (forwarding + deferred
     unless overridden) whose page-outs follow the schedule."""
     writers = []
 
     def build(name="store", **flags):
-        writer = None
-        if request.param == "wb":
-            writer = _WriteBehindWriter()
+        writer = {"sync": None, "wb": _WriteBehindWriter,
+                  "late": _LateWriter}[request.param]
+        if writer is not None:
+            writer = writer()
             writers.append(writer)
         flags = {"forwarding": True, "deferred": True, "max_defer": 3, **flags}
         return DiskStore(
             np.random.default_rng(0).normal(size=(N, layout.PARAM_DIM)),
             layout.ALL_BLOCK, ADAM, MemoryTracker(), TransferLedger(),
-            spill_path=str(tmp_path / name), codec=codec, writer=writer,
+            spill_path=str(tmp_path / name), writer=writer,
             **flags,
         )
 
@@ -92,13 +109,6 @@ def page_arrays(store):
 def arrays(store):
     opt = store.optimizer
     return {field: getattr(opt, field).copy() for field in FIELDS}
-
-
-def roundtrip(store, arr):
-    """``arr`` as a page of the store's codec holds it."""
-    return store.codec.decode_page(
-        store.codec.encode_page(arr), arr.shape, arr.dtype
-    )
 
 
 def same_bytes(a, b):
@@ -176,7 +186,7 @@ DIRTYING = {
 
 def assert_spill_writes(store, before):
     """The next spill records one page-out, and the pages then hold the
-    arrays (through the codec) — changed exactly where they changed."""
+    arrays — changed exactly where they changed."""
     assert store.is_dirty
     want = arrays(store)
     old_files = file_bytes(store) if before else None
@@ -186,7 +196,7 @@ def assert_spill_writes(store, before):
     assert store.stats.clean_evictions == clean
     got, files = page_arrays(store), file_bytes(store)
     for field in FIELDS:
-        expect = roundtrip(store, want[field])
+        expect = want[field]
         assert same_bytes(got[field], expect), field
         if before:
             moved = not same_bytes(expect, before[field])
@@ -293,7 +303,7 @@ def test_no_row_write_leaves_the_next_spill_free(make, name):
 
 @pytest.mark.parametrize("second", ["sync", "wb"])
 def test_a_re_adopted_page_out_is_written_on_its_next_spill(
-    tmp_path, codec, second
+    tmp_path, second
 ):
     """A page-in that re-adopts a queued page-out cancels its write: the
     next spill writes all three pages even though no row changed, and
@@ -303,7 +313,7 @@ def test_a_re_adopted_page_out_is_written_on_its_next_spill(
     store = DiskStore(
         np.random.default_rng(0).normal(size=(N, layout.PARAM_DIM)),
         layout.ALL_BLOCK, ADAM, MemoryTracker(), TransferLedger(),
-        spill_path=str(tmp_path / "held"), codec=codec, writer=held,
+        spill_path=str(tmp_path / "held"), writer=held,
         forwarding=True, deferred=True,
     )
     op_commit(store)

@@ -1,13 +1,12 @@
-"""Acceptance tests for the deep out-of-core tier: compressed pages,
-depth-D prefetch, and write-behind spilling.
+"""Acceptance tests for the deep out-of-core tier: raw pages, depth-D
+prefetch, and write-behind spilling.
 
 The contract stacked on top of the base out-of-core suites:
 
-* the ``lossless`` page codec is pure placement — the K=4 out-of-core
-  trajectory stays bit-identical to the in-memory sharded system;
-* the ``float16`` codec is tolerance-bounded against the raw trajectory
-  and meters a ~2x decoded/on-disk ratio on the ledger's disk channel
-  (2 bytes/value plus a 2-byte per-column scale header);
+* training pages are raw, so the tier is pure placement — the K=4
+  out-of-core trajectory stays bit-identical to the in-memory sharded
+  system, and the ledger's disk channel equals its page channel; a page
+  codec is a serving option and a training config rejects one;
 * a depth-2 staging queue on an alternating-cluster schedule reaches a
   strictly higher staging hit-rate (and strictly less page traffic)
   than the depth-1 double buffer, without changing a single parameter
@@ -16,7 +15,8 @@ The contract stacked on top of the base out-of-core suites:
   to zero while the synchronous run pays the full page-out traffic —
   again bit-identically;
 * a synthetic model several times the host budget trains and serves
-  under enforced byte budgets.
+  (through float16 serving pages, ~2x on the disk channel) under
+  enforced byte budgets.
 """
 
 import numpy as np
@@ -25,10 +25,13 @@ import pytest
 from repro.cameras import Camera
 from repro.core import GSScaleConfig, Trainer, create_system
 from repro.datasets import SyntheticSceneConfig, build_scene
-from repro.faults import Fault, FaultPlan, active_plan
+from repro.core.stores import DiskStore
+from repro.core.systems import TransferLedger
 from repro.gaussians import GaussianModel, layout
+from repro.optim.base import AdamConfig
 from repro.render import render
 from repro.serve.store import PagedServingStore
+from repro.sim.memory import MemoryTracker
 
 CLUSTER_CENTERS = np.array(
     [[-6.0, -6.0, 0.0], [6.0, -6.0, 0.0], [-6.0, 6.0, 0.0], [6.0, 6.0, 0.0]]
@@ -63,8 +66,7 @@ def clustered():
     ]
     # ground truth rendered from a slightly perturbed copy: gradients are
     # nonzero (the fit has somewhere to go) but small and well-conditioned,
-    # so parameters stay in sane ranges as they do in any real fit — the
-    # float16 parity below needs a live trajectory, not a detonating one
+    # so parameters stay in sane ranges as they do in any real fit
     sh_gt = sh + rng.normal(size=sh.shape) * 0.05
     gt_model = GaussianModel.from_attributes(
         means, log_scales, quats, opacity_logits, sh_gt, dtype=np.float64
@@ -94,83 +96,65 @@ def run_steps(model, cameras, images, steps=8, **cfg):
     return s, losses
 
 
-class TestLosslessBitIdentity:
-    def test_matches_raw_outofcore(self, clustered):
-        model, cameras, images = clustered
-        raw, loss_raw = run_steps(model, cameras, images)
-        loz, loss_loz = run_steps(model, cameras, images, page_codec="lossless")
-        assert loss_raw == loss_loz
-        np.testing.assert_array_equal(
-            raw.materialized_model().params, loz.materialized_model().params
-        )
+#: the out-of-core schedules: synchronous, the async leg at depth 1, and
+#: depth 2 with write-behind
+SCHEDULES = {
+    "sync": {},
+    "async1": dict(async_prefetch=True),
+    "async2wb": dict(async_prefetch=True, prefetch_depth=2, write_behind=True),
+}
 
-    def test_matches_in_memory_sharded(self, clustered):
-        """The headline parity: K=4 out-of-core through the compressed
-        disk tier == the K=4 in-memory sharded system, bit for bit."""
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("resident", [1, 2])
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_matches_in_memory_sharded(self, clustered, schedule, resident):
+        """The headline parity: K=4 out-of-core through the disk tier ==
+        the K=4 in-memory sharded system, bit for bit, whatever the
+        resident budget and the schedule (the async leg told the next
+        views, as the trainer tells it)."""
         model, cameras, images = clustered
-        mem = create_system(
-            model.copy(),
-            GSScaleConfig(
-                system="sharded", num_shards=4, scene_extent=8.0,
-                ssim_lambda=0.0, mem_limit=1.0, seed=0,
-            ),
+        mem, loss_mem = run_steps(model, cameras, images, system="sharded")
+        ooc = make_system(
+            model, resident_shards=resident, **SCHEDULES[schedule]
         )
-        loss_mem = []
+        loss_ooc = []
         for i in range(8):
-            loss_mem.append(
-                mem.step(cameras[i % 4], images[i % 4]).loss
-            )
-        mem.finalize()
-        loz, loss_loz = run_steps(model, cameras, images, page_codec="lossless")
-        assert loss_mem == loss_loz
+            upcoming = [cameras[(i + 1 + d) % 4] for d in range(ooc.prefetch_depth)]
+            ooc.hint_upcoming_views(upcoming)
+            loss_ooc.append(ooc.step(cameras[i % 4], images[i % 4]).loss)
+        ooc.finalize()
+        assert loss_mem == loss_ooc
         np.testing.assert_array_equal(
-            mem.materialized_model().params, loz.materialized_model().params
+            mem.materialized_model().params, ooc.materialized_model().params
         )
+        if schedule != "sync":
+            assert ooc.prefetch_hits + ooc.prefetch_misses > 0
 
-    def test_disk_channel_meters_encoded_bytes(self, clustered):
-        """The ledger's disk channel reports what actually crossed the
-        disk interface, decoupled from the fp32-equivalent accounting
-        the page channel keeps for the budget contracts."""
+    def test_disk_channel_equals_page_channel(self, clustered):
+        """Raw pages cross the disk interface at their decoded size: both
+        sides of the ledger's disk channel agree."""
         model, cameras, images = clustered
         raw, _ = run_steps(model, cameras, images)
-        loz, _ = run_steps(model, cameras, images, page_codec="lossless")
-        # raw: both sides of the channel agree
+        assert raw.ledger.page_in_count > 0
         assert raw.ledger.page_in_disk_bytes == raw.ledger.page_in_bytes
         assert raw.ledger.page_out_disk_bytes == raw.ledger.page_out_bytes
-        # lossless: same accounting traffic, different encoded traffic
-        assert loz.ledger.page_in_bytes == raw.ledger.page_in_bytes
-        assert loz.ledger.page_in_disk_bytes > 0
-        assert loz.ledger.page_in_disk_bytes != loz.ledger.page_in_bytes
 
 
-class TestFloat16:
-    def test_trajectory_tolerance_parity(self, clustered):
-        """Quantizing spilled pages to half precision perturbs the
-        trajectory only within half-precision resolution."""
-        model, cameras, images = clustered
-        raw, loss_raw = run_steps(model, cameras, images)
-        f16, loss_f16 = run_steps(model, cameras, images, page_codec="float16")
-        # rtol covers the per-spill half-precision resolution (~5e-4
-        # compounded over 8 swap cycles); atol absorbs the handful of
-        # most-sensitive logits where that noise feeds back through the
-        # optimizer a little harder
-        np.testing.assert_allclose(
-            f16.materialized_model().params,
-            raw.materialized_model().params,
-            rtol=5e-3, atol=5e-2,
-        )
-        np.testing.assert_allclose(loss_f16, loss_raw, rtol=1e-2)
+class TestRawPagesOnly:
+    @pytest.mark.parametrize("codec", ["float16", "lossless", "zstd", "RAW", ""])
+    def test_config_rejects_a_page_codec(self, codec):
+        with pytest.raises(ValueError, match=r"PagedServingStore\(codec=\)"):
+            GSScaleConfig(system="outofcore", page_codec=codec)
+        assert GSScaleConfig(system="outofcore", page_codec="raw")
 
-    def test_disk_ratio_is_nearly_two(self, clustered):
-        """2 encoded bytes per 4 accounted bytes, on every single page —
-        minus the 2-byte per-column scale header, so the realized ratio
-        sits just under 2x but comfortably past the 1.5x bandwidth gate."""
-        model, cameras, images = clustered
-        f16, _ = run_steps(model, cameras, images, page_codec="float16")
-        ledger = f16.ledger
-        assert ledger.page_in_count > 0
-        assert 1.5 < ledger.page_in_bytes / ledger.page_in_disk_bytes <= 2.0
-        assert 1.5 < ledger.page_out_bytes / ledger.page_out_disk_bytes <= 2.0
+    def test_disk_store_takes_no_codec(self, tmp_path):
+        with pytest.raises(TypeError, match="codec"):
+            DiskStore(
+                np.zeros((4, layout.PARAM_DIM)), layout.ALL_BLOCK,
+                AdamConfig(lr=1e-3), MemoryTracker(), TransferLedger(),
+                spill_path=str(tmp_path / "spill"), codec="float16",
+            )
 
 
 class TestDepthD:
@@ -239,8 +223,6 @@ class TestDepthD:
             GSScaleConfig(system="outofcore", prefetch_depth=0)
         with pytest.raises(ValueError, match="async_prefetch"):
             GSScaleConfig(system="outofcore", prefetch_depth=2)
-        with pytest.raises(ValueError, match="unknown page codec"):
-            GSScaleConfig(system="outofcore", page_codec="zstd")
 
 
 class TestWriteBehind:
@@ -271,16 +253,15 @@ class TestWriteBehind:
             assert getattr(sync.ledger, field) == getattr(wb.ledger, field)
 
     def test_full_stack_combo(self, clustered):
-        """Everything at once — lossless pages, depth-3 staging queue,
-        write-behind — still bit-identical to the plain synchronous
-        raw-page run, with a zero-cost admit path."""
+        """Everything at once — depth-3 staging queue and write-behind —
+        still bit-identical to the plain synchronous run, with a
+        zero-cost admit path."""
         model, cameras, images = clustered
         sync, loss_sync = run_steps(model, cameras, images)
         cfg = GSScaleConfig(
             system="outofcore", num_shards=4, resident_shards=1,
             scene_extent=8.0, ssim_lambda=0.0, mem_limit=1.0, seed=0,
             async_prefetch=True, prefetch_depth=3, write_behind=True,
-            page_codec="lossless",
         )
         combo = create_system(model.copy(), cfg)
         loss_combo = []
@@ -295,39 +276,6 @@ class TestWriteBehind:
             combo.materialized_model().params,
         )
         assert combo.sync_spill_bytes == 0
-
-    def test_lossy_pages_do_not_follow_writer_timing(self, clustered, tmp_path):
-        """A float16 page-out re-adopted before the writer lands it is
-        rounded exactly as the page read back from disk: with every write
-        held back (most page-ins re-adopt) the trajectory is the one
-        without write-behind (every page-in reads the file), run after
-        run."""
-        model, cameras, images = clustered
-
-        def train(write_behind):
-            cfg = GSScaleConfig(
-                system="outofcore", num_shards=4, resident_shards=2,
-                scene_extent=8.0, ssim_lambda=0.0, mem_limit=1.0, seed=0,
-                async_prefetch=True, prefetch_depth=2,
-                write_behind=write_behind, page_codec="float16",
-            )
-            t = Trainer(model.copy(), cfg)
-            losses = [step.loss for step in t.train(cameras, images, 8).steps]
-            t.system.finalize()
-            return (
-                np.array(losses).tobytes(),
-                t.system.materialized_model().params.tobytes(),
-            )
-
-        written = train(write_behind=False)
-        for run in range(2):
-            plan = FaultPlan(
-                token_dir=str(tmp_path / f"tokens{run}"),
-                faults=(Fault(point="lane:writeback", action="delay",
-                              seconds=0.02, times=10**6),),
-            )
-            with active_plan(plan):
-                assert train(write_behind=True) == written
 
 
 class TestFarBeyondHostBudget:
@@ -350,7 +298,6 @@ class TestFarBeyondHostBudget:
             system="outofcore", num_shards=10, resident_shards=1,
             scene_extent=scene.extent, ssim_lambda=0.0, mem_limit=1.0,
             seed=0, async_prefetch=True, write_behind=True,
-            page_codec="float16",
         )
         t = Trainer(scene.initial.copy(), cfg)
         hist = t.train(scene.train_cameras, scene.train_images, 12,

@@ -3,7 +3,8 @@
 The per-codec round-trip / torn / corrupt matrix lives with the tiers
 (``tests/chaos/test_storage_integrity.py``, ``tests/core/test_pagecodec.py``)
 and exercises this one implementation; what is left is the page's own
-surface: the empty page, deferred writes, and the typed read.
+surface: the empty page, the raw page's seal, and an encoded page's
+metered size.
 """
 
 import os
@@ -14,8 +15,9 @@ import pytest
 
 from repro.core import CorruptPageError
 from repro.core.pager import PageFile, ResidentSet
+from repro.faults import corrupt_file
 
-CODECS = ("raw", "float16", "lossless")
+CODECS = ("raw", "float16")
 
 
 def _page(tmp_path, codec, rows=12, cols=7, seed=0):
@@ -52,65 +54,69 @@ def test_corrupt_page_error_crosses_a_pool_result_pipe():
     assert "p.dat" in str(err)
 
 
+def test_encoded_page_meters_its_sealed_file(tmp_path):
+    """A float16 serving page records the sealed bytes it wrote (the
+    ledger's ``page_in_disk_bytes``); a raw page records none, since its
+    disk and host sizes are equal."""
+    raw, arr = _page(tmp_path, "raw")
+    half = PageFile(str(tmp_path / "q"), arr.shape, arr.dtype, "float16")
+    for page in (raw, half):
+        page.write(arr)
+    assert raw.disk_nbytes is None
+    assert half.disk_nbytes == os.path.getsize(half.path)
+    assert half.read().tobytes() == half.hold()[np.arange(12)].tobytes()
+
+
+#: byte positions across a page file, as fractions of its size (1.0 is
+#: its last byte); on a sealed page the first ones land in the header
+SPOTS = (0.0, 0.05, 0.1, 0.25, 0.5, 1.0)
+
+
 @pytest.mark.parametrize("codec", CODECS)
-def test_deferred_write_meters_and_stores_what_a_direct_write_does(
-    tmp_path, codec
-):
-    """Write-behind encodes on the training thread and lands the bytes
-    later: same ``disk_nbytes`` (fixed at encode time), same file."""
-    direct, arr = _page(tmp_path, codec)
-    deferred = PageFile(str(tmp_path / "q"), arr.shape, arr.dtype, codec)
-    direct.write(arr)
-    encoded = deferred.encode(arr)
-    assert deferred.disk_nbytes == direct.disk_nbytes
-    assert (encoded is None) == (codec == "raw")
-    deferred.write(arr, encoded=encoded)
-    with open(direct.path, "rb") as a, open(deferred.path, "rb") as b:
-        assert a.read() == b.read()
-    if codec != "raw":
-        assert direct.disk_nbytes == os.path.getsize(direct.path)
-
-
-@pytest.mark.parametrize("codec", ("float16", "lossless"))
-def test_decode_of_unlanded_bytes_is_the_read(tmp_path, codec):
-    """What write-behind re-adopts before the write lands is what a read
-    of the landed page returns, byte for byte."""
+@pytest.mark.parametrize("spot", SPOTS)
+def test_a_flipped_byte_anywhere_is_caught(tmp_path, codec, spot):
+    """One byte flipped anywhere in the file — a sealed page's magic,
+    length and checksum included — fails the read and the hold, naming
+    the file; flipped back, the page reads as written."""
     page, arr = _page(tmp_path, codec)
-    encoded = page.encode(arr)
-    queued = page.decode(encoded)
-    page.write(arr, encoded=encoded)
-    read = page.read()
-    assert queued.dtype == read.dtype and queued.flags.writeable
-    assert queued.tobytes() == read.tobytes()
-
-
-def test_decode_in_a_storage_dtype(tmp_path):
-    page, arr = _page(tmp_path, "float16")
-    encoded = page.encode(arr)
-    half = page.decode(encoded, dtype=np.float16)
-    page.write(arr, encoded=encoded)
-    assert half.dtype == np.float16
-    assert half.tobytes() == page.read(dtype=np.float16).tobytes()
-
-
-@pytest.mark.parametrize("codec", ("float16", "lossless"))
-def test_decode_verifies_the_seal(tmp_path, codec):
-    page, arr = _page(tmp_path, codec)
-    encoded = page.encode(arr)
-    with pytest.raises(CorruptPageError, match="p"):
-        page.decode(encoded[:-3])
-    flipped = bytearray(encoded)
-    flipped[-1] ^= 0xFF
-    with pytest.raises(CorruptPageError):
-        page.decode(bytes(flipped))
-
-
-def test_read_in_a_storage_dtype(tmp_path):
-    page, arr = _page(tmp_path, "float16")
     page.write(arr)
-    half = page.read(dtype=np.float16)
-    assert half.dtype == np.float16 and half.flags.writeable
-    np.testing.assert_array_equal(half, page.read().astype(np.float16))
+    want = page.read()
+    offset = int(spot * (os.path.getsize(page.path) - 1))
+    corrupt_file(page.path, offset=offset, length=1)
+    for load in (page.read, page.hold):
+        with pytest.raises(CorruptPageError) as info:
+            load()
+        assert info.value.path == page.path
+    corrupt_file(page.path, offset=offset, length=1)  # flipped back
+    assert page.read().tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("codec", CODECS)
+@pytest.mark.parametrize("keep", ["none", "one", "half", "all_but_one"])
+def test_a_torn_page_is_caught(tmp_path, codec, keep):
+    """A page cut short at any length fails the read and the hold before
+    a byte of it is used (a raw page is never copied out of a mapping
+    longer than its file)."""
+    page, arr = _page(tmp_path, codec)
+    page.write(arr)
+    size = os.path.getsize(page.path)
+    cut = {"none": 0, "one": 1, "half": size // 2, "all_but_one": size - 1}
+    with open(page.path, "r+b") as fh:
+        fh.truncate(cut[keep])
+    for load in (page.read, page.hold):
+        with pytest.raises(CorruptPageError) as info:
+            load()
+        assert info.value.path == page.path
+
+
+@pytest.mark.parametrize("codec", CODECS)
+def test_a_grown_page_is_caught(tmp_path, codec):
+    page, arr = _page(tmp_path, codec)
+    page.write(arr)
+    with open(page.path, "ab") as fh:
+        fh.write(bytes(8))
+    with pytest.raises(CorruptPageError, match="file holds|torn"):
+        page.read()
 
 
 def test_admit_raises_when_the_victim_cannot_be_spilled():

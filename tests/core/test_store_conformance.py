@@ -196,36 +196,17 @@ def make_disk_spilling(tmp_path):
     )
 
 
-def make_disk_f16(tmp_path):
-    """DiskStore through the lossy float16 page codec: the conformance
-    contract (protocol, accounting, round-trips) must hold regardless of
-    what the codec does to spilled bytes. Quantized-trajectory tolerance
-    is pinned separately in the deep out-of-core suite."""
-    tracker, ledger = MemoryTracker(), TransferLedger()
-    host_tracker = MemoryTracker()
-    store = DiskStore(
-        _params(), layout.ALL_BLOCK, ADAM, tracker, ledger,
-        spill_path=str(tmp_path / "conformance_f16"),
-        host_memory=host_tracker, forwarding=True, deferred=True,
-        codec="float16",
-    )
-    return Harness(
-        store, tracker, ledger, exact=False, host_tracker=host_tracker
-    )
-
-
-def make_disk_lossless(tmp_path):
-    """DiskStore through the lossless (shuffle+zlib) codec under a
-    budget-1 resident set: compression must be pure placement — the
-    trajectory stays bit-exact against the dense oracle."""
+def make_disk_exact(tmp_path):
+    """A non-deferred DiskStore under a budget-1 resident set: placement
+    is pure — the trajectory stays bit-exact against the dense oracle."""
     tracker, ledger = MemoryTracker(), TransferLedger()
     host_tracker = MemoryTracker()
     rset = ResidentSet(budget=1)
     store = DiskStore(
         _params(), layout.ALL_BLOCK, ADAM, tracker, ledger,
-        spill_path=str(tmp_path / "conformance_lossless"),
+        spill_path=str(tmp_path / "conformance_exact"),
         host_memory=host_tracker, resident_set=rset,
-        forwarding=True, codec="lossless",
+        forwarding=True,
     )
     return Harness(
         store, tracker, ledger, exact=True,
@@ -249,19 +230,48 @@ def make_disk_write_behind(tmp_path):
     )
 
 
-def make_disk_f16_write_behind(tmp_path):
-    """The lossy codec behind a write-behind writer: a page-out re-adopted
-    before it lands goes through the codec like one read back."""
+def make_disk_deferred_write_behind(tmp_path):
+    """The out-of-core shard's own store: deferred and forwarding under a
+    budget-1 resident set, page-outs on a write-behind writer."""
+    tracker, ledger = MemoryTracker(), TransferLedger()
+    host_tracker = MemoryTracker()
+    rset = ResidentSet(budget=1)
+    store = DiskStore(
+        _params(), layout.ALL_BLOCK, ADAM, tracker, ledger,
+        spill_path=str(tmp_path / "conformance_deferred_wb"),
+        host_memory=host_tracker, resident_set=rset,
+        forwarding=True, deferred=True, writer=_WriteBehindWriter(),
+    )
+    return Harness(
+        store, tracker, ledger, exact=False,
+        host_tracker=host_tracker, resident_set=rset,
+    )
+
+
+class _HeldWriter:
+    """A write-behind lane whose thread never comes: every page-out stays
+    queued, as under a writer held back past the next page-in."""
+
+    def __init__(self):
+        self.jobs = []
+
+    def enqueue(self, store, epoch):
+        self.jobs.append((store, epoch))
+
+
+def make_disk_held_write_behind(tmp_path):
+    """A writer that never lands a page-out: every page-in after a dirty
+    spill re-adopts the detached arrays instead of reading its pages, and
+    the contract must not see the difference."""
     tracker, ledger = MemoryTracker(), TransferLedger()
     host_tracker = MemoryTracker()
     store = DiskStore(
         _params(), layout.ALL_BLOCK, ADAM, tracker, ledger,
-        spill_path=str(tmp_path / "conformance_f16_wb"),
-        host_memory=host_tracker, forwarding=True, codec="float16",
-        writer=_WriteBehindWriter(),
+        spill_path=str(tmp_path / "conformance_held_wb"),
+        host_memory=host_tracker, forwarding=True, writer=_HeldWriter(),
     )
     return Harness(
-        store, tracker, ledger, exact=False, host_tracker=host_tracker
+        store, tracker, ledger, exact=True, host_tracker=host_tracker
     )
 
 
@@ -276,10 +286,10 @@ FACTORIES = {
     "sharded_deferred": make_sharded_deferred,
     "disk": make_disk,
     "disk_spilling": make_disk_spilling,
-    "disk_f16": make_disk_f16,
-    "disk_lossless": make_disk_lossless,
+    "disk_exact": make_disk_exact,
     "disk_write_behind": make_disk_write_behind,
-    "disk_f16_write_behind": make_disk_f16_write_behind,
+    "disk_deferred_write_behind": make_disk_deferred_write_behind,
+    "disk_held_write_behind": make_disk_held_write_behind,
 }
 
 param_store = pytest.mark.parametrize("factory", FACTORIES, ids=FACTORIES)
@@ -304,30 +314,26 @@ def drive(store, steps=6, seed=9, spill_every=None):
     store.flush()
 
 
-DISK_CODECS = ("raw", "float16", "lossless")
-
-
 class TestZeroRowStores:
     """The degenerate shard every partitioner can emit (empty spatial
     cell, more shards than splats) must satisfy the same contract: the
     full step protocol, spill/page-in, and state round-trips are no-ops
-    that neither raise nor leak accounting, under every page codec."""
+    that neither raise nor leak accounting."""
 
-    def make_empty_disk(self, tmp_path, codec):
+    def make_empty_disk(self, tmp_path):
         tracker, ledger = MemoryTracker(), TransferLedger()
         host_tracker = MemoryTracker()
         store = DiskStore(
             _params(0), layout.ALL_BLOCK, ADAM, tracker, ledger,
-            spill_path=str(tmp_path / f"empty_{codec}"),
-            host_memory=host_tracker, forwarding=True, codec=codec,
+            spill_path=str(tmp_path / "empty"),
+            host_memory=host_tracker, forwarding=True,
         )
         return Harness(
             store, tracker, ledger, exact=True, host_tracker=host_tracker
         )
 
-    @pytest.mark.parametrize("codec", DISK_CODECS)
-    def test_protocol_spill_and_materialize(self, tmp_path, codec):
-        h = self.make_empty_disk(tmp_path, codec)
+    def test_protocol_spill_and_materialize(self, tmp_path):
+        h = self.make_empty_disk(tmp_path)
         ids = np.empty(0, dtype=np.int64)
         for _ in range(3):
             h.store.stage(ids)
@@ -339,17 +345,15 @@ class TestZeroRowStores:
         h.store.flush()
         assert h.ledger.h2d_bytes == h.ledger.d2h_bytes == 0
 
-    @pytest.mark.parametrize("codec", DISK_CODECS)
-    def test_state_dict_roundtrip(self, tmp_path, codec):
-        h = self.make_empty_disk(tmp_path, codec)
+    def test_state_dict_roundtrip(self, tmp_path):
+        h = self.make_empty_disk(tmp_path)
         saved = {k: np.array(v) for k, v in h.store.state_dict().items()}
-        fresh = self.make_empty_disk(tmp_path / "fresh", codec)
+        fresh = self.make_empty_disk(tmp_path / "fresh")
         fresh.store.load_state_dict(saved)
         assert fresh.store.materialize().shape == (0, layout.PARAM_DIM)
 
-    @pytest.mark.parametrize("codec", DISK_CODECS)
-    def test_accounting_stays_at_baseline(self, tmp_path, codec):
-        h = self.make_empty_disk(tmp_path, codec)
+    def test_accounting_stays_at_baseline(self, tmp_path):
+        h = self.make_empty_disk(tmp_path)
         device_baseline = h.device_tracker.live_bytes
         host_baseline = h.host_tracker.live_bytes
         h.store.spill()
@@ -359,39 +363,27 @@ class TestZeroRowStores:
         assert h.host_tracker.live_bytes == host_baseline
 
 
-class _HeldWriter:
-    """A write-behind lane whose thread never comes: every page-out stays
-    queued, as under a writer held back past the next page-in."""
-
-    def __init__(self):
-        self.jobs = []
-
-    def enqueue(self, store, epoch):
-        self.jobs.append((store, epoch))
-
-
 class TestQueuedPageOut:
     """A spilled store whose page-out is still queued reads as the file
     the writer will land: ``page_in``, ``preload`` and ``state_dict`` give
-    the values of a store that wrote its pages synchronously, under every
-    codec — under ``float16`` too, so thread timing cannot change a
-    trajectory."""
+    the values of a store that wrote its pages synchronously, so thread
+    timing cannot change a trajectory."""
 
-    def _spilled(self, tmp_path, codec, writer):
+    def _spilled(self, tmp_path, writer):
         store = DiskStore(
             _params(), layout.ALL_BLOCK, ADAM, MemoryTracker(),
             TransferLedger(),
             spill_path=str(tmp_path / ("queued" if writer else "written")),
-            forwarding=True, codec=codec, writer=writer,
+            forwarding=True, writer=writer,
         )
         drive(store)  # moments away from zero
         store.spill()
         return store
 
-    def _pair(self, tmp_path, codec):
+    def _pair(self, tmp_path):
         held = _HeldWriter()
-        queued = self._spilled(tmp_path, codec, held)
-        written = self._spilled(tmp_path, codec, None)
+        queued = self._spilled(tmp_path, held)
+        written = self._spilled(tmp_path, None)
         assert len(held.jobs) == 1 and queued._pending_write is not None
         return queued, written
 
@@ -402,9 +394,8 @@ class TestQueuedPageOut:
             a, b = np.asarray(got[key]), np.asarray(want[key])
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
 
-    @pytest.mark.parametrize("codec", DISK_CODECS)
-    def test_page_in(self, tmp_path, codec):
-        queued, written = self._pair(tmp_path, codec)
+    def test_page_in(self, tmp_path):
+        queued, written = self._pair(tmp_path)
         for store in (queued, written):
             store.page_in()
         assert queued._pending_write is None  # the re-adopt cancelled it
@@ -413,29 +404,26 @@ class TestQueuedPageOut:
             b = getattr(written.optimizer, field)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
-    @pytest.mark.parametrize("codec", DISK_CODECS)
-    def test_preload(self, tmp_path, codec):
-        queued, written = self._pair(tmp_path, codec)
+    def test_preload(self, tmp_path):
+        queued, written = self._pair(tmp_path)
         got, want = queued.preload().arrays, written.preload().arrays
         for field in want:
             assert got[field].dtype == want[field].dtype
             assert got[field].tobytes() == want[field].tobytes(), field
 
-    @pytest.mark.parametrize("codec", DISK_CODECS)
-    def test_state_dict(self, tmp_path, codec):
-        queued, written = self._pair(tmp_path, codec)
+    def test_state_dict(self, tmp_path):
+        queued, written = self._pair(tmp_path)
         self._assert_same(queued.state_dict(), written.state_dict())
         assert queued._pending_write is not None  # a read, not a page-in
 
-    @pytest.mark.parametrize("codec", DISK_CODECS)
-    def test_checkpoint_loads_as_the_landed_one(self, tmp_path, codec):
-        queued, written = self._pair(tmp_path, codec)
+    def test_checkpoint_loads_as_the_landed_one(self, tmp_path):
+        queued, written = self._pair(tmp_path)
         loaded = []
         for name, source in (("a", queued), ("b", written)):
             fresh = DiskStore(
                 _params(seed=1), layout.ALL_BLOCK, ADAM, MemoryTracker(),
                 TransferLedger(), spill_path=str(tmp_path / f"fresh_{name}"),
-                forwarding=True, codec=codec,
+                forwarding=True,
             )
             fresh.load_state_dict(
                 {k: np.array(v) for k, v in source.state_dict().items()}

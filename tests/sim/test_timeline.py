@@ -4,8 +4,10 @@ paper-anchor calibration bands that every figure bench depends on."""
 import pytest
 
 from repro.datasets import all_scenes, get_scene, synthesize_trace
+from repro.gaussians import layout
 from repro.sim import (
     CostModel,
+    disk_state_bytes,
     geomean,
     get_platform,
     peak_memory,
@@ -277,3 +279,75 @@ class TestEpochResult:
         with pytest.raises(ValueError):
             geomean([1.0, -1.0])
         assert geomean([2.0, 8.0]) == pytest.approx(4.0)
+
+
+#: active ratios from a view that sees almost nothing to one that sees all
+OOC_RATIOS = (0.01, 0.05, 0.2, 0.5, 1.0)
+OOC_N = 3_500_000
+OOC_PIXELS = 1920 * 1080
+
+
+class TestOutOfCoreDiskTier:
+    """The modeled disk tier: pages are raw, so the disk floor is the
+    spilled shards' pageable state, and the background lanes move the
+    stall, never the disk work."""
+
+    def setup_method(self):
+        self.cost = CostModel(get_platform("laptop_4070m"))
+
+    def iteration(self, system, ratio, **kw):
+        return simulate_iteration(
+            system, self.cost, OOC_N, ratio, OOC_PIXELS, **kw
+        )
+
+    @pytest.mark.parametrize("n", [1_000, 1_000_003])
+    @pytest.mark.parametrize(
+        "shards, resident", [(1, 1), (4, 1), (4, 2), (4, 4), (10, 3), (3, 5)]
+    )
+    def test_disk_and_resident_state_tile_the_shards(self, n, shards, resident):
+        """What is not resident is on disk, byte for byte: three raw
+        copies (params, m, v) of every spilled shard's columns."""
+        per_shard = -(-n // shards)
+        resident_rows = min(resident, shards) * per_shard
+        pageable = 3 * layout.param_bytes(
+            shards * per_shard, layout.NON_GEOMETRIC_DIM
+        )
+        resident_state = 3 * layout.param_bytes(
+            resident_rows, layout.NON_GEOMETRIC_DIM
+        )
+        assert disk_state_bytes(n, shards, resident) == pageable - resident_state
+
+    @pytest.mark.parametrize("ratio", OOC_RATIOS)
+    def test_write_behind_moves_only_the_stall(self, ratio):
+        for system in ("outofcore", "outofcore_async"):
+            sync = self.iteration(system, ratio)
+            behind = self.iteration(system, ratio, write_behind=True)
+            assert behind.breakdown["disk"] == sync.breakdown["disk"] > 0
+            assert behind.breakdown["disk_stall"] <= sync.breakdown["disk_stall"]
+            assert behind.time <= sync.time
+            for key in set(sync.breakdown) - {"disk_stall"}:
+                assert behind.breakdown[key] == sync.breakdown[key], key
+
+    @pytest.mark.parametrize("ratio", OOC_RATIOS)
+    def test_async_stalls_no_more_than_sync(self, ratio):
+        for write_behind in (False, True):
+            sync = self.iteration("outofcore", ratio, write_behind=write_behind)
+            overlapped = self.iteration(
+                "outofcore_async", ratio, write_behind=write_behind
+            )
+            assert overlapped.breakdown["disk"] == sync.breakdown["disk"]
+            assert (
+                overlapped.breakdown["disk_stall"]
+                <= sync.breakdown["disk_stall"]
+            )
+            assert overlapped.time <= sync.time
+
+    @pytest.mark.parametrize("ratio", OOC_RATIOS)
+    def test_every_shard_resident_pages_nothing(self, ratio):
+        """A resident budget that holds every shard leaves nothing to
+        page: the out-of-core iteration is the sharded one."""
+        sharded = self.iteration("sharded", ratio, num_shards=4)
+        for system in ("outofcore", "outofcore_async"):
+            ooc = self.iteration(system, ratio, num_shards=4, resident_shards=4)
+            assert ooc.breakdown["disk"] == ooc.breakdown["disk_stall"] == 0.0
+            assert ooc.time == sharded.time

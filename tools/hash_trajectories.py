@@ -10,16 +10,18 @@ One seeded scene, 12 training steps (every view of a splitting system
 splits in two, one densification rebuild after step 6, one checkpoint
 save + load after step 8), over the columns ``gpu_only``,
 ``baseline_offload``, ``gsscale_no_deferred``, ``gsscale``, ``sharded``;
-``outofcore`` x {``raw``, ``lossless``, ``float16``} x {``sync``;
-``async1`` = ``async_prefetch`` at depth 1; ``async2wb`` = depth 2 +
-``write_behind``}; a ``PagedServingStore`` opened from the ``sharded``
-column's checkpoint under each codec; and last, ``gsscale-vectorized`` and
-``sharded-vectorized``, the two in-memory splitting systems trained with
-the ``vectorized`` raster engine every ``perfbench`` workload trains with
-(the other columns render with ``reference``). Per training column it prints the
-sha256 of the step losses, the final packed parameters, the Adam moments
-and the defer counters (both scattered into global row order, so columns
-with different store trees compare), then the ledger counts and tracker
+``outofcore-raw`` x {``sync``; ``async1`` = ``async_prefetch`` at depth
+1; ``async2wb`` = depth 2 + ``write_behind``} (training pages are raw:
+the name keeps the columns' lines comparable with older checkouts); a
+``PagedServingStore`` opened from the ``sharded`` column's checkpoint
+under each serving codec (``serve-raw``, ``serve-float16``); and last,
+``gsscale-vectorized`` and ``sharded-vectorized``, the two in-memory
+splitting systems trained with the ``vectorized`` raster engine every
+``perfbench`` workload trains with (the other columns render with
+``reference``). Per training column it prints the sha256 of the step
+losses, the final packed parameters, the Adam moments and the defer
+counters (both scattered into global row order, so columns with
+different store trees compare), then the ledger counts and tracker
 peaks as numbers, per ``outofcore`` column the spills that recorded no
 page-out (``clean_evictions``; ``None`` from a checkout without them) and
 the hinted shard visits of the async leg (``hinted``: ``prefetch_hits +
@@ -36,25 +38,22 @@ A change to the pager, the stores or the serving tier that is meant to
 keep numerics and bytes must leave every line equal to the parent
 commit's. ``--check`` additionally asserts the equalities the design
 promises *between* columns: placement never changes numerics (``gsscale``
-== ``sharded`` == every ``raw`` / ``lossless`` ``outofcore`` column) nor,
+== ``sharded`` == every ``outofcore`` column, whatever the schedule) nor,
 from ``sharded`` down, the PCIe traffic a rebuild-spanning run adds up
-to; the device-only system moves nothing; the async leg
-moves the read and never the traffic (``sync`` == ``async1`` on every
-ledger count, clean eviction and tracker peak, under every codec; depth 2
-keeps upcoming shards resident, so only its PCIe counts are pinned), the
-hinted shard visits follow the schedule (none on ``sync``, ``async1`` ==
-``async2wb``), a lossy page is rounded the same way whether or not its
-write-behind landed before it was paged back in (``float16`` ``sync`` ==
-``async2wb`` numerics and pages), a lossless page is pure placement
-(``raw`` == ``lossless`` gathers and frames) and a serving page holds the
-same bytes whether it was filled from the checkpoint or from the resumed
-model (``pages_from_model`` == ``pages`` under every codec), and a gather
-decodes each row as the whole page would (``gather_rows`` == the same
-rows of the full ``gather`` under every codec), and sharding never
-changes numerics under the ``vectorized`` engine either
-(``gsscale-vectorized`` == ``sharded-vectorized``). Uses only
-names both sides of a diff have; ``.crc`` sidecars of older checkouts
-are ignored.
+to; a page file is its array (every schedule leaves the same page
+files); the device-only system moves nothing; the async leg moves the
+read and never the traffic (``sync`` == ``async1`` on every ledger
+count, clean eviction and tracker peak; depth 2 keeps upcoming shards
+resident, so only its PCIe counts are pinned), the hinted shard visits
+follow the schedule (none on ``sync``, ``async1`` == ``async2wb``); a
+serving page holds the same bytes whether it was filled from the
+checkpoint or from the resumed model (``pages_from_model`` == ``pages``
+under every serving codec), and a gather decodes each row as the whole
+page would (``gather_rows`` == the same rows of the full ``gather``
+under every serving codec); and sharding never changes numerics under
+the ``vectorized`` engine either (``gsscale-vectorized`` ==
+``sharded-vectorized``). Uses only names both sides of a diff have;
+``.crc`` sidecars of older checkouts are ignored.
 """
 
 import argparse
@@ -80,7 +79,8 @@ from repro.render import RasterConfig
 from repro.serve import FrameTask, PagedServingStore
 from repro.serve.farm import render_frame
 
-CODECS = ("raw", "lossless", "float16")
+#: the serving page codecs (training pages are raw)
+SERVE_CODECS = ("raw", "float16")
 SCHEDULES = {
     "sync": {},
     "async1": dict(async_prefetch=True),
@@ -227,14 +227,13 @@ def run() -> dict[str, dict]:
     with tempfile.TemporaryDirectory(prefix="gsscale-hash-") as tmp:
         for name in IN_MEMORY:
             table[name] = train_column(scene, tmp, name, system=name)
-        for codec in CODECS:
-            for schedule, knobs in SCHEDULES.items():
-                name = f"outofcore-{codec}-{schedule}"
-                table[name] = train_column(
-                    scene, tmp, name, system="outofcore", resident_shards=2,
-                    page_codec=codec, **knobs,
-                )
-        for codec in CODECS:
+        for schedule, knobs in SCHEDULES.items():
+            name = f"outofcore-raw-{schedule}"
+            table[name] = train_column(
+                scene, tmp, name, system="outofcore", resident_shards=2,
+                **knobs,
+            )
+        for codec in SERVE_CODECS:
             table[f"serve-{codec}"] = serve_column(
                 scene, tmp, codec, table["sharded"]["checkpoint"]
             )
@@ -281,37 +280,26 @@ def check(table: dict[str, dict]) -> list[str]:
         a, b = f"gsscale{suffix}", f"sharded{suffix}"
         if ledger(a, PCIE[:2]) != ledger(b, PCIE[:2]):
             failures.append(f"PCIe bytes: {a} != {b}")
-    for codec in CODECS:
-        sync = f"outofcore-{codec}-sync"
-        if codec != "float16":
-            for schedule in SCHEDULES:
-                column = f"outofcore-{codec}-{schedule}"
-                same("placement never changes numerics", "sharded", column,
-                     NUMERICS + ("device_peak",))
-                same("a page file is its array", sync, column, ("pages",))
-                if ledger("sharded", PCIE) != ledger(column, PCIE):
-                    failures.append(f"PCIe traffic: sharded != {column}")
-        else:
-            # a lossy page rounds what it holds; a page-out re-adopted
-            # before the writer lands it is rounded the same way
-            same("a queued page-out reads back as its page", sync,
-                 f"outofcore-{codec}-async2wb", NUMERICS + ("pages",))
-        # dirtiness follows the op sequence, never thread timing
-        same("the async leg moves the read, never the traffic", sync,
-             f"outofcore-{codec}-async1",
-             NUMERICS + ("ledger", "clean_evictions", "device_peak",
-                         "host_peak", "pages"))
-        if ledger(sync, PCIE) != ledger(f"outofcore-{codec}-async2wb", PCIE):
-            failures.append(f"PCIe traffic: {sync} != async2wb")
-        # the hinted steps are the schedule's, whatever the depth, and a
-        # checkpoint or a rebuild keeps the leg running
-        if table[sync]["hinted"] != 0:
-            failures.append(f"a synchronous run hints nothing: {sync}")
-        same("hinted visits follow the schedule", f"outofcore-{codec}-async1",
-             f"outofcore-{codec}-async2wb", ("hinted",))
-    same("a lossless page is pure placement", "serve-raw", "serve-lossless",
-         ("gather", "frame"))
-    for codec in CODECS:
+    sync = "outofcore-raw-sync"
+    for schedule in SCHEDULES:
+        column = f"outofcore-raw-{schedule}"
+        same("placement never changes numerics", "sharded", column,
+             NUMERICS + ("device_peak",))
+        same("a page file is its array", sync, column, ("pages",))
+        if ledger("sharded", PCIE) != ledger(column, PCIE):
+            failures.append(f"PCIe traffic: sharded != {column}")
+    # dirtiness follows the op sequence, never thread timing
+    same("the async leg moves the read, never the traffic", sync,
+         "outofcore-raw-async1",
+         NUMERICS + ("ledger", "clean_evictions", "device_peak",
+                     "host_peak", "pages"))
+    # the hinted steps are the schedule's, whatever the depth, and a
+    # checkpoint or a rebuild keeps the leg running
+    if table[sync]["hinted"] != 0:
+        failures.append(f"a synchronous run hints nothing: {sync}")
+    same("hinted visits follow the schedule", "outofcore-raw-async1",
+         "outofcore-raw-async2wb", ("hinted",))
+    for codec in SERVE_CODECS:
         row = table[f"serve-{codec}"]
         if row["pages_from_model"] != row["pages"]:
             failures.append(f"one page fill path: serve-{codec} "
