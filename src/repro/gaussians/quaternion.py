@@ -10,10 +10,22 @@ from __future__ import annotations
 import numpy as np
 
 
+def _norms(quats: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(quats, axis=-1, keepdims=True)``, bit for bit in
+    float32 and float64.
+
+    The squared norm is summed left to right over the four components,
+    the order the norm's reduction sums them in, without its reduction
+    machinery: the same bits in about half the time (numerics contract
+    fact 10).
+    """
+    w, x, y, z = (quats[..., i] for i in range(4))
+    return np.sqrt(w * w + x * x + y * y + z * z)[..., None]
+
+
 def normalize(quats: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     """Return unit quaternions for raw ``(N, 4)`` input."""
-    norms = np.linalg.norm(quats, axis=-1, keepdims=True)
-    return quats / np.maximum(norms, eps)
+    return quats / np.maximum(_norms(quats), eps)
 
 
 def normalize_backward(
@@ -29,7 +41,7 @@ def normalize_backward(
         Gradient w.r.t. the raw quaternions, ``(N, 4)``. Uses
         ``d(q/|q|)/dq = (I - u u^T) / |q|`` with ``u = q/|q|``.
     """
-    norms = np.maximum(np.linalg.norm(quats, axis=-1, keepdims=True), eps)
+    norms = np.maximum(_norms(quats), eps)
     unit = quats / norms
     inner = np.sum(unit * grad_unit, axis=-1, keepdims=True)
     return (grad_unit - unit * inner) / norms

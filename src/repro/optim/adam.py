@@ -125,9 +125,13 @@ class DenseAdam:
 
         Used by parameter forwarding (Section 4.2.2): the next iteration's
         visible rows are pre-updated and shipped to the GPU before the lazy
-        CPU update commits. No state is modified.
+        CPU update commits. No state is modified. The gradients are cast
+        to the parameters' dtype and the rows returned in it, as
+        :meth:`step_sparse` scatters and writes them.
         """
         ids = np.asarray(ids, dtype=np.int64)
+        if grads_rows is not None:
+            grads_rows = grads_rows.astype(self.params.dtype, copy=False)
         return self._kernel(self.step_count + 1).peek(ids, grads_rows)
 
     def materialized_params(self, ids: np.ndarray | None = None) -> np.ndarray:

@@ -89,7 +89,8 @@ class SparseOptimizer(Protocol):
     def peek_updated(
         self, ids: np.ndarray, grads_rows: np.ndarray
     ) -> np.ndarray:
-        """Values rows ``ids`` will hold after the next step (no mutation)."""
+        """Values rows ``ids`` will hold after the next step, in the
+        parameters' dtype (no mutation)."""
         ...
 
     def materialized_params(self, ids: np.ndarray | None = None) -> np.ndarray:

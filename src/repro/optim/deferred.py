@@ -235,9 +235,12 @@ class DeferredAdam:
         This is parameter forwarding's pre-update (Section 4.3.3):
         restoration plus the pending-gradient update are computed for the
         forwarded rows only, and *nothing* — parameters, moments, counters —
-        is modified.
+        is modified. The gradients are cast to the parameters' dtype and
+        the rows returned in it, as :meth:`step` casts and writes them.
         """
         ids = np.asarray(ids, dtype=np.int64)
+        if grads_rows is not None:
+            grads_rows = grads_rows.astype(self.params.dtype, copy=False)
         return self._kernel(self.step_count + 1).peek(ids, grads_rows)
 
     def forward_rows(

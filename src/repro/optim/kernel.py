@@ -36,7 +36,8 @@ and both roundings are frozen, so :class:`RowKernel` takes the three
 divisors as operands instead of choosing one form. Mixed dtypes keep
 numpy's promotion: each scratch array has the dtype the out-of-place
 operator would have returned (a ``float32`` model still divides by the
-``float64`` bias-correction scalar in ``float64``).
+``float64`` bias-correction scalar in ``float64``), and what a step
+writes — or a peek returns — is rounded once to the parameters' dtype.
 """
 
 from __future__ import annotations
@@ -229,7 +230,9 @@ class RowKernel:
         self._update(rows, grads, grad_rows, commit=True)
 
     def peek(self, rows: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        """Parameter rows :meth:`step` would write; nothing is modified."""
+        """Parameter rows :meth:`step` would write, in the parameters'
+        dtype (an operator that promoted is rounded once, as the write
+        rounds it); nothing is modified."""
         return self._update(rows, grads, None, commit=False)
 
     def _update(self, rows, grads, grad_rows, commit):
@@ -260,7 +263,7 @@ class RowKernel:
             # block b's gradient rows are grads[cuts[b]:cuts[b + 1]]
             size = self.rows_per_block
             cuts = np.searchsorted(grad_rows, np.arange(0, total + size, size))
-        out = None if commit else np.empty((rows.size, dim), dt_w)
+        out = None if commit else np.empty((rows.size, dim), params.dtype)
         scratch, spans = self._blocks(rows)
 
         for block, (s, e) in enumerate(spans):
@@ -322,9 +325,9 @@ class RowKernel:
                 shrink = np.multiply(
                     self.lr_decay, w, out=scratch("c", w.dtype, k)
                 )
-            if not commit:
+            if not commit and dt_w == out.dtype:
                 w_new = out[s:e]
-            elif dt_w == w.dtype:
+            elif commit and dt_w == w.dtype:
                 w_new = w
             else:
                 w_new = scratch("w", dt_w, k)
@@ -333,6 +336,8 @@ class RowKernel:
                 np.subtract(w_new, shrink, out=w_new)
 
             if not commit:
+                if w_new.dtype != out.dtype:
+                    out[s:e] = w_new  # rounded once, as the write rounds
                 continue
             if idx is not None:
                 params[idx] = w_new

@@ -19,10 +19,13 @@ of :data:`BLOCK_ROWS` rows through
 ``project_geometry`` runs over all rows at once, and reads the centre,
 radius and validity of each row. Every op there is per row, so the
 walk's verdict is bit-identical to one whole-array projection wherever
-the blocks are cut (fact 6). A 120k-row float64 view, 2.3% of it
-visible, takes 52-56 ms and a 12 MB allocation peak on a 2-vCPU Xeon VM,
-where one whole-array projection with ``Sigma`` built by syrk took
-85-88 ms and 77 MB.
+the blocks are cut (fact 6), and each product in it takes numpy's fastest
+route to the same bits (fact 10). A view of the ``train_sparse``
+benchmark model — 120k float64 rows held as column views of one packed
+``(N, 10)`` matrix, 0.4% of them visible — takes 55-66 ms and an 11 MB
+allocation peak on a 2-vCPU Xeon VM with one BLAS thread; the same day,
+with the stacked products of before fact 10, it took 76-92 ms. One
+whole-array projection peaked at 77 MB.
 
 **The projection is handed on.** Asked to (``keep``), the cull keeps
 what it computed for the rows it keeps — camera-space centre, pixel

@@ -211,10 +211,13 @@ def project_rows(
 
     The one implementation behind :func:`project_geometry` and the
     frustum cull's block walk. Every operation in it is per row —
-    elementwise ufuncs, the per-row quaternion norm, stacked 3x3 / 2x3
-    matmuls that make one BLAS call per item — so its output for a row
-    does not depend on which other rows share the call, and a caller may
-    hand it any slice of the rows (numerics contract fact 6).
+    elementwise ufuncs, the per-row quaternion norm, the stacked
+    products ``V V^T``, ``M Sigma`` and ``(M Sigma) M^T`` (one BLAS call
+    per item, each with a contiguous right operand), and ``J W`` as one
+    flat gemm over two rows per input row, whose rows do not depend on
+    each other (fact 8) — so its output for a row does not depend on
+    which other rows share the call, and a caller may hand it any slice
+    of the rows (numerics contract facts 6 and 10).
 
     Args:
         cam_points: camera-space centres from :func:`camera_points`,
@@ -228,8 +231,13 @@ def project_rows(
 
     jac = _perspective_jacobian(cam_points, camera)
     cov_world, c3_ctx = cov3d.build_covariance(log_scales, quats)
-    m = jac @ camera.world_to_cam_rot.astype(cam_points.dtype)  # (M, 2, 3)
-    cov2d = m @ cov_world @ np.swapaxes(m, -1, -2)
+    # M = J W as one (2M, 3) @ (3, 3) gemm, not M stacked calls, and
+    # M Sigma M^T against a contiguous copy of M^T, which numpy multiplies
+    # about twice as fast as the transposed view; both give the same bits
+    # (numerics contract fact 10)
+    rot = camera.world_to_cam_rot.astype(cam_points.dtype)
+    m = (jac.reshape(-1, 3) @ rot).reshape(jac.shape)  # (M, 2, 3)
+    cov2d = (m @ cov_world) @ np.ascontiguousarray(np.swapaxes(m, -1, -2))
     cov2d[:, 0, 0] += EPS_2D
     cov2d[:, 1, 1] += EPS_2D
 

@@ -597,6 +597,57 @@ class TestTwoStagesOneStep:
         assert h.store.materialize().tobytes() == twin.store.materialize().tobytes()
 
 
+class TestFloat32ForwardedRows:
+    """A float32 deferred forwarding store hands out the same float32 rows
+    whether it commits the pending step's staged rows early
+    (:class:`HostStore`) or peeks through the step (:class:`DiskStore`):
+    the peek rounds to the model's dtype once, as the commit's write does,
+    also when the gradients arrive in float64."""
+
+    @staticmethod
+    def _pair(tmp_path):
+        p = _params().astype(np.float32)
+        host = HostStore(
+            p.copy(), layout.ALL_BLOCK, ADAM, MemoryTracker(), TransferLedger(),
+            forwarding=True, deferred=True, max_defer=3,
+        )
+        disk = DiskStore(
+            p.copy(), layout.ALL_BLOCK, ADAM, MemoryTracker(), TransferLedger(),
+            spill_path=str(tmp_path / "float32"), host_memory=MemoryTracker(),
+            forwarding=True, deferred=True, max_defer=3,
+        )
+        return host, disk
+
+    @staticmethod
+    def _assert_same(got, want, what):
+        assert got.dtype == want.dtype == np.float32, what
+        assert got.tobytes() == want.tobytes(), what
+
+    def test_stage_and_materialize_byte_equal(self, tmp_path):
+        host, disk = self._pair(tmp_path)
+        rng = np.random.default_rng(12)
+        for step in range(8):
+            ids = np.sort(rng.choice(N_ROWS, size=N_ROWS // 2, replace=False))
+            self._assert_same(
+                disk.materialize(), host.materialize(), f"materialize {step}"
+            )
+            self._assert_same(disk.stage(ids), host.stage(ids), f"stage {step}")
+            self._assert_same(
+                disk.materialize(ids), host.materialize(ids),
+                f"materialize staged rows {step}",
+            )
+            grads = rng.normal(size=(ids.size, host.dim))
+            for store in (host, disk):
+                store.unstage(ids)
+                store.commit()
+                store.return_grads(ids, grads)
+            if step % 3 == 2:
+                disk.spill()
+        for store in (host, disk):
+            store.flush()
+        self._assert_same(disk.materialize(), host.materialize(), "after flush")
+
+
 def tree_state(store):
     """Every leaf's ``state_dict`` (copied), keyed ``{prefix}/{key}``."""
     return {

@@ -89,8 +89,12 @@ class OracleDeferredAdam(DeferredAdam):
         )
 
     def peek_updated(self, ids, grads_rows):
+        # the values the step writes: gradients cast to the model's dtype
+        # as the step casts them, the promoted result rounded once on store
         ids = np.asarray(ids, dtype=np.int64)
-        return self._compute_update(ids, grads_rows, self.step_count + 1)[0]
+        dtype = self.params.dtype
+        w = self._compute_update(ids, grads_rows.astype(dtype), self.step_count + 1)[0]
+        return w.astype(dtype)
 
     def materialized_params(self, ids=None):
         if ids is None:
@@ -133,10 +137,11 @@ class OracleDenseAdam(DenseAdam):
         self.step(dense)
 
     def peek_updated(self, ids, grads_rows):
+        dtype = self.params.dtype  # cast and rounded as step_sparse does
         return adam_update(
-            self.params[ids], grads_rows, self.m[ids], self.v[ids],
-            self.step_count + 1, self.config, lr_vec=self._lr_vec,
-        )[0]
+            self.params[ids], grads_rows.astype(dtype), self.m[ids],
+            self.v[ids], self.step_count + 1, self.config, lr_vec=self._lr_vec,
+        )[0].astype(dtype)
 
 
 # -- helpers -------------------------------------------------------------------
@@ -272,9 +277,11 @@ class TestDeferredParity:
         assert sorted(np.flatnonzero(bad)) == [4, n - 2]
         assert np.isfinite(opt.m[block_rows(DIM, 8)]).all()
 
-    def test_mixed_dtype_peek_keeps_promoted_arithmetic(self):
-        """A float32 model peeked with float64 gradients computes — and
-        returns — what numpy's promotion gives the out-of-place formula."""
+    def test_mixed_dtype_peek_is_what_the_step_writes(self):
+        """A float32 model peeked with float64 gradients returns float32
+        rows, byte-equal to what the step with those gradients writes:
+        both cast the gradients to the model's dtype, and the float64
+        bias correction is rounded away once, on store or on return."""
         rng = np.random.default_rng(4)
         p0 = rng.normal(size=(40, DIM)).astype(np.float32)
         opt, ref = DeferredAdam(p0.copy()), OracleDeferredAdam(p0.copy())
@@ -284,9 +291,10 @@ class TestDeferredParity:
             o.step(ids, g)  # a commit casts the gradients to the model's dtype
         _assert_same_state(opt, ref, "after a float64-gradient step")
         g = rng.normal(size=(ids.size, DIM))
-        _assert_same_bytes(
-            opt.peek_updated(ids, g), ref.peek_updated(ids, g), "mixed peek"
-        )
+        peeked = opt.peek_updated(ids, g)
+        _assert_same_bytes(peeked, ref.peek_updated(ids, g), "mixed peek")
+        opt.step(ids, g)
+        _assert_same_bytes(opt.params[ids], peeked, "the step's rows")
 
     def test_out_of_range_ids_raise(self):
         """Block gathers clip instead of checking, so ids are checked once
@@ -403,6 +411,19 @@ class TestDenseParity:
             ref.step(g)
             assert opt.m.dtype == np.float32
             _assert_same_state(opt, ref, f"after step {t}")
+
+    def test_mixed_dtype_peek_is_what_the_sparse_step_writes(self):
+        """The store steps dense Adam through ``step_sparse``, which
+        scatters float64 gradients into float32 scratch: a peek with the
+        same gradients returns float32 rows with the bytes it writes."""
+        rng = np.random.default_rng(9)
+        opt = DenseAdam(rng.normal(size=(50, DIM)).astype(np.float32))
+        ids = np.arange(1, 50, 4)
+        for t in range(3):
+            g = rng.normal(size=(ids.size, DIM))
+            peeked = opt.peek_updated(ids, g)
+            opt.step_sparse(ids, g)
+            _assert_same_bytes(opt.params[ids], peeked, f"step {t}'s rows")
 
 
 # -- the allocation gate ----------------------------------------------------------

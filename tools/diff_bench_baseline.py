@@ -47,13 +47,16 @@ RATE_KEYS = ("requests_per_s",)
 TIMING_KEYS = COST_KEYS + RATE_KEYS
 
 #: Fault-tier counters (supervised-pool retries, shed/degraded request
-#: fractions). Informational only: they are neither part of an entry's
-#: identity nor gated against the threshold — a drift prints a plain
-#: ``::notice::`` so reviewers can eyeball resilience changes.
+#: fractions) and readings that follow thread timing (the disk matrix's
+#: staging hit rate: whether a prefetch lands before its stage).
+#: Informational only: they are neither part of an entry's identity nor
+#: gated against the threshold — a drift prints a plain ``::notice::``,
+#: enough to eyeball resilience changes by.
 INFO_KEYS = (
     "retries", "worker_deaths", "respawns", "deadline_hits",
     "degraded", "rejected", "shed_fraction", "availability",
     "telemetry_overhead_pct", "pruned_isects", "visible_rows_per_frame",
+    "staging_hit_rate",
 )
 
 
