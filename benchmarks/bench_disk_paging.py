@@ -11,15 +11,14 @@ committed ``BENCH_disk.json`` baseline is the quick-mode run the CI
   acceptance gate lives here: float16 pages must deliver >= 1.5x
   effective page-in bandwidth (decoded bytes per encoded byte actually
   read) over raw. Training pages are raw, so the codecs are serving's.
-* ``test_disk_paging_matrix`` — short out-of-core training runs over the
-  prefetch-depth x write-behind grid on an alternating-cluster
-  schedule, recording staging hit-rates, synchronous-spill bytes, and
-  the ledger's two-sided disk channel. Depth >= 2 must reach a strictly
-  higher staging hit-rate than the depth-1 double buffer, and
-  write-behind must hold admit-path synchronous spill bytes at zero.
+* ``test_disk_paging_matrix`` — short out-of-core training runs over
+  the prefetch depths on an alternating-cluster schedule, recording
+  staging hit-rates and the ledger's two-sided disk channel. Depth >= 2
+  must reach a strictly higher staging hit-rate, and page in strictly
+  fewer shards, than the depth-1 double buffer.
 * ``test_tenx_budget_entry`` — the headline configuration: a model
-  whose pageable state is ~10x the host budget training with both axes
-  on at once, under the enforced byte budget. Some of its spills must be
+  whose pageable state is ~10x the host budget training with depth-2
+  prefetch, under the enforced byte budget. Some of its spills must be
   clean evictions (a shard that did not change since its page-in writes
   nothing).
 
@@ -203,7 +202,7 @@ def test_codec_page_bandwidth(benchmark):
 
 
 def test_disk_paging_matrix(benchmark):
-    """prefetch-depth x write-behind training grid."""
+    """Training runs over the prefetch depths."""
     per_cluster = 40 if QUICK else 60
     steps = 8 if QUICK else 12
     depths = (1, 2) if QUICK else (1, 2, 3)
@@ -212,62 +211,44 @@ def test_disk_paging_matrix(benchmark):
     def run_matrix():
         entries = []
         for depth in depths:
-            for write_behind in (False, True):
-                cfg = GSScaleConfig(
-                    system="outofcore", num_shards=4, resident_shards=2,
-                    scene_extent=8.0, ssim_lambda=0.0, mem_limit=1.0,
-                    seed=0, async_prefetch=True, prefetch_depth=depth,
-                    write_behind=write_behind,
-                )
-                t = Trainer(model.copy(), cfg)
-                t0 = time.perf_counter()
-                # alternate two clusters: the depth-1 structural miss
-                t.train(cameras[:2], images[:2], steps)
-                step_s = (time.perf_counter() - t0) / steps
-                s = t.system
-                attempts = max(s.prefetch_hits + s.prefetch_misses, 1)
-                ledger = s.ledger
-                entries.append({
-                    "bench": "matrix",
-                    "prefetch_depth": depth,
-                    "write_behind": write_behind,
-                    "steps": steps,
-                    "staging_hit_rate": round(s.prefetch_hits / attempts, 4),
-                    "page_in_count": ledger.page_in_count,
-                    **_page_out_counts(ledger, s.clean_evictions),
-                    "sync_spill_bytes": s.sync_spill_bytes,
-                    "write_behind_jobs": s.write_behind_jobs,
-                    "step_s": step_s,
-                    "sync_spill_s": s.sync_spill_seconds,
-                    **_view_shards(s, cameras[:2]),
-                })
+            cfg = GSScaleConfig(
+                system="outofcore", num_shards=4, resident_shards=2,
+                scene_extent=8.0, ssim_lambda=0.0, mem_limit=1.0,
+                seed=0, async_prefetch=True, prefetch_depth=depth,
+            )
+            t = Trainer(model.copy(), cfg)
+            t0 = time.perf_counter()
+            # alternate two clusters: the depth-1 structural miss
+            t.train(cameras[:2], images[:2], steps)
+            step_s = (time.perf_counter() - t0) / steps
+            s = t.system
+            attempts = max(s.prefetch_hits + s.prefetch_misses, 1)
+            ledger = s.ledger
+            entries.append({
+                "bench": "matrix",
+                "prefetch_depth": depth,
+                "steps": steps,
+                "staging_hit_rate": round(s.prefetch_hits / attempts, 4),
+                "page_in_count": ledger.page_in_count,
+                **_page_out_counts(ledger, s.clean_evictions),
+                "step_s": step_s,
+                "sync_spill_s": s.sync_spill_seconds,
+                **_view_shards(s, cameras[:2]),
+            })
         return entries
 
     entries = benchmark.pedantic(run_matrix, rounds=1, iterations=1)
-
-    def cell(depth, wb):
-        return next(
-            e for e in entries
-            if e["prefetch_depth"] == depth and e["write_behind"] is wb
-        )
-
-    for wb in (False, True):
-        shallow, deep = cell(1, wb), cell(depths[-1], wb)
-        # the acceptance gates: a deeper staging queue strictly wins the
-        # hit-rate, and write-behind zeroes the admit path
-        assert deep["staging_hit_rate"] > shallow["staging_hit_rate"]
-        assert deep["page_in_count"] < shallow["page_in_count"]
-    for depth in depths:
-        sync, behind = cell(depth, False), cell(depth, True)
-        assert behind["sync_spill_bytes"] == 0
-        assert behind["sync_spill_bytes"] < sync["sync_spill_bytes"]
-        assert behind["write_behind_jobs"] > 0
+    shallow, deep = entries[0], entries[-1]
+    # the acceptance gates: a deeper staging queue strictly wins the
+    # hit-rate and pages in less
+    assert deep["staging_hit_rate"] > shallow["staging_hit_rate"]
+    assert deep["page_in_count"] < shallow["page_in_count"]
     _assert_raw_writes_its_bytes(entries)
     _emit(entries)
 
 
 def test_tenx_budget_entry(benchmark):
-    """Everything on at once, ~10x past the host budget."""
+    """Depth-2 prefetch, ~10x past the host budget."""
     scene = build_scene(
         SyntheticSceneConfig(
             num_points=260 if QUICK else 400,
@@ -282,7 +263,6 @@ def test_tenx_budget_entry(benchmark):
             system="outofcore", num_shards=10, resident_shards=1,
             scene_extent=scene.extent, ssim_lambda=0.0, mem_limit=1.0,
             seed=0, async_prefetch=True, prefetch_depth=2,
-            write_behind=True,
         )
         t = Trainer(scene.initial.copy(), cfg)
         t0 = time.perf_counter()
@@ -299,14 +279,12 @@ def test_tenx_budget_entry(benchmark):
         return {
             "bench": "tenx",
             "prefetch_depth": 2,
-            "write_behind": True,
             "num_shards": 10,
             "steps": steps,
             "pageable_over_host_peak": round(
                 pageable / s.host_memory.peak_bytes, 2
             ),
             **_page_out_counts(s.ledger, s.clean_evictions),
-            "sync_spill_bytes": s.sync_spill_bytes,
             "staging_hit_rate": round(
                 s.prefetch_hits
                 / max(s.prefetch_hits + s.prefetch_misses, 1), 4
@@ -316,10 +294,8 @@ def test_tenx_budget_entry(benchmark):
         }
 
     entry = benchmark.pedantic(run, rounds=1, iterations=1)
-    # the deep tier's whole point: far past the budget, no admit-path
-    # spill stall, still training
+    # the deep tier's whole point: far past the budget, still training
     assert entry["pageable_over_host_peak"] >= 6.0
-    assert entry["sync_spill_bytes"] == 0
     # a shard whose state did not change since its page-in spills for free
     assert entry["clean_evictions"] > 0
     _assert_raw_writes_its_bytes([entry])

@@ -83,17 +83,17 @@ class GSScaleConfig:
             training thread. 1 is the classic double buffer; deeper
             queues need ``async_prefetch`` and pay off on
             locality-ordered view schedules (``view_order="locality"``).
-        write_behind: move the ``outofcore`` system's dirty page-outs to
-            the write-behind lane (epoch-fenced, drained before
-            densification rebuilds and checkpoints) instead of writing
-            them synchronously on the admit path.
+        write_behind: must be ``False``: write-behind spilling was
+            retired (it bought no steady-state throughput), so a spill
+            writes its pages on the thread that spills. Kept only so
+            callers that pass the default keep working.
         telemetry: record measured spans and metrics. Installs the
             process-wide :mod:`repro.telemetry` tracer when the system
             is built; training phases (cull/stage/forward/backward/
-            unstage/commit), disk paging, the prefetch and write-behind
-            threads, and pool maps (with in-worker spans) all land in
-            one ring buffer, exportable as Chrome trace JSON next to
-            the simulator's modeled trace. Off by default; the
+            unstage/commit), disk paging, the prefetch thread, and
+            pool maps (with in-worker spans) all land in one ring
+            buffer, exportable as Chrome trace JSON next to the
+            simulator's modeled trace. Off by default; the
             instrumentation call sites are near-free when disabled.
         raster: rasterizer thresholds and backend selection.
         engine: one-shot convenience override for ``raster.engine`` — one
@@ -149,6 +149,11 @@ class GSScaleConfig:
                 f"page_codec={self.page_codec!r}: training pages are raw "
                 "only; page codecs serve read-only pages "
                 "(PagedServingStore(codec=))"
+            )
+        if self.write_behind:
+            raise ValueError(
+                "write_behind=True: write-behind spilling was retired; "
+                "a spill writes its pages on the thread that spills"
             )
         if self.prefetch_depth < 1:
             raise ValueError("prefetch_depth must be >= 1")

@@ -1,14 +1,15 @@
-"""The pager: page files, residency, and the two background page lanes.
+"""The pager: page files, residency, and the prefetch lane.
 
 The training spill tier (:class:`~repro.core.stores.DiskStore`) and the
 serving shards (:class:`~repro.serve.store.PagedServingStore`) keep their
 arrays in :class:`PageFile` objects, the only code outside
 :mod:`repro.core.pagecodec` / :mod:`repro.core.integrity` that knows how
 a page is laid out, encoded, checksummed and written.
-Beside it live :class:`ResidentSet`, :class:`PreloadedShard`, the
-write-behind lane and the prefetch lane. Stores place, systems decide, the
-pager pages; the residency *sequence* (dirty pages, epochs and write-behind
-for training; immutable pages and quarantine for serving) stays per tier.
+Beside it live :class:`ResidentSet`, :class:`PreloadedShard` and the
+prefetch lane. Page-outs run on the thread that spills; only page-ins
+are overlapped. Stores place, systems decide, the pager pages; the
+residency *sequence* (dirty pages and epochs for training; immutable
+pages and quarantine for serving) stays per tier.
 """
 
 from __future__ import annotations
@@ -214,46 +215,12 @@ class SpillStats:
     densification rebuilds included.
     """
 
-    #: spills of a clean store: evictions that recorded no page-out
+    #: spills of a clean store: evictions that wrote no page and recorded
+    #: no page-out
     clean_evictions: int = 0
-    #: bytes the training thread wrote synchronously at spill (write-behind
-    #: keeps this at zero) — the admit-path stall in deterministic units
-    sync_spill_bytes: int = 0
-    #: wall-clock seconds of those writes (informational)
+    #: wall-clock seconds of the page-out writes (informational; the
+    #: ledger's ``page_out_bytes`` counts their bytes)
     sync_spill_s: float = 0.0
-
-
-class _WriteBehindWriter(Lane):
-    """The write-behind lane: queued :class:`DiskStore` page-outs.
-
-    With write-behind enabled, :meth:`DiskStore.spill` detaches the
-    working set and enqueues ``(store, epoch)`` here instead of writing
-    the spill files on the training thread — the admit path stops paying
-    the write. Jobs run strictly in order; each one completes under the
-    store's page lock and is fenced by the spill epoch, so a store that
-    paged back in (cancelling its pending write) or spilled again before
-    its job ran is simply skipped. The spill of a clean store writes
-    nothing and queues no job.
-
-    ``drain()`` blocks until every queued write has landed and re-raises
-    the first failed one — the fence
-    :func:`~repro.core.checkpoint.save_checkpoint` relies on (via
-    ``finalize()``) so a checkpoint never races a queued page-out, and
-    the densification rebuild uses before discarding the old stores.
-    """
-
-    def __init__(self):
-        super().__init__("writeback")
-        self.jobs_written = 0
-
-    def enqueue(self, store: "DiskStore", epoch: int) -> None:
-        """Queue the store's pending page-out (tagged with its epoch)."""
-        self.submit(self._write, store, epoch)
-
-    def _write(self, store: "DiskStore", epoch: int) -> None:
-        with _span("page/writeback", "page"):
-            store._complete_pending_write(epoch)
-        self.jobs_written += 1
 
 
 class _AsyncPrefetcher:

@@ -40,7 +40,7 @@ made of, named as a checkpoint names them. The placements:
 * :class:`DiskStore` — the out-of-core tier below :class:`HostStore`:
   parameters and optimizer moments spill to one
   :class:`~repro.core.pager.PageFile` each (the store owns the residency
-  *sequence* — dirty pages, spill epochs, write-behind cancellation — the
+  *sequence* — dirty pages and spill epochs — the
   pager the bytes) and only *paged-in* stores charge host DRAM; page
   traffic is metered on the ledger's disk channel and concurrent
   residency is bounded by a :class:`~repro.core.pager.ResidentSet`
@@ -75,7 +75,7 @@ from ..render.projection import ScreenRows
 from ..sim.memory import MemoryTracker
 from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
-from .pager import PageFile, PreloadedShard, ResidentSet, SpillStats, _WriteBehindWriter
+from .pager import PageFile, PreloadedShard, ResidentSet, SpillStats
 from .splitting import ShardMap
 
 _F32 = 4  # accounting is in float32-equivalent bytes
@@ -528,12 +528,9 @@ class DiskStore(HostStore):
     ``state_dict`` and a metadata-only commit never dirty a store. A
     clean store's pages already hold its arrays, so its spill is a pure
     eviction: host bytes freed and the spill epoch bumped, but no page
-    written, no write-behind job queued, nothing recorded on the disk
-    channel; it is counted in ``stats.clean_evictions`` instead. One case
-    keeps the ledger free of thread timing: a page-in that re-adopts a
-    queued write-behind page-out cancels that write, so the next spill of
-    the clean store still writes all three pages, but records nothing —
-    the ledger counted that page-out when it was first spilled.
+    written and nothing recorded on the disk channel; it is counted in
+    ``stats.clean_evictions`` instead. A dirty store's spill writes its
+    three pages on the calling thread before it releases the arrays.
 
     Three pieces of state never spill, keeping a spilled store cheap to
     drive once per step:
@@ -557,12 +554,6 @@ class DiskStore(HostStore):
             (fresh untracked one when omitted).
         resident_set: optional shared residency budget.
         forwarding / deferred / max_defer: as :class:`HostStore`.
-        writer: optional :class:`_WriteBehindWriter`. When set, spills
-            detach the working set and queue the file write behind the
-            training thread (write-behind spilling); a page-in before the
-            write lands re-adopts the queued pages, as a read of them
-            would return them, and cancels it (the next spill writes
-            them again).
         stats: the :class:`~repro.core.pager.SpillStats` this store's
             spills count into (a fresh one when omitted; the out-of-core
             system shares one over its whole run).
@@ -590,7 +581,6 @@ class DiskStore(HostStore):
         forwarding: bool = False,
         deferred: bool = False,
         max_defer: int = 15,
-        writer: "_WriteBehindWriter | None" = None,
         stats: SpillStats | None = None,
     ):
         super().__init__(
@@ -600,7 +590,6 @@ class DiskStore(HostStore):
         self._n, self._d = self.params.shape
         self._dtype = self.params.dtype
         self.spill_path = spill_path
-        self.writer = writer
         self.stats = stats if stats is not None else SpillStats()
         self.host_memory = host_memory if host_memory is not None else MemoryTracker()
         self.resident_set = resident_set
@@ -610,14 +599,9 @@ class DiskStore(HostStore):
         # and pages in; the epoch counter invalidates stale snapshots
         self._page_lock = threading.RLock()
         self._spill_epoch = 0
-        # write-behind state: arrays detached by the last spill until
-        # the background writer lands them
-        self._pending_write: dict[str, np.ndarray] | None = None
         # changed since the last page-out (see the class docstring): the
         # pages hold nothing yet
         self._dirty = True
-        # a page-in re-adopted a queued page-out and cancelled its write
-        self._write_cancelled = False
         self.page_in_s = 0.0  # informational, for the paging micro-bench
         parent = os.path.dirname(spill_path)
         if parent:
@@ -646,7 +630,7 @@ class DiskStore(HostStore):
         """Whether the resident arrays may differ from the page files,
         i.e. whether the next :meth:`spill` writes (``False`` while
         spilled)."""
-        return self._resident and (self._dirty or self._write_cancelled)
+        return self._resident and self._dirty
 
     @property
     def num_rows(self) -> int:
@@ -674,21 +658,18 @@ class DiskStore(HostStore):
 
         Pending forwarded gradients and deferred counters are retained in
         memory; everything else round-trips through the spill files,
-        bit-exactly. A clean store records no page-out (see the class
-        docstring). With a write-behind writer attached, the working set
-        is detached and the file write queued behind the training
-        thread; without one the write is synchronous and counted in
-        ``stats.sync_spill_bytes``. A synchronous write that fails leaves the
-        store resident and dirty, with its accounting untouched.
+        bit-exactly. A dirty store writes its pages on the calling
+        thread; a clean one writes nothing (see the class docstring). A
+        write that fails leaves the store resident and dirty, with its
+        accounting untouched.
         """
         with self._page_lock:
             if not self._resident:
                 return
             record = self._dirty
-            write = record or self._write_cancelled
-            if write:
+            if record:
                 self._page_out()
-            if not record:
+            else:
                 self.stats.clean_evictions += 1
             opt = self.optimizer
             opt.params = opt.m = opt.v = None
@@ -700,22 +681,14 @@ class DiskStore(HostStore):
             self.host_memory.free("host_resident_state", self._state_bytes())
             if record:
                 self.ledger.record_page_out(self._state_bytes())
-            if write and self.writer is not None:
-                self.writer.enqueue(self, self._spill_epoch)
 
     def _page_out(self) -> None:
-        """Write the working set to the pages, or detach it for the
-        write-behind writer (lock held, resident)."""
+        """Write the working set to the pages (lock held, resident)."""
         opt = self.optimizer
-        arrays = {"params": opt.params, "m": opt.m, "v": opt.v}
-        if self.writer is not None:
-            self._pending_write = arrays
-            return
         t0 = time.perf_counter()
-        self._write_pages(arrays)
+        self._write_pages({"params": opt.params, "m": opt.m, "v": opt.v})
         t1 = time.perf_counter()
         self.stats.sync_spill_s += t1 - t0
-        self.stats.sync_spill_bytes += self._state_bytes()
         if _trace.enabled():
             _trace.get_tracer().record(
                 "page/out", t0, t1, cat="page",
@@ -725,26 +698,11 @@ class DiskStore(HostStore):
                 "page_out_seconds", store="disk"
             ).observe(t1 - t0)
 
-    def _complete_pending_write(self, epoch: int) -> None:
-        """Land a queued write-behind page-out (writer thread).
-
-        Skipped when the store paged back in (pending cancelled) or
-        spilled again (newer job queued) since the job was enqueued.
-        """
-        with self._page_lock:
-            if self._pending_write is None or epoch != self._spill_epoch:
-                return
-            self._write_pages(self._pending_write)
-            self._pending_write = None
-
     def _install(self, arrays: dict[str, np.ndarray]) -> None:
         """Adopt ``arrays`` as the paged-in working set (lock held,
         spilled). The single page-in path: accounting and the ledger's
         disk channel see one record whether the bytes came from a
-        synchronous read or an async preload. Becoming resident cancels
-        any queued write-behind page-out — the on-disk page would be
-        stale the moment training mutates the arrays — so the next spill
-        writes even if the store stays clean."""
+        synchronous read or an async preload."""
         if self.resident_set is not None:
             self.resident_set.admit(self)
         opt = self.optimizer
@@ -753,8 +711,6 @@ class DiskStore(HostStore):
         opt.v = arrays["v"]
         self._resident = True
         self._dirty = False
-        self._write_cancelled = self._pending_write is not None
-        self._pending_write = None
         if self._stashed_lr is not None:
             opt.set_lr(self._stashed_lr)
             self._stashed_lr = None
@@ -767,11 +723,6 @@ class DiskStore(HostStore):
             if self._resident:
                 if self.resident_set is not None:
                     self.resident_set.touch(self)
-                return
-            if self._pending_write is not None:
-                # the queued page-out never landed: re-adopt it without
-                # the disk read and cancel the write
-                self._install(self._pending_write)
                 return
             t0 = time.perf_counter()
             arrays = self._read_pages()
@@ -794,16 +745,12 @@ class DiskStore(HostStore):
         the training thread renders; the snapshot is handed back to
         :meth:`adopt` on the training thread. Returns ``None`` when the
         store is already resident. A spill racing the read leaves a torn
-        snapshot — the epoch check in :meth:`adopt` discards it. A queued
-        write-behind page-out short-circuits the read: the snapshot is its
-        detached arrays.
+        snapshot — the epoch check in :meth:`adopt` discards it.
         """
         with self._page_lock:
             if self._resident:
                 return None
             epoch = self._spill_epoch
-            if self._pending_write is not None:
-                return PreloadedShard(arrays=self._pending_write, epoch=epoch)
         # read outside the lock: this is the I/O being overlapped; a page
         # torn by a concurrent write can fail verification outright, which
         # is the same stale-snapshot case the epoch check covers
@@ -892,14 +839,9 @@ class DiskStore(HostStore):
         with self._page_lock:
             if self._resident:
                 return super().state_dict()
-            if self._pending_write is not None:
-                # a queued write-behind page-out: the file may not exist
-                # yet, its detached arrays are the authoritative state
-                state = dict(self._pending_write)
-            else:
-                # hand out the memmap views so a checkpoint can serialize
-                # the store without materializing it in host memory
-                state = {f: page.view() for f, page in self.pages.items()}
+            # hand out the memmap views so a checkpoint can serialize
+            # the store without materializing it in host memory
+            state = {f: page.view() for f, page in self.pages.items()}
             state["steps"] = np.array(self.optimizer.step_count)
             if self.deferred:
                 state["counter"] = self.optimizer.counter
@@ -911,8 +853,6 @@ class DiskStore(HostStore):
                 super().load_state_dict(state)
                 self._dirty = True
                 return
-            # the incoming state supersedes any queued page-out
-            self._pending_write = None
             self._write_pages({
                 field: np.asarray(state[field], dtype=self._dtype)
                 for field in _PAGED_FIELDS

@@ -61,7 +61,7 @@ from ..telemetry import trace as _trace
 from ..telemetry.trace import span as _span
 from ..train.loss import photometric_loss
 from .config import GSScaleConfig
-from .pager import ResidentSet, SpillStats, _AsyncPrefetcher, _WriteBehindWriter
+from .pager import ResidentSet, SpillStats, _AsyncPrefetcher
 from .splitting import find_balanced_split_by, spatial_partition
 from .stores import (
     DeviceStore,
@@ -743,21 +743,20 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
     numerics: spill pages are raw, and the run is bit-identical to the
     in-memory sharded system under every schedule.
 
-    Two deep-tier knobs extend the leg (both default-off, neither
-    touching the bit-identity above): ``prefetch_depth`` widens the
-    async leg's lookahead to a depth-D staging queue, and
-    ``write_behind`` moves dirty page-outs to a background writer
-    (epoch-fenced against :meth:`~repro.core.stores.DiskStore.adopt`) so
-    the admit path stops paying the write.
+    One deep-tier knob extends the leg without touching the
+    bit-identity above: ``prefetch_depth`` widens the async leg's
+    lookahead to a depth-D staging queue. Page-outs are never
+    backgrounded: a spill writes a dirty shard's pages on the training
+    thread, and a clean shard's spill writes nothing.
 
     The run-level pager is built once, in ``__init__``: the spill
-    directory, the write-behind and prefetch lanes and one
+    directory, the prefetch lane and one
     :class:`~repro.core.pager.SpillStats` every store counts into, so the
-    run counters (``sync_spill_bytes``, ``clean_evictions``,
-    ``write_behind_jobs``, ``prefetch_hits`` / ``prefetch_misses``) span
-    densification rebuilds. :meth:`finalize` and :meth:`rebuild` fence the
-    lanes without stopping them: a rebuild only re-places, and training
-    goes on after a checkpoint with the async leg intact.
+    run counters (``clean_evictions``, ``prefetch_hits`` /
+    ``prefetch_misses``) span densification rebuilds. :meth:`finalize`
+    and :meth:`rebuild` fence the lane without stopping it: a rebuild
+    only re-places, and training goes on after a checkpoint with the
+    async leg intact.
     """
 
     name = "outofcore"
@@ -770,7 +769,6 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         else:
             self._spill_root = config.spill_dir
         self._spill_stats = SpillStats()
-        self._writer = _WriteBehindWriter() if config.write_behind else None
         self._prefetcher = (
             _AsyncPrefetcher(config.resident_shards, depth=config.prefetch_depth)
             if config.async_prefetch
@@ -813,35 +811,18 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         return self._prefetcher.peak_staged_bytes if self._prefetcher is not None else 0
 
     @property
-    def sync_spill_bytes(self) -> int:
-        """Decoded bytes written *synchronously* on the training thread,
-        cumulative across densification rebuilds — the admit-path disk
-        stall in deterministic byte units. Write-behind runs keep this at
-        zero (every page-out rides the background writer); synchronous
-        runs accumulate the full page-out traffic here. A clean eviction
-        writes nothing and adds nothing (see :attr:`clean_evictions`)."""
-        return self._spill_stats.sync_spill_bytes
-
-    @property
     def clean_evictions(self) -> int:
         """Spills of a shard whose state had not changed since its
-        page-in — evictions that recorded no page-out (and, unless a
-        page-in cancelled a queued write-behind page-out, wrote no page) —
+        page-in — evictions that wrote no page and recorded no page-out —
         cumulative across densification rebuilds (informational)."""
         return self._spill_stats.clean_evictions
 
     @property
     def sync_spill_seconds(self) -> float:
-        """Wall-clock seconds the training thread spent in synchronous
-        page-out writes (informational; byte counters are the
+        """Wall-clock seconds the training thread spent in page-out
+        writes (informational; the ledger's ``page_out_bytes`` is the
         deterministic comparison)."""
         return self._spill_stats.sync_spill_s
-
-    @property
-    def write_behind_jobs(self) -> int:
-        """Page-outs completed by the background writer, cumulative
-        across rebuilds (0 unless ``write_behind`` is on)."""
-        return self._writer.jobs_written if self._writer is not None else 0
 
     def _make_nongeo_store(
         self,
@@ -863,7 +844,6 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
             forwarding=True,
             deferred=True,
             max_defer=cfg.max_defer,
-            writer=self._writer,
             stats=self._spill_stats,
         )
 
@@ -983,17 +963,13 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         return report
 
     def _fence(self) -> None:
-        """Wait until all lane work is done: the prefetch lane settles and
-        drops its staged views (and the hints they came from), then the
-        writer drains, re-raising its first failed page-out. Afterwards no
-        prefetch still reads a page and every queued page-out has landed
-        (or went stale and was skipped); both lanes stay up."""
+        """Wait until the prefetch lane settles and drop its staged views
+        (and the hints they came from). Afterwards no prefetch still reads
+        a page; the lane stays up."""
         self._pending_hints = []
         self._scheduled_hints = []
         if self._prefetcher is not None:
             self._prefetcher.fence()
-        if self._writer is not None:
-            self._writer.drain()
 
     def rebuild(self, model: GaussianModel) -> None:
         # the new stores reuse the spill files' paths
@@ -1002,9 +978,8 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
 
     def finalize(self) -> None:
         super().finalize()
-        # the checkpoint fence: save_checkpoint finalizes first, so every
-        # queued page-out (including ones the flush's own evictions just
-        # enqueued) lands before any state is serialized
+        # the checkpoint fence: save_checkpoint finalizes first, so no
+        # prefetch still reads a page while state is serialized
         self._fence()
 
 

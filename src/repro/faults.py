@@ -66,7 +66,7 @@ class Fault:
 
     Attributes:
         point: fault-point name (``"pool:task"``, ``"block:forward"``,
-            ``"lane:writeback"``, ``"pager:page_out"``,
+            ``"lane:prefetch"``, ``"pager:page_out"``,
             ``"pager:page_in"``, ``"serve:frame"``, ...).
         action: ``"kill"`` (SIGKILL the visiting pool worker),
             ``"delay"`` (sleep ``seconds``), or ``"raise"``

@@ -119,10 +119,3 @@ def rotation_matrix_backward(
     )
     return np.stack([grad_w, grad_x, grad_y, grad_z], axis=-1)
 
-
-def random_unit_quats(
-    num: int, rng: np.random.Generator, dtype=np.float64
-) -> np.ndarray:
-    """Sample ``num`` uniformly distributed unit quaternions."""
-    q = rng.normal(size=(num, 4)).astype(dtype)
-    return normalize(q)

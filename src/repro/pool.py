@@ -21,7 +21,7 @@ array passes), one per CPU the process may run on, and inline inside a
 :class:`PersistentPool` worker, which is already one core of a fan-out.
 
 :class:`Lane` is the one background-work primitive: a long-lived thread
-running its tasks in order — the pager's write-behind and prefetch lanes.
+running its tasks in order — the pager's prefetch lane.
 """
 
 from __future__ import annotations

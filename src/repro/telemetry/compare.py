@@ -46,7 +46,6 @@ PHASE_BY_SPAN = {
     "page/in": "disk",
     "page/out": "disk",
     "page/prefetch": "disk",
-    "page/writeback": "disk",
 }
 
 

@@ -13,7 +13,7 @@ same config side by side in one viewer.
 Thread lanes are assigned deterministically in order of first
 appearance. Lane names come from ``Tracer.thread_names`` (where every
 :class:`~repro.pool.Lane` task labels its thread ``gsscale-{name}``, e.g.
-``gsscale-prefetch`` and ``gsscale-writeback``), then a ``thread-N``
+``gsscale-prefetch``), then a ``thread-N``
 fallback; string tids (the synthetic ``pool-worker-K`` lanes) display as
 themselves.
 """

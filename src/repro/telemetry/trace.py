@@ -4,8 +4,8 @@
 what the running system actually did. A process-wide :class:`Tracer`
 holds a ring buffer of completed :class:`SpanEvent` records, stamped with
 ``time.perf_counter`` and the recording thread, so the training step's
-phases, the prefetch lane's disk reads, the write-behind lane's
-page-outs, and the serving tick all land on their own timeline lanes.
+phases, its page-outs, the prefetch lane's disk reads, and the serving
+tick all land on their own timeline lanes.
 :mod:`repro.telemetry.export` turns the buffer into the same Chrome
 trace-event JSON the simulator writes, so a measured and a modeled run of
 the same config open side by side in one chrome://tracing viewer.
@@ -129,7 +129,7 @@ class Tracer:
     """Ring-buffer span recorder on a monotonic clock.
 
     Thread-safe: spans record under a short lock from any thread (the
-    training loop, the pager's prefetch and write-behind lanes). The
+    training loop, the pager's prefetch lane). The
     ring holds the most recent ``capacity`` spans; older ones are
     overwritten and counted in :attr:`dropped` rather than growing
     memory unboundedly on long runs.

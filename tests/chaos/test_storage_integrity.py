@@ -32,7 +32,7 @@ from repro.core.integrity import (
     seal_page,
     unseal_page,
 )
-from repro.core.stores import DiskStore, _WriteBehindWriter
+from repro.core.stores import DiskStore
 from repro.core.systems import TransferLedger
 from repro.core.trainer import Trainer
 from repro.core.config import GSScaleConfig
@@ -70,17 +70,6 @@ def make_disk(tmp_path, name="spill"):
         TransferLedger(), spill_path=str(tmp_path / name),
         forwarding=True,
     )
-
-
-class _QueuedWrites:
-    """A write-behind lane that never runs its jobs: every page-out stays
-    queued."""
-
-    def __init__(self):
-        self.jobs = []
-
-    def enqueue(self, store, epoch):
-        self.jobs.append((store, epoch))
 
 
 class TestSealedPages:
@@ -132,45 +121,30 @@ class TestDiskStorePages:
         assert store.ledger.counts() == ledger
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("schedule", ["sync", "write_behind", "held"])
-    def test_a_page_is_its_array(self, tmp_path, dtype, schedule):
+    def test_a_page_is_its_array(self, tmp_path, dtype):
         """A spilled page file holds exactly its array's bytes, in the
-        store's dtype, however the page-out ran: written synchronously,
-        landed by the write-behind lane, or still queued (``held``: the
-        page-in re-adopts the detached arrays instead of reading)."""
-        writer = {"sync": None, "write_behind": _WriteBehindWriter(),
-                  "held": _QueuedWrites()}[schedule]
+        store's dtype, and a page-in reads them back."""
         store = DiskStore(
             _params().astype(dtype), layout.ALL_BLOCK, ADAM, MemoryTracker(),
             TransferLedger(), spill_path=str(tmp_path / "spill"),
-            forwarding=True, deferred=True, writer=writer,
+            forwarding=True, deferred=True,
         )
-        try:
-            ids = np.arange(0, N, 3)
-            store.return_grads(ids, np.ones((ids.size, layout.PARAM_DIM), dtype))
-            store.commit()  # live moments
-            want = {
-                f: getattr(store.optimizer, f).copy()
-                for f in TestFailedPageOut.FIELDS
-            }
-            store.spill()
-            if schedule == "write_behind":
-                writer.drain()
-            for field, page in store.pages.items():
-                if schedule == "held":  # nothing landed yet
-                    queued = store._pending_write[field]
-                    assert queued.tobytes() == want[field].tobytes(), field
-                    continue
-                with open(page.path, "rb") as fh:
-                    assert fh.read() == want[field].tobytes(), field
-            store.page_in()
-            for field, arr in want.items():
-                got = getattr(store.optimizer, field)
-                assert got.dtype == np.dtype(dtype)
-                assert got.tobytes() == arr.tobytes(), field
-        finally:
-            if schedule == "write_behind":
-                writer.close()
+        ids = np.arange(0, N, 3)
+        store.return_grads(ids, np.ones((ids.size, layout.PARAM_DIM), dtype))
+        store.commit()  # live moments
+        want = {
+            f: getattr(store.optimizer, f).copy()
+            for f in TestFailedPageOut.FIELDS
+        }
+        store.spill()
+        for field, page in store.pages.items():
+            with open(page.path, "rb") as fh:
+                assert fh.read() == want[field].tobytes(), field
+        store.page_in()
+        for field, arr in want.items():
+            got = getattr(store.optimizer, field)
+            assert got.dtype == np.dtype(dtype)
+            assert got.tobytes() == arr.tobytes(), field
 
     def test_clean_spill_cycle_verifies(self, tmp_path):
         store = make_disk(tmp_path)
@@ -223,15 +197,13 @@ class TestFailedPageOut:
     FIELDS = ("params", "m", "v")
 
     @staticmethod
-    def dirty_store(tmp_path, writer=None):
+    def dirty_store(tmp_path):
         store = DiskStore(
             _params(), layout.ALL_BLOCK, ADAM, MemoryTracker(),
             TransferLedger(), spill_path=str(tmp_path / "spill"),
-            forwarding=True, deferred=True, writer=writer,
+            forwarding=True, deferred=True,
         )
         store.spill()  # the pages hold the initial state
-        if writer is not None:
-            writer.drain()
         ids = np.arange(0, N, 2)
         store.return_grads(ids, np.ones((ids.size, layout.PARAM_DIM)))
         store.commit()  # pages in and updates rows: dirty
@@ -277,7 +249,7 @@ class TestFailedPageOut:
         ledger = store.ledger.counts()
         host = store.host_memory.live_bytes
         epoch = store._spill_epoch
-        written = store.stats.sync_spill_bytes
+        write_s = store.stats.sync_spill_s
         with self.fail_page(tmp_path, field):
             with pytest.raises(InjectedFaultError):
                 store.spill()
@@ -285,7 +257,7 @@ class TestFailedPageOut:
         assert store.ledger.counts() == ledger
         assert store.host_memory.live_bytes == host
         assert store._spill_epoch == epoch
-        assert store.stats.sync_spill_bytes == written
+        assert store.stats.sync_spill_s == write_s
         for field, arr in self.held(store).items():
             assert arr.tobytes() == want[field].tobytes(), field
         plan, visits = self.counting(tmp_path)
@@ -294,67 +266,6 @@ class TestFailedPageOut:
         assert visits() == 3  # all three pages written
         assert store.ledger.page_out_count == ledger["page_out_count"] + 1
         self.assert_round_trips(store, want)
-
-    @pytest.mark.parametrize("field", FIELDS)
-    def test_write_behind_error_surfaces_at_drain(self, tmp_path, field):
-        writer = _WriteBehindWriter()
-        try:
-            store = self.dirty_store(tmp_path, writer)
-            want = self.held(store)
-            with self.fail_page(tmp_path, field):
-                store.spill()  # queued: the write fails on the writer
-                with pytest.raises(InjectedFaultError):
-                    writer.drain()
-            count = store.ledger.page_out_count
-            store.page_in()  # re-adopts the pages that never landed
-            assert store.is_dirty
-            self.assert_round_trips(store, want)
-            plan, visits = self.counting(tmp_path)
-            with plan:
-                store.spill()
-                writer.drain()
-            assert visits() == 3  # all three pages written
-            # that page-out was counted when it was first spilled
-            assert store.ledger.page_out_count == count
-            self.assert_round_trips(store, want)
-        finally:
-            writer.close()
-
-    def test_drain_raises_the_first_of_two_failed_page_outs(self, tmp_path):
-        writer = _WriteBehindWriter()
-        try:
-            stores = [
-                self.dirty_store(tmp_path / name, writer)
-                for name in ("a", "b")
-            ]
-            wants = [self.held(store) for store in stores]
-            # the first page write of each queued page-out fails: visit 0
-            # is store a's job, visit 1 store b's
-            plan = FaultPlan(
-                token_dir=str(tmp_path / "fail"),
-                faults=(Fault(point="pager:page_out", action="raise",
-                              times=2),),
-            )
-            with active_plan(plan):
-                for store in stores:
-                    store.spill()
-                with pytest.raises(InjectedFaultError, match=r"\(visit 0\)"):
-                    writer.drain()
-            writer.drain()  # both failures were reported by that drain
-            for store, want in zip(stores, wants):
-                store.page_in()  # re-adopts the pages that never landed
-                assert store.is_dirty
-                self.assert_round_trips(store, want)
-            plan, visits = self.counting(tmp_path)
-            with plan:
-                for store in stores:
-                    store.spill()
-                writer.drain()
-            assert visits() == 6  # both stores wrote all three pages
-            for store, want in zip(stores, wants):
-                self.assert_round_trips(store, want)
-        finally:
-            writer.close()
 
 
 @pytest.fixture(scope="module")

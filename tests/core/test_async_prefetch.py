@@ -177,13 +177,13 @@ class TestOverlapActuallyHits:
         assert trainer.system.prefetch_hits >= 4
 
     def test_finalize_stops_the_worker(self, clustered):
-        """``finalize()`` fences the lanes without closing them: no ticket
+        """``finalize()`` fences the lane without closing it: no ticket
         is still running and nothing stays staged, and a post-finalize
         hint stages again."""
         model, cameras, images = clustered
-        asyn, _ = run_hinted(model, cameras, images, True, write_behind=True)
-        for lane in (asyn._prefetcher._lane, asyn._writer):
-            assert lane._last is not None and lane._last.done()
+        asyn, _ = run_hinted(model, cameras, images, True)
+        lane = asyn._prefetcher._lane
+        assert lane._last is not None and lane._last.done()
         assert asyn._prefetcher.staged_bytes == 0
         hinted = asyn.prefetch_hits + asyn.prefetch_misses
         asyn.hint_upcoming_views([cameras[1]])

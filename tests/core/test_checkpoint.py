@@ -99,18 +99,11 @@ class TestMidRunEquivalence:
             ("baseline_offload", {}),
             ("sharded", {"num_shards": 3}),
             ("outofcore", {"num_shards": 3, "resident_shards": 1}),
-            # deep out-of-core tier: write-behind spilling and the depth-2
-            # staging queue are pure placement — each must checkpoint/resume
-            # bit-exactly too
+            # deep out-of-core tier: the depth-2 staging queue is pure
+            # placement — it must checkpoint/resume bit-exactly too
             (
                 "outofcore",
                 {"num_shards": 3, "resident_shards": 1,
-                 "write_behind": True},
-            ),
-            (
-                "outofcore",
-                {"num_shards": 3, "resident_shards": 1,
-                 "write_behind": True,
                  "async_prefetch": True, "prefetch_depth": 2},
             ),
         ],
@@ -145,57 +138,6 @@ class TestMidRunEquivalence:
         steps(resumed, scene, n, start=n)
         resumed.finalize()
 
-        np.testing.assert_array_equal(
-            resumed.materialized_model().params,
-            straight.materialized_model().params,
-        )
-
-    def test_checkpoint_written_mid_write_behind(self, tmp_path, scene):
-        """A checkpoint taken right after a step — with dirty page-outs
-        from that step still queued on the background writer — must equal
-        the synchronous-spill checkpoint array for array: ``save_checkpoint``
-        fences the writer before serializing. Resuming from it then
-        continues bit-identically."""
-
-        def build(write_behind):
-            config = cfg(scene, "outofcore")
-            config.num_shards = 3
-            config.resident_shards = 1
-            config.write_behind = write_behind
-            import dataclasses
-
-            return create_system(
-                scene.initial.copy(), dataclasses.replace(config)
-            )
-
-        paths = {}
-        for wb in (False, True):
-            s = build(wb)
-            steps(s, scene, self.N)
-            # deliberately no flush/finalize here: with write-behind on,
-            # the last step's page-outs are (or were) in flight
-            if wb:
-                assert s.write_behind_jobs > 0
-            path = str(tmp_path / f"wb_{wb}.npz")
-            save_checkpoint(path, s)
-            paths[wb] = path
-        with np.load(paths[False]) as sync, np.load(paths[True]) as behind:
-            assert set(sync.files) == set(behind.files)
-            for key in sync.files:
-                np.testing.assert_array_equal(
-                    sync[key], behind[key], err_msg=key
-                )
-
-        resumed = build(True)
-        load_checkpoint(paths[True], resumed)
-        steps(resumed, scene, self.N, start=self.N)
-        resumed.finalize()
-
-        straight = build(False)
-        steps(straight, scene, self.N)
-        straight.finalize()
-        steps(straight, scene, self.N, start=self.N)
-        straight.finalize()
         np.testing.assert_array_equal(
             resumed.materialized_model().params,
             straight.materialized_model().params,

@@ -5,14 +5,13 @@ changed since its last page-out. Every operation that writes a row makes
 the next spill write and record a page-out whose pages hold the new
 arrays; every operation that does not leaves the next spill a pure
 eviction — ``clean_evictions`` + 1, the ledger and the page files
-untouched. Every case runs with page-outs written synchronously, behind a
-write-behind writer, or queued until the test's next fence (``late``).
+untouched.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.stores import DiskStore, _WriteBehindWriter
+from repro.core.stores import DiskStore
 from repro.core.systems import TransferLedger
 from repro.gaussians import layout
 from repro.optim.base import AdamConfig
@@ -28,71 +27,23 @@ def _grads(ids, seed=1):
     return np.random.default_rng(seed).normal(size=(ids.size, layout.PARAM_DIM))
 
 
-class _HeldWriter:
-    """A write-behind lane whose thread never comes: every page-out stays
-    queued, so the next page-in re-adopts it."""
-
-    def __init__(self):
-        self.jobs = []
-
-    def enqueue(self, store, epoch):
-        self.jobs.append((store, epoch))
-
-
-class _LateWriter:
-    """A write-behind lane that lands its queued page-outs, in order,
-    only when drained: every write lands as late as a fence allows."""
-
-    def __init__(self):
-        self.jobs = []
-        self.jobs_written = 0
-
-    def enqueue(self, store, epoch):
-        self.jobs.append((store, epoch))
-
-    def drain(self):
-        jobs, self.jobs = self.jobs, []
-        for store, epoch in jobs:
-            store._complete_pending_write(epoch)
-            self.jobs_written += 1
-
-    def close(self):
-        self.drain()
-
-
-@pytest.fixture(params=["sync", "wb", "late"])
-def make(request, tmp_path):
+@pytest.fixture
+def make(tmp_path):
     """``make(**flags)`` -> a resident DiskStore (forwarding + deferred
-    unless overridden) whose page-outs follow the schedule."""
-    writers = []
+    unless overridden)."""
 
     def build(name="store", **flags):
-        writer = {"sync": None, "wb": _WriteBehindWriter,
-                  "late": _LateWriter}[request.param]
-        if writer is not None:
-            writer = writer()
-            writers.append(writer)
         flags = {"forwarding": True, "deferred": True, "max_defer": 3, **flags}
         return DiskStore(
             np.random.default_rng(0).normal(size=(N, layout.PARAM_DIM)),
             layout.ALL_BLOCK, ADAM, MemoryTracker(), TransferLedger(),
-            spill_path=str(tmp_path / name), writer=writer,
-            **flags,
+            spill_path=str(tmp_path / name), **flags,
         )
 
-    yield build
-    for writer in writers:
-        writer.close()
-
-
-def settle(store):
-    """Land every queued page-out."""
-    if store.writer is not None:
-        store.writer.drain()
+    return build
 
 
 def file_bytes(store):
-    settle(store)
     out = {}
     for field, page in store.pages.items():
         with open(page.path, "rb") as fh:
@@ -102,7 +53,6 @@ def file_bytes(store):
 
 def page_arrays(store):
     """What the pages read back as."""
-    settle(store)
     return {field: page.read() for field, page in store.pages.items()}
 
 
@@ -120,7 +70,7 @@ def same_bytes(a, b):
 
 
 def trained(store):
-    """A few steps of real math, settled, spilled and paged back in: a
+    """A few steps of real math, spilled and paged back in: a
     resident, clean store with live moments and drifting counters."""
     for step in range(3):
         ids = np.arange(step % 2, N, 2)
@@ -130,7 +80,6 @@ def trained(store):
         store.return_grads(ids, _grads(ids, seed=step))
     store.commit()
     store.spill()
-    settle(store)
     store.page_in()
     assert store.is_resident and not store.is_dirty
     return store
@@ -282,17 +231,14 @@ def test_no_row_write_leaves_the_next_spill_free(make, name):
     clean = store.stats.clean_evictions
     host = store.host_memory.live_bytes
     epoch = store._spill_epoch
-    written = store.stats.sync_spill_bytes
-    jobs = store.writer and store.writer.jobs_written
+    write_s = store.stats.sync_spill_s
     store.spill()
-    settle(store)
-    assert (store.writer and store.writer.jobs_written) == jobs  # none queued
     assert not store.is_resident
     assert store.stats.clean_evictions == clean + 1
     assert store.ledger.counts() == ledger
     assert store.host_memory.live_bytes < host  # the host bytes are freed
     assert store._spill_epoch == epoch + 1
-    assert store.stats.sync_spill_bytes == written
+    assert store.stats.sync_spill_s == write_s  # no write was timed
     assert file_bytes(store) == files
     # and the eviction loses nothing
     want = page_arrays(store)
@@ -301,48 +247,10 @@ def test_no_row_write_leaves_the_next_spill_free(make, name):
         assert same_bytes(getattr(store.optimizer, field), want[field])
 
 
-@pytest.mark.parametrize("second", ["sync", "wb"])
-def test_a_re_adopted_page_out_is_written_on_its_next_spill(
-    tmp_path, second
-):
-    """A page-in that re-adopts a queued page-out cancels its write: the
-    next spill writes all three pages even though no row changed, and
-    records nothing — the ledger counted that page-out when it was first
-    spilled, so the counts do not follow the writer's timing."""
-    held = _HeldWriter()
-    store = DiskStore(
-        np.random.default_rng(0).normal(size=(N, layout.PARAM_DIM)),
-        layout.ALL_BLOCK, ADAM, MemoryTracker(), TransferLedger(),
-        spill_path=str(tmp_path / "held"), writer=held,
-        forwarding=True, deferred=True,
-    )
-    op_commit(store)
-    store.spill()
-    assert len(held.jobs) == 1 and store.ledger.page_out_count == 1
-    store.page_in()  # re-adopts the queued page-out, cancelling it
-    assert store.is_dirty
-    want = arrays(store)
-    writer = _WriteBehindWriter() if second == "wb" else None
-    store.writer = writer
-    try:
-        store.spill()
-        settle(store)
-    finally:
-        if writer is not None:
-            writer.close()
-    assert store.ledger.page_out_count == 1
-    assert store.stats.clean_evictions == 1
-    got = page_arrays(store)
-    for field in FIELDS:
-        assert same_bytes(got[field], want[field]), field
-    store.page_in()
-    assert not store.is_dirty
-
-
 def test_system_rolls_up_clean_evictions_across_rebuilds(tmp_path):
     """``OutOfCoreGSScaleSystem``'s run counters — ``clean_evictions``,
-    ``sync_spill_bytes``, ``write_behind_jobs`` and the hinted shard
-    visits ``prefetch_hits + prefetch_misses`` — survive a densification
+    the ledger's ``page_out_bytes`` and the hinted shard visits
+    ``prefetch_hits + prefetch_misses`` — survive a densification
     rebuild: none of them goes down across it."""
     from repro.core import GSScaleConfig, Trainer
     from repro.datasets import SyntheticSceneConfig, build_scene
@@ -358,43 +266,40 @@ def test_system_rolls_up_clean_evictions_across_rebuilds(tmp_path):
     def counters(system):
         return {
             "clean_evictions": system.clean_evictions,
-            "sync_spill_bytes": system.sync_spill_bytes,
-            "write_behind_jobs": system.write_behind_jobs,
+            "page_out_bytes": system.ledger.page_out_bytes,
             "hinted": system.prefetch_hits + system.prefetch_misses,
         }
 
-    for write_behind in (False, True):
-        trainer = Trainer(
-            scene.initial.copy(),
-            GSScaleConfig(
-                system="outofcore", num_shards=4, resident_shards=2,
-                scene_extent=scene.extent, ssim_lambda=0.0, mem_limit=1.0,
-                seed=0, spill_dir=str(tmp_path / f"spill-{write_behind}"),
-                async_prefetch=True, write_behind=write_behind,
-            ),
-            densify=DensifyConfig(
-                interval=4, start_iteration=4, stop_iteration=5,
-                grad_threshold=1e-6,
-            ),
-        )
-        system = trainer.system
-        before_rebuild = []
-        rebuild = system.rebuild
+    trainer = Trainer(
+        scene.initial.copy(),
+        GSScaleConfig(
+            system="outofcore", num_shards=4, resident_shards=2,
+            scene_extent=scene.extent, ssim_lambda=0.0, mem_limit=1.0,
+            seed=0, spill_dir=str(tmp_path / "spill"), async_prefetch=True,
+        ),
+        densify=DensifyConfig(
+            interval=4, start_iteration=4, stop_iteration=5,
+            grad_threshold=1e-6,
+        ),
+    )
+    system = trainer.system
+    before_rebuild = []
+    rebuild = system.rebuild
 
-        def recording_rebuild(model):
-            before_rebuild.append(counters(system))
-            rebuild(model)
+    def recording_rebuild(model):
+        before_rebuild.append(counters(system))
+        rebuild(model)
 
-        system.rebuild = recording_rebuild
-        # two steps after the rebuild: fewer hinted visits than the four
-        # before it, so a counter the rebuild reset would go down
-        history = trainer.train(scene.train_cameras, scene.train_images, 6)
-        assert [r.iteration for r in history.densify_reports] == [4]
-        [before] = before_rebuild
-        assert before["clean_evictions"] > 0  # the old stores evicted clean
-        assert before["hinted"] > 0
-        after = counters(system)
-        for name, value in before.items():
-            assert after[name] >= value, name
-        ledger = system.ledger
-        assert ledger.page_out_count + system.clean_evictions >= ledger.page_in_count
+    system.rebuild = recording_rebuild
+    # two steps after the rebuild: fewer hinted visits than the four
+    # before it, so a counter the rebuild reset would go down
+    history = trainer.train(scene.train_cameras, scene.train_images, 6)
+    assert [r.iteration for r in history.densify_reports] == [4]
+    [before] = before_rebuild
+    assert before["clean_evictions"] > 0  # the old stores evicted clean
+    assert before["hinted"] > 0
+    after = counters(system)
+    for name, value in before.items():
+        assert after[name] >= value, name
+    ledger = system.ledger
+    assert ledger.page_out_count + system.clean_evictions >= ledger.page_in_count

@@ -1,5 +1,5 @@
-"""Acceptance tests for the deep out-of-core tier: raw pages, depth-D
-prefetch, and write-behind spilling.
+"""Acceptance tests for the deep out-of-core tier: raw pages and depth-D
+prefetch.
 
 The contract stacked on top of the base out-of-core suites:
 
@@ -11,9 +11,8 @@ The contract stacked on top of the base out-of-core suites:
   strictly higher staging hit-rate (and strictly less page traffic)
   than the depth-1 double buffer, without changing a single parameter
   bit;
-* write-behind spilling drives the admit path's synchronous spill bytes
-  to zero while the synchronous run pays the full page-out traffic —
-  again bit-identically;
+* write-behind spilling is retired: a training config rejects it, and
+  every page-out is written on the thread that spills;
 * a synthetic model several times the host budget trains and serves
   (through float16 serving pages, ~2x on the disk channel) under
   enforced byte budgets.
@@ -96,12 +95,12 @@ def run_steps(model, cameras, images, steps=8, **cfg):
     return s, losses
 
 
-#: the out-of-core schedules: synchronous, the async leg at depth 1, and
-#: depth 2 with write-behind
+#: the out-of-core schedules: synchronous, the async leg at depth 1 and
+#: at depth 2
 SCHEDULES = {
     "sync": {},
     "async1": dict(async_prefetch=True),
-    "async2wb": dict(async_prefetch=True, prefetch_depth=2, write_behind=True),
+    "async2": dict(async_prefetch=True, prefetch_depth=2),
 }
 
 
@@ -224,58 +223,26 @@ class TestDepthD:
         with pytest.raises(ValueError, match="async_prefetch"):
             GSScaleConfig(system="outofcore", prefetch_depth=2)
 
-
-class TestWriteBehind:
-    def test_admit_path_pays_zero_sync_bytes(self, clustered):
-        model, cameras, images = clustered
-        sync, _ = run_steps(model, cameras, images)
-        wb, _ = run_steps(model, cameras, images, write_behind=True)
-        # synchronous runs pay every page-out on the training thread;
-        # write-behind runs pay none of them there
-        assert sync.sync_spill_bytes > 0
-        assert wb.sync_spill_bytes == 0
-        assert wb.write_behind_jobs > 0
-        assert sync.write_behind_jobs == 0
-
-    def test_bit_identical_and_same_ledger(self, clustered):
+    def test_depth3_matches_sync(self, clustered):
+        """The deepest staging queue the suite runs is still bit-identical
+        to the plain synchronous run."""
         model, cameras, images = clustered
         sync, loss_sync = run_steps(model, cameras, images)
-        wb, loss_wb = run_steps(model, cameras, images, write_behind=True)
-        assert loss_sync == loss_wb
-        np.testing.assert_array_equal(
-            sync.materialized_model().params, wb.materialized_model().params
+        deep, loss_deep = run_steps(
+            model, cameras, images, async_prefetch=True, prefetch_depth=3
         )
-        for field in (
-            "page_in_bytes", "page_out_bytes", "page_in_count",
-            "page_out_count", "page_in_disk_bytes", "page_out_disk_bytes",
-            "h2d_bytes", "d2h_bytes",
-        ):
-            assert getattr(sync.ledger, field) == getattr(wb.ledger, field)
-
-    def test_full_stack_combo(self, clustered):
-        """Everything at once — depth-3 staging queue and write-behind —
-        still bit-identical to the plain synchronous run, with a
-        zero-cost admit path."""
-        model, cameras, images = clustered
-        sync, loss_sync = run_steps(model, cameras, images)
-        cfg = GSScaleConfig(
-            system="outofcore", num_shards=4, resident_shards=1,
-            scene_extent=8.0, ssim_lambda=0.0, mem_limit=1.0, seed=0,
-            async_prefetch=True, prefetch_depth=3, write_behind=True,
-        )
-        combo = create_system(model.copy(), cfg)
-        loss_combo = []
-        for i in range(8):
-            loss_combo.append(
-                combo.step(cameras[i % 4], images[i % 4]).loss
-            )
-        combo.finalize()
-        assert loss_sync == loss_combo
+        assert loss_sync == loss_deep
         np.testing.assert_array_equal(
             sync.materialized_model().params,
-            combo.materialized_model().params,
+            deep.materialized_model().params,
         )
-        assert combo.sync_spill_bytes == 0
+
+
+class TestWriteBehindRetired:
+    def test_config_rejects_write_behind(self):
+        with pytest.raises(ValueError, match="write-behind spilling was retired"):
+            GSScaleConfig(system="outofcore", write_behind=True)
+        assert not GSScaleConfig(system="outofcore", write_behind=False).write_behind
 
 
 class TestFarBeyondHostBudget:
@@ -297,7 +264,7 @@ class TestFarBeyondHostBudget:
         cfg = GSScaleConfig(
             system="outofcore", num_shards=10, resident_shards=1,
             scene_extent=scene.extent, ssim_lambda=0.0, mem_limit=1.0,
-            seed=0, async_prefetch=True, write_behind=True,
+            seed=0, async_prefetch=True,
         )
         t = Trainer(scene.initial.copy(), cfg)
         hist = t.train(scene.train_cameras, scene.train_images, 12,
@@ -311,7 +278,6 @@ class TestFarBeyondHostBudget:
         # the tracked host working set stays an order of magnitude below
         # the full pageable state (one shard + the defer counters)
         assert total_pageable / s.host_memory.peak_bytes >= 6.0
-        assert s.sync_spill_bytes == 0  # write-behind admit path
 
     def test_serves_with_tenth_of_nongeo_resident(self, scene, tmp_path):
         model = scene.initial

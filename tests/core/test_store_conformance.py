@@ -36,7 +36,6 @@ from repro.core.stores import (
     HybridStore,
     ResidentSet,
     ShardedStore,
-    _WriteBehindWriter,
 )
 from repro.core.systems import TransferLedger
 from repro.gaussians import GaussianModel, layout
@@ -214,67 +213,6 @@ def make_disk_exact(tmp_path):
     )
 
 
-def make_disk_write_behind(tmp_path):
-    """DiskStore with a write-behind writer: queued page-outs (and the
-    re-adopt-on-page-in shortcut) must be invisible to the contract."""
-    tracker, ledger = MemoryTracker(), TransferLedger()
-    host_tracker = MemoryTracker()
-    store = DiskStore(
-        _params(), layout.ALL_BLOCK, ADAM, tracker, ledger,
-        spill_path=str(tmp_path / "conformance_wb"),
-        host_memory=host_tracker, forwarding=True,
-        writer=_WriteBehindWriter(),
-    )
-    return Harness(
-        store, tracker, ledger, exact=True, host_tracker=host_tracker
-    )
-
-
-def make_disk_deferred_write_behind(tmp_path):
-    """The out-of-core shard's own store: deferred and forwarding under a
-    budget-1 resident set, page-outs on a write-behind writer."""
-    tracker, ledger = MemoryTracker(), TransferLedger()
-    host_tracker = MemoryTracker()
-    rset = ResidentSet(budget=1)
-    store = DiskStore(
-        _params(), layout.ALL_BLOCK, ADAM, tracker, ledger,
-        spill_path=str(tmp_path / "conformance_deferred_wb"),
-        host_memory=host_tracker, resident_set=rset,
-        forwarding=True, deferred=True, writer=_WriteBehindWriter(),
-    )
-    return Harness(
-        store, tracker, ledger, exact=False,
-        host_tracker=host_tracker, resident_set=rset,
-    )
-
-
-class _HeldWriter:
-    """A write-behind lane whose thread never comes: every page-out stays
-    queued, as under a writer held back past the next page-in."""
-
-    def __init__(self):
-        self.jobs = []
-
-    def enqueue(self, store, epoch):
-        self.jobs.append((store, epoch))
-
-
-def make_disk_held_write_behind(tmp_path):
-    """A writer that never lands a page-out: every page-in after a dirty
-    spill re-adopts the detached arrays instead of reading its pages, and
-    the contract must not see the difference."""
-    tracker, ledger = MemoryTracker(), TransferLedger()
-    host_tracker = MemoryTracker()
-    store = DiskStore(
-        _params(), layout.ALL_BLOCK, ADAM, tracker, ledger,
-        spill_path=str(tmp_path / "conformance_held_wb"),
-        host_memory=host_tracker, forwarding=True, writer=_HeldWriter(),
-    )
-    return Harness(
-        store, tracker, ledger, exact=True, host_tracker=host_tracker
-    )
-
-
 FACTORIES = {
     "device": make_device,
     "host": make_host,
@@ -287,9 +225,6 @@ FACTORIES = {
     "disk": make_disk,
     "disk_spilling": make_disk_spilling,
     "disk_exact": make_disk_exact,
-    "disk_write_behind": make_disk_write_behind,
-    "disk_deferred_write_behind": make_disk_deferred_write_behind,
-    "disk_held_write_behind": make_disk_held_write_behind,
 }
 
 param_store = pytest.mark.parametrize("factory", FACTORIES, ids=FACTORIES)
@@ -361,75 +296,6 @@ class TestZeroRowStores:
         h.store.flush()
         assert h.device_tracker.live_bytes == device_baseline
         assert h.host_tracker.live_bytes == host_baseline
-
-
-class TestQueuedPageOut:
-    """A spilled store whose page-out is still queued reads as the file
-    the writer will land: ``page_in``, ``preload`` and ``state_dict`` give
-    the values of a store that wrote its pages synchronously, so thread
-    timing cannot change a trajectory."""
-
-    def _spilled(self, tmp_path, writer):
-        store = DiskStore(
-            _params(), layout.ALL_BLOCK, ADAM, MemoryTracker(),
-            TransferLedger(),
-            spill_path=str(tmp_path / ("queued" if writer else "written")),
-            forwarding=True, writer=writer,
-        )
-        drive(store)  # moments away from zero
-        store.spill()
-        return store
-
-    def _pair(self, tmp_path):
-        held = _HeldWriter()
-        queued = self._spilled(tmp_path, held)
-        written = self._spilled(tmp_path, None)
-        assert len(held.jobs) == 1 and queued._pending_write is not None
-        return queued, written
-
-    @staticmethod
-    def _assert_same(got, want):
-        assert set(got) == set(want)
-        for key in want:
-            a, b = np.asarray(got[key]), np.asarray(want[key])
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
-
-    def test_page_in(self, tmp_path):
-        queued, written = self._pair(tmp_path)
-        for store in (queued, written):
-            store.page_in()
-        assert queued._pending_write is None  # the re-adopt cancelled it
-        for field in ("params", "m", "v"):
-            a = getattr(queued.optimizer, field)
-            b = getattr(written.optimizer, field)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
-
-    def test_preload(self, tmp_path):
-        queued, written = self._pair(tmp_path)
-        got, want = queued.preload().arrays, written.preload().arrays
-        for field in want:
-            assert got[field].dtype == want[field].dtype
-            assert got[field].tobytes() == want[field].tobytes(), field
-
-    def test_state_dict(self, tmp_path):
-        queued, written = self._pair(tmp_path)
-        self._assert_same(queued.state_dict(), written.state_dict())
-        assert queued._pending_write is not None  # a read, not a page-in
-
-    def test_checkpoint_loads_as_the_landed_one(self, tmp_path):
-        queued, written = self._pair(tmp_path)
-        loaded = []
-        for name, source in (("a", queued), ("b", written)):
-            fresh = DiskStore(
-                _params(seed=1), layout.ALL_BLOCK, ADAM, MemoryTracker(),
-                TransferLedger(), spill_path=str(tmp_path / f"fresh_{name}"),
-                forwarding=True,
-            )
-            fresh.load_state_dict(
-                {k: np.array(v) for k, v in source.state_dict().items()}
-            )
-            loaded.append(fresh.materialize())
-        assert loaded[0].tobytes() == loaded[1].tobytes()
 
 
 class TestTrajectoryMatchesOracle:

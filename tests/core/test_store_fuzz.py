@@ -4,8 +4,8 @@ Drives random interleavings of the store protocol — ``stage``/``unstage``
 (once per step, or twice as a split view stages its two regions),
 ``return_grads``, ``commit``, ``materialize``, ``set_lr``, ``flush``, and
 (for the disk tier) ``spill``/``page_in`` plus the async legs —
-``preload``/``adopt`` with other operations in between, and the
-write-behind ``drain`` — at arbitrary points, for a few
+``preload``/``adopt`` with other operations in between — at arbitrary
+points, for a few
 hundred operations against an oracle holding the same state in plain
 memory, asserting parameter arrays and optimizer state stay bit-identical
 throughout. Placement and paging must be invisible to the math no matter
@@ -22,7 +22,6 @@ from repro.core.stores import (
     HybridStore,
     ResidentSet,
     ShardedStore,
-    _WriteBehindWriter,
 )
 from repro.core.systems import TransferLedger
 from repro.gaussians import layout
@@ -58,8 +57,6 @@ class _ProtocolFuzzer:
             self.ops += [self.op_spill, self.op_page_in]
             interleaved = list(self.ops)
             self.ops.append(lambda: self.op_preload_adopt(interleaved))
-            if subject.writer is not None:
-                self.ops.append(self.op_drain)
             if sibling is not None:
                 # a neighbour paging in under the shared budget evicts
                 # the subject wherever the stream happens to be
@@ -147,9 +144,6 @@ class _ProtocolFuzzer:
             self.subject.materialize(), self.oracle.materialize()
         )
 
-    def op_drain(self):
-        self.subject.writer.drain()  # every queued page-out has landed
-
     def check_clean_pages(self):
         """A resident store that reports clean — its next spill writes
         nothing — holds exactly what its pages read back as: byte-equal
@@ -179,24 +173,19 @@ class _ProtocolFuzzer:
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("deferred", [False, True], ids=["dense", "deferred"])
-@pytest.mark.parametrize("write_behind", [False, True], ids=["sync", "wb"])
 @pytest.mark.parametrize("budget", ["alone", "shared"])
-def test_disk_store_matches_host_store(
-    tmp_path, seed, deferred, write_behind, budget
-):
+def test_disk_store_matches_host_store(tmp_path, seed, deferred, budget):
     """DiskStore under random spill/page-in/preload/adopt interleavings —
-    page-outs synchronous or queued behind a write-behind writer, and,
-    with a ``shared`` budget, evictions forced by a sibling store paging
-    in through the same budget-1 resident set — is bit-identical to a
-    HostStore with the same flags: the disk tier is pure placement."""
+    and, with a ``shared`` budget, evictions forced by a sibling store
+    paging in through the same budget-1 resident set — is bit-identical
+    to a HostStore with the same flags: the disk tier is pure placement."""
     tracker, ledger = MemoryTracker(), TransferLedger()
     rset = ResidentSet(1)
-    writer = _WriteBehindWriter() if write_behind else None
     disk = DiskStore(
         _params(seed), layout.ALL_BLOCK, ADAM, tracker, ledger,
         spill_path=str(tmp_path / f"fuzz{seed}"),
         resident_set=rset,
-        forwarding=True, deferred=deferred, writer=writer,
+        forwarding=True, deferred=deferred,
     )
     sibling = None
     if budget == "shared":
@@ -204,7 +193,6 @@ def test_disk_store_matches_host_store(
             _params(seed + 50), layout.ALL_BLOCK, ADAM, MemoryTracker(),
             TransferLedger(), spill_path=str(tmp_path / "sibling"),
             resident_set=rset, forwarding=True, deferred=deferred,
-            writer=writer,
         )
     host = HostStore(
         _params(seed), layout.ALL_BLOCK, ADAM, MemoryTracker(),
@@ -220,8 +208,6 @@ def test_disk_store_matches_host_store(
     assert set(a) == set(b)
     for key in a:
         np.testing.assert_array_equal(np.asarray(a[key]), b[key], err_msg=key)
-    if write_behind:
-        disk.writer.close()
 
 
 @pytest.mark.parametrize("seed", [3, 4])

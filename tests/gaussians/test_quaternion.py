@@ -22,6 +22,11 @@ def numerical_grad(f, x, eps=1e-6):
     return grad
 
 
+def random_unit_quats(num, rng):
+    """``num`` uniformly distributed unit quaternions."""
+    return quaternion.normalize(rng.normal(size=(num, 4)))
+
+
 class TestNormalize:
     def test_unit_norm(self):
         rng = np.random.default_rng(0)
@@ -60,7 +65,7 @@ class TestRotationMatrix:
 
     def test_orthonormal(self):
         rng = np.random.default_rng(2)
-        u = quaternion.random_unit_quats(16, rng)
+        u = random_unit_quats(16, rng)
         rots = quaternion.to_rotation_matrix(u)
         for r in rots:
             np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-12)
@@ -74,7 +79,7 @@ class TestRotationMatrix:
 
     def test_double_cover(self):
         rng = np.random.default_rng(3)
-        u = quaternion.random_unit_quats(8, rng)
+        u = random_unit_quats(8, rng)
         np.testing.assert_allclose(
             quaternion.to_rotation_matrix(u),
             quaternion.to_rotation_matrix(-u),
@@ -83,7 +88,7 @@ class TestRotationMatrix:
 
     def test_backward_matches_numerical(self):
         rng = np.random.default_rng(4)
-        u = quaternion.random_unit_quats(6, rng)
+        u = random_unit_quats(6, rng)
         w = rng.normal(size=(6, 3, 3))
 
         analytic = quaternion.rotation_matrix_backward(u, w)

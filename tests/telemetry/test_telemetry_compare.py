@@ -25,7 +25,6 @@ class TestPhaseMapping:
         ("train/commit", "optimizer"),
         ("train/aggregate", "composite"),
         ("page/in", "disk"),
-        ("page/writeback", "disk"),
         ("train/step", None),   # the envelope, never double counted
         ("serve/tick", None),   # outside the iteration vocabulary
         ("pool/map", None),     # a farm or patch-job map, not a phase

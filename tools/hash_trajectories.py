@@ -11,8 +11,9 @@ splits in two, one densification rebuild after step 6, one checkpoint
 save + load after step 8), over the columns ``gpu_only``,
 ``baseline_offload``, ``gsscale_no_deferred``, ``gsscale``, ``sharded``;
 ``outofcore-raw`` x {``sync``; ``async1`` = ``async_prefetch`` at depth
-1; ``async2wb`` = depth 2 + ``write_behind``} (training pages are raw:
-the name keeps the columns' lines comparable with older checkouts); a
+1; ``async2wb`` = ``async_prefetch`` at depth 2} (training pages are
+raw, and write-behind spilling was retired: both names are historical,
+kept so the columns' lines compare with older checkouts); a
 ``PagedServingStore`` opened from the ``sharded`` column's checkpoint
 under each serving codec (``serve-raw``, ``serve-float16``); and last,
 ``gsscale-vectorized`` and ``sharded-vectorized``, the two in-memory
@@ -28,7 +29,7 @@ the hinted shard visits of the async leg (``hinted``: ``prefetch_hits +
 prefetch_misses``; their sum follows the op sequence, the split between
 the two follows thread timing), then the sha256 of every page file
 (named, after a final spill of every shard so the files hold the final
-state whatever the write-behind timing was). Per serving column: the page files, a full
+state). Per serving column: the page files, a full
 ``gather``, one frame, the ledger, then a gather of a fixed seeded
 subset of rows, unsorted and with repeats (``gather_rows``), and the
 page files of the same model paged by ``from_model``
@@ -84,7 +85,7 @@ SERVE_CODECS = ("raw", "float16")
 SCHEDULES = {
     "sync": {},
     "async1": dict(async_prefetch=True),
-    "async2wb": dict(async_prefetch=True, prefetch_depth=2, write_behind=True),
+    "async2wb": dict(async_prefetch=True, prefetch_depth=2),
 }
 NUMERICS = ("losses", "params", "moments", "counters")
 PCIE = ("h2d_bytes", "d2h_bytes", "h2d_count", "d2h_count")
@@ -157,7 +158,7 @@ def train_column(scene, tmp: str, name: str, **cfg) -> dict:
         row["clean_evictions"] = getattr(system, "clean_evictions", None)
         row["hinted"] = system.prefetch_hits + system.prefetch_misses
         system.spill_inactive([])  # every page file now holds final state
-        system.finalize()  # drains the write-behind lane
+        system.finalize()
         row["pages"] = page_files(spill_dir)
     # every leaf's optimizer state, scattered to global rows and columns
     n = system.num_gaussians
