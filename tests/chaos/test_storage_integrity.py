@@ -146,6 +146,45 @@ class TestDiskStorePages:
             assert got.dtype == np.dtype(dtype)
             assert got.tobytes() == arr.tobytes(), field
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_preloaded_page_is_its_array(self, tmp_path, dtype):
+        """The prefetch leg's snapshot of a spilled page is the array's
+        bytes in the store's dtype, and adopting it installs them."""
+        store = DiskStore(
+            _params().astype(dtype), layout.ALL_BLOCK, ADAM, MemoryTracker(),
+            TransferLedger(), spill_path=str(tmp_path / "spill"),
+            forwarding=True, deferred=True,
+        )
+        ids = np.arange(0, N, 3)
+        store.return_grads(ids, np.ones((ids.size, layout.PARAM_DIM), dtype))
+        store.commit()  # live moments
+        want = {
+            f: getattr(store.optimizer, f).copy()
+            for f in TestFailedPageOut.FIELDS
+        }
+        store.spill()
+        pre = store.preload()
+        for field, arr in want.items():
+            assert pre.arrays[field].dtype == np.dtype(dtype)
+            assert pre.arrays[field].tobytes() == arr.tobytes(), field
+        assert store.adopt(pre)
+        for field, arr in want.items():
+            assert getattr(store.optimizer, field).tobytes() == arr.tobytes()
+
+    def test_a_corrupt_page_is_never_preloaded(self, tmp_path):
+        """A snapshot of a corrupt page is refused on the lane (``None``,
+        nothing installed), so the caller's synchronous page-in meets the
+        corruption and names its file."""
+        store = make_disk(tmp_path)
+        store.spill()
+        corrupt_file(str(tmp_path / "spill.v.dat"), offset=64, length=16)
+        ledger = store.ledger.counts()
+        assert store.preload() is None
+        assert not store.is_resident
+        assert store.ledger.counts() == ledger
+        with pytest.raises(CorruptPageError, match="spill.v.dat"):
+            store.page_in()
+
     def test_clean_spill_cycle_verifies(self, tmp_path):
         store = make_disk(tmp_path)
         before = store.materialize().copy()

@@ -99,12 +99,23 @@ class TestMidRunEquivalence:
             ("baseline_offload", {}),
             ("sharded", {"num_shards": 3}),
             ("outofcore", {"num_shards": 3, "resident_shards": 1}),
-            # deep out-of-core tier: the depth-2 staging queue is pure
-            # placement — it must checkpoint/resume bit-exactly too
+            # deep out-of-core tier: the async leg's staging queue, at
+            # depths 1-3, is pure placement — it must checkpoint/resume
+            # bit-exactly too
+            (
+                "outofcore",
+                {"num_shards": 3, "resident_shards": 1,
+                 "async_prefetch": True},
+            ),
             (
                 "outofcore",
                 {"num_shards": 3, "resident_shards": 1,
                  "async_prefetch": True, "prefetch_depth": 2},
+            ),
+            (
+                "outofcore",
+                {"num_shards": 3, "resident_shards": 1,
+                 "async_prefetch": True, "prefetch_depth": 3},
             ),
         ],
     )

@@ -5,7 +5,9 @@ changed since its last page-out. Every operation that writes a row makes
 the next spill write and record a page-out whose pages hold the new
 arrays; every operation that does not leaves the next spill a pure
 eviction — ``clean_evictions`` + 1, the ledger and the page files
-untouched.
+untouched. The dirty rule does not follow the page-in's route: the
+``adopted`` cases take every page-in as a prefetch snapshot adopted
+(``preload`` / ``adopt``) instead of the synchronous read.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from repro.core.systems import TransferLedger
 from repro.gaussians import layout
 from repro.optim.base import AdamConfig
 from repro.sim.memory import MemoryTracker
+from test_store_conformance import AdoptingDiskStore
 
 N = 20
 ADAM = AdamConfig(lr=5e-3)
@@ -27,20 +30,29 @@ def _grads(ids, seed=1):
     return np.random.default_rng(seed).normal(size=(ids.size, layout.PARAM_DIM))
 
 
-@pytest.fixture
-def make(tmp_path):
-    """``make(**flags)`` -> a resident DiskStore (forwarding + deferred
-    unless overridden)."""
+def builder(tmp_path, store_cls):
+    """``build(**flags)`` -> a resident ``store_cls`` (forwarding +
+    deferred unless overridden)."""
 
     def build(name="store", **flags):
         flags = {"forwarding": True, "deferred": True, "max_defer": 3, **flags}
-        return DiskStore(
+        return store_cls(
             np.random.default_rng(0).normal(size=(N, layout.PARAM_DIM)),
             layout.ALL_BLOCK, ADAM, MemoryTracker(), TransferLedger(),
             spill_path=str(tmp_path / name), **flags,
         )
 
     return build
+
+
+@pytest.fixture
+def make(tmp_path):
+    return builder(tmp_path, DiskStore)
+
+
+@pytest.fixture
+def make_adopting(tmp_path):
+    return builder(tmp_path, AdoptingDiskStore)
 
 
 def file_bytes(store):
@@ -152,8 +164,7 @@ def assert_spill_writes(store, before):
             assert (files[field] != old_files[field]) == moved, field
 
 
-@pytest.mark.parametrize("name", DIRTYING)
-def test_a_row_write_makes_the_next_spill_write(make, name):
+def row_write_case(make, name):
     op, flags = DIRTYING[name]
     store = trained(make(**flags))
     before = page_arrays(store)
@@ -164,6 +175,20 @@ def test_a_row_write_makes_the_next_spill_write(make, name):
     assert any(
         not same_bytes(page_arrays(store)[f], before[f]) for f in FIELDS
     )
+    return store
+
+
+@pytest.mark.parametrize("name", DIRTYING)
+def test_a_row_write_makes_the_next_spill_write(make, name):
+    row_write_case(make, name)
+
+
+@pytest.mark.parametrize("name", DIRTYING)
+def test_a_row_write_after_an_adopted_page_in_makes_the_next_spill_write(
+    make_adopting, name
+):
+    store = row_write_case(make_adopting, name)
+    assert store.adoptions > 0 and store.page_in_s == 0.0
 
 
 def test_construction_is_dirty(make):
@@ -221,8 +246,7 @@ CLEAN = {
 }
 
 
-@pytest.mark.parametrize("name", CLEAN)
-def test_no_row_write_leaves_the_next_spill_free(make, name):
+def no_row_write_case(make, name):
     store = trained(make(max_defer=15))
     CLEAN[name](store)
     assert store.is_resident and not store.is_dirty
@@ -245,6 +269,20 @@ def test_no_row_write_leaves_the_next_spill_free(make, name):
     store.page_in()
     for field in FIELDS:
         assert same_bytes(getattr(store.optimizer, field), want[field])
+    return store
+
+
+@pytest.mark.parametrize("name", CLEAN)
+def test_no_row_write_leaves_the_next_spill_free(make, name):
+    no_row_write_case(make, name)
+
+
+@pytest.mark.parametrize("name", CLEAN)
+def test_no_row_write_after_an_adopted_page_in_leaves_the_next_spill_free(
+    make_adopting, name
+):
+    store = no_row_write_case(make_adopting, name)
+    assert store.adoptions > 0 and store.page_in_s == 0.0
 
 
 def test_system_rolls_up_clean_evictions_across_rebuilds(tmp_path):

@@ -95,12 +95,13 @@ def run_steps(model, cameras, images, steps=8, **cfg):
     return s, losses
 
 
-#: the out-of-core schedules: synchronous, the async leg at depth 1 and
-#: at depth 2
+#: the out-of-core schedules: synchronous, and the async leg at depths
+#: 1 to 3
 SCHEDULES = {
     "sync": {},
     "async1": dict(async_prefetch=True),
     "async2": dict(async_prefetch=True, prefetch_depth=2),
+    "async3": dict(async_prefetch=True, prefetch_depth=3),
 }
 
 

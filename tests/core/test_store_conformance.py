@@ -164,10 +164,25 @@ def make_sharded_deferred(tmp_path):
     return Harness(ShardedStore(rows, stores), tracker, ledger, exact=False)
 
 
-def make_disk(tmp_path):
+class AdoptingDiskStore(DiskStore):
+    """A DiskStore whose every page-in is the async prefetch leg's: a
+    :meth:`preload` snapshot handed to :meth:`adopt`, never the
+    synchronous read. ``adoptions`` counts the page-ins taken that way."""
+
+    adoptions = 0
+
+    def page_in(self):
+        pre = self.preload()
+        if pre is None:  # already resident: a touch
+            return super().page_in()
+        assert self.adopt(pre)  # nothing spills in between on one thread
+        self.adoptions += 1
+
+
+def make_disk(tmp_path, store_cls=DiskStore):
     tracker, ledger = MemoryTracker(), TransferLedger()
     host_tracker = MemoryTracker()
-    store = DiskStore(
+    store = store_cls(
         _params(), layout.ALL_BLOCK, ADAM, tracker, ledger,
         spill_path=str(tmp_path / "conformance_disk"),
         host_memory=host_tracker, forwarding=True, deferred=True,
@@ -177,13 +192,13 @@ def make_disk(tmp_path):
     )
 
 
-def make_disk_spilling(tmp_path):
+def make_disk_spilling(tmp_path, store_cls=DiskStore):
     """DiskStore under a budget-1 resident set plus a sibling store, so
     every few operations the store under test is forcibly spilled."""
     tracker, ledger = MemoryTracker(), TransferLedger()
     host_tracker = MemoryTracker()
     rset = ResidentSet(budget=1)
-    store = DiskStore(
+    store = store_cls(
         _params(), layout.ALL_BLOCK, ADAM, tracker, ledger,
         spill_path=str(tmp_path / "conformance_spilling"),
         host_memory=host_tracker, resident_set=rset,
@@ -195,13 +210,13 @@ def make_disk_spilling(tmp_path):
     )
 
 
-def make_disk_exact(tmp_path):
+def make_disk_exact(tmp_path, store_cls=DiskStore):
     """A non-deferred DiskStore under a budget-1 resident set: placement
     is pure — the trajectory stays bit-exact against the dense oracle."""
     tracker, ledger = MemoryTracker(), TransferLedger()
     host_tracker = MemoryTracker()
     rset = ResidentSet(budget=1)
-    store = DiskStore(
+    store = store_cls(
         _params(), layout.ALL_BLOCK, ADAM, tracker, ledger,
         spill_path=str(tmp_path / "conformance_exact"),
         host_memory=host_tracker, resident_set=rset,
@@ -211,6 +226,31 @@ def make_disk_exact(tmp_path):
         store, tracker, ledger, exact=True,
         host_tracker=host_tracker, resident_set=rset,
     )
+
+
+def make_disk_forwarding(tmp_path, store_cls=DiskStore):
+    """A forwarding, non-deferred DiskStore with no residency budget:
+    spilled only when a test spills it, bit-exact against the oracle."""
+    tracker, ledger = MemoryTracker(), TransferLedger()
+    host_tracker = MemoryTracker()
+    store = store_cls(
+        _params(), layout.ALL_BLOCK, ADAM, tracker, ledger,
+        spill_path=str(tmp_path / "conformance_forwarding"),
+        host_memory=host_tracker, forwarding=True,
+    )
+    return Harness(
+        store, tracker, ledger, exact=True, host_tracker=host_tracker
+    )
+
+
+def adopting(make):
+    """``make``'s store, paging in only through the prefetch leg's
+    ``preload`` / ``adopt`` pair: the contract must not see the route."""
+
+    def factory(tmp_path):
+        return make(tmp_path, store_cls=AdoptingDiskStore)
+
+    return factory
 
 
 FACTORIES = {
@@ -225,7 +265,14 @@ FACTORIES = {
     "disk": make_disk,
     "disk_spilling": make_disk_spilling,
     "disk_exact": make_disk_exact,
+    "disk_forwarding": make_disk_forwarding,
+    "disk_adopting": adopting(make_disk),
+    "disk_spilling_adopting": adopting(make_disk_spilling),
+    "disk_exact_adopting": adopting(make_disk_exact),
+    "disk_forwarding_adopting": adopting(make_disk_forwarding),
 }
+#: the placements whose page-ins all go through ``preload`` / ``adopt``
+ADOPTING = [name for name in FACTORIES if name.endswith("_adopting")]
 
 param_store = pytest.mark.parametrize("factory", FACTORIES, ids=FACTORIES)
 #: the placements that stage the pending step's values (parameter
@@ -296,6 +343,28 @@ class TestZeroRowStores:
         h.store.flush()
         assert h.device_tracker.live_bytes == device_baseline
         assert h.host_tracker.live_bytes == host_baseline
+
+
+class TestAdoptRoute:
+    """The adopting placements really page in through ``adopt``, and the
+    route moves nothing: state, ledger and pages equal those of the same
+    placement paging in with the synchronous read."""
+
+    @pytest.mark.parametrize("factory", ADOPTING, ids=ADOPTING)
+    def test_every_page_in_is_an_adoption(self, tmp_path, factory):
+        h = FACTORIES[factory](tmp_path / "adopt")
+        twin = FACTORIES[factory.removesuffix("_adopting")](tmp_path / "read")
+        for store in (h.store, twin.store):
+            drive(store, spill_every=2)
+        assert h.store.adoptions > 0
+        assert h.store.adoptions == h.ledger.page_in_count
+        assert h.ledger.counts() == twin.ledger.counts()
+        assert_same_state(tree_state(h.store), tree_state(twin.store))
+        for store in (h.store, twin.store):
+            store.spill()
+        for field, page in h.store.pages.items():
+            want = twin.store.pages[field].read()
+            assert page.read().tobytes() == want.tobytes(), field
 
 
 class TestTrajectoryMatchesOracle:

@@ -27,6 +27,7 @@ from repro.core.systems import TransferLedger
 from repro.gaussians import layout
 from repro.optim.base import AdamConfig
 from repro.sim.memory import MemoryTracker
+from test_store_conformance import AdoptingDiskStore
 
 N = 30
 ADAM = AdamConfig(lr=5e-3)
@@ -171,17 +172,12 @@ class _ProtocolFuzzer:
         )
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("deferred", [False, True], ids=["dense", "deferred"])
-@pytest.mark.parametrize("budget", ["alone", "shared"])
-def test_disk_store_matches_host_store(tmp_path, seed, deferred, budget):
-    """DiskStore under random spill/page-in/preload/adopt interleavings —
-    and, with a ``shared`` budget, evictions forced by a sibling store
-    paging in through the same budget-1 resident set — is bit-identical
-    to a HostStore with the same flags: the disk tier is pure placement."""
+def _fuzz_disk_store(tmp_path, seed, deferred, budget, store_cls):
+    """Fuzz a ``store_cls`` disk store against a HostStore with the same
+    flags and return it; state is compared bit for bit."""
     tracker, ledger = MemoryTracker(), TransferLedger()
     rset = ResidentSet(1)
-    disk = DiskStore(
+    disk = store_cls(
         _params(seed), layout.ALL_BLOCK, ADAM, tracker, ledger,
         spill_path=str(tmp_path / f"fuzz{seed}"),
         resident_set=rset,
@@ -189,7 +185,7 @@ def test_disk_store_matches_host_store(tmp_path, seed, deferred, budget):
     )
     sibling = None
     if budget == "shared":
-        sibling = DiskStore(
+        sibling = store_cls(
             _params(seed + 50), layout.ALL_BLOCK, ADAM, MemoryTracker(),
             TransferLedger(), spill_path=str(tmp_path / "sibling"),
             resident_set=rset, forwarding=True, deferred=deferred,
@@ -208,6 +204,32 @@ def test_disk_store_matches_host_store(tmp_path, seed, deferred, budget):
     assert set(a) == set(b)
     for key in a:
         np.testing.assert_array_equal(np.asarray(a[key]), b[key], err_msg=key)
+    return disk
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("deferred", [False, True], ids=["dense", "deferred"])
+@pytest.mark.parametrize("budget", ["alone", "shared"])
+def test_disk_store_matches_host_store(tmp_path, seed, deferred, budget):
+    """DiskStore under random spill/page-in/preload/adopt interleavings —
+    and, with a ``shared`` budget, evictions forced by a sibling store
+    paging in through the same budget-1 resident set — is bit-identical
+    to a HostStore with the same flags: the disk tier is pure placement."""
+    _fuzz_disk_store(tmp_path, seed, deferred, budget, DiskStore)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("deferred", [False, True], ids=["dense", "deferred"])
+@pytest.mark.parametrize("budget", ["alone", "shared"])
+def test_adopting_disk_store_matches_host_store(tmp_path, seed, deferred, budget):
+    """The same fuzz with every page-in, the implicit ones inside
+    ``stage`` / ``commit`` / ``flush`` included, taken as a prefetch
+    snapshot adopted instead of the synchronous read."""
+    disk = _fuzz_disk_store(
+        tmp_path, seed, deferred, budget, AdoptingDiskStore
+    )
+    assert disk.adoptions > 0
+    assert disk.page_in_s == 0.0  # the synchronous read never ran
 
 
 @pytest.mark.parametrize("seed", [3, 4])

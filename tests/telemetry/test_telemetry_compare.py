@@ -23,8 +23,11 @@ class TestPhaseMapping:
         ("train/backward", "fwd_bwd"),
         ("train/unstage", "d2h"),
         ("train/commit", "optimizer"),
+        ("train/return_grads", "optimizer"),
         ("train/aggregate", "composite"),
         ("page/in", "disk"),
+        ("page/out", "disk"),
+        ("page/prefetch", "disk"),
         ("train/step", None),   # the envelope, never double counted
         ("serve/tick", None),   # outside the iteration vocabulary
         ("pool/map", None),     # a farm or patch-job map, not a phase
