@@ -34,8 +34,7 @@ def run_platform(platform_key: str):
     t = Table(
         title=f"Figure 11 — Normalized Training Throughput ({plat.gpu.name})",
         columns=["Scene", "Baseline", "w/o Deferred", "GS-Scale (all)",
-                 "GPU-Only", "Sharded (K=4)", "OoC (K=4,R=1)", "OoC async",
-                 "OoC async+WB"],
+                 "GPU-Only", "Sharded (K=4)", "OoC (K=4,R=1)", "OoC async"],
         notes=["Throughput normalized to baseline GS-Scale; 'OOM' marks "
                "configurations that exceed GPU *or host* memory, '-' rows "
                "where only the baseline OOMs (no normalizer).",
@@ -52,17 +51,12 @@ def run_platform(platform_key: str):
                "OoC async = same placement with the async prefetch leg: "
                "next-view page-ins overlap compute under view-locality "
                "ordering, so only the residual past the slowest leg "
-               "stalls (one extra shard of host staging buffer).",
-               "OoC async+WB = async prefetch plus write-behind spilling: "
-               "a background writer lands evicted pages, so only the "
-               "page-in half of each swap can still stall the admit "
-               "path."],
+               "stalls (one extra shard of host staging buffer)."],
     )
     stats = {"gs_vs_gpu": [], "speedup_full": [], "speedup_wo": [],
              "sharded_vs_gs": [], "ooc_slowdown": [],
              "ooc_trains": [], "sharded_trains": [],
              "async_speedup": [], "stall_sync": [], "stall_async": [],
-             "stall_sync_wb": [], "stall_async_wb": [], "wb_speedup": [],
              "composite_share": []}
     variants = []
     for spec in all_scenes():
@@ -78,20 +72,11 @@ def run_platform(platform_key: str):
             results[system] = simulate_epoch(
                 plat, trace, system, spec.num_pixels
             )
-        # write-behind variants of the paging tiers (same placement and
-        # host floor; only the disk schedule changes)
-        results["outofcore_wb"] = simulate_epoch(
-            plat, trace, "outofcore", spec.num_pixels, write_behind=True
-        )
-        results["outofcore_async_wb"] = simulate_epoch(
-            plat, trace, "outofcore_async", spec.num_pixels,
-            write_behind=True,
-        )
         base = results["baseline_offload"]
         row = [label]
         for system in ("baseline_offload", "gsscale_no_deferred", "gsscale",
                        "gpu_only", "sharded", "outofcore",
-                       "outofcore_async", "outofcore_async_wb"):
+                       "outofcore_async"):
             r = results[system]
             if r.oom:
                 row.append("OOM")
@@ -120,14 +105,6 @@ def run_platform(platform_key: str):
             stats["stall_async"].append(
                 async_.breakdown.get("disk_stall", 0.0)
             )
-            stats["stall_sync_wb"].append(
-                results["outofcore_wb"].breakdown.get("disk_stall", 0.0)
-            )
-            async_wb = results["outofcore_async_wb"]
-            stats["stall_async_wb"].append(
-                async_wb.breakdown.get("disk_stall", 0.0)
-            )
-            stats["wb_speedup"].append(async_.seconds / async_wb.seconds)
         if not base.oom and not results["gsscale"].oom:
             if not results["gpu_only"].oom:
                 stats["gs_vs_gpu"].append(
@@ -217,23 +194,6 @@ def test_fig11_throughput(benchmark):
                 assert async_stall < sync_stall
         assert all(s >= 1.0 for s in stats["async_speedup"])
         assert geomean(stats["async_speedup"]) > 1.05
-        # write-behind: evictions leave the admit path, so the stalled
-        # disk time strictly drops against the matching schedule wherever
-        # that schedule stalls at all — on the synchronous tier ...
-        for sync_stall, sync_wb_stall in zip(
-            stats["stall_sync"], stats["stall_sync_wb"]
-        ):
-            assert sync_wb_stall <= sync_stall
-            if sync_stall > 0:
-                assert sync_wb_stall < sync_stall
-        # ... and stacked on the async prefetch leg
-        for async_stall, async_wb_stall in zip(
-            stats["stall_async"], stats["stall_async_wb"]
-        ):
-            assert async_wb_stall <= async_stall
-            if async_stall > 0:
-                assert async_wb_stall < async_stall
-        assert all(s >= 1.0 for s in stats["wb_speedup"])
     # ... but buys capability: laptop Aerial host-OOMs every in-memory
     # system (42 GB of host state vs 32 GB DRAM) and trains only with the
     # out-of-core tier's resident-set host floor

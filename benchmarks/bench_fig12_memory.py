@@ -20,7 +20,7 @@ def build_table():
         title="Figure 12 — Peak GPU Memory Usage (GiB) + Host/Disk Tiers",
         columns=["Scene", "GPU-Only", "GS-Scale", "Ratio", "Savings",
                  "Sharded/dev (K=4)", "Host GS-Scale", "Host OoC (R=1)",
-                 "Host OoC async", "Host OoC async+WB", "Disk OoC"],
+                 "Host OoC async", "Disk OoC"],
         notes=["mem_limit = 0.3 (paper default); staged window uses the "
                "epoch's worst post-split view.",
                "Sharded/dev = per-device peak of the 4-way Gaussian-"
@@ -30,15 +30,12 @@ def build_table():
                "rest through the Disk column's spill files.",
                "Host OoC async adds the prefetch leg's double buffer: "
                "one extra shard's pageable state staged while the "
-               "current view renders.",
-               "Host OoC async+WB additionally holds one detached shard "
-               "working set queued for the write-behind writer."],
+               "current view renders."],
     )
     ratios = {}
     shard_ratios = {}
     host_ratios = {}
     async_ratios = {}
-    wb_ratios = {}
     for spec in all_scenes():
         trace = synthesize_trace(spec, num_views=150, seed=7)
         staged_peak = trace.clipped(0.3).peak_ratio
@@ -59,33 +56,29 @@ def build_table():
             spec.total_gaussians, num_shards=4, resident_shards=1,
             staging_shards=1,
         )
-        host_wb = outofcore_host_state_bytes(
-            spec.total_gaussians, num_shards=4, resident_shards=1,
-            staging_shards=1, pending_writes=1,
-        )
         disk_ooc = disk_state_bytes(
             spec.total_gaussians, num_shards=4, resident_shards=1
         )
         t.add_row(
             spec.name, g / 2**30, s / 2**30, s / g, f"{g / s:.1f}x",
             sh / 2**30, host_gs / 2**30, host_ooc / 2**30,
-            host_async / 2**30, host_wb / 2**30, disk_ooc / 2**30
+            host_async / 2**30, disk_ooc / 2**30
         )
         ratios[spec.name.lower()] = s / g
         shard_ratios[spec.name.lower()] = sh / s
         host_ratios[spec.name.lower()] = host_ooc / host_gs
         async_ratios[spec.name.lower()] = host_async / host_gs
-        wb_ratios[spec.name.lower()] = host_wb / host_gs
     t.notes.append(
         f"geomean savings {geomean([1 / r for r in ratios.values()]):.2f}x "
         "(paper: 3.98x)"
     )
-    return t, ratios, shard_ratios, host_ratios, async_ratios, wb_ratios
+    return t, ratios, shard_ratios, host_ratios, async_ratios
 
 
 def test_fig12_memory(benchmark):
-    (table, ratios, shard_ratios, host_ratios, async_ratios,
-     wb_ratios) = benchmark(build_table)
+    table, ratios, shard_ratios, host_ratios, async_ratios = benchmark(
+        build_table
+    )
     print("\n" + write_report("fig12_memory", table))
 
     savings = [1 / r for r in ratios.values()]
@@ -112,10 +105,3 @@ def test_fig12_memory(benchmark):
     # under half of GS-Scale's host floor
     for name, r in async_ratios.items():
         assert host_ratios[name] < r <= 0.5, name
-    # the write-behind pending buffer adds one more detached shard
-    # working set on top of the staging shard — same 3-copy cost — and
-    # the stacked tier still sits well below the in-memory host floor
-    for name, r in wb_ratios.items():
-        assert async_ratios[name] < r <= 0.75, name
-        assert abs((r - async_ratios[name]) -
-                   (async_ratios[name] - host_ratios[name])) < 1e-9, name

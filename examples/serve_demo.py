@@ -14,8 +14,7 @@ Walks the serving vertical end to end:
    the direct render pipeline — then replay the orbit to show the
    pose-keyed cache absorbing it;
 5. hot-swap the model and show the cache flush (no stale frames);
-6. print the serving stats, the paged store's page-channel ledger, and
-   the modeled p50/p99 latency of the same setup from ``sim.serve``.
+6. print the serving stats and the paged store's page-channel ledger.
 
 Run:  python examples/serve_demo.py
 """
@@ -37,7 +36,6 @@ from repro.serve import (
     lod_quality_report,
     requests_from_cameras,
 )
-from repro.sim import ServeScenario, get_platform, simulate_serve
 
 ITERATIONS = int(os.environ.get("DEMO_ITERATIONS", 24))
 
@@ -143,20 +141,6 @@ def main():
         )
         paged.close()
 
-    # -- the modeled counterpart ------------------------------------------
-    print("\n== modeled serving latency (desktop_4090, 2M splats, 500 req/s)")
-    platform = get_platform("desktop_4090")
-    for workers in (1, 4):
-        result = simulate_serve(
-            platform, 2_000_000, 0.1, 256 * 256,
-            ServeScenario(workers=workers, arrival_rate_hz=500.0),
-        )
-        print(
-            f"  workers={workers}: {result.requests_per_s:7.1f} req/s, "
-            f"p50 {result.p50_latency_s * 1e3:6.2f} ms, "
-            f"p99 {result.p99_latency_s * 1e3:6.2f} ms, "
-            f"util {result.worker_utilization:.2f}"
-        )
     print("\ndone.")
 
 

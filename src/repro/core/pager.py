@@ -329,8 +329,7 @@ class _AsyncPrefetcher:
         """Wait out the outstanding ticket. A failed one leaves the views
         it did not reach staged empty, as :meth:`schedule` left them: a
         failed prefetch, like a failed snapshot, is just a miss."""
-        with contextlib.suppress(Exception):
-            self._lane.drain()
+        self._lane.drain()
 
     def _refresh_staged(self) -> None:
         # fp32-equivalent units, like every MemoryTracker in the repo

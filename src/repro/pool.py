@@ -488,10 +488,11 @@ class Lane:
     """One long-lived background thread running submitted tasks in order.
 
     :meth:`submit` returns a plain :class:`~concurrent.futures.Future` as
-    the ticket. Around every task the lane labels its thread
-    ``gsscale-{name}`` on the tracer, visits the fault point ``lane:{name}``
-    (``index`` = the task's ordinal on this lane) and holds
-    :data:`pool_fork_guard`, so a lane task may not start a
+    the ticket; a task's error stays on its ticket (``result()`` re-raises
+    it) and the lane runs the next task. Around every task the lane
+    labels its thread ``gsscale-{name}`` on the tracer, visits the fault
+    point ``lane:{name}`` (``index`` = the task's ordinal on this lane)
+    and holds :data:`pool_fork_guard`, so a lane task may not start a
     :class:`PersistentPool` (it would wait on the guard it holds).
     """
 
@@ -500,7 +501,6 @@ class Lane:
         self._executor = ThreadPoolExecutor(1, thread_name_prefix=f"gsscale-{name}")
         self._seq = itertools.count()
         self._last: Future | None = None
-        self._failure: BaseException | None = None  # the first since the last drain
 
     def submit(self, fn, *args) -> Future:
         """Queue ``fn(*args)`` behind every task submitted before it."""
@@ -508,32 +508,15 @@ class Lane:
         return self._last
 
     def drain(self) -> None:
-        """Wait for every outstanding ticket, then re-raise the first
-        failure in submission order (the lane stays usable)."""
+        """Wait for every outstanding ticket (failed ones included)."""
         if self._last is not None:
             wait([self._last])  # one thread, FIFO: the last ticket ends last
-        failure, self._failure = self._failure, None
-        if failure is not None:
-            raise failure
-
-    def close(self) -> None:
-        """Drain, then stop the thread (idempotent; no timeout: a running
-        task always finishes first)."""
-        try:
-            self.drain()
-        finally:
-            self._executor.shutdown()
 
     def _run(self, seq: int, fn, args):
-        try:
-            _trace.name_current_thread(f"gsscale-{self.name}")
-            faults.fault_point(f"lane:{self.name}", index=seq)
-            with pool_fork_guard:
-                return fn(*args)
-        except BaseException as exc:
-            if self._failure is None:
-                self._failure = exc
-            raise
+        _trace.name_current_thread(f"gsscale-{self.name}")
+        faults.fault_point(f"lane:{self.name}", index=seq)
+        with pool_fork_guard:
+            return fn(*args)
 
 
 # ---------------------------------------------------------------------------

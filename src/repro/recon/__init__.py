@@ -12,7 +12,7 @@ schedule lives in :func:`repro.sim.simulate_patch_farm`. See the
 patch-pipeline section of ``docs/architecture.md``.
 """
 
-from .clean import CleanConfig, CleanReport, clean_checkpoint, clean_mask, clean_model
+from .clean import CleanConfig, CleanReport, clean_checkpoint, clean_mask
 from .jobs import (
     PatchJobResult,
     PatchJobSpec,
@@ -42,7 +42,6 @@ __all__ = [
     "ScenePatch",
     "clean_checkpoint",
     "clean_mask",
-    "clean_model",
     "default_buffer",
     "merge_patch_checkpoints",
     "monolithic_peak_host_bytes",

@@ -30,14 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.checkpoint import CheckpointReader, write_model_checkpoint
-from ..gaussians import GaussianModel, layout
+from ..gaussians import layout
 
 __all__ = [
     "CleanConfig",
     "CleanReport",
     "clean_checkpoint",
     "clean_mask",
-    "clean_model",
 ]
 
 #: Multiplier for the derived ``max_extent`` cap.
@@ -139,17 +138,6 @@ def clean_mask(
         neighbor_radius=float(neighbor_radius),
     )
     return keep, report
-
-
-def clean_model(
-    model: GaussianModel, config: CleanConfig = CleanConfig()
-) -> tuple[GaussianModel, CleanReport]:
-    """Filtered copy of an in-memory model (unit-test convenience)."""
-    keep, report = clean_mask(
-        model.means, model.log_scales, model.params[:, layout.OPACITY_SLICE],
-        config,
-    )
-    return GaussianModel(model.params[keep].copy()), report
 
 
 def clean_checkpoint(

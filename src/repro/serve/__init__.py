@@ -6,9 +6,8 @@ endpoint: read-only serving stores with out-of-core paging
 (:mod:`~repro.serve.lod`), a pose-keyed frame cache
 (:mod:`~repro.serve.cache`), a multi-worker render farm
 (:mod:`~repro.serve.farm`), and the :class:`~repro.serve.service.\
-RenderService` that batches client requests across all of them. The
-modeled counterpart lives in :mod:`repro.sim.serve`; see the serving
-section of ``docs/architecture.md``.
+RenderService` that batches client requests across all of them. See
+the serving section of ``docs/architecture.md``.
 """
 
 from .cache import FrameCache, frame_key

@@ -19,12 +19,6 @@ from .memory import (
     sharded_breakdown,
 )
 from .recon import PatchFarmResult, simulate_patch_farm
-from .serve import (
-    ServeResult,
-    ServeScenario,
-    request_arrivals,
-    simulate_serve,
-)
 from .timeline import (
     SYSTEMS,
     EpochResult,
@@ -51,10 +45,6 @@ __all__ = [
     "Platform",
     "SYSTEMS",
     "Segment",
-    "ServeResult",
-    "ServeScenario",
-    "request_arrivals",
-    "simulate_serve",
     "baseline_offload_breakdown",
     "bytes_per_gaussian",
     "disk_state_bytes",

@@ -112,17 +112,6 @@ class CostModel:
         bytes_ += num_pixels * 48.0  # image-space read/write
         return bytes_ / self.platform.gpu.mem_bw
 
-    def serve_forward(self, n_active: int, num_pixels: int) -> float:
-        """Forward-only render of one served frame (no backward pass, no
-        gradient buffers): the intersection traffic drops to the forward
-        bytes and the per-splat setup roughly halves (no backward
-        context is saved)."""
-        intersections = min(n_active * MEAN_SPLAT_COVERAGE, num_pixels * 512.0)
-        bytes_ = intersections * FWD_BYTES_PER_INTERSECTION
-        bytes_ += n_active * (SPLAT_SETUP_BYTES / 2.0)
-        bytes_ += num_pixels * 24.0  # image-space write only
-        return bytes_ / self.platform.gpu.mem_bw
-
     # -- optimizer updates -------------------------------------------------
     def gpu_dense_update(self, n_rows: int, dim: int = layout.PARAM_DIM) -> float:
         """Fused Adam on the GPU (GPU-only system; also the geometric

@@ -221,8 +221,9 @@ def bytes_per_gaussian(
     raise ValueError(f"unknown system {system!r}")
 
 
-#: Defaults of the out-of-core placement tier (mirrors
-#: ``GSScaleConfig.num_shards`` / ``GSScaleConfig.resident_shards``).
+#: Shard defaults of the sharded and out-of-core placement tiers, here and
+#: in the timeline (mirrors ``GSScaleConfig.num_shards`` /
+#: ``GSScaleConfig.resident_shards``).
 DEFAULT_OUTOFCORE_SHARDS = 4
 DEFAULT_RESIDENT_SHARDS = 1
 
@@ -232,7 +233,6 @@ def outofcore_host_state_bytes(
     num_shards: int = DEFAULT_OUTOFCORE_SHARDS,
     resident_shards: int = DEFAULT_RESIDENT_SHARDS,
     staging_shards: int = 0,
-    pending_writes: int = 0,
 ) -> int:
     """Host DRAM floor of the out-of-core system.
 
@@ -243,25 +243,19 @@ def outofcore_host_state_bytes(
     the current view renders, up to that many preloaded shard snapshots
     (parameters + both Adam moments, no gradients) sit in host memory
     waiting to be adopted — ``prefetch_depth x resident_shards`` bounds
-    it for a depth-D queue. ``pending_writes`` adds the write-behind
-    term: detached working sets (same 3 copies) queued for the
-    background writer but not yet landed on disk.
+    it for a depth-D queue.
     """
     if not 1 <= resident_shards:
         raise ValueError("resident_shards must be >= 1")
     if staging_shards < 0:
         raise ValueError("staging_shards must be >= 0")
-    if pending_writes < 0:
-        raise ValueError("pending_writes must be >= 0")
     per_shard = -(-num_gaussians // num_shards)  # ceil: worst shards
     resident_rows = min(resident_shards, num_shards) * per_shard
     state = layout.train_state_bytes(resident_rows, layout.NON_GEOMETRIC_DIM)
     staging_rows = min(staging_shards, num_shards) * per_shard
     staging = 3 * layout.param_bytes(staging_rows, layout.NON_GEOMETRIC_DIM)
-    pending_rows = min(pending_writes, num_shards) * per_shard
-    pending = 3 * layout.param_bytes(pending_rows, layout.NON_GEOMETRIC_DIM)
     counters = num_gaussians
-    return state + staging + pending + counters
+    return state + staging + counters
 
 
 def disk_state_bytes(

@@ -26,6 +26,8 @@ from ..gaussians import layout
 from .costs import CostModel, ITERATION_OVERHEAD_S
 from .devices import Platform
 from .memory import (
+    DEFAULT_OUTOFCORE_SHARDS,
+    DEFAULT_RESIDENT_SHARDS,
     baseline_offload_breakdown,
     fits,
     fits_host,
@@ -47,9 +49,6 @@ SYSTEMS = (
 #: Deferred-update saturation overhead: with a 4-bit counter, 1/15 of the
 #: inactive rows are force-updated per step on average (Section 4.3.2).
 SATURATION_FRACTION = 1.0 / 15.0
-
-#: Default device count of the modeled sharded system (Figure 11 entry).
-DEFAULT_NUM_SHARDS = 4
 
 #: Load imbalance of a spatially sharded render: median splits balance
 #: populations, not per-view visible work (Grendel reports ~10-20%).
@@ -76,9 +75,6 @@ SHARD_HOST_PARALLEL_EFFICIENCY = 0.5
 
 #: Per-iteration cross-device synchronization overhead, seconds.
 SHARD_SYNC_OVERHEAD_S = 0.3e-3
-
-#: Resident shards of the modeled out-of-core system (host DRAM budget).
-DEFAULT_RESIDENT_SHARDS = 1
 
 #: Consecutive views served per shard residency: out-of-core trainers
 #: (TideGS) order views so a paged-in block trains many nearby views
@@ -135,16 +131,10 @@ def simulate_iteration(
     active_ratio: float,
     num_pixels: int,
     mem_limit: float = 0.3,
-    num_shards: int = DEFAULT_NUM_SHARDS,
+    num_shards: int = DEFAULT_OUTOFCORE_SHARDS,
     resident_shards: int = DEFAULT_RESIDENT_SHARDS,
-    write_behind: bool = False,
 ) -> IterationSim:
-    """Simulate one training iteration under ``system``.
-
-    ``write_behind`` moves the page-out half of each out-of-core swap off
-    the admit path onto a background writer (a no-op for the non-paging
-    systems).
-    """
+    """Simulate one training iteration under ``system``."""
     n_active = int(n_total * active_ratio)
     splits = _num_sub_passes(active_ratio, mem_limit, system)
 
@@ -169,13 +159,11 @@ def simulate_iteration(
         return _sim_sharded(
             cost, n_total, n_active, num_pixels, splits, num_shards,
             resident_shards=resident_shards,
-            write_behind=write_behind,
         )
     if system == "outofcore_async":
         return _sim_sharded(
             cost, n_total, n_active, num_pixels, splits, num_shards,
             resident_shards=resident_shards, async_prefetch=True,
-            write_behind=write_behind,
         )
     raise ValueError(f"unknown system {system!r}; choose from {SYSTEMS}")
 
@@ -317,7 +305,6 @@ def _sim_sharded(
     num_shards: int,
     resident_shards: int | None = None,
     async_prefetch: bool = False,
-    write_behind: bool = False,
 ) -> IterationSim:
     """K-device Gaussian-sharded GS-Scale (Grendel-style schedule).
 
@@ -344,13 +331,9 @@ def _sim_sharded(
     ``async_prefetch`` overlaps it with the other legs (the background
     preload of the functional engine): only the residual past the
     slowest compute/transfer leg stalls the iteration. Both report the
-    stalled portion as ``breakdown["disk_stall"]``.
-
-    ``write_behind`` removes the
-    page-out half of every swap from the critical path: the background
-    writer lands evicted pages while the trainer runs, so only the
-    page-in half can stall — the full round-trip still shows up in
-    ``breakdown["disk"]`` (the device is busy either way).
+    stalled portion as ``breakdown["disk_stall"]``. Every page-out is
+    written by the thread that spills, so the whole round-trip counts
+    toward the stall.
     """
     dim = layout.NON_GEOMETRIC_DIM
     shard_total = -(-n_total // num_shards)
@@ -387,7 +370,6 @@ def _sim_sharded(
 
     # disk leg (out-of-core tier only)
     disk_leg = 0.0
-    disk_in_leg = 0.0
     if resident_shards is not None:
         shard_state = 3 * layout.param_bytes(shard_total, dim)  # params+m+v
         active_shards = min(
@@ -400,24 +382,20 @@ def _sim_sharded(
             PAGE_ROUNDTRIP * (view_swaps + saturation_swaps) * shard_state
         )
         disk_leg = cost.disk_page(disk_bytes)
-        # the page-in half of every swap: all a write-behind schedule can
-        # still stall on (evictions land in the background)
-        disk_in_leg = cost.disk_page(disk_bytes / PAGE_ROUNDTRIP)
 
     split_overhead = (splits - 1) * ITERATION_OVERHEAD_S
     sync = SHARD_SYNC_OVERHEAD_S if num_shards > 1 else 0.0
     slowest_leg = max(gpu_leg, cpu_leg, pcie_leg)
-    critical_disk = disk_in_leg if write_behind else disk_leg
     if resident_shards is None:
         disk_stall = 0.0
     elif async_prefetch:
         # the background preload hides page traffic behind whichever leg
         # bounds the iteration; only the residual stalls
-        disk_stall = max(0.0, critical_disk - slowest_leg)
+        disk_stall = max(0.0, disk_leg - slowest_leg)
     else:
-        # synchronous paging: staging waits for the page-ins; without
-        # write-behind the page-outs also block the next admit
-        disk_stall = critical_disk
+        # synchronous paging: staging waits for the page-ins, and the
+        # page-outs block the next admit
+        disk_stall = disk_leg
     time = (
         slowest_leg
         + disk_stall
@@ -490,7 +468,7 @@ def peak_memory(
     num_pixels: int,
     peak_active_ratio: float,
     mem_limit: float = 0.3,
-    num_shards: int = DEFAULT_NUM_SHARDS,
+    num_shards: int = DEFAULT_OUTOFCORE_SHARDS,
 ):
     """Memory breakdown at the epoch's worst view for ``system``.
 
@@ -518,13 +496,8 @@ def simulate_epoch(
     system: str,
     num_pixels: int,
     mem_limit: float = 0.3,
-    write_behind: bool = False,
 ) -> EpochResult:
-    """Run one epoch of ``trace`` through ``system`` on ``platform``.
-
-    ``write_behind`` configures the out-of-core tier's disk schedule (see
-    :func:`simulate_iteration`); the non-paging systems ignore it.
-    """
+    """Run one epoch of ``trace`` through ``system`` on ``platform``."""
     n_total = trace.total_gaussians
     if system in (
         "gsscale", "gsscale_no_deferred", "sharded", "outofcore",
@@ -556,8 +529,7 @@ def simulate_epoch(
     breakdown: dict[str, float] = {}
     for ratio in trace.active_ratios:
         it = simulate_iteration(
-            system, cost, n_total, float(ratio), num_pixels, mem_limit,
-            write_behind=write_behind,
+            system, cost, n_total, float(ratio), num_pixels, mem_limit
         )
         total += it.time
         for k, v in it.breakdown.items():

@@ -12,7 +12,7 @@ from repro.gaussians import GaussianModel, layout
 from repro.recon import (
     CleanConfig,
     clean_checkpoint,
-    clean_model,
+    clean_mask,
     merge_patch_checkpoints,
     partition_scene,
 )
@@ -28,6 +28,15 @@ def toy_model(n=60, seed=2, spread=4.0):
     params[:, layout.OPACITY_SLICE] = 2.0  # opaque
     params[:, layout.SH_SLICE] = rng.normal(size=(n, layout.SH_DIM)) * 0.1
     return GaussianModel(params)
+
+
+def clean_model(model, config=CleanConfig()):
+    """Filtered copy of an in-memory model."""
+    keep, report = clean_mask(
+        model.means, model.log_scales, model.params[:, layout.OPACITY_SLICE],
+        config,
+    )
+    return GaussianModel(model.params[keep].copy()), report
 
 
 def patch_checkpoints(model, patches, tmp_path, mutate=None):

@@ -1,12 +1,11 @@
 """``repro.pool.Lane``: the one background-lane primitive.
 
-FIFO order, error propagation through the ticket and through
-``drain()`` (first failure in submission order), a ``close()`` that
-waits for the running task, the tracer label, and the ``lane:{name}``
-fault point indexed by the task's ordinal.
+FIFO order, a task's error kept on its own ticket, a ``drain()`` that
+waits out failed tickets too and leaves the lane running, the tracer
+label, and the ``lane:{name}`` fault point indexed by the task's
+ordinal.
 """
 
-import contextlib
 import threading
 
 import pytest
@@ -26,10 +25,7 @@ def _raise(exc):
 
 @pytest.fixture
 def lane():
-    lane = Lane("x")
-    yield lane
-    with contextlib.suppress(Boom):  # a failure no test drained
-        lane.close()
+    return Lane("x")
 
 
 def test_tasks_run_in_submission_order(lane):
@@ -49,49 +45,20 @@ def test_ticket_returns_the_value_and_reraises_the_task_error(lane):
     assert info.value is err
 
 
-def test_drain_raises_the_first_failure_and_the_lane_stays_usable(lane):
+def test_drain_returns_after_a_failed_ticket_and_the_lane_runs_on(lane):
     first, second = Boom("first"), Boom("second")
-    lane.submit(lambda: None)
-    lane.submit(_raise, first)
-    lane.submit(lambda: None)
-    lane.submit(_raise, second)
-    with pytest.raises(Boom) as info:
-        lane.drain()
-    assert info.value is first
-    lane.drain()  # the failures were reported once
-    assert lane.submit(lambda: "after").result() == "after"
+    tickets = [
+        lane.submit(lambda: None),
+        lane.submit(_raise, first),
+        lane.submit(lambda: None),
+        lane.submit(_raise, second),
+    ]
     lane.drain()
-
-
-def test_close_is_idempotent_and_waits_for_the_running_task():
-    lane = Lane("x")
-    started, release = threading.Event(), threading.Event()
-    finished = []
-
-    def blocked():
-        started.set()
-        assert release.wait(10)
-        finished.append(True)
-
-    lane.submit(blocked)
-    assert started.wait(5)
-    closer = threading.Thread(target=lane.close)
-    closer.start()
-    closer.join(0.2)
-    assert closer.is_alive() and not finished  # close waits on the task
-    release.set()
-    closer.join(10)
-    assert not closer.is_alive()
-    assert finished == [True]
-    lane.close()  # idempotent
-
-
-def test_close_reraises_an_unreported_failure():
-    lane = Lane("x")
-    lane.submit(_raise, Boom("late"))
-    with pytest.raises(Boom):
-        lane.close()
-    lane.close()
+    assert all(t.done() for t in tickets)
+    assert tickets[1].exception() is first
+    assert tickets[3].exception() is second
+    assert tickets[0].exception() is None and tickets[2].exception() is None
+    assert lane.submit(lambda: "after").result() == "after"
 
 
 def test_the_tracer_lane_is_labelled():
@@ -99,7 +66,6 @@ def test_the_tracer_lane_is_labelled():
     try:
         lane = Lane("x")
         tid = lane.submit(threading.get_ident).result()
-        lane.close()
         assert tracer.thread_names[tid] == "gsscale-x"
     finally:
         trace.uninstall()
@@ -118,5 +84,4 @@ def test_fault_point_is_indexed_by_the_task_ordinal(lane, tmp_path):
                     ticket.result()
             else:
                 assert ticket.result() == i
-        with pytest.raises(InjectedFaultError):
-            lane.drain()
+        lane.drain()
