@@ -11,10 +11,12 @@ as pure metadata, so an untouched shard pages in at most once per
 sharded run — out-of-core placement changes accounting, never math — while
 the tracked host working set drops to the resident-set budget.
 
-The third run turns on the async prefetch leg (``async_prefetch=True``):
-a background worker snapshots the *next* view's spilled shards while the
-current view renders, so the page read comes off the critical path —
-still bit-identical, same ledger, just overlapped. Next-view hints come
+The second run is the synchronous schedule (``async_prefetch=False``:
+the prefetch leg at depth 0, which stages nothing); the third runs the
+default async prefetch leg: a background worker snapshots the upcoming
+views' spilled shards while the current view renders, so the page read
+comes off the critical path — still bit-identical, just overlapped.
+Next-view hints come
 from the step loop (``hint_upcoming_views``), exactly what
 ``Trainer.train(view_order="locality")`` automates. (This demo's wide
 frustums touch every shard in every view, so the snapshots go stale and
@@ -23,12 +25,12 @@ case; shard-local captures adopt most page-ins, as
 ``tests/core/test_async_prefetch.py`` demonstrates on a clustered
 scene.)
 
-The deep disk tier is a flag away: ``--prefetch-depth D`` widens the
-async leg's single-slot double buffer into a depth-D staging queue.
-Spill pages stay raw: page codecs are for read-only serving pages
-(``PagedServingStore(codec=)``).
+``--prefetch-depth D`` sets the async leg's staging-queue lookahead (2 by
+default, ``GSScaleConfig``'s default; 1 is the single-slot double
+buffer). Spill pages stay raw: page codecs are for read-only serving
+pages (``PagedServingStore(codec=)``).
 
-Run:  python examples/outofcore_training_demo.py [--prefetch-depth 2]
+Run:  python examples/outofcore_training_demo.py [--prefetch-depth 1]
 """
 
 import argparse
@@ -50,9 +52,9 @@ def parse_args():
         description="Out-of-core training demo (deep disk tier knobs)"
     )
     parser.add_argument(
-        "--prefetch-depth", type=int, default=1, metavar="D",
-        help="async staging-queue lookahead; 1 is the classic double "
-             "buffer (default: 1)",
+        "--prefetch-depth", type=int, default=2, metavar="D",
+        help="async staging-queue lookahead; 1 is the single-slot double "
+             "buffer (default: 2)",
     )
     return parser.parse_args()
 
@@ -67,12 +69,12 @@ def train(scene, system, **cfg_kwargs):
     )
     engine = create_system(scene.initial.copy(), config)
     cams, images = scene.train_cameras, scene.train_images
+    hint = getattr(engine, "hint_upcoming_views", None)
     for i in range(ITERATIONS):
-        if hasattr(engine, "hint_upcoming_views") and i + 1 < ITERATIONS:
-            depth = max(getattr(engine, "prefetch_depth", 1), 1)
-            engine.hint_upcoming_views(
-                [cams[(i + 1 + d) % len(cams)] for d in range(depth)]
-            )
+        if hint is not None and i + 1 < ITERATIONS:
+            # the synchronous run reports depth 0: an empty hint
+            hint([cams[(i + 1 + d) % len(cams)]
+                  for d in range(engine.prefetch_depth)])
         engine.step(cams[i % len(cams)], images[i % len(cams)])
     engine.finalize()
     return engine
@@ -100,7 +102,7 @@ def main():
           f"(K={NUM_SHARDS}, resident={RESIDENT_SHARDS}) ...")
     sharded = train(scene, "sharded", num_shards=NUM_SHARDS)
     ooc = train(scene, "outofcore", num_shards=NUM_SHARDS,
-                resident_shards=RESIDENT_SHARDS)
+                resident_shards=RESIDENT_SHARDS, async_prefetch=False)
     asyn = train(scene, "outofcore", num_shards=NUM_SHARDS,
                  resident_shards=RESIDENT_SHARDS, async_prefetch=True,
                  prefetch_depth=args.prefetch_depth)

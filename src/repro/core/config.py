@@ -63,26 +63,30 @@ class GSScaleConfig:
             ``outofcore`` system keeps paged into host DRAM at once (the
             resident-set budget; the rest lives in the spill files).
         async_prefetch: overlap the ``outofcore`` system's disk page-ins
-            with compute: the prefetch lane snapshots the *next* view's
-            spilled shards (``DiskStore.preload``, double-buffered) while
-            the current view renders, and the next step adopts the
+            with compute (on by default): the prefetch lane snapshots the
+            upcoming views' spilled shards (``DiskStore.preload``) while
+            the current view renders, and the later steps adopt the
             buffers instead of reading disk on the critical path. Needs
             to be told the upcoming views
             (``OutOfCoreGSScaleSystem.hint_upcoming_views``; the
             :class:`~repro.core.trainer.Trainer` does so
             automatically), also after ``finalize()``: a resumed
-            ``train()`` keeps prefetching. Numerics and ledger traffic
-            are identical to the synchronous schedule.
+            ``train()`` keeps prefetching. ``False`` is the synchronous
+            schedule: the same leg at depth 0, which stages nothing
+            (the system reports ``prefetch_depth == 0``). Numerics are
+            identical under every schedule.
         page_codec: must be ``"raw"``: training spill pages are stored
             exactly (memory-mapped native dtype), so placement never
             changes numerics. Page codecs serve read-only pages
             (``PagedServingStore(codec=)``). Kept only so callers that
             pass the default keep working.
-        prefetch_depth: lookahead of the async staging queue — how many
-            upcoming views the background worker snapshots ahead of the
-            training thread. 1 is the classic double buffer; deeper
-            queues need ``async_prefetch`` and pay off on
-            locality-ordered view schedules (``view_order="locality"``).
+        prefetch_depth: lookahead of the staging queue with
+            ``async_prefetch`` on — how many upcoming views the
+            background worker snapshots ahead of the training thread
+            (>= 1; ignored when ``async_prefetch`` is off). At depth 2
+            and beyond the spill also keeps the upcoming views' shards
+            resident, which pays off on locality-ordered view schedules
+            (``view_order="locality"``).
         write_behind: must be ``False``: write-behind spilling was
             retired (it bought no steady-state throughput), so a spill
             writes its pages on the thread that spills. Kept only so
@@ -123,9 +127,9 @@ class GSScaleConfig:
     shard_device_capacity_bytes: int | None = None
     spill_dir: str | None = None
     resident_shards: int = 1
-    async_prefetch: bool = False
+    async_prefetch: bool = True
     page_codec: str = "raw"
-    prefetch_depth: int = 1
+    prefetch_depth: int = 2
     write_behind: bool = False
     telemetry: bool = False
     raster: RasterConfig = field(default_factory=RasterConfig)
@@ -157,11 +161,6 @@ class GSScaleConfig:
             )
         if self.prefetch_depth < 1:
             raise ValueError("prefetch_depth must be >= 1")
-        if self.prefetch_depth > 1 and not self.async_prefetch:
-            raise ValueError(
-                "prefetch_depth > 1 requires async_prefetch=True "
-                "(the staging queue is the async leg's lookahead)"
-            )
         if self.engine is not None:
             if self.engine != self.raster.engine:
                 # replace() re-runs RasterConfig validation on the name

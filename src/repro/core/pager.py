@@ -238,12 +238,14 @@ class _AsyncPrefetcher:
     thread, and a stale prediction (the geometry moved, a racing spill)
     degrades to the ordinary synchronous page-in.
 
-    At ``depth == 1`` this is exactly the historical single-slot double
-    buffer: one view staged at a time, the slot drained on every
-    :meth:`take`. At ``depth > 1`` the hint is a lookahead *list*
-    (``locality_view_order`` makes it predictive) and staged views
-    survive :meth:`take` until consumed or dropped from a newer hint —
-    the depth-D staging queue. Host bytes held by the queue are capped
+    At ``depth == 0`` this is the synchronous schedule: nothing is
+    staged, no lane task is submitted (so the lane never starts its
+    thread), and :meth:`take` always returns ``(False, {})``. At
+    ``depth == 1`` it is the single-slot double buffer: one view staged
+    at a time, the slot drained on every :meth:`take`. At ``depth > 1``
+    the hint is a lookahead *list* (``locality_view_order`` makes it
+    predictive) and staged views survive :meth:`take` until consumed or
+    dropped from a newer hint — the depth-D staging queue. Host bytes held by the queue are capped
     at ``depth x resident budget x worst shard state`` (the staging
     budget); the lane stops staging deeper views at the cap.
 
@@ -255,7 +257,7 @@ class _AsyncPrefetcher:
     the lane itself stays up and exits when the prefetcher is freed.
     """
 
-    def __init__(self, budget: int, depth: int = 1):
+    def __init__(self, budget: int, depth: int):
         self._budget = budget
         self.depth = depth
         self._stores: list[DiskStore] = []

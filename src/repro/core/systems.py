@@ -743,9 +743,10 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
     numerics: spill pages are raw, and the run is bit-identical to the
     in-memory sharded system under every schedule.
 
-    One deep-tier knob extends the leg without touching the
-    bit-identity above: ``prefetch_depth`` widens the async leg's
-    lookahead to a depth-D staging queue. Page-outs are never
+    There is one schedule: the prefetch leg at depth
+    ``prefetch_depth`` (2 by default) stages the upcoming views' shards
+    in the background, and ``async_prefetch=False`` is the same leg at
+    depth 0, which stages nothing and starts no thread. Page-outs are never
     backgrounded: a spill writes a dirty shard's pages on the training
     thread, and a clean shard's spill writes nothing.
 
@@ -769,11 +770,10 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         else:
             self._spill_root = config.spill_dir
         self._spill_stats = SpillStats()
-        self._prefetcher = (
-            _AsyncPrefetcher(config.resident_shards, depth=config.prefetch_depth)
-            if config.async_prefetch
-            else None
-        )
+        # the synchronous schedule is the same leg at depth 0: nothing is
+        # ever staged, so its lane never starts a thread
+        depth = config.prefetch_depth if config.async_prefetch else 0
+        self._prefetcher = _AsyncPrefetcher(config.resident_shards, depth=depth)
         #: hinted shard visits the async leg covered / failed to cover,
         #: cumulative across densification rebuilds
         self.prefetch_hits = 0
@@ -787,19 +787,18 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         self.resident_set = ResidentSet(self.config.resident_shards)
         self._cull_cache: tuple[Camera, CullResult] | None = None
         super()._setup(model)
-        if self._prefetcher is not None:
-            # through the store, never the system: a system the lane
-            # referenced would be a cycle only a GC pass could free
-            store = self.store
-            self._prefetcher.retarget(
-                self.shard_host_stores,
-                lambda camera: store.visible(camera).active_shards,
-            )
+        # through the store, never the system: a system the lane
+        # referenced would be a cycle only a GC pass could free
+        store = self.store
+        self._prefetcher.retarget(
+            self.shard_host_stores,
+            lambda camera: store.visible(camera).active_shards,
+        )
 
     @property
     def prefetch_staged_peak_bytes(self) -> int:
-        """High-water host bytes of the async leg's staged double buffer
-        (a rebuild resets it, like ``host_memory``).
+        """High-water host bytes of the prefetch leg's staging queue (0
+        at depth 0; a rebuild resets it, like ``host_memory``).
 
         Not part of ``host_memory`` (the installed working set the
         resident budget bounds): the buffers belong to the background
@@ -808,7 +807,7 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         :func:`repro.sim.memory.outofcore_host_state_bytes` — add the
         two when sizing host DRAM for an async run.
         """
-        return self._prefetcher.peak_staged_bytes if self._prefetcher is not None else 0
+        return self._prefetcher.peak_staged_bytes
 
     @property
     def clean_evictions(self) -> int:
@@ -853,26 +852,25 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         return self.store.visible(camera).active_shards
 
     def hint_upcoming_views(self, cameras: list[Camera]) -> None:
-        """Tell the async prefetch leg the next several views, nearest
-        first; only the first ``prefetch_depth`` are staged.
+        """Tell the prefetch leg the next several views, nearest first;
+        only the first ``prefetch_depth`` are staged.
 
-        With ``async_prefetch`` on, the next :meth:`step` hands the
-        prefetch lane a job that snapshots those views' spilled shards
-        while the current view renders; the steps after adopt the buffers
-        instead of stalling on the disk read. The lane lives as long as
-        the system, so hints keep working after :meth:`finalize` (a
-        checkpoint, a resumed ``train()``) and across rebuilds. Without
-        the async leg this is a no-op, so callers can hint
+        The next :meth:`step` hands the prefetch lane a job that
+        snapshots those views' spilled shards while the current view
+        renders; the steps after adopt the buffers instead of stalling on
+        the disk read. The lane lives as long as the system, so hints
+        keep working after :meth:`finalize` (a checkpoint, a resumed
+        ``train()``) and across rebuilds. At depth 0 (the synchronous
+        schedule) the staged slice is empty, so callers can hint
         unconditionally (the :class:`~repro.core.trainer.Trainer` does).
         """
-        if self._prefetcher is not None:
-            self._pending_hints = list(cameras)
+        self._pending_hints = list(cameras)
 
     @property
     def prefetch_depth(self) -> int:
-        """Lookahead depth of the async staging queue (1 = the classic
-        double buffer; 0 shown when the async leg is off)."""
-        return self._prefetcher.depth if self._prefetcher is not None else 0
+        """Lookahead of the staging queue: ``config.prefetch_depth``
+        with ``async_prefetch``, else 0 (the synchronous schedule)."""
+        return self._prefetcher.depth
 
     def prefetch(self, camera: Camera) -> list[int]:
         """Page in the view's active shards (up to the resident budget).
@@ -885,10 +883,7 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         region planning, so prefetching adds no culling work, and the
         active shards are read off that same cull.
         """
-        if self._prefetcher is not None:
-            hinted, staged = self._prefetcher.take(camera)
-        else:
-            hinted, staged = False, {}
+        hinted, staged = self._prefetcher.take(camera)
         whole = self.store.visible(camera, keep="backward")
         self._cull_cache = (camera, whole)
         active = whole.active_shards
@@ -912,7 +907,7 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         # this view's working set is settled: start staging the hinted
         # upcoming views in the background, overlapped with the render
         self._scheduled_hints = []
-        if self._prefetcher is not None and self._pending_hints:
+        if self._pending_hints:
             hints, self._pending_hints = self._pending_hints, []
             nxt = [c for c in hints if c is not camera][: self._prefetcher.depth]
             if nxt:
@@ -936,10 +931,10 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         keep-set stays inside the resident budget): spilling a shard the
         staging queue just snapshotted — or that the next view will page
         right back in — is the D=1 thrash the depth-D queue exists to
-        avoid. Depth 1 keeps the historical behavior exactly.
+        avoid. Depths 0 and 1 spill every shard the view left untouched.
         """
         keep = set(active)
-        if self._prefetcher is not None and self._prefetcher.depth > 1:
+        if self._prefetcher.depth > 1:
             for cam in self._scheduled_hints:
                 if len(keep) >= self.resident_set.budget:
                     break
@@ -968,8 +963,7 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         a page; the lane stays up."""
         self._pending_hints = []
         self._scheduled_hints = []
-        if self._prefetcher is not None:
-            self._prefetcher.fence()
+        self._prefetcher.fence()
 
     def rebuild(self, model: GaussianModel) -> None:
         # the new stores reuse the spill files' paths

@@ -84,11 +84,6 @@ def default_buffer(means: np.ndarray, fraction: float = 0.1) -> float:
     return float(np.max(np.ptp(means, axis=0)) * fraction)
 
 
-def _camera_position(camera: Camera) -> np.ndarray:
-    # world-space camera center: x_cam = R x_world + t  =>  c = -R^T t
-    return -camera.world_to_cam_rot.T @ camera.world_to_cam_trans
-
-
 def _sees(camera: Camera, means, log_scales, quats) -> bool:
     """Whether any of these Gaussians survives the camera's frustum cull.
 
@@ -133,7 +128,7 @@ def partition_scene(
         buffer = default_buffer(means)
     cells = buffered_spatial_partition(means, num_patches, buffer)
 
-    positions = np.stack([_camera_position(c) for c in cameras])
+    positions = np.stack([c.center for c in cameras])
     patches = []
     for index, cell in enumerate(cells):
         ids = cell.buffered_ids

@@ -10,7 +10,10 @@ preload/adopt protocol rejects stale snapshots, and the trainer wires
 hints and locality ordering through.
 """
 
+import hashlib
 import os
+import pathlib
+import threading
 
 import numpy as np
 import pytest
@@ -65,10 +68,11 @@ def clustered():
 
 
 def make_system(model, async_prefetch, **cfg):
+    # the double buffer: the async leg at depth 1 unless ``cfg`` says
     defaults = dict(
         system="outofcore", num_shards=4, resident_shards=1,
         scene_extent=8.0, ssim_lambda=0.0, mem_limit=1.0, seed=0,
-        async_prefetch=async_prefetch,
+        async_prefetch=async_prefetch, prefetch_depth=1,
     )
     defaults.update(cfg)
     return create_system(model.copy(), GSScaleConfig(**defaults))
@@ -210,6 +214,89 @@ class TestOverlapActuallyHits:
         hinted = s.prefetch_hits + s.prefetch_misses
         trainer.train(cameras, images, 6, start_iteration=6)
         assert s.prefetch_hits + s.prefetch_misses == hinted + 5
+
+
+def prefetch_threads() -> set:
+    """The live threads of every prefetch lane in the process."""
+    return {t for t in threading.enumerate() if t.name.startswith("gsscale-prefetch")}
+
+
+def page_digests(directory) -> dict[str, str]:
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.iterdir())
+    }
+
+
+class TestOneSchedule:
+    """The synchronous schedule is the prefetch leg at depth 0, and the
+    default is the leg at depth 2."""
+
+    BASE = dict(
+        system="outofcore", num_shards=4, resident_shards=1,
+        scene_extent=8.0, ssim_lambda=0.0, mem_limit=1.0, seed=0,
+    )
+
+    def test_defaults_are_async_depth_2(self, clustered):
+        cfg = GSScaleConfig()
+        assert cfg.async_prefetch is True and cfg.prefetch_depth == 2
+        model, _, _ = clustered
+        s = create_system(model.copy(), GSScaleConfig(**self.BASE))
+        assert s.prefetch_depth == 2
+        s.finalize()
+
+    @pytest.mark.parametrize("depth", [{}, {"prefetch_depth": 3}])
+    def test_sync_reports_depth_zero(self, clustered, depth):
+        model, _, _ = clustered
+        cfg = GSScaleConfig(async_prefetch=False, **depth, **self.BASE)
+        s = create_system(model.copy(), cfg)
+        assert s.prefetch_depth == 0
+        s.finalize()
+
+    def test_a_sync_trainer_run_is_the_unhinted_default(self, clustered, tmp_path):
+        """A Trainer run at depth 0 starts no lane thread and hints no
+        visit, and computes, meters and writes what a default system
+        that is never hinted does."""
+        model, cameras, images = clustered
+        before = prefetch_threads()
+        trainer = Trainer(
+            model.copy(),
+            GSScaleConfig(async_prefetch=False, spill_dir=str(tmp_path / "sync"), **self.BASE),
+        )
+        history = trainer.train(cameras, images, 8)
+        sync = trainer.system
+        assert prefetch_threads() <= before
+        assert sync.prefetch_hits + sync.prefetch_misses == 0
+        assert sync.prefetch_staged_peak_bytes == 0
+
+        default = create_system(
+            model.copy(), GSScaleConfig(spill_dir=str(tmp_path / "default"), **self.BASE)
+        )
+        losses = [default.step(cameras[i % 4], images[i % 4]).loss for i in range(8)]
+        default.finalize()
+        assert [step.loss for step in history.steps] == losses
+        assert sync.ledger.counts() == default.ledger.counts()
+        for s in (sync, default):
+            s.spill_inactive([])  # every page file now holds final state
+        assert page_digests(tmp_path / "sync") == page_digests(tmp_path / "default")
+        # the thread check sees a lane that runs: one hinted step starts it
+        default.hint_upcoming_views([cameras[1]])
+        default.step(cameras[0], images[0])
+        assert prefetch_threads() - before
+        default.finalize()
+
+
+def test_perfbench_outofcore_config_is_the_defaults(monkeypatch):
+    """Every key the ``train_outofcore`` workload pins besides its shape
+    (the system and the shard counts) is a ``GSScaleConfig`` default, so
+    the workload may drop those keys without changing its run."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[2]))
+    from perfbench.workloads import WORKLOADS
+
+    defaults = GSScaleConfig()
+    for key, value in WORKLOADS["train_outofcore"].config.items():
+        if key not in ("system", "num_shards", "resident_shards"):
+            assert getattr(defaults, key) == value, key
 
 
 class TestFailedPreload:

@@ -98,14 +98,15 @@ class TestMidRunEquivalence:
             ("gpu_only", {}),
             ("baseline_offload", {}),
             ("sharded", {"num_shards": 3}),
-            ("outofcore", {"num_shards": 3, "resident_shards": 1}),
+            ("outofcore", {"num_shards": 3, "resident_shards": 1,
+                           "async_prefetch": False}),
             # deep out-of-core tier: the async leg's staging queue, at
             # depths 1-3, is pure placement — it must checkpoint/resume
             # bit-exactly too
             (
                 "outofcore",
                 {"num_shards": 3, "resident_shards": 1,
-                 "async_prefetch": True},
+                 "async_prefetch": True, "prefetch_depth": 1},
             ),
             (
                 "outofcore",

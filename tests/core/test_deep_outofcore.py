@@ -95,11 +95,11 @@ def run_steps(model, cameras, images, steps=8, **cfg):
     return s, losses
 
 
-#: the out-of-core schedules: synchronous, and the async leg at depths
-#: 1 to 3
+#: the out-of-core schedules: synchronous (the prefetch leg at depth 0),
+#: and the async leg at depths 1 to 3
 SCHEDULES = {
-    "sync": {},
-    "async1": dict(async_prefetch=True),
+    "sync": dict(async_prefetch=False),
+    "async1": dict(async_prefetch=True, prefetch_depth=1),
     "async2": dict(async_prefetch=True, prefetch_depth=2),
     "async3": dict(async_prefetch=True, prefetch_depth=3),
 }
@@ -221,14 +221,16 @@ class TestDepthD:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="prefetch_depth"):
             GSScaleConfig(system="outofcore", prefetch_depth=0)
-        with pytest.raises(ValueError, match="async_prefetch"):
-            GSScaleConfig(system="outofcore", prefetch_depth=2)
+        # no cross-check: without async_prefetch the depth is ignored,
+        # and the synchronous schedule is the leg at depth 0
+        cfg = GSScaleConfig(system="outofcore", async_prefetch=False, prefetch_depth=3)
+        assert cfg.prefetch_depth == 3
 
     def test_depth3_matches_sync(self, clustered):
         """The deepest staging queue the suite runs is still bit-identical
         to the plain synchronous run."""
         model, cameras, images = clustered
-        sync, loss_sync = run_steps(model, cameras, images)
+        sync, loss_sync = run_steps(model, cameras, images, async_prefetch=False)
         deep, loss_deep = run_steps(
             model, cameras, images, async_prefetch=True, prefetch_depth=3
         )

@@ -1,19 +1,36 @@
-"""Seeded randomized protocol fuzz: stores vs an in-memory oracle.
+"""Randomized protocol fuzz: stores vs an in-memory oracle.
 
 Drives random interleavings of the store protocol — ``stage``/``unstage``
 (once per step, or twice as a split view stages its two regions),
 ``return_grads``, ``commit``, ``materialize``, ``set_lr``, ``flush``, and
-(for the disk tier) ``spill``/``page_in`` plus the async legs —
-``preload``/``adopt`` with other operations in between — at arbitrary
-points, for a few
-hundred operations against an oracle holding the same state in plain
+(for the disk tier) ``spill``/``page_in`` — at arbitrary points, for a
+few hundred operations against an oracle holding the same state in plain
 memory, asserting parameter arrays and optimizer state stay bit-identical
 throughout. Placement and paging must be invisible to the math no matter
 how the operations interleave.
+
+The prefetch leg's ``preload``/``adopt`` route is a hypothesis state
+machine (:class:`PreloadAdoptMachine`): every protocol call is its own
+rule, so a snapshot can be taken and adopted with any sequence of other
+calls — a spill, a page-in, an eviction by a sibling — in between.
 """
+
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    Bundle,
+    RuleBasedStateMachine,
+    consumes,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.core.stores import (
     DeviceStore,
@@ -56,8 +73,6 @@ class _ProtocolFuzzer:
         ]
         if disk_ops:
             self.ops += [self.op_spill, self.op_page_in]
-            interleaved = list(self.ops)
-            self.ops.append(lambda: self.op_preload_adopt(interleaved))
             if sibling is not None:
                 # a neighbour paging in under the shared budget evicts
                 # the subject wherever the stream happens to be
@@ -122,28 +137,6 @@ class _ProtocolFuzzer:
 
     def op_page_in(self):
         self.subject.page_in()
-
-    def op_preload_adopt(self, interleaved):
-        """The async prefetch leg: snapshot the spilled pages, let 0-2
-        other operations run, then adopt. Any page-in or page-out in
-        between makes the snapshot stale: ``adopt`` must then return
-        ``False`` and install nothing; otherwise it must succeed."""
-        disk, ledger = self.subject, self.subject.ledger
-        disk.spill()
-        pre = disk.preload()
-        assert pre is not None
-        before = (ledger.page_in_count, ledger.page_out_count)
-        for _ in range(int(self.rng.integers(0, 3))):
-            self.rng.choice(interleaved)()
-        at_adopt = (ledger.page_in_count, ledger.page_out_count)
-        was_resident = disk.is_resident
-        assert disk.adopt(pre) == (at_adopt == before)
-        if at_adopt != before:
-            assert disk.is_resident == was_resident
-            assert (ledger.page_in_count, ledger.page_out_count) == at_adopt
-        np.testing.assert_array_equal(
-            self.subject.materialize(), self.oracle.materialize()
-        )
 
     def check_clean_pages(self):
         """A resident store that reports clean — its next spill writes
@@ -211,7 +204,7 @@ def _fuzz_disk_store(tmp_path, seed, deferred, budget, store_cls):
 @pytest.mark.parametrize("deferred", [False, True], ids=["dense", "deferred"])
 @pytest.mark.parametrize("budget", ["alone", "shared"])
 def test_disk_store_matches_host_store(tmp_path, seed, deferred, budget):
-    """DiskStore under random spill/page-in/preload/adopt interleavings —
+    """DiskStore under random spill/page-in interleavings —
     and, with a ``shared`` budget, evictions forced by a sibling store
     paging in through the same budget-1 resident set — is bit-identical
     to a HostStore with the same flags: the disk tier is pure placement."""
@@ -307,3 +300,176 @@ def test_fuzz_is_deterministic(tmp_path, seed):
         _ProtocolFuzzer(seed, disk, host, disk_ops=True).run(rounds=60)
         finals.append(disk.materialize())
     np.testing.assert_array_equal(finals[0], finals[1])
+
+
+ROW_BYTES = layout.param_bytes(1)
+ROW_IDS = st.lists(
+    st.integers(0, N - 1), unique=True, max_size=N
+).map(lambda ids: np.array(sorted(ids), dtype=np.int64))
+
+
+def _same_bytes(a, b):
+    """Byte-equal, not merely equal: ``-0.0 != +0.0``."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class PreloadAdoptMachine(RuleBasedStateMachine):
+    """One :class:`DiskStore` against a :class:`HostStore` oracle, one
+    protocol call per rule, under a budget-1 :class:`ResidentSet` it
+    shares with a sibling store (whose page-in evicts it).
+
+    ``preload`` snapshots the spilled pages (several snapshots may be
+    outstanding, as when the staging queue reads one shard for two
+    views); ``adopt`` installs one, which it must accept exactly when
+    nothing paged the store in since it was taken. A page-in, or a
+    page-in and a spill (the epoch check), makes the snapshot stale, and
+    a rejected adopt changes nothing.
+    Throughout: every resident ``materialize`` is byte-equal to the
+    oracle's, each ledger's staging bytes equal the rows staged and
+    returned, and the trackers hold exactly the open staging windows and
+    the resident working set, so they return to their baseline.
+    """
+
+    snapshots = Bundle("snapshots")
+
+    @initialize(deferred=st.booleans(), seed=st.integers(0, 9))
+    def build(self, deferred, seed):
+        self.dir = tempfile.mkdtemp(prefix="gsscale-machine-")
+        rset = ResidentSet(1)
+        self.device, self.host_memory = MemoryTracker(), MemoryTracker()
+        self.disk = DiskStore(
+            _params(seed), layout.ALL_BLOCK, ADAM, self.device,
+            TransferLedger(), spill_path=f"{self.dir}/subject",
+            host_memory=self.host_memory, resident_set=rset,
+            forwarding=True, deferred=deferred,
+        )
+        self.sibling = DiskStore(
+            _params(seed + 50), layout.ALL_BLOCK, ADAM, MemoryTracker(),
+            TransferLedger(), spill_path=f"{self.dir}/sibling",
+            resident_set=rset, forwarding=True, deferred=deferred,
+        )
+        self.host = HostStore(
+            _params(seed), layout.ALL_BLOCK, ADAM, MemoryTracker(),
+            TransferLedger(), forwarding=True, deferred=deferred,
+        )
+        self.counter_bytes = N if deferred else 0
+        self.windows: list[np.ndarray] = []  # staged, not yet unstaged
+        self.staged_rows = self.returned_rows = 0
+        self.pending = False  # returned gradients awaiting commit
+
+    def teardown(self):
+        if hasattr(self, "dir"):
+            shutil.rmtree(self.dir, ignore_errors=True)
+
+    def both(self, fn):
+        fn(self.disk)
+        fn(self.host)
+
+    @rule(ids=ROW_IDS)
+    def stage(self, ids):
+        _same_bytes(self.disk.stage(ids), self.host.stage(ids))
+        self.windows.append(ids)
+        self.staged_rows += ids.size
+
+    @precondition(lambda self: self.windows)
+    @rule(which=st.integers(min_value=0), returned=st.booleans())
+    def unstage(self, which, returned):
+        ids = self.windows.pop(which % len(self.windows))
+        self.both(lambda s: s.unstage(ids, returned=returned))
+        if returned:
+            self.returned_rows += ids.size
+
+    @precondition(lambda self: not self.windows)
+    @rule()
+    def commit(self):
+        self.both(lambda s: s.commit())
+        self.pending = False
+
+    @precondition(lambda self: not self.windows and not self.pending)
+    @rule(ids=ROW_IDS, seed=st.integers(0, 2**16))
+    def return_grads(self, ids, seed):
+        grads = np.random.default_rng(seed).normal(
+            size=(ids.size, layout.PARAM_DIM)
+        )
+        self.both(lambda s: s.return_grads(ids, grads))
+        self.pending = True
+
+    @precondition(lambda self: not self.windows)
+    @rule()
+    def flush(self):
+        self.both(lambda s: s.flush())
+        self.pending = False
+        a, b = self.disk.state_dict(), self.host.state_dict()
+        assert set(a) == set(b)
+        for key in a:
+            _same_bytes(np.asarray(a[key]), b[key])
+
+    @rule()
+    def spill(self):
+        self.disk.spill()
+
+    @rule()
+    def page_in(self):
+        self.disk.page_in()
+
+    @rule()
+    def round_trip(self):
+        """A page-in and a spill: a shard a step visits and evicts."""
+        self.disk.page_in()
+        self.disk.spill()
+
+    @rule()
+    def sibling_page_in(self):
+        self.sibling.page_in()  # evicts the subject through the budget
+
+    @precondition(lambda self: not self.disk.is_resident)
+    @rule(target=snapshots)
+    def preload(self):
+        pre = self.disk.preload()
+        assert pre is not None
+        return pre, self.disk.ledger.page_in_count
+
+    @rule(taken=consumes(snapshots))
+    def adopt(self, taken):
+        pre, page_ins = taken
+        ledger = self.disk.ledger
+        fresh = ledger.page_in_count == page_ins
+        before = (dict(ledger.counts()), self.disk.is_resident)
+        assert self.disk.adopt(pre) == fresh
+        if fresh:
+            assert self.disk.is_resident
+            assert ledger.page_in_count == before[0]["page_in_count"] + 1
+        else:
+            assert (dict(ledger.counts()), self.disk.is_resident) == before
+
+    @rule(ids=ROW_IDS)
+    def materialize(self, ids):
+        _same_bytes(self.disk.materialize(ids), self.host.materialize(ids))
+
+    @invariant()
+    def resident_state_is_the_oracles(self):
+        # a spilled store is compared by the rules that page it in
+        if self.disk.is_resident:
+            _same_bytes(self.disk.materialize(), self.host.materialize())
+
+    @invariant()
+    def ledgers_meter_the_staged_rows(self):
+        for store in (self.disk, self.host):
+            assert store.ledger.h2d_bytes == self.staged_rows * ROW_BYTES
+            assert store.ledger.d2h_bytes == self.returned_rows * ROW_BYTES
+
+    @invariant()
+    def trackers_return_to_baseline(self):
+        windows = 2 * ROW_BYTES * sum(ids.size for ids in self.windows)
+        assert self.device.live_bytes == windows
+        assert self.host.memory.live_bytes == windows
+        resident = self.disk._state_bytes() if self.disk.is_resident else 0
+        assert self.host_memory.live_bytes == self.counter_bytes + resident
+
+
+TestPreloadAdoptMachine = PreloadAdoptMachine.TestCase
+TestPreloadAdoptMachine.settings = settings(
+    max_examples=100, stateful_step_count=50, deadline=None
+)

@@ -10,10 +10,13 @@ One seeded scene, 12 training steps (every view of a splitting system
 splits in two, one densification rebuild after step 6, one checkpoint
 save + load after step 8), over the columns ``gpu_only``,
 ``baseline_offload``, ``gsscale_no_deferred``, ``gsscale``, ``sharded``;
-``outofcore-raw`` x {``sync``; ``async1`` = ``async_prefetch`` at depth
-1; ``async2wb`` = ``async_prefetch`` at depth 2} (training pages are
-raw, and write-behind spilling was retired: both names are historical,
-kept so the columns' lines compare with older checkouts); a
+``outofcore-raw`` x {``sync`` = ``async_prefetch=False`` (the prefetch
+leg at depth 0); ``async1`` = ``async_prefetch`` at depth 1;
+``async2wb`` = ``async_prefetch`` at depth 2, the default} — each
+schedule is spelled out, so a change of ``GSScaleConfig``'s defaults
+moves no column (training pages are raw, and write-behind spilling was
+retired: both names are historical, kept so the columns' lines compare
+with older checkouts); a
 ``PagedServingStore`` opened from the ``sharded`` column's checkpoint
 under each serving codec (``serve-raw``, ``serve-float16``); and last,
 ``gsscale-vectorized`` and ``sharded-vectorized``, the two in-memory
@@ -83,8 +86,8 @@ from repro.serve.farm import render_frame
 #: the serving page codecs (training pages are raw)
 SERVE_CODECS = ("raw", "float16")
 SCHEDULES = {
-    "sync": {},
-    "async1": dict(async_prefetch=True),
+    "sync": dict(async_prefetch=False),
+    "async1": dict(async_prefetch=True, prefetch_depth=1),
     "async2wb": dict(async_prefetch=True, prefetch_depth=2),
 }
 NUMERICS = ("losses", "params", "moments", "counters")
