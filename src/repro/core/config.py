@@ -35,17 +35,15 @@ class GSScaleConfig:
             exceeds this fraction of total Gaussians are split
             (Section 4.4; the paper uses 0.3).
         max_defer: deferred-update counter saturation (4-bit -> 15).
-        sh_degree: maximum spherical-harmonics degree.
-        sh_degree_interval: if set, the active degree ramps up by one every
-            this many iterations (3DGS starts at degree 0 and raises it
-            every 1000 iterations); ``None`` uses ``sh_degree`` throughout.
-        position_lr_decay_steps: if set, the position learning rate decays
-            log-linearly to ``position_lr_final_scale`` of its initial
-            value over this many iterations (the 3DGS schedule).
-        position_lr_final_scale: final/initial position-lr ratio.
+        sh_degree: spherical-harmonics degree every system renders and
+            trains at, from the first iteration on.
         ssim_lambda: DSSIM weight in the photometric loss.
         scene_extent: world radius; scales the position learning rate.
-        beta1, beta2, eps: Adam hyperparameters (eps=1e-15 per gsplat).
+            The per-column learning rates are a constant of the run
+            (:meth:`lr_vector`): the deferred update's closed-form
+            catch-up (paper Figure 10) is exact only at a fixed rate.
+        eps: Adam epsilon (1e-15 per gsplat); the moment decays are
+            :class:`~repro.optim.base.AdamConfig`'s defaults.
         device_capacity_bytes: optional simulated GPU capacity; the
             engine's MemoryTracker raises MemoryError past it, reproducing
             the OOM behaviour of Figure 11. For the ``sharded`` system this
@@ -114,13 +112,8 @@ class GSScaleConfig:
     mem_limit: float = 0.3
     max_defer: int = 15
     sh_degree: int = SH_DEGREE
-    sh_degree_interval: int | None = None
-    position_lr_decay_steps: int | None = None
-    position_lr_final_scale: float = 0.01
     ssim_lambda: float = DEFAULT_SSIM_LAMBDA
     scene_extent: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.999
     eps: float = 1e-15
     device_capacity_bytes: int | None = None
     num_shards: int = 4
@@ -170,29 +163,10 @@ class GSScaleConfig:
             # is the single source of truth from here on
             self.engine = None
 
-    def position_lr_scale_at(self, iteration: int) -> float:
-        """Multiplier on the position lr at a (1-based) iteration."""
-        if self.position_lr_decay_steps is None:
-            return 1.0
-        from ..optim.lr_schedule import exponential_decay
-
-        return exponential_decay(
-            iteration, self.position_lr_decay_steps, 1.0,
-            self.position_lr_final_scale,
-        )
-
-    def sh_degree_at(self, iteration: int) -> int:
-        """Active SH degree at a (1-based) training iteration."""
-        if self.sh_degree_interval is None:
-            return self.sh_degree
-        return min((iteration - 1) // self.sh_degree_interval, self.sh_degree)
-
     def lr_vector(self, dtype=np.float64) -> np.ndarray:
         """Packed per-column learning rates."""
         return packed_lr_vector(scene_extent=self.scene_extent, dtype=dtype)
 
     def adam_config(self, lr: np.ndarray) -> AdamConfig:
         """Adam config with the given (sliced) lr vector."""
-        return AdamConfig(
-            lr=lr, beta1=self.beta1, beta2=self.beta2, eps=self.eps
-        )
+        return AdamConfig(lr=lr, eps=self.eps)

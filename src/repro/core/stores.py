@@ -144,10 +144,6 @@ class ParameterStore(ABC):
         """Floating dtype of the stored parameters."""
         return self.params.dtype
 
-    @abstractmethod
-    def set_lr(self, lr_packed: np.ndarray) -> None:
-        """Update learning rates from a packed-layout ``(59,)`` vector."""
-
     def geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Resident ``(means, log_scales, quats)`` views for culling.
 
@@ -292,9 +288,6 @@ class DeviceStore(ParameterStore):
             return self.params.copy()
         return self.params[ids]
 
-    def set_lr(self, lr_packed: np.ndarray) -> None:
-        self.optimizer.set_lr(lr_packed[self.block.sl])
-
     def _resident_params(self) -> np.ndarray:
         return self.params
 
@@ -331,9 +324,7 @@ class HostStore(ParameterStore):
     returning the stats of the whole step. Every other staged row is an
     optimizer peek, as is every row of a :class:`DenseAdam` forwarding
     store: its step writes every row, so committing a subset early would
-    turn its walk over contiguous views into a gathered one. The early
-    commit uses the learning rate in force at ``stage``; the training
-    step sets its rate before it stages.
+    turn its walk over contiguous views into a gathered one.
     """
 
     #: whether a deferred forwarding store commits staged rows early (see
@@ -490,9 +481,6 @@ class HostStore(ParameterStore):
             return self.params.copy()
         return self.params[ids]
 
-    def set_lr(self, lr_packed: np.ndarray) -> None:
-        self.optimizer.set_lr(lr_packed[self.block.sl])
-
     def _resident_params(self) -> np.ndarray:
         return self.params
 
@@ -524,15 +512,15 @@ class DiskStore(HostStore):
     construction (its pages hold nothing yet), after any optimizer call
     that updates a row (a ``commit``, a non-forwarding ``return_grads``,
     a ``flush``) and after a resident ``load_state_dict``; a page-in
-    leaves it clean. ``stage``, ``materialize``, ``set_lr``,
-    ``state_dict`` and a metadata-only commit never dirty a store. A
-    clean store's pages already hold its arrays, so its spill is a pure
-    eviction: host bytes freed and the spill epoch bumped, but no page
-    written and nothing recorded on the disk channel; it is counted in
+    leaves it clean. ``stage``, ``materialize``, ``state_dict`` and a
+    metadata-only commit never dirty a store. A clean store's pages
+    already hold its arrays, so its spill is a pure eviction: host bytes
+    freed and the spill epoch bumped, but no page written and nothing
+    recorded on the disk channel; it is counted in
     ``stats.clean_evictions`` instead. A dirty store's spill writes its
     three pages on the calling thread before it releases the arrays.
 
-    Three pieces of state never spill, keeping a spilled store cheap to
+    Two pieces of state never spill, keeping a spilled store cheap to
     drive once per step:
 
     * the deferred counters (1 byte/row, charged to the host tracker at
@@ -540,8 +528,7 @@ class DiskStore(HostStore):
       is metadata-only and touches no spilled array (this is the paper's
       deferred update making out-of-core placement affordable: an
       inactive shard pages in only every ``max_defer`` steps);
-    * pending forwarded gradients (transient, at most one step's batch);
-    * a stashed learning-rate vector, applied at the next page-in.
+    * pending forwarded gradients (transient, at most one step's batch).
 
     Args:
         params_block: ``(N, dim)`` rows of the owned block (copied).
@@ -593,7 +580,6 @@ class DiskStore(HostStore):
         self.stats = stats if stats is not None else SpillStats()
         self.host_memory = host_memory if host_memory is not None else MemoryTracker()
         self.resident_set = resident_set
-        self._stashed_lr: np.ndarray | None = None
         # paging is thread-safe: the async prefetch leg snapshots spill
         # files from a background thread while the training thread spills
         # and pages in; the epoch counter invalidates stale snapshots
@@ -711,9 +697,6 @@ class DiskStore(HostStore):
         opt.v = arrays["v"]
         self._resident = True
         self._dirty = False
-        if self._stashed_lr is not None:
-            opt.set_lr(self._stashed_lr)
-            self._stashed_lr = None
         self.host_memory.allocate("host_resident_state", self._state_bytes())
         self.ledger.record_page_in(self._state_bytes())
 
@@ -821,14 +804,6 @@ class DiskStore(HostStore):
     def _stepped(self, stats: StepStats) -> None:
         if stats.rows_updated:
             self._dirty = True
-
-    def set_lr(self, lr_packed: np.ndarray) -> None:
-        if not self._resident:
-            # applied at the next page-in, before any math runs — the lazy
-            # commit already uses commit-time rates, so this changes nothing
-            self._stashed_lr = np.array(lr_packed[self.block.sl])
-            return
-        super().set_lr(lr_packed)
 
     def _resident_params(self) -> np.ndarray:
         self.page_in()
@@ -948,10 +923,6 @@ class HybridStore(ParameterStore):
         for child in self.children:
             out[:, self._local(child)] = child.materialize(ids)
         return out
-
-    def set_lr(self, lr_packed: np.ndarray) -> None:
-        for child in self.children:
-            child.set_lr(lr_packed)
 
     def _geometric(self) -> ParameterStore:
         for child in self.children:
@@ -1102,10 +1073,6 @@ class ShardedStore(ParameterStore):
         for _, store, sel, local in self.split(ids):
             out[sel] = store.materialize(local)
         return out
-
-    def set_lr(self, lr_packed: np.ndarray) -> None:
-        for store in self.stores:
-            store.set_lr(lr_packed)
 
     @property
     def stages_culled_geometry(self) -> bool:

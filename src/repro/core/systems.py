@@ -312,14 +312,6 @@ class TrainingSystem(ABC):
         """Scene size."""
         return self._num_gaussians
 
-    def _scheduled_lr(self) -> np.ndarray | None:
-        """Full lr vector for this iteration, or None when static."""
-        if self.config.position_lr_decay_steps is None:
-            return None
-        lr = self._lr.copy()
-        lr[layout.MEAN_SLICE] *= self.config.position_lr_scale_at(self.iteration)
-        return lr
-
     def _cull(self, camera: Camera, keep: str | None = None) -> CullResult:
         """What ``camera`` sees, asked where the geometry lives; a cull a
         render follows keeps its projection (``keep="backward"``), one
@@ -370,7 +362,7 @@ class TrainingSystem(ABC):
                 res = render(
                     compact,
                     camera,
-                    sh_degree=self.config.sh_degree_at(self.iteration),
+                    sh_degree=self.config.sh_degree,
                     background=self.config.background,
                     valid_ids=np.arange(compact.num_gaussians),
                     config=self.config.raster,
@@ -484,10 +476,6 @@ class TrainingSystem(ABC):
             _trace.end(tok)
 
     def _step_impl(self, camera: Camera, gt_image: np.ndarray) -> StepReport:
-        lr = self._scheduled_lr()
-        if lr is not None:
-            self.store.set_lr(lr)
-
         with _span("train/cull", "train"):
             regions = self._plan_regions(camera)
         total_px = camera.num_pixels

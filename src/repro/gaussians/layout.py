@@ -89,9 +89,8 @@ class ColumnBlock:
     block: GS-Scale pins the ``geometric`` block on the device and offloads
     the ``non_geometric`` block to the host. A block knows how to map
     packed-layout column slices into its own local coordinates, so code
-    written against the packed layout (learning-rate vectors, the position
-    columns of the lr schedule, geometry access for culling) works on a
-    store that only holds its slice.
+    written against the packed layout (learning-rate vectors, geometry
+    access for culling) works on a store that only holds its slice.
     """
 
     name: str

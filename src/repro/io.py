@@ -1,34 +1,19 @@
-"""Persistence: Gaussian models (npz / PLY), workload traces, histories.
+"""Gaussian models in the 3DGS PLY interchange layout.
 
-The PLY layout follows the de-facto 3DGS interchange convention
-(``x y z``, ``f_dc_*``, ``f_rest_*``, ``opacity``, ``scale_*``, ``rot_*``)
-so scenes trained here can be inspected by standard splat viewers, and
-checkpoints from gsplat-style pipelines can be imported.
+The layout follows the de-facto 3DGS convention (``x y z``, ``f_dc_*``,
+``f_rest_*``, ``opacity``, ``scale_*``, ``rot_*``) so scenes trained
+here can be inspected by standard splat viewers, and checkpoints from
+gsplat-style pipelines can be imported. Training checkpoints are
+:mod:`repro.core.checkpoint`'s.
 """
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from .datasets.workload import WorkloadTrace
 from .gaussians import GaussianModel, layout
 
 _PLY_SH_REST = layout.SH_COEFFS_PER_CHANNEL - 1  # 15 per channel
-
-
-def save_model(path: str, model: GaussianModel) -> None:
-    """Save a model to ``.npz`` (fast, lossless)."""
-    np.savez_compressed(path, params=model.params)
-
-
-def load_model(path: str) -> GaussianModel:
-    """Load a model saved by :func:`save_model`."""
-    with np.load(path) as data:
-        if "params" not in data:
-            raise ValueError(f"{path!r} is not a saved GaussianModel")
-        return GaussianModel(data["params"].copy())
 
 
 def export_ply(path: str, model: GaussianModel) -> None:
@@ -109,26 +94,3 @@ def import_ply(path: str, dtype=np.float64) -> GaussianModel:
         dtype=dtype,
     )
 
-
-def save_trace(path: str, trace: WorkloadTrace) -> None:
-    """Persist a workload trace as JSON."""
-    with open(path, "w") as f:
-        json.dump(
-            {
-                "scene_name": trace.scene_name,
-                "total_gaussians": int(trace.total_gaussians),
-                "active_ratios": [float(r) for r in trace.active_ratios],
-            },
-            f,
-        )
-
-
-def load_trace(path: str) -> WorkloadTrace:
-    """Load a workload trace saved by :func:`save_trace`."""
-    with open(path) as f:
-        data = json.load(f)
-    return WorkloadTrace(
-        scene_name=data["scene_name"],
-        total_gaussians=data["total_gaussians"],
-        active_ratios=np.asarray(data["active_ratios"], dtype=np.float64),
-    )

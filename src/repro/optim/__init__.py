@@ -9,7 +9,7 @@ from .base import (
     float_traffic_bytes,
 )
 from .deferred import MAX_DEFER, DeferredAdam
-from .lr_schedule import DEFAULT_LRS, exponential_decay, packed_lr_vector
+from .lr_schedule import DEFAULT_LRS, packed_lr_vector
 
 __all__ = [
     "AdamConfig",
@@ -20,7 +20,6 @@ __all__ = [
     "SparseOptimizer",
     "StepStats",
     "adam_update",
-    "exponential_decay",
     "float_traffic_bytes",
     "packed_lr_vector",
 ]

@@ -48,16 +48,6 @@ class DenseAdam:
         """Number of parameter rows (Gaussians)."""
         return self.params.shape[0]
 
-    def set_lr(self, lr_vec: np.ndarray) -> None:
-        """Update the per-column learning rates (3DGS decays the position
-        lr during training)."""
-        lr_vec = np.asarray(lr_vec, dtype=self.params.dtype)
-        if lr_vec.shape != (self.params.shape[1],):
-            raise ValueError(
-                f"lr_vec must be ({self.params.shape[1]},), got {lr_vec.shape}"
-            )
-        self._lr_vec = lr_vec
-
     def _kernel(self, step: int) -> RowKernel:
         """The row kernel set up for Adam step ``step``, with the bias
         correction on the moments as :func:`adam_update` writes it."""

@@ -97,10 +97,6 @@ class SparseOptimizer(Protocol):
         """Mathematically current parameter values."""
         ...
 
-    def set_lr(self, lr_vec: np.ndarray) -> None:
-        """Update the per-column learning rates."""
-        ...
-
     def rewrite_rows(self, ids: np.ndarray, params_rows: np.ndarray) -> None:
         """Overwrite parameter rows and reset their optimizer state."""
         ...

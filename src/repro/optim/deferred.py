@@ -146,23 +146,6 @@ class DeferredAdam:
         """Number of parameter rows (Gaussians)."""
         return self.params.shape[0]
 
-    def set_lr(self, lr_vec: np.ndarray) -> None:
-        """Update the per-column learning rates.
-
-        Restoration of deferred rows then uses the *current* rates for the
-        whole deferred span — the same simplification as the paper's
-        constant-lr pseudocode (Figure 10). With 3DGS's slow position-lr
-        decay and at most 15 deferred steps, the induced error is far
-        below the epsilon approximation's.
-        """
-        lr_vec = np.asarray(lr_vec, dtype=self.params.dtype)
-        if lr_vec.shape != (self.params.shape[1],):
-            raise ValueError(
-                f"lr_vec must be ({self.params.shape[1]},), got {lr_vec.shape}"
-            )
-        self._lr_vec = lr_vec
-        self._decay = 1.0 - self._lr_vec * self.config.weight_decay
-
     def update_ids_for(self, valid_ids: np.ndarray) -> np.ndarray:
         """Rows that the next step must touch (Figure 10, line 11).
 

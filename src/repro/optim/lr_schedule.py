@@ -1,4 +1,4 @@
-"""Per-attribute learning rates and the 3DGS position-lr decay schedule."""
+"""Per-attribute learning rates, fixed for a training run."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from ..gaussians import layout
 
 
 #: 3DGS default learning rates per attribute (position is additionally
-#: scaled by the scene extent and decayed exponentially during training).
+#: scaled by the scene extent).
 DEFAULT_LRS = {
     "mean": 1.6e-4,
     "scale": 5e-3,
@@ -40,13 +40,3 @@ def packed_lr_vector(
     sh_lr[3:] /= SH_REST_DIVISOR  # bands 1..3 learn slower than DC
     lr[layout.SH_SLICE] = sh_lr
     return lr
-
-
-def exponential_decay(
-    step: int, total_steps: int, lr_init: float, lr_final: float
-) -> float:
-    """3DGS position-lr schedule: log-linear interpolation over training."""
-    if total_steps <= 0:
-        raise ValueError("total_steps must be positive")
-    t = np.clip(step / total_steps, 0.0, 1.0)
-    return float(np.exp((1 - t) * np.log(lr_init) + t * np.log(lr_final)))

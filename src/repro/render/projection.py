@@ -339,8 +339,7 @@ def project(
         opacity_logits: ``(M,)`` or ``(M, 1)``.
         sh_coeffs: SH coefficients, ``(M, 16, 3)`` or ``(M, 48)``.
         camera: viewing camera.
-        sh_degree: active SH degree (0..3) — 3DGS ramps this up during
-            training.
+        sh_degree: active SH degree (0..3).
         screen: the cull's projection of these rows
             (:func:`project_geometry`).
     """

@@ -213,10 +213,6 @@ def op_materialize(store):
     store.materialize(np.arange(3))
 
 
-def op_set_lr(store):
-    store.set_lr(np.full(layout.PARAM_DIM, 1e-3))
-
-
 def op_state_dict(store):
     store.state_dict()
 
@@ -239,7 +235,6 @@ CLEAN = {
     "stage": op_stage,
     "forwarded_return_grads": op_forwarded_return_grads,
     "materialize": op_materialize,
-    "set_lr": op_set_lr,
     "state_dict": op_state_dict,
     "metadata_commit": op_metadata_commit,
     "spilled_metadata_commit": op_spilled_metadata_commit,

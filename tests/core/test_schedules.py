@@ -1,12 +1,14 @@
-"""Tests for training-schedule features: SH ramp and opacity reset."""
+"""Tests for what a training run holds fixed (the SH degree and the
+learning rates) and for the opacity-reset schedule."""
 
 import numpy as np
 import pytest
 
-from repro.core import GSScaleConfig, Trainer, create_system
+from repro.core import SYSTEM_NAMES, GSScaleConfig, Trainer, create_system
 from repro.datasets import SyntheticSceneConfig, build_scene
 from repro.densify import DensificationController, DensifyConfig
 from repro.gaussians import GaussianModel, layout
+from repro.optim import packed_lr_vector
 
 
 @pytest.fixture(scope="module")
@@ -20,34 +22,13 @@ def scene():
     )
 
 
-class TestShDegreeRamp:
-    def test_schedule_values(self):
-        cfg = GSScaleConfig(sh_degree=3, sh_degree_interval=10)
-        assert cfg.sh_degree_at(1) == 0
-        assert cfg.sh_degree_at(10) == 0
-        assert cfg.sh_degree_at(11) == 1
-        assert cfg.sh_degree_at(31) == 3
-        assert cfg.sh_degree_at(1000) == 3  # capped at sh_degree
-
-    def test_disabled_by_default(self):
-        cfg = GSScaleConfig(sh_degree=2)
-        assert cfg.sh_degree_at(1) == 2
-
-    def test_ramped_training_runs(self, scene):
-        cfg = GSScaleConfig(
-            system="gsscale", scene_extent=scene.extent, ssim_lambda=0.0,
-            sh_degree=3, sh_degree_interval=2, mem_limit=1.0, seed=0,
-        )
-        s = create_system(scene.initial.copy(), cfg)
-        for i in range(6):
-            r = s.step(scene.train_cameras[i % 3], scene.train_images[i % 3])
-            assert np.isfinite(r.loss)
-
-    def test_early_iterations_have_no_high_band_grads(self, scene):
-        """With degree 0 active, SH bands 1-3 receive zero gradient."""
+class TestShDegree:
+    def test_degree_zero_moves_only_the_dc_band(self, scene):
+        """A system trains at ``config.sh_degree``: at degree 0, SH bands
+        1-3 receive zero gradient."""
         cfg = GSScaleConfig(
             system="gpu_only", scene_extent=scene.extent, ssim_lambda=0.0,
-            sh_degree=3, sh_degree_interval=100, mem_limit=1.0, seed=0,
+            sh_degree=0, mem_limit=1.0, seed=0,
         )
         s = create_system(scene.initial.copy(), cfg)
         before = s.store.params.copy()
@@ -57,6 +38,49 @@ class TestShDegreeRamp:
         # DC moved, higher bands untouched
         assert np.any(sh_cols[:, 0, :] != before_sh[:, 0, :])
         np.testing.assert_array_equal(sh_cols[:, 1:, :], before_sh[:, 1:, :])
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("system", SYSTEM_NAMES)
+    def test_every_system_trains_at_the_config_degree(
+        self, scene, system, degree
+    ):
+        """Bands above ``config.sh_degree`` stay byte-equal through a step
+        of any system; the top band the degree admits moves."""
+        cfg = GSScaleConfig(
+            system=system, scene_extent=scene.extent, ssim_lambda=0.0,
+            sh_degree=degree, mem_limit=1.0, num_shards=2, seed=0,
+        )
+        s = create_system(scene.initial.copy(), cfg)
+        before = s.materialized_model().sh
+        s.step(scene.train_cameras[0], scene.train_images[0])
+        after = s.materialized_model().sh
+        s.finalize()
+        lo, hi = degree**2, (degree + 1) ** 2  # the top band's coefficients
+        assert np.any(after[:, lo:hi, :] != before[:, lo:hi, :])
+        np.testing.assert_array_equal(after[:, hi:, :], before[:, hi:, :])
+
+
+class TestFixedLearningRates:
+    @pytest.mark.parametrize("system", SYSTEM_NAMES)
+    def test_every_leaf_keeps_its_slice_of_the_packed_vector(
+        self, scene, system
+    ):
+        """Each leaf optimizer steps with its block's slice of
+        ``packed_lr_vector(scene_extent)`` for the whole run."""
+        cfg = GSScaleConfig(
+            system=system, scene_extent=scene.extent, ssim_lambda=0.0,
+            mem_limit=1.0, num_shards=2, seed=0,
+        )
+        s = create_system(scene.initial.copy(), cfg)
+        for i in range(4):
+            s.step(scene.train_cameras[i % 3], scene.train_images[i % 3])
+        s.finalize()
+        lr = packed_lr_vector(
+            scene_extent=scene.extent, dtype=s.materialized_model().dtype
+        )
+        for _, store, _ in s.store.leaves():
+            expected = lr[store.block.sl]
+            assert store.optimizer._lr_vec.tobytes() == expected.tobytes()
 
 
 class TestOpacityReset:

@@ -2,7 +2,7 @@
 
 Drives random interleavings of the store protocol — ``stage``/``unstage``
 (once per step, or twice as a split view stages its two regions),
-``return_grads``, ``commit``, ``materialize``, ``set_lr``, ``flush``, and
+``return_grads``, ``commit``, ``materialize``, ``flush``, and
 (for the disk tier) ``spill``/``page_in`` — at arbitrary points, for a
 few hundred operations against an oracle holding the same state in plain
 memory, asserting parameter arrays and optimizer state stay bit-identical
@@ -69,7 +69,7 @@ class _ProtocolFuzzer:
         self.ops = [
             self.op_step, self.op_step, self.op_step,  # weighted: common
             self.op_split_step,
-            self.op_materialize, self.op_set_lr, self.op_flush,
+            self.op_materialize, self.op_flush,
         ]
         if disk_ops:
             self.ops += [self.op_spill, self.op_page_in]
@@ -117,17 +117,6 @@ class _ProtocolFuzzer:
         np.testing.assert_array_equal(
             self.subject.materialize(ids), self.oracle.materialize(ids)
         )
-
-    def op_set_lr(self):
-        # lr changes at settled step boundaries: a forwarding store
-        # commits pending gradients with the *commit-time* lr, so changing
-        # rates under a pending batch is outside the protocol contract
-        # (the systems only ever re-rate device-resident columns)
-        self.both(lambda s: s.flush())
-        if hasattr(self.subject, "spill") and self.rng.integers(0, 2):
-            self.subject.spill()  # exercise the spilled lr-stash path
-        lr = np.exp(self.rng.normal(size=layout.PARAM_DIM) - 5.0)
-        self.both(lambda s: s.set_lr(lr))
 
     def op_flush(self):
         self.both(lambda s: s.flush())

@@ -149,13 +149,3 @@ class TestLrSchedule:
         sh = lr[layout.SH_SLICE]
         np.testing.assert_allclose(sh[:3], 2.5e-3)
         np.testing.assert_allclose(sh[3:], 2.5e-3 / 20)
-
-    def test_exponential_decay_endpoints(self):
-        from repro.optim import exponential_decay
-
-        assert exponential_decay(0, 100, 1e-2, 1e-4) == pytest.approx(1e-2)
-        assert exponential_decay(100, 100, 1e-2, 1e-4) == pytest.approx(1e-4)
-        mid = exponential_decay(50, 100, 1e-2, 1e-4)
-        assert mid == pytest.approx(1e-3, rel=1e-6)  # log-linear midpoint
-        with pytest.raises(ValueError):
-            exponential_decay(1, 0, 1e-2, 1e-4)

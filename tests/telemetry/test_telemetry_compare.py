@@ -1,6 +1,8 @@
 """Measured-vs-modeled rollup tests for repro.telemetry.compare."""
 
+import importlib.util
 import math
+import os
 
 import pytest
 
@@ -13,6 +15,18 @@ from repro.telemetry.compare import (
     modeled_breakdown,
     phase_for,
 )
+
+
+def _load_cli():
+    """``tools/compare_trace.py`` as a module."""
+    repo = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    spec = importlib.util.spec_from_file_location(
+        "compare_trace_cli", os.path.join(repo, "tools", "compare_trace.py")
+    )
+    cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli)
+    return cli
 
 
 class TestPhaseMapping:
@@ -175,9 +189,6 @@ class TestEndToEndRollup:
         assert out["disk"] > 0.0
 
     def test_compare_trace_cli_runs(self, tmp_path, capsys):
-        import importlib.util
-        import os
-
         tracer = trace.install()
         tracer.record_rel("train/forward", 0.0, 0.01, cat="train")
         path = tmp_path / "trace.json"
@@ -185,13 +196,7 @@ class TestEndToEndRollup:
         modeled = tmp_path / "modeled.json"
         modeled.write_text('{"fwd_bwd": 0.005}', encoding="utf-8")
 
-        repo = os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))))
-        spec = importlib.util.spec_from_file_location(
-            "compare_trace_cli", os.path.join(repo, "tools", "compare_trace.py")
-        )
-        cli = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(cli)
+        cli = _load_cli()
         rc = cli.main([
             str(path), "--modeled-json", str(modeled),
             "--json", str(tmp_path / "rows.json"),
@@ -199,3 +204,44 @@ class TestEndToEndRollup:
         assert rc == 0
         assert "fwd_bwd" in capsys.readouterr().out
         assert (tmp_path / "rows.json").exists()
+
+    def test_compare_trace_cli_models_the_async_schedule(
+        self, tmp_path, monkeypatch
+    ):
+        """With no ``--system``, the modeled column is the async out-of-core
+        schedule, the one ``GSScaleConfig(system="outofcore")`` runs. Its
+        phase rows equal the synchronous schedule's (the two differ in
+        the disk stall, which is no phase), so the modeled system is
+        also read off the call."""
+        import json
+
+        from repro.sim import PLATFORMS
+
+        tracer = trace.install()
+        tracer.record_rel("train/forward", 0.0, 0.01, cat="train")
+        path = tmp_path / "trace.json"
+        export.write_chrome_trace(tracer, path)
+        cli = _load_cli()
+        systems = []
+
+        def spy(system, *args, **kwargs):
+            systems.append(system)
+            return modeled_breakdown(system, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "modeled_breakdown", spy)
+        rows_path = tmp_path / "rows.json"
+        assert cli.main([
+            str(path), "--n-total", "400", "--active-ratio", "0.5",
+            "--width", "48", "--height", "36", "--num-shards", "4",
+            "--resident-shards", "2", "--json", str(rows_path),
+        ]) == 0
+        modeled = {
+            r["phase"]: r["modeled_s"]
+            for r in json.loads(rows_path.read_text(encoding="utf-8"))
+        }
+        expected = modeled_breakdown(
+            "outofcore_async", sorted(PLATFORMS)[0], 400, 0.5, 48 * 36,
+            num_shards=4, resident_shards=2,
+        )
+        assert systems == ["outofcore_async"]
+        assert modeled == expected

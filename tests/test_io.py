@@ -1,31 +1,15 @@
-"""Round-trip tests for model / trace persistence."""
+"""Round-trip tests for the PLY model format."""
 
 import numpy as np
 import pytest
 
 from repro import io
-from repro.datasets import WorkloadTrace, get_scene, synthesize_trace
 from repro.gaussians import GaussianModel, layout
 
 
 def make_model(n=12, seed=0):
     rng = np.random.default_rng(seed)
     return GaussianModel(rng.normal(size=(n, layout.PARAM_DIM)))
-
-
-class TestNpz:
-    def test_roundtrip(self, tmp_path):
-        m = make_model()
-        path = str(tmp_path / "model.npz")
-        io.save_model(path, m)
-        loaded = io.load_model(path)
-        np.testing.assert_array_equal(loaded.params, m.params)
-
-    def test_wrong_file_rejected(self, tmp_path):
-        path = str(tmp_path / "junk.npz")
-        np.savez(path, other=np.zeros(3))
-        with pytest.raises(ValueError):
-            io.load_model(path)
 
 
 class TestPly:
@@ -80,25 +64,3 @@ class TestPly:
         img2 = render(m2, cam).image
         np.testing.assert_allclose(img1, img2, atol=1e-6)
 
-
-class TestTrace:
-    def test_roundtrip(self, tmp_path):
-        trace = synthesize_trace(get_scene("rubble"), num_views=20, seed=5)
-        path = str(tmp_path / "trace.json")
-        io.save_trace(path, trace)
-        loaded = io.load_trace(path)
-        assert loaded.scene_name == trace.scene_name
-        assert loaded.total_gaussians == trace.total_gaussians
-        np.testing.assert_allclose(loaded.active_ratios, trace.active_ratios)
-
-    def test_loaded_trace_usable_in_sim(self, tmp_path):
-        from repro.sim import get_platform, simulate_epoch
-
-        trace = WorkloadTrace("t", 1_000_000, np.array([0.1, 0.2]))
-        path = str(tmp_path / "t.json")
-        io.save_trace(path, trace)
-        loaded = io.load_trace(path)
-        res = simulate_epoch(
-            get_platform("laptop_4070m"), loaded, "gsscale", 1_000_000
-        )
-        assert not res.oom

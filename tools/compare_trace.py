@@ -9,9 +9,15 @@ per-phase measured / modeled / delta / ratio rows.
 
 Usage (modeled side simulated on the fly)::
 
-    python tools/compare_trace.py trace.json --system outofcore \
-        --platform a100 --n-total 100000 --active-ratio 0.2 \
+    python tools/compare_trace.py trace.json --platform a100 \
+        --n-total 100000 --active-ratio 0.2 \
         --width 640 --height 480 --iterations 12
+
+The modeled system defaults to ``outofcore_async``, the schedule that
+overlaps paging with compute, which is what
+``GSScaleConfig(system="outofcore")`` runs by default; pass
+``--system outofcore`` for the synchronous schedule
+(``async_prefetch=False``) or any other :data:`repro.sim.SYSTEMS` name.
 
 or against a pre-computed breakdown JSON (``{"phase": seconds, ...}``)::
 
@@ -51,7 +57,7 @@ def main(argv=None) -> int:
         "--modeled-json",
         help="pre-computed modeled breakdown JSON ({phase: seconds})",
     )
-    parser.add_argument("--system", default="outofcore")
+    parser.add_argument("--system", default="outofcore_async")
     parser.add_argument("--platform", default=None,
                         help="sim platform key (default: first registered)")
     parser.add_argument("--n-total", type=int, default=100_000)
