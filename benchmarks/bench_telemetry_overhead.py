@@ -16,6 +16,9 @@ Two jobs:
   out-of-core training and writes ``benchmarks/out/trace.json``: the
   measured Chrome trace merged with the simulator's modeled timeline of
   the same config, the side-by-side artifact the perf-smoke job uploads.
+  Every span name in it must be a phase of ``telemetry.compare`` or an
+  ignored prefix, and the trace document must roll up into the same
+  phases as the tracer it was written from.
 """
 
 import json
@@ -23,8 +26,10 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from repro.telemetry import export, metrics, trace
+from repro.telemetry.compare import IGNORED_PREFIXES, measured_breakdown, phase_for
 
 RASTER_WH = 256
 RASTER_N_LARGE = 50_000
@@ -195,6 +200,18 @@ def test_telemetry_trace_artifact(benchmark):
         )
         pids = {e.get("pid") for e in doc["traceEvents"]}
         assert pids >= {1, export.MEASURED_PID}
+        unmapped = {
+            name for name in names
+            if phase_for(name) is None and not name.startswith(IGNORED_PREFIXES)
+        }
+        assert not unmapped
+        from_tracer = measured_breakdown(tracer)
+        from_doc = measured_breakdown(doc)
+        assert from_doc == {
+            phase: pytest.approx(s, rel=1e-9, abs=1e-12)
+            for phase, s in from_tracer.items()
+        }
+        assert from_tracer["disk"] > 0.0
     finally:
         trace.uninstall()
         trace.set_tracer(prev)

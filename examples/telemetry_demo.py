@@ -16,7 +16,8 @@ what the system actually did:
    side in chrome://tracing / ui.perfetto.dev — and ``out/metrics.prom``
    in Prometheus exposition format;
 4. print the numbers a dashboard would scrape: serve latency p50/p99 and
-   the measured page-stall fraction of training, then the per-phase
+   the measured page-stall fraction of training (``disk_stall``: page
+   traffic on the stepping thread), then the per-phase
    measured-vs-modeled table ``tools/compare_trace.py`` builds.
 
 Run:  python examples/telemetry_demo.py
@@ -61,9 +62,11 @@ def train_traced(scene, ckpt_path: str):
         if hasattr(system, "hint_upcoming_views") and i + 1 < ITERATIONS:
             system.hint_upcoming_views([cams[(i + 1) % len(cams)]])
         system.step(cams[i % len(cams)], images[i % len(cams)])
+    # the steps alone: the checkpoint below pages shards in too
+    measured = compare.measured_breakdown(trace.get_tracer(), iterations=ITERATIONS)
     save_checkpoint(ckpt_path, system)
     system.finalize()
-    return system
+    return system, measured
 
 
 def serve_burst(ckpt_path: str, scene, n_model: int):
@@ -99,7 +102,7 @@ def main():
     print(f"== training {ITERATIONS} out-of-core steps with telemetry on")
     with tempfile.TemporaryDirectory() as tmp:
         ckpt = os.path.join(tmp, "trained.npz")
-        system = train_traced(scene, ckpt)
+        system, measured = train_traced(scene, ckpt)
 
         print("== serving a 12-request orbit burst (paged, telemetry on)")
         responses = serve_burst(ckpt, scene, system.num_gaussians)
@@ -113,15 +116,13 @@ def main():
     print(f"\nserve latency over {latency['count']} requests: "
           f"p50 {latency['p50'] * 1e3:.2f} ms, p99 {latency['p99'] * 1e3:.2f} ms")
 
-    phases = tracer.phase_seconds()
-    step_s = phases.get("train/step", 0.0)
-    stall_s = sum(
-        s for name, s in phases.items()
-        if name in ("page/in", "page/out", "train/prefetch", "train/spill")
-    )
+    # every phase but `disk` (which also counts the prefetch lane's
+    # reads) is time on the stepping thread
+    step_s = sum(s for phase, s in measured.items() if phase != "disk")
+    stall_s = measured["disk_stall"]
     print(f"page-stall fraction of training: {stall_s / max(step_s, 1e-12):.1%} "
-          f"({stall_s * 1e3:.1f} ms of page traffic in {step_s * 1e3:.1f} ms "
-          f"of stepping)")
+          f"({stall_s * 1e3:.2f} ms of page traffic on the stepping thread "
+          f"in {step_s * 1e3:.2f} ms of stepping, per step)")
     saved_kb = registry.gauge("render/saved_pair_bytes").value / 1e3
     print(f"largest raster pair table kept from forward to backward: "
           f"{saved_kb:.1f} kB (host-process state; the modeled tracker's "
@@ -159,7 +160,6 @@ def main():
     print(f"wrote {prom_path} (Prometheus exposition format)")
 
     # -- measured vs modeled, per phase -----------------------------------
-    measured = compare.measured_breakdown(tracer, iterations=ITERATIONS)
     modeled = compare.modeled_breakdown(
         "outofcore_async", platform, 400, 0.5, 48 * 36,
         num_shards=NUM_SHARDS, resident_shards=RESIDENT_SHARDS,

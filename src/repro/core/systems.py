@@ -872,7 +872,8 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         active shards are read off that same cull.
         """
         hinted, staged = self._prefetcher.take(camera)
-        whole = self.store.visible(camera, keep="backward")
+        with _span("train/cull", "train"):
+            whole = self.store.visible(camera, keep="backward")
         self._cull_cache = (camera, whole)
         active = whole.active_shards
         for k in active[: self.resident_set.budget]:

@@ -234,13 +234,6 @@ class Tracer:
             tid = threading.get_ident()
         self.thread_names[tid] = name
 
-    def phase_seconds(self) -> dict[str, float]:
-        """Total seconds per span name (measured per-phase rollup)."""
-        totals: dict[str, float] = {}
-        for ev in self.events():
-            totals[ev.name] = totals.get(ev.name, 0.0) + ev.dur
-        return totals
-
 
 # ---------------------------------------------------------------------------
 # process-wide tracer

@@ -6,8 +6,11 @@ import os
 
 import pytest
 
+from repro.core import SYSTEM_NAMES
+from repro.sim import SYSTEMS as SIM_SYSTEMS
 from repro.telemetry import export, trace
 from repro.telemetry.compare import (
+    IGNORED_PREFIXES,
     PHASES,
     compare_breakdowns,
     format_table,
@@ -42,9 +45,13 @@ class TestPhaseMapping:
         ("page/in", "disk"),
         ("page/out", "disk"),
         ("page/prefetch", "disk"),
-        ("train/step", None),   # the envelope, never double counted
-        ("serve/tick", None),   # outside the iteration vocabulary
-        ("pool/map", None),     # a farm or patch-job map, not a phase
+        ("train/step", "misc"),      # by self time: what no phase holds
+        ("train/prefetch", "misc"),
+        ("train/spill", "misc"),
+        ("train/densify", None),     # between steps, not a phase
+        ("serve/tick", None),        # outside the iteration vocabulary
+        ("serve/page_in", None),
+        ("pool/map", None),          # a farm or patch-job map, not a phase
     ])
     def test_phase_for(self, name, phase):
         assert phase_for(name) == phase
@@ -107,13 +114,34 @@ class TestBlockRasterSpans:
 class TestMeasuredBreakdown:
     def test_from_tracer_divides_by_iterations(self):
         tracer = trace.install()
-        for _ in range(4):
-            tracer.record_rel("train/forward", 0.0, 0.02, cat="train")
-            tracer.record_rel("page/in", 0.0, 0.01, cat="page")
+        for i in range(4):
+            tracer.record_rel("train/forward", i * 0.1, 0.02, cat="train")
+            tracer.record_rel("page/in", i * 0.1 + 0.03, 0.01, cat="page")
         out = measured_breakdown(tracer, iterations=4)
         assert out["fwd_bwd"] == pytest.approx(0.02)
         assert out["disk"] == pytest.approx(0.01)
         assert out["cull"] == 0.0
+
+    def test_nested_span_counts_once(self):
+        """A ``page/in`` inside ``train/stage`` on one thread is ``disk``
+        only; its parent keeps its self time. The prefetch lane's read
+        is ``disk`` but no stall: the stepping thread did not wait."""
+        events = [
+            ("train/step", "train", 1, 0.0, 1.0, None),
+            ("train/stage", "train", 1, 0.1, 0.5, None),
+            ("page/in", "page", 1, 0.2, 0.3, None),
+            ("train/forward", "train", 1, 0.7, 0.2, None),
+            ("page/prefetch", "page", 2, 0.0, 0.4, None),
+            ("page/in", "page", 2, 0.1, 0.2, None),
+        ]
+        out = measured_breakdown(events)
+        assert out["h2d"] == pytest.approx(0.2)
+        assert out["fwd_bwd"] == pytest.approx(0.2)
+        assert out["misc"] == pytest.approx(0.3)
+        assert out["disk"] == pytest.approx(0.7)
+        assert out["disk_stall"] == pytest.approx(0.3)
+        stepping = sum(v for phase, v in out.items() if phase != "disk")
+        assert stepping == pytest.approx(1.0)
 
     def test_from_chrome_doc_uses_measured_pid_only(self):
         tracer = trace.install()
@@ -132,14 +160,19 @@ class TestMeasuredBreakdown:
 
 
 class TestModeledAndDiff:
-    def test_modeled_breakdown_covers_phases(self):
+    @pytest.mark.parametrize("system", SIM_SYSTEMS)
+    def test_modeled_breakdown_keys_are_phases(self, system):
+        """Every key the simulator reports, for every system, unfiltered
+        and a phase; the out-of-core schedules report them all."""
         from repro.sim import PLATFORMS
 
         out = modeled_breakdown(
-            "outofcore", sorted(PLATFORMS)[0], 10_000, 0.3, 64 * 64,
+            system, sorted(PLATFORMS)[0], 10_000, 0.3, 64 * 64,
             num_shards=4, resident_shards=1,
         )
-        assert set(out) == set(PHASES)
+        assert set(out) <= set(PHASES)
+        if system.startswith("outofcore"):
+            assert set(out) == set(PHASES)
         assert sum(out.values()) > 0.0
 
     def test_compare_rows(self):
@@ -205,43 +238,95 @@ class TestEndToEndRollup:
         assert "fwd_bwd" in capsys.readouterr().out
         assert (tmp_path / "rows.json").exists()
 
-    def test_compare_trace_cli_models_the_async_schedule(
-        self, tmp_path, monkeypatch
-    ):
-        """With no ``--system``, the modeled column is the async out-of-core
-        schedule, the one ``GSScaleConfig(system="outofcore")`` runs. Its
-        phase rows equal the synchronous schedule's (the two differ in
-        the disk stall, which is no phase), so the modeled system is
-        also read off the call."""
+    @staticmethod
+    def _modeled_rows(tmp_path, *system):
+        """The CLI's modeled column at 400 splats, 4 shards, 2 resident,
+        48x36."""
         import json
-
-        from repro.sim import PLATFORMS
 
         tracer = trace.install()
         tracer.record_rel("train/forward", 0.0, 0.01, cat="train")
         path = tmp_path / "trace.json"
         export.write_chrome_trace(tracer, path)
-        cli = _load_cli()
-        systems = []
-
-        def spy(system, *args, **kwargs):
-            systems.append(system)
-            return modeled_breakdown(system, *args, **kwargs)
-
-        monkeypatch.setattr(cli, "modeled_breakdown", spy)
         rows_path = tmp_path / "rows.json"
-        assert cli.main([
+        assert _load_cli().main([
             str(path), "--n-total", "400", "--active-ratio", "0.5",
             "--width", "48", "--height", "36", "--num-shards", "4",
-            "--resident-shards", "2", "--json", str(rows_path),
+            "--resident-shards", "2", "--json", str(rows_path), *system,
         ]) == 0
-        modeled = {
+        return {
             r["phase"]: r["modeled_s"]
             for r in json.loads(rows_path.read_text(encoding="utf-8"))
         }
+
+    def test_compare_trace_cli_models_the_async_schedule(self, tmp_path):
+        """With no ``--system``, the modeled column is the async out-of-core
+        schedule, the one ``GSScaleConfig(system="outofcore")`` runs."""
+        from repro.sim import PLATFORMS
+
         expected = modeled_breakdown(
             "outofcore_async", sorted(PLATFORMS)[0], 400, 0.5, 48 * 36,
             num_shards=4, resident_shards=2,
         )
-        assert systems == ["outofcore_async"]
-        assert modeled == expected
+        assert self._modeled_rows(tmp_path) == expected
+
+    def test_compare_trace_cli_tells_the_schedules_apart(self, tmp_path):
+        """The two out-of-core schedules differ in the disk stall: the
+        synchronous one waits on every page, the async one only on what
+        the slowest other leg does not hide."""
+        sync = self._modeled_rows(tmp_path, "--system", "outofcore")
+        overlapped = self._modeled_rows(tmp_path)
+        assert sync["disk_stall"] == sync["disk"] > 0.0
+        assert overlapped["disk_stall"] < sync["disk_stall"]
+        assert {k: v for k, v in sync.items() if k != "disk_stall"} == {
+            k: v for k, v in overlapped.items() if k != "disk_stall"
+        }
+
+
+class TestEverySystemRollup:
+    """A traced ``step()`` loop of every system: each span name is a phase
+    or ignored, and on the stepping thread every span counts once — the
+    phases but ``disk`` sum to the top-level step spans exactly."""
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        from repro.datasets import SyntheticSceneConfig, build_scene
+
+        return build_scene(SyntheticSceneConfig(
+            num_points=160, width=24, height=18, num_train_cameras=4, seed=9,
+        ))
+
+    @pytest.mark.parametrize("system_name", SYSTEM_NAMES)
+    def test_step_loop_counts_every_span_once(self, scene, system_name):
+        from repro.core import GSScaleConfig, create_system
+
+        config = GSScaleConfig(
+            system=system_name, num_shards=4, resident_shards=2,
+            scene_extent=scene.extent, telemetry=True, seed=0, mem_limit=0.5,
+        )
+        system = create_system(scene.initial.copy(), config)
+        tracer = trace.get_tracer()
+        tracer.clear()
+        cams, images = scene.train_cameras, scene.train_images
+        for i in range(6):
+            if hasattr(system, "hint_upcoming_views"):
+                system.hint_upcoming_views([cams[(i + 1) % 4], cams[(i + 2) % 4]])
+            system.step(cams[i % 4], images[i % 4])
+        events = tracer.events()
+        system.finalize()
+
+        for ev in events:
+            assert phase_for(ev.name) is not None or ev.name.startswith(
+                IGNORED_PREFIXES
+            ), ev.name
+        (stepping,) = {ev.tid for ev in events if ev.name == "train/step"}
+        top = sum(
+            ev.dur for ev in events if ev.tid == stepping
+            and ev.name in ("train/step", "train/prefetch", "train/spill")
+        )
+        out = measured_breakdown(events)
+        phases = sum(v for phase, v in out.items() if phase != "disk")
+        assert phases == pytest.approx(top, rel=1e-9)
+        assert 0.0 <= out["disk_stall"] <= out["disk"]
+        if system_name == "outofcore":
+            assert out["disk_stall"] > 0.0

@@ -4,8 +4,12 @@
 Closes the loop between :mod:`repro.telemetry` (what the system did) and
 :mod:`repro.sim` (what the cost model predicted): loads a measured
 ``trace.json`` (written by ``repro.telemetry.export.write_chrome_trace``),
-rolls its spans up into the simulator's phase vocabulary, and prints
-per-phase measured / modeled / delta / ratio rows.
+rolls its spans up into the simulator's phase vocabulary
+(``repro.telemetry.compare.PHASE_TABLE``: every span once, by its self
+time), and prints per-phase measured / modeled / delta / ratio rows. The
+``disk`` row is page traffic on every thread; ``disk_stall`` is the part
+the stepping thread waited on, the row in which the synchronous and the
+async out-of-core schedules differ.
 
 Usage (modeled side simulated on the fly)::
 
