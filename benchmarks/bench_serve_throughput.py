@@ -12,9 +12,12 @@ Two parts:
   shrinks it; no speedup asserted there). Its paged multi-client row
   (four walkthrough clients answered per tick, float16 pages, half the
   model resident) is the one that moves when the serving round moves:
-  it records page-ins per frame, shards touched per tick and the rows
-  the frame culls projected per frame beside the rows visible, and gates
-  on those exact counts, so the gate holds on any runner.
+  it records page-ins per frame, shards touched per tick, the rows
+  the frame culls projected per frame beside the rows visible and the
+  rows each frame shaded, and gates on those exact counts (rows shaded
+  <= distinct splats of the frame's pruned pair table <= rows visible,
+  from the traced ``serve/frame`` spans), so the gate holds on any
+  runner.
 """
 
 import json
@@ -35,6 +38,7 @@ from repro.serve import (
     RenderService,
     requests_from_cameras,
 )
+from repro.telemetry import trace
 
 QUICK = os.environ.get("GSSCALE_BENCH_QUICK", "") not in ("", "0")
 
@@ -250,6 +254,25 @@ def test_serve_throughput_matrix(benchmark):
                 for request in requests
             ) / frames
             assert visible_rows <= cull_rows < model.num_gaussians
+            # what a frame shades, traced over the same rounds again: a
+            # served render is forward only, so it reads the SH of no row
+            # but the distinct splats of its pruned pair table, which are
+            # among the rows it could composite
+            trace.install()
+            try:
+                for requests in rounds:
+                    service.serve(requests)
+                spans = [
+                    ev.attrs for ev in trace.get_tracer().events()
+                    if ev.name == "serve/frame"
+                ]
+            finally:
+                trace.uninstall()
+            assert len(spans) == frames
+            for span in spans:
+                assert span["shaded"] <= span["splats"] <= span["visible"]
+            shaded_rows = sum(span["shaded"] for span in spans) / frames
+            assert shaded_rows > 0
         finally:
             service.close()
         entries.append({
@@ -270,6 +293,7 @@ def test_serve_throughput_matrix(benchmark):
             ),
             "cull_rows_per_frame": round(cull_rows, 4),
             "visible_rows_per_frame": round(visible_rows, 4),
+            "shaded_rows_per_frame": round(shaded_rows, 4),
         })
         return entries
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from .integrity import CorruptPageError, seal_page, unseal_page
 
-__all__ = ["PageCodec", "PAGE_CODECS", "get_page_codec"]
+__all__ = ["PageCodec", "PAGE_CODECS", "decode_halves", "get_page_codec"]
 
 
 class _PayloadMismatch(ValueError):
@@ -209,10 +209,25 @@ class Float16Codec(PageCodec):
         return _RowDecoder(scales, halves, tuple(shape[1:]), np.dtype(dtype))
 
 
+def decode_halves(halves: np.ndarray, scales: np.ndarray, dtype) -> np.ndarray:
+    """The float16 codec's values of ``halves`` (scaled roots, as a page
+    holds them) under ``scales`` (each column's ``2.0**e``, broadcast
+    against ``halves``), in ``dtype``: widened, scaled and squared one
+    value at a time, so a value's bits depend on its half and its scale
+    only (numerics contract fact 11)."""
+    # the widening cast is the one float64 buffer; the scale and the
+    # square then run in place on it
+    root = halves.astype(np.float64)
+    root *= scales
+    np.multiply(root, np.abs(root), out=root)
+    return root.astype(dtype, copy=False)
+
+
 class _RowDecoder:
     """A held float16 page — the per-column scales and a view of the
     payload's halves: ``page[rows]`` decodes just those rows (``page[:]``
-    all of them — :meth:`Float16Codec.decode`)."""
+    all of them — :meth:`Float16Codec.decode`), and ``page[rows, cols]``
+    just those columns of them (``cols`` a slice; a 2-D block)."""
 
     __slots__ = ("scales", "halves", "tail", "dtype")
 
@@ -223,13 +238,15 @@ class _RowDecoder:
         self.tail = tail
         self.dtype = dtype
 
-    def __getitem__(self, rows) -> np.ndarray:
-        # the widening cast is the one float64 buffer; the scale and the
-        # square then run in place on it
-        root = self.halves[rows].astype(np.float64)
-        root *= self.scales[None, :]
-        np.multiply(root, np.abs(root), out=root)
-        return root.astype(self.dtype, copy=False).reshape((-1,) + self.tail)
+    def __getitem__(self, key) -> np.ndarray:
+        if isinstance(key, tuple):
+            rows, cols = key
+            return decode_halves(
+                self.halves[rows, cols], self.scales[cols], self.dtype
+            )
+        return decode_halves(
+            self.halves[key], self.scales, self.dtype
+        ).reshape((-1,) + self.tail)
 
 
 PAGE_CODECS: dict[str, PageCodec] = {

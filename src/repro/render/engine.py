@@ -294,7 +294,8 @@ class _PairTable:
     (:attr:`pair_counts`): rows expanded before compaction, rows of the
     intersection table they were expanded from — both set where the table
     is built, :func:`pairs_for_isects` — and rows the occlusion prune
-    removed before that, set by whoever called the prune.
+    removed before that and the distinct splats it left, set by whoever
+    called the prune.
     """
 
     pixel: np.ndarray  # (A,) int64 global pixel id, ascending
@@ -306,12 +307,14 @@ class _PairTable:
     cells: int = 0
     isects: int = 0
     pruned_isects: int = 0
+    splats: int = 0
 
     @property
     def pair_counts(self) -> PairCounts:
         """What building this table took, for ``RasterResult.counts``."""
         return PairCounts(
-            self.cells, int(self.alpha.size), self.isects, self.pruned_isects
+            self.cells, int(self.alpha.size), self.isects, self.pruned_isects,
+            self.splats,
         )
 
 
@@ -528,11 +531,21 @@ def _build_pairs(
     colour sums and final transmittance, into the flat ``(H*W, 3)`` /
     ``(H*W,)`` arrays. Every value is the one a single pass over the whole
     table computes, bit for bit.
+
+    ``colors`` may be a function of splat ids (a forward-only render,
+    :func:`rasterize_vectorized`): it is called once, on the pruned
+    table's sorted distinct splat ids, before any pair exists.
     """
     tile_ids, sid_isect, tiles_x, num_pruned = visible_intersections(
         means2d, conics, opacities, bboxes, order, width, height, config,
         tile_size,
     )
+    in_table = np.bincount(sid_isect, minlength=means2d.shape[0])
+    if composite is not None and callable(composite[0]):
+        composite = (
+            _shade(composite[0], np.flatnonzero(in_table), means2d),
+            *composite[1:],
+        )
     isect_edges, first_cells = _tile_row_blocks(
         bboxes, tile_ids, sid_isect, tiles_x, tile_size, pool.block_threads()
     )
@@ -559,6 +572,7 @@ def _build_pairs(
         cum = np.concatenate([lg for _, lg in built])
         np.cumsum(cum, out=cum)
     pairs.pruned_isects = num_pruned
+    pairs.splats = int(np.count_nonzero(in_table))
 
     def finish(b):
         faults.fault_point("block:forward", index=b)
@@ -588,6 +602,15 @@ def _build_pairs(
         means2d.shape[0], width, height, means2d.dtype, tile_size, config
     )
     return _SavedPairs(key, pairs, cum)
+
+
+def _shade(colors, ids, means2d) -> np.ndarray:
+    """``(M, 3)`` colours in the compute dtype with the rows ``ids``
+    filled by ``colors(ids)`` and every other row 0 — no pair reads
+    those: a pair's splat is a row of the table ``ids`` came from."""
+    out = np.zeros((means2d.shape[0], 3), dtype=means2d.dtype)
+    out[ids] = colors(ids)
+    return out
 
 
 def _alloc_pairs(blocks, num_pairs, num_segs) -> _PairTable:
@@ -1027,10 +1050,11 @@ def prepare(config, background, means2d, conics, colors, opacities):
     Returns ``(config, background, splats)``: the config (defaulted, and
     checked for the scan's ``alpha_max < 1`` requirement), the background
     (black by default) and the four splat arrays cast to ``config.dtype``
-    (as they are when unset). Integer decisions (depth order, bboxes, tile
-    assignment) are made from the original full-precision inputs by the
-    callers, so the fast path changes arithmetic precision only — never
-    which pairs exist.
+    (as they are when unset; a ``colors`` function is passed through, and
+    :func:`_shade` casts the rows it returns). Integer decisions (depth
+    order, bboxes, tile assignment) are made from the original
+    full-precision inputs by the callers, so the fast path changes
+    arithmetic precision only — never which pairs exist.
     """
     config = config or RasterConfig()
     if config.alpha_max >= 1.0:
@@ -1042,7 +1066,8 @@ def prepare(config, background, means2d, conics, colors, opacities):
     if config.dtype is not None:
         dtype = np.dtype(config.dtype)
         splats = tuple(
-            a if a.dtype == dtype else a.astype(dtype) for a in splats
+            a if callable(a) or a.dtype == dtype else a.astype(dtype)
+            for a in splats
         )
     dtype = splats[0].dtype
     if background is None:
@@ -1068,7 +1093,14 @@ def rasterize_vectorized(
     tile_size: int = TILE_SIZE,
 ) -> RasterResult:
     """Fully vectorized compositor; same contract as
-    :func:`repro.render.rasterize.rasterize`."""
+    :func:`repro.render.rasterize.rasterize`, except that ``colors`` may
+    also be a function of splat ids returning their ``(k, 3)`` colours.
+    It is then called once, with the sorted distinct splat ids of the
+    occlusion-pruned intersection table (:func:`_build_pairs`), and only
+    those splats are shaded — the image is the same bytes as from the
+    whole array. A forward-only render passes one
+    (:func:`repro.render.pipeline.render`); the backward needs the
+    array."""
     config, background, splats = prepare(
         config, background, means2d, conics, colors, opacities
     )

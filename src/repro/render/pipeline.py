@@ -98,7 +98,12 @@ def render(
             ``valid_ids``, row for row, over the geometric values
             ``model`` holds for them (``None``: project afresh). Kept
             without the backward context, the result renders but cannot
-            be passed to :func:`render_backward`.
+            be passed to :func:`render_backward`; the ``vectorized``
+            engine then shades only the splats left in its pruned pair
+            table, and reads only their rows of ``model.sh`` (anything
+            ``model.sh[rows]`` gives ``(k, 16, 3)`` coefficients for):
+            ``proj.colors`` holds those rows and 0 elsewhere. The image
+            is the same bytes either way.
     """
     config = config or rasterize.RasterConfig()
     if background is None:
@@ -120,12 +125,20 @@ def render(
             num_visible=int(valid_ids.size),
         )
 
+    # forward only (the screen was kept without the backward context) and
+    # an engine that shades on demand: only the splats the pruned pair
+    # table composites are shaded, and only their SH rows are read
+    sh = model.sh
+    on_demand = (
+        screen is not None and screen.jacobians is None
+        and config.engine == "vectorized"
+    )
     proj = projection.project(
         model.means[valid_ids],
         model.log_scales[valid_ids],
         model.quats[valid_ids],
         model.opacity_logits[valid_ids],
-        model.sh[valid_ids],
+        (lambda rows: sh[valid_ids[rows]]) if on_demand else sh[valid_ids],
         camera,
         sh_degree=sh_degree,
         screen=screen,
@@ -133,7 +146,7 @@ def render(
     raster = engine.get_forward(config.engine)(
         proj.geom.means2d,
         proj.geom.conics,
-        proj.colors,
+        proj.colors if proj.shade is None else proj.shade,
         proj.opacities,
         proj.geom.depths,
         proj.geom.radii,

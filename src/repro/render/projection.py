@@ -9,6 +9,7 @@ gradients in ``tests/render/test_gradcheck.py``.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -52,27 +53,40 @@ class Projection2D:
 class ProjectionContext:
     """Intermediates cached by :func:`project` for :func:`project_backward`
     (``None`` where a handed-on projection was kept without its backward
-    context: a forward-only render)."""
+    context, and the colour fields where the colours are shaded on
+    demand: a forward-only render)."""
 
     cam_points: np.ndarray  # (M, 3)
     jacobians: np.ndarray | None  # (M, 2, 3)
     cov3d_ctx: dict | None
     cov3d_mats: np.ndarray | None  # (M, 3, 3)
-    view_dirs: np.ndarray  # (M, 3) unit
-    view_vec_norms: np.ndarray  # (M,)
-    clamp_mask: np.ndarray  # (M, 3)
+    view_dirs: np.ndarray | None  # (M, 3) unit
+    view_vec_norms: np.ndarray | None  # (M,)
+    clamp_mask: np.ndarray | None  # (M, 3)
     opacities: np.ndarray  # (M,)
     sh_degree: int
 
 
 @dataclass
 class ProjectionResult:
-    """Full forward projection: geometry, color, opacity plus backward context."""
+    """Full forward projection: geometry, color, opacity plus backward
+    context.
+
+    ``shade`` is ``None`` unless the colours are shaded on demand
+    (:func:`project` given an SH function): then ``colors`` starts at 0,
+    and ``shade(rows)`` evaluates the rows ``rows`` (sorted distinct
+    indices), fills them in ``colors`` and returns them, ``(k, 3)`` — the
+    colour function :func:`repro.render.engine.rasterize_vectorized`
+    takes.
+    """
 
     geom: Projection2D
     colors: np.ndarray  # (M, 3)
     opacities: np.ndarray  # (M,)
     ctx: ProjectionContext = field(repr=False)
+    shade: Callable[[np.ndarray], np.ndarray] | None = field(
+        default=None, repr=False
+    )
 
 
 @dataclass
@@ -337,30 +351,56 @@ def project(
         log_scales: log extents, ``(M, 3)``.
         quats: raw quaternions, ``(M, 4)``.
         opacity_logits: ``(M,)`` or ``(M, 1)``.
-        sh_coeffs: SH coefficients, ``(M, 16, 3)`` or ``(M, 48)``.
+        sh_coeffs: SH coefficients, ``(M, 16, 3)`` or ``(M, 48)``; or,
+            for a forward-only render, a function of row indices returning
+            those rows' coefficients. The colours are then not computed
+            here: ``ProjectionResult.shade`` computes the rows it is asked
+            for, and the context holds no colour fields.
         camera: viewing camera.
         sh_degree: active SH degree (0..3).
         screen: the cull's projection of these rows
             (:func:`project_geometry`).
+
+    A colour depends on its own row only — the view direction, its norm
+    and :func:`~repro.gaussians.sh.eval_colors` are per row (numerics
+    contract fact 11) — so a row shaded on demand has the bits of the
+    whole-array colour.
     """
     m_count = means.shape[0]
     geom, ctx = project_geometry(means, log_scales, quats, camera, screen)
 
-    sh_coeffs = sh_coeffs.reshape(m_count, 16 if m_count == 0 else -1, 3)
-    view_vec = means - camera.center.astype(means.dtype)
-    norms = np.linalg.norm(view_vec, axis=-1)
-    safe_norms = np.maximum(norms, 1e-12)
-    dirs = view_vec / safe_norms[:, None]
-    colors, clamp_mask = sh_module.eval_colors(sh_coeffs, dirs, sh_degree)
-
     logits = np.reshape(opacity_logits, (m_count,))
     opacities = 1.0 / (1.0 + np.exp(-logits))
-
-    ctx.view_dirs = dirs
-    ctx.view_vec_norms = safe_norms
-    ctx.clamp_mask = clamp_mask
     ctx.opacities = opacities
     ctx.sh_degree = sh_degree
+    center = camera.center.astype(means.dtype)
+
+    def colors_of(rows, coeffs):
+        view_vec = means if rows is None else means[rows]
+        view_vec = view_vec - center
+        norms = np.maximum(np.linalg.norm(view_vec, axis=-1), 1e-12)
+        dirs = view_vec / norms[:, None]
+        n = view_vec.shape[0]
+        coeffs = coeffs.reshape(n, 16 if n == 0 else -1, 3)
+        return dirs, norms, *sh_module.eval_colors(coeffs, dirs, sh_degree)
+
+    if callable(sh_coeffs):
+        colors = np.zeros((m_count, 3), dtype=means.dtype)
+        ctx.view_dirs = ctx.view_vec_norms = ctx.clamp_mask = None
+
+        def shade(rows):
+            shaded = colors_of(rows, sh_coeffs(rows))[2]
+            colors[rows] = shaded
+            return shaded
+
+        return ProjectionResult(
+            geom=geom, colors=colors, opacities=opacities, ctx=ctx,
+            shade=shade,
+        )
+    dirs, norms, colors, clamp_mask = colors_of(None, sh_coeffs)
+    ctx.view_dirs = dirs
+    ctx.view_vec_norms = norms
+    ctx.clamp_mask = clamp_mask
     return ProjectionResult(geom=geom, colors=colors, opacities=opacities, ctx=ctx)
 
 
@@ -394,7 +434,7 @@ def project_backward(
     rot = camera.world_to_cam_rot.astype(dtype)
     cam_points = ctx.cam_points
     jac = ctx.jacobians
-    sh_coeffs = sh_coeffs.reshape(m_count, -1, 3)
+    sh_coeffs = sh_coeffs.reshape(m_count, 16 if m_count == 0 else -1, 3)
 
     # --- conic -> cov2d: C = V^{-1} so dL/dV = -C G C with G symmetrized.
     conic_mat_grad = np.empty((m_count, 2, 2), dtype=dtype)
@@ -409,12 +449,14 @@ def project_backward(
     conic_full[:, 1, 1] = geom.conics[:, 2]
     grad_cov2d = -(conic_full @ conic_mat_grad @ conic_full)
 
-    # --- cov2d = M Sigma3 M^T + eps I with M = J W.
-    m_mat = jac @ rot
+    # --- cov2d = M Sigma3 M^T + eps I with M = J W. J W and dL/dM W^T
+    # as one flat (2M, 3) gemm each, as the forward computes J W: the
+    # stacked products' bits, ~8x faster (numerics contract fact 10)
+    m_mat = (jac.reshape(-1, 3) @ rot).reshape(jac.shape)
     sym = grad_cov2d + np.swapaxes(grad_cov2d, -1, -2)
     grad_sigma3 = np.swapaxes(m_mat, -1, -2) @ grad_cov2d @ m_mat
     grad_m = sym @ m_mat @ ctx.cov3d_mats
-    grad_jac = grad_m @ rot.T  # W constant
+    grad_jac = (grad_m.reshape(-1, 3) @ rot.T).reshape(grad_m.shape)  # W constant
 
     # --- Jacobian entries -> camera-space point.
     tx, ty, tz = cam_points[:, 0], cam_points[:, 1], cam_points[:, 2]

@@ -99,14 +99,17 @@ class PairCounts(NamedTuple):
     rectangles, ``pairs`` those left after ``alpha_min`` compaction (the
     rows the scan, the composite and the backward touch; ``pairs / cells``
     is what tighter rectangles would be judged by), ``isects`` the rows of
-    the tile-intersection table they were expanded from and
-    ``pruned_isects`` the rows the occlusion prune dropped before that.
+    the tile-intersection table they were expanded from,
+    ``pruned_isects`` the rows the occlusion prune dropped before that and
+    ``splats`` the distinct splats of the pruned table — the rows a
+    forward-only render shades.
     """
 
     cells: int = 0
     pairs: int = 0
     isects: int = 0
     pruned_isects: int = 0
+    splats: int = 0
 
 
 @dataclass

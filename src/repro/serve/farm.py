@@ -36,7 +36,6 @@ import numpy as np
 
 from .. import faults
 from ..cameras.camera import Camera
-from ..gaussians.model import GaussianModel
 from ..render import cull_candidates, frustum_cull, render
 from ..pool import attach_shm, get_raster_pool, pack_shm, shm_views
 from ..render.projection import ScreenRows
@@ -170,6 +169,12 @@ gather`), instead of once per frame;
        ``rows[searchsorted(union, ids)]``, at the task's SH degree, from
        the projection its cull handed on (the gather returns the
        geometric columns the cull read, so nothing is projected twice).
+       The render is forward only, so it shades just the splats its
+       pruned pair table composites; the tick's gather
+       (:meth:`~repro.serve.store.ServingStore.gather_tick`) decodes the
+       geometry and opacity of the whole union and the SH of those rows
+       only, each exactly as :meth:`~repro.serve.store.ServingStore.\
+gather` decodes it.
 
     The rows a frame composites are the rows a gather of its own ids
     returns, so batching never changes pixels. A batch whose union
@@ -181,7 +186,10 @@ max_gather_rows` — for a paged store the rows its page budget holds,
     and :func:`render_frame` all run exactly this function. Any failure
     raises; the service contains it by retrying frame by frame. Each
     composited frame visits the ``serve:frame`` fault point with its
-    index in ``tasks``.
+    index in ``tasks``; traced, its ``serve/frame`` span carries the
+    table counts (:func:`~repro.telemetry.metrics.record_isects`), the
+    rows it could composite (``visible``) and the rows whose SH it read
+    (``shaded``).
     """
     with _span("serve/cull", "serve", frames=len(tasks)) as cull_span:
         culls = [_cull_frame(store, drop_level, task) for task in tasks]
@@ -196,27 +204,27 @@ max_gather_rows` — for a paged store the rows its page budget holds,
         with _span(
             "serve/gather", "serve", frames=len(members), rows=union.size
         ):
-            rows = store.gather(union)
+            rows = store.gather_tick(union)
         for i in members:
             task = tasks[i]
             faults.fault_point("serve:frame", index=i)
             with _span("serve/frame", "serve", lod=task.lod) as frame:
-                compact = GaussianModel(
-                    rows
-                    if len(members) == 1
-                    else rows[np.searchsorted(union, ids[i])]
-                )
+                shaded = rows.shaded
                 res = render(
-                    compact,
+                    rows,
                     task.camera,
                     sh_degree=task.sh_degree,
                     background=task.background,
-                    valid_ids=np.arange(ids[i].size),
+                    valid_ids=np.searchsorted(union, ids[i]),
                     config=task.config,
                     screen=culls[i][1],
                 )
                 if _trace.enabled():
                     _metrics.record_isects(frame, res.raster)
+                    frame.set(
+                        visible=int(ids[i].size),
+                        shaded=rows.shaded - shaded,
+                    )
                 images.append(res.image)
     return images
 

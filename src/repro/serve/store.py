@@ -38,7 +38,7 @@ import numpy as np
 
 from ..core.checkpoint import CheckpointReader
 from ..core.integrity import CorruptPageError
-from ..core.pagecodec import get_page_codec
+from ..core.pagecodec import decode_halves, get_page_codec
 from ..core.pager import PageFile, ResidentSet
 from ..core.splitting import ShardMap, spatial_partition
 from ..core.systems import TransferLedger
@@ -53,7 +53,12 @@ __all__ = [
     "PageQuarantinedError",
     "PagedServingStore",
     "ServingStore",
+    "TickRows",
 ]
+
+#: the opacity and the SH columns inside a non-geometric page row
+_PAGE_OPACITY = slice(0, layout.OPACITY_DIM)
+_PAGE_SH = slice(layout.OPACITY_DIM, layout.NON_GEOMETRIC_DIM)
 
 
 class PageQuarantinedError(RuntimeError):
@@ -64,6 +69,86 @@ class PageQuarantinedError(RuntimeError):
     individually (and are reported) while the rest of the model keeps
     serving; the store as a whole never crashes on a bad page.
     """
+
+
+class _TickSH:
+    """The SH columns of a tick's rows, decoded on demand: ``sh[rows]``
+    is those rows' ``(k, 16, 3)`` coefficients, and :attr:`shaded`
+    counts the rows handed out.
+
+    ``values`` is ``(M, 48)``: decoded coefficients when ``scales`` is
+    ``None``, else float16 roots as their page held them, row ``r``
+    under the column scales ``scales[part[r]]`` of its shard — decoded
+    exactly as the page decodes them (:func:`~repro.core.pagecodec.\
+decode_halves`)."""
+
+    def __init__(self, values, dtype, scales=None, part=None):
+        self.values = values
+        self.dtype = dtype
+        self.scales = scales
+        self.part = part
+        self.shaded = 0
+
+    def __getitem__(self, rows: np.ndarray) -> np.ndarray:
+        self.shaded += len(rows)
+        if self.scales is None:
+            out = self.values[rows]
+        else:
+            out = decode_halves(
+                self.values[rows], self.scales[self.part[rows]], self.dtype
+            )
+        return out.reshape(-1, layout.SH_COEFFS_PER_CHANNEL, 3)
+
+
+class TickRows:
+    """What one serving tick gathered for the sorted union of its frames'
+    rows (:meth:`ServingStore.gather_tick`), readable as a model by
+    :func:`~repro.render.render`: the geometric columns and the opacity
+    of every row are decoded (``means`` … ``opacity_logits``); the SH
+    are decoded only for the rows a frame reads, ``sh[rows]``, and
+    :attr:`shaded` counts those."""
+
+    def __init__(self, head: np.ndarray, sh: _TickSH):
+        #: ``(M, 11)``: the geometric columns, then the opacity logit
+        self.head = head
+        self.sh = sh
+
+    @classmethod
+    def of(cls, params: np.ndarray) -> "TickRows":
+        """Wrap packed, fully decoded ``(M, 59)`` rows."""
+        return cls(
+            params[:, : layout.OPACITY_SLICE.stop],
+            _TickSH(params[:, layout.SH_SLICE], params.dtype),
+        )
+
+    @property
+    def shaded(self) -> int:
+        """Rows whose SH were read so far."""
+        return self.sh.shaded
+
+    @property
+    def num_gaussians(self) -> int:
+        return self.head.shape[0]
+
+    @property
+    def dtype(self):
+        return self.head.dtype
+
+    @property
+    def means(self) -> np.ndarray:
+        return self.head[:, layout.MEAN_SLICE]
+
+    @property
+    def log_scales(self) -> np.ndarray:
+        return self.head[:, layout.SCALE_SLICE]
+
+    @property
+    def quats(self) -> np.ndarray:
+        return self.head[:, layout.QUAT_SLICE]
+
+    @property
+    def opacity_logits(self) -> np.ndarray:
+        return self.head[:, layout.OPACITY_SLICE]
 
 
 class ServingStore:
@@ -112,6 +197,12 @@ class ServingStore:
     def gather(self, ids: np.ndarray) -> np.ndarray:
         """Packed ``(M, 59)`` rows for ``ids`` (copy)."""
         raise NotImplementedError
+
+    def gather_tick(self, ids: np.ndarray) -> TickRows:
+        """A serving tick's gather of ``ids``: the same rows, page-ins and
+        counters as :meth:`gather`, with the SH decoded only for the rows
+        a frame shades (:class:`TickRows`)."""
+        return TickRows.of(self.gather(ids))
 
     @property
     def max_gather_rows(self) -> int | None:
@@ -497,9 +588,11 @@ class PagedServingStore(ServingStore):
     def page_ins(self) -> int:
         return self.ledger.page_in_count
 
-    def gather(self, ids: np.ndarray) -> np.ndarray:
-        out = np.empty((ids.size, layout.PARAM_DIM), dtype=self.dtype)
-        out[:, layout.GEOMETRIC_SLICE] = self.geo[ids]
+    def _page_loop(self, ids: np.ndarray, copy) -> None:
+        """Page in every shard holding one of ``ids`` and call ``copy(
+        shard, sel, local)`` while it is resident (``sel``: positions in
+        ``ids``, ``local``: rows of the shard's page) — the one page loop
+        behind :meth:`gather` and :meth:`gather_tick`."""
         self.rows_gathered += ids.size
         touched = [
             (shard, sel, local)
@@ -513,8 +606,42 @@ class PagedServingStore(ServingStore):
         for shard, sel, local in touched:
             # copy while resident: a later shard's admit may spill this one
             shard.page_in()
+            copy(shard, sel, local)
+
+    def gather(self, ids: np.ndarray) -> np.ndarray:
+        out = np.empty((ids.size, layout.PARAM_DIM), dtype=self.dtype)
+        out[:, layout.GEOMETRIC_SLICE] = self.geo[ids]
+
+        def copy(shard, sel, local):
             out[sel, layout.NON_GEOMETRIC_SLICE] = shard.values[local]
+
+        self._page_loop(ids, copy)
         return out
+
+    def gather_tick(self, ids: np.ndarray) -> TickRows:
+        """:meth:`gather`'s page loop, decoding the opacity of every row
+        but keeping a float16 page's SH columns encoded — the halves and
+        the shard each row came from — so that a frame decodes only the
+        rows it shades, each exactly as :meth:`gather` decodes it. A raw
+        page holds decoded values: there is nothing to defer."""
+        if self.codec.name == "raw":
+            return super().gather_tick(ids)
+        head = np.empty((ids.size, layout.OPACITY_SLICE.stop), self.dtype)
+        head[:, layout.GEOMETRIC_SLICE] = self.geo[ids]
+        halves = np.empty((ids.size, layout.SH_DIM), np.float16)
+        part = np.empty(ids.size, np.intp)
+        scales = []
+
+        def copy(shard, sel, local):
+            page = shard.values
+            head[sel, layout.OPACITY_SLICE] = page[local, _PAGE_OPACITY]
+            halves[sel] = page.halves[local, _PAGE_SH]
+            part[sel] = len(scales)
+            scales.append(page.scales[_PAGE_SH])
+
+        self._page_loop(ids, copy)
+        scales = np.array(scales).reshape(-1, layout.SH_DIM)
+        return TickRows(head, _TickSH(halves, self.dtype, scales, part))
 
     def close(self) -> None:
         for shard in self.shards:

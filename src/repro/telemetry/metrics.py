@@ -270,9 +270,11 @@ def record_isects(span, raster) -> None:
 
     ``raster`` is the :class:`~repro.render.rasterize.RasterResult` the
     span's render produced. The ``vectorized`` engine counts what its
-    forward built (``raster.counts``), and the span gains all four: ``isects`` — rows of the tile-intersection table the
+    forward built (``raster.counts``), and the span gains all five:
+    ``isects`` — rows of the tile-intersection table the
     pairs were built from — ``pruned_isects`` — rows the occlusion prune
-    dropped before that — ``cells`` — (splat, pixel) rows expanded — and
+    dropped before that — ``splats`` — the distinct splats of the pruned
+    table — ``cells`` — (splat, pixel) rows expanded — and
     ``pairs`` — those kept; the ``render/isects_pruned`` counter
     accumulates the prune's. The ``reference`` loop builds no table and
     records nothing. Call sites guard on ``trace.enabled()``, so nothing

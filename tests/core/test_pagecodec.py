@@ -12,12 +12,15 @@ fit its page is a corrupt page, not a numpy error.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.integrity import CorruptPageError, seal_page
 from repro.core.pagecodec import (
     PAGE_CODECS,
     Float16Codec,
     RawCodec,
+    decode_halves,
     get_page_codec,
 )
 
@@ -320,6 +323,42 @@ class TestHeldRows:
         want = codec.decode(buf, page.shape, np.float64)[ids]
         got = codec.hold(buf, page.shape, np.float64)[ids]
         assert got.shape == (3,) and got.tobytes() == want.tobytes()
+
+
+class TestHeldSubsetsAreRowwise:
+    """Numerics contract fact 11: a held float16 page decodes a value
+    from its own half and its column's scale only, so any subset of rows
+    and columns — or the halves taken out with each row's scales beside
+    them, as a serving tick keeps them — gives those values of the whole
+    decode, byte for byte."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_rows_and_columns_of_the_whole_decode(self, n, dtype, seed, data):
+        rng = np.random.default_rng(seed)
+        page = rng.normal(size=(n, 49)) * 10.0 ** rng.uniform(-6, 6, size=49)
+        page[rng.random(page.shape) < 0.05] = -0.0
+        codec = Float16Codec()
+        buf = codec.encode(page)
+        whole = codec.decode(buf, page.shape, dtype)
+        held = codec.hold(buf, page.shape, dtype)
+        size = data.draw(st.sampled_from(sorted({1, min(2, n), n})))
+        rows = rng.choice(n, size=size, replace=data.draw(st.booleans()))
+        start = data.draw(st.integers(0, 48))
+        cols = slice(start, data.draw(st.integers(start + 1, 49)))
+        want = whole[rows][:, cols]
+        got = held[rows, cols]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # the halves taken out, each row under its own copy of the scales
+        scales = np.repeat(held.scales[None, cols], rows.size, axis=0)
+        got = decode_halves(held.halves[rows, cols], scales, dtype)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestMisshapenPayload:

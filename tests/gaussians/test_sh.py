@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gaussians import sh
 
@@ -132,3 +134,36 @@ class TestEvalColors:
         )
         assert g_coeffs[0, 0, 0] == 0.0
         assert g_coeffs[0, 0, 1] != 0.0
+
+
+class TestRowSubsets:
+    """Numerics contract fact 11: a colour depends on its own row only,
+    so evaluating any subset of rows gives those rows of the whole call,
+    byte for byte — what lets a forward-only render shade only the
+    splats its pair table composites."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 48),
+        degree=st.integers(0, 3),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_a_subset_is_those_rows_of_the_whole(
+        self, n, degree, dtype, seed, data
+    ):
+        rng = np.random.default_rng(seed)
+        coeffs = (
+            rng.normal(size=(n, 16, 3)) * 10.0 ** rng.uniform(-3, 3, (n, 1, 1))
+        ).astype(dtype)
+        dirs = random_unit_dirs(n, seed=seed % 1000).astype(dtype)
+        size = data.draw(st.sampled_from(sorted({1, min(2, n), n})))
+        rows = rng.choice(n, size=size, replace=False)
+        if data.draw(st.booleans()):
+            rows.sort()
+        colors, mask = sh.eval_colors(coeffs, dirs, degree)
+        sub_colors, sub_mask = sh.eval_colors(coeffs[rows], dirs[rows], degree)
+        assert sub_colors.dtype == colors.dtype
+        assert sub_colors.tobytes() == colors[rows].tobytes()
+        assert sub_mask.tobytes() == mask[rows].tobytes()

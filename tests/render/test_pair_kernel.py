@@ -530,9 +530,13 @@ class TestCountsOnEveryEngine:
         vec = get_forward("vectorized")(*args, width=w, height=h)
         saved = vec.saved
         assert vec.counts == (
-            saved.pairs.cells, saved.num_pairs, saved.num_isects, 0
+            saved.pairs.cells, saved.num_pairs, saved.num_isects, 0,
+            saved.pairs.splats,
         )
         assert vec.counts.cells > vec.counts.pairs > vec.counts.isects > 0
+        # every splat with a pair is in the table; the table holds splats
+        # whose pairs all fell below alpha_min too
+        assert np.unique(saved.pairs.sid).size <= vec.counts.splats <= n
 
     def test_the_loop_builds_no_table(self):
         args = make_splats(40, 32, 24, 0)

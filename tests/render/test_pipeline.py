@@ -102,6 +102,14 @@ class TestRenderBackwardAPI:
         assert back.param_grads.shape == (res.valid_ids.size, layout.PARAM_DIM)
         assert back.mean2d_abs.shape == (res.valid_ids.size,)
 
+    def test_a_view_that_sees_nothing_has_no_rows(self, scene):
+        model, _ = scene
+        away = Camera.look_at([0, -3.5, 0.8], [0, -9.0, 0.8], width=40, height=30)
+        res = render(model, away)
+        assert res.valid_ids.size == 0
+        grads = render_backward(model, away, res, np.ones_like(res.image))
+        assert grads.param_grads.shape == (0, layout.PARAM_DIM)
+
     def test_zero_loss_grad_gives_zero_param_grads(self, scene):
         model, cam = scene
         res = render(model, cam)

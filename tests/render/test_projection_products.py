@@ -3,14 +3,17 @@ contiguous form. The EWA projection computes four expressions by numpy's
 faster routes — ``J @ W`` as one flat ``(2M, 3) @ (3, 3)`` gemm,
 ``M Sigma M^T`` against a contiguous copy of ``M^T``, the quaternion
 norm as an explicit left-to-right sum, and ``V = R S`` as a flat
-``(M, 9)`` product — and each is only sound because it gives the bytes
+``(M, 9)`` product — and its backward two more (``J W`` and ``dL/dM
+W^T`` as flat gemms); each is only sound because it gives the bytes
 of the expression it replaced. The old expressions are kept here as
 oracles and compared by ``tobytes()``: sizes 0 to 30k, float32 and
 float64, contiguous, strided, reversed and column-view inputs, and
 quaternion components at zero, ``-0.0``, subnormal, huge, ``inf`` and
 ``NaN``. A BLAS or numpy on which a route differs fails here first."""
 
+import inspect
 import itertools
+import textwrap
 
 import numpy as np
 import pytest
@@ -49,6 +52,27 @@ def old_build_covariance(log_scales, quats):
     rot = quaternion.to_rotation_matrix(old_normalize(quats))
     factor = rot * scales[:, None, :]
     return factor @ np.ascontiguousarray(np.swapaxes(factor, -1, -2)), factor
+
+
+#: ``project_backward``'s flat routes and the stacked products they
+#: replaced
+BACKWARD_ROUTES = (
+    ("(jac.reshape(-1, 3) @ rot).reshape(jac.shape)", "jac @ rot"),
+    ("(grad_m.reshape(-1, 3) @ rot.T).reshape(grad_m.shape)", "grad_m @ rot.T"),
+)
+
+
+def old_project_backward():
+    """``project_backward`` with its stacked products put back: the
+    function's own source with each flat route replaced by the
+    expression it replaced."""
+    source = textwrap.dedent(inspect.getsource(projection.project_backward))
+    for new, old in BACKWARD_ROUTES:
+        assert source.count(new) == 1, new
+        source = source.replace(new, old)
+    namespace = dict(vars(projection))
+    exec(source, namespace)
+    return namespace["project_backward"]
 
 
 def old_cov2d(jac, cov_world, rot):
@@ -160,6 +184,60 @@ def test_flat_jw_and_contiguous_mt_give_the_stacked_bytes(dtype, n):
     assert_same_bytes(m, jac @ rot, "J W")
     flat = (m @ sigma) @ np.ascontiguousarray(np.swapaxes(m, -1, -2))
     assert_same_bytes(flat, m @ sigma @ np.swapaxes(m, -1, -2), "M Sigma M^T")
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_backward_flat_products_give_the_stacked_bytes(dtype, n):
+    """The backward's ``J W`` and ``dL/dM W^T`` as flat ``(2M, 3)`` gemms
+    equal the stacked products on dense operands — and so does ``M^T G
+    M`` against a contiguous copy of ``M^T``, which the backward does not
+    take: on its ``(3, 2)`` left operand it measured no faster."""
+    rng = np.random.default_rng(n + 3)
+    jac = (
+        rng.normal(size=(n, 2, 3)) * 10.0 ** rng.uniform(-4, 4, size=(n, 1, 1))
+    ).astype(dtype)
+    grad_m = rng.normal(size=(n, 2, 3)).astype(dtype)
+    grad_cov2d = rng.normal(size=(n, 2, 2)).astype(dtype)
+    rot = CAMERA.world_to_cam_rot.astype(dtype)
+    m = (jac.reshape(-1, 3) @ rot).reshape(jac.shape)
+    assert_same_bytes(m, jac @ rot, "J W")
+    assert_same_bytes(
+        (grad_m.reshape(-1, 3) @ rot.T).reshape(grad_m.shape),
+        grad_m @ rot.T, "dL/dM W^T",
+    )
+    mt = np.swapaxes(m, -1, -2)
+    assert_same_bytes(
+        np.ascontiguousarray(mt) @ grad_cov2d @ m, mt @ grad_cov2d @ m,
+        "M^T G M",
+    )
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 1000, 8192])
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_project_backward_gives_the_old_bytes(dtype, n):
+    """Every gradient ``project_backward`` returns equals what the same
+    function with its stacked products gives, on a real projection's
+    context and random upstream gradients."""
+    rng = np.random.default_rng(n + 4)
+    cam_points, log_scales, quats = geometry(n, dtype, seed=n + 5)
+    rot = CAMERA.world_to_cam_rot.astype(dtype)
+    means = (cam_points - CAMERA.world_to_cam_trans.astype(dtype)) @ rot
+    sh = rng.normal(0.0, 0.3, size=(n, 48)).astype(dtype)
+    result = projection.project(
+        means, log_scales, quats, rng.normal(size=n).astype(dtype), sh, CAMERA
+    )
+    args = (means, log_scales, quats, sh, CAMERA, result)
+    grads = dict(
+        grad_means2d=rng.normal(size=(n, 2)).astype(dtype),
+        grad_conics=rng.normal(size=(n, 3)).astype(dtype),
+        grad_colors=rng.normal(size=(n, 3)).astype(dtype),
+        grad_opacities=rng.normal(size=n).astype(dtype),
+    )
+    got = projection.project_backward(*args, **grads)
+    want = old_project_backward()(*args, **grads)
+    for name in ("means", "log_scales", "quats", "opacity_logits", "sh"):
+        assert_same_bytes(getattr(got, name), getattr(want, name), name)
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)

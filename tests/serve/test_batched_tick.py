@@ -375,9 +375,10 @@ class TestBatchedTick:
         store = paged(model, NUM_SHARDS // 2)
         cap = store.max_gather_rows
         sizes = []
-        gather = store.gather
+        gather = store.gather_tick  # the tick's gather primitive
         monkeypatch.setattr(
-            store, "gather", lambda ids: (sizes.append(ids.size), gather(ids))[1]
+            store, "gather_tick",
+            lambda ids: (sizes.append(ids.size), gather(ids))[1],
         )
         cams = cameras(5, 8)
         tasks = [FrameTask(cam, 0, 3) for cam in cams]

@@ -274,6 +274,80 @@ SHARDINGS = [
 ]
 
 
+class TestTickGather:
+    """A serving tick's gather (``gather_tick``) pages exactly as
+    ``gather`` does — the same page-ins, ledger, counters and resident
+    set, even when the union spills a shard part-way through — and hands
+    back the same values: every column but the SH decoded for every row,
+    the SH decoded only for the rows asked for, each byte-equal to
+    ``gather``'s."""
+
+    @staticmethod
+    def state(store):
+        return (
+            store.ledger.counts(),
+            store.rows_gathered,
+            store.shards_touched,
+            [shard.index for shard in store.resident_set.resident],
+            store.host_memory.live_by_category(),
+            store.host_memory.peak_bytes,
+        )
+
+    @pytest.mark.parametrize("codec", ["raw", "float16"])
+    def test_pages_and_values_equal_the_eager_gather(self, scene, codec):
+        model = scene.oracle
+        n = model.num_gaussians
+        eager, tick = (
+            PagedServingStore.from_model(
+                model, tight_budget(n, shards_resident=2), codec=codec
+            )
+            for _ in range(2)
+        )
+        rng = np.random.default_rng(9)
+        warm = np.sort(rng.choice(n, size=20, replace=False))
+        union = np.sort(rng.choice(n, size=3 * n // 4, replace=False))
+        try:
+            for store in (eager, tick):
+                store.gather(warm)  # some shards resident, in LRU order
+            before = eager.ledger.page_out_count
+            full = eager.gather(union)
+            rows = tick.gather_tick(union)
+            # the union touches every shard, over a budget of two: the
+            # gather spills shards it already read
+            assert eager.shards_touched - 1 > eager.resident_budget
+            assert eager.ledger.page_out_count > before
+            assert self.state(tick) == self.state(eager)
+
+            head = full[:, : layout.OPACITY_SLICE.stop]
+            assert rows.head.tobytes() == head.tobytes()
+            assert rows.num_gaussians == union.size and rows.shaded == 0
+            sh = full[:, layout.SH_SLICE]
+            for pick in (
+                np.array([0]), np.array([3, 1]),
+                np.sort(rng.choice(union.size, 25, replace=False)),
+                np.arange(union.size),
+            ):
+                got = rows.sh[pick]
+                assert got.shape == (pick.size, 16, 3)
+                assert got.dtype == full.dtype
+                assert got.tobytes() == sh[pick].tobytes()
+            assert rows.shaded == 1 + 2 + 25 + union.size
+            assert self.state(tick) == self.state(eager)  # decoding pages nothing
+        finally:
+            eager.close()
+            tick.close()
+
+    def test_in_memory_tick_is_the_gather(self, scene):
+        model = scene.oracle
+        store = InMemoryServingStore.from_model(model)
+        ids = np.arange(0, model.num_gaussians, 4)
+        rows = store.gather_tick(ids)
+        assert store.rows_gathered == ids.size
+        assert np.array_equal(rows.means, model.means[ids])
+        assert np.array_equal(rows.opacity_logits, model.opacity_logits[ids])
+        assert np.array_equal(rows.sh[np.array([2, 0])], model.sh[ids[[2, 0]]])
+
+
 class TestAnyShardingServesTheSameBytes:
     """Whatever the shard count and however many pages the budget holds,
     a gather returns the model as its pages store it — the model itself
