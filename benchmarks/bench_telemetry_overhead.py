@@ -28,7 +28,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.telemetry import export, metrics, trace
+from repro.telemetry import export, trace
 from repro.telemetry.compare import IGNORED_PREFIXES, measured_breakdown, phase_for
 
 RASTER_WH = 256
@@ -215,4 +215,3 @@ def test_telemetry_trace_artifact(benchmark):
     finally:
         trace.uninstall()
         trace.set_tracer(prev)
-        metrics.reset_registry()

@@ -9,14 +9,14 @@ what the system actually did:
    the async prefetch thread's page reads, and the disk tier's page
    traffic all land in one span ring buffer;
 2. serve a burst of requests through a paged ``RenderService`` with
-   ``ServeConfig(telemetry=True)`` — per-request latency goes into the
-   unified metrics registry's histograms;
+   ``ServeConfig(telemetry=True)`` — each request's latency rides on its
+   ``serve/request`` span as ``latency_s``;
 3. export ``out/trace.json`` — the measured Chrome trace merged with the
    simulator's modeled timeline of the same config, so both open side by
-   side in chrome://tracing / ui.perfetto.dev — and ``out/metrics.prom``
-   in Prometheus exposition format;
-4. print the numbers a dashboard would scrape: serve latency p50/p99 and
-   the measured page-stall fraction of training (``disk_stall``: page
+   side in chrome://tracing / ui.perfetto.dev;
+4. print the numbers read off the spans: serve latency p50/p99, the
+   largest raster pair table a forward kept for its backward, and the
+   measured page-stall fraction of training (``disk_stall``: page
    traffic on the stepping thread), then the per-phase
    measured-vs-modeled table ``tools/compare_trace.py`` builds.
 
@@ -36,7 +36,7 @@ from repro.gaussians import layout
 from repro.serve import RenderService, ServeConfig, requests_from_cameras
 from repro.sim import CostModel, PLATFORMS, get_platform, simulate_iteration
 from repro.sim.trace import to_chrome_trace as modeled_chrome_trace
-from repro.telemetry import compare, export, metrics, trace
+from repro.telemetry import compare, export, trace
 
 ITERATIONS = int(os.environ.get("DEMO_ITERATIONS", 24))
 NUM_SHARDS = 4
@@ -109,12 +109,14 @@ def main():
     assert all(r.status == "ok" for r in responses)
 
     tracer = trace.get_tracer()
-    registry = metrics.get_registry()
+    events = tracer.events()
 
-    # -- the dashboard numbers --------------------------------------------
-    latency = registry.histogram("serve/latency_s").summary()
-    print(f"\nserve latency over {latency['count']} requests: "
-          f"p50 {latency['p50'] * 1e3:.2f} ms, p99 {latency['p99'] * 1e3:.2f} ms")
+    # -- the numbers the spans carry --------------------------------------
+    latency = [ev.attrs["latency_s"] for ev in events if ev.name == "serve/request"]
+    assert len(latency) == len(responses), "one serve/request span per response"
+    p50, p99 = np.quantile(latency, [0.5, 0.99])
+    print(f"\nserve latency over {len(latency)} requests: "
+          f"p50 {p50 * 1e3:.2f} ms, p99 {p99 * 1e3:.2f} ms")
 
     # every phase but `disk` (which also counts the prefetch lane's
     # reads) is time on the stepping thread
@@ -123,12 +125,14 @@ def main():
     print(f"page-stall fraction of training: {stall_s / max(step_s, 1e-12):.1%} "
           f"({stall_s * 1e3:.2f} ms of page traffic on the stepping thread "
           f"in {step_s * 1e3:.2f} ms of stepping, per step)")
-    saved_kb = registry.gauge("render/saved_pair_bytes").value / 1e3
+    saved_kb = max(
+        ev.attrs.get("saved_bytes", 0) for ev in events if ev.name == "train/forward"
+    ) / 1e3
     print(f"largest raster pair table kept from forward to backward: "
           f"{saved_kb:.1f} kB (host-process state; the modeled tracker's "
           f"`activations` charge stands for it)")
     main_tid = None
-    for ev in tracer.events():
+    for ev in events:
         if ev.name == "train/step":
             main_tid = ev.tid
             break
@@ -137,7 +141,7 @@ def main():
             tracer.thread_names.get(
                 ev.tid, "main" if ev.tid == main_tid else str(ev.tid)
             )
-            for ev in tracer.events()
+            for ev in events
         }
     )
     print(f"timeline lanes recorded: {', '.join(lanes)}")
@@ -153,11 +157,8 @@ def main():
     export.write_chrome_trace(
         tracer, trace_path, modeled=modeled_chrome_trace(sim.segments)
     )
-    prom_path = os.path.join(OUT_DIR, "metrics.prom")
-    export.write_prometheus(registry, prom_path)
     print(f"\nwrote {trace_path} (modeled pid 1 + measured pid 2 — open in "
           "chrome://tracing or ui.perfetto.dev)")
-    print(f"wrote {prom_path} (Prometheus exposition format)")
 
     # -- measured vs modeled, per phase -----------------------------------
     modeled = compare.modeled_breakdown(

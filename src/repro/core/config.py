@@ -7,8 +7,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..gaussians.layout import SH_DEGREE
-from ..optim.base import AdamConfig
-from ..optim.lr_schedule import packed_lr_vector
+from ..optim.base import AdamConfig, packed_lr_vector
 from ..render.rasterize import RasterConfig
 from ..train.loss import DEFAULT_SSIM_LAMBDA
 

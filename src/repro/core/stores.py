@@ -73,7 +73,6 @@ from ..render import CullResult, frustum_cull
 from ..render.culling import gated_cull
 from ..render.projection import ScreenRows
 from ..sim.memory import MemoryTracker
-from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
 from .pager import PageFile, PreloadedShard, ResidentSet, SpillStats
 from .splitting import ShardMap
@@ -680,9 +679,6 @@ class DiskStore(HostStore):
                 "page/out", t0, t1, cat="page",
                 attrs={"bytes": self._state_bytes()},
             )
-            _metrics.get_registry().histogram(
-                "page_out_seconds", store="disk"
-            ).observe(t1 - t0)
 
     def _install(self, arrays: dict[str, np.ndarray]) -> None:
         """Adopt ``arrays`` as the paged-in working set (lock held,
@@ -716,9 +712,6 @@ class DiskStore(HostStore):
                     "page/in", t0, t1, cat="page",
                     attrs={"bytes": self._state_bytes()},
                 )
-                _metrics.get_registry().histogram(
-                    "page_in_seconds", store="disk"
-                ).observe(t1 - t0)
             self._install(arrays)
 
     def preload(self) -> PreloadedShard | None:

@@ -56,7 +56,6 @@ from ..render import projection, render, render_backward
 from ..render import frustum_cull  # noqa: F401
 from ..render.culling import CullResult
 from ..sim.memory import ACTIVATION_BYTES_PER_PIXEL, MemoryTracker
-from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
 from ..telemetry.trace import span as _span
 from ..train.loss import photometric_loss
@@ -372,17 +371,13 @@ class TrainingSystem(ABC):
                     res.image, gt_region, ssim_lambda=self.config.ssim_lambda
                 )
                 if _trace.enabled():
-                    _metrics.record_isects(fwd, res.raster)
+                    _trace.record_isects(fwd, res.raster)
                     saved = res.raster.saved
                     if saved is not None:
                         # the raster state held for backward is real
                         # process memory the modeled tracker does not (and
                         # should not) charge: `activations` stands for it
-                        saved_bytes = saved.nbytes
-                        fwd.set(saved_bytes=saved_bytes)
-                        _metrics.get_registry().gauge(
-                            "render/saved_pair_bytes"
-                        ).set_max(saved_bytes)
+                        fwd.set(saved_bytes=saved.nbytes)
             with _span("train/backward", "train"):
                 back = render_backward(
                     compact, camera, res, loss.grad_image * pixel_weight

@@ -2,14 +2,15 @@
 
 from .adam import DenseAdam
 from .base import (
+    DEFAULT_LRS,
     AdamConfig,
     SparseOptimizer,
     StepStats,
     adam_update,
     float_traffic_bytes,
+    packed_lr_vector,
 )
 from .deferred import MAX_DEFER, DeferredAdam
-from .lr_schedule import DEFAULT_LRS, packed_lr_vector
 
 __all__ = [
     "AdamConfig",

@@ -40,7 +40,6 @@ import numpy as np
 
 from . import faults
 from .telemetry import trace as _trace
-from .telemetry.metrics import aggregate_counts
 
 __all__ = [
     "Lane",
@@ -397,6 +396,28 @@ def shutdown_raster_pools() -> None:
             errors.append(exc)
     if errors:
         raise errors[0]
+
+
+def aggregate_counts(mappings, keys=None) -> dict:
+    """Sum per-key counts across an iterable of mappings.
+
+    With ``keys`` the result has exactly those keys (missing entries
+    count as 0 and unknown keys in the inputs are ignored); without, the
+    result is the union of all input keys.
+    """
+    if keys is not None:
+        totals = dict.fromkeys(keys, 0)
+        for m in mappings:
+            for k in keys:
+                v = m.get(k)
+                if v:
+                    totals[k] += v
+        return totals
+    totals = {}
+    for m in mappings:
+        for k, v in m.items():
+            totals[k] = totals.get(k, 0) + v
+    return totals
 
 
 def raster_pool_fault_stats() -> dict[str, int]:

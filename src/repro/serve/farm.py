@@ -40,7 +40,6 @@ from ..render import cull_candidates, frustum_cull, render
 from ..pool import attach_shm, get_raster_pool, pack_shm, shm_views
 from ..render.projection import ScreenRows
 from ..render.rasterize import RasterConfig
-from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
 from ..telemetry.trace import span as _span
 from .store import InMemoryServingStore, ServingStore
@@ -187,7 +186,7 @@ max_gather_rows` — for a paged store the rows its page budget holds,
     raises; the service contains it by retrying frame by frame. Each
     composited frame visits the ``serve:frame`` fault point with its
     index in ``tasks``; traced, its ``serve/frame`` span carries the
-    table counts (:func:`~repro.telemetry.metrics.record_isects`), the
+    table counts (:func:`~repro.telemetry.trace.record_isects`), the
     rows it could composite (``visible``) and the rows whose SH it read
     (``shaded``).
     """
@@ -220,7 +219,7 @@ max_gather_rows` — for a paged store the rows its page budget holds,
                     screen=culls[i][1],
                 )
                 if _trace.enabled():
-                    _metrics.record_isects(frame, res.raster)
+                    _trace.record_isects(frame, res.raster)
                     frame.set(
                         visible=int(ids[i].size),
                         shaded=rows.shaded - shaded,

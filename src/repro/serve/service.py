@@ -64,7 +64,6 @@ from ..cameras.camera import Camera
 from ..gaussians.model import GaussianModel
 from ..pool import raster_pool_fault_stats
 from ..render.rasterize import RasterConfig
-from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
 from ..telemetry.trace import span as _span
 from .cache import FrameCache, frame_key
@@ -109,10 +108,11 @@ class ServeConfig:
             entries — and only what still exceeds the limit at the
             coarsest level is rejected with reason ``overload``
             (``None`` = unlimited).
-        telemetry: record measured spans and latency histograms through
-            :mod:`repro.telemetry` (installs the process-wide tracer at
-            service construction; tick/request lifecycles, serve
-            page-ins, and farm worker spans all land in one buffer).
+        telemetry: record measured spans through :mod:`repro.telemetry`
+            (installs the process-wide tracer at service construction;
+            tick/request lifecycles — each ``serve/request`` span carries
+            its response's ``latency_s`` — serve page-ins, and farm worker
+            spans all land in one buffer).
     """
 
     deadline_s: float | None = None
@@ -646,12 +646,14 @@ class RenderService:
         if _trace.enabled():
             tracer = _trace.get_tracer()
             t_end = time.perf_counter()
-            latency = _metrics.get_registry().histogram("serve/latency_s")
             for resp in responses:
-                latency.observe(resp.latency_s)
                 tracer.record(
                     "serve/request", t0, t_end, cat="serve",
-                    attrs={"status": resp.status, "lod": resp.lod},
+                    attrs={
+                        "status": resp.status,
+                        "lod": resp.lod,
+                        "latency_s": resp.latency_s,
+                    },
                 )
         return responses
 
@@ -671,8 +673,7 @@ class RenderService:
 
         One source: the pool counters come from
         :func:`raster_pool_fault_stats` and fan out to the ``pool_*``
-        stats fields — and, when telemetry is live, into the metrics
-        registry — without re-listing the keys.
+        stats fields.
         """
         self.stats.quarantined_pages = len(
             getattr(self.store, "quarantined", ())
@@ -680,10 +681,6 @@ class RenderService:
         pool = raster_pool_fault_stats()
         for key in ("worker_deaths", "respawns", "retries"):
             setattr(self.stats, f"pool_{key}", pool[key])
-        if _trace.enabled():
-            registry = _metrics.get_registry()
-            _metrics.mirror_pool_faults(registry, pool)
-            _metrics.mirror_serve_stats(registry, self.stats)
 
     def config_sh_degree(self) -> int:
         """SH degree served without a LOD set (the model's full degree)."""

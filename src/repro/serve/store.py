@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import os
 import tempfile
-import time
 
 import numpy as np
 
@@ -44,7 +43,6 @@ from ..core.splitting import ShardMap, spatial_partition
 from ..core.systems import TransferLedger
 from ..gaussians import layout
 from ..sim.memory import MemoryTracker
-from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
 from ..telemetry.trace import span as _span
 
@@ -350,11 +348,7 @@ class _ServeShard:
                 store._quarantine(self, exc)
             raise
         finally:
-            if tok is not None:
-                _trace.end(tok)
-                _metrics.get_registry().histogram(
-                    "page_in_seconds", store="serve"
-                ).observe(time.perf_counter() - tok[3])
+            _trace.end(tok)
         store.host_memory.allocate("serve_resident_shards", self.state_bytes)
         store.ledger.record_page_in(self.state_bytes, self.page.disk_nbytes)
 

@@ -1,17 +1,18 @@
-"""Measured telemetry: span tracing, metrics registry, live exporters.
+"""Measured telemetry: span tracing, trace export, measured-vs-modeled.
 
 The simulator (:mod:`repro.sim`) *models* the GS-Scale timeline; this
-package *measures* it. Four pieces:
+package *measures* it. Three pieces:
 
 * :mod:`~repro.telemetry.trace` — a low-overhead ring-buffer span
   tracer; ``span("train/forward")`` context manager, explicit
-  begin/end, worker-process span shipping, near-zero when disabled.
-* :mod:`~repro.telemetry.metrics` — unified counters / gauges /
-  p50-p95-p99 histograms plus adapters mirroring the legacy
-  pool-fault / ``ServeStats`` counters into one registry.
+  begin/end, worker-process span shipping (attributes included),
+  near-zero when disabled. Counts ride on the spans as attributes
+  (``serve/request`` carries ``latency_s``, ``train/forward`` and
+  ``serve/frame`` their table counts); ``TransferLedger``,
+  ``MemoryTracker``, ``ServeStats`` and the pool fault counters stay
+  the sources of truth for running totals.
 * :mod:`~repro.telemetry.export` — Chrome trace-event JSON in the same
-  schema as ``sim/trace.py`` (measured pid 2 next to modeled pid 1),
-  Prometheus text exposition.
+  schema as ``sim/trace.py`` (measured pid 2 next to modeled pid 1).
 * :mod:`~repro.telemetry.compare` — measured-vs-modeled per-phase
   deltas against ``sim/timeline.py`` breakdowns (CLI:
   ``tools/compare_trace.py``).
@@ -20,24 +21,13 @@ Enable with ``GSScaleConfig(telemetry=True)`` /
 ``ServeConfig(telemetry=True)`` or an explicit ``trace.install()``.
 """
 
-from . import compare, export, metrics, trace
+from . import compare, export, trace
 from .compare import compare_breakdowns, measured_breakdown, modeled_breakdown
 from .export import (
     MEASURED_PID,
     merge_traces,
     to_chrome_trace,
-    to_prometheus,
     write_chrome_trace,
-    write_prometheus,
-)
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    aggregate_counts,
-    get_registry,
-    reset_registry,
 )
 from .trace import (
     SpanEvent,
@@ -53,32 +43,22 @@ from .trace import (
 
 __all__ = [
     "MEASURED_PID",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "SpanEvent",
     "Tracer",
-    "aggregate_counts",
     "begin",
     "compare",
     "compare_breakdowns",
     "enabled",
     "end",
     "export",
-    "get_registry",
     "get_tracer",
     "install",
     "measured_breakdown",
     "merge_traces",
-    "metrics",
     "modeled_breakdown",
-    "reset_registry",
     "span",
     "to_chrome_trace",
-    "to_prometheus",
     "trace",
     "uninstall",
     "write_chrome_trace",
-    "write_prometheus",
 ]

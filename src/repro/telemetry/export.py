@@ -1,4 +1,4 @@
-"""Exporters: measured Chrome traces and Prometheus text.
+"""Exporter: measured Chrome traces.
 
 The Chrome exporter emits the same trace-event schema as
 :func:`repro.sim.trace.to_chrome_trace` — ``ph:"X"`` duration events
@@ -23,16 +23,13 @@ from __future__ import annotations
 import json
 import threading
 
-from .metrics import MetricsRegistry
 from .trace import Tracer
 
 __all__ = [
     "MEASURED_PID",
     "merge_traces",
     "to_chrome_trace",
-    "to_prometheus",
     "write_chrome_trace",
-    "write_prometheus",
 ]
 
 #: pid of measured lanes (the simulator's modeled lanes use pid 1).
@@ -123,75 +120,3 @@ def write_chrome_trace(tracer: Tracer, path, modeled: dict | None = None,
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
     return doc
-
-
-# ---------------------------------------------------------------------------
-# metrics exporters
-# ---------------------------------------------------------------------------
-
-def _prom_name(name: str) -> str:
-    """Sanitize a metric name for Prometheus exposition."""
-    out = []
-    for ch in name:
-        out.append(ch if ch.isalnum() or ch == "_" else "_")
-    s = "".join(out)
-    if s and s[0].isdigit():
-        s = "_" + s
-    return s
-
-
-def _prom_labels(labels: dict, extra: dict | None = None) -> str:
-    merged = dict(labels)
-    if extra:
-        merged.update(extra)
-    if not merged:
-        return ""
-    body = ",".join(
-        f'{_prom_name(str(k))}="{v}"' for k, v in sorted(merged.items())
-    )
-    return "{" + body + "}"
-
-
-def _prom_value(v) -> str:
-    f = float(v)
-    if f != f:
-        return "NaN"
-    return repr(f) if isinstance(v, float) else str(v)
-
-
-def to_prometheus(registry: MetricsRegistry) -> str:
-    """Text-exposition snapshot of the registry.
-
-    Histograms export as Prometheus summaries: ``<name>{quantile=...}``
-    series for p50/p95/p99 plus ``_count`` and ``_sum``.
-    """
-    lines = []
-    for c in registry.counters():
-        name = _prom_name(c.name)
-        lines.append(f"# TYPE {name} counter")
-        lines.append(f"{name}{_prom_labels(c.labels)} {_prom_value(c.value)}")
-    for g in registry.gauges():
-        name = _prom_name(g.name)
-        lines.append(f"# TYPE {name} gauge")
-        lines.append(f"{name}{_prom_labels(g.labels)} {_prom_value(g.value)}")
-    for h in registry.histograms():
-        name = _prom_name(h.name)
-        lines.append(f"# TYPE {name} summary")
-        for q in (0.5, 0.95, 0.99):
-            val = h.percentile(q * 100.0) if h.count else float("nan")
-            lines.append(
-                f"{name}{_prom_labels(h.labels, {'quantile': q})} "
-                f"{_prom_value(val)}"
-            )
-        lines.append(f"{name}_count{_prom_labels(h.labels)} {h.count}")
-        lines.append(
-            f"{name}_sum{_prom_labels(h.labels)} {_prom_value(h.sum)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def write_prometheus(registry: MetricsRegistry, path) -> str:
-    text = to_prometheus(registry)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return text

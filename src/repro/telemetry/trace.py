@@ -29,7 +29,7 @@ Three recording surfaces:
 Cross-process spans: :func:`traced_task` is a picklable pool-task wrapper
 that runs the wrapped function under a fresh worker-local tracer and
 ships the recorded spans back *with the task result* (times relative to
-task start). :meth:`Tracer.record_shipped` then replays them onto a
+task start, attributes included). :meth:`Tracer.record_shipped` then replays them onto a
 synthetic per-worker lane anchored at the host-side dispatch time — a
 pure function of the shipped spans and the anchor, so the remap is
 deterministic.
@@ -50,6 +50,7 @@ __all__ = [
     "get_tracer",
     "install",
     "name_current_thread",
+    "record_isects",
     "set_tracer",
     "span",
     "traced_task",
@@ -195,15 +196,17 @@ class Tracer:
     ) -> None:
         """Replay spans shipped back from a worker process.
 
-        ``shipped`` is the ``(name, cat, start, dur)`` list produced by
-        :func:`traced_task` (times relative to task start); ``anchor`` is
+        ``shipped`` is the ``(name, cat, start, dur, attrs)`` list produced
+        by :func:`traced_task` (times relative to task start); ``anchor`` is
         the absolute host-side ``perf_counter`` the spans are re-based
         onto (the map dispatch time); ``lane`` is the synthetic thread
         lane they land on. Deterministic: same inputs, same events.
         """
         base = anchor - self.epoch
-        for name, cat, start, dur in shipped:
-            self.record_rel(name, base + start, dur, cat=cat, tid=lane)
+        for name, cat, start, dur, attrs in shipped:
+            self.record_rel(
+                name, base + start, dur, cat=cat, tid=lane, attrs=attrs
+            )
 
     # -- explicit begin/end ------------------------------------------------
     def begin(self, name: str, cat: str = "app", attrs: dict | None = None):
@@ -286,6 +289,25 @@ def name_current_thread(name: str) -> None:
         t.name_thread(name)
 
 
+def record_isects(span, raster) -> None:
+    """Put a forward pass's table counts on its span.
+
+    ``raster`` is the :class:`~repro.render.rasterize.RasterResult` the
+    span's render produced. The ``vectorized`` engine counts what its
+    forward built (``raster.counts``), and the span gains all five:
+    ``isects`` — rows of the tile-intersection table the
+    pairs were built from — ``pruned_isects`` — rows the occlusion prune
+    dropped before that — ``splats`` — the distinct splats of the pruned
+    table — ``cells`` — (splat, pixel) rows expanded — and
+    ``pairs`` — those kept. The ``reference`` loop builds no table and
+    records nothing. Call sites guard on :func:`enabled`, so nothing
+    runs untraced.
+    """
+    counts = raster.counts
+    if counts is not None:
+        span.set(**counts._asdict())
+
+
 def span(name: str, cat: str = "app", **attrs):
     """Context manager recording ``name`` as a span (no-op when off).
 
@@ -328,8 +350,8 @@ def traced_task(payload):
     :func:`span` the task function (or code it calls) opens records
     locally; the whole task gets an enclosing ``pool/<fn name>`` span.
     Returns ``(result, spans)`` where ``spans`` is a picklable
-    ``(name, cat, start, dur)`` list with times relative to task start —
-    :meth:`Tracer.record_shipped` replays them host-side.
+    ``(name, cat, start, dur, attrs)`` list with times relative to task
+    start — :meth:`Tracer.record_shipped` replays them host-side.
     """
     fn, arg = payload
     local = Tracer(capacity=WORKER_CAPACITY)
@@ -340,5 +362,7 @@ def traced_task(payload):
     finally:
         local.end(tok)
         set_tracer(prev)
-    shipped = [(e.name, e.cat, e.start, e.dur) for e in local.events()]
+    shipped = [
+        (e.name, e.cat, e.start, e.dur, e.attrs) for e in local.events()
+    ]
     return result, shipped

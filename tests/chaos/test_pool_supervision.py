@@ -18,6 +18,7 @@ from repro.faults import Fault, FaultPlan, active_plan
 from repro.pool import (
     PersistentPool,
     PoolFaultError,
+    aggregate_counts,
     get_raster_pool,
     raster_pool_fault_stats,
     shutdown_raster_pools,
@@ -221,3 +222,16 @@ class TestPlanTransport:
             assert clean == faulted  # float-exact: same pure function
         finally:
             pool.close()
+
+
+class TestAggregateCounts:
+    def test_sums_across_mappings(self):
+        out = aggregate_counts([{"a": 1, "b": 2}, {"a": 3, "c": 5}])
+        assert out == {"a": 4, "b": 2, "c": 5}
+
+    def test_explicit_keys_zero_fill(self):
+        out = aggregate_counts([{"a": 1}], keys=("a", "b"))
+        assert out == {"a": 1, "b": 0}
+
+    def test_empty_input(self):
+        assert aggregate_counts([], keys=("a",)) == {"a": 0}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import GSScaleConfig, create_system
+from repro.core.systems import TransferLedger
 from repro.datasets import SyntheticSceneConfig, build_scene
 from repro.gaussians import layout
 from repro.sim.memory import ACTIVATION_BYTES_PER_PIXEL
@@ -60,6 +61,18 @@ class TestLedgerFormulas:
         first = s.ledger.h2d_bytes
         s.step(scene.train_cameras[1], scene.train_images[1])
         assert s.ledger.h2d_bytes > first
+
+
+class TestLedgerCounts:
+    def test_counts_match_dataclass_fields(self):
+        ledger = TransferLedger()
+        ledger.h2d_bytes = 1234
+        ledger.page_in_count = 7
+        ledger.page_out_disk_bytes = 99
+        counts = ledger.counts()
+        assert "parent" not in counts
+        for key, value in counts.items():
+            assert value == getattr(ledger, key)
 
 
 class TestMemoryFormulas:

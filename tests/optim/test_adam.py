@@ -137,6 +137,21 @@ class TestDenseAdam:
 
 
 class TestLrSchedule:
+    def test_rate_table_lives_beside_the_optimizers(self):
+        import repro.optim
+        from repro.optim import base
+
+        assert repro.optim.DEFAULT_LRS is base.DEFAULT_LRS
+        assert repro.optim.packed_lr_vector is base.packed_lr_vector
+        assert base.DEFAULT_LRS == {
+            "mean": 1.6e-4,
+            "scale": 5e-3,
+            "quat": 1e-3,
+            "opacity": 5e-2,
+            "sh": 2.5e-3,
+        }
+        assert base.SH_REST_DIVISOR == 20.0
+
     def test_packed_lr_vector_layout(self):
         from repro.gaussians import layout
         from repro.optim import packed_lr_vector

@@ -1,4 +1,4 @@
-"""Isolate the process-wide tracer/registry around every telemetry test.
+"""Isolate the process-wide tracer around every telemetry test.
 
 Telemetry is deliberately process-global (one buffer, one epoch), so
 tests must not leak an installed tracer into the rest of the suite —
@@ -8,14 +8,12 @@ stale ring buffer and instrumented hot paths would stop being no-ops.
 
 import pytest
 
-from repro.telemetry import metrics, trace
+from repro.telemetry import trace
 
 
 @pytest.fixture(autouse=True)
 def isolated_telemetry():
     prev = trace.uninstall()
-    metrics.reset_registry()
     yield
     trace.uninstall()
     trace.set_tracer(prev)
-    metrics.reset_registry()

@@ -1,10 +1,9 @@
-"""Exporter tests: Chrome trace schema parity with sim, Prometheus text."""
+"""Exporter tests: Chrome trace schema parity with sim."""
 
 import json
 import threading
 
 from repro.telemetry import export, trace
-from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.trace import Tracer
 
 
@@ -53,6 +52,14 @@ class TestChromeTrace:
         (page_in,) = [e for e in doc["traceEvents"] if e["name"] == "page/in"]
         assert page_in["args"] == {"bytes": 4096}
 
+    def test_shipped_attrs_become_args(self):
+        tracer = trace.install()
+        shipped = [("serve/frame", "serve", 0.001, 0.002, {"lod": 1, "shaded": 9})]
+        tracer.record_shipped(shipped, tracer.epoch + 0.5, "pool-worker-1")
+        doc = export.to_chrome_trace(tracer)
+        (frame,) = [e for e in doc["traceEvents"] if e["name"] == "serve/frame"]
+        assert frame["args"] == {"lod": 1, "shaded": 9}
+
     def test_named_thread_lane_survives_thread_exit(self):
         tracer = trace.install()
 
@@ -87,40 +94,3 @@ class TestChromeTrace:
         pids = {e["pid"] for e in doc["traceEvents"]}
         assert pids == {1, export.MEASURED_PID}
 
-
-class TestPrometheus:
-    def test_counter_gauge_histogram_exposition(self):
-        reg = MetricsRegistry()
-        reg.counter("page_ins", store="disk").inc(3)
-        reg.gauge("live_bytes").set(1024)
-        hist = reg.histogram("serve/latency_s")
-        for v in (0.01, 0.02, 0.03):
-            hist.observe(v)
-        text = export.to_prometheus(reg)
-        assert '# TYPE page_ins counter' in text
-        assert 'page_ins{store="disk"} 3' in text
-        assert "# TYPE live_bytes gauge" in text
-        assert "# TYPE serve_latency_s summary" in text
-        assert 'serve_latency_s{quantile="0.5"} 0.02' in text
-        assert "serve_latency_s_count 3" in text
-        assert text.endswith("\n")
-
-    def test_metric_names_sanitized(self):
-        reg = MetricsRegistry()
-        reg.counter("page/in.bytes").inc()
-        text = export.to_prometheus(reg)
-        assert "page_in_bytes 1" in text
-
-    def test_empty_histogram_exports_nan_quantiles(self):
-        reg = MetricsRegistry()
-        reg.histogram("lat")
-        text = export.to_prometheus(reg)
-        assert 'lat{quantile="0.5"} NaN' in text
-        assert "lat_count 0" in text
-
-    def test_write_prometheus_round_trip(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.gauge("x").set(1.5)
-        path = tmp_path / "metrics.prom"
-        text = export.write_prometheus(reg, path)
-        assert path.read_text(encoding="utf-8") == text

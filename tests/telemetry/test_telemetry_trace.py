@@ -4,6 +4,9 @@ import sys
 import threading
 import time
 
+import pytest
+
+from repro.core.config import SYSTEM_NAMES
 from repro.telemetry import trace
 from repro.telemetry.trace import SpanEvent, Tracer, _NULL_SPAN
 
@@ -116,8 +119,8 @@ class TestRingBuffer:
 
 class TestShippedSpanRemap:
     SHIPPED = [
-        ("pool/frame_task", "pool", 0.000, 0.010),
-        ("serve/frame", "serve", 0.002, 0.004),
+        ("pool/frame_task", "pool", 0.000, 0.010, None),
+        ("serve/frame", "serve", 0.002, 0.004, {"lod": 1, "isects": 7}),
     ]
 
     def test_remap_is_deterministic(self):
@@ -138,16 +141,38 @@ class TestShippedSpanRemap:
         )
         assert inner.start == 2.002
         assert inner.tid == "pool-worker-3"
+        assert inner.attrs == {"lod": 1, "isects": 7}
 
     def test_traced_task_ships_spans_with_result(self):
         result, shipped = trace.traced_task((_double_with_span, 21))
         assert result == 42
-        names = [name for name, _cat, _start, _dur in shipped]
+        names = [name for name, _cat, _start, _dur, _attrs in shipped]
         assert names == ["inner/work", "pool/double_with_span"]
-        for _name, _cat, start, dur in shipped:
+        for _name, _cat, start, dur, _attrs in shipped:
             assert start >= 0.0 and dur >= 0.0
+        # attributes set inside the worker ride home with the span
+        assert shipped[0][4] == {"x": 21}
         # the worker-local tracer never leaks into this process
         assert trace.get_tracer() is None
+
+    def test_spans_without_attrs_ship_none(self):
+        _result, shipped = trace.traced_task((_bare_span, 3))
+        assert [(name, attrs) for name, _c, _s, _d, attrs in shipped] == [
+            ("inner/bare", None),
+            ("pool/bare_span", None),
+        ]
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_pool_map_replays_worker_attrs(self, processes):
+        from repro.pool import PersistentPool
+
+        tracer = trace.install()
+        with PersistentPool(processes) as pool:
+            assert pool.map(_double_with_span, [1, 2, 3]) == [2, 4, 6]
+        inner = [ev for ev in tracer.events() if ev.name == "inner/work"]
+        assert sorted(ev.attrs["x"] for ev in inner) == [1, 2, 3]
+        lanes = {f"pool-worker-{k}" for k in range(processes)}
+        assert {ev.tid for ev in inner} <= lanes
 
 
 class TestDisabledMode:
@@ -200,7 +225,7 @@ class TestSavedPairTelemetry:
     reported per view — through telemetry, not the modeled tracker."""
 
     @staticmethod
-    def _system(telemetry, engine="vectorized"):
+    def _system(telemetry, engine="vectorized", system="gsscale"):
         from repro.core import GSScaleConfig, create_system
         from repro.datasets import SyntheticSceneConfig, build_scene
 
@@ -213,15 +238,13 @@ class TestSavedPairTelemetry:
         system = create_system(
             scene.initial.copy(),
             GSScaleConfig(
-                system="gsscale", engine=engine, telemetry=telemetry,
+                system=system, engine=engine, telemetry=telemetry,
                 scene_extent=scene.extent, mem_limit=1.0,
             ),
         )
         return system, scene
 
-    def test_forward_span_and_gauge_report_the_saved_state(self):
-        from repro.telemetry import metrics
-
+    def test_forward_span_reports_the_saved_state(self):
         system, scene = self._system(telemetry=True)
         for cam, img in zip(scene.train_cameras, scene.train_images):
             system.step(cam, img)
@@ -234,29 +257,117 @@ class TestSavedPairTelemetry:
             assert ev.attrs["pairs"] > 0
             # 8 B each of pixel id, splat id, alpha and t_before per pair
             assert ev.attrs["saved_bytes"] >= 32 * ev.attrs["pairs"]
-        gauge = metrics.get_registry().gauge("render/saved_pair_bytes")
-        assert gauge.value == max(ev.attrs["saved_bytes"] for ev in forwards)
 
-    def test_nothing_recorded_when_off(self):
-        from repro.telemetry import metrics
+    @pytest.mark.parametrize("name", SYSTEM_NAMES)
+    def test_every_system_reports_the_saved_state(self, name):
+        """The forward span is the one record of the saved pair table,
+        whichever placement steps the view."""
+        system, scene = self._system(telemetry=True, system=name)
+        try:
+            for cam, img in zip(scene.train_cameras, scene.train_images):
+                system.step(cam, img)
+        finally:
+            system.finalize()
+        forwards = [
+            ev for ev in trace.get_tracer().events()
+            if ev.name == "train/forward"
+        ]
+        assert len(forwards) >= 2  # a split view forwards per region
+        for ev in forwards:
+            assert ev.attrs["isects"] > 0 and ev.attrs["pairs"] > 0
+            assert ev.attrs["saved_bytes"] >= 32 * ev.attrs["pairs"]
 
+    def test_nothing_recorded_when_off(self, monkeypatch):
+        monkeypatch.setattr(trace, "record_isects", _untraced)
         system, scene = self._system(telemetry=False)
         system.step(scene.train_cameras[0], scene.train_images[0])
-        assert metrics.get_registry().gauges() == []
+        assert trace.get_tracer() is None
+
+
+class TestPageSpans:
+    """Each synchronous page-in and each written page-out is one span:
+    the trace accounts for the ledger's page counts."""
+
+    @staticmethod
+    def _outofcore(resident_shards):
+        from repro.core import GSScaleConfig, create_system
+        from repro.datasets import SyntheticSceneConfig, build_scene
+
+        scene = build_scene(
+            SyntheticSceneConfig(
+                num_points=240, width=32, height=24, num_train_cameras=4,
+                num_test_cameras=1, altitude=9.0, seed=3,
+            )
+        )
+        system = create_system(
+            scene.initial.copy(),
+            GSScaleConfig(
+                system="outofcore", num_shards=4,
+                resident_shards=resident_shards,
+                async_prefetch=False, telemetry=True,
+                scene_extent=scene.extent, mem_limit=1.0, seed=0,
+            ),
+        )
+        return system, scene
+
+    def test_outofcore_page_spans_match_the_ledger(self):
+        system, scene = self._outofcore(resident_shards=2)
+        try:
+            for _ in range(2):
+                for cam, img in zip(scene.train_cameras, scene.train_images):
+                    system.step(cam, img)
+            events = trace.get_tracer().events()
+            ledger = system.ledger
+            page_ins = [ev for ev in events if ev.name == "page/in"]
+            page_outs = [ev for ev in events if ev.name == "page/out"]
+            assert len(page_ins) == ledger.page_in_count > 0
+            assert len(page_outs) == ledger.page_out_count > 0
+        finally:
+            system.finalize()
+
+    @pytest.mark.parametrize("resident_shards", [1, 2, 3])
+    def test_page_span_bytes_match_the_ledger(self, resident_shards):
+        """At every residency budget each page span carries the bytes its
+        ledger record booked."""
+        system, scene = self._outofcore(resident_shards)
+        try:
+            for cam, img in zip(scene.train_cameras, scene.train_images):
+                system.step(cam, img)
+            events = trace.get_tracer().events()
+            ledger = system.ledger
+            page_ins = [ev for ev in events if ev.name == "page/in"]
+            page_outs = [ev for ev in events if ev.name == "page/out"]
+            assert len(page_ins) == ledger.page_in_count > 0
+            assert len(page_outs) == ledger.page_out_count
+            assert sum(ev.attrs["bytes"] for ev in page_ins) == ledger.page_in_bytes
+            assert (
+                sum(ev.attrs["bytes"] for ev in page_outs)
+                == ledger.page_out_bytes
+            )
+        finally:
+            system.finalize()
+
+
+def _untraced(*_args):
+    raise AssertionError("table counts recorded on an untraced run")
 
 
 def _double_with_span(x):
-    with trace.span("inner/work", "app"):
+    with trace.span("inner/work", "app") as sp:
+        sp.set(x=x)
         return 2 * x
+
+
+def _bare_span(x):
+    with trace.span("inner/bare", "app"):
+        return x
 
 
 class TestIsectTelemetry:
     """How many tile intersections a view had, and how many the occlusion
-    prune dropped, ride on the forward-pass spans and one counter."""
+    prune dropped, ride on the forward-pass spans."""
 
     def test_train_forward_spans_carry_the_counts(self):
-        from repro.telemetry import metrics
-
         system, scene = TestSavedPairTelemetry._system(telemetry=True)
         for cam, img in zip(scene.train_cameras, scene.train_images):
             system.step(cam, img)
@@ -268,37 +379,36 @@ class TestIsectTelemetry:
         for ev in forwards:
             assert ev.attrs["isects"] > 0
             assert ev.attrs["pruned_isects"] == 0  # opacity 0.1: no-op
-        (counter,) = metrics.get_registry().counters()
-        assert counter.name == "render/isects_pruned" and counter.value == 0
 
     @staticmethod
-    def _serve_opaque_scene():
-        """Two frames of a scene whose splats were made wide and opaque."""
+    def _serve_opaque_scene(num_frames=2, workers=0):
+        """One tick of a scene whose splats were made wide and opaque."""
         import numpy as np
 
         from repro.datasets import SyntheticSceneConfig, build_scene
+        from repro.pool import shutdown_raster_pools
         from repro.serve import RenderService, requests_from_cameras
 
         scene = build_scene(
             SyntheticSceneConfig(
-                num_points=400, width=32, height=32, num_train_cameras=2,
-                num_test_cameras=1, altitude=12.0, seed=7,
+                num_points=400, width=32, height=32,
+                num_train_cameras=num_frames, num_test_cameras=1,
+                altitude=12.0, seed=7,
             )
         )
         model = scene.oracle.copy()
         model.log_scales[:] += np.log(12.0)
         model.opacity_logits[:] = 8.0
-        service = RenderService(model, cache_bytes=0)
+        service = RenderService(model, cache_bytes=0, workers=workers)
         try:
             for request in requests_from_cameras(scene.train_cameras):
                 service.submit(request)
             return service.tick()
         finally:
             service.close()
+            shutdown_raster_pools()
 
-    def test_serve_frame_spans_and_counter_report_the_prune(self):
-        from repro.telemetry import metrics
-
+    def test_serve_frame_spans_report_the_prune(self):
         trace.install()
         responses = self._serve_opaque_scene()
         assert [r.status for r in responses] == ["ok", "ok"]
@@ -309,24 +419,90 @@ class TestIsectTelemetry:
         for ev in frames:
             assert ev.attrs["lod"] == 0
             assert ev.attrs["pruned_isects"] > ev.attrs["isects"] > 0
-        counter = metrics.get_registry().counter("render/isects_pruned")
-        assert counter.value == sum(ev.attrs["pruned_isects"] for ev in frames)
 
-    def test_nothing_recorded_when_off(self):
-        from repro.telemetry import metrics
+    def test_farmed_frame_spans_keep_their_attributes(self):
+        """A worker's ``serve/frame`` spans ship home with what they
+        carried: a farmed tick's attributes equal the inline tick's."""
+        ticks = {}
+        for workers in (0, 2):
+            tracer = trace.install()
+            responses = self._serve_opaque_scene(num_frames=4, workers=workers)
+            frames = [ev for ev in tracer.events() if ev.name == "serve/frame"]
+            ticks[workers] = responses, frames
+            trace.uninstall()
+        (inline, inline_frames), (farmed, farmed_frames) = ticks[0], ticks[2]
+        for a, b in zip(inline, farmed, strict=True):
+            assert a.status == b.status == "ok"
+            assert a.image.tobytes() == b.image.tobytes()
+        assert len(farmed_frames) == 4
+        assert all(str(ev.tid).startswith("pool-worker-") for ev in farmed_frames)
 
+        def multiset(frames):
+            return sorted(tuple(sorted(ev.attrs.items())) for ev in frames)
+
+        assert multiset(farmed_frames) == multiset(inline_frames)
+        assert sum(ev.attrs["pruned_isects"] for ev in farmed_frames) > 0
+
+    def test_patch_job_forward_spans_keep_their_attributes(self, tmp_path):
+        """A patch job's ``train/forward`` spans ship home from its pool
+        worker with the attributes the same job records in process."""
+        from repro.core import GSScaleConfig
+        from repro.datasets import SyntheticSceneConfig, build_scene
+        from repro.recon import run_patch_job, train_patches
+        from repro.recon.jobs import build_specs
+        from repro.recon.partition import partition_scene
+
+        scene = build_scene(
+            SyntheticSceneConfig(
+                num_points=160, width=32, height=24, num_train_cameras=4,
+                num_test_cameras=1, seed=3,
+            )
+        )
+        patches = partition_scene(scene.initial, scene.train_cameras, 2)
+        args = (
+            patches, scene.initial, scene.train_cameras, scene.train_images,
+            GSScaleConfig(system="gpu_only"), 2,
+        )
+        forwards = {}
+        for farmed in (False, True):
+            workdir = tmp_path / ("farmed" if farmed else "inline")
+            workdir.mkdir()
+            tracer = trace.install()
+            if farmed:
+                report = train_patches(*args, str(workdir), jobs=2)
+                assert report.all_done
+            else:
+                for spec in build_specs(*args, str(workdir)):
+                    assert run_patch_job(spec).ok
+            forwards[farmed] = [
+                ev for ev in tracer.events() if ev.name == "train/forward"
+            ]
+            trace.uninstall()
+        inline, farmed = forwards[False], forwards[True]
+        assert inline and all(
+            str(ev.tid).startswith("pool-worker-") for ev in farmed
+        )
+
+        def multiset(spans):
+            return sorted(tuple(sorted(ev.attrs.items())) for ev in spans)
+
+        assert multiset(farmed) == multiset(inline)
+        assert all(ev.attrs["saved_bytes"] > 0 for ev in farmed)
+
+    def test_nothing_recorded_when_off(self, monkeypatch):
+        monkeypatch.setattr(trace, "record_isects", _untraced)
         responses = self._serve_opaque_scene()
         assert [r.status for r in responses] == ["ok", "ok"]
-        assert metrics.get_registry().counters() == []
+        assert trace.get_tracer() is None
 
 
 class TestServeTickTelemetry:
     """One trace says why a tick was slow: the ``serve/tick`` span leaves
-    with what the tick gathered and paged, and the registry mirrors the
-    store ledger's page-in count through ``ServeStats``."""
+    with what the tick gathered and paged, and ``ServeStats`` carries the
+    store ledger's page-in count."""
 
     @staticmethod
-    def _paged_service(telemetry=True):
+    def _paged_service(telemetry=True, codec="float16"):
         from repro.datasets import SyntheticSceneConfig, build_scene
         from repro.gaussians import layout
         from repro.serve import PagedServingStore, RenderService, ServeConfig
@@ -342,7 +518,7 @@ class TestServeTickTelemetry:
             layout.param_bytes(-(-n // 4), layout.NON_GEOMETRIC_DIM)
         )
         store = PagedServingStore.from_model(
-            scene.oracle, budget, num_shards=4, codec="float16"
+            scene.oracle, budget, num_shards=4, codec=codec
         )
         service = RenderService(
             store, cache_bytes=0, serve_config=ServeConfig(telemetry=telemetry)
@@ -351,7 +527,6 @@ class TestServeTickTelemetry:
 
     def test_tick_span_carries_frames_rows_shards_and_page_ins(self):
         from repro.serve import requests_from_cameras
-        from repro.telemetry import metrics
 
         service, cameras = self._paged_service()
         try:
@@ -372,12 +547,12 @@ class TestServeTickTelemetry:
             assert sum(ev.attrs["page_ins"] for ev in ticks) == ledger.page_in_count
             assert service.stats.page_ins == ledger.page_in_count > 0
             assert service.stats.shards_touched == service.store.shards_touched
-            registry = metrics.get_registry()
-            assert registry.gauge("serve/page_ins").value == ledger.page_in_count
-            assert (
-                registry.gauge("serve/union_rows").value
-                == service.stats.union_rows
+            assert service.stats.union_rows == sum(
+                ev.attrs["union_rows"] for ev in ticks
             )
+            # one page span per page-in the store ledger counted
+            page_ins = [ev for ev in events if ev.name == "serve/page_in"]
+            assert len(page_ins) == ledger.page_in_count
             # the per-frame span keeps what it carried
             frames = [ev for ev in events if ev.name == "serve/frame"]
             assert len(frames) == 6
@@ -387,7 +562,6 @@ class TestServeTickTelemetry:
 
     def test_cull_span_and_stats_say_how_few_rows_were_projected(self):
         from repro.serve import requests_from_cameras
-        from repro.telemetry import metrics
 
         service, cameras = self._paged_service()
         try:
@@ -415,12 +589,116 @@ class TestServeTickTelemetry:
             stats = service.stats
             assert stats.cull_rows == service.store.rows_projected
             assert stats.cull_rows == sum(ev.attrs["candidates"] for ev in culls)
-            assert (
-                metrics.get_registry().gauge("serve/cull_rows").value
-                == stats.cull_rows
-            )
         finally:
             service.close()
+
+    def test_request_spans_carry_each_response_latency(self):
+        from repro.serve import requests_from_cameras
+
+        service, cameras = self._paged_service()
+        try:
+            responses = []
+            for _ in range(2):
+                responses += service.serve(requests_from_cameras(cameras))
+            requests = [
+                ev for ev in trace.get_tracer().events()
+                if ev.name == "serve/request"
+            ]
+            assert len(requests) == len(responses) == 6
+            for resp, ev in zip(responses, requests):
+                assert ev.attrs["latency_s"] == resp.latency_s
+                assert ev.attrs["status"] == resp.status
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("codec", ["raw", "float16"])
+    def test_serve_page_spans_match_the_ledger(self, codec):
+        """One ``serve/page_in`` span per page-in the store ledger
+        counted, whatever the page codec."""
+        from repro.serve import requests_from_cameras
+
+        service, cameras = self._paged_service(codec=codec)
+        try:
+            for _ in range(3):
+                service.serve(requests_from_cameras(cameras))
+            page_ins = [
+                ev for ev in trace.get_tracer().events()
+                if ev.name == "serve/page_in"
+            ]
+            ledger = service.store.ledger
+            assert len(page_ins) == ledger.page_in_count > 0
+            assert service.stats.page_ins == ledger.page_in_count
+        finally:
+            service.close()
+
+    @staticmethod
+    def _in_memory_session(case):
+        """Two rounds of the same requests through an in-memory service
+        set up to answer them the way ``case`` names."""
+        from repro.datasets import SyntheticSceneConfig, build_scene
+        from repro.pool import shutdown_raster_pools
+        from repro.serve import RenderService, ServeConfig, requests_from_cameras
+
+        scene = build_scene(
+            SyntheticSceneConfig(
+                num_points=240, width=32, height=24, num_train_cameras=3,
+                num_test_cameras=1, altitude=12.0, seed=5,
+            )
+        )
+        knobs = {
+            "inline": {"cache_bytes": 0},
+            "farmed": {"cache_bytes": 0, "workers": 2},
+            "cache_hits": {},
+            "overload": {"cache_bytes": 0, "max_frames_per_tick": 1},
+            "deadline": {"cache_bytes": 0, "deadline_s": 1e-9},
+        }[case]
+        serve_config = ServeConfig(
+            telemetry=True,
+            max_frames_per_tick=knobs.pop("max_frames_per_tick", None),
+            deadline_s=knobs.pop("deadline_s", None),
+        )
+        service = RenderService(
+            scene.oracle.copy(), serve_config=serve_config, **knobs
+        )
+        try:
+            responses = []
+            for _ in range(2):
+                for request in requests_from_cameras(scene.train_cameras):
+                    service.submit(request)
+                if case == "deadline":
+                    time.sleep(0.01)
+                responses += service.tick()
+            return responses
+        finally:
+            service.close()
+            shutdown_raster_pools()
+
+    @pytest.mark.parametrize(
+        "case, statuses",
+        [
+            ("inline", {"ok"}),
+            ("farmed", {"ok"}),
+            ("cache_hits", {"ok"}),
+            ("overload", {"ok", "rejected"}),
+            ("deadline", {"rejected"}),
+        ],
+    )
+    def test_every_response_has_its_request_span(self, case, statuses):
+        """Whatever answered a request — a render, the farm, the cache, or
+        a rejection — its ``serve/request`` span carries its latency."""
+        responses = self._in_memory_session(case)
+        requests = [
+            ev for ev in trace.get_tracer().events()
+            if ev.name == "serve/request"
+        ]
+        assert len(requests) == len(responses) == 6
+        assert {r.status for r in responses} == statuses
+        for resp, ev in zip(responses, requests):
+            assert ev.attrs["latency_s"] == resp.latency_s
+            assert ev.attrs["status"] == resp.status
+            assert ev.attrs["lod"] == resp.lod
+        if case == "cache_hits":
+            assert [r.cache_hit for r in responses] == [False] * 3 + [True] * 3
 
     def test_counters_run_without_a_tracer(self):
         from repro.serve import requests_from_cameras
