@@ -25,9 +25,10 @@ case; shard-local captures adopt most page-ins, as
 ``tests/core/test_async_prefetch.py`` demonstrates on a clustered
 scene.)
 
-``--prefetch-depth D`` sets the async leg's staging-queue lookahead (2 by
-default, ``GSScaleConfig``'s default; 1 is the single-slot double
-buffer). Spill pages stay raw: page codecs are for read-only serving
+``--prefetch-depth D`` sets how many upcoming views the async leg reads
+(2 by default, ``GSScaleConfig``'s default): it stages the next view's
+shards at every depth, and at depth 2 and beyond the spill keeps the
+later views' shards resident. Spill pages stay raw: page codecs are for read-only serving
 pages (``PagedServingStore(codec=)``).
 
 Run:  python examples/outofcore_training_demo.py [--prefetch-depth 1]
@@ -53,8 +54,8 @@ def parse_args():
     )
     parser.add_argument(
         "--prefetch-depth", type=int, default=2, metavar="D",
-        help="async staging-queue lookahead; 1 is the single-slot double "
-             "buffer (default: 2)",
+        help="upcoming views the async leg reads: it stages the next one "
+             "and, from 2 on, keeps the rest resident (default: 2)",
     )
     return parser.parse_args()
 

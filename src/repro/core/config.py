@@ -61,9 +61,10 @@ class GSScaleConfig:
             resident-set budget; the rest lives in the spill files).
         async_prefetch: overlap the ``outofcore`` system's disk page-ins
             with compute (on by default): the prefetch lane snapshots the
-            upcoming views' spilled shards (``DiskStore.preload``) while
-            the current view renders, and the later steps adopt the
-            buffers instead of reading disk on the critical path. Needs
+            next view's spilled shards (``DiskStore.preload``) into one
+            staging slot while the current view renders, and the next
+            step adopts the buffers instead of reading disk on the
+            critical path. Needs
             to be told the upcoming views
             (``OutOfCoreGSScaleSystem.hint_upcoming_views``; the
             :class:`~repro.core.trainer.Trainer` does so
@@ -77,13 +78,12 @@ class GSScaleConfig:
             changes numerics. Page codecs serve read-only pages
             (``PagedServingStore(codec=)``). Kept only so callers that
             pass the default keep working.
-        prefetch_depth: lookahead of the staging queue with
-            ``async_prefetch`` on — how many upcoming views the
-            background worker snapshots ahead of the training thread
-            (>= 1; ignored when ``async_prefetch`` is off). At depth 2
-            and beyond the spill also keeps the upcoming views' shards
-            resident, which pays off on locality-ordered view schedules
-            (``view_order="locality"``).
+        prefetch_depth: how many upcoming views the prefetch leg reads
+            with ``async_prefetch`` on (>= 1; ignored when
+            ``async_prefetch`` is off). The background worker snapshots
+            only the next view; at depth 2 and beyond the spill also
+            keeps the upcoming views' shards resident, which pays off on
+            locality-ordered view schedules (``view_order="locality"``).
         write_behind: must be ``False``: write-behind spilling was
             retired (it bought no steady-state throughput), so a spill
             writes its pages on the thread that spills. Kept only so

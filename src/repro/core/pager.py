@@ -208,67 +208,60 @@ class PreloadedShard:
 
 @dataclass
 class SpillStats:
-    """Spill counters of :class:`DiskStore` page-outs, training thread only.
+    """Spill counter of :class:`DiskStore` page-outs, training thread only.
 
     A standalone store keeps its own; the out-of-core system hands one
-    record to every store it builds, so the counts add up over the run,
+    record to every store it builds, so the count adds up over the run,
     densification rebuilds included.
     """
 
     #: spills of a clean store: evictions that wrote no page and recorded
     #: no page-out
     clean_evictions: int = 0
-    #: wall-clock seconds of the page-out writes (informational; the
-    #: ledger's ``page_out_bytes`` counts their bytes)
-    sync_spill_s: float = 0.0
 
 
 class _AsyncPrefetcher:
-    """Background leg of the out-of-core pipeline.
+    """Background leg of the out-of-core pipeline: one staging slot.
 
-    Given a hint of the upcoming views, the prefetch lane predicts their
-    active shards (a cull over the device-resident geometry) and
-    snapshots the spilled ones into host buffers
-    (:meth:`~repro.core.stores.DiskStore.preload`) while the training
-    thread renders the *current* view — the TideGS-style overlap of page
-    traffic with compute. The snapshots are staged per hinted view:
-    nothing is installed into any store until the training thread
-    reaches that view's prefetch point and adopts them there, so store
+    Given the next view, the prefetch lane predicts its active shards (a
+    cull over the device-resident geometry) and snapshots the spilled
+    ones into host buffers (:meth:`~repro.core.stores.DiskStore.preload`)
+    while the training thread renders the *current* view — the
+    TideGS-style overlap of page traffic with compute. Nothing is
+    installed into any store until the training thread reaches that
+    view's prefetch point and adopts the snapshots there, so store
     state, trackers, and the ledger only ever mutate on the training
     thread, and a stale prediction (the geometry moved, a racing spill)
     degrades to the ordinary synchronous page-in.
 
-    At ``depth == 0`` this is the synchronous schedule: nothing is
-    staged, no lane task is submitted (so the lane never starts its
-    thread), and :meth:`take` always returns ``(False, {})``. At
-    ``depth == 1`` it is the single-slot double buffer: one view staged
-    at a time, the slot drained on every :meth:`take`. At ``depth > 1``
-    the hint is a lookahead *list* (``locality_view_order`` makes it
-    predictive) and staged views survive :meth:`take` until consumed or
-    dropped from a newer hint — the depth-D staging queue. Host bytes held by the queue are capped
-    at ``depth x resident budget x worst shard state`` (the staging
-    budget); the lane stops staging deeper views at the cap.
+    The slot holds one view: :meth:`schedule` replaces it, and
+    :meth:`take` always empties it and reports a match only for the view
+    it held. A view stages at most ``budget`` snapshots (the shards
+    :meth:`~repro.core.systems.OutOfCoreGSScaleSystem.prefetch` admits),
+    so the slot holds at most ``resident budget x worst shard state``
+    host bytes. A synchronous run never schedules, so its lane never
+    starts a thread.
 
     One prefetcher serves a whole run. ``budget`` is the resident-set
     budget; :meth:`retarget` hands it the shards' spilling stores (by
     shard index) and their ``camera -> shard indices`` cull (this module
     knows no geometry) — at construction and after every densification
-    rebuild. :meth:`fence` waits out the lane and drops the staged views;
-    the lane itself stays up and exits when the prefetcher is freed.
+    rebuild. :meth:`fence` waits out the lane and empties the slot; the
+    lane itself stays up and exits when the prefetcher is freed.
     """
 
-    def __init__(self, budget: int, depth: int):
+    def __init__(self, budget: int):
         self._budget = budget
-        self.depth = depth
         self._stores: list[DiskStore] = []
         self._active_shards: Callable[[Camera], list[int]] = lambda camera: []
-        #: staged snapshots keyed by ``id(camera)`` — identity, not
-        #: equality: the trainer hints the very objects it will train on
-        self._results: dict[int, tuple[Camera, dict]] = {}
-        #: host bytes of the staged queue, current and high-water (kept
-        #: here, not on a MemoryTracker: trackers are training-
-        #: thread-only, and the buffers are owned by the lane until
-        #: adoption — the sim's ``staging_shards`` term models them)
+        #: the staged view and its snapshots by shard index; the view is
+        #: matched by identity, not equality: the trainer hints the very
+        #: objects it will train on
+        self._slot: tuple[Camera, dict] | None = None
+        #: host bytes of the slot, current and high-water (kept here, not
+        #: on a MemoryTracker: trackers are training-thread-only, and the
+        #: buffers are owned by the lane until adoption — the sim's
+        #: ``staging_shards`` term models them)
         self.staged_bytes = 0
         self.peak_staged_bytes = 0
         self._lane = Lane("prefetch")
@@ -282,84 +275,53 @@ class _AsyncPrefetcher:
         self._active_shards = active_shards
         self.peak_staged_bytes = 0
 
-    def staging_budget_bytes(self) -> int:
-        """Cap on staged host bytes: depth x resident budget x the worst
-        shard's state size (never binding at depth 1, where a single
-        view can stage at most one budget's worth)."""
-        worst = max((s._state_bytes() for s in self._stores), default=0)
-        return self.depth * self._budget * worst
-
-    def schedule(self, cameras: list[Camera]) -> None:
-        """Start prefetching for ``cameras``, nearest first (waits out
-        any running job). Staged views absent from the new hint are
-        dropped; views already staged are not re-read."""
+    def schedule(self, camera: Camera) -> None:
+        """Start prefetching for ``camera`` in place of whatever the slot
+        held (waits out any running job)."""
         self._settle()
-        keep = {id(c) for c in cameras}
-        self._results = {k: v for k, v in self._results.items() if k in keep}
-        batch = [c for c in cameras if id(c) not in self._results]
-        for camera in batch:
-            self._results[id(camera)] = (camera, {})  # a miss until staged
+        self._slot = (camera, {})  # a miss until staged
         self._refresh_staged()
-        if batch:
-            self._lane.submit(self._stage, batch)
+        self._lane.submit(self._stage, camera)
 
     def take(self, camera: Camera) -> tuple[bool, dict]:
-        """``(matched, buffers)`` for ``camera``.
+        """``(matched, buffers)`` for ``camera``, emptying the slot.
 
         ``matched`` says a staging job ran for exactly this view — the
-        denominator of any hit/miss accounting. At depth 1 any other
-        staged view is discarded (the double-buffer contract); at
-        depth > 1 deeper views stay queued for their own take.
+        denominator of any hit/miss accounting.
         """
         self._settle()
-        entry = self._results.pop(id(camera), None)
-        if self.depth == 1:
-            self._results.clear()
+        slot, self._slot = self._slot, None
         self._refresh_staged()
-        if entry is not None:
-            return True, entry[1]
+        if slot is not None and slot[0] is camera:
+            return True, slot[1]
         return False, {}
 
     def fence(self) -> None:
-        """Wait out the running job and drop every staged view (the lane
-        stays usable: the next :meth:`schedule` stages again)."""
+        """Wait out the running job and empty the slot (the lane stays
+        usable: the next :meth:`schedule` stages again)."""
         self._settle()
-        self._results.clear()
+        self._slot = None
         self._refresh_staged()
 
     def _settle(self) -> None:
-        """Wait out the outstanding ticket. A failed one leaves the views
-        it did not reach staged empty, as :meth:`schedule` left them: a
-        failed prefetch, like a failed snapshot, is just a miss."""
+        """Wait out the outstanding ticket. A failed one leaves the view
+        staged empty, as :meth:`schedule` left it: a failed prefetch, like
+        a failed snapshot, is just a miss."""
         self._lane.drain()
 
     def _refresh_staged(self) -> None:
         # fp32-equivalent units, like every MemoryTracker in the repo
-        self.staged_bytes = sum(
-            self._stores[k]._state_bytes()
-            for _, buffers in self._results.values()
-            for k in buffers
-        )
+        buffers = self._slot[1] if self._slot is not None else {}
+        self.staged_bytes = sum(self._stores[k]._state_bytes() for k in buffers)
         self.peak_staged_bytes = max(self.peak_staged_bytes, self.staged_bytes)
 
-    def _stage(self, cameras: list[Camera]) -> None:
-        cap = self.staging_budget_bytes()
-        for camera in cameras:
-            # a failed snapshot leaves the view staged empty: just a miss
-            with contextlib.suppress(Exception), _span("page/prefetch", "page"):
-                self._results[id(camera)] = (camera, self._prepare(camera, cap))
-            self._refresh_staged()
-
-    def _prepare(self, camera: Camera, cap: int) -> dict:
+    def _stage(self, camera: Camera) -> None:
         buffers = {}
-        total = self.staged_bytes
-        for k in self._active_shards(camera)[: self._budget]:
-            store = self._stores[k]
-            cost = store._state_bytes()
-            if total + cost > cap:
-                break  # staging deeper would blow the host budget
-            pre = store.preload()
-            if pre is not None:
-                buffers[k] = pre
-                total += cost
-        return buffers
+        # a failed snapshot leaves the view staged empty: just a miss
+        with contextlib.suppress(Exception), _span("page/prefetch", "page"):
+            for k in self._active_shards(camera)[: self._budget]:
+                pre = self._stores[k].preload()
+                if pre is not None:
+                    buffers[k] = pre
+            self._slot = (camera, buffers)
+        self._refresh_staged()

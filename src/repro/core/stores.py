@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from abc import ABC, abstractmethod
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -587,7 +586,6 @@ class DiskStore(HostStore):
         # changed since the last page-out (see the class docstring): the
         # pages hold nothing yet
         self._dirty = True
-        self.page_in_s = 0.0  # informational, for the paging micro-bench
         parent = os.path.dirname(spill_path)
         if parent:
             os.makedirs(parent, exist_ok=True)
@@ -670,15 +668,8 @@ class DiskStore(HostStore):
     def _page_out(self) -> None:
         """Write the working set to the pages (lock held, resident)."""
         opt = self.optimizer
-        t0 = time.perf_counter()
-        self._write_pages({"params": opt.params, "m": opt.m, "v": opt.v})
-        t1 = time.perf_counter()
-        self.stats.sync_spill_s += t1 - t0
-        if _trace.enabled():
-            _trace.get_tracer().record(
-                "page/out", t0, t1, cat="page",
-                attrs={"bytes": self._state_bytes()},
-            )
+        with _trace.span("page/out", "page", bytes=self._state_bytes()):
+            self._write_pages({"params": opt.params, "m": opt.m, "v": opt.v})
 
     def _install(self, arrays: dict[str, np.ndarray]) -> None:
         """Adopt ``arrays`` as the paged-in working set (lock held,
@@ -703,15 +694,8 @@ class DiskStore(HostStore):
                 if self.resident_set is not None:
                     self.resident_set.touch(self)
                 return
-            t0 = time.perf_counter()
-            arrays = self._read_pages()
-            t1 = time.perf_counter()
-            self.page_in_s += t1 - t0
-            if _trace.enabled():
-                _trace.get_tracer().record(
-                    "page/in", t0, t1, cat="page",
-                    attrs={"bytes": self._state_bytes()},
-                )
+            with _trace.span("page/in", "page", bytes=self._state_bytes()):
+                arrays = self._read_pages()
             self._install(arrays)
 
     def preload(self) -> PreloadedShard | None:

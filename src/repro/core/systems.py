@@ -726,12 +726,14 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
     numerics: spill pages are raw, and the run is bit-identical to the
     in-memory sharded system under every schedule.
 
-    There is one schedule: the prefetch leg at depth
-    ``prefetch_depth`` (2 by default) stages the upcoming views' shards
-    in the background, and ``async_prefetch=False`` is the same leg at
-    depth 0, which stages nothing and starts no thread. Page-outs are never
-    backgrounded: a spill writes a dirty shard's pages on the training
-    thread, and a clean shard's spill writes nothing.
+    There is one schedule: the prefetch leg at depth ``prefetch_depth``
+    (2 by default) stages the next view's shards in the background, and
+    the spill keep-set also protects the shards of the views after it,
+    up to ``prefetch_depth`` views ahead. ``async_prefetch=False`` is the
+    same leg at depth 0, which stages nothing and starts no thread.
+    Page-outs are never backgrounded: a spill writes a dirty shard's
+    pages on the training thread, and a clean shard's spill writes
+    nothing.
 
     The run-level pager is built once, in ``__init__``: the spill
     directory, the prefetch lane and one
@@ -755,8 +757,8 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         self._spill_stats = SpillStats()
         # the synchronous schedule is the same leg at depth 0: nothing is
         # ever staged, so its lane never starts a thread
-        depth = config.prefetch_depth if config.async_prefetch else 0
-        self._prefetcher = _AsyncPrefetcher(config.resident_shards, depth=depth)
+        self._depth = config.prefetch_depth if config.async_prefetch else 0
+        self._prefetcher = _AsyncPrefetcher(config.resident_shards)
         #: hinted shard visits the async leg covered / failed to cover,
         #: cumulative across densification rebuilds
         self.prefetch_hits = 0
@@ -780,8 +782,9 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
 
     @property
     def prefetch_staged_peak_bytes(self) -> int:
-        """High-water host bytes of the prefetch leg's staging queue (0
-        at depth 0; a rebuild resets it, like ``host_memory``).
+        """High-water host bytes of the prefetch leg's staging slot: one
+        view's snapshots, at most ``resident_shards`` shards' state (0 at
+        depth 0; a rebuild resets it, like ``host_memory``).
 
         Not part of ``host_memory`` (the installed working set the
         resident budget bounds): the buffers belong to the background
@@ -798,13 +801,6 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         page-in — evictions that wrote no page and recorded no page-out —
         cumulative across densification rebuilds (informational)."""
         return self._spill_stats.clean_evictions
-
-    @property
-    def sync_spill_seconds(self) -> float:
-        """Wall-clock seconds the training thread spent in page-out
-        writes (informational; the ledger's ``page_out_bytes`` is the
-        deterministic comparison)."""
-        return self._spill_stats.sync_spill_s
 
     def _make_nongeo_store(
         self,
@@ -835,25 +831,28 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         return self.store.visible(camera).active_shards
 
     def hint_upcoming_views(self, cameras: list[Camera]) -> None:
-        """Tell the prefetch leg the next several views, nearest first;
-        only the first ``prefetch_depth`` are staged.
+        """Tell the prefetch leg the next several views, nearest first.
 
         The next :meth:`step` hands the prefetch lane a job that
-        snapshots those views' spilled shards while the current view
-        renders; the steps after adopt the buffers instead of stalling on
-        the disk read. The lane lives as long as the system, so hints
-        keep working after :meth:`finalize` (a checkpoint, a resumed
-        ``train()``) and across rebuilds. At depth 0 (the synchronous
-        schedule) the staged slice is empty, so callers can hint
+        snapshots the first view's spilled shards while the current view
+        renders; the step after adopts the buffers instead of stalling on
+        the disk read. The first ``prefetch_depth`` views also form the
+        lookahead :meth:`spill_inactive` keeps resident. The lane lives
+        as long as the system, so hints keep working after
+        :meth:`finalize` (a checkpoint, a resumed ``train()``) and
+        across rebuilds. At depth 0 (the synchronous
+        schedule) nothing is staged or kept, so callers can hint
         unconditionally (the :class:`~repro.core.trainer.Trainer` does).
         """
         self._pending_hints = list(cameras)
 
     @property
     def prefetch_depth(self) -> int:
-        """Lookahead of the staging queue: ``config.prefetch_depth``
-        with ``async_prefetch``, else 0 (the synchronous schedule)."""
-        return self._prefetcher.depth
+        """Views of the hint the prefetch leg reads: it stages the first
+        and keeps the shards of up to this many resident at the spill
+        (``config.prefetch_depth`` with ``async_prefetch``, else 0, the
+        synchronous schedule)."""
+        return self._depth
 
     def prefetch(self, camera: Camera) -> list[int]:
         """Page in the view's active shards (up to the resident budget).
@@ -879,7 +878,7 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
                 continue
             if hinted and store.is_resident:
                 # already resident at a hinted view: the retention the
-                # depth-D queue buys (the shard never left host DRAM), as
+                # spill keep-set buys (the shard never left host DRAM), as
                 # much a staging hit as an adopted snapshot
                 self.prefetch_hits += 1
             elif hinted:
@@ -888,15 +887,19 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
                 # shard (stale snapshot, wrong prediction, racing spill)
                 self.prefetch_misses += 1
             store.page_in()
-        # this view's working set is settled: start staging the hinted
-        # upcoming views in the background, overlapped with the render
+        # this view's working set is settled: start staging the next
+        # hinted view in the background, overlapped with the render
         self._scheduled_hints = []
         if self._pending_hints:
             hints, self._pending_hints = self._pending_hints, []
-            nxt = [c for c in hints if c is not camera][: self._prefetcher.depth]
+            nxt = [c for c in hints if c is not camera][: self._depth]
             if nxt:
                 self._scheduled_hints = nxt
-                self._prefetcher.schedule(nxt)
+                # when the next step trains this view again, its take
+                # would drop a view staged now unread: stage only a
+                # next view that differs from this one
+                if nxt[0] is hints[0]:
+                    self._prefetcher.schedule(nxt[0])
         return active
 
     def _cull(self, camera: Camera, keep: str | None = None) -> CullResult:
@@ -913,12 +916,12 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         At ``prefetch_depth > 1`` the scheduled lookahead also protects
         shards the *upcoming* views need (nearest view first, while the
         keep-set stays inside the resident budget): spilling a shard the
-        staging queue just snapshotted — or that the next view will page
-        right back in — is the D=1 thrash the depth-D queue exists to
-        avoid. Depths 0 and 1 spill every shard the view left untouched.
+        next views will page right back in is the depth-1 thrash the
+        lookahead exists to avoid. Depths 0 and 1 spill every shard the
+        view left untouched.
         """
         keep = set(active)
-        if self._prefetcher.depth > 1:
+        if self._depth > 1:
             for cam in self._scheduled_hints:
                 if len(keep) >= self.resident_set.budget:
                     break
@@ -942,9 +945,9 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
         return report
 
     def _fence(self) -> None:
-        """Wait until the prefetch lane settles and drop its staged views
-        (and the hints they came from). Afterwards no prefetch still reads
-        a page; the lane stays up."""
+        """Wait until the prefetch lane settles, empty its slot and drop
+        the hints. Afterwards no prefetch still reads a page; the lane
+        stays up."""
         self._pending_hints = []
         self._scheduled_hints = []
         self._prefetcher.fence()

@@ -182,10 +182,11 @@ class Trainer:
             view = order[pos]
             if hint is not None and it + 1 < stop:
                 # overlap leg: hand the system the next D views of the
-                # schedule, nearest first, so it stages their shards
-                # while this view renders (exact for the steady in-epoch
-                # case; a wrong guess is only a cache miss, and locality
-                # order makes the deeper entries worth staging)
+                # schedule, nearest first, so it stages the first one's
+                # shards while this view renders and keeps the rest
+                # resident (exact for the steady in-epoch case; a wrong
+                # guess is only a cache miss, and locality order makes
+                # the deeper entries worth keeping)
                 depth = self.system.prefetch_depth
                 hint(
                     [

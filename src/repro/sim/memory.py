@@ -239,11 +239,11 @@ def outofcore_host_state_bytes(
     Only the resident shards' non-geometric training state occupies host
     memory; the defer counters of *every* shard stay resident (1 byte per
     Gaussian — they are what lets a spilled shard tick without paging).
-    ``staging_shards`` adds the async prefetch leg's staging queue: while
+    ``staging_shards`` adds the async prefetch leg's staging slot: while
     the current view renders, up to that many preloaded shard snapshots
-    (parameters + both Adam moments, no gradients) sit in host memory
-    waiting to be adopted — ``prefetch_depth x resident_shards`` bounds
-    it for a depth-D queue.
+    (parameters + both Adam moments, no gradients) of the next view sit
+    in host memory waiting to be adopted — ``resident_shards`` bounds it
+    at every ``prefetch_depth``, since the slot holds one view.
     """
     if not 1 <= resident_shards:
         raise ValueError("resident_shards must be >= 1")

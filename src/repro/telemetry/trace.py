@@ -23,7 +23,8 @@ Three recording surfaces:
   returns). ``begin`` returns ``None`` when disabled and ``end(None)``
   is a no-op, so call sites need no guards.
 * :meth:`Tracer.record` / :meth:`Tracer.record_rel` — for code that
-  already timed itself (``DiskStore`` keeps ``page_in_s`` counters) and
+  already timed itself (the serving tick records one ``serve/request``
+  span per response over the tick's own clock readings) and
   for remapping spans shipped back from pool worker processes.
 
 Cross-process spans: :func:`traced_task` is a picklable pool-task wrapper

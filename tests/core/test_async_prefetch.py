@@ -68,7 +68,8 @@ def clustered():
 
 
 def make_system(model, async_prefetch, **cfg):
-    # the double buffer: the async leg at depth 1 unless ``cfg`` says
+    # the async leg at depth 1 (the staging slot, no lookahead kept)
+    # unless ``cfg`` says
     defaults = dict(
         system="outofcore", num_shards=4, resident_shards=1,
         scene_extent=8.0, ssim_lambda=0.0, mem_limit=1.0, seed=0,

@@ -100,8 +100,8 @@ class TestMidRunEquivalence:
             ("sharded", {"num_shards": 3}),
             ("outofcore", {"num_shards": 3, "resident_shards": 1,
                            "async_prefetch": False}),
-            # deep out-of-core tier: the async leg's staging queue, at
-            # depths 1-3, is pure placement — it must checkpoint/resume
+            # deep out-of-core tier: the async leg's staging slot and
+            # lookahead, at depths 1-3, are pure placement — it must checkpoint/resume
             # bit-exactly too
             (
                 "outofcore",

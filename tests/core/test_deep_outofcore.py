@@ -1,5 +1,5 @@
-"""Acceptance tests for the deep out-of-core tier: raw pages and depth-D
-prefetch.
+"""Acceptance tests for the deep out-of-core tier: raw pages and the
+depth-D prefetch lookahead.
 
 The contract stacked on top of the base out-of-core suites:
 
@@ -7,10 +7,11 @@ The contract stacked on top of the base out-of-core suites:
   out-of-core trajectory stays bit-identical to the in-memory sharded
   system, and the ledger's disk channel equals its page channel; a page
   codec is a serving option and a training config rejects one;
-* a depth-2 staging queue on an alternating-cluster schedule reaches a
+* a depth-2 lookahead on an alternating-cluster schedule reaches a
   strictly higher staging hit-rate (and strictly less page traffic)
-  than the depth-1 double buffer, without changing a single parameter
-  bit;
+  than depth 1, without changing a single parameter bit: the spill
+  keep-set holds the next views' shards resident, while the staging
+  slot holds one view at every depth;
 * write-behind spilling is retired: a training config rejects it, and
   every page-out is written on the thread that spills;
 * a synthetic model several times the host budget trains and serves
@@ -199,9 +200,10 @@ class TestDepthD:
         assert live.prefetch_depth == 3
         live.finalize()
 
-    def test_staging_stays_inside_budget(self, clustered):
-        """The depth-D queue's host bytes never exceed the explicit
-        staging budget: depth x resident budget x worst shard state."""
+    def test_staging_holds_one_view(self, clustered):
+        """The staging slot holds one view's snapshots at every depth:
+        its host bytes never exceed resident budget x worst shard
+        state."""
         model, cameras, images = clustered
         cfg = GSScaleConfig(
             system="outofcore", num_shards=4, resident_shards=1,
@@ -216,7 +218,7 @@ class TestDepthD:
             for r in s.shard_rows
         )
         assert 0 < s.prefetch_staged_peak_bytes
-        assert s.prefetch_staged_peak_bytes <= 3 * s.resident_set.budget * per_shard
+        assert s.prefetch_staged_peak_bytes <= s.resident_set.budget * per_shard
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="prefetch_depth"):
@@ -227,7 +229,7 @@ class TestDepthD:
         assert cfg.prefetch_depth == 3
 
     def test_depth3_matches_sync(self, clustered):
-        """The deepest staging queue the suite runs is still bit-identical
+        """The deepest lookahead the suite runs is still bit-identical
         to the plain synchronous run."""
         model, cameras, images = clustered
         sync, loss_sync = run_steps(model, cameras, images, async_prefetch=False)

@@ -1,20 +1,30 @@
-"""Exact counts of one hand-made depth-2 out-of-core schedule.
+"""Exact counts of hand-made depth-2 out-of-core schedules.
 
 The numerics of the out-of-core tier never depend on its schedule (the
 bit-identity suites pin that), so a schedule fault shows only in which
 snapshots are read, how hinted visits split into hits and misses, and
 which shards are evicted when. The suites that check those with ``>=``
-bounds pass on a staging queue that drops the views it should keep, on
-a ``take`` that clears the queue at depth 2, and on a spill keep-set
-that admits one shard past the resident budget. This suite pins them
-exactly.
+bounds pass on a ``take`` that leaves the staging slot full, on a
+prefetch that stages the last hinted view (``nxt[-1]``) instead of the
+next one (``nxt[0]``), and on a spill keep-set whose budget checks
+(the outer one over the hinted views, the inner one over a view's
+shards) read ``>`` and so admit one shard past the resident budget.
+This suite pins them exactly, and each of those four faults fails it,
+as does staging the view after a repeated one a step early.
 
 Four separated clusters, one spatial shard each (clusters 0-3 land on
 shards 0, 2, 1, 3), two shards resident, async prefetch at depth 2. The
 narrow views ``s0``-``s3`` see one shard each; the wide view ``w`` sees
 shards 1 and 3. Every step hints the next two views of the schedule, as
 the trainer does. The prefetch lane runs its tasks inline, at the
-moment they are scheduled, so the schedule is one fixed interleaving.
+moment they are scheduled, so a schedule is one fixed interleaving.
+Three schedules: ``wide`` passes ``w`` through every narrow view;
+``revisit`` returns to ``s0`` between other views, so a view is staged
+while its shard is resident and the shard is evicted before its turn
+(a slot kept across steps would hold that view staged empty, a miss
+nothing repairs); ``repeat`` trains ``s0`` and ``w`` twice in a row,
+so a step's hint starts with its own view, which stages nothing, and
+the view after it is staged once, at its own turn.
 """
 
 import numpy as np
@@ -29,7 +39,33 @@ from repro.render import render
 CENTERS = np.array(
     [[-6.0, -6.0, 0.0], [6.0, -6.0, 0.0], [-6.0, 6.0, 0.0], [6.0, 6.0, 0.0]]
 )
-SCHEDULE = ("s3", "s2", "w", "s0", "w", "s1", "s2", "w")
+#: each schedule and the counters it must give
+SCHEDULES = {
+    "wide": dict(
+        schedule=("s3", "s2", "w", "s0", "w", "s1", "s2", "w"),
+        active=[[3], [2], [1, 3], [0], [1, 3], [1], [2], [1, 3]],
+        hits=7, misses=3,
+        preloads=[2, 1, 3, 0, 1, 3, 1, 2, 1, 3],
+        evictions=[3, 2, 3, 2, 0, 3, 1, 0, 3, 2, 3, 2],
+        culls=["s2", "w", "w", "s2", "w"],
+    ),
+    "revisit": dict(
+        schedule=("s0", "s2", "w", "s0", "s3", "s2", "s0", "w", "s1", "s0"),
+        active=[[0], [2], [1, 3], [0], [3], [2], [0], [1, 3], [1], [0]],
+        hits=10, misses=1,
+        preloads=[2, 1, 3, 0, 3, 2, 0, 1, 3, 1, 0],
+        evictions=[2, 3, 0, 2, 3, 2, 0, 1, 0, 3, 2, 0, 1, 0, 3, 1],
+        culls=["s2", "w", "s3", "s2", "s0", "w", "s0"],
+    ),
+    "repeat": dict(
+        schedule=("s3", "w", "s0", "s0", "s2", "w", "w"),
+        active=[[3], [1, 3], [0], [0], [2], [1, 3], [1, 3]],
+        hits=6, misses=0,
+        preloads=[1, 3, 0, 2, 1, 3],
+        evictions=[2, 1, 3, 0, 1, 3, 0, 2, 3, 2],
+        culls=["w", "s2", "s2", "w"],
+    ),
+}
 
 
 def _camera(target, distance=5.0, fov_x_deg=40.0):
@@ -79,11 +115,13 @@ class _InlineLane:
         pass
 
 
-@pytest.fixture(scope="module")
-def run(scene):
-    """The schedule's counters: hits, misses, ``DiskStore.preload``
+@pytest.fixture(scope="module", params=sorted(SCHEDULES))
+def run(request, scene):
+    """A schedule's counters — hits, misses, ``DiskStore.preload``
     calls, the evicted shards in order, and the lookahead culls
-    ``spill_inactive`` makes."""
+    ``spill_inactive`` makes — beside the ones it must give."""
+    want = SCHEDULES[request.param]
+    schedule = want["schedule"]
     model, views, images = scene
     system = create_system(model.copy(), GSScaleConfig(
         system="outofcore", num_shards=4, resident_shards=2,
@@ -118,51 +156,58 @@ def run(scene):
     mp.setattr(system, "active_shard_ids", counting_cull)
     active = []
     try:
-        for i, name in enumerate(SCHEDULE):
-            system.hint_upcoming_views([views[v] for v in SCHEDULE[i + 1:i + 3]])
+        for i, name in enumerate(schedule):
+            system.hint_upcoming_views([views[v] for v in schedule[i + 1:i + 3]])
             system.step(views[name], images[name])
             active.append(sorted(system.store.visible(views[name]).active_shards))
     finally:
         mp.undo()
     system.finalize()
-    return dict(
+    got = dict(
         hits=system.prefetch_hits, misses=system.prefetch_misses,
         preloads=preloads, evictions=evictions, culls=culls, active=active,
     )
+    return got, want
 
 
 def test_views_see_the_shards_the_schedule_assumes(run):
-    assert run["active"] == [[3], [2], [1, 3], [0], [1, 3], [1], [2], [1, 3]]
+    got, want = run
+    assert got["active"] == want["active"]
 
 
 def test_hits_and_misses(run):
-    """Each of the seven views after the first was hinted, and w's two
-    shards count as two visits: 10 hinted visits, 6 of them hits. A
-    queue that re-stages the views it should keep (dropping them from a
-    newer hint, or clearing them at ``take``) reads fresher snapshots
-    and moves visits from misses to hits."""
-    assert (run["hits"], run["misses"]) == (6, 4)
+    """Every view after the first was hinted, and w's two shards count
+    as two visits, except a repeated view, which no step stages. The
+    slot stages the next view afresh at every step, so a shard evicted
+    after an earlier look is read again and hits. A ``take`` that leaves
+    the slot full counts visits for a repeated view no job staged;
+    staging the last hinted view leaves the next one unstaged."""
+    got, want = run
+    assert (got["hits"], got["misses"]) == (want["hits"], want["misses"])
 
 
 def test_preload_calls(run):
-    """A view is staged once, when it first enters the hint: one
+    """A view is staged once, at the step before its own: one
     ``preload`` call per shard it sees (a call on a resident shard reads
-    nothing), ten over the schedule. Re-staging a view the queue should
-    have kept calls ``preload`` on its shards again."""
-    assert run["preloads"] == [2, 1, 3, 0, 1, 3, 1, 2, 1, 3]
+    nothing). Staging another view of the hint calls ``preload`` on
+    other shards, and staging past a repeated view reads the view after
+    it twice."""
+    got, want = run
+    assert got["preloads"] == want["preloads"]
 
 
 def test_eviction_sequence(run):
     """The shards spilled from host memory, in order. A keep-set that
     admits one shard past the budget (keeping both of w's shards behind
     a one-shard view) keeps a shard this sequence evicts."""
-    assert run["evictions"] == [3, 2, 3, 2, 0, 3, 1, 0, 3, 2, 3, 2]
+    got, want = run
+    assert got["evictions"] == want["evictions"]
 
 
 def test_lookahead_culls_stop_at_the_budget(run):
     """``spill_inactive`` culls a hinted view only while the keep-set has
-    room: the first hinted view behind each one-shard view with hints
-    (s3, s2, s0, s1, s2), never a view behind w, whose two shards fill
-    the budget, and never a second hinted view, since the first one's
-    shard already fills it."""
-    assert run["culls"] == ["s2", "w", "w", "s2", "w"]
+    room: the first hinted view behind each one-shard view with hints,
+    never a view behind w, whose two shards fill the budget, and never a
+    second hinted view, since the first one's shard already fills it."""
+    got, want = run
+    assert got["culls"] == want["culls"]

@@ -167,9 +167,16 @@ def make_sharded_deferred(tmp_path):
 class AdoptingDiskStore(DiskStore):
     """A DiskStore whose every page-in is the async prefetch leg's: a
     :meth:`preload` snapshot handed to :meth:`adopt`, never the
-    synchronous read. ``adoptions`` counts the page-ins taken that way."""
+    synchronous read. ``adoptions`` counts the page-ins taken that way,
+    and ``reads`` every read of the pages (a spy on ``_read_pages``), so
+    ``reads == adoptions`` says no synchronous read ran."""
 
     adoptions = 0
+    reads = 0
+
+    def _read_pages(self):
+        self.reads += 1
+        return super()._read_pages()
 
     def page_in(self):
         pre = self.preload()

@@ -211,7 +211,7 @@ def test_adopting_disk_store_matches_host_store(tmp_path, seed, deferred, budget
         tmp_path, seed, deferred, budget, AdoptingDiskStore
     )
     assert disk.adoptions > 0
-    assert disk.page_in_s == 0.0  # the synchronous read never ran
+    assert disk.reads == disk.adoptions  # the synchronous read never ran
 
 
 @pytest.mark.parametrize("seed", [3, 4])
@@ -310,8 +310,8 @@ class PreloadAdoptMachine(RuleBasedStateMachine):
     shares with a sibling store (whose page-in evicts it).
 
     ``preload`` snapshots the spilled pages (several snapshots may be
-    outstanding, as when the staging queue reads one shard for two
-    views); ``adopt`` installs one, which it must accept exactly when
+    outstanding: the store does not limit them, though the prefetch
+    slot holds one view's at a time); ``adopt`` installs one, which it must accept exactly when
     nothing paged the store in since it was taken. A page-in, or a
     page-in and a spill (the epoch check), makes the snapshot stale, and
     a rejected adopt changes nothing.

@@ -15,7 +15,7 @@ spec.loader.exec_module(diff_bench_baseline)
 MATRIX_ROW = {
     "bench": "matrix", "prefetch_depth": 1,
     "steps": 8, "staging_hit_rate": 0.1429, "page_in_count": 12,
-    "page_out_count": 13, "step_s": 0.0059, "sync_spill_s": 0.0068,
+    "page_out_count": 13, "step_s": 0.0059,
     "active_shards": [1, 1],
 }
 

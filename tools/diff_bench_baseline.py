@@ -28,8 +28,7 @@ THRESHOLD = 2.5
 #: Lower-is-better measurements (wall clock, stall fractions).
 COST_KEYS = (
     "forward_s", "backward_s", "backward_rebuild_s", "step_s", "roundtrip_s",
-    "page_in_s", "page_out_s", "sync_spill_s", "page_stall_fraction",
-    "pipeline_s", "monolithic_s", "makespan_s",
+    "page_stall_fraction", "pipeline_s", "monolithic_s", "makespan_s",
     "disabled_span_ns", "enabled_span_ns",
     # deterministic work counts of the `occluded` raster rows: more pairs
     # built means the occlusion prune lost ground
