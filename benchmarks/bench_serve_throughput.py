@@ -223,9 +223,10 @@ def test_serve_throughput_matrix(benchmark):
             stats = service.stats
 
             def counts():
-                return np.array(
-                    [stats.page_ins, stats.shards_touched, stats.union_rows]
-                )
+                return np.array([
+                    paged_store.page_ins, paged_store.shards_touched,
+                    paged_store.rows_gathered,
+                ])
 
             t0 = time.perf_counter()
             for requests in rounds:
@@ -237,7 +238,7 @@ def test_serve_throughput_matrix(benchmark):
                 if rows <= paged_store.max_gather_rows:  # one group
                     assert touched <= num_shards
             dt = time.perf_counter() - t0
-            assert stats.page_ins == paged_store.ledger.page_in_count > 0
+            assert paged_store.page_ins > 0
             assert paged_store.host_memory.peak_bytes <= (
                 paged_store.host_memory.capacity_bytes
             )
@@ -247,7 +248,7 @@ def test_serve_throughput_matrix(benchmark):
             # most of the model (far=5 walkthrough views see a corner)
             frames = stats.frames_rendered
             assert frames == clients * len(rounds)
-            cull_rows = stats.cull_rows / frames
+            cull_rows = paged_store.rows_projected / frames
             visible_rows = sum(
                 frustum_cull(*paged_store.geometry(), request.camera).num_visible
                 for requests in rounds
@@ -286,10 +287,10 @@ def test_serve_throughput_matrix(benchmark):
             "clients_per_tick": clients,
             "requests_per_s": clients * len(rounds) / dt,
             "page_ins_per_frame": round(
-                stats.page_ins / stats.frames_rendered, 4
+                paged_store.page_ins / stats.frames_rendered, 4
             ),
             "shards_touched_per_tick": round(
-                stats.shards_touched / stats.ticks, 4
+                paged_store.shards_touched / stats.ticks, 4
             ),
             "cull_rows_per_frame": round(cull_rows, 4),
             "visible_rows_per_frame": round(visible_rows, 4),

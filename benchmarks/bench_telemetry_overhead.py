@@ -174,16 +174,17 @@ def test_telemetry_trace_artifact(benchmark):
         ))
         cfg = GSScaleConfig(
             system="outofcore", num_shards=4, resident_shards=2,
-            async_prefetch=True, telemetry=True, scene_extent=scene.extent,
+            async_prefetch=True, scene_extent=scene.extent,
         )
 
         def run():
+            tracer = trace.install()
             trainer = Trainer(GaussianModel(scene.initial.params.copy()), cfg)
             trainer.train(
                 scene.train_cameras, scene.train_images, iterations=iterations
             )
             trainer.system.finalize()
-            return trace.get_tracer()
+            return tracer
 
         tracer = benchmark.pedantic(run, rounds=1, iterations=1)
         names = {ev.name for ev in tracer.events()}

@@ -4,12 +4,13 @@ Everything else in this repo that draws a timeline draws a *modeled* one
 (``repro.sim``). This demo turns on :mod:`repro.telemetry` and records
 what the system actually did:
 
-1. train a short out-of-core run with ``telemetry=True`` — the trainer's
-   step phases (cull / stage / forward / backward / unstage / commit),
-   the async prefetch thread's page reads, and the disk tier's page
-   traffic all land in one span ring buffer;
-2. serve a burst of requests through a paged ``RenderService`` with
-   ``ServeConfig(telemetry=True)`` — each request's latency rides on its
+1. install the tracer (``trace.install()``, the one switch) and train a
+   short out-of-core run — the trainer's step phases (cull / stage /
+   forward / backward / unstage / commit), the async prefetch thread's
+   page reads, and the disk tier's page traffic all land in one span
+   ring buffer;
+2. serve a burst of requests through a paged ``RenderService`` under
+   the same tracer — each request's latency rides on its
    ``serve/request`` span as ``latency_s``;
 3. export ``out/trace.json`` — the measured Chrome trace merged with the
    simulator's modeled timeline of the same config, so both open side by
@@ -33,7 +34,7 @@ from repro.core import GSScaleConfig, create_system
 from repro.core.checkpoint import save_checkpoint
 from repro.datasets import SyntheticSceneConfig, build_scene
 from repro.gaussians import layout
-from repro.serve import RenderService, ServeConfig, requests_from_cameras
+from repro.serve import RenderService, requests_from_cameras
 from repro.sim import CostModel, PLATFORMS, get_platform, simulate_iteration
 from repro.sim.trace import to_chrome_trace as modeled_chrome_trace
 from repro.telemetry import compare, export, trace
@@ -50,7 +51,6 @@ def train_traced(scene, ckpt_path: str):
         num_shards=NUM_SHARDS,
         resident_shards=RESIDENT_SHARDS,
         async_prefetch=True,
-        telemetry=True,
         engine="vectorized",
         scene_extent=scene.extent,
         ssim_lambda=0.2,
@@ -77,7 +77,6 @@ def serve_burst(ckpt_path: str, scene, n_model: int):
         ckpt_path,
         host_budget_bytes=budget,
         num_shards=NUM_SHARDS,
-        serve_config=ServeConfig(telemetry=True),
     )
     orbit = requests_from_cameras(
         trajectories.orbit(
@@ -99,6 +98,7 @@ def main():
         )
     )
 
+    trace.install()
     print(f"== training {ITERATIONS} out-of-core steps with telemetry on")
     with tempfile.TemporaryDirectory() as tmp:
         ckpt = os.path.join(tmp, "trained.npz")

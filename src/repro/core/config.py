@@ -88,14 +88,6 @@ class GSScaleConfig:
             retired (it bought no steady-state throughput), so a spill
             writes its pages on the thread that spills. Kept only so
             callers that pass the default keep working.
-        telemetry: record measured spans and metrics. Installs the
-            process-wide :mod:`repro.telemetry` tracer when the system
-            is built; training phases (cull/stage/forward/backward/
-            unstage/commit), disk paging, the prefetch thread, and
-            pool maps (with in-worker spans) all land in one ring
-            buffer, exportable as Chrome trace JSON next to the
-            simulator's modeled trace. Off by default; the
-            instrumentation call sites are near-free when disabled.
         raster: rasterizer thresholds and backend selection.
         engine: one-shot convenience override for ``raster.engine`` — one
             of :data:`repro.render.rasterize.ENGINES`. Every training
@@ -123,7 +115,6 @@ class GSScaleConfig:
     page_codec: str = "raw"
     prefetch_depth: int = 2
     write_behind: bool = False
-    telemetry: bool = False
     raster: RasterConfig = field(default_factory=RasterConfig)
     engine: str | None = None
     background: np.ndarray | None = None

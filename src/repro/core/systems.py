@@ -260,9 +260,6 @@ class TrainingSystem(ABC):
     def __init__(self, model: GaussianModel, config: GSScaleConfig):
         self.config = config
         self.iteration = 0
-        if config.telemetry:
-            # idempotent: every telemetry=True consumer shares one tracer
-            _trace.install()
         self.memory = MemoryTracker(capacity_bytes=config.device_capacity_bytes)
         self.ledger = TransferLedger()
         self._lr = config.lr_vector(dtype=model.dtype)

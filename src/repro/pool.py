@@ -423,8 +423,10 @@ def aggregate_counts(mappings, keys=None) -> dict:
 def raster_pool_fault_stats() -> dict[str, int]:
     """Aggregate supervision counters across the live raster pools.
 
-    Serving reads this each tick to surface retry/respawn counts in its
-    stats; counters of pools already shut down are not included.
+    The pools are process-wide, shared by every farm and service, so
+    this is the process's view, not one service's. Counters of pools
+    already shut down (:func:`shutdown_raster_pools`) are not included;
+    read a pool's own :meth:`PersistentPool.fault_stats` to keep them.
     """
     return aggregate_counts(
         (pool.fault_stats() for pool in _RASTER_POOLS.values()),

@@ -48,8 +48,9 @@ killing the tick (:class:`ServeConfig`):
   every frame in it.
 
 Every request submitted is always answered — ok, degraded, rejected
-(with reason), or error (with reason) — never dropped or deadlocked, and
-the retry/respawn/quarantine counts surface in :class:`ServeStats`.
+(with reason), or error (with reason) — never dropped or deadlocked.
+:class:`ServeStats` counts what the service decided; the store, the
+pools and the phase spans keep the rest (see :class:`ServeStats`).
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ import numpy as np
 
 from ..cameras.camera import Camera
 from ..gaussians.model import GaussianModel
-from ..pool import raster_pool_fault_stats
 from ..render.rasterize import RasterConfig
 from ..telemetry import trace as _trace
 from ..telemetry.trace import span as _span
@@ -108,16 +108,10 @@ class ServeConfig:
             entries — and only what still exceeds the limit at the
             coarsest level is rejected with reason ``overload``
             (``None`` = unlimited).
-        telemetry: record measured spans through :mod:`repro.telemetry`
-            (installs the process-wide tracer at service construction;
-            tick/request lifecycles — each ``serve/request`` span carries
-            its response's ``latency_s`` — serve page-ins, and farm worker
-            spans all land in one buffer).
     """
 
     deadline_s: float | None = None
     max_frames_per_tick: int | None = None
-    telemetry: bool = False
 
     def __post_init__(self):
         if self.deadline_s is not None and self.deadline_s <= 0:
@@ -207,27 +201,22 @@ class RenderResponse:
 
 @dataclass
 class ServeStats:
-    """Service-lifetime counters.
+    """Service-lifetime counts of what the service decided: requests
+    taken, ticks run, frames rendered, cache hits and misses, dedupes,
+    swaps, busy time, and the degrade / reject / error verdicts.
 
-    The ``pool_*`` and ``quarantined_pages`` entries mirror the shared
-    raster pools' fault counters and the store's quarantine set at the
-    end of the last tick — they surface infrastructure faults absorbed
-    below the request path (retried maps, respawned workers, pages
-    benched for failing their checksum).
-
-    ``cull_rows``, ``union_rows``, ``shards_touched`` and ``page_ins``
-    accumulate what ticks did with the store (its
-    :attr:`~repro.serve.store.ServingStore.rows_projected` /
-    ``rows_gathered`` / ``shards_touched`` / ``page_ins`` counters, the
-    last a paged store's ledger page-in count): rows the frame culls
-    projected — the candidates the bounding-radius reject let through,
-    at least the visible rows and, on a view that sees part of the
-    model, far fewer than its rows; rows gathered — one gather per tick
-    group, for the union of its frames' visible rows; farm workers cull
-    and gather in their own processes and are not counted — and, for a
-    paged store, shard pages visited and the visits that missed.
-    ``page_ins <= shards_touched`` always, and ``shards_touched`` per
-    tick stays within the shard count while one gather serves the tick.
+    Every other serving count has one record elsewhere. Running totals
+    of the in-process store's work are the store's
+    (:attr:`~repro.serve.store.ServingStore.rows_projected`,
+    ``rows_gathered``, ``shards_touched``, a paged store's ledger
+    ``page_in_count`` and its ``quarantined`` set); farm workers cull and
+    gather in their own processes and count there. Pool faults are the
+    pool's (:meth:`repro.pool.PersistentPool.fault_stats`,
+    :func:`repro.pool.raster_pool_fault_stats`). What one tick did is
+    on the phase spans that did it — ``serve/cull``'s ``candidates``,
+    ``serve/gather``'s ``rows``, one ``serve/page_in`` per page-in —
+    which ship home from farm workers, so they are complete on every
+    path.
     """
 
     requests: int = 0
@@ -242,14 +231,6 @@ class ServeStats:
     rejected: int = 0
     deadline_rejects: int = 0
     render_errors: int = 0
-    quarantined_pages: int = 0
-    pool_worker_deaths: int = 0
-    pool_respawns: int = 0
-    pool_retries: int = 0
-    cull_rows: int = 0
-    union_rows: int = 0
-    shards_touched: int = 0
-    page_ins: int = 0
 
     def as_dict(self) -> dict:
         """Plain-dict view (for JSON benchmark payloads)."""
@@ -314,9 +295,6 @@ class RenderService:
         self.serve_config = (
             serve_config if serve_config is not None else ServeConfig()
         )
-        if self.serve_config.telemetry:
-            # idempotent: shares the tracer with any telemetry=True trainer
-            _trace.install()
         self.cache = FrameCache(cache_bytes) if cache_bytes else None
         self.model_version = 0
         self.stats = ServeStats()
@@ -525,9 +503,8 @@ class RenderService:
 
     def _serve_batch(self, queue, tick_span) -> list[RenderResponse]:
         """The tick proper, inside its ``serve/tick`` span (which leaves
-        with what the tick projected, gathered and paged as attributes)."""
+        with the count of frames rendered)."""
         t0 = time.perf_counter()
-        gathered = self._gather_counters()
         now = time.monotonic()
         self.stats.ticks += 1
         self.stats.requests += len(queue)
@@ -627,60 +604,22 @@ class RenderService:
                 )
             )
         self.stats.deduped += misses - len(tasks)
-        cull_rows, union_rows, shards_touched, page_ins = (
-            after - before
-            for after, before in zip(self._gather_counters(), gathered)
-        )
-        self.stats.cull_rows += cull_rows
-        self.stats.union_rows += union_rows
-        self.stats.shards_touched += shards_touched
-        self.stats.page_ins += page_ins
-        tick_span.set(
-            frames=len(images),
-            cull_rows=cull_rows,
-            union_rows=union_rows,
-            shards_touched=shards_touched,
-            page_ins=page_ins,
-        )
-        self._sync_fault_stats()
+        tick_span.set(frames=len(images))
         if _trace.enabled():
             tracer = _trace.get_tracer()
             t_end = time.perf_counter()
             for resp in responses:
+                attrs = {
+                    "status": resp.status,
+                    "lod": resp.lod,
+                    "latency_s": resp.latency_s,
+                }
+                if resp.reason:
+                    attrs["reason"] = resp.reason
                 tracer.record(
-                    "serve/request", t0, t_end, cat="serve",
-                    attrs={
-                        "status": resp.status,
-                        "lod": resp.lod,
-                        "latency_s": resp.latency_s,
-                    },
+                    "serve/request", t0, t_end, cat="serve", attrs=attrs
                 )
         return responses
-
-    def _gather_counters(self) -> tuple[int, int, int, int]:
-        """The store's ``(rows projected, rows gathered, shard visits,
-        page-ins)`` so far."""
-        store = self.store
-        return (
-            store.rows_projected,
-            store.rows_gathered,
-            store.shards_touched,
-            store.page_ins,
-        )
-
-    def _sync_fault_stats(self) -> None:
-        """Mirror infrastructure fault counters into the serve stats.
-
-        One source: the pool counters come from
-        :func:`raster_pool_fault_stats` and fan out to the ``pool_*``
-        stats fields.
-        """
-        self.stats.quarantined_pages = len(
-            getattr(self.store, "quarantined", ())
-        )
-        pool = raster_pool_fault_stats()
-        for key in ("worker_deaths", "respawns", "retries"):
-            setattr(self.stats, f"pool_{key}", pool[key])
 
     def config_sh_degree(self) -> int:
         """SH degree served without a LOD set (the model's full degree)."""

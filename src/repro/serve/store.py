@@ -22,10 +22,11 @@ gradient plumbing; serving needs none of that — just the committed
   *enforces* the byte budget — an accounting bug raises instead of
   silently overshooting.
 
-Both expose the same three-method surface the frame renderer needs:
-``geometry()`` for culling, ``gather(ids)`` for the visible rows, and
-``num_rows``. Placement never changes pixels: a paged gather returns the
-same bytes an in-memory gather would.
+Both expose the :class:`ServingStore` surface the frame renderer needs:
+``geometry()`` for culling, ``gather_tick(ids)`` for one tick's union of
+visible rows (``gather(ids)`` for packed rows), ``max_gather_rows`` to
+cap that union, and ``num_rows``. Placement never changes pixels: a
+paged gather returns the same bytes an in-memory gather would.
 """
 
 from __future__ import annotations
@@ -155,7 +156,10 @@ class ServingStore:
     Four lifetime counters say what serving did with it:
     :attr:`rows_projected`, :attr:`rows_gathered`, and — non-zero only
     for a placement that pages — :attr:`shards_touched` and
-    :attr:`page_ins`.
+    :attr:`page_ins`. They count the work done on this object, in this
+    process, only: a render-farm worker culls and gathers its own copy
+    and counts there (its ``serve/cull`` and ``serve/gather`` spans ship
+    home; its counters do not).
     """
 
     #: rows the frame culls ran the exact projection on so far — the

@@ -9,16 +9,17 @@ package *measures* it. Three pieces:
   near-zero when disabled. Counts ride on the spans as attributes
   (``serve/request`` carries ``latency_s``, ``train/forward`` and
   ``serve/frame`` their table counts); ``TransferLedger``,
-  ``MemoryTracker``, ``ServeStats`` and the pool fault counters stay
-  the sources of truth for running totals.
+  ``MemoryTracker``, ``ServeStats``, the serving store's counters and
+  the pool fault counters stay the sources of truth for running totals.
 * :mod:`~repro.telemetry.export` — Chrome trace-event JSON in the same
   schema as ``sim/trace.py`` (measured pid 2 next to modeled pid 1).
 * :mod:`~repro.telemetry.compare` — measured-vs-modeled per-phase
   deltas against ``sim/timeline.py`` breakdowns (CLI:
   ``tools/compare_trace.py``).
 
-Enable with ``GSScaleConfig(telemetry=True)`` /
-``ServeConfig(telemetry=True)`` or an explicit ``trace.install()``.
+:func:`~repro.telemetry.trace.install` is the one switch: every span
+site records into the installed tracer, and nothing does once
+:func:`~repro.telemetry.trace.uninstall` removes it.
 """
 
 from . import compare, export, trace

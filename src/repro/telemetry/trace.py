@@ -261,8 +261,9 @@ def set_tracer(tracer: Tracer | None) -> Tracer | None:
 def install(capacity: int = DEFAULT_CAPACITY) -> Tracer:
     """Install (or return the already-installed) process-wide tracer.
 
-    Idempotent so every consumer with ``telemetry=True`` — trainer
-    systems, serving, benchmarks — shares one buffer and one epoch.
+    The one tracing switch: training systems, serving and pool workers'
+    shipped spans all record into this tracer until :func:`uninstall`.
+    Idempotent, so every caller shares one buffer and one epoch.
     """
     global _tracer
     if _tracer is None:

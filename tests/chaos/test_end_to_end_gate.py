@@ -9,8 +9,9 @@ write — against the three tiers.
     by a torn checkpoint write resumes from the rotated last-good
     checkpoint and still converges to the fault-free result; (c) the
     render service under 2x overload answers *every* request — degraded
-    or rejected with a reason, never dropped or deadlocked — and its
-    stats surface the retry / respawn / quarantine counts.
+    or rejected with a reason, never dropped or deadlocked — while its
+    pool records the worker death and respawn, and its store the
+    quarantined page.
 """
 
 import os
@@ -223,9 +224,10 @@ class TestServingAnswersEveryRequest:
             stats = service.stats
             assert stats.deadline_rejects == 2
             assert stats.degraded >= 1 and stats.rejected >= 2
-            # the killed farm worker surfaces in the service stats
-            assert stats.pool_worker_deaths >= 1
-            assert stats.pool_respawns >= 1
+            # the killed farm worker is on the farm's pool's record
+            supervision = pool.get_raster_pool(2).fault_stats()
+            assert supervision["worker_deaths"] >= 1
+            assert supervision["respawns"] >= 1
         finally:
             service.close()
             shutdown_raster_pools()
@@ -254,7 +256,7 @@ class TestServingAnswersEveryRequest:
             )
             assert first.status == "error"
             assert "Quarantin" in first.reason or "Corrupt" in first.reason
-            assert service.stats.quarantined_pages == 1
+            assert len(service.store.quarantined) == 1
             # the service keeps answering: later requests fail fast on
             # the quarantine record instead of deadlocking or re-reading
             second = service.render(

@@ -88,16 +88,18 @@ class TestFaultedFrame:
 
         # counters: the failed batch, then each frame culled, gathered
         # and rendered alone
-        alone = [tick_once(model, [r])[0].stats for r in requests]
-        batch = tick_once(model, requests)[0].stats
-        stats = service.stats
+        alone = [tick_once(model, [r])[0].store for r in requests]
+        batch = tick_once(model, requests)[0].store
+        stats, store = service.stats, service.store
         assert stats.render_errors == 1
         assert stats.frames_rendered == 2
         assert stats.requests == 3 and stats.ticks == 1
         assert stats.cache_misses == 3 and stats.cache_hits == 0
-        assert stats.cull_rows == batch.cull_rows + sum(s.cull_rows for s in alone)
-        assert stats.union_rows == batch.union_rows + sum(
-            s.union_rows for s in alone
+        assert store.rows_projected == batch.rows_projected + sum(
+            s.rows_projected for s in alone
+        )
+        assert store.rows_gathered == batch.rows_gathered + sum(
+            s.rows_gathered for s in alone
         )
 
         # unfaulted, the next tick serves the failed frame as it should

@@ -508,7 +508,7 @@ class TestServingQuarantine:
         finally:
             store.close()
 
-    def test_quarantine_count_surfaces_in_serve_stats(
+    def test_serving_keeps_the_stores_quarantine_record(
         self, trained, tmp_path
     ):
         src, _ = trained
@@ -523,7 +523,9 @@ class TestServingQuarantine:
             scene_cam = _any_camera(service)
             resp = service.render(RenderRequest(camera=scene_cam))
             assert resp.status in ("ok", "error")
-            assert service.stats.quarantined_pages == 1
+            if resp.status == "error":
+                assert "quarantined" in resp.reason
+            assert store.quarantined == {2: "test-injected"}
         finally:
             service.close()
 

@@ -88,9 +88,9 @@ class TestBlockRasterSpans:
         ))
         config = GSScaleConfig(
             system="sharded", num_shards=3, scene_extent=scene.extent,
-            telemetry=True, seed=0, mem_limit=1.0,
-            raster=RasterConfig(engine="vectorized"),
+            seed=0, mem_limit=1.0, raster=RasterConfig(engine="vectorized"),
         )
+        trace.install()
         system = create_system(scene.initial.copy(), config)
         system.step(scene.train_cameras[0], scene.train_images[0])
         system.finalize()
@@ -210,8 +210,9 @@ class TestEndToEndRollup:
         ))
         config = GSScaleConfig(
             system="outofcore", num_shards=2, resident_shards=1,
-            scene_extent=scene.extent, telemetry=True, seed=0,
+            scene_extent=scene.extent, seed=0,
         )
+        trace.install()
         system = create_system(scene.initial.copy(), config)
         system.step(scene.train_cameras[0], scene.train_images[0])
         system.finalize()
@@ -302,10 +303,10 @@ class TestEverySystemRollup:
 
         config = GSScaleConfig(
             system=system_name, num_shards=4, resident_shards=2,
-            scene_extent=scene.extent, telemetry=True, seed=0, mem_limit=0.5,
+            scene_extent=scene.extent, seed=0, mem_limit=0.5,
         )
+        tracer = trace.install()
         system = create_system(scene.initial.copy(), config)
-        tracer = trace.get_tracer()
         tracer.clear()
         cams, images = scene.train_cameras, scene.train_images
         for i in range(6):

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.config import SYSTEM_NAMES
@@ -235,10 +236,12 @@ class TestSavedPairTelemetry:
                 num_test_cameras=1, altitude=12.0, seed=7,
             )
         )
+        if telemetry:
+            trace.install()
         system = create_system(
             scene.initial.copy(),
             GSScaleConfig(
-                system=system, engine=engine, telemetry=telemetry,
+                system=system, engine=engine,
                 scene_extent=scene.extent, mem_limit=1.0,
             ),
         )
@@ -299,12 +302,12 @@ class TestPageSpans:
                 num_test_cameras=1, altitude=9.0, seed=3,
             )
         )
+        trace.install()
         system = create_system(
             scene.initial.copy(),
             GSScaleConfig(
                 system="outofcore", num_shards=4,
-                resident_shards=resident_shards,
-                async_prefetch=False, telemetry=True,
+                resident_shards=resident_shards, async_prefetch=False,
                 scene_extent=scene.extent, mem_limit=1.0, seed=0,
             ),
         )
@@ -497,15 +500,15 @@ class TestIsectTelemetry:
 
 
 class TestServeTickTelemetry:
-    """One trace says why a tick was slow: the ``serve/tick`` span leaves
-    with what the tick gathered and paged, and ``ServeStats`` carries the
-    store ledger's page-in count."""
+    """One trace says why a tick was slow: the phase spans that did the
+    tick's work carry what it projected, gathered and paged, and they
+    agree with the store's running counters, the one running record."""
 
     @staticmethod
     def _paged_service(telemetry=True, codec="float16"):
         from repro.datasets import SyntheticSceneConfig, build_scene
         from repro.gaussians import layout
-        from repro.serve import PagedServingStore, RenderService, ServeConfig
+        from repro.serve import PagedServingStore, RenderService
 
         scene = build_scene(
             SyntheticSceneConfig(
@@ -520,60 +523,67 @@ class TestServeTickTelemetry:
         store = PagedServingStore.from_model(
             scene.oracle, budget, num_shards=4, codec=codec
         )
-        service = RenderService(
-            store, cache_bytes=0, serve_config=ServeConfig(telemetry=telemetry)
-        )
-        return service, scene.train_cameras
+        if telemetry:
+            trace.install()
+        return RenderService(store, cache_bytes=0), scene.train_cameras
 
-    def test_tick_span_carries_frames_rows_shards_and_page_ins(self):
+    @staticmethod
+    def _store_counts(store):
+        return np.array([
+            store.rows_projected, store.rows_gathered,
+            store.shards_touched, store.page_ins,
+        ])
+
+    def test_tick_phase_spans_carry_rows_and_page_ins(self):
+        """Per tick, the ``serve/gather`` rows and the ``serve/page_in``
+        spans are what the store counted over that tick; ``serve/tick``
+        carries the frame count and nothing else."""
         from repro.serve import requests_from_cameras
 
         service, cameras = self._paged_service()
+        store, tracer = service.store, trace.get_tracer()
         try:
             for _ in range(2):
+                tracer.clear()
+                before = self._store_counts(store)
                 service.serve(requests_from_cameras(cameras))
-            events = trace.get_tracer().events()
-            ticks = [ev for ev in events if ev.name == "serve/tick"]
-            gathers = [ev for ev in events if ev.name == "serve/gather"]
-            assert len(ticks) == 2
-            for ev in ticks:
-                assert ev.attrs["frames"] == 3
-                assert ev.attrs["union_rows"] > 0
-                assert 0 <= ev.attrs["page_ins"] <= ev.attrs["shards_touched"]
-            assert sum(ev.attrs["rows"] for ev in gathers) == sum(
-                ev.attrs["union_rows"] for ev in ticks
-            )
-            ledger = service.store.ledger
-            assert sum(ev.attrs["page_ins"] for ev in ticks) == ledger.page_in_count
-            assert service.stats.page_ins == ledger.page_in_count > 0
-            assert service.stats.shards_touched == service.store.shards_touched
-            assert service.stats.union_rows == sum(
-                ev.attrs["union_rows"] for ev in ticks
-            )
-            # one page span per page-in the store ledger counted
-            page_ins = [ev for ev in events if ev.name == "serve/page_in"]
-            assert len(page_ins) == ledger.page_in_count
-            # the per-frame span keeps what it carried
-            frames = [ev for ev in events if ev.name == "serve/frame"]
-            assert len(frames) == 6
-            assert all({"lod", "isects", "pruned_isects"} <= set(ev.attrs) for ev in frames)
+                _, rows, touched, page_ins = self._store_counts(store) - before
+                events = tracer.events()
+                (tick,) = [ev for ev in events if ev.name == "serve/tick"]
+                assert tick.attrs == {"frames": 3}
+                gathers = [ev for ev in events if ev.name == "serve/gather"]
+                assert sum(ev.attrs["rows"] for ev in gathers) == rows > 0
+                assert 0 <= page_ins <= touched
+                # one page span per page-in the store ledger counted
+                assert page_ins == sum(
+                    ev.name == "serve/page_in" for ev in events
+                )
+                # the per-frame span keeps what it carried
+                frames = [ev for ev in events if ev.name == "serve/frame"]
+                assert len(frames) == 3
+                assert all(
+                    {"lod", "isects", "pruned_isects"} <= set(ev.attrs)
+                    for ev in frames
+                )
+            assert store.page_ins == store.ledger.page_in_count > 0
         finally:
             service.close()
 
-    def test_cull_span_and_stats_say_how_few_rows_were_projected(self):
+    def test_cull_span_says_how_few_rows_were_projected(self):
         from repro.serve import requests_from_cameras
 
         service, cameras = self._paged_service()
+        store, tracer = service.store, trace.get_tracer()
+        n = store.num_rows
         try:
             for _ in range(2):
+                tracer.clear()
+                before = self._store_counts(store)
                 service.serve(requests_from_cameras(cameras))
-            events = trace.get_tracer().events()
-            culls = [ev for ev in events if ev.name == "serve/cull"]
-            ticks = [ev for ev in events if ev.name == "serve/tick"]
-            frames = [ev for ev in events if ev.name == "serve/frame"]
-            assert len(culls) == len(ticks) == 2
-            n = service.store.num_rows
-            for cull, tick in zip(culls, ticks):
+                projected, rows, _, _ = self._store_counts(store) - before
+                (cull,) = [
+                    ev for ev in tracer.events() if ev.name == "serve/cull"
+                ]
                 assert cull.attrs["frames"] == 3
                 assert cull.attrs["rows"] == 3 * n  # full detail: every row
                 # the exact projection ran on the candidates only: every
@@ -583,12 +593,8 @@ class TestServeTickTelemetry:
                     <= cull.attrs["candidates"]
                     < cull.attrs["rows"]
                 )
-                assert tick.attrs["cull_rows"] == cull.attrs["candidates"]
-                assert tick.attrs["union_rows"] <= cull.attrs["visible"]
-            assert len(frames) == 6
-            stats = service.stats
-            assert stats.cull_rows == service.store.rows_projected
-            assert stats.cull_rows == sum(ev.attrs["candidates"] for ev in culls)
+                assert cull.attrs["candidates"] == projected
+                assert rows <= cull.attrs["visible"]
         finally:
             service.close()
 
@@ -625,16 +631,15 @@ class TestServeTickTelemetry:
                 ev for ev in trace.get_tracer().events()
                 if ev.name == "serve/page_in"
             ]
-            ledger = service.store.ledger
-            assert len(page_ins) == ledger.page_in_count > 0
-            assert service.stats.page_ins == ledger.page_in_count
+            assert len(page_ins) == service.store.ledger.page_in_count > 0
         finally:
             service.close()
 
     @staticmethod
-    def _in_memory_session(case):
-        """Two rounds of the same requests through an in-memory service
-        set up to answer them the way ``case`` names."""
+    def _in_memory_session(case, rounds=2):
+        """``rounds`` ticks of the same requests through a traced
+        in-memory service set up to answer them the way ``case`` names;
+        ``(responses, stats)``."""
         from repro.datasets import SyntheticSceneConfig, build_scene
         from repro.pool import shutdown_raster_pools
         from repro.serve import RenderService, ServeConfig, requests_from_cameras
@@ -653,22 +658,22 @@ class TestServeTickTelemetry:
             "deadline": {"cache_bytes": 0, "deadline_s": 1e-9},
         }[case]
         serve_config = ServeConfig(
-            telemetry=True,
             max_frames_per_tick=knobs.pop("max_frames_per_tick", None),
             deadline_s=knobs.pop("deadline_s", None),
         )
+        trace.install()
         service = RenderService(
             scene.oracle.copy(), serve_config=serve_config, **knobs
         )
         try:
             responses = []
-            for _ in range(2):
+            for _ in range(rounds):
                 for request in requests_from_cameras(scene.train_cameras):
                     service.submit(request)
                 if case == "deadline":
                     time.sleep(0.01)
                 responses += service.tick()
-            return responses
+            return responses, service.stats
         finally:
             service.close()
             shutdown_raster_pools()
@@ -685,8 +690,9 @@ class TestServeTickTelemetry:
     )
     def test_every_response_has_its_request_span(self, case, statuses):
         """Whatever answered a request — a render, the farm, the cache, or
-        a rejection — its ``serve/request`` span carries its latency."""
-        responses = self._in_memory_session(case)
+        a rejection — its ``serve/request`` span carries its latency, and
+        the reason of a response that has one."""
+        responses, _ = self._in_memory_session(case)
         requests = [
             ev for ev in trace.get_tracer().events()
             if ev.name == "serve/request"
@@ -697,19 +703,50 @@ class TestServeTickTelemetry:
             assert ev.attrs["latency_s"] == resp.latency_s
             assert ev.attrs["status"] == resp.status
             assert ev.attrs["lod"] == resp.lod
+            assert ev.attrs.get("reason", "") == resp.reason
+        if case in ("overload", "deadline"):
+            rejected = [ev for ev in requests if ev.attrs["status"] == "rejected"]
+            assert rejected
+            for ev in rejected:
+                assert ev.attrs["reason"] == case
         if case == "cache_hits":
             assert [r.cache_hit for r in responses] == [False] * 3 + [True] * 3
+
+    def test_farmed_tick_keeps_the_whole_record(self):
+        """A farmed tick leaves the record an inline tick leaves: the same
+        service stats (bar wall time), the same ``serve/cull`` candidates
+        (shipped home from the workers), one ``serve/frame`` per frame."""
+        record = {}
+        for case in ("inline", "farmed"):
+            responses, stats = self._in_memory_session(case, rounds=1)
+            events = trace.uninstall().events()
+            assert [r.status for r in responses] == ["ok"] * 3
+            culls = [ev for ev in events if ev.name == "serve/cull"]
+            if case == "farmed":
+                assert culls and all(
+                    str(ev.tid).startswith("pool-worker-") for ev in culls
+                )
+            stats = stats.as_dict()
+            del stats["busy_s"]
+            record[case] = (
+                stats,
+                sum(ev.attrs["candidates"] for ev in culls),
+                sum(ev.name == "serve/frame" for ev in events),
+            )
+        assert record["farmed"] == record["inline"]
+        _, candidates, frames = record["inline"]
+        assert candidates > 0 and frames == 3
 
     def test_counters_run_without_a_tracer(self):
         from repro.serve import requests_from_cameras
 
         service, cameras = self._paged_service(telemetry=False)
+        store = service.store
         try:
             service.serve(requests_from_cameras(cameras))
             assert not trace.enabled()
-            stats = service.stats
-            assert stats.union_rows > 0
-            assert stats.union_rows <= stats.cull_rows < 3 * service.store.num_rows
-            assert 0 < stats.page_ins <= stats.shards_touched
+            assert store.rows_gathered > 0
+            assert store.rows_gathered <= store.rows_projected < 3 * store.num_rows
+            assert 0 < store.page_ins <= store.shards_touched
         finally:
             service.close()
