@@ -29,7 +29,7 @@ THRESHOLD = 2.5
 COST_KEYS = (
     "forward_s", "backward_s", "backward_rebuild_s", "step_s", "roundtrip_s",
     "page_stall_fraction", "pipeline_s", "monolithic_s", "makespan_s",
-    "disabled_span_ns", "enabled_span_ns",
+    "train_s", "disabled_span_ns", "enabled_span_ns",
     # deterministic work counts of the `occluded` raster rows: more pairs
     # built means the occlusion prune lost ground
     "pairs",
@@ -39,6 +39,9 @@ COST_KEYS = (
     # rows its frame culls ran the exact projection on: more means the
     # bounding-radius reject lost ground (the floor is the visible rows)
     "cull_rows_per_frame",
+    # distinct splats a served frame shades: more means the pair-table
+    # prune lost ground
+    "shaded_rows_per_frame",
 )
 #: Higher-is-better measurements (throughput): the regression ratio
 #: inverts for these.
@@ -55,7 +58,7 @@ INFO_KEYS = (
     "retries", "worker_deaths", "respawns", "deadline_hits",
     "degraded", "rejected", "shed_fraction", "availability",
     "telemetry_overhead_pct", "pruned_isects", "visible_rows_per_frame",
-    "staging_hit_rate",
+    "staging_hit_rate", "psnr_db",
 )
 
 
