@@ -54,7 +54,7 @@ def main():
         before = trainer.evaluate(scene.test_cameras, scene.test_images)
         history = trainer.train(
             scene.train_cameras, scene.train_images, iterations=ITERATIONS,
-            shuffle=True,
+            view_order="shuffle",
         )
         after = trainer.evaluate(scene.test_cameras, scene.test_images)
         results[system] = (before, after, history)

@@ -60,6 +60,17 @@ def _prefix(p: str) -> str:
     return f"{p}_" if p else ""
 
 
+def _header(system: str, iteration: int, num_gaussians: int) -> dict[str, np.ndarray]:
+    """The scalars every checkpoint starts with, as
+    :class:`CheckpointReader` parses them."""
+    return {
+        "version": np.array(_FORMAT_VERSION),
+        "system": np.array(system),
+        "iteration": np.array(iteration),
+        "num_gaussians": np.array(num_gaussians),
+    }
+
+
 def save_checkpoint(path: str, system: TrainingSystem) -> None:
     """Serialize ``system`` to an ``.npz`` checkpoint.
 
@@ -69,12 +80,7 @@ def save_checkpoint(path: str, system: TrainingSystem) -> None:
     within the system's resident-set budget while writing.
     """
     system.finalize()
-    arrays: dict[str, np.ndarray] = {
-        "version": np.array(_FORMAT_VERSION),
-        "system": np.array(system.name),
-        "iteration": np.array(system.iteration),
-        "num_gaussians": np.array(system.num_gaussians),
-    }
+    arrays = _header(system.name, system.iteration, system.num_gaussians)
     for prefix, store, rows in system.checkpoint_entries():
         p = _prefix(prefix)
         for key, value in store.state_dict().items():
@@ -88,9 +94,9 @@ def save_checkpoint(path: str, system: TrainingSystem) -> None:
 def _open_checkpoint(path: str):
     """``np.load`` that reports unreadable files as corruption.
 
-    Version/system/layout *mismatches* are checked by the callers after a
-    successful open and stay ``ValueError`` — this wrapper only converts
-    "cannot even parse the archive" failures.
+    Version/system/layout *mismatches* are checked after a successful
+    open and stay ``ValueError`` — this wrapper only converts "cannot even
+    parse the archive" failures.
 
     The file is opened here, not by ``np.load``: a zip parse that fails
     inside ``np.load(path)`` leaves numpy's own handle unclosed, so the
@@ -126,45 +132,26 @@ def load_checkpoint(path: str, system: TrainingSystem) -> None:
     :class:`~repro.core.integrity.CorruptCheckpointError`; configuration
     mismatches raise ``ValueError``.
     """
-    with _open_checkpoint(path) as data:
-        version = int(data["version"])
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        saved_system = str(data["system"])
-        if saved_system != system.name:
+    with CheckpointReader(path) as reader:
+        if reader.system != system.name:
             raise ValueError(
-                f"checkpoint is for system {saved_system!r}, got "
+                f"checkpoint is for system {reader.system!r}, got "
                 f"{system.name!r}"
             )
-        if int(data["num_gaussians"]) != system.num_gaussians:
+        if reader.num_gaussians != system.num_gaussians:
             raise ValueError(
-                f"checkpoint holds {int(data['num_gaussians'])} Gaussians, "
+                f"checkpoint holds {reader.num_gaussians} Gaussians, "
                 f"system has {system.num_gaussians}"
             )
-        system.iteration = int(data["iteration"])
+        system.iteration = reader.iteration
         for prefix, store, rows in system.checkpoint_entries():
-            p = _prefix(prefix)
-            try:
-                if rows is not None and not np.array_equal(
-                    data[p + "rows"], rows
-                ):
-                    raise ValueError(
-                        f"shard layout of store {prefix!r} differs from the "
-                        "checkpoint (was the model or num_shards changed?)"
-                    )
-                state = {
-                    key: data[p + key]
-                    for key in ("params", "m", "v", "steps", "counter")
-                    if p + key in data
-                }
-            except _CORRUPTION_ERRORS as exc:
-                raise CorruptCheckpointError(
-                    path,
-                    block=p or "(root)",
-                    detail=f"{type(exc).__name__}: {exc}",
-                    actual=_file_size(path),
-                ) from exc
-            store.load_state_dict(state)
+            info = reader.block(_prefix(prefix))
+            if rows is not None and not np.array_equal(info.rows, rows):
+                raise ValueError(
+                    f"shard layout of store {prefix!r} differs from the "
+                    "checkpoint (was the model or num_shards changed?)"
+                )
+            store.load_state_dict(reader.leaf_state(info))
 
 
 def write_model_checkpoint(
@@ -187,12 +174,7 @@ def write_model_checkpoint(
     per-patch block at a time, so the fused scene never materializes as a
     single array during the merge.
     """
-    arrays: dict[str, np.ndarray] = {
-        "version": np.array(_FORMAT_VERSION),
-        "system": np.array(system),
-        "iteration": np.array(iteration),
-        "num_gaussians": np.array(num_gaussians),
-    }
+    arrays = _header(system, iteration, num_gaussians)
     covered = 0
     for prefix, rows, params in blocks:
         if params.ndim != 2 or params.shape[1] != layout.PARAM_DIM:
@@ -274,7 +256,8 @@ class CheckpointReader:
     iterating :meth:`iter_column_blocks` touches one store's block at a
     time and the full packed ``(N, 59)`` matrix is never materialized.
     Peak transient memory is bounded by the largest single block (one
-    shard's columns for sharded/out-of-core checkpoints).
+    shard's columns for sharded/out-of-core checkpoints). It is the
+    format's one parser: :func:`load_checkpoint` reads through it too.
     """
 
     def __init__(self, path: str):
@@ -315,6 +298,19 @@ class CheckpointReader:
         """Every stored block's location (no parameter data loaded)."""
         return list(self._blocks)
 
+    def block(self, prefix: str) -> CheckpointBlockInfo:
+        """The block stored under ``prefix``; a checkpoint without it is
+        damaged (:class:`~repro.core.integrity.CorruptCheckpointError`)."""
+        for info in self._blocks:
+            if info.prefix == prefix:
+                return info
+        raise CorruptCheckpointError(
+            self._path,
+            block=prefix or "(root)",
+            detail="no such block",
+            actual=_file_size(self._path),
+        )
+
     def _member_size(self, key: str) -> int | None:
         """Uncompressed size the archive index promises for one member."""
         try:
@@ -324,13 +320,24 @@ class CheckpointReader:
         return None if info is None else int(info.file_size)
 
     def block_params(self, info: CheckpointBlockInfo) -> np.ndarray:
-        """Committed parameter values of one block (loads only it).
+        """Committed parameter values of one block (loads only it)."""
+        return self._member(info.prefix + "params")
 
-        A truncated or undecodable ``.npz`` member raises
+    def leaf_state(self, info: CheckpointBlockInfo) -> dict[str, np.ndarray]:
+        """One leaf store's saved state (parameters, both moments, step
+        count and, for a deferred leaf, its counters), keyed as the
+        store's ``load_state_dict`` takes it."""
+        return {
+            key: self._member(info.prefix + key)
+            for key in ("params", "m", "v", "steps", "counter")
+            if info.prefix + key in self._data
+        }
+
+    def _member(self, key: str) -> np.ndarray:
+        """One ``.npz`` member. A truncated or undecodable member raises
         :class:`~repro.core.integrity.CorruptCheckpointError` carrying
-        the file, block, and expected/actual sizes.
+        the file, the member, and expected/actual sizes.
         """
-        key = info.prefix + "params"
         try:
             return np.asarray(self._data[key])
         except (*_CORRUPTION_ERRORS, ValueError) as exc:

@@ -44,7 +44,7 @@ made of, named as a checkpoint names them. The placements:
   pager the bytes) and only *paged-in* stores charge host DRAM; page
   traffic is metered on the ledger's disk channel and concurrent
   residency is bounded by a :class:`~repro.core.pager.ResidentSet`
-  (TideGS-style out-of-core blocks).
+  (TideGS-style out-of-core blocks). It always forwards and defers.
 * :class:`HybridStore` — composition of child stores over disjoint column
   blocks presenting one packed surface (GS-Scale's device-geometric +
   host-non-geometric split; also each shard of the sharded system).
@@ -505,12 +505,17 @@ class DiskStore(HostStore):
     through the optional :class:`ResidentSet`, which bounds concurrent
     residency).
 
+    A disk store always runs the paper's pipeline (Sections 4.2-4.3): it
+    forwards staged rows and defers its Adam updates (:class:`HostStore`
+    with ``forwarding`` and ``deferred``), the one mode that keeps an
+    inactive shard spilled between saturation flushes.
+
     A page-out is a write, so a spill records one only when the store's
     state changed since its last page-out. The store is *dirty* at
     construction (its pages hold nothing yet), after any optimizer call
-    that updates a row (a ``commit``, a non-forwarding ``return_grads``,
-    a ``flush``) and after a resident ``load_state_dict``; a page-in
-    leaves it clean. ``stage``, ``materialize``, ``state_dict`` and a
+    that updates a row (a ``commit`` or a ``flush``) and after a resident
+    ``load_state_dict``; a page-in leaves it clean. ``stage``,
+    ``materialize``, ``state_dict`` and a
     metadata-only commit never dirty a store. A clean store's pages
     already hold its arrays, so its spill is a pure eviction: host bytes
     freed and the spill epoch bumped, but no page written and nothing
@@ -538,13 +543,13 @@ class DiskStore(HostStore):
         host_memory: *host* tracker charged for the resident working set
             (fresh untracked one when omitted).
         resident_set: optional shared residency budget.
-        forwarding / deferred / max_defer: as :class:`HostStore`.
+        max_defer: deferred-counter saturation.
         stats: the :class:`~repro.core.pager.SpillStats` this store's
             spills count into (a fresh one when omitted; the out-of-core
             system shares one over its whole run).
 
-    A deferred disk store peeks its forwarded rows instead of committing
-    them at ``stage`` (:attr:`HostStore.commits_early` is off): an early
+    A disk store peeks its forwarded rows instead of committing them at
+    ``stage`` (:attr:`HostStore.commits_early` is off): an early
     commit would turn a staged shard dirty before the evictions that run
     inside ``stage``, so the page-out sequence would change (tried, it
     changed an out-of-core run's losses and page files). Where a shard's
@@ -563,14 +568,12 @@ class DiskStore(HostStore):
         spill_path: str,
         host_memory: MemoryTracker | None = None,
         resident_set: ResidentSet | None = None,
-        forwarding: bool = False,
-        deferred: bool = False,
         max_defer: int = 15,
         stats: SpillStats | None = None,
     ):
         super().__init__(
             params_block, block, adam, memory, ledger,
-            forwarding=forwarding, deferred=deferred, max_defer=max_defer,
+            forwarding=True, deferred=True, max_defer=max_defer,
         )
         self._n, self._d = self.params.shape
         self._dtype = self.params.dtype
@@ -594,9 +597,8 @@ class DiskStore(HostStore):
             field: PageFile(f"{spill_path}.{field}", (self._n, self._d), self._dtype)
             for field in _PAGED_FIELDS
         }
-        if deferred:
-            # counters stay in host memory for the store's whole life
-            self.host_memory.allocate("host_defer_counters", self._n)
+        # counters stay in host memory for the store's whole life
+        self.host_memory.allocate("host_defer_counters", self._n)
         self._resident = True
         if self.resident_set is not None:
             self.resident_set.admit(self)
@@ -739,17 +741,11 @@ class DiskStore(HostStore):
         self.page_in()
         return super().stage(ids)
 
-    def return_grads(self, ids: np.ndarray, grads: np.ndarray) -> None:
-        if not self.forwarding:
-            self.page_in()  # synchronous step touches the arrays
-        super().return_grads(ids, grads)
-
     def commit(self) -> None:
         if self._pending_ids is None:
             return
         if (
             not self._resident
-            and self.deferred
             and self._pending_ids.size == 0
             and not (self.optimizer.counter >= self.optimizer.max_defer).any()
         ):
@@ -768,7 +764,7 @@ class DiskStore(HostStore):
         if (
             not self._resident
             and self._pending_ids is None
-            and (not self.deferred or not self.optimizer.counter.any())
+            and not self.optimizer.counter.any()
         ):
             return  # nothing lazy: flushing would be the identity
         self.page_in()
@@ -795,8 +791,7 @@ class DiskStore(HostStore):
             # the store without materializing it in host memory
             state = {f: page.view() for f, page in self.pages.items()}
             state["steps"] = np.array(self.optimizer.step_count)
-            if self.deferred:
-                state["counter"] = self.optimizer.counter
+            state["counter"] = self.optimizer.counter
             return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
@@ -813,8 +808,7 @@ class DiskStore(HostStore):
             # snapshot: bump the epoch so adopt() rejects it
             self._spill_epoch += 1
             self.optimizer.step_count = int(state["steps"])
-            if self.deferred:
-                self.optimizer.counter[...] = state["counter"]
+            self.optimizer.counter[...] = state["counter"]
 
 
 class HybridStore(ParameterStore):

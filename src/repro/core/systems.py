@@ -34,7 +34,7 @@ render, aggregate, hand gradients back):
 A :class:`~repro.sim.memory.MemoryTracker` accounts device bytes in fp32
 equivalents, so OOM behaviour and peak-memory ratios can be asserted
 functionally, not just modeled. Every system renders through the
-rasterization backend selected by ``GSScaleConfig.engine`` (see
+rasterization backend selected by ``GSScaleConfig.raster.engine`` (see
 ``docs/raster_engines.md``); the store/system layering itself is described
 in ``docs/architecture.md``.
 """
@@ -816,8 +816,6 @@ class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
             spill_path=os.path.join(self._spill_root, f"shard{k}_host"),
             host_memory=self.host_memory,
             resident_set=self.resident_set,
-            forwarding=True,
-            deferred=True,
             max_defer=cfg.max_defer,
             stats=self._spill_stats,
         )

@@ -128,7 +128,6 @@ class Trainer:
         cameras: list[Camera],
         images: list[np.ndarray],
         iterations: int,
-        shuffle: bool = False,
         view_order: str = "sequential",
         start_iteration: int = 0,
     ) -> TrainingHistory:
@@ -138,14 +137,14 @@ class Trainer:
             cameras: training cameras.
             images: matching ground-truth images.
             iterations: optimizer steps to run in this call.
-            shuffle: randomize view order each epoch (seeded).
             view_order: ``"sequential"`` cycles views as given;
-                ``"locality"`` reorders each epoch with
+                ``"shuffle"`` permutes them again at the start of each
+                epoch (seeded by ``config.seed``); ``"locality"`` orders
+                them once with
                 :func:`~repro.core.systems.locality_view_order` so
                 consecutive views share a resident shard set — the
                 schedule that amortizes the out-of-core system's page-ins
                 (and that the sim's ``OUTOFCORE_VIEW_LOCALITY`` models).
-                Mutually exclusive with ``shuffle``.
             start_iteration: global iteration the run resumes at. Offsets
                 the view cursor and the densification clock, so a
                 checkpointed run that restarts with
@@ -159,13 +158,11 @@ class Trainer:
             raise ValueError("need at least one training view")
         if start_iteration < 0:
             raise ValueError("start_iteration must be >= 0")
-        if view_order not in ("sequential", "locality"):
+        if view_order not in ("sequential", "shuffle", "locality"):
             raise ValueError(
                 f"unknown view_order {view_order!r}; choose "
-                "'sequential' or 'locality'"
+                "'sequential', 'shuffle' or 'locality'"
             )
-        if shuffle and view_order != "sequential":
-            raise ValueError("shuffle and view_order are mutually exclusive")
         history = TrainingHistory()
         rng = np.random.default_rng(self.config.seed)
         if view_order == "locality":
@@ -177,7 +174,7 @@ class Trainer:
         stop = start_iteration + iterations
         for it in range(start_iteration, stop):
             pos = it % len(cameras)
-            if pos == 0 and shuffle:
+            if pos == 0 and view_order == "shuffle":
                 rng.shuffle(order)
             view = order[pos]
             if hint is not None and it + 1 < stop:

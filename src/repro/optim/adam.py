@@ -129,9 +129,3 @@ class DenseAdam:
         if ids is None:
             return self.params
         return self.params[ids]
-
-    def rewrite_rows(self, ids: np.ndarray, params_rows: np.ndarray) -> None:
-        """Overwrite parameter rows (densification inserts/resets)."""
-        self.params[ids] = params_rows
-        self.m[ids] = 0.0
-        self.v[ids] = 0.0

@@ -134,10 +134,6 @@ class SparseOptimizer(Protocol):
         """Mathematically current parameter values."""
         ...
 
-    def rewrite_rows(self, ids: np.ndarray, params_rows: np.ndarray) -> None:
-        """Overwrite parameter rows and reset their optimizer state."""
-        ...
-
 
 #: Words of float traffic per updated element: read param/grad/m/v, write
 #: param/m/v (paper Section 4.3.2: "7D 32-bit accesses per Gaussian").

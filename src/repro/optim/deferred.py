@@ -324,10 +324,3 @@ class DeferredAdam:
             ),
             counter_bytes=2 * self.num_rows,
         )
-
-    def rewrite_rows(self, ids: np.ndarray, params_rows: np.ndarray) -> None:
-        """Overwrite parameter rows and reset their optimizer state."""
-        self.params[ids] = params_rows
-        self.m[ids] = 0.0
-        self.v[ids] = 0.0
-        self.counter[ids] = 0

@@ -398,28 +398,6 @@ def shutdown_raster_pools() -> None:
         raise errors[0]
 
 
-def aggregate_counts(mappings, keys=None) -> dict:
-    """Sum per-key counts across an iterable of mappings.
-
-    With ``keys`` the result has exactly those keys (missing entries
-    count as 0 and unknown keys in the inputs are ignored); without, the
-    result is the union of all input keys.
-    """
-    if keys is not None:
-        totals = dict.fromkeys(keys, 0)
-        for m in mappings:
-            for k in keys:
-                v = m.get(k)
-                if v:
-                    totals[k] += v
-        return totals
-    totals = {}
-    for m in mappings:
-        for k, v in m.items():
-            totals[k] = totals.get(k, 0) + v
-    return totals
-
-
 def raster_pool_fault_stats() -> dict[str, int]:
     """Aggregate supervision counters across the live raster pools.
 
@@ -428,10 +406,13 @@ def raster_pool_fault_stats() -> dict[str, int]:
     already shut down (:func:`shutdown_raster_pools`) are not included;
     read a pool's own :meth:`PersistentPool.fault_stats` to keep them.
     """
-    return aggregate_counts(
-        (pool.fault_stats() for pool in _RASTER_POOLS.values()),
-        keys=("worker_deaths", "respawns", "retries", "deadline_hits"),
+    totals = dict.fromkeys(
+        ("worker_deaths", "respawns", "retries", "deadline_hits"), 0
     )
+    for pool in _RASTER_POOLS.values():
+        for key, count in pool.fault_stats().items():
+            totals[key] += count
+    return totals
 
 
 # ---------------------------------------------------------------------------

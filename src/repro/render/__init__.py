@@ -10,7 +10,7 @@ the oracle it is checked against. ``RasterConfig.dtype="float32"`` selects
 the ``vectorized`` engine's inference fast path.
 """
 
-from . import backward, culling, engine, projection, rasterize, tiles
+from . import backward, culling, engine, projection, rasterize
 from .culling import CullResult, cull_candidates, frustum_cull
 from .engine import (
     rasterize_backward_vectorized,
@@ -19,7 +19,6 @@ from .engine import (
 )
 from .pipeline import RenderBackwardResult, RenderResult, render, render_backward
 from .rasterize import ENGINES, RASTER_DTYPES, RasterConfig
-from .tiles import TileBinning, bin_gaussians
 
 __all__ = [
     "CullResult",
@@ -28,9 +27,7 @@ __all__ = [
     "RasterConfig",
     "RenderBackwardResult",
     "RenderResult",
-    "TileBinning",
     "backward",
-    "bin_gaussians",
     "cull_candidates",
     "culling",
     "engine",
@@ -42,5 +39,4 @@ __all__ = [
     "render",
     "render_backward",
     "tile_intersections",
-    "tiles",
 ]

@@ -12,9 +12,9 @@ BalanceGS / Faster-GS) to numpy:
    ``(intersection -> tile_id, splat_id)`` table with pure
    ``np.repeat``/``arange`` arithmetic (:func:`tile_intersections`) and
    sorted once by ``(tile_id, depth_rank)`` using a stable radix sort over
-   16-bit key digits. There are no Python-list buckets;
-   :func:`repro.render.tiles.bin_gaussians` shares this exact code path, so
-   binning statistics come from the same place the engine composites from.
+   16-bit key digits. There are no Python-list buckets, and binning
+   statistics (``PairCounts.isects``) are counted on the table the engine
+   composites from.
 
 2. **Occlusion prune.** Before any pair exists, each tile's depth-sorted
    list is cut where everything behind is provably invisible
@@ -245,8 +245,7 @@ def tile_intersections(
     Expands every splat bbox into the range of tiles it overlaps and sorts
     the resulting ``(tile_id, splat_id)`` pairs once by ``(tile_id,
     position-in-order)`` with a stable radix sort. With the default input
-    order this yields, per tile, splat ids ascending — the order
-    :func:`repro.render.tiles.bin_gaussians` exposes; the rasterizer passes
+    order this yields, per tile, splat ids ascending; the rasterizer passes
     its depth order instead so each tile's span is depth-sorted.
 
     Args:

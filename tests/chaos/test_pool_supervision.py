@@ -14,11 +14,11 @@ import time
 import numpy as np
 import pytest
 
+from repro import pool as repro_pool
 from repro.faults import Fault, FaultPlan, active_plan
 from repro.pool import (
     PersistentPool,
     PoolFaultError,
-    aggregate_counts,
     get_raster_pool,
     raster_pool_fault_stats,
     shutdown_raster_pools,
@@ -224,14 +224,44 @@ class TestPlanTransport:
             pool.close()
 
 
-class TestAggregateCounts:
-    def test_sums_across_mappings(self):
-        out = aggregate_counts([{"a": 1, "b": 2}, {"a": 3, "c": 5}])
-        assert out == {"a": 4, "b": 2, "c": 5}
+class _CountingPool:
+    """Stands in for a live raster pool: fixed counters, no workers."""
 
-    def test_explicit_keys_zero_fill(self):
-        out = aggregate_counts([{"a": 1}], keys=("a", "b"))
-        assert out == {"a": 1, "b": 0}
+    def __init__(self, **counts):
+        self.counts = dict.fromkeys(
+            ("worker_deaths", "respawns", "retries", "deadline_hits"), 0
+        )
+        self.counts.update(counts)
 
-    def test_empty_input(self):
-        assert aggregate_counts([], keys=("a",)) == {"a": 0}
+    def fault_stats(self):
+        return dict(self.counts)
+
+    def close(self):
+        pass
+
+
+class TestRasterPoolFaultStats:
+    def test_sums_across_live_pools(self, monkeypatch):
+        monkeypatch.setattr(repro_pool, "_RASTER_POOLS", {
+            1: _CountingPool(worker_deaths=1, retries=2),
+            2: _CountingPool(worker_deaths=3, deadline_hits=5),
+        })
+        assert raster_pool_fault_stats() == {
+            "worker_deaths": 4, "respawns": 0, "retries": 2,
+            "deadline_hits": 5,
+        }
+
+    def test_no_live_pool_reads_zero(self, monkeypatch):
+        monkeypatch.setattr(repro_pool, "_RASTER_POOLS", {})
+        assert raster_pool_fault_stats() == {
+            "worker_deaths": 0, "respawns": 0, "retries": 0,
+            "deadline_hits": 0,
+        }
+
+    def test_a_shut_down_pool_is_not_counted(self, monkeypatch):
+        monkeypatch.setattr(
+            repro_pool, "_RASTER_POOLS", {1: _CountingPool(respawns=7)}
+        )
+        assert raster_pool_fault_stats()["respawns"] == 7
+        shutdown_raster_pools()
+        assert raster_pool_fault_stats()["respawns"] == 0

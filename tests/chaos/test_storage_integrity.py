@@ -68,7 +68,6 @@ def make_disk(tmp_path, name="spill"):
     return DiskStore(
         _params(), layout.ALL_BLOCK, ADAM, MemoryTracker(),
         TransferLedger(), spill_path=str(tmp_path / name),
-        forwarding=True,
     )
 
 
@@ -127,7 +126,6 @@ class TestDiskStorePages:
         store = DiskStore(
             _params().astype(dtype), layout.ALL_BLOCK, ADAM, MemoryTracker(),
             TransferLedger(), spill_path=str(tmp_path / "spill"),
-            forwarding=True, deferred=True,
         )
         ids = np.arange(0, N, 3)
         store.return_grads(ids, np.ones((ids.size, layout.PARAM_DIM), dtype))
@@ -153,7 +151,6 @@ class TestDiskStorePages:
         store = DiskStore(
             _params().astype(dtype), layout.ALL_BLOCK, ADAM, MemoryTracker(),
             TransferLedger(), spill_path=str(tmp_path / "spill"),
-            forwarding=True, deferred=True,
         )
         ids = np.arange(0, N, 3)
         store.return_grads(ids, np.ones((ids.size, layout.PARAM_DIM), dtype))
@@ -240,7 +237,6 @@ class TestFailedPageOut:
         store = DiskStore(
             _params(), layout.ALL_BLOCK, ADAM, MemoryTracker(),
             TransferLedger(), spill_path=str(tmp_path / "spill"),
-            forwarding=True, deferred=True,
         )
         store.spill()  # the pages hold the initial state
         ids = np.arange(0, N, 2)
@@ -372,6 +368,13 @@ class TestCorruptCheckpoints:
         finally:
             if reader is not None:
                 reader.close()
+        # loading reads through the same reader: the header opens, and
+        # the damaged member fails named
+        _, trainer = trained
+        with pytest.raises(CorruptCheckpointError) as exc_info:
+            load_checkpoint(dst, trainer.system)
+        assert exc_info.value.path == dst
+        assert exc_info.value.block
 
     def test_validate_checkpoint(self, trained, tmp_path):
         src, _ = trained

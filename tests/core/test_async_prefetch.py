@@ -335,7 +335,6 @@ class TestPreloadAdoptProtocol:
             layout.NON_GEOMETRIC_BLOCK, AdamConfig(lr=1e-2),
             MemoryTracker(), ledger if ledger is not None else TransferLedger(),
             spill_path=str(tmp_path / "shard"),
-            forwarding=True, deferred=True,
         )
 
     def test_preload_none_while_resident(self, tmp_path):
@@ -440,8 +439,6 @@ class TestLocalityOrder:
         t = Trainer(model.copy(), cfg)
         with pytest.raises(ValueError, match="view_order"):
             t.train(cameras, images, 2, view_order="zigzag")
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            t.train(cameras, images, 2, shuffle=True, view_order="locality")
 
     def test_trainer_locality_run(self, clustered):
         model, cameras, images = clustered

@@ -31,15 +31,13 @@ def _grads(ids, seed=1):
 
 
 def builder(tmp_path, store_cls):
-    """``build(**flags)`` -> a resident ``store_cls`` (forwarding +
-    deferred unless overridden)."""
+    """``build(max_defer=3)`` -> a resident ``store_cls``."""
 
-    def build(name="store", **flags):
-        flags = {"forwarding": True, "deferred": True, "max_defer": 3, **flags}
+    def build(name="store", max_defer=3):
         return store_cls(
             np.random.default_rng(0).normal(size=(N, layout.PARAM_DIM)),
             layout.ALL_BLOCK, ADAM, MemoryTracker(), TransferLedger(),
-            spill_path=str(tmp_path / name), **flags,
+            spill_path=str(tmp_path / name), max_defer=max_defer,
         )
 
     return build
@@ -111,14 +109,14 @@ def op_saturated_commit(store):
         store.commit()
 
 
-def op_dense_commit(store):
-    store.return_grads(EMPTY, _grads(EMPTY))  # dense Adam updates every row
-    store.commit()
+def op_spilled_commit(store):
+    store.spill()  # a clean eviction; the commit pages the rows back in
+    op_commit(store)
 
 
-def op_sync_return_grads(store):
-    ids = np.arange(1, N, 3)
-    store.return_grads(ids, _grads(ids))
+def op_spilled_saturated_commit(store):
+    store.spill()
+    op_saturated_commit(store)
 
 
 def op_flush(store):
@@ -134,14 +132,12 @@ def op_load_state_dict(store):
 
 
 DIRTYING = {
-    "commit": (op_commit, {}),
-    "saturated_commit": (op_saturated_commit, {}),
-    "dense_commit": (op_dense_commit, {"deferred": False}),
-    "sync_return_grads": (
-        op_sync_return_grads, {"forwarding": False, "deferred": False}
-    ),
-    "flush": (op_flush, {}),
-    "load_state_dict": (op_load_state_dict, {}),
+    "commit": op_commit,
+    "saturated_commit": op_saturated_commit,
+    "spilled_commit": op_spilled_commit,
+    "spilled_saturated_commit": op_spilled_saturated_commit,
+    "flush": op_flush,
+    "load_state_dict": op_load_state_dict,
 }
 
 
@@ -165,8 +161,8 @@ def assert_spill_writes(store, before):
 
 
 def row_write_case(make, name):
-    op, flags = DIRTYING[name]
-    store = trained(make(**flags))
+    op = DIRTYING[name]
+    store = trained(make())
     before = page_arrays(store)
     op(store)
     if not store.is_resident:

@@ -168,7 +168,7 @@ class TestSpillLifecycle:
             layout.NON_GEOMETRIC_BLOCK, AdamConfig(lr=1e-2),
             MemoryTracker(), ledger,
             spill_path=str(tmp_path / "tick"),
-            forwarding=True, deferred=True, max_defer=15,
+            max_defer=15,
         )
         store.spill()
         empty = np.empty(0, dtype=np.int64)

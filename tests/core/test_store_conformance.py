@@ -186,20 +186,20 @@ class AdoptingDiskStore(DiskStore):
         self.adoptions += 1
 
 
-def make_disk(tmp_path, store_cls=DiskStore):
+def make_disk(tmp_path, store_cls=DiskStore, max_defer=15):
     tracker, ledger = MemoryTracker(), TransferLedger()
     host_tracker = MemoryTracker()
     store = store_cls(
         _params(), layout.ALL_BLOCK, ADAM, tracker, ledger,
         spill_path=str(tmp_path / "conformance_disk"),
-        host_memory=host_tracker, forwarding=True, deferred=True,
+        host_memory=host_tracker, max_defer=max_defer,
     )
     return Harness(
         store, tracker, ledger, exact=False, host_tracker=host_tracker
     )
 
 
-def make_disk_spilling(tmp_path, store_cls=DiskStore):
+def make_disk_spilling(tmp_path, store_cls=DiskStore, max_defer=15):
     """DiskStore under a budget-1 resident set plus a sibling store, so
     every few operations the store under test is forcibly spilled."""
     tracker, ledger = MemoryTracker(), TransferLedger()
@@ -208,45 +208,11 @@ def make_disk_spilling(tmp_path, store_cls=DiskStore):
     store = store_cls(
         _params(), layout.ALL_BLOCK, ADAM, tracker, ledger,
         spill_path=str(tmp_path / "conformance_spilling"),
-        host_memory=host_tracker, resident_set=rset,
-        forwarding=True, deferred=True,
+        host_memory=host_tracker, resident_set=rset, max_defer=max_defer,
     )
     return Harness(
         store, tracker, ledger, exact=False,
         host_tracker=host_tracker, resident_set=rset,
-    )
-
-
-def make_disk_exact(tmp_path, store_cls=DiskStore):
-    """A non-deferred DiskStore under a budget-1 resident set: placement
-    is pure — the trajectory stays bit-exact against the dense oracle."""
-    tracker, ledger = MemoryTracker(), TransferLedger()
-    host_tracker = MemoryTracker()
-    rset = ResidentSet(budget=1)
-    store = store_cls(
-        _params(), layout.ALL_BLOCK, ADAM, tracker, ledger,
-        spill_path=str(tmp_path / "conformance_exact"),
-        host_memory=host_tracker, resident_set=rset,
-        forwarding=True,
-    )
-    return Harness(
-        store, tracker, ledger, exact=True,
-        host_tracker=host_tracker, resident_set=rset,
-    )
-
-
-def make_disk_forwarding(tmp_path, store_cls=DiskStore):
-    """A forwarding, non-deferred DiskStore with no residency budget:
-    spilled only when a test spills it, bit-exact against the oracle."""
-    tracker, ledger = MemoryTracker(), TransferLedger()
-    host_tracker = MemoryTracker()
-    store = store_cls(
-        _params(), layout.ALL_BLOCK, ADAM, tracker, ledger,
-        spill_path=str(tmp_path / "conformance_forwarding"),
-        host_memory=host_tracker, forwarding=True,
-    )
-    return Harness(
-        store, tracker, ledger, exact=True, host_tracker=host_tracker
     )
 
 
@@ -256,6 +222,17 @@ def adopting(make):
 
     def factory(tmp_path):
         return make(tmp_path, store_cls=AdoptingDiskStore)
+
+    return factory
+
+
+def saturating(make):
+    """``make``'s store with ``max_defer=1``: every row a commit skips
+    saturates, so the next commit restores it — the deferred counters'
+    other extreme from the paper's 4-bit field."""
+
+    def factory(tmp_path, store_cls=DiskStore):
+        return make(tmp_path, store_cls=store_cls, max_defer=1)
 
     return factory
 
@@ -271,12 +248,14 @@ FACTORIES = {
     "sharded_deferred": make_sharded_deferred,
     "disk": make_disk,
     "disk_spilling": make_disk_spilling,
-    "disk_exact": make_disk_exact,
-    "disk_forwarding": make_disk_forwarding,
+    "disk_saturating": saturating(make_disk),
+    "disk_spilling_saturating": saturating(make_disk_spilling),
     "disk_adopting": adopting(make_disk),
     "disk_spilling_adopting": adopting(make_disk_spilling),
-    "disk_exact_adopting": adopting(make_disk_exact),
-    "disk_forwarding_adopting": adopting(make_disk_forwarding),
+    "disk_saturating_adopting": adopting(saturating(make_disk)),
+    "disk_spilling_saturating_adopting": adopting(
+        saturating(make_disk_spilling)
+    ),
 }
 #: the placements whose page-ins all go through ``preload`` / ``adopt``
 ADOPTING = [name for name in FACTORIES if name.endswith("_adopting")]
@@ -314,11 +293,10 @@ class TestZeroRowStores:
         host_tracker = MemoryTracker()
         store = DiskStore(
             _params(0), layout.ALL_BLOCK, ADAM, tracker, ledger,
-            spill_path=str(tmp_path / "empty"),
-            host_memory=host_tracker, forwarding=True,
+            spill_path=str(tmp_path / "empty"), host_memory=host_tracker,
         )
         return Harness(
-            store, tracker, ledger, exact=True, host_tracker=host_tracker
+            store, tracker, ledger, exact=False, host_tracker=host_tracker
         )
 
     def test_protocol_spill_and_materialize(self, tmp_path):
@@ -372,6 +350,59 @@ class TestAdoptRoute:
         for field, page in h.store.pages.items():
             want = twin.store.pages[field].read()
             assert page.read().tobytes() == want.tobytes(), field
+
+
+#: every disk placement: a DiskStore always forwards and always defers
+DISK = [name for name in FACTORIES if name.startswith("disk")]
+
+
+def host_twin(store):
+    """A HostStore in ``store``'s mode: forwarding, deferred, the same
+    counter saturation and the same initial rows."""
+    return HostStore(
+        _params(), layout.ALL_BLOCK, ADAM, MemoryTracker(), TransferLedger(),
+        forwarding=True, deferred=True, max_defer=store.optimizer.max_defer,
+    )
+
+
+class TestDiskPlacementIsPure:
+    """The disk tier is pure placement: its trajectory is bit-identical
+    to a HostStore in the same mode, spilled, evicted or adopted, so the
+    deferred approximation is the only thing between it and the dense
+    oracle."""
+
+    @pytest.mark.parametrize("factory", DISK, ids=DISK)
+    def test_final_state_equals_the_host_store(self, tmp_path, factory):
+        h = FACTORIES[factory](tmp_path)
+        twin = host_twin(h.store)
+        drive(h.store, spill_every=2)
+        drive(twin)
+        assert h.ledger.page_in_count > 0  # the placement really paged
+        np.testing.assert_array_equal(h.store.materialize(), twin.materialize())
+        got, want = h.store.state_dict(), twin.state_dict()
+        assert set(got) == set(want)
+        for key in want:
+            np.testing.assert_array_equal(
+                np.asarray(got[key]), want[key], err_msg=key
+            )
+
+    @pytest.mark.parametrize("factory", DISK, ids=DISK)
+    def test_mid_run_materialize_equals_the_host_store(self, tmp_path, factory):
+        h = FACTORIES[factory](tmp_path)
+        twin = host_twin(h.store)
+        rng = np.random.default_rng(3)
+        for _ in range(4):
+            ids = np.sort(rng.choice(N_ROWS, size=7, replace=False))
+            grads = rng.normal(size=(ids.size, h.store.dim))
+            for s in (h.store, twin):
+                s.stage(ids)
+                s.unstage(ids)
+                s.commit()
+                s.return_grads(ids, grads)
+            h.store.spill()
+            np.testing.assert_array_equal(
+                h.store.materialize(), twin.materialize()
+            )
 
 
 class TestTrajectoryMatchesOracle:
@@ -556,7 +587,7 @@ class TestFloat32ForwardedRows:
         disk = DiskStore(
             p.copy(), layout.ALL_BLOCK, ADAM, MemoryTracker(), TransferLedger(),
             spill_path=str(tmp_path / "float32"), host_memory=MemoryTracker(),
-            forwarding=True, deferred=True, max_defer=3,
+            max_defer=3,
         )
         return host, disk
 

@@ -62,10 +62,10 @@ class TestTrainingLoop:
 
     def test_shuffle_deterministic(self, scene):
         h1 = make_trainer(scene).train(
-            scene.train_cameras, scene.train_images, 8, shuffle=True
+            scene.train_cameras, scene.train_images, 8, view_order="shuffle"
         )
         h2 = make_trainer(scene).train(
-            scene.train_cameras, scene.train_images, 8, shuffle=True
+            scene.train_cameras, scene.train_images, 8, view_order="shuffle"
         )
         np.testing.assert_allclose(
             [s.loss for s in h1.steps], [s.loss for s in h2.steps], rtol=1e-12

@@ -112,15 +112,6 @@ class TestDenseAdam:
         opt.step_sparse(ids, g_rows)
         np.testing.assert_allclose(opt.params[ids], peeked, rtol=1e-14)
 
-    def test_rewrite_rows_resets_moments(self):
-        rng = np.random.default_rng(3)
-        opt = DenseAdam(rng.normal(size=(4, 2)))
-        opt.step(np.ones((4, 2)))
-        opt.rewrite_rows(np.array([1]), np.zeros((1, 2)))
-        assert np.all(opt.m[1] == 0.0)
-        assert np.all(opt.v[1] == 0.0)
-        assert np.all(opt.m[0] != 0.0)
-
     def test_bad_shapes_raise(self):
         opt = DenseAdam(np.zeros((3, 2)))
         with pytest.raises(ValueError):

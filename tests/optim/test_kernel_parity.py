@@ -324,7 +324,7 @@ class TestDeferredParity:
         config = AdamConfig(lr=1e-2)
         store = DiskStore(
             p0, layout.ALL_BLOCK, config, MemoryTracker(), TransferLedger(),
-            spill_path=str(tmp_path / "parity"), forwarding=True, deferred=True,
+            spill_path=str(tmp_path / "parity"),
             max_defer=2,
         )
         ref = OracleDeferredAdam(p0.copy(), config, max_defer=2)

@@ -604,3 +604,61 @@ class TestIsectEdgeCases:
             pairs.pixel, np.repeat(pairs.nz, pairs.counts)
         )
         assert np.all(np.diff(pairs.nz) > 0)
+
+    def test_a_large_splat_covers_every_tile(self):
+        """A splat wider than a 64x64 image is one intersection per tile
+        of the 4x4 grid, in row-major order."""
+        _, tile_ids, sid, tiles_x = self._table(
+            np.array([[32.0, 32.0]]), np.array([30.0]), 64, 64
+        )
+        assert tiles_x == 4
+        np.testing.assert_array_equal(tile_ids, np.arange(16))
+        np.testing.assert_array_equal(sid, np.zeros(16, dtype=np.int64))
+
+    def test_ids_ascend_within_a_tile_in_input_order(self):
+        """Without an ``order`` each tile lists its splat ids ascending."""
+        rng = np.random.default_rng(8)
+        means2d = rng.uniform(0, 64, size=(40, 2))
+        _, tile_ids, sid, _ = self._table(means2d, np.full(40, 10.0), 64, 64)
+        assert np.all(np.diff(tile_ids) >= 0)
+        same_tile = np.diff(tile_ids) == 0
+        assert same_tile.any() and np.all(np.diff(sid)[same_tile] > 0)
+
+    def test_full_image_splats_boxes_cover_every_tile(self):
+        """``full_image_splats`` boxes put every splat in every tile."""
+        means2d, _, _, _, _, radii = make_splats(15, 70, 50, 11)
+        cfg = RasterConfig(full_image_splats=True)
+        tile_ids, sid, tiles_x, tiles_y = tile_intersections(
+            config_bboxes(means2d, radii, 70, 50, cfg), 70, 50
+        )
+        num_tiles = tiles_x * tiles_y
+        np.testing.assert_array_equal(
+            tile_ids, np.repeat(np.arange(num_tiles), 15)
+        )
+        np.testing.assert_array_equal(sid, np.tile(np.arange(15), num_tiles))
+
+    def test_a_small_splat_lands_in_one_tile(self):
+        """A splat well inside a tile is one intersection, with that
+        tile's id; a 64x64 image is a 4x4 grid."""
+        _, tile_ids, sid, tiles_x = self._table(
+            np.array([[8.0, 8.0], [40.0, 24.0]]), np.array([2.0, 2.0]), 64, 64
+        )
+        assert tiles_x == 4
+        np.testing.assert_array_equal(tile_ids, [0, 1 * 4 + 2])
+        np.testing.assert_array_equal(sid, [0, 1])
+
+    def test_intersections_grow_with_radius(self):
+        means2d = np.random.default_rng(7).uniform(0, 64, size=(30, 2))
+        _, small, _, _ = self._table(means2d, np.full(30, 2.0), 64, 64)
+        _, large, _, _ = self._table(means2d, np.full(30, 20.0), 64, 64)
+        assert large.size > small.size
+
+    def test_edge_tiles_round_up_at_the_default_tile_size(self):
+        """The default tile edge is 16 px, and a partial edge tile counts:
+        70x50 is a 5x4 grid."""
+        assert engine.TILE_SIZE == 16
+        tile_ids, _, tiles_x, tiles_y = tile_intersections(
+            np.array([[64, 70, 48, 50]]), 70, 50
+        )
+        assert (tiles_x, tiles_y) == (5, 4)
+        np.testing.assert_array_equal(tile_ids, [3 * 5 + 4])  # the last
