@@ -1,15 +1,9 @@
-"""Throughput benchmarks of the render-serving subsystem.
+"""Throughput benchmark of the render-serving subsystem.
 
-Two parts:
-
-* ``test_farm_throughput_speedup`` — the PR acceptance gate: batched
-  multi-worker serving must reach >= 2x the requests/sec of
-  single-request serving on the same trace (skips below 4 cores; wall-
-  clock gates are meaningless on oversubscribed runners).
-* ``test_serve_throughput_matrix`` — a workers x LOD x cache matrix
-  written to ``benchmarks/out/BENCH_serve.json``, the serving-side perf
-  trajectory the CI ``perf-smoke`` job uploads (``GSSCALE_BENCH_QUICK=1``
-  shrinks it; no speedup asserted there). Its paged multi-client row
+``test_serve_throughput_matrix`` — a LOD x cache x placement matrix
+written to ``benchmarks/out/BENCH_serve.json``, the serving-side perf
+trajectory the CI ``perf-smoke`` job uploads (``GSSCALE_BENCH_QUICK=1``
+shrinks it; no speedup asserted). Its paged multi-client row
   (four walkthrough clients answered per tick, float16 pages, half the
   model resident) is the one that moves when the serving round moves:
   it records page-ins per frame, shards touched per tick, the rows
@@ -25,12 +19,10 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from repro.cameras import trajectories
 from repro.datasets.synthetic import SyntheticSceneConfig, generate_point_cloud
 from repro.gaussians import GaussianModel, layout
-from repro.pool import shutdown_raster_pools
 from repro.render import frustum_cull
 from repro.serve import (
     LODSet,
@@ -92,68 +84,32 @@ def measure_requests_per_s(service, requests, repeats: int = 1) -> float:
     return best
 
 
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4, reason="farm speedup gate needs >= 4 cores"
-)
-def test_farm_throughput_speedup(benchmark):
-    """Acceptance gate: 4 farm workers >= 2x serial requests/sec."""
-    model = serving_model(6_000 if QUICK else 30_000)
-    requests = client_trace(8 if QUICK else 16, 96 if QUICK else 160)
-
-    def compare():
-        serial = RenderService(model, cache_bytes=0, workers=0)
-        try:
-            serial_rps = measure_requests_per_s(serial, requests)
-        finally:
-            serial.close()
-        farmed = RenderService(model, cache_bytes=0, workers=4)
-        try:
-            farmed.serve(list(requests[:4]))  # spawn + warm the pool
-            farmed_rps = measure_requests_per_s(farmed, requests)
-        finally:
-            farmed.close()
-        return farmed_rps / serial_rps
-
-    speedup = benchmark.pedantic(compare, rounds=1, iterations=1)
-    assert speedup >= 2.0, f"farm speedup only {speedup:.2f}x"
-    shutdown_raster_pools()
-
-
 def test_serve_throughput_matrix(benchmark):
-    """Workers x LOD x cache serving matrix -> BENCH_serve.json."""
+    """LOD x cache x placement serving matrix -> BENCH_serve.json."""
     num_points = 2_000 if QUICK else 12_000
     resolution = 64 if QUICK else 128
     num_requests = 6 if QUICK else 12
-    worker_axis = (0, 2) if QUICK else (0, 2, 4)
 
     model = serving_model(num_points)
     lod_set = LODSet.build(model.params)
 
     def run_matrix():
         entries = []
-        for workers in worker_axis:
-            if workers > (os.cpu_count() or 1):
-                continue
-            for lod in (0, 2):
-                service = RenderService(
-                    model, lod_set=lod_set, cache_bytes=0, workers=workers
-                )
-                try:
-                    requests = client_trace(num_requests, resolution, lod=lod)
-                    if workers >= 2:
-                        service.serve(list(requests[:workers]))  # warm pool
-                    rps = measure_requests_per_s(service, requests)
-                finally:
-                    service.close()
-                entries.append({
-                    "workers": workers,
-                    "lod": lod,
-                    "keep_fraction": lod_set.levels[lod].keep_fraction,
-                    "requests": num_requests,
-                    "requests_per_s": rps,
-                })
+        for lod in (0, 2):
+            service = RenderService(model, lod_set=lod_set, cache_bytes=0)
+            try:
+                requests = client_trace(num_requests, resolution, lod=lod)
+                rps = measure_requests_per_s(service, requests)
+            finally:
+                service.close()
+            entries.append({
+                "lod": lod,
+                "keep_fraction": lod_set.levels[lod].keep_fraction,
+                "requests": num_requests,
+                "requests_per_s": rps,
+            })
         # cached pass: the second identical trace is all hits
-        service = RenderService(model, lod_set=lod_set, workers=0)
+        service = RenderService(model, lod_set=lod_set)
         try:
             requests = client_trace(num_requests, resolution)
             service.serve(list(requests))
@@ -162,7 +118,6 @@ def test_serve_throughput_matrix(benchmark):
         finally:
             service.close()
         entries.append({
-            "workers": 0,
             "lod": 0,
             "keep_fraction": 1.0,
             "requests": num_requests,
@@ -179,7 +134,7 @@ def test_serve_throughput_matrix(benchmark):
         paged_store = PagedServingStore.from_model(
             model, geo + nongeo // 10, num_shards=16, codec="float16"
         )
-        service = RenderService(paged_store, lod_set=lod_set, workers=0)
+        service = RenderService(paged_store, lod_set=lod_set)
         try:
             requests = client_trace(num_requests, resolution)
             rps = measure_requests_per_s(service, requests)
@@ -190,11 +145,9 @@ def test_serve_throughput_matrix(benchmark):
             service.close()
         assert page_ins > 0 and peak <= budget
         inmem = next(
-            e for e in entries
-            if not e.get("cached") and e["workers"] == 0 and e["lod"] == 0
+            e for e in entries if not e.get("cached") and e["lod"] == 0
         )
         entries.append({
-            "workers": 0,
             "lod": 0,
             "keep_fraction": 1.0,
             "requests": num_requests,
@@ -215,9 +168,7 @@ def test_serve_throughput_matrix(benchmark):
         paged_store = PagedServingStore.from_model(
             model, geo + nongeo // 2, num_shards=num_shards, codec="float16"
         )
-        service = RenderService(
-            paged_store, lod_set=lod_set, cache_bytes=0, workers=0
-        )
+        service = RenderService(paged_store, lod_set=lod_set, cache_bytes=0)
         rounds = walkthrough_clients(clients, num_requests, resolution)
         try:
             stats = service.stats
@@ -281,7 +232,6 @@ def test_serve_throughput_matrix(benchmark):
         finally:
             service.close()
         entries.append({
-            "workers": 0,
             "lod": 0,
             "keep_fraction": 1.0,
             "requests": clients * len(rounds),
@@ -299,7 +249,6 @@ def test_serve_throughput_matrix(benchmark):
         return entries
 
     entries = benchmark.pedantic(run_matrix, rounds=1, iterations=1)
-    shutdown_raster_pools()
     out_dir = os.path.join(os.path.dirname(__file__), "out")
     os.makedirs(out_dir, exist_ok=True)
     payload = {
@@ -313,9 +262,6 @@ def test_serve_throughput_matrix(benchmark):
         json.dump(payload, fh, indent=2)
     assert entries and all(e["requests_per_s"] > 0 for e in entries)
     cached = [e for e in entries if e.get("cached")]
-    uncached = [
-        e for e in entries
-        if not e.get("cached") and e["workers"] == 0 and e["lod"] == 0
-    ]
+    uncached = [e for e in entries if not e.get("cached") and e["lod"] == 0]
     # a cache hit must beat rendering, whatever the hardware
     assert cached[0]["requests_per_s"] > uncached[0]["requests_per_s"]

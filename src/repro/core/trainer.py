@@ -7,6 +7,7 @@ of Figure 2 each iteration and adaptive density control on schedule.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,6 +94,23 @@ class TrainingHistory:
     _final_n: int = 0
 
 
+def _epoch_orders(base: np.ndarray, rng: np.random.Generator | None, first: int):
+    """Yield ``(epoch, view order)`` for every epoch from ``first`` on.
+
+    Without an ``rng`` every epoch walks ``base``. With a fresh one, epoch
+    ``e``'s order is ``base`` shuffled ``e + 1`` times in place by it,
+    whatever epoch the walk starts at.
+    """
+    if rng is None:
+        yield from zip(itertools.count(first), itertools.repeat(base))
+        return
+    order = base.copy()
+    for epoch in itertools.count():
+        rng.shuffle(order)
+        if epoch >= first:
+            yield epoch, order.copy()
+
+
 class Trainer:
     """Trains a Gaussian scene with one of the six systems
     (:data:`~repro.core.config.SYSTEM_NAMES`).
@@ -164,30 +182,42 @@ class Trainer:
                 "'sequential', 'shuffle' or 'locality'"
             )
         history = TrainingHistory()
-        rng = np.random.default_rng(self.config.seed)
+        n = len(cameras)
         if view_order == "locality":
-            order = locality_view_order(cameras)
+            base = locality_view_order(cameras)
         else:
-            order = np.arange(len(cameras))
+            base = np.arange(n)
+        orders = _epoch_orders(
+            base,
+            np.random.default_rng(self.config.seed)
+            if view_order == "shuffle" else None,
+            start_iteration // n,
+        )
+        window: dict[int, np.ndarray] = {}  # epoch -> order, reached so far
+
+        def view_at(it: int) -> int:
+            epoch, pos = divmod(it, n)
+            while epoch not in window:
+                e, order = next(orders)
+                window[e] = order
+            return window[epoch][pos]
+
         hint = getattr(self.system, "hint_upcoming_views", None)
 
         stop = start_iteration + iterations
         for it in range(start_iteration, stop):
-            pos = it % len(cameras)
-            if pos == 0 and view_order == "shuffle":
-                rng.shuffle(order)
-            view = order[pos]
+            view = view_at(it)
+            window.pop(it // n - 1, None)  # hints only look ahead
             if hint is not None and it + 1 < stop:
                 # overlap leg: hand the system the next D views of the
                 # schedule, nearest first, so it stages the first one's
                 # shards while this view renders and keeps the rest
-                # resident (exact for the steady in-epoch case; a wrong
-                # guess is only a cache miss, and locality order makes
-                # the deeper entries worth keeping)
+                # resident (a wrong guess is only a cache miss, and
+                # locality order makes the deeper entries worth keeping)
                 depth = self.system.prefetch_depth
                 hint(
                     [
-                        cameras[order[(it + 1 + j) % len(cameras)]]
+                        cameras[view_at(it + 1 + j)]
                         for j in range(min(depth, stop - it - 1))
                     ]
                 )

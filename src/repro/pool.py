@@ -1,20 +1,14 @@
-"""The supervised process pool and its shared-memory transport.
+"""The supervised process pool, the block threads and the background lane.
 
-:class:`PersistentPool` is the one lifecycle helper behind every
-multi-process fan-out in the repo — the render farm and the patch
-reconstruction jobs; no training path starts a process. Lazily started,
-reused across calls (so respawn cost is paid once, not per map), supervised (a dead worker or a blown deadline
+:class:`PersistentPool` is the one multi-process fan-out in the repo,
+behind the patch reconstruction jobs; no training or serving path starts
+a process. Lazily started, reused across calls (so respawn cost is paid
+once, not per map), supervised (a dead worker or a blown deadline
 respawns the pool and re-runs the map), and torn down deterministically —
 on ``close()``, on interpreter exit, and on every exception path.
 
-Data reaches the workers through one shared-memory segment per map
-(:func:`pack_shm` / :func:`attach_shm` / :func:`shm_views`): the parent
-packs its arrays once, workers attach by name and build views, and
-nothing but the task tuple and the per-task result crosses the pickle
-channel.
-
 :func:`map_blocks` is the in-process fan-out beside it, the one
-multi-core mechanism of a single view: the tile-row blocks of the
+multi-core mechanism of training and serving: the tile-row blocks of the
 ``vectorized`` raster engine's forward run on threads of the calling
 process (numpy releases the GIL in its
 array passes), one per CPU the process may run on, and inline inside a
@@ -34,9 +28,6 @@ import threading
 import time
 import weakref
 from concurrent.futures import Future, ThreadPoolExecutor, wait
-from multiprocessing import shared_memory
-
-import numpy as np
 
 from . import faults
 from .telemetry import trace as _trace
@@ -45,15 +36,9 @@ __all__ = [
     "Lane",
     "PersistentPool",
     "PoolFaultError",
-    "attach_shm",
     "block_threads",
-    "get_raster_pool",
     "map_blocks",
-    "pack_shm",
     "pool_fork_guard",
-    "raster_pool_fault_stats",
-    "shm_views",
-    "shutdown_raster_pools",
     "usable_cpus",
 ]
 
@@ -112,8 +97,7 @@ def _supervised_task(payload):
 class PersistentPool:
     """A lazily-started, reusable, *supervised* multiprocessing pool.
 
-    The shared lifecycle helper of the render farm and
-    ``train_patches``. Guarantees:
+    The lifecycle helper of ``train_patches``. Guarantees:
 
     * workers spawn on first :meth:`map`, not at construction, and are
       reused by every later call (no per-call respawn cost);
@@ -138,9 +122,8 @@ class PersistentPool:
       in it and never starts block threads of its own.
 
     Args:
-        processes: worker count. Workers start by ``fork`` (cheap, data
-            arrives via shared memory anyway), or by the platform default
-            where fork is unavailable.
+        processes: worker count. Workers start by ``fork`` (cheap), or
+            by the platform default where fork is unavailable.
         task_timeout: default per-:meth:`map` deadline in seconds
             (``None`` = no deadline).
         max_retries: default respawn-and-retry budget per :meth:`map`
@@ -352,69 +335,6 @@ class PersistentPool:
             pass
 
 
-#: Raster pools by worker count: farms with the same ``workers`` share one
-#: persistent pool across calls and hot swaps.
-_RASTER_POOLS: dict[int, PersistentPool] = {}
-
-
-def get_raster_pool(workers: int) -> PersistentPool:
-    """The shared persistent pool for ``workers`` processes.
-
-    One pool per worker count, shared by every consumer that fans
-    generic picklable frames out — the serving subsystem's render farms —
-    so their worker processes are pooled rather than duplicated. Torn
-    down by
-    :func:`shutdown_raster_pools` or at interpreter exit.
-    """
-    pool = _RASTER_POOLS.get(workers)
-    if pool is None:
-        pool = PersistentPool(workers)
-        _RASTER_POOLS[workers] = pool
-    return pool
-
-
-def shutdown_raster_pools() -> None:
-    """Tear down every persistent raster pool (idempotent).
-
-    Raster pools are process-level caches shared by every farm and
-    service, so closing one deliberately leaves them running (tearing
-    them down there would make each hot swap pay a respawn); they are
-    reaped at interpreter exit. Call this explicitly to release the
-    worker processes earlier — the next pooled render restarts them.
-
-    Idempotent and exception-safe: the registry is cleared before any
-    teardown runs (so a failure can't leave half-closed pools cached for
-    reuse), every pool is attempted, and the first failure — if any —
-    re-raises after the rest are down.
-    """
-    pools, errors = list(_RASTER_POOLS.values()), []
-    _RASTER_POOLS.clear()
-    for pool in pools:
-        try:
-            pool.close()
-        except Exception as exc:  # noqa: BLE001 - collect, close the rest
-            errors.append(exc)
-    if errors:
-        raise errors[0]
-
-
-def raster_pool_fault_stats() -> dict[str, int]:
-    """Aggregate supervision counters across the live raster pools.
-
-    The pools are process-wide, shared by every farm and service, so
-    this is the process's view, not one service's. Counters of pools
-    already shut down (:func:`shutdown_raster_pools`) are not included;
-    read a pool's own :meth:`PersistentPool.fault_stats` to keep them.
-    """
-    totals = dict.fromkeys(
-        ("worker_deaths", "respawns", "retries", "deadline_hits"), 0
-    )
-    for pool in _RASTER_POOLS.values():
-        for key, count in pool.fault_stats().items():
-            totals[key] += count
-    return totals
-
-
 # ---------------------------------------------------------------------------
 # in-process block threads
 # ---------------------------------------------------------------------------
@@ -521,48 +441,3 @@ class Lane:
         faults.fault_point(f"lane:{self.name}", index=seq)
         with pool_fork_guard:
             return fn(*args)
-
-
-# ---------------------------------------------------------------------------
-# shared-memory transport
-# ---------------------------------------------------------------------------
-
-def pack_shm(arrays: dict[str, np.ndarray]):
-    """Copy ``arrays`` into one shared-memory segment.
-
-    Returns ``(shm, metas)`` where ``metas`` is the picklable recipe
-    (name, dtype, shape, byte offset) workers rebuild their views from.
-    """
-    items = [(k, np.ascontiguousarray(v)) for k, v in arrays.items()]
-    metas, offset = [], 0
-    for name, arr in items:
-        metas.append((name, arr.dtype.str, arr.shape, offset))
-        offset += arr.nbytes
-    shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-    for (name, dt, shape, off), (_, arr) in zip(metas, items):
-        np.ndarray(shape, dtype=dt, buffer=shm.buf, offset=off)[...] = arr
-    return shm, metas
-
-
-def attach_shm(name: str) -> shared_memory.SharedMemory:
-    """Attach to a segment without inheriting resource-tracker ownership
-    (the parent unlinks; a tracking attach would double-free at exit)."""
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        # Python < 3.13 has no track kwarg. On POSIX, pool workers —
-        # fork and spawn alike — share the parent's resource tracker
-        # process (its fd travels in the spawn preparation data), whose
-        # name cache is a set: the attach-side re-register is a no-op
-        # and the parent's unlink settles the one cache entry. Windows
-        # has no resource tracker for shared memory at all.
-        return shared_memory.SharedMemory(name=name)
-
-
-def shm_views(shm, metas) -> dict[str, np.ndarray]:
-    """Array views over an attached segment, by the names of
-    :func:`pack_shm`'s ``metas`` (drop them before ``shm.close()``)."""
-    return {
-        name: np.ndarray(shape, dtype=dt, buffer=shm.buf, offset=off)
-        for name, dt, shape, off in metas
-    }

@@ -4,14 +4,14 @@ Turns a trained (possibly larger-than-host) model into a request-serving
 endpoint: read-only serving stores with out-of-core paging
 (:mod:`~repro.serve.store`), nested level-of-detail subsets
 (:mod:`~repro.serve.lod`), a pose-keyed frame cache
-(:mod:`~repro.serve.cache`), a multi-worker render farm
-(:mod:`~repro.serve.farm`), and the :class:`~repro.serve.service.\
+(:mod:`~repro.serve.cache`), the batch render path every served frame
+takes (:mod:`~repro.serve.farm`), and the :class:`~repro.serve.service.\
 RenderService` that batches client requests across all of them. See
 the serving section of ``docs/architecture.md``.
 """
 
 from .cache import FrameCache, frame_key
-from .farm import FrameTask, RenderFarm, render_frame, render_frames
+from .farm import FrameTask, render_frame, render_frames
 from .lod import (
     DEFAULT_LOD_LEVELS,
     LODLevel,
@@ -44,7 +44,6 @@ __all__ = [
     "LODSet",
     "PageQuarantinedError",
     "PagedServingStore",
-    "RenderFarm",
     "RenderRequest",
     "RenderResponse",
     "RenderService",

@@ -1,31 +1,17 @@
-"""Multi-worker render farm: whole frames fanned out over the shared pool.
+"""The serving render path: one batch of frames, culled, gathered once,
+composited.
 
-The ``vectorized`` raster engine splits *one* frame across the cores of its
-process; a serving tick has the opposite shape — many independent
-frames — so the farm ships each frame to its own worker process and keeps
-the per-frame pipeline single-core: a pool worker runs the ``vectorized``
-forward's tile-row blocks inline (:func:`repro.pool.map_blocks`), where
-the service's own process would spread a large frame over its CPUs. Farms draw from the
-:func:`~repro.pool.get_raster_pool` registry of persistent pools, so a
-process that serves and benchmarks never holds two worker fleets for
-the same core count.
-
-The model reaches the workers through shared memory:
-:meth:`RenderFarm.publish` packs the packed parameter matrix and
-the LOD drop-level array into one shared-memory segment, and each task
-pickles only a camera plus a few scalars. Workers attach read-only, run
-:func:`render_frame` — the one-frame case of :func:`render_frames`, the
-*same* function the service runs inline over a whole tick (cull every
-frame, gather once for the union of their visible rows, composite each
-from its slice), so a farm frame is bit-identical to a single-process
-frame — and ship the composited image back.
-
-The farm takes an in-memory store only. A model over the host budget
-(:class:`~repro.serve.store.PagedServingStore`) serves inline through the
-same :func:`render_frames`, whose union gather is cut to what the page
-budget holds — :class:`~repro.serve.service.RenderService` rejects the
-combination, since a paged store's point is that no process holds the
-whole model.
+:func:`render_frames` is the one function every served frame goes
+through — :class:`~repro.serve.service.RenderService` runs it inline
+over each tick's unique frames, and :func:`render_frame` is its
+one-frame case. It culls every frame (:func:`visible_ids`), gathers once
+for the union of their visible rows — cut to what a
+:class:`~repro.serve.store.PagedServingStore`'s page budget holds — and
+composites each frame from its slice, so a served frame is bit-identical
+to a direct :func:`repro.render.pipeline.render` of the same rows. A
+large frame's forward spreads over the process's CPUs on the block
+threads (:func:`repro.pool.map_blocks`); no serving path starts a
+process.
 """
 
 from __future__ import annotations
@@ -37,16 +23,14 @@ import numpy as np
 from .. import faults
 from ..cameras.camera import Camera
 from ..render import cull_candidates, frustum_cull, render
-from ..pool import attach_shm, get_raster_pool, pack_shm, shm_views
 from ..render.projection import ScreenRows
 from ..render.rasterize import RasterConfig
 from ..telemetry import trace as _trace
 from ..telemetry.trace import span as _span
-from .store import InMemoryServingStore, ServingStore
+from .store import ServingStore
 
 __all__ = [
     "FrameTask",
-    "RenderFarm",
     "render_frame",
     "render_frames",
     "visible_ids",
@@ -181,8 +165,8 @@ gather` decodes it.
 max_gather_rows` — for a paged store the rows its page budget holds,
     derived from the host byte budget — is cut into consecutive groups
     that fit, each gathered once: no process assembles more of the model
-    than the budget already admits. Inline service ticks, farm workers
-    and :func:`render_frame` all run exactly this function. Any failure
+    than the budget already admits. Service ticks and
+    :func:`render_frame` both run exactly this function. Any failure
     raises; the service contains it by retrying frame by frame. Each
     composited frame visits the ``serve:frame`` fault point with its
     index in ``tasks``; traced, its ``serve/frame`` span carries the
@@ -235,104 +219,3 @@ def render_frame(
 ) -> np.ndarray:
     """Render one frame: :func:`render_frames` of one task."""
     return render_frames(store, drop_level, [task])[0]
-
-
-def _frame_task(args):
-    """Pool task: attach the published model, render one frame, detach."""
-    shm_name, metas, task = args
-    shm = attach_shm(shm_name)
-    views = store = None
-    try:
-        views = shm_views(shm, metas)
-        store = InMemoryServingStore(views["params"], copy=False)
-        image = render_frame(store, views.get("drop_level"), task)
-    finally:
-        del views, store  # drop buffer views so close() cannot see exports
-        shm.close()
-    return image
-
-
-class RenderFarm:
-    """Fan independent frames out over the shared persistent pool.
-
-    Args:
-        workers: worker-process count; ``<= 1`` renders every batch
-            inline (useful as a parity oracle for the pooled path). The
-            pooled map runs under the shared pool's own deadline and
-            retry budget.
-    """
-
-    def __init__(self, workers: int):
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
-        self.workers = workers
-        self._shm = None
-        self._metas = None
-        self._store: ServingStore | None = None
-        self._drop_level: np.ndarray | None = None
-
-    @property
-    def published(self) -> bool:
-        """Whether a model is currently published to the workers."""
-        return self._store is not None
-
-    def publish(
-        self, store: InMemoryServingStore, drop_level: np.ndarray | None
-    ) -> None:
-        """Make ``store`` the served model (replacing any previous one).
-
-        Packs the parameter matrix + LOD ranks into a fresh shared-memory
-        segment; the old segment is unlinked, so a hot swap leaks
-        nothing. ``drop_level=None`` serves every task at full detail
-        (no LOD filtering, whatever the task's ``lod``).
-        """
-        self.unpublish()
-        self._store = store
-        self._drop_level = (
-            None if drop_level is None
-            else np.asarray(drop_level, dtype=np.int16)
-        )
-        if self.workers >= 2:
-            arrays = {"params": store.params}
-            if self._drop_level is not None:
-                arrays["drop_level"] = self._drop_level
-            self._shm, self._metas = pack_shm(arrays)
-
-    def unpublish(self) -> None:
-        """Release the published model's shared segment (idempotent)."""
-        if self._shm is not None:
-            self._shm.close()
-            self._shm.unlink()
-            self._shm = None
-            self._metas = None
-        self._store = None
-        self._drop_level = None
-
-    def render_batch(self, tasks: list[FrameTask]) -> list[np.ndarray]:
-        """Render every task, one worker per frame (inline below 2)."""
-        if self._store is None:
-            raise RuntimeError("no model published to the farm")
-        if self.workers <= 1 or len(tasks) <= 1:
-            return render_frames(self._store, self._drop_level, tasks)
-        return get_raster_pool(self.workers).map(
-            _frame_task,
-            [(self._shm.name, self._metas, task) for task in tasks],
-        )
-
-    def close(self) -> None:
-        """Release the shared segment (the pooled workers are shared
-        process-level state, reaped by
-        :func:`~repro.pool.shutdown_raster_pools`)."""
-        self.unpublish()
-
-    def __enter__(self) -> "RenderFarm":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self):
-        try:
-            self.close()
-        except Exception:
-            pass

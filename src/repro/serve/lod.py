@@ -10,7 +10,7 @@ derives one *nested* subset per :class:`LODLevel`: level 0 keeps every
 splat at full SH degree (bit-identical to the unfiltered render), deeper
 levels keep a shrinking top fraction by importance and clamp the SH
 degree. Nesting makes the precompute a single ``(N,)`` array
-(:attr:`LODSet.drop_level`), cheap to ship to render-farm workers and to
+(:attr:`LODSet.drop_level`), cheap to store beside the model and to
 intersect with a frustum cull.
 
 :func:`lod_quality_report` measures what each level costs: PSNR of the
@@ -173,7 +173,7 @@ def render_at_lod(
 
     Delegates to :func:`~repro.serve.farm.render_frame` — the *same*
     function every :class:`~repro.serve.service.RenderService` frame
-    (inline and farmed) runs — so quality measurement and serving cannot
+    runs — so quality measurement and serving cannot
     drift apart.
     """
     from .farm import FrameTask, render_frame

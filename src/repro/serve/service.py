@@ -4,9 +4,8 @@ The serving vertical the training stack was missing: a
 :class:`RenderService` owns a read-only :class:`~repro.serve.store.\
 ServingStore` (in-memory, or :class:`~repro.serve.store.\
 PagedServingStore` for models over a host byte budget), an optional
-:class:`~repro.serve.lod.LODSet`, a pose-keyed
-:class:`~repro.serve.cache.FrameCache`, and an optional
-:class:`~repro.serve.farm.RenderFarm`. Clients :meth:`~RenderService.\
+:class:`~repro.serve.lod.LODSet` and a pose-keyed
+:class:`~repro.serve.cache.FrameCache`. Clients :meth:`~RenderService.\
 submit` :class:`RenderRequest` objects; each :meth:`~RenderService.tick`
 drains the queue as one batch:
 
@@ -15,14 +14,12 @@ drains the queue as one batch:
 2. serve cache hits;
 3. deduplicate the misses — identical frames wanted by many clients
    render once;
-4. render the unique frames — fanned over the farm when it pays,
-   otherwise inline as one batch through
+4. render the unique frames as one batch through
    :func:`~repro.serve.farm.render_frames`: cull every frame, gather
    **once** for the union of their visible rows (a paged store pages
    each shard at most once per tick, resident pages first), composite
-   each frame from its slice. Farm workers run the one-frame case of the
-   same function, so a full-LOD served frame is bit-identical to a
-   direct :func:`repro.render.pipeline.render` call on every path;
+   each frame from its slice, so a full-LOD served frame is
+   bit-identical to a direct :func:`repro.render.pipeline.render` call;
 5. fill the cache and answer every request in submission order.
 
 Serving defaults to the raster stack's inference fast path
@@ -43,14 +40,14 @@ killing the tick (:class:`ServeConfig`):
   with ``overload``;
 * one poisoned frame (a quarantined page, a raster error) fails alone:
   its requests answer ``status="error"`` with the reason while the rest
-  of the batch serves: a batch that fails — on the farm or in the
-  inline union gather — is retried frame by frame rather than failing
+  of the batch serves: a batch that fails — in its union gather or
+  any frame's composite — is retried frame by frame rather than failing
   every frame in it.
 
 Every request submitted is always answered — ok, degraded, rejected
 (with reason), or error (with reason) — never dropped or deadlocked.
-:class:`ServeStats` counts what the service decided; the store, the
-pools and the phase spans keep the rest (see :class:`ServeStats`).
+:class:`ServeStats` counts what the service decided; the store and the
+phase spans keep the rest (see :class:`ServeStats`).
 """
 
 from __future__ import annotations
@@ -67,7 +64,7 @@ from ..render.rasterize import RasterConfig
 from ..telemetry import trace as _trace
 from ..telemetry.trace import span as _span
 from .cache import FrameCache, frame_key
-from .farm import FrameTask, RenderFarm, render_frames
+from .farm import FrameTask, render_frames
 from .lod import LODSet
 from .store import InMemoryServingStore, PagedServingStore, ServingStore
 
@@ -93,8 +90,7 @@ class ServeConfig:
     """Overload and fault-handling knobs for a :class:`RenderService`.
 
     The defaults reproduce the unguarded service exactly: no deadline,
-    no admission limit. The farm's pool map runs under the shared pool's
-    own deadline and retry budget.
+    no admission limit.
 
     Attributes:
         deadline_s: per-request freshness budget. A request that has
@@ -209,14 +205,9 @@ class ServeStats:
     of the in-process store's work are the store's
     (:attr:`~repro.serve.store.ServingStore.rows_projected`,
     ``rows_gathered``, ``shards_touched``, a paged store's ledger
-    ``page_in_count`` and its ``quarantined`` set); farm workers cull and
-    gather in their own processes and count there. Pool faults are the
-    pool's (:meth:`repro.pool.PersistentPool.fault_stats`,
-    :func:`repro.pool.raster_pool_fault_stats`). What one tick did is
+    ``page_in_count`` and its ``quarantined`` set). What one tick did is
     on the phase spans that did it — ``serve/cull``'s ``candidates``,
-    ``serve/gather``'s ``rows``, one ``serve/page_in`` per page-in —
-    which ship home from farm workers, so they are complete on every
-    path.
+    ``serve/gather``'s ``rows``, one ``serve/page_in`` per page-in.
     """
 
     requests: int = 0
@@ -261,9 +252,6 @@ class RenderService:
         lod_set: nested LOD subsets; ``None`` restricts requests to
             ``lod=0`` (full detail).
         cache_bytes: frame-cache byte budget; ``0`` disables caching.
-        workers: render-farm process count (``<= 1`` serves inline; the
-            farm requires an in-memory store — a paged store's point is
-            that no process holds the whole model).
         config: raster backend knobs; defaults to
             :func:`default_serve_raster_config`.
         background: render background color (black when ``None``).
@@ -276,7 +264,6 @@ class RenderService:
         store: ServingStore | GaussianModel,
         lod_set: LODSet | None = None,
         cache_bytes: int = 64 * 1024 * 1024,
-        workers: int = 0,
         config: RasterConfig | None = None,
         background: np.ndarray | None = None,
         serve_config: ServeConfig | None = None,
@@ -284,11 +271,6 @@ class RenderService:
         if isinstance(store, GaussianModel):
             store = InMemoryServingStore.from_model(store)
         self.config = config if config is not None else default_serve_raster_config()
-        if workers >= 2 and isinstance(store, PagedServingStore):
-            raise ValueError(
-                "the render farm needs an in-memory store; a paged model "
-                "serves inline (workers <= 1)"
-            )
         self.store = store
         self.lod_set = lod_set
         self.background = background
@@ -301,8 +283,6 @@ class RenderService:
         # a deque: append and popleft are atomic, so submitters on other
         # threads need no lock against the one ticking thread
         self._queue: deque[tuple[RenderRequest, float]] = deque()
-        self._farm = RenderFarm(workers) if workers >= 2 else None
-        self._publish()
 
     # -- model lifecycle ---------------------------------------------------
     @classmethod
@@ -334,11 +314,6 @@ class RenderService:
             )
         return cls(store, **kwargs)
 
-    def _publish(self) -> None:
-        if self._farm is not None:
-            drop = self.lod_set.drop_level if self.lod_set is not None else None
-            self._farm.publish(self.store, drop)
-
     def swap_model(
         self,
         store: ServingStore | GaussianModel,
@@ -347,17 +322,15 @@ class RenderService:
         """Hot-swap the served model.
 
         Bumps the model version (pre-swap frame keys can never match
-        again), flushes the pose-keyed cache eagerly, republishes to the
-        farm, and closes the old store. LOD sets are model-specific, so
-        the new one must be supplied (or omitted for full-detail-only).
+        again), flushes the pose-keyed cache eagerly, and closes the old
+        store. LOD sets are model-specific, so the new one must be
+        supplied (or omitted for full-detail-only).
         Requests already queued against a taller old LOD ladder are
         clamped to the new set's coarsest level at the next tick rather
         than dropped.
         """
         if isinstance(store, GaussianModel):
             store = InMemoryServingStore.from_model(store)
-        if self._farm is not None and isinstance(store, PagedServingStore):
-            raise ValueError("cannot hot-swap a paged store into a farmed service")
         old = self.store
         self.store = store
         self.lod_set = lod_set
@@ -365,7 +338,6 @@ class RenderService:
         self.stats.model_swaps += 1
         if self.cache is not None:
             self.cache.invalidate()
-        self._publish()
         if old is not store:
             old.close()
 
@@ -445,32 +417,17 @@ class RenderService:
             else:
                 e.status, e.reason = "rejected", "overload"
 
-    def _render_tasks(
-        self, tasks: list[tuple[bytes, FrameTask]]
-    ) -> tuple[dict[bytes, np.ndarray], dict[bytes, str]]:
-        """Render unique frames; one poisoned frame fails alone.
+    def _render_tasks(self, tasks, images, errors) -> None:
+        """Render unique frames into ``images``; one poisoned frame fails
+        alone.
 
-        Both batch paths are all-or-nothing — the farm's pool map, and
-        the inline :func:`~repro.serve.farm.render_frames` whose one
-        union gather raises if any shard it touches is quarantined — so
-        a failed batch (worker deaths past the retry budget, a poisoned
-        task, a corrupt page) is retried frame by frame, where each
-        exception is contained to its own frame. Returns ``(images,
-        errors)`` keyed by frame key.
+        The batch is all-or-nothing — the one union gather of
+        :func:`~repro.serve.farm.render_frames` raises if any shard it
+        touches is quarantined — so a failed batch (a poisoned task, a
+        corrupt page) is retried frame by frame, where each exception is
+        contained to its own frame's entry in ``errors``. Both dicts are
+        keyed by frame key.
         """
-        images: dict[bytes, np.ndarray] = {}
-        errors: dict[bytes, str] = {}
-        if self._farm is not None and len(tasks) >= 2:
-            try:
-                batch = self._farm.render_batch([t for _, t in tasks])
-                return dict(zip((k for k, _ in tasks), batch)), errors
-            except Exception:  # noqa: BLE001 - containment boundary
-                pass
-        self._render_inline(tasks, images, errors)
-        return images, errors
-
-    def _render_inline(self, tasks, images, errors) -> None:
-        """Render ``tasks`` as one batch; if that fails, each alone."""
         if not tasks:
             return
         drop = self.lod_set.drop_level if self.lod_set is not None else None
@@ -479,7 +436,7 @@ class RenderService:
         except Exception as exc:  # noqa: BLE001 - containment boundary
             if len(tasks) > 1:
                 for item in tasks:
-                    self._render_inline([item], images, errors)
+                    self._render_tasks([item], images, errors)
             else:
                 errors[tasks[0][0]] = f"{type(exc).__name__}: {exc}"
                 self.stats.render_errors += 1
@@ -551,12 +508,13 @@ class RenderService:
                     background=self.background,
                 )
 
-        # 4: render the unique frames (farm when it pays, else one cull /
-        # gather / composite batch), each failure contained to its own
-        # frame
+        # 4: render the unique frames (one cull / gather / composite
+        # batch), each failure contained to its own frame
         tasks = list(unique.items())
+        images: dict[bytes, np.ndarray] = {}
+        errors: dict[bytes, str] = {}
         with _span("serve/render", "serve", frames=len(tasks)):
-            images, errors = self._render_tasks(tasks)
+            self._render_tasks(tasks, images, errors)
 
         # 5: fill the cache, answer in submission order. Responses must
         # alias the *stored* array: put() freezes it (snapshotting
@@ -646,9 +604,7 @@ class RenderService:
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
-        """Release the farm's shared segment and the store's pages."""
-        if self._farm is not None:
-            self._farm.close()
+        """Release the store's pages."""
         self.store.close()
 
     def __enter__(self) -> "RenderService":

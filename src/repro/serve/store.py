@@ -5,8 +5,7 @@ gradient plumbing; serving needs none of that — just the committed
 ``(N, 59)`` parameter matrix, gatherable per view. Two placements:
 
 * :class:`InMemoryServingStore` — the whole packed matrix resident in
-  host memory. Fast, simple, and what the render farm publishes to its
-  workers.
+  host memory. Fast and simple.
 * :class:`PagedServingStore` — the out-of-core tier for models larger
   than the host budget (TideGS's regime, inference-side): the geometric
   columns (17%) stay resident for culling, while the non-geometric
@@ -157,9 +156,7 @@ class ServingStore:
     :attr:`rows_projected`, :attr:`rows_gathered`, and — non-zero only
     for a placement that pages — :attr:`shards_touched` and
     :attr:`page_ins`. They count the work done on this object, in this
-    process, only: a render-farm worker culls and gathers its own copy
-    and counts there (its ``serve/cull`` and ``serve/gather`` spans ship
-    home; its counters do not).
+    process, only.
     """
 
     #: rows the frame culls ran the exact projection on so far — the
@@ -221,8 +218,9 @@ class InMemoryServingStore(ServingStore):
 
     Args:
         params: packed ``(N, 59)`` matrix.
-        copy: defensively copy ``params`` (the render farm's workers wrap
-            shared-memory views without copying).
+        copy: defensively copy ``params`` (``False`` wraps an array the
+            caller owns and no longer writes, such as a freshly loaded
+            checkpoint's).
     """
 
     def __init__(self, params: np.ndarray, copy: bool = True):

@@ -1,6 +1,6 @@
 """The chaos acceptance gate: one seeded fault plan — a stalled render
-thread, a farm worker kill, a corrupted page, and a torn checkpoint
-write — against the three tiers.
+thread, a corrupted page, and a torn checkpoint write — against the
+three tiers.
 
 (a) sharded out-of-core training, whose ``vectorized`` forward runs its
     tile-row blocks on the block threads (training starts no process, so
@@ -9,9 +9,8 @@ write — against the three tiers.
     by a torn checkpoint write resumes from the rotated last-good
     checkpoint and still converges to the fault-free result; (c) the
     render service under 2x overload answers *every* request — degraded
-    or rejected with a reason, never dropped or deadlocked — while its
-    pool records the worker death and respawn, and its store the
-    quarantined page.
+    or rejected with a reason, never dropped or deadlocked — and its
+    store records the quarantined page.
 """
 
 import os
@@ -25,7 +24,6 @@ from repro.core import GSScaleConfig, create_system
 from repro.core.checkpoint import resume_model, validate_checkpoint
 from repro.datasets import SyntheticSceneConfig, build_scene
 from repro.faults import Fault, FaultPlan, FileFault, active_plan
-from repro.pool import shutdown_raster_pools
 from repro.recon import CleanConfig, PatchPipelineConfig, run_patch_pipeline
 from repro.render import RasterConfig, engine
 from repro.serve import (
@@ -34,12 +32,6 @@ from repro.serve import (
     RenderService,
     ServeConfig,
 )
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _reap_pools():
-    yield
-    shutdown_raster_pools()
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +158,7 @@ class TestPipelineSurvivesTornCheckpoint:
 
 
 class TestServingAnswersEveryRequest:
-    """Gate (c): 2x overload + a killed farm worker + a corrupt page."""
+    """Gate (c): 2x overload + a corrupt page."""
 
     def _checkpoint(self, scene, tmp_path):
         from repro.core.checkpoint import save_checkpoint
@@ -183,20 +175,14 @@ class TestServingAnswersEveryRequest:
     def test_overload_degrades_then_rejects_never_drops(
         self, scene, tmp_path
     ):
-        shutdown_raster_pools()
         ckpt = self._checkpoint(scene, tmp_path)
         model = resume_model(ckpt)
         service = RenderService(
             model,
             lod_set=LODSet.build(model.params),
-            workers=2,
             serve_config=ServeConfig(
                 deadline_s=0.5, max_frames_per_tick=4
             ),
-        )
-        plan = FaultPlan(
-            token_dir=str(tmp_path / "tokens"),
-            faults=(Fault(point="pool:task", action="kill", index=1),),
         )
         try:
             # two requests go stale past their deadline...
@@ -208,8 +194,7 @@ class TestServingAnswersEveryRequest:
                 service.submit(
                     RenderRequest(camera=camera, width=40, height=30)
                 )
-            with active_plan(plan):
-                responses = service.tick()
+            responses = service.tick()
 
             assert len(responses) == 10  # every request answered
             by_status: dict = {}
@@ -224,13 +209,8 @@ class TestServingAnswersEveryRequest:
             stats = service.stats
             assert stats.deadline_rejects == 2
             assert stats.degraded >= 1 and stats.rejected >= 2
-            # the killed farm worker is on the farm's pool's record
-            supervision = pool.get_raster_pool(2).fault_stats()
-            assert supervision["worker_deaths"] >= 1
-            assert supervision["respawns"] >= 1
         finally:
             service.close()
-            shutdown_raster_pools()
 
     def test_poisoned_page_fails_alone_and_quarantines(
         self, scene, tmp_path

@@ -14,15 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from repro import pool as repro_pool
 from repro.faults import Fault, FaultPlan, active_plan
-from repro.pool import (
-    PersistentPool,
-    PoolFaultError,
-    get_raster_pool,
-    raster_pool_fault_stats,
-    shutdown_raster_pools,
-)
+from repro.pool import PersistentPool, PoolFaultError
 
 
 def _square(x):
@@ -178,22 +171,45 @@ class TestTeardown:
             assert time.monotonic() - t0 < 12.0
         assert not pool.started
 
-    def test_shutdown_raster_pools_idempotent(self):
-        pool = get_raster_pool(2)
-        assert pool.map(_square, [3]) == [9]
-        shutdown_raster_pools()
-        assert not pool.started
-        shutdown_raster_pools()  # idempotent on an empty registry
+    def test_fault_stats_keep_the_kill(self, tmp_path):
+        pool = PersistentPool(2)
+        try:
+            with active_plan(kill_plan(tmp_path)):
+                pool.map(_square, [1, 2, 3])
+            stats = pool.fault_stats()
+            assert stats["worker_deaths"] >= 1
+            assert stats["respawns"] >= 1
+        finally:
+            pool.close()
+        assert pool.fault_stats() == stats  # counters outlive the workers
 
-    def test_fault_stats_aggregate(self, tmp_path):
-        shutdown_raster_pools()
-        pool = get_raster_pool(2)
-        with active_plan(kill_plan(tmp_path)):
-            pool.map(_square, [1, 2, 3])
-        stats = raster_pool_fault_stats()
-        assert stats["worker_deaths"] >= 1
-        assert stats["respawns"] >= 1
-        shutdown_raster_pools()
+
+class TestFaultStats:
+    """``PersistentPool.fault_stats`` counts supervision events only: a
+    pool that lost no worker and hit no deadline reads zero on all four
+    counters, whatever its maps returned or raised."""
+
+    ZERO = {"worker_deaths": 0, "respawns": 0, "retries": 0, "deadline_hits": 0}
+
+    def test_fresh_pool_reads_zero(self):
+        pool = PersistentPool(2)
+        assert pool.fault_stats() == self.ZERO
+        assert not pool.started  # reading the counters starts no worker
+
+    def test_clean_maps_read_zero(self):
+        with PersistentPool(2) as pool:
+            assert pool.map(_square, [1, 2, 3]) == [1, 4, 9]
+            assert pool.map(_square, [4]) == [16]
+            assert pool.fault_stats() == self.ZERO
+
+    def test_application_error_reads_zero(self):
+        pool = PersistentPool(2)
+        try:
+            with pytest.raises(ValueError, match="application error"):
+                pool.map(_boom, [1, 2])
+            assert pool.fault_stats() == self.ZERO
+        finally:
+            pool.close()
 
 
 class TestPlanTransport:
@@ -222,46 +238,3 @@ class TestPlanTransport:
             assert clean == faulted  # float-exact: same pure function
         finally:
             pool.close()
-
-
-class _CountingPool:
-    """Stands in for a live raster pool: fixed counters, no workers."""
-
-    def __init__(self, **counts):
-        self.counts = dict.fromkeys(
-            ("worker_deaths", "respawns", "retries", "deadline_hits"), 0
-        )
-        self.counts.update(counts)
-
-    def fault_stats(self):
-        return dict(self.counts)
-
-    def close(self):
-        pass
-
-
-class TestRasterPoolFaultStats:
-    def test_sums_across_live_pools(self, monkeypatch):
-        monkeypatch.setattr(repro_pool, "_RASTER_POOLS", {
-            1: _CountingPool(worker_deaths=1, retries=2),
-            2: _CountingPool(worker_deaths=3, deadline_hits=5),
-        })
-        assert raster_pool_fault_stats() == {
-            "worker_deaths": 4, "respawns": 0, "retries": 2,
-            "deadline_hits": 5,
-        }
-
-    def test_no_live_pool_reads_zero(self, monkeypatch):
-        monkeypatch.setattr(repro_pool, "_RASTER_POOLS", {})
-        assert raster_pool_fault_stats() == {
-            "worker_deaths": 0, "respawns": 0, "retries": 0,
-            "deadline_hits": 0,
-        }
-
-    def test_a_shut_down_pool_is_not_counted(self, monkeypatch):
-        monkeypatch.setattr(
-            repro_pool, "_RASTER_POOLS", {1: _CountingPool(respawns=7)}
-        )
-        assert raster_pool_fault_stats()["respawns"] == 7
-        shutdown_raster_pools()
-        assert raster_pool_fault_stats()["respawns"] == 0

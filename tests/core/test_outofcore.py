@@ -19,7 +19,7 @@ from repro.core.stores import ResidentSet
 from repro.datasets import SyntheticSceneConfig, build_scene
 from repro.densify import DensifyConfig
 from repro.gaussians import layout
-from repro.pool import PersistentPool, shutdown_raster_pools
+from repro.pool import PersistentPool
 
 
 @pytest.fixture(scope="module")
@@ -314,11 +314,10 @@ class TestNoProcess:
         self, scene, tmp_path, monkeypatch, system
     ):
         """The forward's blocks fan out on threads: a training run
-        neither registers a raster pool nor forks a worker."""
+        forks no worker."""
         def no_fork(self):
             raise AssertionError("training started a process pool")
 
-        shutdown_raster_pools()
         monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
         monkeypatch.setattr(PersistentPool, "_ensure", no_fork)
         extra = (
@@ -326,4 +325,3 @@ class TestNoProcess:
             if system == "outofcore" else {}
         )
         run(scene, system, steps=2, engine="vectorized", **extra)
-        assert not pool._RASTER_POOLS

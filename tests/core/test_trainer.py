@@ -72,6 +72,82 @@ class TestTrainingLoop:
         )
 
 
+class TestShuffledSchedule:
+    """``view_order="shuffle"`` walks one schedule: epoch e's order is
+    ``arange`` shuffled e + 1 times by ``default_rng(seed)``. A hint names
+    the views the next steps render, across an epoch boundary too, and a
+    run resumed at ``start_iteration=k`` steps what the uninterrupted
+    run steps from k on."""
+
+    #: seed 0's walk over 5 views, the order every run shuffled before
+    #: the schedule was pinned
+    UNINTERRUPTED = [2, 4, 3, 0, 1, 1, 4, 3, 2, 0, 1, 3, 2, 0, 4]
+
+    @pytest.fixture(scope="class")
+    def five_views(self):
+        return build_scene(
+            SyntheticSceneConfig(
+                num_points=120, width=24, height=16, num_train_cameras=5,
+                num_test_cameras=1, altitude=9.0, seed=5,
+            )
+        )
+
+    @staticmethod
+    def walk(scene, iterations, start_iteration=0):
+        """``(views stepped, views hinted at each step)`` of one
+        out-of-core run, as indices into the training views."""
+        index = {id(cam): i for i, cam in enumerate(scene.train_cameras)}
+        trainer = Trainer(
+            scene.initial.copy(),
+            GSScaleConfig(
+                system="outofcore", scene_extent=scene.extent,
+                ssim_lambda=0.0, resident_shards=1, seed=0,
+            ),
+        )
+        system = trainer.system
+        stepped, hinted = [], []
+        step, hint = system.step, system.hint_upcoming_views
+
+        def spy_step(camera, image):
+            stepped.append(index[id(camera)])
+            return step(camera, image)
+
+        def spy_hint(cameras):
+            hinted.append([index[id(cam)] for cam in cameras])
+            return hint(cameras)
+
+        system.step, system.hint_upcoming_views = spy_step, spy_hint
+        trainer.train(
+            scene.train_cameras, scene.train_images, iterations,
+            view_order="shuffle", start_iteration=start_iteration,
+        )
+        return stepped, hinted
+
+    def test_uninterrupted_walk_is_unchanged(self, five_views):
+        stepped, _ = self.walk(five_views, 15)
+        assert stepped == self.UNINTERRUPTED
+
+    def test_hints_name_the_next_steps_across_epochs(self, five_views):
+        stepped, hinted = self.walk(five_views, 15)
+        depth = GSScaleConfig().prefetch_depth
+        assert len(hinted) == 14
+        for it, views in enumerate(hinted):
+            assert views == stepped[it + 1:it + 1 + depth], it
+
+    @pytest.mark.parametrize("start", [3, 5, 7, 10, 14])
+    def test_resume_walks_the_uninterrupted_schedule(self, five_views, start):
+        stepped, _ = self.walk(five_views, 15 - start, start_iteration=start)
+        assert stepped == self.UNINTERRUPTED[start:]
+
+    @pytest.mark.parametrize("start", [4, 9])
+    def test_resumed_hints_match_the_uninterrupted_run(self, five_views, start):
+        """Resumed at an epoch's last step, the run hints what the
+        uninterrupted run hints there: the next epoch's first views."""
+        _, whole = self.walk(five_views, 15)
+        _, resumed = self.walk(five_views, 15 - start, start_iteration=start)
+        assert resumed == whole[start:]
+
+
 class TestDensificationIntegration:
     def densify_cfg(self):
         return DensifyConfig(

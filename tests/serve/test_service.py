@@ -6,6 +6,8 @@ the DiskStore-style paged service stays under its host byte budget
 (tracker-verified) while serving a model larger than the budget.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -241,40 +243,55 @@ class TestHotSwap:
 
 
 def _paged(model):
+    """A paged store of ``model`` whose budget holds a quarter of its SH."""
     n = model.num_gaussians
     budget = layout.param_bytes(n, layout.GEOMETRIC_DIM) + (
         layout.param_bytes(-(-n // 4), layout.NON_GEOMETRIC_DIM)
     )
-    return PagedServingStore.from_model(model, budget, num_shards=4)
+    return PagedServingStore.from_model(model, budget, num_shards=4), budget
 
 
-class TestFarmNeedsAnInMemoryStore:
-    """A paged store's point is that no process holds the whole model;
-    the farm publishes the whole model. The two never meet."""
+class TestHotSwapAcrossStores:
+    """A hot swap may change the kind of store as well as the model: the
+    service serves the new store's model, within its budget when paged,
+    and releases the old store's pages."""
 
-    def test_paged_store_with_workers_is_rejected(self, scene):
-        store = _paged(scene.oracle)
-        with pytest.raises(ValueError, match="needs an in-memory store"):
-            RenderService(store, workers=2)
-        store.close()
+    def test_swap_to_a_paged_store_serves_it_under_budget(self, scene):
+        config = default_serve_raster_config()
+        cams = scene.train_cameras[:2]
+        service = RenderService(scene.oracle)
+        service.serve(requests_from_cameras(cams))
+        paged, budget = _paged(scene.initial)
+        service.swap_model(paged)
+        assert service.store is paged
+        post = service.serve(requests_from_cameras(cams))
+        for cam, resp in zip(cams, post):
+            assert resp.ok and not resp.cache_hit
+            assert np.array_equal(
+                resp.image, render(scene.initial, cam, config=config).image
+            )
+        assert paged.host_memory.peak_bytes <= budget
+        assert paged.ledger.page_in_count > 0
+        service.close()
 
-    def test_swap_to_paged_store_on_a_farmed_service_changes_nothing(
-        self, scene
-    ):
-        service = RenderService(scene.oracle, workers=2)
-        served = service.serve(requests_from_cameras(scene.train_cameras[:1]))
-        old, version = service.store, service.model_version
-        paged = _paged(scene.initial)
-        with pytest.raises(ValueError, match="cannot hot-swap a paged store"):
-            service.swap_model(paged)
-        assert service.store is old
-        assert service.model_version == version
-        assert service.stats.model_swaps == 0
-        assert len(service.cache) == 1
-        again = service.serve(requests_from_cameras(scene.train_cameras[:1]))
-        assert again[0].cache_hit
-        assert np.array_equal(again[0].image, served[0].image)
-        paged.close()
+    def test_swap_from_a_paged_store_releases_its_pages(self, scene):
+        config = default_serve_raster_config()
+        cam = scene.train_cameras[0]
+        paged, _ = _paged(scene.oracle)
+        service = RenderService(paged, cache_bytes=0)
+        before = service.render(RenderRequest(camera=cam))
+        shards = paged.host_memory.live_by_category
+        assert shards()["serve_resident_shards"] > 0
+        service.swap_model(scene.initial)
+        # closed: every shard spilled and the page files removed
+        assert shards().get("serve_resident_shards", 0) == 0
+        assert not os.path.exists(paged.page_dir)
+        after = service.render(RenderRequest(camera=cam))
+        assert np.array_equal(
+            after.image, render(scene.initial, cam, config=config).image
+        )
+        assert not np.array_equal(after.image, before.image)
+        assert service.stats.model_swaps == 1
         service.close()
 
 

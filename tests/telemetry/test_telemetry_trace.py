@@ -12,6 +12,14 @@ from repro.telemetry import trace
 from repro.telemetry.trace import SpanEvent, Tracer, _NULL_SPAN
 
 
+def _render_frame_task(args):
+    """Pool task: one served frame of ``(store, task)``."""
+    from repro.serve import render_frame
+
+    store, task = args
+    return render_frame(store, None, task)
+
+
 class TestSpanRecording:
     def test_span_records_name_cat_and_duration(self):
         tracer = trace.install()
@@ -384,13 +392,10 @@ class TestIsectTelemetry:
             assert ev.attrs["pruned_isects"] == 0  # opacity 0.1: no-op
 
     @staticmethod
-    def _serve_opaque_scene(num_frames=2, workers=0):
-        """One tick of a scene whose splats were made wide and opaque."""
-        import numpy as np
-
+    def _opaque_scene(num_frames):
+        """``(model, cameras)`` of a scene whose splats were made wide and
+        opaque."""
         from repro.datasets import SyntheticSceneConfig, build_scene
-        from repro.pool import shutdown_raster_pools
-        from repro.serve import RenderService, requests_from_cameras
 
         scene = build_scene(
             SyntheticSceneConfig(
@@ -402,14 +407,21 @@ class TestIsectTelemetry:
         model = scene.oracle.copy()
         model.log_scales[:] += np.log(12.0)
         model.opacity_logits[:] = 8.0
-        service = RenderService(model, cache_bytes=0, workers=workers)
+        return model, scene.train_cameras
+
+    @classmethod
+    def _serve_opaque_scene(cls):
+        """One tick of the opaque scene's two views."""
+        from repro.serve import RenderService, requests_from_cameras
+
+        model, cameras = cls._opaque_scene(2)
+        service = RenderService(model, cache_bytes=0)
         try:
-            for request in requests_from_cameras(scene.train_cameras):
+            for request in requests_from_cameras(cameras):
                 service.submit(request)
             return service.tick()
         finally:
             service.close()
-            shutdown_raster_pools()
 
     def test_serve_frame_spans_report_the_prune(self):
         trace.install()
@@ -423,28 +435,50 @@ class TestIsectTelemetry:
             assert ev.attrs["lod"] == 0
             assert ev.attrs["pruned_isects"] > ev.attrs["isects"] > 0
 
-    def test_farmed_frame_spans_keep_their_attributes(self):
-        """A worker's ``serve/frame`` spans ship home with what they
-        carried: a farmed tick's attributes equal the inline tick's."""
-        ticks = {}
-        for workers in (0, 2):
-            tracer = trace.install()
-            responses = self._serve_opaque_scene(num_frames=4, workers=workers)
-            frames = [ev for ev in tracer.events() if ev.name == "serve/frame"]
-            ticks[workers] = responses, frames
-            trace.uninstall()
-        (inline, inline_frames), (farmed, farmed_frames) = ticks[0], ticks[2]
-        for a, b in zip(inline, farmed, strict=True):
-            assert a.status == b.status == "ok"
-            assert a.image.tobytes() == b.image.tobytes()
-        assert len(farmed_frames) == 4
-        assert all(str(ev.tid).startswith("pool-worker-") for ev in farmed_frames)
+    def test_pool_worker_frame_spans_keep_their_attributes(self):
+        """A pool worker's ``serve/frame`` spans ship home with what they
+        carried: mapped over a :class:`~repro.pool.PersistentPool`, each
+        frame lands on a ``pool-worker-*`` lane with the attributes the
+        same frame records in process."""
+        from repro.pool import PersistentPool
+        from repro.serve import (
+            FrameTask,
+            InMemoryServingStore,
+            default_serve_raster_config,
+            render_frame,
+        )
+
+        model, cameras = self._opaque_scene(4)
+        store = InMemoryServingStore.from_model(model)
+        config = default_serve_raster_config()
+        tasks = [
+            FrameTask(camera=cam, lod=0, sh_degree=3, config=config)
+            for cam in cameras
+        ]
+        tracer = trace.install()
+        inline = [render_frame(store, None, task) for task in tasks]
+        inline_frames = [ev for ev in tracer.events() if ev.name == "serve/frame"]
+        trace.uninstall()
+        tracer = trace.install()
+        workers = PersistentPool(2)
+        try:
+            pooled = workers.map(
+                _render_frame_task, [(store, task) for task in tasks]
+            )
+        finally:
+            workers.close()
+        pooled_frames = [ev for ev in tracer.events() if ev.name == "serve/frame"]
+        trace.uninstall()
+        for a, b in zip(inline, pooled, strict=True):
+            assert a.tobytes() == b.tobytes()
+        assert len(pooled_frames) == 4
+        assert all(str(ev.tid).startswith("pool-worker-") for ev in pooled_frames)
 
         def multiset(frames):
             return sorted(tuple(sorted(ev.attrs.items())) for ev in frames)
 
-        assert multiset(farmed_frames) == multiset(inline_frames)
-        assert sum(ev.attrs["pruned_isects"] for ev in farmed_frames) > 0
+        assert multiset(pooled_frames) == multiset(inline_frames)
+        assert sum(ev.attrs["pruned_isects"] for ev in pooled_frames) > 0
 
     def test_patch_job_forward_spans_keep_their_attributes(self, tmp_path):
         """A patch job's ``train/forward`` spans ship home from its pool
@@ -641,7 +675,6 @@ class TestServeTickTelemetry:
         in-memory service set up to answer them the way ``case`` names;
         ``(responses, stats)``."""
         from repro.datasets import SyntheticSceneConfig, build_scene
-        from repro.pool import shutdown_raster_pools
         from repro.serve import RenderService, ServeConfig, requests_from_cameras
 
         scene = build_scene(
@@ -652,7 +685,6 @@ class TestServeTickTelemetry:
         )
         knobs = {
             "inline": {"cache_bytes": 0},
-            "farmed": {"cache_bytes": 0, "workers": 2},
             "cache_hits": {},
             "overload": {"cache_bytes": 0, "max_frames_per_tick": 1},
             "deadline": {"cache_bytes": 0, "deadline_s": 1e-9},
@@ -676,20 +708,18 @@ class TestServeTickTelemetry:
             return responses, service.stats
         finally:
             service.close()
-            shutdown_raster_pools()
 
     @pytest.mark.parametrize(
         "case, statuses",
         [
             ("inline", {"ok"}),
-            ("farmed", {"ok"}),
             ("cache_hits", {"ok"}),
             ("overload", {"ok", "rejected"}),
             ("deadline", {"rejected"}),
         ],
     )
     def test_every_response_has_its_request_span(self, case, statuses):
-        """Whatever answered a request — a render, the farm, the cache, or
+        """Whatever answered a request — a render, the cache, or
         a rejection — its ``serve/request`` span carries its latency, and
         the reason of a response that has one."""
         responses, _ = self._in_memory_session(case)
@@ -711,31 +741,6 @@ class TestServeTickTelemetry:
                 assert ev.attrs["reason"] == case
         if case == "cache_hits":
             assert [r.cache_hit for r in responses] == [False] * 3 + [True] * 3
-
-    def test_farmed_tick_keeps_the_whole_record(self):
-        """A farmed tick leaves the record an inline tick leaves: the same
-        service stats (bar wall time), the same ``serve/cull`` candidates
-        (shipped home from the workers), one ``serve/frame`` per frame."""
-        record = {}
-        for case in ("inline", "farmed"):
-            responses, stats = self._in_memory_session(case, rounds=1)
-            events = trace.uninstall().events()
-            assert [r.status for r in responses] == ["ok"] * 3
-            culls = [ev for ev in events if ev.name == "serve/cull"]
-            if case == "farmed":
-                assert culls and all(
-                    str(ev.tid).startswith("pool-worker-") for ev in culls
-                )
-            stats = stats.as_dict()
-            del stats["busy_s"]
-            record[case] = (
-                stats,
-                sum(ev.attrs["candidates"] for ev in culls),
-                sum(ev.name == "serve/frame" for ev in events),
-            )
-        assert record["farmed"] == record["inline"]
-        _, candidates, frames = record["inline"]
-        assert candidates > 0 and frames == 3
 
     def test_counters_run_without_a_tracer(self):
         from repro.serve import requests_from_cameras

@@ -28,3 +28,21 @@ def test_all_entries_resolve_once(name):
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names undefined attributes: {missing}"
 
+
+
+def test_serving_starts_no_process():
+    """Serving has one multi-core mechanism, the raster forward's block
+    threads: no render farm, raster-pool registry or shared-memory
+    transport, and no ``workers`` knob on the service."""
+    import inspect
+
+    import repro.pool
+    import repro.serve
+
+    assert not [n for n in dir(repro.serve) if "Farm" in n]
+    assert not [
+        n for n in dir(repro.pool) if "raster_pool" in n or "shm" in n
+    ]
+    assert "workers" not in inspect.signature(
+        repro.serve.RenderService
+    ).parameters

@@ -9,7 +9,7 @@ Each argument pair is a (committed baseline, fresh run) of the
 disk-paging, patch-pipeline and telemetry benches write. Every key of an
 entry is in exactly one of four lists:
 
-* ``IDENTITY_KEYS`` name the cell (engine, workers, dtype, splat count,
+* ``IDENTITY_KEYS`` name the cell (engine, dtype, splat count,
   shard count, codec, ...); a fresh entry is matched to the baseline
   entry with the same identity.
 * ``COUNT_KEYS`` are deterministic counts (pairs built, page-ins, bytes
@@ -41,7 +41,7 @@ THRESHOLD = 2.5
 #: The configuration of a cell: what an entry is matched on.
 IDENTITY_KEYS = (
     "bench", "engine", "dtype", "splats", "scene",
-    "workers", "lod", "keep_fraction", "requests", "cached", "paged",
+    "lod", "keep_fraction", "requests", "cached", "paged",
     "codec", "budget_fraction", "clients_per_tick",
     "rows", "num_shards", "roundtrips", "prefetch_depth", "steps",
     "num_gaussians", "num_patches", "jobs", "iterations", "merge_policy",

@@ -78,7 +78,6 @@ from repro.core.checkpoint import (
 from repro.datasets import SyntheticSceneConfig, build_scene
 from repro.densify import DensifyConfig
 from repro.gaussians import layout
-from repro.pool import shutdown_raster_pools
 from repro.render import RasterConfig
 from repro.serve import FrameTask, PagedServingStore
 from repro.serve.farm import render_frame
@@ -246,7 +245,6 @@ def run() -> dict[str, dict]:
                 scene, tmp, f"{name}-vectorized", system=name,
                 engine="vectorized",
             )
-        shutdown_raster_pools()
     return table
 
 
