@@ -265,11 +265,6 @@ class TrainingSystem(ABC):
         self._lr = config.lr_vector(dtype=model.dtype)
         self._setup(model)
 
-    @property
-    def raster_engine(self) -> str:
-        """Rasterization backend every render of this system goes through."""
-        return self.config.raster.engine
-
     # -- subclass surface --------------------------------------------------
     @abstractmethod
     def _setup(self, model: GaussianModel) -> None:

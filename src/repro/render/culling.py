@@ -6,7 +6,7 @@ the GPU (selective offloading, Section 4.2.1).
 
 :func:`frustum_cull` is the exact test, in two stages: stage 1 drops
 Gaussians outside the near/far planes; stage 2 runs the full EWA
-projection (:func:`~repro.render.projection.project_geometry`: rotation
+projection (:func:`~repro.render.projection.project_rows`: rotation
 from the quaternion, 3D covariance, perspective Jacobian, 2D eigenvalue)
 on the survivors and drops those whose 3-sigma splat misses the image
 rectangle. The projection is most of its cost, and it is spent on every
@@ -16,7 +16,7 @@ centres are one product over all rows in range (a block of one row
 would be a gemv, numerics contract facts 2 and 8); the rest runs in blocks
 of :data:`BLOCK_ROWS` rows through
 :func:`~repro.render.projection.project_rows`, the per-row function
-``project_geometry`` runs over all rows at once, and reads the centre,
+the render's ``project`` runs over all rows at once, and reads the centre,
 radius and validity of each row. Every op there is per row, so the
 walk's verdict is bit-identical to one whole-array projection wherever
 the blocks are cut (fact 6), and each product in it takes numpy's fastest
@@ -248,7 +248,7 @@ def cull_candidates(
     only when its projected centre lies outside the image rectangle by
     more than the upper bound on its splat radius derived in the module
     docstring. Camera-space centres are computed as
-    :func:`~repro.render.projection.project_geometry` computes them (model
+    :func:`~repro.render.projection.camera_points` computes them (model
     dtype); the bound itself is evaluated in float64. A row the bound
     cannot decide — a NaN or infinite centre or scale — stays a
     candidate: the exact test has the last word on every row returned,

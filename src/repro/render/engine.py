@@ -1003,26 +1003,13 @@ class _SavedPairs:
     ``key`` names everything the table depends on besides the splat
     values themselves (see :func:`_saved_key`); the backward uses the
     saved state only under an equal key. Nothing here is ever written
-    after construction, so one result backpropagates repeatedly.
+    after construction, so one result backpropagates repeatedly. What
+    building the table took is counted once, in ``RasterResult.counts``.
     """
 
     key: tuple
     pairs: _PairTable
     t_before: np.ndarray
-
-    @property
-    def num_pairs(self) -> int:
-        return int(self.pairs.alpha.size)
-
-    @property
-    def num_isects(self) -> int:
-        """Rows of the intersection table the pairs were built from."""
-        return self.pairs.isects
-
-    @property
-    def num_pruned(self) -> int:
-        """Rows :func:`prune_occluded` removed before that."""
-        return self.pairs.pruned_isects
 
     @property
     def nbytes(self) -> int:

@@ -83,7 +83,12 @@ def render(
     of every row it keeps, and the render uses it instead of projecting
     those rows again — bit-identically (numerics contract fact 8). With
     ``valid_ids=None`` the cull runs here and hands on by itself; a
-    caller that culled elsewhere hands on ``screen``.
+    caller that culled elsewhere hands on ``screen``. Either way the
+    cull's :class:`~repro.render.projection.ScreenRows` is the one
+    per-row record from the cull through the backward:
+    ``RenderResult.proj.rows`` is the screen itself (or the rows'
+    fresh projection), and ``proj`` adds only what the render needs
+    besides — the stacked centres, conics, opacities and colours.
 
     Args:
         model: the Gaussian scene.
@@ -144,12 +149,12 @@ def render(
         screen=screen,
     )
     raster = engine.get_forward(config.engine)(
-        proj.geom.means2d,
-        proj.geom.conics,
+        proj.means2d,
+        proj.conics,
         proj.colors if proj.shade is None else proj.shade,
         proj.opacities,
-        proj.geom.depths,
-        proj.geom.radii,
+        proj.rows.cam_points[:, 2],
+        proj.rows.radii,
         camera.width,
         camera.height,
         background=background,
@@ -184,8 +189,8 @@ def render_backward(
     proj = result.proj
     config = result.config or rasterize.RasterConfig()
     rgrads = engine.get_backward(config.engine)(
-        proj.geom.means2d,
-        proj.geom.conics,
+        proj.means2d,
+        proj.conics,
         proj.colors,
         proj.opacities,
         result.raster,

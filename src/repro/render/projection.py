@@ -28,62 +28,42 @@ _RADIUS_DISCRIMINANT_FLOOR = 0.1
 
 
 @dataclass
-class Projection2D:
-    """Screen-space geometry of a set of Gaussians (no color).
+class ProjectionResult:
+    """The render's projection of a (pre-culled) set of Gaussians.
 
     Attributes:
-        means2d: pixel-space centers, ``(M, 2)``.
-        cov2d: 2D covariances including the low-pass term, ``(M, 2, 2)``.
-        conics: upper-triangular entries ``(a, b, c)`` of ``inv(cov2d)``,
-            ``(M, 3)``.
-        depths: camera-space z, ``(M,)``.
-        radii: conservative splat radii in pixels (3 sigma), ``(M,)``.
-        valid: mask of Gaussians with positive-definite 2D covariance, ``(M,)``.
+        rows: the rows' screen geometry and backward context, handed on
+            by the cull or projected by :func:`project`.
+        means2d: ``rows.x`` and ``rows.y`` stacked, ``(M, 2)``: the
+            pixel-space centres the rasterizers take.
+        conics: upper-triangular entries ``(a, b, c)`` of
+            ``inv(rows.cov2d)``, ``(M, 3)``.
+        colors: RGB per row, ``(M, 3)``.
+        opacities: post-sigmoid opacities, ``(M,)``.
+        sh_degree: SH degree the colours were evaluated at.
+        view_dirs, view_vec_norms, clamp_mask: the colours' backward
+            context — unit view directions ``(M, 3)``, their lengths
+            ``(M,)`` and the colour clamp mask ``(M, 3)``; ``None`` where
+            the colours are shaded on demand.
+        shade: ``None`` unless the colours are shaded on demand
+            (:func:`project` given an SH function): then ``colors`` starts
+            at 0, and ``shade(rows)`` evaluates the rows ``rows`` (sorted
+            distinct indices), fills them in ``colors`` and returns them,
+            ``(k, 3)`` — the colour function
+            :func:`repro.render.engine.rasterize_vectorized` takes.
+
+    The depth column is ``rows.cam_points[:, 2]``.
     """
 
+    rows: ScreenRows = field(repr=False)
     means2d: np.ndarray
-    cov2d: np.ndarray
     conics: np.ndarray
-    depths: np.ndarray
-    radii: np.ndarray
-    valid: np.ndarray
-
-
-@dataclass
-class ProjectionContext:
-    """Intermediates cached by :func:`project` for :func:`project_backward`
-    (``None`` where a handed-on projection was kept without its backward
-    context, and the colour fields where the colours are shaded on
-    demand: a forward-only render)."""
-
-    cam_points: np.ndarray  # (M, 3)
-    jacobians: np.ndarray | None  # (M, 2, 3)
-    cov3d_ctx: dict | None
-    cov3d_mats: np.ndarray | None  # (M, 3, 3)
-    view_dirs: np.ndarray | None  # (M, 3) unit
-    view_vec_norms: np.ndarray | None  # (M,)
-    clamp_mask: np.ndarray | None  # (M, 3)
-    opacities: np.ndarray  # (M,)
+    colors: np.ndarray
+    opacities: np.ndarray
     sh_degree: int
-
-
-@dataclass
-class ProjectionResult:
-    """Full forward projection: geometry, color, opacity plus backward
-    context.
-
-    ``shade`` is ``None`` unless the colours are shaded on demand
-    (:func:`project` given an SH function): then ``colors`` starts at 0,
-    and ``shade(rows)`` evaluates the rows ``rows`` (sorted distinct
-    indices), fills them in ``colors`` and returns them, ``(k, 3)`` — the
-    colour function :func:`repro.render.engine.rasterize_vectorized`
-    takes.
-    """
-
-    geom: Projection2D
-    colors: np.ndarray  # (M, 3)
-    opacities: np.ndarray  # (M,)
-    ctx: ProjectionContext = field(repr=False)
+    view_dirs: np.ndarray | None = field(default=None, repr=False)
+    view_vec_norms: np.ndarray | None = field(default=None, repr=False)
+    clamp_mask: np.ndarray | None = field(default=None, repr=False)
     shade: Callable[[np.ndarray], np.ndarray] | None = field(
         default=None, repr=False
     )
@@ -223,8 +203,8 @@ def project_rows(
     """The EWA projection of rows whose camera-space centres are known:
     pixel centre, perspective Jacobian, 3D and 2D covariance, radius.
 
-    The one implementation behind :func:`project_geometry` and the
-    frustum cull's block walk. Every operation in it is per row —
+    The one implementation behind :func:`project` and the frustum
+    cull's block walk. Every operation in it is per row —
     elementwise ufuncs, the per-row quaternion norm, the stacked
     products ``V V^T``, ``M Sigma`` and ``(M Sigma) M^T`` (one BLAS call
     per item, each with a contiguous right operand), and ``J W`` as one
@@ -269,71 +249,6 @@ def project_rows(
     )
 
 
-def project_geometry(
-    means: np.ndarray,
-    log_scales: np.ndarray,
-    quats: np.ndarray,
-    camera: Camera,
-    screen: ScreenRows | None = None,
-) -> tuple[Projection2D, ProjectionContext]:
-    """Project geometric attributes to screen space.
-
-    The forward pass's geometry: :func:`project_rows` over all rows, plus
-    the conics and the backward context. Frustum culling (which needs
-    only geometry — the basis of selective offloading, Section 4.2.1)
-    runs the same :func:`project_rows` block by block, and hands on what
-    it computed for the rows it keeps (``CullResult.screen``).
-
-    Args:
-        screen: those rows' :class:`ScreenRows`, in the order of
-            ``means``, from a cull over the same values; used in place of
-            :func:`camera_points` + :func:`project_rows`, with the same
-            bits (numerics contract fact 8). A screen of fewer than two
-            rows is not used: numpy computes a one-row product as a gemv,
-            whose row differs from the gemm's (fact 2). Without the
-            backward context, the returned context holds ``None`` there.
-
-    Returns:
-        ``(geom, partial_ctx)`` — the context lacks color-related fields,
-        which :func:`project` fills in.
-    """
-    if screen is not None and len(screen) >= 2:
-        rows, cam_points = screen, screen.cam_points
-    else:
-        cam_points = camera_points(means, camera)
-        rows = project_rows(cam_points, log_scales, quats, camera)
-    means2d = np.stack([rows.x, rows.y], axis=-1)
-
-    cov2d = rows.cov2d
-    a = cov2d[:, 0, 0]
-    b = cov2d[:, 0, 1]
-    c = cov2d[:, 1, 1]
-    det = a * c - b * b
-    safe_det = np.where(det > 0, det, 1.0)
-    conics = np.stack([c / safe_det, -b / safe_det, a / safe_det], axis=-1)
-
-    geom = Projection2D(
-        means2d=means2d,
-        cov2d=cov2d,
-        conics=conics,
-        depths=cam_points[:, 2].copy(),
-        radii=rows.radii,
-        valid=rows.valid,
-    )
-    ctx = ProjectionContext(
-        cam_points=cam_points,
-        jacobians=rows.jacobians,
-        cov3d_ctx=rows.cov3d_ctx,
-        cov3d_mats=rows.cov3d_mats,
-        view_dirs=np.empty(0),
-        view_vec_norms=np.empty(0),
-        clamp_mask=np.empty(0),
-        opacities=np.empty(0),
-        sh_degree=SH_DEGREE,
-    )
-    return geom, ctx
-
-
 def project(
     means: np.ndarray,
     log_scales: np.ndarray,
@@ -344,7 +259,12 @@ def project(
     sh_degree: int = SH_DEGREE,
     screen: ScreenRows | None = None,
 ) -> ProjectionResult:
-    """Full forward projection of a (pre-culled) set of Gaussians.
+    """Full forward projection of a (pre-culled) set of Gaussians:
+    :func:`project_rows` over all rows, plus the conics, the opacities and
+    the colours. Frustum culling (which needs only geometry — the basis of
+    selective offloading, Section 4.2.1) runs the same :func:`project_rows`
+    block by block, and hands on what it computed for the rows it keeps
+    (``CullResult.screen``).
 
     Args:
         means: world positions, ``(M, 3)``.
@@ -355,11 +275,16 @@ def project(
             for a forward-only render, a function of row indices returning
             those rows' coefficients. The colours are then not computed
             here: ``ProjectionResult.shade`` computes the rows it is asked
-            for, and the context holds no colour fields.
+            for, and the result holds no colour context.
         camera: viewing camera.
         sh_degree: active SH degree (0..3).
-        screen: the cull's projection of these rows
-            (:func:`project_geometry`).
+        screen: those rows' :class:`ScreenRows`, in the order of
+            ``means``, from a cull over the same values; used as
+            ``ProjectionResult.rows`` in place of :func:`camera_points` +
+            :func:`project_rows`, with the same bits (numerics contract
+            fact 8). A screen of fewer than two rows is not used: numpy
+            computes a one-row product as a gemv, whose row differs from
+            the gemm's (fact 2).
 
     A colour depends on its own row only — the view direction, its norm
     and :func:`~repro.gaussians.sh.eval_colors` are per row (numerics
@@ -367,13 +292,26 @@ def project(
     whole-array colour.
     """
     m_count = means.shape[0]
-    geom, ctx = project_geometry(means, log_scales, quats, camera, screen)
+    if screen is None or len(screen) < 2:
+        screen = project_rows(
+            camera_points(means, camera), log_scales, quats, camera
+        )
+
+    cov2d = screen.cov2d
+    a = cov2d[:, 0, 0]
+    b = cov2d[:, 0, 1]
+    c = cov2d[:, 1, 1]
+    det = a * c - b * b
+    safe_det = np.where(det > 0, det, 1.0)
+    conics = np.stack([c / safe_det, -b / safe_det, a / safe_det], axis=-1)
 
     logits = np.reshape(opacity_logits, (m_count,))
     opacities = 1.0 / (1.0 + np.exp(-logits))
-    ctx.opacities = opacities
-    ctx.sh_degree = sh_degree
     center = camera.center.astype(means.dtype)
+    common = dict(
+        rows=screen, means2d=np.stack([screen.x, screen.y], axis=-1),
+        conics=conics, opacities=opacities, sh_degree=sh_degree,
+    )
 
     def colors_of(rows, coeffs):
         view_vec = means if rows is None else means[rows]
@@ -386,22 +324,18 @@ def project(
 
     if callable(sh_coeffs):
         colors = np.zeros((m_count, 3), dtype=means.dtype)
-        ctx.view_dirs = ctx.view_vec_norms = ctx.clamp_mask = None
 
         def shade(rows):
             shaded = colors_of(rows, sh_coeffs(rows))[2]
             colors[rows] = shaded
             return shaded
 
-        return ProjectionResult(
-            geom=geom, colors=colors, opacities=opacities, ctx=ctx,
-            shade=shade,
-        )
+        return ProjectionResult(**common, colors=colors, shade=shade)
     dirs, norms, colors, clamp_mask = colors_of(None, sh_coeffs)
-    ctx.view_dirs = dirs
-    ctx.view_vec_norms = norms
-    ctx.clamp_mask = clamp_mask
-    return ProjectionResult(geom=geom, colors=colors, opacities=opacities, ctx=ctx)
+    return ProjectionResult(
+        **common, colors=colors, view_dirs=dirs, view_vec_norms=norms,
+        clamp_mask=clamp_mask,
+    )
 
 
 def project_backward(
@@ -427,13 +361,12 @@ def project_backward(
         grad_colors: ``dL/d colors``, ``(M, 3)``.
         grad_opacities: ``dL/d opacities`` (post-sigmoid), ``(M,)``.
     """
-    ctx = result.ctx
-    geom = result.geom
+    rows = result.rows
     m_count = means.shape[0]
     dtype = means.dtype
     rot = camera.world_to_cam_rot.astype(dtype)
-    cam_points = ctx.cam_points
-    jac = ctx.jacobians
+    cam_points = rows.cam_points
+    jac = rows.jacobians
     sh_coeffs = sh_coeffs.reshape(m_count, 16 if m_count == 0 else -1, 3)
 
     # --- conic -> cov2d: C = V^{-1} so dL/dV = -C G C with G symmetrized.
@@ -443,10 +376,10 @@ def project_backward(
     conic_mat_grad[:, 1, 0] = 0.5 * grad_conics[:, 1]
     conic_mat_grad[:, 1, 1] = grad_conics[:, 2]
     conic_full = np.empty((m_count, 2, 2), dtype=dtype)
-    conic_full[:, 0, 0] = geom.conics[:, 0]
-    conic_full[:, 0, 1] = geom.conics[:, 1]
-    conic_full[:, 1, 0] = geom.conics[:, 1]
-    conic_full[:, 1, 1] = geom.conics[:, 2]
+    conic_full[:, 0, 0] = result.conics[:, 0]
+    conic_full[:, 0, 1] = result.conics[:, 1]
+    conic_full[:, 1, 0] = result.conics[:, 1]
+    conic_full[:, 1, 1] = result.conics[:, 2]
     grad_cov2d = -(conic_full @ conic_mat_grad @ conic_full)
 
     # --- cov2d = M Sigma3 M^T + eps I with M = J W. J W and dL/dM W^T
@@ -455,7 +388,7 @@ def project_backward(
     m_mat = (jac.reshape(-1, 3) @ rot).reshape(jac.shape)
     sym = grad_cov2d + np.swapaxes(grad_cov2d, -1, -2)
     grad_sigma3 = np.swapaxes(m_mat, -1, -2) @ grad_cov2d @ m_mat
-    grad_m = sym @ m_mat @ ctx.cov3d_mats
+    grad_m = sym @ m_mat @ rows.cov3d_mats
     grad_jac = (grad_m.reshape(-1, 3) @ rot.T).reshape(grad_m.shape)  # W constant
 
     # --- Jacobian entries -> camera-space point.
@@ -483,19 +416,19 @@ def project_backward(
 
     # --- colors -> SH coefficients and view direction -> mean.
     grad_sh, grad_dirs = sh_module.eval_colors_backward(
-        sh_coeffs, ctx.view_dirs, ctx.clamp_mask, grad_colors, ctx.sh_degree
+        sh_coeffs, result.view_dirs, result.clamp_mask, grad_colors, result.sh_degree
     )
-    dirs = ctx.view_dirs
+    dirs = result.view_dirs
     inner = np.sum(dirs * grad_dirs, axis=-1, keepdims=True)
-    grad_means += (grad_dirs - dirs * inner) / ctx.view_vec_norms[:, None]
+    grad_means += (grad_dirs - dirs * inner) / result.view_vec_norms[:, None]
 
     # --- covariance -> scales and quaternions.
     grad_log_scales, grad_quats = cov3d.build_covariance_backward(
-        quats, ctx.cov3d_ctx, grad_sigma3
+        quats, rows.cov3d_ctx, grad_sigma3
     )
 
     # --- opacity sigmoid.
-    o = ctx.opacities
+    o = result.opacities
     grad_logits = (grad_opacities * o * (1.0 - o)).reshape(m_count, 1)
 
     if grad_sh.shape[1] < 16:

@@ -90,7 +90,7 @@ PAGE_ROUNDTRIP = 2.0
 class Segment:
     """One busy interval on one resource (for Figure 9 timelines)."""
 
-    resource: str  # "GPU" | "CPU" | "PCIe"
+    resource: str  # "CPU" | "GPU" | "PCIe" | "Disk"
     label: str
     start: float
     end: float

@@ -6,7 +6,16 @@ import json
 
 from .timeline import Segment
 
-_RESOURCE_TIDS = {"CPU": 1, "GPU": 2, "PCIe": 3}
+#: The modelled lanes in display order; a lane's trace tid is its
+#: position here plus one.
+_RESOURCES = ("CPU", "GPU", "PCIe", "Disk")
+_TIDS = {res: i + 1 for i, res in enumerate(_RESOURCES)}
+
+
+def _lanes(segments: list[Segment]) -> list[str]:
+    """The lanes ``segments`` use, in display order."""
+    used = {seg.resource for seg in segments}
+    return [res for res in _RESOURCES if res in used]
 
 
 def to_chrome_trace(segments: list[Segment], time_scale_us: float = 1e6) -> dict:
@@ -17,16 +26,17 @@ def to_chrome_trace(segments: list[Segment], time_scale_us: float = 1e6) -> dict
         time_scale_us: multiplier from model seconds to trace microseconds.
 
     Returns:
-        A dict ready for ``json.dump``.
+        A dict ready for ``json.dump``: one ``thread_name`` event per lane
+        the segments use, then one ``X`` event per segment.
     """
     events = []
-    for res, tid in _RESOURCE_TIDS.items():
+    for res in _lanes(segments):
         events.append(
             {
                 "name": "thread_name",
                 "ph": "M",
                 "pid": 1,
-                "tid": tid,
+                "tid": _TIDS[res],
                 "args": {"name": res},
             }
         )
@@ -36,7 +46,7 @@ def to_chrome_trace(segments: list[Segment], time_scale_us: float = 1e6) -> dict
                 "name": seg.label,
                 "ph": "X",
                 "pid": 1,
-                "tid": _RESOURCE_TIDS.get(seg.resource, 9),
+                "tid": _TIDS[seg.resource],
                 "ts": seg.start * time_scale_us,
                 "dur": max(seg.duration * time_scale_us, 0.01),
                 "cat": seg.resource,
@@ -52,14 +62,15 @@ def write_chrome_trace(segments: list[Segment], path: str) -> None:
 
 
 def render_ascii(segments: list[Segment], width: int = 72) -> str:
-    """ASCII Gantt chart of a simulated iteration (Figure 9 style)."""
+    """ASCII Gantt chart of a simulated iteration (Figure 9 style): one
+    row per lane the segments use."""
     if not segments:
         return "(empty timeline)"
     t_end = max(s.end for s in segments)
     if t_end <= 0:
         return "(empty timeline)"
     lines = []
-    for res in ("CPU", "GPU", "PCIe"):
+    for res in _lanes(segments):
         row = [" "] * width
         labels = []
         for seg in segments:

@@ -408,5 +408,4 @@ class TestSystemParity:
                 engine="vectorized",
             ),
         )
-        assert system.raster_engine == "vectorized"
         assert system.config.raster.engine == "vectorized"

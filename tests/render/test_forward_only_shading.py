@@ -1,14 +1,15 @@
-"""A forward-only render shades only the splats its pair table composites.
+"""Numerics contract fact 11: a forward-only render shades only the
+splats its pair table composites.
 
 ``render(..., screen=)`` with a screen kept without the backward context
 (serving's ``keep="screen"`` cull) hands the ``vectorized`` engine a
 colour function instead of a colour array; the engine calls it once,
 with the sorted distinct splat ids of the occlusion-pruned intersection
 table, and the render reads only those rows of ``model.sh``. The image
-and the final transmittance must be the bytes of the eager path
-(numerics contract fact 11), whatever the prune, the raster dtype, the
-row subset or the number of rows shaded; the ``reference`` engine and a
-render with the backward context stay eager.
+and the final transmittance must be the bytes of the eager path,
+whatever the prune, the raster dtype, the row subset or the number of
+rows shaded; the ``reference`` engine and a render with the backward
+context stay eager.
 """
 
 import numpy as np
@@ -73,16 +74,16 @@ SCENES = {
 def table_ids(result, config):
     """Sorted distinct splat ids of the render's pruned table, rebuilt
     from its projection."""
-    geom, proj = result.proj.geom, result.proj
-    dtype = np.dtype(config.dtype) if config.dtype else geom.means2d.dtype
+    proj = result.proj
+    dtype = np.dtype(config.dtype) if config.dtype else proj.means2d.dtype
     bboxes = config_bboxes(
-        geom.means2d, geom.radii, CAMERA.width, CAMERA.height, config
+        proj.means2d, proj.rows.radii, CAMERA.width, CAMERA.height, config
     )
     _, sid, _, _ = visible_intersections(
-        geom.means2d.astype(dtype), geom.conics.astype(dtype),
+        proj.means2d.astype(dtype), proj.conics.astype(dtype),
         proj.opacities.astype(dtype), bboxes,
-        np.argsort(geom.depths, kind="stable"), CAMERA.width, CAMERA.height,
-        config, 16,
+        np.argsort(proj.rows.cam_points[:, 2], kind="stable"),
+        CAMERA.width, CAMERA.height, config, 16,
     )
     return np.unique(sid)
 
@@ -169,6 +170,6 @@ def test_the_reference_engine_stays_eager(scene):
 def test_a_render_with_the_backward_context_stays_eager():
     model = SpiedModel(SCENES["occluded"])
     res = render(model, CAMERA, config=RasterConfig(engine="vectorized"))
-    assert res.proj.shade is None and res.proj.ctx.clamp_mask is not None
+    assert res.proj.shade is None and res.proj.clamp_mask is not None
     assert len(model.reads) == 1
     assert np.array_equal(model.reads[0], res.valid_ids)

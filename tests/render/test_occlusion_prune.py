@@ -192,17 +192,17 @@ class TestSoundness:
         res, grads = _run(args, w, h, cfg, grad_image)
         with _unpruned(monkeypatch):
             full, full_grads = _run(args, w, h, cfg, grad_image)
-        assert res.saved.num_pairs < full.saved.num_pairs
-        assert res.saved.num_pruned > 0 and full.saved.num_pruned == 0
+        assert res.counts.pairs < full.counts.pairs
+        assert res.counts.pruned_isects > 0 and full.counts.pruned_isects == 0
         assert (
-            res.saved.num_isects + res.saved.num_pruned
-            == full.saved.num_isects
+            res.counts.isects + res.counts.pruned_isects
+            == full.counts.isects
         )
 
         # the two runs also round differently: the transmittance scan is
         # one cumsum of log2(1 - alpha) over the whole (shorter or longer)
         # pair table, good to eps * |running sum| in log2 units
-        rounding = np.finfo(np.float64).eps * full.saved.num_pairs * 8.0
+        rounding = np.finfo(np.float64).eps * full.counts.pairs * 8.0
         c_span = np.abs(args[2] - BG).max()
         assert (
             np.abs(res.image - full.image).max()
@@ -259,7 +259,7 @@ class TestNoOp:
         res, grads = _run(args, w, h, cfg, grad_image)
         with _unpruned(monkeypatch):
             full, full_grads = _run(args, w, h, cfg, grad_image)
-        assert res.saved.num_pruned == 0
+        assert res.counts.pruned_isects == 0
         assert np.array_equal(res.image, full.image)
         assert np.array_equal(res.final_transmittance, full.final_transmittance)
         for name in ("pixel", "sid", "alpha", "starts", "counts", "nz"):
@@ -285,7 +285,7 @@ class TestNoOp:
             np.ones((3, 3)), np.ones(3), np.arange(3.0), np.ones(3),
             width=32, height=32,
         )
-        assert res.saved.num_isects == 0 and res.saved.num_pruned == 0
+        assert res.counts.isects == 0 and res.counts.pruned_isects == 0
 
 
 def _stack(fronts, width, height, num_back=5, **front):
@@ -449,7 +449,7 @@ class TestAllFlatEngines:
 
     def test_float32_fast_path_prunes_and_stays_close(self, scene):
         fast = self._engine(scene, engine="vectorized", dtype="float32")
-        assert fast[0].saved.num_pruned > 0
+        assert fast[0].counts.pruned_isects > 0
         # single-precision scan over ~1e5 pairs: the fast path's own error
         np.testing.assert_allclose(
             fast[0].image, scene[2][0].image, atol=1e-2, rtol=0
@@ -463,7 +463,7 @@ class TestSavedTable:
         cfg = RasterConfig()
         grad_image = np.random.default_rng(2).normal(size=(h, w, 3))
         res, grads = _run(args, w, h, cfg, grad_image)
-        assert res.saved.num_pruned > 0
+        assert res.counts.pruned_isects > 0
         rebuilt = rasterize_backward_vectorized(
             args[0], args[1], args[2], args[3], replace(res, saved=None),
             grad_image, background=BG, config=cfg,
@@ -496,8 +496,8 @@ class TestWalkthroughFrame:
         res = render(model, camera, config=cfg)
         with _unpruned(monkeypatch):
             full = render(model, camera, config=cfg)
-        pruned, unpruned = res.raster.saved, full.raster.saved
-        assert unpruned.num_pairs > 100_000
-        assert pruned.num_pairs < 0.1 * unpruned.num_pairs
-        assert pruned.num_isects + pruned.num_pruned == unpruned.num_isects
+        pruned, unpruned = res.raster.counts, full.raster.counts
+        assert unpruned.pairs > 100_000
+        assert pruned.pairs < 0.1 * unpruned.pairs
+        assert pruned.isects + pruned.pruned_isects == unpruned.isects
         np.testing.assert_allclose(res.image, full.image, atol=1e-11, rtol=0)

@@ -530,7 +530,7 @@ class TestCountsOnEveryEngine:
         vec = get_forward("vectorized")(*args, width=w, height=h)
         saved = vec.saved
         assert vec.counts == (
-            saved.pairs.cells, saved.num_pairs, saved.num_isects, 0,
+            saved.pairs.cells, saved.pairs.alpha.size, saved.pairs.isects, 0,
             saved.pairs.splats,
         )
         assert vec.counts.cells > vec.counts.pairs > vec.counts.isects > 0

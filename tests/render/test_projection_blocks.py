@@ -1,8 +1,9 @@
-"""The exact cull's block walk: ``frustum_cull`` projects its rows in
-blocks of ``culling.BLOCK_ROWS`` through ``projection.project_rows``, the
-function ``project_geometry`` runs over all rows at once. Every op in it
-is per row, so the walk must match the whole-array projection byte for
-byte wherever the blocks are cut (numerics contract fact 6)."""
+"""Numerics contract fact 6: the exact cull's block walk. ``frustum_cull``
+projects its rows in blocks of ``culling.BLOCK_ROWS`` through
+``projection.project_rows``, the function the render's
+``projection.project`` runs over all rows at once. Every op in it is per
+row, so the walk must match the whole-array projection byte for byte
+wherever the blocks are cut."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ import pytest
 from repro.cameras import Camera
 from repro.gaussians import covariance
 from repro.render import culling, frustum_cull, projection
-from repro.render.projection import project_geometry
 
 B = culling.BLOCK_ROWS
 
@@ -88,23 +88,19 @@ def test_walk_is_byte_equal_to_the_whole_array_projection(
         assert result.valid_ids.size == 0
         return
 
-    geom, _ = project_geometry(*rows, camera)
-    x, y, radii, valid = (
-        np.concatenate([getattr(b, f) for b in blocks])
-        for f in ("x", "y", "radii", "valid")
+    means, log_scales, quats = rows
+    whole = projection.project_rows(
+        projection.camera_points(means, camera), log_scales, quats, camera
     )
-    for got, want in (
-        (x, geom.means2d[:, 0]),
-        (y, geom.means2d[:, 1]),
-        (radii, geom.radii),
-        (valid, geom.valid),
-    ):
+    for f in ("x", "y", "radii", "valid"):
+        got = np.concatenate([getattr(b, f) for b in blocks])
+        want = getattr(whole, f)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
-    gx, gy, gr = geom.means2d[:, 0], geom.means2d[:, 1], geom.radii
+    gx, gy, gr = whole.x, whole.y, whole.radii
     keep = (
-        geom.valid
+        whole.valid
         & (gx + gr > 0) & (gx - gr < camera.width)
         & (gy + gr > 0) & (gy - gr < camera.height)
     )

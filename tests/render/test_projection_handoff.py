@@ -1,6 +1,7 @@
-"""A view is projected once: the exact cull hands the projection of the
-rows it keeps on to ``render()``, which uses it in place of projecting
-them again. That is bit-identical by construction — everything after the
+"""Numerics contract fact 8: a view is projected once. The exact cull
+hands the projection of the rows it keeps (``CullResult.screen``) on to
+``render()``, which keeps it as ``ProjectionResult.rows`` in place of
+projecting them again. That is bit-identical by construction — everything after the
 camera-space centres is per row (numerics contract fact 6), and the
 centres' product over two rows or more is a gemm whose row does not
 depend on the other rows (fact 8) — so a handed-on render must equal a
@@ -93,8 +94,11 @@ def outputs(model, camera, valid_ids=None, screen=None):
     """Image, screen geometry and gradients of one render + backward (no
     backward of an empty view: training renders none)."""
     res = render(model, camera, valid_ids=valid_ids, config=CFG, screen=screen)
-    geom = res.proj.geom
-    out = [res.image, geom.means2d, geom.conics, geom.depths, geom.radii]
+    proj = res.proj
+    out = [
+        res.image, proj.means2d, proj.conics, proj.rows.cam_points[:, 2],
+        proj.rows.radii,
+    ]
     if res.valid_ids.size:
         grad = np.random.default_rng(3).normal(size=res.image.shape)
         back = render_backward(model, camera, res, grad.astype(model.dtype))

@@ -1,11 +1,12 @@
-"""Property-based tests for the projection stage."""
+"""Property-based tests for the projection stage: :func:`project`'s one
+record (``ProjectionResult``: the rows' ``ScreenRows`` plus the conics)."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cameras import Camera
-from repro.render.projection import EPS_2D, project_geometry
+from repro.render.projection import EPS_2D, project
 
 
 def make_inputs(rng, n, z_range=(1.0, 20.0)):
@@ -19,6 +20,14 @@ def make_inputs(rng, n, z_range=(1.0, 20.0)):
     log_scales = rng.uniform(np.log(0.01), np.log(0.5), size=(n, 3))
     quats = rng.normal(size=(n, 4))
     return means, log_scales, quats
+
+
+def project_all(means, log_scales, quats, camera):
+    """The render's projection of every row (opacities and colours 0)."""
+    n = means.shape[0]
+    return project(
+        means, log_scales, quats, np.zeros(n), np.zeros((n, 16, 3)), camera
+    )
 
 
 def front_camera():
@@ -35,11 +44,11 @@ class TestProjectionProperties:
         in-front Gaussian."""
         rng = np.random.default_rng(seed)
         means, log_scales, quats = make_inputs(rng, n)
-        geom, _ = project_geometry(means, log_scales, quats, front_camera())
-        eigs = np.linalg.eigvalsh(geom.cov2d)
+        rows = project_all(means, log_scales, quats, front_camera()).rows
+        eigs = np.linalg.eigvalsh(rows.cov2d)
         assert np.all(eigs > 0)
         assert np.all(eigs.min(axis=1) >= EPS_2D * 0.5)
-        assert geom.valid.all()
+        assert rows.valid.all()
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 20))
@@ -47,10 +56,10 @@ class TestProjectionProperties:
         rng = np.random.default_rng(seed)
         means, log_scales, quats = make_inputs(rng, n)
         cam = front_camera()
-        geom, _ = project_geometry(means, log_scales, quats, cam)
+        depths = project_all(means, log_scales, quats, cam).rows.cam_points[:, 2]
         expected = cam.world_to_cam(means)[:, 2]
-        np.testing.assert_allclose(geom.depths, expected, rtol=1e-12)
-        assert np.all(geom.depths > 0)
+        np.testing.assert_allclose(depths, expected, rtol=1e-12)
+        assert np.all(depths > 0)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -62,10 +71,8 @@ class TestProjectionProperties:
         rng = np.random.default_rng(seed)
         means, log_scales, quats = make_inputs(rng, 10)
         cam = front_camera()
-        small, _ = project_geometry(means, log_scales, quats, cam)
-        large, _ = project_geometry(
-            means, log_scales + scale_boost, quats, cam
-        )
+        small = project_all(means, log_scales, quats, cam).rows
+        large = project_all(means, log_scales + scale_boost, quats, cam).rows
         assert np.all(large.radii >= small.radii)
 
     @settings(max_examples=30, deadline=None)
@@ -83,10 +90,10 @@ class TestProjectionProperties:
         )
         quats = np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
         cam = front_camera()
-        near, _ = project_geometry(means, log_scales, quats, cam)
+        near = project_all(means, log_scales, quats, cam).rows
         center = cam.center
         far_means = center + (means - center) * shrink  # along the view ray
-        far, _ = project_geometry(far_means, log_scales, quats, cam)
+        far = project_all(far_means, log_scales, quats, cam).rows
         # allow the ceil-quantized radius to tie
         assert np.all(far.radii <= near.radii)
 
@@ -95,14 +102,14 @@ class TestProjectionProperties:
     def test_conic_inverts_cov2d(self, seed):
         rng = np.random.default_rng(seed)
         means, log_scales, quats = make_inputs(rng, 12)
-        geom, _ = project_geometry(means, log_scales, quats, front_camera())
+        proj = project_all(means, log_scales, quats, front_camera())
         for i in range(12):
             conic = np.array(
                 [
-                    [geom.conics[i, 0], geom.conics[i, 1]],
-                    [geom.conics[i, 1], geom.conics[i, 2]],
+                    [proj.conics[i, 0], proj.conics[i, 1]],
+                    [proj.conics[i, 1], proj.conics[i, 2]],
                 ]
             )
             np.testing.assert_allclose(
-                conic @ geom.cov2d[i], np.eye(2), atol=1e-8
+                conic @ proj.rows.cov2d[i], np.eye(2), atol=1e-8
             )

@@ -2,9 +2,20 @@
 
 import pytest
 
+from repro import GSScaleConfig
 from repro.datasets import get_scene, synthesize_trace
 from repro.gaussians import layout
-from repro.sim import fits_host, get_platform, host_state_bytes, simulate_epoch
+from repro.sim import fits_host, get_platform, host_state_bytes, memory, simulate_epoch
+
+
+def test_outofcore_defaults_are_the_trainers():
+    """The simulator's out-of-core columns (fig11/fig12, the comparison
+    with a measured trace) default to the placement the trainer defaults
+    to."""
+    cfg = GSScaleConfig()
+    assert memory.DEFAULT_OUTOFCORE_SHARDS == cfg.num_shards
+    assert memory.DEFAULT_RESIDENT_SHARDS == cfg.resident_shards
+
 
 
 class TestHostStateBytes:

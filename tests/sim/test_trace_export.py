@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.sim import (
+    SYSTEMS,
     CostModel,
     get_platform,
     render_ascii,
@@ -70,3 +71,28 @@ class TestAsciiRendering:
     def test_durations_labelled(self, segments):
         art = render_ascii(segments)
         assert "ms]" in art
+
+
+class TestEveryLaneNamed:
+    """Every lane a modelled iteration uses is named, and charted."""
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_every_span_sits_on_a_named_lane(self, system):
+        cost = CostModel(get_platform("laptop_4070m"))
+        it = simulate_iteration(system, cost, 3_500_000, 0.126, 995_328)
+        events = to_chrome_trace(it.segments)["traceEvents"]
+        names = {e["tid"]: e["args"]["name"] for e in events if e["ph"] == "M"}
+        spans = [e for e in events if e["ph"] == "X"]
+        assert spans
+        for e in spans:
+            assert names[e["tid"]] == e["cat"]
+        assert len(names) == len({e["cat"] for e in spans})
+
+    def test_outofcore_async_chart_has_a_disk_row(self):
+        cost = CostModel(get_platform("laptop_4070m"))
+        it = simulate_iteration("outofcore_async", cost, 3_500_000, 0.126, 995_328)
+        rows = [
+            line.split("|")[0].strip()
+            for line in render_ascii(it.segments).splitlines() if "|" in line
+        ]
+        assert rows == ["CPU", "GPU", "PCIe", "Disk"]

@@ -25,23 +25,28 @@ The ``cull`` lines that follow hash the geometric side in front of the
 rasterizer on a 30k-row scene — more than three of the exact cull's row
 blocks — held as strided column views of one packed matrix, like a
 store's ``geometry()``: per view and dtype, ``valid_ids=`` of
-``frustum_cull``, and ``means2d=`` / ``radii=`` of ``project_geometry``
-over all rows. One view stands inside the scene, so its near plane cuts
-the rows and the cull gathers; the others see every row in depth range.
-They call nothing but those two functions, so the tool can run against
-an older checkout's ``src`` and the lines can be diffed.
+``frustum_cull``, and ``means2d=`` (``x`` and ``y`` stacked) / ``radii=``
+of ``project_rows(camera_points(...))`` over all rows — the projection
+``render`` runs on rows it is not handed. One view stands inside the
+scene, so its near plane cuts the rows and the cull gathers; the others
+see every row in depth range. They call nothing but those functions, so
+the tool can run against an older checkout's ``src`` and the lines can be
+diffed.
 
 The ``handon`` lines render the same views of a whole model over that
 scene (random opacities and SH), float64 and float32: ``image=`` and
 ``grads=`` (the packed backward gradients) of ``render(model, camera)``,
 whose cull hands the kept rows' projection on to the render. A checkout
-whose ``render`` takes no ``screen`` prints none of them.
+whose ``render`` takes no ``screen`` prints none of them. The render's
+projection is read in either layout: one record (``proj.rows``, the
+cull's ``ScreenRows``, beside the stacked centres and conics) or an older
+checkout's separate geometry record.
 
 ``--check`` asserts the equalities that hold inside one checkout and
 prints nothing else: every line repeats (a second run gives the same two
 digests), ``vectorized`` saved and rebuilt agree on all seven arrays,
 ``vectorized-blocks`` equals ``vectorized`` on both digests, and each
-view's ``frustum_cull`` keeps exactly the rows that ``project_geometry``
+view's ``frustum_cull`` keeps exactly the rows that one ``project_rows``
 over the rows in depth range, gathered whole, puts on the image, and each
 ``handon`` view's image, ``means2d``, conics, depths, radii and packed
 gradients equal, by ``tobytes()``, those of ``render`` over the compact
@@ -61,7 +66,7 @@ from repro.cameras import Camera
 from repro.gaussians import GaussianModel, layout
 from repro.render import RasterConfig, engine, frustum_cull, render, render_backward
 from repro.render.engine import get_backward, get_forward
-from repro.render.projection import project_geometry
+from repro.render.projection import camera_points, project_rows
 
 GRADS = ("means2d", "conics", "colors", "opacities", "mean2d_abs")
 BG = np.array([0.2, 0.5, 0.8])
@@ -230,7 +235,7 @@ def cull_views():
 
 
 def unblocked_cull(means, log_scales, quats, camera):
-    """``frustum_cull``'s verdict from one ``project_geometry`` over the
+    """``frustum_cull``'s verdict from one ``project_rows`` over the
     rows in depth range: gathered whole when the near/far test drops
     some, read in place when it drops none."""
     rot = camera.world_to_cam_rot.astype(means.dtype)
@@ -239,10 +244,10 @@ def unblocked_cull(means, log_scales, quats, camera):
     ids = np.flatnonzero((depths > camera.near) & (depths < camera.far))
     if ids.size < means.shape[0]:
         means, log_scales, quats = means[ids], log_scales[ids], quats[ids]
-    geom, _ = project_geometry(means, log_scales, quats, camera)
-    x, y, r = geom.means2d[:, 0], geom.means2d[:, 1], geom.radii
+    rows = project_rows(camera_points(means, camera), log_scales, quats, camera)
+    x, y, r = rows.x, rows.y, rows.radii
     keep = (
-        geom.valid
+        rows.valid
         & (x + r > 0) & (x - r < camera.width)
         & (y + r > 0) & (y - r < camera.height)
     )
@@ -257,11 +262,15 @@ def cull_runs():
         geometry = matrix[:, 0:3], matrix[:, 3:6], matrix[:, 6:10]
         for i, camera in enumerate(cull_views()):
             ids = frustum_cull(*geometry, camera).valid_ids
-            geom, _ = project_geometry(*geometry, camera)
+            means, log_scales, quats = geometry
+            rows = project_rows(
+                camera_points(means, camera), log_scales, quats, camera
+            )
+            means2d = np.stack([rows.x, rows.y], axis=-1)
             label = f"cull v{i} {dtype}"
             line = (
                 f"{label} valid_ids={digest(ids)}"
-                f" means2d={digest(geom.means2d)} radii={digest(geom.radii)}"
+                f" means2d={digest(means2d)} radii={digest(rows.radii)}"
             )
             same = np.array_equal(ids, unblocked_cull(*geometry, camera))
             yield label, line, same
@@ -284,11 +293,20 @@ def handon_outputs(model, camera, valid_ids, grad_seed):
     res = render(model, camera, valid_ids=valid_ids, config=cfg)
     grad = np.random.default_rng(grad_seed).normal(size=res.image.shape)
     back = render_backward(model, camera, res, grad.astype(model.dtype))
-    geom = res.proj.geom
     return res.valid_ids, [
-        res.image, geom.means2d, geom.conics, geom.depths, geom.radii,
-        back.param_grads,
+        res.image, *screen_columns(res.proj), back.param_grads,
     ]
+
+
+def screen_columns(proj):
+    """``means2d``, conics, depths and radii of a render's projection:
+    from the one record, or from the separate geometry record of a
+    checkout from before it."""
+    old = getattr(proj, "geom", None)
+    if old is not None:
+        return [old.means2d, old.conics, old.depths, old.radii]
+    rows = proj.rows
+    return [proj.means2d, proj.conics, rows.cam_points[:, 2], rows.radii]
 
 
 def handon_runs():
