@@ -6,13 +6,14 @@ Walks the scene-scale reconstruction vertical end to end:
    patches, each with its own camera assignment;
 2. train every patch as an independent restartable job on the persistent
    process pool (each an ordinary ``Trainer`` run over its buffered
-   subset, checkpointing to a manifest-tracked work directory);
+   subset, checkpointing to a work directory: each checkpoint is its
+   job's record of progress);
 3. fuse the trained patches with exactly-once boundary dedup and strip
    seam artifacts (oversized / isolated / near-transparent splats);
 4. load the final checkpoint straight into ``RenderService`` — in-memory
    and paged under a host byte budget — and render a probe view;
 5. re-run the pipeline on the same work directory to show resume: every
-   finished patch is skipped from its manifest;
+   finished patch is skipped on its checkpoint's iteration counter;
 6. print the modeled farm schedule from ``sim.simulate_patch_farm`` for
    the same patch sizes on a calibrated platform.
 
@@ -25,7 +26,6 @@ import tempfile
 import numpy as np
 
 from repro.core import GSScaleConfig
-from repro.core.checkpoint import resume_model
 from repro.datasets import SyntheticSceneConfig, build_scene
 from repro.metrics import psnr
 from repro.recon import PatchPipelineConfig, run_patch_pipeline
@@ -103,7 +103,7 @@ def main():
         )
         paged.store.close()
 
-        # -- resume: a second run costs one manifest read per patch -------
+        # -- resume: a second run costs one checkpoint header per patch ---
         again = run_patch_pipeline(
             scene.initial, scene.train_cameras, scene.train_images,
             workdir, config,

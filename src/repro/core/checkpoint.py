@@ -204,8 +204,6 @@ def validate_checkpoint(path: str, deep: bool = False) -> str | None:
     archive, unreadable header). With ``deep=True`` every parameter
     block is decompressed — catching tears past the archive index that a
     shallow open slides over — at the cost of reading the whole file.
-    The patch pipeline calls this before trusting a manifest that claims
-    a checkpoint is complete.
     """
     if not os.path.exists(path):
         return f"missing checkpoint {path}"

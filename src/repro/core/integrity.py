@@ -1,8 +1,8 @@
 """Storage integrity: sealed page headers, atomic writes, checksums.
 
 Everything the out-of-core tiers persist — ``DiskStore`` spill pages,
-sealed ``.pagez`` serving pages, checkpoints, patch manifests — passes
-through this module so that (a) no reader ever consumes a torn or
+sealed ``.pagez`` serving pages, checkpoints (a patch job's among them,
+its one record of progress) — passes through this module so that (a) no reader ever consumes a torn or
 bit-rotted file silently, and (b) no writer ever leaves a half-written
 file at the final path.
 

@@ -25,7 +25,7 @@ from .. import faults
 from ..pool import Lane
 from ..telemetry.trace import span as _span
 from .integrity import CorruptPageError, atomic_write_bytes, checksum
-from .pagecodec import get_page_codec
+from . import pagecodec
 
 if TYPE_CHECKING:
     from ..cameras.camera import Camera
@@ -37,7 +37,8 @@ class PageFile:
 
     A ``raw`` page — every training page, and a serving page while it is
     built — is ``{stem}.dat``, a memory-mapped file whose bytes stay
-    exactly the array: the ledger equates its disk and host sizes, so it
+    exactly the array (this mapping is the raw page format's one
+    definition): the ledger equates its disk and host sizes, so it
     cannot carry a header and its CRC32 is held out of band, on this
     object. A ``float16`` page (serving only) is one sealed ``GSP1`` file
     ``{stem}.float16.pagez`` (length + CRC32 header,
@@ -50,16 +51,18 @@ class PageFile:
         stem: path prefix of the page file.
         shape: ``(rows, cols)`` of the stored array.
         dtype: dtype :meth:`read` decodes to (and a raw page is stored in).
-        codec: page codec name (:mod:`repro.core.pagecodec`).
+        codec: page codec name, one of
+            :data:`~repro.core.pagecodec.CODECS` (:class:`ValueError`
+            otherwise).
     """
 
     def __init__(self, stem: str, shape, dtype, codec: str = "raw"):
         self.stem = stem
         self.shape = (int(shape[0]), int(shape[1]))
         self.dtype = np.dtype(dtype)
-        self.codec = get_page_codec(codec)
-        self._raw = self.codec.name == "raw"
-        suffix = "dat" if self._raw else f"{self.codec.name}.pagez"
+        self.codec = pagecodec.check_codec(codec)
+        self._raw = codec == "raw"
+        suffix = "dat" if self._raw else f"{codec}.pagez"
         self.path = f"{stem}.{suffix}" if self.shape[0] else ""
         #: sealed bytes of an encoded page as last written; ``None`` =
         #: stored raw (the ledger's convention for "disk == decoded")
@@ -100,7 +103,7 @@ class PageFile:
             self._mm[...] = arr
             self.seal()
             return
-        buf = self.codec.encode_page(arr)
+        buf = pagecodec.encode_page(arr)
         self.disk_nbytes = len(buf)
         atomic_write_bytes(self.path, buf, fsync=fsync)
 
@@ -109,15 +112,15 @@ class PageFile:
         :class:`~repro.core.integrity.CorruptPageError` naming the file
         on a torn (short), bit-rotted (checksum) or misshapen (a payload
         that is not ``rows x cols`` values) page."""
-        return self._load(self.codec.decode_page)
+        return self._load(pagecodec.decode_page)
 
     def hold(self):
         """The verified page as a read-only reader keeps it resident
-        (:meth:`~repro.core.pagecodec.PageCodec.hold`): indexed by an array
+        (:func:`~repro.core.pagecodec.hold`): indexed by an array
         of rows, it gives those rows of :meth:`read`, byte for byte. A
         float16 page stays encoded and decodes only the rows asked for.
         Verified as :meth:`read` verifies."""
-        return self._load(self.codec.hold_page)
+        return self._load(pagecodec.hold_page)
 
     def _load(self, open_page):
         """The one verified read: visits the ``pager:page_in`` fault point

@@ -3,18 +3,26 @@
 Each patch of a partitioned capture trains as one ordinary
 :class:`~repro.core.trainer.Trainer` run over its buffered Gaussians and
 assigned views, fanned out over the :class:`~repro.pool.PersistentPool`
-process machinery. A job is restartable by construction:
+process machinery. A job is restartable by construction: it checkpoints
+every ``checkpoint_every`` iterations (format-v2, the same
+:func:`~repro.core.checkpoint.save_checkpoint` a monolithic run uses),
+and that checkpoint is the one record of how far it got. Its header's
+``iteration`` and ``num_gaussians`` are read the same way by the driver
+and by the worker (:class:`~repro.core.checkpoint.CheckpointReader`):
 
-* it checkpoints every ``checkpoint_every`` iterations (format-v2, the
-  same :func:`~repro.core.checkpoint.save_checkpoint` a monolithic run
-  uses) next to a small JSON manifest recording how far it got;
-* on entry it reads the manifest — a finished patch is skipped, a
-  partial one reloads its checkpoint and continues the same
-  deterministic schedule via ``Trainer.train(start_iteration=...)``.
+* a patch with no rows is ``empty`` and has no file;
+* a patch whose readable checkpoint is at its iteration target is
+  ``skipped`` (the driver never even pickles its spec);
+* any other patch reloads the newer readable of ``patch{k}.npz`` and its
+  rotated ``patch{k}.npz.prev`` and continues the same deterministic
+  schedule from the checkpoint's own iteration counter, via
+  ``Trainer.train(start_iteration=...)`` — or trains from its initial
+  rows when neither reads.
 
 So a killed farm run is resumed simply by calling :func:`train_patches`
-again with the same work directory: completed patches cost one manifest
-read, the interrupted one picks up from its last checkpoint.
+again with the same work directory: completed patches cost one header
+read, the interrupted one picks up from its last checkpoint, and no step
+is trained twice.
 
 Failures are contained: a job that raises reports ``status="failed"``
 with the exception text instead of poisoning the pool, and the driver
@@ -22,17 +30,13 @@ surfaces every failure in its :class:`PatchRunReport`.
 
 Checkpoints are crash-safe end to end: saves are atomic and the previous
 checkpoint is rotated to ``<path>.prev`` first, so a save torn by a
-mid-write crash costs one chunk of progress, not the patch — the next
-run detects the tear (:class:`~repro.core.integrity.
-CorruptCheckpointError`), reloads ``.prev``, and takes its resume
-position from the checkpoint's own iteration counter. Manifests that
-claim completion are never trusted without validating the checkpoint
-they point at.
+mid-write crash (:class:`~repro.core.integrity.CorruptCheckpointError`
+on the next read), or a kill between the rotation and the save, costs
+one chunk of progress, not the patch.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -40,9 +44,9 @@ import numpy as np
 
 from ..cameras.camera import Camera
 from ..core.checkpoint import (
+    CheckpointReader,
     load_checkpoint,
     save_checkpoint,
-    validate_checkpoint,
 )
 from ..core.config import GSScaleConfig
 from ..core.integrity import CorruptCheckpointError
@@ -65,7 +69,7 @@ class PatchJobSpec:
     """Everything one worker needs to train (or resume) a patch.
 
     Self-contained and picklable: the parameter subset, the patch's
-    views, and the paths its checkpoint/manifest live at.
+    views, and the path its checkpoint lives at.
     """
 
     index: int
@@ -75,13 +79,13 @@ class PatchJobSpec:
     iterations: int
     config: GSScaleConfig
     checkpoint_path: str
-    manifest_path: str
     checkpoint_every: int = 0  # 0: checkpoint only on completion
 
 
 @dataclass
 class PatchJobResult:
-    """Outcome of one patch job (also reconstructed from manifests)."""
+    """Outcome of one patch job (or read off the checkpoint of a patch
+    with nothing left to train)."""
 
     index: int
     status: str  # "trained" | "resumed" | "skipped" | "empty" | "failed"
@@ -121,39 +125,30 @@ class PatchRunReport:
         ]
 
 
-def _paths(workdir: str, index: int) -> tuple[str, str]:
-    return (
-        os.path.join(workdir, f"patch{index}.npz"),
-        os.path.join(workdir, f"patch{index}.json"),
-    )
-
-
-def _read_manifest(path: str) -> dict | None:
-    """Read a job manifest; unreadable or torn manifests read as absent.
-
-    The manifest only memoizes progress — treating a damaged one as "no
-    manifest" costs at most a re-resume from the checkpoint, which is
-    strictly safer than trusting half a JSON file.
-    """
+def _progress(path: str) -> tuple[int, int] | None:
+    """``(iteration, num_gaussians)`` of the checkpoint at ``path``, or
+    ``None`` when there is no readable one."""
     if not os.path.exists(path):
         return None
     try:
-        with open(path) as fh:
-            manifest = json.load(fh)
-    except (OSError, ValueError):
+        with CheckpointReader(path) as reader:
+            return reader.iteration, reader.num_gaussians
+    except (CorruptCheckpointError, ValueError):
         return None
-    if not isinstance(manifest, dict) or not {
-        "status", "iterations_done", "num_gaussians"
-    } <= manifest.keys():
-        return None
-    return manifest
 
 
-def _write_manifest(path: str, manifest: dict) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh)
-    os.replace(tmp, path)  # atomic: a killed job never leaves half a file
+def _finished(spec: PatchJobSpec) -> PatchJobResult | None:
+    """The result of a patch with nothing left to train — ``empty`` (no
+    rows) or ``skipped`` (a readable checkpoint at its iteration
+    target) — or ``None`` when it has work left."""
+    if spec.params.shape[0] == 0:
+        return PatchJobResult(spec.index, "empty", 0, 0, "")
+    progress = _progress(spec.checkpoint_path)
+    if progress is None or progress[0] < spec.iterations:
+        return None
+    return PatchJobResult(
+        spec.index, "skipped", *progress, spec.checkpoint_path
+    )
 
 
 def run_patch_job(spec: PatchJobSpec) -> PatchJobResult:
@@ -175,66 +170,33 @@ def run_patch_job(spec: PatchJobSpec) -> PatchJobResult:
         )
 
 
-def _run_patch_job(spec: PatchJobSpec) -> PatchJobResult:
-    n = int(spec.params.shape[0])
-    if n == 0:
-        _write_manifest(
-            spec.manifest_path,
-            {"status": "empty", "iterations_done": 0, "num_gaussians": 0},
-        )
-        return PatchJobResult(
-            index=spec.index,
-            status="empty",
-            iterations_done=0,
-            num_gaussians=0,
-            checkpoint_path="",
-        )
-
-    manifest = _read_manifest(spec.manifest_path)
-    done = int(manifest["iterations_done"]) if manifest else 0
-    resumable = (
-        manifest is not None
-        and manifest["status"] != "empty"
-        and done > 0
-        and os.path.exists(spec.checkpoint_path)
-    )
-    if (
-        resumable
-        and done >= spec.iterations
-        and validate_checkpoint(spec.checkpoint_path) is None
-    ):
-        return PatchJobResult(
-            index=spec.index,
-            status="skipped",
-            iterations_done=done,
-            num_gaussians=int(manifest["num_gaussians"]),
-            checkpoint_path=spec.checkpoint_path,
-        )
-
-    trainer = Trainer(GaussianModel(spec.params), spec.config)
-    status = "trained"
-    start = 0
-    if resumable:
+def _resume(spec: PatchJobSpec) -> tuple[Trainer, str]:
+    """A trainer for the patch and its status: ``resumed`` from the newer
+    readable of its checkpoint and the rotated ``.prev`` (a torn save or
+    a kill between the rotation and the save leaves only the latter),
+    else ``trained`` from the patch's initial rows."""
+    for path in (spec.checkpoint_path, spec.checkpoint_path + ".prev"):
+        if not os.path.exists(path):
+            continue
+        trainer = Trainer(GaussianModel(spec.params), spec.config)
         try:
-            load_checkpoint(spec.checkpoint_path, trainer.system)
-            start, status = done, "resumed"
+            load_checkpoint(path, trainer.system)
         except CorruptCheckpointError:
-            # torn mid-write: fall back to the rotated last-good
-            # checkpoint. The start position comes from the checkpoint
-            # itself (system.iteration counts completed steps), so a
-            # manifest that ran ahead of — or behind — the tear cannot
-            # desynchronize the deterministic schedule.
-            trainer = Trainer(GaussianModel(spec.params), spec.config)
-            prev = spec.checkpoint_path + ".prev"
-            if os.path.exists(prev):
-                try:
-                    load_checkpoint(prev, trainer.system)
-                    start = int(trainer.system.iteration)
-                    status = "resumed"
-                except CorruptCheckpointError:
-                    trainer = Trainer(GaussianModel(spec.params), spec.config)
+            continue
+        return trainer, "resumed"
+    return Trainer(GaussianModel(spec.params), spec.config), "trained"
 
-    def snapshot(iterations_done: int) -> None:
+
+def _run_patch_job(spec: PatchJobSpec) -> PatchJobResult:
+    finished = _finished(spec)
+    if finished is not None:
+        return finished
+    trainer, status = _resume(spec)
+    # the checkpoint's own counter (system.iteration counts completed
+    # steps) places the deterministic schedule: no step runs twice
+    start = int(trainer.system.iteration)
+
+    def snapshot() -> None:
         # rotate the last good checkpoint aside before overwriting it:
         # should this save tear (crash mid-write), the next attempt
         # resumes from .prev instead of starting over
@@ -243,14 +205,6 @@ def _run_patch_job(spec: PatchJobSpec) -> PatchJobResult:
                 spec.checkpoint_path, spec.checkpoint_path + ".prev"
             )
         save_checkpoint(spec.checkpoint_path, trainer.system)
-        _write_manifest(
-            spec.manifest_path,
-            {
-                "status": status,
-                "iterations_done": iterations_done,
-                "num_gaussians": trainer.num_gaussians,
-            },
-        )
 
     chunk = spec.checkpoint_every
     pos = start
@@ -262,13 +216,13 @@ def _run_patch_job(spec: PatchJobSpec) -> PatchJobResult:
         )
         trainer.train(spec.cameras, spec.images, step, start_iteration=pos)
         pos += step
-        snapshot(pos)
+        snapshot()
     if pos == start:
-        snapshot(spec.iterations)  # zero remaining work: still emit a model
+        snapshot()  # zero remaining work: still emit a model
     return PatchJobResult(
         index=spec.index,
         status=status,
-        iterations_done=spec.iterations,
+        iterations_done=int(trainer.system.iteration),
         num_gaussians=trainer.num_gaussians,
         checkpoint_path=spec.checkpoint_path,
     )
@@ -287,7 +241,6 @@ def build_specs(
     """One :class:`PatchJobSpec` per patch, subsetting model and views."""
     specs = []
     for patch in patches:
-        checkpoint_path, manifest_path = _paths(workdir, patch.index)
         specs.append(
             PatchJobSpec(
                 index=patch.index,
@@ -296,8 +249,9 @@ def build_specs(
                 images=[images[i] for i in patch.camera_ids],
                 iterations=iterations,
                 config=config,
-                checkpoint_path=checkpoint_path,
-                manifest_path=manifest_path,
+                checkpoint_path=os.path.join(
+                    workdir, f"patch{patch.index}.npz"
+                ),
                 checkpoint_every=checkpoint_every,
             )
         )
@@ -318,11 +272,11 @@ def train_patches(
 ) -> PatchRunReport:
     """Train every patch on a persistent process pool.
 
-    Patches whose manifests already show the target iteration count are
-    skipped on the driver side (their spec is never even pickled); the
-    rest fan out ``jobs`` wide. Call again with the same ``workdir``
-    after a crash to resume: finished patches skip, partial ones reload
-    their checkpoints.
+    Empty patches, and patches whose checkpoints already show the target
+    iteration count, are resolved on the driver side (their spec is
+    never even pickled); the rest fan out ``jobs`` wide. Call again with
+    the same ``workdir`` after a crash to resume: finished patches skip,
+    partial ones reload their checkpoints.
 
     Args:
         pool: an existing :class:`PersistentPool` to reuse; by default a
@@ -340,33 +294,11 @@ def train_patches(
     report = PatchRunReport(results=[None] * len(specs))
     pending = []
     for spec in specs:
-        manifest = _read_manifest(spec.manifest_path)
-        if (
-            manifest is not None
-            and manifest["status"] != "failed"
-            and int(manifest["iterations_done"]) >= iterations
-            and (
-                manifest["status"] == "empty"
-                or (
-                    os.path.exists(spec.checkpoint_path)
-                    # a complete-looking manifest next to a torn
-                    # checkpoint must re-dispatch, not skip forever
-                    and validate_checkpoint(spec.checkpoint_path) is None
-                )
-            )
-        ):
-            report.results[slots[spec.index]] = PatchJobResult(
-                index=spec.index,
-                status="skipped" if manifest["status"] != "empty" else "empty",
-                iterations_done=int(manifest["iterations_done"]),
-                num_gaussians=int(manifest["num_gaussians"]),
-                checkpoint_path=(
-                    "" if manifest["status"] == "empty"
-                    else spec.checkpoint_path
-                ),
-            )
-        else:
+        finished = _finished(spec)
+        if finished is None:
             pending.append(spec)
+        else:
+            report.results[slots[spec.index]] = finished
 
     if pending:
         own_pool = pool is None

@@ -7,9 +7,10 @@ capture's cameras that actually see it, so every patch is a complete,
 independently trainable problem — its own Gaussians, its own views.
 
 Camera assignment is frustum-based: a camera belongs to a patch when the
-patch's buffered geometry survives its frustum cull (the exact test, run
-on the rows :func:`~repro.render.culling.cull_candidates` cannot rule
-out — a patch the camera looks away from costs no projection). Cameras
+patch's buffered geometry survives its frustum cull (the exact test's
+image stage, :func:`~repro.render.culling.image_stage`, run on the rows
+:func:`~repro.render.culling.cull_candidates` cannot rule out — a patch
+the camera looks away from costs no projection). Cameras
 may (and should) appear in several patches — a view that straddles a
 boundary supervises both sides. A non-empty patch that no frustum
 reaches still gets its ``min_cameras`` nearest views, so no owned
@@ -25,7 +26,7 @@ import numpy as np
 from ..cameras.camera import Camera
 from ..core.splitting import SpatialPatch, buffered_spatial_partition
 from ..gaussians import GaussianModel
-from ..render import cull_candidates, frustum_cull
+from ..render import cull_candidates, frustum_cull, image_stage
 
 __all__ = ["ScenePatch", "default_buffer", "partition_scene"]
 
@@ -88,12 +89,15 @@ def _sees(camera: Camera, means, log_scales, quats) -> bool:
     """Whether any of these Gaussians survives the camera's frustum cull.
 
     A camera looking elsewhere leaves no candidate and costs no
-    projection; one looking this way projects its candidates only.
+    projection; one looking this way projects its candidates only, for
+    the image stage (their depth was decided on all the rows).
     """
     cand = cull_candidates(means, log_scales, camera)
     if cand.size == 0:
         return False
-    exact = frustum_cull(means[cand], log_scales[cand], quats[cand], camera)
+    exact = frustum_cull(
+        means[cand], log_scales[cand], quats[cand], image_stage(camera)
+    )
     return exact.num_visible > 0
 
 

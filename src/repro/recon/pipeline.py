@@ -8,9 +8,10 @@ patch models fuse with exactly-once boundary dedup, and the quality
 filters strip patch-seam artifacts. The result loads straight into
 ``RenderService.from_checkpoint`` (in-memory or paged).
 
-The driver is resumable: job state lives in ``workdir`` manifests, so
-re-running :func:`run_patch_pipeline` after a crash skips finished
-patches and resumes partial ones from their checkpoints.
+The driver is resumable: a patch job's progress is its checkpoint in
+``workdir`` (its header's iteration counter), so re-running
+:func:`run_patch_pipeline` after a crash skips finished patches and
+resumes partial ones from their checkpoints.
 
 Host-memory accounting follows the repo's fp32-equivalent convention
 (:mod:`repro.gaussians.layout`): the pipeline's peak is the widest
@@ -145,7 +146,7 @@ def run_patch_pipeline(
         model: initial whole-scene Gaussians.
         cameras: all training cameras.
         images: matching ground-truth images.
-        workdir: job checkpoints, manifests, and the merged/final
+        workdir: job checkpoints and the merged/final
             checkpoints all live here; reuse it to resume.
         config: pipeline knobs.
         pool: optional existing :class:`PersistentPool` to run jobs on.

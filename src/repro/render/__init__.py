@@ -11,7 +11,7 @@ the ``vectorized`` engine's inference fast path.
 """
 
 from . import backward, culling, engine, projection, rasterize
-from .culling import CullResult, cull_candidates, frustum_cull
+from .culling import CullResult, cull_candidates, frustum_cull, image_stage
 from .engine import (
     rasterize_backward_vectorized,
     rasterize_vectorized,
@@ -32,6 +32,7 @@ __all__ = [
     "culling",
     "engine",
     "frustum_cull",
+    "image_stage",
     "projection",
     "rasterize",
     "rasterize_backward_vectorized",

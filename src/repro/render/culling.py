@@ -44,8 +44,10 @@ farm's view assignment): the same depth test, then a reject of every row
 whose projected centre lies further outside the image than an **upper
 bound** on its splat radius. What it returns is a superset of what
 :func:`frustum_cull` keeps, so running the exact test on those rows only
-gives the same visible set for a fraction of the projections. It reads no
-quaternion, builds no covariance and stores nothing per row.
+gives the same visible set for a fraction of the projections — asked of
+:func:`image_stage`'s camera, as both callers do, so that depth is
+decided once, on the whole arrays. It reads no quaternion, builds no
+covariance and stores nothing per row.
 
 Its third user is the sharded training cull
 (:meth:`~repro.core.stores.ShardedStore.visible`), through
@@ -80,7 +82,7 @@ rounding of the model dtype.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -270,12 +272,29 @@ def cull_candidates(
         exact test over the gathered candidates,
         ``ids[frustum_cull(means[ids], ...).valid_ids]``, keeps what it
         keeps over all rows (up to that rounding of a grazing depth; a
-        caller that must match to the row hands it a camera without
-        depth limits — every candidate is in range already).
+        caller that must match to the row hands it
+        :func:`image_stage`'s camera — every candidate is in range
+        already).
     """
     in_range = _in_depth(means, camera)
     ids = np.nonzero(in_range)[0] if rows is None else rows[in_range[rows]]
     return _within_reach(means, log_scales, camera, ids)
+
+
+def image_stage(camera: Camera) -> Camera:
+    """``camera`` without depth limits: the camera to run the exact test
+    with over the rows :func:`cull_candidates` returned.
+
+    Every candidate passed near/far on the whole arrays. Decided again on
+    the gathered candidates, the depth product over another row set may
+    round a grazing depth to the other side (numerics contract fact 2),
+    so the exact test is asked for its image stage only. With ``ids =
+    cull_candidates(means, log_scales, camera, rows)``, the rows
+    ``ids[frustum_cull(means[ids], log_scales[ids], quats[ids],
+    image_stage(camera)).valid_ids]`` are those a whole-array cull keeps
+    (of ``rows``), each row's depth decided once.
+    """
+    return replace(camera, near=1e-30, far=np.inf)
 
 
 def gated_cull(

@@ -16,13 +16,13 @@ process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .. import faults
 from ..cameras.camera import Camera
-from ..render import cull_candidates, frustum_cull, render
+from ..render import cull_candidates, frustum_cull, image_stage, render
 from ..render.projection import ScreenRows
 from ..render.rasterize import RasterConfig
 from ..telemetry import trace as _trace
@@ -65,10 +65,12 @@ def _cull_frame(
     :func:`~repro.render.culling.cull_candidates` names the rows the view
     could see — depth test plus a conservative bounding-radius reject, no
     projection — and the exact :func:`~repro.render.frustum_cull` runs on
-    these candidates only. The candidates are a superset of what the
-    exact test keeps and a row's verdict does not depend on the rows it
-    is asked about with, so the ids are those of a whole-model cull
-    filtered by :meth:`~repro.serve.lod.LODSet.filter_ids`.
+    these candidates only, for its image stage
+    (:func:`~repro.render.culling.image_stage`). The candidates are a
+    superset of what the exact test keeps and a row's verdict does not
+    depend on the rows it is asked about with, so the ids are those of a
+    whole-model cull filtered by
+    :meth:`~repro.serve.lod.LODSet.filter_ids`.
     ``candidates`` is added to the store's ``rows_projected`` counter.
     """
     means, log_scales, quats = store.geometry()
@@ -79,12 +81,8 @@ def _cull_frame(
     )
     cand = cull_candidates(means, log_scales, task.camera, rows=keep)
     store.rows_projected += cand.size
-    # every candidate passed near/far on the whole arrays; decided again
-    # on the gathered subset, BLAS may round a grazing depth to the other
-    # side, so the exact test is asked for its image stage only
-    image_stage = replace(task.camera, near=1e-30, far=np.inf)
     exact = frustum_cull(
-        means[cand], log_scales[cand], quats[cand], image_stage,
+        means[cand], log_scales[cand], quats[cand], image_stage(task.camera),
         keep="screen",
     )
     rows = means.shape[0] if keep is None else keep.size

@@ -37,7 +37,7 @@ import numpy as np
 
 from ..core.checkpoint import CheckpointReader
 from ..core.integrity import CorruptPageError
-from ..core.pagecodec import decode_halves, get_page_codec
+from ..core.pagecodec import check_codec, decode_halves
 from ..core.pager import PageFile, ResidentSet
 from ..core.splitting import ShardMap, spatial_partition
 from ..core.systems import TransferLedger
@@ -302,9 +302,9 @@ class _ServeShard:
         build = self.page
         build.seal()
         codec = self._store.codec
-        if codec is build.codec or not self.num_rows:
+        if codec == build.codec or not self.num_rows:
             return
-        self.page = PageFile(build.stem, build.shape, build.dtype, codec.name)
+        self.page = PageFile(build.stem, build.shape, build.dtype, codec)
         self.page.write(np.asarray(build.view()), fsync=True)
         os.remove(build.path)
 
@@ -431,7 +431,7 @@ class PagedServingStore(ServingStore):
                 f"geo must be (N, {layout.GEOMETRIC_DIM}), got {geo.shape}"
             )
         self.geo = np.ascontiguousarray(geo)
-        self.codec = get_page_codec(codec)
+        self.codec = check_codec(codec)
         self._map = ShardMap(shard_rows)
         if self._map.num_rows != geo.shape[0]:
             raise ValueError("shard rows must partition the model's rows")
@@ -620,7 +620,7 @@ class PagedServingStore(ServingStore):
         the shard each row came from — so that a frame decodes only the
         rows it shades, each exactly as :meth:`gather` decodes it. A raw
         page holds decoded values: there is nothing to defer."""
-        if self.codec.name == "raw":
+        if self.codec == "raw":
             return super().gather_tick(ids)
         head = np.empty((ids.size, layout.OPACITY_SLICE.stop), self.dtype)
         head[:, layout.GEOMETRIC_SLICE] = self.geo[ids]

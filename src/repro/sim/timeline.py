@@ -1,4 +1,5 @@
-"""Discrete-event timeline of training iterations for all four systems.
+"""Discrete-event timeline of training iterations for every system in
+:data:`SYSTEMS`.
 
 Reproduces the execution schedules of Figure 9:
 
@@ -9,6 +10,11 @@ Reproduces the execution schedules of Figure 9:
   the CPU leg (framework dense update) overlaps the GPU leg (Figure 9c).
 * ``gsscale`` — all optimizations; the CPU leg shrinks to the deferred
   update (Figure 9d).
+
+and three beyond the paper: ``sharded`` (GS-Scale over Gaussian shards),
+``outofcore`` (the same with spilled shards paged from disk on the
+critical path) and ``outofcore_async`` (that paging overlapped by the
+prefetch leg).
 
 ``simulate_epoch`` runs a whole workload trace through one system and
 reports throughput, a stage breakdown (Figure 7), and OOM status

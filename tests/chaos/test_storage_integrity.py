@@ -17,7 +17,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from repro.core import CorruptCheckpointError, CorruptPageError
+from repro.core import CorruptCheckpointError, CorruptPageError, pagecodec
 from repro.core.checkpoint import (
     CheckpointReader,
     load_checkpoint,
@@ -470,7 +470,7 @@ class TestServingQuarantine:
                     fh.write(bytes(2 * layout.NON_GEOMETRIC_DIM * 8))
             else:
                 stale = np.zeros((shard.num_rows - 2, layout.NON_GEOMETRIC_DIM))
-                atomic_write_bytes(path, store.codec.encode_page(stale))
+                atomic_write_bytes(path, pagecodec.encode_page(stale))
             shard.spill()
             with pytest.raises(PageQuarantinedError, match=path):
                 store.gather(store.shard_rows[0][:3])

@@ -1,13 +1,17 @@
 """Unit tests for the page codecs behind the paged serving tier.
 
-The codecs carry every sealed serving page, so their contracts are
-pinned directly: raw round-trips are bit-exact for any dtype, the
-float16 codec is tolerance-bounded *and idempotent* (re-encoding a
-decoded page reproduces its bytes), and the registry rejects unknown
-names — the retired ``lossless`` among them — with an actionable error.
-A resident page may be held encoded: decoding a subset of its rows gives
-those rows of the whole page, byte for byte, and a payload that does not
-fit its page is a corrupt page, not a numpy error.
+The codecs carry every serving page, so their contracts are pinned
+directly: a raw page is its mapping, and round-trips through
+:class:`~repro.core.pager.PageFile` bit-exactly for any dtype; the
+float16 codec (the functions of :mod:`repro.core.pagecodec`) is
+tolerance-bounded *and idempotent* (re-encoding a decoded page
+reproduces its bytes), and scales each column exactly (numerics contract
+fact 7); a page file or a paged store rejects an unknown codec name —
+the retired ``lossless`` among them — with an actionable error. A
+resident page may be held encoded: decoding a subset of its rows (or of
+its rows and columns, fact 11) gives those values of the whole page,
+byte for byte, and a page that does not fit its shape is a corrupt page,
+not a numpy error.
 """
 
 import numpy as np
@@ -15,69 +19,74 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import pagecodec as codec
 from repro.core.integrity import CorruptPageError, seal_page
-from repro.core.pagecodec import (
-    PAGE_CODECS,
-    Float16Codec,
-    RawCodec,
-    decode_halves,
-    get_page_codec,
-)
+from repro.core.pagecodec import CODECS, decode_halves
+from repro.core.pager import PageFile
+from repro.gaussians import GaussianModel
+from repro.serve import PagedServingStore
 
 
 def _page(seed=0, shape=(17, 49), dtype=np.float64):
     return np.random.default_rng(seed).normal(size=shape).astype(dtype)
 
 
-class TestRegistry:
-    def test_known_codecs(self):
-        assert set(PAGE_CODECS) == {"raw", "float16"}
-        for name in PAGE_CODECS:
-            assert get_page_codec(name).name == name
+def _stored(tmp_path, name, arr):
+    """``arr`` written to a page file under codec ``name``."""
+    page = PageFile(str(tmp_path / name), arr.shape, arr.dtype, name)
+    page.write(arr)
+    return page
 
-    def test_unknown_codec_error_names_choices(self):
-        with pytest.raises(ValueError, match="unknown page codec"):
-            get_page_codec("zstd")
-        with pytest.raises(ValueError, match="float16"):
-            get_page_codec("f16")
 
-    def test_lossless_is_retired(self):
+class TestCodecNames:
+    def test_known_codecs(self, tmp_path):
+        assert CODECS == ("raw", "float16")
+        for name in CODECS:
+            page = PageFile(str(tmp_path / name), (3, 4), np.float64, name)
+            assert page.codec == name
+
+    @pytest.mark.parametrize("bad", ["zstd", "f16", "lossless"])
+    def test_unknown_codec_is_rejected_at_construction(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="unknown page codec") as info:
+            PageFile(str(tmp_path / "p"), (3, 4), np.float64, bad)
+        assert "float16" in str(info.value)  # names the choices
+        assert list(tmp_path.iterdir()) == []
         with pytest.raises(ValueError, match="unknown page codec"):
-            get_page_codec("lossless")
+            PagedServingStore.from_model(
+                GaussianModel(np.zeros((4, 59))), 1 << 20, num_shards=2,
+                page_dir=str(tmp_path / "pages"), codec=bad,
+            )
 
 
 class TestRoundtrip:
+    """A raw page is its mapping: what is written reads back bit for
+    bit."""
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_bit_exact(self, dtype):
-        codec = RawCodec()
+    def test_bit_exact(self, tmp_path, dtype):
         arr = _page(dtype=dtype)
-        out = codec.decode(codec.encode(arr), arr.shape, dtype)
+        out = _stored(tmp_path, "raw", arr).read()
         assert out.dtype == np.dtype(dtype)
         np.testing.assert_array_equal(out, arr)
 
-    def test_noncontiguous_input(self):
-        codec = RawCodec()
+    def test_noncontiguous_input(self, tmp_path):
         arr = _page(shape=(17, 98))[:, ::2]  # strided view
-        out = codec.decode(codec.encode(arr), arr.shape, arr.dtype)
-        np.testing.assert_array_equal(out, arr)
+        np.testing.assert_array_equal(_stored(tmp_path, "raw", arr).read(), arr)
 
-    def test_decoded_pages_are_writable(self):
-        for codec in PAGE_CODECS.values():
-            arr = _page()
-            out = codec.decode(codec.encode(arr), arr.shape, arr.dtype)
+    def test_decoded_pages_are_writable(self, tmp_path):
+        for name in CODECS:
+            out = _stored(tmp_path, name, _page()).read()
             out[0, 0] = 1.0  # a decoded page is the reader's own copy
 
 
 class TestFloat16:
     def test_tolerance_bounded(self):
-        codec = Float16Codec()
         arr = _page()
         out = codec.decode(codec.encode(arr), arr.shape, arr.dtype)
         # half precision: ~11 significand bits
         np.testing.assert_allclose(out, arr, rtol=1e-3, atol=1e-6)
 
     def test_idempotent(self):
-        codec = Float16Codec()
         arr = _page(seed=3)
         first = codec.encode(arr)
         decoded = codec.decode(first, arr.shape, arr.dtype)
@@ -85,14 +94,13 @@ class TestFloat16:
 
     def test_two_bytes_per_value_plus_column_header(self):
         arr = _page()
-        encoded = Float16Codec().encode(arr)
+        encoded = codec.encode(arr)
         assert len(encoded) == 2 * arr.size + 2 * arr.shape[1]
 
     def test_beyond_native_f16_range_roundtrips(self):
         """The per-column scale re-centers each column into [0.5, 1):
         values far past f16's 65504 ceiling survive with full relative
         precision instead of clipping."""
-        codec = Float16Codec()
         arr = np.array([[1e9, -3e8], [2e8, 1e9]])
         out = codec.decode(codec.encode(arr), arr.shape, np.float64)
         np.testing.assert_allclose(out, arr, rtol=1e-3)
@@ -101,7 +109,6 @@ class TestFloat16:
         """The motivating case: second moments of nearly-converged
         parameters (~grad**2 ~ 1e-10) must not flush to zero — a zero v
         makes the next Adam step m/eps and detonates the trajectory."""
-        codec = Float16Codec()
         arr = np.abs(_page(seed=7)) * 1e-10
         out = codec.decode(codec.encode(arr), arr.shape, np.float64)
         assert np.all(out[arr > 0] > 0)
@@ -112,7 +119,6 @@ class TestFloat16:
         """The per-column scale re-centres a column wherever its values
         sit, from 1e-300 to 1e300: half-precision relative error at every
         decade, and re-encoding the decoded page gives its bytes."""
-        codec = Float16Codec()
         arr = _page(seed=7) * 10.0**decade
         buf = codec.encode(arr)
         out = codec.decode(buf, arr.shape, np.float64)
@@ -120,7 +126,6 @@ class TestFloat16:
         assert codec.encode(out) == buf
 
     def test_zero_column_roundtrips(self):
-        codec = Float16Codec()
         arr = np.zeros((5, 3))
         arr[:, 1] = np.arange(5)
         out = codec.decode(codec.encode(arr), arr.shape, np.float64)
@@ -129,7 +134,6 @@ class TestFloat16:
         np.testing.assert_array_equal(out[:, 2], 0.0)
 
     def test_mixed_magnitude_columns_scale_independently(self):
-        codec = Float16Codec()
         arr = np.column_stack([
             np.linspace(1e-9, 2e-9, 8),
             np.linspace(1.0, 2.0, 8),
@@ -141,7 +145,6 @@ class TestFloat16:
     def test_upcast_is_exact(self):
         # f16 -> f64 is exact, so decode(encode(decode(...))) fixes
         arr = _page(seed=5)
-        codec = Float16Codec()
         once = codec.decode(codec.encode(arr), arr.shape, np.float64)
         twice = codec.decode(codec.encode(once), arr.shape, np.float64)
         np.testing.assert_array_equal(once, twice)
@@ -162,7 +165,6 @@ class TestFloat16:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_in_place_decode_matches_out_of_place_formula(self, dtype):
-        codec = Float16Codec()
         rng = np.random.default_rng(11)
         page = rng.normal(size=(64, 49)) * 10.0 ** rng.integers(-6, 4, size=(64, 49))
         page[:, 4] = 0.0                      # zero column: exponent 0
@@ -189,7 +191,6 @@ class TestFloat16:
         assert np.array_equal(once, twice)
 
     def test_in_place_decode_leaves_the_page_bytes_alone(self):
-        codec = Float16Codec()
         buf = codec.encode(_page(seed=9))
         copy = bytes(buf)
         codec.decode(buf, (17, 49), np.float64)
@@ -248,10 +249,10 @@ class TestFloat16ScaleIsExact:
 
     def test_encode_matches_the_ldexp_formula(self):
         page = self._page_across_exponents()
-        buf = Float16Codec().encode(page)
+        buf = codec.encode(page)
         assert buf == self._encode_ldexp(page)
         exps = np.frombuffer(buf, dtype="<i2", count=page.shape[1])
-        assert (exps.min(), exps.max()) == Float16Codec.EXPONENTS
+        assert (exps.min(), exps.max()) == codec.EXPONENTS
         assert np.all(exps[-3:] == 0)  # zero columns
         halves = np.frombuffer(buf, dtype="<f2", offset=2 * page.shape[1])
         halves = np.abs(halves.reshape(page.shape).astype(np.float64))
@@ -262,17 +263,17 @@ class TestFloat16ScaleIsExact:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_decode_matches_the_ldexp_formula(self, dtype):
         page = self._page_across_exponents()
-        buf = Float16Codec().encode(page)
+        buf = codec.encode(page)
         with np.errstate(over="ignore"):  # float32 cannot hold 2**1022
-            got = Float16Codec().decode(buf, page.shape, dtype)
+            got = codec.decode(buf, page.shape, dtype)
             want = TestFloat16._decode_out_of_place(buf, page.shape, dtype)
         assert got.tobytes() == want.tobytes()
 
     def test_exponent_range_is_what_encode_writes(self):
-        assert Float16Codec.EXPONENTS == (-536, 512)
+        assert codec.EXPONENTS == (-536, 512)
         extremes = np.array([[np.nextafter(0.0, 1.0), np.finfo(np.float64).max]])
-        exps = np.frombuffer(Float16Codec().encode(extremes), dtype="<i2", count=2)
-        assert tuple(exps) == Float16Codec.EXPONENTS
+        exps = np.frombuffer(codec.encode(extremes), dtype="<i2", count=2)
+        assert tuple(exps) == codec.EXPONENTS
 
 
 ROW_SETS = {
@@ -290,11 +291,9 @@ class TestHeldRows:
     """A held page decodes the rows asked for exactly as the whole page
     decodes them."""
 
-    @pytest.mark.parametrize("name", sorted(PAGE_CODECS))
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rows", sorted(ROW_SETS))
-    def test_held_rows_are_decode_then_index(self, name, dtype, rows):
-        codec = get_page_codec(name)
+    def test_held_rows_are_decode_then_index(self, dtype, rows):
         page = _page(seed=2, dtype=dtype)
         page[4, 7] = -0.0
         page[:, 11] = 0.0
@@ -308,15 +307,28 @@ class TestHeldRows:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("name", CODECS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", sorted(ROW_SETS))
+    def test_held_page_file_rows_are_read_then_index(
+        self, tmp_path, name, dtype, rows
+    ):
+        arr = _page(seed=2, dtype=dtype)
+        arr[4, 7] = -0.0
+        page = _stored(tmp_path, name, arr)
+        ids = np.array(ROW_SETS[rows], dtype=np.int64)
+        want = page.read()[ids]
+        got = page.hold()[ids]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_float16_holds_its_payload(self):
-        codec = Float16Codec()
         buf = codec.encode(_page())
         held = codec.hold(buf, (17, 49), np.float64)
         assert not isinstance(held, np.ndarray)
         assert held[np.arange(3)].flags.writeable
 
     def test_one_dimensional_page(self):
-        codec = Float16Codec()
         page = _page(shape=(9,))
         buf = codec.encode(page)
         ids = np.array([4, 0, 4])
@@ -343,7 +355,6 @@ class TestHeldSubsetsAreRowwise:
         rng = np.random.default_rng(seed)
         page = rng.normal(size=(n, 49)) * 10.0 ** rng.uniform(-6, 6, size=49)
         page[rng.random(page.shape) < 0.05] = -0.0
-        codec = Float16Codec()
         buf = codec.encode(page)
         whole = codec.decode(buf, page.shape, dtype)
         held = codec.hold(buf, page.shape, dtype)
@@ -362,14 +373,12 @@ class TestHeldSubsetsAreRowwise:
 
 
 class TestMisshapenPayload:
-    """A sealed page whose seal checks out but whose payload does not fit
-    the page — a stale file of another shard size, a column exponent
-    ``encode`` never writes — is corrupt, and says which file."""
+    """A page whose bytes check out but do not fit the page — a stale
+    file of another shard size, a column exponent :func:`encode` never
+    writes — is corrupt, and says which file."""
 
-    @pytest.mark.parametrize("name", sorted(PAGE_CODECS))
     @pytest.mark.parametrize("stored, expected", [(10, 12), (12, 10)])
-    def test_wrong_row_count_is_corrupt(self, name, stored, expected):
-        codec = get_page_codec(name)
+    def test_wrong_row_count_is_corrupt(self, stored, expected):
         sealed = codec.encode_page(_page(shape=(stored, 49)))
         for open_page in (codec.decode_page, codec.hold_page):
             with pytest.raises(CorruptPageError, match="stale.page") as info:
@@ -379,10 +388,21 @@ class TestMisshapenPayload:
             codec.decode(codec.encode(_page(shape=(stored, 49))),
                          (expected, 49), np.float64)
 
+    @pytest.mark.parametrize("stored, expected", [(10, 12), (12, 10)])
+    def test_raw_page_of_another_row_count_is_corrupt(
+        self, tmp_path, stored, expected
+    ):
+        page = _stored(tmp_path, "raw", _page(shape=(expected, 49)))
+        with open(page.path, "wb") as fh:
+            fh.write(_page(shape=(stored, 49)).tobytes())
+        for open_page in (page.read, page.hold):
+            with pytest.raises(CorruptPageError, match="bytes") as info:
+                open_page()
+            assert info.value.path == page.path
+
     @pytest.mark.parametrize("offset", [-1, 1])
     def test_float16_exponent_outside_encode_range_is_corrupt(self, offset):
-        codec = Float16Codec()
-        low, high = Float16Codec.EXPONENTS
+        low, high = codec.EXPONENTS
         bad = low + offset if offset < 0 else high + offset
         payload = bytearray(codec.encode(_page()))
         payload[2:4] = np.array([bad], dtype="<i2").tobytes()  # column 1

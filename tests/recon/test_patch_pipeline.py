@@ -154,7 +154,7 @@ class TestResume:
         assert run_patch_job(straight).status == "trained"
 
         # "kill" a checkpointing job at iteration 4, then re-run to 8:
-        # the manifest protocol guarantees restart from the last snapshot
+        # the last snapshot's own iteration counter is where it restarts
         (tmp_path / "b").mkdir()
         killed = self.one_spec(scene, tmp_path / "b", 4, checkpoint_every=2)
         assert run_patch_job(killed).status == "trained"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cameras import Camera
-from repro.render import cull_candidates, frustum_cull
+from repro.render import cull_candidates, frustum_cull, image_stage
 
 
 def make_inputs(means, scale=0.1):
@@ -242,9 +242,8 @@ def exact_on(cand, means, log_scales, quats, camera):
     passed near/far on the whole arrays; a camera without depth limits
     keeps BLAS from rounding a grazing depth to the other side when the
     product is taken again over the gathered rows."""
-    image_stage = dataclasses.replace(camera, near=1e-30, far=np.inf)
     exact = frustum_cull(
-        means[cand], log_scales[cand], quats[cand], image_stage
+        means[cand], log_scales[cand], quats[cand], image_stage(camera)
     )
     return cand[exact.valid_ids]
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cameras.camera import Camera
+from repro.core import pagecodec
 from repro.datasets import SyntheticSceneConfig, build_scene
 from repro.faults import corrupt_file
 from repro.gaussians import layout
@@ -81,11 +82,11 @@ def stored_params(model, store: PagedServingStore) -> np.ndarray:
     """The model as the store holds it: non-geometric columns through
     the page codec, shard by shard (no store method involved)."""
     params = model.params.copy()
-    if store.codec.name != "raw":
+    if store.codec == "float16":
         for rows in store.shard_rows:
             page = params[rows][:, layout.NON_GEOMETRIC_SLICE]
-            params[rows, layout.NON_GEOMETRIC_SLICE] = store.codec.decode(
-                store.codec.encode(page), page.shape, params.dtype
+            params[rows, layout.NON_GEOMETRIC_SLICE] = pagecodec.decode(
+                pagecodec.encode(page), page.shape, params.dtype
             )
     return params
 

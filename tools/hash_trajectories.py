@@ -22,7 +22,10 @@ under each serving codec (``serve-raw``, ``serve-float16``); and last,
 ``gsscale-vectorized`` and ``sharded-vectorized``, the two in-memory
 splitting systems trained with the ``vectorized`` raster engine every
 ``perfbench`` workload trains with (the other columns render with
-``reference``). Per training column it prints the sha256 of the step
+``reference``); after them the ``patches`` column: the scene cut into
+two patches (``partition_scene``), each trained as a patch job
+(``build_specs`` + ``run_patch_job``, in this process) for 4 iterations
+with a checkpoint every 2. Per training column it prints the sha256 of the step
 losses, the final packed parameters, the Adam moments and the defer
 counters (both scattered into global row order, so columns with
 different store trees compare), then the ledger counts and tracker
@@ -36,7 +39,7 @@ state). Per serving column: the page files, a full
 ``gather``, one frame, the ledger, then a gather of a fixed seeded
 subset of rows, unsorted and with repeats (``gather_rows``), and the
 page files of the same model paged by ``from_model``
-(``pages_from_model``).
+(``pages_from_model``). Per patch: the sha256 of its checkpoint file.
 
 A change to the pager, the stores or the serving tier that is meant to
 keep numerics and bytes must leave every line equal to the parent
@@ -56,7 +59,9 @@ under every serving codec), and a gather decodes each row as the whole
 page would (``gather_rows`` == the same rows of the full ``gather``
 under every serving codec); and sharding never changes numerics under
 the ``vectorized`` engine either (``gsscale-vectorized`` ==
-``sharded-vectorized``). Uses only names both sides of a diff have;
+``sharded-vectorized``); and a patch job stopped at 2 iterations and
+resumed to 4 leaves the checkpoints of the uninterrupted run. Uses only
+names both sides of a diff have;
 ``.crc`` sidecars of older checkouts are ignored.
 """
 
@@ -78,6 +83,9 @@ from repro.core.checkpoint import (
 from repro.datasets import SyntheticSceneConfig, build_scene
 from repro.densify import DensifyConfig
 from repro.gaussians import layout
+from repro.recon import run_patch_job
+from repro.recon.jobs import build_specs
+from repro.recon.partition import partition_scene
 from repro.render import RasterConfig
 from repro.serve import FrameTask, PagedServingStore
 from repro.serve.farm import render_frame
@@ -98,6 +106,9 @@ IN_MEMORY = (
 VECTORIZED = ("gsscale", "sharded")
 NUM_SHARDS = 4
 GATHER_ROWS = 97
+#: the patch jobs' iteration target, and the stops of the resumed run
+PATCH_ITERATIONS = 4
+PATCH_STOPS = (2, PATCH_ITERATIONS)
 
 
 def sha(*arrays) -> str:
@@ -110,14 +121,18 @@ def sha(*arrays) -> str:
     return h.hexdigest()[:16]
 
 
+def file_sha(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()[:16]
+
+
 def page_files(directory: str) -> dict[str, str]:
     """``name -> sha256`` of every page file under ``directory``."""
     out = {}
     for name in sorted(os.listdir(directory)):
         if name.endswith(".crc") or ".tmp." in name:
             continue
-        with open(os.path.join(directory, name), "rb") as fh:
-            out[name] = hashlib.sha256(fh.read()).hexdigest()[:16]
+        out[name] = file_sha(os.path.join(directory, name))
     return out
 
 
@@ -219,6 +234,32 @@ def serve_column(scene, tmp: str, codec: str, checkpoint: str) -> dict:
     return row
 
 
+def patch_checkpoints(scene, workdir: str, stops) -> dict[str, str]:
+    """``patch{k} -> sha256`` of each patch job's checkpoint, the jobs
+    run to every iteration count of ``stops`` in turn (a stop before the
+    last is a run that was stopped there and resumed)."""
+    config = GSScaleConfig(
+        system="gpu_only", scene_extent=scene.extent, ssim_lambda=0.0,
+        seed=0, engine="reference",
+    )
+    patches = partition_scene(scene.initial, scene.train_cameras, 2)
+    os.makedirs(workdir)
+    for iterations in stops:
+        specs = build_specs(
+            patches, scene.initial, scene.train_cameras, scene.train_images,
+            config, iterations, workdir, checkpoint_every=2,
+        )
+        for spec in specs:
+            result = run_patch_job(spec)
+            if not result.ok:
+                raise RuntimeError(f"patch {spec.index}: {result.error}")
+    return {
+        f"patch{spec.index}": file_sha(spec.checkpoint_path)
+        for spec in specs
+        if spec.params.shape[0]
+    }
+
+
 def run() -> dict[str, dict]:
     scene = build_scene(
         SyntheticSceneConfig(
@@ -245,12 +286,21 @@ def run() -> dict[str, dict]:
                 scene, tmp, f"{name}-vectorized", system=name,
                 engine="vectorized",
             )
+        table["patches"] = patch_checkpoints(
+            scene, os.path.join(tmp, "patches"), (PATCH_ITERATIONS,)
+        )
+        # for --check, not printed
+        table["patches-resumed"] = patch_checkpoints(
+            scene, os.path.join(tmp, "patches-resumed"), PATCH_STOPS
+        )
     return table
 
 
 def lines(table: dict[str, dict]) -> list[str]:
     out = []
     for column, row in table.items():
+        if column == "patches-resumed":
+            continue
         for key, value in row.items():
             if key in ("checkpoint", "full_rows"):
                 continue
@@ -309,6 +359,9 @@ def check(table: dict[str, dict]) -> list[str]:
         if row["gather_rows"] != row["full_rows"]:
             failures.append(f"rows decode on their own: serve-{codec} "
                             "gather_rows != the same rows of gather")
+    if table["patches-resumed"] != table["patches"]:
+        failures.append("a resumed patch job trains each step once: "
+                        "patches-resumed != patches")
     return failures
 
 
